@@ -2,7 +2,7 @@
 
 Exit codes: 0 answered/pass, 1 refuted/counterexample, 2 refused because a
 hypothesis failed or could not be verified, 3 input error, 4 resource
-budget exhausted.
+budget exhausted, 5 internal self-check failed (no report is printed).
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ EXIT_REFUTED = 1
 EXIT_REFUSED = 2
 EXIT_INPUT = 3
 EXIT_BUDGET = 4
+EXIT_INTERNAL = 5
 
 REPRODUCE_IDS = ("intro-free-monoid", "open-cone-approx",
                  "matrix-not-localizable", "almost-fring",
@@ -570,6 +571,9 @@ def main(argv=None) -> int:
     except ResourceBudgetError as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except InternalCheckError as exc:
+        print(f"internal check failed: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     sys.stdout.write(render_report(doc, args.format))
     return code
 

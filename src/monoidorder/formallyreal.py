@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import floor
+from math import floor, gcd, lcm
 from typing import Optional, Sequence, Union
 
 from .exactmath import InputError, InternalCheckError
@@ -217,89 +217,151 @@ def squarefree_decomposition(p: RationalPolynomial):
     return lead, out
 
 
+def _product(polys) -> RationalPolynomial:
+    out = RationalPolynomial([1])
+    for g in polys:
+        out = out * g
+    return out
+
+
 def squarefree_part(p: RationalPolynomial) -> RationalPolynomial:
     """Monic polynomial with the same distinct roots, each simple."""
     _, factors = squarefree_decomposition(p)
-    out = RationalPolynomial([1])
-    for g, _ in factors:
-        out = out * g
-    return out
+    return _product(g for g, _ in factors)
 
 
 def odd_multiplicity_part(p: RationalPolynomial) -> RationalPolynomial:
     """Product of the square-free factors of odd multiplicity (monic)."""
     _, factors = squarefree_decomposition(p)
-    out = RationalPolynomial([1])
-    for g, m in factors:
-        if m % 2 == 1:
-            out = out * g
-    return out
+    return _product(g for g, m in factors if m % 2 == 1)
 
 
 # ---------------------------------------------------------------------------
 # Sturm chains and root counting
 
 
+def _primitive(ints) -> tuple:
+    """Integer coefficients divided by their (positive) content."""
+    content = gcd(*ints)
+    return tuple(c // content for c in ints)
+
+
+def _integer_multiple(p: RationalPolynomial) -> tuple:
+    """Primitive integer coefficients that are a positive multiple of ``p``."""
+    den = 1
+    for c in p.coefficients:
+        den = lcm(den, c.denominator)
+    return _primitive([c.numerator * (den // c.denominator)
+                       for c in p.coefficients])
+
+
+def _negated_remainder(a: tuple, b: tuple) -> tuple:
+    """A positive multiple of ``-(a mod b)`` over the integers, primitive.
+
+    Pseudo-division by ``b`` made to lead positively: each elimination
+    step multiplies the running remainder by that positive leading
+    coefficient, so the integer remainder is a positive multiple of the
+    rational one.  Returns ``()`` when ``b`` divides ``a``.
+    """
+    if b[-1] < 0:
+        b = tuple(-c for c in b)
+    lead, db = b[-1], len(b) - 1
+    rem = list(a)
+    while len(rem) - 1 >= db:
+        top = rem.pop()
+        shift = len(rem) - db
+        rem = [lead * c for c in rem]
+        for i, c in enumerate(b[:-1]):
+            rem[shift + i] -= top * c
+        while rem and rem[-1] == 0:
+            rem.pop()
+    return _primitive([-c for c in rem]) if rem else ()
+
+
 class SturmChain:
-    """Sign-variation chain of the square-free part of a polynomial.
+    """Sturm chain of the square-free part of a polynomial, in integers.
+
+    The chain starts with the square-free part and its derivative; each
+    further entry is minus the remainder of the two before it (computed as
+    a primitive pseudo-remainder sequence, after Collins).  Every entry is
+    stored as integer coefficients, low degree first, scaled from the
+    rational entry by a positive factor, so it has the same sign at every
+    point.  The sign at ``x = n/d`` with ``d > 0`` of an entry
+    ``c_0 + ... + c_m x^m`` is the sign of ``sum c_i n^i d^(m-i)``, which
+    is ``d^m`` times its value; homogeneous Horner evaluates that sum in
+    plain integers, so no ``Fraction`` is normalized while counting.
 
     Sign variations are counted with zero entries dropped, which makes the
     variation count right-continuous; the count of distinct real roots in
     the half-open interval ``(lo, hi]`` is then the difference of the
     variation counts at the endpoints, with root endpoints handled by the
-    same convention.
+    same convention.  ``squarefree=True`` promises that ``p`` is already
+    square-free and skips the decomposition.
     """
 
-    def __init__(self, p: RationalPolynomial):
+    def __init__(self, p: RationalPolynomial, squarefree: bool = False):
         if p.is_zero():
             raise InputError("cannot build a root-counting chain for zero")
-        seed = squarefree_part(p)
-        chain = [seed]
-        if seed.degree > 0:
-            chain.append(seed.derivative())
-            while chain[-1].degree > 0:
-                rem = chain[-2] % chain[-1]
-                if rem.is_zero():
+        self.seed = p.monic() if squarefree else squarefree_part(p)
+        chain = [_integer_multiple(self.seed)]
+        if self.seed.degree > 0:
+            chain.append(_integer_multiple(self.seed.derivative()))
+            while len(chain[-1]) > 1:
+                rem = _negated_remainder(chain[-2], chain[-1])
+                if not rem:
                     break
-                chain.append(-rem)
+                chain.append(rem)
         self.chain = chain
 
     def _signs_at(self, x: Optional[Rat], positive_infinity: bool = False):
+        if x is None:
+            return [(1 if c[-1] > 0 else -1) *
+                    (1 if positive_infinity or len(c) % 2 else -1)
+                    for c in self.chain]
+        x = Fraction(x)
+        n, d = x.numerator, x.denominator
+        powers = [1]
+        for _ in range(len(self.chain[0]) - 1):
+            powers.append(powers[-1] * d)
         signs = []
-        for q in self.chain:
-            if q.is_zero():
-                continue
-            if x is not None:
-                v = q.evaluate(x)
-                s = (v > 0) - (v < 0)
-            elif positive_infinity:
-                s = 1 if q.leading > 0 else -1
-            else:
-                s = (1 if q.leading > 0 else -1) * (-1 if q.degree % 2 else 1)
-            if s != 0:
-                signs.append(s)
+        for c in self.chain:
+            m = len(c) - 1
+            acc = c[m]
+            for i in range(m - 1, -1, -1):
+                acc = acc * n + c[i] * powers[m - i]
+            if acc:
+                signs.append(1 if acc > 0 else -1)
         return signs
 
     def variations(self, x: Optional[Rat], positive_infinity: bool = False) -> int:
         signs = self._signs_at(x, positive_infinity)
         return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
+    def count(self, lo: Optional[Rat] = None, hi: Optional[Rat] = None) -> int:
+        """Distinct real roots in ``(lo, hi]``; ``None`` means infinite."""
+        count = self.variations(lo) - self.variations(hi, positive_infinity=True)
+        if count < 0:
+            raise InternalCheckError("negative root count from the variation chain")
+        return count
 
-def sturm_root_count(p: RationalPolynomial,
-                     lo: Optional[Rat] = None,
+
+def _chain_of(p) -> SturmChain:
+    """``p`` itself when it is a chain already, else the chain of ``p``."""
+    return p if isinstance(p, SturmChain) else SturmChain(p)
+
+
+def sturm_root_count(p, lo: Optional[Rat] = None,
                      hi: Optional[Rat] = None) -> int:
-    """Distinct real roots of ``p`` in ``(lo, hi]``; ``None`` means infinite."""
-    if p.is_zero():
-        raise InputError("the zero polynomial has every point as a root")
-    if p.degree == 0:
-        return 0
-    chain = SturmChain(p)
-    v_lo = chain.variations(lo, positive_infinity=False)
-    v_hi = chain.variations(hi, positive_infinity=True)
-    count = v_lo - v_hi
-    if count < 0:
-        raise InternalCheckError("negative root count from the variation chain")
-    return count
+    """Distinct real roots of ``p`` in ``(lo, hi]``; ``None`` means infinite.
+
+    ``p`` is a polynomial or a :class:`SturmChain` built for one.
+    """
+    if isinstance(p, RationalPolynomial):
+        if p.is_zero():
+            raise InputError("the zero polynomial has every point as a root")
+        if p.degree == 0:
+            return 0
+    return _chain_of(p).count(lo, hi)
 
 
 def cauchy_root_bound(p: RationalPolynomial) -> Fraction:
@@ -310,11 +372,14 @@ def cauchy_root_bound(p: RationalPolynomial) -> Fraction:
     return 1 + max(abs(c) / lead for c in p.coefficients[:-1])
 
 
-def isolate_real_roots(p: RationalPolynomial) -> list:
-    """Disjoint rational intervals ``(lo, hi]``, one distinct real root each."""
-    if p.is_zero():
-        raise InputError("cannot isolate roots of the zero polynomial")
-    sf = squarefree_part(p)
+def isolate_real_roots(p) -> list:
+    """Disjoint rational intervals ``(lo, hi]``, one distinct real root each.
+
+    ``p`` is a polynomial or a :class:`SturmChain` built for one; every
+    bisection step counts with that one chain.
+    """
+    chain = _chain_of(p)
+    sf = chain.seed
     if sf.degree <= 0:
         return []
     bound = cauchy_root_bound(sf)
@@ -326,20 +391,22 @@ def isolate_real_roots(p: RationalPolynomial) -> list:
         if count == 1:
             return [(a, b)]
         mid = (a + b) / 2
-        left = sturm_root_count(sf, a, mid)
+        left = chain.count(a, mid)
         return split(a, mid, left) + split(mid, b, count - left)
 
-    total = sturm_root_count(sf, lo, hi)
-    return split(lo, hi, total)
+    return split(lo, hi, chain.count(lo, hi))
 
 
-def refine_interval(p: RationalPolynomial, interval, width: Fraction):
-    """Shrink a one-root interval ``(lo, hi]`` below the requested width."""
+def refine_interval(p, interval, width: Fraction):
+    """Shrink a one-root interval ``(lo, hi]`` below the requested width.
+
+    ``p`` is a polynomial or a :class:`SturmChain` built for one.
+    """
     lo, hi = Fraction(interval[0]), Fraction(interval[1])
-    sf = squarefree_part(p)
+    chain = _chain_of(p)
     while hi - lo > width:
         mid = (lo + hi) / 2
-        if sturm_root_count(sf, lo, mid) == 1:
+        if chain.count(lo, mid) == 1:
             hi = mid
         else:
             lo = mid
@@ -586,6 +653,8 @@ def is_sos_membership(f: RationalFunction) -> dict:
     Decided through pointwise nonnegativity of ``num * den``: positive
     leading coefficient and no real root of odd multiplicity.  A negative
     verdict carries a rational witness point with exactly negative value.
+    One square-free decomposition of ``num * den`` serves both the
+    odd-multiplicity count and the witness search.
     """
     if f.is_zero():
         return {"member": True, "witness": None, "witness_value": None,
@@ -593,14 +662,22 @@ def is_sos_membership(f: RationalFunction) -> dict:
                 "detail": "the zero function is the empty sum"}
     g = f.numerator * f.denominator
     lead_ok = g.leading > 0
-    odd = odd_multiplicity_part(g)
-    odd_roots = sturm_root_count(odd) if odd.degree > 0 else 0
-    if lead_ok and odd_roots == 0:
-        return {"member": True, "witness": None, "witness_value": None,
-                "criterion": POINTWISE_FACT,
-                "detail": f"leading coefficient {g.leading} > 0 and no real "
-                          "root of odd multiplicity"}
-    witness = _negative_point(g)
+    _, factors = squarefree_decomposition(g)
+    odd_chain = None
+    if lead_ok:
+        odd = _product(h for h, m in factors if m % 2 == 1)
+        if odd.degree > 0:
+            odd_chain = SturmChain(odd, squarefree=True)
+        odd_roots = sturm_root_count(odd_chain) if odd_chain else 0
+        if odd_roots == 0:
+            return {"member": True, "witness": None, "witness_value": None,
+                    "criterion": POINTWISE_FACT,
+                    "detail": f"leading coefficient {g.leading} > 0 and no "
+                              "real root of odd multiplicity"}
+    sf = _product(h for h, _ in factors)
+    chain = (odd_chain if odd_chain and odd_chain.seed == sf
+             else SturmChain(sf, squarefree=True))
+    witness = _negative_point(g, chain)
     value = f.evaluate(witness)
     if value >= 0:
         raise InternalCheckError("witness point does not evaluate negative")
@@ -610,23 +687,24 @@ def is_sos_membership(f: RationalFunction) -> dict:
                        f"{odd_roots} real roots of odd multiplicity")}
 
 
-def _negative_point(g: RationalPolynomial) -> Fraction:
+def _negative_point(g: RationalPolynomial, chain: SturmChain) -> Fraction:
     """A point with ``g < 0``, minimal denominator first, deterministic.
 
-    Candidates: the simplest rationals in the gaps between isolated real
-    roots, plus points beyond the root bound on each side.  The best
-    candidate minimizes (denominator, absolute value), preferring the
-    nonnegative one on ties.
+    ``chain`` is the Sturm chain of ``g``; every isolation and refinement
+    step counts with it.  Candidates: the simplest rationals in the gaps
+    between isolated real roots, plus points beyond the root bound on each
+    side.  The best candidate minimizes (denominator, absolute value),
+    preferring the nonnegative one on ties.
     """
     if g.is_zero():
         raise InputError("the zero polynomial is nowhere negative")
     bound = cauchy_root_bound(g)
     outside = int(bound) + 1
     candidates = [Fraction(0), Fraction(outside), Fraction(-outside)]
-    intervals = sorted(isolate_real_roots(g))
+    intervals = sorted(isolate_real_roots(chain))
     if intervals:
         quarter = Fraction(1, 4)
-        refined = [refine_interval(g, iv, quarter) for iv in intervals]
+        refined = [refine_interval(chain, iv, quarter) for iv in intervals]
         # force strict gaps between consecutive isolating intervals
         changed = True
         while changed:
@@ -634,8 +712,8 @@ def _negative_point(g: RationalPolynomial) -> Fraction:
             for i in range(len(refined) - 1):
                 if refined[i][1] >= refined[i + 1][0]:
                     w = (refined[i][1] - refined[i][0]) / 2
-                    refined[i] = refine_interval(g, refined[i], w)
-                    refined[i + 1] = refine_interval(g, refined[i + 1], w)
+                    refined[i] = refine_interval(chain, refined[i], w)
+                    refined[i + 1] = refine_interval(chain, refined[i + 1], w)
                     changed = True
         candidates.append(simplest_between(-bound - 1, refined[0][0]))
         candidates.append(simplest_between(refined[-1][1], bound + 1))
@@ -660,7 +738,19 @@ def theorem_skew_hypothesis(f: RationalFunction) -> dict:
 
     Termination bound: at any sample point ``x0`` where ``f`` is defined,
     ``f(x0) - k`` turns negative once ``k`` exceeds ``f(x0)``, so the
-    search is capped by ``floor(f(x0)) + 1``.
+    answer is at most ``cap = floor(f(x0)) + 1``.
+
+    Monotonicity: membership of ``f - k`` is downward closed in ``k``,
+    because for ``k' < k`` the difference ``(f - k') - (f - k) = k - k'``
+    is a positive rational, hence a sum of squares, and sums of squares
+    are closed under addition.  So the refuted shifts form an upward
+    closed set and the search gallops: it probes ``k = 1, 2, 4, ...``
+    (the last probe clipped to ``cap``) until one is refuted, then bisects
+    the gap above the last member.  That costs at most ``2 * ceil(log2
+    cap)`` membership tests (one when ``cap = 1``) instead of ``k``, so
+    large shifts are cheap.
+    The witness comes from the membership test at the returned ``k``, so
+    the result equals that of a linear scan ``k = 1, 2, ...``.
     """
     x0 = None
     for cand in (0, 1, -1, 2, -2, 3, -3):
@@ -671,15 +761,27 @@ def theorem_skew_hypothesis(f: RationalFunction) -> dict:
         raise InternalCheckError(
             "denominator vanished on every small integer sample")
     cap = max(1, floor(f.evaluate(x0)) + 1)
-    for k in range(1, cap + 1):
+    member, k = 0, 1  # f - j is a sum of squares for every 1 <= j <= member
+    while True:
         verdict = is_sos_membership(f.shift(k))
         if not verdict["member"]:
-            return {"k": k, "witness": verdict["witness"],
-                    "witness_value": verdict["witness_value"],
-                    "sample_point": x0, "bound": cap,
-                    "criterion": POINTWISE_FACT}
-    raise InternalCheckError(
-        "the evaluation bound failed to stop the downward search")
+            break
+        if k == cap:
+            raise InternalCheckError(
+                "the evaluation bound failed to stop the downward search")
+        member, k = k, min(2 * k, cap)
+    refuted = k
+    while refuted - member > 1:
+        mid = (member + refuted) // 2
+        probe = is_sos_membership(f.shift(mid))
+        if probe["member"]:
+            member = mid
+        else:
+            refuted, verdict = mid, probe
+    return {"k": refuted, "witness": verdict["witness"],
+            "witness_value": verdict["witness_value"],
+            "sample_point": x0, "bound": cap,
+            "criterion": POINTWISE_FACT}
 
 
 def categorize(instance: str, samples: Optional[Sequence[str]] = None) -> dict:

@@ -1,7 +1,8 @@
 """End-to-end tests for the command-line harness.
 
 The contract under test: exit code 0 = answered/pass, 1 = refuted,
-2 = refused (hypothesis failed), 3 = input error, 4 = budget exhausted;
+2 = refused (hypothesis failed), 3 = input error, 4 = budget exhausted,
+5 = internal self-check failed;
 reports are deterministic JSON (sorted keys, exact rationals, no
 timestamps) on stdout, and diagnostics go to stderr.
 """
@@ -11,12 +12,15 @@ import json
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 
 import pytest
 
-from monoidorder.cli import (EXIT_BUDGET, EXIT_INPUT, EXIT_PASS, EXIT_REFUSED,
-                             EXIT_REFUTED, REPRODUCE_IDS, default_golden_path,
-                             main, reproduce_document)
+from monoidorder import cli, formallyreal
+from monoidorder.cli import (EXIT_BUDGET, EXIT_INPUT, EXIT_INTERNAL, EXIT_PASS,
+                             EXIT_REFUSED, EXIT_REFUTED, REPRODUCE_IDS,
+                             default_golden_path, main, reproduce_document)
+from monoidorder.exactmath import InternalCheckError
 from monoidorder.reports import render_report
 
 from conftest import instance_path
@@ -323,6 +327,29 @@ def test_sos_theorem_mode_reports_the_least_refuted_shift():
     assert doc["result"]["witness_value"] == -1
 
 
+def test_sos_theorem_large_shift_needs_logarithmically_many_memberships(
+        monkeypatch):
+    calls = []
+    membership = formallyreal.is_sos_membership
+
+    def counted(f):
+        calls.append(f)
+        return membership(f)
+
+    monkeypatch.setattr(formallyreal, "is_sos_membership", counted)
+    code, doc, _ = run_json("sos", "x^2+100000", "--theorem")
+    assert code == EXIT_PASS
+    result = doc["result"]
+    assert result["k"] == 100001
+    witness = Fraction(str(result["witness"]))
+    value = Fraction(str(result["witness_value"]))
+    assert value < 0
+    assert witness * witness + 100000 - result["k"] == value
+    cap = result["bound"]
+    ceil_log2_cap = (cap - 1).bit_length()
+    assert len(calls) <= 2 * ceil_log2_cap + 2
+
+
 def test_sos_categorize_both_known_fields():
     code, doc, _ = run_json("sos", "--categorize", "Q")
     assert code == EXIT_PASS
@@ -422,4 +449,17 @@ def test_module_entry_point_runs_as_a_subprocess():
 
 def test_exit_code_constants_are_the_documented_contract():
     assert (EXIT_PASS, EXIT_REFUTED, EXIT_REFUSED, EXIT_INPUT,
-            EXIT_BUDGET) == (0, 1, 2, 3, 4)
+            EXIT_BUDGET, EXIT_INTERNAL) == (0, 1, 2, 3, 4, 5)
+
+
+def test_internal_check_failure_is_not_a_refutation(monkeypatch):
+    def failing(args):
+        raise InternalCheckError("planted self-check failure")
+
+    monkeypatch.setattr(cli, "cmd_sos", failing)
+    code, out, err = run_cli("sos", "x")
+    assert code == EXIT_INTERNAL
+    assert out == ""
+    reported = [line for line in err.splitlines()
+                if line.startswith("internal check failed")]
+    assert reported == ["internal check failed: planted self-check failure"]

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from monoidorder.exactmath import InputError
 from monoidorder.formallyreal import (POINTWISE_FACT, RationalFunction,
-                                      RationalPolynomial, categorize,
+                                      RationalPolynomial, SturmChain,
+                                      categorize,
                                       cauchy_root_bound, is_sos_membership,
                                       isolate_real_roots,
                                       odd_multiplicity_part,
@@ -208,6 +209,90 @@ def test_refine_interval_shrinks_around_root():
     assert lo2 * lo2 < 2 < hi2 * hi2 or p.evaluate(hi2) == 0
 
 
+def _rational_sturm_sequence(p):
+    """The textbook Sturm sequence of the square-free part, in Fractions."""
+    seed = squarefree_part(p)
+    seq = [seed]
+    if seed.degree > 0:
+        seq.append(seed.derivative())
+        while seq[-1].degree > 0:
+            rem = seq[-2] % seq[-1]
+            if rem.is_zero():
+                break
+            seq.append(-rem)
+    return seq
+
+
+def _fraction_variations(entries, x):
+    values = [RationalPolynomial(tuple(Fraction(c) for c in e)).evaluate(x)
+              for e in entries]
+    signs = [(v > 0) - (v < 0) for v in values if v != 0]
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+
+def _random_rational_poly(rng):
+    return RationalPolynomial(tuple(
+        Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+        for _ in range(rng.randint(2, 8))))
+
+
+def test_integer_sign_evaluation_matches_fraction_evaluation():
+    rng = seeded(59)
+    checked = 0
+    while checked < 60:
+        if checked % 2:
+            p, roots = _random_rational_poly(rng), None
+        else:
+            p, roots = _random_known_poly(rng)
+        if p.degree < 1:
+            continue
+        checked += 1
+        chain = SturmChain(p)
+        entries = chain.chain
+        reference = _rational_sturm_sequence(p)
+        # each integer entry is a positive multiple of the rational entry
+        assert len(entries) == len(reference)
+        for ints, q in zip(entries, reference):
+            assert all(isinstance(c, int) for c in ints)
+            ratio = Fraction(ints[-1]) / q.leading
+            assert ratio > 0
+            assert tuple(ratio * c for c in q.coefficients) == ints
+        points = [Fraction(rng.randint(-10**6, 10**6),
+                           rng.randint(10**5, 10**7)) for _ in range(4)]
+        points += [Fraction(rng.randint(-8, 8), rng.randint(1, 4))
+                   for _ in range(3)]
+        points += sorted(set(roots or ()))
+        for x in points:
+            assert chain.variations(x) == _fraction_variations(entries, x)
+            assert chain.variations(x) == _fraction_variations(
+                [q.coefficients for q in reference], x)
+        # beyond every root of every entry the signs are those at infinity
+        far = 1 + max(cauchy_root_bound(q) for q in reference)
+        assert chain.variations(None) == _fraction_variations(entries, -far)
+        assert chain.variations(None, positive_infinity=True) == \
+            _fraction_variations(entries, far)
+        ends = [None] + sorted(points)
+        for lo, hi in zip(ends, ends[1:] + [None]):
+            got = chain.count(lo, hi)
+            lo_x = -far if lo is None else lo
+            hi_x = far if hi is None else hi
+            assert got == (_fraction_variations(entries, lo_x)
+                           - _fraction_variations(entries, hi_x))
+            if roots is not None:
+                assert got == sum(1 for r in set(roots)
+                                  if (lo is None or lo < r)
+                                  and (hi is None or r <= hi))
+
+
+def test_chain_of_a_square_free_polynomial_skips_the_decomposition():
+    p = _linear(1) * _linear(-2) * _poly(3, 0, 1)
+    given_sf = SturmChain(p.scale(-5), squarefree=True)
+    assert given_sf.seed == p.monic()
+    assert given_sf.chain == SturmChain(p * p).chain
+    assert sturm_root_count(given_sf) == 2
+    assert isolate_real_roots(given_sf) == isolate_real_roots(p)
+
+
 # ---------------------------------------------------------------------------
 # simplest rationals
 
@@ -361,6 +446,34 @@ def test_skew_hypothesis_minimality_on_random_instances():
             minus_prev = f - RationalFunction(
                 RationalPolynomial.constant(Fraction(k - 1)), ONE)
             assert is_sos_membership(minus_prev)["member"]
+
+
+def _linear_scan_shift(f):
+    """The least refuted shift found by trying k = 1, 2, ... in turn."""
+    x0 = next(Fraction(c) for c in (0, 1, -1, 2, -2, 3, -3)
+              if f.defined_at(c))
+    cap = max(1, math.floor(f.evaluate(x0)) + 1)
+    for k in range(1, cap + 1):
+        verdict = is_sos_membership(f.shift(k))
+        if not verdict["member"]:
+            return {"k": k, "witness": verdict["witness"],
+                    "witness_value": verdict["witness_value"],
+                    "sample_point": x0, "bound": cap,
+                    "criterion": POINTWISE_FACT}
+    raise AssertionError("the linear scan passed its evaluation bound")
+
+
+def test_shift_search_equals_the_linear_scan_on_planted_functions():
+    rng = seeded(73)
+    for _ in range(16):
+        p = RationalPolynomial(tuple(Fraction(rng.randint(-3, 3))
+                                     for _ in range(rng.randint(1, 5))))
+        q = RationalPolynomial(tuple(Fraction(rng.randint(-3, 3))
+                                     for _ in range(rng.randint(1, 5))))
+        f = (RationalFunction(p * p, q * q + ONE)
+             + RationalFunction.constant(rng.randint(0, 40)))
+        assert f.numerator.degree <= 8 and f.denominator.degree <= 8
+        assert theorem_skew_hypothesis(f) == _linear_scan_shift(f)
 
 
 # ---------------------------------------------------------------------------
