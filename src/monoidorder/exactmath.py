@@ -8,7 +8,8 @@ enumeration) reduces to a handful of primitives implemented here:
   inequality representations of rational polyhedral cones,
 * exact LP feasibility (phase-one simplex with Bland's rule),
 * Smith and Hermite normal forms of integer matrices,
-* exhaustive bounded search for nonnegative integer combinations.
+* complete search for nonnegative integer combinations (membership in a
+  finitely generated monoid), plus the bounded search kept as a reference.
 
 No floating point is used anywhere.  ``fractions.Fraction`` already
 provides canonical reduced rationals with positive denominators, so no
@@ -534,9 +535,6 @@ class RationalCone:
             raise InputError("point dimension mismatch")
         return all(vdot(n, x) >= 0 for n in self.h_rep)
 
-    def slacks(self, x: Sequence) -> list:
-        return [vdot(n, x) for n in self.h_rep]
-
     def member_certificate(self, x: Sequence):
         """(inside, data): conic combination over v_rep, or a violated normal."""
         for n in self.h_rep:
@@ -578,19 +576,6 @@ class RationalCone:
             "lineality_basis": [list(l) for l in self.lineality_basis],
             "h_rep": [list(n) for n in self.h_rep],
         }
-
-
-def dd_convert(rays: Iterable[Sequence], dim: Optional[int] = None) -> RationalCone:
-    """Cone of the given rays with h-representation and extreme rays forced.
-
-    Runs the redundant cross-checks (every input ray satisfies the computed
-    inequalities, every extreme ray is a nonnegative combination of the
-    input) eagerly.
-    """
-    cone = RationalCone.from_rays(rays, dim)
-    cone.h_rep
-    cone.extreme_rays
-    return cone
 
 
 # ---------------------------------------------------------------------------
@@ -856,7 +841,152 @@ def integer_solve(rows: Sequence[Sequence[int]],
 
 
 # ---------------------------------------------------------------------------
-# bounded nonnegative integer combinations
+# nonnegative integer combinations
+
+
+class CombinationSearch:
+    """Complete search for naturals n with ``sum(n[i] * generators[i]) == target``.
+
+    ``normals`` is the h-representation of the cone the generators span
+    (:attr:`RationalCone.h_rep`) and ``w`` their sum.  The search rests on a
+    split of the generators:
+
+    * a *unit* is a generator on which every normal vanishes, i.e. one in
+      the cone's lineality space.  The units span that space as a cone, so
+      ``-u`` is a nonnegative integer combination of units for every unit
+      ``u``, and the nonnegative integer combinations of units form the
+      group ``Z*units``;
+    * every other generator is *positive*: ``w(p) > 0``.
+
+    ``w`` vanishes on the units, so every combination satisfies the exact
+    weight equality ``sum(n[i] * w(p[i])) == w(target)`` over the positive
+    generators.  The depth-first search over positive coefficients under
+    that equality therefore has finitely many leaves and no coefficient
+    cap; at a leaf the residue must lie in ``Z*units`` (be zero when there
+    are no units).  Subtrees are pruned on coordinates no unit touches,
+    where the residue must lie between ``W`` times the least and the
+    greatest ratio ``p[j] / w(p)`` of the remaining generators (``W`` the
+    remaining weight), and residues already refuted at a depth are not
+    searched again.  None therefore certifies that no combination exists.
+    """
+
+    def __init__(self, generators: Sequence[Sequence[int]], normals: Sequence[Sequence[int]]):
+        self.generators = tuple(tuple(int(c) for c in g) for g in generators)
+        if not self.generators:
+            raise InputError("combination search needs at least one generator")
+        self.dim = len(self.generators[0])
+        if any(len(g) != self.dim for g in self.generators):
+            raise InputError("generator dimension mismatch")
+        normals = [tuple(int(c) for c in n) for n in normals]
+        self.weight = tuple(sum(n[j] for n in normals) for j in range(self.dim))
+        self.units: list[int] = []
+        self.positive: list[int] = []
+        for i, g in enumerate(self.generators):
+            values = [vdot(n, g) for n in normals]
+            if any(v < 0 for v in values):
+                raise InputError("generator outside the cone of the given normals")
+            (self.positive if any(values) else self.units).append(i)
+        self._unit_vectors = [self.generators[i] for i in self.units]
+        self._unit_lattice = IntegerLattice(self.dim, self._unit_vectors)
+        self._weights = [vdot(self.weight, self.generators[i]) for i in self.positive]
+        free = [j for j in range(self.dim) if all(u[j] == 0 for u in self._unit_vectors)]
+        # _bounds[i]: (j, lo numerator, lo denominator, hi numerator, hi
+        # denominator) of the ratios p[j] / w(p) over the positive
+        # generators from depth i on
+        self._bounds = []
+        for i in range(len(self.positive)):
+            rows = []
+            for j in free:
+                ratios = [Fraction(self.generators[k][j], w)
+                          for k, w in zip(self.positive[i:], self._weights[i:])]
+                lo, hi = min(ratios), max(ratios)
+                rows.append((j, lo.numerator, lo.denominator, hi.numerator, hi.denominator))
+            self._bounds.append(rows)
+        self._relation: Optional[tuple[int, ...]] = None
+
+    def unit_relation(self) -> tuple[int, ...]:
+        """Strictly positive integers r with ``sum(r[i] * units[i]) == 0``."""
+        if self._relation is None:
+            units = self._unit_vectors
+            total = tuple(0 for _ in range(self.dim))
+            for u in units:
+                total = vadd(total, u)
+            q = solve_nonneg_rational(units, vneg(total))
+            if q is None:
+                raise InternalCheckError("units do not span a group")
+            rel = as_int_vector([c + 1 for c in q])
+            if any(sum(r * u[j] for r, u in zip(rel, units)) for j in range(self.dim)):
+                raise InternalCheckError("unit relation failed re-substitution")
+            self._relation = rel
+        return self._relation
+
+    def find(self, target: Sequence[int]) -> Optional[tuple[int, ...]]:
+        """Nonnegative coefficients over ``generators`` summing to target, or None.
+
+        A returned certificate is re-substituted; a failure raises
+        :class:`InternalCheckError`.
+        """
+        x = tuple(int(v) for v in target)
+        if len(x) != self.dim:
+            raise InputError("target dimension mismatch")
+        total = vdot(self.weight, x)
+        if total < 0:
+            return None
+        gens, positive, weights, bounds = self.generators, self.positive, self._weights, self._bounds
+        depth = len(positive)
+        coeffs = [0] * depth
+        refuted = set()
+
+        def dfs(i, residue, rest) -> bool:
+            if rest == 0 or i == depth:
+                return rest == 0 and self._unit_lattice.contains(residue)
+            if (i, residue) in refuted:
+                return False
+            for j, lo_n, lo_d, hi_n, hi_d in bounds[i]:
+                r = residue[j]
+                if r * hi_d > rest * hi_n or r * lo_d < rest * lo_n:
+                    return False
+            g, w = gens[positive[i]], weights[i]
+            if i == depth - 1:
+                choices = (rest // w,) if rest % w == 0 else ()
+            else:
+                choices = range(rest // w, -1, -1)
+            for c in choices:
+                coeffs[i] = c
+                if dfs(i + 1, tuple(r - c * gj for r, gj in zip(residue, g)), rest - c * w):
+                    return True
+            coeffs[i] = 0
+            refuted.add((i, residue))
+            return False
+
+        if not dfs(0, x, total):
+            return None
+        return self._certificate(x, coeffs)
+
+    def _certificate(self, x, coeffs) -> tuple[int, ...]:
+        full = [0] * len(self.generators)
+        residue = x
+        for i, c in zip(self.positive, coeffs):
+            full[i] = c
+            residue = vsub(residue, vscale(c, self.generators[i]))
+        if self.units:
+            z = integer_solve(self._unit_vectors, residue)
+            if z is None:
+                raise InternalCheckError("leaf residue left the unit lattice")
+            if any(c < 0 for c in z):
+                rel = self.unit_relation()
+                shift = max(-(c // r) for c, r in zip(z, rel))
+                z = tuple(c + shift * r for c, r in zip(z, rel))
+            for i, c in zip(self.units, z):
+                full[i] = c
+        check = tuple(sum(c * g[j] for c, g in zip(full, self.generators)) for j in range(self.dim))
+        if check != x or any(c < 0 for c in full):
+            raise InternalCheckError("combination certificate failed re-substitution")
+        return tuple(full)
+
+
+# ---------------------------------------------------------------------------
+# bounded nonnegative integer combinations (the reference the tests use)
 
 
 def default_combination_bound(target: Sequence[int], generators: Sequence[Sequence[int]]) -> int:

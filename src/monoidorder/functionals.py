@@ -271,12 +271,6 @@ class AdditiveFunctional:
     def value_on_coordinates(self, coords) -> Fraction:
         return Fraction(vdot(self.coefficients, coords)) if coords else Fraction(0)
 
-    def value_on_class(self, classvec) -> Fraction:
-        c = self.subgroup.coordinates(classvec)
-        if c is None:
-            raise InputError("class outside the subgroup")
-        return self.value_on_coordinates(c)
-
     def value_on_element(self, element) -> Fraction:
         return self.value_on_coordinates(self.subgroup.element_coordinates(element))
 

@@ -16,6 +16,8 @@ equivalence ``a ~~ b`` holds when there is a single d with
 Each carrier gets its own exact decision procedure; the finite carrier
 uses exhaustive search with the scalar bound n + n*n (orbit preperiod plus
 period envelope), the vector carriers reduce to exact cone membership.
+Membership of a vector in a lattice monoid is decided exactly, with no
+coefficient bound (see :meth:`LatticeMonoid.contains`).
 """
 
 from __future__ import annotations
@@ -25,12 +27,12 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .exactmath import (
+    CombinationSearch,
     InputError,
     InternalCheckError,
     IntegerLattice,
     RationalCone,
     ResourceBudgetError,
-    bounded_nonneg_combination,
     is_zero_vector,
     solve_nonneg_rational,
     vadd,
@@ -206,15 +208,40 @@ class LatticeMonoid:
             self._cache["lattice"] = IntegerLattice(self.dim, self.generators)
         return self._cache["lattice"]
 
-    def contains(self, x: Sequence[int], bound: Optional[int] = None) -> bool:
-        x = tuple(int(v) for v in x)
+    @property
+    def combinations(self) -> CombinationSearch:
+        """The complete combination search over the generators, built once."""
+        if "combinations" not in self._cache:
+            self._cache["combinations"] = CombinationSearch(self.generators, self.cone.h_rep)
+        return self._cache["combinations"]
+
+    def contains(self, x: Sequence) -> bool:
+        """Exact membership: is x a nonnegative integer combination of the generators?
+
+        A vector with a non-integral coordinate is not a member.  Integer
+        vectors outside the generators' lattice or cone are refused at once;
+        the rest go to :class:`CombinationSearch`, which is complete: the
+        generators split into units (every facet normal of the cone vanishes
+        on them; they generate the group ``Z*units``) and positive
+        generators (the sum ``w`` of the normals is positive on them).  As
+        ``w`` vanishes on the units, any combination has
+        ``sum(n[i] * w(p[i])) == w(x)`` over the positive generators, so a
+        depth-first search under that exact weight equality is finite, and
+        at each leaf the residue must lie in the unit lattice.  A True answer
+        carries a certificate of nonnegative integer coefficients that is
+        re-substituted.  Answers are memoized per monoid.
+        """
         if len(x) != self.dim:
             raise InputError("element dimension mismatch")
-        if is_zero_vector(x):
-            return True
-        if not self.lattice.contains(x) or not self.cone.member(x):
-            return False
-        return bounded_nonneg_combination(self.generators, x, bound) is not None
+        key = tuple(int(v) for v in x)
+        if key != tuple(x):
+            return False  # a non-integral coordinate
+        memo = self._cache.setdefault("contains", {})
+        if key not in memo:
+            memo[key] = is_zero_vector(key) or (
+                self.lattice.contains(key) and self.cone.member(key)
+                and self.combinations.find(key) is not None)
+        return memo[key]
 
     def element_pool(self, max_coeff_sum: int = 3) -> list[tuple[int, ...]]:
         """All generator combinations with coefficient sum up to the budget."""
@@ -552,30 +579,6 @@ class BiadditiveOp:
 
 def validate_biadditive(op: BiadditiveOp) -> BiadditiveValidation:
     return op.validate()
-
-
-def mu_monotone_check(op: BiadditiveOp, triples: Optional[Sequence] = None) -> dict:
-    """Check that a <~ a' forces mu(a,b) <~ mu(a',b) on both sides."""
-    m = op.carrier
-    if triples is None:
-        if isinstance(m, FiniteMonoid):
-            triples = [(a, a2, b) for a in m.elements() for a2 in m.elements()
-                       for b in m.elements() if leq(m, a, a2)]
-        elif isinstance(m, LatticeMonoid):
-            pool = m.element_pool(2)
-            triples = [(a, a2, b) for a in pool for a2 in pool for b in pool
-                       if leq(m, a, a2)]
-        else:
-            pool = m.sample_elements()
-            triples = [(a, a2, b) for a in pool for a2 in pool for b in pool
-                       if leq(m, a, a2)][:400]
-    violations = []
-    for a, a2, b in triples:
-        if not leq(m, op.mu(a, b), op.mu(a2, b)):
-            violations.append(("left", a, a2, b))
-        if not leq(m, op.mu(b, a), op.mu(b, a2)):
-            violations.append(("right", a, a2, b))
-    return {"checked": len(triples), "violations": violations[:20], "ok": not violations}
 
 
 # ---------------------------------------------------------------------------

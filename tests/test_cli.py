@@ -55,6 +55,16 @@ def test_order_reports_both_directions_and_reductions():
     assert doc["consistent"] is True
 
 
+def test_order_decides_members_with_large_coefficients(tmp_path):
+    # 1 = 78*97 - 85*89, so 0 <~ 1 and, with 1 a unit, 1 <~ 0
+    path = tmp_path / "wide-line.mon"
+    path.write_text("kind: lattice\ndim: 1\n\n[generators]\n97\n-89\n",
+                    encoding="utf-8")
+    code, doc, err = run_json("order", str(path), "1", "0")
+    assert code == EXIT_PASS, err
+    assert doc["leq_ab"] is True and doc["leq_ba"] is True
+
+
 def test_order_on_finite_instance_uses_element_names():
     code, doc, _ = run_json("order", instance_path("finite-flag.mon"),
                             "o", "t")

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from monoidorder.exactmath import (InputError, IntegerLattice, RationalCone,
+from monoidorder import exactmath
+from monoidorder.exactmath import (CombinationSearch, InputError,
+                                   IntegerLattice, InternalCheckError, RationalCone,
                                    bounded_nonneg_combination,
                                    default_combination_bound,
                                    hermite_normal_form, int_det,
@@ -228,6 +230,60 @@ def test_bounded_nonneg_combination_integer():
     assert tuple(total) == target
     assert bounded_nonneg_combination(gens, (0, 1),
                                       default_combination_bound((0, 1), gens)) is None
+
+
+def _search(gens):
+    nonzero = [g for g in gens if any(g)]
+    d = len(gens[0])
+    if nonzero:
+        cone = RationalCone.from_rays(nonzero, d)
+    else:
+        axes = [tuple(1 if j == i else 0 for j in range(d)) for i in range(d)]
+        cone = RationalCone.from_inequalities(axes + [vneg(a) for a in axes], d)
+    return CombinationSearch(gens, cone.h_rep)
+
+
+def test_combination_search_splits_units_from_positive_generators():
+    search = _search([(1, 0), (-1, 0), (0, 1), (2, 3)])
+    assert search.units == [0, 1] and search.positive == [2, 3]
+    assert search.find((-7, 3)) is not None
+    assert search.find((0, -1)) is None
+    rel = search.unit_relation()
+    assert all(r > 0 for r in rel) and vadd(vscale(rel[0], (1, 0)),
+                                              vscale(rel[1], (-1, 0))) == (0, 0)
+    # sign pruning is skipped on the coordinate the units touch
+    line = _search([(2, 0), (-2, 0), (1, 1)])
+    assert line.find((-5, 3)) is not None and line.find((0, 1)) is None
+
+
+def test_a_certificate_that_fails_re_substitution_is_an_internal_error(monkeypatch):
+    search = _search([(1,), (-1,)])
+    monkeypatch.setattr(exactmath, "integer_solve", lambda rows, rhs: (0, 0))
+    with pytest.raises(InternalCheckError):
+        search.find((3,))
+
+
+generator_sets = st.integers(min_value=1, max_value=3).flatmap(
+    lambda d: st.tuples(
+        st.lists(st.tuples(*[st.integers(min_value=-3, max_value=3)] * d),
+                 min_size=1, max_size=4),
+        st.tuples(*[st.integers(min_value=-6, max_value=6)] * d)))
+
+
+@given(generator_sets)
+def test_combination_certificates_re_substitute(case):
+    gens, target = case
+    combo = _search(gens).find(target)
+    if combo is not None:
+        assert all(c >= 0 for c in combo)
+        total = tuple(0 for _ in target)
+        for c, g in zip(combo, gens):
+            total = vadd(total, vscale(c, g))
+        assert total == target
+    # the bounded search is complete within its bound: whatever it finds,
+    # the unbounded search finds too
+    if bounded_nonneg_combination(gens, target) is not None:
+        assert combo is not None
 
 
 # ---------------------------------------------------------------------------

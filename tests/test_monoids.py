@@ -1,12 +1,15 @@
 """Carriers and the canonical quasi-order: axioms, oracles, enumeration."""
 
 import itertools
+from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from monoidorder.exactmath import InputError, vadd, vneg, vscale, vsub
+from monoidorder.exactmath import (CombinationSearch, InputError, vadd, vneg,
+                                   vscale, vsub)
 from monoidorder.monoids import (BiadditiveOp, FiniteMonoid, LatticeMonoid,
                                  approx, check_element,
                                  enumerate_biadditive_ops, free_monoid,
@@ -186,6 +189,93 @@ def test_membership_errors_are_input_errors():
     f = truncated_free_monoid(1, cap=2)
     with pytest.raises(InputError):
         check_element(f, 7)
+
+
+# ---------------------------------------------------------------------------
+# lattice membership is exact
+
+
+def test_membership_needs_no_coefficient_bound():
+    # 1 = 78*97 - 85*89: far beyond the old coefficient envelope
+    m = LatticeMonoid(1, [(97,), (-89,)])
+    assert m.contains((1,))
+    assert m.contains((-1,)) and m.contains((0,))
+
+
+def test_non_integral_vectors_are_not_members():
+    m = LatticeMonoid(1, [(2,)])
+    for x in ((Fraction(1, 2),), (2.7,), (Fraction(5, 2),)):
+        assert not m.contains(x)
+        with pytest.raises(InputError):
+            check_element(m, x)
+    assert m.contains((Fraction(4, 2),)) and m.contains((2.0,))
+    with pytest.raises(InputError):
+        leq(m, (Fraction(1, 2),), (2,))
+    assert set(m._cache["contains"]) == {(2,)}
+
+
+small_generator_sets = st.integers(min_value=1, max_value=3).flatmap(
+    lambda d: st.lists(st.tuples(*[st.integers(min_value=-3, max_value=3)] * d),
+                       min_size=1, max_size=4))
+
+
+@given(small_generator_sets, st.data())
+def test_every_generator_combination_is_contained(gens, data):
+    m = LatticeMonoid(len(gens[0]), gens)
+    coeffs = data.draw(st.lists(st.integers(min_value=0, max_value=6),
+                                min_size=len(gens), max_size=len(gens)))
+    x = tuple(sum(c * g[j] for c, g in zip(coeffs, gens)) for j in range(m.dim))
+    assert m.contains(x)
+
+
+def _line_membership_oracle(values, x):
+    """Membership in the monoid of nonnegative integer combinations of integers."""
+    nonzero = [v for v in values if v]
+    if any(v > 0 for v in nonzero) and any(v < 0 for v in nonzero):
+        g = 0
+        for v in nonzero:
+            g = gcd(g, abs(v))
+        return x % g == 0
+    if not nonzero or (x > 0) != (nonzero[0] > 0):
+        return x == 0
+    steps, target = [abs(v) for v in nonzero], abs(x)
+    reach = [True] + [False] * target
+    for t in range(1, target + 1):
+        reach[t] = any(s <= t and reach[t - s] for s in steps)
+    return reach[target]
+
+
+@given(st.lists(st.integers(min_value=-3, max_value=3), min_size=1, max_size=4),
+       st.integers(min_value=-40, max_value=40))
+def test_line_membership_matches_the_oracle(values, x):
+    m = LatticeMonoid(1, [(v,) for v in values])
+    assert m.contains((x,)) == _line_membership_oracle(values, x)
+
+
+def test_membership_is_memoized_per_distinct_vector(monkeypatch):
+    from monoidorder.functionals import verify_theorem_main
+    from monoidorder.monoids import matrix_product_op
+    calls = {}
+    searches = []  # keep every search alive so that ids are not reused
+    original = CombinationSearch.find
+
+    def counted(self, target):
+        searches.append(self)
+        key = (id(self), tuple(target))
+        calls[key] = calls.get(key, 0) + 1
+        return original(self, target)
+
+    monkeypatch.setattr(CombinationSearch, "find", counted)
+    op = matrix_product_op()
+    verify_theorem_main(op)
+    assert calls and max(calls.values()) == 1
+    assert len(calls) <= 468
+    m = op.carrier
+    memo = m._cache["contains"]
+    assert len(memo) <= 468
+    fresh = LatticeMonoid(m.dim, m.generators)
+    for x, answer in memo.items():
+        assert fresh.contains(x) == answer
 
 
 # ---------------------------------------------------------------------------
