@@ -712,6 +712,13 @@ def verify_theorem_main(op: BiadditiveOp, pairs: Optional[Sequence] = None,
     also checked for on-the-nose equality, whose failures are reported
     separately (they are expected on carriers where the equivalence is
     coarser than equality).
+
+    Each distinct product and each distinct comparison is evaluated once
+    per sweep: ``op.mu`` and ``approx`` are memoized in two dicts that live
+    for this call, keyed by the pair of operands.  Products and comparisons
+    are first evaluated in the order of an unmemoized sweep, so the report
+    and the first error raised (say, a product outside the carrier) are
+    the same.
     """
     m = op.carrier
     cert = is_weakly_localizable(op, budget=budget)
@@ -724,21 +731,36 @@ def verify_theorem_main(op: BiadditiveOp, pairs: Optional[Sequence] = None,
     def key(x):
         return x if isinstance(x, int) else tuple(x)
 
+    products: dict = {}
+    comparisons: dict = {}
+
+    def mul(x, y):
+        k = (key(x), key(y))
+        if k not in products:
+            products[k] = op.mu(x, y)
+        return products[k]
+
+    def same(x, y):
+        k = (key(x), key(y))
+        if k not in comparisons:
+            comparisons[k] = approx(m, x, y)
+        return comparisons[k]
+
     comm_fail, comm_exact_fail = [], 0
     for a, b in pairs:
-        ab, ba = op.mu(a, b), op.mu(b, a)
+        ab, ba = mul(a, b), mul(b, a)
         if key(ab) != key(ba):
             comm_exact_fail += 1
-        if not approx(m, ab, ba):
+        if not same(ab, ba):
             comm_fail.append({"a": key(a), "b": key(b),
                               "ab": key(ab), "ba": key(ba)})
     assoc_fail, assoc_exact_fail = [], 0
     for a, b, c in triples:
-        left = op.mu(op.mu(a, b), c)
-        right = op.mu(a, op.mu(b, c))
+        left = mul(mul(a, b), c)
+        right = mul(a, mul(b, c))
         if key(left) != key(right):
             assoc_exact_fail += 1
-        if not approx(m, left, right):
+        if not same(left, right):
             assoc_fail.append({"a": key(a), "b": key(b), "c": key(c),
                                "left": key(left), "right": key(right)})
     ok = not comm_fail and not assoc_fail

@@ -848,7 +848,7 @@ class LiftedOp:
         for kv in kernels:
             for sv in span_vectors:
                 for prod in (self.base.mu(kv, sv), self.base.mu(sv, kv)):
-                    if not self._in_kernel_span(prod):
+                    if not _in_span(kernels, prod):
                         bad.append((list(kv), list(sv), list(prod)))
         if bad:
             raise InternalCheckError(
@@ -866,15 +866,6 @@ class LiftedOp:
         if not agree:
             raise InternalCheckError("descended operation disagrees with the base map")
         self.report["checks"].append({"name": "embedding-compatibility", "ok": True})
-
-    def _in_kernel_span(self, x) -> bool:
-        kernels = list(self.reduced.kernel_vectors)
-        if not any(Fraction(v) != 0 for v in x):
-            return True
-        if not kernels:
-            return False
-        return rational_solve([tuple(k) for k in kernels],
-                              tuple(Fraction(v) for v in x)) is not None
 
     def mu(self, p, q):
         if isinstance(self.base.carrier, FiniteMonoid):

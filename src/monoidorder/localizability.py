@@ -25,6 +25,7 @@ from .exactmath import (
     InputError,
     InternalCheckError,
     RationalCone,
+    as_int_vector,
     cone_from_inequalities,
     hermite_normal_form,
     integer_solve,
@@ -177,7 +178,7 @@ def _lattice_left(op, s, side, kind) -> LocalizabilityVerdict:
     normals = []
     for hrow in h:
         normals.append(tuple(vdot(bl[i], hrow) for i in range(r)))
-    normals = [_as_int(n) for n in normals]
+    normals = [as_int_vector(n) for n in normals]
     lineality, rays = cone_from_inequalities(normals, r)
     violation = None
     for c in sorted(rays):
@@ -216,11 +217,6 @@ def _left_kernel(bl_rows, r) -> list[tuple]:
     """Nonzero combinations of the span basis killed by the damping map."""
     cols = [tuple(bl_rows[i][k] for i in range(r)) for k in range(len(bl_rows[0]))]
     return rational_nullspace(cols)
-
-
-def _as_int(vec):
-    from .exactmath import as_int_vector
-    return as_int_vector(vec)
 
 
 def _combine(coeffs, basis):
@@ -336,7 +332,7 @@ def _opencone_left(op, s, side, kind) -> LocalizabilityVerdict:
     # without them the containment pass below settles lineality membership
     kernel = _left_kernel(bl, r)
     for c in kernel:
-        x = _as_int(_combine(c, basis))
+        x = as_int_vector(_combine(c, basis))
         direction = None
         if not _inside(m, x):
             direction = x
@@ -353,7 +349,7 @@ def _opencone_left(op, s, side, kind) -> LocalizabilityVerdict:
 
     # closed containment: the preimage cone of the closed positivity cone,
     # computed in span coordinates, must stay inside it
-    normals = [_as_int(tuple(vdot(bl[i], hrow) for i in range(r)))
+    normals = [as_int_vector(tuple(vdot(bl[i], hrow) for i in range(r)))
                for hrow in closed.h_rep]
     lin_p, rays_p = cone_from_inequalities(normals, r)
     violation = None

@@ -369,8 +369,9 @@ def leq(m, a, b) -> bool:
     if isinstance(m, LatticeMonoid):
         check_element(m, a)
         check_element(m, b)
-        diff = vsub(b, a)
-        return solve_nonneg_rational(m.generators, diff) is not None
+        # b - a lies in the rational cone of the generators iff some
+        # positive multiple of it is a nonnegative integer combination of them
+        return m.cone.member(vsub(b, a))
     if isinstance(m, OpenConeMonoid):
         check_element(m, a)
         check_element(m, b)
@@ -405,18 +406,15 @@ def approx(m, a, b) -> bool:
         m._cache[key][(a, b)] = result
         m._cache[key][(b, a)] = result
         return result
-    if isinstance(m, LatticeMonoid):
+    if isinstance(m, (LatticeMonoid, OpenConeMonoid)):
         check_element(m, a)
         check_element(m, b)
-        diff = vsub(b, a)
         # closed rational cones absorb the damping element: both directions
-        # of the scaled comparison collapse to membership of +-diff
-        return m.cone.member(diff) and m.cone.member(vneg(diff))
-    if isinstance(m, OpenConeMonoid):
-        check_element(m, a)
-        check_element(m, b)
-        diff = vsub(b, a)
-        return m.closed_cone.member(diff) and m.closed_cone.member(vneg(diff))
+        # of the scaled comparison collapse to b - a lying in the closed cone
+        # C and in -C, and a vector lies in both iff every facet normal of C
+        # vanishes on it, so one sweep over the normals decides it
+        cone = m.cone if isinstance(m, LatticeMonoid) else m.closed_cone
+        return all(vdot(n, a) == vdot(n, b) for n in cone.h_rep)
     raise InputError(f"unsupported carrier {type(m).__name__}")
 
 

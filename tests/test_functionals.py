@@ -5,16 +5,18 @@ from fractions import Fraction
 
 import pytest
 
+import monoidorder.functionals as functionals
 from monoidorder.exactmath import InputError, rational_rank, vdot
-from monoidorder.functionals import (check_mult_identity,
+from monoidorder.functionals import (_sample_pool, check_mult_identity,
                                      normalize_multiplicative,
                                      positive_functionals, positivstellensatz,
                                      span_of_elements, span_with_products,
                                      verify_theorem_main,
                                      weak_implies_strong_audit)
 from monoidorder.monoids import (BiadditiveOp, FiniteMonoid, LatticeMonoid,
-                                 free_monoid, half_open_half_plane,
+                                 approx, free_monoid, half_open_half_plane,
                                  saturating_product_op, truncated_free_monoid)
+from monoidorder.monoids import matrix_product_op as matrix_monoid_product_op
 
 from conftest import weakly_localizable_ops
 
@@ -278,6 +280,100 @@ def test_theorem_main_observation_mode_on_matrix_product():
     assert not res["claimed"] and not res["ok"]
     assert res["weak_certificate"]["verdict"] == "no"
     assert res["commutativity"]["failures"]
+
+
+def _unmemoized_sweep(op, pairs=None, triples=None):
+    """The theorem sweep as a plain loop: op.mu and approx on every pair and triple."""
+    m = op.carrier
+    pool = _sample_pool(m)
+    if pairs is None:
+        pairs = [(a, b) for a in pool for b in pool]
+    if triples is None:
+        triples = [(a, b, c) for a in pool for b in pool for c in pool]
+
+    def key(x):
+        return x if isinstance(x, int) else tuple(x)
+
+    comm_fail, comm_exact_fail = [], 0
+    for a, b in pairs:
+        ab, ba = op.mu(a, b), op.mu(b, a)
+        if key(ab) != key(ba):
+            comm_exact_fail += 1
+        if not approx(m, ab, ba):
+            comm_fail.append({"a": key(a), "b": key(b),
+                              "ab": key(ab), "ba": key(ba)})
+    assoc_fail, assoc_exact_fail = [], 0
+    for a, b, c in triples:
+        left = op.mu(op.mu(a, b), c)
+        right = op.mu(a, op.mu(b, c))
+        if key(left) != key(right):
+            assoc_exact_fail += 1
+        if not approx(m, left, right):
+            assoc_fail.append({"a": key(a), "b": key(b), "c": key(c),
+                               "left": key(left), "right": key(right)})
+    return {
+        "ok": not comm_fail and not assoc_fail,
+        "pool_size": len(pool),
+        "commutativity": {"checked": len(pairs), "failures": comm_fail,
+                          "exact_equality_failures": comm_exact_fail},
+        "associativity": {"checked": len(triples), "failures": assoc_fail,
+                          "exact_equality_failures": assoc_exact_fail},
+    }
+
+
+def _sweep_parts(report):
+    return {k: report[k] for k in ("ok", "pool_size", "commutativity", "associativity")}
+
+
+@pytest.mark.parametrize("make_op", [
+    matrix_monoid_product_op, half_plane_op,
+    lambda: saturating_product_op(truncated_free_monoid(2, cap=2)),
+    lambda: elementwise_op(3, weights=[5, 1, 4]),
+], ids=["matrix-product", "half-plane", "saturating-finite", "weighted-lattice"])
+def test_memoized_sweep_matches_the_unmemoized_loop(make_op):
+    report = verify_theorem_main(make_op())
+    assert _sweep_parts(report) == _unmemoized_sweep(make_op())
+
+
+def test_memoized_sweep_matches_on_caller_supplied_lists():
+    op = matrix_monoid_product_op()
+    pool = _sample_pool(op.carrier)[::4]
+    pairs = [[list(a), list(b)] for a in pool for b in pool]
+    triples = [[list(a), list(b), list(c)] for a in pool[:5] for b in pool
+               for c in pool[:5]]
+    report = verify_theorem_main(op, pairs=pairs, triples=triples)
+    reference = _unmemoized_sweep(matrix_monoid_product_op(), pairs, triples)
+    assert report["commutativity"]["failures"]
+    assert _sweep_parts(report) == reference
+
+
+def test_sweep_product_outside_the_carrier_is_an_input_error():
+    op = BiadditiveOp(free_monoid(1), tensor=(((-1,),),))
+    with pytest.raises(InputError, match=r"element \(-1,\) is not a generator combination"):
+        verify_theorem_main(op)
+
+
+def test_sweep_evaluates_each_distinct_product_and_comparison_once(monkeypatch):
+    # work counters do not jitter, so they guard the sweep's cost where
+    # wall time cannot
+    op = matrix_monoid_product_op()
+    calls = {"mu": 0, "approx": 0}
+    mu, compare = op.mu, functionals.approx
+
+    def counted_mu(a, b):
+        calls["mu"] += 1
+        return mu(a, b)
+
+    def counted_approx(m, a, b):
+        calls["approx"] += 1
+        return compare(m, a, b)
+
+    monkeypatch.setattr(op, "mu", counted_mu)
+    monkeypatch.setattr(functionals, "approx", counted_approx)
+    report = verify_theorem_main(op)
+    assert report["pool_size"] == 35
+    assert calls["mu"] <= 8435
+    assert calls["approx"] <= 984
 
 
 def test_weak_strong_audit_statuses():

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from monoidorder.exactmath import (CombinationSearch, InputError, vadd, vneg,
-                                   vscale, vsub)
+from monoidorder.exactmath import (CombinationSearch, InputError,
+                                   solve_nonneg_rational, vadd, vneg, vscale,
+                                   vsub)
 from monoidorder.monoids import (BiadditiveOp, FiniteMonoid, LatticeMonoid,
                                  approx, check_element,
                                  enumerate_biadditive_ops, free_monoid,
@@ -155,7 +156,6 @@ def test_lattice_leq_matches_scaled_membership_oracle(name, m):
             else:
                 # rational membership allows denominators beyond k <= 6 only
                 # through larger k; re-check with the exact certificate
-                from monoidorder.exactmath import solve_nonneg_rational
                 sol = solve_nonneg_rational(m.generators, diff)
                 assert sol is not None
                 denom = 1
@@ -226,6 +226,20 @@ def test_every_generator_combination_is_contained(gens, data):
                                 min_size=len(gens), max_size=len(gens)))
     x = tuple(sum(c * g[j] for c, g in zip(coeffs, gens)) for j in range(m.dim))
     assert m.contains(x)
+
+
+@given(small_generator_sets, st.data())
+def test_lattice_leq_and_approx_match_the_rational_cone_oracle(gens, data):
+    m = LatticeMonoid(len(gens[0]), gens)
+    coeffs = st.lists(st.integers(min_value=0, max_value=3),
+                      min_size=len(gens), max_size=len(gens))
+    a, b = (tuple(sum(c * g[j] for c, g in zip(n, gens)) for j in range(m.dim))
+            for n in (data.draw(coeffs), data.draw(coeffs)))
+    up = solve_nonneg_rational(m.generators, vsub(b, a)) is not None
+    down = solve_nonneg_rational(m.generators, vsub(a, b)) is not None
+    assert leq(m, a, b) == up
+    assert leq(m, b, a) == down
+    assert approx(m, a, b) == approx(m, b, a) == (up and down)
 
 
 def _line_membership_oracle(values, x):
