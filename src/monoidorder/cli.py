@@ -26,7 +26,7 @@ from .functionals import (normalize_multiplicative, positive_functionals,
                           span_of_elements, span_with_products,
                           verify_theorem_main, weak_implies_strong_audit)
 from .latticeorder import (almost_fring_counterexample,
-                           fring_strong_localizability, is_extended_f_ring)
+                           fring_strong_localizability)
 from .formallyreal import (categorize, is_sos_membership,
                            parse_rational_function, theorem_skew_hypothesis)
 from .instancefile import Instance, check_membership, load_instance, parse_element
@@ -162,8 +162,10 @@ def _verify_fring(instance, doc, args) -> tuple:
     if instance.candidate is None:
         raise InputError(
             f"{instance.source}: --fring needs a lattice-group instance")
-    cand = instance.candidate
-    fr = is_extended_f_ring(cand, box_bound=3)
+    # one f-ring verdict: fring_strong_localizability decides it and
+    # reports it under "f_ring" whether it goes on or skips
+    result = fring_strong_localizability(instance.candidate, box_bound=3)
+    fr = result["f_ring"]
     doc["goal"] = "fring"
     doc["hypotheses"] = [{"name": "extended-f-ring", "status":
                           "checked" if fr["verdict"] == "yes" else "failed",
@@ -172,7 +174,6 @@ def _verify_fring(instance, doc, args) -> tuple:
         doc["status"] = "refused"
         doc["reason"] = "the candidate is not an extended f-ring"
         return doc, EXIT_REFUSED
-    result = fring_strong_localizability(cand, box_bound=3)
     doc["result"] = result
     doc["status"] = "pass" if result["ok"] else "failed"
     return doc, EXIT_PASS if result["ok"] else EXIT_REFUTED

@@ -46,12 +46,24 @@ class LatticeGroup:
         self.scalar = scalar
 
     def coerce(self, x) -> tuple:
+        """``x`` as a tuple of the carrier's scalars, or :class:`InputError`.
+
+        Fast path: a vector of the right arity whose entries all have
+        exactly the scalar type (``int`` for integer carriers, ``Fraction``
+        for rational ones) is returned as a tuple unchanged.  Every other
+        input (``bool``, ``str``, ``float``, subclasses, wrong arity) goes
+        through ``Fraction`` and back, with the same results and errors.
+        """
+        x = tuple(x)
+        kind = int if self.scalar == "integer" else Fraction
+        if len(x) == self.dim and all(type(t) is kind for t in x):
+            return x
         v = tuple(Fraction(t) for t in x)
         if len(v) != self.dim:
             raise InputError("element arity mismatch")
         if self.scalar == "integer":
             if any(t.denominator != 1 for t in v):
-                raise InputError(f"{tuple(x)!r} is not an integer vector")
+                raise InputError(f"{x!r} is not an integer vector")
             return tuple(int(t) for t in v)
         return v
 
@@ -99,6 +111,7 @@ class LatticeGroup:
 
 def check_lattice_identities(g: LatticeGroup, pairs: Sequence) -> dict:
     """Exact sweep of the defining identities of the coordinatewise order."""
+    pairs = list(pairs)
     failures = []
     for x, y in pairs:
         x, y = g.coerce(x), g.coerce(y)
@@ -116,7 +129,7 @@ def check_lattice_identities(g: LatticeGroup, pairs: Sequence) -> dict:
         for k in (2, 3):
             if g.leq(g.scale(k, x), g.scale(k, y)) and not g.leq(x, y):
                 failures.append({"identity": f"unperforated-{k}", "x": x, "y": y})
-    return {"checked": len(list(pairs)), "failures": failures,
+    return {"checked": len(pairs), "failures": failures,
             "ok": not failures}
 
 
@@ -147,6 +160,17 @@ def check_riesz_lemma(g: LatticeGroup, count: int = 100,
 # support-preserving bilinear operations
 
 
+def _tensor_entry(x, index: tuple) -> int:
+    """A structure constant as an ``int``; non-integral entries are refused."""
+    try:
+        q = Fraction(x)
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError):
+        raise InputError(f"tensor entry {index} is {x!r}, not a number") from None
+    if q.denominator != 1:
+        raise InputError(f"tensor entry {index} is {x!r}, not an integer")
+    return int(q)
+
+
 @dataclass
 class FRingCandidate:
     """Bilinear operation on a coordinatewise carrier, positive on the orthant."""
@@ -156,8 +180,10 @@ class FRingCandidate:
 
     def __post_init__(self):
         d = self.group.dim
-        t = tuple(tuple(tuple(int(x) for x in row) for row in slab)
-                  for slab in self.tensor)
+        t = tuple(tuple(tuple(_tensor_entry(x, (i, j, k))
+                              for k, x in enumerate(row))
+                        for j, row in enumerate(slab))
+                  for i, slab in enumerate(self.tensor))
         if len(t) != d or any(len(s) != d for s in t) or \
                 any(len(r) != d for s in t for r in s):
             raise InputError("tensor shape mismatch")
@@ -210,7 +236,10 @@ def is_extended_f_ring(cand: FRingCandidate, box_bound: int = 3) -> dict:
     single-coordinate choices of ``a``, ``b`` and ``c`` therefore witness
     every violation, so the condition holds if and only if every nonzero
     tensor entry sits on the full diagonal.  A bounded box sweep guards
-    the reduction.
+    the reduction.  It visits the disjoint pairs ``(a, b)`` a-major and
+    every ``c`` for each, up to the first violation, so ``box_checked``
+    counts the same triples as a per-triple loop; ``mu(c, a)`` and
+    ``mu(a, c)`` are computed once per ``a`` for all cells ``c``.
     """
     g = cand.group
     d = g.dim
@@ -248,14 +277,18 @@ def is_extended_f_ring(cand: FRingCandidate, box_bound: int = 3) -> dict:
     box_witness = None
     if d <= 4:
         cells = list(product(range(box_bound), repeat=d))
-        disjoint_pairs = [(a, b) for a in cells for b in cells
-                          if all(min(x, y) == 0 for x, y in zip(a, b))]
-        for a, b in disjoint_pairs:
-            for c in cells:
-                box_checked += 1
-                if g.meet(cand.mu(c, a), b) != g.zero or \
-                        g.meet(cand.mu(a, c), b) != g.zero:
-                    box_witness = {"a": a, "b": b, "c": c}
+        zero = g.zero
+        for a in cells:
+            products = [(c, cand.mu(c, a), cand.mu(a, c)) for c in cells]
+            for b in cells:
+                if any(min(x, y) != 0 for x, y in zip(a, b)):
+                    continue
+                for c, left, right in products:
+                    box_checked += 1
+                    if g.meet(left, b) != zero or g.meet(right, b) != zero:
+                        box_witness = {"a": a, "b": b, "c": c}
+                        break
+                if box_witness:
                     break
             if box_witness:
                 break
@@ -338,11 +371,19 @@ def almost_fring_counterexample(box_bound: int = 3) -> dict:
     coordinatewise order, commutativity of the operation, and a concrete
     triple on which the two associators differ — so commutativity of such
     operations cannot be an instance of the localizability route, whose
-    weak hypothesis this operation refutes outright.
+    weak hypothesis this operation refutes outright.  Each distinct
+    product is computed once per call.
     """
     g = LatticeGroup(3, "rational")
     cand = FRingCandidate(g, almost_fring_tensor())
     cells = list(product(range(box_bound), repeat=3))
+    products: dict = {}
+
+    def mul(a, b):
+        key = (a, b)
+        if key not in products:
+            products[key] = cand.mu(a, b)
+        return products[key]
 
     axiom_checked = 0
     axiom_failures = []
@@ -351,23 +392,23 @@ def almost_fring_counterexample(box_bound: int = 3) -> dict:
             if any(min(x, y) != 0 for x, y in zip(a, b)):
                 continue
             axiom_checked += 1
-            if cand.mu(a, b) != g.zero:
-                axiom_failures.append({"a": a, "b": b, "mu": cand.mu(a, b)})
+            if mul(a, b) != g.zero:
+                axiom_failures.append({"a": a, "b": b, "mu": mul(a, b)})
 
     commut_checked = 0
     commut_failures = []
     for a in cells:
         for b in cells:
             commut_checked += 1
-            if cand.mu(a, b) != cand.mu(b, a):
+            if mul(a, b) != mul(b, a):
                 commut_failures.append({"a": a, "b": b})
 
     witness = None
     for a in cells:
         for b in cells:
             for c in cells:
-                left = cand.mu(cand.mu(a, b), c)
-                right = cand.mu(a, cand.mu(b, c))
+                left = mul(mul(a, b), c)
+                right = mul(a, mul(b, c))
                 if left != right:
                     witness = {"a": a, "b": b, "c": c,
                                "left": left, "right": right}

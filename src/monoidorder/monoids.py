@@ -583,6 +583,16 @@ def validate_biadditive(op: BiadditiveOp) -> BiadditiveValidation:
 # enumeration of biadditive operations on finite carriers
 
 
+def _expand(add, rows, ea: list, eb: list) -> int:
+    """The biadditive extension at one element pair from generator values."""
+    total = 0
+    for i in ea:
+        row = rows[i]
+        for j in eb:
+            total = add[total][row[j]]
+    return total
+
+
 def enumerate_biadditive_ops(m: FiniteMonoid, unital: Optional[int] = None,
                              node_budget: int = 2_000_000) -> list[BiadditiveOp]:
     """All biadditive operation tables on a finite carrier.
@@ -591,6 +601,9 @@ def enumerate_biadditive_ops(m: FiniteMonoid, unital: Optional[int] = None,
     search assigns those values depth first and prunes with the unit
     constraints when ``unital`` names a two-sided unit.  The budget counts
     assignment nodes; exceeding it raises :class:`ResourceBudgetError`.
+    Every leaf's table is extended from the generator values and then
+    validated on every triple ``(a, b, c)`` against both distributive laws
+    (and the unit, if given) before it is kept.
     """
     gens = m.generators()
     expr = m.expressions()
@@ -625,6 +638,10 @@ def enumerate_biadditive_ops(m: FiniteMonoid, unital: Optional[int] = None,
 
     feasible = [column_feasible_sets(j) for j in range(g)] if unital is not None else None
 
+    add = m.table
+    elems = m.elements()
+    position = {x: i for i, x in enumerate(gens)}
+    gen_index = [[position[x] for x in expr[a]] for a in elems]
     assign: dict[tuple[int, int], int] = {}
     results: set = set()
     nodes = 0
@@ -646,27 +663,23 @@ def enumerate_biadditive_ops(m: FiniteMonoid, unital: Optional[int] = None,
         return s, count, True
 
     def extend_and_validate():
-        mu_val: dict[tuple[int, int], int] = {}
-        for a in m.elements():
-            ea = expr[a]
-            for b in m.elements():
-                total = 0
-                for ga in ea:
-                    ia = gens.index(ga)
-                    for gb in expr[b]:
-                        jb = gens.index(gb)
-                        total = m.table[total][assign[(ia, jb)]]
-                mu_val[(a, b)] = total
-        table = tuple(tuple(mu_val[(a, b)] for b in m.elements()) for a in m.elements())
-        for a in m.elements():
-            for b in m.elements():
-                for c in m.elements():
-                    if table[m.add(a, b)][c] != m.add(table[a][c], table[b][c]):
+        rows = [[assign[(i, j)] for j in range(g)] for i in range(g)]
+        table = tuple(
+            tuple(_expand(add, rows, gen_index[a], gen_index[b]) for b in elems)
+            for a in elems)
+        for a in elems:
+            ta, a_plus = table[a], add[a]
+            for b in elems:
+                tb, b_plus = table[b], add[b]
+                t_ab, ab_plus = table[a_plus[b]], add[ta[b]]
+                for c in elems:
+                    # (a + b) c == a c + b c  and  a (b + c) == a b + a c
+                    if t_ab[c] != add[ta[c]][tb[c]]:
                         return
-                    if table[a][m.add(b, c)] != m.add(table[a][b], table[a][c]):
+                    if ta[b_plus[c]] != ab_plus[ta[c]]:
                         return
         if unital is not None:
-            for a in m.elements():
+            for a in elems:
                 if table[unital][a] != a or table[a][unital] != a:
                     return
         results.add(table)

@@ -16,11 +16,15 @@ from fractions import Fraction
 
 import pytest
 
-from monoidorder import cli, formallyreal
+from monoidorder import cli, formallyreal, latticeorder
 from monoidorder.cli import (EXIT_BUDGET, EXIT_INPUT, EXIT_INTERNAL, EXIT_PASS,
                              EXIT_REFUSED, EXIT_REFUTED, REPRODUCE_IDS,
                              default_golden_path, main, reproduce_document)
 from monoidorder.exactmath import InternalCheckError
+from monoidorder.instancefile import load_instance
+from monoidorder.latticeorder import (FRingCandidate,
+                                      fring_strong_localizability,
+                                      is_extended_f_ring)
 from monoidorder.reports import render_report
 
 from conftest import instance_path
@@ -180,6 +184,77 @@ def test_verify_fring_refuses_on_almost_fring():
     assert doc["status"] == "refused"
     assert doc["reason"] == "the candidate is not an extended f-ring"
     assert doc["hypotheses"][0]["detail"]["verdict"] == "no"
+
+
+def _direct_fring_document(name):
+    """The ``verify --fring`` report, built from direct library calls."""
+    inst = load_instance(instance_path(name))
+    fr = is_extended_f_ring(inst.candidate, box_bound=3)
+    doc = {"command": "verify", "instance": inst.describe(), "goal": "fring",
+           "hypotheses": [{"name": "extended-f-ring",
+                           "status": "checked" if fr["verdict"] == "yes"
+                           else "failed",
+                           "detail": fr}]}
+    if fr["verdict"] != "yes":
+        doc["status"] = "refused"
+        doc["reason"] = "the candidate is not an extended f-ring"
+        return doc, EXIT_REFUSED
+    doc["result"] = fring_strong_localizability(inst.candidate, box_bound=3)
+    doc["status"] = "pass"
+    return doc, EXIT_PASS
+
+
+@pytest.mark.parametrize("name", ["fring-elementwise-3.mon",
+                                  "fring-weighted-2.mon", "almost-fring.mon"])
+def test_verify_fring_report_equals_direct_calls(name):
+    expected, expected_code = _direct_fring_document(name)
+    args = cli.build_parser().parse_args(["verify", instance_path(name),
+                                          "--fring"])
+    doc, code = args.func(args)
+    assert code == expected_code
+    assert list(doc) == list(expected) and doc == expected
+    code, out, _ = run_cli("verify", instance_path(name), "--fring")
+    assert (code, out) == (expected_code, render_report(expected))
+
+
+def _count_f_ring_work(monkeypatch):
+    """Count f-ring verdicts and ``FRingCandidate.mu`` products."""
+    calls = {"verdicts": 0, "mu": 0}
+    verdict, mu = latticeorder.is_extended_f_ring, FRingCandidate.mu
+
+    def counted_verdict(*args, **kwargs):
+        calls["verdicts"] += 1
+        return verdict(*args, **kwargs)
+
+    def counted_mu(self, a, b):
+        calls["mu"] += 1
+        return mu(self, a, b)
+
+    monkeypatch.setattr(latticeorder, "is_extended_f_ring", counted_verdict)
+    # also where the command module may hold its own reference
+    monkeypatch.setattr(cli, "is_extended_f_ring", counted_verdict,
+                        raising=False)
+    monkeypatch.setattr(FRingCandidate, "mu", counted_mu)
+    return calls
+
+
+def test_verify_fring_decides_once_with_one_product_table_per_cell(
+        monkeypatch):
+    # work counters do not jitter, so they guard the sweep's cost where
+    # wall time cannot: 27 cells, 2 * 27 * 27 products
+    calls = _count_f_ring_work(monkeypatch)
+    code, _, _ = run_cli("verify", instance_path("fring-elementwise-3.mon"),
+                         "--fring")
+    assert code == EXIT_PASS
+    assert calls["verdicts"] == 1
+    assert calls["mu"] <= 1458
+
+
+def test_reproduce_almost_fring_memoizes_products(monkeypatch):
+    calls = _count_f_ring_work(monkeypatch)
+    code, _, _ = run_cli("reproduce", "almost-fring")
+    assert code == EXIT_PASS
+    assert calls["mu"] <= 1000
 
 
 def test_verify_fring_needs_a_lattice_group_instance():

@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from monoidorder.exactmath import InputError
@@ -91,6 +91,52 @@ def test_group_input_validation():
     assert gr.coerce(("1/2", 3)) == (Fraction(1, 2), Fraction(3))
 
 
+def _fraction_round_trip(g, x):
+    """Coercion as every entry through ``Fraction`` and back (no fast path)."""
+    v = tuple(Fraction(t) for t in x)
+    if len(v) != g.dim:
+        raise InputError("element arity mismatch")
+    if g.scalar == "integer":
+        if any(t.denominator != 1 for t in v):
+            raise InputError(f"{tuple(x)!r} is not an integer vector")
+        return tuple(int(t) for t in v)
+    return v
+
+
+def _outcome(fn, *args):
+    try:
+        value = fn(*args)
+    except (InputError, TypeError, ValueError) as exc:
+        return ("raises", type(exc), str(exc))
+    return ("returns", value, tuple(type(t) for t in value))
+
+
+@pytest.mark.parametrize("scalar", ["integer", "rational"])
+@pytest.mark.parametrize("x", [
+    (1, -2), [0, 7], (Fraction(3), Fraction(-4)), (Fraction(1, 2), 0),
+    ("1/2", 3), ("5", "-6"), ("x", 1), (2.0, 1), (0.5, 1), (True, False),
+    (True, 2), (1, 2, 3), (Fraction(1),), (), (Fraction(1), 2),
+])
+def test_coerce_fast_path_matches_fraction_round_trip(scalar, x):
+    g = LatticeGroup(2, scalar=scalar)
+    assert _outcome(g.coerce, x) == _outcome(_fraction_round_trip, g, x)
+
+
+def test_coerce_fast_path_returns_exact_scalar_vectors_unchanged():
+    assert LatticeGroup(2).coerce([3, -1]) == (3, -1)
+    v = (Fraction(1, 2), Fraction(-3))
+    out = LatticeGroup(2, scalar="rational").coerce(v)
+    assert out == v and all(a is b for a, b in zip(out, v))
+    # bool is an int subclass but still goes through the round trip
+    assert [type(t) for t in LatticeGroup(2).coerce((True, 0))] == [int, int]
+
+
+def test_identity_sweep_counts_pairs_from_an_iterator():
+    g = LatticeGroup(2)
+    report = check_lattice_identities(g, iter([((1, -1), (0, 2)), ((0, 0), (3, 1))]))
+    assert report["ok"] and report["checked"] == 2
+
+
 # ---------------------------------------------------------------------------
 # disjointness-preserving bilinear operations
 
@@ -107,6 +153,31 @@ def test_candidate_rejects_bad_tensors():
         FRingCandidate(g, _single_entry_tensor(3, 0, 0, 0))  # shape mismatch
     with pytest.raises(InputError):
         FRingCandidate(g, _single_entry_tensor(2, 0, 0, 0, value=-1))
+
+
+@pytest.mark.parametrize("entry", [Fraction(1, 2), 2.7, "1/3", "two"])
+def test_candidate_refuses_non_integral_entries(entry):
+    tensor = [list(map(list, slab)) for slab in _single_entry_tensor(2, 0, 0, 0)]
+    tensor[1][0][1] = entry
+    with pytest.raises(InputError, match=r"tensor entry \(1, 0, 1\)"):
+        FRingCandidate(LatticeGroup(2), tensor)
+
+
+def test_half_weight_off_diagonal_is_refused_not_truncated():
+    # e0 * e1 = e1 / 2 is not support preserving; truncating 1/2 to 0 used
+    # to turn the tensor diagonal and the verdict into "yes"
+    tensor = [[[1, 0], [0, Fraction(1, 2)]], [[0, 0], [0, 1]]]
+    with pytest.raises(InputError, match="not an integer"):
+        FRingCandidate(LatticeGroup(2, "rational"), tensor)
+    cand = FRingCandidate(LatticeGroup(2, "rational"),
+                          [[[1, 0], [0, 1]], [[0, 0], [0, 1]]])
+    assert is_extended_f_ring(cand)["offending_entry"] == (0, 1, 1)
+
+
+def test_candidate_accepts_integral_entries_of_any_numeric_type():
+    cand = FRingCandidate(LatticeGroup(1), [[[Fraction(4, 2)]]])
+    assert cand.tensor == (((2,),),) and type(cand.tensor[0][0][0]) is int
+    assert FRingCandidate(LatticeGroup(1), [[[3.0]]]).tensor == (((3,),),)
 
 
 def test_candidate_mu_is_bilinear():
@@ -154,6 +225,71 @@ def test_off_diagonal_refutation_dim_three_sample():
         cand = FRingCandidate(g, _single_entry_tensor(3, *entry))
         res = is_extended_f_ring(cand)
         assert res["verdict"] == "no" and res["offending_entry"] == entry
+
+
+def _reference_f_ring(group, tensor, box_bound=3):
+    """The f-ring report by a per-triple loop with its own exact product."""
+    d = group.dim
+
+    def mu(a, b):
+        return tuple(sum(a[i] * b[j] * tensor[i][j][k]
+                         for i in range(d) for j in range(d))
+                     for k in range(d))
+
+    def meets(p, b):
+        return any(min(x, y) != 0 for x, y in zip(p, b))
+
+    offender = next(((i, j, k) for i in range(d) for j in range(d)
+                     for k in range(d) if tensor[i][j][k] and not i == j == k),
+                    None)
+    witness = None
+    if offender is not None:
+        i, j, k = offender
+        unit = [tuple(int(t == n) for t in range(d)) for n in range(d)]
+        a, c, side = ((unit[j], unit[i], "left-multiplier") if k != j
+                      else (unit[i], unit[j], "right-multiplier"))
+        witness = {"a": a, "b": unit[k], "c": c, "side": side,
+                   "value": mu(unit[i], unit[j])}
+    checked = 0
+    cells = list(itertools.product(range(box_bound), repeat=d))
+    found = False
+    for a in cells:
+        for b in cells:
+            if meets(a, b):
+                continue
+            for c in cells:
+                checked += 1
+                if meets(mu(c, a), b) or meets(mu(a, c), b):
+                    found = True
+                    break
+            if found:
+                break
+        if found:
+            break
+    assert found == (offender is not None)
+    return {"verdict": "yes" if offender is None else "no",
+            "offending_entry": offender, "witness": witness,
+            "box_checked": checked}
+
+
+@st.composite
+def _candidate_tensors(draw):
+    d = draw(st.integers(1, 3))
+    diagonal_only = draw(st.booleans())
+    tensor = [[[0 if diagonal_only and not i == j == k
+                else draw(st.integers(0, 2))
+                for k in range(d)] for j in range(d)] for i in range(d)]
+    return d, draw(st.sampled_from(["integer", "rational"])), tensor
+
+
+@settings(max_examples=60)
+@given(_candidate_tensors())
+def test_box_sweep_matches_per_triple_reference(case):
+    d, scalar, tensor = case
+    group = LatticeGroup(d, scalar)
+    res = is_extended_f_ring(FRingCandidate(group, tensor))
+    ref = _reference_f_ring(group, tensor)
+    assert {key: res[key] for key in ref} == ref
 
 
 def test_fring_strong_localizability_confirmed():

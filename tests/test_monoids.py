@@ -367,6 +367,9 @@ def _brute_force_biadditive_tables(m):
     ("cyclic-3", FiniteMonoid([[(i + j) % 3 for j in range(3)]
                                for i in range(3)])),
     ("truncated-1-cap1", truncated_free_monoid(1, cap=1)),
+    # two generators each: a join semilattice chain, and Z/2 with an absorber
+    ("chain-semilattice-3", FiniteMonoid([[0, 1, 2], [1, 1, 2], [2, 2, 2]])),
+    ("z2-absorber", FiniteMonoid([[0, 1, 2], [1, 0, 2], [2, 2, 2]])),
 ])
 def test_enumeration_matches_brute_force(name, m):
     want = set(_brute_force_biadditive_tables(m))
