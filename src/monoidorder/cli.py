@@ -485,16 +485,35 @@ def cmd_reproduce(args) -> tuple:
 # argument parsing and dispatch
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise :class:`InputError` (exit 3) instead of exiting 2,
+    which is the code for "refused"; subparsers inherit the class."""
+
+    def error(self, message):
+        raise InputError(message)
+
+
+def _count(text: str) -> int:
+    """A nonnegative integer option value."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="monoidorder",
         description="Exact decision procedures for ordered commutative "
                     "monoids and biadditive operations.")
     parser.add_argument("--format", choices=("json", "text"), default="json",
                         help="report rendering (default: json)")
-    parser.add_argument("--budget", type=int, default=8,
+    parser.add_argument("--budget", type=_count, default=8,
                         help="search budget for sampling sweeps (default: 8)")
-    parser.add_argument("--samples", type=int, default=50,
+    parser.add_argument("--samples", type=_count, default=50,
                         help="sample count for randomized sweeps (default: 50)")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -561,8 +580,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except InputError as exc:
+        print(f"input error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
     try:
         with stderr_timer(args.command):
             doc, code = args.func(args)

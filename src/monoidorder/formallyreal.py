@@ -11,6 +11,18 @@ polynomial is positive semidefinite if and only if its leading
 coefficient is positive and its odd-multiplicity part has no real root.
 On top of the verdict sit the downward-shift search (least natural ``k``
 making ``f - k`` fail membership) and the field categorization report.
+
+Arithmetic.  Rational polynomials store ``Fraction`` coefficients, but the
+membership path computes in integers: ``num * den`` is multiplied as
+primitive integer polynomials; gcds, exact quotients and Yun's
+square-free decomposition run over Z[x] with the primitive
+pseudo-remainder sequence; Sturm chains and witness candidates are
+signed by homogeneous integer Horner.  ``f - k`` needs no gcd at all:
+for canonical ``n/d``, ``gcd(n - k*d, d) = gcd(n, d) = 1``.  The
+self-checks run on every call, in exact arithmetic: each integer
+quotient must divide exactly, the decomposition must reconstruct its
+input (compared in integers), and a witness must evaluate negative in
+``Fraction`` arithmetic on ``f`` itself.
 """
 
 from __future__ import annotations
@@ -114,14 +126,22 @@ class RationalPolynomial:
                 rem[shift + i] -= factor * c
         return RationalPolynomial(q), RationalPolynomial(rem)
 
-    def __mod__(self, other: "RationalPolynomial") -> "RationalPolynomial":
-        return self.divmod(other)[1]
-
     def exact_div(self, other: "RationalPolynomial") -> "RationalPolynomial":
-        q, r = self.divmod(other)
-        if not r.is_zero():
-            raise InternalCheckError("division expected to be exact was not")
-        return q
+        """The quotient by a divisor, computed in integers.
+
+        Both operands are scaled to primitive integer multiples, divided
+        exactly (:class:`InternalCheckError` when ``other`` does not divide
+        ``self``), and the quotient is scaled back by the ratio of the
+        scalings.
+        """
+        if other.is_zero():
+            raise InputError("polynomial division by zero")
+        a, b = _integer_multiple(self), _integer_multiple(other)
+        q = _exact_quotient(a, b)
+        if not q:
+            return RationalPolynomial([])
+        ratio = self.leading * b[-1] / (other.leading * a[-1])
+        return RationalPolynomial([ratio * c for c in q])
 
     def derivative(self) -> "RationalPolynomial":
         return RationalPolynomial(
@@ -172,49 +192,172 @@ class RationalPolynomial:
         return " ".join(parts)
 
 
+# ---------------------------------------------------------------------------
+# integer coefficient tuples: gcds and square-free decomposition over Z[x]
+#
+# A polynomial over the rationals is scaled by a positive factor to a
+# primitive integer tuple, low degree first.  Gcds, exact quotients and
+# Yun's decomposition then run without normalizing a single ``Fraction``;
+# results convert back to monic rational polynomials at the end.
+
+
+def _primitive(ints) -> tuple:
+    """Integer coefficients divided by their (positive) content."""
+    content = gcd(*ints)
+    return tuple(c // content for c in ints)
+
+
+def _integer_multiple(p: RationalPolynomial) -> tuple:
+    """Primitive integer coefficients that are a positive multiple of ``p``."""
+    den = 1
+    for c in p.coefficients:
+        den = lcm(den, c.denominator)
+    return _primitive([c.numerator * (den // c.denominator)
+                       for c in p.coefficients])
+
+
+def _monic(ints: tuple) -> RationalPolynomial:
+    """The monic rational polynomial proportional to nonzero ``ints``."""
+    lead = ints[-1]
+    return RationalPolynomial([Fraction(c, lead) for c in ints])
+
+
+def _positive_lead(ints: tuple) -> tuple:
+    """``ints`` or its negative, whichever has a positive leading entry."""
+    return ints if ints[-1] > 0 else tuple(-c for c in ints)
+
+
+def _int_sub(a: tuple, b: tuple) -> tuple:
+    n = max(len(a), len(b))
+    out = [(a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)
+           for i in range(n)]
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
+def _int_mul(a: tuple, b: tuple) -> tuple:
+    if not a or not b:
+        return ()
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        if ca:
+            for j, cb in enumerate(b):
+                out[i + j] += ca * cb
+    return tuple(out)
+
+
+def _int_derivative(a: tuple) -> tuple:
+    return tuple(i * c for i, c in enumerate(a))[1:]
+
+
+def _exact_quotient(a: tuple, b: tuple) -> tuple:
+    """``a / b`` over the integers for primitive nonzero ``b`` dividing ``a``.
+
+    By Gauss's lemma a primitive divisor of an integer polynomial leaves an
+    integer quotient, so every step divides exactly; a step that does not,
+    or a nonzero remainder, raises :class:`InternalCheckError`.
+    """
+    lead, db = b[-1], len(b) - 1
+    rem = list(a)
+    q = [0] * max(0, len(rem) - db)
+    while len(rem) - 1 >= db:
+        top = rem.pop()
+        if top:
+            factor, left = divmod(top, lead)
+            if left:
+                raise InternalCheckError("division expected to be exact was not")
+            shift = len(rem) - db
+            q[shift] = factor
+            for i, c in enumerate(b[:-1]):
+                rem[shift + i] -= factor * c
+    if any(rem):
+        raise InternalCheckError("division expected to be exact was not")
+    return tuple(q)
+
+
+def _negated_remainder(a: tuple, b: tuple) -> tuple:
+    """A positive multiple of ``-(a mod b)`` over the integers, primitive.
+
+    Pseudo-division by ``b`` made to lead positively: each elimination
+    step multiplies the running remainder by that positive leading
+    coefficient, so the integer remainder is a positive multiple of the
+    rational one.  Returns ``()`` when ``b`` divides ``a``.
+    """
+    b = _positive_lead(b)
+    lead, db = b[-1], len(b) - 1
+    rem = list(a)
+    while len(rem) - 1 >= db:
+        top = rem.pop()
+        shift = len(rem) - db
+        rem = [lead * c for c in rem]
+        for i, c in enumerate(b[:-1]):
+            rem[shift + i] -= top * c
+        while rem and rem[-1] == 0:
+            rem.pop()
+    return _primitive([-c for c in rem]) if rem else ()
+
+
+def _int_gcd(a: tuple, b: tuple) -> tuple:
+    """Primitive gcd of integer polynomials (sign unspecified), by the
+    primitive pseudo-remainder sequence (Brown, J. ACM 1971); ``()`` when
+    both are zero."""
+    while b:
+        a, b = b, _negated_remainder(a, b)
+    return _primitive(a)
+
+
 def poly_gcd(a: RationalPolynomial, b: RationalPolynomial) -> RationalPolynomial:
-    """Monic greatest common divisor."""
-    while not b.is_zero():
-        a, b = b, a % b
-    if a.is_zero():
-        return a
-    return a.monic()
+    """Monic greatest common divisor (zero when both are zero).
+
+    Computed in integers: both arguments are scaled to primitive integer
+    polynomials, whose primitive pseudo-remainder sequence ends in their
+    gcd up to sign; only the final monic normalization uses ``Fraction``.
+    """
+    g = _int_gcd(_integer_multiple(a), _integer_multiple(b))
+    return _monic(g) if g else RationalPolynomial([])
 
 
 def squarefree_decomposition(p: RationalPolynomial):
     """Yun decomposition ``p = leading * prod factor_i ^ i`` with monic factors.
 
     Returns ``(leading, [(factor, multiplicity), ...])``; factors are
-    squarefree, pairwise coprime and nonconstant.  The reconstruction is
-    re-verified before returning.
+    squarefree, pairwise coprime and nonconstant.  Yun's algorithm (Yun,
+    SYMSAC 1976) runs on the primitive integer multiple of ``p``: its gcds
+    are primitive, so every quotient is an exact integer division, checked
+    at each step.  Before returning, the product of the factors (each
+    scaled to a positive leading coefficient) raised to their
+    multiplicities is compared exactly, in integers, with that multiple of
+    ``p``; a mismatch raises :class:`InternalCheckError`.
     """
     if p.is_zero():
         raise InputError("the zero polynomial has no square-free decomposition")
     lead = p.leading
-    p = p.monic()
-    if p.degree == 0:
+    ints = _integer_multiple(p)
+    if len(ints) == 1:
         return lead, []
-    dp = p.derivative()
-    a = poly_gcd(p, dp)
-    b = p.exact_div(a)
-    c = dp.exact_div(a)
-    d = c - b.derivative()
+    dp = _int_derivative(ints)
+    a = _int_gcd(ints, dp)
+    b = _exact_quotient(ints, a)
+    c = _exact_quotient(dp, a)
+    d = _int_sub(c, _int_derivative(b))
     out = []
     i = 1
-    while b.degree > 0:
-        g = poly_gcd(b, d)
-        if g.degree > 0:
-            out.append((g, i))
-        b = b.exact_div(g)
-        c = d.exact_div(g)
-        d = c - b.derivative()
+    while len(b) > 1:
+        g = _int_gcd(b, d)
+        if len(g) > 1:
+            out.append((_positive_lead(g), i))
+        b = _exact_quotient(b, g)
+        c = _exact_quotient(d, g)
+        d = _int_sub(c, _int_derivative(b))
         i += 1
-    recon = RationalPolynomial([lead])
+    recon = (1,)
     for g, m in out:
-        recon = recon * g.pow(m)
-    if recon.coefficients != p.scale(lead).coefficients:
+        for _ in range(m):
+            recon = _int_mul(recon, g)
+    if recon != _positive_lead(ints):
         raise InternalCheckError("square-free decomposition failed to reconstruct")
-    return lead, out
+    return lead, [(_monic(g), m) for g, m in out]
 
 
 def _product(polys) -> RationalPolynomial:
@@ -240,42 +383,23 @@ def odd_multiplicity_part(p: RationalPolynomial) -> RationalPolynomial:
 # Sturm chains and root counting
 
 
-def _primitive(ints) -> tuple:
-    """Integer coefficients divided by their (positive) content."""
-    content = gcd(*ints)
-    return tuple(c // content for c in ints)
+def _powers(d: int, m: int) -> list:
+    """``[1, d, d^2, ..., d^m]``."""
+    out = [1]
+    for _ in range(m):
+        out.append(out[-1] * d)
+    return out
 
 
-def _integer_multiple(p: RationalPolynomial) -> tuple:
-    """Primitive integer coefficients that are a positive multiple of ``p``."""
-    den = 1
-    for c in p.coefficients:
-        den = lcm(den, c.denominator)
-    return _primitive([c.numerator * (den // c.denominator)
-                       for c in p.coefficients])
-
-
-def _negated_remainder(a: tuple, b: tuple) -> tuple:
-    """A positive multiple of ``-(a mod b)`` over the integers, primitive.
-
-    Pseudo-division by ``b`` made to lead positively: each elimination
-    step multiplies the running remainder by that positive leading
-    coefficient, so the integer remainder is a positive multiple of the
-    rational one.  Returns ``()`` when ``b`` divides ``a``.
-    """
-    if b[-1] < 0:
-        b = tuple(-c for c in b)
-    lead, db = b[-1], len(b) - 1
-    rem = list(a)
-    while len(rem) - 1 >= db:
-        top = rem.pop()
-        shift = len(rem) - db
-        rem = [lead * c for c in rem]
-        for i, c in enumerate(b[:-1]):
-            rem[shift + i] -= top * c
-        while rem and rem[-1] == 0:
-            rem.pop()
-    return _primitive([-c for c in rem]) if rem else ()
+def _homogeneous_value(c: tuple, n: int, powers: list) -> int:
+    """``d^m * c(n/d)`` for integer ``c`` of degree ``m``, with ``d^j`` at
+    ``powers[j]``: homogeneous Horner, in plain integers.  For ``d > 0`` it
+    has the sign of ``c(n/d)``."""
+    m = len(c) - 1
+    acc = c[m]
+    for i in range(m - 1, -1, -1):
+        acc = acc * n + c[i] * powers[m - i]
+    return acc
 
 
 class SturmChain:
@@ -319,16 +443,11 @@ class SturmChain:
                     (1 if positive_infinity or len(c) % 2 else -1)
                     for c in self.chain]
         x = Fraction(x)
-        n, d = x.numerator, x.denominator
-        powers = [1]
-        for _ in range(len(self.chain[0]) - 1):
-            powers.append(powers[-1] * d)
+        n = x.numerator
+        powers = _powers(x.denominator, len(self.chain[0]) - 1)
         signs = []
         for c in self.chain:
-            m = len(c) - 1
-            acc = c[m]
-            for i in range(m - 1, -1, -1):
-                acc = acc * n + c[i] * powers[m - i]
+            acc = _homogeneous_value(c, n, powers)
             if acc:
                 signs.append(1 if acc > 0 else -1)
         return signs
@@ -513,8 +632,19 @@ class RationalFunction:
                                 self.denominator * other.numerator)
 
     def shift(self, c: Rat) -> "RationalFunction":
-        """The function minus the constant ``c``."""
-        return self - RationalFunction.constant(c)
+        """The function minus the constant ``c``, canonical without a gcd.
+
+        For canonical ``n/d`` the result is ``(n - c*d)/d``: the pair is
+        coprime because ``gcd(n - c*d, d) = gcd(n, d) = 1``, and ``d`` is
+        monic already, so it is returned as is.  When ``n = c*d`` the
+        function is the constant ``c``, so ``d = 1`` and the result is the
+        canonical zero ``0/1``.
+        """
+        out = object.__new__(RationalFunction)
+        object.__setattr__(out, "numerator",
+                           self.numerator - self.denominator.scale(c))
+        object.__setattr__(out, "denominator", self.denominator)
+        return out
 
     def defined_at(self, x: Rat) -> bool:
         return self.denominator.evaluate(x) != 0
@@ -653,15 +783,20 @@ def is_sos_membership(f: RationalFunction) -> dict:
     Decided through pointwise nonnegativity of ``num * den``: positive
     leading coefficient and no real root of odd multiplicity.  A negative
     verdict carries a rational witness point with exactly negative value.
-    One square-free decomposition of ``num * den`` serves both the
-    odd-multiplicity count and the witness search.
+    One square-free decomposition of ``num * den`` (a positive multiple,
+    multiplied in integers) serves both the odd-multiplicity count and the
+    witness search.
     """
     if f.is_zero():
         return {"member": True, "witness": None, "witness_value": None,
                 "criterion": POINTWISE_FACT,
                 "detail": "the zero function is the empty sum"}
-    g = f.numerator * f.denominator
-    lead_ok = g.leading > 0
+    num, den = f.numerator, f.denominator
+    lead = num.leading * den.leading
+    lead_ok = lead > 0
+    # a positive multiple of num * den, multiplied in integers
+    g = RationalPolynomial(_int_mul(_integer_multiple(num),
+                                    _integer_multiple(den)))
     _, factors = squarefree_decomposition(g)
     odd_chain = None
     if lead_ok:
@@ -672,7 +807,7 @@ def is_sos_membership(f: RationalFunction) -> dict:
         if odd_roots == 0:
             return {"member": True, "witness": None, "witness_value": None,
                     "criterion": POINTWISE_FACT,
-                    "detail": f"leading coefficient {g.leading} > 0 and no "
+                    "detail": f"leading coefficient {lead} > 0 and no "
                               "real root of odd multiplicity"}
     sf = _product(h for h, _ in factors)
     chain = (odd_chain if odd_chain and odd_chain.seed == sf
@@ -694,7 +829,8 @@ def _negative_point(g: RationalPolynomial, chain: SturmChain) -> Fraction:
     step counts with it.  Candidates: the simplest rationals in the gaps
     between isolated real roots, plus points beyond the root bound on each
     side.  The best candidate minimizes (denominator, absolute value),
-    preferring the nonnegative one on ties.
+    preferring the nonnegative one on ties.  Each candidate's sign is that
+    of a positive integer multiple of ``g``, by homogeneous Horner.
     """
     if g.is_zero():
         raise InputError("the zero polynomial is nowhere negative")
@@ -723,9 +859,12 @@ def _negative_point(g: RationalPolynomial, chain: SturmChain) -> Fraction:
             # half-open isolation: the left interval's upper end is strictly
             # between the two roots unless it is the left root itself
             candidates.append(left[1])
+    ints = _integer_multiple(g)
     negatives = [x for x in sorted(set(candidates),
                                    key=lambda t: (t.denominator, abs(t), t < 0))
-                 if g.evaluate(x) < 0]
+                 if _homogeneous_value(
+                     ints, x.numerator,
+                     _powers(x.denominator, len(ints) - 1)) < 0]
     if not negatives:
         # every open region between consecutive distinct roots holds one
         # candidate, so a sign-negative region cannot have been missed

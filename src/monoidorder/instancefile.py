@@ -20,7 +20,8 @@ Per kind:
 ``lattice``
     header ``dim: d``, section ``[generators]`` with integer rows,
     optional ``[tensor]`` rows ``i j t_1 .. t_d`` meaning the basis
-    product e_i * e_j has those coordinates (missing pairs are zero).
+    product e_i * e_j has those coordinates (missing pairs are zero; a
+    ``[tensor]`` section lists at least one row).
 
 ``open-cone``
     header ``dim: d``, section ``[rays]`` (closed-cone generators) or
@@ -189,8 +190,13 @@ def _int_rows(raw: _Raw, name: str, width: Optional[int] = None):
 
 
 def _tensor_rows(raw: _Raw, name: str, dim: int):
-    tensor = [[[0] * dim for _ in range(dim)] for _ in range(dim)]
-    seen = set()
+    """The dense ``dim`` x ``dim`` x ``dim`` table of sparse rows.
+
+    Every row is read and checked before the table is allocated, so a
+    ``dim`` that no row matches, or a section without rows, is an input
+    error rather than an allocation of ``dim**3`` zeros.
+    """
+    rows = {}
     for row, lineno in zip(raw.sections[name], raw.section_lines[name]):
         where = f"{raw.source}:{lineno}"
         if len(row) != 2 + dim:
@@ -201,11 +207,15 @@ def _tensor_rows(raw: _Raw, name: str, dim: int):
         j = _int_token(row[1], where)
         if not (0 <= i < dim and 0 <= j < dim):
             raise InputError(f"{where}: tensor indices must be in 0..{dim - 1}")
-        if (i, j) in seen:
+        if (i, j) in rows:
             raise InputError(f"{where}: duplicate tensor row for pair "
                              f"({i}, {j})")
-        seen.add((i, j))
-        tensor[i][j] = [_int_token(t, where) for t in row[2:]]
+        rows[i, j] = [_int_token(t, where) for t in row[2:]]
+    if not rows:
+        raise InputError(f"{raw.source}: [{name}] must not be empty")
+    tensor = [[[0] * dim for _ in range(dim)] for _ in range(dim)]
+    for (i, j), entries in rows.items():
+        tensor[i][j] = entries
     return tensor
 
 

@@ -570,7 +570,6 @@ def is_weakly_localizable(op: BiadditiveOp, queries: Optional[Sequence] = None,
     if isinstance(m, LatticeMonoid):
         if queries is None:
             queries = list(m.generators)
-        candidates = _lattice_candidates(m, budget)
         obstruction_pool = list(queries) + _lattice_candidates(m, 2)
         for a0 in obstruction_pool:
             obs = monomial_row_obstruction(op, a0)
@@ -580,6 +579,8 @@ def is_weakly_localizable(op: BiadditiveOp, queries: Optional[Sequence] = None,
                     reason="every element above the refuted one has a damping "
                            "row with two positive entries, so none is localizable",
                     details={"obstruction": obs})
+        # built only when no obstruction refuted the operation first
+        candidates = _lattice_candidates(m, budget)
         assignments = {}
         for a in queries:
             found = None

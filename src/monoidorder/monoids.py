@@ -601,9 +601,9 @@ def enumerate_biadditive_ops(m: FiniteMonoid, unital: Optional[int] = None,
     search assigns those values depth first and prunes with the unit
     constraints when ``unital`` names a two-sided unit.  The budget counts
     assignment nodes; exceeding it raises :class:`ResourceBudgetError`.
-    Every leaf's table is extended from the generator values and then
-    validated on every triple ``(a, b, c)`` against both distributive laws
-    (and the unit, if given) before it is kept.
+    Every leaf's table is extended from the generator values, checked
+    against the unit (if given), and then validated on every triple
+    ``(a, b, c)`` against both distributive laws before it is kept.
     """
     gens = m.generators()
     expr = m.expressions()
@@ -667,6 +667,10 @@ def enumerate_biadditive_ops(m: FiniteMonoid, unital: Optional[int] = None,
         table = tuple(
             tuple(_expand(add, rows, gen_index[a], gen_index[b]) for b in elems)
             for a in elems)
+        if unital is not None:  # O(n) before the O(n^3) sweep
+            for a in elems:
+                if table[unital][a] != a or table[a][unital] != a:
+                    return
         for a in elems:
             ta, a_plus = table[a], add[a]
             for b in elems:
@@ -678,10 +682,6 @@ def enumerate_biadditive_ops(m: FiniteMonoid, unital: Optional[int] = None,
                         return
                     if ta[b_plus[c]] != ab_plus[ta[c]]:
                         return
-        if unital is not None:
-            for a in elems:
-                if table[unital][a] != a or table[a][unital] != a:
-                    return
         results.add(table)
 
     def dfs(idx: int):

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import pytest
 
-from monoidorder import cli, formallyreal, latticeorder
+from monoidorder import cli, formallyreal, latticeorder, localizability
 from monoidorder.cli import (EXIT_BUDGET, EXIT_INPUT, EXIT_INTERNAL, EXIT_PASS,
                              EXIT_REFUSED, EXIT_REFUTED, REPRODUCE_IDS,
                              default_golden_path, main, reproduce_document)
@@ -129,6 +129,28 @@ def test_localizable_weak_verdicts():
     assert code == EXIT_PASS
     assert doc["certificate"]["verdict"] == "yes"
     assert doc["certificate"]["assignments"]
+
+
+def test_weak_refutation_builds_no_dominator_candidates(monkeypatch):
+    # the obstruction refutes the matrix product before any dominator search,
+    # so a large budget costs nothing: only the budget-2 obstruction pool
+    requested = []
+    candidates = localizability._lattice_candidates
+
+    def counted(m, budget):
+        requested.append(budget)
+        return candidates(m, budget)
+
+    monkeypatch.setattr(localizability, "_lattice_candidates", counted)
+    code, doc, _ = run_json("--budget", "64", "localizable",
+                            instance_path("matrix-2x2.mon"), "--weak")
+    assert code == EXIT_REFUTED
+    assert requested == [2]
+    _, small, _ = run_json("localizable", instance_path("matrix-2x2.mon"),
+                           "--weak")
+    assert small["certificate"]["budget"] == 8
+    assert doc["certificate"]["budget"] == 64
+    assert dict(doc["certificate"], budget=8) == small["certificate"]
 
 
 def test_localizable_strong_exits_zero_on_elementwise_product():
@@ -532,9 +554,49 @@ def test_module_entry_point_runs_as_a_subprocess():
     assert doc["leq_ab"] is True and doc["approx"] is False
 
 
+@pytest.mark.parametrize("argv,needle", [
+    (["--bogus", "sos", "x"], "unrecognized arguments: --bogus"),
+    (["sos", "--x"], "unrecognized arguments: --x"),
+    (["sos", "x", "--budget", "3"], "unrecognized arguments: --budget 3"),
+    (["--budget", "-1", "sos", "x"], "argument --budget: must be nonnegative"),
+    (["--samples", "-1", "sos", "x"], "argument --samples: must be nonnegative"),
+    (["--budget", "many", "sos", "x"], "argument --budget: invalid int value"),
+    (["frobnicate"], "argument command: invalid choice"),
+    ([], "the following arguments are required: command"),
+])
+def test_usage_errors_are_input_errors(argv, needle):
+    code, out, err = run_cli(*argv)
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("input error: ") and needle in err
+
+
+def test_zero_budget_is_accepted():
+    code, doc, _ = run_json("--budget", "0", "sos", "x^2")
+    assert code == EXIT_PASS and doc["result"]["member"] is True
+
+
+def test_help_still_exits_zero():
+    with pytest.raises(SystemExit) as exc:
+        run_cli("-h")
+    assert exc.value.code == 0
+
+
 def test_exit_code_constants_are_the_documented_contract():
     assert (EXIT_PASS, EXIT_REFUTED, EXIT_REFUSED, EXIT_INPUT,
             EXIT_BUDGET, EXIT_INTERNAL) == (0, 1, 2, 3, 4, 5)
+
+
+@pytest.mark.parametrize("tensor", ["0 0 1 0\n", ""])
+def test_huge_dim_without_matching_tensor_rows_is_an_input_error(
+        tmp_path, tensor):
+    path = tmp_path / "huge.mon"
+    path.write_text(f"kind: lattice-group\ndim: 99999999999\n[tensor]\n{tensor}")
+    code, out, err = run_cli("verify", str(path), "--fring")
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert "input error" in err and "Traceback" not in err
 
 
 def test_internal_check_failure_is_not_a_refutation(monkeypatch):

@@ -8,10 +8,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from monoidorder.exactmath import InputError
+from monoidorder import formallyreal
+from monoidorder.exactmath import InputError, InternalCheckError
 from monoidorder.formallyreal import (POINTWISE_FACT, RationalFunction,
                                       RationalPolynomial, SturmChain,
-                                      categorize,
+                                      _exact_quotient, categorize,
                                       cauchy_root_bound, is_sos_membership,
                                       isolate_real_roots,
                                       odd_multiplicity_part,
@@ -128,6 +129,79 @@ def test_squarefree_decomposition_random_products():
             assert f.degree == len(by_mult[m])
 
 
+def _reference_gcd(a, b):
+    """Monic gcd by Euclid's algorithm in ``Fraction`` arithmetic."""
+    while not b.is_zero():
+        a, b = b, a.divmod(b)[1]
+    return a if a.is_zero() else a.scale(1 / a.leading)
+
+
+def _reference_quotient(a, b):
+    q, r = a.divmod(b)
+    assert r.is_zero()
+    return q
+
+
+def _reference_yun(p):
+    """Yun's decomposition on the monic ``p``, in ``Fraction`` arithmetic."""
+    lead = p.leading
+    p = p.scale(1 / lead)
+    if p.degree == 0:
+        return lead, []
+    dp = p.derivative()
+    a = _reference_gcd(p, dp)
+    b, c = _reference_quotient(p, a), _reference_quotient(dp, a)
+    d = c - b.derivative()
+    out, i = [], 1
+    while b.degree > 0:
+        g = _reference_gcd(b, d)
+        if g.degree > 0:
+            out.append((g, i))
+        b = _reference_quotient(b, g)
+        d = _reference_quotient(d, g) - b.derivative()
+        i += 1
+    return lead, out
+
+
+_planted_factor = st.lists(
+    st.fractions(min_value=-4, max_value=4, max_denominator=3),
+    min_size=1, max_size=2).map(lambda cs: RationalPolynomial(tuple(cs) + (1,)))
+
+
+@st.composite
+def _planted_products(draw):
+    """``c * prod f_i^m_i``: degree <= 12, multiplicities 1-4, c of either sign."""
+    p = RationalPolynomial.constant(draw(st.fractions(
+        min_value=-6, max_value=6, max_denominator=5).filter(bool)))
+    for f in draw(st.lists(_planted_factor, max_size=4)):
+        m = draw(st.integers(1, 4))
+        if p.degree + m * f.degree <= 12:
+            p = p * f.pow(m)
+    return p
+
+
+@given(_planted_products(), _planted_products(), _planted_products())
+def test_integer_yun_and_gcd_equal_the_fraction_reference(p, q, shared):
+    assert squarefree_decomposition(p) == _reference_yun(p)
+    a, b = p * shared, q * shared
+    if a.degree <= 12 and b.degree <= 12:
+        assert poly_gcd(a, b) == _reference_gcd(a, b)
+    assert poly_gcd(p, RationalPolynomial(())) == _reference_gcd(
+        p, RationalPolynomial(()))
+
+
+def test_non_exact_integer_division_raises():
+    with pytest.raises(InternalCheckError):
+        _exact_quotient((1, 0, 1), (1, 1))  # x^2 + 1 by x + 1
+    with pytest.raises(InternalCheckError):
+        _exact_quotient((1, 0, 1), (0, 2))  # leading 1 not a multiple of 2
+    with pytest.raises(InternalCheckError):
+        _poly(1, 0, 1).exact_div(_linear(-1))
+    assert _exact_quotient((-1, 0, 1), (1, 1)) == (-1, 1)
+    assert _poly(Fraction(1, 2), 0, Fraction(-1, 2)).exact_div(
+        _poly(3, 3)) == _poly(Fraction(1, 6), Fraction(-1, 6))
+
+
 def test_squarefree_and_odd_parts():
     sq = _linear(1) * _linear(1) * _linear(-1) * _linear(-1) * _linear(-1)
     assert squarefree_part(sq) == (_linear(1) * _linear(-1)).monic()
@@ -216,7 +290,7 @@ def _rational_sturm_sequence(p):
     if seed.degree > 0:
         seq.append(seed.derivative())
         while seq[-1].degree > 0:
-            rem = seq[-2] % seq[-1]
+            rem = seq[-2].divmod(seq[-1])[1]
             if rem.is_zero():
                 break
             seq.append(-rem)
@@ -342,6 +416,18 @@ def test_rational_function_field_ops(a, b, t):
         assert h.evaluate(t) == f.evaluate(t) * g.evaluate(t) + f.evaluate(t)
 
 
+@given(coeff_lists, coeff_lists, small_frac)
+def test_shift_equals_subtracting_the_constant(a, b, c):
+    p, q = _from_list(a), _from_list(b)
+    if q.is_zero():
+        return
+    f = RationalFunction(p, q)
+    assert f.shift(c) == f - RationalFunction.constant(c)
+    constant = RationalFunction.constant(c)
+    assert constant.shift(c) == RationalFunction(RationalPolynomial(()))
+    assert constant.shift(c).denominator == ONE
+
+
 def test_parser_reports_position_and_expectation():
     for text in ["x^", "(x", "", "3//x", "x + * 2"]:
         with pytest.raises(InputError) as err:
@@ -446,6 +532,30 @@ def test_skew_hypothesis_minimality_on_random_instances():
             minus_prev = f - RationalFunction(
                 RationalPolynomial.constant(Fraction(k - 1)), ONE)
             assert is_sos_membership(minus_prev)["member"]
+
+
+def test_large_shift_search_divides_no_rational_polynomial(monkeypatch):
+    # work counters do not jitter: with gcd-free shifts and integer Yun, the
+    # whole search makes no ``Fraction`` polynomial division
+    f = parse_rational_function("x^2+100000")
+    divisions, probes = [], []
+    divmod_ = RationalPolynomial.divmod
+    membership = formallyreal.is_sos_membership
+
+    def counted_divmod(self, other):
+        divisions.append(other)
+        return divmod_(self, other)
+
+    def counted_membership(g):
+        probes.append(g)
+        return membership(g)
+
+    monkeypatch.setattr(RationalPolynomial, "divmod", counted_divmod)
+    monkeypatch.setattr(formallyreal, "is_sos_membership", counted_membership)
+    res = theorem_skew_hypothesis(f)
+    assert divisions == []
+    assert len(probes) == 34
+    assert (res["k"], res["witness"], res["witness_value"]) == (100001, 0, -1)
 
 
 def _linear_scan_shift(f):

@@ -152,6 +152,19 @@ def test_tensor_index_out_of_range():
         "must be in")
 
 
+def test_huge_dim_fails_on_the_tensor_rows_before_allocating():
+    _expect_error(
+        "kind: lattice-group\ndim: 99999999999\n[tensor]\n0 0 1 0\n",
+        ":4:", "tensor rows are")
+
+
+def test_empty_tensor_section_is_rejected():
+    _expect_error("kind: lattice-group\ndim: 99999999999\n[tensor]\n",
+                  "[tensor] must not be empty")
+    _expect_error("kind: lattice\ndim: 1\n[generators]\n1\n[tensor]\n",
+                  "[tensor] must not be empty")
+
+
 def test_open_cone_needs_exactly_one_geometry():
     base = "kind: open-cone\ndim: 2\n"
     _expect_error(base, "rays")

@@ -362,7 +362,7 @@ def _brute_force_biadditive_tables(m):
     return out
 
 
-@pytest.mark.parametrize("name,m", [
+TINY_CARRIERS = [
     ("flag", FiniteMonoid([[0, 1], [1, 1]])),
     ("cyclic-3", FiniteMonoid([[(i + j) % 3 for j in range(3)]
                                for i in range(3)])),
@@ -370,11 +370,24 @@ def _brute_force_biadditive_tables(m):
     # two generators each: a join semilattice chain, and Z/2 with an absorber
     ("chain-semilattice-3", FiniteMonoid([[0, 1, 2], [1, 1, 2], [2, 2, 2]])),
     ("z2-absorber", FiniteMonoid([[0, 1, 2], [1, 0, 2], [2, 2, 2]])),
-])
+]
+
+
+@pytest.mark.parametrize("name,m", TINY_CARRIERS)
 def test_enumeration_matches_brute_force(name, m):
     want = set(_brute_force_biadditive_tables(m))
     got = {op.table for op in enumerate_biadditive_ops(m)}
     assert got == want
+
+
+@pytest.mark.parametrize("name,m", TINY_CARRIERS)
+def test_unital_enumeration_matches_brute_force(name, m):
+    tables = _brute_force_biadditive_tables(m)
+    for unit in m.elements():
+        want = {t for t in tables
+                if all(t[unit][a] == a == t[a][unit] for a in m.elements())}
+        got = {op.table for op in enumerate_biadditive_ops(m, unital=unit)}
+        assert got == want
 
 
 def test_unital_enumeration_truncated_line():
