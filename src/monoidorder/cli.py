@@ -14,10 +14,9 @@ from fractions import Fraction
 from importlib import resources
 
 from .exactmath import InputError, InternalCheckError, ResourceBudgetError
-from .monoids import (BiadditiveOp, FiniteMonoid, approx, leq,
-                      enumerate_biadditive_ops, half_open_half_plane,
-                      matrix_product_op, saturating_product_op,
-                      truncated_free_monoid)
+from .monoids import (approx, leq, enumerate_biadditive_ops,
+                      half_open_half_plane, matrix_product_op,
+                      saturating_product_op, truncated_free_monoid)
 from .grothendieck import grothendieck, nabla, pi12
 from .localizability import (is_left_localizable, is_localizable,
                              is_strongly_localizable, is_weakly_localizable,
@@ -269,11 +268,8 @@ def _groth_describe(groth) -> dict:
     if groth.kind == "finite":
         return {"kind": "finite", "classes": len(groth.reps),
                 "monoid_image_classes": sorted(set(groth.iota))}
-    if groth.kind == "lattice":
-        return {"kind": "lattice", "dim": groth.dim,
-                "lattice_basis": [list(b) for b in groth.lattice.basis]}
-    return {"kind": "cone", "dim": groth.dim,
-            "span_basis": [list(b) for b in groth.span_basis]}
+    return {"kind": groth.kind, "dim": groth.dim,
+            groth.basis_key: [list(b) for b in groth.span_basis]}
 
 
 def cmd_grothendieck(args) -> tuple:
@@ -513,8 +509,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="report rendering (default: json)")
     parser.add_argument("--budget", type=_count, default=8,
                         help="search budget for sampling sweeps (default: 8)")
-    parser.add_argument("--samples", type=_count, default=50,
-                        help="sample count for randomized sweeps (default: 50)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("order", help="compare two elements in the canonical "

@@ -683,10 +683,12 @@ class IntegerLattice:
 
 
 def smith_normal_form(matrix: Sequence[Sequence[int]]):
-    """Smith normal form with transformations: returns (U, D, V).
+    """Smith normal form with transformations: returns (U, D, V, V^-1).
 
     ``U`` and ``V`` are unimodular, ``U . A . V == D``, and the diagonal of
-    D is a nonnegative divisibility chain d1 | d2 | ... .  Verified before
+    D is a nonnegative divisibility chain d1 | d2 | ... .  ``V^-1`` is
+    carried along the column operations (each one's inverse is applied to
+    it from the left), so it is exact and integral.  Verified before
     returning; a failed check raises :class:`InternalCheckError`.
     """
     a = [list(map(int, row)) for row in matrix]
@@ -699,6 +701,7 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]):
             raise InputError("ragged matrix")
     u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
     v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    vinv = [row[:] for row in v]
 
     def row_op(i, j, q):  # row_i -= q * row_j
         for k in range(n):
@@ -711,6 +714,7 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]):
             a[k][i] -= q * a[k][j]
         for k in range(n):
             v[k][i] -= q * v[k][j]
+            vinv[j][k] += q * vinv[i][k]
 
     def swap_rows(i, j):
         a[i], a[j] = a[j], a[i]
@@ -721,6 +725,7 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]):
             a[k][i], a[k][j] = a[k][j], a[k][i]
         for k in range(n):
             v[k][i], v[k][j] = v[k][j], v[k][i]
+        vinv[i], vinv[j] = vinv[j], vinv[i]
 
     t = 0
     while t < min(m, n):
@@ -779,6 +784,9 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]):
     prod = [[sum(prod[i][k] * v[k][j] for k in range(n)) for j in range(n)] for i in range(m)]
     if prod != d:
         raise InternalCheckError("SNF product check failed")
+    if [[sum(v[i][k] * vinv[k][j] for k in range(n)) for j in range(n)] for i in range(n)] \
+            != [[int(i == j) for j in range(n)] for i in range(n)]:
+        raise InternalCheckError("SNF inverse transform check failed")
     diag = [d[i][i] for i in range(min(m, n))]
     for i in range(len(diag) - 1):
         if diag[i] == 0 and diag[i + 1] != 0:
@@ -789,11 +797,11 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]):
         for j in range(n):
             if i != j and d[i][j] != 0:
                 raise InternalCheckError("SNF off-diagonal entry")
-    return u, d, v
+    return u, d, v, vinv
 
 
 def invariant_factors(matrix: Sequence[Sequence[int]]) -> list[int]:
-    _, d, _ = smith_normal_form(matrix)
+    _, d, _, _ = smith_normal_form(matrix)
     return [d[i][i] for i in range(min(len(d), len(d[0]))) if d[i][i] not in (0,)]
 
 
@@ -803,7 +811,7 @@ def integer_kernel(matrix: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
     if m == 0:
         raise InputError("kernel of an empty matrix needs a dimension")
     n = len(matrix[0])
-    u, d, v = smith_normal_form(matrix)
+    u, d, v, _ = smith_normal_form(matrix)
     rank = sum(1 for i in range(min(m, n)) if d[i][i] != 0)
     basis = []
     for j in range(rank, n):
@@ -821,7 +829,7 @@ def integer_solve(rows: Sequence[Sequence[int]],
     n = len(a[0])
     if len(rhs) != n:
         raise InputError("right-hand side dimension mismatch")
-    u, d, v = smith_normal_form(a)
+    u, d, v, _ = smith_normal_form(a)
     rhsv = [sum(int(rhs[i]) * v[i][j] for i in range(n)) for j in range(n)]
     y = [0] * m
     for j in range(n):

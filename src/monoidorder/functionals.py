@@ -39,7 +39,6 @@ from .monoids import (
     BiadditiveOp,
     FiniteMonoid,
     LatticeMonoid,
-    OpenConeMonoid,
     approx,
     leq,
 )
@@ -58,30 +57,6 @@ def _exact_ints(vec) -> tuple[int, ...]:
             raise InternalCheckError(f"expected an integer vector, got {vec!r}")
         out.append(int(f))
     return tuple(out)
-
-
-def _ambient_forms(reduction) -> list[tuple[int, ...]]:
-    """Linear forms cutting out the closed positivity cone in class coordinates."""
-    if reduction.kind == "finite":
-        return []
-    if reduction.kind == "lattice":
-        return list(reduction.positive_cone.h_rep)
-    rows = []
-    for h in reduction.monoid.closed_cone.h_rep:
-        row = tuple(vdot(h, reduction._recon_rows[t]) for t in range(reduction.rank))
-        if not is_zero_vector(row):
-            den = lcm(*(Fraction(x).denominator for x in row)) if row else 1
-            rows.append(primitive(tuple(int(Fraction(x) * den) for x in row)))
-    return sorted(set(rows))
-
-
-def _ambient_closed_member(reduction, classvec) -> bool:
-    """Membership of a class in the closure of the positivity cone."""
-    if reduction.kind == "finite":
-        return classvec in reduction.positive_classes
-    if reduction.kind == "lattice":
-        return reduction.positive_cone.member(classvec)
-    return reduction.monoid.closed_cone.member(reduction.reconstruct(classvec))
 
 
 class OrderedSubgroup:
@@ -129,12 +104,12 @@ class OrderedSubgroup:
             self.span_basis = ()
             self.rank = 0
             self.positive_cone = None
-            self.ambient_forms = tuple(_ambient_forms(reduction))
+            self.ambient_forms = tuple(reduction.ambient_forms)
             return
         self.lattice = IntegerLattice(reduction.rank, nonzero)
         self.span_basis = tuple(tuple(row) for row in self.lattice.basis)
         self.rank = len(self.span_basis)
-        self.ambient_forms = tuple(_ambient_forms(reduction))
+        self.ambient_forms = tuple(reduction.ambient_forms)
         normals = []
         for h in self.ambient_forms:
             row = tuple(vdot(h, b) for b in self.span_basis)
@@ -152,7 +127,7 @@ class OrderedSubgroup:
             if self.coordinates(c) is None:
                 raise InternalCheckError("generating class escaped its own span")
         for ray in self.positive_cone.v_rep:
-            if not _ambient_closed_member(reduction, self.class_from_coordinates(ray)):
+            if not reduction.closed_member(self.class_from_coordinates(ray)):
                 raise InternalCheckError(
                     "subgroup positivity cone escaped the ambient cone")
 
@@ -176,8 +151,6 @@ class OrderedSubgroup:
         acc = tuple(Fraction(0) for _ in range(self.reduction.rank))
         for c, b in zip(coords, self.span_basis):
             acc = vadd(acc, vscale(Fraction(c, self.scale), b))
-        if self.reduction.kind == "lattice":
-            return _exact_ints(acc)
         return acc
 
     def class_of(self, element) -> tuple:
@@ -325,10 +298,7 @@ def _carrier_covector(sub: OrderedSubgroup,
     red = sub.reduction
     if red.kind == "finite":
         return None
-    if red.kind == "lattice":
-        rows = [tuple(r) for r in red.groth.lattice.basis]
-    else:
-        rows = [tuple(r) for r in red.groth.span_basis]
+    rows = [tuple(r) for r in red.groth.span_basis]
     if not rows:
         return None
     dim = len(rows[0])
@@ -684,22 +654,7 @@ def positivstellensatz(h: OrderedSubgroup, a, b) -> SeparationResult:
 def _sample_pool(m) -> list:
     if isinstance(m, FiniteMonoid):
         return list(m.elements())
-    if isinstance(m, LatticeMonoid):
-        return m.element_pool(3)
-    assert isinstance(m, OpenConeMonoid)
-    rays = [tuple(r) for r in m.closed_cone.v_rep]
-    pool = {tuple(0 for _ in range(m.dim))}
-    frontier = [tuple(0 for _ in range(m.dim))]
-    for _ in range(3):
-        nxt = []
-        for x in frontier:
-            for r in rays:
-                y = vadd(x, r)
-                if y not in pool:
-                    pool.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return sorted(v for v in pool if m.contains(v))
+    return m.element_pool(3)
 
 
 def verify_theorem_main(op: BiadditiveOp, pairs: Optional[Sequence] = None,

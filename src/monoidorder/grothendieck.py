@@ -32,14 +32,12 @@ from .exactmath import (
     InternalCheckError,
     IntegerLattice,
     RationalCone,
-    as_int_vector,
-    hermite_normal_form,
-    integer_kernel,
+    is_zero_vector,
+    primitive,
     rational_solve,
     smith_normal_form,
     vadd,
     vdot,
-    vneg,
     vscale,
     vsub,
 )
@@ -47,7 +45,7 @@ from .monoids import (
     BiadditiveOp,
     FiniteMonoid,
     LatticeMonoid,
-    OpenConeMonoid,
+    VectorCarrier,
     approx,
     leq,
 )
@@ -232,50 +230,37 @@ class FiniteGrothGroup:
         return self._pair_class[(a, b)]
 
 
-class LatticeGrothGroup:
-    """Difference group of a lattice monoid: the generated integer lattice."""
+class VectorGrothGroup:
+    """Difference group of a vector carrier: the group its rays generate.
 
-    kind = "lattice"
+    For a lattice monoid this is the integer lattice of the generators, for
+    an open-cone monoid the rational span of the closed cone.  Either way
+    ``span_basis`` is its Hermite basis, and the carrier's ``coordinates``
+    are coordinates on it (None outside the group).
+    """
 
-    def __init__(self, monoid: LatticeMonoid):
+    def __init__(self, monoid: VectorCarrier):
         self.monoid = monoid
         self.dim = monoid.dim
-        self.lattice = IntegerLattice(monoid.dim, monoid.generators)
+        self.kind = monoid.groth_kind
+        self.basis_key = monoid.basis_key
+        self.span_basis = monoid.span_basis
 
-    def iota(self, a):
-        return tuple(a)
+    @property
+    def lattice(self) -> IntegerLattice:
+        """The integer lattice the rays generate: for a lattice monoid, the
+        difference group itself."""
+        return self.monoid.lattice
 
-
-class ConeGrothGroup:
-    """Difference group of an open-cone monoid: the rational span."""
-
-    kind = "cone"
-
-    def __init__(self, monoid: OpenConeMonoid):
-        self.monoid = monoid
-        self.dim = monoid.dim
-        rays = [tuple(int(x) for x in r) for r in monoid.closed_cone.v_rep]
-        basis = hermite_normal_form([list(r) for r in rays])
-        self.span_basis = tuple(tuple(row) for row in basis)
-
-    def span_coordinates(self, x) -> Optional[tuple]:
-        return rational_solve(self.span_basis, tuple(Fraction(v) for v in x))
-
-    def iota(self, a):
-        return tuple(Fraction(v) for v in a)
+    def contains(self, x) -> bool:
+        return self.monoid.coordinates(x) is not None
 
 
 def grothendieck(m):
     """Difference group of a carrier, cached on the carrier."""
     if "groth" not in m._cache:
-        if isinstance(m, FiniteMonoid):
-            m._cache["groth"] = FiniteGrothGroup(m)
-        elif isinstance(m, LatticeMonoid):
-            m._cache["groth"] = LatticeGrothGroup(m)
-        elif isinstance(m, OpenConeMonoid):
-            m._cache["groth"] = ConeGrothGroup(m)
-        else:
-            raise InputError(f"unsupported carrier {type(m).__name__}")
+        m._cache["groth"] = (FiniteGrothGroup(m) if isinstance(m, FiniteMonoid)
+                             else VectorGrothGroup(m))
     return m._cache["groth"]
 
 
@@ -287,15 +272,17 @@ class SubmonoidClosure:
     """A closure of a submonoid, queryable through :meth:`member`.
 
     kind is one of ``up`` (scaling saturation), ``ddagger`` (damped-limit
-    closure), or ``up_ddagger`` (both applied in order).
+    closure), or ``up_ddagger`` (both applied in order).  Closures in a
+    vector group keep the vector ``carrier`` whose cone cuts them out.
     """
 
     def __init__(self, kind: str, member, description: dict,
-                 result_set: Optional[frozenset] = None):
+                 result_set: Optional[frozenset] = None, carrier=None):
         self.kind = kind
         self._member = member
         self.description = description
         self.result_set = result_set
+        self.carrier = carrier
 
     def member(self, x) -> bool:
         return self._member(x)
@@ -304,8 +291,25 @@ class SubmonoidClosure:
         return dict(self.description, kind=self.kind)
 
 
+def _cutting_carrier(group, base) -> VectorCarrier:
+    """The vector carrier whose cone cuts a closure out of a vector group:
+    the base itself, the carrier of a base closure, or the lattice monoid of
+    base generators."""
+    if isinstance(base, SubmonoidClosure):
+        return base.carrier
+    if isinstance(base, VectorCarrier):
+        return base
+    return LatticeMonoid(group.dim, base)
+
+
 def up_closure(group, base) -> SubmonoidClosure:
-    """Saturation {x in G : some positive multiple of x lies in base}."""
+    """Saturation {x in G : some positive multiple of x lies in base}.
+
+    In a vector group (the difference group of a vector carrier, or any
+    integer lattice) the saturation of a carrier is its cone with the
+    excluded faces kept excluded: the group points that the carrier's
+    boundary test puts inside.
+    """
     if isinstance(group, FiniteAbelianGroup):
         base_set = frozenset(base)
         result = set()
@@ -322,38 +326,25 @@ def up_closure(group, base) -> SubmonoidClosure:
             "up", lambda x: x in result,
             {"ambient_order": group.n, "result_size": len(result)},
             result_set=result)
-    if isinstance(group, IntegerLattice):
-        gens = [tuple(int(v) for v in g) for g in base]
-        nonzero = [g for g in gens if any(g)]
-        if nonzero:
-            cone = RationalCone.from_rays(nonzero, group.dim)
-        else:
-            unit = [tuple(1 if j == i else 0 for j in range(group.dim))
-                    for i in range(group.dim)]
-            cone = RationalCone.from_inequalities(unit + [vneg(u) for u in unit], group.dim)
+    carrier = _cutting_carrier(group, base)
 
-        def member(x):
-            return group.contains(x) and cone.member(x)
+    def member(x):
+        return group.contains(x) and carrier.boundary_status(x) == "inside"
 
-        return SubmonoidClosure(
-            "up", member,
-            {"ambient": "integer lattice", "cone_rays": [list(r) for r in cone.v_rep]})
-    if isinstance(group, ConeGrothGroup):
-        monoid = base if isinstance(base, OpenConeMonoid) else group.monoid
-
-        def member(x):
-            return (group.span_coordinates(x) is not None
-                    and monoid.boundary_status(x) == "inside")
-
-        return SubmonoidClosure(
-            "up", member,
-            {"ambient": "rational span",
-             "open_normals": [list(n) for n in monoid.open_normals]})
-    raise InputError(f"unsupported ambient group {type(group).__name__}")
+    return SubmonoidClosure(
+        "up", member,
+        {"cone_rays": [list(r) for r in carrier.rays],
+         "open_normals": [list(n) for n in carrier.open_normals]},
+        carrier=carrier)
 
 
 def ddagger_closure(group, base, bound: Optional[int] = None) -> SubmonoidClosure:
-    """Damped-limit closure {x : some e has l*x + e in base for all l >= 1}."""
+    """Damped-limit closure {x : some e has l*x + e in base for all l >= 1}.
+
+    In a vector group the damped shift clears each strict inequality for
+    every scalar, and scaling keeps every weak one weak, so the closure is
+    the closed cone's group points.
+    """
     if isinstance(group, FiniteAbelianGroup):
         base_set = base.result_set if isinstance(base, SubmonoidClosure) else frozenset(base)
         e_exp = group.exponent
@@ -379,27 +370,17 @@ def ddagger_closure(group, base, bound: Optional[int] = None) -> SubmonoidClosur
             {"ambient_order": group.n, "scalar_bound": bound,
              "result_size": len(result)},
             result_set=result)
-    if isinstance(group, IntegerLattice):
-        # base is the up-closure: lattice points of a closed rational cone.
-        # Scaling any member down by l and letting l grow keeps every weak
-        # inequality weak, so the damped-limit closure adds nothing.
-        up = base if isinstance(base, SubmonoidClosure) else up_closure(group, base)
-        return SubmonoidClosure(
-            "up_ddagger", up.member,
-            dict(up.description, note="closed cone: damped-limit closure is the identity"))
-    if isinstance(group, ConeGrothGroup):
-        monoid = group.monoid
-        closed = monoid.closed_cone
+    carrier = _cutting_carrier(group, base)
+    closed = carrier.cone
 
-        def member(x):
-            return group.span_coordinates(x) is not None and closed.member(x)
+    def member(x):
+        return group.contains(x) and closed.member(x)
 
-        return SubmonoidClosure(
-            "up_ddagger", member,
-            {"ambient": "rational span",
-             "note": "open faces close up: the damped shift clears each strict "
-                     "inequality for every scalar"})
-    raise InputError(f"unsupported ambient group {type(group).__name__}")
+    return SubmonoidClosure(
+        "up_ddagger", member,
+        {"cone_rays": [list(r) for r in carrier.rays],
+         "note": "damped-limit closure: the closed cone"},
+        carrier=carrier)
 
 
 # ---------------------------------------------------------------------------
@@ -454,78 +435,60 @@ class ReducedFinite:
         }
 
 
-class ReducedLattice:
-    """Reduction of a lattice carrier in canonical quotient coordinates.
+class ReducedVector:
+    """Reduction of a vector carrier in canonical quotient coordinates.
 
-    The quotient of the generated lattice by its order-kernel is free; a
-    unimodular change of basis turns classes into integer coordinate
-    tuples, and the positivity cone is the image of the generators.
+    Classes live in the difference group on ``span_basis`` coordinates
+    (integer for a lattice, rational for a cone), modulo the order kernel:
+    the group points of the closed cone's lineality space, or none at level
+    1 when strict faces exist (they keep every nonzero direction of the
+    lineality space out of the positive part).  The kernel is a direct
+    summand (a saturated sublattice of a lattice, a subspace of a span), so
+    a unimodular change of basis ``V`` (from the Smith form of the kernel
+    coordinates) puts it on the leading coordinates; a class is the
+    remaining coordinates, and reconstructs through the rows of ``V^-1``.
+    The positive part is the level's closure of the carrier.
     """
 
-    kind = "lattice"
-
-    def __init__(self, monoid: LatticeMonoid, level: int):
+    def __init__(self, monoid: VectorCarrier, level: int):
         if level not in (1, 2):
             raise InputError("level must be 1 or 2")
         self.monoid = monoid
         self.level = level
+        self.kind = monoid.groth_kind
         gg = grothendieck(monoid)
         self.groth = gg
-        lat = gg.lattice
-        basis = [list(row) for row in lat.basis]
+        basis = [list(row) for row in monoid.span_basis]
         r = len(basis)
-        h = list(monoid.cone.h_rep)
-        up = up_closure(lat, monoid.generators)
-        if level == 1:
-            self.positive_closure = up
-        else:
-            self.positive_closure = ddagger_closure(lat, up)
-        if h:
-            rel = [[vdot(hrow, brow) for brow in basis] for hrow in h]
-            kernel_coords = integer_kernel(rel)
-        else:
-            kernel_coords = [tuple(1 if j == i else 0 for j in range(r)) for i in range(r)]
-        self.kernel_rank = len(kernel_coords)
+        up = up_closure(gg, monoid)
+        self.positive_closure = up if level == 1 else ddagger_closure(gg, up)
+        kernel_coords = [] if level == 1 and monoid.open_normals else \
+            monoid.lineality_coordinates()
+        k = len(kernel_coords)
+        self.kernel_rank = k
         self.kernel_vectors = tuple(
             tuple(sum(c[i] * basis[i][j] for i in range(r)) for j in range(monoid.dim))
             for c in kernel_coords)
         if kernel_coords:
-            _, d, v = smith_normal_form([list(c) for c in kernel_coords])
-            k = len(kernel_coords)
-            for i in range(k):
-                if d[i][i] != 1:
-                    raise InternalCheckError("order kernel is not a direct summand")
-            self._v = v
+            _, _, v, vinv = smith_normal_form([list(c) for c in kernel_coords])
         else:
-            k = 0
-            self._v = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
+            v = vinv = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
+        self._v = v
         self._basis = basis
         self._r = r
-        self._k = k
         self.rank = r - k
-        vinv = _integer_inverse(self._v)
         # class w reconstructs through c = (0,...,0,w) V^{-1}; x = c B
         self._recon_rows = [
             tuple(sum(vinv[k + t][i] * basis[i][j] for i in range(r))
                   for j in range(monoid.dim))
             for t in range(self.rank)]
-        gen_images = sorted(set(self.project(g) for g in monoid.generators))
-        self.gen_images = gen_images
-        nonzero = [g for g in gen_images if any(g)]
-        if nonzero:
-            self.positive_cone = RationalCone.from_rays(nonzero, self.rank)
-        else:
-            unit = [tuple(1 if j == i else 0 for j in range(self.rank))
-                    for i in range(self.rank)]
-            self.positive_cone = RationalCone.from_inequalities(
-                unit + [vneg(u) for u in unit], self.rank)
 
     def project(self, x) -> tuple:
-        c = self.groth.lattice.coordinates(x)
+        c = self.monoid.coordinates(x)
         if c is None:
-            raise InputError(f"{tuple(x)!r} is not in the difference lattice")
+            raise InputError(f"{tuple(x)!r} is not in the {self.monoid.difference_group}")
         w = tuple(sum(c[i] * self._v[i][j] for i in range(self._r)) for j in range(self._r))
-        return w[self._k:]
+        return w[self.kernel_rank:]
 
     def reconstruct(self, w) -> tuple:
         out = tuple(0 for _ in range(self.monoid.dim))
@@ -540,119 +503,40 @@ class ReducedLattice:
         return tuple(p) == tuple(q)
 
     def leq(self, p, q) -> bool:
-        return self.positive_cone.member(vsub(q, p))
+        return self.positive_closure.member(self.reconstruct(vsub(q, p)))
+
+    def closed_member(self, classvec) -> bool:
+        """Membership of a class in the closure of the positivity cone."""
+        return self.monoid.cone.member(self.reconstruct(classvec))
+
+    @property
+    def ambient_forms(self) -> list[tuple[int, ...]]:
+        """Primitive linear forms cutting out the closed positivity cone in
+        class coordinates: the closed cone's facet normals read on the
+        reconstruction rows."""
+        rows = []
+        for h in self.monoid.cone.h_rep:
+            row = tuple(vdot(h, self._recon_rows[t]) for t in range(self.rank))
+            if not is_zero_vector(row):
+                rows.append(primitive(row))
+        return sorted(set(rows))
 
     def describe(self) -> dict:
-        return {
-            "carrier": "lattice",
-            "level": self.level,
-            "free_rank": self.rank,
-            "invariant_factors": [],
-            "kernel_rank": self.kernel_rank,
-            "positive_rays": [list(r) for r in self.positive_cone.v_rep],
-        }
-
-
-def _integer_inverse(v: list[list[int]]) -> list[list[int]]:
-    """Inverse of a unimodular integer matrix, verified integral."""
-    r = len(v)
-    rows = [tuple(Fraction(x) for x in row) for row in v]
-    inv = []
-    for i in range(r):
-        e = tuple(Fraction(1) if j == i else Fraction(0) for j in range(r))
-        sol = rational_solve([tuple(rows[t][j] for t in range(r)) for j in range(r)], e)
-        if sol is None:
-            raise InternalCheckError("matrix not invertible")
-        if any(f.denominator != 1 for f in sol):
-            raise InternalCheckError("matrix inverse not integral")
-        inv.append([int(f) for f in sol])
-    # each solve produced one column of the inverse; transpose into rows
-    return [[inv[j][i] for j in range(r)] for i in range(r)]
-
-
-class ReducedCone:
-    """Reduction of an open-cone carrier over the rationals.
-
-    Level 1 keeps strict faces strict (kernel trivial when any face is
-    excluded); level 2 closes them, collapsing the lineality of the
-    closed cone.  Classes are rational coordinate tuples in a basis of
-    the quotient space.
-    """
-
-    kind = "cone"
-
-    def __init__(self, monoid: OpenConeMonoid, level: int):
-        if level not in (1, 2):
-            raise InputError("level must be 1 or 2")
-        self.monoid = monoid
-        self.level = level
-        gg = grothendieck(monoid)
-        self.groth = gg
-        basis = [list(row) for row in gg.span_basis]
-        r = len(basis)
-        if level == 1:
-            self.positive_closure = up_closure(gg, monoid)
-            if monoid.open_normals:
-                kernel_vectors: list[tuple] = []
-            else:
-                kernel_vectors = list(monoid.closed_cone.lineality_basis)
-        else:
-            self.positive_closure = ddagger_closure(gg, monoid)
-            kernel_vectors = list(monoid.closed_cone.lineality_basis)
-        self.kernel_vectors = tuple(tuple(v) for v in kernel_vectors)
-        kernel_coords = []
-        for kv in kernel_vectors:
-            c = rational_solve(basis, kv)
-            if c is None:
-                raise InternalCheckError("kernel vector outside the span")
-            kernel_coords.append(as_int_vector(c))
-        k = len(kernel_coords)
-        if kernel_coords:
-            _, _, v = smith_normal_form([list(c) for c in kernel_coords])
-            self._v = v
-        else:
-            self._v = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
-        self._basis = basis
-        self._r = r
-        self._k = k
-        self.rank = r - k
-        vinv = _integer_inverse(self._v)
-        self._recon_rows = [
-            tuple(sum(Fraction(vinv[k + t][i]) * basis[i][j] for i in range(r))
-                  for j in range(monoid.dim))
-            for t in range(self.rank)]
-
-    def project(self, x) -> tuple:
-        c = self.groth.span_coordinates(x)
-        if c is None:
-            raise InputError(f"{tuple(x)!r} is not in the difference span")
-        w = tuple(sum(c[i] * self._v[i][j] for i in range(self._r)) for j in range(self._r))
-        return tuple(Fraction(t) for t in w[self._k:])
-
-    def reconstruct(self, w) -> tuple:
-        out = tuple(Fraction(0) for _ in range(self.monoid.dim))
-        for t, coeff in enumerate(w):
-            out = vadd(out, vscale(Fraction(coeff), self._recon_rows[t]))
-        return out
-
-    def iota(self, a) -> tuple:
-        return self.project(a)
-
-    def eq(self, p, q) -> bool:
-        return tuple(p) == tuple(q)
-
-    def leq(self, p, q) -> bool:
-        diff = self.reconstruct(vsub(q, p))
-        if self.level == 1:
-            return self.positive_closure.member(diff)
-        return self.monoid.closed_cone.member(diff)
-
-    def describe(self) -> dict:
+        if self.kind == "lattice":  # pinned report keys
+            images = [self.project(g) for g in self.monoid.generators]
+            return {
+                "carrier": "lattice",
+                "level": self.level,
+                "free_rank": self.rank,
+                "invariant_factors": [],
+                "kernel_rank": self.kernel_rank,
+                "positive_rays": [list(r) for r in RationalCone.from_rays(images, self.rank).v_rep],
+            }
         return {
             "carrier": "opencone",
             "level": self.level,
             "free_rank": self.rank,
-            "kernel_rank": self._k,
+            "kernel_rank": self.kernel_rank,
             "span_basis": [list(r) for r in self.groth.span_basis],
         }
 
@@ -661,14 +545,8 @@ def nabla(m, level: int):
     """The level-1 or level-2 ordered reduction of a carrier, cached."""
     key = f"nabla{level}"
     if key not in m._cache:
-        if isinstance(m, FiniteMonoid):
-            m._cache[key] = ReducedFinite(m, level)
-        elif isinstance(m, LatticeMonoid):
-            m._cache[key] = ReducedLattice(m, level)
-        elif isinstance(m, OpenConeMonoid):
-            m._cache[key] = ReducedCone(m, level)
-        else:
-            raise InputError(f"unsupported carrier {type(m).__name__}")
+        m._cache[key] = (ReducedFinite(m, level) if isinstance(m, FiniteMonoid)
+                         else ReducedVector(m, level))
     return m._cache[key]
 
 
@@ -683,24 +561,18 @@ def default_pairs(m, count: int = 200, seed: int = 20240901) -> list[tuple]:
     rng = random.Random(seed)
     if isinstance(m, LatticeMonoid):
         pool = m.element_pool(3)
-        pairs = []
-        for _ in range(count):
-            pairs.append((rng.choice(pool), rng.choice(pool)))
-        return pairs
-    if isinstance(m, OpenConeMonoid):
-        pool = m.sample_elements(12)
+    else:
+        # a cone is divisible: halves and triples of its samples are members
         zero = tuple(Fraction(0) for _ in range(m.dim))
-        pool = [zero] + [tuple(Fraction(x) for x in p) for p in pool]
-        scaled = []
-        for p in pool:
-            scaled.append(p)
-            scaled.append(tuple(x / 2 for x in p))
-            scaled.append(tuple(3 * x for x in p))
-        pairs = []
-        for _ in range(count):
-            pairs.append((rng.choice(scaled), rng.choice(scaled)))
-        return pairs
-    raise InputError(f"unsupported carrier {type(m).__name__}")
+        pool = []
+        for p in [zero] + [tuple(Fraction(x) for x in p) for p in m.sample_elements(12)]:
+            pool.append(p)
+            pool.append(tuple(x / 2 for x in p))
+            pool.append(tuple(3 * x for x in p))
+    pairs = []
+    for _ in range(count):
+        pairs.append((rng.choice(pool), rng.choice(pool)))
+    return pairs
 
 
 def check_lemma_canleq(m, pairs: Optional[Sequence] = None) -> dict:
@@ -840,10 +712,7 @@ class LiftedOp:
         red = self.reduced
         m = self.base.carrier
         kernels = list(red.kernel_vectors)
-        if isinstance(m, LatticeMonoid):
-            span_vectors = [tuple(row) for row in red._basis]
-        else:
-            span_vectors = [tuple(row) for row in red._basis]
+        span_vectors = [tuple(row) for row in red._basis]
         bad = []
         for kv in kernels:
             for sv in span_vectors:
@@ -856,10 +725,7 @@ class LiftedOp:
         self.report["checks"].append(
             {"name": "kernel-preservation", "ok": True,
              "pairs_checked": 2 * len(kernels) * len(span_vectors)})
-        if isinstance(m, LatticeMonoid):
-            gens = m.generators
-        else:
-            gens = m.closed_cone.v_rep
+        gens = m.rays
         agree = all(
             self.mu(red.iota(a), red.iota(b)) == red.project(self.base.mu(a, b))
             for a in gens for b in gens)

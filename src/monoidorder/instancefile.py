@@ -25,8 +25,9 @@ Per kind:
 
 ``open-cone``
     header ``dim: d``, section ``[rays]`` (closed-cone generators) or
-    ``[inequalities]`` (closed-cone normals), optional ``[open-normals]``
-    rows marking faces removed except at the apex, optional ``[tensor]``.
+    ``[inequalities]`` (closed-cone normals; the whole space is one zero
+    row), optional ``[open-normals]`` rows marking faces removed except at
+    the apex, optional ``[tensor]``.  Neither section may be empty.
 
 ``lattice-group``
     header ``dim: d``, optional header ``scalar: integer|rational``,
@@ -82,7 +83,7 @@ class Instance:
             out["generators"] = [list(g) for g in self.monoid.generators]
         elif self.kind == "open-cone":
             out["dim"] = self.monoid.dim
-            out["closed_rays"] = [list(r) for r in self.monoid.closed_cone.v_rep]
+            out["closed_rays"] = [list(r) for r in self.monoid.rays]
             out["open_normals"] = [list(n) for n in self.monoid.open_normals]
         elif self.kind == "lattice-group":
             out["dim"] = self.candidate.group.dim
@@ -304,6 +305,8 @@ def _build_open_cone(raw: _Raw) -> Instance:
         closed = RationalCone.from_rays(rays, dim)
     else:
         normals = _int_rows(raw, "inequalities", width=dim)
+        if not normals:
+            raise InputError(f"{raw.source}: [inequalities] must not be empty")
         closed = RationalCone.from_inequalities(normals, dim)
     open_normals = _int_rows(raw, "open-normals", width=dim) \
         if "open-normals" in raw.sections else []

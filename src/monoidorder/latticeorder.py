@@ -31,7 +31,7 @@ from .exactmath import (
 )
 from .functionals import verify_theorem_main
 from .localizability import is_strongly_localizable, is_weakly_localizable
-from .monoids import BiadditiveOp, LatticeMonoid, OpenConeMonoid, free_monoid
+from .monoids import BiadditiveOp, OpenConeMonoid, free_monoid
 
 
 class LatticeGroup:

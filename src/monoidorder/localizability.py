@@ -27,7 +27,6 @@ from .exactmath import (
     RationalCone,
     as_int_vector,
     cone_from_inequalities,
-    hermite_normal_form,
     integer_solve,
     lp_feasible,
     rational_nullspace,
@@ -137,9 +136,7 @@ def is_left_localizable(op: BiadditiveOp, s, side: str = "left") -> Localizabili
         return _finite_left(op, s, side, kind)
     if isinstance(m, LatticeMonoid):
         return _lattice_left(op, s, side, kind)
-    if isinstance(m, OpenConeMonoid):
-        return _opencone_left(op, s, side, kind)
-    raise InputError(f"unsupported carrier {type(m).__name__}")
+    return _opencone_left(op, s, side, kind)
 
 
 def _finite_left(op, s, side, kind) -> LocalizabilityVerdict:
@@ -159,43 +156,38 @@ def _finite_left(op, s, side, kind) -> LocalizabilityVerdict:
                                  details={"pairs_checked": m.n * m.n})
 
 
-def _span_basis_lattice(m: LatticeMonoid) -> list[tuple[int, ...]]:
-    if "span_basis" not in m._cache:
-        rows = hermite_normal_form([list(g) for g in m.generators])
-        m._cache["span_basis"] = [tuple(r) for r in rows]
-    return m._cache["span_basis"]
+def _preimage_escape(m, bl, basis) -> tuple:
+    """The first direction of the damped map's preimage of the closed cone
+    that escapes the cone (None if the preimage stays inside), with the
+    preimage cone's rays and lineality basis.
+
+    The preimage is computed in span coordinates: ``c`` lies in it when
+    ``c . (B L) . h >= 0`` for every facet normal ``h``.  Its rays are
+    tried in sorted order, then both signs of its lineality vectors.
+    """
+    r = len(basis)
+    cone = m.cone
+    normals = [as_int_vector(tuple(vdot(bl[i], h) for i in range(r))) for h in cone.h_rep]
+    lineality, rays = cone_from_inequalities(normals, r)
+    for c in sorted(rays):
+        x = _combine(c, basis)
+        if not cone.member(x):
+            return x, rays, lineality
+    for c in sorted(lineality):
+        x = _combine(c, basis)
+        for y in (x, vneg(x)):
+            if not cone.member(y):
+                return y, rays, lineality
+    return None, rays, lineality
 
 
 def _lattice_left(op, s, side, kind) -> LocalizabilityVerdict:
     m = op.carrier
     mat = damping_matrix(op, s, side)
-    basis = _span_basis_lattice(m)
-    r = len(basis)
-    cone = m.cone
-    h = list(cone.h_rep)
-    # preimage cone in span coordinates: c . (B L) . h^T >= 0 for each h
+    basis = m.span_basis
     bl = [apply_matrix(mat, brow) for brow in basis]
-    normals = []
-    for hrow in h:
-        normals.append(tuple(vdot(bl[i], hrow) for i in range(r)))
-    normals = [as_int_vector(n) for n in normals]
-    lineality, rays = cone_from_inequalities(normals, r)
-    violation = None
-    for c in sorted(rays):
-        x = _combine(c, basis)
-        if not cone.member(x):
-            violation = x
-            break
-    if violation is None:
-        for c in sorted(lineality):
-            x = _combine(c, basis)
-            if not cone.member(x):
-                violation = x
-                break
-            if not cone.member(vneg(x)):
-                violation = vneg(x)
-                break
-    injective = not _left_kernel(bl, r)
+    violation, rays, lineality = _preimage_escape(m, bl, basis)
+    injective = not _left_kernel(bl, len(basis))
     if violation is None:
         return LocalizabilityVerdict(
             s, kind, "yes",
@@ -265,20 +257,12 @@ def _validate_witness(op, s, side, witness) -> None:
 # -- open-cone carrier -------------------------------------------------------
 
 
-def _span_basis_cone(m: OpenConeMonoid) -> list[tuple[int, ...]]:
-    if "span_basis" not in m._cache:
-        rays = [tuple(int(x) for x in r) for r in m.closed_cone.v_rep]
-        m._cache["span_basis"] = [tuple(r) for r in hermite_normal_form(
-            [list(r) for r in rays])]
-    return m._cache["span_basis"]
-
-
 def _interior_point(m: OpenConeMonoid) -> tuple:
     """A member strictly positive on every facet form."""
     acc = tuple(0 for _ in range(m.dim))
-    for r in m.closed_cone.v_rep:
+    for r in m.cone.v_rep:
         acc = vadd(acc, r)
-    for h in m.closed_cone.h_rep:
+    for h in m.cone.h_rep:
         if vdot(h, acc) <= 0:
             raise InternalCheckError("ray sum is not relatively interior")
     return acc
@@ -301,9 +285,9 @@ def _cone_base_pair(m: OpenConeMonoid, direction) -> tuple:
 def _opencone_left(op, s, side, kind) -> LocalizabilityVerdict:
     m = op.carrier
     mat = damping_matrix(op, s, side)
-    basis = _span_basis_cone(m)
+    basis = m.span_basis
     r = len(basis)
-    closed = m.closed_cone
+    closed = m.cone
     bl = [apply_matrix(mat, brow) for brow in basis]
 
     # scalar action on the span: immediate yes
@@ -347,26 +331,9 @@ def _opencone_left(op, s, side, kind) -> LocalizabilityVerdict:
             _validate_witness(op, s, side, witness)
             return verdict
 
-    # closed containment: the preimage cone of the closed positivity cone,
-    # computed in span coordinates, must stay inside it
-    normals = [as_int_vector(tuple(vdot(bl[i], hrow) for i in range(r)))
-               for hrow in closed.h_rep]
-    lin_p, rays_p = cone_from_inequalities(normals, r)
-    violation = None
-    for c in sorted(rays_p):
-        x = _combine(c, basis)
-        if not closed.member(x):
-            violation = x
-            break
-    if violation is None:
-        for c in sorted(lin_p):
-            x = _combine(c, basis)
-            if not closed.member(x):
-                violation = x
-                break
-            if not closed.member(vneg(x)):
-                violation = vneg(x)
-                break
+    # closed containment: the preimage cone of the closed positivity cone
+    # must stay inside it
+    violation, _, _ = _preimage_escape(m, bl, basis)
     if violation is not None:
         image = apply_matrix(mat, violation)
         if _inside(m, image) and any(Fraction(t) != 0 for t in image):
@@ -432,7 +399,7 @@ def _strictify(m: OpenConeMonoid, mat, bl, basis, x):
     u = _preimage(bl, basis, interior)
     if u is None:
         raise InternalCheckError("interior point lost from the damped image")
-    offending = [h for h in m.closed_cone.h_rep if vdot(h, x) < 0]
+    offending = [h for h in m.cone.h_rep if vdot(h, x) < 0]
     if not offending:
         raise InternalCheckError("expected a separating facet form")
     eps = Fraction(1)
@@ -489,6 +456,13 @@ def _lattice_candidates(m: LatticeMonoid, budget: int) -> list[tuple]:
     return out
 
 
+def _dominator_candidates(m, budget: int) -> list[tuple]:
+    """Candidate localizable dominators, in search order."""
+    if isinstance(m, LatticeMonoid):
+        return _lattice_candidates(m, budget)
+    return _cone_candidates(m, budget)
+
+
 def _cone_candidates(m: OpenConeMonoid, budget: int) -> list[tuple]:
     g0 = _interior_point(m)
     out = []
@@ -498,7 +472,7 @@ def _cone_candidates(m: OpenConeMonoid, budget: int) -> list[tuple]:
         if x not in seen:
             seen.add(x)
             out.append(x)
-    for r in m.closed_cone.extreme_rays:
+    for r in m.cone.extreme_rays:
         for k in range(1, budget + 1):
             x = vadd(vscale(k, g0), r)
             if m.contains(x) and x not in seen:
@@ -568,10 +542,10 @@ def is_weakly_localizable(op: BiadditiveOp, queries: Optional[Sequence] = None,
             "yes", assignments=assignments, budget=budget,
             reason="exhaustive search over the carrier")
     if isinstance(m, LatticeMonoid):
+        # the orthant obstruction is a theorem about lattice carriers
         if queries is None:
             queries = list(m.generators)
-        obstruction_pool = list(queries) + _lattice_candidates(m, 2)
-        for a0 in obstruction_pool:
+        for a0 in list(queries) + _lattice_candidates(m, 2):
             obs = monomial_row_obstruction(op, a0)
             if obs is not None:
                 return WeakLocalizabilityCertificate(
@@ -579,45 +553,26 @@ def is_weakly_localizable(op: BiadditiveOp, queries: Optional[Sequence] = None,
                     reason="every element above the refuted one has a damping "
                            "row with two positive entries, so none is localizable",
                     details={"obstruction": obs})
-        # built only when no obstruction refuted the operation first
-        candidates = _lattice_candidates(m, budget)
-        assignments = {}
-        for a in queries:
-            found = None
-            for s in candidates:
-                if leq(m, a, s) and is_localizable(op, s).verdict == "yes":
-                    found = s
-                    break
-            if found is None:
-                return WeakLocalizabilityCertificate(
-                    "unknown", assignments=assignments, budget=budget,
-                    reason=f"no localizable dominator found for {tuple(a)} "
-                           f"within coefficient budget {budget}")
-            assignments[tuple(a)] = found
-        return WeakLocalizabilityCertificate(
-            "yes", assignments=assignments, budget=budget,
-            reason="localizable dominator found for every queried element")
-    if isinstance(m, OpenConeMonoid):
-        if queries is None:
-            queries = m.sample_elements(6)
-        candidates = _cone_candidates(m, budget)
-        assignments = {}
-        for a in queries:
-            found = None
-            for s in candidates:
-                if leq(m, a, s) and is_localizable(op, s).verdict == "yes":
-                    found = s
-                    break
-            if found is None:
-                return WeakLocalizabilityCertificate(
-                    "unknown", assignments=assignments, budget=budget,
-                    reason=f"no localizable dominator found for {tuple(a)} "
-                           f"within budget {budget}")
-            assignments[tuple(a)] = found
-        return WeakLocalizabilityCertificate(
-            "yes", assignments=assignments, budget=budget,
-            reason="localizable dominator found for every queried element")
-    raise InputError(f"unsupported carrier {type(m).__name__}")
+    elif queries is None:
+        queries = m.sample_elements(6)
+    # built only when no obstruction refuted the operation first
+    candidates = _dominator_candidates(m, budget)
+    assignments = {}
+    for a in queries:
+        found = None
+        for s in candidates:
+            if leq(m, a, s) and is_localizable(op, s).verdict == "yes":
+                found = s
+                break
+        if found is None:
+            return WeakLocalizabilityCertificate(
+                "unknown", assignments=assignments, budget=budget,
+                reason=f"no localizable dominator found for {tuple(a)} "
+                       f"within {m.budget_text} {budget}")
+        assignments[tuple(a)] = found
+    return WeakLocalizabilityCertificate(
+        "yes", assignments=assignments, budget=budget,
+        reason="localizable dominator found for every queried element")
 
 
 def _is_diagonal_tensor(op: BiadditiveOp) -> Optional[list]:
@@ -649,18 +604,15 @@ def is_strongly_localizable(op: BiadditiveOp, budget: int = 3) -> dict:
                         "refuted_element": s, "witness": v.as_dict()["witness"]}
         return {"verdict": "yes", "confirmed": "exhaustive",
                 "elements_checked": m.n}
-    if isinstance(m, LatticeMonoid):
-        if _is_orthant_coordinates(m):
-            weights = _is_diagonal_tensor(op)
-            if weights is not None:
-                return {"verdict": "yes", "confirmed": "structural",
-                        "reason": "diagonal nonnegative tensor on orthant "
-                                  "coordinates keeps every damping map a "
-                                  "positive diagonal",
-                        "weights": weights}
-        samples = _lattice_candidates(m, budget)
-    else:
-        samples = _cone_candidates(m, budget)
+    if isinstance(m, LatticeMonoid) and _is_orthant_coordinates(m):
+        weights = _is_diagonal_tensor(op)
+        if weights is not None:
+            return {"verdict": "yes", "confirmed": "structural",
+                    "reason": "diagonal nonnegative tensor on orthant "
+                              "coordinates keeps every damping map a "
+                              "positive diagonal",
+                    "weights": weights}
+    samples = _dominator_candidates(m, budget)
     for s in samples:
         v = is_localizable(op, s)
         if v.verdict == "no":
@@ -713,8 +665,7 @@ def order_unit_fast_path(op: BiadditiveOp, e, queries: Optional[Sequence] = None
         probe = list(m.elements())
         unit_ok = all(op.mu(e, a) == a and op.mu(a, e) == a for a in probe)
     else:
-        probe = list(m.generators) if isinstance(m, LatticeMonoid) \
-            else list(m.closed_cone.v_rep)
+        probe = list(m.rays)
         unit_ok = all(op.mu(e, tuple(a)) == tuple(a) and op.mu(tuple(a), e) == tuple(a)
                       for a in probe)
     if not unit_ok:
@@ -727,21 +678,18 @@ def order_unit_fast_path(op: BiadditiveOp, e, queries: Optional[Sequence] = None
             for a in m.elements():
                 multiples[a] = 1
     else:
-        cone = m.cone if isinstance(m, LatticeMonoid) else m.closed_cone
+        cone = m.cone
         if cone.dim != len(e):
             raise InputError("unit dimension mismatch")
         cone_dirs = [list(r) for r in cone.v_rep] + [list(b) for b in cone.lineality_basis]
-        gen_rows = [list(g) for g in (m.generators if isinstance(m, LatticeMonoid)
-                                      else m.closed_cone.v_rep)]
+        gen_rows = [list(g) for g in m.rays]
         cone_rank = rational_rank(cone_dirs) if cone_dirs else 0
         gen_rank = rational_rank(gen_rows) if gen_rows else 0
         if cone_rank < gen_rank:
             refusals.append(
                 "positivity cone spans a smaller space than the carrier: "
                 "no order unit can dominate every element")
-        targets = queries if queries is not None else (
-            list(m.generators) if isinstance(m, LatticeMonoid)
-            else [r for r in m.closed_cone.v_rep])
+        targets = queries if queries is not None else list(m.rays)
         for g in targets:
             k = _order_unit_multiple(cone, e, g)
             if k is None:

@@ -1,23 +1,24 @@
 """Commutative monoid carriers, the canonical quasi-order, and biadditive maps.
 
-Three carrier representations are supported:
+Two carrier representations are supported:
 
 * :class:`FiniteMonoid` -- explicit Cayley table on ``{0, ..., n-1}`` with
   neutral element 0;
-* :class:`LatticeMonoid` -- all finite sums of a generator list inside
-  ``Z^d``;
-* :class:`OpenConeMonoid` -- a rational polyhedral cone with some facets
-  excluded (strict inequalities), plus the origin.
+* :class:`VectorCarrier` -- a submonoid of ``Q^d`` whose order is read from
+  a closed rational cone.  It has two membership oracles:
+  :class:`LatticeMonoid` (all finite sums of a generator list inside
+  ``Z^d``) and :class:`OpenConeMonoid` (a rational polyhedral cone with
+  some facets excluded by strict inequalities, plus the origin).
 
 The canonical quasi-order ``a <~ b`` holds when ``k*a + c + t == k*b + t``
 for some monoid elements c, t and some positive integer k.  The associated
 equivalence ``a ~~ b`` holds when there is a single d with
 ``l*a <~ l*b + d`` and ``l*b <~ l*a + d`` for every positive integer l.
-Each carrier gets its own exact decision procedure; the finite carrier
-uses exhaustive search with the scalar bound n + n*n (orbit preperiod plus
-period envelope), the vector carriers reduce to exact cone membership.
-Membership of a vector in a lattice monoid is decided exactly, with no
-coefficient bound (see :meth:`LatticeMonoid.contains`).
+The finite carrier decides both by exhaustive search with the scalar bound
+n + n*n (orbit preperiod plus period envelope); a vector carrier decides
+them from the facet normals of its closed cone.  Membership of a vector in
+a lattice monoid is decided exactly, with no coefficient bound (see
+:meth:`LatticeMonoid.contains`).
 """
 
 from __future__ import annotations
@@ -33,7 +34,10 @@ from .exactmath import (
     IntegerLattice,
     RationalCone,
     ResourceBudgetError,
+    as_int_vector,
+    integer_kernel,
     is_zero_vector,
+    rational_solve,
     solve_nonneg_rational,
     vadd,
     vdot,
@@ -171,11 +175,154 @@ class FiniteMonoid:
         self.leq_matrix()
         return self._cache["multiples"]
 
+    def check_element(self, x) -> None:
+        if not isinstance(x, int) or not 0 <= x < self.n:
+            raise InputError(f"element {x!r} not an index in 0..{self.n - 1}")
 
-class LatticeMonoid:
+    def leq(self, a: int, b: int) -> bool:
+        self.check_element(a)
+        self.check_element(b)
+        return self.leq_matrix()[a][b]
+
+    def approx(self, a: int, b: int) -> bool:
+        self.check_element(a)
+        self.check_element(b)
+        memo = self._cache.setdefault("approx", {})
+        if (a, b) in memo:
+            return memo[(a, b)]
+        leqm = self.leq_matrix()
+        mult = self.multiples()
+        K = self.scalar_bound
+        result = False
+        for d in range(self.n):
+            good = True
+            for l in range(1, K + 1):
+                la, lb = mult[l][a], mult[l][b]
+                if not (leqm[la][self.table[lb][d]] and leqm[lb][self.table[la][d]]):
+                    good = False
+                    break
+            if good:
+                result = True
+                break
+        memo[(a, b)] = memo[(b, a)] = result
+        return result
+
+
+class VectorCarrier:
+    """A submonoid of ``Q^d`` whose canonical order is read from a closed cone.
+
+    ``cone`` is the closed rational cone spanned by ``rays`` (the
+    generators of a lattice monoid, the ``v_rep`` of an open cone);
+    ``open_normals`` are the facet normals excluded from the monoid, none
+    for a lattice monoid.  ``span_basis`` is the Hermite basis of the group
+    the rays generate: the difference group, in which a subclass supplies
+    its own ``coordinates`` (integer for a lattice, rational for a cone)
+    beside its membership oracle ``contains``.
+
+    Closed rational cones absorb every damping element, so the order and
+    its equivalence need no search: ``a <~ b`` when ``b - a`` lies in the
+    cone with the excluded faces removed (or is zero), and ``a ~~ b`` when
+    ``b - a`` lies in the lineality space of the cone.
+
+    The class attributes that differ between the subclasses are report
+    text: ``kind`` and ``groth_kind`` name the carrier and its difference
+    group, ``basis_key`` the report key of its basis, ``difference_group``
+    what an element outside it is outside of, ``nonmember_text`` why an
+    element is refused, and ``budget_text`` what a candidate budget counts.
+    """
+
+    kind: str
+    groth_kind: str
+    basis_key: str
+    difference_group: str
+    nonmember_text: str
+    budget_text: str
+    open_normals: tuple = ()
+
+    @property
+    def closed_normals(self) -> tuple:
+        if "closed_normals" not in self._cache:
+            self._cache["closed_normals"] = tuple(
+                n for n in self.cone.h_rep if n not in self.open_normals)
+        return self._cache["closed_normals"]
+
+    @property
+    def lattice(self) -> IntegerLattice:
+        """The integer lattice the rays generate, built once: the difference
+        group of a lattice monoid, and a Hermite basis of the span of a cone."""
+        if "lattice" not in self._cache:
+            self._cache["lattice"] = IntegerLattice(self.dim, self.rays)
+        return self._cache["lattice"]
+
+    @property
+    def span_basis(self) -> tuple:
+        return tuple(self.lattice.basis)
+
+    def boundary_status(self, x: Sequence) -> str:
+        """``inside`` the monoid's cone, ``outside`` it, or ``on_excluded_face``."""
+        if len(x) != self.dim:
+            raise InputError("element dimension mismatch")
+        if all(v == 0 for v in x):
+            return "inside"
+        for n in self.closed_normals:
+            if vdot(n, x) < 0:
+                return "outside"
+        strict = True
+        for n in self.open_normals:
+            s = vdot(n, x)
+            if s < 0:
+                return "outside"
+            if s == 0:
+                strict = False
+        return "inside" if strict else "on_excluded_face"
+
+    def element_pool(self, max_coeff_sum: int = 3) -> list[tuple]:
+        """Members that are sums of at most ``max_coeff_sum`` rays, sorted."""
+        rays = self.rays
+        zero = tuple(0 for _ in range(self.dim))
+        pool = {zero}
+        frontier = [zero]
+        for _ in range(max_coeff_sum):
+            nxt = []
+            for x in frontier:
+                for g in rays:
+                    y = vadd(x, g)
+                    if y not in pool:
+                        pool.add(y)
+                        nxt.append(y)
+            frontier = nxt
+        return sorted(v for v in pool if self.contains(v))
+
+    def check_element(self, x) -> None:
+        if not self.contains(x):
+            raise InputError(f"element {tuple(x)!r} {self.nonmember_text}")
+
+    def leq(self, a, b) -> bool:
+        self.check_element(a)
+        self.check_element(b)
+        # b - a lies in the cone iff some positive multiple of it is a sum
+        # of members (for a lattice: of generators)
+        return self.boundary_status(vsub(b, a)) == "inside"
+
+    def approx(self, a, b) -> bool:
+        self.check_element(a)
+        self.check_element(b)
+        # both directions of the scaled comparison collapse to b - a lying
+        # in the closed cone C and in -C, and a vector lies in both iff every
+        # facet normal of C vanishes on it, so one sweep over the normals
+        # decides it
+        return all(vdot(n, a) == vdot(n, b) for n in self.cone.h_rep)
+
+
+class LatticeMonoid(VectorCarrier):
     """All sums (with repetition) of finitely many generators in ``Z^d``."""
 
     kind = "lattice"
+    groth_kind = "lattice"
+    basis_key = "lattice_basis"
+    difference_group = "difference lattice"
+    nonmember_text = "is not a generator combination"
+    budget_text = "coefficient budget"
 
     def __init__(self, dim: int, generators: Sequence[Sequence[int]]):
         self.dim = int(dim)
@@ -191,6 +338,10 @@ class LatticeMonoid:
         self._cache: dict = {}
 
     @property
+    def rays(self) -> tuple:
+        return self.generators
+
+    @property
     def cone(self) -> RationalCone:
         if "cone" not in self._cache:
             nonzero = [g for g in self.generators if not is_zero_vector(g)]
@@ -202,11 +353,17 @@ class LatticeMonoid:
             self._cache["cone"] = cone
         return self._cache["cone"]
 
-    @property
-    def lattice(self) -> IntegerLattice:
-        if "lattice" not in self._cache:
-            self._cache["lattice"] = IntegerLattice(self.dim, self.generators)
-        return self._cache["lattice"]
+    def coordinates(self, x: Sequence) -> Optional[tuple[int, ...]]:
+        return self.lattice.coordinates(x)
+
+    def lineality_coordinates(self) -> list[tuple[int, ...]]:
+        """A basis of the lattice points of the cone's lineality space, in
+        lattice coordinates: the integer kernel of the facet normals read on
+        ``span_basis`` (the whole lattice when the cone is everything)."""
+        basis = self.span_basis
+        if not self.cone.h_rep:
+            return [tuple(int(i == j) for j in range(len(basis))) for i in range(len(basis))]
+        return integer_kernel([[vdot(n, b) for b in basis] for n in self.cone.h_rep])
 
     @property
     def combinations(self) -> CombinationSearch:
@@ -243,23 +400,8 @@ class LatticeMonoid:
                 and self.combinations.find(key) is not None)
         return memo[key]
 
-    def element_pool(self, max_coeff_sum: int = 3) -> list[tuple[int, ...]]:
-        """All generator combinations with coefficient sum up to the budget."""
-        pool = {tuple(0 for _ in range(self.dim))}
-        frontier = [tuple(0 for _ in range(self.dim))]
-        for _ in range(max_coeff_sum):
-            nxt = []
-            for x in frontier:
-                for g in self.generators:
-                    y = vadd(x, g)
-                    if y not in pool:
-                        pool.add(y)
-                        nxt.append(y)
-            frontier = nxt
-        return sorted(pool)
 
-
-class OpenConeMonoid:
+class OpenConeMonoid(VectorCarrier):
     """A rational cone with chosen facets excluded, plus the origin.
 
     ``open_normals`` must be a subset of the h-representation of the
@@ -272,10 +414,15 @@ class OpenConeMonoid:
     """
 
     kind = "opencone"
+    groth_kind = "cone"
+    basis_key = "span_basis"
+    difference_group = "difference span"
+    nonmember_text = "is outside the open cone"
+    budget_text = "budget"
 
     def __init__(self, closed_cone: RationalCone, open_normals: Sequence[Sequence[int]]):
         self.dim = closed_cone.dim
-        self.closed_cone = closed_cone
+        self.cone = closed_cone
         h = set(closed_cone.h_rep)
         normals = []
         for n in open_normals:
@@ -284,7 +431,6 @@ class OpenConeMonoid:
                 raise InputError("open normal is not a facet normal of the closed cone")
             normals.append(n)
         self.open_normals = tuple(sorted(set(normals)))
-        self.closed_normals = tuple(n for n in closed_cone.h_rep if n not in self.open_normals)
         for a in closed_cone.v_rep:
             for b in closed_cone.v_rep:
                 s = vadd(a, b)
@@ -292,29 +438,24 @@ class OpenConeMonoid:
                     raise InternalCheckError("closed cone not closed under addition")
         self._cache: dict = {}
 
-    def boundary_status(self, x: Sequence) -> str:
-        if len(x) != self.dim:
-            raise InputError("element dimension mismatch")
-        if all(Fraction(v) == 0 for v in x):
-            return "inside"
-        for n in self.closed_normals:
-            if vdot(n, x) < 0:
-                return "outside"
-        strict = True
-        for n in self.open_normals:
-            s = vdot(n, x)
-            if s < 0:
-                return "outside"
-            if s == 0:
-                strict = False
-        return "inside" if strict else "on_excluded_face"
+    @property
+    def rays(self) -> list:
+        return self.cone.v_rep
+
+    def coordinates(self, x: Sequence) -> Optional[list[Fraction]]:
+        return rational_solve(self.span_basis, tuple(Fraction(v) for v in x))
+
+    def lineality_coordinates(self) -> list[tuple[int, ...]]:
+        """A basis of the cone's lineality space, in span coordinates (each
+        vector scaled to a primitive integer one)."""
+        return [as_int_vector(self.coordinates(v)) for v in self.cone.lineality_basis]
 
     def contains(self, x: Sequence) -> bool:
         return self.boundary_status(x) == "inside"
 
     def sample_elements(self, count: int = 12) -> list[tuple[Fraction, ...]]:
         """Deterministic nonzero members built from extreme rays."""
-        rays = self.closed_cone.v_rep
+        rays = self.cone.v_rep
         interior = None
         for r in rays:
             if self.contains(r):
@@ -341,19 +482,7 @@ class OpenConeMonoid:
 
 def check_element(m, x) -> None:
     """Raise :class:`InputError` unless x is a member of the carrier m."""
-    if isinstance(m, FiniteMonoid):
-        if not isinstance(x, int) or not 0 <= x < m.n:
-            raise InputError(f"element {x!r} not an index in 0..{m.n - 1}")
-        return
-    if isinstance(m, LatticeMonoid):
-        if not m.contains(x):
-            raise InputError(f"element {tuple(x)!r} is not a generator combination")
-        return
-    if isinstance(m, OpenConeMonoid):
-        if not m.contains(x):
-            raise InputError(f"element {tuple(x)!r} is outside the open cone")
-        return
-    raise InputError(f"unsupported carrier {type(m).__name__}")
+    m.check_element(x)
 
 
 # ---------------------------------------------------------------------------
@@ -362,60 +491,12 @@ def check_element(m, x) -> None:
 
 def leq(m, a, b) -> bool:
     """Decide ``a <~ b``: some k, c, t with ``k*a + c + t == k*b + t``."""
-    if isinstance(m, FiniteMonoid):
-        check_element(m, a)
-        check_element(m, b)
-        return m.leq_matrix()[a][b]
-    if isinstance(m, LatticeMonoid):
-        check_element(m, a)
-        check_element(m, b)
-        # b - a lies in the rational cone of the generators iff some
-        # positive multiple of it is a nonnegative integer combination of them
-        return m.cone.member(vsub(b, a))
-    if isinstance(m, OpenConeMonoid):
-        check_element(m, a)
-        check_element(m, b)
-        return m.boundary_status(vsub(b, a)) == "inside"
-    raise InputError(f"unsupported carrier {type(m).__name__}")
+    return m.leq(a, b)
 
 
 def approx(m, a, b) -> bool:
     """Decide ``a ~~ b``: one d works for all scalars in both directions."""
-    if isinstance(m, FiniteMonoid):
-        check_element(m, a)
-        check_element(m, b)
-        key = "approx"
-        if key not in m._cache:
-            m._cache[key] = {}
-        if (a, b) in m._cache[key]:
-            return m._cache[key][(a, b)]
-        leqm = m.leq_matrix()
-        mult = m.multiples()
-        K = m.scalar_bound
-        result = False
-        for d in range(m.n):
-            good = True
-            for l in range(1, K + 1):
-                la, lb = mult[l][a], mult[l][b]
-                if not (leqm[la][m.table[lb][d]] and leqm[lb][m.table[la][d]]):
-                    good = False
-                    break
-            if good:
-                result = True
-                break
-        m._cache[key][(a, b)] = result
-        m._cache[key][(b, a)] = result
-        return result
-    if isinstance(m, (LatticeMonoid, OpenConeMonoid)):
-        check_element(m, a)
-        check_element(m, b)
-        # closed rational cones absorb the damping element: both directions
-        # of the scaled comparison collapse to b - a lying in the closed cone
-        # C and in -C, and a vector lies in both iff every facet normal of C
-        # vanishes on it, so one sweep over the normals decides it
-        cone = m.cone if isinstance(m, LatticeMonoid) else m.closed_cone
-        return all(vdot(n, a) == vdot(n, b) for n in cone.h_rep)
-    raise InputError(f"unsupported carrier {type(m).__name__}")
+    return m.approx(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -498,9 +579,7 @@ class BiadditiveOp:
             return self._validate_finite()
         if isinstance(self.carrier, LatticeMonoid):
             return self._validate_lattice()
-        if isinstance(self.carrier, OpenConeMonoid):
-            return self._validate_opencone()
-        raise InputError(f"unsupported carrier {type(self.carrier).__name__}")
+        return self._validate_opencone()
 
     def _validate_finite(self) -> BiadditiveValidation:
         m = self.carrier
@@ -540,16 +619,16 @@ class BiadditiveOp:
         m = self.carrier
         failures = []
         notes = []
-        rays = m.closed_cone.v_rep
+        rays = m.cone.v_rep
         for a in rays:
             for b in rays:
                 prod = self.mu(a, b)
-                if not m.closed_cone.member(prod):
+                if not m.cone.member(prod):
                     failures.append(("ray-product-outside-closure", list(a), list(b), list(prod)))
         # strict faces: certify <h, mu(a,b)> as a nonnegative combination of
         # products F_i(a) F_j(b) of facet forms with at least one strictly
         # positive pair, via exact LP on the tensor identity
-        forms = list(m.closed_cone.h_rep)
+        forms = list(m.cone.h_rep)
         open_idx = [i for i, f in enumerate(forms) if f in set(m.open_normals)]
         d = m.dim
         for h in m.open_normals:

@@ -11,6 +11,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
@@ -559,7 +560,7 @@ def test_module_entry_point_runs_as_a_subprocess():
     (["sos", "--x"], "unrecognized arguments: --x"),
     (["sos", "x", "--budget", "3"], "unrecognized arguments: --budget 3"),
     (["--budget", "-1", "sos", "x"], "argument --budget: must be nonnegative"),
-    (["--samples", "-1", "sos", "x"], "argument --samples: must be nonnegative"),
+    (["--samples=5", "sos", "x"], "unrecognized arguments: --samples=5"),
     (["--budget", "many", "sos", "x"], "argument --budget: invalid int value"),
     (["frobnicate"], "argument command: invalid choice"),
     ([], "the following arguments are required: command"),
@@ -597,6 +598,18 @@ def test_huge_dim_without_matching_tensor_rows_is_an_input_error(
     assert code == EXIT_INPUT
     assert out == ""
     assert "input error" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", [["grothendieck"], ["localizable", "--weak"]])
+def test_huge_dim_open_cone_without_inequalities_fails_fast(tmp_path, command):
+    path = tmp_path / "huge-cone.mon"
+    path.write_text("kind: open-cone\ndim: 99999999999\n[inequalities]\n")
+    start = time.perf_counter()
+    code, out, err = run_cli(command[0], str(path), *command[1:])
+    assert time.perf_counter() - start < 5.0
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert "[inequalities] must not be empty" in err and "Traceback" not in err
 
 
 def test_internal_check_failure_is_not_a_refutation(monkeypatch):

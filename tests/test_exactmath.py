@@ -134,7 +134,10 @@ def test_smith_normal_form_oracle():
     for _ in range(40):
         n, m = rng.randint(1, 3), rng.randint(1, 3)
         a = _random_matrix(rng, n, m)
-        u, d, v = smith_normal_form(a)
+        u, d, v, vinv = smith_normal_form(a)
+        # V^-1 is the exact inverse of V
+        assert [[sum(v[i][k] * vinv[k][j] for k in range(m)) for j in range(m)]
+                for i in range(m)] == [[int(i == j) for j in range(m)] for i in range(m)]
         # U a V == D exactly
         ua = [[sum(u[i][k] * a[k][j] for k in range(n)) for j in range(m)]
               for i in range(n)]

@@ -5,14 +5,15 @@ from fractions import Fraction
 
 import pytest
 
-from monoidorder.exactmath import IntegerLattice, InputError, solve_nonneg_rational
+from monoidorder.exactmath import (IntegerLattice, InputError, RationalCone,
+                                   solve_nonneg_rational)
 from monoidorder.grothendieck import (FiniteAbelianGroup, check_lemma_canequiv,
                                       check_lemma_canleq, ddagger_closure,
                                       default_pairs, grothendieck,
                                       kernel_crosscheck_finite, lift_mu, nabla,
                                       pi12, stable_equality, up_closure)
 from monoidorder.monoids import (BiadditiveOp, FiniteMonoid, LatticeMonoid,
-                                 approx, free_monoid, half_open_half_plane,
+                                 OpenConeMonoid, approx, free_monoid, half_open_half_plane,
                                  leq, saturating_product_op,
                                  truncated_free_monoid)
 
@@ -230,6 +231,24 @@ def test_cone_project_is_identity_on_full_span():
     v = (Fraction(1, 2), Fraction(3))
     assert n1.project(v) == v
     assert n1.reconstruct(n1.iota((1, 0))) == (1, 0)
+
+
+def test_open_cone_classes_modulo_a_plane_of_lineality():
+    # the half-space x + 3y + 2z >= 0 with its face excluded: at level 2 the
+    # kernel is the plane x + 3y + 2z == 0.  Classes are read in the basis
+    # that the cone's lineality vectors (1, 1, -2), (0, 2, -3) give, which
+    # span an index-2 sublattice of the plane's integer points, not in a
+    # saturated integer basis of the plane
+    closed = RationalCone.from_rays(
+        [(-3, 1, 0), (-1, 1, -1), (1, -1, 1), (1, 0, 0), (3, -1, 0)], 3)
+    assert closed.lineality_basis == [(1, 1, -2), (0, 2, -3)]
+    n2 = nabla(OpenConeMonoid(closed, [(1, 3, 2)]), 2)
+    assert [n2.project(x) for x in ((-3, 0, 2), (-3, -2, -1), (3, 1, 3))] == \
+        [(-1,), (11,), (-12,)]
+    assert n2.reconstruct((-1,)) == (0, -1, 2)
+    assert n2.ambient_forms == [(-1,)]
+    assert n2.leq(n2.iota((0, 0, 0)), n2.iota((-1, 0, 1)))
+    assert not n2.leq(n2.iota((1, 0, 0)), n2.iota((0, 0, 0)))
 
 
 def test_reduced_describe_is_consistent():

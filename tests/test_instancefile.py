@@ -165,6 +165,16 @@ def test_empty_tensor_section_is_rejected():
                   "[tensor] must not be empty")
 
 
+def test_empty_open_cone_geometry_is_rejected():
+    _expect_error("kind: open-cone\ndim: 99999999999\n[inequalities]\n",
+                  "[inequalities] must not be empty")
+    _expect_error("kind: open-cone\ndim: 2\n[rays]\n", "[rays] must not be empty")
+    # the whole space is one zero row, which the cone drops
+    inst = parse_instance_text("kind: open-cone\ndim: 2\n[inequalities]\n0 0\n",
+                               source="<test>")
+    assert inst.monoid.cone.h_rep == [] and inst.monoid.contains((-1, 5))
+
+
 def test_open_cone_needs_exactly_one_geometry():
     base = "kind: open-cone\ndim: 2\n"
     _expect_error(base, "rays")
