@@ -653,10 +653,13 @@ class IntegerLattice:
         return len(self.basis)
 
     def coordinates(self, x: Sequence[int]) -> Optional[tuple[int, ...]]:
-        """Integer coordinates of x in the HNF basis, or None."""
+        """Integer coordinates of x in the HNF basis, or None (also for a
+        vector with a non-integral coordinate)."""
         if len(x) != self.dim:
             raise InputError("point dimension mismatch")
         residue = [int(v) for v in x]
+        if residue != list(x):
+            return None
         coords = []
         for row, piv in zip(self.basis, self._pivots):
             if residue[piv] % row[piv] != 0:

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .exactmath import (
     InputError,
@@ -39,7 +39,6 @@ from .monoids import (
     BiadditiveOp,
     FiniteMonoid,
     LatticeMonoid,
-    approx,
     leq,
 )
 
@@ -657,8 +656,8 @@ def _sample_pool(m) -> list:
     return m.element_pool(3)
 
 
-def verify_theorem_main(op: BiadditiveOp, pairs: Optional[Sequence] = None,
-                        triples: Optional[Sequence] = None,
+def verify_theorem_main(op: BiadditiveOp, pairs: Optional[Iterable] = None,
+                        triples: Optional[Iterable] = None,
                         budget: int = 8) -> dict:
     """Commutativity and associativity up to equivalence, on samples.
 
@@ -668,56 +667,80 @@ def verify_theorem_main(op: BiadditiveOp, pairs: Optional[Sequence] = None,
     separately (they are expected on carriers where the equivalence is
     coarser than equality).
 
-    Each distinct product and each distinct comparison is evaluated once
-    per sweep: ``op.mu`` and ``approx`` are memoized in two dicts that live
-    for this call, keyed by the pair of operands.  Products and comparisons
-    are first evaluated in the order of an unmemoized sweep, so the report
-    and the first error raised (say, a product outside the carrier) are
-    the same.
+    Each element is interned once to an int index, so exact equality is
+    equality of indices.  ``op.mu`` runs once per distinct pair of
+    indices, its result held in a table per left operand; a product not
+    seen before gets the next index.  ``approx`` is decided by the
+    carrier's ``class_key``, computed once per distinct compared element
+    at its first comparison, after ``check_element``.  Products and
+    checks run in the order of a plain sweep that calls ``op.mu`` and
+    ``approx`` every time, so the report and the first error raised (say,
+    a product outside the carrier) are the same.  ``pairs`` and
+    ``triples`` may be any iterables; each is read once.
     """
     m = op.carrier
     cert = is_weakly_localizable(op, budget=budget)
     mode = "certified" if cert.verdict == "yes" else "observation"
     pool = _sample_pool(m)
+    index: dict = {}    # element, as its report key -> its index
+    keys: list = []     # index -> report key
+    rows: list = []     # index -> {right index: index of the product}
+    classes: list = []  # index -> class key, None until first compared
+
+    def intern(x) -> int:
+        k = x if isinstance(x, int) else tuple(x)
+        i = index.get(k)
+        if i is None:
+            i = index[k] = len(keys)
+            keys.append(k)
+            rows.append({})
+            classes.append(None)
+        return i
+
+    def mul(i: int, j: int) -> int:
+        row = rows[i]
+        p = row.get(j)
+        if p is None:
+            p = row[j] = intern(op.mu(keys[i], keys[j]))
+        return p
+
+    def class_of(i: int):
+        c = classes[i]
+        if c is None:
+            m.check_element(keys[i])
+            c = classes[i] = m.class_key(keys[i])
+        return c
+
+    def same(i: int, j: int) -> bool:
+        return class_of(i) == class_of(j)
+
+    ids = [intern(x) for x in pool]
     if pairs is None:
-        pairs = [(a, b) for a in pool for b in pool]
+        pairs = [(a, b) for a in ids for b in ids]
+    else:
+        pairs = [(intern(a), intern(b)) for a, b in pairs]
     if triples is None:
-        triples = [(a, b, c) for a in pool for b in pool for c in pool]
-    def key(x):
-        return x if isinstance(x, int) else tuple(x)
-
-    products: dict = {}
-    comparisons: dict = {}
-
-    def mul(x, y):
-        k = (key(x), key(y))
-        if k not in products:
-            products[k] = op.mu(x, y)
-        return products[k]
-
-    def same(x, y):
-        k = (key(x), key(y))
-        if k not in comparisons:
-            comparisons[k] = approx(m, x, y)
-        return comparisons[k]
+        triples = [(a, b, c) for a in ids for b in ids for c in ids]
+    else:
+        triples = [(intern(a), intern(b), intern(c)) for a, b, c in triples]
 
     comm_fail, comm_exact_fail = [], 0
     for a, b in pairs:
         ab, ba = mul(a, b), mul(b, a)
-        if key(ab) != key(ba):
+        if ab != ba:
             comm_exact_fail += 1
         if not same(ab, ba):
-            comm_fail.append({"a": key(a), "b": key(b),
-                              "ab": key(ab), "ba": key(ba)})
+            comm_fail.append({"a": keys[a], "b": keys[b],
+                              "ab": keys[ab], "ba": keys[ba]})
     assoc_fail, assoc_exact_fail = [], 0
     for a, b, c in triples:
         left = mul(mul(a, b), c)
         right = mul(a, mul(b, c))
-        if key(left) != key(right):
+        if left != right:
             assoc_exact_fail += 1
         if not same(left, right):
-            assoc_fail.append({"a": key(a), "b": key(b), "c": key(c),
-                               "left": key(left), "right": key(right)})
+            assoc_fail.append({"a": keys[a], "b": keys[b], "c": keys[c],
+                               "left": keys[left], "right": keys[right]})
     ok = not comm_fail and not assoc_fail
     return {
         "mode": mode,
@@ -726,10 +749,10 @@ def verify_theorem_main(op: BiadditiveOp, pairs: Optional[Sequence] = None,
         "claimed": mode == "certified" and ok,
         "ok": ok,
         "pool_size": len(pool),
-        "commutativity": {"checked": len(list(pairs)),
+        "commutativity": {"checked": len(pairs),
                           "failures": comm_fail,
                           "exact_equality_failures": comm_exact_fail},
-        "associativity": {"checked": len(list(triples)),
+        "associativity": {"checked": len(triples),
                           "failures": assoc_fail,
                           "exact_equality_failures": assoc_exact_fail},
     }

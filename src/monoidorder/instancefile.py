@@ -21,7 +21,8 @@ Per kind:
     header ``dim: d``, section ``[generators]`` with integer rows,
     optional ``[tensor]`` rows ``i j t_1 .. t_d`` meaning the basis
     product e_i * e_j has those coordinates (missing pairs are zero; a
-    ``[tensor]`` section lists at least one row).
+    ``[tensor]`` section lists at least one row).  At least one generator
+    row is nonzero (the trivial monoid is refused).
 
 ``open-cone``
     header ``dim: d``, section ``[rays]`` (closed-cone generators) or
@@ -279,6 +280,8 @@ def _build_lattice(raw: _Raw) -> Instance:
     gens = _int_rows(raw, "generators", width=dim)
     if not gens:
         raise InputError(f"{raw.source}: [generators] must not be empty")
+    if not any(any(g) for g in gens):
+        raise InputError(f"{raw.source}: [generators] needs a nonzero row")
     monoid = LatticeMonoid(dim, gens)
     op = None
     if "tensor" in raw.sections:

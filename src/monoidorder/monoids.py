@@ -207,6 +207,20 @@ class FiniteMonoid:
         memo[(a, b)] = memo[(b, a)] = result
         return result
 
+    def class_key(self, x: int) -> int:
+        """The least index in the ``approx`` class of x, memoized.
+
+        ``approx`` is an equivalence: reflexive with ``d = 0``, symmetric
+        by its definition, and transitive because ``d1 + d2`` works for a
+        chain through a middle element (the order is compatible with
+        addition).  So two elements are equivalent iff their classes share
+        their least member, and x itself bounds the search.
+        """
+        memo = self._cache.setdefault("class_key", {})
+        if x not in memo:
+            memo[x] = next(y for y in range(x + 1) if self.approx(x, y))
+        return memo[x]
+
 
 class VectorCarrier:
     """A submonoid of ``Q^d`` whose canonical order is read from a closed cone.
@@ -307,11 +321,19 @@ class VectorCarrier:
     def approx(self, a, b) -> bool:
         self.check_element(a)
         self.check_element(b)
-        # both directions of the scaled comparison collapse to b - a lying
-        # in the closed cone C and in -C, and a vector lies in both iff every
-        # facet normal of C vanishes on it, so one sweep over the normals
-        # decides it
-        return all(vdot(n, a) == vdot(n, b) for n in self.cone.h_rep)
+        return self.class_key(a) == self.class_key(b)
+
+    def class_key(self, x) -> tuple:
+        """The values of the closed cone's facet normals on x.
+
+        Both directions of the scaled comparison in ``a ~~ b`` collapse to
+        ``b - a`` lying in the closed cone C and in -C, that is in the
+        lineality space of C.  A vector lies there iff every facet normal of
+        C vanishes on it, so ``a ~~ b`` iff every facet normal takes the
+        same value on a and on b: the tuple of those values is a key of the
+        class.  x is not checked for membership.
+        """
+        return tuple(vdot(n, x) for n in self.cone.h_rep)
 
 
 class LatticeMonoid(VectorCarrier):

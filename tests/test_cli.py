@@ -612,6 +612,21 @@ def test_huge_dim_open_cone_without_inequalities_fails_fast(tmp_path, command):
     assert "[inequalities] must not be empty" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", [
+    ["grothendieck"], ["localizable", "0"], ["localizable", "--weak"],
+    ["verify", "--main"], ["order", "0", "0"],
+], ids=["grothendieck", "localizable", "localizable-weak", "verify-main", "order"])
+def test_all_zero_lattice_generators_are_an_input_error(tmp_path, command):
+    path = tmp_path / "zero.mon"
+    path.write_text("kind: lattice\ndim: 1\n[generators]\n0\n[tensor]\n0 0 1\n")
+    code, out, err = run_cli(command[0], str(path), *command[1:])
+    assert code == EXIT_INPUT
+    assert out == ""
+    reported = [line for line in err.splitlines() if line.startswith("input error:")]
+    assert reported == [f"input error: {path}: [generators] needs a nonzero row"]
+    assert "Traceback" not in err
+
+
 def test_internal_check_failure_is_not_a_refutation(monkeypatch):
     def failing(args):
         raise InternalCheckError("planted self-check failure")

@@ -125,6 +125,13 @@ def test_integer_lattice_coordinates_roundtrip():
     assert lat.from_coordinates((3, 2)) == (3, 4)
 
 
+def test_integer_lattice_refuses_non_integral_vectors():
+    lat = IntegerLattice(2, [(1, 0), (0, 1)])
+    assert lat.coordinates((Fraction(1, 2), 0)) is None
+    assert not lat.contains((Fraction(1, 2), Fraction(3, 2)))
+    assert lat.coordinates((Fraction(4, 2), 3)) == (2, 3)
+
+
 def _random_matrix(rng, n, m, bound=5):
     return [[rng.randint(-bound, bound) for _ in range(m)] for _ in range(n)]
 

@@ -2,6 +2,7 @@
 
 import itertools
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -14,7 +15,9 @@ from monoidorder.functionals import (_sample_pool, check_mult_identity,
                                      verify_theorem_main,
                                      weak_implies_strong_audit)
 from monoidorder.monoids import (BiadditiveOp, FiniteMonoid, LatticeMonoid,
-                                 approx, free_monoid, half_open_half_plane,
+                                 approx, cyclic_product_op,
+                                 elementwise_product_op, free_monoid,
+                                 half_open_half_plane,
                                  saturating_product_op, truncated_free_monoid)
 from monoidorder.monoids import matrix_product_op as matrix_monoid_product_op
 
@@ -325,11 +328,18 @@ def _sweep_parts(report):
     return {k: report[k] for k in ("ok", "pool_size", "commutativity", "associativity")}
 
 
+def flag_meet_op():
+    flag = FiniteMonoid([[0, 1], [1, 1]], names=["o", "t"])
+    return BiadditiveOp(flag, table=[[0, 0], [0, 1]])
+
+
 @pytest.mark.parametrize("make_op", [
     matrix_monoid_product_op, half_plane_op,
     lambda: saturating_product_op(truncated_free_monoid(2, cap=2)),
     lambda: elementwise_op(3, weights=[5, 1, 4]),
-], ids=["matrix-product", "half-plane", "saturating-finite", "weighted-lattice"])
+    lambda: cyclic_product_op(5), flag_meet_op,
+], ids=["matrix-product", "half-plane", "saturating-finite", "weighted-lattice",
+        "cyclic-5", "flag-meet"])
 def test_memoized_sweep_matches_the_unmemoized_loop(make_op):
     report = verify_theorem_main(make_op())
     assert _sweep_parts(report) == _unmemoized_sweep(make_op())
@@ -347,7 +357,31 @@ def test_memoized_sweep_matches_on_caller_supplied_lists():
     assert _sweep_parts(report) == reference
 
 
+def test_sweep_counts_pairs_and_triples_given_as_iterators():
+    op = elementwise_product_op(free_monoid(2))
+    pool = _sample_pool(op.carrier)
+    pairs = [(a, b) for a in pool for b in pool]
+    triples = [(a, b, c) for a in pool for b in pool for c in pool]
+    report = verify_theorem_main(op, pairs=iter(pairs),
+                                 triples=(t for t in triples))
+    assert report["commutativity"]["checked"] == len(pairs) > 0
+    assert report["associativity"]["checked"] == len(triples)
+    assert report == verify_theorem_main(op, pairs=pairs, triples=triples)
+
+
 def test_sweep_product_outside_the_carrier_is_an_input_error():
+    op = BiadditiveOp(free_monoid(1), tensor=(((-1,),),))
+    with pytest.raises(InputError, match=r"element \(-1,\) is not a generator combination"):
+        verify_theorem_main(op)
+
+
+def test_sweep_checks_each_compared_product_for_membership(monkeypatch):
+    # with the certificate stubbed out, the first comparison is the first
+    # place that meets the product (-1,)
+    def uncertified(op, budget):
+        return SimpleNamespace(verdict="no", method="stub", reason="stub")
+
+    monkeypatch.setattr(functionals, "is_weakly_localizable", uncertified)
     op = BiadditiveOp(free_monoid(1), tensor=(((-1,),),))
     with pytest.raises(InputError, match=r"element \(-1,\) is not a generator combination"):
         verify_theorem_main(op)
@@ -357,23 +391,31 @@ def test_sweep_evaluates_each_distinct_product_and_comparison_once(monkeypatch):
     # work counters do not jitter, so they guard the sweep's cost where
     # wall time cannot
     op = matrix_monoid_product_op()
-    calls = {"mu": 0, "approx": 0}
-    mu, compare = op.mu, functionals.approx
+    m = op.carrier
+    calls = {"mu": 0, "approx": 0, "class_key": 0}
+    mu, compare, class_key = op.mu, m.approx, m.class_key
 
     def counted_mu(a, b):
         calls["mu"] += 1
         return mu(a, b)
 
-    def counted_approx(m, a, b):
+    def counted_approx(a, b):
         calls["approx"] += 1
-        return compare(m, a, b)
+        return compare(a, b)
+
+    def counted_class_key(x):
+        calls["class_key"] += 1
+        return class_key(x)
 
     monkeypatch.setattr(op, "mu", counted_mu)
-    monkeypatch.setattr(functionals, "approx", counted_approx)
+    monkeypatch.setattr(m, "approx", counted_approx)
+    monkeypatch.setattr(m, "class_key", counted_class_key)
     report = verify_theorem_main(op)
     assert report["pool_size"] == 35
     assert calls["mu"] <= 8435
-    assert calls["approx"] <= 984
+    assert calls["approx"] == 0
+    # 468 distinct elements are compared
+    assert calls["class_key"] <= 468
 
 
 def test_weak_strong_audit_statuses():

@@ -225,6 +225,11 @@ def test_lattice_project_reconstruct_roundtrip():
         n1.project((3, -1))  # outside the difference lattice
 
 
+def test_lattice_project_refuses_non_integral_vectors():
+    with pytest.raises(InputError, match="not in the difference lattice"):
+        nabla(free_monoid(2), 1).project((Fraction(1, 2), Fraction(3, 2)))
+
+
 def test_cone_project_is_identity_on_full_span():
     m = half_open_half_plane()
     n1 = nabla(m, 1)

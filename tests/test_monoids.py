@@ -5,20 +5,22 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from monoidorder.exactmath import (CombinationSearch, InputError,
+from monoidorder.exactmath import (CombinationSearch, InputError, RationalCone,
                                    solve_nonneg_rational, vadd, vneg, vscale,
                                    vsub)
 from monoidorder.monoids import (BiadditiveOp, FiniteMonoid, LatticeMonoid,
+                                 OpenConeMonoid,
                                  approx, check_element,
                                  enumerate_biadditive_ops, free_monoid,
                                  half_open_half_plane, leq,
                                  saturating_product_op, truncated_free_monoid,
                                  validate_biadditive)
 
-from conftest import cone_corpus, finite_corpus, lattice_corpus, seeded
+from conftest import (cone_corpus, finite_corpus, lattice_corpus, seeded,
+                      weakly_localizable_ops)
 
 
 def _lattice_points(m: LatticeMonoid, count=40, salt=0):
@@ -240,6 +242,52 @@ def test_lattice_leq_and_approx_match_the_rational_cone_oracle(gens, data):
     assert leq(m, a, b) == up
     assert leq(m, b, a) == down
     assert approx(m, a, b) == approx(m, b, a) == (up and down)
+
+
+# ---------------------------------------------------------------------------
+# class keys: a ~~ b iff the keys of a and b are equal
+
+
+def _assert_class_keys_decide_approx(m, elements):
+    for a in elements:
+        for b in elements:
+            assert (m.class_key(a) == m.class_key(b)) == approx(m, a, b)
+
+
+FINITE_CARRIERS = finite_corpus() + [
+    (name, op.carrier) for name, op in weakly_localizable_ops()
+    if isinstance(op.carrier, FiniteMonoid)]
+
+
+@pytest.mark.parametrize("name,m", FINITE_CARRIERS,
+                         ids=[name for name, _ in FINITE_CARRIERS])
+def test_finite_class_keys_decide_approx_on_every_pair(name, m):
+    _assert_class_keys_decide_approx(m, list(m.elements()))
+
+
+@given(small_generator_sets)
+def test_lattice_class_keys_decide_approx(gens):
+    m = LatticeMonoid(len(gens[0]), gens)
+    _assert_class_keys_decide_approx(m, m.element_pool(2))
+
+
+@given(st.integers(min_value=1, max_value=3).flatmap(
+    lambda d: st.lists(st.tuples(*[st.integers(min_value=-2, max_value=2)] * d),
+                       min_size=1, max_size=4)), st.data())
+def test_open_cone_class_keys_decide_approx(rays, data):
+    assume(any(any(r) for r in rays))
+    closed = RationalCone.from_rays(rays, len(rays[0]))
+    normals = data.draw(st.lists(st.sampled_from(closed.h_rep), max_size=2)
+                        if closed.h_rep else st.just([]))
+    m = OpenConeMonoid(closed, normals)
+    pool = m.element_pool(2)
+    _assert_class_keys_decide_approx(m, pool)
+    for a in pool:
+        for b in pool:
+            # a ~~ b iff b - a lies in the closed cone and in its negative
+            both = all(solve_nonneg_rational(m.rays, d) is not None
+                       for d in (vsub(b, a), vsub(a, b)))
+            assert approx(m, a, b) == both
 
 
 def _line_membership_oracle(values, x):
