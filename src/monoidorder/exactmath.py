@@ -66,11 +66,16 @@ def is_zero_vector(a) -> bool:
 
 
 def as_int_vector(a) -> tuple[int, ...]:
-    """Clear denominators and return a primitive integer vector.
+    """Clear denominators and return the primitive integer vector on the
+    same ray as ``a`` (entries ``int``, ``Fraction`` or anything
+    ``Fraction`` accepts); the zero vector maps to zero.
 
-    The result spans the same ray as the input.  Raises on the zero vector
-    only when asked to via callers; zero maps to zero.
+    When every entry is exactly an ``int`` there is no denominator to
+    clear, and the answer is ``primitive(a)`` with no ``Fraction`` built.
     """
+    a = tuple(a)
+    if all(type(x) is int for x in a):
+        return primitive(a)
     fracs = [Fraction(x) for x in a]
     if all(f == 0 for f in fracs):
         return tuple(0 for _ in fracs)
@@ -622,8 +627,10 @@ def hermite_normal_form(rows: Sequence[Sequence[int]]) -> list[list[int]]:
         result.append(piv)
         work = [r for r in work if r is not piv and any(r)]
         col += 1
-    # reduce entries above pivots
-    for i in reversed(range(len(result))):
+    # reduce entries above pivots, top pivot first: row i is zero left of its
+    # pivot, so reducing with it never disturbs an earlier pivot's column,
+    # and what it changes right of its pivot the lower rows reduce after it
+    for i in range(len(result)):
         piv_col = next(j for j, x in enumerate(result[i]) if x != 0)
         piv = result[i][piv_col]
         for k in range(i):
@@ -822,33 +829,51 @@ def integer_kernel(matrix: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
     return basis
 
 
+class IntegerSolver:
+    """Integer coefficients x with ``sum x_i * rows_i == rhs``, for many rhs.
+
+    The Smith form ``U . A . V == D`` of the rows is computed once, here.
+    Each right-hand side is then answered by back-substitution: ``rhs . V``
+    must be divisible by D entrywise (and vanish past its rank), the
+    quotient y gives ``x = y . U``, and x is re-substituted; a failure
+    raises :class:`InternalCheckError`.
+    """
+
+    def __init__(self, rows: Sequence[Sequence[int]]):
+        self.rows = [[int(c) for c in r] for r in rows]
+        self._snf = smith_normal_form(self.rows) if self.rows else None
+
+    def solve(self, rhs: Sequence[int]) -> Optional[tuple[int, ...]]:
+        a = self.rows
+        m = len(a)
+        if m == 0:
+            return None if any(rhs) else ()
+        n = len(a[0])
+        if len(rhs) != n:
+            raise InputError("right-hand side dimension mismatch")
+        u, d, v, _ = self._snf
+        rhsv = [sum(int(rhs[i]) * v[i][j] for i in range(n)) for j in range(n)]
+        y = [0] * m
+        for j in range(n):
+            dj = d[j][j] if j < m else 0
+            if dj == 0:
+                if rhsv[j] != 0:
+                    return None
+            else:
+                if rhsv[j] % dj != 0:
+                    return None
+                y[j] = rhsv[j] // dj
+        x = tuple(sum(y[i] * u[i][j] for i in range(m)) for j in range(m))
+        check = tuple(sum(x[i] * a[i][j] for i in range(m)) for j in range(n))
+        if check != tuple(int(t) for t in rhs):
+            raise InternalCheckError("integer solve certificate failed")
+        return x
+
+
 def integer_solve(rows: Sequence[Sequence[int]],
                   rhs: Sequence[int]) -> Optional[tuple[int, ...]]:
     """Integer coefficients x with ``sum x_i * rows_i == rhs``, or None."""
-    a = [list(r) for r in rows]
-    m = len(a)
-    if m == 0:
-        return None if any(rhs) else ()
-    n = len(a[0])
-    if len(rhs) != n:
-        raise InputError("right-hand side dimension mismatch")
-    u, d, v, _ = smith_normal_form(a)
-    rhsv = [sum(int(rhs[i]) * v[i][j] for i in range(n)) for j in range(n)]
-    y = [0] * m
-    for j in range(n):
-        dj = d[j][j] if j < m else 0
-        if dj == 0:
-            if rhsv[j] != 0:
-                return None
-        else:
-            if rhsv[j] % dj != 0:
-                return None
-            y[j] = rhsv[j] // dj
-    x = tuple(sum(y[i] * u[i][j] for i in range(m)) for j in range(m))
-    check = tuple(sum(x[i] * a[i][j] for i in range(m)) for j in range(n))
-    if check != tuple(int(t) for t in rhs):
-        raise InternalCheckError("integer solve certificate failed")
-    return x
+    return IntegerSolver(rows).solve(rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -874,11 +899,28 @@ class CombinationSearch:
     generators.  The depth-first search over positive coefficients under
     that equality therefore has finitely many leaves and no coefficient
     cap; at a leaf the residue must lie in ``Z*units`` (be zero when there
-    are no units).  Subtrees are pruned on coordinates no unit touches,
-    where the residue must lie between ``W`` times the least and the
-    greatest ratio ``p[j] / w(p)`` of the remaining generators (``W`` the
-    remaining weight), and residues already refuted at a depth are not
-    searched again.  None therefore certifies that no combination exists.
+    are no units).  On coordinates no unit touches, a node's residue must
+    lie between ``W`` times the least and the greatest ratio ``p[j] / w(p)``
+    of the generators from its depth on (``W`` the remaining weight; each
+    ratio is kept as an integer pair and compared by cross-multiplication),
+    and residues already refuted at a depth are not searched again.  None
+    therefore certifies that no combination exists.
+
+    The root is checked against those bounds once; every level but the last
+    cuts its coefficient range ahead instead.  The child with coefficient c
+    has residue ``r - c*p`` and weight ``W - c*w(p)``, so each of the next
+    level's bounds is a linear inequality ``a*c <= b`` in c, and together
+    they leave an interval of c.  A child outside it would be rejected on
+    entry (by the bounds, or, when no weight is left, by the unit lattice,
+    which is zero on those coordinates) without adding to the refuted set.
+    So the cut search visits the other children in the same descending
+    order, meets the same refuted residues, and ``find`` returns the same
+    first certificate as the uncut search.  ``nodes`` counts depth-first
+    calls over all ``find`` calls.
+
+    The unit coefficients of a certificate come from one
+    :class:`IntegerSolver` over the units, built on first need, so the
+    Smith form of the units is computed at most once per search.
     """
 
     def __init__(self, generators: Sequence[Sequence[int]], normals: Sequence[Sequence[int]]):
@@ -899,21 +941,50 @@ class CombinationSearch:
             (self.positive if any(values) else self.units).append(i)
         self._unit_vectors = [self.generators[i] for i in self.units]
         self._unit_lattice = IntegerLattice(self.dim, self._unit_vectors)
+        self._unit_solver: Optional[IntegerSolver] = None
         self._weights = [vdot(self.weight, self.generators[i]) for i in self.positive]
         free = [j for j in range(self.dim) if all(u[j] == 0 for u in self._unit_vectors)]
-        # _bounds[i]: (j, lo numerator, lo denominator, hi numerator, hi
-        # denominator) of the ratios p[j] / w(p) over the positive
-        # generators from depth i on
-        self._bounds = []
-        for i in range(len(self.positive)):
+        # bounds[i]: (j, lo_n, lo_w, hi_n, hi_w) per free coordinate j, the
+        # least and greatest ratio p[j] / w(p) over the positive generators
+        # from depth i on, as pairs (p[j], w(p)) with w(p) > 0
+        bounds: list[list[tuple]] = []
+        later: list[tuple] = []
+        for i in reversed(range(len(self.positive))):
+            g, w = self.generators[self.positive[i]], self._weights[i]
             rows = []
-            for j in free:
-                ratios = [Fraction(self.generators[k][j], w)
-                          for k, w in zip(self.positive[i:], self._weights[i:])]
-                lo, hi = min(ratios), max(ratios)
-                rows.append((j, lo.numerator, lo.denominator, hi.numerator, hi.denominator))
-            self._bounds.append(rows)
+            for k, j in enumerate(free):
+                lo_n, lo_w, hi_n, hi_w = g[j], w, g[j], w
+                if later:  # the bounds from depth i + 1 on, where they win
+                    _, later_lo_n, later_lo_w, later_hi_n, later_hi_w = later[k]
+                    if later_lo_n * w < lo_n * later_lo_w:
+                        lo_n, lo_w = later_lo_n, later_lo_w
+                    if later_hi_n * w > hi_n * later_hi_w:
+                        hi_n, hi_w = later_hi_n, later_hi_w
+                rows.append((j, lo_n, lo_w, hi_n, hi_w))
+            bounds.append(rows)
+            later = rows
+        bounds.reverse()
+        self._root_bounds = bounds[0] if bounds else []
+        # _cuts[i], for every depth but the last: the bounds at depth i + 1
+        # on the child with coefficient c, as (j, a, s, t) meaning
+        # a*c <= s*W - t*r[j] for the node's residue r and weight W.  An
+        # inequality with a == 0 is left out: p[i]'s ratio then equals the
+        # bound at depth i + 1, so the bound at depth i is the same one,
+        # and the node already meets it.
+        self._cuts: list[list[tuple]] = []
+        for i in range(len(self.positive) - 1):
+            g, w = self.generators[self.positive[i]], self._weights[i]
+            cut = []
+            for j, lo_n, lo_w, hi_n, hi_w in bounds[i + 1]:
+                # (r - c*g[j]) * hi_w <= (W - c*w) * hi_n
+                # (r - c*g[j]) * lo_w >= (W - c*w) * lo_n
+                for a, s, t in ((w * hi_n - g[j] * hi_w, hi_n, hi_w),
+                                (g[j] * lo_w - w * lo_n, -lo_n, -lo_w)):
+                    if a:
+                        cut.append((j, a, s, t))
+            self._cuts.append(cut)
         self._relation: Optional[tuple[int, ...]] = None
+        self.nodes = 0
 
     def unit_relation(self) -> tuple[int, ...]:
         """Strictly positive integers r with ``sum(r[i] * units[i]) == 0``."""
@@ -943,25 +1014,34 @@ class CombinationSearch:
         total = vdot(self.weight, x)
         if total < 0:
             return None
-        gens, positive, weights, bounds = self.generators, self.positive, self._weights, self._bounds
-        depth = len(positive)
-        coeffs = [0] * depth
+        for j, lo_n, lo_w, hi_n, hi_w in self._root_bounds:
+            if x[j] * hi_w > total * hi_n or x[j] * lo_w < total * lo_n:
+                return None
+        gens, positive, weights, cuts = self.generators, self.positive, self._weights, self._cuts
+        last = len(positive) - 1
+        unit_lattice = self._unit_lattice
+        coeffs = [0] * len(positive)
         refuted = set()
 
         def dfs(i, residue, rest) -> bool:
-            if rest == 0 or i == depth:
-                return rest == 0 and self._unit_lattice.contains(residue)
+            self.nodes += 1
+            if rest == 0 or i > last:
+                return rest == 0 and unit_lattice.contains(residue)
             if (i, residue) in refuted:
                 return False
-            for j, lo_n, lo_d, hi_n, hi_d in bounds[i]:
-                r = residue[j]
-                if r * hi_d > rest * hi_n or r * lo_d < rest * lo_n:
-                    return False
             g, w = gens[positive[i]], weights[i]
-            if i == depth - 1:
+            if i == last:
                 choices = (rest // w,) if rest % w == 0 else ()
             else:
-                choices = range(rest // w, -1, -1)
+                hi, lo = rest // w, 0
+                for j, a, s, t in cuts[i]:
+                    b = s * rest - t * residue[j]
+                    if a > 0:
+                        if b // a < hi:
+                            hi = b // a
+                    elif -(b // -a) > lo:
+                        lo = -(b // -a)
+                choices = range(hi, lo - 1, -1)
             for c in choices:
                 coeffs[i] = c
                 if dfs(i + 1, tuple(r - c * gj for r, gj in zip(residue, g)), rest - c * w):
@@ -981,7 +1061,9 @@ class CombinationSearch:
             full[i] = c
             residue = vsub(residue, vscale(c, self.generators[i]))
         if self.units:
-            z = integer_solve(self._unit_vectors, residue)
+            if self._unit_solver is None:
+                self._unit_solver = IntegerSolver(self._unit_vectors)
+            z = self._unit_solver.solve(residue)
             if z is None:
                 raise InternalCheckError("leaf residue left the unit lattice")
             if any(c < 0 for c in z):

@@ -185,6 +185,8 @@ def _lattice_left(op, s, side, kind) -> LocalizabilityVerdict:
     m = op.carrier
     mat = damping_matrix(op, s, side)
     basis = m.span_basis
+    if not basis:
+        raise InputError("lattice carrier needs a nonzero generator")
     bl = [apply_matrix(mat, brow) for brow in basis]
     violation, rays, lineality = _preimage_escape(m, bl, basis)
     injective = not _left_kernel(bl, len(basis))

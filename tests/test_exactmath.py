@@ -4,7 +4,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from monoidorder import exactmath
@@ -116,6 +116,31 @@ def test_hermite_rowspace_membership():
             assert lat2.contains(point)
         for b in lat2.basis:
             assert lat.contains(b)
+
+
+def _pivots(hnf):
+    return [next(j for j, x in enumerate(row) if x) for row in hnf]
+
+
+def test_hermite_normal_form_reduces_above_every_pivot():
+    hnf = hermite_normal_form([[1, 3, 2], [-2, -1, -1], [1, 0, 3], [1, 0, 1]])
+    assert hnf == [[1, 0, 1], [0, 1, 1], [0, 0, 2]]
+    assert hermite_normal_form(hnf) == hnf
+
+
+@given(st.lists(st.lists(st.integers(min_value=-4, max_value=4), min_size=3, max_size=3),
+                min_size=1, max_size=5))
+def test_hermite_normal_form_is_a_reduced_fixed_point(rows):
+    hnf = hermite_normal_form(rows)
+    assert hermite_normal_form(hnf) == hnf
+    pivots = _pivots(hnf)
+    assert pivots == sorted(set(pivots))
+    for i, (row, col) in enumerate(zip(hnf, pivots)):
+        assert row[col] > 0
+        assert all(0 <= above[col] < row[col] for above in hnf[:i])
+    # the same lattice
+    assert all(IntegerLattice(3, hnf).contains(r) for r in rows)
+    assert all(IntegerLattice(3, rows).contains(r) for r in hnf)
 
 
 def test_integer_lattice_coordinates_roundtrip():
@@ -266,9 +291,42 @@ def test_combination_search_splits_units_from_positive_generators():
     assert line.find((-5, 3)) is not None and line.find((0, 1)) is None
 
 
+def test_one_smith_form_per_combination_search(monkeypatch):
+    # counted where the search looks the function up; a fresh Smith form
+    # per certificate that uses a unit would make 20 calls here
+    search = _search([(1, 0), (-1, 0), (0, 1), (2, 3)])
+    calls = []
+    snf = exactmath.smith_normal_form
+
+    def counted(matrix):
+        calls.append(matrix)
+        return snf(matrix)
+
+    monkeypatch.setattr(exactmath, "smith_normal_form", counted)
+    targets = [(x, y) for x in range(-2, 3) for y in range(4)]
+    certificates = [search.find(t) for t in targets]
+    assert len(targets) == 20 and all(c is not None for c in certificates)
+    assert sum(1 for c in certificates if c[0] or c[1]) >= 15
+    assert len(calls) <= 1
+
+
+def test_integer_solver_answers_like_integer_solve():
+    rng = seeded(5)
+    for _ in range(20):
+        n, m = rng.randint(1, 3), rng.randint(1, 3)
+        a = _random_matrix(rng, n, m, bound=4)
+        solver = exactmath.IntegerSolver(a)
+        for _ in range(5):
+            rhs = [rng.randint(-6, 6) for _ in range(m)]
+            assert solver.solve(rhs) == integer_solve(a, rhs)
+    assert exactmath.IntegerSolver([]).solve((0, 0)) == ()
+    assert exactmath.IntegerSolver([]).solve((1, 0)) is None
+
+
 def test_a_certificate_that_fails_re_substitution_is_an_internal_error(monkeypatch):
     search = _search([(1,), (-1,)])
-    monkeypatch.setattr(exactmath, "integer_solve", lambda rows, rhs: (0, 0))
+    # the search answers its unit coefficients with one IntegerSolver
+    monkeypatch.setattr(exactmath.IntegerSolver, "solve", lambda self, rhs: (0, 0))
     with pytest.raises(InternalCheckError):
         search.find((3,))
 
@@ -294,6 +352,84 @@ def test_combination_certificates_re_substitute(case):
     # the unbounded search finds too
     if bounded_nonneg_combination(gens, target) is not None:
         assert combo is not None
+
+
+def _reference_certificate(search, target):
+    """The first certificate of a plain depth-first search that tries every
+    coefficient of a positive generator over its full range ``rest // w``
+    down to 0, rejects a node whose residue breaks the ``Fraction`` ratio
+    bounds on the coordinates no unit touches, and builds the unit part as
+    one ``integer_solve`` shifted by the unit relation."""
+    gens, positive, units = search.generators, search.positive, search.units
+    weights = [vdot(search.weight, gens[i]) for i in positive]
+    unit_vectors = [gens[i] for i in units]
+    free = [j for j in range(search.dim) if all(u[j] == 0 for u in unit_vectors)]
+    unit_lattice = IntegerLattice(search.dim, unit_vectors)
+    coeffs = [0] * len(positive)
+
+    def dfs(i, residue, rest):
+        if i == len(positive):
+            return rest == 0 and unit_lattice.contains(residue)
+        for j in free:
+            ratios = [Fraction(gens[k][j], w) for k, w in zip(positive[i:], weights[i:])]
+            if not min(ratios) * rest <= residue[j] <= max(ratios) * rest:
+                return False
+        g, w = gens[positive[i]], weights[i]
+        for c in range(rest // w, -1, -1):
+            coeffs[i] = c
+            if dfs(i + 1, tuple(r - c * gj for r, gj in zip(residue, g)), rest - c * w):
+                return True
+        coeffs[i] = 0
+        return False
+
+    total = vdot(search.weight, target)
+    if total < 0 or not dfs(0, tuple(target), total):
+        return None
+    full = [0] * len(gens)
+    residue = tuple(target)
+    for i, c in zip(positive, coeffs):
+        full[i] = c
+        residue = vsub(residue, vscale(c, gens[i]))
+    if units:
+        z = integer_solve(unit_vectors, residue)
+        if min(z) < 0:
+            rel = search.unit_relation()
+            shift = max(-(c // r) for c, r in zip(z, rel))
+            z = tuple(c + shift * r for c, r in zip(z, rel))
+        for i, c in zip(units, z):
+            full[i] = c
+    return tuple(full)
+
+
+search_cases = st.integers(min_value=1, max_value=3).flatmap(
+    lambda d: st.tuples(
+        st.lists(st.tuples(*[st.integers(min_value=-3, max_value=3)] * d),
+                 min_size=1, max_size=4),
+        st.booleans(),
+        st.lists(st.integers(min_value=0, max_value=3), min_size=5, max_size=5),
+        st.one_of(st.none(), st.tuples(*[st.integers(min_value=-6, max_value=6)] * d))))
+
+
+@settings(max_examples=200)
+@given(search_cases)
+def test_combination_search_returns_the_reference_certificate(case):
+    gens, with_unit, coeffs, target = case
+    nonzero = [g for g in gens if any(g)]
+    if with_unit and nonzero:
+        gens = gens + [vneg(nonzero[0])]
+    else:
+        # lexicographically positive generators span a pointed cone
+        gens = [sign_canonical(g) for g in gens]
+    if target is None:
+        target = tuple(sum(c * g[j] for c, g in zip(coeffs, gens)) for j in range(len(gens[0])))
+    search = _search(gens)
+    if with_unit and nonzero:
+        assert search.units
+    else:  # only zero generators are units of a pointed cone
+        assert all(not any(gens[i]) for i in search.units)
+    # twice on one search, so the second answer reuses its solver and relation
+    for _ in range(2):
+        assert search.find(target) == _reference_certificate(search, target)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from monoidorder.exactmath import InputError
 from monoidorder.localizability import (apply_matrix, damping_matrix,
                                         definitional_sample_check,
                                         is_left_localizable, is_localizable,
@@ -11,7 +12,7 @@ from monoidorder.localizability import (apply_matrix, damping_matrix,
                                         is_weakly_localizable,
                                         monomial_row_obstruction,
                                         order_unit_fast_path)
-from monoidorder.monoids import (BiadditiveOp, approx, free_monoid,
+from monoidorder.monoids import (BiadditiveOp, LatticeMonoid, approx, free_monoid,
                                  half_open_half_plane, leq,
                                  saturating_product_op, truncated_free_monoid)
 
@@ -240,3 +241,14 @@ def test_strong_implies_weak_on_corpus_sample():
         strong = is_strongly_localizable(op)
         if strong["verdict"] == "yes":
             assert is_weakly_localizable(op).verdict == "yes", name
+
+
+def test_an_all_zero_lattice_carrier_is_an_input_error():
+    # the loader refuses such a file; the library refuses the carrier
+    # instead of indexing an empty span basis
+    op = BiadditiveOp(LatticeMonoid(1, [(0,)]), tensor=(((1,),),))
+    for check in (is_weakly_localizable, is_strongly_localizable,
+                  lambda o: is_left_localizable(o, (0,)),
+                  lambda o: is_localizable(o, (0,))):
+        with pytest.raises(InputError, match="nonzero generator"):
+            check(op)
