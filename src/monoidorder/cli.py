@@ -8,6 +8,7 @@ budget exhausted, 5 internal self-check failed (no report is printed).
 from __future__ import annotations
 
 import argparse
+import functools
 import random
 import sys
 from fractions import Fraction
@@ -573,15 +574,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: building it costs over twenty
+    times what parsing one command line does."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     try:
+        # the handler is looked up by name at each call, as a parser built
+        # per call would, so rebinding a cmd_* function here takes effect
+        handler = globals()[args.func.__name__]
         with stderr_timer(args.command):
-            doc, code = args.func(args)
+            doc, code = handler(args)
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT

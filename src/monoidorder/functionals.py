@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import groupby
 from math import lcm
 from typing import Iterable, Optional, Sequence
 
@@ -672,11 +673,18 @@ def verify_theorem_main(op: BiadditiveOp, pairs: Optional[Iterable] = None,
     indices, its result held in a table per left operand; a product not
     seen before gets the next index.  ``approx`` is decided by the
     carrier's ``class_key``, computed once per distinct compared element
-    at its first comparison, after ``check_element``.  Products and
-    checks run in the order of a plain sweep that calls ``op.mu`` and
-    ``approx`` every time, so the report and the first error raised (say,
-    a product outside the carrier) are the same.  ``pairs`` and
-    ``triples`` may be any iterables; each is read once.
+    at its first comparison, after ``check_element``.
+
+    Associativity is swept by rows: the triples sharing ``(a, b)`` (all
+    of the pool by default, else each run of consecutive caller triples)
+    compare the row ``[(ab)c for c]`` with ``[a(bc) for c]``.  The pool
+    row of a left operand is one list, reused by every pair with that
+    product.  Equal rows pass whole, with class keys still taken in sweep
+    order; any other row, and a row whose products raise, is walked
+    triple by triple.  Since ``op.mu`` is pure, the report and the first
+    error raised (say, a product outside the carrier) are those of a
+    plain sweep that calls ``op.mu`` and ``approx`` on every triple.
+    ``pairs`` and ``triples`` may be any iterables; each is read once.
     """
     m = op.carrier
     cert = is_weakly_localizable(op, budget=budget)
@@ -686,6 +694,7 @@ def verify_theorem_main(op: BiadditiveOp, pairs: Optional[Iterable] = None,
     keys: list = []     # index -> report key
     rows: list = []     # index -> {right index: index of the product}
     classes: list = []  # index -> class key, None until first compared
+    pool_rows: dict = {}  # left index -> its products with the pool, in order
 
     def intern(x) -> int:
         k = x if isinstance(x, int) else tuple(x)
@@ -704,6 +713,15 @@ def verify_theorem_main(op: BiadditiveOp, pairs: Optional[Iterable] = None,
             p = row[j] = intern(op.mu(keys[i], keys[j]))
         return p
 
+    def products(i: int, cs: list) -> list:
+        """[mul(i, c) for c in cs], held once per i when cs is the pool."""
+        if cs is not ids:
+            return [mul(i, c) for c in cs]
+        r = pool_rows.get(i)
+        if r is None:
+            r = pool_rows[i] = [mul(i, c) for c in ids]
+        return r
+
     def class_of(i: int):
         c = classes[i]
         if c is None:
@@ -720,9 +738,13 @@ def verify_theorem_main(op: BiadditiveOp, pairs: Optional[Iterable] = None,
     else:
         pairs = [(intern(a), intern(b)) for a, b in pairs]
     if triples is None:
-        triples = [(a, b, c) for a in ids for b in ids for c in ids]
+        n_triples = len(ids) ** 3
+        runs = ((a, b, ids) for a in ids for b in ids)
     else:
         triples = [(intern(a), intern(b), intern(c)) for a, b, c in triples]
+        n_triples = len(triples)
+        runs = ((a, b, [t[2] for t in run])
+                for (a, b), run in groupby(triples, key=lambda t: t[:2]))
 
     comm_fail, comm_exact_fail = [], 0
     for a, b in pairs:
@@ -733,14 +755,32 @@ def verify_theorem_main(op: BiadditiveOp, pairs: Optional[Iterable] = None,
             comm_fail.append({"a": keys[a], "b": keys[b],
                               "ab": keys[ab], "ba": keys[ba]})
     assoc_fail, assoc_exact_fail = [], 0
-    for a, b, c in triples:
-        left = mul(mul(a, b), c)
-        right = mul(a, mul(b, c))
-        if left != right:
-            assoc_exact_fail += 1
-        if not same(left, right):
-            assoc_fail.append({"a": keys[a], "b": keys[b], "c": keys[c],
-                               "left": keys[left], "right": keys[right]})
+    for a, b, cs in runs:
+        ab = mul(a, b)
+        try:
+            lefts = products(ab, cs)
+            bcs = products(b, cs)
+            rights = list(map(rows[a].get, bcs))
+            if None in rights:
+                rights = [mul(a, bc) if p is None else p
+                          for p, bc in zip(rights, bcs)]
+        except (InputError, IndexError, TypeError):
+            # op.mu refused a malformed caller element; the walk below
+            # raises again where a plain sweep would
+            lefts = None
+        if lefts is not None and lefts == rights:
+            for x in lefts:
+                if classes[x] is None:
+                    class_of(x)
+            continue
+        for c in cs:
+            left = mul(ab, c)
+            right = mul(a, mul(b, c))
+            if left != right:
+                assoc_exact_fail += 1
+            if not same(left, right):
+                assoc_fail.append({"a": keys[a], "b": keys[b], "c": keys[c],
+                                   "left": keys[left], "right": keys[right]})
     ok = not comm_fail and not assoc_fail
     return {
         "mode": mode,
@@ -752,7 +792,7 @@ def verify_theorem_main(op: BiadditiveOp, pairs: Optional[Iterable] = None,
         "commutativity": {"checked": len(pairs),
                           "failures": comm_fail,
                           "exact_equality_failures": comm_exact_fail},
-        "associativity": {"checked": len(triples),
+        "associativity": {"checked": n_triples,
                           "failures": assoc_fail,
                           "exact_equality_failures": assoc_exact_fail},
     }

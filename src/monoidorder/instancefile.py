@@ -311,6 +311,8 @@ def _build_open_cone(raw: _Raw) -> Instance:
         if not normals:
             raise InputError(f"{raw.source}: [inequalities] must not be empty")
         closed = RationalCone.from_inequalities(normals, dim)
+    if not closed.v_rep:
+        raise InputError(f"{raw.source}: the closed cone is only the origin")
     open_normals = _int_rows(raw, "open-normals", width=dim) \
         if "open-normals" in raw.sections else []
     monoid = OpenConeMonoid(closed, open_normals)

@@ -19,7 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from itertools import tee
+from typing import Iterator, Optional, Sequence
 
 from .exactmath import (
     InputError,
@@ -103,25 +104,30 @@ def _ser(x):
 
 
 def damping_matrix(op: BiadditiveOp, s, side: str = "left") -> list[list]:
-    """Matrix of ``x -> x + mu(s, x)`` (or ``x + mu(x, s)``), rows = inputs."""
+    """Matrix of ``x -> x + mu(s, x)`` (or ``x + mu(x, s)``), rows = inputs.
+
+    Entries are plain ``int`` for an integer ``s``; every entry sums over
+    all of ``s``, so one ``Fraction`` coordinate makes them all ``Fraction``.
+    """
     d = op.carrier.dim
     t = op.tensor
     rows = []
     for j in range(d):
-        row = [Fraction(0)] * d
-        row[j] = Fraction(1)
+        row = [0] * d
+        row[j] = 1
         for k in range(d):
             if side == "left":
-                row[k] += sum(Fraction(s[i]) * t[i][j][k] for i in range(d))
+                row[k] += sum(s[i] * t[i][j][k] for i in range(d))
             else:
-                row[k] += sum(t[j][i][k] * Fraction(s[i]) for i in range(d))
+                row[k] += sum(t[j][i][k] * s[i] for i in range(d))
         rows.append(row)
     return rows
 
 
 def apply_matrix(mat, x):
+    """``x . mat``, in ``int`` when both are integer."""
     d = len(mat)
-    return tuple(sum(Fraction(x[j]) * mat[j][k] for j in range(d)) for k in range(d))
+    return tuple(sum(x[j] * mat[j][k] for j in range(d)) for k in range(d))
 
 
 # ---------------------------------------------------------------------------
@@ -259,8 +265,16 @@ def _validate_witness(op, s, side, witness) -> None:
 # -- open-cone carrier -------------------------------------------------------
 
 
+def _nonzero_span(m: OpenConeMonoid) -> tuple:
+    """The span basis; a closed cone that is only the origin is refused."""
+    if not m.span_basis:
+        raise InputError("open-cone carrier needs a closed cone other than the origin")
+    return m.span_basis
+
+
 def _interior_point(m: OpenConeMonoid) -> tuple:
     """A member strictly positive on every facet form."""
+    _nonzero_span(m)
     acc = tuple(0 for _ in range(m.dim))
     for r in m.cone.v_rep:
         acc = vadd(acc, r)
@@ -287,7 +301,7 @@ def _cone_base_pair(m: OpenConeMonoid, direction) -> tuple:
 def _opencone_left(op, s, side, kind) -> LocalizabilityVerdict:
     m = op.carrier
     mat = damping_matrix(op, s, side)
-    basis = m.span_basis
+    basis = _nonzero_span(m)
     r = len(basis)
     closed = m.cone
     bl = [apply_matrix(mat, brow) for brow in basis]
@@ -438,9 +452,12 @@ def is_localizable(op: BiadditiveOp, s) -> LocalizabilityVerdict:
                                  reason="; ".join({left.reason, right.reason}))
 
 
-def _lattice_candidates(m: LatticeMonoid, budget: int) -> list[tuple]:
-    """Generator combinations ordered by coefficient sum, then lexicographic."""
-    out = []
+def _lattice_candidates(m: LatticeMonoid, budget: int) -> Iterator[tuple]:
+    """Generator combinations ordered by coefficient sum, then lexicographic.
+
+    A generator: each coefficient-sum level is built only once the
+    previous level has been used up.
+    """
     seen = set()
     frontier = {tuple(0 for _ in range(m.dim))}
     for _ in range(budget):
@@ -453,38 +470,38 @@ def _lattice_candidates(m: LatticeMonoid, budget: int) -> list[tuple]:
         for y in sorted(nxt):
             if y not in seen:
                 seen.add(y)
-                out.append(y)
+                yield y
         frontier = nxt
-    return out
 
 
-def _dominator_candidates(m, budget: int) -> list[tuple]:
-    """Candidate localizable dominators, in search order."""
+def _dominator_candidates(m, budget: int) -> Iterator[tuple]:
+    """Candidate localizable dominators, in search order.  An open cone's
+    interior point is found at the call, so a degenerate cone is refused
+    before any candidate is read."""
     if isinstance(m, LatticeMonoid):
         return _lattice_candidates(m, budget)
-    return _cone_candidates(m, budget)
+    return _cone_candidates(m, _interior_point(m), budget)
 
 
-def _cone_candidates(m: OpenConeMonoid, budget: int) -> list[tuple]:
-    g0 = _interior_point(m)
-    out = []
+def _cone_candidates(m: OpenConeMonoid, g0, budget: int) -> Iterator[tuple]:
+    """Multiples of the interior point g0, then of g0 plus each extreme ray
+    and of the ray itself."""
     seen = set()
     for k in range(1, budget + 1):
         x = vscale(k, g0)
         if x not in seen:
             seen.add(x)
-            out.append(x)
+            yield x
     for r in m.cone.extreme_rays:
         for k in range(1, budget + 1):
             x = vadd(vscale(k, g0), r)
             if m.contains(x) and x not in seen:
                 seen.add(x)
-                out.append(x)
+                yield x
             y = r if k == 1 else vscale(k, r)
             if m.contains(y) and y not in seen:
                 seen.add(y)
-                out.append(y)
-    return out
+                yield y
 
 
 def _is_orthant_coordinates(m: LatticeMonoid) -> bool:
@@ -547,7 +564,7 @@ def is_weakly_localizable(op: BiadditiveOp, queries: Optional[Sequence] = None,
         # the orthant obstruction is a theorem about lattice carriers
         if queries is None:
             queries = list(m.generators)
-        for a0 in list(queries) + _lattice_candidates(m, 2):
+        for a0 in list(queries) + list(_lattice_candidates(m, 2)):
             obs = monomial_row_obstruction(op, a0)
             if obs is not None:
                 return WeakLocalizabilityCertificate(
@@ -557,10 +574,12 @@ def is_weakly_localizable(op: BiadditiveOp, queries: Optional[Sequence] = None,
                     details={"obstruction": obs})
     elif queries is None:
         queries = m.sample_elements(6)
-    # built only when no obstruction refuted the operation first
-    candidates = _dominator_candidates(m, budget)
+    # built only when no obstruction refuted the operation first, and only
+    # as far as the search for a dominator reads; each query searches from
+    # the first candidate
+    searches = tee(_dominator_candidates(m, budget), len(queries))
     assignments = {}
-    for a in queries:
+    for a, candidates in zip(queries, searches):
         found = None
         for s in candidates:
             if leq(m, a, s) and is_localizable(op, s).verdict == "yes":
@@ -614,7 +633,7 @@ def is_strongly_localizable(op: BiadditiveOp, budget: int = 3) -> dict:
                               "coordinates keeps every damping map a "
                               "positive diagonal",
                     "weights": weights}
-    samples = _dominator_candidates(m, budget)
+    samples = list(_dominator_candidates(m, budget))
     for s in samples:
         v = is_localizable(op, s)
         if v.verdict == "no":

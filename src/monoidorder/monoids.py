@@ -566,23 +566,27 @@ class BiadditiveOp:
                     any(len(r) != d for s in self.tensor for r in s):
                 raise InputError("tensor shape mismatch")
             self.table = None
+            # the nonzero entries (i, j, k, T[i][j][k]) in i, j, k order
+            self._entries = tuple((i, j, k, t) for i, slab in enumerate(self.tensor)
+                                  for j, row in enumerate(slab)
+                                  for k, t in enumerate(row) if t)
 
     def mu(self, a, b):
         if self.table is not None:
             return self.table[a][b]
         d = self.carrier.dim
+        if len(a) != d or len(b) != d:
+            raise InputError(f"operands of lengths {len(a)} and {len(b)} "
+                             f"in dimension {d}")
+        # only entries whose factors are both nonzero are added, so an
+        # untouched coordinate stays the int 0 whatever the operand types
         out = [0] * d
-        for i in range(d):
-            if a[i] == 0:
-                continue
-            for j in range(d):
-                if b[j] == 0:
-                    continue
-                coeff = a[i] * b[j]
-                row = self.tensor[i][j]
-                for k in range(d):
-                    if row[k]:
-                        out[k] += coeff * row[k]
+        for i, j, k, t in self._entries:
+            x = a[i]
+            if x:
+                y = b[j]
+                if y:
+                    out[k] += x * y * t
         return tuple(out)
 
     def opposite(self) -> "BiadditiveOp":

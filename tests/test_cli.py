@@ -627,6 +627,22 @@ def test_all_zero_lattice_generators_are_an_input_error(tmp_path, command):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", [
+    ["grothendieck"], ["localizable", "0"], ["localizable", "--weak"],
+    ["verify", "--main"],
+], ids=["grothendieck", "localizable", "localizable-weak", "verify-main"])
+def test_open_cone_that_is_only_the_origin_is_an_input_error(tmp_path, command):
+    path = tmp_path / "origin.mon"
+    path.write_text("kind: open-cone\ndim: 1\n[inequalities]\n1\n-1\n"
+                    "[tensor]\n0 0 1\n")
+    code, out, err = run_cli(command[0], str(path), *command[1:])
+    assert code == EXIT_INPUT
+    assert out == ""
+    reported = [line for line in err.splitlines() if line.startswith("input error:")]
+    assert reported == [f"input error: {path}: the closed cone is only the origin"]
+    assert "Traceback" not in err
+
+
 def test_internal_check_failure_is_not_a_refutation(monkeypatch):
     def failing(args):
         raise InternalCheckError("planted self-check failure")

@@ -158,6 +158,43 @@ def test_cli_output_matches_recording(argv):
     assert stderr == recorded["stderr"]
 
 
+def test_one_parser_serves_sequential_calls(monkeypatch):
+    # main builds its parser once per process; calls that follow each
+    # other, across subcommands and formats and after -h, still match
+    # their recordings
+    built = []
+    build = cli.build_parser
+
+    def counted():
+        built.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._parser.cache_clear()
+    sequence = [
+        ["--format", "text", "grothendieck", _inst("cyclic-3.mon")],
+        ["grothendieck", _inst("cyclic-3.mon")],
+        ["--format", "text", "order", _inst("slanted-cone.mon"), "1,0", "2,2"],
+        ["order", _inst("slanted-cone.mon"), "1,0", "2,2"],
+        ["localizable", _inst("matrix-2x2.mon"), "--weak"],
+        ["verify", _inst("half-open-half-plane.mon"), "--main"],
+        ["sos", "(x^4+3)/(x^2+1)", "--theorem"],
+        ["reproduce", "open-cone-approx"],
+    ]
+    for argv in sequence + sequence[::-1]:
+        recorded = _load()[_case_id(argv)]
+        assert run_case(argv) == (recorded["code"], recorded["stdout"],
+                                  recorded["stderr"]), argv
+    with redirect_stdout(io.StringIO()), pytest.raises(SystemExit) as exc:
+        cli.main(["-h"])
+    assert exc.value.code == 0
+    argv = sequence[0]
+    recorded = _load()[_case_id(argv)]
+    assert run_case(argv) == (recorded["code"], recorded["stdout"],
+                              recorded["stderr"])
+    assert built == [1]
+
+
 def record():
     doc = {}
     for argv in CASES:

@@ -333,13 +333,22 @@ def flag_meet_op():
     return BiadditiveOp(flag, table=[[0, 0], [0, 1]])
 
 
+def nonassociative_op():
+    # mu(e0, e0) = e1 and mu(e1, e0) = e0, so (ab)c = a1 b0 c0 e1 + a0 b0 c0 e0
+    # while a(bc) = a0 b1 c0 e1 + a1 b1 c0 e0
+    t = [[[0, 0], [0, 0]], [[0, 0], [0, 0]]]
+    t[0][0][1] = 1
+    t[1][0][0] = 1
+    return BiadditiveOp(free_monoid(2), tensor=t, name="nonassociative")
+
+
 @pytest.mark.parametrize("make_op", [
     matrix_monoid_product_op, half_plane_op,
     lambda: saturating_product_op(truncated_free_monoid(2, cap=2)),
     lambda: elementwise_op(3, weights=[5, 1, 4]),
-    lambda: cyclic_product_op(5), flag_meet_op,
+    lambda: cyclic_product_op(5), flag_meet_op, nonassociative_op,
 ], ids=["matrix-product", "half-plane", "saturating-finite", "weighted-lattice",
-        "cyclic-5", "flag-meet"])
+        "cyclic-5", "flag-meet", "nonassociative"])
 def test_memoized_sweep_matches_the_unmemoized_loop(make_op):
     report = verify_theorem_main(make_op())
     assert _sweep_parts(report) == _unmemoized_sweep(make_op())
@@ -355,6 +364,22 @@ def test_memoized_sweep_matches_on_caller_supplied_lists():
     reference = _unmemoized_sweep(matrix_monoid_product_op(), pairs, triples)
     assert report["commutativity"]["failures"]
     assert _sweep_parts(report) == reference
+    # triples in no order by (a, b): consecutive ones share no pair, or runs
+    # of one pair are split up and repeated; the failing rows of the
+    # nonassociative product are walked triple by triple
+    for make_op in (matrix_monoid_product_op, nonassociative_op):
+        pool = _sample_pool(make_op().carrier)[::3]
+        grouped = [[list(a), list(b), list(c)] for a in pool[:4] for b in pool
+                   for c in pool[:4]]
+        interleaved = [[list(a), list(b), list(c)] for c in pool[:4]
+                       for b in pool for a in pool[:4]]
+        mixed = grouped[::2] + interleaved[:9] + grouped[1::2] + grouped[:5]
+        for triples in (interleaved, mixed):
+            report = verify_theorem_main(make_op(), pairs=[], triples=triples)
+            reference = _unmemoized_sweep(make_op(), [], triples)
+            assert _sweep_parts(report) == reference
+            if make_op is nonassociative_op:
+                assert report["associativity"]["failures"]
 
 
 def test_sweep_counts_pairs_and_triples_given_as_iterators():
@@ -385,6 +410,25 @@ def test_sweep_checks_each_compared_product_for_membership(monkeypatch):
     op = BiadditiveOp(free_monoid(1), tensor=(((-1,),),))
     with pytest.raises(InputError, match=r"element \(-1,\) is not a generator combination"):
         verify_theorem_main(op)
+
+
+def test_sweep_raises_the_first_error_of_a_plain_sweep():
+    # (ab)c == a(bc) on every well-formed triple below, so each row passes
+    # whole; its products are still checked, in sweep order
+    op = elementwise_product_op(free_monoid(1))
+    one = (1,)
+    cases = [([[one, one, one], [(-1,), one, one]], r"\(-1,\)"),
+             ([[one, one, (-2,)], [one, one, (-3,)]], r"\(-2,\)"),
+             ([[one, one, one], [one, (-3,), one], [one, one, (-2,)]], r"\(-3,\)")]
+    for triples, first in cases:
+        with pytest.raises(InputError, match=rf"element {first} is not a generator"):
+            verify_theorem_main(op, pairs=[], triples=triples)
+    # a malformed element later in the row does not overtake the product
+    # outside the carrier that a plain sweep meets first
+    with pytest.raises(InputError, match=r"element \(-2,\) is not a generator"):
+        verify_theorem_main(op, pairs=[], triples=[[one, one, (-2,)], [one, one, (1, 1)]])
+    with pytest.raises(InputError, match="operands of lengths 1 and 2"):
+        verify_theorem_main(op, pairs=[], triples=[[one, one, (1, 1)], [one, one, (-2,)]])
 
 
 def test_sweep_evaluates_each_distinct_product_and_comparison_once(monkeypatch):

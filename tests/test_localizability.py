@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from monoidorder.exactmath import InputError
+import monoidorder.localizability as localizability
+from monoidorder.exactmath import InputError, RationalCone
 from monoidorder.localizability import (apply_matrix, damping_matrix,
                                         definitional_sample_check,
                                         is_left_localizable, is_localizable,
@@ -12,7 +13,8 @@ from monoidorder.localizability import (apply_matrix, damping_matrix,
                                         is_weakly_localizable,
                                         monomial_row_obstruction,
                                         order_unit_fast_path)
-from monoidorder.monoids import (BiadditiveOp, LatticeMonoid, approx, free_monoid,
+from monoidorder.monoids import (BiadditiveOp, LatticeMonoid, OpenConeMonoid,
+                                 approx, diagonal_tensor, free_monoid,
                                  half_open_half_plane, leq,
                                  saturating_product_op, truncated_free_monoid)
 
@@ -241,6 +243,58 @@ def test_strong_implies_weak_on_corpus_sample():
         strong = is_strongly_localizable(op)
         if strong["verdict"] == "yes":
             assert is_weakly_localizable(op).verdict == "yes", name
+
+
+def test_an_origin_only_open_cone_is_an_input_error():
+    # the loader refuses such a file; the library refuses the carrier
+    # instead of indexing an empty span basis or reporting a self-check
+    origin = RationalCone.from_inequalities([(1,), (-1,)], 1)
+    op = BiadditiveOp(OpenConeMonoid(origin, []), tensor=(((1,),),))
+    for check in (is_weakly_localizable, is_strongly_localizable,
+                  lambda o: is_left_localizable(o, (0,)),
+                  lambda o: is_localizable(o, (0,))):
+        with pytest.raises(InputError, match="other than the origin"):
+            check(op)
+
+
+def test_weak_search_reads_candidates_only_up_to_the_dominators(monkeypatch):
+    # candidates are generated lazily, so a huge budget costs what the
+    # first dominators cost; an eager candidate list takes 426 vadd calls
+    # at budget 8 and cannot finish at 10**6
+    op = BiadditiveOp(free_monoid(3), tensor=diagonal_tensor(3, [2, 5, 5]))
+    small = is_weakly_localizable(op, budget=8).as_dict()
+    calls = []
+    vadd = localizability.vadd
+
+    def capped(a, b):
+        calls.append(1)
+        assert len(calls) <= 200, "dominator candidates built past the search"
+        return vadd(a, b)
+
+    monkeypatch.setattr(localizability, "vadd", capped)
+    huge = is_weakly_localizable(op, budget=10**6).as_dict()
+    assert huge["verdict"] == "yes"
+    assert huge["budget"] == 10**6
+    assert dict(huge, budget=8) == small
+
+
+@pytest.mark.parametrize("op,points", [
+    (matrix_product_op(), [SWAP, IDENT, (1, 2, 0, 3), (0, -1, 5, 2)]),
+    (elementwise_op(3, weights=[2, 5, 5]), [(0, 0, 0), (2, 3, 1)]),
+    (half_plane_op(), [(1, 0), (2, -5)]),
+])
+def test_damping_matrix_of_an_integer_element_holds_only_ints(op, points):
+    # the damped map stays in int arithmetic for integer elements; only a
+    # rational element brings Fraction in, and then in every entry
+    for s in points:
+        for side in ("left", "right"):
+            mat = damping_matrix(op, s, side)
+            assert all(type(v) is int for row in mat for v in row)
+            image = apply_matrix(mat, s)
+            assert all(type(v) is int for v in image)
+            half = tuple(Fraction(v, 2) for v in s)
+            assert all(type(v) is Fraction
+                       for row in damping_matrix(op, half, side) for v in row)
 
 
 def test_an_all_zero_lattice_carrier_is_an_input_error():

@@ -290,6 +290,54 @@ def test_open_cone_class_keys_decide_approx(rays, data):
             assert approx(m, a, b) == both
 
 
+# ---------------------------------------------------------------------------
+# the tensor product over the tensor's nonzero entries
+
+
+def _dense_mu(tensor, a, b):
+    """mu by the plain triple loop over i, j, k, skipping zero factors."""
+    d = len(tensor)
+    out = [0] * d
+    for i in range(d):
+        if a[i] == 0:
+            continue
+        for j in range(d):
+            if b[j] == 0:
+                continue
+            for k in range(d):
+                if tensor[i][j][k]:
+                    out[k] += a[i] * b[j] * tensor[i][j][k]
+    return tuple(out)
+
+
+small_entries = st.integers(min_value=-2, max_value=2)
+small_scalars = st.one_of(
+    small_entries,
+    st.builds(Fraction, small_entries, st.integers(min_value=1, max_value=3)))
+
+
+@given(st.integers(min_value=1, max_value=4).flatmap(lambda d: st.tuples(
+    st.lists(st.lists(st.lists(small_entries, min_size=d, max_size=d),
+                      min_size=d, max_size=d), min_size=d, max_size=d),
+    st.lists(small_scalars, min_size=d, max_size=d),
+    st.lists(small_scalars, min_size=d, max_size=d))))
+def test_sparse_mu_matches_the_dense_triple_loop(case):
+    tensor, a, b = case
+    op = BiadditiveOp(free_monoid(len(a)), tensor=tensor)
+    got, want = op.mu(tuple(a), tuple(b)), _dense_mu(tensor, a, b)
+    assert got == want
+    # an untouched coordinate stays the int 0, a touched one takes the
+    # type its products give
+    assert [type(v) for v in got] == [type(v) for v in want]
+
+
+def test_mu_refuses_an_operand_of_the_wrong_length():
+    op = BiadditiveOp(free_monoid(2), tensor=(((1, 0), (0, 0)), ((0, 0), (0, 1))))
+    for a, b in (((1,), (1, 1)), ((1, 1), (1, 1, 1))):
+        with pytest.raises(InputError, match="in dimension 2"):
+            op.mu(a, b)
+
+
 def _line_membership_oracle(values, x):
     """Membership in the monoid of nonnegative integer combinations of integers."""
     nonzero = [v for v in values if v]
