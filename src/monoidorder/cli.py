@@ -1,8 +1,9 @@
 """Command-line harness: decisions, verifiers, and reproducible examples.
 
 Exit codes: 0 answered/pass, 1 refuted/counterexample, 2 refused because a
-hypothesis failed or could not be verified, 3 input error, 4 resource
-budget exhausted, 5 internal self-check failed (no report is printed).
+hypothesis does not hold, 3 input error, 4 resource budget exhausted
+(including a hypothesis that could not be verified within budget), 5
+internal self-check failed (no report is printed).
 """
 
 from __future__ import annotations
@@ -145,13 +146,15 @@ def _verify_main(instance, doc, args) -> tuple:
                   "detail": cert.as_dict()}
     doc["goal"] = "main"
     doc["hypotheses"] = [hypothesis]
-    if cert.verdict != "yes":
+    if cert.verdict == "no":
         doc["status"] = "refused"
-        doc["reason"] = ("the weak localizability hypothesis is refuted"
-                         if cert.verdict == "no" else
-                         "the weak localizability hypothesis could not be "
-                         "verified within budget")
+        doc["reason"] = "the weak localizability hypothesis is refuted"
         return doc, EXIT_REFUSED
+    if cert.verdict != "yes":
+        doc["status"] = "unknown"
+        doc["reason"] = ("the weak localizability hypothesis could not be "
+                         "verified within budget")
+        return doc, EXIT_BUDGET
     result = verify_theorem_main(op, budget=args.budget)
     doc["result"] = result
     doc["status"] = "pass" if result["ok"] else "failed"

@@ -165,8 +165,9 @@ class RationalPolynomial:
         while n:
             if n & 1:
                 out = out * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return out
 
     # -- presentation -------------------------------------------------------
@@ -665,12 +666,34 @@ class RationalFunction:
 # parsing
 
 
+# Caps on what the parser forms, so that a short expression cannot ask for
+# unbounded work: no exponent above MAX_DEGREE, no numerator or denominator
+# of degree above MAX_DEGREE (checked before each product, quotient, sum or
+# power is formed), and no coefficient whose numerator or denominator has
+# more than MAX_BITS bits (an integer literal has at most MAX_DIGITS digits,
+# and 10**MAX_DIGITS < 2**MAX_BITS).
+MAX_DEGREE = 1000
+MAX_BITS = 4096
+MAX_DIGITS = 1233
+
+
+def _coefficient_bits(f: RationalFunction) -> int:
+    """The most bits of a numerator or denominator of a coefficient of f."""
+    return max((max(c.numerator.bit_length(), c.denominator.bit_length())
+                for p in (f.numerator, f.denominator) for c in p.coefficients),
+               default=0)
+
+
 class _Parser:
     """Recursive-descent parser for rational-function expressions.
 
     Grammar: sums/differences of terms; terms multiply/divide factors;
     factors are signed atoms with optional integer ``^`` powers; atoms are
-    nonnegative integers, ``x``, or parenthesized expressions.
+    nonnegative integers, ``x``, or parenthesized expressions.  Input past
+    ``MAX_DEGREE`` or ``MAX_BITS`` is an :class:`InputError`, raised before
+    the offending degree is formed; a power is also refused ahead when
+    ``n * (bits + log2(terms))`` of its base exceeds ``MAX_BITS``, a bound
+    on the size of its coefficients.
     """
 
     def __init__(self, text: str):
@@ -700,13 +723,32 @@ class _Parser:
             self.error("end of input")
         return out
 
+    @staticmethod
+    def _fits(num_degree: int, den_degree: int) -> None:
+        """Refuse a numerator or denominator of degree above the cap."""
+        d = max(num_degree, den_degree)
+        if d > MAX_DEGREE:
+            raise InputError(
+                f"expression reaches degree {d}; the cap is {MAX_DEGREE}")
+
+    @staticmethod
+    def _small(f: RationalFunction) -> RationalFunction:
+        """f, unless a coefficient is too large."""
+        if _coefficient_bits(f) > MAX_BITS:
+            raise InputError(
+                f"expression has a coefficient of more than {MAX_BITS} bits")
+        return f
+
     def expr(self) -> RationalFunction:
         out = self.term()
         while self.peek() in ("+", "-"):
             opc = self.peek()
             self.pos += 1
             rhs = self.term()
-            out = out + rhs if opc == "+" else out - rhs
+            an, ad = out.numerator.degree, out.denominator.degree
+            bn, bd = rhs.numerator.degree, rhs.denominator.degree
+            self._fits(max(an + bd, bn + ad), ad + bd)
+            out = self._small(out + rhs if opc == "+" else out - rhs)
         return out
 
     def term(self) -> RationalFunction:
@@ -715,12 +757,17 @@ class _Parser:
             opc = self.peek()
             self.pos += 1
             rhs = self.factor()
+            an, ad = out.numerator.degree, out.denominator.degree
+            bn, bd = rhs.numerator.degree, rhs.denominator.degree
             if opc == "*":
+                self._fits(an + bn, ad + bd)
                 out = out * rhs
             else:
                 if rhs.is_zero():
                     self.error("a nonzero divisor")
+                self._fits(an + bd, ad + bn)
                 out = out / rhs
+            out = self._small(out)
         return out
 
     def factor(self) -> RationalFunction:
@@ -733,8 +780,17 @@ class _Parser:
         if self.peek() == "^":
             self.pos += 1
             n = self.integer()
-            base = RationalFunction(base.numerator.pow(n),
-                                    base.denominator.pow(n))
+            if n > MAX_DEGREE:
+                raise InputError(
+                    f"exponent {n} is above the cap of {MAX_DEGREE}")
+            num, den = base.numerator, base.denominator
+            self._fits(n * num.degree, n * den.degree)
+            terms = len(num.coefficients) + len(den.coefficients)
+            if n * (_coefficient_bits(base) + terms.bit_length()) > MAX_BITS:
+                raise InputError(
+                    f"power {n} could give a coefficient of more than "
+                    f"{MAX_BITS} bits")
+            base = self._small(RationalFunction(num.pow(n), den.pow(n)))
         if sign < 0:
             base = -base
         return base
@@ -760,11 +816,16 @@ class _Parser:
             self.pos += 1
         if start == self.pos:
             self.error("digits")
+        if self.pos - start > MAX_DIGITS:
+            self.error(f"an integer of at most {MAX_DIGITS} digits")
         return int(self.text[start:self.pos])
 
 
 def parse_rational_function(text: str) -> RationalFunction:
-    """Parse expressions like ``(x^4+3)/(x^2+1)`` into canonical form."""
+    """Parse expressions like ``(x^4+3)/(x^2+1)`` into canonical form.
+
+    Input past ``MAX_DEGREE`` or ``MAX_BITS`` is an :class:`InputError`.
+    """
     return _Parser(text).parse()
 
 

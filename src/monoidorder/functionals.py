@@ -657,6 +657,9 @@ def _sample_pool(m) -> list:
     return m.element_pool(3)
 
 
+_OTHER, _BUILT, _MEMBER = 0, 1, 2  # what verify_theorem_main knows of an element
+
+
 def verify_theorem_main(op: BiadditiveOp, pairs: Optional[Iterable] = None,
                         triples: Optional[Iterable] = None,
                         budget: int = 8) -> dict:
@@ -685,6 +688,19 @@ def verify_theorem_main(op: BiadditiveOp, pairs: Optional[Iterable] = None,
     error raised (say, a product outside the carrier) are those of a
     plain sweep that calls ``op.mu`` and ``approx`` on every triple.
     ``pairs`` and ``triples`` may be any iterables; each is read once.
+
+    Membership is checked only where it is not already proven.  The pool
+    elements are members (``element_pool`` keeps members only).  On a
+    lattice monoid, if every product of two generators is a member, then
+    by biadditivity so is every product of members: with ``x = sum a_i g_i``
+    and ``y = sum b_j g_j``, ``mu(x, y) = sum a_i b_j mu(g_i, g_j)`` is a
+    sum of members.  So once that closure holds, an element built from
+    pool elements by products needs no ``check_element``.  Closure is
+    decided at the first such element, by ``contains`` on the generator
+    products, which the default pool sweep computes anyway.  Elements
+    supplied by the caller (unless equal to a pool element), anything
+    built from them, and every element of a finite or open-cone carrier
+    keep the check, so the first error raised is unchanged.
     """
     m = op.carrier
     cert = is_weakly_localizable(op, budget=budget)
@@ -695,6 +711,10 @@ def verify_theorem_main(op: BiadditiveOp, pairs: Optional[Iterable] = None,
     rows: list = []     # index -> {right index: index of the product}
     classes: list = []  # index -> class key, None until first compared
     pool_rows: dict = {}  # left index -> its products with the pool, in order
+    # index -> MEMBER (a pool element), BUILT (a product of pool elements,
+    # a member once closure holds) or OTHER
+    origin: list = []
+    closure = None  # whether every generator product is a member, once decided
 
     def intern(x) -> int:
         k = x if isinstance(x, int) else tuple(x)
@@ -704,6 +724,7 @@ def verify_theorem_main(op: BiadditiveOp, pairs: Optional[Iterable] = None,
             keys.append(k)
             rows.append({})
             classes.append(None)
+            origin.append(_OTHER)
         return i
 
     def mul(i: int, j: int) -> int:
@@ -711,7 +732,19 @@ def verify_theorem_main(op: BiadditiveOp, pairs: Optional[Iterable] = None,
         p = row.get(j)
         if p is None:
             p = row[j] = intern(op.mu(keys[i], keys[j]))
+            if origin[i] and origin[j] and not origin[p]:
+                origin[p] = _BUILT
         return p
+
+    def closed() -> bool:
+        """Whether the carrier is a lattice monoid whose generator products
+        are members, decided once."""
+        nonlocal closure
+        if closure is None:
+            closure = isinstance(m, LatticeMonoid) and all(
+                m.contains(keys[mul(intern(g), intern(h))])
+                for g in m.generators for h in m.generators)
+        return closure
 
     def products(i: int, cs: list) -> list:
         """[mul(i, c) for c in cs], held once per i when cs is the pool."""
@@ -725,7 +758,8 @@ def verify_theorem_main(op: BiadditiveOp, pairs: Optional[Iterable] = None,
     def class_of(i: int):
         c = classes[i]
         if c is None:
-            m.check_element(keys[i])
+            if origin[i] != _MEMBER and not (origin[i] == _BUILT and closed()):
+                m.check_element(keys[i])
             c = classes[i] = m.class_key(keys[i])
         return c
 
@@ -733,6 +767,8 @@ def verify_theorem_main(op: BiadditiveOp, pairs: Optional[Iterable] = None,
         return class_of(i) == class_of(j)
 
     ids = [intern(x) for x in pool]
+    for i in ids:
+        origin[i] = _MEMBER
     if pairs is None:
         pairs = [(a, b) for a in ids for b in ids]
     else:

@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .exactmath import InputError, RationalCone
+from .exactmath import InputError, RationalCone, vdot
 from .monoids import BiadditiveOp, FiniteMonoid, LatticeMonoid, OpenConeMonoid
 from .latticeorder import FRingCandidate, LatticeGroup
 from .formallyreal import RationalFunction, parse_rational_function
@@ -316,6 +316,11 @@ def _build_open_cone(raw: _Raw) -> Instance:
     open_normals = _int_rows(raw, "open-normals", width=dim) \
         if "open-normals" in raw.sections else []
     monoid = OpenConeMonoid(closed, open_normals)
+    for n in monoid.open_normals:
+        if not any(vdot(n, r) for r in closed.v_rep):
+            # an implicit equality of a lower-dimensional cone
+            raise InputError(f"{raw.source}: open normal {list(n)} vanishes on "
+                             "the whole closed cone, which leaves only the origin")
     op = None
     if "tensor" in raw.sections:
         op = BiadditiveOp(monoid, tensor=_tensor_rows(raw, "tensor", dim))

@@ -273,14 +273,24 @@ def _nonzero_span(m: OpenConeMonoid) -> tuple:
 
 
 def _interior_point(m: OpenConeMonoid) -> tuple:
-    """A member strictly positive on every facet form."""
+    """The ray sum: a member in the relative interior of the closed cone.
+
+    A cone of lower dimension keeps each implicit equality ``h . x = 0`` in
+    ``h_rep`` as the pair ``h``, ``-h``, which vanishes on every ray and so
+    on all of the cone.  Relative interiority asks strict positivity only
+    of the other forms, each of which is positive on some ray.
+    """
+    rays = m.cone.v_rep
     _nonzero_span(m)
     acc = tuple(0 for _ in range(m.dim))
-    for r in m.cone.v_rep:
+    for r in rays:
         acc = vadd(acc, r)
     for h in m.cone.h_rep:
-        if vdot(h, acc) <= 0:
+        if vdot(h, acc) <= 0 and any(vdot(h, r) for r in rays):
             raise InternalCheckError("ray sum is not relatively interior")
+    if not m.contains(acc):
+        # only an open normal that vanishes on the whole cone excludes it
+        raise InputError("open-cone carrier has no member but the origin")
     return acc
 
 

@@ -426,6 +426,30 @@ def test_sos_parse_errors_carry_a_position():
     assert "nonzero divisor" in err
 
 
+@pytest.mark.parametrize("expression,needle", [
+    ("x^99999999999", "exponent 99999999999 is above the cap of 1000"),
+    ("2^99999999999", "exponent 99999999999 is above the cap of 1000"),
+    ("x^999*x^999", "expression reaches degree 1998; the cap is 1000"),
+    ("x^600 + 1/x^600", "expression reaches degree 1200"),
+    ("((2^1000)^1000)^100", "more than 4096 bits"),
+    ("1" * 1234, "an integer of at most 1233 digits"),
+])
+def test_sos_input_past_the_caps_is_refused_fast(expression, needle):
+    # each is refused before the power, product or integer is formed
+    start = time.perf_counter()
+    code, out, err = run_cli("sos", expression)
+    assert time.perf_counter() - start < 1.0
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert needle in err and "Traceback" not in err
+
+
+def test_sos_input_at_the_degree_cap_is_accepted():
+    code, doc, _ = run_json("sos", "x^1000 + 1")
+    assert code == EXIT_PASS
+    assert doc["result"]["member"] is True
+
+
 def test_sos_theorem_mode_reports_the_least_refuted_shift():
     code, doc, _ = run_json("sos", "(x^4+3)/(x^2+1)", "--theorem")
     assert code == EXIT_PASS
@@ -641,6 +665,70 @@ def test_open_cone_that_is_only_the_origin_is_an_input_error(tmp_path, command):
     reported = [line for line in err.splitlines() if line.startswith("input error:")]
     assert reported == [f"input error: {path}: the closed cone is only the origin"]
     assert "Traceback" not in err
+
+
+LOWER_DIMENSIONAL = {
+    # the ray (1, 1) spans a line in the plane: h_rep keeps the implicit
+    # equality x = y as the pair (-1, 1), (1, -1)
+    "open-cone-line": "kind: open-cone\ndim: 2\n[rays]\n1 1\n"
+                      "[tensor]\n0 0 1 0\n1 1 0 1\n",
+    # a coordinate plane in 3-D
+    "open-cone-plane": "kind: open-cone\ndim: 3\n[rays]\n1 0 0\n0 1 0\n"
+                       "[tensor]\n0 0 1 0 0\n1 1 0 1 0\n2 2 0 0 1\n",
+    # the lattice analogue of the line
+    "lattice-line": "kind: lattice\ndim: 2\n[generators]\n1 1\n2 2\n"
+                    "[tensor]\n0 0 1 0\n1 1 0 1\n",
+}
+
+
+@pytest.mark.parametrize("command", [
+    ["localizable", "--weak"], ["localizable", "--strong"], ["verify", "--main"],
+], ids=["weak", "strong", "verify-main"])
+@pytest.mark.parametrize("name", sorted(LOWER_DIMENSIONAL))
+def test_lower_dimensional_cones_are_decided(tmp_path, name, command):
+    # the ray sum is relatively interior: only the forms that vanish on
+    # every ray may vanish on it (these exited 5, "ray sum is not
+    # relatively interior", on the open cones)
+    path = tmp_path / f"{name}.mon"
+    path.write_text(LOWER_DIMENSIONAL[name])
+    code, doc, err = run_json(command[0], str(path), *command[1:])
+    assert code == EXIT_PASS, err
+    assert "Traceback" not in err
+    if command[0] == "localizable":
+        assert (doc.get("certificate") or doc["result"])["verdict"] == "yes"
+    else:
+        assert doc["status"] == "pass"
+
+
+@pytest.mark.parametrize("command", [["grothendieck"], ["localizable", "--weak"]])
+def test_open_normal_vanishing_on_the_cone_is_an_input_error(tmp_path, command):
+    # an implicit equality chosen as a strict face leaves only the origin
+    path = tmp_path / "line-open.mon"
+    path.write_text("kind: open-cone\ndim: 2\n[rays]\n1 1\n"
+                    "[open-normals]\n1 -1\n[tensor]\n0 0 1 0\n1 1 0 1\n")
+    code, out, err = run_cli(command[0], str(path), *command[1:])
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert (f"input error: {path}: open normal [1, -1] vanishes on the whole "
+            "closed cone, which leaves only the origin") in err
+
+
+def test_unverified_hypothesis_exits_with_the_budget_code(tmp_path):
+    # within coefficient budget 1 the weak search finds no dominator for
+    # (0, 1, 0): verify --main answers "unknown" with the same code as the
+    # weak search itself, 4, not the "refused" code 2
+    path = tmp_path / "five.mon"
+    path.write_text("kind: lattice\ndim: 3\n[generators]\n1 0 0\n0 1 0\n"
+                    "0 0 1\n4 5 0\n-1 2 6\n[tensor]\n0 0 0 0 0\n"
+                    "1 0 0 0 0\n1 1 0 2 2\n1 2 1 1 0\n2 1 1 2 0\n")
+    code, doc, _ = run_json("--budget", "1", "verify", str(path), "--main")
+    assert code == EXIT_BUDGET
+    assert doc["status"] == "unknown"
+    assert doc["hypotheses"][0]["status"] == "unknown"
+    assert "could not be verified within budget" in doc["reason"]
+    code, doc, _ = run_json("--budget", "1", "localizable", str(path), "--weak")
+    assert code == EXIT_BUDGET
+    assert doc["certificate"]["verdict"] == "unknown"
 
 
 def test_internal_check_failure_is_not_a_refutation(monkeypatch):

@@ -462,6 +462,43 @@ def test_sweep_evaluates_each_distinct_product_and_comparison_once(monkeypatch):
     assert calls["class_key"] <= 468
 
 
+def test_sweep_skips_membership_of_products_of_pool_elements(monkeypatch):
+    # the pool elements are members, and since every generator product is
+    # one, so is every product built from them: the matrix product's sweep
+    # asks contains for its 35 pool elements and 16 generator products only
+    # (503 calls when every compared product was checked)
+    op = matrix_monoid_product_op()
+    calls = []
+    contains = LatticeMonoid.contains
+
+    def counted(self, x):
+        calls.append(tuple(x))
+        return contains(self, x)
+
+    monkeypatch.setattr(LatticeMonoid, "contains", counted)
+    report = verify_theorem_main(op)
+    assert len(calls) <= 51
+    assert _sweep_parts(report) == _unmemoized_sweep(matrix_monoid_product_op())
+
+
+def test_sweep_without_closure_checks_every_product(monkeypatch):
+    # mu(e0, e1) = (1, -1) leaves the carrier, so no product is taken on
+    # trust and the first error is the one a plain sweep meets (the weak
+    # search, which would raise first, is stubbed out)
+    def uncertified(op, budget):
+        return SimpleNamespace(verdict="no", method="stub", reason="stub")
+
+    monkeypatch.setattr(functionals, "is_weakly_localizable", uncertified)
+    t = [[[0, 0], [1, -1]], [[0, 0], [0, 1]]]
+    op = BiadditiveOp(free_monoid(2), tensor=t)
+    with pytest.raises(InputError) as caught:
+        verify_theorem_main(op)
+    with pytest.raises(InputError) as expected:
+        _unmemoized_sweep(BiadditiveOp(free_monoid(2), tensor=t))
+    assert str(caught.value) == str(expected.value)
+    assert "is not a generator combination" in str(caught.value)
+
+
 def test_weak_strong_audit_statuses():
     assert weak_implies_strong_audit(elementwise_op(2))["status"] == "confirmed"
     mat = weak_implies_strong_audit(matrix_product_op())

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from monoidorder.exactmath import InputError
+from monoidorder.exactmath import InputError, InternalCheckError
+from monoidorder.instancefile import load_instance
 from monoidorder.latticeorder import (FRingCandidate, LatticeGroup,
                                       almost_fring_counterexample,
                                       almost_fring_tensor,
@@ -17,6 +18,8 @@ from monoidorder.latticeorder import (FRingCandidate, LatticeGroup,
                                       fring_strong_localizability,
                                       is_extended_f_ring,
                                       weakly_archimedean_is_archimedean_check)
+
+from conftest import instance_path
 
 vec2 = st.tuples(st.integers(-8, 8), st.integers(-8, 8))
 
@@ -292,6 +295,44 @@ def test_box_sweep_matches_per_triple_reference(case):
     assert {key: res[key] for key in ref} == ref
 
 
+def _count_group_calls(monkeypatch) -> dict:
+    """Count LatticeGroup.coerce and LatticeGroup.meet calls from now on."""
+    calls = {"coerce": 0, "meet": 0}
+    for name in calls:
+        def counted(self, *args, _name=name, _original=getattr(LatticeGroup, name)):
+            calls[_name] += 1
+            return _original(self, *args)
+        monkeypatch.setattr(LatticeGroup, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("make_candidate,checked,verdict", [
+    (lambda: elementwise_candidate(3), 3375, "yes"),
+    (lambda: load_instance(instance_path("almost-fring.mon")).candidate, 758, "no"),
+], ids=["elementwise-3", "almost-fring-instance"])
+def test_box_sweep_works_on_support_masks(monkeypatch, make_candidate,
+                                          checked, verdict):
+    # work counters do not jitter: the box sweep reads int products as
+    # positive-support bitmasks, where the per-triple loop made 17,874
+    # coerce and 6,750 meet calls on elementwise_candidate(3); what is left
+    # is the structural witness of a refuted candidate
+    cand = make_candidate()
+    calls = _count_group_calls(monkeypatch)
+    res = is_extended_f_ring(cand)
+    assert res["verdict"] == verdict
+    assert res["box_checked"] == checked
+    assert calls["coerce"] <= 12 and calls["meet"] <= 2
+
+
+def test_box_sweep_refuses_a_negative_product():
+    # the mask argument needs nonnegative products; a tensor entry that
+    # went negative after construction is an internal fault, not a verdict
+    cand = elementwise_candidate(2)
+    cand._entries = ((0, 0, 0, -1),)
+    with pytest.raises(InternalCheckError, match="negative entry"):
+        is_extended_f_ring(cand)
+
+
 def test_fring_strong_localizability_confirmed():
     res = fring_strong_localizability(elementwise_candidate(2, weights=[2, 3]))
     assert res["status"] == "confirmed" and res["ok"]
@@ -319,6 +360,16 @@ def test_almost_fring_counterexample_sections():
     assert res["commutative"]["failures"] == []
     assert res["archimedean"]["failures"] == []
     assert res["weak_localizability"]["verdict"] == "no"
+
+
+def test_almost_fring_counterexample_computes_in_ints(monkeypatch):
+    # 4,986 coerce calls when the box products went through the rational
+    # carrier's coerce
+    calls = _count_group_calls(monkeypatch)
+    res = almost_fring_counterexample()
+    assert res["ok"]
+    assert calls == {"coerce": 0, "meet": 0}
+    assert all(type(t) is int for t in res["non_associative_witness"]["left"])
 
 
 def test_almost_fring_witness_revalidated():
