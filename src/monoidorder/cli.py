@@ -155,7 +155,7 @@ def _verify_main(instance, doc, args) -> tuple:
         doc["reason"] = ("the weak localizability hypothesis could not be "
                          "verified within budget")
         return doc, EXIT_BUDGET
-    result = verify_theorem_main(op, budget=args.budget)
+    result = verify_theorem_main(op, weak=cert)
     doc["result"] = result
     doc["status"] = "pass" if result["ok"] else "failed"
     return doc, EXIT_PASS if result["ok"] else EXIT_REFUTED
@@ -192,14 +192,11 @@ def _verify_orderunit(instance, doc, args) -> tuple:
     doc["goal"] = "orderunit"
     doc["element"] = _element_text(instance, e)
     doc["certificate"] = cert.as_dict()
-    refusals = cert.as_dict().get("refusals") or []
+    refusals = cert.details.get("refusal_reasons", [])
     doc["hypotheses"] = [{
         "name": "order-unit-and-operation-unit",
         "status": "checked" if not refusals else "failed",
         "detail": refusals}]
-    if refusals and cert.verdict != "yes":
-        doc["status"] = "refused"
-        return doc, EXIT_REFUSED
     doc["status"] = {"yes": "pass", "no": "refuted"}.get(cert.verdict, "unknown")
     return doc, _verdict_exit(cert.verdict)
 
@@ -268,12 +265,14 @@ def cmd_extremals(args) -> tuple:
     return doc, EXIT_PASS
 
 
-def _groth_describe(groth) -> dict:
-    if groth.kind == "finite":
+def _groth_describe(instance) -> dict:
+    m = instance.monoid
+    if instance.kind == "finite":
+        groth = grothendieck(m)
         return {"kind": "finite", "classes": len(groth.reps),
                 "monoid_image_classes": sorted(set(groth.iota))}
-    return {"kind": groth.kind, "dim": groth.dim,
-            groth.basis_key: [list(b) for b in groth.span_basis]}
+    return {"kind": m.groth_kind, "dim": m.dim,
+            m.basis_key: [list(b) for b in m.span_basis]}
 
 
 def cmd_grothendieck(args) -> tuple:
@@ -283,7 +282,7 @@ def cmd_grothendieck(args) -> tuple:
     doc = {
         "command": "grothendieck",
         "instance": instance.describe(),
-        "grothendieck_group": _groth_describe(grothendieck(m)),
+        "grothendieck_group": _groth_describe(instance),
         "reduction_level1": nabla(m, 1).describe(),
         "reduction_level2": nabla(m, 2).describe(),
         "level1_to_level2_map": dict(comparison.report),

@@ -160,15 +160,20 @@ class RationalPolynomial:
         return acc
 
     def pow(self, n: int) -> "RationalPolynomial":
-        out = RationalPolynomial([1])
-        base = self
+        """``self ** n``: the power of a primitive integer multiple, by
+        squaring in integers, times ``(leading / ints[-1]) ** n``."""
+        if self.is_zero():
+            return RationalPolynomial([1] if n == 0 else [])
+        ints = _integer_multiple(self)
+        ratio = (self.leading / ints[-1]) ** n
+        out, base = (1,), ints
         while n:
             if n & 1:
-                out = out * base
+                out = _int_mul(out, base)
             n >>= 1
             if n:
-                base = base * base
-        return out
+                base = _int_mul(base, base)
+        return RationalPolynomial([ratio * c for c in out])
 
     # -- presentation -------------------------------------------------------
 
@@ -372,12 +377,6 @@ def squarefree_part(p: RationalPolynomial) -> RationalPolynomial:
     """Monic polynomial with the same distinct roots, each simple."""
     _, factors = squarefree_decomposition(p)
     return _product(g for g, _ in factors)
-
-
-def odd_multiplicity_part(p: RationalPolynomial) -> RationalPolynomial:
-    """Product of the square-free factors of odd multiplicity (monic)."""
-    _, factors = squarefree_decomposition(p)
-    return _product(g for g, m in factors if m % 2 == 1)
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,8 @@ cone.  A finite set of classes generates a subgroup; rational additive
 functionals that are nonnegative on its positive part form a dual cone,
 whose extreme rays are the extremal functionals.  This module computes
 those rays exactly, checks the quadratic identity that forces extremal
-functionals to become multiplicative after rescaling, decides the
-``k-fold multiple versus separating functional`` dichotomy, and runs
-the verdict-level audits (commutativity/associativity up to equivalence,
+functionals to become multiplicative after rescaling, and runs the
+verdict-level audits (commutativity/associativity up to equivalence,
 and weak-implies-strong localizability on ordered lattice carriers).
 """
 
@@ -15,9 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import groupby
 from math import lcm
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .exactmath import (
     InputError,
@@ -32,10 +30,10 @@ from .exactmath import (
     vdot,
     vneg,
     vscale,
-    vsub,
 )
 from .grothendieck import nabla
-from .localizability import is_left_localizable, is_strongly_localizable, is_weakly_localizable
+from .localizability import (WeakLocalizabilityCertificate, is_left_localizable,
+                             is_strongly_localizable, is_weakly_localizable)
 from .monoids import (
     BiadditiveOp,
     FiniteMonoid,
@@ -70,18 +68,13 @@ class OrderedSubgroup:
     many ray evaluations.
     """
 
-    def __init__(self, reduction, classes: Sequence, *,
-                 base_elements: Optional[Sequence] = None,
-                 product_elements: Optional[Sequence] = None):
+    def __init__(self, reduction, classes: Sequence):
         self.reduction = reduction
-        self.monoid = reduction.monoid
         seen = []
         for c in classes:
             if c not in seen:
                 seen.append(c)
         self.generating_set = tuple(seen)
-        self.base_elements = tuple(base_elements) if base_elements is not None else None
-        self.product_elements = tuple(product_elements) if product_elements is not None else None
         if reduction.kind == "finite":
             # torsion classes admit no nonzero rational additive functional
             self.scale = 1
@@ -163,14 +156,6 @@ class OrderedSubgroup:
                 f"element {element!r} falls outside the generated subgroup")
         return c
 
-    def member_positive(self, classvec) -> bool:
-        c = self.coordinates(classvec)
-        if c is None:
-            return False
-        if self.rank == 0:
-            return True
-        return self.positive_cone.member(c)
-
     def describe(self) -> dict:
         return {
             "ambient": self.reduction.describe(),
@@ -188,7 +173,7 @@ def span_of_elements(m, elements: Sequence, level: int = 1) -> OrderedSubgroup:
     """Subgroup of the reduced group generated by the classes of ``elements``."""
     nr = nabla(m, level)
     classes = [nr.iota(e) for e in elements]
-    return OrderedSubgroup(nr, classes, base_elements=elements)
+    return OrderedSubgroup(nr, classes)
 
 
 def span_with_products(op: BiadditiveOp, elements: Sequence,
@@ -198,8 +183,7 @@ def span_with_products(op: BiadditiveOp, elements: Sequence,
     elements = list(elements)
     products = [op.mu(f, g) for f in elements for g in elements]
     classes = [nr.iota(e) for e in elements] + [nr.iota(p) for p in products]
-    return OrderedSubgroup(nr, classes, base_elements=elements,
-                           product_elements=products)
+    return OrderedSubgroup(nr, classes)
 
 
 # ---------------------------------------------------------------------------
@@ -256,9 +240,6 @@ class AdditiveFunctional:
                                   extremal=self.extremal,
                                   ambient_covector=self.ambient_covector)
 
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coefficients)
-
     def describe(self) -> dict:
         return {
             "coefficients": [str(c) for c in self.coefficients],
@@ -298,7 +279,7 @@ def _carrier_covector(sub: OrderedSubgroup,
     red = sub.reduction
     if red.kind == "finite":
         return None
-    rows = [tuple(r) for r in red.groth.span_basis]
+    rows = [tuple(r) for r in red.monoid.span_basis]
     if not rows:
         return None
     dim = len(rows[0])
@@ -576,78 +557,6 @@ def normalize_multiplicative(op: BiadditiveOp, elements: Sequence,
 
 
 # ---------------------------------------------------------------------------
-# multiple-or-separating-functional dichotomy
-
-
-@dataclass
-class SeparationResult:
-    """Either a uniform multiple certifying order, or a separating functional."""
-
-    kind: str
-    k: Optional[int] = None
-    refuter: Optional[AdditiveFunctional] = None
-    values: list = field(default_factory=list)
-    certificate: Optional[dict] = None
-
-    def as_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "k": self.k,
-            "refuter": None if self.refuter is None else self.refuter.describe(),
-            "values": self.values,
-            "certificate": self.certificate,
-        }
-
-
-def positivstellensatz(h: OrderedSubgroup, a, b) -> SeparationResult:
-    """``k`` with ``k a <= k b`` or an extremal functional with ``phi(a) >= phi(b)``.
-
-    ``a`` and ``b`` are classes of the subgroup (reduced coordinates).  When
-    every nonzero extremal functional is strictly larger at ``b``, the
-    difference lies in the positivity cone and ``k = 1`` already witnesses
-    the order; otherwise the first extremal functional violating strictness
-    is returned as the separating certificate.
-    """
-    m = h.monoid
-    ca = h.coordinates(a)
-    cb = h.coordinates(b)
-    if ca is None or cb is None:
-        raise InputError("both classes must lie in the subgroup")
-    extremals = positive_functionals(h)
-    values = []
-    refuter = None
-    for phi in extremals:
-        va = phi.value_on_coordinates(ca)
-        vb = phi.value_on_coordinates(cb)
-        values.append({"functional": phi.describe(),
-                       "at_a": str(va), "at_b": str(vb)})
-        if refuter is None and va >= vb and not phi.is_zero():
-            refuter = phi
-    if refuter is not None:
-        return SeparationResult(kind="separating-functional", refuter=refuter,
-                                values=values)
-    if isinstance(m, FiniteMonoid):
-        grp = h.reduction.group
-        bound = max(1, grp.exponent)
-        for k in range(1, bound + 1):
-            if h.reduction.leq(grp.scale(k, a), grp.scale(k, b)):
-                return SeparationResult(
-                    kind="multiple", k=k, values=values,
-                    certificate={"order": f"{k}-fold multiples are ordered"})
-        raise InternalCheckError(
-            "no extremal functional separates, yet no multiple certifies the order")
-    diff = vsub(cb, ca)
-    if h.rank and not h.positive_cone.member(diff):
-        raise InternalCheckError(
-            "every extremal functional is strict, yet the difference "
-            "escaped the positivity cone")
-    return SeparationResult(
-        kind="multiple", k=1, values=values,
-        certificate={"cone_member": True,
-                     "difference_coordinates": [str(x) for x in diff]})
-
-
-# ---------------------------------------------------------------------------
 # theorem-level verdicts
 
 
@@ -657,63 +566,58 @@ def _sample_pool(m) -> list:
     return m.element_pool(3)
 
 
-_OTHER, _BUILT, _MEMBER = 0, 1, 2  # what verify_theorem_main knows of an element
+def verify_theorem_main(op: BiadditiveOp,
+                        weak: Optional[WeakLocalizabilityCertificate] = None) -> dict:
+    """Commutativity and associativity up to equivalence, on the pool.
 
-
-def verify_theorem_main(op: BiadditiveOp, pairs: Optional[Iterable] = None,
-                        triples: Optional[Iterable] = None,
-                        budget: int = 8) -> dict:
-    """Commutativity and associativity up to equivalence, on samples.
-
-    Requires a weak-localizability certificate to claim the verdict;
-    without one the sweep still runs in observation mode.  Both laws are
-    also checked for on-the-nose equality, whose failures are reported
+    ``weak`` is the weak-localizability certificate the verdict rests on,
+    searched for at the default budget when not given.  Unless it says
+    yes the sweep still runs, in observation mode.  Both laws are also
+    checked for on-the-nose equality, whose failures are reported
     separately (they are expected on carriers where the equivalence is
     coarser than equality).
 
     Each element is interned once to an int index, so exact equality is
-    equality of indices.  ``op.mu`` runs once per distinct pair of
-    indices, its result held in a table per left operand; a product not
-    seen before gets the next index.  ``approx`` is decided by the
-    carrier's ``class_key``, computed once per distinct compared element
-    at its first comparison, after ``check_element``.
+    equality of indices.  The pool elements take the indices below
+    ``len(pool)``; every other index is a product of pool elements.
+    ``op.mu`` runs once per distinct pair of indices, its result held in
+    a table per left operand; a product not seen before gets the next
+    index.  ``approx`` is decided by the carrier's ``class_key``, computed
+    once per distinct compared element at its first comparison, after
+    ``check_element``.
 
-    Associativity is swept by rows: the triples sharing ``(a, b)`` (all
-    of the pool by default, else each run of consecutive caller triples)
-    compare the row ``[(ab)c for c]`` with ``[a(bc) for c]``.  The pool
-    row of a left operand is one list, reused by every pair with that
-    product.  Equal rows pass whole, with class keys still taken in sweep
-    order; any other row, and a row whose products raise, is walked
-    triple by triple.  Since ``op.mu`` is pure, the report and the first
-    error raised (say, a product outside the carrier) are those of a
-    plain sweep that calls ``op.mu`` and ``approx`` on every triple.
-    ``pairs`` and ``triples`` may be any iterables; each is read once.
+    Associativity is swept by rows: the triples sharing ``(a, b)`` compare
+    the row ``[(ab)c for c]`` with ``[a(bc) for c]``.  The pool row of a
+    left operand is one list, reused by every pair with that product.
+    Equal rows pass whole, with class keys still taken in sweep order; any
+    other row is walked triple by triple.  Since ``op.mu`` is pure, the
+    report and the first error raised (say, a product outside the carrier)
+    are those of a plain sweep that calls ``op.mu`` and ``approx`` on
+    every triple.
 
     Membership is checked only where it is not already proven.  The pool
     elements are members (``element_pool`` keeps members only).  On a
     lattice monoid, if every product of two generators is a member, then
     by biadditivity so is every product of members: with ``x = sum a_i g_i``
     and ``y = sum b_j g_j``, ``mu(x, y) = sum a_i b_j mu(g_i, g_j)`` is a
-    sum of members.  So once that closure holds, an element built from
-    pool elements by products needs no ``check_element``.  Closure is
-    decided at the first such element, by ``contains`` on the generator
-    products, which the default pool sweep computes anyway.  Elements
-    supplied by the caller (unless equal to a pool element), anything
-    built from them, and every element of a finite or open-cone carrier
-    keep the check, so the first error raised is unchanged.
+    sum of members.  So once that closure holds, no product needs
+    ``check_element``.  Closure is decided at the first product compared,
+    by ``contains`` on the generator products (the generators are pool
+    elements, and the sweep computes their products anyway).  Every
+    product on a finite or open-cone carrier keeps the check, so the
+    first error raised is unchanged.
     """
     m = op.carrier
-    cert = is_weakly_localizable(op, budget=budget)
-    mode = "certified" if cert.verdict == "yes" else "observation"
+    if weak is None:
+        weak = is_weakly_localizable(op)
+    mode = "certified" if weak.verdict == "yes" else "observation"
     pool = _sample_pool(m)
+    n = len(pool)
     index: dict = {}    # element, as its report key -> its index
     keys: list = []     # index -> report key
     rows: list = []     # index -> {right index: index of the product}
     classes: list = []  # index -> class key, None until first compared
     pool_rows: dict = {}  # left index -> its products with the pool, in order
-    # index -> MEMBER (a pool element), BUILT (a product of pool elements,
-    # a member once closure holds) or OTHER
-    origin: list = []
     closure = None  # whether every generator product is a member, once decided
 
     def intern(x) -> int:
@@ -724,7 +628,6 @@ def verify_theorem_main(op: BiadditiveOp, pairs: Optional[Iterable] = None,
             keys.append(k)
             rows.append({})
             classes.append(None)
-            origin.append(_OTHER)
         return i
 
     def mul(i: int, j: int) -> int:
@@ -732,8 +635,6 @@ def verify_theorem_main(op: BiadditiveOp, pairs: Optional[Iterable] = None,
         p = row.get(j)
         if p is None:
             p = row[j] = intern(op.mu(keys[i], keys[j]))
-            if origin[i] and origin[j] and not origin[p]:
-                origin[p] = _BUILT
         return p
 
     def closed() -> bool:
@@ -742,14 +643,12 @@ def verify_theorem_main(op: BiadditiveOp, pairs: Optional[Iterable] = None,
         nonlocal closure
         if closure is None:
             closure = isinstance(m, LatticeMonoid) and all(
-                m.contains(keys[mul(intern(g), intern(h))])
+                m.contains(keys[mul(index[g], index[h])])
                 for g in m.generators for h in m.generators)
         return closure
 
-    def products(i: int, cs: list) -> list:
-        """[mul(i, c) for c in cs], held once per i when cs is the pool."""
-        if cs is not ids:
-            return [mul(i, c) for c in cs]
+    def products(i: int) -> list:
+        """[mul(i, c) for c in the pool], held once per i."""
         r = pool_rows.get(i)
         if r is None:
             r = pool_rows[i] = [mul(i, c) for c in ids]
@@ -758,7 +657,7 @@ def verify_theorem_main(op: BiadditiveOp, pairs: Optional[Iterable] = None,
     def class_of(i: int):
         c = classes[i]
         if c is None:
-            if origin[i] != _MEMBER and not (origin[i] == _BUILT and closed()):
+            if i >= n and not closed():
                 m.check_element(keys[i])
             c = classes[i] = m.class_key(keys[i])
         return c
@@ -767,68 +666,50 @@ def verify_theorem_main(op: BiadditiveOp, pairs: Optional[Iterable] = None,
         return class_of(i) == class_of(j)
 
     ids = [intern(x) for x in pool]
-    for i in ids:
-        origin[i] = _MEMBER
-    if pairs is None:
-        pairs = [(a, b) for a in ids for b in ids]
-    else:
-        pairs = [(intern(a), intern(b)) for a, b in pairs]
-    if triples is None:
-        n_triples = len(ids) ** 3
-        runs = ((a, b, ids) for a in ids for b in ids)
-    else:
-        triples = [(intern(a), intern(b), intern(c)) for a, b, c in triples]
-        n_triples = len(triples)
-        runs = ((a, b, [t[2] for t in run])
-                for (a, b), run in groupby(triples, key=lambda t: t[:2]))
-
     comm_fail, comm_exact_fail = [], 0
-    for a, b in pairs:
-        ab, ba = mul(a, b), mul(b, a)
-        if ab != ba:
-            comm_exact_fail += 1
-        if not same(ab, ba):
-            comm_fail.append({"a": keys[a], "b": keys[b],
-                              "ab": keys[ab], "ba": keys[ba]})
+    for a in ids:
+        for b in ids:
+            ab, ba = mul(a, b), mul(b, a)
+            if ab != ba:
+                comm_exact_fail += 1
+            if not same(ab, ba):
+                comm_fail.append({"a": keys[a], "b": keys[b],
+                                  "ab": keys[ab], "ba": keys[ba]})
     assoc_fail, assoc_exact_fail = [], 0
-    for a, b, cs in runs:
-        ab = mul(a, b)
-        try:
-            lefts = products(ab, cs)
-            bcs = products(b, cs)
+    for a in ids:
+        for b in ids:
+            ab = mul(a, b)
+            lefts = products(ab)
+            bcs = products(b)
             rights = list(map(rows[a].get, bcs))
             if None in rights:
                 rights = [mul(a, bc) if p is None else p
                           for p, bc in zip(rights, bcs)]
-        except (InputError, IndexError, TypeError):
-            # op.mu refused a malformed caller element; the walk below
-            # raises again where a plain sweep would
-            lefts = None
-        if lefts is not None and lefts == rights:
-            for x in lefts:
-                if classes[x] is None:
-                    class_of(x)
-            continue
-        for c in cs:
-            left = mul(ab, c)
-            right = mul(a, mul(b, c))
-            if left != right:
-                assoc_exact_fail += 1
-            if not same(left, right):
-                assoc_fail.append({"a": keys[a], "b": keys[b], "c": keys[c],
-                                   "left": keys[left], "right": keys[right]})
+            if lefts == rights:
+                for x in lefts:
+                    if classes[x] is None:
+                        class_of(x)
+                continue
+            for c in ids:
+                left = mul(ab, c)
+                right = mul(a, mul(b, c))
+                if left != right:
+                    assoc_exact_fail += 1
+                if not same(left, right):
+                    assoc_fail.append({"a": keys[a], "b": keys[b], "c": keys[c],
+                                       "left": keys[left], "right": keys[right]})
     ok = not comm_fail and not assoc_fail
     return {
         "mode": mode,
-        "weak_certificate": {"verdict": cert.verdict, "method": cert.method,
-                             "reason": cert.reason},
+        "weak_certificate": {"verdict": weak.verdict, "method": weak.method,
+                             "reason": weak.reason},
         "claimed": mode == "certified" and ok,
         "ok": ok,
-        "pool_size": len(pool),
-        "commutativity": {"checked": len(pairs),
+        "pool_size": n,
+        "commutativity": {"checked": n * n,
                           "failures": comm_fail,
                           "exact_equality_failures": comm_exact_fail},
-        "associativity": {"checked": n_triples,
+        "associativity": {"checked": n ** 3,
                           "failures": assoc_fail,
                           "exact_equality_failures": assoc_exact_fail},
     }

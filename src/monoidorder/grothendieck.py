@@ -13,8 +13,7 @@ produce partially ordered abelian groups:
   in the set for every scalar l >= 1.
 
 The embedded order of level 1 recovers the canonical quasi-order of the
-monoid, and level-2 equality recovers its canonical equivalence; both
-facts are exposed as cross-checks over sampled pairs.  Biadditive
+monoid, and level-2 equality recovers its canonical equivalence.  Biadditive
 operations descend to both reductions, with well-definedness asserted
 rather than assumed.
 """
@@ -23,14 +22,12 @@ from __future__ import annotations
 
 import itertools
 import math
-import random
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .exactmath import (
     InputError,
     InternalCheckError,
-    IntegerLattice,
     RationalCone,
     is_zero_vector,
     primitive,
@@ -46,8 +43,6 @@ from .monoids import (
     FiniteMonoid,
     LatticeMonoid,
     VectorCarrier,
-    approx,
-    leq,
 )
 
 
@@ -230,157 +225,57 @@ class FiniteGrothGroup:
         return self._pair_class[(a, b)]
 
 
-class VectorGrothGroup:
-    """Difference group of a vector carrier: the group its rays generate.
-
-    For a lattice monoid this is the integer lattice of the generators, for
-    an open-cone monoid the rational span of the closed cone.  Either way
-    ``span_basis`` is its Hermite basis, and the carrier's ``coordinates``
-    are coordinates on it (None outside the group).
-    """
-
-    def __init__(self, monoid: VectorCarrier):
-        self.monoid = monoid
-        self.dim = monoid.dim
-        self.kind = monoid.groth_kind
-        self.basis_key = monoid.basis_key
-        self.span_basis = monoid.span_basis
-
-    @property
-    def lattice(self) -> IntegerLattice:
-        """The integer lattice the rays generate: for a lattice monoid, the
-        difference group itself."""
-        return self.monoid.lattice
-
-    def contains(self, x) -> bool:
-        return self.monoid.coordinates(x) is not None
-
-
-def grothendieck(m):
-    """Difference group of a carrier, cached on the carrier."""
+def grothendieck(m: FiniteMonoid) -> FiniteGrothGroup:
+    """Difference group of a finite carrier, cached on the carrier.  (A
+    vector carrier needs none: its ``span_basis`` spans the group its rays
+    generate, and its ``coordinates`` are coordinates on it.)"""
     if "groth" not in m._cache:
-        m._cache["groth"] = (FiniteGrothGroup(m) if isinstance(m, FiniteMonoid)
-                             else VectorGrothGroup(m))
+        m._cache["groth"] = FiniteGrothGroup(m)
     return m._cache["groth"]
 
 
 # ---------------------------------------------------------------------------
-# closures of submonoids inside their ambient group
+# closures of submonoids inside a finite abelian group
 
 
-class SubmonoidClosure:
-    """A closure of a submonoid, queryable through :meth:`member`.
-
-    kind is one of ``up`` (scaling saturation), ``ddagger`` (damped-limit
-    closure), or ``up_ddagger`` (both applied in order).  Closures in a
-    vector group keep the vector ``carrier`` whose cone cuts them out.
-    """
-
-    def __init__(self, kind: str, member, description: dict,
-                 result_set: Optional[frozenset] = None, carrier=None):
-        self.kind = kind
-        self._member = member
-        self.description = description
-        self.result_set = result_set
-        self.carrier = carrier
-
-    def member(self, x) -> bool:
-        return self._member(x)
-
-    def describe(self) -> dict:
-        return dict(self.description, kind=self.kind)
+def up_closure(group: FiniteAbelianGroup, base) -> frozenset:
+    """Saturation {x in G : some positive multiple of x lies in base}."""
+    base = frozenset(base)
+    e_exp = group.exponent
+    result = set()
+    for x in group.elements():
+        y = 0
+        for _ in range(e_exp):
+            y = group.add(y, x)
+            if y in base:
+                result.add(x)
+                break
+    return frozenset(result)
 
 
-def _cutting_carrier(group, base) -> VectorCarrier:
-    """The vector carrier whose cone cuts a closure out of a vector group:
-    the base itself, the carrier of a base closure, or the lattice monoid of
-    base generators."""
-    if isinstance(base, SubmonoidClosure):
-        return base.carrier
-    if isinstance(base, VectorCarrier):
-        return base
-    return LatticeMonoid(group.dim, base)
-
-
-def up_closure(group, base) -> SubmonoidClosure:
-    """Saturation {x in G : some positive multiple of x lies in base}.
-
-    In a vector group (the difference group of a vector carrier, or any
-    integer lattice) the saturation of a carrier is its cone with the
-    excluded faces kept excluded: the group points that the carrier's
-    boundary test puts inside.
-    """
-    if isinstance(group, FiniteAbelianGroup):
-        base_set = frozenset(base)
-        result = set()
-        bound = group.exponent
-        for x in group.elements():
-            y = 0
-            for _ in range(bound):
-                y = group.add(y, x)
-                if y in base_set:
-                    result.add(x)
-                    break
-        result = frozenset(result)
-        return SubmonoidClosure(
-            "up", lambda x: x in result,
-            {"ambient_order": group.n, "result_size": len(result)},
-            result_set=result)
-    carrier = _cutting_carrier(group, base)
-
-    def member(x):
-        return group.contains(x) and carrier.boundary_status(x) == "inside"
-
-    return SubmonoidClosure(
-        "up", member,
-        {"cone_rays": [list(r) for r in carrier.rays],
-         "open_normals": [list(n) for n in carrier.open_normals]},
-        carrier=carrier)
-
-
-def ddagger_closure(group, base, bound: Optional[int] = None) -> SubmonoidClosure:
+def ddagger_closure(group: FiniteAbelianGroup, base) -> frozenset:
     """Damped-limit closure {x : some e has l*x + e in base for all l >= 1}.
 
-    In a vector group the damped shift clears each strict inequality for
-    every scalar, and scaling keeps every weak one weak, so the closure is
-    the closed cone's group points.
+    ``l*x + e`` is periodic in l with period dividing the exponent, so
+    scalars up to ``exponent**2 + exponent`` cover every value it takes.
     """
-    if isinstance(group, FiniteAbelianGroup):
-        base_set = base.result_set if isinstance(base, SubmonoidClosure) else frozenset(base)
-        e_exp = group.exponent
-        if bound is None:
-            bound = e_exp * e_exp + e_exp
-        result = set()
-        for x in group.elements():
-            for e in group.elements():
-                y = e
-                good = True
-                for _ in range(bound):
-                    y = group.add(y, x)
-                    if y not in base_set:
-                        good = False
-                        break
-                if good:
-                    result.add(x)
+    base = frozenset(base)
+    e_exp = group.exponent
+    bound = e_exp * e_exp + e_exp
+    result = set()
+    for x in group.elements():
+        for e in group.elements():
+            y = e
+            good = True
+            for _ in range(bound):
+                y = group.add(y, x)
+                if y not in base:
+                    good = False
                     break
-        result = frozenset(result)
-        kind = "up_ddagger" if isinstance(base, SubmonoidClosure) else "ddagger"
-        return SubmonoidClosure(
-            kind, lambda x: x in result,
-            {"ambient_order": group.n, "scalar_bound": bound,
-             "result_size": len(result)},
-            result_set=result)
-    carrier = _cutting_carrier(group, base)
-    closed = carrier.cone
-
-    def member(x):
-        return group.contains(x) and closed.member(x)
-
-    return SubmonoidClosure(
-        "up_ddagger", member,
-        {"cone_rays": [list(r) for r in carrier.rays],
-         "note": "damped-limit closure: the closed cone"},
-        carrier=carrier)
+            if good:
+                result.add(x)
+                break
+    return frozenset(result)
 
 
 # ---------------------------------------------------------------------------
@@ -399,13 +294,9 @@ class ReducedFinite:
         self.level = level
         gg = grothendieck(monoid)
         self.groth = gg
-        image = sorted(set(gg.iota))
-        up = up_closure(gg.group, image)
-        if level == 1:
-            self.positive_closure = up
-        else:
-            self.positive_closure = ddagger_closure(gg.group, up)
-        pos = self.positive_closure.result_set
+        pos = up_closure(gg.group, sorted(set(gg.iota)))
+        if level == 2:
+            pos = ddagger_closure(gg.group, pos)
         kernel = frozenset(x for x in pos if gg.group.neg(x) in pos)
         self.kernel_set = kernel
         self.group, self._proj = gg.group.quotient(kernel)
@@ -456,12 +347,8 @@ class ReducedVector:
         self.monoid = monoid
         self.level = level
         self.kind = monoid.groth_kind
-        gg = grothendieck(monoid)
-        self.groth = gg
         basis = [list(row) for row in monoid.span_basis]
         r = len(basis)
-        up = up_closure(gg, monoid)
-        self.positive_closure = up if level == 1 else ddagger_closure(gg, up)
         kernel_coords = [] if level == 1 and monoid.open_normals else \
             monoid.lineality_coordinates()
         k = len(kernel_coords)
@@ -503,7 +390,14 @@ class ReducedVector:
         return tuple(p) == tuple(q)
 
     def leq(self, p, q) -> bool:
-        return self.positive_closure.member(self.reconstruct(vsub(q, p)))
+        """``q - p`` in the level's closure of the carrier: at level 1 the
+        saturation, which is the cone with its excluded faces kept excluded;
+        at level 2 the damped-limit closure, which is the closed cone (the
+        damped shift clears each strict inequality for every scalar)."""
+        d = vsub(q, p)
+        if self.level == 2:
+            return self.closed_member(d)
+        return self.monoid.boundary_status(self.reconstruct(d)) == "inside"
 
     def closed_member(self, classvec) -> bool:
         """Membership of a class in the closure of the positivity cone."""
@@ -537,7 +431,7 @@ class ReducedVector:
             "level": self.level,
             "free_rank": self.rank,
             "kernel_rank": self.kernel_rank,
-            "span_basis": [list(r) for r in self.groth.span_basis],
+            "span_basis": [list(r) for r in self.monoid.span_basis],
         }
 
 
@@ -548,94 +442,6 @@ def nabla(m, level: int):
         m._cache[key] = (ReducedFinite(m, level) if isinstance(m, FiniteMonoid)
                          else ReducedVector(m, level))
     return m._cache[key]
-
-
-# ---------------------------------------------------------------------------
-# cross-checks of the order/equivalence transfer
-
-
-def default_pairs(m, count: int = 200, seed: int = 20240901) -> list[tuple]:
-    """Deterministic element pairs used by the transfer cross-checks."""
-    if isinstance(m, FiniteMonoid):
-        return [(a, b) for a in m.elements() for b in m.elements()]
-    rng = random.Random(seed)
-    if isinstance(m, LatticeMonoid):
-        pool = m.element_pool(3)
-    else:
-        # a cone is divisible: halves and triples of its samples are members
-        zero = tuple(Fraction(0) for _ in range(m.dim))
-        pool = []
-        for p in [zero] + [tuple(Fraction(x) for x in p) for p in m.sample_elements(12)]:
-            pool.append(p)
-            pool.append(tuple(x / 2 for x in p))
-            pool.append(tuple(3 * x for x in p))
-    pairs = []
-    for _ in range(count):
-        pairs.append((rng.choice(pool), rng.choice(pool)))
-    return pairs
-
-
-def check_lemma_canleq(m, pairs: Optional[Sequence] = None) -> dict:
-    """Monoid quasi-order against the level-1 embedded order, pairwise."""
-    if pairs is None:
-        pairs = default_pairs(m)
-    red = nabla(m, 1)
-    mismatches = []
-    for a, b in pairs:
-        direct = leq(m, a, b)
-        reduced = red.leq(red.iota(a), red.iota(b))
-        if direct != reduced:
-            mismatches.append({"a": _as_report(a), "b": _as_report(b),
-                               "monoid": direct, "reduced": reduced})
-    return {"checked": len(pairs), "mismatches": mismatches, "ok": not mismatches}
-
-
-def check_lemma_canequiv(m, pairs: Optional[Sequence] = None) -> dict:
-    """Monoid equivalence against level-2 embedded equality, pairwise."""
-    if pairs is None:
-        pairs = default_pairs(m)
-    red = nabla(m, 2)
-    mismatches = []
-    for a, b in pairs:
-        direct = approx(m, a, b)
-        reduced = red.eq(red.iota(a), red.iota(b))
-        if direct != reduced:
-            mismatches.append({"a": _as_report(a), "b": _as_report(b),
-                               "monoid": direct, "reduced": reduced})
-    return {"checked": len(pairs), "mismatches": mismatches, "ok": not mismatches}
-
-
-def _as_report(x):
-    if isinstance(x, int):
-        return x
-    return [str(v) for v in x]
-
-
-def kernel_crosscheck_finite(m: FiniteMonoid) -> dict:
-    """Alternative description of the level-1 kernel on finite carriers.
-
-    A difference class x lies in the kernel exactly when some positive
-    multiple of x sits between 0 and 0 in the saturation order, i.e.
-    k*x and -k*x both saturate into the monoid image.
-    """
-    red = nabla(m, 1)
-    gg = red.groth
-    g = gg.group
-    image = sorted(set(gg.iota))
-    up = up_closure(g, image).result_set
-    mismatches = []
-    for x in g.elements():
-        direct = x in red.kernel_set
-        sandwich = False
-        y = 0
-        for _ in range(g.exponent):
-            y = g.add(y, x)
-            if y in up and g.neg(y) in up:
-                sandwich = True
-                break
-        if direct != sandwich:
-            mismatches.append(x)
-    return {"checked": g.n, "mismatches": mismatches, "ok": not mismatches}
 
 
 # ---------------------------------------------------------------------------
@@ -739,10 +545,6 @@ class LiftedOp:
         x = self.reduced.reconstruct(p)
         y = self.reduced.reconstruct(q)
         return self.reduced.project(self.base.mu(x, y))
-
-
-def lift_mu(op: BiadditiveOp, level: int) -> LiftedOp:
-    return LiftedOp(op, level)
 
 
 # ---------------------------------------------------------------------------

@@ -8,27 +8,16 @@ preserving; for coordinatewise carriers this pins the tensor to its
 diagonal, which upgrades localizability and makes the operation
 associative and commutative on the nose.  The module also builds the
 fixed three-coordinate operation that satisfies the weaker
-disjoint-products-vanish axiom while failing associativity, and the
-implication chain showing coordinatewise carriers are archimedean.
+disjoint-products-vanish axiom while failing associativity.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Optional, Sequence
 
-from .exactmath import (
-    InputError,
-    InternalCheckError,
-    RationalCone,
-    vadd,
-    vneg,
-    vscale,
-    vsub,
-)
+from .exactmath import InputError, InternalCheckError, RationalCone
 from .functionals import verify_theorem_main
 from .localizability import is_strongly_localizable, is_weakly_localizable
 from .monoids import BiadditiveOp, OpenConeMonoid, free_monoid
@@ -72,88 +61,8 @@ class LatticeGroup:
         base = 0 if self.scalar == "integer" else Fraction(0)
         return tuple(base for _ in range(self.dim))
 
-    def add(self, x, y):
-        return vadd(self.coerce(x), self.coerce(y))
-
-    def sub(self, x, y):
-        return vsub(self.coerce(x), self.coerce(y))
-
-    def neg(self, x):
-        return vneg(self.coerce(x))
-
-    def scale(self, k, x):
-        return vscale(k, self.coerce(x))
-
-    def leq(self, x, y) -> bool:
-        return all(a <= b for a, b in zip(self.coerce(x), self.coerce(y)))
-
     def meet(self, x, y):
         return tuple(min(a, b) for a, b in zip(self.coerce(x), self.coerce(y)))
-
-    def join(self, x, y):
-        return tuple(max(a, b) for a, b in zip(self.coerce(x), self.coerce(y)))
-
-    def pos_part(self, x):
-        return self.join(x, self.zero)
-
-    def neg_part(self, x):
-        return self.join(self.neg(x), self.zero)
-
-    def box(self, lo: int, hi: int):
-        """All integer vectors with entries in [lo, hi], lexicographic."""
-        for v in product(range(lo, hi + 1), repeat=self.dim):
-            yield self.coerce(v)
-
-    def sample(self, rng: random.Random, bound: int = 3) -> tuple:
-        return self.coerce(tuple(rng.randint(-bound, bound)
-                                 for _ in range(self.dim)))
-
-
-def check_lattice_identities(g: LatticeGroup, pairs: Sequence) -> dict:
-    """Exact sweep of the defining identities of the coordinatewise order."""
-    pairs = list(pairs)
-    failures = []
-    for x, y in pairs:
-        x, y = g.coerce(x), g.coerce(y)
-        shift = tuple(1 for _ in range(g.dim))
-        if g.add(g.meet(x, y), shift) != g.meet(g.add(x, shift), g.add(y, shift)):
-            failures.append({"identity": "translation", "x": x, "y": y})
-        if g.neg(g.meet(x, y)) != g.join(g.neg(x), g.neg(y)):
-            failures.append({"identity": "negation-swaps-meet-join", "x": x, "y": y})
-        if g.meet(g.pos_part(x), g.neg_part(x)) != g.zero:
-            failures.append({"identity": "parts-disjoint", "x": x})
-        if g.add(x, g.neg_part(x)) != g.pos_part(x):
-            failures.append({"identity": "parts-decompose", "x": x})
-        if g.sub(g.join(x, y), y) != g.sub(x, g.meet(x, y)):
-            failures.append({"identity": "join-meet-exchange", "x": x, "y": y})
-        for k in (2, 3):
-            if g.leq(g.scale(k, x), g.scale(k, y)) and not g.leq(x, y):
-                failures.append({"identity": f"unperforated-{k}", "x": x, "y": y})
-    return {"checked": len(pairs), "failures": failures,
-            "ok": not failures}
-
-
-def check_riesz_lemma(g: LatticeGroup, count: int = 100,
-                      seed: int = 20240901, bound: int = 4) -> dict:
-    """``a <= (b meet a) + (c meet a)`` for positive ``a <= b + c``, sampled.
-
-    Samples draw positive ``b`` and ``c`` and squeeze ``a`` below ``b + c``
-    by meeting a random positive vector with the sum.
-    """
-    rng = random.Random(seed)
-    checked = 0
-    failures = []
-    while checked < count:
-        b = g.pos_part(g.sample(rng, bound))
-        c = g.pos_part(g.sample(rng, bound))
-        a = g.meet(g.add(b, c), g.pos_part(g.sample(rng, bound)))
-        if not g.leq(a, g.add(b, c)):
-            raise InternalCheckError("sampler produced an invalid premise")
-        checked += 1
-        dominated = g.leq(a, g.add(g.meet(b, a), g.meet(c, a)))
-        if not dominated:
-            failures.append({"a": a, "b": b, "c": c})
-    return {"checked": checked, "failures": failures, "ok": not failures}
 
 
 # ---------------------------------------------------------------------------
@@ -215,17 +124,6 @@ class FRingCandidate:
                 if y:
                     out[k] += x * y * t
         return tuple(out)
-
-
-def elementwise_candidate(dim: int, weights: Optional[Sequence[int]] = None,
-                          scalar: str = "integer") -> FRingCandidate:
-    """Coordinatewise multiplication with optional positive weights."""
-    if weights is None:
-        weights = [1] * dim
-    tensor = [[[0] * dim for _ in range(dim)] for _ in range(dim)]
-    for k, w in enumerate(weights):
-        tensor[k][k][k] = int(w)
-    return FRingCandidate(LatticeGroup(dim, scalar), tensor)
 
 
 def _support(v) -> int:
@@ -483,52 +381,3 @@ def almost_fring_counterexample(box_bound: int = 3) -> dict:
                                 "refuted": weak.refuted},
     }
 
-
-# ---------------------------------------------------------------------------
-# weakly archimedean implies archimedean (coordinatewise carriers)
-
-
-def weakly_archimedean_is_archimedean_check(g: LatticeGroup,
-                                            count: int = 50,
-                                            scalar_limit: int = 6,
-                                            seed: int = 20240901,
-                                            bound: int = 3) -> dict:
-    """Bounded multiples squeeze the negative part, on sampled pairs.
-
-    For sampled ``(a, b)``: every scalar ``l`` with ``0 <= l a + b`` must
-    satisfy ``-pos_part(b) <= l neg_part(a) <= pos_part(b)``; and whenever
-    ``neg_part(a)`` is nonzero the premise must fail for some ``l`` up to
-    an explicit bound, which is how the order rules out infinitesimals.
-    """
-    rng = random.Random(seed)
-    implication_failures = []
-    escape_failures = []
-    escapes = 0
-    checked = 0
-    for _ in range(count):
-        a = g.sample(rng, bound)
-        b = g.sample(rng, bound)
-        neg = g.neg_part(a)
-        cap = g.pos_part(b)
-        checked += 1
-        for ell in range(1, scalar_limit + 1):
-            if g.leq(g.zero, g.add(g.scale(ell, a), b)):
-                scaled = g.scale(ell, neg)
-                if not (g.leq(g.neg(cap), scaled) and g.leq(scaled, cap)):
-                    implication_failures.append({"a": a, "b": b, "l": ell})
-        if neg != g.zero:
-            escapes += 1
-            worst = max(x for x in cap) if any(cap) else 0
-            limit = int(worst) + 2
-            escaped = any(
-                not g.leq(g.zero, g.add(g.scale(ell, a), b))
-                for ell in range(1, limit + 1))
-            if not escaped:
-                escape_failures.append({"a": a, "b": b, "limit": limit})
-    return {
-        "checked": checked,
-        "implication_failures": implication_failures,
-        "escape_checked": escapes,
-        "escape_failures": escape_failures,
-        "ok": not implication_failures and not escape_failures,
-    }

@@ -758,19 +758,3 @@ def order_unit_fast_path(op: BiadditiveOp, e, queries: Optional[Sequence] = None
         details={"hypotheses": "two-sided unit; order unit of the level-1 "
                                "reduction; closed polyhedral positivity"})
 
-
-def definitional_sample_check(op: BiadditiveOp, s, pairs: Sequence,
-                              side: str = "left") -> dict:
-    """Direct damped-comparison sampling used to audit fast verdicts."""
-    m = op.carrier
-
-    def mu(x, y):
-        return op.mu(x, y) if side == "left" else op.mu(y, x)
-
-    add = m.add if isinstance(m, FiniteMonoid) else vadd
-    bad = []
-    for a, b in pairs:
-        if leq(m, add(mu(s, a), a), add(mu(s, b), b)) and not leq(m, a, b):
-            bad.append((a, b))
-    return {"checked": len(pairs), "violations": [(_ser(a), _ser(b)) for a, b in bad],
-            "ok": not bad}

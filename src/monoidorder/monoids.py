@@ -680,10 +680,6 @@ class BiadditiveOp:
         return BiadditiveValidation(not failures, failures, notes)
 
 
-def validate_biadditive(op: BiadditiveOp) -> BiadditiveValidation:
-    return op.validate()
-
-
 # ---------------------------------------------------------------------------
 # enumeration of biadditive operations on finite carriers
 

@@ -2,6 +2,7 @@
 
 import os
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, settings
@@ -32,6 +33,25 @@ def instance_path(name: str) -> str:
 
 def seeded(salt: int = 0) -> random.Random:
     return random.Random(20240901 + salt)
+
+
+def default_pairs(m, count: int = 200, seed: int = 20240901) -> list[tuple]:
+    """Deterministic element pairs for the order-transfer checks: every pair
+    of a finite carrier, else ``count`` pairs drawn from a pool of members."""
+    if isinstance(m, FiniteMonoid):
+        return [(a, b) for a in m.elements() for b in m.elements()]
+    rng = random.Random(seed)
+    if isinstance(m, LatticeMonoid):
+        pool = m.element_pool(3)
+    else:
+        # a cone is divisible: halves and triples of its samples are members
+        zero = tuple(Fraction(0) for _ in range(m.dim))
+        pool = []
+        for p in [zero] + [tuple(Fraction(x) for x in p) for p in m.sample_elements(12)]:
+            pool.append(p)
+            pool.append(tuple(x / 2 for x in p))
+            pool.append(tuple(3 * x for x in p))
+    return [(rng.choice(pool), rng.choice(pool)) for _ in range(count)]
 
 
 # ---------------------------------------------------------------------------

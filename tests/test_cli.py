@@ -17,7 +17,8 @@ from fractions import Fraction
 
 import pytest
 
-from monoidorder import cli, formallyreal, latticeorder, localizability
+from monoidorder import (cli, formallyreal, functionals, latticeorder,
+                         localizability)
 from monoidorder.cli import (EXIT_BUDGET, EXIT_INPUT, EXIT_INTERNAL, EXIT_PASS,
                              EXIT_REFUSED, EXIT_REFUTED, REPRODUCE_IDS,
                              default_golden_path, main, reproduce_document)
@@ -192,6 +193,22 @@ def test_verify_main_refuses_on_matrix_product():
     assert doc["hypotheses"][0]["detail"]["verdict"] == "no"
 
 
+def test_verify_main_runs_one_weak_search(monkeypatch):
+    # work counters do not jitter: the sweep reuses the certificate that
+    # gated it instead of searching again
+    calls = []
+    search = localizability.is_weakly_localizable
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return search(*args, **kwargs)
+
+    for module in (cli, functionals):
+        monkeypatch.setattr(module, "is_weakly_localizable", counted)
+    assert main(["verify", instance_path("free-monoid-3.mon"), "--main"]) == EXIT_PASS
+    assert len(calls) == 1
+
+
 def test_verify_fring_passes_on_weighted_product():
     code, doc, _ = run_json("verify", instance_path("fring-weighted-2.mon"),
                             "--fring")
@@ -305,6 +322,18 @@ def test_verify_orderunit_falls_back_to_search_for_one_sided_unit():
     assert code == EXIT_PASS
     assert doc["certificate"]["verdict"] == "yes"
     assert doc["certificate"]["method"] == "search-after-refusal"
+
+
+def test_verify_orderunit_reports_the_refusal_in_its_ledger():
+    # the fast path refuses the non-unit, the search refutes weak
+    # localizability, and the exit code follows that verdict
+    code, doc, _ = run_json("verify", instance_path("matrix-2x2.mon"),
+                            "--orderunit", "--element", "1,1,1,1")
+    assert code == EXIT_REFUTED
+    assert doc["status"] == "refuted"
+    assert doc["hypotheses"] == [{
+        "name": "order-unit-and-operation-unit", "status": "failed",
+        "detail": ["not a two-sided unit for the operation"]}]
 
 
 def test_verify_weak_strong_statuses_and_exits():

@@ -15,7 +15,6 @@ from monoidorder.formallyreal import (POINTWISE_FACT, RationalFunction,
                                       _exact_quotient, categorize,
                                       cauchy_root_bound, is_sos_membership,
                                       isolate_real_roots,
-                                      odd_multiplicity_part,
                                       parse_rational_function, poly_gcd,
                                       refine_interval, simplest_between,
                                       squarefree_decomposition,
@@ -205,7 +204,21 @@ def test_non_exact_integer_division_raises():
 def test_squarefree_and_odd_parts():
     sq = _linear(1) * _linear(1) * _linear(-1) * _linear(-1) * _linear(-1)
     assert squarefree_part(sq) == (_linear(1) * _linear(-1)).monic()
-    assert odd_multiplicity_part(sq) == _linear(-1).monic()
+    _, factors = squarefree_decomposition(sq)
+    assert [g for g, m in factors if m % 2 == 1] == [_linear(-1).monic()]
+
+
+def test_power_matches_binomials_and_repeated_products():
+    assert (X + ONE).pow(1000).coefficients == tuple(
+        Fraction(math.comb(1000, k)) for k in range(1001))
+    for base in (_poly(Fraction(1, 7), Fraction(1, 3)),
+                 _poly(Fraction(-2, 5), 0, Fraction(3, 4)), _poly(-6)):
+        acc = ONE
+        for n in range(10):
+            assert base.pow(n) == acc
+            acc = acc * base
+    assert RationalPolynomial([]).pow(0) == ONE
+    assert RationalPolynomial([]).pow(3).is_zero()
 
 
 # ---------------------------------------------------------------------------

@@ -6,18 +6,17 @@ from types import SimpleNamespace
 
 import pytest
 
-import monoidorder.functionals as functionals
-from monoidorder.exactmath import InputError, rational_rank, vdot
+from monoidorder.exactmath import (InputError, RationalCone, rational_rank,
+                                   vdot, vsub)
 from monoidorder.functionals import (_sample_pool, check_mult_identity,
                                      normalize_multiplicative,
-                                     positive_functionals, positivstellensatz,
+                                     positive_functionals,
                                      span_of_elements, span_with_products,
                                      verify_theorem_main,
                                      weak_implies_strong_audit)
 from monoidorder.monoids import (BiadditiveOp, FiniteMonoid, LatticeMonoid,
-                                 approx, cyclic_product_op,
-                                 elementwise_product_op, free_monoid,
-                                 half_open_half_plane,
+                                 OpenConeMonoid, approx, cyclic_product_op,
+                                 free_monoid, half_open_half_plane,
                                  saturating_product_op, truncated_free_monoid)
 from monoidorder.monoids import matrix_product_op as matrix_monoid_product_op
 
@@ -169,25 +168,26 @@ def test_normalized_functional_is_exactly_multiplicative():
 
 
 # ---------------------------------------------------------------------------
-# multiple-or-separating-functional dichotomy
+# multiple-or-separating-functional dichotomy: a nonzero extremal functional
+# that is not smaller at b than at a, or b - a in the positivity cone
+
+
+def _separating(h, a, b) -> list:
+    ca, cb = h.coordinates(a), h.coordinates(b)
+    return [phi for phi in positive_functionals(h)
+            if any(phi.coefficients)
+            and phi.value_on_coordinates(ca) >= phi.value_on_coordinates(cb)]
 
 
 def test_positivstellensatz_multiple_certificate():
     h = span_with_products(elementwise_op(2), [(1, 0), (0, 1), (1, 1)])
-    res = positivstellensatz(h, (1, 1), (3, 2))
-    assert res.as_dict()["kind"] == "multiple"
-    assert res.k == 1
-    assert res.certificate["cone_member"] is True
+    assert _separating(h, (1, 1), (3, 2)) == []
+    assert h.positive_cone.member(vsub(h.coordinates((3, 2)), h.coordinates((1, 1))))
 
 
 def test_positivstellensatz_separating_functional():
     h = span_with_products(elementwise_op(2), [(1, 0), (0, 1), (1, 1)])
-    res = positivstellensatz(h, (1, 0), (2, 0))
-    assert res.as_dict()["kind"] == "separating-functional"
-    phi = res.refuter
-    assert not phi.is_zero()
-    assert phi.value_on_coordinates(h.coordinates((1, 0))) >= \
-        phi.value_on_coordinates(h.coordinates((2, 0)))
+    assert _separating(h, (1, 0), (2, 0))
 
 
 def test_positivstellensatz_dichotomy_sampled():
@@ -195,31 +195,24 @@ def test_positivstellensatz_dichotomy_sampled():
     pool = [(x, y) for x in range(4) for y in range(4)]
     for a in pool:
         for b in pool:
-            res = positivstellensatz(h, a, b)
-            if res.refuter is not None:
-                assert res.k is None
-                va = res.refuter.value_on_coordinates(h.coordinates(a))
-                vb = res.refuter.value_on_coordinates(h.coordinates(b))
-                assert va >= vb
-            else:
-                assert res.kind == "multiple" and res.k == 1
-                # strict inequality at every nonzero extremal
-                for phi in positive_functionals(h):
-                    assert (phi.value_on_coordinates(h.coordinates(a))
-                            < phi.value_on_coordinates(h.coordinates(b)))
+            if not _separating(h, a, b):
+                assert h.positive_cone.member(
+                    vsub(h.coordinates(b), h.coordinates(a)))
 
 
 def test_positivstellensatz_finite_collapsed_order():
+    # torsion classes carry no nonzero functional, and a finite group's
+    # reduction is trivial, so the order already holds with k = 1
     c3 = FiniteMonoid([[(i + j) % 3 for j in range(3)] for i in range(3)])
     h = span_of_elements(c3, [1])
-    res = positivstellensatz(h, h.class_of(1), h.class_of(2))
-    assert res.kind == "multiple" and res.k == 1
+    assert h.rank == 0 and positive_functionals(h) == []
+    assert h.reduction.leq(h.class_of(1), h.class_of(2))
 
 
 def test_positivstellensatz_rejects_outside_classes():
     h = span_of_elements(free_monoid(2), [(1, 0)])
-    with pytest.raises(InputError):
-        positivstellensatz(h, (1, 0), (0, 1))
+    assert h.coordinates((1, 0)) is not None
+    assert h.coordinates((0, 1)) is None
 
 
 # ---------------------------------------------------------------------------
@@ -249,9 +242,9 @@ def test_member_positive_matches_functional_signs():
     phis = positive_functionals(h)
     for x in range(-3, 4):
         for y in range(-3, 4):
-            cls = h.class_from_coordinates((x, y))
             want = all(p.value_on_coordinates((x, y)) >= 0 for p in phis)
-            assert h.member_positive(cls) == want
+            assert h.positive_cone.member((x, y)) == want
+            assert h.reduction.closed_member(h.class_from_coordinates((x, y))) == want
 
 
 # ---------------------------------------------------------------------------
@@ -285,14 +278,12 @@ def test_theorem_main_observation_mode_on_matrix_product():
     assert res["commutativity"]["failures"]
 
 
-def _unmemoized_sweep(op, pairs=None, triples=None):
+def _unmemoized_sweep(op):
     """The theorem sweep as a plain loop: op.mu and approx on every pair and triple."""
     m = op.carrier
     pool = _sample_pool(m)
-    if pairs is None:
-        pairs = [(a, b) for a in pool for b in pool]
-    if triples is None:
-        triples = [(a, b, c) for a in pool for b in pool for c in pool]
+    pairs = [(a, b) for a in pool for b in pool]
+    triples = [(a, b, c) for a in pool for b in pool for c in pool]
 
     def key(x):
         return x if isinstance(x, int) else tuple(x)
@@ -354,81 +345,35 @@ def test_memoized_sweep_matches_the_unmemoized_loop(make_op):
     assert _sweep_parts(report) == _unmemoized_sweep(make_op())
 
 
-def test_memoized_sweep_matches_on_caller_supplied_lists():
-    op = matrix_monoid_product_op()
-    pool = _sample_pool(op.carrier)[::4]
-    pairs = [[list(a), list(b)] for a in pool for b in pool]
-    triples = [[list(a), list(b), list(c)] for a in pool[:5] for b in pool
-               for c in pool[:5]]
-    report = verify_theorem_main(op, pairs=pairs, triples=triples)
-    reference = _unmemoized_sweep(matrix_monoid_product_op(), pairs, triples)
-    assert report["commutativity"]["failures"]
-    assert _sweep_parts(report) == reference
-    # triples in no order by (a, b): consecutive ones share no pair, or runs
-    # of one pair are split up and repeated; the failing rows of the
-    # nonassociative product are walked triple by triple
-    for make_op in (matrix_monoid_product_op, nonassociative_op):
-        pool = _sample_pool(make_op().carrier)[::3]
-        grouped = [[list(a), list(b), list(c)] for a in pool[:4] for b in pool
-                   for c in pool[:4]]
-        interleaved = [[list(a), list(b), list(c)] for c in pool[:4]
-                       for b in pool for a in pool[:4]]
-        mixed = grouped[::2] + interleaved[:9] + grouped[1::2] + grouped[:5]
-        for triples in (interleaved, mixed):
-            report = verify_theorem_main(make_op(), pairs=[], triples=triples)
-            reference = _unmemoized_sweep(make_op(), [], triples)
-            assert _sweep_parts(report) == reference
-            if make_op is nonassociative_op:
-                assert report["associativity"]["failures"]
-
-
-def test_sweep_counts_pairs_and_triples_given_as_iterators():
-    op = elementwise_product_op(free_monoid(2))
-    pool = _sample_pool(op.carrier)
-    pairs = [(a, b) for a in pool for b in pool]
-    triples = [(a, b, c) for a in pool for b in pool for c in pool]
-    report = verify_theorem_main(op, pairs=iter(pairs),
-                                 triples=(t for t in triples))
-    assert report["commutativity"]["checked"] == len(pairs) > 0
-    assert report["associativity"]["checked"] == len(triples)
-    assert report == verify_theorem_main(op, pairs=pairs, triples=triples)
-
-
 def test_sweep_product_outside_the_carrier_is_an_input_error():
     op = BiadditiveOp(free_monoid(1), tensor=(((-1,),),))
     with pytest.raises(InputError, match=r"element \(-1,\) is not a generator combination"):
         verify_theorem_main(op)
 
 
-def test_sweep_checks_each_compared_product_for_membership(monkeypatch):
-    # with the certificate stubbed out, the first comparison is the first
-    # place that meets the product (-1,)
-    def uncertified(op, budget):
-        return SimpleNamespace(verdict="no", method="stub", reason="stub")
+UNCERTIFIED = SimpleNamespace(verdict="no", method="stub", reason="stub")
 
-    monkeypatch.setattr(functionals, "is_weakly_localizable", uncertified)
+
+def test_sweep_checks_each_compared_product_for_membership():
+    # with a stub certificate in place of the weak search, the first
+    # comparison is the first place that meets the product (-1,)
     op = BiadditiveOp(free_monoid(1), tensor=(((-1,),),))
     with pytest.raises(InputError, match=r"element \(-1,\) is not a generator combination"):
-        verify_theorem_main(op)
+        verify_theorem_main(op, weak=UNCERTIFIED)
 
 
 def test_sweep_raises_the_first_error_of_a_plain_sweep():
-    # (ab)c == a(bc) on every well-formed triple below, so each row passes
-    # whole; its products are still checked, in sweep order
-    op = elementwise_product_op(free_monoid(1))
-    one = (1,)
-    cases = [([[one, one, one], [(-1,), one, one]], r"\(-1,\)"),
-             ([[one, one, (-2,)], [one, one, (-3,)]], r"\(-2,\)"),
-             ([[one, one, one], [one, (-3,), one], [one, one, (-2,)]], r"\(-3,\)")]
-    for triples, first in cases:
-        with pytest.raises(InputError, match=rf"element {first} is not a generator"):
-            verify_theorem_main(op, pairs=[], triples=triples)
-    # a malformed element later in the row does not overtake the product
-    # outside the carrier that a plain sweep meets first
-    with pytest.raises(InputError, match=r"element \(-2,\) is not a generator"):
-        verify_theorem_main(op, pairs=[], triples=[[one, one, (-2,)], [one, one, (1, 1)]])
-    with pytest.raises(InputError, match="operands of lengths 1 and 2"):
-        verify_theorem_main(op, pairs=[], triples=[[one, one, (1, 1)], [one, one, (-2,)]])
+    # off a lattice monoid every product keeps its membership check, so the
+    # sweep fails with the error a plain sweep meets first: here mu(e0, e0)
+    # = (1, -1) leaves the closed quadrant
+    quadrant = OpenConeMonoid(RationalCone.from_rays([(1, 0), (0, 1)], 2), [])
+    t = [[[1, -1], [0, 0]], [[0, 0], [0, 1]]]
+    with pytest.raises(InputError) as caught:
+        verify_theorem_main(BiadditiveOp(quadrant, tensor=t), weak=UNCERTIFIED)
+    with pytest.raises(InputError) as expected:
+        _unmemoized_sweep(BiadditiveOp(quadrant, tensor=t))
+    assert str(caught.value) == str(expected.value)
+    assert "is outside the open cone" in str(caught.value)
 
 
 def test_sweep_evaluates_each_distinct_product_and_comparison_once(monkeypatch):
@@ -481,18 +426,14 @@ def test_sweep_skips_membership_of_products_of_pool_elements(monkeypatch):
     assert _sweep_parts(report) == _unmemoized_sweep(matrix_monoid_product_op())
 
 
-def test_sweep_without_closure_checks_every_product(monkeypatch):
+def test_sweep_without_closure_checks_every_product():
     # mu(e0, e1) = (1, -1) leaves the carrier, so no product is taken on
     # trust and the first error is the one a plain sweep meets (the weak
-    # search, which would raise first, is stubbed out)
-    def uncertified(op, budget):
-        return SimpleNamespace(verdict="no", method="stub", reason="stub")
-
-    monkeypatch.setattr(functionals, "is_weakly_localizable", uncertified)
+    # search, which would raise first, is replaced by a stub certificate)
     t = [[[0, 0], [1, -1]], [[0, 0], [0, 1]]]
     op = BiadditiveOp(free_monoid(2), tensor=t)
     with pytest.raises(InputError) as caught:
-        verify_theorem_main(op)
+        verify_theorem_main(op, weak=UNCERTIFIED)
     with pytest.raises(InputError) as expected:
         _unmemoized_sweep(BiadditiveOp(free_monoid(2), tensor=t))
     assert str(caught.value) == str(expected.value)

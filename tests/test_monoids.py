@@ -16,8 +16,7 @@ from monoidorder.monoids import (BiadditiveOp, FiniteMonoid, LatticeMonoid,
                                  approx, check_element,
                                  enumerate_biadditive_ops, free_monoid,
                                  half_open_half_plane, leq,
-                                 saturating_product_op, truncated_free_monoid,
-                                 validate_biadditive)
+                                 saturating_product_op, truncated_free_monoid)
 
 from conftest import (cone_corpus, finite_corpus, lattice_corpus, seeded,
                       weakly_localizable_ops)
@@ -427,14 +426,14 @@ def test_lattice_monoid_rejects_bad_generators():
 @pytest.mark.parametrize("name,m", finite_corpus())
 def test_saturating_and_trivial_ops_validate(name, m):
     zero = BiadditiveOp(m, table=[[0] * m.n for _ in range(m.n)])
-    assert validate_biadditive(zero).ok
+    assert zero.validate().ok
 
 
 def test_validation_rejects_non_biadditive_table():
     m = truncated_free_monoid(1, cap=2)  # elements 0,1,2 with saturation
     # mu(a, b) = min(a + b, 2) is additive in neither argument jointly with 0
     table = [[m.add(i, j) for j in range(3)] for i in range(3)]
-    report = validate_biadditive(BiadditiveOp(m, table=table))
+    report = BiadditiveOp(m, table=table).validate()
     assert not report.ok
     assert report.failures
 
