@@ -540,16 +540,6 @@ class RationalCone:
             raise InputError("point dimension mismatch")
         return all(vdot(n, x) >= 0 for n in self.h_rep)
 
-    def member_certificate(self, x: Sequence):
-        """(inside, data): conic combination over v_rep, or a violated normal."""
-        for n in self.h_rep:
-            if vdot(n, x) < 0:
-                return False, n
-        combo = solve_nonneg_rational(self.v_rep, x)
-        if combo is None:
-            raise InternalCheckError("h-rep accepts a point the v-rep cannot express")
-        return True, combo
-
     def is_pointed(self) -> bool:
         return not self.lineality_basis
 
@@ -568,11 +558,6 @@ class RationalCone:
                 + [tuple(-1 if j == i else 0 for j in range(self.dim)) for i in range(self.dim)],
                 self.dim)
         return RationalCone.from_rays(h, self.dim)
-
-    def intersection(self, other: "RationalCone") -> "RationalCone":
-        if other.dim != self.dim:
-            raise InputError("intersecting cones of different dimensions")
-        return RationalCone.from_inequalities(self.h_rep + other.h_rep, self.dim)
 
     def describe(self) -> dict:
         return {
@@ -681,15 +666,6 @@ class IntegerLattice:
 
     def contains(self, x: Sequence[int]) -> bool:
         return self.coordinates(x) is not None
-
-    def from_coordinates(self, coords: Sequence[int]) -> tuple[int, ...]:
-        if len(coords) != self.rank:
-            raise InputError("coordinate arity mismatch")
-        out = [0] * self.dim
-        for c, row in zip(coords, self.basis):
-            for j in range(self.dim):
-                out[j] += c * row[j]
-        return tuple(out)
 
 
 def smith_normal_form(matrix: Sequence[Sequence[int]]):

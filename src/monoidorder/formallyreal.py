@@ -888,9 +888,10 @@ def _negative_point(g: RationalPolynomial, chain: SturmChain) -> Fraction:
     ``chain`` is the Sturm chain of ``g``; every isolation and refinement
     step counts with it.  Candidates: the simplest rationals in the gaps
     between isolated real roots, plus points beyond the root bound on each
-    side.  The best candidate minimizes (denominator, absolute value),
-    preferring the nonnegative one on ties.  Each candidate's sign is that
-    of a positive integer multiple of ``g``, by homogeneous Horner.
+    side.  They are signed in the order (denominator, absolute value),
+    the nonnegative one first on ties, and the first negative one is
+    returned.  Each candidate's sign is that of a positive integer multiple
+    of ``g``, by homogeneous Horner.
     """
     if g.is_zero():
         raise InputError("the zero polynomial is nowhere negative")
@@ -920,16 +921,12 @@ def _negative_point(g: RationalPolynomial, chain: SturmChain) -> Fraction:
             # between the two roots unless it is the left root itself
             candidates.append(left[1])
     ints = _integer_multiple(g)
-    negatives = [x for x in sorted(set(candidates),
-                                   key=lambda t: (t.denominator, abs(t), t < 0))
-                 if _homogeneous_value(
-                     ints, x.numerator,
-                     _powers(x.denominator, len(ints) - 1)) < 0]
-    if not negatives:
-        # every open region between consecutive distinct roots holds one
-        # candidate, so a sign-negative region cannot have been missed
-        raise InternalCheckError("failed to locate a negative point")
-    return negatives[0]
+    for x in sorted(set(candidates), key=lambda t: (t.denominator, abs(t), t < 0)):
+        if _homogeneous_value(ints, x.numerator, _powers(x.denominator, len(ints) - 1)) < 0:
+            return x
+    # every open region between consecutive distinct roots holds one
+    # candidate, so a sign-negative region cannot have been missed
+    raise InternalCheckError("failed to locate a negative point")
 
 
 def theorem_skew_hypothesis(f: RationalFunction) -> dict:

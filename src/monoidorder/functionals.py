@@ -23,9 +23,9 @@ from .exactmath import (
     IntegerLattice,
     RationalCone,
     is_zero_vector,
-    lp_feasible,
     primitive,
     rational_solve,
+    solve_nonneg_rational,
     vadd,
     vdot,
     vneg,
@@ -318,12 +318,7 @@ def positive_functionals(h: OrderedSubgroup) -> list[AdditiveFunctional]:
 def _combination_feasible(target, rays, lin) -> bool:
     """Is target = nonneg combo of rays + signed combo of lineality vectors?"""
     gens = list(rays) + list(lin) + [vneg(v) for v in lin]
-    if not gens:
-        return is_zero_vector(target)
-    dim = len(target)
-    n = len(gens)
-    eqs = [(tuple(g[j] for g in gens), Fraction(target[j])) for j in range(dim)]
-    return lp_feasible(n, eqs, []) is not None
+    return solve_nonneg_rational(gens, target) is not None
 
 
 def _certify_extremality(h: OrderedSubgroup, rays, lin) -> None:

@@ -265,12 +265,11 @@ def _build_finite(raw: _Raw) -> Instance:
 
 
 def _validate_op(op: BiadditiveOp, source: str) -> None:
-    report = op.validate()
-    if not report.ok:
-        first = report.failures[0] if report.failures else "unspecified"
+    failures = op.validate()
+    if failures:
         raise InputError(
             f"{source}: operation fails biadditivity/monotonicity "
-            f"validation: {first}")
+            f"validation: {failures[0]}")
 
 
 def _build_lattice(raw: _Raw) -> Instance:

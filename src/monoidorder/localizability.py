@@ -10,15 +10,17 @@ Finite carriers are decided exhaustively.  Vector carriers reduce the
 left condition to exact convex geometry: with ``L_s(x) = x + mu(s, x)``
 linear on the difference span, s is left localizable exactly when the
 preimage of the positivity cone under L_s stays inside the cone.  The
-preimage is computed by double description; every "no" verdict carries
-an explicit witness pair re-validated through the order decision
-procedures.
+preimage is computed by double description.  A verdict is decided first;
+the explicit witness pair of a "no" is built on first read and
+re-validated through the order decision procedures before it is handed
+out.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache, reduce
 from itertools import tee
 from typing import Iterator, Optional, Sequence
 
@@ -48,14 +50,28 @@ from .monoids import (
 )
 
 
-@dataclass
 class LocalizabilityVerdict:
-    subject: object
-    kind: str                       # "left" or "full"
-    verdict: str                    # "yes", "no", or "unknown"
-    witness: Optional[tuple] = None  # pair (a, b) refuting the condition
-    reason: str = ""
-    details: dict = field(default_factory=dict)
+    """The decision on s (``verdict`` "yes" or "no", with its ``reason``);
+    ``evidence()`` builds ``(witness, details)`` once, on the first read of
+    ``witness``, ``details`` or ``as_dict()``.  ``kind`` is "left",
+    "left-opposite" or "full"."""
+
+    def __init__(self, subject, kind: str, verdict: str, reason: str,
+                 evidence=lambda: (None, {})):
+        self.subject = subject
+        self.kind = kind
+        self.verdict = verdict
+        self.reason = reason
+        self.evidence = cache(evidence)
+
+    @property
+    def witness(self) -> Optional[tuple]:
+        """The pair (a, b) refuting the condition, re-validated; None on a yes."""
+        return self.evidence()[0]
+
+    @property
+    def details(self) -> dict:
+        return self.evidence()[1]
 
     def as_dict(self) -> dict:
         return {
@@ -154,12 +170,11 @@ def _finite_left(op, s, side, kind) -> LocalizabilityVerdict:
     for a in m.elements():
         for b in m.elements():
             if leq(m, m.add(mu(s, a), a), m.add(mu(s, b), b)) and not leq(m, a, b):
-                v = LocalizabilityVerdict(s, kind, "no", witness=(a, b),
-                                          reason="exhaustive pair search")
                 _validate_witness(op, s, side, (a, b))
-                return v
-    return LocalizabilityVerdict(s, kind, "yes", reason="exhaustive pair search",
-                                 details={"pairs_checked": m.n * m.n})
+                return LocalizabilityVerdict(s, kind, "no", "exhaustive pair search",
+                                             lambda: ((a, b), {}))
+    return LocalizabilityVerdict(s, kind, "yes", "exhaustive pair search",
+                                 lambda: (None, {"pairs_checked": m.n * m.n}))
 
 
 def _preimage_escape(m, bl, basis) -> tuple:
@@ -195,22 +210,26 @@ def _lattice_left(op, s, side, kind) -> LocalizabilityVerdict:
         raise InputError("lattice carrier needs a nonzero generator")
     bl = [apply_matrix(mat, brow) for brow in basis]
     violation, rays, lineality = _preimage_escape(m, bl, basis)
-    injective = not _left_kernel(bl, len(basis))
     if violation is None:
         return LocalizabilityVerdict(
-            s, kind, "yes",
-            reason="preimage of the positivity cone stays inside the cone",
-            details={"injective_on_span": injective,
-                     "preimage_rays": len(rays),
-                     "preimage_lineality": len(lineality)})
-    witness = _lattice_witness(m, violation)
-    verdict = LocalizabilityVerdict(
-        s, kind, "no", witness=witness,
-        reason="preimage cone escapes the positivity cone",
-        details={"violating_direction": [int(v) for v in violation],
-                 "injective_on_span": injective})
-    _validate_witness(op, s, side, witness)
-    return verdict
+            s, kind, "yes", "preimage of the positivity cone stays inside the cone",
+            lambda: (None, {"injective_on_span": not _left_kernel(bl, len(basis)),
+                            "preimage_rays": len(rays),
+                            "preimage_lineality": len(lineality)}))
+    return _refuted(op, s, side, kind, "preimage cone escapes the positivity cone",
+                    lambda: violation,
+                    lambda: {"violating_direction": [int(v) for v in violation],
+                             "injective_on_span": not _left_kernel(bl, len(basis))})
+
+
+def _refuted(op, s, side, kind, reason, direction, details) -> LocalizabilityVerdict:
+    """A "no" whose evidence is the pair over ``direction()``, re-validated,
+    with ``details()``; neither is computed before it is read."""
+    def evidence():
+        witness = _witness_pair(op.carrier, direction())
+        _validate_witness(op, s, side, witness)
+        return witness, details()
+    return LocalizabilityVerdict(s, kind, "no", reason, evidence)
 
 
 def _left_kernel(bl_rows, r) -> list[tuple]:
@@ -226,25 +245,42 @@ def _combine(coeffs, basis):
     return out
 
 
-def _lattice_witness(m: LatticeMonoid, direction) -> tuple:
-    """Deterministic monoid pair (a, b) with b - a equal to the direction.
+def _witness_pair(m, direction) -> tuple:
+    """Deterministic monoid pair (a, a + direction), for a direction outside m.
 
-    The base point is the smallest multiple of the all-generators sum
-    whose translate by the direction stays in the monoid.
+    The base point a is the least multiple ``k*g`` of the ray sum g whose
+    translate by the direction lies in m.  Every ``k*g`` is a member, and
+    membership of ``k*g + direction`` is upward closed in k (adding g keeps
+    it), so the least k is found by galloping from 0, then bisecting.  A
+    lattice has a certain bound on k, from an integer combination of the
+    direction; a cone stops at a runaway guard.
     """
-    combo = integer_solve([tuple(g) for g in m.generators], tuple(direction))
-    if combo is None:
-        raise InternalCheckError("violating direction left the difference lattice")
-    gsum = tuple(0 for _ in range(m.dim))
-    for g in m.generators:
-        gsum = vadd(gsum, g)
-    cap = max(0, -min(combo)) + 1
-    for k in range(cap + 1):
-        a = vscale(k, gsum)
-        b = vadd(a, tuple(direction))
-        if m.contains(a) and m.contains(b):
-            return (a, b)
-    raise InternalCheckError("witness base point search exceeded its certain bound")
+    if isinstance(m, LatticeMonoid):
+        combo = integer_solve([tuple(g) for g in m.generators], tuple(direction))
+        if combo is None:
+            raise InternalCheckError("violating direction left the difference lattice")
+        g = reduce(vadd, m.generators, (0,) * m.dim)
+        cap = max(0, -min(combo)) + 1
+    else:
+        g = _interior_point(m)
+        cap = 10_000
+
+    def pair(k):
+        a = vscale(k, g)
+        return a, vadd(a, tuple(direction))
+
+    miss, k = -1, 0
+    while not m.contains(pair(k)[1]):
+        if k == cap:
+            raise InternalCheckError("witness base point search exceeded its bound")
+        miss, k = k, min(cap, max(1, 2 * k))
+    while k - miss > 1:
+        mid = (miss + k) // 2
+        if m.contains(pair(mid)[1]):
+            k = mid
+        else:
+            miss = mid
+    return pair(k)
 
 
 def _validate_witness(op, s, side, witness) -> None:
@@ -282,9 +318,7 @@ def _interior_point(m: OpenConeMonoid) -> tuple:
     """
     rays = m.cone.v_rep
     _nonzero_span(m)
-    acc = tuple(0 for _ in range(m.dim))
-    for r in rays:
-        acc = vadd(acc, r)
+    acc = reduce(vadd, rays, (0,) * m.dim)
     for h in m.cone.h_rep:
         if vdot(h, acc) <= 0 and any(vdot(h, r) for r in rays):
             raise InternalCheckError("ray sum is not relatively interior")
@@ -292,20 +326,6 @@ def _interior_point(m: OpenConeMonoid) -> tuple:
         # only an open normal that vanishes on the whole cone excludes it
         raise InputError("open-cone carrier has no member but the origin")
     return acc
-
-
-def _cone_base_pair(m: OpenConeMonoid, direction) -> tuple:
-    """Pair (a, a + direction) in the monoid, deterministic base point."""
-    g0 = _interior_point(m)
-    k = 1
-    while True:
-        a = vscale(k, g0)
-        b = vadd(a, direction)
-        if m.contains(a) and m.contains(b):
-            return (tuple(Fraction(v) for v in a), tuple(Fraction(v) for v in b))
-        k += 1
-        if k > 10_000:
-            raise InternalCheckError("interior base point search runaway")
 
 
 def _opencone_left(op, s, side, kind) -> LocalizabilityVerdict:
@@ -334,9 +354,8 @@ def _opencone_left(op, s, side, kind) -> LocalizabilityVerdict:
         if not scalar:
             break
     if scalar and lam is not None and lam > 0:
-        return LocalizabilityVerdict(
-            s, kind, "yes", reason="damped map scales the span",
-            details={"scale": str(lam)})
+        return LocalizabilityVerdict(s, kind, "yes", "damped map scales the span",
+                                     lambda: (None, {"scale": str(lam)}))
 
     # killed directions: with strict faces present, any nonzero one refutes;
     # without them the containment pass below settles lineality membership
@@ -349,30 +368,24 @@ def _opencone_left(op, s, side, kind) -> LocalizabilityVerdict:
         elif not _inside(m, vneg(x)):
             direction = vneg(x)
         if direction is not None:
-            witness = _cone_base_pair(m, direction)
-            verdict = LocalizabilityVerdict(
-                s, kind, "no", witness=witness,
-                reason="damped map kills a direction outside the strict cone",
-                details={"kernel_direction": [str(v) for v in direction]})
-            _validate_witness(op, s, side, witness)
-            return verdict
+            return _refuted(op, s, side, kind,
+                            "damped map kills a direction outside the strict cone",
+                            lambda: direction,
+                            lambda: {"kernel_direction": [str(v) for v in direction]})
 
     # closed containment: the preimage cone of the closed positivity cone
     # must stay inside it
     violation, _, _ = _preimage_escape(m, bl, basis)
     if violation is not None:
-        image = apply_matrix(mat, violation)
-        if _inside(m, image) and any(Fraction(t) != 0 for t in image):
-            direction = violation
-        else:
-            direction = _strictify(m, mat, bl, basis, violation)
-        witness = _cone_base_pair(m, direction)
-        verdict = LocalizabilityVerdict(
-            s, kind, "no", witness=witness,
-            reason="preimage of the closed positivity cone escapes it",
-            details={"violating_direction": [str(v) for v in violation]})
-        _validate_witness(op, s, side, witness)
-        return verdict
+        def strict_direction():
+            image = apply_matrix(mat, violation)
+            if _inside(m, image) and any(Fraction(t) != 0 for t in image):
+                return violation
+            return _strictify(m, mat, bl, basis, violation)
+        return _refuted(op, s, side, kind,
+                        "preimage of the closed positivity cone escapes it",
+                        strict_direction,
+                        lambda: {"violating_direction": [str(v) for v in violation]})
 
     # excluded faces: no nonzero face direction may map strictly inside
     for nf in m.open_normals:
@@ -393,17 +406,13 @@ def _opencone_left(op, s, side, kind) -> LocalizabilityVerdict:
             direction = tuple(sum(lam_sol[i] * Fraction(face_rays[i][j])
                                   for i in range(len(face_rays)))
                               for j in range(m.dim))
-            witness = _cone_base_pair(m, direction)
-            verdict = LocalizabilityVerdict(
-                s, kind, "no", witness=witness,
-                reason="an excluded-face direction maps strictly inside",
-                details={"face_normal": [int(t) for t in nf]})
-            _validate_witness(op, s, side, witness)
-            return verdict
+            return _refuted(op, s, side, kind,
+                            "an excluded-face direction maps strictly inside",
+                            lambda: direction,
+                            lambda: {"face_normal": [int(t) for t in nf]})
     return LocalizabilityVerdict(
-        s, kind, "yes",
-        reason="closed preimage contained and no excluded-face direction "
-               "maps strictly inside")
+        s, kind, "yes", "closed preimage contained and no excluded-face "
+                        "direction maps strictly inside")
 
 
 def _inside(m: OpenConeMonoid, x) -> bool:
@@ -445,21 +454,13 @@ def _strictify(m: OpenConeMonoid, mat, bl, basis, x):
 
 
 def is_localizable(op: BiadditiveOp, s) -> LocalizabilityVerdict:
-    left = is_left_localizable(op, s, side="left")
-    if left.verdict == "no":
-        return LocalizabilityVerdict(s, "full", "no", witness=left.witness,
-                                     reason="left condition fails: " + left.reason,
-                                     details=left.details)
-    right = is_left_localizable(op, s, side="right")
-    if right.verdict == "no":
-        return LocalizabilityVerdict(s, "full", "no", witness=right.witness,
-                                     reason="opposite condition fails: " + right.reason,
-                                     details=right.details)
-    if left.verdict == right.verdict == "yes":
-        return LocalizabilityVerdict(s, "full", "yes",
-                                     reason="both sides localizable")
-    return LocalizabilityVerdict(s, "full", "unknown",
-                                 reason="; ".join({left.reason, right.reason}))
+    for side, condition in (("left", "left"), ("right", "opposite")):
+        one = is_left_localizable(op, s, side=side)
+        if one.verdict == "no":
+            return LocalizabilityVerdict(
+                s, "full", "no", f"{condition} condition fails: {one.reason}",
+                one.evidence)
+    return LocalizabilityVerdict(s, "full", "yes", "both sides localizable")
 
 
 def _lattice_candidates(m: LatticeMonoid, budget: int) -> Iterator[tuple]:

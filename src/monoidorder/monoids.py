@@ -38,7 +38,6 @@ from .exactmath import (
     integer_kernel,
     is_zero_vector,
     rational_solve,
-    solve_nonneg_rational,
     vadd,
     vdot,
     vneg,
@@ -525,16 +524,6 @@ def approx(m, a, b) -> bool:
 # biadditive operations
 
 
-class BiadditiveValidation:
-    def __init__(self, ok: bool, failures: list, notes: list[str]):
-        self.ok = ok
-        self.failures = failures
-        self.notes = notes
-
-    def as_dict(self) -> dict:
-        return {"ok": self.ok, "failures": self.failures, "notes": self.notes}
-
-
 class BiadditiveOp:
     """A biadditive binary operation on a carrier.
 
@@ -600,84 +589,37 @@ class BiadditiveOp:
 
     # -- validation --------------------------------------------------------
 
-    def validate(self) -> BiadditiveValidation:
-        if isinstance(self.carrier, FiniteMonoid):
-            return self._validate_finite()
-        if isinstance(self.carrier, LatticeMonoid):
-            return self._validate_lattice()
-        return self._validate_opencone()
-
-    def _validate_finite(self) -> BiadditiveValidation:
+    def validate(self) -> list:
+        """The failures of the operation's laws on the carrier, empty when
+        it is biadditive and closed: both distributive laws on every finite
+        triple, generator products of a lattice, ray products of an open
+        cone (biadditivity is structural for a tensor)."""
         m = self.carrier
         failures = []
-        for a in m.elements():
-            for b in m.elements():
-                for c in m.elements():
-                    left = self.table[m.add(a, b)][c]
-                    if left != m.add(self.table[a][c], self.table[b][c]):
-                        failures.append(("left-additivity", a, b, c))
-                    right = self.table[a][m.add(b, c)]
-                    if right != m.add(self.table[a][b], self.table[a][c]):
-                        failures.append(("right-additivity", a, b, c))
-        notes = []
-        for c in m.elements():
-            v = self.table[0][c]
-            if m.add(v, v) != v:
-                failures.append(("zero-row-idempotent", c))
-            w = self.table[c][0]
-            if m.add(w, w) != w:
-                failures.append(("zero-column-idempotent", c))
-        notes.append("zero rows and columns verified idempotent")
-        return BiadditiveValidation(not failures, failures[:20], notes)
-
-    def _validate_lattice(self) -> BiadditiveValidation:
-        m = self.carrier
-        failures = []
-        for i, g in enumerate(m.generators):
-            for j, h in enumerate(m.generators):
-                prod = self.mu(g, h)
-                if not m.contains(prod):
-                    failures.append(("generator-product-outside", i, j, list(prod)))
-        notes = ["closure checked on all generator pairs; biadditivity is structural for tensors"]
-        return BiadditiveValidation(not failures, failures, notes)
-
-    def _validate_opencone(self) -> BiadditiveValidation:
-        m = self.carrier
-        failures = []
-        notes = []
-        rays = m.cone.v_rep
-        for a in rays:
-            for b in rays:
-                prod = self.mu(a, b)
-                if not m.cone.member(prod):
-                    failures.append(("ray-product-outside-closure", list(a), list(b), list(prod)))
-        # strict faces: certify <h, mu(a,b)> as a nonnegative combination of
-        # products F_i(a) F_j(b) of facet forms with at least one strictly
-        # positive pair, via exact LP on the tensor identity
-        forms = list(m.cone.h_rep)
-        open_idx = [i for i, f in enumerate(forms) if f in set(m.open_normals)]
-        d = m.dim
-        for h in m.open_normals:
-            target = [[sum(self.tensor[i][j][k] * h[k] for k in range(d)) for j in range(d)]
-                      for i in range(d)]
-            # solve target[i][j] == sum_{p,q} lam[p][q] forms[p][i] forms[q][j], lam >= 0
-            nf = len(forms)
-            gens = []
-            for p in range(nf):
-                for q in range(nf):
-                    gens.append(tuple(forms[p][i] * forms[q][j] for i in range(d) for j in range(d)))
-            flat = tuple(target[i][j] for i in range(d) for j in range(d))
-            lam = solve_nonneg_rational(gens, flat)
-            certified = False
-            if lam is not None:
-                strict_weight = sum(lam[p * nf + q] for p in open_idx for q in open_idx)
-                certified = strict_weight > 0
-            if certified:
-                notes.append(f"strict face {list(h)} certified by facet-form decomposition")
-            else:
-                notes.append(f"strict face {list(h)} not certified; membership will be "
-                             "checked per evaluation")
-        return BiadditiveValidation(not failures, failures, notes)
+        if isinstance(m, FiniteMonoid):
+            for a in m.elements():
+                for b in m.elements():
+                    for c in m.elements():
+                        left = self.table[m.add(a, b)][c]
+                        if left != m.add(self.table[a][c], self.table[b][c]):
+                            failures.append(("left-additivity", a, b, c))
+                        right = self.table[a][m.add(b, c)]
+                        if right != m.add(self.table[a][b], self.table[a][c]):
+                            failures.append(("right-additivity", a, b, c))
+        elif isinstance(m, LatticeMonoid):
+            for i, g in enumerate(m.generators):
+                for j, h in enumerate(m.generators):
+                    prod = self.mu(g, h)
+                    if not m.contains(prod):
+                        failures.append(("generator-product-outside", i, j, list(prod)))
+        else:
+            for a in m.cone.v_rep:
+                for b in m.cone.v_rep:
+                    prod = self.mu(a, b)
+                    if not m.cone.member(prod):
+                        failures.append(("ray-product-outside-closure",
+                                         list(a), list(b), list(prod)))
+        return failures
 
 
 # ---------------------------------------------------------------------------

@@ -390,6 +390,20 @@ def test_extremals_with_operation_reports_multiplicative_normalization():
     assert covectors == [(0, 1), (1, 0)]
 
 
+def test_extremals_on_a_cone_with_more_dual_rays_than_its_rank(tmp_path):
+    # the dual cone of this square pyramid has four extreme rays in rank 3;
+    # each one is a linear, but not a conic, combination of the other three
+    path = tmp_path / "pyramid.mon"
+    path.write_text("kind: lattice\ndim: 3\n\n[generators]\n1 0 1\n0 1 1\n"
+                    "-1 0 1\n0 -1 1\n", encoding="utf-8")
+    code, doc, err = run_json("extremals", str(path), "--elements",
+                              "1,0,1; 0,1,1; -1,0,1; 0,-1,1")
+    assert code == EXIT_PASS, err
+    assert doc["extremal_count"] == 4
+    covectors = sorted(tuple(e["ambient_covector"]) for e in doc["extremals"])
+    assert covectors == [(0, 0, 1), (0, 1, 1), (1, 0, 1), (1, 1, 1)]
+
+
 def test_extremals_rejects_elements_outside_the_monoid():
     code, _, err = run_cli("extremals", instance_path("slanted-cone.mon"),
                            "--elements", "0,1")
@@ -758,6 +772,92 @@ def test_unverified_hypothesis_exits_with_the_budget_code(tmp_path):
     code, doc, _ = run_json("--budget", "1", "localizable", str(path), "--weak")
     assert code == EXIT_BUDGET
     assert doc["certificate"]["verdict"] == "unknown"
+
+
+FIVE_GENERATORS = ("kind: lattice\ndim: 3\n[generators]\n1 0 0\n0 1 0\n0 0 1\n"
+                   "4 5 0\n-1 2 6\n[tensor]\n0 0 0 0 0\n1 0 0 0 0\n"
+                   "1 1 0 2 2\n1 2 1 1 0\n2 1 1 2 0\n")
+FOUR_GENERATORS = ("kind: lattice\ndim: 3\n[generators]\n1 0 0\n0 1 0\n0 0 1\n"
+                   "5 9 3\n[tensor]\n0 1 1 1 2\n1 2 2 0 1\n2 0 1 2 0\n")
+
+
+def _count_witness_work(monkeypatch):
+    counts = {"_witness_pair": 0, "_validate_witness": 0}
+    for name in counts:
+        real = getattr(localizability, name)
+
+        def counted(*args, name=name, real=real):
+            counts[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(localizability, name, counted)
+    return counts
+
+
+def _unknown_weak(source, generators, budget, query, assignments):
+    instance = {"dim": 3, "generators": generators, "has_operation": True,
+                "kind": "lattice", "source": source}
+    certificate = {
+        "assignments": assignments, "budget": budget, "details": {},
+        "method": "search", "refuted": None, "verdict": "unknown",
+        "reason": f"no localizable dominator found for {query} within "
+                  f"coefficient budget {budget}"}
+    return instance, certificate
+
+
+def test_weak_search_builds_no_witness_it_does_not_print(tmp_path, monkeypatch):
+    # a refuted candidate only needs its verdict: the search and the
+    # verify --main gate build and re-validate no witness pair, and print
+    # what they printed when they built one for every refuted candidate
+    five, four = tmp_path / "five.mon", tmp_path / "four.mon"
+    five.write_text(FIVE_GENERATORS, encoding="utf-8")
+    four.write_text(FOUR_GENERATORS, encoding="utf-8")
+    five_gens = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [4, 5, 0], [-1, 2, 6]]
+    four_gens = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [5, 9, 3]]
+    inst5, weak5 = _unknown_weak(str(five), five_gens, 8, "(0, 1, 0)",
+                                 {"['1', '0', '0']": ["1", "0", "0"]})
+    inst4, weak4 = _unknown_weak(str(four), four_gens, 16, "(1, 0, 0)", {})
+    runs = [
+        (("--budget", "8", "localizable", str(five), "--weak"),
+         {"command": "localizable", "instance": inst5, "mode": "weak",
+          "certificate": weak5}),
+        (("--budget", "16", "localizable", str(four), "--weak"),
+         {"command": "localizable", "instance": inst4, "mode": "weak",
+          "certificate": weak4}),
+        (("--budget", "8", "verify", str(five), "--main"),
+         {"command": "verify", "goal": "main", "instance": inst5,
+          "hypotheses": [{"detail": weak5, "name": "weak-localizability",
+                          "status": "unknown"}],
+          "reason": "the weak localizability hypothesis could not be "
+                    "verified within budget",
+          "status": "unknown"}),
+    ]
+    for argv, want in runs:
+        counts = _count_witness_work(monkeypatch)
+        code, out, err = run_cli(*argv)
+        assert code == EXIT_BUDGET, err
+        assert out == render_report(want)
+        assert counts == {"_witness_pair": 0, "_validate_witness": 0}, argv
+
+
+@pytest.mark.parametrize("text,element,direction,witness", [
+    (FIVE_GENERATORS, "0,1,0", [-15, -4, 14], [["12", "24", "21"], ["-3", "20", "35"]]),
+    (FOUR_GENERATORS, "0,1,0", [-2, 0, 1], [["6", "10", "4"], ["4", "10", "5"]]),
+    (FOUR_GENERATORS, "1,1,1", [-2, 2, 1], [["6", "10", "4"], ["4", "12", "5"]]),
+], ids=["five-0,1,0", "four-0,1,0", "four-1,1,1"])
+def test_a_printed_witness_is_built_and_re_validated(tmp_path, monkeypatch, text,
+                                                     element, direction, witness):
+    path = tmp_path / "carrier.mon"
+    path.write_text(text, encoding="utf-8")
+    counts = _count_witness_work(monkeypatch)
+    code, doc, err = run_json("localizable", str(path), element)
+    assert code == EXIT_REFUTED, err
+    assert doc["result"] == {
+        "details": {"injective_on_span": True, "violating_direction": direction},
+        "kind": "full", "verdict": "no", "witness": witness,
+        "reason": "left condition fails: preimage cone escapes the positivity cone",
+        "subject": element.split(",")}
+    assert counts == {"_witness_pair": 1, "_validate_witness": 1}
 
 
 def test_internal_check_failure_is_not_a_refutation(monkeypatch):

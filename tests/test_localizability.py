@@ -1,12 +1,17 @@
 """Localizable elements, damped comparison maps, weak/strong certificates."""
 
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 import monoidorder.localizability as localizability
-from monoidorder.exactmath import InputError, RationalCone, vadd
-from monoidorder.localizability import (apply_matrix, damping_matrix,
+from monoidorder.exactmath import (InputError, RationalCone, integer_solve, vadd,
+                                   vscale, vsub)
+from monoidorder.localizability import (_ser, _witness_pair, apply_matrix,
+                                        damping_matrix,
                                         is_left_localizable, is_localizable,
                                         is_strongly_localizable,
                                         is_weakly_localizable,
@@ -134,6 +139,120 @@ def test_definitional_sample_check_agrees_with_verdicts():
     assert _definitional_violations(op, IDENT, pairs) == []
     v = is_left_localizable(op, SWAP)
     assert _definitional_violations(op, SWAP, list(pairs) + [v.witness])
+
+
+# ---------------------------------------------------------------------------
+# the witness pair's base point
+
+
+def _linear_scan_pair(m, direction):
+    """The base point found by scanning k upward: from 0 to the certain
+    bound on a lattice, from 1 to the runaway guard on a cone, whose pair
+    is returned in ``Fraction`` coordinates."""
+    if isinstance(m, LatticeMonoid):
+        combo = integer_solve([tuple(g) for g in m.generators], tuple(direction))
+        gsum = tuple(0 for _ in range(m.dim))
+        for g in m.generators:
+            gsum = vadd(gsum, g)
+        for k in range(max(0, -min(combo)) + 2):
+            a = vscale(k, gsum)
+            b = vadd(a, tuple(direction))
+            if m.contains(a) and m.contains(b):
+                return (a, b)
+        raise AssertionError("no base point within the certain bound")
+    g0 = localizability._interior_point(m)
+    for k in range(1, 10_001):
+        a = vscale(k, g0)
+        b = vadd(a, direction)
+        if m.contains(a) and m.contains(b):
+            return (tuple(Fraction(v) for v in a), tuple(Fraction(v) for v in b))
+    raise AssertionError("no base point within the runaway guard")
+
+
+def _open_quadrant(*open_normals):
+    return OpenConeMonoid(RationalCone.from_rays([(1, 0), (0, 1)], 2), open_normals)
+
+
+WITNESS_CARRIERS = [
+    free_monoid(2),
+    LatticeMonoid(2, [(1, 0), (1, 2)]),
+    LatticeMonoid(2, [(2, 1), (-1, 1), (0, 1)]),
+    half_open_half_plane(),
+    _open_quadrant((1, 0)),
+    _open_quadrant((0, 1), (1, 0)),
+    OpenConeMonoid(RationalCone.from_rays([(1, 0), (1, 2)], 2), [(2, -1)]),
+]
+
+# (carrier index, tensor entries in i, j, k order, coefficients of s over
+# the carrier's rays, side): the lattice refutation, then one per
+# refutation kind of an open cone
+REFUTATIONS = {
+    "preimage cone escapes the positivity cone":
+        (1, [-1, -1, -1, 0, 0, -1, 2, -1], [0, 2, 0], "left"),
+    "damped map kills a direction outside the strict cone":
+        (4, [0, 0, 2, -2, 1, -1, -2, -1], [0, 1, 0], "right"),
+    "preimage of the closed positivity cone escapes it":
+        (4, [2, 0, -2, 0, 2, 2, 0, 2], [1, 1, 0], "left"),
+    "preimage of the closed positivity cone escapes it, strictified":
+        (6, [-1, 1, 2, -2, 2, -1, -2, -1], [1, 1, 0], "left"),
+    "an excluded-face direction maps strictly inside":
+        (6, [0, 2, 1, -2, 0, -2, -1, 2], [1, 0, 0], "right"),
+}
+
+witness_cases = st.tuples(
+    st.integers(min_value=0, max_value=len(WITNESS_CARRIERS) - 1),
+    st.lists(st.integers(min_value=-2, max_value=2), min_size=8, max_size=8),
+    st.lists(st.integers(min_value=0, max_value=2), min_size=3, max_size=3),
+    st.sampled_from(("left", "right")))
+
+
+def _refutation(case):
+    """The carrier, the verdict on the drawn element and its witness pair,
+    or None when the element is no member or is localizable.  A drawn
+    tensor need not be closed on the carrier, so its damped values may
+    leave it; the pair is read without re-validation, which is not what
+    the base-point search is checked for."""
+    index, flat, coeffs, side = case
+    m = WITNESS_CARRIERS[index]
+    s = tuple(0 for _ in range(m.dim))
+    for c, r in zip(coeffs, m.rays):
+        s = vadd(s, vscale(c, r))
+    if not m.contains(s):
+        return None
+    tensor = [[flat[4 * i + 2 * j:4 * i + 2 * j + 2] for j in range(2)] for i in range(2)]
+    verdict = is_left_localizable(BiadditiveOp(m, tensor=tensor), s, side)
+    if verdict.verdict != "no":
+        return None
+    with mock.patch.object(localizability, "_validate_witness", lambda *args: None):
+        return m, verdict, verdict.witness
+
+
+def _with_examples(test):
+    for case in REFUTATIONS.values():
+        test = example(case)(test)
+    return test
+
+
+@settings(max_examples=150)
+@given(witness_cases)
+@_with_examples
+def test_galloping_base_point_equals_the_linear_scan(case):
+    refutation = _refutation(case)
+    assume(refutation is not None)
+    m, _, (a, b) = refutation
+    want = _linear_scan_pair(m, vsub(b, a))
+    assert (a, b) == want
+    assert _witness_pair(m, vsub(b, a)) == (a, b)
+    assert [_ser(a), _ser(b)] == [_ser(want[0]), _ser(want[1])]
+
+
+@pytest.mark.parametrize("kind", sorted(REFUTATIONS))
+def test_each_refutation_kind_is_among_the_examples(kind):
+    _, verdict, (a, b) = _refutation(REFUTATIONS[kind])
+    assert kind.startswith(verdict.reason)
+    escaped = verdict.details.get("violating_direction")
+    strictified = escaped is not None and [str(v) for v in escaped] != _ser(vsub(b, a))
+    assert strictified == kind.endswith("strictified")
 
 
 # ---------------------------------------------------------------------------

@@ -426,16 +426,16 @@ def test_lattice_monoid_rejects_bad_generators():
 @pytest.mark.parametrize("name,m", finite_corpus())
 def test_saturating_and_trivial_ops_validate(name, m):
     zero = BiadditiveOp(m, table=[[0] * m.n for _ in range(m.n)])
-    assert zero.validate().ok
+    assert zero.validate() == []
 
 
 def test_validation_rejects_non_biadditive_table():
     m = truncated_free_monoid(1, cap=2)  # elements 0,1,2 with saturation
     # mu(a, b) = min(a + b, 2) is additive in neither argument jointly with 0
     table = [[m.add(i, j) for j in range(3)] for i in range(3)]
-    report = BiadditiveOp(m, table=table).validate()
-    assert not report.ok
-    assert report.failures
+    failures = BiadditiveOp(m, table=table).validate()
+    assert failures
+    assert failures[0][0] in ("left-additivity", "right-additivity")
 
 
 def _brute_force_biadditive_tables(m):

@@ -2,10 +2,11 @@
 
 Every module-level function and class under ``src/monoidorder/`` must be
 named, as a whole word outside its own definition, in ``src/``, in
-``perfbench/`` or in ``tests/test_acceptance.py``.  A name that only a
-unit test reaches belongs next to that test, unless the test uses it as
-an oracle; those few are listed in ``ORACLES`` with the test file that
-uses them.
+``perfbench/`` or in ``tests/test_acceptance.py``; every method of such a
+class that is not a dunder must appear there as ``.name``.  A name that
+only a unit test reaches belongs next to that test, unless the test uses
+it as an oracle; those few are listed in ``ORACLES`` (a method as
+``Class.name``) with the test file that uses them.
 """
 
 import ast
@@ -21,6 +22,8 @@ PACKAGE = os.path.join(ROOT, "src", "monoidorder")
 ORACLES = {
     "LiftedOp": "tests/test_grothendieck.py",  # the descent of mu to a reduction
     "sign_canonical": "tests/test_exactmath.py",  # pointed cones for a property
+    "RationalPolynomial.divmod": "tests/test_formallyreal.py",  # Euclid, by hand
+    "RationalCone.same_cone": "tests/test_exactmath.py",  # dual of the dual
 }
 
 
@@ -36,13 +39,24 @@ def _python_files(directory):
                 yield os.path.join(base, name)
 
 
+def _span(node):
+    return min([node.lineno] + [d.lineno for d in node.decorator_list]), node.end_lineno
+
+
 def _definitions():
-    """(module path, name, first line, last line) of each top-level def."""
+    """(module path, name, use pattern, first line, last line) of each
+    top-level def, and of each non-dunder method of a top-level class
+    (named ``Class.method``, used as ``.method``)."""
     for path in sorted(_python_files(PACKAGE)):
         for node in ast.parse(_read(path)).body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                start = min([node.lineno] + [d.lineno for d in node.decorator_list])
-                yield path, node.name, start, node.end_lineno
+                yield (path, node.name, rf"\b{re.escape(node.name)}\b") + _span(node)
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and not (
+                            item.name.startswith("__") and item.name.endswith("__")):
+                        yield (path, f"{node.name}.{item.name}",
+                               rf"\.{re.escape(item.name)}\b") + _span(item)
 
 
 def _users():
@@ -56,8 +70,8 @@ def _users():
 def _unreached():
     users = _users()
     out = []
-    for path, name, start, end in _definitions():
-        word = re.compile(rf"\b{re.escape(name)}\b")
+    for path, name, pattern, start, end in _definitions():
+        word = re.compile(pattern)
         lines = users[path].splitlines()
         own = "\n".join(lines[:start - 1] + lines[end:])
         if not word.search(own) and not any(
@@ -74,4 +88,5 @@ def test_every_library_name_is_reached_outside_the_unit_tests():
 def test_each_oracle_entry_is_needed_and_used(name):
     assert name in _unreached(), f"{name} is reached from the program"
     text = _read(os.path.join(ROOT, ORACLES[name]))
-    assert re.search(rf"\b{re.escape(name)}\b", text)
+    word = name.rpartition(".")[2]
+    assert re.search(rf"\b{re.escape(word)}\b", text)
