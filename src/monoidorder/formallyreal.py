@@ -891,13 +891,21 @@ def _negative_point(g: RationalPolynomial, chain: SturmChain) -> Fraction:
     side.  They are signed in the order (denominator, absolute value),
     the nonnegative one first on ties, and the first negative one is
     returned.  Each candidate's sign is that of a positive integer multiple
-    of ``g``, by homogeneous Horner.
+    of ``g``, by homogeneous Horner.  0 comes first in that order, so it
+    is signed before any root is isolated.
     """
     if g.is_zero():
         raise InputError("the zero polynomial is nowhere negative")
+    ints = _integer_multiple(g)
+
+    def negative(x):
+        return _homogeneous_value(ints, x.numerator, _powers(x.denominator, len(ints) - 1)) < 0
+
+    if negative(Fraction(0)):
+        return Fraction(0)
     bound = cauchy_root_bound(g)
     outside = int(bound) + 1
-    candidates = [Fraction(0), Fraction(outside), Fraction(-outside)]
+    candidates = [Fraction(outside), Fraction(-outside)]
     intervals = sorted(isolate_real_roots(chain))
     if intervals:
         quarter = Fraction(1, 4)
@@ -920,9 +928,8 @@ def _negative_point(g: RationalPolynomial, chain: SturmChain) -> Fraction:
             # half-open isolation: the left interval's upper end is strictly
             # between the two roots unless it is the left root itself
             candidates.append(left[1])
-    ints = _integer_multiple(g)
     for x in sorted(set(candidates), key=lambda t: (t.denominator, abs(t), t < 0)):
-        if _homogeneous_value(ints, x.numerator, _powers(x.denominator, len(ints) - 1)) < 0:
+        if negative(x):
             return x
     # every open region between consecutive distinct roots holds one
     # candidate, so a sign-negative region cannot have been missed

@@ -6,14 +6,18 @@ comparison ``mu(s,a) + a <~ mu(s,b) + b`` always forces ``a <~ b``; it is
 *weakly localizable* when every element sits below some localizable one,
 and *strongly localizable* when every element is localizable.
 
-Finite carriers are decided exhaustively.  Vector carriers reduce the
-left condition to exact convex geometry: with ``L_s(x) = x + mu(s, x)``
-linear on the difference span, s is left localizable exactly when the
-preimage of the positivity cone under L_s stays inside the cone.  The
-preimage is computed by double description.  A verdict is decided first;
-the explicit witness pair of a "no" is built on first read and
-re-validated through the order decision procedures before it is handed
-out.
+Finite carriers are decided exhaustively.  Lattice and open-cone carriers
+share one decision in exact convex geometry, with ``L_s(x) = x + mu(s, x)``
+linear on the difference span and C the closed positivity cone: a map
+that scales the span is localizable; with excluded faces, a map that
+kills a direction is not; otherwise s is left localizable exactly when
+the preimage of C under L_s, computed by double description, stays
+inside C.  Faces need no check of their own: a closed operation with a
+contained preimage and an injective L_s maps every face of C onto
+itself (see ``_vector_left``), so no excluded-face direction can map
+strictly inside.  A verdict is decided first; the explicit witness pair
+of a "no" is built on first read and re-validated through the order
+decision procedures before it is handed out.
 """
 
 from __future__ import annotations
@@ -31,7 +35,6 @@ from .exactmath import (
     as_int_vector,
     cone_from_inequalities,
     integer_solve,
-    lp_feasible,
     rational_nullspace,
     rational_solve,
     rational_rank,
@@ -156,9 +159,7 @@ def is_left_localizable(op: BiadditiveOp, s, side: str = "left") -> Localizabili
     kind = "left" if side == "left" else "left-opposite"
     if isinstance(m, FiniteMonoid):
         return _finite_left(op, s, side, kind)
-    if isinstance(m, LatticeMonoid):
-        return _lattice_left(op, s, side, kind)
-    return _opencone_left(op, s, side, kind)
+    return _vector_left(op, s, side, kind)
 
 
 def _finite_left(op, s, side, kind) -> LocalizabilityVerdict:
@@ -177,10 +178,9 @@ def _finite_left(op, s, side, kind) -> LocalizabilityVerdict:
                                  lambda: (None, {"pairs_checked": m.n * m.n}))
 
 
-def _preimage_escape(m, bl, basis) -> tuple:
+def _preimage_escape(m, bl, basis):
     """The first direction of the damped map's preimage of the closed cone
-    that escapes the cone (None if the preimage stays inside), with the
-    preimage cone's rays and lineality basis.
+    that escapes the cone, None if the preimage stays inside.
 
     The preimage is computed in span coordinates: ``c`` lies in it when
     ``c . (B L) . h >= 0`` for every facet normal ``h``.  Its rays are
@@ -193,33 +193,78 @@ def _preimage_escape(m, bl, basis) -> tuple:
     for c in sorted(rays):
         x = _combine(c, basis)
         if not cone.member(x):
-            return x, rays, lineality
+            return x
     for c in sorted(lineality):
         x = _combine(c, basis)
         for y in (x, vneg(x)):
             if not cone.member(y):
-                return y, rays, lineality
-    return None, rays, lineality
+                return y
+    return None
 
 
-def _lattice_left(op, s, side, kind) -> LocalizabilityVerdict:
+def _vector_left(op, s, side, kind) -> LocalizabilityVerdict:
+    """Left localizability of s on a lattice or open-cone carrier.
+
+    With ``L_s`` the damped map on the difference span and C the closed
+    positivity cone, three steps decide it; a lattice is the carrier
+    with no strict faces, so it skips the second.
+
+    1. A positive multiple of the identity on the span: yes.
+    2. With open normals, a nonzero direction x that ``L_s`` kills
+       refutes: x and -x cannot both lie strictly inside, and the pair
+       over the one outside compares equal after damping.
+    3. The preimage ``L_s^-1(C)`` must lie in C.  A ray of it that escapes
+       refutes; its image lies in C, and when it lies on an excluded
+       face the ray is perturbed until the image is strictly inside.
+
+    No face of C needs a check of its own.  ``validate`` checks every
+    product of ``v_rep`` rays, lineality in both signs, so
+    ``mu(C, C) ⊆ C`` and hence ``L_s(C) ⊆ C``; with step 3 passed,
+    ``L_s^-1(C) = C``.  With open normals step 2 makes ``L_s`` injective
+    on the span, so ``L_s(C) = C`` and ``L_s`` maps faces onto faces.
+    For a face F and an x in its relative interior, ``L_s(x) = x +
+    mu(s, x)`` lies in the face ``L_s(F)`` and ``mu(s, x)`` lies in C, so
+    x lies in that face too: ``F ⊆ L_s(F)``, and as the dimensions are
+    equal, ``L_s(F) = F``.  So no direction of an excluded face maps
+    strictly inside.
+    """
     m = op.carrier
+    basis = _nonzero_span(m)
+    r = len(basis)
     mat = damping_matrix(op, s, side)
-    basis = m.span_basis
-    if not basis:
-        raise InputError("lattice carrier needs a nonzero generator")
     bl = [apply_matrix(mat, brow) for brow in basis]
-    violation, rays, lineality = _preimage_escape(m, bl, basis)
+
+    # bl[i] == lam * basis[i] for one lam > 0, by cross multiplication
+    # against the first nonzero basis entry
+    i0, k0 = next((i, k) for i, b in enumerate(basis) for k, v in enumerate(b) if v)
+    p, q = bl[i0][k0], basis[i0][k0]
+    if p * q > 0 and all(bl[i][k] * q == p * basis[i][k]
+                         for i in range(r) for k in range(m.dim)):
+        return LocalizabilityVerdict(s, kind, "yes", "damped map scales the span")
+
+    if m.open_normals:
+        kernel = _left_kernel(bl, r)
+        if kernel:
+            x = as_int_vector(_combine(kernel[0], basis))
+            direction = x if not _inside(m, x) else vneg(x)
+            return _refuted(op, s, side, kind,
+                            "damped map kills a direction outside the strict cone",
+                            lambda: direction,
+                            lambda: {"kernel_direction": [str(v) for v in direction]})
+
+    violation = _preimage_escape(m, bl, basis)
     if violation is None:
         return LocalizabilityVerdict(
-            s, kind, "yes", "preimage of the positivity cone stays inside the cone",
-            lambda: (None, {"injective_on_span": not _left_kernel(bl, len(basis)),
-                            "preimage_rays": len(rays),
-                            "preimage_lineality": len(lineality)}))
+            s, kind, "yes", "preimage of the positivity cone stays inside the cone")
+
+    def strict_direction():
+        if _inside(m, apply_matrix(mat, violation)):
+            return violation
+        return _strictify(m, mat, bl, basis, violation)
     return _refuted(op, s, side, kind, "preimage cone escapes the positivity cone",
-                    lambda: violation,
+                    strict_direction,
                     lambda: {"violating_direction": [int(v) for v in violation],
-                             "injective_on_span": not _left_kernel(bl, len(basis))})
+                             "injective_on_span": not _left_kernel(bl, r)})
 
 
 def _refuted(op, s, side, kind, reason, direction, details) -> LocalizabilityVerdict:
@@ -251,9 +296,12 @@ def _witness_pair(m, direction) -> tuple:
     The base point a is the least multiple ``k*g`` of the ray sum g whose
     translate by the direction lies in m.  Every ``k*g`` is a member, and
     membership of ``k*g + direction`` is upward closed in k (adding g keeps
-    it), so the least k is found by galloping from 0, then bisecting.  A
-    lattice has a certain bound on k, from an integer combination of the
-    direction; a cone stops at a runaway guard.
+    it), so the least k is found by galloping from 0, then bisecting.  The
+    search stops at a k whose translate is certainly a member: on a
+    lattice, from an integer combination of the direction; on a cone, the
+    least k that every facet inequality allows, ``h . (k*g + d) >= 0``
+    for a closed normal positive on g and ``n . (k*g + d) > 0`` for an
+    open one.
     """
     if isinstance(m, LatticeMonoid):
         combo = integer_solve([tuple(g) for g in m.generators], tuple(direction))
@@ -263,7 +311,9 @@ def _witness_pair(m, direction) -> tuple:
         cap = max(0, -min(combo)) + 1
     else:
         g = _interior_point(m)
-        cap = 10_000
+        cap = max([0] + [-(vdot(h, direction) // vdot(h, g))
+                         for h in m.closed_normals if vdot(h, g) > 0]
+                  + [-vdot(n, direction) // vdot(n, g) + 1 for n in m.open_normals])
 
     def pair(k):
         a = vscale(k, g)
@@ -298,13 +348,13 @@ def _validate_witness(op, s, side, witness) -> None:
         raise InternalCheckError("localizability witness failed re-validation")
 
 
-# -- open-cone carrier -------------------------------------------------------
+# -- the span, its relative interior and strict images -----------------------
 
 
-def _nonzero_span(m: OpenConeMonoid) -> tuple:
-    """The span basis; a closed cone that is only the origin is refused."""
+def _nonzero_span(m) -> tuple:
+    """The span basis; a carrier whose rays are all zero is refused."""
     if not m.span_basis:
-        raise InputError("open-cone carrier needs a closed cone other than the origin")
+        raise InputError(m.origin_only_text)
     return m.span_basis
 
 
@@ -328,94 +378,7 @@ def _interior_point(m: OpenConeMonoid) -> tuple:
     return acc
 
 
-def _opencone_left(op, s, side, kind) -> LocalizabilityVerdict:
-    m = op.carrier
-    mat = damping_matrix(op, s, side)
-    basis = _nonzero_span(m)
-    r = len(basis)
-    closed = m.cone
-    bl = [apply_matrix(mat, brow) for brow in basis]
-
-    # scalar action on the span: immediate yes
-    lam = None
-    scalar = True
-    for i in range(r):
-        for k in range(m.dim):
-            if basis[i][k] == 0:
-                if bl[i][k] != 0:
-                    scalar = False
-            else:
-                ratio = Fraction(bl[i][k], basis[i][k]) if isinstance(bl[i][k], int) \
-                    else bl[i][k] / basis[i][k]
-                if lam is None:
-                    lam = ratio
-                elif ratio != lam:
-                    scalar = False
-        if not scalar:
-            break
-    if scalar and lam is not None and lam > 0:
-        return LocalizabilityVerdict(s, kind, "yes", "damped map scales the span",
-                                     lambda: (None, {"scale": str(lam)}))
-
-    # killed directions: with strict faces present, any nonzero one refutes;
-    # without them the containment pass below settles lineality membership
-    kernel = _left_kernel(bl, r)
-    for c in kernel:
-        x = as_int_vector(_combine(c, basis))
-        direction = None
-        if not _inside(m, x):
-            direction = x
-        elif not _inside(m, vneg(x)):
-            direction = vneg(x)
-        if direction is not None:
-            return _refuted(op, s, side, kind,
-                            "damped map kills a direction outside the strict cone",
-                            lambda: direction,
-                            lambda: {"kernel_direction": [str(v) for v in direction]})
-
-    # closed containment: the preimage cone of the closed positivity cone
-    # must stay inside it
-    violation, _, _ = _preimage_escape(m, bl, basis)
-    if violation is not None:
-        def strict_direction():
-            image = apply_matrix(mat, violation)
-            if _inside(m, image) and any(Fraction(t) != 0 for t in image):
-                return violation
-            return _strictify(m, mat, bl, basis, violation)
-        return _refuted(op, s, side, kind,
-                        "preimage of the closed positivity cone escapes it",
-                        strict_direction,
-                        lambda: {"violating_direction": [str(v) for v in violation]})
-
-    # excluded faces: no nonzero face direction may map strictly inside
-    for nf in m.open_normals:
-        face_rays = [rr for rr in closed.extreme_rays if vdot(nf, rr) == 0]
-        face_rays += [v for l in closed.lineality_basis for v in (l, vneg(l))]
-        if not face_rays:
-            continue
-        imgs = [apply_matrix(mat, rr) for rr in face_rays]
-        ineqs = [(tuple(Fraction(0) if t != i else Fraction(1)
-                        for t in range(len(face_rays))), 0)
-                 for i in range(len(face_rays))]
-        for h in closed.h_rep:
-            ineqs.append((tuple(vdot(img, h) for img in imgs), 0))
-        for n2 in m.open_normals:
-            ineqs.append((tuple(vdot(img, n2) for img in imgs), 1))
-        lam_sol = lp_feasible(len(face_rays), ineqs=ineqs)
-        if lam_sol is not None:
-            direction = tuple(sum(lam_sol[i] * Fraction(face_rays[i][j])
-                                  for i in range(len(face_rays)))
-                              for j in range(m.dim))
-            return _refuted(op, s, side, kind,
-                            "an excluded-face direction maps strictly inside",
-                            lambda: direction,
-                            lambda: {"face_normal": [int(t) for t in nf]})
-    return LocalizabilityVerdict(
-        s, kind, "yes", "closed preimage contained and no excluded-face "
-                        "direction maps strictly inside")
-
-
-def _inside(m: OpenConeMonoid, x) -> bool:
+def _inside(m, x) -> bool:
     return m.boundary_status(x) == "inside"
 
 

@@ -241,7 +241,8 @@ class VectorCarrier:
     text: ``kind`` and ``groth_kind`` name the carrier and its difference
     group, ``basis_key`` the report key of its basis, ``difference_group``
     what an element outside it is outside of, ``nonmember_text`` why an
-    element is refused, and ``budget_text`` what a candidate budget counts.
+    element is refused, ``origin_only_text`` why a carrier whose rays are
+    all zero is, and ``budget_text`` what a candidate budget counts.
     """
 
     kind: str
@@ -249,6 +250,7 @@ class VectorCarrier:
     basis_key: str
     difference_group: str
     nonmember_text: str
+    origin_only_text: str
     budget_text: str
     open_normals: tuple = ()
 
@@ -343,6 +345,7 @@ class LatticeMonoid(VectorCarrier):
     basis_key = "lattice_basis"
     difference_group = "difference lattice"
     nonmember_text = "is not a generator combination"
+    origin_only_text = "lattice carrier needs a nonzero generator"
     budget_text = "coefficient budget"
 
     def __init__(self, dim: int, generators: Sequence[Sequence[int]]):
@@ -439,6 +442,7 @@ class OpenConeMonoid(VectorCarrier):
     basis_key = "span_basis"
     difference_group = "difference span"
     nonmember_text = "is outside the open cone"
+    origin_only_text = "open-cone carrier needs a closed cone other than the origin"
     budget_text = "budget"
 
     def __init__(self, closed_cone: RationalCone, open_normals: Sequence[Sequence[int]]):

@@ -27,6 +27,7 @@ from monoidorder.instancefile import load_instance
 from monoidorder.latticeorder import (FRingCandidate,
                                       fring_strong_localizability,
                                       is_extended_f_ring)
+from monoidorder.monoids import leq
 from monoidorder.reports import render_report
 
 from conftest import instance_path
@@ -493,6 +494,25 @@ def test_sos_input_at_the_degree_cap_is_accepted():
     assert doc["result"]["member"] is True
 
 
+def test_sos_negative_at_zero_isolates_no_root(monkeypatch):
+    # 0 is the first candidate, so it is signed before the 1000 roots of
+    # the Sturm chain are isolated and refined
+    calls = []
+    isolate = formallyreal.isolate_real_roots
+
+    def counted(chain):
+        calls.append(chain)
+        return isolate(chain)
+
+    monkeypatch.setattr(formallyreal, "isolate_real_roots", counted)
+    code, doc, err = run_json("sos", "(x+1)^1000-2")
+    assert code == EXIT_REFUTED, err
+    assert doc["result"]["member"] is False
+    assert doc["result"]["witness"] == 0
+    assert doc["result"]["witness_value"] == -1
+    assert calls == []
+
+
 def test_sos_theorem_mode_reports_the_least_refuted_shift():
     code, doc, _ = run_json("sos", "(x^4+3)/(x^2+1)", "--theorem")
     assert code == EXIT_PASS
@@ -858,6 +878,74 @@ def test_a_printed_witness_is_built_and_re_validated(tmp_path, monkeypatch, text
         "reason": "left condition fails: preimage cone escapes the positivity cone",
         "subject": element.split(",")}
     assert counts == {"_witness_pair": 1, "_validate_witness": 1}
+
+
+OPEN_QUADRANT = ("kind: open-cone\ndim: 2\n\n[rays]\n1 0\n0 1\n\n"
+                 "[open-normals]\n1 0\n\n[tensor]\n")
+
+
+def _open_quadrant_report(tmp_path, tensor_rows, element):
+    """Run ``localizable`` on the quadrant with open normal (1, 0) and the
+    given tensor rows; the exit code, stdout, stderr and the report with
+    its result left out."""
+    path = tmp_path / "quadrant.mon"
+    path.write_text(OPEN_QUADRANT + tensor_rows, encoding="utf-8")
+    code, out, err = run_cli("localizable", str(path), element)
+    frame = {"command": "localizable", "mode": "element",
+             "element": [int(v) for v in element.split(",")],
+             "instance": {"closed_rays": [[0, 1], [1, 0]], "dim": 2,
+                          "has_operation": True, "kind": "open-cone",
+                          "open_normals": [[1, 0]], "source": str(path)}}
+    return code, out, err, frame
+
+
+def _refutes(path, element, witness) -> bool:
+    """The witness breaks the left condition at the element, read from the
+    definitions: ``mu(s, a) + a <~ mu(s, b) + b`` but not ``a <~ b``."""
+    op = load_instance(str(path)).require_op()
+    m = op.carrier
+    s = tuple(Fraction(v) for v in element.split(","))
+    a, b = (tuple(Fraction(v) for v in w) for w in witness)
+
+    def damped(x):
+        return tuple(p + v for p, v in zip(op.mu(s, x), x))
+    return leq(m, damped(a), damped(b)) and not leq(m, a, b)
+
+
+def test_open_cone_kernel_refutation_report_is_unchanged(tmp_path):
+    # the report as recorded before lattices and open cones shared a decision
+    code, out, err, frame = _open_quadrant_report(
+        tmp_path, "0 0 0 1\n0 1 1 0\n1 0 2 0\n1 1 2 1\n", "1,0")
+    assert code == EXIT_REFUTED, err
+    assert out == render_report(dict(frame, result={
+        "details": {"kernel_direction": ["-1", "1"]}, "kind": "full",
+        "reason": "left condition fails: damped map kills a direction "
+                  "outside the strict cone",
+        "subject": ["1", "0"], "verdict": "no",
+        "witness": [["2", "2"], ["1", "3"]]}))
+
+
+@pytest.mark.parametrize("rows,element,direction,witness", [
+    ("0 0 0 2\n0 1 0 0\n1 0 1 0\n1 1 2 0\n", "1,0", [1, -2],
+     [["2", "2"], ["3", "0"]]),
+    # the image of (-2, 1) lies on the excluded face, so it is perturbed
+    ("0 0 0 0\n0 1 1 2\n1 0 1 2\n1 1 0 1\n", "2,0", [-2, 1],
+     [["2", "2"], ["3/5", "16/5"]]),
+    # a tensor entry A puts the base point at k = 2A; the bound on k comes
+    # from the facet inequalities, so no fixed guard cuts a large A short
+    ("0 1 5000 0\n", "1,0", [-5000, 1], [["10000", "10000"], ["1", "10002"]]),
+    ("0 1 20000 0\n", "1,0", [-20000, 1], [["40000", "40000"], ["1", "40002"]]),
+], ids=["escape", "strictified", "entry-5000", "entry-20000"])
+def test_open_cone_escape_refutations_share_the_lattice_report(
+        tmp_path, rows, element, direction, witness):
+    code, out, err, frame = _open_quadrant_report(tmp_path, rows, element)
+    assert code == EXIT_REFUTED, err
+    assert out == render_report(dict(frame, result={
+        "details": {"injective_on_span": True, "violating_direction": direction},
+        "kind": "full",
+        "reason": "left condition fails: preimage cone escapes the positivity cone",
+        "subject": element.split(","), "verdict": "no", "witness": witness}))
+    assert _refutes(tmp_path / "quadrant.mon", element, witness)
 
 
 def test_internal_check_failure_is_not_a_refutation(monkeypatch):

@@ -8,8 +8,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import monoidorder.localizability as localizability
-from monoidorder.exactmath import (InputError, RationalCone, integer_solve, vadd,
-                                   vscale, vsub)
+from monoidorder.exactmath import (InputError, RationalCone, integer_solve,
+                                   lp_feasible, vadd, vdot, vneg, vscale, vsub)
 from monoidorder.localizability import (_ser, _witness_pair, apply_matrix,
                                         damping_matrix,
                                         is_left_localizable, is_localizable,
@@ -147,8 +147,8 @@ def test_definitional_sample_check_agrees_with_verdicts():
 
 def _linear_scan_pair(m, direction):
     """The base point found by scanning k upward: from 0 to the certain
-    bound on a lattice, from 1 to the runaway guard on a cone, whose pair
-    is returned in ``Fraction`` coordinates."""
+    bound on a lattice, from 1 to 10,000 on a cone, whose pair is returned
+    in ``Fraction`` coordinates."""
     if isinstance(m, LatticeMonoid):
         combo = integer_solve([tuple(g) for g in m.generators], tuple(direction))
         gsum = tuple(0 for _ in range(m.dim))
@@ -166,7 +166,7 @@ def _linear_scan_pair(m, direction):
         b = vadd(a, direction)
         if m.contains(a) and m.contains(b):
             return (tuple(Fraction(v) for v in a), tuple(Fraction(v) for v in b))
-    raise AssertionError("no base point within the runaway guard")
+    raise AssertionError("no base point below k = 10,000")
 
 
 def _open_quadrant(*open_normals):
@@ -184,19 +184,17 @@ WITNESS_CARRIERS = [
 ]
 
 # (carrier index, tensor entries in i, j, k order, coefficients of s over
-# the carrier's rays, side): the lattice refutation, then one per
-# refutation kind of an open cone
+# the carrier's rays, side): one refutation of a lattice, then one per
+# refutation kind of an open cone; the tensors need not be closed
 REFUTATIONS = {
     "preimage cone escapes the positivity cone":
         (1, [-1, -1, -1, 0, 0, -1, 2, -1], [0, 2, 0], "left"),
     "damped map kills a direction outside the strict cone":
         (4, [0, 0, 2, -2, 1, -1, -2, -1], [0, 1, 0], "right"),
-    "preimage of the closed positivity cone escapes it":
+    "preimage cone escapes the positivity cone, on an open cone":
         (4, [2, 0, -2, 0, 2, 2, 0, 2], [1, 1, 0], "left"),
-    "preimage of the closed positivity cone escapes it, strictified":
+    "preimage cone escapes the positivity cone, strictified":
         (6, [-1, 1, 2, -2, 2, -1, -2, -1], [1, 1, 0], "left"),
-    "an excluded-face direction maps strictly inside":
-        (6, [0, 2, 1, -2, 0, -2, -1, 2], [1, 0, 0], "right"),
 }
 
 witness_cases = st.tuples(
@@ -253,6 +251,72 @@ def test_each_refutation_kind_is_among_the_examples(kind):
     escaped = verdict.details.get("violating_direction")
     strictified = escaped is not None and [str(v) for v in escaped] != _ser(vsub(b, a))
     assert strictified == kind.endswith("strictified")
+
+
+# ---------------------------------------------------------------------------
+# verdicts on validated operations
+
+
+def _excluded_face_direction(op, s, side):
+    """A nonzero direction of an excluded face whose damped image lies
+    strictly inside, found by one LP per open normal; None if there is
+    none.  Kept as the reference for the proof in ``_vector_left`` that a
+    validated operation never has one."""
+    m = op.carrier
+    mat = damping_matrix(op, s, side)
+    closed = m.cone
+    for nf in m.open_normals:
+        face_rays = [r for r in closed.extreme_rays if vdot(nf, r) == 0]
+        face_rays += [v for l in closed.lineality_basis for v in (l, vneg(l))]
+        if not face_rays:
+            continue
+        imgs = [apply_matrix(mat, r) for r in face_rays]
+        ineqs = [(tuple(int(t == i) for t in range(len(face_rays))), 0)
+                 for i in range(len(face_rays))]
+        ineqs += [(tuple(vdot(img, h) for img in imgs), 0) for h in closed.h_rep]
+        ineqs += [(tuple(vdot(img, n) for img in imgs), 1) for n in m.open_normals]
+        lam = lp_feasible(len(face_rays), ineqs=ineqs)
+        if lam is not None:
+            return tuple(sum(lam[i] * face_rays[i][j] for i in range(len(face_rays)))
+                         for j in range(m.dim))
+    return None
+
+
+VALIDATED_CARRIERS = WITNESS_CARRIERS + [
+    _open_quadrant(),
+    OpenConeMonoid(RationalCone.from_rays([(1, 0), (0, 1), (0, -1)], 2), []),
+    LatticeMonoid(2, [(1, 0), (0, 1), (0, -1)]),
+]
+
+validated_cases = st.tuples(
+    st.integers(min_value=0, max_value=len(VALIDATED_CARRIERS) - 1),
+    st.lists(st.integers(min_value=0, max_value=2), min_size=8, max_size=8),
+    st.integers(min_value=0, max_value=9),
+    st.sampled_from(("left", "right")))
+
+
+@settings(max_examples=500, derandomize=True, deadline=None)
+@given(validated_cases)
+@example((3, [1, 0, 0, 1, 0, 0, 0, 0], 4, "left"))   # the half-plane product
+@example((3, [1, 0, 0, 1, 0, 0, 0, 0], 4, "right"))
+def test_verdicts_on_validated_operations_agree_with_the_definition(case):
+    index, flat, pick, side = case
+    m = VALIDATED_CARRIERS[index]
+    tensor = [[flat[4 * i + 2 * j:4 * i + 2 * j + 2] for j in range(2)] for i in range(2)]
+    op = BiadditiveOp(m, tensor=tensor)
+    assume(op.validate() == [])
+    pool = m.element_pool(2)
+    nonzero = [x for x in pool if any(x)]
+    s = nonzero[pick % len(nonzero)]
+    verdict = is_left_localizable(op, s, side)
+    one_sided = op if side == "left" else op.opposite()
+    if verdict.verdict == "yes":
+        assert _excluded_face_direction(op, s, side) is None
+        assert _definitional_violations(
+            one_sided, s, [(a, b) for a in pool for b in pool]) == []
+    else:
+        witness = verdict.witness
+        assert _definitional_violations(one_sided, s, [witness]) == [witness]
 
 
 # ---------------------------------------------------------------------------
