@@ -19,7 +19,8 @@ wrapper scalar type is introduced.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from itertools import combinations
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
 
@@ -206,6 +207,8 @@ def int_det(mat: Sequence[Sequence[int]]) -> int:
     n = len(mat)
     if any(len(row) != n for row in mat):
         raise InputError("determinant of a non-square matrix")
+    if n == 0:
+        return 1
     a = [list(row) for row in mat]
     sign = 1
     prev = 1
@@ -845,6 +848,19 @@ class IntegerSolver:
             raise InternalCheckError("integer solve certificate failed")
         return x
 
+    def span_coordinates(self) -> list[tuple[int, ...]]:
+        """Each row's integer coordinates in a basis of the rows' span: the
+        first ``rank`` entries of ``row . V``.  As ``A . V == U^-1 . D`` is
+        zero past the rank, ``row == sum(c[i] * V^-1[i])`` over the others,
+        so the map is injective on the span and the rows keep their
+        relations."""
+        if self._snf is None:
+            return []
+        _, d, v, _ = self._snf
+        rank = sum(1 for i in range(min(len(d), len(d[0]))) if d[i][i])
+        return [tuple(sum(x * v[i][j] for i, x in enumerate(row)) for j in range(rank))
+                for row in self.rows]
+
 
 def integer_solve(rows: Sequence[Sequence[int]],
                   rhs: Sequence[int]) -> Optional[tuple[int, ...]]:
@@ -894,9 +910,12 @@ class CombinationSearch:
     first certificate as the uncut search.  ``nodes`` counts depth-first
     calls over all ``find`` calls.
 
-    The unit coefficients of a certificate come from one
-    :class:`IntegerSolver` over the units, built on first need, so the
-    Smith form of the units is computed at most once per search.
+    One :class:`IntegerSolver` over the units is built here, so one Smith
+    form of the units serves every search on this object: a leaf asks it
+    whether the residue lies in ``Z*units`` and keeps the integer unit
+    coefficients it returns, the certificate uses those coefficients, and
+    :meth:`unit_relation`, which shifts negative ones, reads the units'
+    span coordinates off the same form.  No rational simplex is run.
     """
 
     def __init__(self, generators: Sequence[Sequence[int]], normals: Sequence[Sequence[int]]):
@@ -916,8 +935,7 @@ class CombinationSearch:
                 raise InputError("generator outside the cone of the given normals")
             (self.positive if any(values) else self.units).append(i)
         self._unit_vectors = [self.generators[i] for i in self.units]
-        self._unit_lattice = IntegerLattice(self.dim, self._unit_vectors)
-        self._unit_solver: Optional[IntegerSolver] = None
+        self._unit_solver = IntegerSolver(self._unit_vectors)
         self._weights = [vdot(self.weight, self.generators[i]) for i in self.positive]
         free = [j for j in range(self.dim) if all(u[j] == 0 for u in self._unit_vectors)]
         # bounds[i]: (j, lo_n, lo_w, hi_n, hi_w) per free coordinate j, the
@@ -963,16 +981,63 @@ class CombinationSearch:
         self.nodes = 0
 
     def unit_relation(self) -> tuple[int, ...]:
-        """Strictly positive integers r with ``sum(r[i] * units[i]) == 0``."""
+        """Strictly positive integers r with ``sum(r[i] * units[i]) == 0``.
+
+        A sum of positive circuits of the units' distinct directions, each
+        read off their coordinates in the units' Smith form, taken until
+        every direction lies in one, then spread over the units of each
+        direction; a relation that is not strictly positive or fails
+        re-substitution raises :class:`InternalCheckError`.
+        """
         if self._relation is None:
             units = self._unit_vectors
-            total = tuple(0 for _ in range(self.dim))
-            for u in units:
-                total = vadd(total, u)
-            q = solve_nonneg_rational(units, vneg(total))
-            if q is None:
+            # The units positively span the lineality space, so by conformal
+            # decomposition of a strictly positive relation every unit lies
+            # in a positive circuit (Bjorner, Las Vergnas, Sturmfels, White,
+            # Ziegler, Oriented Matroids, 3.4), and positive circuits that
+            # cover every unit sum to a strictly positive relation.  A zero
+            # unit, or a repeat or positive multiple of another, adds no
+            # other circuit, so the circuits are sought among one primitive
+            # direction per class of positively parallel nonzero units.
+            # With rho the units' rank, every circuit is the one relation, up
+            # to scale, among some rho + 1 directions of rank rho: by
+            # Cramer's rule, the signed rho-minors of their span coordinates.
+            # A circuit is added when it covers a direction no earlier one
+            # does, so a set of covered directions is not tried.
+            coords = self._unit_solver.span_coordinates()
+            rho = len(coords[0]) if coords else 0
+            classes: dict[tuple[int, ...], list[int]] = {}
+            for i, u in enumerate(units):
+                if any(u):
+                    classes.setdefault(primitive(u), []).append(i)
+            members = list(classes.values())
+            scale = [gcd(*u) for u in units]  # u == scale * primitive(u)
+            dirs = [tuple(c // scale[ix[0]] for c in coords[ix[0]]) for ix in members]
+            cover = [0] * len(dirs)
+            for support in combinations(range(len(dirs)), rho + 1):
+                if all(cover):
+                    break
+                if all(cover[t] for t in support):
+                    continue
+                z = [0] * len(dirs)
+                for pos, t in enumerate(support):
+                    z[t] = (-1) ** pos * int_det([dirs[s] for s in support if s != t])
+                if all(c <= 0 for c in z):
+                    z = vneg(z)
+                if all(c >= 0 for c in z) and any(c and not r for c, r in zip(z, cover)):
+                    cover = [r + c for r, c in zip(cover, primitive(z))]
+            # direction p with copies u_i == scale_i * p gets cover_p * T
+            # spread as cover_p * T / (n_p * scale_i) on each of its n_p
+            # copies, T divisible by every such denominator; a zero unit
+            # takes any positive coefficient
+            t = lcm(1, *(len(ix) * scale[i] for ix in members for i in ix))
+            rel = [1] * len(units)
+            for c, ix in zip(cover, members):
+                for i in ix:
+                    rel[i] = c * t // (len(ix) * scale[i])
+            rel = primitive(rel)
+            if not all(r > 0 for r in rel):
                 raise InternalCheckError("units do not span a group")
-            rel = as_int_vector([c + 1 for c in q])
             if any(sum(r * u[j] for r, u in zip(rel, units)) for j in range(self.dim)):
                 raise InternalCheckError("unit relation failed re-substitution")
             self._relation = rel
@@ -995,16 +1060,17 @@ class CombinationSearch:
                 return None
         gens, positive, weights, cuts = self.generators, self.positive, self._weights, self._cuts
         last = len(positive) - 1
-        unit_lattice = self._unit_lattice
+        solve_units = self._unit_solver.solve
         coeffs = [0] * len(positive)
         refuted = set()
 
-        def dfs(i, residue, rest) -> bool:
+        def dfs(i, residue, rest) -> Optional[tuple[int, ...]]:
+            """The unit coefficients of the first leaf below, or None."""
             self.nodes += 1
             if rest == 0 or i > last:
-                return rest == 0 and unit_lattice.contains(residue)
+                return solve_units(residue) if rest == 0 else None
             if (i, residue) in refuted:
-                return False
+                return None
             g, w = gens[positive[i]], weights[i]
             if i == last:
                 choices = (rest // w,) if rest % w == 0 else ()
@@ -1020,34 +1086,30 @@ class CombinationSearch:
                 choices = range(hi, lo - 1, -1)
             for c in choices:
                 coeffs[i] = c
-                if dfs(i + 1, tuple(r - c * gj for r, gj in zip(residue, g)), rest - c * w):
-                    return True
+                z = dfs(i + 1, tuple(r - c * gj for r, gj in zip(residue, g)), rest - c * w)
+                if z is not None:
+                    return z
             coeffs[i] = 0
             refuted.add((i, residue))
-            return False
-
-        if not dfs(0, x, total):
             return None
-        return self._certificate(x, coeffs)
 
-    def _certificate(self, x, coeffs) -> tuple[int, ...]:
+        z = dfs(0, x, total)
+        if z is None:
+            return None
+        return self._certificate(x, coeffs, z)
+
+    def _certificate(self, x, coeffs, z) -> tuple[int, ...]:
+        """Full coefficients from the leaf's positive coefficients and its
+        integer unit coefficients z, negative ones shifted by the relation."""
         full = [0] * len(self.generators)
-        residue = x
         for i, c in zip(self.positive, coeffs):
             full[i] = c
-            residue = vsub(residue, vscale(c, self.generators[i]))
-        if self.units:
-            if self._unit_solver is None:
-                self._unit_solver = IntegerSolver(self._unit_vectors)
-            z = self._unit_solver.solve(residue)
-            if z is None:
-                raise InternalCheckError("leaf residue left the unit lattice")
-            if any(c < 0 for c in z):
-                rel = self.unit_relation()
-                shift = max(-(c // r) for c, r in zip(z, rel))
-                z = tuple(c + shift * r for c, r in zip(z, rel))
-            for i, c in zip(self.units, z):
-                full[i] = c
+        if any(c < 0 for c in z):
+            rel = self.unit_relation()
+            shift = max(-(c // r) for c, r in zip(z, rel))
+            z = tuple(c + shift * r for c, r in zip(z, rel))
+        for i, c in zip(self.units, z):
+            full[i] = c
         check = tuple(sum(c * g[j] for c, g in zip(full, self.generators)) for j in range(self.dim))
         if check != x or any(c < 0 for c in full):
             raise InternalCheckError("combination certificate failed re-substitution")

@@ -410,7 +410,11 @@ class LatticeMonoid(VectorCarrier):
         depth-first search under that exact weight equality is finite, and
         at each leaf the residue must lie in the unit lattice.  A True answer
         carries a certificate of nonnegative integer coefficients that is
-        re-substituted.  Answers are memoized per monoid.
+        re-substituted.  Deciding and certifying run in integers: one Smith
+        form of the units answers the leaf checks and gives the unit
+        coefficients, and a strictly positive integer relation read off its
+        kernel shifts negative ones; no rational simplex is run.  Answers
+        are memoized per monoid.
         """
         if len(x) != self.dim:
             raise InputError("element dimension mismatch")

@@ -4,7 +4,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from monoidorder import exactmath
@@ -291,9 +291,9 @@ def test_combination_search_splits_units_from_positive_generators():
 
 
 def test_one_smith_form_per_combination_search(monkeypatch):
-    # counted where the search looks the function up; a fresh Smith form
-    # per certificate that uses a unit would make 20 calls here
-    search = _search([(1, 0), (-1, 0), (0, 1), (2, 3)])
+    # counted where the search looks the function up, from construction on:
+    # the leaf checks, the unit coefficients of every certificate and the
+    # unit relation all read the one Smith form of the units
     calls = []
     snf = exactmath.smith_normal_form
 
@@ -302,11 +302,96 @@ def test_one_smith_form_per_combination_search(monkeypatch):
         return snf(matrix)
 
     monkeypatch.setattr(exactmath, "smith_normal_form", counted)
-    targets = [(x, y) for x in range(-2, 3) for y in range(4)]
-    certificates = [search.find(t) for t in targets]
-    assert len(targets) == 20 and all(c is not None for c in certificates)
-    assert sum(1 for c in certificates if c[0] or c[1]) >= 15
-    assert len(calls) <= 1
+    for gens, members, others, with_units in (
+            ([(1, 0), (-1, 0), (0, 1), (2, 3)],
+             [(x, y) for x in range(-2, 3) for y in range(4)], [(0, -1)], 15),
+            ([(2, 0), (-2, 0), (1, 1)],
+             [(x, y) for x in range(-4, 5, 2) for y in range(0, 4, 2)],
+             [(x, 1) for x in range(-4, 5, 2)] + [(1, 2), (-3, 4)], 5)):
+        nonzero = [g for g in gens if any(g)]
+        normals = RationalCone.from_rays(nonzero, 2).h_rep
+        del calls[:]
+        search = CombinationSearch(gens, normals)
+        certificates = [search.find(t) for t in members]
+        assert all(c is not None for c in certificates)
+        # most certificates use a unit
+        assert sum(1 for c in certificates if c[0] or c[1]) >= with_units
+        assert all(search.find(t) is None for t in others)
+        assert all(r > 0 for r in search.unit_relation())
+        assert len(calls) == 1
+
+
+def test_lattice_membership_runs_no_simplex(monkeypatch):
+    # fresh lattices with units whose integer kernel has rank 1, 2 and 3,
+    # one with a zero and one with a repeated generator: deciding and
+    # certifying membership makes no rational simplex call
+    from monoidorder.monoids import LatticeMonoid
+    lattices = [
+        [(1, 0), (-1, 0), (0, 1)],                      # kernel rank 1
+        [(1, 0, 0), (0, 1, 0), (-1, -1, 0), (0, 0, 1), (1, 2, 3)],  # 1
+        [(1, 0), (-1, 0), (0, 0), (0, 1), (2, 1)],      # 2, with a zero generator
+        [(1, 0), (0, 1), (-1, -1), (1, 1)],             # 2, the whole plane
+        [(2, 0), (-1, 0), (-1, 0), (0, 0), (1, 3)],     # 3, with a repeat
+        [(1, -1), (-1, 1), (2, -2), (1, 1)],            # 2
+    ]
+    lp_calls = []
+    lp = exactmath.solve_nonneg_rational
+
+    def counted(generators, target):
+        lp_calls.append(target)
+        return lp(generators, target)
+
+    monkeypatch.setattr(exactmath, "solve_nonneg_rational", counted)
+    relations = []
+    relation = CombinationSearch.unit_relation
+
+    def built(self):
+        if self._relation is None:
+            relations.append(self)
+        return relation(self)
+
+    monkeypatch.setattr(CombinationSearch, "unit_relation", built)
+    kernel_ranks = set()
+    for gens in lattices:
+        m = LatticeMonoid(len(gens[0]), gens)
+        search = m.combinations
+        units = [gens[i] for i in search.units]
+        kernel_ranks.add(len(units) - rational_rank(units))
+        for x in itertools.product(range(-3, 4), repeat=m.dim):
+            assert m.contains(x) == (bounded_nonneg_combination(gens, x, 12) is not None)
+    assert kernel_ranks == {1, 2, 3}
+    assert len(relations) == len(lattices)
+    assert lp_calls == []
+
+
+def test_unit_relation_merges_parallel_units(monkeypatch):
+    # the whole space of dimension 4, with 30 copies of e2 and two positive
+    # multiples of it: its only positive circuits are e1, one unit along
+    # e2, e3, e4 and -(e1 + e2 + e3 + e4), so with one direction per class
+    # of parallel units one circuit of 5 minors covers every unit, where
+    # the subsets of all units number tens of thousands before the last
+    # copy of e2 is covered
+    e = [tuple(int(i == j) for j in range(4)) for i in range(4)]
+    units = ([e[0]] + [e[1]] * 30 + [vscale(2, e[1]), vscale(3, e[1]), e[2], e[3],
+             (-1, -1, -1, -1), (0, 0, 0, 0)])
+    search = _search(units)
+    assert search.units == list(range(len(units)))
+    calls = []
+    det = exactmath.int_det
+
+    def counted(mat):
+        calls.append(mat)
+        return det(mat)
+
+    monkeypatch.setattr(exactmath, "int_det", counted)
+    rel = search.unit_relation()
+    assert len(calls) <= 5
+    assert all(r > 0 for r in rel)
+    total = (0, 0, 0, 0)
+    for r, u in zip(rel, units):
+        total = vadd(total, vscale(r, u))
+    assert total == (0, 0, 0, 0)
+    assert search.find((-5, 7, -3, 2)) is not None
 
 
 def test_integer_solver_answers_like_integer_solve():
@@ -429,6 +514,60 @@ def test_combination_search_returns_the_reference_certificate(case):
     # twice on one search, so the second answer reuses its solver and relation
     for _ in range(2):
         assert search.find(target) == _reference_certificate(search, target)
+
+
+def _totally_cyclic(case):
+    """Units that positively span their linear span: the base vectors, the
+    negated combination of them with the drawn positive coefficients, and
+    extras that are zero vectors, repeats or negations of those."""
+    base, coeffs, extras, order = case
+    units = list(base)
+    units.append(tuple(-sum(c * b[j] for c, b in zip(coeffs, base))
+                       for j in range(len(base[0]))))
+    for kind, i in extras:
+        u = units[i % len(units)]
+        units.append((tuple(0 for _ in u), u, vneg(u))[kind])
+    return [units[i] for i in sorted(range(len(units)), key=order.__getitem__)]
+
+
+unit_configurations = st.integers(min_value=1, max_value=3).flatmap(
+    lambda d: st.integers(min_value=1, max_value=3).flatmap(
+        lambda n: st.tuples(
+            st.lists(st.tuples(*[st.integers(min_value=-3, max_value=3)] * d),
+                     min_size=n, max_size=n),
+            st.lists(st.integers(min_value=1, max_value=3), min_size=n, max_size=n),
+            st.lists(st.tuples(st.integers(min_value=0, max_value=2),
+                               st.integers(min_value=0, max_value=5)),
+                     max_size=5 - n),
+            st.permutations(range(6))))).map(_totally_cyclic)
+
+
+@settings(max_examples=150)
+@given(unit_configurations, st.data())
+def test_unit_relation_is_a_strictly_positive_integer_relation(units, data):
+    d = len(units[0])
+    # a generator that is positive when it leaves the units' span
+    off = data.draw(st.one_of(st.none(), st.tuples(*[st.integers(-2, 2)] * d)))
+    gens = units + ([off] if off is not None else [])
+    search = _search(gens)
+    unit_vectors = [gens[i] for i in search.units]
+    assume(len(unit_vectors) <= 6)
+    kernel_rank = len(unit_vectors) - rational_rank(unit_vectors)
+    assert kernel_rank >= 1
+    assume(kernel_rank <= 4)
+    event(f"kernel rank {kernel_rank}")
+    rel = search.unit_relation()
+    assert all(type(r) is int and r > 0 for r in rel)
+    assert all(sum(r * u[j] for r, u in zip(rel, unit_vectors)) == 0 for j in range(d))
+    # the rational oracle the relation replaces agrees that one exists
+    total = tuple(sum(u[j] for u in unit_vectors) for j in range(d))
+    assert solve_nonneg_rational(unit_vectors, vneg(total)) is not None
+    # a member (a drawn combination) and a point that may be none
+    coeffs = data.draw(st.lists(st.integers(0, 3), min_size=len(gens), max_size=len(gens)))
+    member = tuple(sum(c * g[j] for c, g in zip(coeffs, gens)) for j in range(d))
+    for target in (member, data.draw(st.tuples(*[st.integers(-4, 4)] * d))):
+        assert search.find(target) == _reference_certificate(search, target)
+    assert search.find(member) is not None
 
 
 # ---------------------------------------------------------------------------
