@@ -595,6 +595,7 @@ def main(argv=None) -> int:
         handler = globals()[args.func.__name__]
         with stderr_timer(args.command):
             doc, code = handler(args)
+        report = render_report(doc, args.format)
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -604,7 +605,12 @@ def main(argv=None) -> int:
     except InternalCheckError as exc:
         print(f"internal check failed: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    sys.stdout.write(render_report(doc, args.format))
+    except Exception as exc:
+        # any other exception is a bug too: exit 5 rather than Python's 1,
+        # which would read as "refuted"
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+    sys.stdout.write(report)
     return code
 
 

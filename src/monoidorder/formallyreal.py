@@ -495,7 +495,9 @@ def isolate_real_roots(p) -> list:
     """Disjoint rational intervals ``(lo, hi]``, one distinct real root each.
 
     ``p`` is a polynomial or a :class:`SturmChain` built for one; every
-    bisection step counts with that one chain.
+    bisection step counts with that one chain.  The bisection keeps its
+    pending intervals on a stack, left half on top, so the intervals come
+    out left to right however deep two close roots make it go.
     """
     chain = _chain_of(p)
     sf = chain.seed
@@ -503,17 +505,18 @@ def isolate_real_roots(p) -> list:
         return []
     bound = cauchy_root_bound(sf)
     lo, hi = -bound, bound
-
-    def split(a: Fraction, b: Fraction, count: int):
-        if count == 0:
-            return []
+    out = []
+    stack = [(lo, hi, chain.count(lo, hi))]
+    while stack:
+        a, b, count = stack.pop()
         if count == 1:
-            return [(a, b)]
-        mid = (a + b) / 2
-        left = chain.count(a, mid)
-        return split(a, mid, left) + split(mid, b, count - left)
-
-    return split(lo, hi, chain.count(lo, hi))
+            out.append((a, b))
+        elif count > 1:
+            mid = (a + b) / 2
+            left = chain.count(a, mid)
+            stack.append((mid, b, count - left))
+            stack.append((a, mid, left))
+    return out
 
 
 def refine_interval(p, interval, width: Fraction):

@@ -513,6 +513,19 @@ def test_sos_negative_at_zero_isolates_no_root(monkeypatch):
     assert calls == []
 
 
+def test_sos_two_roots_closer_than_recursion_depth_are_refuted():
+    # the roots 1 and 1 + 2^-1000 separate only after ~1000 bisections,
+    # deeper than Python's default recursion limit
+    start = time.monotonic()
+    code, doc, err = run_json("sos", "(x-1)*(x-1-1/(2^1000))")
+    elapsed = time.monotonic() - start
+    assert code == EXIT_REFUTED, err
+    assert doc["result"]["member"] is False
+    assert Fraction(doc["result"]["witness_value"]) < 0
+    assert "Traceback" not in err
+    assert elapsed < 2
+
+
 def test_sos_theorem_mode_reports_the_least_refuted_shift():
     code, doc, _ = run_json("sos", "(x^4+3)/(x^2+1)", "--theorem")
     assert code == EXIT_PASS
@@ -959,3 +972,17 @@ def test_internal_check_failure_is_not_a_refutation(monkeypatch):
     reported = [line for line in err.splitlines()
                 if line.startswith("internal check failed")]
     assert reported == ["internal check failed: planted self-check failure"]
+
+
+def test_uncaught_exception_is_an_internal_error_not_a_refutation(monkeypatch):
+    def failing(args):
+        raise RuntimeError("planted bug")
+
+    monkeypatch.setattr(cli, "cmd_sos", failing)
+    code, out, err = run_cli("sos", "x")
+    assert code == EXIT_INTERNAL
+    assert out == ""
+    assert "Traceback" not in err
+    reported = [line for line in err.splitlines()
+                if line.startswith("internal error")]
+    assert reported == ["internal error: RuntimeError: planted bug"]

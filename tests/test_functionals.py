@@ -5,6 +5,8 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from monoidorder.exactmath import (InputError, RationalCone, rational_rank,
                                    vdot, vsub)
@@ -14,13 +16,14 @@ from monoidorder.functionals import (_sample_pool, check_mult_identity,
                                      span_of_elements, span_with_products,
                                      verify_theorem_main,
                                      weak_implies_strong_audit)
+from monoidorder.instancefile import load_instance
 from monoidorder.monoids import (BiadditiveOp, FiniteMonoid, LatticeMonoid,
                                  OpenConeMonoid, approx, cyclic_product_op,
                                  free_monoid, half_open_half_plane,
                                  saturating_product_op, truncated_free_monoid)
 from monoidorder.monoids import matrix_product_op as matrix_monoid_product_op
 
-from conftest import weakly_localizable_ops
+from conftest import instance_path, weakly_localizable_ops
 
 
 def elementwise_op(dim, weights=None):
@@ -438,6 +441,94 @@ def test_sweep_without_closure_checks_every_product():
         _unmemoized_sweep(BiadditiveOp(free_monoid(2), tensor=t))
     assert str(caught.value) == str(expected.value)
     assert "is not a generator combination" in str(caught.value)
+
+
+@st.composite
+def lattice_tensor_ops(draw):
+    """A tensor with entries -2..2 on free_monoid(d), d <= 4, or (d <= 2) on
+    a free monoid plus one more generator.
+
+    Arbitrary entries mostly put a generator product outside the carrier;
+    nonnegative ones keep the free monoid closed and mostly break an exact
+    law.  Two families are exactly commutative and associative for every
+    scalar: a diagonal one and the graded ``e_i e_j = c e_(i+j)``.  The
+    plain sweep a closed carrier gets grows like pool^3, so only arbitrary
+    tensors reach d = 4, and nonnegative ones stop at d = 2.
+    """
+    kind = draw(st.sampled_from(["any", "nonnegative", "diagonal", "graded"]))
+    top = {"any": 4, "nonnegative": 2}.get(kind, 3)
+    d = draw(st.integers(min_value=1, max_value=top))
+    entry = st.integers(min_value=0 if kind == "nonnegative" else -2, max_value=2)
+    t = [[[0] * d for _ in range(d)] for _ in range(d)]
+    if kind in ("any", "nonnegative"):
+        for i, j, k in itertools.product(range(d), repeat=3):
+            t[i][j][k] = draw(entry)
+    elif kind == "diagonal":
+        for i in range(d):
+            t[i][i][i] = draw(entry)
+    else:
+        c = draw(entry)
+        for i, j in itertools.product(range(d), repeat=2):
+            if i + j < d:
+                t[i][j][i + j] = c
+    gens = list(free_monoid(d).generators)
+    if d <= 2 and draw(st.booleans()):
+        extra = st.integers(min_value=-2, max_value=2)
+        gens.append(tuple(draw(st.lists(extra, min_size=d, max_size=d))))
+    return BiadditiveOp(LatticeMonoid(d, gens), tensor=t)
+
+
+def unit_direction_op():
+    # -e0 is a generator, so e0 is a unit and equivalent to 0: mu(e0, e1) = e0
+    # and mu(e1, e0) = 0 break both exact laws, never the equivalence
+    t = [[[0, 0], [1, 0]], [[0, 0], [0, 0]]]
+    return BiadditiveOp(LatticeMonoid(2, [(1, 0), (0, 1), (-1, 0)]), tensor=t)
+
+
+@settings(max_examples=80)
+@given(lattice_tensor_ops())
+@example(unit_direction_op())
+def test_generator_proof_matches_the_pool_sweep(op):
+    # with a stub certificate the weak search, which could raise first, is
+    # skipped; the report, or the first error, is that of a plain sweep
+    calls = []
+    mu = op.mu
+    op.mu = lambda a, b: calls.append((a, b)) or mu(a, b)
+    try:
+        report = verify_theorem_main(op, weak=UNCERTIFIED)
+    except InputError as caught:
+        with pytest.raises(InputError) as expected:
+            _unmemoized_sweep(op)
+        assert str(caught) == str(expected.value)
+        return
+    if report["commutativity"]["exact_equality_failures"] == 0 and \
+            report["associativity"]["exact_equality_failures"] == 0:
+        # the exact laws hold on the generators, which are pool elements,
+        # so the proof decided the report: the g^2 generator products and
+        # at most a left and a right product per generator triple
+        g = len(op.carrier.generators)
+        assert len(calls) <= g * g + 2 * g ** 3
+    assert _sweep_parts(report) == _unmemoized_sweep(op)
+
+
+def test_generator_proof_replaces_the_sweep_on_free_monoid_3(monkeypatch):
+    # the elementwise product is exactly commutative and associative on the
+    # three generators of a closed carrier, so no pool pair or triple is
+    # multiplied: at most g^2 + g^3 = 36 products (1,120 by the sweep)
+    op = load_instance(instance_path("free-monoid-3.mon")).op
+    calls = {"mu": 0}
+    mu = op.mu
+
+    def counted_mu(a, b):
+        calls["mu"] += 1
+        return mu(a, b)
+
+    monkeypatch.setattr(op, "mu", counted_mu)
+    report = verify_theorem_main(op)
+    assert report["claimed"] and report["pool_size"] == 20
+    assert report["commutativity"]["checked"] == 400
+    assert report["associativity"]["checked"] == 8000
+    assert calls["mu"] <= 36
 
 
 def test_weak_strong_audit_statuses():
