@@ -570,9 +570,9 @@ def verify_theorem_main(op: BiadditiveOp,
     yes the laws are still checked, in observation mode.  Both laws are
     also checked for on-the-nose equality, whose failures are reported
     separately (they are expected on carriers where the equivalence is
-    coarser than equality).  ``checked`` counts the pool pairs and
-    triples that are covered, either by the generator proof below or by
-    the sweep.
+    coarser than equality).  For each law, ``checked`` counts the pool
+    pairs (commutativity) or triples (associativity) that are covered,
+    either by that law's generator proof below or by its sweep.
 
     Each element is interned once to an int index, so exact equality is
     equality of indices.  The pool elements take the indices below
@@ -593,32 +593,35 @@ def verify_theorem_main(op: BiadditiveOp,
     generator products (the generators are pool elements).  Every product
     on a finite or open-cone carrier keeps the check.
 
-    The generator proof.  On a lattice monoid with closure, both laws are
-    first decided exactly on the generators: commutativity on the g^2
-    pairs, associativity on the g^3 triples.  ``mu`` is bilinear (a
-    tensor), so ``mu(a, b) - mu(b, a)`` is bilinear and
-    ``mu(mu(a, b), c) - mu(a, mu(b, c))`` is trilinear in its operands.
-    Expanding each operand over the generators writes either difference
-    on elements of the Z-span of the generators as an integer
-    combination of its values on generators, so it vanishes on that span
-    iff it vanishes on the generators.  Every pool element is a sum of
-    generators, so exact equality then holds on every pool pair and
-    triple, and exact equality implies ``approx`` (the class key is a
-    function of the element).  Closure means that no compared product
-    needs ``check_element``, so the sweep would raise no error either.
-    When both laws hold on the generators, the report is therefore the
-    one the sweep would produce (n^2 and n^3 checked, no failures, no
-    exact failures), and no sweep runs.
+    The generator proof, one law at a time.  On a lattice monoid with
+    closure, each law is decided exactly on the generators: commutativity
+    on the g^2 pairs, associativity on the g^3 triples.  ``mu`` is
+    bilinear (a tensor), so ``mu(a, b) - mu(b, a)`` is bilinear in its
+    operands; expanding each operand over the generators writes it, on
+    elements of the Z-span of the generators, as an integer combination
+    of its values on generator pairs, so it vanishes on that span iff it
+    vanishes on the generators.  Every pool element is a sum of
+    generators, so exact commutativity on the generators gives exact
+    equality on every pool pair, and exact equality implies ``approx``
+    (the class key is a function of the element).  The same argument,
+    with the trilinear ``mu(mu(a, b), c) - mu(a, mu(b, c))`` and the
+    generator triples, takes exact associativity on the generators to
+    every pool triple.  Closure means that no compared product needs
+    ``check_element``, so a sweep would raise no error either.  A law
+    that holds on the generators therefore gets the report its sweep
+    would produce (n^2 pairs or n^3 triples checked, no failures, no
+    exact failures) without a sweep; only a law that fails there is
+    swept.  On any other carrier both laws are swept.
 
-    Otherwise the pool is swept.  Associativity is swept by rows: the
-    triples sharing ``(a, b)`` compare the row ``[(ab)c for c]`` with
-    ``[a(bc) for c]``.  The pool row of a left operand is one list,
-    reused by every pair with that product.  Equal rows pass whole, with
-    class keys still taken in sweep order; any other row is walked triple
-    by triple.  Since ``op.mu`` is pure and deciding closure refuses no
-    element, the report and the first error raised (say, a product
-    outside the carrier) are those of a plain sweep that calls ``op.mu``
-    and ``approx`` on every pair and triple.
+    The pairs are swept before the triples.  Associativity is swept by
+    rows: the triples sharing ``(a, b)`` compare the row
+    ``[(ab)c for c]`` with ``[a(bc) for c]``.  The pool row of a left
+    operand is one list, reused by every pair with that product.  Equal
+    rows pass whole, with class keys still taken in sweep order; any
+    other row is walked triple by triple.  Since ``op.mu`` is pure and
+    deciding closure refuses no element, the report and the first error
+    raised (say, a product outside the carrier) are those of a plain
+    sweep that calls ``op.mu`` and ``approx`` on every pair and triple.
     """
     m = op.carrier
     if weak is None:
@@ -655,11 +658,6 @@ def verify_theorem_main(op: BiadditiveOp,
     closed = bool(gens) and all(m.contains(keys[mul(g, h)])
                                 for g in gens for h in gens)
 
-    def laws_hold_on_generators() -> bool:
-        return (all(mul(a, b) == mul(b, a) for a in gens for b in gens)
-                and all(mul(mul(a, b), c) == mul(a, mul(b, c))
-                        for a in gens for b in gens for c in gens))
-
     def products(i: int) -> list:
         """[mul(i, c) for c in the pool], held once per i."""
         r = pool_rows.get(i)
@@ -678,18 +676,22 @@ def verify_theorem_main(op: BiadditiveOp,
     def same(i: int, j: int) -> bool:
         return class_of(i) == class_of(j)
 
-    def sweep() -> tuple:
-        """The failures of both laws on the pool, and their exact counts."""
-        comm_fail, comm_exact_fail = [], 0
+    def pair_sweep() -> tuple:
+        """The commutativity failures on the pool, and their exact count."""
+        fail, exact_fail = [], 0
         for a in ids:
             for b in ids:
                 ab, ba = mul(a, b), mul(b, a)
                 if ab != ba:
-                    comm_exact_fail += 1
+                    exact_fail += 1
                 if not same(ab, ba):
-                    comm_fail.append({"a": keys[a], "b": keys[b],
-                                      "ab": keys[ab], "ba": keys[ba]})
-        assoc_fail, assoc_exact_fail = [], 0
+                    fail.append({"a": keys[a], "b": keys[b],
+                                 "ab": keys[ab], "ba": keys[ba]})
+        return fail, exact_fail
+
+    def triple_sweep() -> tuple:
+        """The associativity failures on the pool, and their exact count."""
+        fail, exact_fail = [], 0
         for a in ids:
             for b in ids:
                 ab = mul(a, b)
@@ -708,16 +710,17 @@ def verify_theorem_main(op: BiadditiveOp,
                     left = mul(ab, c)
                     right = mul(a, mul(b, c))
                     if left != right:
-                        assoc_exact_fail += 1
+                        exact_fail += 1
                     if not same(left, right):
-                        assoc_fail.append({"a": keys[a], "b": keys[b], "c": keys[c],
-                                           "left": keys[left], "right": keys[right]})
-        return comm_fail, comm_exact_fail, assoc_fail, assoc_exact_fail
+                        fail.append({"a": keys[a], "b": keys[b], "c": keys[c],
+                                     "left": keys[left], "right": keys[right]})
+        return fail, exact_fail
 
-    if closed and laws_hold_on_generators():
-        comm_fail, comm_exact_fail, assoc_fail, assoc_exact_fail = [], 0, [], 0
-    else:
-        comm_fail, comm_exact_fail, assoc_fail, assoc_exact_fail = sweep()
+    commutes = closed and all(mul(a, b) == mul(b, a) for a in gens for b in gens)
+    associates = closed and all(mul(mul(a, b), c) == mul(a, mul(b, c))
+                                for a in gens for b in gens for c in gens)
+    comm_fail, comm_exact_fail = ([], 0) if commutes else pair_sweep()
+    assoc_fail, assoc_exact_fail = ([], 0) if associates else triple_sweep()
     ok = not comm_fail and not assoc_fail
     return {
         "mode": mode,

@@ -168,9 +168,16 @@ def _finite_left(op, s, side, kind) -> LocalizabilityVerdict:
     def mu(x, y):
         return op.mu(x, y) if side == "left" else op.mu(y, x)
 
+    # the damped image x + mu(s, x) of every element, computed and checked
+    # once; the pairs are then read off rows of the order matrix
+    damped = [m.add(mu(s, a), a) for a in m.elements()]
+    for x in damped:
+        check_element(m, x)
+    order = m.leq_matrix()
     for a in m.elements():
+        above = order[damped[a]]
         for b in m.elements():
-            if leq(m, m.add(mu(s, a), a), m.add(mu(s, b), b)) and not leq(m, a, b):
+            if above[damped[b]] and not order[a][b]:
                 _validate_witness(op, s, side, (a, b))
                 return LocalizabilityVerdict(s, kind, "no", "exhaustive pair search",
                                              lambda: ((a, b), {}))
@@ -517,12 +524,21 @@ def monomial_row_obstruction(op: BiadditiveOp, a0) -> Optional[dict]:
 def is_weakly_localizable(op: BiadditiveOp, queries: Optional[Sequence] = None,
                           budget: int = 8) -> WeakLocalizabilityCertificate:
     m = op.carrier
+    verdicts: dict = {}  # candidate -> its localizability verdict
+
+    def localizable(s) -> bool:
+        """Decided once per candidate, however many queries reach it."""
+        v = verdicts.get(s)
+        if v is None:
+            v = verdicts[s] = is_localizable(op, s).verdict
+        return v == "yes"
+
     if isinstance(m, FiniteMonoid):
         assignments = {}
         for a in m.elements():
             found = None
             for s in m.elements():
-                if leq(m, a, s) and is_localizable(op, s).verdict == "yes":
+                if leq(m, a, s) and localizable(s):
                     found = s
                     break
             if found is None:
@@ -556,7 +572,7 @@ def is_weakly_localizable(op: BiadditiveOp, queries: Optional[Sequence] = None,
     for a, candidates in zip(queries, searches):
         found = None
         for s in candidates:
-            if leq(m, a, s) and is_localizable(op, s).verdict == "yes":
+            if leq(m, a, s) and localizable(s):
                 found = s
                 break
         if found is None:

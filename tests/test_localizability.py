@@ -1,6 +1,8 @@
 """Localizable elements, damped comparison maps, weak/strong certificates."""
 
+from collections import Counter
 from fractions import Fraction
+from functools import cache
 from unittest import mock
 
 import pytest
@@ -17,9 +19,10 @@ from monoidorder.localizability import (_ser, _witness_pair, apply_matrix,
                                         is_weakly_localizable,
                                         monomial_row_obstruction,
                                         order_unit_fast_path)
-from monoidorder.monoids import (BiadditiveOp, LatticeMonoid, OpenConeMonoid,
-                                 approx, diagonal_tensor, free_monoid,
-                                 half_open_half_plane, leq,
+from monoidorder.monoids import (BiadditiveOp, FiniteMonoid, LatticeMonoid,
+                                 OpenConeMonoid, approx, cyclic_group_monoid,
+                                 diagonal_tensor, enumerate_biadditive_ops,
+                                 free_monoid, half_open_half_plane, leq,
                                  saturating_product_op, truncated_free_monoid)
 
 from conftest import seeded, weakly_localizable_ops
@@ -359,6 +362,121 @@ def test_weak_queries_are_honored():
 def test_corpus_instances_are_weakly_localizable(name, op):
     cert = is_weakly_localizable(op)
     assert cert.verdict == "yes", name
+
+
+def test_weak_search_decides_each_candidate_once(monkeypatch):
+    # the saturated top absorbs every element, so each of the 9 queries
+    # settles on the first candidate, 0: one decision where one per query
+    # took 9
+    op = saturating_product_op(truncated_free_monoid(2, cap=2))
+    decided = []
+    decide = localizability.is_localizable
+    monkeypatch.setattr(localizability, "is_localizable",
+                        lambda o, s: decided.append(s) or decide(o, s))
+    cert = is_weakly_localizable(op)
+    assert cert.verdict == "yes"
+    assert cert.assignments == {a: 0 for a in op.carrier.elements()}
+    assert decided == [0]
+
+
+@pytest.mark.parametrize("name,op", weakly_localizable_ops())
+def test_weak_search_never_decides_a_candidate_twice(monkeypatch, name, op):
+    decided = Counter()
+    decide = localizability.is_localizable
+    monkeypatch.setattr(localizability, "is_localizable",
+                        lambda o, s: decided.update([s]) or decide(o, s))
+    assert is_weakly_localizable(op).verdict == "yes"
+    assert max(decided.values()) == 1
+
+
+# ---------------------------------------------------------------------------
+# the exhaustive left check on finite carriers
+
+
+def _double_leq_witness(op, s, side):
+    """The first refuting pair of a plain loop that calls leq on both
+    damped images of every pair, None when there is none."""
+    m = op.carrier
+
+    def damped(x):
+        return m.add(op.mu(s, x) if side == "left" else op.mu(x, s), x)
+
+    for a in m.elements():
+        for b in m.elements():
+            if leq(m, damped(a), damped(b)) and not leq(m, a, b):
+                return (a, b)
+    return None
+
+
+def _assert_left_matches_double_leq(op, s, side):
+    got = is_left_localizable(op, s, side=side)
+    want = _double_leq_witness(op, s, side)
+    assert got.verdict == ("yes" if want is None else "no")
+    assert got.witness == want
+
+
+SMALL_FINITE_CARRIERS = {
+    "truncated-1-cap2": lambda: truncated_free_monoid(1, cap=2),
+    "truncated-1-cap3": lambda: truncated_free_monoid(1, cap=3),
+    "truncated-2-cap1": lambda: truncated_free_monoid(2, cap=1),
+    "cyclic-2": lambda: cyclic_group_monoid(2),
+    "cyclic-3": lambda: cyclic_group_monoid(3),
+    "cyclic-4": lambda: cyclic_group_monoid(4),
+}
+
+
+@cache
+def _enumerated_ops(name):
+    return enumerate_biadditive_ops(SMALL_FINITE_CARRIERS[name]())
+
+
+@st.composite
+def finite_left_cases(draw):
+    """A biadditive operation on a small truncated-free or cyclic carrier,
+    one element and one side.
+
+    The canonical quasi-order of a finite carrier relates every pair (a
+    shift into the carrier's minimal ideal, a group, closes any gap), so
+    there the check can only say yes.  Half the cases therefore plant a
+    drawn order matrix on a fresh copy of the carrier, so that the
+    refuting branch and its witness are compared too.
+    """
+    name = draw(st.sampled_from(sorted(SMALL_FINITE_CARRIERS)))
+    op = draw(st.sampled_from(_enumerated_ops(name)))
+    if draw(st.booleans()):
+        m = SMALL_FINITE_CARRIERS[name]()
+        m._cache["leq"] = [[a == b or draw(st.booleans()) for b in m.elements()]
+                           for a in m.elements()]
+        op = BiadditiveOp(m, table=op.table)
+    s = draw(st.sampled_from(op.carrier.elements()))
+    return op, s, draw(st.sampled_from(["left", "right"]))
+
+
+@settings(max_examples=150)
+@given(finite_left_cases())
+def test_finite_left_check_matches_the_double_leq_loop(case):
+    _assert_left_matches_double_leq(*case)
+
+
+@pytest.mark.parametrize("name,op", [(name, op) for name, op in weakly_localizable_ops()
+                                     if isinstance(op.carrier, FiniteMonoid)])
+def test_finite_left_check_matches_the_double_leq_loop_on_the_corpus(name, op):
+    for s in op.carrier.elements():
+        for side in ("left", "right"):
+            _assert_left_matches_double_leq(op, s, side)
+
+
+def test_finite_left_check_multiplies_each_element_once(monkeypatch):
+    # the damped images are computed once and the pairs read off rows of
+    # the order matrix: n products, where leq on both damped images of
+    # every pair took 2 n^2 = 162
+    m = truncated_free_monoid(2, cap=2)
+    op = saturating_product_op(m)
+    calls = []
+    mu = op.mu
+    monkeypatch.setattr(op, "mu", lambda a, b: calls.append((a, b)) or mu(a, b))
+    assert is_left_localizable(op, m.n - 1).verdict == "yes"
+    assert len(calls) == m.n == 9
 
 
 # ---------------------------------------------------------------------------
