@@ -269,7 +269,7 @@ def _groth_describe(instance) -> dict:
     m = instance.monoid
     if instance.kind == "finite":
         groth = grothendieck(m)
-        return {"kind": "finite", "classes": len(groth.reps),
+        return {"kind": "finite", "classes": groth.classes,
                 "monoid_image_classes": sorted(set(groth.iota))}
     return {"kind": m.groth_kind, "dim": m.dim,
             m.basis_key: [list(b) for b in m.span_basis]}

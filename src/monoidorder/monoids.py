@@ -14,11 +14,16 @@ The canonical quasi-order ``a <~ b`` holds when ``k*a + c + t == k*b + t``
 for some monoid elements c, t and some positive integer k.  The associated
 equivalence ``a ~~ b`` holds when there is a single d with
 ``l*a <~ l*b + d`` and ``l*b <~ l*a + d`` for every positive integer l.
-The finite carrier decides both by exhaustive search with the scalar bound
-n + n*n (orbit preperiod plus period envelope); a vector carrier decides
-them from the facet normals of its closed cone.  Membership of a vector in
-a lattice monoid is decided exactly, with no coefficient bound (see
-:meth:`LatticeMonoid.contains`).
+On a finite carrier both relate every pair.  With z the sum of all
+elements, the minimal ideal ``K = z + M`` is a group (Clifford & Preston,
+*The Algebraic Theory of Semigroups* I, 1961, section 1.9); its identity
+e is the idempotent among the multiples of z, and ``K = e + M``.  So
+``k = 1``, ``t = e`` and ``c = (b + e) - (a + e)`` in K certify ``a <~ b``
+for every pair, and ``d = 0`` certifies ``a ~~ b``: the order is total and
+has one equivalence class (see :attr:`FiniteMonoid.kernel`).  A vector
+carrier decides both from the facet normals of its closed cone.
+Membership of a vector in a lattice monoid is decided exactly, with no
+coefficient bound (see :meth:`LatticeMonoid.contains`).
 """
 
 from __future__ import annotations
@@ -57,6 +62,8 @@ class FiniteMonoid:
 
     def __init__(self, table: Sequence[Sequence[int]], names: Optional[Sequence[str]] = None):
         self.n = len(table)
+        if self.n == 0:
+            raise InputError("finite carrier needs at least one element")
         self.table = tuple(tuple(int(x) for x in row) for row in table)
         for row in self.table:
             if len(row) != self.n:
@@ -81,19 +88,8 @@ class FiniteMonoid:
     def add(self, a: int, b: int) -> int:
         return self.table[a][b]
 
-    def scale(self, k: int, a: int) -> int:
-        out = 0
-        for _ in range(k):
-            out = self.table[out][a]
-        return out
-
     def elements(self) -> range:
         return range(self.n)
-
-    @property
-    def scalar_bound(self) -> int:
-        # orbit preperiod is at most n and the pair-orbit period at most n*n
-        return self.n + self.n * self.n
 
     def sum_elements(self, items: Iterable[int]) -> int:
         out = 0
@@ -140,85 +136,60 @@ class FiniteMonoid:
         self._cache["expressions"] = expr
         return expr
 
-    # -- canonical quasi-order (cached exhaustive decision) ---------------
+    # -- canonical quasi-order, decided by the kernel group ----------------
 
-    def leq_matrix(self) -> list[list[bool]]:
-        if "leq" in self._cache:
-            return self._cache["leq"]
-        n = self.n
-        reach = [[False] * n for _ in range(n)]
-        for a in range(n):
-            for b in range(n):
-                hit = False
-                for t in range(n):
-                    at = self.table[a][t]
-                    bt = self.table[b][t]
-                    if any(self.table[at][c] == bt for c in range(n)):
-                        hit = True
-                        break
-                reach[a][b] = hit
-        K = self.scalar_bound
-        mult = [[0] * n]
-        for k in range(1, K + 1):
-            prev = mult[-1]
-            mult.append([self.table[prev[a]][a] for a in range(n)])
-        self._cache["multiples"] = mult
-        leq = [[False] * n for _ in range(n)]
-        for a in range(n):
-            for b in range(n):
-                leq[a][b] = any(reach[mult[k][a]][mult[k][b]] for k in range(1, K + 1))
-        self._cache["leq"] = leq
-        return leq
+    @property
+    def kernel(self) -> tuple[int, dict[int, int]]:
+        """The minimal ideal K of the carrier as ``(e, neg)``: its identity
+        e and the inverse ``neg[y]`` of each member y of K, built once.
 
-    def multiples(self) -> list[list[int]]:
-        self.leq_matrix()
-        return self._cache["multiples"]
+        K is ``z + M`` with z the sum of all elements, and is a group.  The
+        multiples of z stay in K, so they reach its identity, the only
+        idempotent of a group; and ``K = e + M``, as ``z = z + e``.
+        """
+        if "kernel" not in self._cache:
+            z = self.sum_elements(self.elements())
+            e = z
+            while self.table[e][e] != e:
+                e = self.table[e][z]
+            members = sorted(set(self.table[e]))
+            neg = {}
+            for y in members:
+                neg[y] = next((x for x in members if self.table[y][x] == e), None)
+                if neg[y] is None:
+                    raise InternalCheckError("minimal ideal is not a group")
+            self._cache["kernel"] = (e, neg)
+        return self._cache["kernel"]
+
+    def difference(self, a: int, b: int) -> int:
+        """``(a + e) - (b + e)`` in the kernel group K."""
+        e, neg = self.kernel
+        return self.table[self.table[a][e]][neg[self.table[b][e]]]
 
     def check_element(self, x) -> None:
         if not isinstance(x, int) or not 0 <= x < self.n:
             raise InputError(f"element {x!r} not an index in 0..{self.n - 1}")
 
     def leq(self, a: int, b: int) -> bool:
+        """True: ``k = 1``, ``t = e`` and ``c = (b + e) - (a + e)`` give
+        ``a + c + e == b + e``, re-checked here."""
         self.check_element(a)
         self.check_element(b)
-        return self.leq_matrix()[a][b]
+        e, _ = self.kernel
+        c = self.difference(b, a)
+        if self.table[self.table[a][c]][e] != self.table[b][e]:
+            raise InternalCheckError("order certificate failed re-substitution")
+        return True
 
     def approx(self, a: int, b: int) -> bool:
+        """True: the order is total, so ``d = 0`` works for every scalar."""
         self.check_element(a)
         self.check_element(b)
-        memo = self._cache.setdefault("approx", {})
-        if (a, b) in memo:
-            return memo[(a, b)]
-        leqm = self.leq_matrix()
-        mult = self.multiples()
-        K = self.scalar_bound
-        result = False
-        for d in range(self.n):
-            good = True
-            for l in range(1, K + 1):
-                la, lb = mult[l][a], mult[l][b]
-                if not (leqm[la][self.table[lb][d]] and leqm[lb][self.table[la][d]]):
-                    good = False
-                    break
-            if good:
-                result = True
-                break
-        memo[(a, b)] = memo[(b, a)] = result
-        return result
+        return True
 
     def class_key(self, x: int) -> int:
-        """The least index in the ``approx`` class of x, memoized.
-
-        ``approx`` is an equivalence: reflexive with ``d = 0``, symmetric
-        by its definition, and transitive because ``d1 + d2`` works for a
-        chain through a middle element (the order is compatible with
-        addition).  So two elements are equivalent iff their classes share
-        their least member, and x itself bounds the search.
-        """
-        memo = self._cache.setdefault("class_key", {})
-        if x not in memo:
-            memo[x] = next(y for y in range(x + 1) if self.approx(x, y))
-        return memo[x]
+        """0: ``approx`` relates every pair, so there is one class."""
+        return 0
 
 
 class VectorCarrier:
@@ -605,14 +576,14 @@ class BiadditiveOp:
         m = self.carrier
         failures = []
         if isinstance(m, FiniteMonoid):
+            add, mu = m.table, self.table
             for a in m.elements():
                 for b in m.elements():
+                    mu_a, mu_ab = mu[a], mu[add[a][b]]
                     for c in m.elements():
-                        left = self.table[m.add(a, b)][c]
-                        if left != m.add(self.table[a][c], self.table[b][c]):
+                        if mu_ab[c] != add[mu_a[c]][mu[b][c]]:
                             failures.append(("left-additivity", a, b, c))
-                        right = self.table[a][m.add(b, c)]
-                        if right != m.add(self.table[a][b], self.table[a][c]):
+                        if mu_a[add[b][c]] != add[mu_a[b]][mu_a[c]]:
                             failures.append(("right-additivity", a, b, c))
         elif isinstance(m, LatticeMonoid):
             for i, g in enumerate(m.generators):

@@ -689,6 +689,28 @@ def test_exit_code_constants_are_the_documented_contract():
             EXIT_BUDGET, EXIT_INTERNAL) == (0, 1, 2, 3, 4, 5)
 
 
+@pytest.mark.parametrize("argv", [
+    ["order", "a", "b"],
+    ["localizable", "a"],
+    ["localizable", "--weak"],
+    ["localizable", "--strong"],
+    ["verify", "--main"],
+    ["verify", "--fring"],
+    ["verify", "--orderunit", "--element", "a"],
+    ["verify", "--weak-strong"],
+    ["extremals", "--elements", "a"],
+    ["grothendieck"],
+])
+def test_a_finite_file_without_elements_is_an_input_error(tmp_path, argv):
+    # an empty "names:" header leaves no neutral element
+    path = tmp_path / "empty.mon"
+    path.write_text("kind: finite\nnames:\n\n[add]\n\n[mu]\n")
+    code, out, err = run_cli(argv[0], str(path), *argv[1:])
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert "finite carrier needs at least one element" in err
+
+
 @pytest.mark.parametrize("tensor", ["0 0 1 0\n", ""])
 def test_huge_dim_without_matching_tensor_rows_is_an_input_error(
         tmp_path, tensor):

@@ -5,9 +5,7 @@ from fractions import Fraction
 import pytest
 
 from monoidorder.exactmath import InputError, RationalCone, solve_nonneg_rational
-from monoidorder.grothendieck import (FiniteAbelianGroup, LiftedOp,
-                                      ddagger_closure, grothendieck, nabla,
-                                      pi12, stable_equality, up_closure)
+from monoidorder.grothendieck import LiftedOp, grothendieck, nabla, pi12
 from monoidorder.monoids import (BiadditiveOp, FiniteMonoid, LatticeMonoid,
                                  OpenConeMonoid, approx, free_monoid, half_open_half_plane,
                                  leq, saturating_product_op,
@@ -20,42 +18,32 @@ def _cyclic_table(n):
     return [[(i + j) % n for j in range(n)] for i in range(n)]
 
 
-def _klein_table():
-    return [[i ^ j for j in range(4)] for i in range(4)]
-
-
 # ---------------------------------------------------------------------------
 # difference-group structure
 
 
-@pytest.mark.parametrize("table,factors", [
-    (_cyclic_table(3), [3]),
-    (_cyclic_table(5), [5]),
-    ([[0, 1], [1, 1]], []),                      # absorbing element collapses
-    ([[min(i + j, 3) for j in range(4)] for i in range(4)], []),
-])
-def test_finite_difference_group_invariant_factors(table, factors):
-    gg = grothendieck(FiniteMonoid(table))
-    assert gg.kind == "finite"
-    assert gg.group.invariant_factors() == factors
-
-
 @pytest.mark.parametrize("name,m", finite_corpus())
 def test_finite_iota_is_additive(name, m):
+    # the embedding a -> a + e into the kernel group is additive, and the
+    # class numbering tells its images apart
     gg = grothendieck(m)
+    e, _ = m.kernel
     for a in range(m.n):
         for b in range(m.n):
-            assert gg.iota[m.add(a, b)] == gg.group.add(gg.iota[a], gg.iota[b])
+            assert m.add(m.add(a, b), e) == m.add(m.add(a, e), m.add(b, e))
+            assert (gg.iota[a] == gg.iota[b]) == (m.add(a, e) == m.add(b, e))
     assert gg.iota[0] == 0
 
 
 @pytest.mark.parametrize("name,m", finite_corpus())
 def test_stable_equality_matches_definition(name, m):
-    se = stable_equality(m)
+    # some t with a + t == b + t exactly when a + e == b + e: the
+    # difference group is the kernel group
+    e, _ = m.kernel
     for a in range(m.n):
         for b in range(m.n):
             want = any(m.add(a, t) == m.add(b, t) for t in range(m.n))
-            assert se[a][b] == want
+            assert (m.add(a, e) == m.add(b, e)) == want
 
 
 def test_lattice_difference_group_basis():
@@ -72,73 +60,8 @@ def test_cone_difference_group_span():
     assert list(m.span_basis) == [(1, 0), (0, 1)]
 
 
-def test_finite_abelian_group_arithmetic():
-    g = FiniteAbelianGroup(_cyclic_table(6))
-    assert g.exponent == 6
-    assert g.invariant_factors() == [6]
-    assert sorted(g.order_of(x) for x in g.elements()) == [1, 2, 3, 3, 6, 6]
-    for a in g.elements():
-        assert g.add(a, g.neg(a)) == 0
-        for b in g.elements():
-            assert g.add(g.sub(a, b), b) == a
-    k = FiniteAbelianGroup(_klein_table())
-    assert k.exponent == 2
-    assert k.invariant_factors() == [2, 2]
-
-
 # ---------------------------------------------------------------------------
-# saturation closures, cross-checked against their definitions
-
-
-def _up_oracle(group, base):
-    base = set(base)
-    out = set()
-    for x in group.elements():
-        y = 0
-        for _ in range(group.exponent):
-            y = group.add(y, x)
-            if y in base:
-                out.add(x)
-                break
-    return out
-
-
-def _ddagger_oracle(group, base):
-    base = set(base)
-    out = set()
-    for x in group.elements():
-        for e in group.elements():
-            y, ok = e, True
-            for _ in range(group.exponent):
-                y = group.add(y, x)
-                if y not in base:
-                    ok = False
-                    break
-            if ok:
-                out.add(x)
-                break
-    return out
-
-
-@pytest.mark.parametrize("table,base", [
-    (_cyclic_table(6), {2}),
-    (_cyclic_table(6), {1, 2, 4, 5}),
-    (_cyclic_table(4), {0, 2}),
-    (_klein_table(), {1}),
-    (_cyclic_table(5), set(range(5))),
-])
-def test_finite_closures_match_definition(table, base):
-    g = FiniteAbelianGroup(table)
-    up = up_closure(g, base)
-    assert up == _up_oracle(g, base)
-    assert ddagger_closure(g, up) == _ddagger_oracle(g, up)
-
-
-def test_frozen_closure_example_mod_six():
-    g = FiniteAbelianGroup(_cyclic_table(6))
-    up = up_closure(g, {2})
-    assert up == {1, 2, 4, 5}
-    assert ddagger_closure(g, up) == {0, 3}
+# saturation closures of vector carriers
 
 
 def _positive(red, x) -> bool:
@@ -204,15 +127,16 @@ def test_lemma_checkers_report_clean(name, m):
 
 @pytest.mark.parametrize("name,m", finite_corpus())
 def test_kernel_crosscheck_and_pi12(name, m):
-    # a class is in the level-1 kernel exactly when some positive multiple
-    # of it and its negative both saturate into the monoid image
-    red = nabla(m, 1)
-    g = red.groth.group
-    up = up_closure(g, red.groth.iota)
-    for x in g.elements():
-        multiples = [g.scale(k, x) for k in range(1, g.exponent + 1)]
-        sandwiched = any(y in up and g.neg(y) in up for y in multiples)
-        assert (x in red.kernel_set) == sandwiched
+    # every member of the kernel group K has a positive multiple equal to
+    # its identity, the image of 0: the saturation and the order kernel
+    # are all of K, whose size the reductions report
+    e, neg = m.kernel
+    for y in neg:
+        assert any(m.sum_elements([y] * k) == e for k in range(1, len(neg) + 1))
+        assert m.add(y, neg[y]) == e
+    assert len(neg) == grothendieck(m).classes
+    for level in (1, 2):
+        assert nabla(m, level).describe()["kernel_size"] == len(neg)
     report = pi12(m).report
     assert report["bijective"]
     assert all(c["ok"] for c in report["checks"])

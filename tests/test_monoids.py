@@ -2,15 +2,19 @@
 
 import itertools
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from monoidorder.exactmath import (CombinationSearch, InputError, RationalCone,
                                    solve_nonneg_rational, vadd, vneg, vscale,
                                    vsub)
+from monoidorder.grothendieck import grothendieck, nabla
+from monoidorder.localizability import (is_left_localizable,
+                                        is_strongly_localizable,
+                                        is_weakly_localizable)
 from monoidorder.monoids import (BiadditiveOp, FiniteMonoid, LatticeMonoid,
                                  OpenConeMonoid,
                                  approx, check_element,
@@ -52,7 +56,7 @@ def test_finite_order_axioms_exhaustive(name, m):
     for k in (2, 3):
         for a in els:
             for b in els:
-                if leq(m, m.scale(k, a), m.scale(k, b)):
+                if leq(m, m.sum_elements([a] * k), m.sum_elements([b] * k)):
                     assert leq(m, a, b)
 
 
@@ -93,7 +97,7 @@ def test_cone_order_axioms_sampled(name, m):
 
 def _finite_leq_oracle(m, a, b, kmax):
     for k in range(1, kmax + 1):
-        ka, kb = m.scale(k, a), m.scale(k, b)
+        ka, kb = m.sum_elements([a] * k), m.sum_elements([b] * k)
         for c in m.elements():
             for t in m.elements():
                 if m.add(m.add(ka, c), t) == m.add(kb, t):
@@ -110,11 +114,12 @@ def test_finite_leq_matches_definition_with_enlarged_bound(name, m):
 
 
 def _finite_approx_oracle(m, a, b, lmax):
-    leqm = m.leq_matrix()
+    kmax = 2 * (m.n + m.n * m.n)
     for d in m.elements():
         la, lb, good = a, b, True
         for _ in range(lmax):
-            if not (leqm[la][m.add(lb, d)] and leqm[lb][m.add(la, d)]):
+            if not (_finite_leq_oracle(m, la, m.add(lb, d), kmax)
+                    and _finite_leq_oracle(m, lb, m.add(la, d), kmax)):
                 good = False
                 break
             la, lb = m.add(la, a), m.add(lb, b)
@@ -129,6 +134,106 @@ def test_finite_approx_matches_definition_with_enlarged_bound(name, m):
     for a in m.elements():
         for b in m.elements():
             assert approx(m, a, b) == _finite_approx_oracle(m, a, b, lmax)
+
+
+def _monogenic(index, period):
+    """The addition table of the monogenic monoid C(index, period): the
+    multiples 0 .. index + period - 1 of one generator, where
+    ``index + period`` wraps to ``index`` (a cyclic group at index 0)."""
+    n = index + period
+
+    def reduce(k):
+        return k if k < n else index + (k - index) % period
+    return [[reduce(i + j) for j in range(n)] for i in range(n)]
+
+
+def _product_table(tables):
+    """The direct product of finite monoids, tuples in lexicographic order
+    (so the neutral tuple is element 0)."""
+    tuples = list(itertools.product(*(range(len(t)) for t in tables)))
+    index = {x: i for i, x in enumerate(tuples)}
+    return [[index[tuple(t[u][v] for t, u, v in zip(tables, x, y))] for y in tuples]
+            for x in tuples]
+
+
+@st.composite
+def monogenic_products(draw):
+    """A product of one to three monogenic monoids with at most 24 elements."""
+    factors = draw(st.lists(st.tuples(st.integers(0, 3), st.integers(1, 4)),
+                            min_size=1, max_size=3))
+    assume(1 < prod(index + period for index, period in factors) <= 24)
+    return FiniteMonoid(_product_table([_monogenic(*f) for f in factors]))
+
+
+def _pair_class_oracle(m):
+    """``iota`` and the class count of the difference group, by the pair
+    search: (a, b) joins the first class (c, d) with ``a + d + t == c + b + t``
+    for some t, in lexicographic order of the pairs."""
+    stable = [[any(m.add(x, t) == m.add(y, t) for t in m.elements())
+               for y in m.elements()] for x in m.elements()]
+    reps, pair_class = [], {}
+    for a in m.elements():
+        for b in m.elements():
+            found = next((i for i, (c, d) in enumerate(reps)
+                          if stable[m.add(a, d)][m.add(c, b)]), None)
+            if found is None:
+                found = len(reps)
+                reps.append((a, b))
+            pair_class[(a, b)] = found
+    return [pair_class[(a, 0)] for a in m.elements()], len(reps)
+
+
+def _assert_kernel_decisions(m, approx_pairs):
+    kmax = 2 * (m.n + m.n * m.n)
+    for a in m.elements():
+        for b in m.elements():
+            assert leq(m, a, b) == _finite_leq_oracle(m, a, b, kmax)
+    for a, b in approx_pairs:
+        assert approx(m, a, b) == _finite_approx_oracle(m, a, b, 2 * m.n + 2)
+    iota, classes = _pair_class_oracle(m)
+    gg = grothendieck(m)
+    assert (gg.iota, gg.classes) == (iota, classes)
+    for level in (1, 2):
+        reduced = nabla(m, level).describe()
+        assert reduced["group_order"] == 1
+        assert reduced["kernel_size"] == classes
+
+
+@settings(max_examples=100)
+@given(monogenic_products(), st.data())
+def test_kernel_decisions_match_the_definitional_oracles(m, data):
+    pairs = data.draw(st.lists(st.tuples(st.sampled_from(m.elements()),
+                                         st.sampled_from(m.elements())),
+                               min_size=1, max_size=4))
+    _assert_kernel_decisions(m, pairs)
+
+
+@pytest.mark.parametrize("name,m", finite_corpus())
+def test_kernel_decisions_match_the_definitional_oracles_on_the_corpus(name, m):
+    _assert_kernel_decisions(m, [(a, b) for a in m.elements() for b in m.elements()])
+
+
+def test_finite_decisions_read_one_kernel_and_no_product(monkeypatch):
+    # n = 125: every leq call re-checks its certificate against the one
+    # kernel, and the localizability checks multiply at most n times
+    m = truncated_free_monoid(3, cap=4)
+    op = saturating_product_op(m)
+    assert m.n == 125
+    builds = []
+    sum_elements = m.sum_elements
+    monkeypatch.setattr(m, "sum_elements", lambda xs: builds.append(1) or sum_elements(xs))
+    assert all(leq(m, a, b) for a in m.elements() for b in m.elements())
+    assert len(builds) == 1
+    calls = []
+    mu = op.mu
+    monkeypatch.setattr(op, "mu", lambda a, b: calls.append((a, b)) or mu(a, b))
+    verdicts = {"weak": lambda: is_weakly_localizable(op).verdict,
+                "strong": lambda: is_strongly_localizable(op)["verdict"],
+                "left": lambda: is_left_localizable(op, m.n - 1).verdict}
+    for name, verdict in verdicts.items():
+        calls.clear()
+        assert verdict() == "yes", name
+        assert len(calls) <= m.n, name
 
 
 @pytest.mark.parametrize("name,m", lattice_corpus())
@@ -402,6 +507,11 @@ def test_combination_search_nodes_on_the_theorem_sweep():
 
 # ---------------------------------------------------------------------------
 # carrier constructors validate their inputs
+
+
+def test_finite_monoid_wants_an_element():
+    with pytest.raises(InputError, match="at least one element"):
+        FiniteMonoid([])
 
 
 def test_finite_monoid_wants_neutral_first():
