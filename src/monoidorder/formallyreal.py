@@ -18,7 +18,8 @@ primitive integer polynomials; gcds, exact quotients and Yun's
 square-free decomposition run over Z[x] with the primitive
 pseudo-remainder sequence; Sturm chains and witness candidates are
 signed by homogeneous integer Horner.  ``f - k`` needs no gcd at all:
-for canonical ``n/d``, ``gcd(n - k*d, d) = gcd(n, d) = 1``.  The
+for canonical ``n/d``, ``gcd(n - k*d, d) = gcd(n, d) = 1``, so the shift
+search decides each probe on the integer numerator ``n - k*d`` alone.  The
 self-checks run on every call, in exact arithmetic: each integer
 quotient must divide exactly, the decomposition must reconstruct its
 input (compared in integers), and a witness must evaluate negative in
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 from math import floor, gcd, lcm
 from typing import Optional, Sequence, Union
 
@@ -80,11 +82,8 @@ class RationalPolynomial:
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other: "RationalPolynomial") -> "RationalPolynomial":
-        a, b = self.coefficients, other.coefficients
-        n = max(len(a), len(b))
-        return RationalPolynomial(
-            [(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
-             for i in range(n)])
+        return RationalPolynomial([a + b for a, b in zip_longest(
+            self.coefficients, other.coefficients, fillvalue=0)])
 
     def __neg__(self) -> "RationalPolynomial":
         return RationalPolynomial([-c for c in self.coefficients])
@@ -107,33 +106,9 @@ class RationalPolynomial:
     def scale(self, c: Rat) -> "RationalPolynomial":
         return RationalPolynomial([Fraction(c) * x for x in self.coefficients])
 
-    def divmod(self, other: "RationalPolynomial"):
-        if other.is_zero():
-            raise InputError("polynomial division by zero")
-        rem = list(self.coefficients)
-        q = [Fraction(0)] * max(0, len(rem) - len(other.coefficients) + 1)
-        d = other.degree
-        lead = other.leading
-        while len(rem) - 1 >= d and any(x != 0 for x in rem):
-            while rem and rem[-1] == 0:
-                rem.pop()
-            if len(rem) - 1 < d:
-                break
-            shift = len(rem) - 1 - d
-            factor = rem[-1] / lead
-            q[shift] = factor
-            for i, c in enumerate(other.coefficients):
-                rem[shift + i] -= factor * c
-        return RationalPolynomial(q), RationalPolynomial(rem)
-
     def exact_div(self, other: "RationalPolynomial") -> "RationalPolynomial":
-        """The quotient by a divisor, computed in integers.
-
-        Both operands are scaled to primitive integer multiples, divided
-        exactly (:class:`InternalCheckError` when ``other`` does not divide
-        ``self``), and the quotient is scaled back by the ratio of the
-        scalings.
-        """
+        """The quotient by a divisor, divided exactly in integers and scaled
+        back (:class:`InternalCheckError` when ``other`` does not divide)."""
         if other.is_zero():
             raise InputError("polynomial division by zero")
         a, b = _integer_multiple(self), _integer_multiple(other)
@@ -142,15 +117,6 @@ class RationalPolynomial:
             return RationalPolynomial([])
         ratio = self.leading * b[-1] / (other.leading * a[-1])
         return RationalPolynomial([ratio * c for c in q])
-
-    def derivative(self) -> "RationalPolynomial":
-        return RationalPolynomial(
-            [i * c for i, c in enumerate(self.coefficients)][1:])
-
-    def monic(self) -> "RationalPolynomial":
-        if self.is_zero():
-            return self
-        return self.scale(1 / self.leading)
 
     def evaluate(self, x: Rat) -> Fraction:
         x = Fraction(x)
@@ -215,9 +181,7 @@ def _primitive(ints) -> tuple:
 
 def _integer_multiple(p: RationalPolynomial) -> tuple:
     """Primitive integer coefficients that are a positive multiple of ``p``."""
-    den = 1
-    for c in p.coefficients:
-        den = lcm(den, c.denominator)
+    den = lcm(*(c.denominator for c in p.coefficients))
     return _primitive([c.numerator * (den // c.denominator)
                        for c in p.coefficients])
 
@@ -234,9 +198,7 @@ def _positive_lead(ints: tuple) -> tuple:
 
 
 def _int_sub(a: tuple, b: tuple) -> tuple:
-    n = max(len(a), len(b))
-    out = [(a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)
-           for i in range(n)]
+    out = [x - y for x, y in zip_longest(a, b, fillvalue=0)]
     while out and out[-1] == 0:
         out.pop()
     return tuple(out)
@@ -314,34 +276,18 @@ def _int_gcd(a: tuple, b: tuple) -> tuple:
 
 
 def poly_gcd(a: RationalPolynomial, b: RationalPolynomial) -> RationalPolynomial:
-    """Monic greatest common divisor (zero when both are zero).
-
-    Computed in integers: both arguments are scaled to primitive integer
-    polynomials, whose primitive pseudo-remainder sequence ends in their
-    gcd up to sign; only the final monic normalization uses ``Fraction``.
-    """
+    """Monic greatest common divisor (zero when both are zero), computed as
+    the gcd of the primitive integer multiples (:func:`_int_gcd`)."""
     g = _int_gcd(_integer_multiple(a), _integer_multiple(b))
     return _monic(g) if g else RationalPolynomial([])
 
 
-def squarefree_decomposition(p: RationalPolynomial):
-    """Yun decomposition ``p = leading * prod factor_i ^ i`` with monic factors.
-
-    Returns ``(leading, [(factor, multiplicity), ...])``; factors are
-    squarefree, pairwise coprime and nonconstant.  Yun's algorithm (Yun,
-    SYMSAC 1976) runs on the primitive integer multiple of ``p``: its gcds
-    are primitive, so every quotient is an exact integer division, checked
-    at each step.  Before returning, the product of the factors (each
-    scaled to a positive leading coefficient) raised to their
-    multiplicities is compared exactly, in integers, with that multiple of
-    ``p``; a mismatch raises :class:`InternalCheckError`.
-    """
-    if p.is_zero():
-        raise InputError("the zero polynomial has no square-free decomposition")
-    lead = p.leading
-    ints = _integer_multiple(p)
-    if len(ints) == 1:
-        return lead, []
+def _yun(ints: tuple) -> list:
+    """Yun's decomposition (SYMSAC 1976) of primitive nonzero ``ints``:
+    ``[(factor, multiplicity), ...]``, factors square-free, pairwise
+    coprime, nonconstant, primitive and leading positively.  Gcds are
+    primitive, so each quotient is an exact integer division, checked; so
+    is the product of the factors' powers against ``ints``."""
     dp = _int_derivative(ints)
     a = _int_gcd(ints, dp)
     b = _exact_quotient(ints, a)
@@ -357,26 +303,30 @@ def squarefree_decomposition(p: RationalPolynomial):
         c = _exact_quotient(d, g)
         d = _int_sub(c, _int_derivative(b))
         i += 1
-    recon = (1,)
-    for g, m in out:
-        for _ in range(m):
-            recon = _int_mul(recon, g)
-    if recon != _positive_lead(ints):
+    if _int_product(g for g, m in out for _ in range(m)) != _positive_lead(ints):
         raise InternalCheckError("square-free decomposition failed to reconstruct")
-    return lead, [(_monic(g), m) for g, m in out]
-
-
-def _product(polys) -> RationalPolynomial:
-    out = RationalPolynomial([1])
-    for g in polys:
-        out = out * g
     return out
+
+
+def _int_product(polys) -> tuple:
+    out = (1,)
+    for g in polys:
+        out = _int_mul(out, g)
+    return out
+
+
+def squarefree_decomposition(p: RationalPolynomial):
+    """Yun decomposition ``p = leading * prod factor_i ^ i``: ``(leading,
+    [(factor, multiplicity), ...])`` with monic factors (:func:`_yun`)."""
+    if p.is_zero():
+        raise InputError("the zero polynomial has no square-free decomposition")
+    return p.leading, [(_monic(g), m) for g, m in _yun(_integer_multiple(p))]
 
 
 def squarefree_part(p: RationalPolynomial) -> RationalPolynomial:
     """Monic polynomial with the same distinct roots, each simple."""
     _, factors = squarefree_decomposition(p)
-    return _product(g for g, _ in factors)
+    return _monic(_int_product(_integer_multiple(g) for g, _ in factors))
 
 
 # ---------------------------------------------------------------------------
@@ -402,6 +352,52 @@ def _homogeneous_value(c: tuple, n: int, powers: list) -> int:
     return acc
 
 
+def _sturm_entries(seed: tuple) -> list:
+    """The integer Sturm chain of square-free, positively leading ``seed``:
+    it, its primitive derivative, then primitive pseudo-remainders."""
+    chain = [seed]
+    if len(seed) > 1:
+        chain.append(_primitive(_int_derivative(seed)))
+        while len(chain[-1]) > 1:
+            rem = _negated_remainder(chain[-2], chain[-1])
+            if not rem:
+                break
+            chain.append(rem)
+    return chain
+
+
+def _infinity_variations(chain, positive: bool) -> int:
+    """Sign variations of ``chain`` at ``+infinity`` (``positive``) or at
+    ``-infinity``, where each entry has the sign of its leading term."""
+    signs = [(c[-1] > 0) == (positive or len(c) % 2 == 1) for c in chain]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def _root_count(left: int, right: int) -> int:
+    """Distinct roots between points with ``left`` and ``right`` variations."""
+    if left < right:
+        raise InternalCheckError("negative root count from the variation chain")
+    return left - right
+
+
+def _fujiwara_tail(c: tuple) -> int:
+    """``2^(e+2)``, strictly above every root's absolute value: with ``2^e
+    >= |c_(n-k)/c_n|^(1/k)`` for all ``k``, Fujiwara's bound is ``2^(e+1)``."""
+    n, top = len(c) - 1, abs(c[-1]).bit_length()
+    e = max([0] + [-((top - 1 - abs(c[n - k]).bit_length()) // k)
+                   for k in range(1, n + 1) if c[n - k]])
+    return 2 ** (e + 2)
+
+
+def _odd_root_count(factors) -> int:
+    """Distinct real roots of odd multiplicity of a product of Yun factors:
+    those of the odd-multiplicity factors' product, read from its chain's
+    signs at the infinities, with no point evaluated."""
+    chain = _sturm_entries(_int_product(g for g, m in factors if m % 2))
+    return _root_count(_infinity_variations(chain, False),
+                       _infinity_variations(chain, True))
+
+
 class SturmChain:
     """Sturm chain of the square-free part of a polynomial, in integers.
 
@@ -419,49 +415,47 @@ class SturmChain:
     variation count right-continuous; the count of distinct real roots in
     the half-open interval ``(lo, hi]`` is then the difference of the
     variation counts at the endpoints, with root endpoints handled by the
-    same convention.  ``squarefree=True`` promises that ``p`` is already
-    square-free and skips the decomposition.
+    same convention; the counts at the infinities are kept, as is ``tail``
+    (:func:`_fujiwara_tail`).  ``squarefree=True`` promises that ``p`` is
+    already square-free and skips the decomposition.
     """
 
     def __init__(self, p: RationalPolynomial, squarefree: bool = False):
         if p.is_zero():
             raise InputError("cannot build a root-counting chain for zero")
-        self.seed = p.monic() if squarefree else squarefree_part(p)
-        chain = [_integer_multiple(self.seed)]
-        if self.seed.degree > 0:
-            chain.append(_integer_multiple(self.seed.derivative()))
-            while len(chain[-1]) > 1:
-                rem = _negated_remainder(chain[-2], chain[-1])
-                if not rem:
-                    break
-                chain.append(rem)
-        self.chain = chain
+        ints = _integer_multiple(p if squarefree else squarefree_part(p))
+        self.chain = _sturm_entries(_positive_lead(ints))
+        self.minus_infinity = _infinity_variations(self.chain, False)
+        self.plus_infinity = _infinity_variations(self.chain, True)
+        self.tail = _fujiwara_tail(self.chain[0])
 
-    def _signs_at(self, x: Optional[Rat], positive_infinity: bool = False):
+    def variations(self, x: Optional[Rat], positive_infinity: bool = False) -> int:
         if x is None:
-            return [(1 if c[-1] > 0 else -1) *
-                    (1 if positive_infinity or len(c) % 2 else -1)
-                    for c in self.chain]
+            return self.plus_infinity if positive_infinity else self.minus_infinity
         x = Fraction(x)
-        n = x.numerator
         powers = _powers(x.denominator, len(self.chain[0]) - 1)
         signs = []
         for c in self.chain:
-            acc = _homogeneous_value(c, n, powers)
+            acc = _homogeneous_value(c, x.numerator, powers)
             if acc:
-                signs.append(1 if acc > 0 else -1)
-        return signs
+                signs.append(acc > 0)
+        return sum(a != b for a, b in zip(signs, signs[1:]))
 
-    def variations(self, x: Optional[Rat], positive_infinity: bool = False) -> int:
-        signs = self._signs_at(x, positive_infinity)
-        return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+    def variations_at(self, x: Rat) -> int:
+        """``variations(x)`` at finite ``x``, evaluated only inside
+        ``(-tail, tail)``.  The count changes only at roots of the seed, so
+        beyond every root it is the count at the infinity on that side."""
+        if x <= -self.tail:
+            return self.minus_infinity
+        if x >= self.tail:
+            return self.plus_infinity
+        return self.variations(x)
 
     def count(self, lo: Optional[Rat] = None, hi: Optional[Rat] = None) -> int:
         """Distinct real roots in ``(lo, hi]``; ``None`` means infinite."""
-        count = self.variations(lo) - self.variations(hi, positive_infinity=True)
-        if count < 0:
-            raise InternalCheckError("negative root count from the variation chain")
-        return count
+        return _root_count(
+            self.minus_infinity if lo is None else self.variations_at(lo),
+            self.plus_infinity if hi is None else self.variations_at(hi))
 
 
 def _chain_of(p) -> SturmChain:
@@ -475,63 +469,62 @@ def sturm_root_count(p, lo: Optional[Rat] = None,
 
     ``p`` is a polynomial or a :class:`SturmChain` built for one.
     """
-    if isinstance(p, RationalPolynomial):
-        if p.is_zero():
-            raise InputError("the zero polynomial has every point as a root")
-        if p.degree == 0:
-            return 0
     return _chain_of(p).count(lo, hi)
 
 
-def cauchy_root_bound(p: RationalPolynomial) -> Fraction:
-    """All real roots lie strictly inside ``(-B, B)``."""
-    if p.is_zero() or p.degree == 0:
+def cauchy_root_bound(p) -> Fraction:
+    """All real roots of ``p`` (or of integers ``p``) lie inside ``(-B, B)``."""
+    c = p if isinstance(p, tuple) else _integer_multiple(p)
+    if len(c) <= 1:
         return Fraction(1)
-    lead = abs(p.leading)
-    return 1 + max(abs(c) / lead for c in p.coefficients[:-1])
+    return 1 + Fraction(max(abs(x) for x in c[:-1]), abs(c[-1]))
 
 
 def isolate_real_roots(p) -> list:
     """Disjoint rational intervals ``(lo, hi]``, one distinct real root each.
 
-    ``p`` is a polynomial or a :class:`SturmChain` built for one; every
-    bisection step counts with that one chain.  The bisection keeps its
-    pending intervals on a stack, left half on top, so the intervals come
-    out left to right however deep two close roots make it go.
+    ``p`` is a polynomial or a :class:`SturmChain` built for one.  The
+    bisection of ``[-B, B]`` (``B`` the Cauchy bound) keeps pending
+    intervals on a stack, left half on top, so they come out left to right
+    however deep close roots make it go.  Each carries its endpoints'
+    counts, so a step evaluates the chain at its midpoint only, and not
+    outside ``(-tail, tail)``, where the counts are known.
     """
     chain = _chain_of(p)
-    sf = chain.seed
-    if sf.degree <= 0:
+    if len(chain.chain[0]) <= 1:
         return []
-    bound = cauchy_root_bound(sf)
-    lo, hi = -bound, bound
+    bound = cauchy_root_bound(chain.chain[0])
     out = []
-    stack = [(lo, hi, chain.count(lo, hi))]
+    stack = [(-bound, bound, chain.minus_infinity, chain.plus_infinity)]
     while stack:
-        a, b, count = stack.pop()
+        a, b, at_a, at_b = stack.pop()
+        count = _root_count(at_a, at_b)
         if count == 1:
             out.append((a, b))
         elif count > 1:
             mid = (a + b) / 2
-            left = chain.count(a, mid)
-            stack.append((mid, b, count - left))
-            stack.append((a, mid, left))
+            at_mid = chain.variations_at(mid)
+            stack.append((mid, b, at_mid, at_b))
+            stack.append((a, mid, at_a, at_mid))
     return out
 
 
 def refine_interval(p, interval, width: Fraction):
     """Shrink a one-root interval ``(lo, hi]`` below the requested width.
 
-    ``p`` is a polynomial or a :class:`SturmChain` built for one.
+    ``p`` is a polynomial or a :class:`SturmChain` built for one; the
+    count at ``lo`` is carried, so a halving evaluates its midpoint only.
     """
     lo, hi = Fraction(interval[0]), Fraction(interval[1])
     chain = _chain_of(p)
+    at_lo = chain.variations_at(lo)
     while hi - lo > width:
         mid = (lo + hi) / 2
-        if chain.count(lo, mid) == 1:
+        at_mid = chain.variations_at(mid)
+        if _root_count(at_lo, at_mid) == 1:
             hi = mid
         else:
-            lo = mid
+            lo, at_lo = mid, at_mid
     return lo, hi
 
 
@@ -858,24 +851,17 @@ def is_sos_membership(f: RationalFunction) -> dict:
     lead = num.leading * den.leading
     lead_ok = lead > 0
     # a positive multiple of num * den, multiplied in integers
-    g = RationalPolynomial(_int_mul(_integer_multiple(num),
-                                    _integer_multiple(den)))
-    _, factors = squarefree_decomposition(g)
-    odd_chain = None
+    g = _int_mul(_integer_multiple(num), _integer_multiple(den))
+    factors = _yun(g)
     if lead_ok:
-        odd = _product(h for h, m in factors if m % 2 == 1)
-        if odd.degree > 0:
-            odd_chain = SturmChain(odd, squarefree=True)
-        odd_roots = sturm_root_count(odd_chain) if odd_chain else 0
+        odd_roots = _odd_root_count(factors)
         if odd_roots == 0:
             return {"member": True, "witness": None, "witness_value": None,
                     "criterion": POINTWISE_FACT,
                     "detail": f"leading coefficient {lead} > 0 and no "
                               "real root of odd multiplicity"}
-    sf = _product(h for h, _ in factors)
-    chain = (odd_chain if odd_chain and odd_chain.seed == sf
-             else SturmChain(sf, squarefree=True))
-    witness = _negative_point(g, chain)
+    sf = RationalPolynomial(_int_product(h for h, _ in factors))
+    witness = _negative_point(g, SturmChain(sf, squarefree=True))
     value = f.evaluate(witness)
     if value >= 0:
         raise InternalCheckError("witness point does not evaluate negative")
@@ -885,30 +871,25 @@ def is_sos_membership(f: RationalFunction) -> dict:
                        f"{odd_roots} real roots of odd multiplicity")}
 
 
-def _negative_point(g: RationalPolynomial, chain: SturmChain) -> Fraction:
+def _negative_point(g: tuple, chain: SturmChain) -> Fraction:
     """A point with ``g < 0``, minimal denominator first, deterministic.
 
-    ``chain`` is the Sturm chain of ``g``; every isolation and refinement
-    step counts with it.  Candidates: the simplest rationals in the gaps
-    between isolated real roots, plus points beyond the root bound on each
-    side.  They are signed in the order (denominator, absolute value),
-    the nonnegative one first on ties, and the first negative one is
-    returned.  Each candidate's sign is that of a positive integer multiple
-    of ``g``, by homogeneous Horner.  0 comes first in that order, so it
-    is signed before any root is isolated.
+    ``g`` is a nonzero integer polynomial, low degree first, and ``chain``
+    its Sturm chain; every isolation and refinement step counts with it.
+    Candidates: the simplest rationals in the gaps between isolated real
+    roots, plus points beyond the root bound on each side.  They are
+    signed in the order (denominator, absolute value), the nonnegative one
+    first on ties, and the first negative one is returned.  Each
+    candidate's sign is that of ``g``, by homogeneous Horner.  0 comes
+    first in that order, so it is signed before any root is isolated.
     """
-    if g.is_zero():
-        raise InputError("the zero polynomial is nowhere negative")
-    ints = _integer_multiple(g)
-
     def negative(x):
-        return _homogeneous_value(ints, x.numerator, _powers(x.denominator, len(ints) - 1)) < 0
+        return _homogeneous_value(g, x.numerator, _powers(x.denominator, len(g) - 1)) < 0
 
     if negative(Fraction(0)):
         return Fraction(0)
     bound = cauchy_root_bound(g)
-    outside = int(bound) + 1
-    candidates = [Fraction(outside), Fraction(-outside)]
+    candidates = [Fraction(int(bound) + 1), Fraction(-int(bound) - 1)]
     intervals = sorted(isolate_real_roots(chain))
     if intervals:
         quarter = Fraction(1, 4)
@@ -939,39 +920,56 @@ def _negative_point(g: RationalPolynomial, chain: SturmChain) -> Fraction:
     raise InternalCheckError("failed to locate a negative point")
 
 
+def _shift_is_member(N: tuple, D: tuple, k: int) -> bool:
+    """Whether ``f - k`` is a sum of squares, for canonical ``f = N/D``
+    scaled to integers, ``D`` without real roots of odd multiplicity.
+
+    As ``gcd(N - k*D, D) = gcd(N, D) = 1``, the odd-multiplicity real
+    roots of ``(N - k*D) * D`` are those of ``N - k*D``: none, with a
+    positive lead and so an even degree, decides membership.
+    """
+    m = _int_sub(N, [k * c for c in D])
+    if not m:
+        return True
+    if m[-1] < 0 or len(m) % 2 == 0:
+        return False
+    return _odd_root_count(_yun(_primitive(m))) == 0
+
+
 def theorem_skew_hypothesis(f: RationalFunction) -> dict:
     """Least natural ``k`` with ``f - k`` outside the sums of squares.
 
-    Termination bound: at any sample point ``x0`` where ``f`` is defined,
-    ``f(x0) - k`` turns negative once ``k`` exceeds ``f(x0)``, so the
-    answer is at most ``cap = floor(f(x0)) + 1``.
+    Termination bound: at a sample point ``x0`` where ``f`` is defined,
+    ``f(x0) - k < 0`` once ``k > f(x0)``, so the answer is at most ``cap =
+    floor(f(x0)) + 1``.  ``x0`` is the first of ``0, 1, -1, 2, -2, ...``
+    off the denominator's roots, so one of the first ``deg(den) + 1``.
 
-    Monotonicity: membership of ``f - k`` is downward closed in ``k``,
-    because for ``k' < k`` the difference ``(f - k') - (f - k) = k - k'``
-    is a positive rational, hence a sum of squares, and sums of squares
-    are closed under addition.  So the refuted shifts form an upward
-    closed set and the search gallops: it probes ``k = 1, 2, 4, ...``
-    (the last probe clipped to ``cap``) until one is refuted, then bisects
-    the gap above the last member.  That costs at most ``2 * ceil(log2
-    cap)`` membership tests (one when ``cap = 1``) instead of ``k``, so
-    large shifts are cheap.
-    The witness comes from the membership test at the returned ``k``, so
-    the result equals that of a linear scan ``k = 1, 2, ...``.
+    Monotonicity: for ``k' < k``, ``(f - k') - (f - k) = k - k'`` is a
+    positive rational, hence a sum of squares, and sums of squares are
+    closed under addition; so the refuted shifts are upward closed and the
+    search gallops: it probes ``k = 1, 2, 4, ...`` (the last clipped to
+    ``cap``) until one is refuted, then bisects the gap above the last
+    member.  A denominator root of odd multiplicity refutes every shift.
+
+    Cost: at most ``2 * ceil(log2 cap)`` probes (one when ``cap = 1``),
+    each a decision in integers on the shifted numerator alone
+    (:func:`_shift_is_member`), then one :func:`is_sos_membership` at the
+    answer builds the witness, so the result equals that of a linear scan
+    ``k = 1, 2, ...``; a witness build that finds a member raises
+    :class:`InternalCheckError`.
     """
-    x0 = None
-    for cand in (0, 1, -1, 2, -2, 3, -3):
-        if f.defined_at(cand):
-            x0 = Fraction(cand)
-            break
-    if x0 is None:
-        raise InternalCheckError(
-            "denominator vanished on every small integer sample")
+    num, den = f.numerator, f.denominator
+    x0 = next(Fraction(c) for c in ((i + 1) // 2 * (-1) ** (i + 1)
+                                    for i in range(den.degree + 1))
+              if f.defined_at(c))
     cap = max(1, floor(f.evaluate(x0)) + 1)
+    # num and den scaled by one positive factor; den is monic, so no zero
+    # at the end of the joined coefficients is stripped
+    ints = _integer_multiple(RationalPolynomial(num.coefficients + den.coefficients))
+    N, D = ints[:num.degree + 1], ints[num.degree + 1:]
+    every_shift_refuted = _odd_root_count(_yun(_integer_multiple(den)))
     member, k = 0, 1  # f - j is a sum of squares for every 1 <= j <= member
-    while True:
-        verdict = is_sos_membership(f.shift(k))
-        if not verdict["member"]:
-            break
+    while not every_shift_refuted and _shift_is_member(N, D, k):
         if k == cap:
             raise InternalCheckError(
                 "the evaluation bound failed to stop the downward search")
@@ -979,11 +977,13 @@ def theorem_skew_hypothesis(f: RationalFunction) -> dict:
     refuted = k
     while refuted - member > 1:
         mid = (member + refuted) // 2
-        probe = is_sos_membership(f.shift(mid))
-        if probe["member"]:
+        if _shift_is_member(N, D, mid):
             member = mid
         else:
-            refuted, verdict = mid, probe
+            refuted = mid
+    verdict = is_sos_membership(f.shift(refuted))
+    if verdict["member"]:
+        raise InternalCheckError("the least refuted shift is a sum of squares")
     return {"k": refuted, "witness": verdict["witness"],
             "witness_value": verdict["witness_value"],
             "sample_point": x0, "bound": cap,

@@ -526,6 +526,43 @@ def test_sos_two_roots_closer_than_recursion_depth_are_refuted():
     assert elapsed < 2
 
 
+def test_sos_isolation_evaluates_no_point_beyond_the_roots(monkeypatch):
+    # the Cauchy bound of (x-3)^200-1 is ~2^397 wide, but every grid point
+    # beyond the chain's power-of-two root bound has a known count
+    calls = []
+    variations = formallyreal.SturmChain.variations
+
+    def counted(self, x, positive_infinity=False):
+        if x is not None:
+            calls.append(x)
+        return variations(self, x, positive_infinity)
+
+    monkeypatch.setattr(formallyreal.SturmChain, "variations", counted)
+    start = time.monotonic()
+    code, doc, err = run_json("sos", "(x-3)^200-1")
+    elapsed = time.monotonic() - start
+    assert code == EXIT_REFUTED, err
+    assert (doc["result"]["witness"], doc["result"]["witness_value"]) == (3, -1)
+    assert len(calls) <= 50
+    assert elapsed < 2
+
+
+def test_sos_theorem_samples_past_the_denominator_roots():
+    # the denominator vanishes at 0, 1, -1, 2, -2, 3 and -3; the sample walk
+    # takes at most deg(den) + 1 = 8 points, so it reaches 4
+    text = "1/(x*(x-1)*(x+1)*(x-2)*(x+2)*(x-3)*(x+3))"
+    code, doc, err = run_json("sos", text, "--theorem")
+    assert code == EXIT_PASS, err
+    result = doc["result"]
+    assert result["k"] == 1
+    assert result["sample_point"] == 4
+    witness = Fraction(str(result["witness"]))
+    value = Fraction(str(result["witness_value"]))
+    f = formallyreal.parse_rational_function(text)
+    assert value < 0
+    assert f.evaluate(witness) - 1 == value
+
+
 def test_sos_theorem_mode_reports_the_least_refuted_shift():
     code, doc, _ = run_json("sos", "(x^4+3)/(x^2+1)", "--theorem")
     assert code == EXIT_PASS
@@ -537,14 +574,20 @@ def test_sos_theorem_mode_reports_the_least_refuted_shift():
 
 def test_sos_theorem_large_shift_needs_logarithmically_many_memberships(
         monkeypatch):
-    calls = []
+    calls, witnesses = [], []
+    decide = formallyreal._shift_is_member
     membership = formallyreal.is_sos_membership
 
-    def counted(f):
-        calls.append(f)
+    def counted(n, d, k):
+        calls.append(k)
+        return decide(n, d, k)
+
+    def counted_witness(f):
+        witnesses.append(f)
         return membership(f)
 
-    monkeypatch.setattr(formallyreal, "is_sos_membership", counted)
+    monkeypatch.setattr(formallyreal, "_shift_is_member", counted)
+    monkeypatch.setattr(formallyreal, "is_sos_membership", counted_witness)
     code, doc, _ = run_json("sos", "x^2+100000", "--theorem")
     assert code == EXIT_PASS
     result = doc["result"]
@@ -556,6 +599,7 @@ def test_sos_theorem_large_shift_needs_logarithmically_many_memberships(
     cap = result["bound"]
     ceil_log2_cap = (cap - 1).bit_length()
     assert len(calls) <= 2 * ceil_log2_cap + 2
+    assert len(witnesses) == 1
 
 
 def test_sos_categorize_both_known_fields():

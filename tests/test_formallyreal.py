@@ -44,6 +44,28 @@ def _from_list(cs):
     return RationalPolynomial(tuple(cs))
 
 
+def _divmod(p, q):
+    """Euclidean division in ``Fraction`` arithmetic: quotient, remainder."""
+    rem = list(p.coefficients)
+    quo = [Fraction(0)] * max(0, len(rem) - q.degree)
+    while rem and len(rem) - 1 >= q.degree:
+        shift = len(rem) - 1 - q.degree
+        quo[shift] = factor = rem[-1] / q.leading
+        for i, c in enumerate(q.coefficients):
+            rem[shift + i] -= factor * c
+        while rem and rem[-1] == 0:
+            rem.pop()
+    return RationalPolynomial(quo), RationalPolynomial(rem)
+
+
+def _derivative(p):
+    return RationalPolynomial([i * c for i, c in enumerate(p.coefficients)][1:])
+
+
+def _monic(p):
+    return p.scale(1 / p.leading)
+
+
 # ---------------------------------------------------------------------------
 # polynomial arithmetic
 
@@ -63,7 +85,7 @@ def test_divmod_invariant(a, b):
     p, q = _from_list(a), _from_list(b)
     if q.degree < 0:
         return
-    quo, rem = p.divmod(q)
+    quo, rem = _divmod(p, q)
     assert quo * q + rem == p
     assert rem.degree < q.degree
 
@@ -71,7 +93,7 @@ def test_divmod_invariant(a, b):
 @given(coeff_lists, coeff_lists)
 def test_derivative_product_rule(a, b):
     p, q = _from_list(a), _from_list(b)
-    assert (p * q).derivative() == p.derivative() * q + p * q.derivative()
+    assert _derivative(p * q) == _derivative(p) * q + p * _derivative(q)
 
 
 @given(coeff_lists, small_frac)
@@ -131,12 +153,12 @@ def test_squarefree_decomposition_random_products():
 def _reference_gcd(a, b):
     """Monic gcd by Euclid's algorithm in ``Fraction`` arithmetic."""
     while not b.is_zero():
-        a, b = b, a.divmod(b)[1]
+        a, b = b, _divmod(a, b)[1]
     return a if a.is_zero() else a.scale(1 / a.leading)
 
 
 def _reference_quotient(a, b):
-    q, r = a.divmod(b)
+    q, r = _divmod(a, b)
     assert r.is_zero()
     return q
 
@@ -147,17 +169,17 @@ def _reference_yun(p):
     p = p.scale(1 / lead)
     if p.degree == 0:
         return lead, []
-    dp = p.derivative()
+    dp = _derivative(p)
     a = _reference_gcd(p, dp)
     b, c = _reference_quotient(p, a), _reference_quotient(dp, a)
-    d = c - b.derivative()
+    d = c - _derivative(b)
     out, i = [], 1
     while b.degree > 0:
         g = _reference_gcd(b, d)
         if g.degree > 0:
             out.append((g, i))
         b = _reference_quotient(b, g)
-        d = _reference_quotient(d, g) - b.derivative()
+        d = _reference_quotient(d, g) - _derivative(b)
         i += 1
     return lead, out
 
@@ -203,9 +225,9 @@ def test_non_exact_integer_division_raises():
 
 def test_squarefree_and_odd_parts():
     sq = _linear(1) * _linear(1) * _linear(-1) * _linear(-1) * _linear(-1)
-    assert squarefree_part(sq) == (_linear(1) * _linear(-1)).monic()
+    assert squarefree_part(sq) == _monic(_linear(1) * _linear(-1))
     _, factors = squarefree_decomposition(sq)
-    assert [g for g, m in factors if m % 2 == 1] == [_linear(-1).monic()]
+    assert [g for g, m in factors if m % 2 == 1] == [_monic(_linear(-1))]
 
 
 def test_power_matches_binomials_and_repeated_products():
@@ -301,9 +323,9 @@ def _rational_sturm_sequence(p):
     seed = squarefree_part(p)
     seq = [seed]
     if seed.degree > 0:
-        seq.append(seed.derivative())
+        seq.append(_derivative(seed))
         while seq[-1].degree > 0:
-            rem = seq[-2].divmod(seq[-1])[1]
+            rem = _divmod(seq[-2], seq[-1])[1]
             if rem.is_zero():
                 break
             seq.append(-rem)
@@ -374,10 +396,71 @@ def test_integer_sign_evaluation_matches_fraction_evaluation():
 def test_chain_of_a_square_free_polynomial_skips_the_decomposition():
     p = _linear(1) * _linear(-2) * _poly(3, 0, 1)
     given_sf = SturmChain(p.scale(-5), squarefree=True)
-    assert given_sf.seed == p.monic()
+    assert _monic(RationalPolynomial(given_sf.chain[0])) == _monic(p)
     assert given_sf.chain == SturmChain(p * p).chain
     assert sturm_root_count(given_sf) == 2
     assert isolate_real_roots(given_sf) == isolate_real_roots(p)
+
+
+def _two_evaluation_isolation(chain, bound):
+    """Bisection of ``[-bound, bound]`` that evaluates both ends of every
+    count, as isolation did before counts were carried with intervals."""
+    def count(lo, hi):
+        return chain.variations(lo) - chain.variations(hi)
+
+    out, stack = [], [(-bound, bound, count(-bound, bound))]
+    while stack:
+        a, b, c = stack.pop()
+        if c == 1:
+            out.append((a, b))
+        elif c > 1:
+            mid = (a + b) / 2
+            left = count(a, mid)
+            stack.append((mid, b, c - left))
+            stack.append((a, mid, left))
+    return out
+
+
+def _two_evaluation_refinement(chain, interval, width):
+    lo, hi = interval
+    while hi - lo > width:
+        mid = (lo + hi) / 2
+        if chain.variations(lo) - chain.variations(mid) == 1:
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi
+
+
+def test_isolation_and_refinement_equal_the_two_evaluation_bisection():
+    # roots on dyadic grid points (0, +-1, +-1/2, ...) and at powers of two,
+    # next to the known-count boundary ``tail``
+    rng = seeded(83)
+    pool = [0, 1, -1, 2, -2, 4, -4, 8, -8, 64, -64, 3, -5,
+            Fraction(1, 2), Fraction(-1, 2), Fraction(3, 4), Fraction(-3, 8)]
+    for trial in range(80):
+        if trial % 2:
+            p = _random_known_poly(rng)[0]
+        else:
+            p = RationalPolynomial.constant(rng.choice([1, -3, Fraction(2, 5)]))
+            for r in rng.sample(pool, rng.randint(1, 4)):
+                p = p * _linear(r).pow(rng.randint(1, 2))
+            if rng.random() < 0.3:
+                p = p * _poly(1, 0, rng.choice([1, 4, 64]))
+        if p.degree < 1:
+            continue
+        chain = SturmChain(p)
+        want = _two_evaluation_isolation(
+            chain, cauchy_root_bound(squarefree_part(p)))
+        assert isolate_real_roots(chain) == want
+        for interval in want:
+            for width in (Fraction(1, 4), Fraction(1, 2 ** 20)):
+                assert refine_interval(chain, interval, width) == \
+                    _two_evaluation_refinement(chain, interval, width)
+        tail = chain.tail
+        for x in (tail, tail + 1, 2 * tail, tail - Fraction(1, 3), 0):
+            assert chain.variations_at(x) == chain.variations(x)
+            assert chain.variations_at(-x) == chain.variations(-x)
 
 
 # ---------------------------------------------------------------------------
@@ -548,33 +631,35 @@ def test_skew_hypothesis_minimality_on_random_instances():
 
 
 def test_large_shift_search_divides_no_rational_polynomial(monkeypatch):
-    # work counters do not jitter: with gcd-free shifts and integer Yun, the
-    # whole search makes no ``Fraction`` polynomial division
+    # work counters do not jitter: the search makes 34 integer decisions
+    # and builds one witness, at the answer; the library has no ``Fraction``
+    # polynomial division left to make
     f = parse_rational_function("x^2+100000")
-    divisions, probes = [], []
-    divmod_ = RationalPolynomial.divmod
+    decisions, witnesses = [], []
+    decide = formallyreal._shift_is_member
     membership = formallyreal.is_sos_membership
 
-    def counted_divmod(self, other):
-        divisions.append(other)
-        return divmod_(self, other)
+    def counted_decision(n, d, k):
+        decisions.append(k)
+        return decide(n, d, k)
 
     def counted_membership(g):
-        probes.append(g)
+        witnesses.append(g)
         return membership(g)
 
-    monkeypatch.setattr(RationalPolynomial, "divmod", counted_divmod)
+    monkeypatch.setattr(formallyreal, "_shift_is_member", counted_decision)
     monkeypatch.setattr(formallyreal, "is_sos_membership", counted_membership)
     res = theorem_skew_hypothesis(f)
-    assert divisions == []
-    assert len(probes) == 34
+    assert not hasattr(RationalPolynomial, "divmod")
+    assert len(decisions) == 34
+    assert witnesses == [f.shift(100001)]
     assert (res["k"], res["witness"], res["witness_value"]) == (100001, 0, -1)
 
 
 def _linear_scan_shift(f):
     """The least refuted shift found by trying k = 1, 2, ... in turn."""
-    x0 = next(Fraction(c) for c in (0, 1, -1, 2, -2, 3, -3)
-              if f.defined_at(c))
+    walk = (c for n in itertools.count() for c in ((n, -n) if n else (0,)))
+    x0 = next(Fraction(c) for c in walk if f.defined_at(c))
     cap = max(1, math.floor(f.evaluate(x0)) + 1)
     for k in range(1, cap + 1):
         verdict = is_sos_membership(f.shift(k))
@@ -596,6 +681,42 @@ def test_shift_search_equals_the_linear_scan_on_planted_functions():
         f = (RationalFunction(p * p, q * q + ONE)
              + RationalFunction.constant(rng.randint(0, 40)))
         assert f.numerator.degree <= 8 and f.denominator.degree <= 8
+        assert theorem_skew_hypothesis(f) == _linear_scan_shift(f)
+
+
+def _shift_search_inputs(rng):
+    """Planted sos-shift shapes, denominators with real roots of odd and of
+    even multiplicity, constants and zero."""
+    out = [RationalFunction.constant(c)
+           for c in (0, 1, 5, Fraction(7, 2), Fraction(-3, 2), -4)]
+    for _ in range(80):  # p^2/(q^2+1) + s with p(b/a) = 0, degree <= 12
+        p = _poly(rng.randint(1, 3), -rng.randint(-4, 4))
+        for _ in range(rng.randint(0, 3)):
+            p = p * _poly(*[rng.randint(-3, 3) for _ in range(2)]
+                          + [rng.choice((-2, -1, 1, 2))])
+        q = RationalPolynomial(tuple(Fraction(rng.randint(-3, 3))
+                                     for _ in range(rng.randint(1, 5))))
+        out.append(RationalFunction(p * p, q * q + ONE)
+                   + RationalFunction.constant(rng.randint(0, 6)))
+    for _ in range(60):  # odd-multiplicity denominator roots
+        num, _ = _random_known_poly(rng)
+        den = _linear(rng.randint(-3, 3)).pow(rng.choice((1, 3)))
+        if not num.is_zero():
+            out.append(RationalFunction(num, den * _random_known_poly(rng)[0]))
+    for _ in range(60):  # even-multiplicity denominator roots
+        num = _poly(rng.randint(1, 3), rng.randint(-3, 3), rng.randint(1, 9))
+        den = _linear(Fraction(rng.randint(-4, 4), rng.randint(1, 2))).pow(2)
+        if rng.random() < 0.5:
+            den = den * _poly(1, 0, rng.randint(1, 3))
+        out.append(RationalFunction(num, den)
+                   + RationalFunction.constant(rng.randint(0, 3)))
+    return out
+
+
+def test_shift_search_equals_the_linear_scan_on_varied_functions():
+    inputs = _shift_search_inputs(seeded(89))
+    assert len(inputs) >= 200
+    for f in inputs:
         assert theorem_skew_hypothesis(f) == _linear_scan_shift(f)
 
 

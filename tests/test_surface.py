@@ -22,7 +22,6 @@ PACKAGE = os.path.join(ROOT, "src", "monoidorder")
 ORACLES = {
     "LiftedOp": "tests/test_grothendieck.py",  # the descent of mu to a reduction
     "sign_canonical": "tests/test_exactmath.py",  # pointed cones for a property
-    "RationalPolynomial.divmod": "tests/test_formallyreal.py",  # Euclid, by hand
     "RationalCone.same_cone": "tests/test_exactmath.py",  # dual of the dual
 }
 
