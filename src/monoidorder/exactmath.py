@@ -667,6 +667,29 @@ class IntegerLattice:
             return None
         return tuple(coords)
 
+    def rational_coordinates(self, x: Sequence) -> Optional[list[Fraction]]:
+        """Rational coordinates of x in the HNF basis, or None off its span.
+
+        The basis is in echelon form (each row is zero before its pivot, and
+        the pivots increase), so back-substitution on the pivots clears x row
+        by row, and x is in the span iff the residue ends at zero.  The rows
+        are independent, so these are the only coordinates: those
+        :func:`rational_solve` finds.
+        """
+        if len(x) != self.dim:
+            raise InputError("point dimension mismatch")
+        residue = [Fraction(v) for v in x]
+        coords = []
+        for row, piv in zip(self.basis, self._pivots):
+            c = residue[piv] / row[piv]
+            coords.append(c)
+            if c:
+                for j in range(piv, self.dim):
+                    residue[j] -= c * row[j]
+        if any(residue):
+            return None
+        return coords
+
     def contains(self, x: Sequence[int]) -> bool:
         return self.coordinates(x) is not None
 

@@ -590,8 +590,9 @@ def verify_theorem_main(op: BiadditiveOp,
     and ``y = sum b_j g_j``, ``mu(x, y) = sum a_i b_j mu(g_i, g_j)`` is a
     sum of members.  So once that closure holds, no product needs
     ``check_element``.  Closure is decided first, by ``contains`` on the
-    generator products (the generators are pool elements).  Every product
-    on a finite or open-cone carrier keeps the check.
+    generator products (the generators are pool elements).  A finite
+    carrier is closed: every entry of the operation's table is an element.
+    Every product on an open-cone carrier keeps the check.
 
     The generator proof, one law at a time.  On a lattice monoid with
     closure, each law is decided exactly on the generators: commutativity
@@ -611,7 +612,19 @@ def verify_theorem_main(op: BiadditiveOp,
     that holds on the generators therefore gets the report its sweep
     would produce (n^2 pairs or n^3 triples checked, no failures, no
     exact failures) without a sweep; only a law that fails there is
-    swept.  On any other carrier both laws are swept.
+    swept.
+
+    A finite carrier takes the same proof on its generators and 0.  There
+    ``mu`` is additive in each slot (the contract of a finite
+    :class:`BiadditiveOp`; ``load_instance`` validates a file's table),
+    and every element is a nonempty sum of listed elements: 0 is listed,
+    and any other element is a sum of generators.  Expanding both operands,
+    ``mu(a, b)`` is the sum of ``mu(s, t)`` over the summands s of a and t
+    of b, and ``mu(b, a)`` the sum of the same terms swapped, so exact
+    commutativity on the listed pairs gives it on every pair; the triples
+    alike.  0 must be listed, as ``mu(0, x)`` is only known to be
+    idempotent, not 0.  The pool is every element.  On an open cone both
+    laws are swept.
 
     The pairs are swept before the triples.  Associativity is swept by
     rows: the triples sharing ``(a, b)`` compare the row
@@ -653,10 +666,14 @@ def verify_theorem_main(op: BiadditiveOp,
         return p
 
     ids = [intern(x) for x in pool]
-    gens = (list(dict.fromkeys(index[g] for g in m.generators))
-            if isinstance(m, LatticeMonoid) else [])
-    closed = bool(gens) and all(m.contains(keys[mul(g, h)])
-                                for g in gens for h in gens)
+    if isinstance(m, FiniteMonoid):
+        gens = [index[0]] + [index[g] for g in m.generators()]
+        closed = True
+    elif isinstance(m, LatticeMonoid):
+        gens = list(dict.fromkeys(index[g] for g in m.generators))
+        closed = all(m.contains(keys[mul(g, h)]) for g in gens for h in gens)
+    else:
+        gens, closed = [], False
 
     def products(i: int) -> list:
         """[mul(i, c) for c in the pool], held once per i."""

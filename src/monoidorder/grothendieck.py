@@ -46,7 +46,6 @@ from .exactmath import (
 from .monoids import (
     BiadditiveOp,
     FiniteMonoid,
-    LatticeMonoid,
     VectorCarrier,
 )
 
@@ -300,7 +299,18 @@ class LiftedOp:
 
 
 class Pi12:
-    """The canonical surjection from the level-1 to level-2 reduction."""
+    """The canonical surjection from the level-1 to level-2 reduction.
+
+    On a vector carrier ``map`` is ``red2.project`` after
+    ``red1.reconstruct``, and each reduction's ``iota`` is its ``project``:
+    coordinates in ``span_basis`` times a fixed matrix, so all of them are
+    linear.  So both sides of the triangle ``map(iota1(a)) == iota2(a)``
+    are group homomorphisms on the difference group, and they agree on it
+    iff they agree on a basis of it: the triangle is checked on the
+    ``span_basis`` vectors, which proves it on every element.  Additivity
+    of ``map`` is kept as a self-check of that linearity, on the pairs of
+    level-1 unit classes.
+    """
 
     def __init__(self, m):
         self.monoid = m
@@ -321,18 +331,14 @@ class Pi12:
         for kv in k1:
             if not _in_span(r2.kernel_vectors, kv):
                 raise InternalCheckError("level-1 kernel not inside level-2 kernel")
-        m = self.monoid
-        if isinstance(m, LatticeMonoid):
-            samples = m.element_pool(2)
-        else:
-            samples = m.sample_elements(8) + [tuple(Fraction(0) for _ in range(m.dim))]
         triangle = all(
-            r2.eq(self.map(r1.iota(a)), r2.iota(a)) for a in samples)
+            r2.eq(self.map(r1.iota(a)), r2.iota(a)) for a in self.monoid.span_basis)
         self.report["checks"].append({"name": "triangle", "ok": triangle})
+        units = [tuple(int(i == j) for j in range(r1.rank)) for i in range(r1.rank)]
+        images = [self.map(u) for u in units]
         additive = all(
-            r2.eq(self.map(vadd(r1.iota(a), r1.iota(b))),
-                  vadd(self.map(r1.iota(a)), self.map(r1.iota(b))))
-            for a in samples[:6] for b in samples[:6])
+            r2.eq(self.map(vadd(units[i], units[j])), vadd(images[i], images[j]))
+            for i in range(r1.rank) for j in range(r1.rank))
         self.report["checks"].append({"name": "additivity", "ok": additive})
         rank_onto = r2.rank <= r1.rank
         self.report["checks"].append({"name": "rank-onto", "ok": rank_onto})

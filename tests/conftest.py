@@ -1,5 +1,6 @@
 """Shared fixtures: deterministic hypothesis profile and the instance corpus."""
 
+import itertools
 import os
 import random
 from fractions import Fraction
@@ -70,6 +71,26 @@ def finite_corpus() -> list:
         ("chain-4", FiniteMonoid([[min(i + j, 3) for j in range(4)]
                                   for i in range(4)])),
     ]
+
+
+def monogenic_table(index, period):
+    """The addition table of the monogenic monoid C(index, period): the
+    multiples 0 .. index + period - 1 of one generator, where
+    ``index + period`` wraps to ``index`` (a cyclic group at index 0)."""
+    n = index + period
+
+    def reduce(k):
+        return k if k < n else index + (k - index) % period
+    return [[reduce(i + j) for j in range(n)] for i in range(n)]
+
+
+def product_table(tables):
+    """The direct product of finite monoids, tuples in lexicographic order
+    (so the neutral tuple is element 0)."""
+    tuples = list(itertools.product(*(range(len(t)) for t in tables)))
+    index = {x: i for i, x in enumerate(tuples)}
+    return [[index[tuple(t[u][v] for t, u, v in zip(tables, x, y))] for y in tuples]
+            for x in tuples]
 
 
 def lattice_corpus() -> list:

@@ -18,13 +18,16 @@ from monoidorder.functionals import (_sample_pool, check_mult_identity,
                                      weak_implies_strong_audit)
 from monoidorder.instancefile import load_instance
 from monoidorder.latticeorder import almost_fring_tensor
+from monoidorder.localizability import is_weakly_localizable
 from monoidorder.monoids import (BiadditiveOp, FiniteMonoid, LatticeMonoid,
                                  OpenConeMonoid, approx, cyclic_product_op,
-                                 free_monoid, half_open_half_plane,
+                                 enumerate_biadditive_ops, free_monoid,
+                                 half_open_half_plane,
                                  saturating_product_op, truncated_free_monoid)
 from monoidorder.monoids import matrix_product_op as matrix_monoid_product_op
 
-from conftest import instance_path, weakly_localizable_ops
+from conftest import (instance_path, monogenic_table, product_table,
+                      weakly_localizable_ops)
 
 
 def elementwise_op(dim, weights=None):
@@ -540,6 +543,65 @@ def test_generator_proof_replaces_the_sweep_on_free_monoid_3(monkeypatch):
     assert report["commutativity"]["checked"] == 400
     assert report["associativity"]["checked"] == 8000
     assert calls["mu"] <= 36
+
+
+def _validated_ops(m):
+    """Every biadditive table of a tiny carrier, found by validating all
+    n^(n^2) tables; some have ``mu(0, x) != 0``."""
+    n = m.n
+    for flat in itertools.product(range(n), repeat=n * n):
+        op = BiadditiveOp(m, table=[flat[i * n:(i + 1) * n] for i in range(n)])
+        if not op.validate():
+            yield op
+
+
+@pytest.mark.parametrize("m,ops", [
+    (FiniteMonoid([[0, 1], [1, 1]]), _validated_ops),
+    (FiniteMonoid([[0, 1, 2], [1, 1, 2], [2, 2, 2]]), _validated_ops),
+    (FiniteMonoid(product_table([monogenic_table(1, 2), monogenic_table(0, 2)])),
+     enumerate_biadditive_ops),
+    (truncated_free_monoid(2, cap=1), enumerate_biadditive_ops),
+], ids=["flag", "chain-semilattice-3", "monogenic-1-2-x-0-2", "truncated-2-cap1"])
+def test_finite_generator_proof_matches_the_pool_sweep(m, ops):
+    # every biadditive table of the carrier, many failing an exact law
+    # (on truncated-2-cap1, 192 of 256 fail commutativity); on the flag, mu(a, b) = a commutes on the generator pair and
+    # not at (0, 1), which is why 0 is among the elements the proof reads.
+    # The report is that of a plain sweep, and a table whose laws both
+    # hold exactly multiplies only the generators and 0
+    g = len(m.generators())
+    for op in ops(m):
+        calls = []
+        mu = op.mu
+        op.mu = lambda a, b: calls.append((a, b)) or mu(a, b)
+        report = verify_theorem_main(op, weak=UNCERTIFIED)
+        if not (report["commutativity"]["exact_equality_failures"]
+                or report["associativity"]["exact_equality_failures"]):
+            assert len(calls) <= (g + 1) ** 2 + 2 * (g + 1) ** 3
+        assert _sweep_parts(report) == _unmemoized_sweep(op)
+
+
+def test_generator_proof_replaces_the_sweep_on_a_finite_carrier(monkeypatch):
+    # the saturating product on {0..4}^3 is exactly commutative and
+    # associative on the three generators and 0, and a finite carrier is
+    # closed, so no pool pair or triple is multiplied: at most
+    # (g + 1)^2 + 2 (g + 1)^3 = 144 products (15,625 by the sweep)
+    op = saturating_product_op(truncated_free_monoid(3, cap=4))
+    weak = is_weakly_localizable(op)
+    calls = {"mu": 0}
+    mu = op.mu
+
+    def counted_mu(a, b):
+        calls["mu"] += 1
+        return mu(a, b)
+
+    monkeypatch.setattr(op, "mu", counted_mu)
+    report = verify_theorem_main(op, weak=weak)
+    assert report["claimed"] and report["pool_size"] == 125
+    assert report["commutativity"] == {"checked": 125 ** 2, "failures": [],
+                                       "exact_equality_failures": 0}
+    assert report["associativity"] == {"checked": 125 ** 3, "failures": [],
+                                       "exact_equality_failures": 0}
+    assert calls["mu"] <= 4 ** 2 + 2 * 4 ** 3
 
 
 def test_weak_strong_audit_statuses():

@@ -1,17 +1,23 @@
 """Difference groups, saturation closures, reduced orders, transfer checks."""
 
+import io
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from monoidorder.exactmath import InputError, RationalCone, solve_nonneg_rational
+from monoidorder.exactmath import (InputError, RationalCone, rational_solve,
+                                   solve_nonneg_rational, vadd)
 from monoidorder.grothendieck import LiftedOp, grothendieck, nabla, pi12
 from monoidorder.monoids import (BiadditiveOp, FiniteMonoid, LatticeMonoid,
                                  OpenConeMonoid, approx, free_monoid, half_open_half_plane,
                                  leq, saturating_product_op,
                                  truncated_free_monoid)
 
-from conftest import cone_corpus, default_pairs, finite_corpus, lattice_corpus
+from conftest import (cone_corpus, default_pairs, finite_corpus, instance_path,
+                      lattice_corpus)
 
 
 def _cyclic_table(n):
@@ -140,6 +146,98 @@ def test_kernel_crosscheck_and_pi12(name, m):
     report = pi12(m).report
     assert report["bijective"]
     assert all(c["ok"] for c in report["checks"])
+
+
+def _sample_pi12_checks(p):
+    """The connecting morphism's triangle and additivity, checked as before
+    the basis checks: on sums of at most two generators (a lattice) or on
+    eight samples and 0 (a cone), and on the pairs of the first six."""
+    m, r1, r2 = p.monoid, p.red1, p.red2
+    if isinstance(m, LatticeMonoid):
+        samples = m.element_pool(2)
+    else:
+        samples = m.sample_elements(8) + [tuple(Fraction(0) for _ in range(m.dim))]
+    triangle = all(r2.eq(p.map(r1.iota(a)), r2.iota(a)) for a in samples)
+    additive = all(
+        r2.eq(p.map(vadd(r1.iota(a), r1.iota(b))),
+              vadd(p.map(r1.iota(a)), p.map(r1.iota(b))))
+        for a in samples[:6] for b in samples[:6])
+    return [{"name": "triangle", "ok": triangle}, {"name": "additivity", "ok": additive}]
+
+
+def _plane_lineality_cone():
+    closed = RationalCone.from_rays(
+        [(-3, 1, 0), (-1, 1, -1), (1, -1, 1), (1, 0, 0), (3, -1, 0)], 3)
+    return OpenConeMonoid(closed, [(1, 3, 2)])
+
+
+@pytest.mark.parametrize("name,m", lattice_corpus() + cone_corpus()
+                         + [("plane-lineality", _plane_lineality_cone())])
+def test_pi12_basis_checks_agree_with_the_sample_checks(name, m):
+    report = pi12(m).report
+    assert report["checks"][:2] == _sample_pi12_checks(pi12(m))
+    assert all(c["ok"] for c in report["checks"])
+
+
+@st.composite
+def cones_with_points(draw):
+    """An open-cone carrier on one to three integer rays in dimension <= 3
+    (its span can be a proper subspace), a rational point of its span with
+    the coefficients that build it, and a rational point of Q^d."""
+    d = draw(st.integers(1, 3))
+    vector = st.lists(st.integers(-2, 2), min_size=d, max_size=d)
+    rays = draw(st.lists(vector.filter(any), min_size=1, max_size=3))
+    m = OpenConeMonoid(RationalCone.from_rays(rays, d), [])
+    rational = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+    coeffs = draw(st.lists(rational, min_size=len(m.span_basis), max_size=len(m.span_basis)))
+    on_span = tuple(sum((c * b[j] for c, b in zip(coeffs, m.span_basis)), Fraction(0))
+                    for j in range(d))
+    anywhere = tuple(draw(st.lists(rational, min_size=d, max_size=d)))
+    return m, coeffs, on_span, anywhere
+
+
+@given(cones_with_points())
+def test_open_cone_coordinates_equal_the_gaussian_solve(case):
+    m, coeffs, on_span, anywhere = case
+    got = m.coordinates(on_span)
+    assert got == coeffs == rational_solve(m.span_basis, on_span)
+    assert all(type(c) is Fraction for c in got)
+    assert m.coordinates(anywhere) == rational_solve(m.span_basis, anywhere)
+
+
+def test_open_cone_coordinates_refuse_points_off_the_span():
+    m = OpenConeMonoid(RationalCone.from_rays([(1, 0, 1), (0, 1, 1)], 3), [])
+    assert m.coordinates((1, 1, 2)) == [1, 1]
+    assert m.coordinates((1, 1, 1)) is None
+    assert m.coordinates((Fraction(1, 2), 0, Fraction(1, 3))) is None
+
+
+def test_grothendieck_on_the_half_plane_solves_no_linear_system(monkeypatch):
+    # work counters do not jitter: the map's checks read the span basis and
+    # the unit classes, and open-cone coordinates back-substitute on the
+    # echelon basis (280 Gaussian solves and 279 projections before)
+    import monoidorder
+    from monoidorder.cli import main
+    from monoidorder.grothendieck import ReducedVector
+    calls = {"solve": 0, "project": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for module in [getattr(monoidorder, n) for n in dir(monoidorder)]:
+        if hasattr(module, "rational_solve"):
+            monkeypatch.setattr(module, "rational_solve",
+                                counted("solve", module.rational_solve))
+    monkeypatch.setattr(ReducedVector, "project", counted("project", ReducedVector.project))
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        code = main(["grothendieck", instance_path("half-open-half-plane.mon")])
+    assert code == 0 and '"ok": true' in out.getvalue()
+    assert calls["solve"] == 0
+    assert calls["project"] <= 20
 
 
 def test_lattice_project_reconstruct_roundtrip():

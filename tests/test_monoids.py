@@ -5,7 +5,7 @@ from fractions import Fraction
 from math import gcd, prod
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from monoidorder.exactmath import (CombinationSearch, InputError, RationalCone,
@@ -17,13 +17,13 @@ from monoidorder.localizability import (is_left_localizable,
                                         is_weakly_localizable)
 from monoidorder.monoids import (BiadditiveOp, FiniteMonoid, LatticeMonoid,
                                  OpenConeMonoid,
-                                 approx, check_element,
+                                 approx, check_element, cyclic_group_monoid,
                                  enumerate_biadditive_ops, free_monoid,
                                  half_open_half_plane, leq,
                                  saturating_product_op, truncated_free_monoid)
 
-from conftest import (cone_corpus, finite_corpus, lattice_corpus, seeded,
-                      weakly_localizable_ops)
+from conftest import (cone_corpus, finite_corpus, lattice_corpus, monogenic_table,
+                      product_table, seeded, weakly_localizable_ops)
 
 
 def _lattice_points(m: LatticeMonoid, count=40, salt=0):
@@ -136,33 +136,19 @@ def test_finite_approx_matches_definition_with_enlarged_bound(name, m):
             assert approx(m, a, b) == _finite_approx_oracle(m, a, b, lmax)
 
 
-def _monogenic(index, period):
-    """The addition table of the monogenic monoid C(index, period): the
-    multiples 0 .. index + period - 1 of one generator, where
-    ``index + period`` wraps to ``index`` (a cyclic group at index 0)."""
-    n = index + period
-
-    def reduce(k):
-        return k if k < n else index + (k - index) % period
-    return [[reduce(i + j) for j in range(n)] for i in range(n)]
-
-
-def _product_table(tables):
-    """The direct product of finite monoids, tuples in lexicographic order
-    (so the neutral tuple is element 0)."""
-    tuples = list(itertools.product(*(range(len(t)) for t in tables)))
-    index = {x: i for i, x in enumerate(tuples)}
-    return [[index[tuple(t[u][v] for t, u, v in zip(tables, x, y))] for y in tuples]
-            for x in tuples]
-
-
 @st.composite
-def monogenic_products(draw):
-    """A product of one to three monogenic monoids with at most 24 elements."""
+def monogenic_product_tables(draw):
+    """The table of a product of one to three monogenic monoids with at
+    most 24 elements."""
     factors = draw(st.lists(st.tuples(st.integers(0, 3), st.integers(1, 4)),
                             min_size=1, max_size=3))
     assume(1 < prod(index + period for index, period in factors) <= 24)
-    return FiniteMonoid(_product_table([_monogenic(*f) for f in factors]))
+    return product_table([monogenic_table(*f) for f in factors])
+
+
+def monogenic_products():
+    """A product of one to three monogenic monoids with at most 24 elements."""
+    return monogenic_product_tables().map(FiniteMonoid)
 
 
 def _pair_class_oracle(m):
@@ -524,6 +510,36 @@ def test_finite_monoid_wants_commutative_associative():
         FiniteMonoid([[0, 1, 2], [1, 2, 1], [2, 0, 0]])
 
 
+def _associative_by_triples(table) -> bool:
+    """The n^3 associativity sweep the constructor ran before Light's test."""
+    n = len(table)
+    return all(table[table[i][j]][k] == table[i][table[j][k]]
+               for i, j, k in itertools.product(range(n), repeat=3))
+
+
+@st.composite
+def commutative_unital_tables(draw):
+    """A product of monogenic monoids, or a copy with one symmetric entry
+    off row and column 0 replaced, which is mostly not associative."""
+    table = draw(monogenic_product_tables())
+    if draw(st.booleans()):
+        n = len(table)
+        i, j = draw(st.integers(1, n - 1)), draw(st.integers(1, n - 1))
+        table[i][j] = table[j][i] = draw(st.integers(0, n - 1))
+    return table
+
+
+@settings(max_examples=200)
+@given(commutative_unital_tables())
+@example([[0, 1, 2], [1, 2, 0], [2, 0, 0]])  # (1 + 1) + 2 == 0, 1 + (1 + 2) == 1
+def test_lights_test_decides_associativity_as_the_triple_sweep(table):
+    if _associative_by_triples(table):
+        FiniteMonoid(table)
+    else:
+        with pytest.raises(InputError, match=r"^addition table is not associative$"):
+            FiniteMonoid(table)
+
+
 def test_lattice_monoid_rejects_bad_generators():
     with pytest.raises(InputError):
         LatticeMonoid(2, [(1, 0, 0)])
@@ -606,6 +622,83 @@ def test_unital_enumeration_matches_brute_force(name, m):
                 if all(t[unit][a] == a == t[a][unit] for a in m.elements())}
         got = {op.table for op in enumerate_biadditive_ops(m, unital=unit)}
         assert got == want
+
+
+def _expand(add, rows, ea: list, eb: list) -> int:
+    """The biadditive extension at one element pair from generator values,
+    summed over every pair of generators in the two expressions."""
+    total = 0
+    for i in ea:
+        row = rows[i]
+        for j in eb:
+            total = add[total][row[j]]
+    return total
+
+
+def _expand_oracle_tables(m, unital=None) -> list:
+    """The sorted biadditive tables, unital ones when ``unital`` is given,
+    by the enumeration's former leaf: every assignment of generator values
+    whose columns meet the unit's sums is extended by ``_expand``, checked
+    against the unit, and validated on all n^3 triples."""
+    gens, expr, add, elems = m.generators(), m.expressions(), m.table, m.elements()
+    g = len(gens)
+    position = {x: i for i, x in enumerate(gens)}
+    gen_index = [[position[x] for x in expr[a]] for a in elems]
+    counts = [expr[unital].count(h) for h in gens] if unital is not None else [0] * g
+
+    def column_ok(j, column):  # sum over i of counts[i] * (g_i g_j) == g_j
+        return not any(counts) or m.sum_elements(
+            v for v, c in zip(column, counts) for _ in range(c)) == gens[j]
+
+    columns = [[col for col in itertools.product(elems, repeat=g) if column_ok(j, col)]
+               for j in range(g)]
+    out = set()
+    for choice in itertools.product(*columns):
+        rows = [[choice[j][i] for j in range(g)] for i in range(g)]
+        table = tuple(tuple(_expand(add, rows, gen_index[a], gen_index[b]) for b in elems)
+                      for a in elems)
+        if unital is not None and any(table[unital][a] != a or table[a][unital] != a
+                                      for a in elems):
+            continue
+        if all(table[add[a][b]][c] == add[table[a][c]][table[b][c]]
+               and table[a][add[b][c]] == add[table[a][b]][table[a][c]]
+               for a, b, c in itertools.product(elems, repeat=3)):
+            out.add(table)
+    return sorted(out)
+
+
+def _enumeration_cases():
+    """(name, carrier, unital) triples small enough for the oracle: the
+    all-ones unit of {0..cap}^c for c * cap <= 6 and c <= 3 (with c >= 4
+    one unital search takes seconds: 5.4 s on {0, 1}^4), and no unit where the
+    n^(g^2) assignments stay below 10^4; every unit and none on the cyclic
+    groups of order <= 7, on the finite corpus, and on small carriers with
+    two generators whose laws reject most assignments (of 81, 81, 256 and
+    1,296, the oracle keeps 20, 2, 4 and 48 tables without a unit)."""
+    cases = []
+    for c, cap in itertools.product(range(1, 4), range(1, 7)):
+        if c * cap <= 6:
+            m = truncated_free_monoid(c, cap=cap)
+            name = f"truncated-{c}-cap{cap}"
+            cases.append((name, m, m._cache["tuple_index"][(1,) * c]))
+            if m.n ** (c * c) < 10 ** 4:
+                cases.append((name, m, None))
+    carriers = [(f"cyclic-{k}", cyclic_group_monoid(k)) for k in range(1, 8)]
+    carriers += [(name, m) for name, m in TINY_CARRIERS
+                 if name in ("chain-semilattice-3", "z2-absorber")]
+    carriers += [("x".join(f"C{i},{p}" for i, p in f),
+                  FiniteMonoid(product_table([monogenic_table(*x) for x in f])))
+                 for f in ([(1, 1), (0, 2)], [(1, 2), (0, 2)])]
+    for name, m in carriers + finite_corpus():
+        cases += [(name, m, unit) for unit in [None, *m.elements()]]
+    return cases
+
+
+@pytest.mark.parametrize("m,unital", [pytest.param(m, unital, id=f"{name}-unit{unital}")
+                                      for name, m, unital in _enumeration_cases()])
+def test_enumeration_equals_the_expand_oracle(m, unital):
+    got = [op.table for op in enumerate_biadditive_ops(m, unital=unital)]
+    assert got == _expand_oracle_tables(m, unital)
 
 
 def test_unital_enumeration_truncated_line():
