@@ -7,7 +7,9 @@ enumeration) reduces to a handful of primitives implemented here:
 * the double description method for converting between generator and
   inequality representations of rational polyhedral cones,
 * exact LP feasibility (phase-one simplex with Bland's rule),
-* Smith and Hermite normal forms of integer matrices,
+* Smith and Hermite normal forms of integer matrices; rank, solutions and
+  kernels over the rationals are read off the Hermite form, whose only
+  rational step is back-substitution on its pivots,
 * complete search for nonnegative integer combinations (membership in a
   finitely generated monoid), plus the bounded search kept as a reference.
 
@@ -106,97 +108,6 @@ def sign_canonical(a: Sequence[int]) -> tuple[int, ...]:
         if x != 0:
             return tuple(a) if x > 0 else tuple(-y for y in a)
     return tuple(a)
-
-
-# ---------------------------------------------------------------------------
-# rational Gaussian elimination
-
-
-def rational_rank(rows: Sequence[Sequence]) -> int:
-    mat = [[Fraction(x) for x in row] for row in rows]
-    rank = 0
-    ncols = len(mat[0]) if mat else 0
-    for col in range(ncols):
-        piv = next((r for r in range(rank, len(mat)) if mat[r][col] != 0), None)
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        inv = 1 / mat[rank][col]
-        mat[rank] = [x * inv for x in mat[rank]]
-        for r in range(len(mat)):
-            if r != rank and mat[r][col] != 0:
-                f = mat[r][col]
-                mat[r] = [x - f * y for x, y in zip(mat[r], mat[rank])]
-        rank += 1
-    return rank
-
-
-def rational_solve(rows: Sequence[Sequence], rhs: Sequence) -> Optional[list[Fraction]]:
-    """One exact solution of ``rows^T . x = rhs`` treating rows as columns.
-
-    ``rows`` is a list of vectors; we solve for coefficients ``x`` with
-    ``sum(x[i] * rows[i]) == rhs``.  Returns None when inconsistent.
-    """
-    if not rows:
-        return [] if all(Fraction(v) == 0 for v in rhs) else None
-    dim = len(rows[0])
-    aug = [[Fraction(rows[j][i]) for j in range(len(rows))] + [Fraction(rhs[i])]
-           for i in range(dim)]
-    n = len(rows)
-    pivots: list[tuple[int, int]] = []
-    rank = 0
-    for col in range(n):
-        piv = next((r for r in range(rank, dim) if aug[r][col] != 0), None)
-        if piv is None:
-            continue
-        aug[rank], aug[piv] = aug[piv], aug[rank]
-        inv = 1 / aug[rank][col]
-        aug[rank] = [x * inv for x in aug[rank]]
-        for r in range(dim):
-            if r != rank and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[rank])]
-        pivots.append((rank, col))
-        rank += 1
-    for r in range(rank, dim):
-        if aug[r][n] != 0:
-            return None
-    sol = [Fraction(0)] * n
-    for r, col in pivots:
-        sol[col] = aug[r][n]
-    return sol
-
-
-def rational_nullspace(rows: Sequence[Sequence]) -> list[tuple[Fraction, ...]]:
-    """Basis of ``{x : row . x == 0 for every row}``."""
-    if not rows:
-        raise InputError("nullspace of an empty constraint list needs a dimension")
-    dim = len(rows[0])
-    mat = [[Fraction(x) for x in row] for row in rows]
-    pivots: list[int] = []
-    rank = 0
-    for col in range(dim):
-        piv = next((r for r in range(rank, len(mat)) if mat[r][col] != 0), None)
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        inv = 1 / mat[rank][col]
-        mat[rank] = [x * inv for x in mat[rank]]
-        for r in range(len(mat)):
-            if r != rank and mat[r][col] != 0:
-                f = mat[r][col]
-                mat[r] = [x - f * y for x, y in zip(mat[r], mat[rank])]
-        pivots.append(col)
-        rank += 1
-    basis = []
-    free = [c for c in range(dim) if c not in pivots]
-    for fc in free:
-        vec = [Fraction(0)] * dim
-        vec[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = -mat[r][fc]
-        basis.append(tuple(vec))
-    return basis
 
 
 # ---------------------------------------------------------------------------
@@ -434,13 +345,7 @@ def _reduce_mod_lineality(ray, lin_basis) -> tuple[int, ...]:
     """Canonical representative of a ray modulo the lineality space."""
     if not lin_basis:
         return primitive(ray)
-    vec = [Fraction(x) for x in ray]
-    for row in lin_basis:
-        piv = next(j for j, x in enumerate(row) if x != 0)
-        if vec[piv] != 0:
-            f = vec[piv] / row[piv]
-            vec = [v - f * Fraction(r) for v, r in zip(vec, row)]
-    return as_int_vector(vec)
+    return as_int_vector(_back_substitute(lin_basis, _pivots(lin_basis), ray)[1])
 
 
 class RationalCone:
@@ -629,6 +534,85 @@ def hermite_normal_form(rows: Sequence[Sequence[int]]) -> list[list[int]]:
     return result
 
 
+def _pivots(echelon) -> list[int]:
+    return [next(j for j, x in enumerate(row) if x) for row in echelon]
+
+
+def _back_substitute(echelon, pivots, x) -> tuple[list[Fraction], list[Fraction]]:
+    """Coefficients c and the residue ``x - sum(c[i] * echelon[i])``, which
+    is zero at every pivot; x lies in the rows' span iff it is zero.
+
+    Each row is zero before its pivot and the pivots increase, so clearing
+    x at a row's pivot never disturbs an earlier pivot's entry.
+    """
+    residue = [Fraction(v) for v in x]
+    coords = []
+    for row, piv in zip(echelon, pivots):
+        c = residue[piv] / row[piv]
+        coords.append(c)
+        if c:
+            for j in range(piv, len(residue)):
+                residue[j] -= c * row[j]
+    return coords, residue
+
+
+def _reduced_echelon(rows) -> tuple[list[int], list[list[Fraction]]]:
+    """Pivot columns and reduced row echelon form of rational rows.
+
+    Scaling a row by a positive rational keeps the row space, so each row
+    is cleared to a primitive integer row and the Hermite form is taken:
+    an echelon basis of the same row space.  Every echelon form of it has
+    the same pivot columns, the greedily independent columns (row
+    operations keep the dependencies among columns).  Reduced row i is
+    Hermite row i, back-substituted on the later rows (it is already zero
+    at the earlier pivots) and divided by its pivot.
+    """
+    h = hermite_normal_form([as_int_vector(r) for r in rows])
+    pivots = _pivots(h)
+    reduced = []
+    for i, row in enumerate(h):
+        residue = _back_substitute(h[i + 1:], pivots[i + 1:], row)[1]
+        reduced.append([v / row[pivots[i]] for v in residue])
+    return pivots, reduced
+
+
+def echelon_solve(rows: Sequence[Sequence], rhs: Sequence) -> Optional[list[Fraction]]:
+    """The solution x of ``rows[i] . x == rhs[i]`` whose free unknowns are 0,
+    or None when the system is inconsistent.
+
+    On the reduced echelon form of the augmented rows ``rows[i] + (rhs[i],)``
+    the system is inconsistent iff the last column is a pivot column;
+    otherwise each pivot unknown is its row's last entry.  This is the
+    solution Gauss-Jordan elimination finds.
+    """
+    n = len(rows[0])
+    pivots, reduced = _reduced_echelon([tuple(r) + (b,) for r, b in zip(rows, rhs)])
+    if n in pivots:
+        return None
+    sol = [Fraction(0)] * n
+    for row, piv in zip(reduced, pivots):
+        sol[piv] = row[n]
+    return sol
+
+
+def echelon_kernel(rows: Sequence[Sequence]) -> list[tuple[Fraction, ...]]:
+    """Basis of ``{x : row . x == 0 for every row}``: for each free column
+    f, the unit vector ``e_f`` minus column f of the reduced echelon form
+    placed on the pivot unknowns."""
+    dim = len(rows[0])
+    pivots, reduced = _reduced_echelon(rows)
+    basis = []
+    for f in range(dim):
+        if f in pivots:
+            continue
+        vec = [Fraction(0)] * dim
+        vec[f] = Fraction(1)
+        for row, piv in zip(reduced, pivots):
+            vec[piv] = -row[f]
+        basis.append(tuple(vec))
+    return basis
+
+
 class IntegerLattice:
     """The set of integer combinations of a list of integer vectors."""
 
@@ -641,7 +625,7 @@ class IntegerLattice:
                 raise InputError("lattice vector dimension mismatch")
             vecs.append(list(v))
         self.basis = [tuple(row) for row in hermite_normal_form(vecs)]
-        self._pivots = [next(j for j, x in enumerate(row) if x != 0) for row in self.basis]
+        self._pivots = _pivots(self.basis)
 
     @property
     def rank(self) -> int:
@@ -670,25 +654,14 @@ class IntegerLattice:
     def rational_coordinates(self, x: Sequence) -> Optional[list[Fraction]]:
         """Rational coordinates of x in the HNF basis, or None off its span.
 
-        The basis is in echelon form (each row is zero before its pivot, and
-        the pivots increase), so back-substitution on the pivots clears x row
-        by row, and x is in the span iff the residue ends at zero.  The rows
-        are independent, so these are the only coordinates: those
-        :func:`rational_solve` finds.
+        Back-substitution on the pivots clears x row by row, and x is in the
+        span iff the residue ends at zero.  The rows are independent, so
+        these are the only coordinates.
         """
         if len(x) != self.dim:
             raise InputError("point dimension mismatch")
-        residue = [Fraction(v) for v in x]
-        coords = []
-        for row, piv in zip(self.basis, self._pivots):
-            c = residue[piv] / row[piv]
-            coords.append(c)
-            if c:
-                for j in range(piv, self.dim):
-                    residue[j] -= c * row[j]
-        if any(residue):
-            return None
-        return coords
+        coords, residue = _back_substitute(self.basis, self._pivots, x)
+        return None if any(residue) else coords
 
     def contains(self, x: Sequence[int]) -> bool:
         return self.coordinates(x) is not None

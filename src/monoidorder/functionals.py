@@ -22,9 +22,10 @@ from .exactmath import (
     InternalCheckError,
     IntegerLattice,
     RationalCone,
+    as_int_vector,
+    echelon_solve,
     is_zero_vector,
     primitive,
-    rational_solve,
     solve_nonneg_rational,
     vadd,
     vdot,
@@ -258,15 +259,7 @@ def _ambient_covector(sub: OrderedSubgroup, coeffs) -> Optional[tuple[int, ...]]
     the ambient class space whose restriction to the subgroup agrees with the
     functional up to the positive factor cleared at the end.
     """
-    cols = [tuple(b[j] for b in sub.span_basis) for j in range(sub.reduction.rank)]
-    rhs = tuple(Fraction(sub.scale) * c for c in coeffs)
-    sol = rational_solve(cols, rhs)
-    if sol is None:
-        return None
-    if all(x == 0 for x in sol):
-        return tuple(0 for _ in sol)
-    den = lcm(*(x.denominator for x in sol))
-    return primitive(tuple(int(x * den) for x in sol))
+    return _covector(sub.span_basis, [Fraction(sub.scale) * c for c in coeffs])
 
 
 def _carrier_covector(sub: OrderedSubgroup,
@@ -279,19 +272,17 @@ def _carrier_covector(sub: OrderedSubgroup,
     red = sub.reduction
     if red.kind == "finite":
         return None
-    rows = [tuple(r) for r in red.monoid.span_basis]
+    rows = red.monoid.span_basis
     if not rows:
         return None
-    dim = len(rows[0])
-    rhs = tuple(Fraction(vdot(class_cov, red.project(r))) for r in rows)
-    cols = [tuple(r[j] for r in rows) for j in range(dim)]
-    sol = rational_solve(cols, rhs)
-    if sol is None:
-        return None
-    if all(x == 0 for x in sol):
-        return tuple(0 for _ in sol)
-    den = lcm(*(x.denominator for x in sol))
-    return primitive(tuple(int(x * den) for x in sol))
+    return _covector(rows, [vdot(class_cov, red.project(r)) for r in rows])
+
+
+def _covector(rows, values) -> Optional[tuple[int, ...]]:
+    """The primitive integer covector on the ray of the solution a of
+    ``a . rows[i] == values[i]`` whose free unknowns are 0, or None."""
+    sol = echelon_solve(rows, values)
+    return None if sol is None else as_int_vector(sol)
 
 
 def positive_functionals(h: OrderedSubgroup) -> list[AdditiveFunctional]:
@@ -299,8 +290,8 @@ def positive_functionals(h: OrderedSubgroup) -> list[AdditiveFunctional]:
 
     Extreme rays of the dual cone of the subgroup's positivity cone, in
     primitive integer form.  Each ray is certified genuinely extreme (it is
-    not a nonnegative combination of the remaining generators) and sampled
-    positive covectors are certified to decompose over the returned rays.
+    not a nonnegative combination of the remaining generators) and every
+    positive covector is certified to decompose over the returned rays.
     """
     if h.rank == 0 or h.positive_cone is None:
         return []
@@ -315,52 +306,26 @@ def positive_functionals(h: OrderedSubgroup) -> list[AdditiveFunctional]:
     return out
 
 
-def _combination_feasible(target, rays, lin) -> bool:
-    """Is target = nonneg combo of rays + signed combo of lineality vectors?"""
-    gens = list(rays) + list(lin) + [vneg(v) for v in lin]
-    return solve_nonneg_rational(gens, target) is not None
-
-
 def _certify_extremality(h: OrderedSubgroup, rays, lin) -> None:
+    """No dual ray is a nonnegative combination of the other generators."""
     for i, r in enumerate(rays):
-        others = rays[:i] + rays[i + 1:]
-        if _combination_feasible(r, others, lin):
+        others = rays[:i] + rays[i + 1:] + lin + [vneg(v) for v in lin]
+        if solve_nonneg_rational(others, r) is not None:
             raise InternalCheckError(
                 f"dual ray {list(r)} is a combination of the remaining rays")
 
 
 def _certify_decomposition(h: OrderedSubgroup, rays, lin) -> None:
-    """Sampled positive covectors must decompose over the dual generators."""
-    samples = _positive_covector_samples(h)
-    for s in samples:
-        if not _combination_feasible(s, rays, lin):
-            raise InternalCheckError(
-                f"positive covector {list(s)} escaped the computed dual cone")
+    """Every positive covector must decompose over the dual generators.
 
-
-def _positive_covector_samples(h: OrderedSubgroup) -> list[tuple[int, ...]]:
-    rails = h.positive_cone.v_rep
-    if h.rank <= 3:
-        spread = range(-2, 3)
-        out = []
-        for c in _grid(h.rank, spread):
-            if all(vdot(c, r) >= 0 for r in rails):
-                out.append(c)
-        return out
-    dual = h.positive_cone.dual()
-    gens = dual.v_rep
-    out = [tuple(g) for g in gens]
-    for i in range(len(gens)):
-        for j in range(i, len(gens)):
-            out.append(vadd(gens[i], vscale(2, gens[j])))
-    return sorted(set(out))
-
-
-def _grid(dim: int, spread) -> list[tuple[int, ...]]:
-    if dim == 0:
-        return [()]
-    tails = _grid(dim - 1, spread)
-    return [(v,) + t for v in spread for t in tails]
+    The generators cut out the cone K of points they are all nonnegative
+    on.  If K lies in the positivity cone P then, dually, every covector
+    nonnegative on P is nonnegative on K, and K's dual is the cone the
+    generators span (Farkas).  So the check is complete.
+    """
+    cut = RationalCone.from_inequalities(rays + lin + [vneg(v) for v in lin], h.rank)
+    if not h.positive_cone.contains_cone(cut):
+        raise InternalCheckError("a positive covector escaped the computed dual cone")
 
 
 # ---------------------------------------------------------------------------

@@ -36,16 +36,16 @@ from .exactmath import (
     RationalCone,
     as_int_vector,
     cone_from_inequalities,
+    echelon_kernel,
+    echelon_solve,
     integer_solve,
-    rational_nullspace,
-    rational_solve,
-    rational_rank,
     vadd,
     vdot,
     vneg,
     vscale,
 )
 from .monoids import (
+    FINITE_ORDER_IS_TOTAL,
     BiadditiveOp,
     FiniteMonoid,
     LatticeMonoid,
@@ -160,10 +160,8 @@ def is_left_localizable(op: BiadditiveOp, s, side: str = "left") -> Localizabili
     check_element(m, s)
     kind = "left" if side == "left" else "left-opposite"
     if isinstance(m, FiniteMonoid):
-        # the canonical order of a finite carrier is total: every pair has
-        # a <~ b, so no damped comparison can refute
-        return LocalizabilityVerdict(s, kind, "yes", "exhaustive pair search",
-                                     lambda: (None, {"pairs_checked": m.n * m.n}))
+        # every pair has a <~ b, so no damped comparison can refute
+        return LocalizabilityVerdict(s, kind, "yes", FINITE_ORDER_IS_TOTAL)
     return _vector_left(op, s, side, kind)
 
 
@@ -232,7 +230,7 @@ def _vector_left(op, s, side, kind) -> LocalizabilityVerdict:
         return LocalizabilityVerdict(s, kind, "yes", "damped map scales the span")
 
     if m.open_normals:
-        kernel = _left_kernel(bl, r)
+        kernel = _left_kernel(bl)
         if kernel:
             x = as_int_vector(_combine(kernel[0], basis))
             direction = x if not _inside(m, x) else vneg(x)
@@ -253,7 +251,7 @@ def _vector_left(op, s, side, kind) -> LocalizabilityVerdict:
     return _refuted(op, s, side, kind, "preimage cone escapes the positivity cone",
                     strict_direction,
                     lambda: {"violating_direction": [int(v) for v in violation],
-                             "injective_on_span": not _left_kernel(bl, r)})
+                             "injective_on_span": not _left_kernel(bl)})
 
 
 def _refuted(op, s, side, kind, reason, direction, details) -> LocalizabilityVerdict:
@@ -266,10 +264,9 @@ def _refuted(op, s, side, kind, reason, direction, details) -> LocalizabilityVer
     return LocalizabilityVerdict(s, kind, "no", reason, evidence)
 
 
-def _left_kernel(bl_rows, r) -> list[tuple]:
+def _left_kernel(bl) -> list[tuple]:
     """Nonzero combinations of the span basis killed by the damping map."""
-    cols = [tuple(bl_rows[i][k] for i in range(r)) for k in range(len(bl_rows[0]))]
-    return rational_nullspace(cols)
+    return echelon_kernel(list(zip(*bl)))
 
 
 def _combine(coeffs, basis):
@@ -370,7 +367,7 @@ def _inside(m, x) -> bool:
 
 def _preimage(bl, basis, v):
     """Span vector x with (damped map)(x) == v, or None."""
-    c = rational_solve([tuple(row) for row in bl], tuple(Fraction(t) for t in v))
+    c = echelon_solve(list(zip(*bl)), v)
     if c is None:
         return None
     return _combine(c, basis)
@@ -518,8 +515,7 @@ def is_weakly_localizable(op: BiadditiveOp, queries: Optional[Sequence] = None,
         assignments = {a: next(s for s in m.elements() if leq(m, a, s) and localizable(s))
                        for a in m.elements()}
         return WeakLocalizabilityCertificate(
-            "yes", assignments=assignments, budget=budget,
-            reason="exhaustive search over the carrier")
+            "yes", assignments=assignments, budget=budget, reason=FINITE_ORDER_IS_TOTAL)
     if isinstance(m, LatticeMonoid):
         # the orthant obstruction is a theorem about lattice carriers
         if queries is None:
@@ -579,8 +575,7 @@ def is_strongly_localizable(op: BiadditiveOp, budget: int = 3) -> dict:
     m = op.carrier
     if isinstance(m, FiniteMonoid):
         # every element of a finite carrier is localizable
-        return {"verdict": "yes", "confirmed": "exhaustive",
-                "elements_checked": m.n}
+        return {"verdict": "yes", "confirmed": "theorem", "reason": FINITE_ORDER_IS_TOTAL}
     if isinstance(m, LatticeMonoid) and _is_orthant_coordinates(m):
         weights = _is_diagonal_tensor(op)
         if weights is not None:
@@ -634,6 +629,12 @@ def order_unit_fast_path(op: BiadditiveOp, e, queries: Optional[Sequence] = None
     is a closed polyhedral cone (hence unperforated with damped limits
     adding nothing).  On refusal the general search runs instead, with
     the refusal reasons attached.
+
+    The positivity cone always spans the carrier's space, so no refusal
+    asks for it: ``m.cone`` is spanned by ``m.rays`` (a lattice's cone is
+    built from its nonzero generators, and an open cone's rays are its
+    closed cone's ``v_rep``), and an all-zero lattice's cone is the whole
+    space.
     """
     m = op.carrier
     check_element(m, e)
@@ -650,14 +651,6 @@ def order_unit_fast_path(op: BiadditiveOp, e, queries: Optional[Sequence] = None
         cone = m.cone
         if cone.dim != len(e):
             raise InputError("unit dimension mismatch")
-        cone_dirs = [list(r) for r in cone.v_rep] + [list(b) for b in cone.lineality_basis]
-        gen_rows = [list(g) for g in m.rays]
-        cone_rank = rational_rank(cone_dirs) if cone_dirs else 0
-        gen_rank = rational_rank(gen_rows) if gen_rows else 0
-        if cone_rank < gen_rank:
-            refusals.append(
-                "positivity cone spans a smaller space than the carrier: "
-                "no order unit can dominate every element")
         targets = queries if queries is not None else list(m.rays)
         for g in targets:
             k = _order_unit_multiple(cone, e, g)

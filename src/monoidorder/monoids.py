@@ -49,6 +49,9 @@ from .exactmath import (
     vsub,
 )
 
+# the reason of every verdict that holds on a finite carrier by theorem
+FINITE_ORDER_IS_TOTAL = "the canonical order of a finite carrier is total"
+
 
 class FiniteMonoid:
     """Commutative monoid on ``{0, .., n-1}`` given by its addition table.
@@ -582,11 +585,16 @@ class BiadditiveOp:
         """The failures of the operation's laws on the carrier, empty when
         it is biadditive and closed: both distributive laws on every finite
         triple, generator products of a lattice, ray products of an open
-        cone (biadditivity is structural for a tensor)."""
+        cone (biadditivity is structural for a tensor).  The n^3 triples
+        are swept only to list the failures once :func:`_distributive`
+        finds one with the generators and 0 in the added-to slot.
+        """
         m = self.carrier
         failures = []
         if isinstance(m, FiniteMonoid):
             add, mu = m.table, self.table
+            if _distributive(add, mu, [0] + m.generators()):
+                return failures
             for a in m.elements():
                 for b in m.elements():
                     mu_a, mu_ab = mu[a], mu[add[a][b]]
@@ -611,6 +619,28 @@ class BiadditiveOp:
         return failures
 
 
+def _distributive(add, table, slots) -> bool:
+    """Both distributive laws of the value table over the addition table
+    with the added-to slot in ``slots``: ``(a + h) c == a c + h c`` and
+    ``a (c + h) == a c + a h`` for every h in slots and all a, c.
+
+    With ``slots`` the generators and 0 this decides both laws on every
+    triple, by induction on an expression of the added-to element: for
+    ``b == p + h``, ``(a + b) c == ((a + p) + h) c == (a + p) c + h c ==
+    a c + p c + h c == a c + b c`` (the right law alike).  The slot 0 is
+    the base case, which a table with row and column 0 zero meets.
+    """
+    for h in slots:
+        th, h_plus = table[h], add[h]
+        for ta, a_plus in zip(table, add):
+            ah_plus = add[ta[h]]
+            if table[a_plus[h]] != tuple([add[x][y] for x, y in zip(ta, th)]):
+                return False
+            if [ta[v] for v in h_plus] != [ah_plus[x] for x in ta]:
+                return False
+    return True
+
+
 # ---------------------------------------------------------------------------
 # enumeration of biadditive operations on finite carriers
 
@@ -633,15 +663,10 @@ def enumerate_biadditive_ops(m: FiniteMonoid, unital: Optional[int] = None,
     ``g b = g p + g h`` over the right operand b, and then the table is
     ``a b = p b + h b``, one row sum per element: row and column 0 are 0,
     and every entry is the sum of the generator values over
-    ``expr[a] x expr[b]``, whatever the order of the sum.  The distributive
-    laws are checked for a generator h in the slot that is added to:
-    ``(a + h) c == a c + h c`` and ``a (c + h) == a c + a h`` for all a, c.
-    That implies them for every element in that slot, by induction on its
-    expression: for ``b == p + h``,
-    ``(a + b) c == ((a + p) + h) c == (a + p) c + h c == a c + p c + h c
-    == a c + b c``, and at ``b == 0`` both sides are ``a c`` since row 0
-    is 0 (the right law alike, since column 0 is 0).  So a leaf costs
-    n^2 + g n sums and n^2 g law checks.
+    ``expr[a] x expr[b]``, whatever the order of the sum.  Row and column 0
+    being 0, the distributive laws need checking only with a generator in
+    the slot that is added to (see :func:`_distributive`).  So a leaf
+    costs n^2 + g n sums and n^2 g law checks.
     """
     gens = m.generators()
     expr = m.expressions()
@@ -718,17 +743,8 @@ def enumerate_biadditive_ops(m: FiniteMonoid, unital: Optional[int] = None,
             for a in elems:
                 if table[unital][a] != a or table[a][unital] != a:
                     return
-        for h in gens:
-            th, h_plus = table[h], add[h]
-            for a in elems:
-                ta = table[a]
-                ah_plus = add[ta[h]]
-                # (a + h) c == a c + h c  and  a (c + h) == a c + a h, for all c
-                if table[add[a][h]] != tuple([add[x][y] for x, y in zip(ta, th)]):
-                    return
-                if [ta[v] for v in h_plus] != [ah_plus[x] for x in ta]:
-                    return
-        results.add(tuple(table))
+        if _distributive(add, table, gens):
+            results.add(tuple(table))
 
     def dfs(idx: int):
         nonlocal nodes

@@ -15,7 +15,7 @@ from monoidorder.monoids import (BiadditiveOp, FiniteMonoid, LatticeMonoid,
                                  half_plane_product_tensor,
                                  matrix_product_op, saturating_product_op,
                                  truncated_free_monoid)
-from monoidorder.exactmath import RationalCone
+from monoidorder.exactmath import InputError, RationalCone
 
 settings.register_profile(
     "ci",
@@ -53,6 +53,98 @@ def default_pairs(m, count: int = 200, seed: int = 20240901) -> list[tuple]:
             pool.append(tuple(x / 2 for x in p))
             pool.append(tuple(3 * x for x in p))
     return [(rng.choice(pool), rng.choice(pool)) for _ in range(count)]
+
+
+# ---------------------------------------------------------------------------
+# Gauss-Jordan elimination over Fraction: the reference for the rank, solve
+# and kernel the program reads off the Hermite form
+
+
+def rational_rank(rows):
+    mat = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    ncols = len(mat[0]) if mat else 0
+    for col in range(ncols):
+        piv = next((r for r in range(rank, len(mat)) if mat[r][col] != 0), None)
+        if piv is None:
+            continue
+        mat[rank], mat[piv] = mat[piv], mat[rank]
+        inv = 1 / mat[rank][col]
+        mat[rank] = [x * inv for x in mat[rank]]
+        for r in range(len(mat)):
+            if r != rank and mat[r][col] != 0:
+                f = mat[r][col]
+                mat[r] = [x - f * y for x, y in zip(mat[r], mat[rank])]
+        rank += 1
+    return rank
+
+
+def rational_solve(rows, rhs):
+    """One exact solution of ``rows^T . x = rhs`` treating rows as columns.
+
+    ``rows`` is a list of vectors; we solve for coefficients ``x`` with
+    ``sum(x[i] * rows[i]) == rhs``.  Returns None when inconsistent.
+    """
+    if not rows:
+        return [] if all(Fraction(v) == 0 for v in rhs) else None
+    dim = len(rows[0])
+    aug = [[Fraction(rows[j][i]) for j in range(len(rows))] + [Fraction(rhs[i])]
+           for i in range(dim)]
+    n = len(rows)
+    pivots = []
+    rank = 0
+    for col in range(n):
+        piv = next((r for r in range(rank, dim) if aug[r][col] != 0), None)
+        if piv is None:
+            continue
+        aug[rank], aug[piv] = aug[piv], aug[rank]
+        inv = 1 / aug[rank][col]
+        aug[rank] = [x * inv for x in aug[rank]]
+        for r in range(dim):
+            if r != rank and aug[r][col] != 0:
+                f = aug[r][col]
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[rank])]
+        pivots.append((rank, col))
+        rank += 1
+    for r in range(rank, dim):
+        if aug[r][n] != 0:
+            return None
+    sol = [Fraction(0)] * n
+    for r, col in pivots:
+        sol[col] = aug[r][n]
+    return sol
+
+
+def rational_nullspace(rows):
+    """Basis of ``{x : row . x == 0 for every row}``."""
+    if not rows:
+        raise InputError("nullspace of an empty constraint list needs a dimension")
+    dim = len(rows[0])
+    mat = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    rank = 0
+    for col in range(dim):
+        piv = next((r for r in range(rank, len(mat)) if mat[r][col] != 0), None)
+        if piv is None:
+            continue
+        mat[rank], mat[piv] = mat[piv], mat[rank]
+        inv = 1 / mat[rank][col]
+        mat[rank] = [x * inv for x in mat[rank]]
+        for r in range(len(mat)):
+            if r != rank and mat[r][col] != 0:
+                f = mat[r][col]
+                mat[r] = [x - f * y for x, y in zip(mat[r], mat[rank])]
+        pivots.append(col)
+        rank += 1
+    basis = []
+    free = [c for c in range(dim) if c not in pivots]
+    for fc in free:
+        vec = [Fraction(0)] * dim
+        vec[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            vec[pc] = -mat[r][fc]
+        basis.append(tuple(vec))
+    return basis
 
 
 # ---------------------------------------------------------------------------

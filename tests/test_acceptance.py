@@ -18,7 +18,7 @@ import time
 from fractions import Fraction
 
 from monoidorder.cli import default_golden_path, reproduce_document
-from monoidorder.exactmath import rational_rank, vdot
+from monoidorder.exactmath import vdot
 from monoidorder.formallyreal import (RationalFunction, RationalPolynomial,
                                       is_sos_membership,
                                       parse_rational_function,
@@ -45,8 +45,8 @@ from monoidorder.monoids import (BiadditiveOp, LatticeMonoid, OpenConeMonoid,
                                  truncated_free_monoid)
 from monoidorder.reports import render_report
 
-from conftest import (cone_corpus, finite_corpus, lattice_corpus, seeded,
-                      weakly_localizable_ops)
+from conftest import (cone_corpus, finite_corpus, lattice_corpus, rational_rank,
+                      seeded, weakly_localizable_ops)
 
 
 def criterion(num: int, label: str):

@@ -16,6 +16,8 @@ from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from monoidorder import (cli, formallyreal, functionals, latticeorder,
                          localizability)
@@ -1052,3 +1054,139 @@ def test_uncaught_exception_is_an_internal_error_not_a_refutation(monkeypatch):
     reported = [line for line in err.splitlines()
                 if line.startswith("internal error")]
     assert reported == ["internal error: RuntimeError: planted bug"]
+
+
+# --------------------------------------------------------------------------
+# the exit-code contract on drawn inputs
+# --------------------------------------------------------------------------
+
+
+def _damage(draw, lines):
+    """One line of an instance file dropped, cut short, widened by a token
+    or replaced by an unknown section, or (three times in four) the file
+    left whole."""
+    how = draw(st.sampled_from(["none"] * 12 + ["drop", "cut", "widen", "section"]))
+    if how == "none":
+        return lines
+    i = draw(st.integers(0, len(lines) - 1))
+    damaged = {"drop": [], "cut": [lines[i][:-1]], "widen": [lines[i] + " 1"],
+               "section": ["[bogus]"]}[how]
+    return lines[:i] + damaged + lines[i + 1:]
+
+
+@st.composite
+def instance_files(draw):
+    """The kind, dimension (size) and text lines of a lattice, open-cone or
+    finite file of dimension or size at most 3, with tensor entries 0..2,
+    mostly with an operation, sometimes malformed."""
+    kind = draw(st.sampled_from(["lattice", "open-cone", "finite"]))
+    if kind == "finite":
+        n = draw(st.integers(1, 3))
+        names = "zab"[:n]
+        table = draw(st.sampled_from(["cyclic", "chain"] * 2 + ["any"]))
+        add = {"cyclic": lambda i, j: (i + j) % n, "chain": lambda i, j: min(i + j, n - 1),
+               "any": lambda i, j: draw(st.integers(0, n - 1))}[table]
+        product = draw(st.sampled_from(["zero", "product"] * 2 + ["any"]))
+        mu = {"zero": lambda i, j: 0,
+              "product": lambda i, j: (i * j) % n if table == "cyclic" else min(i * j, n - 1),
+              "any": lambda i, j: draw(st.integers(0, n - 1))}[product]
+        lines = ["kind: finite", "names: " + " ".join(names), "[add]"]
+        lines += [" ".join(names[add(i, j)] for j in range(n)) for i in range(n)]
+        if draw(st.sampled_from([True, True, True, False])):
+            lines += ["[mu]"] + [" ".join(names[mu(i, j)] for j in range(n)) for i in range(n)]
+        return kind, n, _damage(draw, lines)
+    d = draw(st.integers(1, 3))
+    unit = st.integers(0, d - 1).map(lambda i: [int(i == j) for j in range(d)])
+    vector = st.one_of(unit, st.lists(st.integers(-2, 2), min_size=d, max_size=d))
+    section = "generators" if kind == "lattice" else \
+        draw(st.sampled_from(["rays", "inequalities"]))
+    rows = draw(st.lists(vector, min_size=1, max_size=4))
+    lines = [f"kind: {kind}", f"dim: {d}", f"[{section}]"] + [" ".join(map(str, r)) for r in rows]
+    if kind == "open-cone" and draw(st.booleans()):
+        # a listed inequality or a coordinate is often a facet normal
+        normal = st.sampled_from(rows) if section == "inequalities" else unit
+        lines += ["[open-normals]"] + [" ".join(map(str, r))
+                                       for r in draw(st.lists(normal, min_size=1, max_size=2))]
+    if draw(st.sampled_from([True, True, True, False])):
+        index = st.integers(0, d - 1)
+        pairs = draw(st.lists(st.tuples(index, index), min_size=1, max_size=d * d,
+                              unique=True))
+        lines += ["[tensor]"] + [
+            f"{i} {j} " + " ".join(str(draw(st.integers(0, 2))) for _ in range(d))
+            for i, j in pairs]
+    return kind, d, _damage(draw, lines)
+
+
+@st.composite
+def elements(draw, kind, d):
+    """An element of a carrier of that kind and dimension, or not."""
+    if kind == "finite":
+        return draw(st.sampled_from("zab"[:d] + "c0"))
+    entry = st.sampled_from([str(v) for v in range(3)] * 3 + ["-1", "-2", "1/2", "-1/3", "x"])
+    size = draw(st.sampled_from([d] * 4 + [d + 1]))
+    return ",".join(draw(st.lists(entry, min_size=size, max_size=size)))
+
+
+@st.composite
+def rational_functions(draw):
+    """Quotients of polynomials of degree <= 4 with coefficients -3..3,
+    sometimes cut short or with a stray character."""
+    term = st.builds("{:+d}*x^{}".format, st.integers(-3, 3), st.integers(0, 4))
+    poly = st.lists(term, min_size=1, max_size=3).map(lambda ts: "".join(ts).lstrip("+"))
+    text = draw(poly)
+    if draw(st.booleans()):
+        text = f"({text})/({draw(poly)})"
+    how = draw(st.sampled_from(["none", "none", "cut", "stray"]))
+    i = draw(st.integers(0, len(text)))
+    if how == "cut":
+        text = text[:i]
+    elif how == "stray":
+        text = text[:i] + draw(st.sampled_from(list("()^/*+y."))) + text[i:]
+    return text
+
+
+@st.composite
+def cli_calls(draw):
+    """The file text (None for sos and reproduce) and the argument list,
+    ``FILE`` standing for the file, of one CLI call."""
+    options = ["--budget", str(draw(st.integers(0, 4))),
+               "--format", draw(st.sampled_from(["json", "text"]))]
+    command = draw(st.sampled_from(["file"] * 8 + ["sos", "reproduce"]))
+    if command == "sos":
+        argv = draw(st.sampled_from([[], ["--theorem"], ["--categorize"]]))
+        if argv == ["--categorize"]:
+            return None, options + ["sos", "--categorize",
+                                    draw(st.sampled_from(["Q", "Q(x)", "R"]))]
+        return None, options + ["sos", draw(rational_functions())] + argv
+    if command == "reproduce":
+        return None, options + ["reproduce", draw(st.sampled_from(REPRODUCE_IDS + ("none",)))]
+    kind, d, lines = draw(instance_files())
+    a, b = draw(elements(kind, d)), draw(elements(kind, d))
+    argv = draw(st.sampled_from([
+        ["order", "FILE", a, b], ["localizable", "FILE", a],
+        ["localizable", "FILE", "--weak"], ["localizable", "FILE", "--strong"],
+        ["verify", "FILE", "--main"], ["verify", "FILE", "--fring"],
+        ["verify", "FILE", "--orderunit", "--element", a],
+        ["verify", "FILE", "--weak-strong"],
+        ["extremals", "FILE", "--elements", f"{a}; {b}"], ["grothendieck", "FILE"]]))
+    return "\n".join(lines) + "\n", options + argv
+
+
+@settings(max_examples=600)
+@given(call=cli_calls())
+def test_every_drawn_call_keeps_the_exit_code_contract(call, tmp_path_factory):
+    # a break of the contract is a bug in the program, never a reason to
+    # narrow the strategies
+    text, argv = call
+    if text is not None:
+        path = tmp_path_factory.mktemp("fuzz") / "drawn.mon"
+        path.write_text(text)
+        argv = [str(path) if a == "FILE" else a for a in argv]
+    code, out, err = run_cli(*argv)
+    event(f"exit {code}")
+    assert code in (EXIT_PASS, EXIT_REFUTED, EXIT_REFUSED, EXIT_INPUT, EXIT_BUDGET), err
+    assert "Traceback" not in err
+    if code == EXIT_INPUT:
+        assert out == ""
+    elif argv[3] == "json":
+        json.loads(out)

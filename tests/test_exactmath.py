@@ -10,17 +10,17 @@ from hypothesis import strategies as st
 from monoidorder import exactmath
 from monoidorder.exactmath import (CombinationSearch, InputError,
                                    IntegerLattice, InternalCheckError, RationalCone,
-                                   bounded_nonneg_combination,
-                                   default_combination_bound,
+                                   as_int_vector, bounded_nonneg_combination,
+                                   default_combination_bound, echelon_kernel,
+                                   echelon_solve,
                                    hermite_normal_form, int_det,
                                    integer_kernel, integer_solve,
                                    invariant_factors, lp_feasible, primitive,
-                                   rational_nullspace, rational_rank,
-                                   rational_solve, sign_canonical,
+                                   sign_canonical,
                                    smith_normal_form, solve_nonneg_rational,
                                    vadd, vdot, vneg, vscale, vsub)
 
-from conftest import seeded
+from conftest import rational_nullspace, rational_rank, rational_solve, seeded
 
 small_ints = st.integers(min_value=-6, max_value=6)
 vectors3 = st.lists(small_ints, min_size=3, max_size=3)
@@ -90,6 +90,40 @@ def test_rational_nullspace_is_kernel():
     assert len(basis) == 2
     for v in basis:
         assert vdot(rows[0], v) == 0
+
+
+@st.composite
+def linear_systems(draw):
+    """At most five vectors of dimension <= 4 with entries in -3..3, all
+    integers or some fractions, and a right-hand side on their span or
+    drawn anywhere (so often off it)."""
+    d = draw(st.integers(1, 4))
+    integer = st.integers(-3, 3)
+    entry = draw(st.sampled_from([integer, st.one_of(
+        integer, st.fractions(min_value=-3, max_value=3, max_denominator=3))]))
+    vectors = draw(st.lists(st.lists(entry, min_size=d, max_size=d), max_size=5))
+    if vectors and draw(st.booleans()):
+        coeffs = draw(st.lists(entry, min_size=len(vectors), max_size=len(vectors)))
+        rhs = [sum(c * v[i] for c, v in zip(coeffs, vectors)) for i in range(d)]
+    else:
+        rhs = draw(st.lists(entry, min_size=d, max_size=d))
+    return d, vectors, rhs
+
+
+@settings(max_examples=300)
+@given(linear_systems())
+def test_the_echelon_kernel_equals_gauss_jordan(case):
+    d, vectors, rhs = case
+    # sum(x[j] * vectors[j]) == rhs is the system of the d coordinate rows
+    rows = [[v[i] for v in vectors] for i in range(d)]
+    sol = echelon_solve(rows, rhs)
+    event("solvable" if sol is not None else "inconsistent")
+    assert sol == rational_solve(vectors, rhs)
+    assert echelon_kernel(rows) == rational_nullspace(rows)
+    if vectors:
+        assert echelon_kernel(vectors) == rational_nullspace(vectors)
+    assert len(hermite_normal_form([as_int_vector(v) for v in vectors])) \
+        == rational_rank(vectors)
 
 
 def test_rank_examples():

@@ -8,9 +8,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from monoidorder.exactmath import (InputError, RationalCone, rational_rank,
+from monoidorder.exactmath import (InputError, InternalCheckError, RationalCone,
                                    vdot, vsub)
-from monoidorder.functionals import (_sample_pool, check_mult_identity,
+from monoidorder.functionals import (_certify_decomposition, _sample_pool,
+                                     check_mult_identity,
                                      normalize_multiplicative,
                                      positive_functionals,
                                      span_of_elements, span_with_products,
@@ -26,7 +27,7 @@ from monoidorder.monoids import (BiadditiveOp, FiniteMonoid, LatticeMonoid,
                                  saturating_product_op, truncated_free_monoid)
 from monoidorder.monoids import matrix_product_op as matrix_monoid_product_op
 
-from conftest import (instance_path, monogenic_table, product_table,
+from conftest import (instance_path, monogenic_table, product_table, rational_rank,
                       weakly_localizable_ops)
 
 
@@ -109,6 +110,20 @@ def test_extremal_functionals_match_dual_sweep(label, h):
     got = {_primitive(_coeff_vector(p)) for p in phis}
     assert got == want
     assert all(p.extremal for p in phis)
+
+
+@pytest.mark.parametrize("h", [
+    span_of_elements(free_monoid(3), [(1, 0, 0), (0, 1, 0), (0, 0, 1)]),
+    span_of_elements(LatticeMonoid(2, [(1, 0), (1, 2)]), [(1, 0), (1, 2)]),
+    span_of_elements(half_open_half_plane(), [(1, 0), (1, 1)]),
+], ids=["orthant-3", "slanted", "half-plane"])
+def test_a_dual_missing_one_ray_fails_the_decomposition_check(h):
+    dual = h.positive_cone.dual()
+    rays, lin = list(dual.extreme_rays), list(dual.lineality_basis)
+    _certify_decomposition(h, rays, lin)
+    for i in range(len(rays)):
+        with pytest.raises(InternalCheckError, match="escaped the computed dual cone"):
+            _certify_decomposition(h, rays[:i] + rays[i + 1:], lin)
 
 
 def test_degenerate_span_has_no_extremals():

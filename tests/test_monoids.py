@@ -5,7 +5,7 @@ from fractions import Fraction
 from math import gcd, prod
 
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 from monoidorder.exactmath import (CombinationSearch, InputError, RationalCone,
@@ -562,6 +562,70 @@ def test_validation_rejects_non_biadditive_table():
     failures = BiadditiveOp(m, table=table).validate()
     assert failures
     assert failures[0][0] in ("left-additivity", "right-additivity")
+
+
+def _swept_failures(m, table):
+    """Both distributive laws on all n^3 triples, failures in sweep order."""
+    add, failures = m.table, []
+    for a, b, c in itertools.product(m.elements(), repeat=3):
+        if table[add[a][b]][c] != add[table[a][c]][table[b][c]]:
+            failures.append(("left-additivity", a, b, c))
+        if table[a][add[b][c]] != add[table[a][b]][table[a][c]]:
+            failures.append(("right-additivity", a, b, c))
+    return failures
+
+
+VALIDATED_CARRIERS = finite_corpus() + [
+    ("chain-semilattice-3", FiniteMonoid([[0, 1, 2], [1, 1, 2], [2, 2, 2]])),
+    ("z2-absorber", FiniteMonoid([[0, 1, 2], [1, 0, 2], [2, 2, 2]])),
+    ("truncated-2-cap1", truncated_free_monoid(2, cap=1)),
+    ("C1,1xC0,2", FiniteMonoid(product_table([monogenic_table(1, 1),
+                                               monogenic_table(0, 2)]))),
+]
+
+
+@st.composite
+def validated_tables(draw):
+    """A carrier and a value table, with up to three entries overwritten:
+    one of its biadditive tables, or its addition table (which on a
+    saturating carrier meets both laws with a generator in the added-to
+    slot, but not with 0)."""
+    m = draw(st.sampled_from([m for _, m in VALIDATED_CARRIERS]))
+    bases = [op.table for op in enumerate_biadditive_ops(m)] + [m.table]
+    table = [list(row) for row in draw(st.sampled_from(bases))]
+    for _ in range(draw(st.integers(0, 3))):
+        a, b, v = (draw(st.integers(0, m.n - 1)) for _ in range(3))
+        table[a][b] = v
+    return m, table
+
+
+@settings(max_examples=300)
+@given(validated_tables())
+def test_validation_lists_the_failures_of_the_full_sweep(case):
+    m, table = case
+    failures = BiadditiveOp(m, table=table).validate()
+    event("valid" if not failures else "invalid")
+    assert failures == _swept_failures(m, table)
+
+
+def test_validation_of_the_125_element_product_checks_generator_slots_only():
+    # the n^3 sweep reads 2 n^3 addition rows; the generator slots read
+    # about n^2 per slot, with g + 1 slots (the generators and 0)
+    m = truncated_free_monoid(3, cap=4)
+    op = saturating_product_op(m)
+    n, g = m.n, len(m.generators())
+    assert (n, g) == (125, 3)
+
+    class CountedRows(tuple):
+        reads = 0
+
+        def __getitem__(self, i):
+            CountedRows.reads += 1
+            return tuple.__getitem__(self, i)
+
+    m.table = CountedRows(m.table)
+    assert op.validate() == []
+    assert 0 < CountedRows.reads <= 2 * n * n * (g + 1)
 
 
 def _brute_force_biadditive_tables(m):
