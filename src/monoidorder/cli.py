@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import random
+import re
 import sys
 from fractions import Fraction
 from importlib import resources
@@ -484,9 +485,24 @@ def cmd_reproduce(args) -> tuple:
 # argument parsing and dispatch
 
 
+_NUMBER = r"(\d+(/\d+)?|\d*\.\d+)"
+
+
 class _Parser(argparse.ArgumentParser):
     """Usage errors raise :class:`InputError` (exit 3) instead of exiting 2,
-    which is the code for "refused"; subparsers inherit the class."""
+    which is the code for "refused"; subparsers inherit the class.
+
+    argparse reads an argument that starts with ``-`` as an option unless
+    it looks like a negative number, and no option here does.  An element
+    whose first coordinate is negative, such as ``-1,0`` or ``-1/2,0``, is
+    a positional too, so argparse's negative-number pattern is widened to
+    a comma-separated list of integers, ``p/q`` rationals or decimals with
+    a leading minus.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(rf"^-{_NUMBER}(,[-+]?{_NUMBER})*$")
 
     def error(self, message):
         raise InputError(message)

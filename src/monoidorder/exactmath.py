@@ -23,6 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
+from operator import add, mul, neg, sub
 from typing import Iterable, Optional, Sequence
 
 
@@ -43,29 +44,29 @@ class InternalCheckError(RuntimeError):
 
 
 def vadd(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def vsub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def vneg(a):
-    return tuple(-x for x in a)
+    return tuple(map(neg, a))
 
 
 def vscale(c, a):
-    return tuple(c * x for x in a)
+    return tuple([c * x for x in a])
 
 
 def vdot(a, b):
     if len(a) != len(b):
         raise InputError(f"dot product of vectors of lengths {len(a)} and {len(b)}")
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(mul, a, b))
 
 
 def is_zero_vector(a) -> bool:
-    return all(x == 0 for x in a)
+    return not any(a)
 
 
 def as_int_vector(a) -> tuple[int, ...]:
@@ -80,26 +81,20 @@ def as_int_vector(a) -> tuple[int, ...]:
     if all(type(x) is int for x in a):
         return primitive(a)
     fracs = [Fraction(x) for x in a]
-    if all(f == 0 for f in fracs):
+    if not any(fracs):
         return tuple(0 for _ in fracs)
-    denom = 1
-    for f in fracs:
-        denom = denom * f.denominator // gcd(denom, f.denominator)
-    ints = [int(f * denom) for f in fracs]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    return tuple(x // g for x in ints)
+    denom = lcm(*(f.denominator for f in fracs))
+    return primitive([f.numerator * (denom // f.denominator) for f in fracs])
 
 
 def primitive(a: Sequence[int]) -> tuple[int, ...]:
     """Divide an integer vector by the gcd of its entries (direction kept)."""
-    g = 0
-    for x in a:
-        g = gcd(g, abs(x))
+    g = gcd(*a)
+    if g == 1:
+        return tuple(a)
     if g == 0:
         return tuple(0 for _ in a)
-    return tuple(x // g for x in a)
+    return tuple([x // g for x in a])
 
 
 def sign_canonical(a: Sequence[int]) -> tuple[int, ...]:
@@ -116,25 +111,31 @@ def sign_canonical(a: Sequence[int]) -> tuple[int, ...]:
 
 def int_det(mat: Sequence[Sequence[int]]) -> int:
     n = len(mat)
-    if any(len(row) != n for row in mat):
-        raise InputError("determinant of a non-square matrix")
+    for row in mat:
+        if len(row) != n:
+            raise InputError("determinant of a non-square matrix")
     if n == 0:
         return 1
     a = [list(row) for row in mat]
     sign = 1
     prev = 1
     for k in range(n - 1):
-        if a[k][k] == 0:
+        ak = a[k]
+        if ak[k] == 0:
             piv = next((r for r in range(k + 1, n) if a[r][k] != 0), None)
             if piv is None:
                 return 0
-            a[k], a[piv] = a[piv], a[k]
+            a[k], a[piv] = a[piv], ak
+            ak = a[k]
             sign = -sign
+        p = ak[k]
         for i in range(k + 1, n):
+            ai = a[i]
+            c = ai[k]
             for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
+                ai[j] = (ai[j] * p - c * ak[j]) // prev
+            ai[k] = 0
+        prev = p
     return sign * a[-1][-1]
 
 
@@ -267,57 +268,59 @@ def lp_feasible(n_vars: int,
 # double description
 
 
-def _dd_state(dim: int):
-    lineality = [tuple(1 if j == i else 0 for j in range(dim)) for i in range(dim)]
-    rays: list[tuple[tuple[int, ...], frozenset]] = []
-    return lineality, rays
-
-
 def _dd_insert(normal, idx, lineality, rays):
-    """Insert one inequality ``normal . x >= 0`` into the (L, R) pair."""
-    dots = [vdot(normal, l) for l in lineality]
-    pivot = next((i for i in range(len(lineality)) if dots[i] != 0), None)
+    """Insert one inequality ``normal . x >= 0`` into the (L, R) pair.
+
+    ``lineality`` spans the cone's lineality space; ``rays`` pairs each
+    extreme ray with its zero set, the indices of the inequalities inserted
+    so far that vanish on it.  If ``normal`` is nonzero on the lineality
+    space, its first such line ``l0`` (oriented so ``normal . l0 > 0``)
+    becomes a ray, and every other line and ray is moved onto the
+    hyperplane along ``l0``.  Otherwise Motzkin's step keeps the rays with
+    ``normal . r >= 0`` and adds ``(normal . rp) rn - (normal . rn) rp`` for
+    every pair of a positive ray ``rp`` and a negative ray ``rn`` that are
+    adjacent.  Adjacency is the combinatorial test (Fukuda and Prodon,
+    "Double description method revisited", 1996): the pair is adjacent iff
+    no third ray's zero set contains ``Z(rp) & Z(rn)``.  Both rays of the
+    pair contain that intersection, so it is adjacent iff exactly two zero
+    sets do.  Every new vector is made primitive.
+    """
+    dots = [sum(map(mul, normal, l)) for l in lineality]
+    pivot = next((i for i, d in enumerate(dots) if d), None)
     if pivot is not None:
-        l0 = lineality[pivot]
-        d0 = dots[pivot]
+        l0, d0 = lineality[pivot], dots[pivot]
         if d0 < 0:
-            l0 = vneg(l0)
-            d0 = -d0
-        new_lin = []
-        for i, l in enumerate(lineality):
-            if i == pivot:
-                continue
-            new_lin.append(primitive(vsub(vscale(d0, l), vscale(dots[i], l0))))
-        new_rays = [(primitive(vsub(vscale(d0, r), vscale(vdot(normal, r), l0))),
-                     zs | {idx}) for r, zs in rays]
-        new_rays.append((primitive(l0), frozenset(range(idx))))
+            l0, d0 = tuple(map(neg, l0)), -d0
+        # lines and rays are primitive, so one the normal vanishes on stays
+        new_lin = [primitive([d0 * x - d * y for x, y in zip(l, l0)]) if d else l
+                   for i, (l, d) in enumerate(zip(lineality, dots)) if i != pivot]
+        new_rays = []
+        for r, zs in rays:
+            d = sum(map(mul, normal, r))
+            if d:
+                r = primitive([d0 * x - d * y for x, y in zip(r, l0)])
+            new_rays.append((r, zs | {idx}))
+        new_rays.append((l0, frozenset(range(idx))))
         return new_lin, new_rays
-    pos, zero, neg = [], [], []
+    pos, zero, negative = [], [], []
     for r, zs in rays:
-        d = vdot(normal, r)
+        d = sum(map(mul, normal, r))
         if d > 0:
             pos.append((r, zs, d))
         elif d < 0:
-            neg.append((r, zs, d))
+            negative.append((r, zs, d))
         else:
             zero.append((r, zs | {idx}))
-    if not neg:
-        return lineality, [(r, zs) for r, zs, _ in pos] + zero
     result = [(r, zs) for r, zs, _ in pos] + zero
+    if not negative:
+        return lineality, result
+    zero_sets = [zs for _, zs in rays]
     for rp, zp, dp in pos:
-        for rn, zn, dn in neg:
+        for rn, zn, dn in negative:
             common = zp & zn
-            adjacent = True
-            for r2, zs2 in rays:
-                if r2 is rp or r2 is rn:
-                    continue
-                if common <= zs2:
-                    adjacent = False
-                    break
-            if not adjacent:
-                continue
-            combo = primitive(vadd(vscale(dp, rn), vscale(-dn, rp)))
-            result.append((combo, common | {idx}))
+            if sum(map(common.issubset, zero_sets)) == 2:
+                result.append((primitive([dp * x - dn * y for x, y in zip(rn, rp)]),
+                               common | {idx}))
     return lineality, result
 
 
@@ -328,24 +331,33 @@ def cone_from_inequalities(normals: Sequence[Sequence[int]], dim: int):
     vectors reduced modulo the lineality space and sorted, the lineality
     basis is in Hermite normal form.
     """
-    cleaned = sorted({primitive(tuple(int(x) for x in n)) for n in normals
-                      if not is_zero_vector(n)})
+    cleaned = sorted({primitive([int(x) for x in n]) for n in normals if any(n)})
     for n in cleaned:
         if len(n) != dim:
             raise InputError("inequality normal has wrong dimension")
-    lineality, rays = _dd_state(dim)
+    lineality = [tuple([int(j == i) for j in range(dim)]) for i in range(dim)]
+    rays: list[tuple[tuple[int, ...], frozenset]] = []
     for idx, n in enumerate(cleaned):
         lineality, rays = _dd_insert(n, idx, lineality, rays)
-    lin_basis = hermite_normal_form([list(l) for l in lineality])
+    lin_basis = hermite_normal_form(lineality)
     ray_list = sorted({_reduce_mod_lineality(r, lin_basis) for r, _ in rays})
     return [tuple(row) for row in lin_basis], ray_list
 
 
 def _reduce_mod_lineality(ray, lin_basis) -> tuple[int, ...]:
-    """Canonical representative of a ray modulo the lineality space."""
-    if not lin_basis:
-        return primitive(ray)
-    return as_int_vector(_back_substitute(lin_basis, _pivots(lin_basis), ray)[1])
+    """Canonical representative of a ray modulo the lineality space: the
+    primitive vector on the ray of its residue after back-substitution on
+    the Hermite rows.  The residue is cleared fraction-free, as
+    ``piv * residue - residue[p] * row`` at each pivot p, which is a
+    positive multiple (pivots are positive) of the rational residue, so
+    the primitive vector is the same."""
+    residue = ray
+    for row in lin_basis:
+        p = next(j for j, x in enumerate(row) if x)
+        c, piv = residue[p], row[p]
+        if c:
+            residue = [piv * x - c * y for x, y in zip(residue, row)]
+    return primitive(residue)
 
 
 class RationalCone:
@@ -493,44 +505,44 @@ def hermite_normal_form(rows: Sequence[Sequence[int]]) -> list[list[int]]:
     for row in mat:
         if len(row) != ncols:
             raise InputError("ragged matrix")
+    cols = range(ncols)
     result: list[list[int]] = []
-    work = [row[:] for row in mat if any(row)]
+    pivots: list[int] = []
+    work = [row for row in mat if any(row)]
     col = 0
     while work and col < ncols:
-        cand = [r for r in work if r[col] != 0]
+        cand = [r for r in work if r[col]]
         if not cand:
             col += 1
             continue
-        while True:
+        while len(cand) > 1:
             cand.sort(key=lambda r: abs(r[col]))
             piv = cand[0]
-            done = True
+            p = piv[col]
             for r in cand[1:]:
-                q = r[col] // piv[col]
-                for j in range(ncols):
+                q = r[col] // p
+                for j in cols:
                     r[j] -= q * piv[j]
-                if r[col] != 0:
-                    done = False
-            cand = [piv] + [r for r in cand[1:] if r[col] != 0]
-            if done or len(cand) == 1:
-                break
+            cand = [piv] + [r for r in cand[1:] if r[col]]
+        piv = cand[0]
         if piv[col] < 0:
-            for j in range(ncols):
+            for j in cols:
                 piv[j] = -piv[j]
         result.append(piv)
+        pivots.append(col)
         work = [r for r in work if r is not piv and any(r)]
         col += 1
     # reduce entries above pivots, top pivot first: row i is zero left of its
     # pivot, so reducing with it never disturbs an earlier pivot's column,
     # and what it changes right of its pivot the lower rows reduce after it
-    for i in range(len(result)):
-        piv_col = next(j for j, x in enumerate(result[i]) if x != 0)
-        piv = result[i][piv_col]
+    for i, (row, pc) in enumerate(zip(result, pivots)):
+        p = row[pc]
         for k in range(i):
-            q = result[k][piv_col] // piv
+            above = result[k]
+            q = above[pc] // p
             if q:
-                for j in range(len(result[k])):
-                    result[k][j] -= q * result[i][j]
+                for j in cols:
+                    above[j] -= q * row[j]
     return result
 
 
@@ -620,10 +632,10 @@ class IntegerLattice:
         self.dim = dim
         vecs = []
         for v in vectors:
-            v = tuple(int(x) for x in v)
+            v = tuple(map(int, v))
             if len(v) != dim:
                 raise InputError("lattice vector dimension mismatch")
-            vecs.append(list(v))
+            vecs.append(v)
         self.basis = [tuple(row) for row in hermite_normal_form(vecs)]
         self._pivots = _pivots(self.basis)
 
@@ -684,42 +696,51 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]):
     for row in a:
         if len(row) != n:
             raise InputError("ragged matrix")
-    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    original = [row[:] for row in a]
+    u = [[int(i == j) for j in range(m)] for i in range(m)]
+    v = [[int(i == j) for j in range(n)] for i in range(n)]
     vinv = [row[:] for row in v]
+    rm, rn = range(m), range(n)
 
     def row_op(i, j, q):  # row_i -= q * row_j
-        for k in range(n):
-            a[i][k] -= q * a[j][k]
-        for k in range(m):
-            u[i][k] -= q * u[j][k]
+        ai, aj = a[i], a[j]
+        for k in rn:
+            ai[k] -= q * aj[k]
+        ui, uj = u[i], u[j]
+        for k in rm:
+            ui[k] -= q * uj[k]
 
     def col_op(i, j, q):  # col_i -= q * col_j
-        for k in range(m):
-            a[k][i] -= q * a[k][j]
-        for k in range(n):
-            v[k][i] -= q * v[k][j]
-            vinv[j][k] += q * vinv[i][k]
+        for row in a:
+            row[i] -= q * row[j]
+        for row in v:
+            row[i] -= q * row[j]
+        wi, wj = vinv[i], vinv[j]
+        for k in rn:
+            wj[k] += q * wi[k]
 
     def swap_rows(i, j):
         a[i], a[j] = a[j], a[i]
         u[i], u[j] = u[j], u[i]
 
     def swap_cols(i, j):
-        for k in range(m):
-            a[k][i], a[k][j] = a[k][j], a[k][i]
-        for k in range(n):
-            v[k][i], v[k][j] = v[k][j], v[k][i]
+        for row in a:
+            row[i], row[j] = row[j], row[i]
+        for row in v:
+            row[i], row[j] = row[j], row[i]
         vinv[i], vinv[j] = vinv[j], vinv[i]
 
     t = 0
     while t < min(m, n):
-        # find the smallest nonzero entry in the remaining block
-        best = None
+        # find the smallest nonzero entry in the remaining block (the first
+        # one in row-major order)
+        best, least = None, 0
         for i in range(t, m):
+            row = a[i]
             for j in range(t, n):
-                if a[i][j] != 0 and (best is None or abs(a[i][j]) < abs(a[best[0]][best[1]])):
-                    best = (i, j)
+                x = row[j]
+                if x and (best is None or abs(x) < least):
+                    best, least = (i, j), abs(x)
         if best is None:
             break
         swap_rows(t, best[0])
@@ -727,26 +748,26 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]):
         while True:
             changed = False
             for i in range(t + 1, m):
-                if a[i][t] != 0:
-                    q = a[i][t] // a[t][t]
-                    row_op(i, t, q)
-                    if a[i][t] != 0:
+                if a[i][t]:
+                    row_op(i, t, a[i][t] // a[t][t])
+                    if a[i][t]:
                         swap_rows(t, i)
                     changed = True
             for j in range(t + 1, n):
-                if a[t][j] != 0:
-                    q = a[t][j] // a[t][t]
-                    col_op(j, t, q)
-                    if a[t][j] != 0:
+                if a[t][j]:
+                    col_op(j, t, a[t][j] // a[t][t])
+                    if a[t][j]:
                         swap_cols(t, j)
                     changed = True
             if not changed:
                 break
         # ensure the pivot divides everything below-right; if not, merge rows
+        p = a[t][t]
         offender = None
         for i in range(t + 1, m):
+            row = a[i]
             for j in range(t + 1, n):
-                if a[i][j] % a[t][t] != 0:
+                if row[j] % p:
                     offender = i
                     break
             if offender is not None:
@@ -754,23 +775,27 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]):
         if offender is not None:
             row_op(t, offender, -1)  # add offender row to pivot row
             continue
-        if a[t][t] < 0:
-            for k in range(n):
-                a[t][k] = -a[t][k]
-            for k in range(m):
-                u[t][k] = -u[t][k]
+        if p < 0:
+            row = a[t]
+            for k in rn:
+                row[k] = -row[k]
+            row = u[t]
+            for k in rm:
+                row[k] = -row[k]
         t += 1
 
-    d = [[a[i][j] for j in range(n)] for i in range(m)]
+    d = a
     # verify
     if abs(int_det(u)) != 1 or abs(int_det(v)) != 1:
         raise InternalCheckError("SNF transform not unimodular")
-    prod = [[sum(u[i][k] * int(matrix[k][j]) for k in range(m)) for j in range(n)] for i in range(m)]
-    prod = [[sum(prod[i][k] * v[k][j] for k in range(n)) for j in range(n)] for i in range(m)]
-    if prod != d:
+    cols = list(zip(*original))
+    ua = [[sum(map(mul, row, col)) for col in cols] for row in u]
+    cols = list(zip(*v))
+    if [[sum(map(mul, row, col)) for col in cols] for row in ua] != d:
         raise InternalCheckError("SNF product check failed")
-    if [[sum(v[i][k] * vinv[k][j] for k in range(n)) for j in range(n)] for i in range(n)] \
-            != [[int(i == j) for j in range(n)] for i in range(n)]:
+    cols = list(zip(*vinv))
+    if [[sum(map(mul, row, col)) for col in cols] for row in v] \
+            != [[int(i == j) for j in rn] for i in rn]:
         raise InternalCheckError("SNF inverse transform check failed")
     diag = [d[i][i] for i in range(min(m, n))]
     for i in range(len(diag) - 1):
@@ -778,8 +803,8 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]):
             raise InternalCheckError("SNF zero ordering violated")
         if diag[i] != 0 and diag[i + 1] % diag[i] != 0:
             raise InternalCheckError("SNF divisibility chain violated")
-    for i in range(m):
-        for j in range(n):
+    for i in rm:
+        for j in rn:
             if i != j and d[i][j] != 0:
                 raise InternalCheckError("SNF off-diagonal entry")
     return u, d, v, vinv
@@ -854,8 +879,8 @@ class IntegerSolver:
             return []
         _, d, v, _ = self._snf
         rank = sum(1 for i in range(min(len(d), len(d[0]))) if d[i][i])
-        return [tuple(sum(x * v[i][j] for i, x in enumerate(row)) for j in range(rank))
-                for row in self.rows]
+        cols = list(zip(*v))[:rank]
+        return [tuple([sum(map(mul, row, col)) for col in cols]) for row in self.rows]
 
 
 def integer_solve(rows: Sequence[Sequence[int]],
@@ -915,25 +940,29 @@ class CombinationSearch:
     """
 
     def __init__(self, generators: Sequence[Sequence[int]], normals: Sequence[Sequence[int]]):
-        self.generators = tuple(tuple(int(c) for c in g) for g in generators)
+        self.generators = tuple(tuple(map(int, g)) for g in generators)
         if not self.generators:
             raise InputError("combination search needs at least one generator")
         self.dim = len(self.generators[0])
         if any(len(g) != self.dim for g in self.generators):
             raise InputError("generator dimension mismatch")
-        normals = [tuple(int(c) for c in n) for n in normals]
-        self.weight = tuple(sum(n[j] for n in normals) for j in range(self.dim))
+        normals = [tuple(map(int, n)) for n in normals]
         self.units: list[int] = []
         self.positive: list[int] = []
+        self._weights: list[int] = []  # w(p) == sum of the normals' values on p
         for i, g in enumerate(self.generators):
             values = [vdot(n, g) for n in normals]
-            if any(v < 0 for v in values):
+            if min(values, default=0) < 0:
                 raise InputError("generator outside the cone of the given normals")
-            (self.positive if any(values) else self.units).append(i)
+            if any(values):
+                self.positive.append(i)
+                self._weights.append(sum(values))
+            else:
+                self.units.append(i)
+        self.weight = tuple(map(sum, zip(*normals))) if normals else (0,) * self.dim
         self._unit_vectors = [self.generators[i] for i in self.units]
         self._unit_solver = IntegerSolver(self._unit_vectors)
-        self._weights = [vdot(self.weight, self.generators[i]) for i in self.positive]
-        free = [j for j in range(self.dim) if all(u[j] == 0 for u in self._unit_vectors)]
+        free = [j for j in range(self.dim) if not any(u[j] for u in self._unit_vectors)]
         # bounds[i]: (j, lo_n, lo_w, hi_n, hi_w) per free coordinate j, the
         # least and greatest ratio p[j] / w(p) over the positive generators
         # from depth i on, as pairs (p[j], w(p)) with w(p) > 0
@@ -941,16 +970,17 @@ class CombinationSearch:
         later: list[tuple] = []
         for i in reversed(range(len(self.positive))):
             g, w = self.generators[self.positive[i]], self._weights[i]
-            rows = []
-            for k, j in enumerate(free):
-                lo_n, lo_w, hi_n, hi_w = g[j], w, g[j], w
-                if later:  # the bounds from depth i + 1 on, where they win
-                    _, later_lo_n, later_lo_w, later_hi_n, later_hi_w = later[k]
-                    if later_lo_n * w < lo_n * later_lo_w:
-                        lo_n, lo_w = later_lo_n, later_lo_w
-                    if later_hi_n * w > hi_n * later_hi_w:
-                        hi_n, hi_w = later_hi_n, later_hi_w
-                rows.append((j, lo_n, lo_w, hi_n, hi_w))
+            if later:  # the bounds from depth i + 1 on, where they win
+                rows = []
+                for j, lo_n, lo_w, hi_n, hi_w in later:
+                    x = g[j]
+                    if x * lo_w <= lo_n * w:
+                        lo_n, lo_w = x, w
+                    if x * hi_w >= hi_n * w:
+                        hi_n, hi_w = x, w
+                    rows.append((j, lo_n, lo_w, hi_n, hi_w))
+            else:
+                rows = [(j, g[j], w, g[j], w) for j in free]
             bounds.append(rows)
             later = rows
         bounds.reverse()
@@ -968,10 +998,12 @@ class CombinationSearch:
             for j, lo_n, lo_w, hi_n, hi_w in bounds[i + 1]:
                 # (r - c*g[j]) * hi_w <= (W - c*w) * hi_n
                 # (r - c*g[j]) * lo_w >= (W - c*w) * lo_n
-                for a, s, t in ((w * hi_n - g[j] * hi_w, hi_n, hi_w),
-                                (g[j] * lo_w - w * lo_n, -lo_n, -lo_w)):
-                    if a:
-                        cut.append((j, a, s, t))
+                a = w * hi_n - g[j] * hi_w
+                if a:
+                    cut.append((j, a, hi_n, hi_w))
+                a = g[j] * lo_w - w * lo_n
+                if a:
+                    cut.append((j, a, -lo_n, -lo_w))
             self._cuts.append(cut)
         self._relation: Optional[tuple[int, ...]] = None
         self.nodes = 0
@@ -1008,20 +1040,22 @@ class CombinationSearch:
                     classes.setdefault(primitive(u), []).append(i)
             members = list(classes.values())
             scale = [gcd(*u) for u in units]  # u == scale * primitive(u)
-            dirs = [tuple(c // scale[ix[0]] for c in coords[ix[0]]) for ix in members]
+            dirs = [tuple([c // scale[ix[0]] for c in coords[ix[0]]]) for ix in members]
             cover = [0] * len(dirs)
             for support in combinations(range(len(dirs)), rho + 1):
                 if all(cover):
                     break
-                if all(cover[t] for t in support):
+                if all(map(cover.__getitem__, support)):
                     continue
-                z = [0] * len(dirs)
-                for pos, t in enumerate(support):
-                    z[t] = (-1) ** pos * int_det([dirs[s] for s in support if s != t])
-                if all(c <= 0 for c in z):
-                    z = vneg(z)
-                if all(c >= 0 for c in z) and any(c and not r for c, r in zip(z, cover)):
-                    cover = [r + c for r, c in zip(cover, primitive(z))]
+                rows = list(map(dirs.__getitem__, support))
+                z = [int_det(rows[:pos] + rows[pos + 1:]) for pos in range(rho + 1)]
+                z[1::2] = [-c for c in z[1::2]]
+                if max(z) <= 0:
+                    z = [-c for c in z]
+                if min(z) >= 0 and any(c and not cover[t] for c, t in zip(z, support)):
+                    g = gcd(*z)
+                    for c, t in zip(z, support):
+                        cover[t] += c // g
             # direction p with copies u_i == scale_i * p gets cover_p * T
             # spread as cover_p * T / (n_p * scale_i) on each of its n_p
             # copies, T divisible by every such denominator; a zero unit
@@ -1034,7 +1068,7 @@ class CombinationSearch:
             rel = primitive(rel)
             if not all(r > 0 for r in rel):
                 raise InternalCheckError("units do not span a group")
-            if any(sum(r * u[j] for r, u in zip(rel, units)) for j in range(self.dim)):
+            if any(sum(map(mul, rel, col)) for col in zip(*units)):
                 raise InternalCheckError("unit relation failed re-substitution")
             self._relation = rel
         return self._relation

@@ -422,8 +422,9 @@ def check_membership(instance: Instance, element) -> None:
         return
     if instance.kind in ("lattice", "open-cone"):
         if not monoid.contains(element):
+            shown = ", ".join(map(str, element))  # rationals as p/q
             raise InputError(
-                f"element {list(element)} is not in the monoid described by "
+                f"element [{shown}] is not in the monoid described by "
                 f"{instance.source}")
         return
     if instance.kind == "lattice-group":

@@ -712,22 +712,6 @@ def enumerate_biadditive_ops(m: FiniteMonoid, unital: Optional[int] = None,
     results: set = set()
     nodes = 0
 
-    def column_state(j):
-        """Partial constrained sum and count for column j under unit counts."""
-        total = 0
-        count = 0
-        s = 0
-        for i in range(g):
-            if unit_counts[i] == 0:
-                continue
-            if (i, j) in assign:
-                for _ in range(unit_counts[i]):
-                    s = m.table[s][assign[(i, j)]]
-                    count += 1
-            else:
-                return s, count, False
-        return s, count, True
-
     def extend_and_validate():
         gen_rows = []  # gen_rows[i][b] == gens[i] b
         for i in range(g):
@@ -746,31 +730,35 @@ def enumerate_biadditive_ops(m: FiniteMonoid, unital: Optional[int] = None,
         if _distributive(add, table, gens):
             results.add(tuple(table))
 
-    def dfs(idx: int):
+    def dfs(idx: int, s: int, count: int):
+        """Assign pairs from idx on; (s, count) is the unit-weighted sum of
+        the column's rows assigned so far and the number of its terms.  A
+        column's sum is complete when count reaches the total, where the
+        only feasible sum is the column's generator."""
         nonlocal nodes
         if idx == len(pairs):
             extend_and_validate()
             return
         i, j = pairs[idx]
+        if i == 0:
+            s, count = 0, 0
         for v in range(m.n):
             nodes += 1
             if nodes > node_budget:
                 raise ResourceBudgetError(
                     f"biadditive enumeration exceeded {node_budget} nodes")
             assign[(i, j)] = v
-            ok = True
-            if unital is not None and unit_counts[i] > 0:
-                s, count, complete = column_state(j)
-                back = feasible[j]
-                if s not in back[count]:
-                    ok = False
-                elif complete and s != gens[j]:
-                    ok = False
+            t, c, ok = s, count, True
+            if unit_counts[i]:  # all zero without a unit
+                for _ in range(unit_counts[i]):
+                    t = add[t][v]
+                c += unit_counts[i]
+                ok = t in feasible[j][c]
             if ok:
-                dfs(idx + 1)
+                dfs(idx + 1, t, c)
             del assign[(i, j)]
 
-    dfs(0)
+    dfs(0, 0, 0)
     ops = [BiadditiveOp(m, table=t) for t in sorted(results)]
     return ops
 

@@ -1,6 +1,7 @@
 """Shared fixtures: deterministic hypothesis profile and the instance corpus."""
 
 import itertools
+import math
 import os
 import random
 from fractions import Fraction
@@ -145,6 +146,383 @@ def rational_nullspace(rows):
             vec[pc] = -mat[r][fc]
         basis.append(tuple(vec))
     return basis
+
+
+# ---------------------------------------------------------------------------
+# reference integer kernels: the double description, primitive vectors, the
+# Hermite and Smith forms, the unit relation and the first combination
+# certificate, written with one tuple-building helper per arithmetic step.
+# The kernels in ``exactmath`` must return exactly what these return.
+
+
+def _o_vadd(a, b):
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def _o_vsub(a, b):
+    return tuple(x - y for x, y in zip(a, b))
+
+
+def _o_vneg(a):
+    return tuple(-x for x in a)
+
+
+def _o_vscale(c, a):
+    return tuple(c * x for x in a)
+
+
+def _o_vdot(a, b):
+    assert len(a) == len(b)
+    return sum(x * y for x, y in zip(a, b))
+
+
+def oracle_primitive(a):
+    g = 0
+    for x in a:
+        g = math.gcd(g, abs(x))
+    if g == 0:
+        return tuple(0 for _ in a)
+    return tuple(x // g for x in a)
+
+
+def oracle_int_det(mat):
+    n = len(mat)
+    if n == 0:
+        return 1
+    a = [list(row) for row in mat]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            piv = next((r for r in range(k + 1, n) if a[r][k] != 0), None)
+            if piv is None:
+                return 0
+            a[k], a[piv] = a[piv], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[-1][-1]
+
+
+def oracle_hermite_normal_form(rows):
+    mat = [list(map(int, row)) for row in rows]
+    if not mat:
+        return []
+    ncols = len(mat[0])
+    result = []
+    work = [row[:] for row in mat if any(row)]
+    col = 0
+    while work and col < ncols:
+        cand = [r for r in work if r[col] != 0]
+        if not cand:
+            col += 1
+            continue
+        while True:
+            cand.sort(key=lambda r: abs(r[col]))
+            piv = cand[0]
+            done = True
+            for r in cand[1:]:
+                q = r[col] // piv[col]
+                for j in range(ncols):
+                    r[j] -= q * piv[j]
+                if r[col] != 0:
+                    done = False
+            cand = [piv] + [r for r in cand[1:] if r[col] != 0]
+            if done or len(cand) == 1:
+                break
+        if piv[col] < 0:
+            for j in range(ncols):
+                piv[j] = -piv[j]
+        result.append(piv)
+        work = [r for r in work if r is not piv and any(r)]
+        col += 1
+    for i in range(len(result)):
+        piv_col = next(j for j, x in enumerate(result[i]) if x != 0)
+        piv = result[i][piv_col]
+        for k in range(i):
+            q = result[k][piv_col] // piv
+            if q:
+                for j in range(len(result[k])):
+                    result[k][j] -= q * result[i][j]
+    return result
+
+
+def oracle_dd_insert(normal, idx, lineality, rays):
+    dots = [_o_vdot(normal, l) for l in lineality]
+    pivot = next((i for i in range(len(lineality)) if dots[i] != 0), None)
+    if pivot is not None:
+        l0 = lineality[pivot]
+        d0 = dots[pivot]
+        if d0 < 0:
+            l0 = _o_vneg(l0)
+            d0 = -d0
+        new_lin = []
+        for i, l in enumerate(lineality):
+            if i == pivot:
+                continue
+            new_lin.append(oracle_primitive(_o_vsub(_o_vscale(d0, l), _o_vscale(dots[i], l0))))
+        new_rays = [(oracle_primitive(_o_vsub(_o_vscale(d0, r), _o_vscale(_o_vdot(normal, r), l0))),
+                     zs | {idx}) for r, zs in rays]
+        new_rays.append((oracle_primitive(l0), frozenset(range(idx))))
+        return new_lin, new_rays
+    pos, zero, neg = [], [], []
+    for r, zs in rays:
+        d = _o_vdot(normal, r)
+        if d > 0:
+            pos.append((r, zs, d))
+        elif d < 0:
+            neg.append((r, zs, d))
+        else:
+            zero.append((r, zs | {idx}))
+    if not neg:
+        return lineality, [(r, zs) for r, zs, _ in pos] + zero
+    result = [(r, zs) for r, zs, _ in pos] + zero
+    for rp, zp, dp in pos:
+        for rn, zn, dn in neg:
+            common = zp & zn
+            adjacent = True
+            for r2, zs2 in rays:
+                if r2 is rp or r2 is rn:
+                    continue
+                if common <= zs2:
+                    adjacent = False
+                    break
+            if not adjacent:
+                continue
+            combo = oracle_primitive(_o_vadd(_o_vscale(dp, rn), _o_vscale(-dn, rp)))
+            result.append((combo, common | {idx}))
+    return lineality, result
+
+
+def _o_as_int_vector(a):
+    fracs = [Fraction(x) for x in a]
+    denom = math.lcm(1, *(f.denominator for f in fracs))
+    return oracle_primitive([int(f * denom) for f in fracs])
+
+
+def _o_reduce_mod_lineality(ray, lin_basis):
+    residue = [Fraction(v) for v in ray]
+    for row in lin_basis:
+        piv = next(j for j, x in enumerate(row) if x)
+        c = residue[piv] / row[piv]
+        residue = [x - c * y for x, y in zip(residue, row)]
+    return _o_as_int_vector(residue)
+
+
+def oracle_cone_from_inequalities(normals, dim):
+    cleaned = sorted({oracle_primitive(tuple(int(x) for x in n)) for n in normals
+                      if not all(x == 0 for x in n)})
+    lineality = [tuple(1 if j == i else 0 for j in range(dim)) for i in range(dim)]
+    rays = []
+    for idx, n in enumerate(cleaned):
+        lineality, rays = oracle_dd_insert(n, idx, lineality, rays)
+    lin_basis = oracle_hermite_normal_form([list(l) for l in lineality])
+    ray_list = sorted({_o_reduce_mod_lineality(r, lin_basis) for r, _ in rays})
+    return [tuple(row) for row in lin_basis], ray_list
+
+
+def oracle_h_rep(rays, dim):
+    """The facet normals ``RationalCone.from_rays(rays, dim).h_rep`` lists."""
+    lin, dual_rays = oracle_cone_from_inequalities(rays, dim)
+    h = list(dual_rays)
+    for l in lin:
+        h.append(tuple(l))
+        h.append(_o_vneg(l))
+    return sorted(set(oracle_primitive(n) for n in h))
+
+
+def oracle_smith_normal_form(matrix):
+    a = [list(map(int, row)) for row in matrix]
+    m = len(a)
+    n = len(a[0])
+    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+    v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    vinv = [row[:] for row in v]
+
+    def row_op(i, j, q):  # row_i -= q * row_j
+        for k in range(n):
+            a[i][k] -= q * a[j][k]
+        for k in range(m):
+            u[i][k] -= q * u[j][k]
+
+    def col_op(i, j, q):  # col_i -= q * col_j
+        for k in range(m):
+            a[k][i] -= q * a[k][j]
+        for k in range(n):
+            v[k][i] -= q * v[k][j]
+            vinv[j][k] += q * vinv[i][k]
+
+    def swap_rows(i, j):
+        a[i], a[j] = a[j], a[i]
+        u[i], u[j] = u[j], u[i]
+
+    def swap_cols(i, j):
+        for k in range(m):
+            a[k][i], a[k][j] = a[k][j], a[k][i]
+        for k in range(n):
+            v[k][i], v[k][j] = v[k][j], v[k][i]
+        vinv[i], vinv[j] = vinv[j], vinv[i]
+
+    t = 0
+    while t < min(m, n):
+        best = None
+        for i in range(t, m):
+            for j in range(t, n):
+                if a[i][j] != 0 and (best is None or abs(a[i][j]) < abs(a[best[0]][best[1]])):
+                    best = (i, j)
+        if best is None:
+            break
+        swap_rows(t, best[0])
+        swap_cols(t, best[1])
+        while True:
+            changed = False
+            for i in range(t + 1, m):
+                if a[i][t] != 0:
+                    row_op(i, t, a[i][t] // a[t][t])
+                    if a[i][t] != 0:
+                        swap_rows(t, i)
+                    changed = True
+            for j in range(t + 1, n):
+                if a[t][j] != 0:
+                    col_op(j, t, a[t][j] // a[t][t])
+                    if a[t][j] != 0:
+                        swap_cols(t, j)
+                    changed = True
+            if not changed:
+                break
+        offender = None
+        for i in range(t + 1, m):
+            for j in range(t + 1, n):
+                if a[i][j] % a[t][t] != 0:
+                    offender = i
+                    break
+            if offender is not None:
+                break
+        if offender is not None:
+            row_op(t, offender, -1)
+            continue
+        if a[t][t] < 0:
+            for k in range(n):
+                a[t][k] = -a[t][k]
+            for k in range(m):
+                u[t][k] = -u[t][k]
+        t += 1
+    return u, [row[:] for row in a], v, vinv
+
+
+def _o_span_coordinates(rows):
+    _, d, v, _ = oracle_smith_normal_form(rows)
+    rank = sum(1 for i in range(min(len(d), len(d[0]))) if d[i][i])
+    return [tuple(sum(x * v[i][j] for i, x in enumerate(row)) for j in range(rank))
+            for row in rows]
+
+
+def oracle_unit_relation(units):
+    """The strictly positive relation ``CombinationSearch.unit_relation``
+    returns for these units (a nonempty list of integer tuples)."""
+    coords = _o_span_coordinates(units)
+    rho = len(coords[0]) if coords else 0
+    classes = {}
+    for i, u in enumerate(units):
+        if any(u):
+            classes.setdefault(oracle_primitive(u), []).append(i)
+    members = list(classes.values())
+    scale = [math.gcd(*u) for u in units]
+    dirs = [tuple(c // scale[ix[0]] for c in coords[ix[0]]) for ix in members]
+    cover = [0] * len(dirs)
+    for support in itertools.combinations(range(len(dirs)), rho + 1):
+        if all(cover):
+            break
+        if all(cover[t] for t in support):
+            continue
+        z = [0] * len(dirs)
+        for pos, t in enumerate(support):
+            z[t] = (-1) ** pos * oracle_int_det([dirs[s] for s in support if s != t])
+        if all(c <= 0 for c in z):
+            z = _o_vneg(z)
+        if all(c >= 0 for c in z) and any(c and not r for c, r in zip(z, cover)):
+            cover = [r + c for r, c in zip(cover, oracle_primitive(z))]
+    t = math.lcm(1, *(len(ix) * scale[i] for ix in members for i in ix))
+    rel = [1] * len(units)
+    for c, ix in zip(cover, members):
+        for i in ix:
+            rel[i] = c * t // (len(ix) * scale[i])
+    return oracle_primitive(rel)
+
+
+def _o_integer_solve(rows, rhs):
+    """Integer x with ``sum(x[i] * rows[i]) == rhs`` read off the Smith form
+    of the rows, or None."""
+    u, d, v, _ = oracle_smith_normal_form(rows)
+    m, n = len(rows), len(rhs)
+    rhsv = [sum(rhs[i] * v[i][j] for i in range(n)) for j in range(n)]
+    y = [0] * m
+    for j in range(n):
+        dj = d[j][j] if j < m else 0
+        if dj == 0:
+            if rhsv[j] != 0:
+                return None
+        elif rhsv[j] % dj != 0:
+            return None
+        else:
+            y[j] = rhsv[j] // dj
+    return tuple(sum(y[i] * u[i][j] for i in range(m)) for j in range(m))
+
+
+def oracle_certificate(generators, normals, target):
+    """The first certificate ``CombinationSearch(generators, normals).find``
+    returns, or None: a depth-first search over the positive generators'
+    coefficients, each from ``rest // w`` down to 0, that rejects a node
+    breaking the ``Fraction`` ratio bounds on the coordinates no unit
+    touches; the unit part is the Smith-form solution, shifted by the unit
+    relation when it has a negative entry."""
+    gens = [tuple(g) for g in generators]
+    weight = tuple(sum(n[j] for n in normals) for j in range(len(target)))
+    positive = [i for i, g in enumerate(gens) if any(_o_vdot(n, g) for n in normals)]
+    units = [i for i in range(len(gens)) if i not in positive]
+    weights = [_o_vdot(weight, gens[i]) for i in positive]
+    unit_vectors = [gens[i] for i in units]
+    free = [j for j in range(len(target)) if all(u[j] == 0 for u in unit_vectors)]
+    coeffs = [0] * len(positive)
+
+    def leaf(residue):
+        if not units:
+            return () if not any(residue) else None
+        return _o_integer_solve(unit_vectors, residue)
+
+    def dfs(i, residue, rest):
+        if i == len(positive):
+            return leaf(residue) if rest == 0 else None
+        for j in free:
+            ratios = [Fraction(gens[k][j], w) for k, w in zip(positive[i:], weights[i:])]
+            if not min(ratios) * rest <= residue[j] <= max(ratios) * rest:
+                return None
+        g, w = gens[positive[i]], weights[i]
+        for c in range(rest // w, -1, -1):
+            coeffs[i] = c
+            z = dfs(i + 1, _o_vsub(residue, _o_vscale(c, g)), rest - c * w)
+            if z is not None:
+                return z
+        coeffs[i] = 0
+        return None
+
+    total = _o_vdot(weight, target)
+    z = None if total < 0 else dfs(0, tuple(target), total)
+    if z is None:
+        return None
+    if any(c < 0 for c in z):
+        rel = oracle_unit_relation(unit_vectors)
+        shift = max(-(c // r) for c, r in zip(z, rel))
+        z = tuple(c + shift * r for c, r in zip(z, rel))
+    full = [0] * len(gens)
+    for i, c in zip(positive, coeffs):
+        full[i] = c
+    for i, c in zip(units, z):
+        full[i] = c
+    return tuple(full)
 
 
 # ---------------------------------------------------------------------------

@@ -171,6 +171,24 @@ def test_localizable_without_element_or_mode_is_an_input_error():
     assert "needs an element argument or --weak/--strong" in err
 
 
+@pytest.mark.parametrize("name,a,b,shown", [
+    ("free-monoid-2.mon", "-1,0", "0,0", "[-1, 0]"),
+    ("half-open-half-plane.mon", "1/2,0", "-1/2,0", "[-1/2, 0]"),
+    ("half-open-half-plane.mon", "-1/2,0", "1,0", "[-1/2, 0]"),
+])
+def test_an_element_with_a_negative_first_coordinate_is_a_positional(name, a, b, shown):
+    code, out, err = run_cli("order", instance_path(name), a, b)
+    assert code == EXIT_INPUT and out == ""
+    assert f"input error: element {shown} is not in the monoid described by" in err
+
+
+def test_a_refused_rational_element_is_printed_with_rationals():
+    code, _, err = run_cli("order", instance_path("half-open-half-plane.mon"), "1/2,0", "0,-1/2")
+    assert code == EXIT_INPUT
+    assert "input error: element [0, -1/2] is not in the monoid described by" in err
+    assert "Fraction" not in err
+
+
 # --------------------------------------------------------------------------
 # verify --main / --fring / --orderunit / --weak-strong
 # --------------------------------------------------------------------------

@@ -20,7 +20,10 @@ from monoidorder.exactmath import (CombinationSearch, InputError,
                                    smith_normal_form, solve_nonneg_rational,
                                    vadd, vdot, vneg, vscale, vsub)
 
-from conftest import rational_nullspace, rational_rank, rational_solve, seeded
+from conftest import (oracle_certificate, oracle_cone_from_inequalities,
+                      oracle_h_rep, oracle_hermite_normal_form, oracle_primitive,
+                      oracle_smith_normal_form, oracle_unit_relation,
+                      rational_nullspace, rational_rank, rational_solve, seeded)
 
 small_ints = st.integers(min_value=-6, max_value=6)
 vectors3 = st.lists(small_ints, min_size=3, max_size=3)
@@ -684,3 +687,73 @@ def test_cone_input_validation():
         RationalCone.from_rays([], dim=None)
     with pytest.raises(InputError):
         RationalCone.from_rays([(1, 0), (1,)], 2)
+
+
+# ---------------------------------------------------------------------------
+# the integer kernels against their reference versions in conftest
+
+
+def _kernel_case(case):
+    """Vectors of one drawn shape: ``pointed`` (lexicographically positive,
+    so the cone they span is pointed), ``line`` (those plus the negation of
+    the first nonzero one, so the cone has lineality), ``whole`` (the unit
+    vectors and minus their sum added: the whole space) or ``flat`` (last
+    coordinate equal to the first, so for d >= 2 the cone has lower rank)."""
+    vectors, shape, coeffs, point = case
+    d = len(point)
+    if shape == "pointed":
+        vectors = [sign_canonical(v) for v in vectors]
+    elif shape == "line":
+        vectors = [sign_canonical(v) for v in vectors]
+        nonzero = [v for v in vectors if any(v)]
+        vectors = vectors + [vneg(nonzero[0])] if nonzero else vectors
+    elif shape == "whole":
+        e = [tuple(int(i == j) for j in range(d)) for i in range(d)]
+        vectors = vectors[:max(0, 5 - d)] + e + [tuple(-1 for _ in range(d))]
+    else:
+        vectors = [v[:-1] + (v[0],) for v in vectors]
+    vectors = vectors[:6]
+    member = tuple(sum(c * v[j] for c, v in zip(coeffs, vectors)) for j in range(d))
+    return vectors, member, point
+
+
+kernel_cases = st.integers(min_value=1, max_value=4).flatmap(
+    lambda d: st.tuples(
+        st.lists(st.tuples(*[st.integers(min_value=-2, max_value=2)] * d),
+                 min_size=1, max_size=6),
+        st.sampled_from(("pointed", "line", "whole", "flat")),
+        st.lists(st.integers(min_value=0, max_value=2), min_size=7, max_size=7),
+        st.tuples(*[st.integers(min_value=-2, max_value=2)] * d))).map(_kernel_case)
+
+
+@settings(max_examples=300)
+@given(kernel_cases)
+def test_integer_kernels_return_exactly_what_the_references_return(case):
+    vectors, member, point = case
+    d = len(point)
+    for v in vectors + [member, point]:
+        assert primitive(v) == oracle_primitive(v)
+    # the vectors as inequalities, and as the rays of a cone
+    assert exactmath.cone_from_inequalities(vectors, d) == \
+        oracle_cone_from_inequalities(vectors, d)
+    assert hermite_normal_form(vectors) == oracle_hermite_normal_form(vectors)
+    assert smith_normal_form(vectors) == oracle_smith_normal_form(vectors)
+    nonzero = [v for v in vectors if any(v)]
+    if not nonzero:
+        return
+    cone = RationalCone.from_rays(nonzero, d)
+    h_rep = oracle_h_rep(nonzero, d)
+    assert cone.h_rep == h_rep
+    lineality, rays = oracle_cone_from_inequalities(h_rep, d)
+    assert (cone.lineality_basis, cone.extreme_rays) == (lineality, rays)
+    event("pointed" if not lineality else "whole space" if len(lineality) == d
+          else "lineality")
+    if len(IntegerLattice(d, nonzero).basis) < d:
+        event("lower rank")
+    search = CombinationSearch(vectors, cone.h_rep)
+    units = [vectors[i] for i in search.units]
+    if units:
+        assert search.unit_relation() == oracle_unit_relation(units)
+    for target in (member, point):
+        assert search.find(target) == oracle_certificate(vectors, cone.h_rep, target)
+    assert search.find(member) is not None

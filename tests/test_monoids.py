@@ -9,7 +9,7 @@ from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 from monoidorder.exactmath import (CombinationSearch, InputError, RationalCone,
-                                   solve_nonneg_rational, vadd, vneg, vscale,
+                                   ResourceBudgetError, solve_nonneg_rational, vadd, vneg, vscale,
                                    vsub)
 from monoidorder.grothendieck import grothendieck, nabla
 from monoidorder.localizability import (is_left_localizable,
@@ -763,6 +763,76 @@ def _enumeration_cases():
 def test_enumeration_equals_the_expand_oracle(m, unital):
     got = [op.table for op in enumerate_biadditive_ops(m, unital=unital)]
     assert got == _expand_oracle_tables(m, unital)
+
+
+def _recomputed_node_count(m, unital) -> int:
+    """The node count of the unital enumeration's search with each column's
+    unit-weighted sum recomputed from the assignment at every node, as the
+    search once did: the same column-major order, the same backward
+    feasibility sets and the same completeness check."""
+    gens, expr, add = m.generators(), m.expressions(), m.table
+    g = len(gens)
+    pairs = [(i, j) for j in range(g) for i in range(g)]
+    counts = [expr[unital].count(h) for h in gens]
+    total = sum(counts)
+    feasible = []
+    for j in range(g):
+        back = [set() for _ in range(total + 1)]
+        back[total] = {gens[j]}
+        for t in reversed(range(total)):
+            back[t] = {p for p in range(m.n)
+                       if any(add[p][v] in back[t + 1] for v in range(m.n))}
+        feasible.append(back)
+    assign = {}
+    nodes = 0
+
+    def column_state(j):
+        s = count = 0
+        for i in range(g):
+            if counts[i] == 0:
+                continue
+            if (i, j) not in assign:
+                return s, count, False
+            for _ in range(counts[i]):
+                s = add[s][assign[(i, j)]]
+                count += 1
+        return s, count, True
+
+    def dfs(idx):
+        nonlocal nodes
+        if idx == len(pairs):
+            return
+        i, j = pairs[idx]
+        for v in range(m.n):
+            nodes += 1
+            assign[(i, j)] = v
+            ok = True
+            if counts[i]:
+                s, count, complete = column_state(j)
+                ok = s in feasible[j][count] and (not complete or s == gens[j])
+            if ok:
+                dfs(idx + 1)
+            del assign[(i, j)]
+
+    dfs(0)
+    return nodes
+
+
+@pytest.mark.parametrize("m,unital", [
+    pytest.param(m, unital, id=f"{name}-unit{unital}")
+    for name, m, unital in _enumeration_cases()
+    + [(name, m, unit) for name, m in TINY_CARRIERS for unit in m.elements()]
+    if unital is not None])
+def test_running_column_sums_visit_the_recomputed_search_nodes(m, unital):
+    # the budget counts nodes: it is met at the recomputed count and
+    # exceeded one below it, with the same tables and the same error
+    nodes = _recomputed_node_count(m, unital)
+    got = [op.table for op in enumerate_biadditive_ops(m, unital=unital, node_budget=nodes)]
+    assert got == [op.table for op in enumerate_biadditive_ops(m, unital=unital)]
+    if nodes:  # a carrier without generators has no pair to assign
+        with pytest.raises(ResourceBudgetError,
+                           match=f"^biadditive enumeration exceeded {nodes - 1} nodes$"):
+            enumerate_biadditive_ops(m, unital=unital, node_budget=nodes - 1)
 
 
 def test_unital_enumeration_truncated_line():
