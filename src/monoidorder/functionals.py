@@ -549,7 +549,9 @@ def verify_theorem_main(op: BiadditiveOp,
     ``check_element``.
 
     Membership is checked only where it is not already proven.  The pool
-    elements are members (``element_pool`` keeps members only).  On a
+    elements are members: on a lattice monoid they are sums of
+    generators, members by definition, and on an open cone
+    ``element_pool`` keeps the ray sums that are members.  On a
     lattice monoid, if every product of two generators is a member, then
     by biadditivity so is every product of members: with ``x = sum a_i g_i``
     and ``y = sum b_j g_j``, ``mu(x, y) = sum a_i b_j mu(g_i, g_j)`` is a

@@ -13,21 +13,27 @@ share one decision in exact convex geometry, with ``L_s(x) = x + mu(s, x)``
 linear on the difference span and C the closed positivity cone: a map
 that scales the span is localizable; with excluded faces, a map that
 kills a direction is not; otherwise s is left localizable exactly when
-the preimage of C under L_s, computed by double description, stays
-inside C.  Faces need no check of their own: a closed operation with a
-contained preimage and an injective L_s maps every face of C onto
-itself (see ``_vector_left``), so no excluded-face direction can map
-strictly inside.  A verdict is decided first; the explicit witness pair
-of a "no" is built on first read and re-validated through the order
-decision procedures before it is handed out.
+the preimage of C under L_s stays inside C.  When L_s is invertible on
+the span that is decided in integers by Cramer's rule, with an
+adjugate; a singular L_s is decided by double description.  Faces need
+no check of their own: a closed operation with a contained preimage and
+an injective L_s maps every face of C onto itself (see
+``_vector_left``), so no excluded-face direction can map strictly
+inside.  A verdict is decided first; the explicit witness pair of a
+"no" is built on first read and re-validated through the order
+decision procedures before it is handed out.  After a Cramer "no" that
+read runs the double description, whose first escaping ray is the
+witness direction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache, reduce
-from itertools import tee
+from functools import reduce
+from itertools import chain, islice, tee
+from math import lcm
+from operator import mul
 from typing import Iterator, Optional, Sequence
 
 from .exactmath import (
@@ -38,6 +44,7 @@ from .exactmath import (
     cone_from_inequalities,
     echelon_kernel,
     echelon_solve,
+    int_adjugate,
     integer_solve,
     vadd,
     vdot,
@@ -67,7 +74,13 @@ class LocalizabilityVerdict:
         self.kind = kind
         self.verdict = verdict
         self.reason = reason
-        self.evidence = cache(evidence)
+        self._build = evidence
+        self._evidence = None
+
+    def evidence(self) -> tuple:
+        if self._evidence is None:
+            self._evidence = self._build()
+        return self._evidence
 
     @property
     def witness(self) -> Optional[tuple]:
@@ -127,28 +140,26 @@ def _ser(x):
 def damping_matrix(op: BiadditiveOp, s, side: str = "left") -> list[list]:
     """Matrix of ``x -> x + mu(s, x)`` (or ``x + mu(x, s)``), rows = inputs.
 
-    Entries are plain ``int`` for an integer ``s``; every entry sums over
-    all of ``s``, so one ``Fraction`` coordinate makes them all ``Fraction``.
+    Only the nonzero coordinates ``s_i`` are read, each against its tensor
+    slice: ``T[i][j][k]`` adds to row j, column k on the left, and
+    ``T[j][i][k]`` on the right.  Entries are plain ``int`` for an integer
+    ``s``; every entry starts from the zero of ``sum(s)``, so one
+    ``Fraction`` coordinate makes them all ``Fraction``.
     """
     d = op.carrier.dim
     t = op.tensor
-    rows = []
-    for j in range(d):
-        row = [0] * d
-        row[j] = 1
-        for k in range(d):
-            if side == "left":
-                row[k] += sum(s[i] * t[i][j][k] for i in range(d))
-            else:
-                row[k] += sum(t[j][i][k] * s[i] for i in range(d))
-        rows.append(row)
+    zero = 0 * sum(s)
+    rows = [[zero + int(j == k) for k in range(d)] for j in range(d)]
+    for i, si in enumerate(s):
+        if not si:
+            continue
+        # slices[j][k] is the coefficient of s_i in entry (j, k)
+        slices = t[i] if side == "left" else [slab[i] for slab in t]
+        for row, coeffs in zip(rows, slices):
+            for k, v in enumerate(coeffs):
+                if v:
+                    row[k] += si * v
     return rows
-
-
-def apply_matrix(mat, x):
-    """``x . mat``, in ``int`` when both are integer."""
-    d = len(mat)
-    return tuple(sum(x[j] * mat[j][k] for j in range(d)) for k in range(d))
 
 
 # ---------------------------------------------------------------------------
@@ -200,9 +211,14 @@ def _vector_left(op, s, side, kind) -> LocalizabilityVerdict:
     2. With open normals, a nonzero direction x that ``L_s`` kills
        refutes: x and -x cannot both lie strictly inside, and the pair
        over the one outside compares equal after damping.
-    3. The preimage ``L_s^-1(C)`` must lie in C.  A ray of it that escapes
-       refutes; its image lies in C, and when it lies on an excluded
-       face the ray is perturbed until the image is strictly inside.
+    3. The preimage ``L_s^-1(C)`` must lie in C.  With ``L_s`` invertible
+       on the span, Cramer's rule decides it in integers (see
+       :func:`_cramer_preimage_inside`); a singular ``L_s`` has its
+       preimage computed by double description.  A ray of the preimage
+       that escapes refutes: the first one in double description's
+       order, computed when the evidence of a "no" is read.  Its image
+       lies in C, and when it lies on an excluded face the ray is
+       perturbed until the image is strictly inside.
 
     No face of C needs a check of its own.  ``validate`` checks every
     product of ``v_rep`` rays, lineality in both signs, so
@@ -218,8 +234,11 @@ def _vector_left(op, s, side, kind) -> LocalizabilityVerdict:
     m = op.carrier
     basis = _nonzero_span(m)
     r = len(basis)
-    mat = damping_matrix(op, s, side)
-    bl = [apply_matrix(mat, brow) for brow in basis]
+
+    def damped(x):
+        """``L_s(x)``: x plus its product with s on this side."""
+        return vadd(x, op.mu(s, x) if side == "left" else op.mu(x, s))
+    bl = [damped(b) for b in basis]
 
     # bl[i] == lam * basis[i] for one lam > 0, by cross multiplication
     # against the first nonzero basis entry
@@ -239,19 +258,73 @@ def _vector_left(op, s, side, kind) -> LocalizabilityVerdict:
                             lambda: direction,
                             lambda: {"kernel_direction": [str(v) for v in direction]})
 
-    violation = _preimage_escape(m, bl, basis)
-    if violation is None:
+    inside = _cramer_preimage_inside(m, bl)
+    escape = None
+    if inside is None:  # L_s singular on the span: double description decides
+        escape = _preimage_escape(m, bl, basis)
+        inside = escape is None
+    if inside:
         return LocalizabilityVerdict(
             s, kind, "yes", "preimage of the positivity cone stays inside the cone")
 
+    def violation():
+        """The first escaping ray in double description's order, computed
+        on the first read of the evidence after a Cramer refutation."""
+        nonlocal escape
+        if escape is None:
+            escape = _preimage_escape(m, bl, basis)
+            if escape is None:
+                raise InternalCheckError(
+                    "Cramer test refuted a preimage that double description keeps inside")
+        return escape
+
     def strict_direction():
-        if _inside(m, apply_matrix(mat, violation)):
-            return violation
-        return _strictify(m, mat, bl, basis, violation)
+        if _inside(m, damped(violation())):
+            return violation()
+        return _strictify(m, damped, bl, basis, violation())
     return _refuted(op, s, side, kind, "preimage cone escapes the positivity cone",
                     strict_direction,
-                    lambda: {"violating_direction": [int(v) for v in violation],
+                    lambda: {"violating_direction": [int(v) for v in violation()],
                              "injective_on_span": not _left_kernel(bl)})
+
+
+def _cramer_preimage_inside(m, bl) -> Optional[bool]:
+    """Whether ``L_s^-1(C) ⊆ C``, by Cramer's rule; None when ``L_s`` is
+    singular on the span (or, for an operation that is not closed, maps
+    the span out of it).
+
+    Write a vector of the span as ``c B`` in the coordinates c of its
+    basis B, and read it back by its entries at the pivot columns of B,
+    which fix a vector of the span.  From the one coordinates to the
+    other ``L_s`` has the r x r matrix M of the rows ``bl`` at the
+    pivots: ``c B`` maps to ``c M`` there.  C is generated by the vectors
+    v of ``cone.v_rep``, read there as ``v_p``, so when M is invertible
+    the preimage of C is generated by ``v_p M^-1`` in the coordinates c,
+    and lies in C iff ``(v_p M^-1) . (B h) >= 0`` for every facet normal h
+    and every v.  As ``M^-1 = adj(M) / det(M)``, that is iff
+    ``det(M) * ((v_p adj(M)) . (B h)) >= 0``, in integers once one common
+    positive denominator is cleared from M (scaling M whole keeps the map
+    up to a positive factor; scaling rows apart would not).
+    """
+    pivots, off_span, gens, normals = m.span_cone
+    if any(vdot(x, z) for x in bl for z in off_span):
+        return None
+    mat = [[x[p] for p in pivots] for x in bl]
+    if not all(type(v) is int for row in mat for v in row):
+        den = lcm(*(v.denominator for row in mat for v in row))
+        mat = [[int(v * den) for v in row] for row in mat]
+    det, adj = int_adjugate(mat)
+    if det == 0:
+        return None
+    if det < 0:
+        adj = [[-v for v in row] for row in adj]
+    cols = list(zip(*adj))
+    for v in gens:
+        w = [sum(map(mul, v, col)) for col in cols]
+        for hb in normals:
+            if sum(map(mul, w, hb)) < 0:
+                return False
+    return True
 
 
 def _refuted(op, s, side, kind, reason, direction, details) -> LocalizabilityVerdict:
@@ -373,7 +446,7 @@ def _preimage(bl, basis, v):
     return _combine(c, basis)
 
 
-def _strictify(m: OpenConeMonoid, mat, bl, basis, x):
+def _strictify(m: OpenConeMonoid, damped, bl, basis, x):
     """Perturb x so its image becomes a strict member while x itself stays
     outside the closed cone.  Requires the interior to have a preimage."""
     interior = _interior_point(m)
@@ -387,7 +460,7 @@ def _strictify(m: OpenConeMonoid, mat, bl, basis, x):
     while True:
         x2 = vadd(x, vscale(eps, u))
         if any(vdot(h, x2) < 0 for h in offending):
-            if not _inside(m, apply_matrix(mat, x2)):
+            if not _inside(m, damped(x2)):
                 raise InternalCheckError("perturbed image lost strictness")
             return x2
         eps /= 2
@@ -410,25 +483,10 @@ def is_localizable(op: BiadditiveOp, s) -> LocalizabilityVerdict:
 
 
 def _lattice_candidates(m: LatticeMonoid, budget: int) -> Iterator[tuple]:
-    """Generator combinations ordered by coefficient sum, then lexicographic.
-
-    A generator: each coefficient-sum level is built only once the
-    previous level has been used up.
-    """
-    seen = set()
-    frontier = {tuple(0 for _ in range(m.dim))}
-    for _ in range(budget):
-        nxt = set()
-        for x in sorted(frontier):
-            for g in m.generators:
-                y = vadd(x, g)
-                if y not in seen:
-                    nxt.add(y)
-        for y in sorted(nxt):
-            if y not in seen:
-                seen.add(y)
-                yield y
-        frontier = nxt
+    """Generator combinations ordered by coefficient sum, then lexicographic:
+    the first ``budget`` levels of ``m.ray_sums()``.  Lazy: a level is read
+    only once the previous one has been used up."""
+    return chain.from_iterable(islice(m.ray_sums(), budget))
 
 
 def _dominator_candidates(m, budget: int) -> Iterator[tuple]:
@@ -472,6 +530,28 @@ def _is_orthant_coordinates(m: LatticeMonoid) -> bool:
     return dirs == set(range(m.dim))
 
 
+def _row_obstruction_applies(op: BiadditiveOp) -> bool:
+    """The hypothesis of :func:`monomial_row_obstruction`: orthant
+    coordinates and an entrywise nonnegative tensor."""
+    m = op.carrier
+    return (isinstance(m, LatticeMonoid) and _is_orthant_coordinates(m)
+            and all(v >= 0 for slab in op.tensor for row in slab for v in row))
+
+
+def _positive_pair_row(op: BiadditiveOp, a0) -> Optional[dict]:
+    """The first damping row of a0, left side first, with two or more
+    positive entries."""
+    d = op.carrier.dim
+    for side in ("left", "right"):
+        mat = damping_matrix(op, a0, side)
+        for j in range(d):
+            positives = [k for k in range(d) if mat[j][k] > 0]
+            if len(positives) >= 2:
+                return {"element": list(a0), "side": side, "row": j,
+                        "positive_columns": positives}
+    return None
+
+
 def monomial_row_obstruction(op: BiadditiveOp, a0) -> Optional[dict]:
     """Structural refutation: above a0, no element can be localizable.
 
@@ -481,20 +561,9 @@ def monomial_row_obstruction(op: BiadditiveOp, a0) -> Optional[dict]:
     persists, the map can never be monomial, and the orthant preimage
     condition must fail.
     """
-    m = op.carrier
-    if not isinstance(m, LatticeMonoid) or not _is_orthant_coordinates(m):
+    if not _row_obstruction_applies(op):
         return None
-    d = m.dim
-    if any(op.tensor[i][j][k] < 0 for i in range(d) for j in range(d) for k in range(d)):
-        return None
-    for side in ("left", "right"):
-        mat = damping_matrix(op, a0, side)
-        for j in range(d):
-            positives = [k for k in range(d) if mat[j][k] > 0]
-            if len(positives) >= 2:
-                return {"element": list(a0), "side": side, "row": j,
-                        "positive_columns": positives}
-    return None
+    return _positive_pair_row(op, a0)
 
 
 def is_weakly_localizable(op: BiadditiveOp, queries: Optional[Sequence] = None,
@@ -517,17 +586,19 @@ def is_weakly_localizable(op: BiadditiveOp, queries: Optional[Sequence] = None,
         return WeakLocalizabilityCertificate(
             "yes", assignments=assignments, budget=budget, reason=FINITE_ORDER_IS_TOTAL)
     if isinstance(m, LatticeMonoid):
-        # the orthant obstruction is a theorem about lattice carriers
+        # the orthant obstruction is a theorem about lattice carriers; its
+        # hypothesis is decided once, its row test per element
         if queries is None:
             queries = list(m.generators)
-        for a0 in list(queries) + list(_lattice_candidates(m, 2)):
-            obs = monomial_row_obstruction(op, a0)
-            if obs is not None:
-                return WeakLocalizabilityCertificate(
-                    "no", refuted=tuple(a0), budget=budget,
-                    reason="every element above the refuted one has a damping "
-                           "row with two positive entries, so none is localizable",
-                    details={"obstruction": obs})
+        if _row_obstruction_applies(op):
+            for a0 in list(queries) + list(_lattice_candidates(m, 2)):
+                obs = _positive_pair_row(op, a0)
+                if obs is not None:
+                    return WeakLocalizabilityCertificate(
+                        "no", refuted=tuple(a0), budget=budget,
+                        reason="every element above the refuted one has a damping "
+                               "row with two positive entries, so none is localizable",
+                        details={"obstruction": obs})
     elif queries is None:
         queries = m.sample_elements(6)
     # built only when no obstruction refuted the operation first, and only

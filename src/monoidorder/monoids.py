@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .exactmath import (
     CombinationSearch,
@@ -275,22 +275,59 @@ class VectorCarrier:
                 strict = False
         return "inside" if strict else "on_excluded_face"
 
+    @property
+    def span_cone(self) -> tuple[list, list, list, list]:
+        """The closed cone read on the span, built once, as ``(pivots,
+        off_span, generators, normals)``: the pivot column of each
+        ``span_basis`` row (the entries there fix a vector of the span),
+        integer vectors whose zero set is the span, the pivot entries of
+        each vector of ``cone.v_rep`` (a generating set: rays, lineality in
+        both signs), and the values ``(h . b_j)_j`` of each facet normal h
+        on the basis rows, leaving out the implicit equalities, which
+        vanish on the span."""
+        if "span_cone" not in self._cache:
+            basis = self.span_basis
+            pivots = [next(j for j, v in enumerate(b) if v) for b in basis]
+            off_span = integer_kernel(basis) if len(basis) < self.dim else []
+            gens = [tuple(v[p] for p in pivots) for v in self.cone.v_rep]
+            normals = [hb for hb in (tuple(vdot(h, b) for b in basis)
+                                     for h in self.cone.h_rep) if any(hb)]
+            self._cache["span_cone"] = (pivots, off_span, gens, normals)
+        return self._cache["span_cone"]
+
+    def ray_sums(self) -> Iterator[list[tuple]]:
+        """The sums of the rays by coefficient sum: the k-th list read (k
+        from 1) holds, sorted, the vectors that are sums of k rays and of
+        no fewer (the origin too, when k rays cancel).  A level is built
+        from the one before on its first read, and kept for every later
+        reader; :meth:`_record_sums` sees each new level."""
+        levels, seen = self._cache.setdefault("ray_sums", ([], set()))
+        for k in itertools.count():
+            if k == len(levels):
+                new = set()
+                for x in levels[-1] if levels else [(0,) * self.dim]:
+                    for g in self.rays:
+                        y = vadd(x, g)
+                        if y not in seen:
+                            new.add(y)
+                seen.update(new)
+                levels.append(sorted(new))
+                self._record_sums(levels[-1])
+            yield levels[k]
+
+    def _record_sums(self, level: list[tuple]) -> None:
+        """A new level of :meth:`ray_sums`; rays on an excluded face make
+        some sums non-members, so nothing is known of them."""
+
+    def _ray_sum_pool(self, max_coeff_sum: int) -> list[tuple]:
+        """The origin and the sums of at most ``max_coeff_sum`` rays, sorted."""
+        pool = {(0,) * self.dim}
+        pool.update(*itertools.islice(self.ray_sums(), max_coeff_sum))
+        return sorted(pool)
+
     def element_pool(self, max_coeff_sum: int = 3) -> list[tuple]:
         """Members that are sums of at most ``max_coeff_sum`` rays, sorted."""
-        rays = self.rays
-        zero = tuple(0 for _ in range(self.dim))
-        pool = {zero}
-        frontier = [zero]
-        for _ in range(max_coeff_sum):
-            nxt = []
-            for x in frontier:
-                for g in rays:
-                    y = vadd(x, g)
-                    if y not in pool:
-                        pool.add(y)
-                        nxt.append(y)
-            frontier = nxt
-        return sorted(v for v in pool if self.contains(v))
+        return [v for v in self._ray_sum_pool(max_coeff_sum) if self.contains(v)]
 
     def check_element(self, x) -> None:
         if not self.contains(x):
@@ -364,6 +401,16 @@ class LatticeMonoid(VectorCarrier):
     def coordinates(self, x: Sequence) -> Optional[tuple[int, ...]]:
         return self.lattice.coordinates(x)
 
+    def _record_sums(self, level: list[tuple]) -> None:
+        """Every sum of generators is a member: record the level in the
+        membership memo (see :meth:`contains`)."""
+        self._cache.setdefault("contains", {}).update(dict.fromkeys(level, True))
+
+    def element_pool(self, max_coeff_sum: int = 3) -> list[tuple]:
+        """The sums of at most ``max_coeff_sum`` generators, sorted: all
+        members, so none is checked."""
+        return self._ray_sum_pool(max_coeff_sum)
+
     def lineality_coordinates(self) -> list[tuple[int, ...]]:
         """A basis of the lattice points of the cone's lineality space, in
         lattice coordinates: the integer kernel of the facet normals read on
@@ -398,7 +445,10 @@ class LatticeMonoid(VectorCarrier):
         form of the units answers the leaf checks and gives the unit
         coefficients, and a strictly positive integer relation read off its
         kernel shifts negative ones; no rational simplex is run.  Answers
-        are memoized per monoid.
+        are memoized per monoid.  The memo also holds, as True, every
+        vector that :meth:`ray_sums` has built: each is ``x + g`` for a sum
+        x of generators and a generator g, a member by the definition of
+        the monoid, with that construction as its certificate.
         """
         if len(x) != self.dim:
             raise InputError("element dimension mismatch")

@@ -13,7 +13,7 @@ from monoidorder.exactmath import (CombinationSearch, InputError,
                                    as_int_vector, bounded_nonneg_combination,
                                    default_combination_bound, echelon_kernel,
                                    echelon_solve,
-                                   hermite_normal_form, int_det,
+                                   hermite_normal_form, int_adjugate, int_det,
                                    integer_kernel, integer_solve,
                                    invariant_factors, lp_feasible, primitive,
                                    sign_canonical,
@@ -21,7 +21,7 @@ from monoidorder.exactmath import (CombinationSearch, InputError,
                                    vadd, vdot, vneg, vscale, vsub)
 
 from conftest import (oracle_certificate, oracle_cone_from_inequalities,
-                      oracle_h_rep, oracle_hermite_normal_form, oracle_primitive,
+                      oracle_h_rep, oracle_int_det, oracle_hermite_normal_form, oracle_primitive,
                       oracle_smith_normal_form, oracle_unit_relation,
                       rational_nullspace, rational_rank, rational_solve, seeded)
 
@@ -63,6 +63,34 @@ def test_sign_canonical_fixes_leading_sign(v):
     nz = [x for x in c if x != 0]
     if nz:
         assert nz[0] > 0
+
+
+square_matrices = st.integers(min_value=0, max_value=5).flatmap(
+    lambda n: st.lists(st.lists(small_ints, min_size=n, max_size=n),
+                       min_size=n, max_size=n))
+
+
+@given(square_matrices, st.booleans())
+def test_adjugate_inverts_up_to_the_determinant(mat, singular):
+    # a copied row makes the singular side as likely as the regular one
+    if singular and len(mat) > 1:
+        mat = mat[:-1] + [list(mat[0])]
+    det, adj = int_adjugate(mat)
+    assert det == oracle_int_det(mat)
+    event(f"singular={det == 0}")
+    if det == 0:
+        assert adj is None
+        return
+    n = len(mat)
+    assert all(type(v) is int for row in adj for v in row)
+    for i in range(n):
+        for j in range(n):
+            assert sum(mat[i][k] * adj[k][j] for k in range(n)) == det * (i == j)
+
+
+def test_adjugate_of_a_non_square_matrix_is_an_input_error():
+    with pytest.raises(InputError, match="non-square"):
+        int_adjugate([[1, 2]])
 
 
 # ---------------------------------------------------------------------------

@@ -9,23 +9,32 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import monoidorder.exactmath as exactmath
 import monoidorder.localizability as localizability
-from monoidorder.exactmath import (InputError, RationalCone, integer_solve,
-                                   lp_feasible, vadd, vdot, vneg, vscale, vsub)
-from monoidorder.localizability import (_ser, _witness_pair, apply_matrix,
-                                        damping_matrix,
+from monoidorder.exactmath import (InputError, InternalCheckError, RationalCone,
+                                   integer_solve, lp_feasible, vadd, vdot, vneg,
+                                   vscale, vsub)
+from monoidorder.functionals import verify_theorem_main
+from monoidorder.localizability import (_ser, _witness_pair, damping_matrix,
                                         is_left_localizable, is_localizable,
                                         is_strongly_localizable,
                                         is_weakly_localizable,
                                         monomial_row_obstruction,
                                         order_unit_fast_path)
 from monoidorder.monoids import (BiadditiveOp, FiniteMonoid, LatticeMonoid,
-                                 OpenConeMonoid, approx, cyclic_group_monoid,
+                                 OpenConeMonoid, VectorCarrier, approx,
+                                 cyclic_group_monoid,
                                  diagonal_tensor, enumerate_biadditive_ops,
                                  free_monoid, half_open_half_plane, leq,
                                  saturating_product_op, truncated_free_monoid)
 
 from conftest import seeded, weakly_localizable_ops
+
+
+def apply_matrix(mat, x):
+    """``x . mat``, in ``int`` when both are integer."""
+    d = len(mat)
+    return tuple(sum(x[j] * mat[j][k] for j in range(d)) for k in range(d))
 
 
 def matrix_product_op():
@@ -602,3 +611,180 @@ def test_an_all_zero_lattice_carrier_is_an_input_error():
                   lambda o: is_localizable(o, (0,))):
         with pytest.raises(InputError, match="nonzero generator"):
             check(op)
+
+
+# ---------------------------------------------------------------------------
+# the weak search without re-proofs: members by construction, Cramer's rule
+
+
+def _summed_damping_matrix(op, s, side):
+    """Every entry summed over all of s, zero coordinates included: the
+    values and the int/Fraction contract ``damping_matrix`` keeps."""
+    d = op.carrier.dim
+    t = op.tensor
+    rows = []
+    for j in range(d):
+        row = [0] * d
+        row[j] = 1
+        for k in range(d):
+            if side == "left":
+                row[k] += sum(s[i] * t[i][j][k] for i in range(d))
+            else:
+                row[k] += sum(t[j][i][k] * s[i] for i in range(d))
+        rows.append(row)
+    return rows
+
+
+def _flat_tensor(flat, d):
+    return [[flat[d * d * i + d * j:d * d * i + d * j + d] for j in range(d)]
+            for i in range(d)]
+
+
+@given(st.integers(1, 3).flatmap(lambda d: st.tuples(
+           st.lists(st.integers(-2, 2), min_size=d ** 3, max_size=d ** 3),
+           st.lists(st.sampled_from([0, 0, 1, -2, Fraction(1, 2), Fraction(0)]),
+                    min_size=d, max_size=d))),
+       st.sampled_from(["left", "right"]))
+def test_damping_matrix_reads_only_the_nonzero_coordinates(case, side):
+    flat, s = case
+    d = len(s)
+    op = BiadditiveOp(free_monoid(d), tensor=_flat_tensor(flat, d))
+    got, want = damping_matrix(op, s, side), _summed_damping_matrix(op, s, side)
+    assert got == want
+    assert [list(map(type, row)) for row in got] == [list(map(type, row)) for row in want]
+
+
+def _weak_then_theorem(gens, tensor):
+    """The weak certificate at budget 3, and the theorem report that rests
+    on it or the input error it raises (a product outside the carrier)."""
+    op = BiadditiveOp(LatticeMonoid(len(gens[0]), gens), tensor=tensor)
+    weak = is_weakly_localizable(op, budget=3)
+    try:
+        return weak.as_dict(), verify_theorem_main(op, weak=weak)
+    except InputError as exc:
+        return weak.as_dict(), str(exc)
+
+
+@given(st.integers(1, 3).flatmap(lambda d: st.tuples(
+           st.lists(st.tuples(*[st.integers(-2, 2)] * d), min_size=2, max_size=5),
+           st.lists(st.sampled_from([0, 0, 0, 1, 2, -1]), min_size=d ** 3,
+                    max_size=d ** 3))))
+def test_members_by_construction_change_no_verdict(case):
+    # the reference decides every membership by the search: no sum of
+    # generators enters the memo unsearched, and the pool is filtered
+    gens, flat = case
+    assume(any(map(any, gens)))
+    tensor = _flat_tensor(flat, len(gens[0]))
+    with mock.patch.object(LatticeMonoid, "_record_sums", lambda self, level: None), \
+            mock.patch.object(LatticeMonoid, "element_pool", VectorCarrier.element_pool):
+        reference = _weak_then_theorem(gens, tensor)
+    assert _weak_then_theorem(gens, tensor) == reference
+
+
+def _damped_basis(op, s, side):
+    """The images ``L_s(b)`` of the span basis, as ``_vector_left`` builds them."""
+    def mu(x):
+        return op.mu(s, x) if side == "left" else op.mu(x, s)
+    return [vadd(b, mu(b)) for b in op.carrier.span_basis]
+
+
+def test_cramer_verdict_is_the_double_description_verdict():
+    # random tensors on lattices, pointed or with lineality, and on open
+    # cones at Fraction samples; a singular map is left to double description
+    rng = seeded(23)
+    seen = Counter()
+    for _ in range(700):
+        d = rng.randint(1, 3)
+        vectors = [tuple(rng.randint(-2, 2) for _ in range(d))
+                   for _ in range(rng.randint(2, 5))]
+        if not any(map(any, vectors)):
+            continue
+        if rng.random() < 0.3:
+            cone = RationalCone.from_rays(vectors, d)
+            m = OpenConeMonoid(cone, [n for n in cone.h_rep if rng.random() < 0.5])
+            points = [p for p in m.sample_elements(4)]
+            points += [tuple(x / 2 for x in p) for p in points]
+            shape = "open-cone"
+        else:
+            m = LatticeMonoid(d, vectors)
+            points = [p for p in m.element_pool(2) if any(p)]
+            shape = "pointed" if m.cone.is_pointed() else "lineality"
+        if not points:
+            continue
+        tensor = [[[rng.choice([0, 0, 0, 1, -1, 2]) for _ in range(d)]
+                   for _ in range(d)] for _ in range(d)]
+        op = BiadditiveOp(m, tensor=tensor)
+        bl = _damped_basis(op, rng.choice(points), rng.choice(["left", "right"]))
+        cramer = localizability._cramer_preimage_inside(m, bl)
+        escape = localizability._preimage_escape(m, bl, m.span_basis)
+        if cramer is None:
+            seen["singular"] += 1
+        else:
+            assert cramer == (escape is None)
+            seen[(shape, cramer)] += 1
+    assert seen["singular"] > 0
+    for shape in ("pointed", "lineality", "open-cone"):
+        assert seen[(shape, True)] > 0 and seen[(shape, False)] > 0, (shape, seen)
+
+
+def _counted_double_description(monkeypatch) -> list:
+    """Count double descriptions run from here on, wherever they are called."""
+    calls = []
+    real = exactmath.cone_from_inequalities
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(exactmath, "cone_from_inequalities", counted)
+    monkeypatch.setattr(localizability, "cone_from_inequalities", counted)
+    return calls
+
+
+def test_weak_search_over_invertible_maps_runs_no_double_description(monkeypatch):
+    # every candidate's damped map is invertible on the span, so Cramer's
+    # rule decides each one; the carrier's own cone is built beforehand
+    op = BiadditiveOp(free_monoid(3), tensor=diagonal_tensor(3, [2, 5, 5]))
+    op.carrier.cone.h_rep
+    calls = _counted_double_description(monkeypatch)
+    assert is_weakly_localizable(op).verdict == "yes"
+    assert calls == []
+
+
+def test_a_cramer_refutation_runs_double_description_only_when_read(monkeypatch):
+    op = matrix_product_op()
+    op.carrier.cone.h_rep
+    calls = _counted_double_description(monkeypatch)
+    v = is_localizable(op, (1, 1, 0, 1))
+    assert (v.verdict, calls) == ("no", [])
+    assert v.details["violating_direction"] == [-1, 0, 2, 0]
+    v.as_dict()
+    assert len(calls) == 1
+
+
+def test_a_cramer_refutation_with_no_escaping_ray_is_an_internal_error(monkeypatch):
+    monkeypatch.setattr(localizability, "_preimage_escape", lambda *args: None)
+    v = is_left_localizable(matrix_product_op(), (1, 1, 0, 1))
+    assert v.verdict == "no"
+    with pytest.raises(InternalCheckError, match="Cramer"):
+        v.as_dict()
+
+
+@given(st.integers(1, 3).flatmap(lambda d: st.tuples(
+           st.lists(st.integers(1, 2), min_size=d, max_size=d),
+           st.lists(st.sampled_from([0, 0, 0, 1, 2]), min_size=d ** 3, max_size=d ** 3))))
+def test_weak_obstruction_is_the_first_row_obstruction(case):
+    # the hypothesis is decided once per search; the refuted element and
+    # its details are those of the public test walked over the same elements
+    scales, flat = case
+    d = len(scales)
+    m = LatticeMonoid(d, [tuple(c * (i == j) for j in range(d)) for i, c in enumerate(scales)])
+    op = BiadditiveOp(m, tensor=_flat_tensor(flat, d))
+    cert = is_weakly_localizable(op, budget=2)
+    elements = list(m.generators) + list(localizability._lattice_candidates(m, 2))
+    first = next(filter(None, (monomial_row_obstruction(op, a0) for a0 in elements)), None)
+    if first is None:
+        assert cert.verdict == "yes"
+    else:
+        assert (cert.verdict, cert.details) == ("no", {"obstruction": first})
+        assert list(cert.refuted) == first["element"]

@@ -453,8 +453,10 @@ def test_line_membership_matches_the_oracle(values, x):
 
 
 def test_membership_is_memoized_per_distinct_vector(monkeypatch):
+    # a symmetric product on N^2 whose generator products are sums of 5
+    # or 8 generators, past the pool's 3: the closure check searches each
+    # distinct product once, and the product (4, 4) is asked twice
     from monoidorder.functionals import verify_theorem_main
-    from monoidorder.monoids import matrix_product_op
     calls = {}
     searches = []  # keep every search alive so that ids are not reused
     original = CombinationSearch.find
@@ -466,29 +468,90 @@ def test_membership_is_memoized_per_distinct_vector(monkeypatch):
         return original(self, target)
 
     monkeypatch.setattr(CombinationSearch, "find", counted)
-    op = matrix_product_op()
+    tensor = (((5, 0), (4, 4)), ((4, 4), (0, 5)))
+    op = BiadditiveOp(free_monoid(2), tensor=tensor)
     verify_theorem_main(op)
     assert calls and max(calls.values()) == 1
-    assert len(calls) <= 468
+    assert len(calls) == 3
     m = op.carrier
     memo = m._cache["contains"]
-    assert len(memo) <= 468
+    assert len(memo) <= 16
     fresh = LatticeMonoid(m.dim, m.generators)
     for x, answer in memo.items():
         assert fresh.contains(x) == answer
 
 
+def _bfs_pool(m, max_coeff_sum):
+    """The breadth-first pool of ray sums that ``element_pool`` read before
+    the shared enumerator, filtered by a real membership decision."""
+    zero = tuple(0 for _ in range(m.dim))
+    pool, frontier = {zero}, [zero]
+    for _ in range(max_coeff_sum):
+        nxt = []
+        for x in frontier:
+            for g in m.rays:
+                y = vadd(x, g)
+                if y not in pool:
+                    pool.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    return sorted(v for v in pool if m.contains(v))
+
+
+def _bfs_candidates(m, budget):
+    """The dominator candidates as the weak search built them before the
+    shared enumerator: by coefficient sum, then lexicographic."""
+    seen, out = set(), []
+    frontier = {tuple(0 for _ in range(m.dim))}
+    for _ in range(budget):
+        nxt = {vadd(x, g) for x in frontier for g in m.generators} - seen
+        out += sorted(nxt)
+        seen |= nxt
+        frontier = nxt
+    return out
+
+
+small_lattices = st.integers(1, 3).flatmap(lambda d: st.lists(
+    st.tuples(*[st.integers(-2, 2)] * d), min_size=2, max_size=5))
+
+
+@given(small_lattices)
+def test_generator_sums_keep_both_orders_and_are_members(gens):
+    # the pool and the candidates read one enumerator; every sum it
+    # builds enters the membership memo, and a fresh search agrees
+    from monoidorder.localizability import _lattice_candidates
+    dim = len(gens[0])
+    m = LatticeMonoid(dim, gens)
+    assert list(_lattice_candidates(m, 4)) == _bfs_candidates(LatticeMonoid(dim, gens), 4)
+    assert m.element_pool(3) == _bfs_pool(LatticeMonoid(dim, gens), 3)
+    fresh = LatticeMonoid(dim, gens)
+    for x, member in m._cache["contains"].items():
+        assert member and fresh.contains(x)
+
+
+@pytest.mark.parametrize("name,m", cone_corpus())
+def test_open_cone_pool_keeps_only_members(name, m):
+    assert m.element_pool(3) == _bfs_pool(m, 3)
+
+
 def test_combination_search_nodes_on_the_theorem_sweep():
     # depth-first nodes do not jitter, so they gate the membership search's
-    # work; with each level's coefficient range cut ahead by the next
-    # level's bounds the sweeps visit 384 and 2,062 nodes (11,874 and 8,416
-    # when every child was entered and then rejected)
+    # work.  Sums of generators enter the membership memo as they are
+    # built, so the sweeps search only generator products past the pool:
+    # 7 nodes on the diagonal product and none on the matrix product, whose
+    # generator products are generators or 0 (71 and 139 when every pool
+    # element and dominator candidate was searched)
     from monoidorder.functionals import verify_theorem_main
     from monoidorder.monoids import diagonal_tensor, matrix_product_op
     diagonal = BiadditiveOp(free_monoid(3), tensor=diagonal_tensor(3, [2, 5, 5]))
-    for op, most in ((diagonal, 384), (matrix_product_op(), 2062)):
+    matrix = matrix_product_op()
+    for op, most in ((diagonal, 7), (matrix, 0)):
         verify_theorem_main(op)
-        assert 0 < op.carrier.combinations.nodes <= most
+        assert op.carrier.combinations.nodes <= most
+    assert diagonal.carrier.combinations.nodes > 0
+    # a query that is not built as a sum still runs the search
+    assert matrix.carrier.contains((2, 1, 1, 1))
+    assert matrix.carrier.combinations.nodes > 0
 
 
 # ---------------------------------------------------------------------------
