@@ -150,22 +150,11 @@ def int_adjugate(mat: Sequence[Sequence[int]]) -> tuple[int, Optional[list[list[
     at ``[d I | d (PM)^-1 P]`` for the row permutation P of the pivot
     swaps, ``d = det(PM)``; multiplying by the sign of P gives ``det M``
     and ``adj M = det(M) M^-1``.
-
-    A 3 x 3 matrix, the span of every three-dimensional carrier, takes
-    its cofactors in closed form instead: some 15 times faster than the
-    elimination, which the weak search runs once per candidate.
     """
     n = len(mat)
     for row in mat:
         if len(row) != n:
             raise InputError("adjugate of a non-square matrix")
-    if n == 3:
-        (a, b, c), (d, e, f), (g, h, i) = mat
-        adj = [[e * i - f * h, c * h - b * i, b * f - c * e],
-               [f * g - d * i, a * i - c * g, c * d - a * f],
-               [d * h - e * g, b * g - a * h, a * e - b * d]]
-        det = a * adj[0][0] + b * adj[1][0] + c * adj[2][0]
-        return (det, adj) if det else (0, None)
     a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(mat)]
     sign = prev = 1
     for k in range(n):
@@ -683,7 +672,7 @@ class IntegerLattice:
                 raise InputError("lattice vector dimension mismatch")
             vecs.append(v)
         self.basis = [tuple(row) for row in hermite_normal_form(vecs)]
-        self._pivots = _pivots(self.basis)
+        self.pivots = _pivots(self.basis)
 
     @property
     def rank(self) -> int:
@@ -698,7 +687,7 @@ class IntegerLattice:
         if residue != list(x):
             return None
         coords = []
-        for row, piv in zip(self.basis, self._pivots):
+        for row, piv in zip(self.basis, self.pivots):
             if residue[piv] % row[piv] != 0:
                 return None
             c = residue[piv] // row[piv]
@@ -718,7 +707,7 @@ class IntegerLattice:
         """
         if len(x) != self.dim:
             raise InputError("point dimension mismatch")
-        coords, residue = _back_substitute(self.basis, self._pivots, x)
+        coords, residue = _back_substitute(self.basis, self.pivots, x)
         return None if any(residue) else coords
 
     def contains(self, x: Sequence[int]) -> bool:

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
+from functools import cache, reduce
 from itertools import chain, islice, tee
 from math import lcm
 from operator import mul
@@ -74,13 +74,7 @@ class LocalizabilityVerdict:
         self.kind = kind
         self.verdict = verdict
         self.reason = reason
-        self._build = evidence
-        self._evidence = None
-
-    def evidence(self) -> tuple:
-        if self._evidence is None:
-            self._evidence = self._build()
-        return self._evidence
+        self.evidence = cache(evidence)
 
     @property
     def witness(self) -> Optional[tuple]:
@@ -531,8 +525,8 @@ def _is_orthant_coordinates(m: LatticeMonoid) -> bool:
 
 
 def _row_obstruction_applies(op: BiadditiveOp) -> bool:
-    """The hypothesis of :func:`monomial_row_obstruction`: orthant
-    coordinates and an entrywise nonnegative tensor."""
+    """The hypothesis of the orthant row obstruction: orthant coordinates
+    and an entrywise nonnegative tensor."""
     m = op.carrier
     return (isinstance(m, LatticeMonoid) and _is_orthant_coordinates(m)
             and all(v >= 0 for slab in op.tensor for row in slab for v in row))

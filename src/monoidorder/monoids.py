@@ -287,7 +287,7 @@ class VectorCarrier:
         vanish on the span."""
         if "span_cone" not in self._cache:
             basis = self.span_basis
-            pivots = [next(j for j, v in enumerate(b) if v) for b in basis]
+            pivots = self.lattice.pivots
             off_span = integer_kernel(basis) if len(basis) < self.dim else []
             gens = [tuple(v[p] for p in pivots) for v in self.cone.v_rep]
             normals = [hb for hb in (tuple(vdot(h, b) for b in basis)

@@ -23,6 +23,8 @@ ORACLES = {
     "LiftedOp": "tests/test_grothendieck.py",  # the descent of mu to a reduction
     "sign_canonical": "tests/test_exactmath.py",  # pointed cones for a property
     "RationalCone.same_cone": "tests/test_exactmath.py",  # dual of the dual
+    # the first refuted element of the weak search's row obstruction
+    "monomial_row_obstruction": "tests/test_localizability.py",
 }
 
 
