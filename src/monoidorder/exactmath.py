@@ -845,11 +845,6 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]):
     return u, d, v, vinv
 
 
-def invariant_factors(matrix: Sequence[Sequence[int]]) -> list[int]:
-    _, d, _, _ = smith_normal_form(matrix)
-    return [d[i][i] for i in range(min(len(d), len(d[0]))) if d[i][i] not in (0,)]
-
-
 def integer_kernel(matrix: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
     """Basis of ``{x integer : matrix . x == 0}`` (x a column vector)."""
     m = len(matrix)

@@ -429,9 +429,7 @@ class SturmChain:
         self.plus_infinity = _infinity_variations(self.chain, True)
         self.tail = _fujiwara_tail(self.chain[0])
 
-    def variations(self, x: Optional[Rat], positive_infinity: bool = False) -> int:
-        if x is None:
-            return self.plus_infinity if positive_infinity else self.minus_infinity
+    def variations(self, x: Rat) -> int:
         x = Fraction(x)
         powers = _powers(x.denominator, len(self.chain[0]) - 1)
         signs = []
@@ -990,7 +988,7 @@ def theorem_skew_hypothesis(f: RationalFunction) -> dict:
             "criterion": POINTWISE_FACT}
 
 
-def categorize(instance: str, samples: Optional[Sequence[str]] = None) -> dict:
+def categorize(instance: str) -> dict:
     """Category report for the supported ordered fields.
 
     ``Q`` and ``Q(x)`` both land in the category where ``-1`` stays outside
@@ -999,13 +997,12 @@ def categorize(instance: str, samples: Optional[Sequence[str]] = None) -> dict:
     membership outright.
     """
     if instance == "Q":
-        default = ["0", "1", "2", "7"]
+        texts = ["0", "1", "2", "7"]
     elif instance == "Q(x)":
-        default = ["x^2", "(x^2+1)/(x^2+2)", "(x^4+3)/(x^2+1)", "x^2+2"]
+        texts = ["x^2", "(x^2+1)/(x^2+2)", "(x^4+3)/(x^2+1)", "x^2+2"]
     else:
         raise InputError(
             f"unsupported field instance {instance!r}: only 'Q' and 'Q(x)'")
-    texts = list(samples) if samples is not None else default
     minus_one = is_sos_membership(RationalFunction.constant(-1))
     if minus_one["member"]:
         raise InternalCheckError("-1 cannot be a sum of squares here")

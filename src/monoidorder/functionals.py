@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from math import lcm
 from typing import Optional, Sequence
 
@@ -170,17 +171,18 @@ class OrderedSubgroup:
         }
 
 
-def span_of_elements(m, elements: Sequence, level: int = 1) -> OrderedSubgroup:
-    """Subgroup of the reduced group generated by the classes of ``elements``."""
-    nr = nabla(m, level)
+def span_of_elements(m, elements: Sequence) -> OrderedSubgroup:
+    """Subgroup of the level-1 reduced group generated by the classes of
+    ``elements``."""
+    nr = nabla(m, 1)
     classes = [nr.iota(e) for e in elements]
     return OrderedSubgroup(nr, classes)
 
 
-def span_with_products(op: BiadditiveOp, elements: Sequence,
-                       level: int = 1) -> OrderedSubgroup:
-    """Subgroup generated by the classes of ``elements`` and all their products."""
-    nr = nabla(op.carrier, level)
+def span_with_products(op: BiadditiveOp, elements: Sequence) -> OrderedSubgroup:
+    """Subgroup of the level-1 reduced group generated by the classes of
+    ``elements`` and all their products."""
+    nr = nabla(op.carrier, 1)
     elements = list(elements)
     products = [op.mu(f, g) for f in elements for g in elements]
     classes = [nr.iota(e) for e in elements] + [nr.iota(p) for p in products]
@@ -339,70 +341,6 @@ def _largest_element(m, elements):
     return None
 
 
-def check_mult_identity(op: BiadditiveOp, elements: Sequence,
-                        phi: AdditiveFunctional,
-                        subgroup: Optional[OrderedSubgroup] = None) -> dict:
-    """Exactness report for ``phi(s) phi(mu(f,f')) = phi(mu(f,s)) phi(f')``.
-
-    ``s`` is the order-largest member of ``elements``; the identity is a
-    theorem whenever ``s`` damps positivity from the left, every element
-    sits below ``s``, and ``phi`` is extremal with positive values at ``s``
-    and at ``mu(s,s)`` — so any reported violation is a bug detector, and
-    precondition failures are reported separately from violations.
-    """
-    m = op.carrier
-    elements = list(elements)
-    if subgroup is None:
-        subgroup = span_with_products(op, elements)
-    preconditions = []
-    s = _largest_element(m, elements)
-    if s is None:
-        preconditions.append({
-            "name": "largest-element", "ok": False,
-            "detail": "no member dominates every other"})
-        return {"status": "precondition-failed", "ok": False,
-                "preconditions": preconditions, "violations": [],
-                "checked_pairs": 0, "largest": None}
-    preconditions.append({"name": "largest-element", "ok": True,
-                          "detail": f"largest member {tuple(s)!r}"})
-    loc = is_left_localizable(op, s)
-    preconditions.append({
-        "name": "left-damping", "ok": loc.verdict == "yes",
-        "detail": f"is_left_localizable: {loc.verdict}"})
-    try:
-        phi_s = phi.value_on_element(s)
-        phi_ss = phi.value_on_element(op.mu(s, s))
-    except InputError as exc:
-        preconditions.append({"name": "functional-domain", "ok": False,
-                              "detail": str(exc)})
-        return {"status": "precondition-failed", "ok": False,
-                "preconditions": preconditions, "violations": [],
-                "checked_pairs": 0, "largest": tuple(s)}
-    preconditions.append({"name": "positive-at-largest", "ok": phi_s > 0,
-                          "detail": f"phi(s) = {phi_s}"})
-    preconditions.append({"name": "positive-at-largest-square", "ok": phi_ss > 0,
-                          "detail": f"phi(mu(s,s)) = {phi_ss}"})
-    if not all(p["ok"] for p in preconditions):
-        return {"status": "precondition-failed", "ok": False,
-                "preconditions": preconditions, "violations": [],
-                "checked_pairs": 0, "largest": tuple(s)}
-    violations = []
-    checked = 0
-    for f in elements:
-        phi_fs = phi.value_on_element(op.mu(f, s))
-        for fp in elements:
-            lhs = phi_s * phi.value_on_element(op.mu(f, fp))
-            rhs = phi_fs * phi.value_on_element(fp)
-            checked += 1
-            if lhs != rhs:
-                violations.append({"f": tuple(f), "f_prime": tuple(fp),
-                                   "lhs": str(lhs), "rhs": str(rhs)})
-    status = "identity-holds" if not violations else "identity-violated"
-    return {"status": status, "ok": not violations,
-            "preconditions": preconditions, "violations": violations,
-            "checked_pairs": checked, "largest": tuple(s)}
-
-
 @dataclass
 class NormalizationResult:
     """Outcome of rescaling a functional towards multiplicativity."""
@@ -437,17 +375,28 @@ def normalize_multiplicative(op: BiadditiveOp, elements: Sequence,
                              ) -> NormalizationResult:
     """Rescale ``phi`` so products of generators multiply values exactly.
 
-    With the quadratic identity verified for the operation and its opposite,
+    ``s`` is the order-largest member of ``elements``.  The quadratic
+    identity ``phi(s) phi(mu(f,f')) = phi(mu(f,s)) phi(f')`` is a theorem
+    whenever ``s`` damps positivity from the left, every element sits
+    below ``s``, and ``phi`` is extremal with positive values at ``s`` and
+    at ``mu(s,s)``.  It is checked on all element pairs for the operation
+    (precondition ``identity``) and for its opposite
+    (``identity-opposite``, with ``s`` damping from the right); each
+    reports "precondition-failed" when its hypotheses fail, else
+    "identity-holds" or "identity-violated".  With both posed,
     ``psi = (phi(mu(s,s)) / phi(s)^2) phi`` satisfies
     ``psi(mu(f,f')) = psi(f) psi(f')`` on all generator pairs; a failure
-    after verified preconditions marks ``phi`` as non-extremal.  A vanishing
-    ``phi(s)`` lands in the degenerate branch: positivity squeezes ``phi``
-    to zero on every generator and every product, which is verified.
+    after verified identities marks ``phi`` as non-extremal.
+
+    A vanishing ``phi(s)`` lands in the degenerate branch: positivity
+    squeezes ``phi`` to zero on every element (``0 <= phi(f) <= phi(s)``),
+    which is verified.  It does not force zero on the products; when
+    ``phi`` is nonzero on one, no rescaling is multiplicative and the
+    preconditions fail.  ``subgroup`` is accepted and not read: ``phi``
+    carries its own.
     """
     m = op.carrier
     elements = list(elements)
-    if subgroup is None:
-        subgroup = span_with_products(op, elements)
     s = _largest_element(m, elements)
     if s is None:
         return NormalizationResult(
@@ -455,39 +404,48 @@ def normalize_multiplicative(op: BiadditiveOp, elements: Sequence,
             reason="no member dominates every other")
     phi_s = phi.value_on_element(s)
     if phi_s == 0:
-        checks = []
-        ok = True
-        for f in elements:
-            v = phi.value_on_element(f)
-            checks.append({"at": tuple(f), "value": str(v), "ok": v == 0})
-            ok = ok and v == 0
-        for f in elements:
-            for fp in elements:
-                p = op.mu(f, fp)
-                v = phi.value_on_element(p)
-                checks.append({"at": tuple(p), "value": str(v), "ok": v == 0})
-                ok = ok and v == 0
-        if not ok:
+        products = (op.mu(f, fp) for f in elements for fp in elements)
+        values = [(x, phi.value_on_element(x)) for x in chain(elements, products)]
+        checks = [{"at": tuple(x), "value": str(v), "ok": v == 0} for x, v in values]
+        if any(v for _, v in values[:len(elements)]):
             raise InternalCheckError(
                 "functional vanishes at the top element but not below it")
+        if any(v for _, v in values):
+            return NormalizationResult(
+                status="precondition-failed", psi=None, factor=None,
+                degenerate_checks=checks,
+                reason="functional vanishes at the largest element but not "
+                       "on every product, so no rescaling is multiplicative")
         return NormalizationResult(
             status="degenerate", psi=None, factor=None,
             degenerate_checks=checks,
             reason="functional vanishes at the largest element, "
                    "hence on every generator and product")
-    report_fwd = check_mult_identity(op, elements, phi, subgroup=subgroup)
-    report_op = check_mult_identity(op.opposite(), elements, phi, subgroup=subgroup)
-    preconditions = [
-        {"name": "identity", "ok": report_fwd["ok"], "detail": report_fwd["status"]},
-        {"name": "identity-opposite", "ok": report_op["ok"],
-         "detail": report_op["status"]},
-    ]
-    if "precondition-failed" in (report_fwd["status"], report_op["status"]):
+    try:
+        phi_ss = phi.value_on_element(op.mu(s, s))
+    except InputError:
+        phi_ss = None  # the identity cannot be posed
+
+    def identity(side: str, mu) -> str:
+        if (is_left_localizable(op, s, side=side).verdict != "yes"
+                or phi_ss is None or not phi_s > 0 or not phi_ss > 0):
+            return "precondition-failed"
+        violated = False
+        for f in elements:
+            phi_fs = phi.value_on_element(mu(f, s))
+            for fp in elements:
+                lhs = phi_s * phi.value_on_element(mu(f, fp))
+                if lhs != phi_fs * phi.value_on_element(fp):
+                    violated = True
+        return "identity-violated" if violated else "identity-holds"
+    statuses = (identity("left", op.mu), identity("right", lambda a, b: op.mu(b, a)))
+    preconditions = [{"name": name, "ok": status == "identity-holds", "detail": status}
+                     for name, status in zip(("identity", "identity-opposite"), statuses)]
+    if "precondition-failed" in statuses:
         return NormalizationResult(
             status="precondition-failed", psi=None, factor=None,
             preconditions=preconditions,
             reason="the quadratic identity could not even be posed")
-    phi_ss = phi.value_on_element(op.mu(s, s))
     factor = phi_ss / (phi_s * phi_s)
     psi = phi.scaled(factor)
     failures = []
@@ -499,7 +457,7 @@ def normalize_multiplicative(op: BiadditiveOp, elements: Sequence,
                 failures.append({"f": tuple(f), "f_prime": tuple(fp),
                                  "psi_product": str(left),
                                  "value_product": str(right)})
-    identity_ok = report_fwd["ok"] and report_op["ok"]
+    identity_ok = all(p["ok"] for p in preconditions)
     if failures or not identity_ok:
         if identity_ok and phi.extremal:
             raise InternalCheckError(
@@ -593,15 +551,11 @@ def verify_theorem_main(op: BiadditiveOp,
     idempotent, not 0.  The pool is every element.  On an open cone both
     laws are swept.
 
-    The pairs are swept before the triples.  Associativity is swept by
-    rows: the triples sharing ``(a, b)`` compare the row
-    ``[(ab)c for c]`` with ``[a(bc) for c]``.  The pool row of a left
-    operand is one list, reused by every pair with that product.  Equal
-    rows pass whole, with class keys still taken in sweep order; any
-    other row is walked triple by triple.  Since ``op.mu`` is pure and
-    deciding closure refuses no element, the report and the first error
-    raised (say, a product outside the carrier) are those of a plain
-    sweep that calls ``op.mu`` and ``approx`` on every pair and triple.
+    The pairs are swept before the triples, each in pool order through
+    the two memos.  Since ``op.mu`` is pure and deciding closure refuses
+    no element, the report and the first error raised (say, a product
+    outside the carrier) are those of a plain sweep that calls ``op.mu``
+    and ``approx`` on every pair and triple.
     """
     m = op.carrier
     if weak is None:
@@ -613,7 +567,6 @@ def verify_theorem_main(op: BiadditiveOp,
     keys: list = []     # index -> report key
     rows: list = []     # index -> {right index: index of the product}
     classes: list = []  # index -> class key, None until first compared
-    pool_rows: dict = {}  # left index -> its products with the pool, in order
 
     def intern(x) -> int:
         k = x if isinstance(x, int) else tuple(x)
@@ -641,13 +594,6 @@ def verify_theorem_main(op: BiadditiveOp,
         closed = all(m.contains(keys[mul(g, h)]) for g in gens for h in gens)
     else:
         gens, closed = [], False
-
-    def products(i: int) -> list:
-        """[mul(i, c) for c in the pool], held once per i."""
-        r = pool_rows.get(i)
-        if r is None:
-            r = pool_rows[i] = [mul(i, c) for c in ids]
-        return r
 
     def class_of(i: int):
         c = classes[i]
@@ -679,17 +625,6 @@ def verify_theorem_main(op: BiadditiveOp,
         for a in ids:
             for b in ids:
                 ab = mul(a, b)
-                lefts = products(ab)
-                bcs = products(b)
-                rights = list(map(rows[a].get, bcs))
-                if None in rights:
-                    rights = [mul(a, bc) if p is None else p
-                              for p, bc in zip(rights, bcs)]
-                if lefts == rights:
-                    for x in lefts:
-                        if classes[x] is None:
-                            class_of(x)
-                    continue
                 for c in ids:
                     left = mul(ab, c)
                     right = mul(a, mul(b, c))

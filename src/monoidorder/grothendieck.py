@@ -13,9 +13,7 @@ produce partially ordered abelian groups:
   in the set for every scalar l >= 1.
 
 The embedded order of level 1 recovers the canonical quasi-order of the
-monoid, and level-2 equality recovers its canonical equivalence.  Biadditive
-operations descend to both reductions, with well-definedness asserted
-rather than assumed.
+monoid, and level-2 equality recovers its canonical equivalence.
 
 A finite carrier needs no search.  Its minimal ideal K, with identity e,
 is a group (see :attr:`monoids.FiniteMonoid.kernel`), and ``x + t == y + t``
@@ -41,12 +39,7 @@ from .exactmath import (
     vscale,
     vsub,
 )
-from .monoids import (
-    FINITE_ORDER_IS_TOTAL,
-    BiadditiveOp,
-    FiniteMonoid,
-    VectorCarrier,
-)
+from .monoids import FiniteMonoid, VectorCarrier
 
 
 class FiniteGrothGroup:
@@ -55,8 +48,6 @@ class FiniteGrothGroup:
     ``classes`` counts the classes, numbered by first appearance over
     (a, b) in lexicographic order; ``iota[a]`` is the class of (a, 0).
     """
-
-    kind = "finite"
 
     def __init__(self, monoid: FiniteMonoid):
         self.monoid = monoid
@@ -235,62 +226,6 @@ def nabla(m, level: int):
         m._cache[key] = (ReducedFinite(m, level) if isinstance(m, FiniteMonoid)
                          else ReducedVector(m, level))
     return m._cache[key]
-
-
-# ---------------------------------------------------------------------------
-# descending biadditive operations
-
-
-class LiftedOp:
-    """A biadditive operation pushed down to a reduced group."""
-
-    def __init__(self, op: BiadditiveOp, level: int):
-        self.base = op
-        self.level = level
-        m = op.carrier
-        self.reduced = nabla(m, level)
-        self.report = {"level": level, "checks": []}
-        if isinstance(m, FiniteMonoid):
-            # every check holds on the one-element group
-            self.report["checks"] = [
-                {"name": "representative-independence", "ok": True,
-                 "reason": FINITE_ORDER_IS_TOTAL},
-                {"name": "biadditivity", "ok": True},
-                {"name": "embedding-compatibility", "ok": True}]
-        else:
-            self._init_vector()
-
-    # -- lattice / cone ------------------------------------------------------
-
-    def _init_vector(self):
-        red = self.reduced
-        m = self.base.carrier
-        kernels = list(red.kernel_vectors)
-        span_vectors = [tuple(row) for row in red._basis]
-        bad = []
-        for kv in kernels:
-            for sv in span_vectors:
-                for prod in (self.base.mu(kv, sv), self.base.mu(sv, kv)):
-                    if not _in_span(kernels, prod):
-                        bad.append((list(kv), list(sv), list(prod)))
-        if bad:
-            raise InternalCheckError(
-                f"operation does not preserve the order kernel: {bad[:3]}")
-        self.report["checks"].append(
-            {"name": "kernel-preservation", "ok": True,
-             "pairs_checked": 2 * len(kernels) * len(span_vectors)})
-        gens = m.rays
-        agree = all(
-            self.mu(red.iota(a), red.iota(b)) == red.project(self.base.mu(a, b))
-            for a in gens for b in gens)
-        if not agree:
-            raise InternalCheckError("descended operation disagrees with the base map")
-        self.report["checks"].append({"name": "embedding-compatibility", "ok": True})
-
-    def mu(self, p, q):
-        x = self.reduced.reconstruct(p)
-        y = self.reduced.reconstruct(q)
-        return self.reduced.project(self.base.mu(x, y))
 
 
 # ---------------------------------------------------------------------------

@@ -102,6 +102,7 @@ class _Raw:
     header_lines: dict = field(default_factory=dict)
     sections: dict = field(default_factory=dict)
     section_lines: dict = field(default_factory=dict)
+    section_starts: dict = field(default_factory=dict)  # name -> header line
 
 
 def _tokenize(raw_text: str, source: str) -> _Raw:
@@ -120,6 +121,7 @@ def _tokenize(raw_text: str, source: str) -> _Raw:
                                  f"[{current}]")
             raw.sections[current] = []
             raw.section_lines[current] = []
+            raw.section_starts[current] = lineno
             continue
         if current is None:
             if ":" not in body:
@@ -174,9 +176,8 @@ def _check_known(raw: _Raw, headers, sections):
                 f"{key!r} (expected one of {sorted(headers)})")
     for name in raw.sections:
         if name not in sections:
-            line = raw.section_lines[name][0] if raw.section_lines[name] else 0
             raise InputError(
-                f"{raw.source}: unknown section [{name}] "
+                f"{raw.source}:{raw.section_starts[name]}: unknown section [{name}] "
                 f"(expected one of {sorted(sections)})")
 
 

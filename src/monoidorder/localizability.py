@@ -34,7 +34,7 @@ from functools import cache, reduce
 from itertools import chain, islice, tee
 from math import lcm
 from operator import mul
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Optional
 
 from .exactmath import (
     InputError,
@@ -560,8 +560,7 @@ def monomial_row_obstruction(op: BiadditiveOp, a0) -> Optional[dict]:
     return _positive_pair_row(op, a0)
 
 
-def is_weakly_localizable(op: BiadditiveOp, queries: Optional[Sequence] = None,
-                          budget: int = 8) -> WeakLocalizabilityCertificate:
+def is_weakly_localizable(op: BiadditiveOp, budget: int = 8) -> WeakLocalizabilityCertificate:
     m = op.carrier
     verdicts: dict = {}  # candidate -> its localizability verdict
 
@@ -582,10 +581,9 @@ def is_weakly_localizable(op: BiadditiveOp, queries: Optional[Sequence] = None,
     if isinstance(m, LatticeMonoid):
         # the orthant obstruction is a theorem about lattice carriers; its
         # hypothesis is decided once, its row test per element
-        if queries is None:
-            queries = list(m.generators)
+        queries = list(m.generators)
         if _row_obstruction_applies(op):
-            for a0 in list(queries) + list(_lattice_candidates(m, 2)):
+            for a0 in queries + list(_lattice_candidates(m, 2)):
                 obs = _positive_pair_row(op, a0)
                 if obs is not None:
                     return WeakLocalizabilityCertificate(
@@ -593,7 +591,7 @@ def is_weakly_localizable(op: BiadditiveOp, queries: Optional[Sequence] = None,
                         reason="every element above the refuted one has a damping "
                                "row with two positive entries, so none is localizable",
                         details={"obstruction": obs})
-    elif queries is None:
+    else:
         queries = m.sample_elements(6)
     # built only when no obstruction refuted the operation first, and only
     # as far as the search for a dominator reads; each query searches from
@@ -685,8 +683,7 @@ def _order_unit_multiple(cone: RationalCone, e, g) -> Optional[int]:
     return lo
 
 
-def order_unit_fast_path(op: BiadditiveOp, e, queries: Optional[Sequence] = None,
-                         budget: int = 8) -> WeakLocalizabilityCertificate:
+def order_unit_fast_path(op: BiadditiveOp, e, budget: int = 8) -> WeakLocalizabilityCertificate:
     """Weak-localizability certificate through multiples of a unit.
 
     Demands that e is a two-sided unit for the operation and an order
@@ -713,12 +710,8 @@ def order_unit_fast_path(op: BiadditiveOp, e, queries: Optional[Sequence] = None
     else:
         unit_ok = all(op.mu(e, tuple(a)) == tuple(a) and op.mu(tuple(a), e) == tuple(a)
                       for a in m.rays)
-        cone = m.cone
-        if cone.dim != len(e):
-            raise InputError("unit dimension mismatch")
-        targets = queries if queries is not None else list(m.rays)
-        for g in targets:
-            k = _order_unit_multiple(cone, e, g)
+        for g in m.rays:
+            k = _order_unit_multiple(m.cone, e, g)
             if k is None:
                 refusals.append(
                     f"not an order unit: no multiple dominates {tuple(g)}")
@@ -726,23 +719,21 @@ def order_unit_fast_path(op: BiadditiveOp, e, queries: Optional[Sequence] = None
             dominators[tuple(g)] = vscale(k, tuple(e))
     if not unit_ok:
         refusals.insert(0, "not a two-sided unit for the operation")
+
+    def fallback(reasons):
+        cert = is_weakly_localizable(op, budget=budget)
+        cert.method = "search-after-refusal"
+        cert.details = dict(cert.details, refusal_reasons=reasons)
+        return cert
     if refusals:
-        fallback = is_weakly_localizable(op, queries=queries, budget=budget)
-        fallback.method = "search-after-refusal"
-        fallback.details = dict(fallback.details, refusal_reasons=refusals)
-        return fallback
+        return fallback(refusals)
     assignments = {}
     validated: dict = {}
     for a, s in dominators.items():
         if s not in validated:
             validated[s] = is_localizable(op, s).verdict
         if validated[s] != "yes":
-            fallback = is_weakly_localizable(op, queries=queries, budget=budget)
-            fallback.method = "search-after-refusal"
-            fallback.details = dict(
-                fallback.details,
-                refusal_reasons=[f"unit multiple {_ser(s)} failed localizability"])
-            return fallback
+            return fallback([f"unit multiple {_ser(s)} failed localizability"])
         if not leq(m, a, s):
             raise InternalCheckError("order-unit multiple does not dominate")
         assignments[a] = s

@@ -67,8 +67,6 @@ class FiniteMonoid:
     every generator is in it: n^2 checks per generator, not n^3 in all.
     """
 
-    kind = "finite"
-
     def __init__(self, table: Sequence[Sequence[int]], names: Optional[Sequence[str]] = None):
         self.n = len(table)
         if self.n == 0:
@@ -222,14 +220,13 @@ class VectorCarrier:
     ``b - a`` lies in the lineality space of the cone.
 
     The class attributes that differ between the subclasses are report
-    text: ``kind`` and ``groth_kind`` name the carrier and its difference
-    group, ``basis_key`` the report key of its basis, ``difference_group``
+    text: ``groth_kind`` names the carrier's difference group,
+    ``basis_key`` the report key of its basis, ``difference_group``
     what an element outside it is outside of, ``nonmember_text`` why an
     element is refused, ``origin_only_text`` why a carrier whose rays are
     all zero is, and ``budget_text`` what a candidate budget counts.
     """
 
-    kind: str
     groth_kind: str
     basis_key: str
     difference_group: str
@@ -361,7 +358,6 @@ class VectorCarrier:
 class LatticeMonoid(VectorCarrier):
     """All sums (with repetition) of finitely many generators in ``Z^d``."""
 
-    kind = "lattice"
     groth_kind = "lattice"
     basis_key = "lattice_basis"
     difference_group = "difference lattice"
@@ -475,7 +471,6 @@ class OpenConeMonoid(VectorCarrier):
     nothing.  A generator-sum spot check is still run at construction.
     """
 
-    kind = "opencone"
     groth_kind = "cone"
     basis_key = "span_basis"
     difference_group = "difference span"
@@ -574,9 +569,8 @@ class BiadditiveOp:
     """
 
     def __init__(self, carrier, table: Optional[Sequence[Sequence[int]]] = None,
-                 tensor=None, name: str = "mu"):
+                 tensor=None):
         self.carrier = carrier
-        self.name = name
         if isinstance(carrier, FiniteMonoid):
             if table is None:
                 raise InputError("finite carrier needs a value table")
@@ -619,15 +613,6 @@ class BiadditiveOp:
                 if y:
                     out[k] += x * y * t
         return tuple(out)
-
-    def opposite(self) -> "BiadditiveOp":
-        if self.table is not None:
-            t = tuple(tuple(self.table[j][i] for j in range(self.carrier.n))
-                      for i in range(self.carrier.n))
-            return BiadditiveOp(self.carrier, table=t, name=self.name + "_op")
-        d = self.carrier.dim
-        t = tuple(tuple(self.tensor[j][i] for j in range(d)) for i in range(d))
-        return BiadditiveOp(self.carrier, tensor=t, name=self.name + "_op")
 
     # -- validation --------------------------------------------------------
 
@@ -893,10 +878,8 @@ def matrix_product_tensor():
     return tuple(tuple(tuple(row) for row in slab) for slab in t)
 
 
-def matrix_product_op(m: Optional[LatticeMonoid] = None) -> BiadditiveOp:
-    if m is None:
-        m = matrix_monoid_2x2()
-    return BiadditiveOp(m, tensor=matrix_product_tensor())
+def matrix_product_op() -> BiadditiveOp:
+    return BiadditiveOp(matrix_monoid_2x2(), tensor=matrix_product_tensor())
 
 
 def half_open_half_plane() -> OpenConeMonoid:

@@ -33,6 +33,14 @@ def instance_path(name: str) -> str:
     return os.path.abspath(os.path.join(INSTANCE_DIR, name))
 
 
+def opposite_op(op: BiadditiveOp) -> BiadditiveOp:
+    """The opposite of an operation on a vector carrier, ``(a, b) -> mu(b,
+    a)``: its tensor with the two input slots swapped."""
+    d = op.carrier.dim
+    return BiadditiveOp(op.carrier, tensor=[[op.tensor[j][i] for j in range(d)]
+                                            for i in range(d)])
+
+
 def seeded(salt: int = 0) -> random.Random:
     return random.Random(20240901 + salt)
 

@@ -16,7 +16,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from monoidorder import (cli, formallyreal, functionals, latticeorder,
@@ -425,6 +425,25 @@ def test_extremals_on_a_cone_with_more_dual_rays_than_its_rank(tmp_path):
     assert covectors == [(0, 0, 1), (0, 1, 1), (1, 0, 1), (1, 1, 1)]
 
 
+# mu(e0, e0) = (1, 1) and mu(e1, e0) = e0 on N^2
+VANISHING_AT_S_ONLY = ("kind: lattice\ndim: 2\n[generators]\n1 0\n0 1\n"
+                       "[tensor]\n0 0 1 1\n1 0 1 0\n")
+
+
+def test_extremals_functional_vanishing_at_s_but_not_on_a_product(tmp_path):
+    # phi = the second coordinate vanishes at s = (1, 0), the only element,
+    # but not at mu(s, s) = (1, 1): no rescaling of it is multiplicative
+    path = tmp_path / "vanishing.mon"
+    path.write_text(VANISHING_AT_S_ONLY, encoding="utf-8")
+    code, doc, err = run_json("extremals", str(path), "--elements", "1,0")
+    assert code == EXIT_PASS, err
+    [norm] = [e["normalization"] for e in doc["extremals"]
+              if e["carrier_covector"] == [0, 1]]
+    assert norm["status"] == "precondition-failed"
+    assert [c["ok"] for c in norm["degenerate_checks"]] == [True, False]
+    assert norm["reason"]
+
+
 def test_extremals_rejects_elements_outside_the_monoid():
     code, _, err = run_cli("extremals", instance_path("slanted-cone.mon"),
                            "--elements", "0,1")
@@ -552,10 +571,9 @@ def test_sos_isolation_evaluates_no_point_beyond_the_roots(monkeypatch):
     calls = []
     variations = formallyreal.SturmChain.variations
 
-    def counted(self, x, positive_infinity=False):
-        if x is not None:
-            calls.append(x)
-        return variations(self, x, positive_infinity)
+    def counted(self, x):
+        calls.append(x)
+        return variations(self, x)
 
     monkeypatch.setattr(formallyreal.SturmChain, "variations", counted)
     start = time.monotonic()
@@ -1192,6 +1210,8 @@ def cli_calls(draw):
 
 @settings(max_examples=600)
 @given(call=cli_calls())
+@example(call=(VANISHING_AT_S_ONLY, ["--budget", "2", "--format", "json",
+                                     "extremals", "FILE", "--elements", "1,0"]))
 def test_every_drawn_call_keeps_the_exit_code_contract(call, tmp_path_factory):
     # a break of the contract is a bug in the program, never a reason to
     # narrow the strategies

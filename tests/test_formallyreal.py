@@ -377,9 +377,8 @@ def test_integer_sign_evaluation_matches_fraction_evaluation():
                 [q.coefficients for q in reference], x)
         # beyond every root of every entry the signs are those at infinity
         far = 1 + max(cauchy_root_bound(q) for q in reference)
-        assert chain.variations(None) == _fraction_variations(entries, -far)
-        assert chain.variations(None, positive_infinity=True) == \
-            _fraction_variations(entries, far)
+        assert chain.minus_infinity == _fraction_variations(entries, -far)
+        assert chain.plus_infinity == _fraction_variations(entries, far)
         ends = [None] + sorted(points)
         for lo, hi in zip(ends, ends[1:] + [None]):
             got = chain.count(lo, hi)

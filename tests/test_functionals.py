@@ -3,23 +3,25 @@
 import itertools
 from fractions import Fraction
 from types import SimpleNamespace
+from typing import Optional, Sequence
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from monoidorder.exactmath import (InputError, InternalCheckError, RationalCone,
                                    vdot, vsub)
-from monoidorder.functionals import (_certify_decomposition, _sample_pool,
-                                     check_mult_identity,
-                                     normalize_multiplicative,
+from monoidorder.functionals import (AdditiveFunctional, NormalizationResult,
+                                     OrderedSubgroup, _certify_decomposition,
+                                     _largest_element,
+                                     _sample_pool, normalize_multiplicative,
                                      positive_functionals,
                                      span_of_elements, span_with_products,
                                      verify_theorem_main,
                                      weak_implies_strong_audit)
 from monoidorder.instancefile import load_instance
 from monoidorder.latticeorder import almost_fring_tensor
-from monoidorder.localizability import is_weakly_localizable
+from monoidorder.localizability import is_left_localizable, is_weakly_localizable
 from monoidorder.monoids import (BiadditiveOp, FiniteMonoid, LatticeMonoid,
                                  OpenConeMonoid, approx, cyclic_product_op,
                                  enumerate_biadditive_ops, free_monoid,
@@ -27,8 +29,8 @@ from monoidorder.monoids import (BiadditiveOp, FiniteMonoid, LatticeMonoid,
                                  saturating_product_op, truncated_free_monoid)
 from monoidorder.monoids import matrix_product_op as matrix_monoid_product_op
 
-from conftest import (instance_path, monogenic_table, product_table, rational_rank,
-                      weakly_localizable_ops)
+from conftest import (instance_path, monogenic_table, opposite_op, product_table,
+                      rational_rank, weakly_localizable_ops)
 
 
 def elementwise_op(dim, weights=None):
@@ -36,7 +38,7 @@ def elementwise_op(dim, weights=None):
     t = [[[0] * dim for _ in range(dim)] for _ in range(dim)]
     for i in range(dim):
         t[i][i][i] = 1 if weights is None else weights[i]
-    return BiadditiveOp(m, tensor=t, name="elementwise")
+    return BiadditiveOp(m, tensor=t)
 
 
 def matrix_product_op():
@@ -46,7 +48,7 @@ def matrix_product_op():
         for j in range(2):
             for k in range(2):
                 t[2 * i + j][2 * j + k][2 * i + k] += 1
-    return BiadditiveOp(m, tensor=t, name="matrix-product")
+    return BiadditiveOp(m, tensor=t)
 
 
 def half_plane_op():
@@ -54,7 +56,7 @@ def half_plane_op():
     t = [[[0] * 2 for _ in range(2)] for _ in range(2)]
     t[0][0][0] = 1
     t[0][1][1] = 1
-    return BiadditiveOp(hp, tensor=t, name="half-plane-product")
+    return BiadditiveOp(hp, tensor=t)
 
 
 def _primitive(vec):
@@ -145,6 +147,156 @@ def test_functional_values_on_spec_example():
 # the multiplicative identity at extremal functionals (exact, tolerance zero)
 
 
+# The identity report as the library built it before normalization
+# decided the identity itself; the oracle of the normalization tests below.
+def check_mult_identity(op: BiadditiveOp, elements: Sequence,
+                        phi: AdditiveFunctional,
+                        subgroup: Optional[OrderedSubgroup] = None) -> dict:
+    """Exactness report for ``phi(s) phi(mu(f,f')) = phi(mu(f,s)) phi(f')``.
+
+    ``s`` is the order-largest member of ``elements``; the identity is a
+    theorem whenever ``s`` damps positivity from the left, every element
+    sits below ``s``, and ``phi`` is extremal with positive values at ``s``
+    and at ``mu(s,s)`` — so any reported violation is a bug detector, and
+    precondition failures are reported separately from violations.
+    """
+    m = op.carrier
+    elements = list(elements)
+    if subgroup is None:
+        subgroup = span_with_products(op, elements)
+    preconditions = []
+    s = _largest_element(m, elements)
+    if s is None:
+        preconditions.append({
+            "name": "largest-element", "ok": False,
+            "detail": "no member dominates every other"})
+        return {"status": "precondition-failed", "ok": False,
+                "preconditions": preconditions, "violations": [],
+                "checked_pairs": 0, "largest": None}
+    preconditions.append({"name": "largest-element", "ok": True,
+                          "detail": f"largest member {tuple(s)!r}"})
+    loc = is_left_localizable(op, s)
+    preconditions.append({
+        "name": "left-damping", "ok": loc.verdict == "yes",
+        "detail": f"is_left_localizable: {loc.verdict}"})
+    try:
+        phi_s = phi.value_on_element(s)
+        phi_ss = phi.value_on_element(op.mu(s, s))
+    except InputError as exc:
+        preconditions.append({"name": "functional-domain", "ok": False,
+                              "detail": str(exc)})
+        return {"status": "precondition-failed", "ok": False,
+                "preconditions": preconditions, "violations": [],
+                "checked_pairs": 0, "largest": tuple(s)}
+    preconditions.append({"name": "positive-at-largest", "ok": phi_s > 0,
+                          "detail": f"phi(s) = {phi_s}"})
+    preconditions.append({"name": "positive-at-largest-square", "ok": phi_ss > 0,
+                          "detail": f"phi(mu(s,s)) = {phi_ss}"})
+    if not all(p["ok"] for p in preconditions):
+        return {"status": "precondition-failed", "ok": False,
+                "preconditions": preconditions, "violations": [],
+                "checked_pairs": 0, "largest": tuple(s)}
+    violations = []
+    checked = 0
+    for f in elements:
+        phi_fs = phi.value_on_element(op.mu(f, s))
+        for fp in elements:
+            lhs = phi_s * phi.value_on_element(op.mu(f, fp))
+            rhs = phi_fs * phi.value_on_element(fp)
+            checked += 1
+            if lhs != rhs:
+                violations.append({"f": tuple(f), "f_prime": tuple(fp),
+                                   "lhs": str(lhs), "rhs": str(rhs)})
+    status = "identity-holds" if not violations else "identity-violated"
+    return {"status": status, "ok": not violations,
+            "preconditions": preconditions, "violations": violations,
+            "checked_pairs": checked, "largest": tuple(s)}
+
+
+def _composed_normalization(op, elements, phi):
+    """The normalization report composed from the oracle's reports on the
+    operation and on its opposite, as the library built it before; a
+    raised error is returned as its type and message."""
+    m = op.carrier
+    elements = list(elements)
+    try:
+        s = _largest_element(m, elements)
+        if s is None:
+            return NormalizationResult(
+                status="precondition-failed", psi=None, factor=None,
+                reason="no member dominates every other").as_dict()
+        phi_s = phi.value_on_element(s)
+        if phi_s == 0:
+            checks = []
+            ok = True
+            for f in elements:
+                v = phi.value_on_element(f)
+                checks.append({"at": tuple(f), "value": str(v), "ok": v == 0})
+                ok = ok and v == 0
+            for f in elements:
+                for fp in elements:
+                    p = op.mu(f, fp)
+                    v = phi.value_on_element(p)
+                    checks.append({"at": tuple(p), "value": str(v), "ok": v == 0})
+                    ok = ok and v == 0
+            if not ok:
+                raise InternalCheckError(
+                    "functional vanishes at the top element but not below it")
+            return NormalizationResult(
+                status="degenerate", psi=None, factor=None,
+                degenerate_checks=checks,
+                reason="functional vanishes at the largest element, "
+                       "hence on every generator and product").as_dict()
+        report_fwd = check_mult_identity(op, elements, phi)
+        report_op = check_mult_identity(opposite_op(op), elements, phi)
+        preconditions = [
+            {"name": "identity", "ok": report_fwd["ok"], "detail": report_fwd["status"]},
+            {"name": "identity-opposite", "ok": report_op["ok"],
+             "detail": report_op["status"]},
+        ]
+        if "precondition-failed" in (report_fwd["status"], report_op["status"]):
+            return NormalizationResult(
+                status="precondition-failed", psi=None, factor=None,
+                preconditions=preconditions,
+                reason="the quadratic identity could not even be posed").as_dict()
+        phi_ss = phi.value_on_element(op.mu(s, s))
+        factor = phi_ss / (phi_s * phi_s)
+        psi = phi.scaled(factor)
+        failures = []
+        for f in elements:
+            for fp in elements:
+                left = psi.value_on_element(op.mu(f, fp))
+                right = psi.value_on_element(f) * psi.value_on_element(fp)
+                if left != right:
+                    failures.append({"f": tuple(f), "f_prime": tuple(fp),
+                                     "psi_product": str(left),
+                                     "value_product": str(right)})
+        identity_ok = report_fwd["ok"] and report_op["ok"]
+        if failures or not identity_ok:
+            if identity_ok and phi.extremal:
+                raise InternalCheckError(
+                    "extremal functional with verified identity fails "
+                    "multiplicativity after rescaling")
+            return NormalizationResult(
+                status="not-multiplicative", psi=psi, factor=factor,
+                failures=failures, preconditions=preconditions,
+                reason="the input functional is not extremal: "
+                       + ("the rescaled functional fails multiplicativity"
+                          if identity_ok else
+                          "the quadratic identity already fails for it")).as_dict()
+        return NormalizationResult(status="multiplicative", psi=psi, factor=factor,
+                                   preconditions=preconditions).as_dict()
+    except (InputError, InternalCheckError) as exc:
+        return type(exc), str(exc)
+
+
+def _normalization(op, elements, phi):
+    try:
+        return normalize_multiplicative(op, elements, phi).as_dict()
+    except (InputError, InternalCheckError) as exc:
+        return type(exc), str(exc)
+
+
 @pytest.mark.parametrize("op,els", [
     (elementwise_op(2), [(1, 0), (0, 1), (1, 1)]),
     (elementwise_op(3), [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)]),
@@ -187,6 +339,66 @@ def test_normalized_functional_is_exactly_multiplicative():
                 for fp in els:
                     assert (psi.value_on_element(op.mu(f, fp))
                             == psi.value_on_element(f) * psi.value_on_element(fp))
+
+
+# d <= 3; an extra generator beside the unit vectors (its first d entries,
+# none when they are all zero); the tensor (its first d^3 entries); one to
+# three elements as coefficients on the generators; whether to append the
+# elements' sum, which dominates every element
+normalization_cases = st.tuples(
+    st.integers(min_value=1, max_value=3),
+    st.lists(st.integers(min_value=-1, max_value=2), min_size=3, max_size=3),
+    st.lists(st.integers(min_value=0, max_value=2), min_size=27, max_size=27),
+    st.lists(st.lists(st.integers(min_value=0, max_value=2), min_size=4, max_size=4),
+             min_size=1, max_size=3),
+    st.booleans())
+
+
+def _lattice_case(case):
+    """The operation and the elements of a drawn case; None when the
+    operation is not closed on its lattice."""
+    d, extra, flat, coeffs, with_sum = case
+    gens = [tuple(int(i == j) for j in range(d)) for i in range(d)]
+    if any(extra[:d]):
+        gens.append(tuple(extra[:d]))
+    tensor = [[flat[d * (d * i + j):d * (d * i + j) + d] for j in range(d)]
+              for i in range(d)]
+    op = BiadditiveOp(LatticeMonoid(d, gens), tensor=tensor)
+    if op.validate():
+        return None
+    elements = [tuple(sum(c * g[k] for c, g in zip(row, gens)) for k in range(d))
+                for row in coeffs]
+    if with_sum:
+        elements.append(tuple(map(sum, zip(*elements))))
+    return op, elements
+
+
+@settings(max_examples=300, deadline=None)
+@given(normalization_cases)
+# on N^2: mu(e0, e1) = e0 breaks only the identity, at phi = the first
+# coordinate, and mu(e0, e1) = e1 with mu(e1, e0) = e0 only its opposite
+@example((2, [0, 0, 0], [0, 0, 1, 0, 0, 0, 0, 0] + [0] * 19, [[1, 1, 0, 0]], False))
+@example((2, [0, 0, 0], [0, 0, 0, 1, 1, 0, 0, 0] + [0] * 19, [[1, 1, 0, 0]], False))
+def test_normalization_matches_the_composed_identity_reports(case):
+    built = _lattice_case(case)
+    assume(built is not None)
+    op, elements = built
+    h = span_with_products(op, elements)
+    phis = positive_functionals(h)
+    if len(phis) > 1:  # a positive functional that is not extremal
+        phis.append(AdditiveFunctional(h, tuple(map(sum, zip(*(p.coefficients
+                                                               for p in phis))))))
+    for phi in phis:
+        want = _composed_normalization(op, elements, phi)
+        got = _normalization(op, elements, phi)
+        if got != want:
+            # vanishing at s but not on a product is no internal error
+            assert want == (InternalCheckError, "functional vanishes at the "
+                            "top element but not below it")
+            checks = got["degenerate_checks"]
+            assert got["status"] == "precondition-failed"
+            assert all(c["ok"] for c in checks[:len(elements)])
+            assert not all(c["ok"] for c in checks)
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +564,7 @@ def nonassociative_op():
     t = [[[0, 0], [0, 0]], [[0, 0], [0, 0]]]
     t[0][0][1] = 1
     t[1][0][0] = 1
-    return BiadditiveOp(free_monoid(2), tensor=t, name="nonassociative")
+    return BiadditiveOp(free_monoid(2), tensor=t)
 
 
 @pytest.mark.parametrize("make_op", [

@@ -10,11 +10,9 @@ from hypothesis import strategies as st
 
 from monoidorder.exactmath import (InputError, RationalCone, solve_nonneg_rational,
                                    vadd)
-from monoidorder.grothendieck import LiftedOp, grothendieck, nabla, pi12
-from monoidorder.monoids import (BiadditiveOp, FiniteMonoid, LatticeMonoid,
-                                 OpenConeMonoid, approx, free_monoid, half_open_half_plane,
-                                 leq, saturating_product_op,
-                                 truncated_free_monoid)
+from monoidorder.grothendieck import grothendieck, nabla, pi12
+from monoidorder.monoids import (FiniteMonoid, LatticeMonoid, OpenConeMonoid,
+                                 approx, free_monoid, half_open_half_plane, leq)
 
 from conftest import (cone_corpus, default_pairs, finite_corpus, instance_path,
                       lattice_corpus, rational_solve)
@@ -288,31 +286,3 @@ def test_reduced_describe_is_consistent():
     lat = nabla(LatticeMonoid(2, [(1, 0), (1, 2)]), 1).describe()
     assert lat["carrier"] == "lattice"
     assert lat["free_rank"] == 2 and lat["kernel_rank"] == 0
-
-
-# ---------------------------------------------------------------------------
-# lifting a biadditive operation to the reduced carrier
-
-
-@pytest.mark.parametrize("level", [1, 2])
-def test_lift_mu_is_equivariant(level):
-    m = truncated_free_monoid(2, cap=2)
-    op = saturating_product_op(m)
-    lifted = LiftedOp(op, level)
-    reduced = lifted.reduced
-    for a in range(m.n):
-        for b in range(m.n):
-            assert reduced.eq(lifted.mu(reduced.iota(a), reduced.iota(b)),
-                              reduced.iota(op.mu(a, b)))
-    assert all(c["ok"] for c in lifted.report["checks"])
-
-
-def test_lift_mu_zero_op():
-    m = FiniteMonoid(_cyclic_table(3))
-    op = BiadditiveOp(m, table=[[0] * 3 for _ in range(3)])
-    lifted = LiftedOp(op, 1)
-    reduced = lifted.reduced
-    zero = reduced.iota(0)
-    for a in range(3):
-        for b in range(3):
-            assert reduced.eq(lifted.mu(reduced.iota(a), reduced.iota(b)), zero)

@@ -122,8 +122,11 @@ def test_unknown_header_is_rejected():
 
 
 def test_unknown_section_is_rejected():
+    # located at its header line, whether or not it has rows
     _expect_error("kind: lattice\ndim: 2\n[generators]\n1 0\n[frobnicators]\nx\n",
-                  "frobnicators")
+                  "<test>:5: unknown section [frobnicators]")
+    _expect_error("kind: lattice\ndim: 2\n[bogus]\n\n[generators]\n1 0\n",
+                  "<test>:3: unknown section [bogus]")
 
 
 def test_duplicate_section_is_located():

@@ -28,7 +28,7 @@ from monoidorder.monoids import (BiadditiveOp, FiniteMonoid, LatticeMonoid,
                                  free_monoid, half_open_half_plane, leq,
                                  saturating_product_op, truncated_free_monoid)
 
-from conftest import seeded, weakly_localizable_ops
+from conftest import opposite_op, seeded, weakly_localizable_ops
 
 
 def apply_matrix(mat, x):
@@ -44,7 +44,7 @@ def matrix_product_op():
         for j in range(2):
             for k in range(2):
                 t[2 * i + j][2 * j + k][2 * i + k] += 1
-    return BiadditiveOp(m, tensor=t, name="matrix-product")
+    return BiadditiveOp(m, tensor=t)
 
 
 def elementwise_op(dim, weights=None):
@@ -52,7 +52,7 @@ def elementwise_op(dim, weights=None):
     t = [[[0] * dim for _ in range(dim)] for _ in range(dim)]
     for i in range(dim):
         t[i][i][i] = 1 if weights is None else weights[i]
-    return BiadditiveOp(m, tensor=t, name="elementwise")
+    return BiadditiveOp(m, tensor=t)
 
 
 def half_plane_op():
@@ -60,7 +60,7 @@ def half_plane_op():
     t = [[[0] * 2 for _ in range(2)] for _ in range(2)]
     t[0][0][0] = 1
     t[0][1][1] = 1
-    return BiadditiveOp(hp, tensor=t, name="half-plane-product")
+    return BiadditiveOp(hp, tensor=t)
 
 
 SWAP = (0, 1, 1, 0)
@@ -321,7 +321,7 @@ def test_verdicts_on_validated_operations_agree_with_the_definition(case):
     nonzero = [x for x in pool if any(x)]
     s = nonzero[pick % len(nonzero)]
     verdict = is_left_localizable(op, s, side)
-    one_sided = op if side == "left" else op.opposite()
+    one_sided = op if side == "left" else opposite_op(op)
     if verdict.verdict == "yes":
         assert _excluded_face_direction(op, s, side) is None
         assert _definitional_violations(
@@ -353,18 +353,6 @@ def test_matrix_operation_not_weakly_localizable():
     assert cert.verdict == "no"
     assert cert.refuted is not None
     assert monomial_row_obstruction(op, cert.refuted) is not None
-
-
-def test_weak_queries_are_honored():
-    # queries steer the assignment table, but a refutation of the
-    # operation-level property always wins
-    op = elementwise_op(2)
-    good = is_weakly_localizable(op, queries=[(1, 0), (2, 3)])
-    assert good.verdict == "yes"
-    assert set(good.assignments) == {(1, 0), (2, 3)}
-    bad = is_weakly_localizable(matrix_product_op(), queries=[SWAP])
-    assert bad.verdict == "no"
-    assert monomial_row_obstruction(matrix_product_op(), bad.refuted) is not None
 
 
 @pytest.mark.parametrize("name,op", weakly_localizable_ops()[:8])

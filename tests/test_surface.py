@@ -1,12 +1,20 @@
 """The library's surface is what the program, the benchmark and acceptance use.
 
 Every module-level function and class under ``src/monoidorder/`` must be
-named, as a whole word outside its own definition, in ``src/``, in
-``perfbench/`` or in ``tests/test_acceptance.py``; every method of such a
-class that is not a dunder must appear there as ``.name``.  A name that
-only a unit test reaches belongs next to that test, unless the test uses
-it as an oracle; those few are listed in ``ORACLES`` (a method as
+used outside its own definition: in ``src/`` or ``tests/test_acceptance.py``
+as a Python name (a name, an attribute or an imported name, so a report key
+or a word in a docstring does not count), or in ``perfbench/`` as a whole
+word (the tracer names its targets in strings).  Every method of such a
+class that is not a dunder must be used there as an attribute (``.name``).
+A name that only a unit test reaches belongs next to that test, unless the
+test uses it as an oracle; those few are listed in ``ORACLES`` (a method as
 ``Class.name``) with the test file that uses them.
+
+Every parameter with a default, of a library function or method, must be
+passed by some call in ``src/``, ``perfbench/`` or
+``tests/test_acceptance.py``: a default that no caller overrides is a
+constant.  The few that only tests set are listed in ``SET_BY_TESTS`` with
+the reason.
 """
 
 import ast
@@ -17,14 +25,24 @@ import pytest
 
 ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir))
 PACKAGE = os.path.join(ROOT, "src", "monoidorder")
+PERFBENCH = os.path.join(ROOT, "perfbench")
 
 # name -> the test file that uses it as an oracle
 ORACLES = {
-    "LiftedOp": "tests/test_grothendieck.py",  # the descent of mu to a reduction
     "sign_canonical": "tests/test_exactmath.py",  # pointed cones for a property
     "RationalCone.same_cone": "tests/test_exactmath.py",  # dual of the dual
     # the first refuted element of the weak search's row obstruction
     "monomial_row_obstruction": "tests/test_localizability.py",
+}
+
+# (function, parameter) -> why only tests pass it
+SET_BY_TESTS = {
+    ("lp_feasible", "eqs"): "the test reference of the LP kernel the tracer pins",
+    ("lp_feasible", "ineqs"): "the test reference of the LP kernel the tracer pins",
+    ("bounded_nonneg_combination", "bound"):
+        "the test reference of the membership search the tracer pins",
+    ("enumerate_biadditive_ops", "node_budget"):
+        "tests set it to drive budget exhaustion",
 }
 
 
@@ -44,41 +62,108 @@ def _span(node):
     return min([node.lineno] + [d.lineno for d in node.decorator_list]), node.end_lineno
 
 
+def _is_dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
 def _definitions():
-    """(module path, name, use pattern, first line, last line) of each
+    """(module path, name, is a method, first line, last line) of each
     top-level def, and of each non-dunder method of a top-level class
-    (named ``Class.method``, used as ``.method``)."""
+    (named ``Class.method``)."""
     for path in sorted(_python_files(PACKAGE)):
         for node in ast.parse(_read(path)).body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                yield (path, node.name, rf"\b{re.escape(node.name)}\b") + _span(node)
+                yield (path, node.name, False) + _span(node)
             if isinstance(node, ast.ClassDef):
                 for item in node.body:
-                    if isinstance(item, ast.FunctionDef) and not (
-                            item.name.startswith("__") and item.name.endswith("__")):
-                        yield (path, f"{node.name}.{item.name}",
-                               rf"\.{re.escape(item.name)}\b") + _span(item)
+                    if isinstance(item, ast.FunctionDef) and not _is_dunder(item.name):
+                        yield (path, f"{node.name}.{item.name}", True) + _span(item)
 
 
-def _users():
-    """Path -> text of every file whose mentions count as a use."""
-    paths = (list(_python_files(os.path.join(ROOT, "src")))
-             + list(_python_files(os.path.join(ROOT, "perfbench")))
-             + [os.path.join(ROOT, "tests", "test_acceptance.py")])
-    return {path: _read(path) for path in paths}
+def _program_files():
+    """The files whose uses count: the package sources, the acceptance
+    tests (read as Python) and the benchmark (read as text)."""
+    python = (list(_python_files(os.path.join(ROOT, "src")))
+              + [os.path.join(ROOT, "tests", "test_acceptance.py")])
+    return python, list(_python_files(PERFBENCH))
+
+
+def _name_uses(tree):
+    """(identifier, line, as an attribute) of every name, attribute and
+    imported name in the tree."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno, False
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno, True
+        elif isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                yield alias.name, node.lineno, False
 
 
 def _unreached():
-    users = _users()
+    python, text = _program_files()
+    uses = {path: list(_name_uses(ast.parse(_read(path)))) for path in python}
+    words = {path: _read(path) for path in text}
     out = []
-    for path, name, pattern, start, end in _definitions():
-        word = re.compile(pattern)
-        lines = users[path].splitlines()
-        own = "\n".join(lines[:start - 1] + lines[end:])
-        if not word.search(own) and not any(
-                word.search(text) for p, text in users.items() if p != path):
+    for path, name, method, start, end in _definitions():
+        word = name.rpartition(".")[2]
+        used = any(ident == word and (attr or not method)
+                   and not (p == path and start <= line <= end)
+                   for p, found in uses.items() for ident, line, attr in found)
+        pattern = re.compile((r"\." if method else r"\b") + re.escape(word) + r"\b")
+        if not used and not any(pattern.search(t) for t in words.values()):
             out.append(name)
     return out
+
+
+def _defaulted_parameters():
+    """(function name, parameter, position) of each parameter with a
+    default, of every top-level function and every method (``__init__``
+    as the class) under the package.  The position is the index among the
+    positional arguments of a call (a method's first parameter is bound),
+    None for a keyword-only parameter."""
+    for path in sorted(_python_files(PACKAGE)):
+        for node in ast.parse(_read(path)).body:
+            funcs = [(node.name, node, False)] if isinstance(node, ast.FunctionDef) else []
+            if isinstance(node, ast.ClassDef):
+                funcs = [(node.name if item.name == "__init__" else item.name, item, True)
+                         for item in node.body if isinstance(item, ast.FunctionDef)
+                         and (item.name == "__init__" or not _is_dunder(item.name))]
+            for name, func, method in funcs:
+                args = func.args.posonlyargs + func.args.args
+                first = len(args) - len(func.args.defaults)
+                for i, arg in enumerate(args[first:], start=first - method):
+                    yield name, arg.arg, i
+                for arg, default in zip(func.args.kwonlyargs, func.args.kw_defaults):
+                    if default is not None:
+                        yield name, arg.arg, None
+
+
+def _passed_parameters():
+    """(callee name, parameter or position) of what some call in the
+    program files passes: each keyword and each index of a positional
+    argument; ``"*"`` for a call that unpacks arguments."""
+    python, text = _program_files()
+    passed = set()
+    for path in python + text:
+        for node in ast.walk(ast.parse(_read(path))):
+            if not isinstance(node, ast.Call):
+                continue
+            f = node.func
+            callee = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+            if any(isinstance(a, ast.Starred) for a in node.args) or any(
+                    k.arg is None for k in node.keywords):
+                passed.add((callee, "*"))
+            passed.update((callee, k.arg) for k in node.keywords)
+            passed.update((callee, i) for i in range(len(node.args)))
+    return passed
+
+
+def _unpassed_defaults():
+    passed = _passed_parameters()
+    return sorted({(name, param) for name, param, position in _defaulted_parameters()
+                   if not {(name, param), (name, position), (name, "*")} & passed})
 
 
 def test_every_library_name_is_reached_outside_the_unit_tests():
@@ -91,3 +176,12 @@ def test_each_oracle_entry_is_needed_and_used(name):
     text = _read(os.path.join(ROOT, ORACLES[name]))
     word = name.rpartition(".")[2]
     assert re.search(rf"\b{re.escape(word)}\b", text)
+
+
+def test_every_default_is_overridden_by_the_program():
+    assert sorted(set(_unpassed_defaults()) - set(SET_BY_TESTS)) == []
+
+
+@pytest.mark.parametrize("entry", sorted(SET_BY_TESTS))
+def test_each_test_only_default_is_needed(entry):
+    assert entry in _unpassed_defaults(), f"{entry} is passed by the program"
