@@ -168,7 +168,7 @@ def _verify_fring(instance, doc, args) -> tuple:
             f"{instance.source}: --fring needs a lattice-group instance")
     # one f-ring verdict: fring_strong_localizability decides it and
     # reports it under "f_ring" whether it goes on or skips
-    result = fring_strong_localizability(instance.candidate, box_bound=3)
+    result = fring_strong_localizability(instance.candidate)
     fr = result["f_ring"]
     doc["goal"] = "fring"
     doc["hypotheses"] = [{"name": "extended-f-ring", "status":
@@ -407,7 +407,7 @@ def _reproduce_matrix_not_localizable() -> dict:
 
 
 def _reproduce_almost_fring() -> dict:
-    result = almost_fring_counterexample(box_bound=3)
+    result = almost_fring_counterexample()
     return {
         "example": "almost-fring",
         "claim": "an almost-f-ring operation can fail associativity: "

@@ -334,6 +334,12 @@ def _certify_decomposition(h: OrderedSubgroup, rays, lin) -> None:
 # the quadratic identity and multiplicative normalization
 
 
+def _shown(x):
+    """An element as a report value: a finite carrier's int as it is, a
+    vector as a tuple."""
+    return x if isinstance(x, int) else tuple(x)
+
+
 def _largest_element(m, elements):
     for e in elements:
         if all(leq(m, f, e) for f in elements):
@@ -406,7 +412,7 @@ def normalize_multiplicative(op: BiadditiveOp, elements: Sequence,
     if phi_s == 0:
         products = (op.mu(f, fp) for f in elements for fp in elements)
         values = [(x, phi.value_on_element(x)) for x in chain(elements, products)]
-        checks = [{"at": tuple(x), "value": str(v), "ok": v == 0} for x, v in values]
+        checks = [{"at": _shown(x), "value": str(v), "ok": v == 0} for x, v in values]
         if any(v for _, v in values[:len(elements)]):
             raise InternalCheckError(
                 "functional vanishes at the top element but not below it")
@@ -454,7 +460,7 @@ def normalize_multiplicative(op: BiadditiveOp, elements: Sequence,
             left = psi.value_on_element(op.mu(f, fp))
             right = psi.value_on_element(f) * psi.value_on_element(fp)
             if left != right:
-                failures.append({"f": tuple(f), "f_prime": tuple(fp),
+                failures.append({"f": _shown(f), "f_prime": _shown(fp),
                                  "psi_product": str(left),
                                  "value_product": str(right)})
     identity_ok = all(p["ok"] for p in preconditions)

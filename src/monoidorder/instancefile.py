@@ -33,6 +33,10 @@ Per kind:
 ``lattice-group``
     header ``dim: d``, optional header ``scalar: integer|rational``,
     section ``[tensor]`` rows ``i j t_1 .. t_d`` with nonnegative entries.
+    The operation is loaded on the positive orthant of ``Z^d`` or ``Q^d``,
+    the positive cone of the coordinatewise lattice group, as
+    ``candidate``; ``op`` stays unset, so every command but
+    ``verify --fring`` refuses the kind.
 
 ``rational-function``
     header ``expression: (x^4+3)/(x^2+1)``.
@@ -47,8 +51,8 @@ from fractions import Fraction
 from typing import Optional
 
 from .exactmath import InputError, RationalCone, vdot
-from .monoids import BiadditiveOp, FiniteMonoid, LatticeMonoid, OpenConeMonoid
-from .latticeorder import FRingCandidate, LatticeGroup
+from .monoids import (BiadditiveOp, FiniteMonoid, LatticeMonoid,
+                      OpenConeMonoid, orthant)
 from .formallyreal import RationalFunction, parse_rational_function
 
 KINDS = ("finite", "lattice", "open-cone", "lattice-group", "rational-function")
@@ -63,7 +67,7 @@ class Instance:
     headers: dict
     monoid: object = None
     op: Optional[BiadditiveOp] = None
-    candidate: Optional[FRingCandidate] = None
+    candidate: Optional[BiadditiveOp] = None
     function: Optional[RationalFunction] = None
     names: Optional[list] = None
 
@@ -87,8 +91,8 @@ class Instance:
             out["closed_rays"] = [list(r) for r in self.monoid.rays]
             out["open_normals"] = [list(n) for n in self.monoid.open_normals]
         elif self.kind == "lattice-group":
-            out["dim"] = self.candidate.group.dim
-            out["scalar"] = self.candidate.group.scalar
+            out["dim"] = self.candidate.carrier.dim
+            out["scalar"] = self.headers.get("scalar", "integer")
         elif self.kind == "rational-function":
             out["expression"] = self.function.text()
         out["has_operation"] = self.op is not None
@@ -338,10 +342,13 @@ def _build_lattice_group(raw: _Raw) -> Instance:
             f"{raw.source}: scalar must be 'integer' or 'rational', "
             f"got {scalar!r}")
     _need_section(raw, "tensor")
-    group = LatticeGroup(dim, scalar=scalar)
-    candidate = FRingCandidate(group, _tensor_rows(raw, "tensor", dim))
+    if dim <= 0:
+        raise InputError("dimension must be positive")
+    tensor = _tensor_rows(raw, "tensor", dim)
+    candidate = BiadditiveOp(orthant(dim, scalar), tensor=tensor)
+    _validate_op(candidate, raw.source)
     return Instance(kind="lattice-group", source=raw.source,
-                    headers=dict(raw.headers), monoid=group,
+                    headers=dict(raw.headers), monoid=candidate.carrier,
                     candidate=candidate)
 
 
@@ -396,7 +403,7 @@ def parse_element(instance: Instance, text: str):
             return instance.names.index(text)
         raise InputError(
             f"unknown element {text!r}: expected one of {instance.names}")
-    if instance.kind in ("lattice", "open-cone", "lattice-group"):
+    if instance.kind in ("lattice", "open-cone"):
         body = text
         if body.startswith("(") and body.endswith(")"):
             body = body[1:-1]
@@ -405,9 +412,7 @@ def parse_element(instance: Instance, text: str):
         if len(toks) != dim:
             raise InputError(
                 f"element {text!r} has {len(toks)} coordinates, expected {dim}")
-        if instance.kind == "open-cone" or (
-                instance.kind == "lattice-group"
-                and instance.monoid.scalar == "rational"):
+        if instance.kind == "open-cone":
             vec = tuple(_rat_token(t, f"element {text!r}") for t in toks)
         else:
             vec = tuple(_int_token(t, f"element {text!r}") for t in toks)
@@ -427,7 +432,5 @@ def check_membership(instance: Instance, element) -> None:
             raise InputError(
                 f"element [{shown}] is not in the monoid described by "
                 f"{instance.source}")
-        return
-    if instance.kind == "lattice-group":
         return
     raise InputError("this instance kind has no membership test")

@@ -57,7 +57,6 @@ from .monoids import (
     FiniteMonoid,
     LatticeMonoid,
     OpenConeMonoid,
-    check_element,
     leq,
 )
 
@@ -162,7 +161,7 @@ def damping_matrix(op: BiadditiveOp, s, side: str = "left") -> list[list]:
 
 def is_left_localizable(op: BiadditiveOp, s, side: str = "left") -> LocalizabilityVerdict:
     m = op.carrier
-    check_element(m, s)
+    m.check_element(s)
     kind = "left" if side == "left" else "left-opposite"
     if isinstance(m, FiniteMonoid):
         # every pair has a <~ b, so no damped comparison can refute
@@ -699,7 +698,7 @@ def order_unit_fast_path(op: BiadditiveOp, e, budget: int = 8) -> WeakLocalizabi
     space.
     """
     m = op.carrier
-    check_element(m, e)
+    m.check_element(e)
     refusals = []
     dominators = {}  # element -> the unit multiple that dominates it
     if isinstance(m, FiniteMonoid):

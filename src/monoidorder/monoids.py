@@ -538,11 +538,6 @@ class OpenConeMonoid(VectorCarrier):
         return out
 
 
-def check_element(m, x) -> None:
-    """Raise :class:`InputError` unless x is a member of the carrier m."""
-    m.check_element(x)
-
-
 # ---------------------------------------------------------------------------
 # canonical quasi-order and its equivalence
 
@@ -561,11 +556,27 @@ def approx(m, a, b) -> bool:
 # biadditive operations
 
 
+def _integral(x, index: tuple, what: str) -> int:
+    """A table or tensor entry as an ``int``; non-integral entries are
+    refused, integral ones of any numeric type (``Fraction(4, 2)``,
+    ``3.0``) are accepted."""
+    if type(x) is int:
+        return x
+    try:
+        q = Fraction(x)
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError):
+        raise InputError(f"{what} entry {index} is {x!r}, not a number") from None
+    if q.denominator != 1:
+        raise InputError(f"{what} entry {index} is {x!r}, not an integer")
+    return int(q)
+
+
 class BiadditiveOp:
     """A biadditive binary operation on a carrier.
 
     Finite carriers take a value table; vector carriers take a d x d x d
     integer tensor T acting as ``mu(x, y)[k] = sum_ij T[i][j][k] x_i y_j``.
+    An entry of either that is not an integer is an :class:`InputError`.
     """
 
     def __init__(self, carrier, table: Optional[Sequence[Sequence[int]]] = None,
@@ -574,7 +585,9 @@ class BiadditiveOp:
         if isinstance(carrier, FiniteMonoid):
             if table is None:
                 raise InputError("finite carrier needs a value table")
-            self.table = tuple(tuple(int(x) for x in row) for row in table)
+            self.table = tuple(tuple(_integral(x, (a, b), "table")
+                                     for b, x in enumerate(row))
+                               for a, row in enumerate(table))
             if len(self.table) != carrier.n or any(len(r) != carrier.n for r in self.table):
                 raise InputError("operation table shape mismatch")
             for row in self.table:
@@ -586,7 +599,10 @@ class BiadditiveOp:
             if tensor is None:
                 raise InputError("vector carrier needs a tensor")
             d = carrier.dim
-            self.tensor = tuple(tuple(tuple(int(x) for x in row) for row in slab) for slab in tensor)
+            self.tensor = tuple(tuple(tuple(_integral(x, (i, j, k), "tensor")
+                                            for k, x in enumerate(row))
+                                      for j, row in enumerate(slab))
+                                for i, slab in enumerate(tensor))
             if len(self.tensor) != d or any(len(s) != d for s in self.tensor) or \
                     any(len(r) != d for s in self.tensor for r in s):
                 raise InputError("tensor shape mismatch")
@@ -706,7 +722,7 @@ def enumerate_biadditive_ops(m: FiniteMonoid, unital: Optional[int] = None,
     gens = m.generators()
     expr = m.expressions()
     if unital is not None:
-        check_element(m, unital)
+        m.check_element(unital)
     g = len(gens)
     pairs = [(i, j) for j in range(g) for i in range(g)]  # column major: fix j, vary i
     unit_expr = expr[unital] if unital is not None else ()
@@ -841,6 +857,15 @@ def free_monoid(coords: int) -> LatticeMonoid:
     """The free commutative monoid N^coords as a lattice monoid."""
     gens = [tuple(1 if j == i else 0 for j in range(coords)) for i in range(coords)]
     return LatticeMonoid(coords, gens)
+
+
+def orthant(dim: int, scalar: str) -> VectorCarrier:
+    """The positive orthant of ``Z^dim`` (``scalar`` "integer") or ``Q^dim``
+    ("rational"): the positive cone of the coordinatewise lattice group."""
+    if scalar == "integer":
+        return free_monoid(dim)
+    unit = [tuple(1 if j == i else 0 for j in range(dim)) for i in range(dim)]
+    return OpenConeMonoid(RationalCone.from_rays(unit, dim), [])
 
 
 def diagonal_tensor(dim: int, weights: Sequence[int]):

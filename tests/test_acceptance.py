@@ -29,8 +29,7 @@ from monoidorder.functionals import (normalize_multiplicative,
                                      span_with_products, verify_theorem_main,
                                      weak_implies_strong_audit)
 from monoidorder.grothendieck import nabla
-from monoidorder.latticeorder import (FRingCandidate, LatticeGroup,
-                                      almost_fring_counterexample,
+from monoidorder.latticeorder import (almost_fring_counterexample,
                                       almost_fring_tensor,
                                       fring_strong_localizability,
                                       is_extended_f_ring)
@@ -41,8 +40,8 @@ from monoidorder.monoids import (BiadditiveOp, LatticeMonoid, OpenConeMonoid,
                                  enumerate_biadditive_ops, free_monoid,
                                  half_open_half_plane,
                                  half_plane_product_tensor, leq,
-                                 matrix_product_op, saturating_product_op,
-                                 truncated_free_monoid)
+                                 matrix_product_op, orthant,
+                                 saturating_product_op, truncated_free_monoid)
 from monoidorder.reports import render_report
 
 from conftest import (cone_corpus, finite_corpus, lattice_corpus, rational_rank,
@@ -320,19 +319,20 @@ def test_criterion_06_theorem_regression():
 @criterion(7, "f-ring candidates confirmed; almost-f-ring counterexample")
 def test_criterion_07_fring_suite():
     candidates = [
-        ("diag-1", FRingCandidate(LatticeGroup(1), diagonal_tensor(1, [2]))),
-        ("diag-2", FRingCandidate(LatticeGroup(2),
-                                  diagonal_tensor(2, [1, 3]))),
-        ("diag-2q", FRingCandidate(LatticeGroup(2, scalar="rational"),
-                                   diagonal_tensor(2, [2, 1]))),
-        ("diag-3", FRingCandidate(LatticeGroup(3),
-                                  diagonal_tensor(3, [1, 2, 1]))),
+        ("diag-1", BiadditiveOp(orthant(1, "integer"),
+                                tensor=diagonal_tensor(1, [2]))),
+        ("diag-2", BiadditiveOp(orthant(2, "integer"),
+                                tensor=diagonal_tensor(2, [1, 3]))),
+        ("diag-2q", BiadditiveOp(orthant(2, "rational"),
+                                 tensor=diagonal_tensor(2, [2, 1]))),
+        ("diag-3", BiadditiveOp(orthant(3, "integer"),
+                                tensor=diagonal_tensor(3, [1, 2, 1]))),
     ]
     confirmed = 0
     for label, cand in candidates:
-        cert = is_extended_f_ring(cand, box_bound=3)
+        cert = is_extended_f_ring(cand)
         assert cert["verdict"] == "yes", f"{label}: not certified as f-ring"
-        result = fring_strong_localizability(cand, box_bound=3)
+        result = fring_strong_localizability(cand)
         assert result["status"] == "confirmed", f"{label}: {result['status']}"
         assert result["exact_commutativity"] is True, \
             f"{label}: commutativity not exact on the box"
@@ -340,13 +340,12 @@ def test_criterion_07_fring_suite():
             f"{label}: associativity not exact on the box"
         assert result["ok"] is True
         confirmed += 1
-    almost = almost_fring_counterexample(box_bound=3)
+    almost = almost_fring_counterexample()
     assert almost["ok"] is True, "almost-f-ring reproduction not ok"
     assert almost["commutative"]["failures"] == []
     assert almost["disjoint_products_vanish"]["failures"] == []
     wit = almost["non_associative_witness"]
-    cand = FRingCandidate(LatticeGroup(3, scalar="rational"),
-                          almost_fring_tensor())
+    cand = BiadditiveOp(orthant(3, "rational"), tensor=almost_fring_tensor())
     a, b, c = (tuple(wit[k]) for k in ("a", "b", "c"))
     left = cand.mu(cand.mu(a, b), c)
     right = cand.mu(a, cand.mu(b, c))

@@ -26,10 +26,9 @@ from monoidorder.cli import (EXIT_BUDGET, EXIT_INPUT, EXIT_INTERNAL, EXIT_PASS,
                              default_golden_path, main, reproduce_document)
 from monoidorder.exactmath import InternalCheckError
 from monoidorder.instancefile import load_instance
-from monoidorder.latticeorder import (FRingCandidate,
-                                      fring_strong_localizability,
+from monoidorder.latticeorder import (fring_strong_localizability,
                                       is_extended_f_ring)
-from monoidorder.monoids import leq
+from monoidorder.monoids import BiadditiveOp, leq
 from monoidorder.reports import render_report
 
 from conftest import instance_path
@@ -250,7 +249,7 @@ def test_verify_fring_refuses_on_almost_fring():
 def _direct_fring_document(name):
     """The ``verify --fring`` report, built from direct library calls."""
     inst = load_instance(instance_path(name))
-    fr = is_extended_f_ring(inst.candidate, box_bound=3)
+    fr = is_extended_f_ring(inst.candidate)
     doc = {"command": "verify", "instance": inst.describe(), "goal": "fring",
            "hypotheses": [{"name": "extended-f-ring",
                            "status": "checked" if fr["verdict"] == "yes"
@@ -260,7 +259,7 @@ def _direct_fring_document(name):
         doc["status"] = "refused"
         doc["reason"] = "the candidate is not an extended f-ring"
         return doc, EXIT_REFUSED
-    doc["result"] = fring_strong_localizability(inst.candidate, box_bound=3)
+    doc["result"] = fring_strong_localizability(inst.candidate)
     doc["status"] = "pass"
     return doc, EXIT_PASS
 
@@ -279,9 +278,9 @@ def test_verify_fring_report_equals_direct_calls(name):
 
 
 def _count_f_ring_work(monkeypatch):
-    """Count f-ring verdicts and ``FRingCandidate.mu`` products."""
+    """Count f-ring verdicts and ``BiadditiveOp.mu`` products."""
     calls = {"verdicts": 0, "mu": 0}
-    verdict, mu = latticeorder.is_extended_f_ring, FRingCandidate.mu
+    verdict, mu = latticeorder.is_extended_f_ring, BiadditiveOp.mu
 
     def counted_verdict(*args, **kwargs):
         calls["verdicts"] += 1
@@ -295,20 +294,23 @@ def _count_f_ring_work(monkeypatch):
     # also where the command module may hold its own reference
     monkeypatch.setattr(cli, "is_extended_f_ring", counted_verdict,
                         raising=False)
-    monkeypatch.setattr(FRingCandidate, "mu", counted_mu)
+    monkeypatch.setattr(BiadditiveOp, "mu", counted_mu)
     return calls
 
 
-def test_verify_fring_decides_once_with_one_product_table_per_cell(
+def test_verify_fring_decides_once_and_the_verdict_makes_no_products(
         monkeypatch):
-    # work counters do not jitter, so they guard the sweep's cost where
-    # wall time cannot: 27 cells, 2 * 27 * 27 products
+    # work counters do not jitter: the verdict reads the tensor, so on a
+    # diagonal one it computes no product
     calls = _count_f_ring_work(monkeypatch)
-    code, _, _ = run_cli("verify", instance_path("fring-elementwise-3.mon"),
-                         "--fring")
+    path = instance_path("fring-elementwise-3.mon")
+    code, _, _ = run_cli("verify", path, "--fring")
     assert code == EXIT_PASS
     assert calls["verdicts"] == 1
-    assert calls["mu"] <= 1458
+    op = load_instance(path).candidate
+    calls["mu"] = 0
+    assert latticeorder.is_extended_f_ring(op)["verdict"] == "yes"
+    assert calls["mu"] == 0
 
 
 def test_reproduce_almost_fring_memoizes_products(monkeypatch):
@@ -1112,10 +1114,11 @@ def _damage(draw, lines):
 
 @st.composite
 def instance_files(draw):
-    """The kind, dimension (size) and text lines of a lattice, open-cone or
-    finite file of dimension or size at most 3, with tensor entries 0..2,
-    mostly with an operation, sometimes malformed."""
-    kind = draw(st.sampled_from(["lattice", "open-cone", "finite"]))
+    """The kind, dimension (size) and text lines of a lattice, open-cone,
+    lattice-group or finite file of dimension or size at most 3, with
+    tensor entries 0..2 (-1..2 on a lattice group, which leaves the
+    orthant), mostly with an operation, sometimes malformed."""
+    kind = draw(st.sampled_from(["lattice", "open-cone", "lattice-group", "finite"]))
     if kind == "finite":
         n = draw(st.integers(1, 3))
         names = "zab"[:n]
@@ -1132,7 +1135,16 @@ def instance_files(draw):
             lines += ["[mu]"] + [" ".join(names[mu(i, j)] for j in range(n)) for i in range(n)]
         return kind, n, _damage(draw, lines)
     d = draw(st.integers(1, 3))
-    unit = st.integers(0, d - 1).map(lambda i: [int(i == j) for j in range(d)])
+    index = st.integers(0, d - 1)
+    pairs = st.lists(st.tuples(index, index), min_size=1, max_size=d * d, unique=True)
+    if kind == "lattice-group":
+        lines = [f"kind: {kind}", f"dim: {d}"]
+        lines += draw(st.sampled_from([[], ["scalar: integer"], ["scalar: rational"]]))
+        lines += ["[tensor]"] + [
+            f"{i} {j} " + " ".join(str(draw(st.integers(-1, 2))) for _ in range(d))
+            for i, j in draw(pairs)]
+        return kind, d, _damage(draw, lines)
+    unit = index.map(lambda i: [int(i == j) for j in range(d)])
     vector = st.one_of(unit, st.lists(st.integers(-2, 2), min_size=d, max_size=d))
     section = "generators" if kind == "lattice" else \
         draw(st.sampled_from(["rays", "inequalities"]))
@@ -1144,12 +1156,9 @@ def instance_files(draw):
         lines += ["[open-normals]"] + [" ".join(map(str, r))
                                        for r in draw(st.lists(normal, min_size=1, max_size=2))]
     if draw(st.sampled_from([True, True, True, False])):
-        index = st.integers(0, d - 1)
-        pairs = draw(st.lists(st.tuples(index, index), min_size=1, max_size=d * d,
-                              unique=True))
         lines += ["[tensor]"] + [
             f"{i} {j} " + " ".join(str(draw(st.integers(0, 2))) for _ in range(d))
-            for i, j in pairs]
+            for i, j in draw(pairs)]
     return kind, d, _damage(draw, lines)
 
 

@@ -134,6 +134,17 @@ def test_degenerate_span_has_no_extremals():
     assert positive_functionals(h) == []
 
 
+def test_degenerate_normalization_on_a_finite_carrier_shows_int_elements():
+    # a finite carrier's elements are ints, shown in the checks as they are
+    op = cyclic_product_op(3)
+    zero = AdditiveFunctional(span_with_products(op, [1, 2]), ())
+    res = normalize_multiplicative(op, [1, 2], zero)
+    assert res.status == "degenerate"
+    checks = res.as_dict()["degenerate_checks"]
+    assert [c["at"] for c in checks] == [1, 2, 1, 2, 2, 1]
+    assert all(c["ok"] and c["value"] == "0" for c in checks)
+
+
 def test_functional_values_on_spec_example():
     op = elementwise_op(2)
     els = [(1, 0), (0, 1), (1, 1)]

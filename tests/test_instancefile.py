@@ -1,5 +1,6 @@
 """Parsing of the on-disk instance format and element lookup."""
 
+import itertools
 import pathlib
 from fractions import Fraction
 
@@ -8,9 +9,8 @@ import pytest
 from monoidorder.exactmath import InputError
 from monoidorder.instancefile import (check_membership, load_instance,
                                       parse_element, parse_instance_text)
-from monoidorder.latticeorder import FRingCandidate
-from monoidorder.monoids import (FiniteMonoid, LatticeMonoid, OpenConeMonoid,
-                                 leq)
+from monoidorder.monoids import (BiadditiveOp, FiniteMonoid, LatticeMonoid,
+                                 OpenConeMonoid, leq)
 
 from conftest import INSTANCE_DIR, instance_path
 
@@ -76,10 +76,49 @@ def test_open_cone_instance_round_trip():
 def test_lattice_group_instance_round_trip():
     inst = load_instance(instance_path("almost-fring.mon"))
     assert inst.kind == "lattice-group"
-    assert isinstance(inst.candidate, FRingCandidate)
-    assert inst.candidate.group.scalar == "rational"
-    assert parse_element(inst, "(1/2, 0, 1)") == \
-        (Fraction(1, 2), Fraction(0), Fraction(1))
+    assert isinstance(inst.candidate, BiadditiveOp) and inst.op is None
+    # the operation sits on the closed positive orthant of Q^3
+    assert isinstance(inst.candidate.carrier, OpenConeMonoid)
+    assert inst.candidate.carrier.open_normals == ()
+    assert inst.candidate.carrier.contains((Fraction(1, 2), 0, 1))
+    assert inst.describe()["scalar"] == "rational"
+
+
+@pytest.mark.parametrize("scalar", [None, "integer", "rational"])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_lattice_group_loads_as_an_operation_on_the_orthant(dim, scalar):
+    header = "" if scalar is None else f"scalar: {scalar}\n"
+    rows = "".join(f"{i} {i} " + " ".join(str(int(k == i) * (i + 2))
+                                          for k in range(dim)) + "\n"
+                   for i in range(dim))
+    inst = parse_instance_text(f"kind: lattice-group\ndim: {dim}\n{header}"
+                               f"[tensor]\n{rows}", source="<test>")
+    assert inst.op is None and inst.monoid is inst.candidate.carrier
+    assert inst.describe() == {"kind": "lattice-group", "source": "<test>",
+                               "dim": dim, "scalar": scalar or "integer",
+                               "has_operation": False}
+    carrier = inst.candidate.carrier
+    assert isinstance(carrier, OpenConeMonoid if scalar == "rational"
+                      else LatticeMonoid)
+    unit = [tuple(int(k == i) for k in range(dim)) for i in range(dim)]
+    assert sorted(carrier.rays) == sorted(unit)
+    assert not carrier.contains(tuple(-u for u in unit[0]))
+    assert inst.candidate.validate() == []
+    assert inst.candidate.mu((1,) * dim, (1,) * dim) == tuple(range(2, dim + 2))
+
+
+@pytest.mark.parametrize("scalar", ["integer", "rational"])
+@pytest.mark.parametrize("i,j,k", [(0, 0, 0)] + [
+    t for t in itertools.product(range(2), repeat=3) if t != (0, 0, 0)])
+def test_lattice_group_entry_leaving_the_orthant_is_refused(i, j, k, scalar):
+    dim = 1 if (i, j, k) == (0, 0, 0) else 2
+    row = [0] * dim
+    row[k] = -1
+    text = (f"kind: lattice-group\ndim: {dim}\nscalar: {scalar}\n[tensor]\n"
+            f"{i} {j} " + " ".join(map(str, row)) + "\n")
+    # the validation of the orthant operation names the product that leaves it
+    _expect_error(text, "<test>: operation fails biadditivity/monotonicity "
+                  "validation", str(row))
 
 
 def test_rational_function_instance():

@@ -17,7 +17,7 @@ from monoidorder.localizability import (is_left_localizable,
                                         is_weakly_localizable)
 from monoidorder.monoids import (BiadditiveOp, FiniteMonoid, LatticeMonoid,
                                  OpenConeMonoid,
-                                 approx, check_element, cyclic_group_monoid,
+                                 approx, cyclic_group_monoid,
                                  enumerate_biadditive_ops, free_monoid,
                                  half_open_half_plane, leq,
                                  saturating_product_op, truncated_free_monoid)
@@ -275,12 +275,12 @@ def test_halfplane_order_frozen_examples():
 def test_membership_errors_are_input_errors():
     m = LatticeMonoid(2, [(1, 0), (1, 2)])
     with pytest.raises(InputError):
-        check_element(m, (0, 1))
+        m.check_element((0, 1))
     with pytest.raises(InputError):
         leq(m, (0, 1), (1, 2))
     f = truncated_free_monoid(1, cap=2)
     with pytest.raises(InputError):
-        check_element(f, 7)
+        f.check_element(7)
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +299,7 @@ def test_non_integral_vectors_are_not_members():
     for x in ((Fraction(1, 2),), (2.7,), (Fraction(5, 2),)):
         assert not m.contains(x)
         with pytest.raises(InputError):
-            check_element(m, x)
+            m.check_element(x)
     assert m.contains((Fraction(4, 2),)) and m.contains((2.0,))
     with pytest.raises(InputError):
         leq(m, (Fraction(1, 2),), (2,))
@@ -419,6 +419,24 @@ def test_sparse_mu_matches_the_dense_triple_loop(case):
     # an untouched coordinate stays the int 0, a touched one takes the
     # type its products give
     assert [type(v) for v in got] == [type(v) for v in want]
+
+
+@pytest.mark.parametrize("entry", [Fraction(1, 2), 1.7, 2.7, "1/3", "two", None])
+def test_non_integral_entries_are_refused_not_truncated(entry):
+    # a truncating int() would read 1/2 as 0 and 1.7 as 1
+    with pytest.raises(InputError, match=r"tensor entry \(1, 0, 1\) is .*, not an? "):
+        BiadditiveOp(free_monoid(2), tensor=[[[1, 0], [0, 0]], [[0, entry], [0, 1]]])
+    m = cyclic_group_monoid(2)
+    with pytest.raises(InputError, match=r"table entry \(1, 0\) is .*, not an? "):
+        BiadditiveOp(m, table=[[0, 0], [entry, 1]])
+
+
+def test_integral_entries_of_any_numeric_type_are_accepted():
+    op = BiadditiveOp(free_monoid(1), tensor=[[[Fraction(4, 2)]]])
+    assert op.tensor == (((2,),),) and type(op.tensor[0][0][0]) is int
+    assert BiadditiveOp(free_monoid(1), tensor=[[[3.0]]]).tensor == (((3,),),)
+    table = BiadditiveOp(cyclic_group_monoid(2), table=[[0, 0.0], [Fraction(0), 1]]).table
+    assert table == ((0, 0), (0, 1)) and all(type(x) is int for r in table for x in r)
 
 
 def test_mu_refuses_an_operand_of_the_wrong_length():
