@@ -55,7 +55,12 @@ def _verdict_exit(verdict: str) -> int:
 
 
 def _ordered_monoid(instance: Instance):
-    if instance.kind not in ("finite", "lattice", "open-cone"):
+    if instance.kind == "lattice-group":
+        raise InputError(
+            f"{instance.source}: kind 'lattice-group' gives an operation on "
+            "a fixed orthant; carrier questions go to a lattice or open-cone "
+            "instance")
+    if instance.monoid is None:
         raise InputError(
             f"{instance.source}: kind {instance.kind!r} has no canonical "
             "quasi-order; use a finite, lattice, or open-cone instance")
@@ -163,12 +168,12 @@ def _verify_main(instance, doc, args) -> tuple:
 
 
 def _verify_fring(instance, doc, args) -> tuple:
-    if instance.candidate is None:
+    if instance.kind != "lattice-group":
         raise InputError(
             f"{instance.source}: --fring needs a lattice-group instance")
     # one f-ring verdict: fring_strong_localizability decides it and
     # reports it under "f_ring" whether it goes on or skips
-    result = fring_strong_localizability(instance.candidate)
+    result = fring_strong_localizability(instance.op)
     fr = result["f_ring"]
     doc["goal"] = "fring"
     doc["hypotheses"] = [{"name": "extended-f-ring", "status":

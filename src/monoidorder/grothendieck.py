@@ -104,7 +104,6 @@ class ReducedFinite:
             "carrier": "finite",
             "level": self.level,
             "group_order": 1,
-            "invariant_factors": [],
             "positive_class_count": 1,
             "kernel_size": grothendieck(self.monoid).classes,
         }
@@ -206,7 +205,6 @@ class ReducedVector:
                 "carrier": "lattice",
                 "level": self.level,
                 "free_rank": self.rank,
-                "invariant_factors": [],
                 "kernel_rank": self.kernel_rank,
                 "positive_rays": [list(r) for r in RationalCone.from_rays(images, self.rank).v_rep],
             }

@@ -33,10 +33,11 @@ Per kind:
 ``lattice-group``
     header ``dim: d``, optional header ``scalar: integer|rational``,
     section ``[tensor]`` rows ``i j t_1 .. t_d`` with nonnegative entries.
-    The operation is loaded on the positive orthant of ``Z^d`` or ``Q^d``,
-    the positive cone of the coordinatewise lattice group, as
-    ``candidate``; ``op`` stays unset, so every command but
-    ``verify --fring`` refuses the kind.
+    The operation is loaded as ``op`` on the positive orthant of ``Z^d``
+    or ``Q^d``, the positive cone of the coordinatewise lattice group, so
+    elements are written as on a lattice or an open cone.  The orthant
+    is fixed by the kind, so the carrier commands (``order``,
+    ``grothendieck``, ``extremals``) refuse it.
 
 ``rational-function``
     header ``expression: (x^4+3)/(x^2+1)``.
@@ -67,7 +68,6 @@ class Instance:
     headers: dict
     monoid: object = None
     op: Optional[BiadditiveOp] = None
-    candidate: Optional[BiadditiveOp] = None
     function: Optional[RationalFunction] = None
     names: Optional[list] = None
 
@@ -91,8 +91,8 @@ class Instance:
             out["closed_rays"] = [list(r) for r in self.monoid.rays]
             out["open_normals"] = [list(n) for n in self.monoid.open_normals]
         elif self.kind == "lattice-group":
-            out["dim"] = self.candidate.carrier.dim
-            out["scalar"] = self.headers.get("scalar", "integer")
+            out["dim"] = self.monoid.dim
+            out["scalar"] = self.monoid.scalar
         elif self.kind == "rational-function":
             out["expression"] = self.function.text()
         out["has_operation"] = self.op is not None
@@ -196,15 +196,18 @@ def _int_rows(raw: _Raw, name: str, width: Optional[int] = None):
     return rows
 
 
-def _tensor_rows(raw: _Raw, name: str, dim: int):
-    """The dense ``dim`` x ``dim`` x ``dim`` table of sparse rows.
+def _tensor_rows(raw: _Raw, dim: int):
+    """The dense ``dim`` x ``dim`` x ``dim`` table of the sparse [tensor]
+    rows, None when the file has no [tensor] section.
 
     Every row is read and checked before the table is allocated, so a
     ``dim`` that no row matches, or a section without rows, is an input
     error rather than an allocation of ``dim**3`` zeros.
     """
+    if "tensor" not in raw.sections:
+        return None
     rows = {}
-    for row, lineno in zip(raw.sections[name], raw.section_lines[name]):
+    for row, lineno in zip(raw.sections["tensor"], raw.section_lines["tensor"]):
         where = f"{raw.source}:{lineno}"
         if len(row) != 2 + dim:
             raise InputError(
@@ -219,7 +222,7 @@ def _tensor_rows(raw: _Raw, name: str, dim: int):
                              f"({i}, {j})")
         rows[i, j] = [_int_token(t, where) for t in row[2:]]
     if not rows:
-        raise InputError(f"{raw.source}: [{name}] must not be empty")
+        raise InputError(f"{raw.source}: [tensor] must not be empty")
     tensor = [[[0] * dim for _ in range(dim)] for _ in range(dim)]
     for (i, j), entries in rows.items():
         tensor[i][j] = entries
@@ -261,20 +264,24 @@ def _build_finite(raw: _Raw) -> Instance:
         return table
 
     monoid = FiniteMonoid(table_from("add"), names=names)
-    op = None
-    if "mu" in raw.sections:
-        op = BiadditiveOp(monoid, table=table_from("mu"))
-        _validate_op(op, raw.source)
+    op = _operation(raw, monoid, table=table_from("mu") if "mu" in raw.sections else None)
     return Instance(kind="finite", source=raw.source, headers=dict(raw.headers),
                     monoid=monoid, op=op, names=list(names))
 
 
-def _validate_op(op: BiadditiveOp, source: str) -> None:
+def _operation(raw: _Raw, carrier, table=None, tensor=None) -> Optional[BiadditiveOp]:
+    """The operation that a [mu] ``table`` or a [tensor] ``tensor`` gives
+    on the carrier, refused with the first law it breaks; None when the
+    file gives neither.  Every kind loads its operation through here."""
+    if table is None and tensor is None:
+        return None
+    op = BiadditiveOp(carrier, table=table, tensor=tensor)
     failures = op.validate()
     if failures:
         raise InputError(
-            f"{source}: operation fails biadditivity/monotonicity "
+            f"{raw.source}: operation fails biadditivity/monotonicity "
             f"validation: {failures[0]}")
+    return op
 
 
 def _build_lattice(raw: _Raw) -> Instance:
@@ -287,12 +294,8 @@ def _build_lattice(raw: _Raw) -> Instance:
     if not any(any(g) for g in gens):
         raise InputError(f"{raw.source}: [generators] needs a nonzero row")
     monoid = LatticeMonoid(dim, gens)
-    op = None
-    if "tensor" in raw.sections:
-        op = BiadditiveOp(monoid, tensor=_tensor_rows(raw, "tensor", dim))
-        _validate_op(op, raw.source)
-    return Instance(kind="lattice", source=raw.source,
-                    headers=dict(raw.headers), monoid=monoid, op=op)
+    return Instance(kind="lattice", source=raw.source, headers=dict(raw.headers),
+                    monoid=monoid, op=_operation(raw, monoid, tensor=_tensor_rows(raw, dim)))
 
 
 def _build_open_cone(raw: _Raw) -> Instance:
@@ -325,12 +328,8 @@ def _build_open_cone(raw: _Raw) -> Instance:
             # an implicit equality of a lower-dimensional cone
             raise InputError(f"{raw.source}: open normal {list(n)} vanishes on "
                              "the whole closed cone, which leaves only the origin")
-    op = None
-    if "tensor" in raw.sections:
-        op = BiadditiveOp(monoid, tensor=_tensor_rows(raw, "tensor", dim))
-        _validate_op(op, raw.source)
-    return Instance(kind="open-cone", source=raw.source,
-                    headers=dict(raw.headers), monoid=monoid, op=op)
+    return Instance(kind="open-cone", source=raw.source, headers=dict(raw.headers),
+                    monoid=monoid, op=_operation(raw, monoid, tensor=_tensor_rows(raw, dim)))
 
 
 def _build_lattice_group(raw: _Raw) -> Instance:
@@ -344,12 +343,10 @@ def _build_lattice_group(raw: _Raw) -> Instance:
     _need_section(raw, "tensor")
     if dim <= 0:
         raise InputError("dimension must be positive")
-    tensor = _tensor_rows(raw, "tensor", dim)
-    candidate = BiadditiveOp(orthant(dim, scalar), tensor=tensor)
-    _validate_op(candidate, raw.source)
+    tensor = _tensor_rows(raw, dim)  # read before the orthant is allocated
+    op = _operation(raw, orthant(dim, scalar), tensor=tensor)
     return Instance(kind="lattice-group", source=raw.source,
-                    headers=dict(raw.headers), monoid=candidate.carrier,
-                    candidate=candidate)
+                    headers=dict(raw.headers), monoid=op.carrier, op=op)
 
 
 def _build_rational_function(raw: _Raw) -> Instance:
@@ -396,41 +393,37 @@ def load_instance(path: str) -> Instance:
 
 
 def parse_element(instance: Instance, text: str):
-    """Parse an element argument: a name (finite) or comma-separated vector."""
+    """Parse an element argument: a name (finite) or comma-separated vector,
+    of integers on an integer carrier and of rationals ``p/q`` on a
+    rational one."""
     text = text.strip()
     if instance.kind == "finite":
         if instance.names and text in instance.names:
             return instance.names.index(text)
         raise InputError(
             f"unknown element {text!r}: expected one of {instance.names}")
-    if instance.kind in ("lattice", "open-cone"):
-        body = text
-        if body.startswith("(") and body.endswith(")"):
-            body = body[1:-1]
-        toks = [t for t in body.replace(",", " ").split() if t]
-        dim = instance.monoid.dim
-        if len(toks) != dim:
-            raise InputError(
-                f"element {text!r} has {len(toks)} coordinates, expected {dim}")
-        if instance.kind == "open-cone":
-            vec = tuple(_rat_token(t, f"element {text!r}") for t in toks)
-        else:
-            vec = tuple(_int_token(t, f"element {text!r}") for t in toks)
-        return vec
-    raise InputError(
-        f"instances of kind {instance.kind!r} have no carrier elements")
+    m = instance.monoid
+    if m is None:
+        raise InputError(
+            f"instances of kind {instance.kind!r} have no carrier elements")
+    body = text
+    if body.startswith("(") and body.endswith(")"):
+        body = body[1:-1]
+    toks = [t for t in body.replace(",", " ").split() if t]
+    if len(toks) != m.dim:
+        raise InputError(
+            f"element {text!r} has {len(toks)} coordinates, expected {m.dim}")
+    token = _int_token if m.scalar == "integer" else _rat_token
+    return tuple(token(t, f"element {text!r}") for t in toks)
 
 
 def check_membership(instance: Instance, element) -> None:
     """Raise the located membership error the order command promises."""
     monoid = instance.monoid
-    if instance.kind == "finite":
-        return
-    if instance.kind in ("lattice", "open-cone"):
-        if not monoid.contains(element):
-            shown = ", ".join(map(str, element))  # rationals as p/q
-            raise InputError(
-                f"element [{shown}] is not in the monoid described by "
-                f"{instance.source}")
-        return
-    raise InputError("this instance kind has no membership test")
+    if monoid is None:
+        raise InputError("this instance kind has no membership test")
+    if instance.kind != "finite" and not monoid.contains(element):
+        shown = ", ".join(map(str, element))  # rationals as p/q
+        raise InputError(
+            f"element [{shown}] is not in the monoid described by "
+            f"{instance.source}")

@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, reduce
-from itertools import chain, islice, tee
+from itertools import chain, islice, product, tee
 from math import lcm
 from operator import mul
 from typing import Iterator, Optional
@@ -116,6 +116,11 @@ class WeakLocalizabilityCertificate:
             "method": self.method,
             "details": self.details,
         }
+
+
+def _tuple_text(x) -> str:
+    """``tuple(x)`` as Python prints it, with rationals as ``p/q``."""
+    return f"({', '.join(map(str, x))}{',' if len(x) == 1 else ''})"
 
 
 def _ser(x):
@@ -475,10 +480,11 @@ def is_localizable(op: BiadditiveOp, s) -> LocalizabilityVerdict:
     return LocalizabilityVerdict(s, "full", "yes", "both sides localizable")
 
 
-def _lattice_candidates(m: LatticeMonoid, budget: int) -> Iterator[tuple]:
-    """Generator combinations ordered by coefficient sum, then lexicographic:
-    the first ``budget`` levels of ``m.ray_sums()``.  Lazy: a level is read
-    only once the previous one has been used up."""
+def _lattice_candidates(m, budget: int) -> Iterator[tuple]:
+    """Ray sums (on a lattice, generator combinations) ordered by
+    coefficient sum, then lexicographic: the first ``budget`` levels of
+    ``m.ray_sums()``.  Lazy: a level is read only once the previous one
+    has been used up."""
     return chain.from_iterable(islice(m.ray_sums(), budget))
 
 
@@ -512,10 +518,15 @@ def _cone_candidates(m: OpenConeMonoid, g0, budget: int) -> Iterator[tuple]:
                 yield y
 
 
-def _is_orthant_coordinates(m: LatticeMonoid) -> bool:
-    """Generators are positive multiples of the distinct unit vectors."""
+def _is_closed_orthant(m) -> bool:
+    """Whether the carrier's cone is the closed orthant: every ray is a
+    positive multiple of a unit vector, every coordinate direction is
+    among them, and no face is excluded: ``N^d``, the closed orthant of
+    ``Q^d``, or a lattice of positive unit multiples in it."""
+    if m.open_normals:
+        return False
     dirs = set()
-    for g in m.generators:
+    for g in m.rays:
         support = [i for i, v in enumerate(g) if v != 0]
         if len(support) != 1 or g[support[0]] <= 0:
             return False
@@ -524,10 +535,9 @@ def _is_orthant_coordinates(m: LatticeMonoid) -> bool:
 
 
 def _row_obstruction_applies(op: BiadditiveOp) -> bool:
-    """The hypothesis of the orthant row obstruction: orthant coordinates
-    and an entrywise nonnegative tensor."""
-    m = op.carrier
-    return (isinstance(m, LatticeMonoid) and _is_orthant_coordinates(m)
+    """The hypothesis of the orthant row obstruction: a closed orthant and
+    an entrywise nonnegative tensor."""
+    return (_is_closed_orthant(op.carrier)
             and all(v >= 0 for slab in op.tensor for row in slab for v in row))
 
 
@@ -548,11 +558,11 @@ def _positive_pair_row(op: BiadditiveOp, a0) -> Optional[dict]:
 def monomial_row_obstruction(op: BiadditiveOp, a0) -> Optional[dict]:
     """Structural refutation: above a0, no element can be localizable.
 
-    Applies on orthant-coordinate carriers with entrywise nonnegative
-    tensors: the damping matrix of any s above a0 dominates the damping
-    matrix of a0 entrywise, so a row with two or more positive entries
-    persists, the map can never be monomial, and the orthant preimage
-    condition must fail.
+    Applies on a closed orthant, integer or rational, with an entrywise
+    nonnegative tensor: s above a0 has every coordinate at least a0's, so
+    the damping matrix of s dominates that of a0 entrywise, a row with two
+    or more positive entries persists, the map can never be monomial, and
+    the orthant preimage condition must fail.
     """
     if not _row_obstruction_applies(op):
         return None
@@ -577,21 +587,19 @@ def is_weakly_localizable(op: BiadditiveOp, budget: int = 8) -> WeakLocalizabili
                        for a in m.elements()}
         return WeakLocalizabilityCertificate(
             "yes", assignments=assignments, budget=budget, reason=FINITE_ORDER_IS_TOTAL)
-    if isinstance(m, LatticeMonoid):
-        # the orthant obstruction is a theorem about lattice carriers; its
-        # hypothesis is decided once, its row test per element
-        queries = list(m.generators)
-        if _row_obstruction_applies(op):
-            for a0 in queries + list(_lattice_candidates(m, 2)):
-                obs = _positive_pair_row(op, a0)
-                if obs is not None:
-                    return WeakLocalizabilityCertificate(
-                        "no", refuted=tuple(a0), budget=budget,
-                        reason="every element above the refuted one has a damping "
-                               "row with two positive entries, so none is localizable",
-                        details={"obstruction": obs})
-    else:
-        queries = m.sample_elements(6)
+    if _row_obstruction_applies(op):
+        # the orthant obstruction holds on any closed orthant, integer or
+        # rational; its hypothesis is decided once, its row test per ray
+        # and per sum of two rays (every such sum is a member)
+        for a0 in list(m.rays) + list(_lattice_candidates(m, 2)):
+            obs = _positive_pair_row(op, a0)
+            if obs is not None:
+                return WeakLocalizabilityCertificate(
+                    "no", refuted=tuple(a0), budget=budget,
+                    reason="every element above the refuted one has a damping "
+                           "row with two positive entries, so none is localizable",
+                    details={"obstruction": obs})
+    queries = list(m.generators) if isinstance(m, LatticeMonoid) else m.sample_elements(6)
     # built only when no obstruction refuted the operation first, and only
     # as far as the search for a dominator reads; each query searches from
     # the first candidate
@@ -606,7 +614,7 @@ def is_weakly_localizable(op: BiadditiveOp, budget: int = 8) -> WeakLocalizabili
         if found is None:
             return WeakLocalizabilityCertificate(
                 "unknown", assignments=assignments, budget=budget,
-                reason=f"no localizable dominator found for {tuple(a)} "
+                reason=f"no localizable dominator found for {_tuple_text(a)} "
                        f"within {m.budget_text} {budget}")
         assignments[tuple(a)] = found
     return WeakLocalizabilityCertificate(
@@ -616,20 +624,12 @@ def is_weakly_localizable(op: BiadditiveOp, budget: int = 8) -> WeakLocalizabili
 
 def _is_diagonal_tensor(op: BiadditiveOp) -> Optional[list]:
     """Per-coordinate weights if the tensor is diagonal and nonnegative."""
-    m = op.carrier
-    d = m.dim
-    weights = [0] * d
-    for i in range(d):
-        for j in range(d):
-            for k in range(d):
-                v = op.tensor[i][j][k]
-                if i == j == k:
-                    if v < 0:
-                        return None
-                    weights[i] = v
-                elif v != 0:
-                    return None
-    return weights
+    t = op.tensor
+    d = len(t)
+    if any(t[i][j][k] < 0 if i == j == k else t[i][j][k]
+           for i, j, k in product(range(d), repeat=3)):
+        return None
+    return [t[i][i][i] for i in range(d)]
 
 
 def is_strongly_localizable(op: BiadditiveOp, budget: int = 3) -> dict:
@@ -638,7 +638,7 @@ def is_strongly_localizable(op: BiadditiveOp, budget: int = 3) -> dict:
     if isinstance(m, FiniteMonoid):
         # every element of a finite carrier is localizable
         return {"verdict": "yes", "confirmed": "theorem", "reason": FINITE_ORDER_IS_TOTAL}
-    if isinstance(m, LatticeMonoid) and _is_orthant_coordinates(m):
+    if _is_closed_orthant(m):
         weights = _is_diagonal_tensor(op)
         if weights is not None:
             return {"verdict": "yes", "confirmed": "structural",

@@ -224,9 +224,11 @@ class VectorCarrier:
     ``basis_key`` the report key of its basis, ``difference_group``
     what an element outside it is outside of, ``nonmember_text`` why an
     element is refused, ``origin_only_text`` why a carrier whose rays are
-    all zero is, and ``budget_text`` what a candidate budget counts.
+    all zero is, ``budget_text`` what a candidate budget counts, and
+    ``scalar`` what a coordinate is ("integer" or "rational").
     """
 
+    scalar: str
     groth_kind: str
     basis_key: str
     difference_group: str
@@ -358,6 +360,7 @@ class VectorCarrier:
 class LatticeMonoid(VectorCarrier):
     """All sums (with repetition) of finitely many generators in ``Z^d``."""
 
+    scalar = "integer"
     groth_kind = "lattice"
     basis_key = "lattice_basis"
     difference_group = "difference lattice"
@@ -471,6 +474,7 @@ class OpenConeMonoid(VectorCarrier):
     nothing.  A generator-sum spot check is still run at construction.
     """
 
+    scalar = "rational"
     groth_kind = "cone"
     basis_key = "span_basis"
     difference_group = "difference span"

@@ -334,10 +334,12 @@ def test_criterion_07_fring_suite():
         assert cert["verdict"] == "yes", f"{label}: not certified as f-ring"
         result = fring_strong_localizability(cand)
         assert result["status"] == "confirmed", f"{label}: {result['status']}"
+        assert result["strong"]["confirmed"] == "structural", \
+            f"{label}: strong localizability {result['strong']['confirmed']}, not structural"
         assert result["exact_commutativity"] is True, \
-            f"{label}: commutativity not exact on the box"
+            f"{label}: commutativity not exact on the theorem's pool"
         assert result["exact_associativity"] is True, \
-            f"{label}: associativity not exact on the box"
+            f"{label}: associativity not exact on the theorem's pool"
         assert result["ok"] is True
         confirmed += 1
     almost = almost_fring_counterexample()
@@ -352,7 +354,7 @@ def test_criterion_07_fring_suite():
     assert left != right, "witness triple is associative after all"
     assert tuple(left) == tuple(Fraction(v) for v in wit["left"])
     assert tuple(right) == tuple(Fraction(v) for v in wit["right"])
-    return (f"{confirmed} f-ring candidates confirmed on side-3 boxes; "
+    return (f"{confirmed} f-ring candidates confirmed structurally and exact; "
             f"almost-f-ring witness {list(a)},{list(b)},{list(c)} "
             f"re-validated with commutativity and annihilation intact")
 

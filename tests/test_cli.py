@@ -249,7 +249,7 @@ def test_verify_fring_refuses_on_almost_fring():
 def _direct_fring_document(name):
     """The ``verify --fring`` report, built from direct library calls."""
     inst = load_instance(instance_path(name))
-    fr = is_extended_f_ring(inst.candidate)
+    fr = is_extended_f_ring(inst.op)
     doc = {"command": "verify", "instance": inst.describe(), "goal": "fring",
            "hypotheses": [{"name": "extended-f-ring",
                            "status": "checked" if fr["verdict"] == "yes"
@@ -259,7 +259,7 @@ def _direct_fring_document(name):
         doc["status"] = "refused"
         doc["reason"] = "the candidate is not an extended f-ring"
         return doc, EXIT_REFUSED
-    doc["result"] = fring_strong_localizability(inst.candidate)
+    doc["result"] = fring_strong_localizability(inst.op)
     doc["status"] = "pass"
     return doc, EXIT_PASS
 
@@ -307,7 +307,7 @@ def test_verify_fring_decides_once_and_the_verdict_makes_no_products(
     code, _, _ = run_cli("verify", path, "--fring")
     assert code == EXIT_PASS
     assert calls["verdicts"] == 1
-    op = load_instance(path).candidate
+    op = load_instance(path).op
     calls["mu"] = 0
     assert latticeorder.is_extended_f_ring(op)["verdict"] == "yes"
     assert calls["mu"] == 0
@@ -318,6 +318,30 @@ def test_reproduce_almost_fring_memoizes_products(monkeypatch):
     code, _, _ = run_cli("reproduce", "almost-fring")
     assert code == EXIT_PASS
     assert calls["mu"] <= 1000
+
+
+def test_rational_fring_is_strongly_localizable_by_structure(tmp_path):
+    # the closed orthant of Q^2 with a diagonal tensor takes the structural
+    # path, as N^2 does, not a sampled one
+    path = tmp_path / "fring-rational-2.mon"
+    path.write_text("kind: lattice-group\ndim: 2\nscalar: rational\n"
+                    "[tensor]\n0 0 2 0\n1 1 0 3\n")
+    code, doc, _ = run_json("verify", str(path), "--fring")
+    assert (code, doc["status"]) == (EXIT_PASS, "pass")
+    assert doc["result"]["strong"]["confirmed"] == "structural"
+    assert doc["result"]["strong"]["weights"] == [2, 3]
+    code, doc, _ = run_json("localizable", str(path), "--strong")
+    assert (code, doc["result"]["confirmed"]) == (EXIT_PASS, "structural")
+
+
+def test_weak_unknown_reason_prints_rationals_as_p_over_q(tmp_path):
+    path = tmp_path / "cone.mon"
+    path.write_text("kind: open-cone\ndim: 2\n[rays]\n1 0\n1 2\n"
+                    "[tensor]\n0 0 0 0\n1 0 1 0\n")
+    code, doc, _ = run_json("localizable", str(path), "--weak")
+    assert code == EXIT_BUDGET
+    assert doc["certificate"]["reason"] == (
+        "no localizable dominator found for (2, 0) within budget 8")
 
 
 def test_verify_fring_needs_a_lattice_group_instance():
@@ -481,9 +505,23 @@ def test_grothendieck_dump_on_lattice_instance():
 
 
 def test_grothendieck_refuses_instances_without_a_canonical_order():
-    code, _, err = run_cli("grothendieck", instance_path("almost-fring.mon"))
+    code, _, err = run_cli("grothendieck", instance_path("rational-function.mon"))
     assert code == EXIT_INPUT
     assert "no canonical quasi-order" in err
+
+
+@pytest.mark.parametrize("name", ["almost-fring.mon", "fring-weighted-2.mon",
+                                  "fring-elementwise-3.mon"])
+@pytest.mark.parametrize("command", [["grothendieck"], ["order", "1,1", "1,1"],
+                                     ["extremals", "--elements", "1,1"]])
+def test_carrier_commands_refuse_a_lattice_group_by_its_kind(name, command):
+    # the file fixes its carrier to an orthant and gives an operation on
+    # it, so questions about a carrier belong to a lattice or open-cone file
+    code, out, err = run_cli(command[0], instance_path(name), *command[1:])
+    assert (code, out) == (EXIT_INPUT, "")
+    assert (f"{instance_path(name)}: kind 'lattice-group' gives an operation on "
+            "a fixed orthant; carrier questions go to a lattice or open-cone "
+            "instance") in err
 
 
 # --------------------------------------------------------------------------

@@ -6,7 +6,7 @@ exit code, stdout and stderr (minus the ``[timing]`` lines) with the
 recording in ``tests/data/cli_snapshots.json``.  The recording pins the
 reports that the reproduce goldens do not cover: ``grothendieck``,
 ``extremals``, ``localizable``, ``verify`` and ``order`` on finite,
-lattice and open-cone instances.
+lattice, open-cone and lattice-group instances.
 
 To record the file anew from the current code (only when an output change
 is intended)::
@@ -79,6 +79,8 @@ CASES = (
         ["localizable", _inst("half-open-half-plane.mon"), "1,1"],
         ["localizable", _inst("slanted-cone.mon"), "--weak"],
         ["localizable", _inst("fring-weighted-2.mon"), "--weak"],
+        ["localizable", _inst("fring-weighted-2.mon"), "1,1"],
+        ["localizable", _inst("almost-fring.mon"), "--weak"],
         ["verify", _inst("free-monoid-3.mon"), "--main"],
         ["verify", _inst("free-monoid-2.mon"), "--main"],
         ["verify", _inst("cyclic-3.mon"), "--main"],

@@ -76,12 +76,35 @@ def test_open_cone_instance_round_trip():
 def test_lattice_group_instance_round_trip():
     inst = load_instance(instance_path("almost-fring.mon"))
     assert inst.kind == "lattice-group"
-    assert isinstance(inst.candidate, BiadditiveOp) and inst.op is None
+    assert isinstance(inst.require_op(), BiadditiveOp)
     # the operation sits on the closed positive orthant of Q^3
-    assert isinstance(inst.candidate.carrier, OpenConeMonoid)
-    assert inst.candidate.carrier.open_normals == ()
-    assert inst.candidate.carrier.contains((Fraction(1, 2), 0, 1))
+    assert isinstance(inst.op.carrier, OpenConeMonoid)
+    assert inst.op.carrier.open_normals == ()
+    assert inst.op.carrier.contains((Fraction(1, 2), 0, 1))
     assert inst.describe()["scalar"] == "rational"
+    # elements are parsed by the carrier: rationals on Q^3
+    assert parse_element(inst, "1/2, 0, 1") == (Fraction(1, 2), 0, 1)
+    assert check_membership(inst, (Fraction(1, 2), 0, 1)) is None
+    with pytest.raises(InputError, match=r"element \[-1/2, 0, 1\] is not in the monoid"):
+        check_membership(inst, (Fraction(-1, 2), 0, 1))
+
+
+def test_lattice_group_elements_are_parsed_by_the_carrier():
+    integer = load_instance(instance_path("fring-weighted-2.mon"))
+    assert parse_element(integer, "(1, 2)") == (1, 2)
+    with pytest.raises(InputError) as exc:
+        parse_element(integer, "1/2,1")
+    assert str(exc.value) == "element '1/2,1': expected an integer, got '1/2'"
+    with pytest.raises(InputError) as exc:
+        parse_element(integer, "1,2,3")
+    assert str(exc.value) == "element '1,2,3' has 3 coordinates, expected 2"
+    with pytest.raises(InputError, match="not in the monoid"):
+        check_membership(integer, (-1, 0))
+    rational = load_instance(instance_path("almost-fring.mon"))
+    with pytest.raises(InputError) as exc:
+        parse_element(rational, "x,0,0")
+    assert str(exc.value) == ("element 'x,0,0': expected an integer or "
+                              "rational p/q, got 'x'")
 
 
 @pytest.mark.parametrize("scalar", [None, "integer", "rational"])
@@ -93,18 +116,18 @@ def test_lattice_group_loads_as_an_operation_on_the_orthant(dim, scalar):
                    for i in range(dim))
     inst = parse_instance_text(f"kind: lattice-group\ndim: {dim}\n{header}"
                                f"[tensor]\n{rows}", source="<test>")
-    assert inst.op is None and inst.monoid is inst.candidate.carrier
+    assert inst.monoid is inst.op.carrier
     assert inst.describe() == {"kind": "lattice-group", "source": "<test>",
                                "dim": dim, "scalar": scalar or "integer",
-                               "has_operation": False}
-    carrier = inst.candidate.carrier
+                               "has_operation": True}
+    carrier = inst.op.carrier
     assert isinstance(carrier, OpenConeMonoid if scalar == "rational"
                       else LatticeMonoid)
     unit = [tuple(int(k == i) for k in range(dim)) for i in range(dim)]
     assert sorted(carrier.rays) == sorted(unit)
     assert not carrier.contains(tuple(-u for u in unit[0]))
-    assert inst.candidate.validate() == []
-    assert inst.candidate.mu((1,) * dim, (1,) * dim) == tuple(range(2, dim + 2))
+    assert inst.op.validate() == []
+    assert inst.op.mu((1,) * dim, (1,) * dim) == tuple(range(2, dim + 2))
 
 
 @pytest.mark.parametrize("scalar", ["integer", "rational"])

@@ -25,7 +25,7 @@ from monoidorder.monoids import (BiadditiveOp, FiniteMonoid, LatticeMonoid,
                                  OpenConeMonoid, VectorCarrier, approx,
                                  cyclic_group_monoid,
                                  diagonal_tensor, enumerate_biadditive_ops,
-                                 free_monoid, half_open_half_plane, leq,
+                                 free_monoid, half_open_half_plane, leq, orthant,
                                  saturating_product_op, truncated_free_monoid)
 
 from conftest import opposite_op, seeded, weakly_localizable_ops
@@ -756,6 +756,45 @@ def test_a_cramer_refutation_with_no_escaping_ray_is_an_internal_error(monkeypat
     assert v.verdict == "no"
     with pytest.raises(InternalCheckError, match="Cramer"):
         v.as_dict()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda d: st.tuples(
+           st.just(d),
+           st.lists(st.sampled_from([0, 0, 0, 1, 2]), min_size=d ** 3, max_size=d ** 3))))
+def test_integer_and_rational_orthants_refute_weak_localizability_together(case):
+    # the row obstruction reads the rays of the closed orthant, not the
+    # carrier's class, so both lattice-group forms of one tensor share it
+    d, flat = case
+    tensor = _flat_tensor(flat, d)
+    refuted = {scalar: is_weakly_localizable(BiadditiveOp(orthant(d, scalar), tensor=tensor),
+                                             budget=2).verdict == "no"
+               for scalar in ("integer", "rational")}
+    assert refuted["integer"] == refuted["rational"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["integer", "rational"]).flatmap(lambda scalar: st.integers(1, 3).flatmap(
+    lambda d: st.tuples(
+        st.just(scalar),
+        st.lists(st.integers(0, 3), min_size=d, max_size=d),
+        st.lists(st.integers(0, 4) if scalar == "integer" else
+                 st.fractions(0, 4, max_denominator=3), min_size=d, max_size=d)))))
+def test_structural_strong_yes_agrees_with_every_element(case):
+    # a diagonal nonnegative tensor on either closed orthant is strongly
+    # localizable by structure; the decision on each element agrees
+    scalar, weights, s = case
+    op = BiadditiveOp(orthant(len(weights), scalar), tensor=diagonal_tensor(len(weights), weights))
+    strong = is_strongly_localizable(op)
+    assert (strong["verdict"], strong["confirmed"], strong["weights"]) == \
+        ("yes", "structural", weights)
+    assert is_localizable(op, tuple(s)).verdict == "yes"
+
+
+def test_weak_reason_prints_tuples_as_python_does_with_rationals_as_p_over_q():
+    assert localizability._tuple_text((1,)) == "(1,)"
+    assert localizability._tuple_text((1, -2)) == repr((1, -2))
+    assert localizability._tuple_text((Fraction(1, 2), Fraction(3))) == "(1/2, 3)"
 
 
 @given(st.integers(1, 3).flatmap(lambda d: st.tuples(
