@@ -7,9 +7,10 @@ enumeration) reduces to a handful of primitives implemented here:
 * the double description method for converting between generator and
   inequality representations of rational polyhedral cones,
 * exact LP feasibility (phase-one simplex with Bland's rule),
-* Smith and Hermite normal forms of integer matrices; rank, solutions and
-  kernels over the rationals are read off the Hermite form, whose only
-  rational step is back-substitution on its pivots,
+* the Hermite normal form of integer matrices; rank, solutions and kernels
+  over the rationals are read off it, whose only rational step is
+  back-substitution on its pivots, and integer solves, kernels and
+  unimodular transforms off the Hermite form of ``[A | I]``,
 * complete search for nonnegative integer combinations (membership in a
   finitely generated monoid), plus the bounded search kept as a reference.
 
@@ -524,7 +525,7 @@ class RationalCone:
 
 
 # ---------------------------------------------------------------------------
-# Hermite and Smith normal forms
+# Hermite normal form, and the lattices, solves and kernels read off it
 
 
 def hermite_normal_form(rows: Sequence[Sequence[int]]) -> list[list[int]]:
@@ -665,14 +666,17 @@ class IntegerLattice:
 
     def __init__(self, dim: int, vectors: Iterable[Sequence[int]]):
         self.dim = dim
-        vecs = []
+        self.rows = []
         for v in vectors:
             v = tuple(map(int, v))
             if len(v) != dim:
                 raise InputError("lattice vector dimension mismatch")
-            vecs.append(v)
-        self.basis = [tuple(row) for row in hermite_normal_form(vecs)]
+            self.rows.append(v)
+        self.basis = self._hermite()
         self.pivots = _pivots(self.basis)
+
+    def _hermite(self) -> list[tuple[int, ...]]:
+        return [tuple(row) for row in hermite_normal_form(self.rows)]
 
     @property
     def rank(self) -> int:
@@ -714,9 +718,72 @@ class IntegerLattice:
         return self.coordinates(x) is not None
 
 
+class IntegerSolver(IntegerLattice):
+    """An :class:`IntegerLattice` of rows that also keeps its transform.
+
+    The Hermite form of ``[rows | I]`` has one row per input row, as the
+    identity block has full rank, and its right block U is unimodular (it
+    is made by row operations) with ``U . rows == [H; 0]``, H the Hermite
+    form of the rows.  So ``basis`` and ``pivots`` are the plain lattice's,
+    the top rows of U write each basis vector in the rows, and the rows of
+    U whose left part is zero, ``relations``, are a basis of the integer
+    relations ``{x : x . rows == 0}``.  The reduction above each pivot
+    bounds the entries of U as it does those of H.  ``|det U| == 1`` is
+    checked here; a failure raises :class:`InternalCheckError`.
+    """
+
+    def _hermite(self) -> list[tuple[int, ...]]:
+        m = len(self.rows)
+        h = hermite_normal_form([row + tuple(int(i == j) for j in range(m))
+                                 for i, row in enumerate(self.rows)])
+        self.transform = [tuple(row[self.dim:]) for row in h]
+        if abs(int_det(self.transform)) != 1:
+            raise InternalCheckError("Hermite transform not unimodular")
+        rank = sum(1 for row in h if any(row[:self.dim]))
+        self.relations = self.transform[rank:]
+        return [tuple(row[:self.dim]) for row in h[:rank]]
+
+    def solve(self, rhs: Sequence[int]) -> Optional[tuple[int, ...]]:
+        """Integer x with ``sum x_i * rows_i == rhs``, or None: rhs's
+        coordinates in the basis times the top rows of U.  x is
+        re-substituted; a failure raises :class:`InternalCheckError`."""
+        y = self.coordinates(rhs)
+        if y is None:
+            return None
+        x, check = [0] * len(self.rows), [0] * self.dim
+        for c, u in zip(y, self.transform):
+            if c:
+                x = [a + c * b for a, b in zip(x, u)]
+        for c, row in zip(x, self.rows):
+            if c:
+                check = [a + c * b for a, b in zip(check, row)]
+        if check != list(rhs):
+            raise InternalCheckError("integer solve certificate failed")
+        return tuple(x)
+
+
+def integer_kernel(matrix: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
+    """Basis of ``{x integer : matrix . x == 0}`` (x a column vector): the
+    integer relations among the matrix's columns, each checked to be
+    annihilated by the matrix."""
+    if not matrix:
+        raise InputError("kernel of an empty matrix needs a dimension")
+    basis = IntegerSolver(len(matrix), zip(*matrix)).relations
+    if any(vdot(row, x) for x in basis for row in matrix):
+        raise InternalCheckError("integer kernel vector not annihilated")
+    return basis
+
+
+def integer_solve(rows: Sequence[Sequence[int]],
+                  rhs: Sequence[int]) -> Optional[tuple[int, ...]]:
+    """Integer coefficients x with ``sum x_i * rows_i == rhs``, or None."""
+    return IntegerSolver(len(rhs), rows).solve(rhs)
+
+
 def smith_normal_form(matrix: Sequence[Sequence[int]]):
     """Smith normal form with transformations: returns (U, D, V, V^-1).
 
+    No program path calls it; only the benchmark's tracer keeps it, by name.
     ``U`` and ``V`` are unimodular, ``U . A . V == D``, and the diagonal of
     D is a nonnegative divisibility chain d1 | d2 | ... .  ``V^-1`` is
     carried along the column operations (each one's inverse is applied to
@@ -845,80 +912,6 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]):
     return u, d, v, vinv
 
 
-def integer_kernel(matrix: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
-    """Basis of ``{x integer : matrix . x == 0}`` (x a column vector)."""
-    m = len(matrix)
-    if m == 0:
-        raise InputError("kernel of an empty matrix needs a dimension")
-    n = len(matrix[0])
-    u, d, v, _ = smith_normal_form(matrix)
-    rank = sum(1 for i in range(min(m, n)) if d[i][i] != 0)
-    basis = []
-    for j in range(rank, n):
-        basis.append(tuple(v[i][j] for i in range(n)))
-    return basis
-
-
-class IntegerSolver:
-    """Integer coefficients x with ``sum x_i * rows_i == rhs``, for many rhs.
-
-    The Smith form ``U . A . V == D`` of the rows is computed once, here.
-    Each right-hand side is then answered by back-substitution: ``rhs . V``
-    must be divisible by D entrywise (and vanish past its rank), the
-    quotient y gives ``x = y . U``, and x is re-substituted; a failure
-    raises :class:`InternalCheckError`.
-    """
-
-    def __init__(self, rows: Sequence[Sequence[int]]):
-        self.rows = [[int(c) for c in r] for r in rows]
-        self._snf = smith_normal_form(self.rows) if self.rows else None
-
-    def solve(self, rhs: Sequence[int]) -> Optional[tuple[int, ...]]:
-        a = self.rows
-        m = len(a)
-        if m == 0:
-            return None if any(rhs) else ()
-        n = len(a[0])
-        if len(rhs) != n:
-            raise InputError("right-hand side dimension mismatch")
-        u, d, v, _ = self._snf
-        rhsv = [sum(int(rhs[i]) * v[i][j] for i in range(n)) for j in range(n)]
-        y = [0] * m
-        for j in range(n):
-            dj = d[j][j] if j < m else 0
-            if dj == 0:
-                if rhsv[j] != 0:
-                    return None
-            else:
-                if rhsv[j] % dj != 0:
-                    return None
-                y[j] = rhsv[j] // dj
-        x = tuple(sum(y[i] * u[i][j] for i in range(m)) for j in range(m))
-        check = tuple(sum(x[i] * a[i][j] for i in range(m)) for j in range(n))
-        if check != tuple(int(t) for t in rhs):
-            raise InternalCheckError("integer solve certificate failed")
-        return x
-
-    def span_coordinates(self) -> list[tuple[int, ...]]:
-        """Each row's integer coordinates in a basis of the rows' span: the
-        first ``rank`` entries of ``row . V``.  As ``A . V == U^-1 . D`` is
-        zero past the rank, ``row == sum(c[i] * V^-1[i])`` over the others,
-        so the map is injective on the span and the rows keep their
-        relations."""
-        if self._snf is None:
-            return []
-        _, d, v, _ = self._snf
-        rank = sum(1 for i in range(min(len(d), len(d[0]))) if d[i][i])
-        cols = list(zip(*v))[:rank]
-        return [tuple([sum(map(mul, row, col)) for col in cols]) for row in self.rows]
-
-
-def integer_solve(rows: Sequence[Sequence[int]],
-                  rhs: Sequence[int]) -> Optional[tuple[int, ...]]:
-    """Integer coefficients x with ``sum x_i * rows_i == rhs``, or None."""
-    return IntegerSolver(rows).solve(rhs)
-
-
 # ---------------------------------------------------------------------------
 # nonnegative integer combinations
 
@@ -961,12 +954,12 @@ class CombinationSearch:
     first certificate as the uncut search.  ``nodes`` counts depth-first
     calls over all ``find`` calls.
 
-    One :class:`IntegerSolver` over the units is built here, so one Smith
-    form of the units serves every search on this object: a leaf asks it
-    whether the residue lies in ``Z*units`` and keeps the integer unit
+    One :class:`IntegerSolver` over the units is built here, so one Hermite
+    form of ``[units | I]`` serves every search on this object: a leaf asks
+    it whether the residue lies in ``Z*units`` and keeps the integer unit
     coefficients it returns, the certificate uses those coefficients, and
     :meth:`unit_relation`, which shifts negative ones, reads the units'
-    span coordinates off the same form.  No rational simplex is run.
+    span coordinates at the same form's pivots.  No rational simplex is run.
     """
 
     def __init__(self, generators: Sequence[Sequence[int]], normals: Sequence[Sequence[int]]):
@@ -991,7 +984,7 @@ class CombinationSearch:
                 self.units.append(i)
         self.weight = tuple(map(sum, zip(*normals))) if normals else (0,) * self.dim
         self._unit_vectors = [self.generators[i] for i in self.units]
-        self._unit_solver = IntegerSolver(self._unit_vectors)
+        self._unit_solver = IntegerSolver(self.dim, self._unit_vectors)
         free = [j for j in range(self.dim) if not any(u[j] for u in self._unit_vectors)]
         # bounds[i]: (j, lo_n, lo_w, hi_n, hi_w) per free coordinate j, the
         # least and greatest ratio p[j] / w(p) over the positive generators
@@ -1042,7 +1035,7 @@ class CombinationSearch:
         """Strictly positive integers r with ``sum(r[i] * units[i]) == 0``.
 
         A sum of positive circuits of the units' distinct directions, each
-        read off their coordinates in the units' Smith form, taken until
+        read off their entries at the units' Hermite pivots, taken until
         every direction lies in one, then spread over the units of each
         direction; a relation that is not strictly positive or fails
         re-substitution raises :class:`InternalCheckError`.
@@ -1059,18 +1052,21 @@ class CombinationSearch:
             # direction per class of positively parallel nonzero units.
             # With rho the units' rank, every circuit is the one relation, up
             # to scale, among some rho + 1 directions of rank rho: by
-            # Cramer's rule, the signed rho-minors of their span coordinates.
-            # A circuit is added when it covers a direction no earlier one
-            # does, so a set of covered directions is not tried.
-            coords = self._unit_solver.span_coordinates()
-            rho = len(coords[0]) if coords else 0
+            # Cramer's rule, the signed rho-minors of their span coordinates:
+            # their entries at the units' rho Hermite pivots, a linear map
+            # that is one-to-one on the span (back-substitution on the
+            # pivots recovers a vector of it).  A circuit is added when it
+            # covers a direction no earlier one does, so a set of covered
+            # directions is not tried.
+            pivots = self._unit_solver.pivots
+            rho = len(pivots)
             classes: dict[tuple[int, ...], list[int]] = {}
             for i, u in enumerate(units):
                 if any(u):
                     classes.setdefault(primitive(u), []).append(i)
             members = list(classes.values())
             scale = [gcd(*u) for u in units]  # u == scale * primitive(u)
-            dirs = [tuple([c // scale[ix[0]] for c in coords[ix[0]]]) for ix in members]
+            dirs = [tuple(map(d.__getitem__, pivots)) for d in classes]
             cover = [0] * len(dirs)
             for support in combinations(range(len(dirs)), rho + 1):
                 if all(cover):

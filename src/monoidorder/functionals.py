@@ -666,13 +666,14 @@ def verify_theorem_main(op: BiadditiveOp,
 def weak_implies_strong_audit(op: BiadditiveOp, budget: int = 8) -> dict:
     """On ordered lattice carriers, a weak certificate must upgrade to strong.
 
-    The hypothesis (an archimedean directed instance) is checked as: lattice
-    carrier whose closed positivity cone is pointed.  A weak refutation makes
-    the audit vacuous; a weak certificate alongside a strong refutation is a
-    reported discrepancy.
+    The hypothesis (an archimedean directed instance) is read from the
+    carrier: a vector carrier with no excluded face (a lattice, or a closed
+    cone such as the orthant of ``Q^d``) whose closed positivity cone is
+    pointed.  A weak refutation makes the audit vacuous; a weak certificate
+    alongside a strong refutation is a reported discrepancy.
     """
     m = op.carrier
-    if not isinstance(m, LatticeMonoid):
+    if isinstance(m, FiniteMonoid) or m.open_normals:
         return {"status": "skipped", "ok": True,
                 "reason": "hypothesis needs a lattice carrier"}
     if not m.cone.is_pointed():

@@ -26,14 +26,17 @@ the order kernel is K, and both reductions are the one-element group.
 
 from __future__ import annotations
 
+from operator import mul
+
 from .exactmath import (
     InputError,
     IntegerLattice,
+    IntegerSolver,
     InternalCheckError,
     RationalCone,
+    int_adjugate,
     is_zero_vector,
     primitive,
-    smith_normal_form,
     vadd,
     vdot,
     vscale,
@@ -118,10 +121,13 @@ class ReducedVector:
     1 when strict faces exist (they keep every nonzero direction of the
     lineality space out of the positive part).  The kernel is a direct
     summand (a saturated sublattice of a lattice, a subspace of a span), so
-    a unimodular change of basis ``V`` (from the Smith form of the kernel
-    coordinates) puts it on the leading coordinates; a class is the
-    remaining coordinates, and reconstructs through the rows of ``V^-1``.
-    The positive part is the level's closure of the carrier.
+    a unimodular change of basis ``V`` puts it on the leading coordinates:
+    with K the k kernel coordinate rows, the transform U of the Hermite
+    form of ``[K^T | I]`` has ``U . K^T == [H; 0]``, so ``V = U^T`` gives
+    ``K . V == [H^T | 0]``.  A class is the remaining coordinates, the
+    relation rows of U times the coordinates, and reconstructs through the
+    rows of ``V^-1``, the columns of ``U^-1 == det(U) adj(U)``.  The
+    positive part is the level's closure of the carrier.
     """
 
     def __init__(self, monoid: VectorCarrier, level: int):
@@ -139,17 +145,13 @@ class ReducedVector:
         self.kernel_vectors = tuple(
             tuple(sum(c[i] * basis[i][j] for i in range(r)) for j in range(monoid.dim))
             for c in kernel_coords)
-        if kernel_coords:
-            _, _, v, vinv = smith_normal_form([list(c) for c in kernel_coords])
-        else:
-            v = vinv = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
-        self._v = v
-        self._basis = basis
-        self._r = r
+        solver = IntegerSolver(k, ([c[i] for c in kernel_coords] for i in range(r)))
+        self._relations = solver.relations
+        det, adj = int_adjugate(solver.transform)
         self.rank = r - k
         # class w reconstructs through c = (0,...,0,w) V^{-1}; x = c B
         self._recon_rows = [
-            tuple(sum(vinv[k + t][i] * basis[i][j] for i in range(r))
+            tuple(sum(det * adj[i][k + t] * basis[i][j] for i in range(r))
                   for j in range(monoid.dim))
             for t in range(self.rank)]
 
@@ -157,8 +159,7 @@ class ReducedVector:
         c = self.monoid.coordinates(x)
         if c is None:
             raise InputError(f"{tuple(x)!r} is not in the {self.monoid.difference_group}")
-        w = tuple(sum(c[i] * self._v[i][j] for i in range(self._r)) for j in range(self._r))
-        return w[self.kernel_rank:]
+        return tuple(sum(map(mul, rel, c)) for rel in self._relations)
 
     def reconstruct(self, w) -> tuple:
         out = tuple(0 for _ in range(self.monoid.dim))

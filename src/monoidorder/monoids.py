@@ -440,10 +440,10 @@ class LatticeMonoid(VectorCarrier):
         depth-first search under that exact weight equality is finite, and
         at each leaf the residue must lie in the unit lattice.  A True answer
         carries a certificate of nonnegative integer coefficients that is
-        re-substituted.  Deciding and certifying run in integers: one Smith
-        form of the units answers the leaf checks and gives the unit
-        coefficients, and a strictly positive integer relation read off its
-        kernel shifts negative ones; no rational simplex is run.  Answers
+        re-substituted.  Deciding and certifying run in integers: one
+        Hermite form of ``[units | I]`` answers the leaf checks and gives the
+        unit coefficients, and a strictly positive integer relation among
+        the units shifts negative ones; no rational simplex is run.  Answers
         are memoized per monoid.  The memo also holds, as True, every
         vector that :meth:`ray_sums` has built: each is ``x + g`` for a sum
         x of generators and a generator g, a member by the definition of

@@ -1,8 +1,10 @@
 """Shared fixtures: deterministic hypothesis profile and the instance corpus."""
 
+import importlib
 import itertools
 import math
 import os
+import pkgutil
 import random
 from fractions import Fraction
 
@@ -462,22 +464,23 @@ def oracle_unit_relation(units):
 
 
 def _o_integer_solve(rows, rhs):
-    """Integer x with ``sum(x[i] * rows[i]) == rhs`` read off the Smith form
-    of the rows, or None."""
-    u, d, v, _ = oracle_smith_normal_form(rows)
+    """Integer x with ``sum(x[i] * rows[i]) == rhs``, or None: rhs's integer
+    coordinates on the rows of the Hermite form of ``[rows | I]`` whose
+    pivot lies in the rows' block, times those rows' identity part."""
     m, n = len(rows), len(rhs)
-    rhsv = [sum(rhs[i] * v[i][j] for i in range(n)) for j in range(n)]
-    y = [0] * m
-    for j in range(n):
-        dj = d[j][j] if j < m else 0
-        if dj == 0:
-            if rhsv[j] != 0:
-                return None
-        elif rhsv[j] % dj != 0:
+    h = oracle_hermite_normal_form([list(r) + [int(i == j) for j in range(m)]
+                                    for i, r in enumerate(rows)])
+    residue, x = list(rhs), [0] * m
+    for row in h:
+        piv = next(j for j, c in enumerate(row) if c)
+        if piv >= n:
+            break
+        if residue[piv] % row[piv]:
             return None
-        else:
-            y[j] = rhsv[j] // dj
-    return tuple(sum(y[i] * u[i][j] for i in range(m)) for j in range(m))
+        q = residue[piv] // row[piv]
+        residue = [a - q * b for a, b in zip(residue, row)]
+        x = [a + q * b for a, b in zip(x, row[n:])]
+    return None if any(residue) else tuple(x)
 
 
 def oracle_certificate(generators, normals, target):
@@ -485,8 +488,9 @@ def oracle_certificate(generators, normals, target):
     returns, or None: a depth-first search over the positive generators'
     coefficients, each from ``rest // w`` down to 0, that rejects a node
     breaking the ``Fraction`` ratio bounds on the coordinates no unit
-    touches; the unit part is the Smith-form solution, shifted by the unit
-    relation when it has a negative entry."""
+    touches; the unit part is the solution read off the Hermite form of
+    ``[units | I]``, shifted by the unit relation when it has a negative
+    entry."""
     gens = [tuple(g) for g in generators]
     weight = tuple(sum(n[j] for n in normals) for j in range(len(target)))
     positive = [i for i, g in enumerate(gens) if any(_o_vdot(n, g) for n in normals)]
@@ -629,3 +633,25 @@ def half_plane_op() -> BiadditiveOp:
 @pytest.fixture(scope="session")
 def matrix_op() -> BiadditiveOp:
     return matrix_product_op()
+
+
+@pytest.fixture
+def no_smith_form(monkeypatch):
+    """Make the Smith form unreachable for one test: every name in the
+    package bound to ``exactmath.smith_normal_form`` raises when called.
+    Only the benchmark's tracer keeps that function, so no program path
+    may reach it."""
+    import monoidorder
+    from monoidorder import exactmath
+
+    smith = exactmath.smith_normal_form
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a program path reached the Smith form")
+
+    for info in pkgutil.iter_modules(monoidorder.__path__):
+        if info.name != "__main__":
+            module = importlib.import_module(f"monoidorder.{info.name}")
+            for name, value in list(vars(module).items()):
+                if value is smith:
+                    monkeypatch.setattr(module, name, unreachable)

@@ -17,6 +17,8 @@ import sys
 import time
 from fractions import Fraction
 
+import pytest
+
 from monoidorder.cli import default_golden_path, reproduce_document
 from monoidorder.exactmath import vdot
 from monoidorder.formallyreal import (RationalFunction, RationalPolynomial,
@@ -46,6 +48,9 @@ from monoidorder.reports import render_report
 
 from conftest import (cone_corpus, finite_corpus, lattice_corpus, rational_rank,
                       seeded, weakly_localizable_ops)
+
+# every criterion runs with the Smith form made unreachable
+pytestmark = pytest.mark.usefixtures("no_smith_form")
 
 
 def criterion(num: int, label: str):

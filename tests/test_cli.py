@@ -332,6 +332,12 @@ def test_rational_fring_is_strongly_localizable_by_structure(tmp_path):
     assert doc["result"]["strong"]["weights"] == [2, 3]
     code, doc, _ = run_json("localizable", str(path), "--strong")
     assert (code, doc["result"]["confirmed"]) == (EXIT_PASS, "structural")
+    # the orthant is pointed with no excluded face, so the weak-strong
+    # audit's hypothesis holds, as on the integer form of the f-ring
+    code, doc, _ = run_json("verify", str(path), "--weak-strong")
+    assert (code, doc["status"]) == (EXIT_PASS, "confirmed")
+    assert doc["result"]["weak"]["verdict"] == "yes"
+    assert doc["result"]["strong"]["confirmed"] == "structural"
 
 
 def test_weak_unknown_reason_prints_rationals_as_p_over_q(tmp_path):
@@ -502,6 +508,22 @@ def test_grothendieck_dump_on_lattice_instance():
     assert doc["grothendieck_group"]["kind"] == "lattice"
     assert doc["grothendieck_group"]["lattice_basis"] == [[1, 0], [0, 2]]
     assert doc["level1_to_level2_map"]
+
+
+def test_grothendieck_of_a_wide_lattice_ends_in_under_two_seconds(tmp_path):
+    # the 10 x 6 lattice on which Smith pivoting grows its entries past
+    # 20,000 bits, as nothing reduces the entries off the pivot
+    path = tmp_path / "snf6.mon"
+    path.write_text("kind: lattice\ndim: 6\n\n[generators]\n-2 3 -2 4 4 3\n"
+                    "3 -3 -1 3 4 4\n0 4 -2 4 4 4\n0 0 2 -1 0 -2\n4 4 0 3 -1 2\n"
+                    "4 -3 4 -4 2 -4\n4 -4 4 2 4 -3\n3 -3 -2 -3 4 3\n2 2 0 -1 3 3\n"
+                    "-2 1 2 3 4 1\n")
+    start = time.perf_counter()
+    code, doc, err = run_json("grothendieck", str(path))
+    assert time.perf_counter() - start < 2.0
+    assert code == EXIT_PASS, err
+    for level in ("reduction_level1", "reduction_level2"):
+        assert (doc[level]["free_rank"], doc[level]["kernel_rank"]) == (6, 0)
 
 
 def test_grothendieck_refuses_instances_without_a_canonical_order():

@@ -30,6 +30,9 @@ from monoidorder import cli
 ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir))
 SNAPSHOTS = os.path.join(ROOT, "tests", "data", "cli_snapshots.json")
 
+# every recorded case runs with the Smith form made unreachable
+pytestmark = pytest.mark.usefixtures("no_smith_form")
+
 
 def _inst(name):
     return f"instances/{name}"

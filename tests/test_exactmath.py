@@ -358,18 +358,18 @@ def test_combination_search_splits_units_from_positive_generators():
     assert line.find((-5, 3)) is not None and line.find((0, 1)) is None
 
 
-def test_one_smith_form_per_combination_search(monkeypatch):
+def test_one_hermite_transform_per_combination_search(monkeypatch):
     # counted where the search looks the function up, from construction on:
     # the leaf checks, the unit coefficients of every certificate and the
-    # unit relation all read the one Smith form of the units
+    # unit relation all read the one Hermite form of [units | I]
     calls = []
-    snf = exactmath.smith_normal_form
+    hnf = exactmath.hermite_normal_form
 
     def counted(matrix):
         calls.append(matrix)
-        return snf(matrix)
+        return hnf(matrix)
 
-    monkeypatch.setattr(exactmath, "smith_normal_form", counted)
+    monkeypatch.setattr(exactmath, "hermite_normal_form", counted)
     for gens, members, others, with_units in (
             ([(1, 0), (-1, 0), (0, 1), (2, 3)],
              [(x, y) for x in range(-2, 3) for y in range(4)], [(0, -1)], 15),
@@ -467,12 +467,12 @@ def test_integer_solver_answers_like_integer_solve():
     for _ in range(20):
         n, m = rng.randint(1, 3), rng.randint(1, 3)
         a = _random_matrix(rng, n, m, bound=4)
-        solver = exactmath.IntegerSolver(a)
+        solver = exactmath.IntegerSolver(m, a)
         for _ in range(5):
             rhs = [rng.randint(-6, 6) for _ in range(m)]
             assert solver.solve(rhs) == integer_solve(a, rhs)
-    assert exactmath.IntegerSolver([]).solve((0, 0)) == ()
-    assert exactmath.IntegerSolver([]).solve((1, 0)) is None
+    assert exactmath.IntegerSolver(2, []).solve((0, 0)) == ()
+    assert exactmath.IntegerSolver(2, []).solve((1, 0)) is None
 
 
 def test_a_certificate_that_fails_re_substitution_is_an_internal_error(monkeypatch):
@@ -788,3 +788,98 @@ def test_integer_kernels_return_exactly_what_the_references_return(case):
     for target in (member, point):
         assert search.find(target) == oracle_certificate(vectors, cone.h_rep, target)
     assert search.find(member) is not None
+
+
+def _smith_kernel(matrix):
+    """The reference's basis of ``{x : matrix . x == 0}``: the columns of
+    its V past the rank of D."""
+    _, d, v, _ = oracle_smith_normal_form(matrix)
+    rank = sum(1 for i in range(min(len(d), len(d[0]))) if d[i][i])
+    return [tuple(row[j] for row in v) for j in range(rank, len(v))]
+
+
+def _smith_solvable(rows, rhs):
+    """Whether the reference solves ``x . rows == rhs`` in integers: rhs . V
+    is divisible by D's diagonal and vanishes past it."""
+    _, d, v, _ = oracle_smith_normal_form(rows)
+    rhsv = [sum(x * v[i][j] for i, x in enumerate(rhs)) for j in range(len(rhs))]
+    return all(y % d[j][j] == 0 if j < len(d) and d[j][j] else y == 0
+               for j, y in enumerate(rhsv))
+
+
+def _completion(k_rows):
+    """The L of ``K . V == [L | 0]`` for the basis change ``V = U^T`` that
+    the reductions take from the transform of ``K^T``, after checking that
+    V is unimodular and that K . V vanishes past its first k columns."""
+    k = len(k_rows)
+    v = [list(col) for col in zip(*exactmath.IntegerSolver(k, zip(*k_rows)).transform)]
+    assert abs(int_det(v)) == 1
+    kv = [[vdot(row, col) for col in zip(*v)] for row in k_rows]
+    assert not any(any(row[k:]) for row in kv)
+    return [row[:k] for row in kv]
+
+
+@settings(max_examples=200)
+@given(kernel_cases)
+def test_hermite_transform_agrees_with_the_smith_reference(case):
+    # kernels, solves and completions read off the Hermite form of [A | I]
+    # agree with the Smith form's up to a unimodular change of basis
+    vectors, member, point = case
+    d = len(point)
+    right = integer_kernel(vectors)
+    assert oracle_hermite_normal_form(right) == oracle_hermite_normal_form(_smith_kernel(vectors))
+    solver = exactmath.IntegerSolver(d, vectors)
+    columns = [list(c) for c in zip(*vectors)]
+    assert oracle_hermite_normal_form(solver.relations) == \
+        oracle_hermite_normal_form(_smith_kernel(columns))
+    for target in (member, point):
+        assert (solver.solve(target) is not None) == _smith_solvable(vectors, target)
+    # |det L| is the index of the rows' lattice in its saturation: the
+    # product of the reference's invariant factors
+    k_rows = hermite_normal_form(vectors)
+    if k_rows:
+        _, dk, _, _ = oracle_smith_normal_form(k_rows)
+        index = 1
+        for i in range(len(k_rows)):
+            index *= dk[i][i]
+        assert abs(int_det(_completion(k_rows))) == index
+    if right:
+        assert abs(int_det(_completion(right))) == 1
+
+
+wide_cases = st.integers(min_value=4, max_value=6).flatmap(
+    lambda d: st.tuples(
+        st.lists(st.tuples(*[st.integers(min_value=-4, max_value=4)] * d),
+                 min_size=1, max_size=10),
+        st.lists(st.integers(min_value=-2, max_value=2), min_size=10, max_size=10),
+        st.tuples(*[st.integers(min_value=-4, max_value=4)] * d)))
+
+
+@settings(max_examples=60)
+@given(wide_cases)
+def test_hermite_transform_on_wide_lattices_meets_its_definitions(case):
+    # the shapes on which the Smith form's entries grow without bound, so
+    # checked against the definitions, not the Smith reference
+    rows, coeffs, point = case
+    d, m = len(point), len(rows)
+    solver = exactmath.IntegerSolver(d, rows)
+    assert solver.basis == [tuple(r) for r in hermite_normal_form(rows)]
+    assert abs(int_det(solver.transform)) == 1
+    rank = len(solver.basis)
+    ua = [tuple(sum(c * row[j] for c, row in zip(u, rows)) for j in range(d))
+          for u in solver.transform]
+    assert ua == solver.basis + [(0,) * d] * (m - rank)
+    member = tuple(sum(c * row[j] for c, row in zip(coeffs, rows)) for j in range(d))
+    for target in (member, point):
+        x = solver.solve(target)
+        if x is None:
+            assert target != member and not IntegerLattice(d, rows).contains(target)
+        else:
+            assert tuple(sum(c * row[j] for c, row in zip(x, rows)) for j in range(d)) == target
+    kernel = integer_kernel(rows)
+    assert len(kernel) == d - rank
+    assert all(vdot(row, x) == 0 for row in rows for x in kernel)
+    if kernel:
+        assert abs(int_det(_completion(kernel))) == 1
+    if rank:
+        assert int_det(_completion(solver.basis)) != 0

@@ -270,9 +270,9 @@ def test_open_cone_classes_modulo_a_plane_of_lineality():
     assert closed.lineality_basis == [(1, 1, -2), (0, 2, -3)]
     n2 = nabla(OpenConeMonoid(closed, [(1, 3, 2)]), 2)
     assert [n2.project(x) for x in ((-3, 0, 2), (-3, -2, -1), (3, 1, 3))] == \
-        [(-1,), (11,), (-12,)]
-    assert n2.reconstruct((-1,)) == (0, -1, 2)
-    assert n2.ambient_forms == [(-1,)]
+        [(1,), (-11,), (12,)]
+    assert n2.reconstruct((-1,)) == (-1, 0, 0)
+    assert n2.ambient_forms == [(1,)]
     assert n2.leq(n2.iota((0, 0, 0)), n2.iota((-1, 0, 1)))
     assert not n2.leq(n2.iota((1, 0, 0)), n2.iota((0, 0, 0)))
 
