@@ -19,11 +19,20 @@ adjugate; a singular L_s is decided by double description.  Faces need
 no check of their own: a closed operation with a contained preimage and
 an injective L_s maps every face of C onto itself (see
 ``_vector_left``), so no excluded-face direction can map strictly
-inside.  A verdict is decided first; the explicit witness pair of a
-"no" is built on first read and re-validated through the order
-decision procedures before it is handed out.  After a Cramer "no" that
-read runs the double description, whose first escaping ray is the
-witness direction.
+inside.
+
+Where C is a pointed simplicial cone with no excluded face and the
+operation is closed on it, that decision reduces to a support condition:
+s is localizable iff no ray in its support has a product with another ray
+off that ray (the lemma of :func:`_simplicial_ray_table`).
+:func:`is_localizable` then reads both sides off one table of ray
+products, built once per operation, and runs no map at all.
+
+A verdict is decided first; the explicit witness pair of a "no" is built
+on first read and re-validated through the order decision procedures
+before it is handed out.  That read runs the one-sided decision of the
+failing side (after a table "no" as well), and after a Cramer "no" the
+double description, whose first escaping ray is the witness direction.
 """
 
 from __future__ import annotations
@@ -131,6 +140,9 @@ def _ser(x):
     return str(x)
 
 
+PREIMAGE_ESCAPES = "preimage cone escapes the positivity cone"
+
+
 # ---------------------------------------------------------------------------
 # the damped comparison map L_s
 
@@ -201,9 +213,12 @@ def _preimage_escape(m, bl, basis):
 def _vector_left(op, s, side, kind) -> LocalizabilityVerdict:
     """Left localizability of s on a lattice or open-cone carrier.
 
-    With ``L_s`` the damped map on the difference span and C the closed
-    positivity cone, three steps decide it; a lattice is the carrier
-    with no strict faces, so it skips the second.
+    This is the decision of :func:`is_left_localizable`, and of
+    :func:`is_localizable` wherever the ray-product table declines (see
+    :func:`_simplicial_ray_table`); after a table "no" it builds the
+    evidence.  With ``L_s`` the damped map on the difference span and C
+    the closed positivity cone, three steps decide it; a lattice is the
+    carrier with no strict faces, so it skips the second.
 
     1. A positive multiple of the identity on the span: yes.
     2. With open normals, a nonzero direction x that ``L_s`` kills
@@ -280,8 +295,7 @@ def _vector_left(op, s, side, kind) -> LocalizabilityVerdict:
         if _inside(m, damped(violation())):
             return violation()
         return _strictify(m, damped, bl, basis, violation())
-    return _refuted(op, s, side, kind, "preimage cone escapes the positivity cone",
-                    strict_direction,
+    return _refuted(op, s, side, kind, PREIMAGE_ESCAPES, strict_direction,
                     lambda: {"violating_direction": [int(v) for v in violation()],
                              "injective_on_span": not _left_kernel(bl)})
 
@@ -467,17 +481,128 @@ def _strictify(m: OpenConeMonoid, damped, bl, basis, x):
 
 
 # ---------------------------------------------------------------------------
+# the ray-product table of a simplicial closed carrier
+
+
+def _ray_table(op: BiadditiveOp) -> Optional[tuple[list, list]]:
+    """:func:`_simplicial_ray_table`, built once and kept on the operation."""
+    if "ray_table" not in op._cache:
+        op._cache["ray_table"] = _simplicial_ray_table(op)
+    return op._cache["ray_table"]
+
+
+def _simplicial_ray_table(op: BiadditiveOp) -> Optional[tuple[list, list]]:
+    """The facet normals of the left-bad rays and of the right-bad rays;
+    None where the table does not apply.
+
+    It applies to a vector carrier with no excluded face whose cone C is
+    pointed and simplicial, with the operation closed on C.  The span is
+    refused first, as the decision refuses it (:func:`_nonzero_span`).  C
+    is recognised from ``cone.h_rep`` and the rays alone, without
+    computing its extreme rays: the facet normals that are nonzero on some
+    ray must number the rank r of the span, and each normal ``h_i`` must
+    have a ray ``r_i`` on which it alone is nonzero, and positive.  Then
+    ``h_k . r_i`` is zero for k != i, so the ``r_i`` are a basis of the
+    span, the other normals of ``h_rep`` vanish on it, and
+    ``x = sum_i (h_i . x / h_i . r_i) r_i`` there: in these ray
+    coordinates C is the orthant, pointed, with extreme rays ``r_i``.
+    The operation is closed on C iff every ``mu(r_i, r_j)`` lies in C (by
+    bilinearity); if one does not, the table declines.
+
+    Ray i is *left-bad* if some ``mu(r_i, r_j)`` is not a multiple of
+    ``r_j``, that is, some normal other than ``h_j`` is nonzero on it, and
+    *right-bad* if some ``mu(r_j, r_i)`` is not a multiple of ``r_j``.
+
+    **Lemma.** On such a carrier, s is left localizable iff ``h_i . s = 0``
+    for every left-bad ray i, and right localizable iff the same holds for
+    every right-bad ray.
+
+    *Proof* (the left side; the right side is the opposite operation's
+    left side).  Write ``s = sum_i s_i r_i``, every ``s_i >= 0``, and let
+    ``P_i`` be the matrix of ``x -> mu(r_i, x)`` in ray coordinates, rows
+    = inputs: row j holds the coordinates of ``mu(r_i, r_j)``, all
+    ``>= 0`` as the product lies in C.  ``L_s`` has the matrix
+    ``M = I + sum_i s_i P_i >= 0``, and as the carrier has no excluded
+    face, s is left localizable iff ``L_s^-1(C) ⊆ C`` (see
+    :func:`_vector_left`).  If M is singular, a nonzero x with
+    ``L_s(x) = 0`` and ``-x`` both lie in the preimage, and not both in the
+    pointed C: s is not localizable.  If M is invertible, the preimage of
+    the orthant is generated by the rows of ``M^-1``, so it lies in C iff
+    ``M^-1 >= 0``.  A nonnegative matrix with a nonnegative inverse is
+    monomial (Berman and Plemmons, *Nonnegative Matrices in the
+    Mathematical Sciences*, 1994), and as M's diagonal entries
+    are at least 1 it is diagonal.  So s is left localizable iff M is
+    diagonal (a diagonal M >= I has the diagonal inverse ``M^-1 >= 0``),
+    iff ``P_i`` is diagonal for every i with ``s_i > 0``, iff no such ray
+    is left-bad; and ``s_i > 0`` iff ``h_i . s > 0``.  ∎
+    """
+    m = op.carrier
+    if op.tensor is None or m.open_normals:
+        return None
+    rank = len(_nonzero_span(m))
+    cone = m.cone
+    # each facet normal that is nonzero on some ray, with its values on the rays
+    values = [(h, vals) for h, vals in ((h, [vdot(h, g) for g in m.rays]) for h in cone.h_rep)
+              if any(vals)]
+    if len(values) != rank:
+        return None
+    normals = [h for h, _ in values]
+    rays = [None] * rank
+    for g, column in zip(m.rays, zip(*(vals for _, vals in values))):
+        support = [i for i, v in enumerate(column) if v]
+        if len(support) == 1 and column[support[0]] > 0 and rays[support[0]] is None:
+            rays[support[0]] = g
+    if None in rays:
+        return None
+    left_bad, right_bad = set(), set()
+    for i, ri in enumerate(rays):
+        for j, rj in enumerate(rays):
+            p = op.mu(ri, rj)
+            if not cone.member(p):
+                return None
+            support = {k for k, h in enumerate(normals) if vdot(h, p)}
+            if support - {j}:
+                left_bad.add(i)
+            if support - {i}:
+                right_bad.add(j)
+    return ([normals[i] for i in sorted(left_bad)],
+            [normals[i] for i in sorted(right_bad)])
+
+
+# ---------------------------------------------------------------------------
 # full localizability and the bulk notions
 
 
 def is_localizable(op: BiadditiveOp, s) -> LocalizabilityVerdict:
-    for side, condition in (("left", "left"), ("right", "opposite")):
-        one = is_left_localizable(op, s, side=side)
-        if one.verdict == "no":
+    """Localizability of s: both sides, the left first.  Where the
+    ray-product table applies, both are read off it; elsewhere each side
+    runs :func:`is_left_localizable`.  A "no" gives the failing side's
+    reason and, on read, its evidence."""
+    op.carrier.check_element(s)
+    table = _ray_table(op)
+    for side, condition, kind in (("left", "left", "left"),
+                                  ("right", "opposite", "left-opposite")):
+        if table is None:
+            one = is_left_localizable(op, s, side=side)
+            if one.verdict == "no":
+                return LocalizabilityVerdict(
+                    s, "full", "no", f"{condition} condition fails: {one.reason}",
+                    one.evidence)
+        elif any(vdot(h, s) > 0 for h in table[side == "right"]):
             return LocalizabilityVerdict(
-                s, "full", "no", f"{condition} condition fails: {one.reason}",
-                one.evidence)
+                s, "full", "no", f"{condition} condition fails: {PREIMAGE_ESCAPES}",
+                lambda side=side, kind=kind: _table_evidence(op, s, side, kind))
     return LocalizabilityVerdict(s, "full", "yes", "both sides localizable")
+
+
+def _table_evidence(op, s, side, kind):
+    """The evidence of a side the ray-product table refutes: that of the
+    one-sided decision, which must refute it too."""
+    one = _vector_left(op, s, side, kind)
+    if one.verdict != "no":
+        raise InternalCheckError(
+            f"ray-product table refuted a {kind} condition that the preimage decision keeps")
+    return one.evidence()
 
 
 def _lattice_candidates(m, budget: int) -> Iterator[tuple]:
@@ -589,9 +714,12 @@ def is_weakly_localizable(op: BiadditiveOp, budget: int = 8) -> WeakLocalizabili
             "yes", assignments=assignments, budget=budget, reason=FINITE_ORDER_IS_TOTAL)
     if _row_obstruction_applies(op):
         # the orthant obstruction holds on any closed orthant, integer or
-        # rational; its hypothesis is decided once, its row test per ray
-        # and per sum of two rays (every such sum is a member)
-        for a0 in list(m.rays) + list(_lattice_candidates(m, 2)):
+        # rational; its hypothesis is decided once, its row test per ray.
+        # No sum of rays refutes where no ray does: with a nonnegative
+        # tensor, the positive columns of row j of a0's damping matrix are
+        # j and the supports of T[i][j] over the support of a0, and a sum
+        # of rays has the union of its rays' supports
+        for a0 in m.rays:
             obs = _positive_pair_row(op, a0)
             if obs is not None:
                 return WeakLocalizabilityCertificate(
@@ -633,7 +761,10 @@ def _is_diagonal_tensor(op: BiadditiveOp) -> Optional[list]:
 
 
 def is_strongly_localizable(op: BiadditiveOp, budget: int = 3) -> dict:
-    """Yes on finite carriers; structural or sampled on vector ones."""
+    """Yes on finite carriers.  On vector ones, structural where the
+    tensor is diagonal on a closed orthant or the ray-product table finds
+    no bad ray (see :func:`_simplicial_ray_table`); otherwise every
+    candidate up to ``budget`` is decided, and a "yes" is sampled."""
     m = op.carrier
     if isinstance(m, FiniteMonoid):
         # every element of a finite carrier is localizable
@@ -646,6 +777,12 @@ def is_strongly_localizable(op: BiadditiveOp, budget: int = 3) -> dict:
                               "coordinates keeps every damping map a "
                               "positive diagonal",
                     "weights": weights}
+    if _ray_table(op) == ([], []):
+        return {"verdict": "yes", "confirmed": "structural",
+                "reason": "simplicial lemma: on this pointed simplicial cone "
+                          "every ray product is a multiple of each factor, "
+                          "so every damping map is a positive diagonal in "
+                          "ray coordinates"}
     samples = list(_dominator_candidates(m, budget))
     for s in samples:
         v = is_localizable(op, s)

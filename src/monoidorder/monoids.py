@@ -581,11 +581,13 @@ class BiadditiveOp:
     Finite carriers take a value table; vector carriers take a d x d x d
     integer tensor T acting as ``mu(x, y)[k] = sum_ij T[i][j][k] x_i y_j``.
     An entry of either that is not an integer is an :class:`InputError`.
+    ``_cache`` holds what a decision procedure builds once per operation.
     """
 
     def __init__(self, carrier, table: Optional[Sequence[Sequence[int]]] = None,
                  tensor=None):
         self.carrier = carrier
+        self._cache: dict = {}
         if isinstance(carrier, FiniteMonoid):
             if table is None:
                 raise InputError("finite carrier needs a value table")

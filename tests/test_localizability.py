@@ -815,3 +815,194 @@ def test_weak_obstruction_is_the_first_row_obstruction(case):
     else:
         assert (cert.verdict, cert.details) == ("no", {"obstruction": first})
         assert list(cert.refuted) == first["element"]
+
+
+# ---------------------------------------------------------------------------
+# the ray-product table on simplicial closed carriers
+
+
+def _two_sided_reference(op, s):
+    """The reference two-sided decision, without the table: each side's
+    one-sided verdict, the left first, and the first "no" with its reason
+    and evidence."""
+    for side, condition in (("left", "left"), ("right", "opposite")):
+        one = is_left_localizable(op, s, side=side)
+        if one.verdict == "no":
+            return localizability.LocalizabilityVerdict(
+                s, "full", "no", f"{condition} condition fails: {one.reason}", one.evidence)
+    return localizability.LocalizabilityVerdict(s, "full", "yes", "both sides localizable")
+
+
+def _outcome(decide, op, s):
+    """The verdict with its evidence read, or the error that reading raised
+    (a witness pair leaves the carrier when the operation is not closed)."""
+    try:
+        return decide(op, s).as_dict()
+    except (InputError, InternalCheckError) as exc:
+        return type(exc), str(exc)
+
+
+def _unimodular_rays(rng, d):
+    """Rows of a random unimodular d x d matrix: the identity, rows permuted
+    and negated at random, then a few ``row_i += t * row_j`` steps."""
+    rows = [[int(i == j) for j in range(d)] for i in range(d)]
+    rng.shuffle(rows)
+    rows = [[-v for v in row] if rng.random() < 0.3 else row for row in rows]
+    for _ in range(rng.randint(0, 4)):
+        i, j = rng.sample(range(d), 2) if d > 1 else (0, 0)
+        if i != j:
+            t = rng.choice([-1, 1])
+            rows[i] = [a + t * b for a, b in zip(rows[i], rows[j])]
+    return [tuple(row) for row in rows]
+
+
+def _ray_coordinate_tensor(rays, products):
+    """The tensor of ``mu(r_i, r_j) = sum_k products[i][j][k] r_k`` for the
+    rows r_i of a unimodular matrix U: ``T[a][b][c] = sum inv[a][i]
+    inv[b][j] products[i][j][k] U[k][c]`` with ``inv = U^-1``, integral."""
+    d = len(rays)
+    det, adj = exactmath.int_adjugate([list(r) for r in rays])
+    assert det in (1, -1)
+    inv = [[det * v for v in row] for row in adj]
+    return [[[sum(inv[a][i] * inv[b][j] * products[i][j][k] * rays[k][c]
+                  for i in range(d) for j in range(d) for k in range(d))
+              for c in range(d)] for b in range(d)] for a in range(d)]
+
+
+def _ray_products(rng, d):
+    """Ray-coordinate products: a diagonal ``products[i][i][i]`` in 0..2
+    and at most two off-diagonal entries in 1..2, so that bad rays, good
+    rays and both verdicts occur."""
+    products = [[[0] * d for _ in range(d)] for _ in range(d)]
+    for i in range(d):
+        products[i][i][i] = rng.randint(0, 2)
+    for _ in range(rng.randint(0, 2)):
+        i, j, k = (rng.randrange(d) for _ in range(3))
+        if not i == j == k:
+            products[i][j][k] = rng.randint(1, 2)
+    return products
+
+
+def _drawn_carrier(rng):
+    """A simplicial closed carrier of dimension <= 3 with its kind: a
+    lattice on a unimodular ray basis, with up to two extra generators that
+    are nonnegative combinations of the rays, or a closed orthant, integer
+    or rational; with its rays."""
+    d = rng.randint(1, 3)
+    kind = rng.choice(["unimodular", "unimodular", "integer-orthant", "rational-orthant"])
+    if kind.endswith("orthant"):
+        rays = [tuple(int(i == j) for j in range(d)) for i in range(d)]
+        return kind, orthant(d, kind.split("-")[0]), rays
+    rays = _unimodular_rays(rng, d)
+    extra = [tuple(sum(c * r[k] for c, r in zip(coeffs, rays)) for k in range(d))
+             for coeffs in ([rng.randint(0, 2) for _ in range(d)]
+                            for _ in range(rng.randint(0, 2)))]
+    gens = rays + extra
+    rng.shuffle(gens)
+    return kind, LatticeMonoid(d, gens), rays
+
+
+def test_table_verdicts_are_the_two_sided_decision():
+    # every pool element of every drawn operation: verdict, reason and the
+    # evidence a "no" builds equal those of the decision without the table
+    rng = seeded(28)
+    seen = Counter()
+    for _ in range(160):
+        kind, m, rays = _drawn_carrier(rng)
+        d = m.dim
+        if rng.random() < 0.25:
+            tensor = [[[rng.randint(-1, 2) for _ in range(d)] for _ in range(d)]
+                      for _ in range(d)]
+        else:
+            tensor = _ray_coordinate_tensor(rays, _ray_products(rng, d))
+        op = BiadditiveOp(m, tensor=tensor)
+        pool = m.element_pool(2)
+        if kind == "rational-orthant":
+            pool += [tuple(Fraction(v, 2) for v in s) for s in pool if any(s)]
+        table = localizability._ray_table(op)
+        for s in pool:
+            got = _outcome(is_localizable, op, s)
+            assert got == _outcome(_two_sided_reference, op, s), (m.rays, tensor, s)
+            path = "declined" if table is None else "table"
+            seen[(kind, path, got["verdict"] if isinstance(got, dict) else "raised")] += 1
+        if table == ([], []):
+            assert is_strongly_localizable(op)["confirmed"] == "structural"
+    for kind in ("unimodular", "integer-orthant", "rational-orthant"):
+        for outcome in (("table", "yes"), ("table", "no"), ("declined", "no")):
+            assert seen[(kind,) + outcome] > 0, (kind, outcome, seen)
+
+
+def test_a_skewed_lattice_with_a_ray_diagonal_product_is_strongly_localizable():
+    # generators (1, 0) and (1, 1) form a unimodular ray basis, so the
+    # product that is diagonal in ray coordinates has an integral tensor;
+    # the carrier is no orthant, and its "yes" was sampled without the table
+    rays = [(1, 0), (1, 1)]
+    tensor = _ray_coordinate_tensor(rays, [[[1, 0], [0, 0]], [[0, 0], [0, 2]]])
+    assert tensor == [[[1, 0], [-1, 0]], [[-1, 0], [3, 2]]]
+    op = BiadditiveOp(LatticeMonoid(2, rays), tensor=tensor)
+    strong = is_strongly_localizable(op)
+    assert (strong["verdict"], strong["confirmed"]) == ("yes", "structural")
+    assert strong["reason"].startswith("simplicial lemma")
+    assert all(is_localizable(op, s).verdict == "yes" for s in op.carrier.element_pool(3))
+
+
+def _counted(monkeypatch, module, name, calls):
+    real = getattr(module, name)
+    monkeypatch.setattr(module, name,
+                        lambda *args: calls.update([name]) or real(*args))
+
+
+@pytest.mark.parametrize("name", [name for name, op in weakly_localizable_ops()
+                                  if isinstance(op.carrier, LatticeMonoid)])
+def test_weak_search_on_the_lattice_corpus_runs_no_damped_map(monkeypatch, name):
+    # every lattice carrier of the corpus is a free monoid, so each verdict
+    # is read off the ray-product table; without the table each distinct
+    # candidate runs both one-sided maps
+    calls = Counter()
+    for module, target in ((localizability, "_vector_left"),
+                           (localizability, "int_adjugate"),
+                           (exactmath, "int_adjugate"),
+                           (localizability, "is_localizable")):
+        _counted(monkeypatch, module, target, calls)
+    op = dict(weakly_localizable_ops())[name]
+    assert is_weakly_localizable(op).verdict == "yes"
+    assert (calls["_vector_left"], calls["int_adjugate"]) == (0, 0)
+    decided = calls["is_localizable"]
+    assert decided > 0
+    calls.clear()
+    monkeypatch.setattr(localizability, "_ray_table", lambda op: None)
+    assert is_weakly_localizable(dict(weakly_localizable_ops())[name]).verdict == "yes"
+    assert calls["_vector_left"] == 2 * calls["is_localizable"] == 2 * decided
+
+
+@pytest.mark.parametrize("table,s,reason", [
+    (([(1, 0)], []), (1, 0), "left condition fails: preimage cone escapes the positivity cone"),
+    (([], [(0, 1)]), (2, 1), "opposite condition fails: preimage cone escapes the positivity cone"),
+])
+def test_a_table_refutation_the_decision_keeps_is_an_internal_error(table, s, reason):
+    # a planted table calls a localizable side bad: the verdict follows the
+    # table, and reading its evidence runs the one-sided decision, which
+    # says yes, so the read fails loudly
+    op = elementwise_op(2)
+    op._cache["ray_table"] = table
+    v = is_localizable(op, s)
+    assert (v.verdict, v.reason) == ("no", reason)
+    with pytest.raises(InternalCheckError, match="ray-product table"):
+        v.as_dict()
+
+
+def test_the_table_declines_off_the_closed_simplicial_case():
+    # excluded faces, a cone with more facets than the span's rank, a
+    # product outside the cone, and a finite carrier keep the old decision
+    quarter = RationalCone.from_rays([(1, 0), (0, 1)], 2)
+    declined = [
+        half_plane_op(),
+        BiadditiveOp(OpenConeMonoid(quarter, [(1, 0)]), tensor=diagonal_tensor(2, [1, 1])),
+        BiadditiveOp(LatticeMonoid(3, [(1, 0, 0), (0, 1, 0), (1, 0, 1), (0, 1, 1)]),
+                     tensor=diagonal_tensor(3, [1, 1, 1])),
+        BiadditiveOp(free_monoid(2), tensor=[[[0, -1], [0, 0]], [[0, 0], [0, 0]]]),
+        saturating_product_op(truncated_free_monoid(2, cap=2)),
+    ]
+    for op in declined:
+        assert localizability._ray_table(op) is None
+    assert localizability._ray_table(elementwise_op(3)) == ([], [])
