@@ -490,6 +490,72 @@ def _sample_pool(m) -> list:
     return m.element_pool(3)
 
 
+def _pool_products(m, pool: list, ray_product) -> list[list]:
+    """``table[i][j] == mu(pool[i], pool[j])`` on a vector carrier, built by
+    additivity (see :func:`verify_theorem_main`) from ``ray_product``, the
+    product of two rays.  The row of a ray sum ``y + r``
+    (``m.ray_sum_parent``) is the row of y plus the row of the ray r, and
+    the row of a ray is built alike in the right slot.  A parent need not
+    be a pool element (on an open cone it may lie on an excluded face), so
+    the memos run over every ray sum they meet.
+    """
+    zero = (0,) * m.dim
+
+    def by_parents(origin, ray, step):
+        """f on the ray sums with ``f(0) == origin``, ``f(r) == ray(r)`` on
+        a ray and ``f(y + r) == step(f(y), r)`` above, memoized."""
+        memo = {zero: origin}
+
+        def f(x):
+            if x not in memo:
+                y, r = m.ray_sum_parent(x)
+                memo[x] = ray(r) if y == zero else step(f(y), r)
+            return memo[x]
+        return f
+
+    rays = list(dict.fromkeys(m.rays))
+    products = {(r, s): ray_product(r, s) for r in rays for s in rays}
+    ray_rows = {}
+    for r in rays:
+        right = by_parents(zero, lambda s, r=r: products[r, s],
+                           lambda v, s, r=r: vadd(v, products[r, s]))
+        ray_rows[r] = [right(b) for b in pool]
+    left = by_parents([zero] * len(pool), ray_rows.__getitem__,
+                      lambda v, r: list(map(vadd, v, ray_rows[r])))
+    return [left(a) for a in pool]
+
+
+def _commutativity_sweep(m, pool: list, table, members: Optional[set],
+                         class_key) -> tuple[list, int]:
+    """The commutativity failures on the pool, and their exact count, read
+    off ``table[i][j] == mu(pool[i], pool[j])`` in pool order.
+
+    An exact failure is a pair of differing entries, and only there are
+    the classes compared, by ``class_key``.  On a lattice monoid whose
+    cone has no lineality space the facet normals tell every two points of
+    the span apart, so ``approx`` is equality on the members, which every
+    compared product is, and differing entries fail with no class key.  ``members`` holds the elements known to be
+    members, None under closure.  Otherwise each compared product outside
+    it is checked at its first comparison, ``ab`` before ``ba``, as a
+    plain sweep meets it, so the first error raised is that sweep's; each
+    product that passes joins ``members``.
+    """
+    exact = isinstance(m, LatticeMonoid) and not m.lineality_coordinates()
+    fail, exact_fail = [], 0
+    for a, row, column in zip(pool, table, zip(*table)):
+        for b, ab, ba in zip(pool, row, column):
+            if members is not None:
+                for x in (ab, ba):
+                    if x not in members:
+                        m.check_element(x)
+                        members.add(x)
+            if ab != ba:
+                exact_fail += 1
+                if exact or class_key(ab) != class_key(ba):
+                    fail.append({"a": a, "b": b, "ab": ab, "ba": ba})
+    return fail, exact_fail
+
+
 def verify_theorem_main(op: BiadditiveOp,
                         weak: Optional[WeakLocalizabilityCertificate] = None) -> dict:
     """Commutativity and associativity up to equivalence, on the pool.
@@ -502,15 +568,6 @@ def verify_theorem_main(op: BiadditiveOp,
     coarser than equality).  For each law, ``checked`` counts the pool
     pairs (commutativity) or triples (associativity) that are covered,
     either by that law's generator proof below or by its sweep.
-
-    Each element is interned once to an int index, so exact equality is
-    equality of indices.  The pool elements take the indices below
-    ``len(pool)``; every other index is a product of pool elements.
-    ``op.mu`` runs once per distinct pair of indices, its result held in
-    a table per left operand; a product not seen before gets the next
-    index.  ``approx`` is decided by the carrier's ``class_key``, computed
-    once per distinct compared element at its first comparison, after
-    ``check_element``.
 
     Membership is checked only where it is not already proven.  The pool
     elements are members: on a lattice monoid they are sums of
@@ -557,8 +614,30 @@ def verify_theorem_main(op: BiadditiveOp,
     idempotent, not 0.  The pool is every element.  On an open cone both
     laws are swept.
 
-    The pairs are swept before the triples, each in pool order through
-    the two memos.  Since ``op.mu`` is pure and deciding closure refuses
+    The sweeps read the product of two pool elements off one table,
+    ``table[i][j] == mu(pool[i], pool[j])``.  On a finite carrier the pool
+    is every element in order, so the table is ``op.table``.  On a vector
+    carrier it is built by additivity (:func:`_pool_products`): every pool
+    element ``x != 0`` is a ray sum ``y + r`` with y one ray shorter, and
+    ``mu`` is a tensor, so ``mu(y + r, b) == mu(y, b) + mu(r, b)`` and
+    ``mu(0, b) == 0`` exactly; the right slot alike.  ``op.mu`` runs on
+    ray pairs only, which on a lattice monoid are the generator pairs that
+    deciding closure has already multiplied.  Pools and tensors are
+    integer, so each entry has the value and the type (``int``) that
+    ``op.mu`` gives.  The
+    pair sweep (:func:`_commutativity_sweep`) compares ``table[i][j]``
+    with ``table[j][i]``.  The triple sweep interns each element once to
+    an int index, so exact equality is equality of indices; its memo of
+    products per left operand starts from the table, beyond which
+    ``op.mu`` runs once per distinct pair of indices, a product not seen
+    before getting the next index.  Both sweeps decide ``approx`` by the
+    carrier's ``class_key``, computed once per distinct compared element.
+    Without closure, each compared element not yet known to be a member
+    (the pool elements are, and so is each product that passed) is
+    checked at its first comparison.
+
+    The pairs are swept before the triples, each in pool order.  Since
+    ``op.mu`` is pure, a tensor adds exactly and deciding closure refuses
     no element, the report and the first error raised (say, a product
     outside the carrier) are those of a plain sweep that calls ``op.mu``
     and ``approx`` on every pair and triple.
@@ -601,29 +680,25 @@ def verify_theorem_main(op: BiadditiveOp,
     else:
         gens, closed = [], False
 
+    # the elements known to be members, None when closure makes every
+    # product one; each element's class key, by value
+    members = None if closed else set(pool)
+    class_keys: dict = {}
+
+    def class_key(x):
+        if x not in class_keys:
+            class_keys[x] = m.class_key(x)
+        return class_keys[x]
+
     def class_of(i: int):
         c = classes[i]
         if c is None:
-            if i >= n and not closed:
-                m.check_element(keys[i])
-            c = classes[i] = m.class_key(keys[i])
+            k = keys[i]
+            if members is not None and k not in members:
+                m.check_element(k)
+                members.add(k)
+            c = classes[i] = class_key(k)
         return c
-
-    def same(i: int, j: int) -> bool:
-        return class_of(i) == class_of(j)
-
-    def pair_sweep() -> tuple:
-        """The commutativity failures on the pool, and their exact count."""
-        fail, exact_fail = [], 0
-        for a in ids:
-            for b in ids:
-                ab, ba = mul(a, b), mul(b, a)
-                if ab != ba:
-                    exact_fail += 1
-                if not same(ab, ba):
-                    fail.append({"a": keys[a], "b": keys[b],
-                                 "ab": keys[ab], "ba": keys[ba]})
-        return fail, exact_fail
 
     def triple_sweep() -> tuple:
         """The associativity failures on the pool, and their exact count."""
@@ -636,7 +711,7 @@ def verify_theorem_main(op: BiadditiveOp,
                     right = mul(a, mul(b, c))
                     if left != right:
                         exact_fail += 1
-                    if not same(left, right):
+                    if class_of(left) != class_of(right):
                         fail.append({"a": keys[a], "b": keys[b], "c": keys[c],
                                      "left": keys[left], "right": keys[right]})
         return fail, exact_fail
@@ -644,8 +719,21 @@ def verify_theorem_main(op: BiadditiveOp,
     commutes = closed and all(mul(a, b) == mul(b, a) for a in gens for b in gens)
     associates = closed and all(mul(mul(a, b), c) == mul(a, mul(b, c))
                                 for a in gens for b in gens for c in gens)
-    comm_fail, comm_exact_fail = ([], 0) if commutes else pair_sweep()
-    assoc_fail, assoc_exact_fail = ([], 0) if associates else triple_sweep()
+    if commutes and associates:
+        table = None
+    elif isinstance(m, FiniteMonoid):
+        table = op.table
+    else:
+        table = _pool_products(m, pool, lambda r, s: keys[mul(intern(r), intern(s))])
+    comm_fail, comm_exact_fail = (
+        ([], 0) if commutes
+        else _commutativity_sweep(m, pool, table, members, class_key))
+    if associates:
+        assoc_fail, assoc_exact_fail = [], 0
+    else:
+        for a, row in zip(ids, table):
+            rows[a].update(zip(ids, map(intern, row)))
+        assoc_fail, assoc_exact_fail = triple_sweep()
     ok = not comm_fail and not assoc_fail
     return {
         "mode": mode,

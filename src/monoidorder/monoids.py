@@ -299,20 +299,27 @@ class VectorCarrier:
         from 1) holds, sorted, the vectors that are sums of k rays and of
         no fewer (the origin too, when k rays cancel).  A level is built
         from the one before on its first read, and kept for every later
-        reader; :meth:`_record_sums` sees each new level."""
-        levels, seen = self._cache.setdefault("ray_sums", ([], set()))
+        reader; :meth:`_record_sums` sees each new level, and
+        :meth:`ray_sum_parent` how each sum was first built."""
+        levels, parents = self._cache.setdefault("ray_sums", ([], {}))
         for k in itertools.count():
             if k == len(levels):
-                new = set()
+                new = {}
                 for x in levels[-1] if levels else [(0,) * self.dim]:
                     for g in self.rays:
                         y = vadd(x, g)
-                        if y not in seen:
-                            new.add(y)
-                seen.update(new)
+                        if y not in parents and y not in new:
+                            new[y] = (x, g)
+                parents.update(new)
                 levels.append(sorted(new))
                 self._record_sums(levels[-1])
             yield levels[k]
+
+    def ray_sum_parent(self, x: tuple) -> tuple[tuple, tuple]:
+        """The ``(y, r)`` from which :meth:`ray_sums` first built the sum x:
+        ``x == y + r`` with r a ray and y a sum of one ray fewer (the origin
+        when x is a ray).  x must be a sum of a level already read."""
+        return self._cache["ray_sums"][1][x]
 
     def _record_sums(self, level: list[tuple]) -> None:
         """A new level of :meth:`ray_sums`; rays on an excluded face make

@@ -13,7 +13,7 @@ from monoidorder.exactmath import (InputError, InternalCheckError, RationalCone,
                                    vdot, vsub)
 from monoidorder.functionals import (AdditiveFunctional, NormalizationResult,
                                      OrderedSubgroup, _certify_decomposition,
-                                     _largest_element,
+                                     _largest_element, _pool_products,
                                      _sample_pool, normalize_multiplicative,
                                      positive_functionals,
                                      span_of_elements, span_with_products,
@@ -647,12 +647,15 @@ def test_sweep_evaluates_each_distinct_product_and_comparison_once(monkeypatch):
     report = verify_theorem_main(op)
     assert report["pool_size"] == 35
     # associativity holds exactly on the generators, so only commutativity
-    # is swept: one product per pool pair (8,435 and 468 when a failing
-    # commutativity sent both laws to the sweep)
-    assert calls["mu"] <= 35 * 35
+    # is swept, off a product table built by additivity from the g^2
+    # generator products the closure proof already made: 24 products in
+    # all, at most g^2 + 2 g^3 = 144 (1,225 when the sweep multiplied each
+    # pool pair, 8,435 when both laws were swept)
+    assert calls["mu"] <= 24
     assert calls["approx"] == 0
-    # 138 distinct elements are compared
-    assert calls["class_key"] <= 138
+    # the cone has no lineality space, so approx is equality on the span
+    # and a failure needs no class key (138 when each compared class was read)
+    assert calls["class_key"] == 0
 
 
 def test_sweep_skips_membership_of_products_of_pool_elements(monkeypatch):
@@ -753,14 +756,139 @@ def test_generator_proof_matches_the_pool_sweep(op):
     # that holds on the pool held on the generators, which are pool
     # elements, and its proof decided its report
     g = len(op.carrier.generators)
-    n = report["pool_size"]
-    comm_proved = report["commutativity"]["exact_equality_failures"] == 0
     if report["associativity"]["exact_equality_failures"] == 0:
-        # no pool triple is swept: the pool pairs (or, with commutativity
-        # proved too, the g^2 generator pairs) and at most a left and a
-        # right product per generator triple
-        assert len(calls) <= (g * g if comm_proved else n * n) + 2 * g ** 3
+        # no pool triple is swept: the g^2 generator pairs and at most a
+        # left and a right product per generator triple; the pair sweep's
+        # table multiplies only rays, the generator pairs again
+        assert len(calls) <= g * g + 2 * g ** 3
     assert _sweep_parts(report) == _unmemoized_sweep(op)
+
+
+@st.composite
+def table_carrier_ops(draw):
+    """A tensor with entries -2..2 on one of the two carriers whose product
+    table the lattice examples above do not reach.
+
+    An open cone (d <= 3, 2-4 rays) with one facet excluded: its rows are
+    built over ray sums that may lie on the excluded face, outside the
+    pool.  A lattice with a unit direction (a generator of free_monoid(d)
+    and its negative, d <= 2): there approx is coarser than equality.
+    Arbitrary entries mostly put a product outside the carrier, so half
+    the tensors are built to keep it closed: ``phi(a) psi(b) v`` on the
+    cone, with phi and psi facet normals or 0 and v a member; on the
+    lattice, free entries into the unit coordinate and entries 0..2 into
+    the others from pairs of other coordinates only.
+    """
+    closed = draw(st.booleans())
+    entry = st.integers(min_value=-2, max_value=2)
+    if draw(st.booleans()):
+        d = draw(st.integers(min_value=1, max_value=3))
+        coord = st.integers(min_value=-1, max_value=2)
+        rays = draw(st.lists(st.tuples(*[coord] * d), min_size=2, max_size=4))
+        assume(any(any(r) for r in rays))
+        cone = RationalCone.from_rays(rays, d)
+        facets = [h for h in cone.h_rep if tuple(-x for x in h) not in cone.h_rep]
+        assume(facets)
+        carrier = OpenConeMonoid(cone, [draw(st.sampled_from(facets))])
+        if closed:
+            zero = (0,) * d
+            phi, psi = (draw(st.sampled_from([zero] + cone.h_rep)) for _ in "ab")
+            v = draw(st.sampled_from(carrier.element_pool(2)))
+            t = [[[phi[i] * psi[j] * v[k] for k in range(d)] for j in range(d)]
+                 for i in range(d)]
+            assume(all(-2 <= x <= 2 for s in t for r in s for x in r))
+            return BiadditiveOp(carrier, tensor=t)
+    else:
+        d = draw(st.integers(min_value=1, max_value=2))
+        gens = list(free_monoid(d).generators)
+        unit = draw(st.integers(min_value=0, max_value=d - 1))
+        gens.append(tuple(-x for x in gens[unit]))
+        carrier = LatticeMonoid(d, gens)
+        if closed:
+            ordered = st.integers(min_value=0, max_value=2)
+            t = [[[draw(entry) if k == unit else
+                   draw(ordered) if unit not in (i, j) else 0
+                   for k in range(d)] for j in range(d)] for i in range(d)]
+            return BiadditiveOp(carrier, tensor=t)
+    t = [[[draw(entry) for _ in range(d)] for _ in range(d)] for _ in range(d)]
+    return BiadditiveOp(carrier, tensor=t)
+
+
+@settings(max_examples=100)
+@given(table_carrier_ops())
+@example(unit_direction_op())
+@example(half_plane_op())
+def test_product_table_matches_the_pool_sweep(op):
+    # the report, or the first error raised, is that of a plain sweep
+    try:
+        report = verify_theorem_main(op, weak=UNCERTIFIED)
+    except InputError as caught:
+        with pytest.raises(InputError) as expected:
+            _unmemoized_sweep(op)
+        assert str(caught) == str(expected.value)
+        return
+    assert _sweep_parts(report) == _unmemoized_sweep(op)
+
+
+def test_reported_products_are_those_of_op_mu():
+    # every product the sweep reports has the value and the type that
+    # op.mu gives, so the rendered bytes do not depend on how the table
+    # was built; the half-plane lists no failure, so its whole table is
+    # compared
+    op = matrix_monoid_product_op()
+    failures = verify_theorem_main(op)["commutativity"]["failures"]
+    assert len(failures) == 976
+    for f in failures:
+        for got, want in ((f["ab"], op.mu(f["a"], f["b"])),
+                          (f["ba"], op.mu(f["b"], f["a"]))):
+            assert got == want
+            assert list(map(type, got)) == list(map(type, want))
+    for op in (half_plane_op(), matrix_monoid_product_op()):
+        pool = _sample_pool(op.carrier)
+        table = _pool_products(op.carrier, pool, op.mu)
+        for a, row in zip(pool, table):
+            for b, ab in zip(pool, row):
+                assert ab == op.mu(a, b)
+                assert list(map(type, ab)) == list(map(type, op.mu(a, b)))
+
+
+def _counted_mu(op) -> list:
+    """Count the op.mu calls of one operation: the returned list grows by
+    one per call."""
+    calls = []
+    mu = op.mu
+    op.mu = lambda a, b: calls.append((a, b)) or mu(a, b)
+    return calls
+
+
+def test_half_plane_sweep_multiplies_ray_pairs_then_triples():
+    # an open cone sweeps both laws: the pair sweep's table takes the 9
+    # products of the 3 rays, and the triple sweep reads the pool pairs off
+    # the table and multiplies each distinct (ab, c) and (a, bc) once (400
+    # products when the pair sweep multiplied its 100 pool pairs)
+    op = half_plane_op()
+    weak = is_weakly_localizable(op)
+    calls = _counted_mu(op)
+    report = verify_theorem_main(op, weak=weak)
+    assert report["pool_size"] == 10
+    assert len(calls) <= 9 + 300
+
+
+def test_theorem_corpus_products_stay_counted():
+    # op.mu calls of verify_theorem_main over the certified corpus, the
+    # matrix product and the half-plane, each given its weak certificate:
+    # a later change that multiplies more shows here without a clock
+    # (1,826 when the pair sweep multiplied every pool pair)
+    ops = [op for _, op in weakly_localizable_ops()]
+    ops += [matrix_monoid_product_op(), half_plane_op()]
+    assert len(ops) == 22
+    total = 0
+    for op in ops:
+        weak = is_weakly_localizable(op)
+        calls = _counted_mu(op)
+        verify_theorem_main(op, weak=weak)
+        total += len(calls)
+    assert total <= 534
 
 
 def test_generator_proof_replaces_the_sweep_on_free_monoid_3(monkeypatch):
