@@ -266,7 +266,7 @@ def cmd_extremals(args) -> tuple:
             for e in elements]
         if op is not None:
             entry["normalization"] = normalize_multiplicative(
-                op, elements, phi, subgroup=subgroup).as_dict()
+                op, elements, phi).as_dict()
         doc["extremals"].append(entry)
     return doc, EXIT_PASS
 

@@ -376,9 +376,7 @@ class NormalizationResult:
 
 
 def normalize_multiplicative(op: BiadditiveOp, elements: Sequence,
-                             phi: AdditiveFunctional,
-                             subgroup: Optional[OrderedSubgroup] = None
-                             ) -> NormalizationResult:
+                             phi: AdditiveFunctional) -> NormalizationResult:
     """Rescale ``phi`` so products of generators multiply values exactly.
 
     ``s`` is the order-largest member of ``elements``.  The quadratic
@@ -398,8 +396,7 @@ def normalize_multiplicative(op: BiadditiveOp, elements: Sequence,
     squeezes ``phi`` to zero on every element (``0 <= phi(f) <= phi(s)``),
     which is verified.  It does not force zero on the products; when
     ``phi`` is nonzero on one, no rescaling is multiplicative and the
-    preconditions fail.  ``subgroup`` is accepted and not read: ``phi``
-    carries its own.
+    preconditions fail.
     """
     m = op.carrier
     elements = list(elements)
@@ -534,11 +531,13 @@ def _commutativity_sweep(m, pool: list, table, members: Optional[set],
     the classes compared, by ``class_key``.  On a lattice monoid whose
     cone has no lineality space the facet normals tell every two points of
     the span apart, so ``approx`` is equality on the members, which every
-    compared product is, and differing entries fail with no class key.  ``members`` holds the elements known to be
-    members, None under closure.  Otherwise each compared product outside
-    it is checked at its first comparison, ``ab`` before ``ba``, as a
-    plain sweep meets it, so the first error raised is that sweep's; each
-    product that passes joins ``members``.
+    compared product is, and differing entries fail with no class key.
+
+    ``members`` holds the elements known to be members, None under
+    closure.  Otherwise each compared product outside it is checked at
+    its first comparison, ``ab`` before ``ba``, as a plain sweep meets it,
+    so the first error raised is that sweep's; each product that passes
+    joins ``members``.
     """
     exact = isinstance(m, LatticeMonoid) and not m.lineality_coordinates()
     fail, exact_fail = [], 0

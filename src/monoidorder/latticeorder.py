@@ -134,7 +134,8 @@ def almost_fring_counterexample() -> dict:
     outright.
 
     One operation on the integer orthant serves the box and the weak
-    check, whose damping-row obstruction refutes the rational form alike.
+    check, whose first bad ray in the ray-product table refutes the
+    rational form alike.
     The box cells are int vectors and the tensor is integral, so every
     product, comparison and multiple is an int; each distinct product is
     computed once per call.  An integral rational prints as an int in a

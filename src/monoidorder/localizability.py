@@ -26,7 +26,13 @@ operation is closed on it, that decision reduces to a support condition:
 s is localizable iff no ray in its support has a product with another ray
 off that ray (the lemma of :func:`_simplicial_ray_table`).
 :func:`is_localizable` then reads both sides off one table of ray
-products, built once per operation, and runs no map at all.
+products, built once per operation, and runs no map at all.  The same
+table is the one structural path of the bulk notions: the first bad ray
+refutes weak localizability, as nothing above it is localizable, and is
+the refuted element of a strong "no"; with no bad ray the operation is
+diagonal in ray coordinates, and every element is localizable.
+Elsewhere the weak and strong searches decide candidates one at a time,
+and a strong "yes" there is sampled.
 
 A verdict is decided first; the explicit witness pair of a "no" is built
 on first read and re-validated through the order decision procedures
@@ -40,10 +46,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, reduce
-from itertools import chain, islice, product, tee
+from itertools import chain, islice, tee
 from math import lcm
 from operator import mul
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .exactmath import (
     InputError,
@@ -141,35 +147,6 @@ def _ser(x):
 
 
 PREIMAGE_ESCAPES = "preimage cone escapes the positivity cone"
-
-
-# ---------------------------------------------------------------------------
-# the damped comparison map L_s
-
-
-def damping_matrix(op: BiadditiveOp, s, side: str = "left") -> list[list]:
-    """Matrix of ``x -> x + mu(s, x)`` (or ``x + mu(x, s)``), rows = inputs.
-
-    Only the nonzero coordinates ``s_i`` are read, each against its tensor
-    slice: ``T[i][j][k]`` adds to row j, column k on the left, and
-    ``T[j][i][k]`` on the right.  Entries are plain ``int`` for an integer
-    ``s``; every entry starts from the zero of ``sum(s)``, so one
-    ``Fraction`` coordinate makes them all ``Fraction``.
-    """
-    d = op.carrier.dim
-    t = op.tensor
-    zero = 0 * sum(s)
-    rows = [[zero + int(j == k) for k in range(d)] for j in range(d)]
-    for i, si in enumerate(s):
-        if not si:
-            continue
-        # slices[j][k] is the coefficient of s_i in entry (j, k)
-        slices = t[i] if side == "left" else [slab[i] for slab in t]
-        for row, coeffs in zip(rows, slices):
-            for k, v in enumerate(coeffs):
-                if v:
-                    row[k] += si * v
-    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -484,16 +461,24 @@ def _strictify(m: OpenConeMonoid, damped, bl, basis, x):
 # the ray-product table of a simplicial closed carrier
 
 
-def _ray_table(op: BiadditiveOp) -> Optional[tuple[list, list]]:
+class RayTable(NamedTuple):
+    """What :func:`_simplicial_ray_table` reads off the ray products."""
+    rays: list          # the rays r_i, in m.rays order
+    weights: list       # h_i . mu(r_i, r_i) / h_i . r_i, exact: w_i when no ray is bad
+    bad_normals: tuple  # the normals h_i of the left-bad rays, and of the right-bad rays
+    obstruction: Optional[dict]  # the first bad ray's first row with two positive entries
+
+
+def _ray_table(op: BiadditiveOp) -> Optional[RayTable]:
     """:func:`_simplicial_ray_table`, built once and kept on the operation."""
     if "ray_table" not in op._cache:
         op._cache["ray_table"] = _simplicial_ray_table(op)
     return op._cache["ray_table"]
 
 
-def _simplicial_ray_table(op: BiadditiveOp) -> Optional[tuple[list, list]]:
-    """The facet normals of the left-bad rays and of the right-bad rays;
-    None where the table does not apply.
+def _simplicial_ray_table(op: BiadditiveOp) -> Optional[RayTable]:
+    """The ray-product table of the operation, the one structural
+    decision of localizability; None where it does not apply.
 
     It applies to a vector carrier with no excluded face whose cone C is
     pointed and simplicial, with the operation closed on C.  The span is
@@ -501,13 +486,13 @@ def _simplicial_ray_table(op: BiadditiveOp) -> Optional[tuple[list, list]]:
     is recognised from ``cone.h_rep`` and the rays alone, without
     computing its extreme rays: the facet normals that are nonzero on some
     ray must number the rank r of the span, and each normal ``h_i`` must
-    have a ray ``r_i`` on which it alone is nonzero, and positive.  Then
-    ``h_k . r_i`` is zero for k != i, so the ``r_i`` are a basis of the
-    span, the other normals of ``h_rep`` vanish on it, and
-    ``x = sum_i (h_i . x / h_i . r_i) r_i`` there: in these ray
-    coordinates C is the orthant, pointed, with extreme rays ``r_i``.
-    The operation is closed on C iff every ``mu(r_i, r_j)`` lies in C (by
-    bilinearity); if one does not, the table declines.
+    have a ray ``r_i`` on which it alone is nonzero, and positive (the
+    first such ray of ``m.rays``).  Then ``h_k . r_i`` is zero for k != i,
+    so the ``r_i`` are a basis of the span, the other normals of ``h_rep``
+    vanish on it, and ``x = sum_i (h_i . x / h_i . r_i) r_i`` there: in
+    these ray coordinates C is the orthant, pointed, with extreme rays
+    ``r_i``.  The operation is closed on C iff every ``mu(r_i, r_j)`` lies
+    in C (by bilinearity); if one does not, the table declines.
 
     Ray i is *left-bad* if some ``mu(r_i, r_j)`` is not a multiple of
     ``r_j``, that is, some normal other than ``h_j`` is nonzero on it, and
@@ -535,6 +520,17 @@ def _simplicial_ray_table(op: BiadditiveOp) -> Optional[tuple[list, list]]:
     diagonal (a diagonal M >= I has the diagonal inverse ``M^-1 >= 0``),
     iff ``P_i`` is diagonal for every i with ``s_i > 0``, iff no such ray
     is left-bad; and ``s_i > 0`` iff ``h_i . s > 0``.  ∎
+
+    **Weak "no".**  A bad ray ``r_i`` is a member, and every s above it
+    has ``s - r_i`` in C, so ``h_i . s >= h_i . r_i > 0``: by the lemma no
+    s above ``r_i`` is localizable.  In ray coordinates a row j of M has
+    two positive entries: ``M[j][j] >= 1``, and the off-ray support of
+    ``mu(r_i, r_j)`` (``RayTable.obstruction``).
+
+    **Strong "yes".**  With no bad ray, ``mu(r_i, r_j)`` is a multiple of
+    both ``r_i`` and ``r_j``, so it is ``δ_ij w_i r_i`` with ``w_i >= 0``
+    (closure): the tensor is diagonal in ray coordinates, and every s is
+    localizable.  With a bad ray, that ray itself is not.
     """
     m = op.carrier
     if op.tensor is None or m.open_normals:
@@ -546,27 +542,41 @@ def _simplicial_ray_table(op: BiadditiveOp) -> Optional[tuple[list, list]]:
               if any(vals)]
     if len(values) != rank:
         return None
-    normals = [h for h, _ in values]
-    rays = [None] * rank
+    chosen = {}  # normal index -> the first ray on which it alone is nonzero
     for g, column in zip(m.rays, zip(*(vals for _, vals in values))):
         support = [i for i, v in enumerate(column) if v]
-        if len(support) == 1 and column[support[0]] > 0 and rays[support[0]] is None:
-            rays[support[0]] = g
-    if None in rays:
+        if len(support) == 1 and column[support[0]] > 0:
+            chosen.setdefault(support[0], g)
+    if len(chosen) != rank:
         return None
-    left_bad, right_bad = set(), set()
+    # a dict keeps the order of insertion, so the rays are in m.rays order
+    rays = list(chosen.values())
+    normals = [values[i][0] for i in chosen]
+    # prods[i][j][k] = h_k . mu(r_i, r_j), positive iff ray coordinate k is
+    prods = [[None] * rank for _ in rays]
     for i, ri in enumerate(rays):
         for j, rj in enumerate(rays):
             p = op.mu(ri, rj)
             if not cone.member(p):
                 return None
-            support = {k for k, h in enumerate(normals) if vdot(h, p)}
-            if support - {j}:
-                left_bad.add(i)
-            if support - {i}:
-                right_bad.add(j)
-    return ([normals[i] for i in sorted(left_bad)],
-            [normals[i] for i in sorted(right_bad)])
+            prods[i][j] = [vdot(h, p) for h in normals]
+    # (i, side) -> (j, positive columns) of the first row j of I + P_i (on
+    # the right, of x -> x + mu(x, r_i)) with two positive entries, for each
+    # ray i bad on that side; rays in order, the left side first
+    bad_rows = {}
+    for i in range(rank):
+        for side in ("left", "right"):
+            for j in range(rank):
+                p = prods[i][j] if side == "left" else prods[j][i]
+                columns = sorted({j}.union(k for k, v in enumerate(p) if v))
+                if len(columns) > 1:
+                    bad_rows[i, side] = j, columns
+                    break
+    return RayTable(
+        rays, [Fraction(prods[i][i][i], vdot(normals[i], r)) for i, r in enumerate(rays)],
+        tuple([normals[i] for i, bad in bad_rows if bad == side] for side in ("left", "right")),
+        next(({"element": list(rays[i]), "side": side, "row": j, "positive_columns": columns}
+              for (i, side), (j, columns) in bad_rows.items()), None))
 
 
 # ---------------------------------------------------------------------------
@@ -588,7 +598,7 @@ def is_localizable(op: BiadditiveOp, s) -> LocalizabilityVerdict:
                 return LocalizabilityVerdict(
                     s, "full", "no", f"{condition} condition fails: {one.reason}",
                     one.evidence)
-        elif any(vdot(h, s) > 0 for h in table[side == "right"]):
+        elif any(vdot(h, s) > 0 for h in table.bad_normals[side == "right"]):
             return LocalizabilityVerdict(
                 s, "full", "no", f"{condition} condition fails: {PREIMAGE_ESCAPES}",
                 lambda side=side, kind=kind: _table_evidence(op, s, side, kind))
@@ -643,57 +653,6 @@ def _cone_candidates(m: OpenConeMonoid, g0, budget: int) -> Iterator[tuple]:
                 yield y
 
 
-def _is_closed_orthant(m) -> bool:
-    """Whether the carrier's cone is the closed orthant: every ray is a
-    positive multiple of a unit vector, every coordinate direction is
-    among them, and no face is excluded: ``N^d``, the closed orthant of
-    ``Q^d``, or a lattice of positive unit multiples in it."""
-    if m.open_normals:
-        return False
-    dirs = set()
-    for g in m.rays:
-        support = [i for i, v in enumerate(g) if v != 0]
-        if len(support) != 1 or g[support[0]] <= 0:
-            return False
-        dirs.add(support[0])
-    return dirs == set(range(m.dim))
-
-
-def _row_obstruction_applies(op: BiadditiveOp) -> bool:
-    """The hypothesis of the orthant row obstruction: a closed orthant and
-    an entrywise nonnegative tensor."""
-    return (_is_closed_orthant(op.carrier)
-            and all(v >= 0 for slab in op.tensor for row in slab for v in row))
-
-
-def _positive_pair_row(op: BiadditiveOp, a0) -> Optional[dict]:
-    """The first damping row of a0, left side first, with two or more
-    positive entries."""
-    d = op.carrier.dim
-    for side in ("left", "right"):
-        mat = damping_matrix(op, a0, side)
-        for j in range(d):
-            positives = [k for k in range(d) if mat[j][k] > 0]
-            if len(positives) >= 2:
-                return {"element": list(a0), "side": side, "row": j,
-                        "positive_columns": positives}
-    return None
-
-
-def monomial_row_obstruction(op: BiadditiveOp, a0) -> Optional[dict]:
-    """Structural refutation: above a0, no element can be localizable.
-
-    Applies on a closed orthant, integer or rational, with an entrywise
-    nonnegative tensor: s above a0 has every coordinate at least a0's, so
-    the damping matrix of s dominates that of a0 entrywise, a row with two
-    or more positive entries persists, the map can never be monomial, and
-    the orthant preimage condition must fail.
-    """
-    if not _row_obstruction_applies(op):
-        return None
-    return _positive_pair_row(op, a0)
-
-
 def is_weakly_localizable(op: BiadditiveOp, budget: int = 8) -> WeakLocalizabilityCertificate:
     m = op.carrier
     verdicts: dict = {}  # candidate -> its localizability verdict
@@ -712,23 +671,18 @@ def is_weakly_localizable(op: BiadditiveOp, budget: int = 8) -> WeakLocalizabili
                        for a in m.elements()}
         return WeakLocalizabilityCertificate(
             "yes", assignments=assignments, budget=budget, reason=FINITE_ORDER_IS_TOTAL)
-    if _row_obstruction_applies(op):
-        # the orthant obstruction holds on any closed orthant, integer or
-        # rational; its hypothesis is decided once, its row test per ray.
-        # No sum of rays refutes where no ray does: with a nonnegative
-        # tensor, the positive columns of row j of a0's damping matrix are
-        # j and the supports of T[i][j] over the support of a0, and a sum
-        # of rays has the union of its rays' supports
-        for a0 in m.rays:
-            obs = _positive_pair_row(op, a0)
-            if obs is not None:
-                return WeakLocalizabilityCertificate(
-                    "no", refuted=tuple(a0), budget=budget,
-                    reason="every element above the refuted one has a damping "
-                           "row with two positive entries, so none is localizable",
-                    details={"obstruction": obs})
+    table = _ray_table(op)
+    obstruction = None if table is None else table.obstruction
+    if obstruction is not None:
+        # the first bad ray: nothing above it is localizable (see
+        # _simplicial_ray_table), so no candidate is built
+        return WeakLocalizabilityCertificate(
+            "no", refuted=tuple(obstruction["element"]), budget=budget,
+            reason="every element above the refuted one has a damping "
+                   "row with two positive entries, so none is localizable",
+            details={"obstruction": obstruction})
     queries = list(m.generators) if isinstance(m, LatticeMonoid) else m.sample_elements(6)
-    # built only when no obstruction refuted the operation first, and only
+    # built only when no bad ray refuted the operation first, and only
     # as far as the search for a dominator reads; each query searches from
     # the first candidate
     searches = tee(_dominator_candidates(m, budget), len(queries))
@@ -750,45 +704,37 @@ def is_weakly_localizable(op: BiadditiveOp, budget: int = 8) -> WeakLocalizabili
         reason="localizable dominator found for every queried element")
 
 
-def _is_diagonal_tensor(op: BiadditiveOp) -> Optional[list]:
-    """Per-coordinate weights if the tensor is diagonal and nonnegative."""
-    t = op.tensor
-    d = len(t)
-    if any(t[i][j][k] < 0 if i == j == k else t[i][j][k]
-           for i, j, k in product(range(d), repeat=3)):
-        return None
-    return [t[i][i][i] for i in range(d)]
-
-
 def is_strongly_localizable(op: BiadditiveOp, budget: int = 3) -> dict:
     """Yes on finite carriers.  On vector ones, structural where the
-    tensor is diagonal on a closed orthant or the ray-product table finds
-    no bad ray (see :func:`_simplicial_ray_table`); otherwise every
-    candidate up to ``budget`` is decided, and a "yes" is sampled."""
+    ray-product table applies (see :func:`_simplicial_ray_table`): yes
+    when no ray is bad, else the first bad ray is refuted.  Elsewhere
+    every candidate up to ``budget`` is decided: a "yes" is sampled, and
+    "unknown" when no candidate was checked."""
     m = op.carrier
     if isinstance(m, FiniteMonoid):
         # every element of a finite carrier is localizable
         return {"verdict": "yes", "confirmed": "theorem", "reason": FINITE_ORDER_IS_TOTAL}
-    if _is_closed_orthant(m):
-        weights = _is_diagonal_tensor(op)
-        if weights is not None:
+    table = _ray_table(op)
+    if table is None:
+        samples = list(_dominator_candidates(m, budget))
+    else:
+        obstruction = table.obstruction
+        if obstruction is None:
             return {"verdict": "yes", "confirmed": "structural",
-                    "reason": "diagonal nonnegative tensor on orthant "
-                              "coordinates keeps every damping map a "
-                              "positive diagonal",
-                    "weights": weights}
-    if _ray_table(op) == ([], []):
-        return {"verdict": "yes", "confirmed": "structural",
-                "reason": "simplicial lemma: on this pointed simplicial cone "
-                          "every ray product is a multiple of each factor, "
-                          "so every damping map is a positive diagonal in "
-                          "ray coordinates"}
-    samples = list(_dominator_candidates(m, budget))
+                    "reason": "simplicial lemma: on this pointed simplicial cone "
+                              "every ray product is a multiple of each factor, "
+                              "so every damping map is a positive diagonal in "
+                              "ray coordinates",
+                    "rays": table.rays, "weights": table.weights}
+        samples = [tuple(obstruction["element"])]
     for s in samples:
         v = is_localizable(op, s)
         if v.verdict == "no":
             return {"verdict": "no", "confirmed": "witnessed",
                     "refuted_element": _ser(s), "witness": v.as_dict()["witness"]}
+    if not samples:
+        return {"verdict": "unknown", "confirmed": "sampled", "elements_checked": 0,
+                "reason": f"no element checked within {m.budget_text} {budget}"}
     return {"verdict": "yes", "confirmed": "sampled",
             "elements_checked": len(samples),
             "note": "refutations are sound; confirmation is sampled"}

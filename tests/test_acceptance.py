@@ -250,7 +250,7 @@ def test_criterion_05_extremal_identity():
                         assert lhs == rhs, \
                             f"{label}: identity fails at {s}, {f}, {fp}"
                         identities += 1
-                res = normalize_multiplicative(op, pool, phi, subgroup=h)
+                res = normalize_multiplicative(op, pool, phi)
                 assert res.ok and res.status == "multiplicative", \
                     f"{label}: normalization not multiplicative"
                 psi = res.psi

@@ -24,7 +24,7 @@ from monoidorder import (cli, formallyreal, functionals, latticeorder,
 from monoidorder.cli import (EXIT_BUDGET, EXIT_INPUT, EXIT_INTERNAL, EXIT_PASS,
                              EXIT_REFUSED, EXIT_REFUTED, REPRODUCE_IDS,
                              default_golden_path, main, reproduce_document)
-from monoidorder.exactmath import InternalCheckError
+from monoidorder.exactmath import InternalCheckError, vadd
 from monoidorder.instancefile import load_instance
 from monoidorder.latticeorder import (fring_strong_localizability,
                                       is_extended_f_ring)
@@ -135,9 +135,40 @@ def test_localizable_weak_verdicts():
     assert doc["certificate"]["assignments"]
 
 
+def _count_weak_refutation_work(monkeypatch, module):
+    """Count, from here on, the ``_vector_left`` calls anywhere and the
+    ``BiadditiveOp.mu`` calls inside the weak searches that ``module`` runs."""
+    calls = {"_vector_left": 0, "mu": 0}
+    inside = []
+    vector_left, mu = localizability._vector_left, BiadditiveOp.mu
+    weak = localizability.is_weakly_localizable
+
+    def counted_vector_left(*args):
+        calls["_vector_left"] += 1
+        return vector_left(*args)
+
+    def counted_mu(self, a, b):
+        calls["mu"] += bool(inside)
+        return mu(self, a, b)
+
+    def counted_weak(*args, **kwargs):
+        inside.append(1)
+        try:
+            return weak(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(localizability, "_vector_left", counted_vector_left)
+    monkeypatch.setattr(BiadditiveOp, "mu", counted_mu)
+    monkeypatch.setattr(module, "is_weakly_localizable", counted_weak)
+    return calls
+
+
 def test_weak_refutation_builds_no_dominator_candidates(monkeypatch):
-    # the obstruction refutes the matrix product from its rays, before any
-    # dominator search, so a large budget costs nothing: no candidate is built
+    # the first bad ray of the ray-product table refutes the matrix product
+    # before any dominator search, so a large budget costs nothing: no
+    # candidate is built, no damped map runs, and the table's r^2 products
+    # (span rank r = 4) are the only ones computed
     requested = []
     candidates = localizability._lattice_candidates
 
@@ -146,15 +177,65 @@ def test_weak_refutation_builds_no_dominator_candidates(monkeypatch):
         return candidates(m, budget)
 
     monkeypatch.setattr(localizability, "_lattice_candidates", counted)
+    calls = _count_weak_refutation_work(monkeypatch, cli)
     code, doc, _ = run_json("--budget", "64", "localizable",
                             instance_path("matrix-2x2.mon"), "--weak")
     assert code == EXIT_REFUTED
     assert requested == []
+    assert calls["_vector_left"] == 0 and 0 < calls["mu"] <= 4 ** 2
     _, small, _ = run_json("localizable", instance_path("matrix-2x2.mon"),
                            "--weak")
     assert small["certificate"]["budget"] == 8
     assert doc["certificate"]["budget"] == 64
     assert dict(doc["certificate"], budget=8) == small["certificate"]
+    # the almost-f-ring operation on the integer orthant, of rank 3
+    calls = _count_weak_refutation_work(monkeypatch, latticeorder)
+    result = latticeorder.almost_fring_counterexample()
+    assert result["weak_localizability"]["refuted"] == (1, 0, 0)
+    assert calls["_vector_left"] == 0 and 0 < calls["mu"] <= 3 ** 2
+
+
+def test_a_sampled_strong_search_with_no_element_checked_is_unknown():
+    # at budget 0 the open half-plane's sampled search checks nothing, so
+    # it cannot say yes; the matrix product is refuted off its ray table
+    # whatever the budget
+    code, doc, _ = run_json("--budget", "0", "localizable",
+                            instance_path("half-open-half-plane.mon"), "--strong")
+    assert (code, doc["result"]["verdict"]) == (EXIT_BUDGET, "unknown")
+    assert doc["result"]["elements_checked"] == 0
+    for budget in ("0", "1", "8"):
+        code, doc, _ = run_json("--budget", budget, "localizable",
+                                instance_path("matrix-2x2.mon"), "--strong")
+        assert (code, doc["result"]["verdict"]) == (EXIT_REFUTED, "no")
+        assert doc["result"]["refuted_element"] == ["0", "1", "0", "0"]
+
+
+SKEWED_LEFT_SCALING = ("kind: lattice\ndim: 2\n[generators]\n1 0\n1 1\n"
+                       "[tensor]\n0 0 1 0\n0 1 0 1\n")
+
+
+def test_a_skewed_lattice_with_a_bad_ray_is_refuted_weakly_and_strongly(tmp_path):
+    # mu(a, b) = a_0 b on the cone of (1, 0) and (1, 1): mu(r_j, r_i) = r_i,
+    # so both rays are right-bad and nothing but 0 is localizable.  The
+    # carrier is no orthant, and a search over candidates can only run out
+    # of budget here: the refutation comes from the table
+    path = tmp_path / "skewed-left-scaling.mon"
+    path.write_text(SKEWED_LEFT_SCALING)
+    code, doc, _ = run_json("localizable", str(path), "--weak")
+    cert = doc["certificate"]
+    assert (code, cert["verdict"], cert["refuted"]) == (EXIT_REFUTED, "no", ["1", "0"])
+    assert cert["details"]["obstruction"] == {
+        "element": [1, 0], "side": "right", "row": 1, "positive_columns": [0, 1]}
+    code, doc, _ = run_json("localizable", str(path), "--strong")
+    res = doc["result"]
+    assert (code, res["verdict"], res["refuted_element"]) == (EXIT_REFUTED, "no", ["1", "0"])
+    op = load_instance(str(path)).op
+    s = (1, 0)
+    a, b = (tuple(int(v) for v in x) for x in res["witness"])
+    # re-validated here too: the opposite side's damped pair compares, the
+    # pair does not
+    assert leq(op.carrier, vadd(op.mu(a, s), a), vadd(op.mu(b, s), b))
+    assert not leq(op.carrier, a, b)
 
 
 def test_localizable_strong_exits_zero_on_elementwise_product():
@@ -329,7 +410,10 @@ def test_rational_fring_is_strongly_localizable_by_structure(tmp_path):
     code, doc, _ = run_json("verify", str(path), "--fring")
     assert (code, doc["status"]) == (EXIT_PASS, "pass")
     assert doc["result"]["strong"]["confirmed"] == "structural"
-    assert doc["result"]["strong"]["weights"] == [2, 3]
+    strong = doc["result"]["strong"]
+    # the rational orthant lists its rays in v_rep order: each weight is
+    # read at its ray
+    assert dict(zip(map(tuple, strong["rays"]), strong["weights"])) == {(1, 0): 2, (0, 1): 3}
     code, doc, _ = run_json("localizable", str(path), "--strong")
     assert (code, doc["result"]["confirmed"]) == (EXIT_PASS, "structural")
     # the orthant is pointed with no excluded face, so the weak-strong
@@ -341,9 +425,16 @@ def test_rational_fring_is_strongly_localizable_by_structure(tmp_path):
 
 
 def test_weak_unknown_reason_prints_rationals_as_p_over_q(tmp_path):
+    # on the closed cone the ray-product table refutes (1, 0), which is
+    # right-bad (mu((1, 2), (1, 0)) = (2, 0)); with the face of (1, 2)
+    # excluded the table declines and the search runs out of budget
     path = tmp_path / "cone.mon"
-    path.write_text("kind: open-cone\ndim: 2\n[rays]\n1 0\n1 2\n"
-                    "[tensor]\n0 0 0 0\n1 0 1 0\n")
+    rays = "kind: open-cone\ndim: 2\n[rays]\n1 0\n1 2\n"
+    tensor = "[tensor]\n0 0 0 0\n1 0 1 0\n"
+    path.write_text(rays + tensor)
+    code, doc, _ = run_json("localizable", str(path), "--weak")
+    assert (code, doc["certificate"]["refuted"]) == (EXIT_REFUTED, ["1", "0"])
+    path.write_text(rays + "[open-normals]\n2 -1\n" + tensor)
     code, doc, _ = run_json("localizable", str(path), "--weak")
     assert code == EXIT_BUDGET
     assert doc["certificate"]["reason"] == (
@@ -1015,15 +1106,23 @@ def test_weak_search_builds_no_witness_it_does_not_print(tmp_path, monkeypatch):
     four_gens = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [5, 9, 3]]
     inst5, weak5 = _unknown_weak(str(five), five_gens, 8, "(0, 1, 0)",
                                  {"['1', '0', '0']": ["1", "0", "0"]})
-    inst4, weak4 = _unknown_weak(str(four), four_gens, 16, "(1, 0, 0)", {})
+    inst4, _ = _unknown_weak(str(four), four_gens, 16, "(1, 0, 0)", {})
+    # four generators span the orthant, so the ray-product table refutes
+    # its first bad ray before the search
+    weak4 = {"assignments": {}, "budget": 16, "method": "search", "verdict": "no",
+             "details": {"obstruction": {"element": [1, 0, 0], "side": "left",
+                                         "row": 1, "positive_columns": [0, 1, 2]}},
+             "reason": "every element above the refuted one has a damping row "
+                       "with two positive entries, so none is localizable",
+             "refuted": ["1", "0", "0"]}
     runs = [
-        (("--budget", "8", "localizable", str(five), "--weak"),
+        (("--budget", "8", "localizable", str(five), "--weak"), EXIT_BUDGET,
          {"command": "localizable", "instance": inst5, "mode": "weak",
           "certificate": weak5}),
-        (("--budget", "16", "localizable", str(four), "--weak"),
+        (("--budget", "16", "localizable", str(four), "--weak"), EXIT_REFUTED,
          {"command": "localizable", "instance": inst4, "mode": "weak",
           "certificate": weak4}),
-        (("--budget", "8", "verify", str(five), "--main"),
+        (("--budget", "8", "verify", str(five), "--main"), EXIT_BUDGET,
          {"command": "verify", "goal": "main", "instance": inst5,
           "hypotheses": [{"detail": weak5, "name": "weak-localizability",
                           "status": "unknown"}],
@@ -1031,10 +1130,10 @@ def test_weak_search_builds_no_witness_it_does_not_print(tmp_path, monkeypatch):
                     "verified within budget",
           "status": "unknown"}),
     ]
-    for argv, want in runs:
+    for argv, exit_code, want in runs:
         counts = _count_witness_work(monkeypatch)
         code, out, err = run_cli(*argv)
-        assert code == EXIT_BUDGET, err
+        assert code == exit_code, err
         assert out == render_report(want)
         assert counts == {"_witness_pair": 0, "_validate_witness": 0}, argv
 

@@ -158,7 +158,8 @@ def test_fring_strong_localizability_confirmed():
     assert res["status"] == "confirmed" and res["ok"]
     assert res["exact_commutativity"] and res["exact_associativity"]
     assert res["strong"]["verdict"] == "yes"
-    assert res["strong"]["weights"] == [2, 3]
+    strong = res["strong"]
+    assert dict(zip(strong["rays"], strong["weights"])) == {(1, 0): 2, (0, 1): 3}
     assert res["theorem"]["mode"] == "certified"
 
 

@@ -15,11 +15,10 @@ from monoidorder.exactmath import (InputError, InternalCheckError, RationalCone,
                                    integer_solve, lp_feasible, vadd, vdot, vneg,
                                    vscale, vsub)
 from monoidorder.functionals import verify_theorem_main
-from monoidorder.localizability import (_ser, _witness_pair, damping_matrix,
+from monoidorder.localizability import (_ser, _witness_pair,
                                         is_left_localizable, is_localizable,
                                         is_strongly_localizable,
                                         is_weakly_localizable,
-                                        monomial_row_obstruction,
                                         order_unit_fast_path)
 from monoidorder.monoids import (BiadditiveOp, FiniteMonoid, LatticeMonoid,
                                  OpenConeMonoid, VectorCarrier, approx,
@@ -65,6 +64,63 @@ def half_plane_op():
 
 SWAP = (0, 1, 1, 0)
 IDENT = (1, 0, 0, 1)
+
+
+# ---------------------------------------------------------------------------
+# the carrier-coordinate reference: damping matrices and the row obstruction
+
+
+def damping_matrix(op, s, side="left"):
+    """Matrix of ``x -> x + mu(s, x)`` (or ``x + mu(x, s)``), rows = inputs.
+
+    Only the nonzero coordinates ``s_i`` are read, each against its tensor
+    slice: ``T[i][j][k]`` adds to row j, column k on the left, and
+    ``T[j][i][k]`` on the right.  Entries are plain ``int`` for an integer
+    ``s``; every entry starts from the zero of ``sum(s)``, so one
+    ``Fraction`` coordinate makes them all ``Fraction``.
+    """
+    d = op.carrier.dim
+    t = op.tensor
+    zero = 0 * sum(s)
+    rows = [[zero + int(j == k) for k in range(d)] for j in range(d)]
+    for i, si in enumerate(s):
+        if not si:
+            continue
+        # slices[j][k] is the coefficient of s_i in entry (j, k)
+        slices = t[i] if side == "left" else [slab[i] for slab in t]
+        for row, coeffs in zip(rows, slices):
+            for k, v in enumerate(coeffs):
+                if v:
+                    row[k] += si * v
+    return rows
+
+
+def monomial_row_obstruction(op, a0):
+    """The row obstruction in carrier coordinates: on a closed orthant
+    (every ray a positive multiple of a unit vector, every direction among
+    them, no excluded face) with an entrywise nonnegative tensor, the first
+    damping row of a0, the left side first, with two or more positive
+    entries; None elsewhere or when there is none.
+
+    Above a0 every coordinate is at least a0's, so the damping matrix
+    dominates a0's entrywise, the row persists, and no element above a0 is
+    localizable.  The library decides the same in ray coordinates, off the
+    ray-product table; this is its reference on orthants.
+    """
+    m = op.carrier
+    supports = [[i for i, v in enumerate(g) if v] for g in m.rays]
+    orthant = (not m.open_normals
+               and all(len(sp) == 1 and g[sp[0]] > 0 for g, sp in zip(m.rays, supports))
+               and {sp[0] for sp in supports} == set(range(m.dim)))
+    if not orthant or any(v < 0 for slab in op.tensor for row in slab for v in row):
+        return None
+    for side in ("left", "right"):
+        for j, row in enumerate(damping_matrix(op, a0, side)):
+            positives = [k for k, v in enumerate(row) if v > 0]
+            if len(positives) >= 2:
+                return {"element": list(a0), "side": side, "row": j,
+                        "positive_columns": positives}
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -763,7 +819,7 @@ def test_a_cramer_refutation_with_no_escaping_ray_is_an_internal_error(monkeypat
            st.just(d),
            st.lists(st.sampled_from([0, 0, 0, 1, 2]), min_size=d ** 3, max_size=d ** 3))))
 def test_integer_and_rational_orthants_refute_weak_localizability_together(case):
-    # the row obstruction reads the rays of the closed orthant, not the
+    # the ray-product table reads the rays of the closed orthant, not the
     # carrier's class, so both lattice-group forms of one tensor share it
     d, flat = case
     tensor = _flat_tensor(flat, d)
@@ -782,12 +838,16 @@ def test_integer_and_rational_orthants_refute_weak_localizability_together(case)
                  st.fractions(0, 4, max_denominator=3), min_size=d, max_size=d)))))
 def test_structural_strong_yes_agrees_with_every_element(case):
     # a diagonal nonnegative tensor on either closed orthant is strongly
-    # localizable by structure; the decision on each element agrees
+    # localizable by structure; the decision on each element agrees.  The
+    # rational orthant lists its rays in v_rep order, so each weight is
+    # compared at its ray
     scalar, weights, s = case
-    op = BiadditiveOp(orthant(len(weights), scalar), tensor=diagonal_tensor(len(weights), weights))
+    d = len(weights)
+    op = BiadditiveOp(orthant(d, scalar), tensor=diagonal_tensor(d, weights))
     strong = is_strongly_localizable(op)
-    assert (strong["verdict"], strong["confirmed"], strong["weights"]) == \
-        ("yes", "structural", weights)
+    assert (strong["verdict"], strong["confirmed"]) == ("yes", "structural")
+    units = [tuple(int(i == j) for j in range(d)) for i in range(d)]
+    assert dict(zip(map(tuple, strong["rays"]), strong["weights"])) == dict(zip(units, weights))
     assert is_localizable(op, tuple(s)).verdict == "yes"
 
 
@@ -925,7 +985,7 @@ def test_table_verdicts_are_the_two_sided_decision():
             assert got == _outcome(_two_sided_reference, op, s), (m.rays, tensor, s)
             path = "declined" if table is None else "table"
             seen[(kind, path, got["verdict"] if isinstance(got, dict) else "raised")] += 1
-        if table == ([], []):
+        if table is not None and table.obstruction is None:
             assert is_strongly_localizable(op)["confirmed"] == "structural"
     for kind in ("unimodular", "integer-orthant", "rational-orthant"):
         for outcome in (("table", "yes"), ("table", "no"), ("declined", "no")):
@@ -975,16 +1035,16 @@ def test_weak_search_on_the_lattice_corpus_runs_no_damped_map(monkeypatch, name)
     assert calls["_vector_left"] == 2 * calls["is_localizable"] == 2 * decided
 
 
-@pytest.mark.parametrize("table,s,reason", [
+@pytest.mark.parametrize("bad_normals,s,reason", [
     (([(1, 0)], []), (1, 0), "left condition fails: preimage cone escapes the positivity cone"),
     (([], [(0, 1)]), (2, 1), "opposite condition fails: preimage cone escapes the positivity cone"),
 ])
-def test_a_table_refutation_the_decision_keeps_is_an_internal_error(table, s, reason):
+def test_a_table_refutation_the_decision_keeps_is_an_internal_error(bad_normals, s, reason):
     # a planted table calls a localizable side bad: the verdict follows the
     # table, and reading its evidence runs the one-sided decision, which
     # says yes, so the read fails loudly
     op = elementwise_op(2)
-    op._cache["ray_table"] = table
+    op._cache["ray_table"] = localizability.RayTable([(1, 0), (0, 1)], [1, 1], bad_normals, None)
     v = is_localizable(op, s)
     assert (v.verdict, v.reason) == ("no", reason)
     with pytest.raises(InternalCheckError, match="ray-product table"):
@@ -1005,4 +1065,38 @@ def test_the_table_declines_off_the_closed_simplicial_case():
     ]
     for op in declined:
         assert localizability._ray_table(op) is None
-    assert localizability._ray_table(elementwise_op(3)) == ([], [])
+    table = localizability._ray_table(elementwise_op(3))
+    assert table.bad_normals == ([], []) and table.obstruction is None
+
+
+def test_table_refutations_and_structural_yes_hold_on_drawn_carriers():
+    # a weak "no" refutes a member ray above which no candidate is
+    # localizable by the decision without the table, and the strong search
+    # refutes the same ray; a structural strong "yes" has every ray product
+    # diagonal in ray coordinates, with the reported weights
+    rng = seeded(30)
+    seen = Counter()
+    for _ in range(120):
+        kind, m, rays = _drawn_carrier(rng)
+        d = m.dim
+        op = BiadditiveOp(m, tensor=_ray_coordinate_tensor(rays, _ray_products(rng, d)))
+        strong = is_strongly_localizable(op)
+        if strong["confirmed"] == "structural":
+            weights = dict(zip(map(tuple, strong["rays"]), strong["weights"]))
+            assert len(weights) == d
+            for ri, wi in weights.items():
+                for rj in weights:
+                    want = vscale(wi, ri) if ri == rj else (0,) * d
+                    assert op.mu(ri, rj) == want, (m.rays, ri, rj)
+            seen[(kind, "yes")] += 1
+            continue
+        weak = is_weakly_localizable(op, budget=2)
+        r = weak.refuted
+        assert weak.verdict == "no" and m.contains(r)
+        assert strong["verdict"] == "no" and strong["refuted_element"] == _ser(r)
+        above = [s for s in localizability._lattice_candidates(m, 2) if leq(m, r, s)]
+        assert r in above
+        assert all(_two_sided_reference(op, s).verdict == "no" for s in above)
+        seen[(kind, "no")] += 1
+    for kind in ("unimodular", "integer-orthant", "rational-orthant"):
+        assert seen[(kind, "yes")] > 0 and seen[(kind, "no")] > 0, seen

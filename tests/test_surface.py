@@ -31,8 +31,6 @@ PERFBENCH = os.path.join(ROOT, "perfbench")
 ORACLES = {
     "sign_canonical": "tests/test_exactmath.py",  # pointed cones for a property
     "RationalCone.same_cone": "tests/test_exactmath.py",  # dual of the dual
-    # the first refuted element of the weak search's row obstruction
-    "monomial_row_obstruction": "tests/test_localizability.py",
 }
 
 # (function, parameter) -> why only tests pass it
