@@ -22,17 +22,13 @@ an injective L_s maps every face of C onto itself (see
 inside.
 
 Where C is a pointed simplicial cone with no excluded face and the
-operation is closed on it, that decision reduces to a support condition:
-s is localizable iff no ray in its support has a product with another ray
-off that ray (the lemma of :func:`_simplicial_ray_table`).
-:func:`is_localizable` then reads both sides off one table of ray
-products, built once per operation, and runs no map at all.  The same
-table is the one structural path of the bulk notions: the first bad ray
-refutes weak localizability, as nothing above it is localizable, and is
-the refuted element of a strong "no"; with no bad ray the operation is
-diagonal in ray coordinates, and every element is localizable.
-Elsewhere the weak and strong searches decide candidates one at a time,
-and a strong "yes" there is sampled.
+operation is closed on it, one table of ray products, built once per
+operation, decides it all with no damped map (the lemma of
+:func:`_simplicial_ray_table`): s is localizable iff no bad ray lies in
+its support, the first bad ray refutes weak and strong localizability
+alike, and with no bad ray every element is localizable.  Elsewhere the
+weak and strong searches decide candidates one at a time, and a strong
+"yes" there is sampled.
 
 A verdict is decided first; the explicit witness pair of a "no" is built
 on first read and re-validated through the order decision procedures
@@ -552,31 +548,35 @@ def _simplicial_ray_table(op: BiadditiveOp) -> Optional[RayTable]:
     # a dict keeps the order of insertion, so the rays are in m.rays order
     rays = list(chosen.values())
     normals = [values[i][0] for i in chosen]
-    # prods[i][j][k] = h_k . mu(r_i, r_j), positive iff ray coordinate k is
+    # prods[i][j][k] = h_k . mu(r_i, r_j), positive iff ray coordinate k is.
+    # Each product is summed off the tensor over the pairs of nonzero ray
+    # coordinates (a ray is nonzero), as the f-ring verdict reads the
+    # tensor, so the table makes no op.mu call
+    supports = [[(a, x) for a, x in enumerate(r) if x] for r in rays]
     prods = [[None] * rank for _ in rays]
-    for i, ri in enumerate(rays):
-        for j, rj in enumerate(rays):
-            p = op.mu(ri, rj)
+    for i, si in enumerate(supports):
+        for j, sj in enumerate(supports):
+            p = reduce(vadd, [vscale(x * y, op.tensor[a][b]) for a, x in si for b, y in sj])
             if not cone.member(p):
                 return None
             prods[i][j] = [vdot(h, p) for h in normals]
-    # (i, side) -> (j, positive columns) of the first row j of I + P_i (on
-    # the right, of x -> x + mu(x, r_i)) with two positive entries, for each
-    # ray i bad on that side; rays in order, the left side first
-    bad_rows = {}
+    # the normals of the rays bad on each side, and the obstruction: the
+    # first row j of I + P_i (on the right, of x -> x + mu(x, r_i)) with two
+    # positive entries, of the first bad ray i, the left side first
+    bad_normals, obstruction = ([], []), None
     for i in range(rank):
-        for side in ("left", "right"):
+        for bad, side in zip(bad_normals, ("left", "right")):
             for j in range(rank):
                 p = prods[i][j] if side == "left" else prods[j][i]
                 columns = sorted({j}.union(k for k, v in enumerate(p) if v))
                 if len(columns) > 1:
-                    bad_rows[i, side] = j, columns
+                    bad.append(normals[i])
+                    if obstruction is None:
+                        obstruction = {"element": list(rays[i]), "side": side,
+                                       "row": j, "positive_columns": columns}
                     break
-    return RayTable(
-        rays, [Fraction(prods[i][i][i], vdot(normals[i], r)) for i, r in enumerate(rays)],
-        tuple([normals[i] for i, bad in bad_rows if bad == side] for side in ("left", "right")),
-        next(({"element": list(rays[i]), "side": side, "row": j, "positive_columns": columns}
-              for (i, side), (j, columns) in bad_rows.items()), None))
+    weights = [Fraction(prods[i][i][i], vdot(normals[i], r)) for i, r in enumerate(rays)]
+    return RayTable(rays, weights, bad_normals, obstruction)
 
 
 # ---------------------------------------------------------------------------
@@ -714,24 +714,31 @@ def is_strongly_localizable(op: BiadditiveOp, budget: int = 3) -> dict:
     if isinstance(m, FiniteMonoid):
         # every element of a finite carrier is localizable
         return {"verdict": "yes", "confirmed": "theorem", "reason": FINITE_ORDER_IS_TOTAL}
+
+    def refuted(s, v):
+        return {"verdict": "no", "confirmed": "witnessed",
+                "refuted_element": _ser(s), "witness": v.as_dict()["witness"]}
+
     table = _ray_table(op)
-    if table is None:
-        samples = list(_dominator_candidates(m, budget))
-    else:
-        obstruction = table.obstruction
-        if obstruction is None:
+    if table is not None:
+        if table.obstruction is None:
             return {"verdict": "yes", "confirmed": "structural",
                     "reason": "simplicial lemma: on this pointed simplicial cone "
                               "every ray product is a multiple of each factor, "
                               "so every damping map is a positive diagonal in "
                               "ray coordinates",
                     "rays": table.rays, "weights": table.weights}
-        samples = [tuple(obstruction["element"])]
+        # the first bad ray is itself not localizable: refuted, not sampled
+        s = tuple(table.obstruction["element"])
+        v = is_localizable(op, s)
+        if v.verdict != "no":
+            raise InternalCheckError("ray-product table refuted a ray that the decision keeps")
+        return refuted(s, v)
+    samples = list(_dominator_candidates(m, budget))
     for s in samples:
         v = is_localizable(op, s)
         if v.verdict == "no":
-            return {"verdict": "no", "confirmed": "witnessed",
-                    "refuted_element": _ser(s), "witness": v.as_dict()["witness"]}
+            return refuted(s, v)
     if not samples:
         return {"verdict": "unknown", "confirmed": "sampled", "elements_checked": 0,
                 "reason": f"no element checked within {m.budget_text} {budget}"}

@@ -167,8 +167,9 @@ def _count_weak_refutation_work(monkeypatch, module):
 def test_weak_refutation_builds_no_dominator_candidates(monkeypatch):
     # the first bad ray of the ray-product table refutes the matrix product
     # before any dominator search, so a large budget costs nothing: no
-    # candidate is built, no damped map runs, and the table's r^2 products
-    # (span rank r = 4) are the only ones computed
+    # candidate is built, no damped map runs, and the table reads its r^2
+    # ray products (span rank r = 4) off the tensor, so no op.mu call is
+    # made (at most r^2 would be allowed)
     requested = []
     candidates = localizability._lattice_candidates
 
@@ -182,7 +183,7 @@ def test_weak_refutation_builds_no_dominator_candidates(monkeypatch):
                             instance_path("matrix-2x2.mon"), "--weak")
     assert code == EXIT_REFUTED
     assert requested == []
-    assert calls["_vector_left"] == 0 and 0 < calls["mu"] <= 4 ** 2
+    assert calls == {"_vector_left": 0, "mu": 0}
     _, small, _ = run_json("localizable", instance_path("matrix-2x2.mon"),
                            "--weak")
     assert small["certificate"]["budget"] == 8
@@ -192,7 +193,7 @@ def test_weak_refutation_builds_no_dominator_candidates(monkeypatch):
     calls = _count_weak_refutation_work(monkeypatch, latticeorder)
     result = latticeorder.almost_fring_counterexample()
     assert result["weak_localizability"]["refuted"] == (1, 0, 0)
-    assert calls["_vector_left"] == 0 and 0 < calls["mu"] <= 3 ** 2
+    assert calls == {"_vector_left": 0, "mu": 0}
 
 
 def test_a_sampled_strong_search_with_no_element_checked_is_unknown():

@@ -1051,6 +1051,18 @@ def test_a_table_refutation_the_decision_keeps_is_an_internal_error(bad_normals,
         v.as_dict()
 
 
+def test_a_strong_refutation_the_table_cannot_witness_is_an_internal_error():
+    # a planted table names an obstruction on a ray it calls bad on neither
+    # side, so the ray is localizable: the strong search neither samples
+    # nor says yes, it fails loudly
+    op = elementwise_op(2)
+    obstruction = {"element": [1, 0], "side": "left", "row": 0, "positive_columns": [0, 1]}
+    op._cache["ray_table"] = localizability.RayTable(
+        [(1, 0), (0, 1)], [1, 1], ([], []), obstruction)
+    with pytest.raises(InternalCheckError, match="ray-product table"):
+        is_strongly_localizable(op)
+
+
 def test_the_table_declines_off_the_closed_simplicial_case():
     # excluded faces, a cone with more facets than the span's rank, a
     # product outside the cone, and a finite carrier keep the old decision
