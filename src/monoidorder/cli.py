@@ -116,7 +116,7 @@ def cmd_localizable(args) -> tuple:
         doc["certificate"] = cert.as_dict()
         return doc, _verdict_exit(cert.verdict)
     if args.strong:
-        res = is_strongly_localizable(op, budget=min(args.budget, 4))
+        res = is_strongly_localizable(op, budget=args.budget)
         doc["mode"] = "strong"
         doc["result"] = res
         return doc, _verdict_exit(res["verdict"])
@@ -133,6 +133,8 @@ def cmd_localizable(args) -> tuple:
 
 
 def cmd_verify(args) -> tuple:
+    if args.element is not None and args.goal != "orderunit":
+        raise InputError("--element is read only with --orderunit")
     instance = load_instance(args.file)
     doc = {"command": "verify", "instance": instance.describe()}
     if args.goal == "main":
@@ -544,9 +546,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("localizable", help="decide localizability")
     p.add_argument("file")
-    p.add_argument("element", nargs="?", default=None)
-    p.add_argument("--weak", action="store_true")
-    p.add_argument("--strong", action="store_true")
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("element", nargs="?", default=None)
+    mode.add_argument("--weak", action="store_true")
+    mode.add_argument("--strong", action="store_true")
     p.set_defaults(func=cmd_localizable)
 
     p = sub.add_parser("verify", help="run a theorem verifier with its "

@@ -775,7 +775,11 @@ def weak_implies_strong_audit(op: BiadditiveOp, budget: int = 8) -> dict:
         return {"status": "inconclusive", "ok": True,
                 "reason": f"weak search exhausted: {weak.reason}",
                 "weak": weak.as_dict()}
-    strong = is_strongly_localizable(op)
+    strong = is_strongly_localizable(op, budget=budget)
+    if strong["verdict"] == "unknown":
+        return {"status": "inconclusive", "ok": True,
+                "reason": f"strong search exhausted: {strong['reason']}",
+                "weak": weak.as_dict(), "strong": strong}
     ok = strong["verdict"] == "yes"
     return {
         "status": "confirmed" if ok else "discrepancy",

@@ -21,14 +21,15 @@ an injective L_s maps every face of C onto itself (see
 ``_vector_left``), so no excluded-face direction can map strictly
 inside.
 
-Where C is a pointed simplicial cone with no excluded face and the
-operation is closed on it, one table of ray products, built once per
-operation, decides it all with no damped map (the lemma of
+Where C is a pointed simplicial cone (with or without excluded faces)
+and the operation is closed on it, one table of ray products, built once
+per operation, decides it all with no damped map (the lemma of
 :func:`_simplicial_ray_table`): s is localizable iff no bad ray lies in
 its support, the first bad ray refutes weak and strong localizability
-alike, and with no bad ray every element is localizable.  Elsewhere the
-weak and strong searches decide candidates one at a time, and a strong
-"yes" there is sampled.
+alike, and with no bad ray every element is localizable and its own weak
+dominator.  Elsewhere the weak and strong searches decide the member ray
+sums level by level, the strong one only to refute: a strong "yes" is a
+theorem (finite) or the table's.
 
 A verdict is decided first; the explicit witness pair of a "no" is built
 on first read and re-validated through the order decision procedures
@@ -42,7 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, reduce
-from itertools import chain, islice, tee
+from itertools import chain, islice
 from math import lcm
 from operator import mul
 from typing import Iterator, NamedTuple, Optional
@@ -188,10 +189,11 @@ def _vector_left(op, s, side, kind) -> LocalizabilityVerdict:
 
     This is the decision of :func:`is_left_localizable`, and of
     :func:`is_localizable` wherever the ray-product table declines (see
-    :func:`_simplicial_ray_table`); after a table "no" it builds the
-    evidence.  With ``L_s`` the damped map on the difference span and C
-    the closed positivity cone, three steps decide it; a lattice is the
-    carrier with no strict faces, so it skips the second.
+    :func:`_simplicial_ray_table`) or a face is excluded; after a table
+    "no" it builds the evidence.  With ``L_s`` the damped map on the
+    difference span and C the closed positivity cone, three steps decide
+    it; a lattice is the carrier with no strict faces, so it skips the
+    second.
 
     1. A positive multiple of the identity on the span: yes.
     2. With open normals, a nonzero direction x that ``L_s`` kills
@@ -476,19 +478,20 @@ def _simplicial_ray_table(op: BiadditiveOp) -> Optional[RayTable]:
     """The ray-product table of the operation, the one structural
     decision of localizability; None where it does not apply.
 
-    It applies to a vector carrier with no excluded face whose cone C is
-    pointed and simplicial, with the operation closed on C.  The span is
-    refused first, as the decision refuses it (:func:`_nonzero_span`).  C
-    is recognised from ``cone.h_rep`` and the rays alone, without
-    computing its extreme rays: the facet normals that are nonzero on some
-    ray must number the rank r of the span, and each normal ``h_i`` must
-    have a ray ``r_i`` on which it alone is nonzero, and positive (the
-    first such ray of ``m.rays``).  Then ``h_k . r_i`` is zero for k != i,
-    so the ``r_i`` are a basis of the span, the other normals of ``h_rep``
-    vanish on it, and ``x = sum_i (h_i . x / h_i . r_i) r_i`` there: in
-    these ray coordinates C is the orthant, pointed, with extreme rays
-    ``r_i``.  The operation is closed on C iff every ``mu(r_i, r_j)`` lies
-    in C (by bilinearity); if one does not, the table declines.
+    It applies to a vector carrier whose closed cone C is pointed and
+    simplicial, faces excluded or not, with the operation closed on C; a
+    zero span and an excluded face that is all of C are refused first, as
+    the decision refuses them.  C is recognised from ``cone.h_rep`` and the
+    rays alone, without computing its extreme rays: the facet normals that
+    are nonzero on some ray must number the rank r of the span, and each
+    normal ``h_i`` must have a ray ``r_i`` on which it alone is nonzero,
+    and positive (the first such ray of ``m.rays``).  Then ``h_k . r_i``
+    is zero for k != i, so the ``r_i`` are a basis of the span, the other
+    normals of ``h_rep`` vanish on it, and ``x = sum_i (h_i . x / h_i .
+    r_i) r_i`` there: in these ray coordinates C is the orthant, pointed,
+    with extreme rays ``r_i``.  The operation is closed on C iff every
+    ``mu(r_i, r_j)`` lies in C (by bilinearity); if one does not, the
+    table declines.
 
     Ray i is *left-bad* if some ``mu(r_i, r_j)`` is not a multiple of
     ``r_j``, that is, some normal other than ``h_j`` is nonzero on it, and
@@ -503,34 +506,40 @@ def _simplicial_ray_table(op: BiadditiveOp) -> Optional[RayTable]:
     ``P_i`` be the matrix of ``x -> mu(r_i, x)`` in ray coordinates, rows
     = inputs: row j holds the coordinates of ``mu(r_i, r_j)``, all
     ``>= 0`` as the product lies in C.  ``L_s`` has the matrix
-    ``M = I + sum_i s_i P_i >= 0``, and as the carrier has no excluded
-    face, s is left localizable iff ``L_s^-1(C) ⊆ C`` (see
-    :func:`_vector_left`).  If M is singular, a nonzero x with
-    ``L_s(x) = 0`` and ``-x`` both lie in the preimage, and not both in the
-    pointed C: s is not localizable.  If M is invertible, the preimage of
-    the orthant is generated by the rows of ``M^-1``, so it lies in C iff
+    ``M = I + sum_i s_i P_i >= 0``, and a localizable s has
+    ``L_s^-1(C) ⊆ C`` (see :func:`_vector_left`).  If M is singular, a
+    nonzero x with ``L_s(x) = 0`` and ``-x`` both lie in the preimage, and
+    not both in the pointed C.  If M is invertible, the preimage of the
+    orthant is generated by the rows of ``M^-1``, so it lies in C iff
     ``M^-1 >= 0``.  A nonnegative matrix with a nonnegative inverse is
     monomial (Berman and Plemmons, *Nonnegative Matrices in the
-    Mathematical Sciences*, 1994), and as M's diagonal entries
-    are at least 1 it is diagonal.  So s is left localizable iff M is
-    diagonal (a diagonal M >= I has the diagonal inverse ``M^-1 >= 0``),
-    iff ``P_i`` is diagonal for every i with ``s_i > 0``, iff no such ray
-    is left-bad; and ``s_i > 0`` iff ``h_i . s > 0``.  ∎
+    Mathematical Sciences*, 1994), and as M's diagonal entries are at
+    least 1 it is diagonal.  Conversely a diagonal ``M >= I`` scales each
+    ray coordinate by a positive factor, which keeps its sign, and the
+    sign pattern of the ray coordinates decides membership of the
+    monoid, excluded faces included: ``L_s(x)`` is a member iff x is, so
+    s is localizable.  So s is left localizable iff M is diagonal, iff
+    ``P_i`` is diagonal for every i with ``s_i > 0``, iff no such ray is
+    left-bad; and ``s_i > 0`` iff ``h_i . s > 0``.  ∎
 
-    **Weak "no".**  A bad ray ``r_i`` is a member, and every s above it
-    has ``s - r_i`` in C, so ``h_i . s >= h_i . r_i > 0``: by the lemma no
-    s above ``r_i`` is localizable.  In ray coordinates a row j of M has
-    two positive entries: ``M[j][j] >= 1``, and the off-ray support of
-    ``mu(r_i, r_j)`` (``RayTable.obstruction``).
+    **Weak "no".**  The refuted element e is the first bad ray ``r_i``
+    plus every other ray whose own facet is excluded, so a member, with
+    ``h_i . e = h_i . r_i > 0``.  Every s above e has ``s - e`` in C, so
+    ``h_i . s > 0``: by the lemma no s above e is localizable.  In ray
+    coordinates a row j of ``I + P_i`` has two positive entries:
+    ``M[j][j] >= 1``, and the off-ray support of ``mu(r_i, r_j)``
+    (``RayTable.obstruction``).
 
     **Strong "yes".**  With no bad ray, ``mu(r_i, r_j)`` is a multiple of
     both ``r_i`` and ``r_j``, so it is ``δ_ij w_i r_i`` with ``w_i >= 0``
     (closure): the tensor is diagonal in ray coordinates, and every s is
-    localizable.  With a bad ray, that ray itself is not.
+    localizable.  With a bad ray, the refuted element itself is not.
     """
     m = op.carrier
-    if op.tensor is None or m.open_normals:
+    if op.tensor is None:
         return None
+    if m.open_normals:
+        _interior_point(m)
     rank = len(_nonzero_span(m))
     cone = m.cone
     # each facet normal that is nonzero on some ray, with its values on the rays
@@ -548,6 +557,7 @@ def _simplicial_ray_table(op: BiadditiveOp) -> Optional[RayTable]:
     # a dict keeps the order of insertion, so the rays are in m.rays order
     rays = list(chosen.values())
     normals = [values[i][0] for i in chosen]
+    lifted = [r for r, h in zip(rays, normals) if h in m.open_normals]
     # prods[i][j][k] = h_k . mu(r_i, r_j), positive iff ray coordinate k is.
     # Each product is summed off the tensor over the pairs of nonzero ray
     # coordinates (a ray is nonzero), as the f-ring verdict reads the
@@ -572,7 +582,8 @@ def _simplicial_ray_table(op: BiadditiveOp) -> Optional[RayTable]:
                 if len(columns) > 1:
                     bad.append(normals[i])
                     if obstruction is None:
-                        obstruction = {"element": list(rays[i]), "side": side,
+                        e = reduce(vadd, [r for r in lifted if r != rays[i]], rays[i])
+                        obstruction = {"element": list(e), "side": side,
                                        "row": j, "positive_columns": columns}
                     break
     weights = [Fraction(prods[i][i][i], vdot(normals[i], r)) for i, r in enumerate(rays)]
@@ -585,14 +596,18 @@ def _simplicial_ray_table(op: BiadditiveOp) -> Optional[RayTable]:
 
 def is_localizable(op: BiadditiveOp, s) -> LocalizabilityVerdict:
     """Localizability of s: both sides, the left first.  Where the
-    ray-product table applies, both are read off it; elsewhere each side
+    ray-product table applies and no face is excluded, both are read off
+    it; elsewhere each side
     runs :func:`is_left_localizable`.  A "no" gives the failing side's
     reason and, on read, its evidence."""
     op.carrier.check_element(s)
     table = _ray_table(op)
     for side, condition, kind in (("left", "left", "left"),
                                   ("right", "opposite", "left-opposite")):
-        if table is None:
+        # with an excluded face a singular damped map is refuted as a
+        # killed direction, which the table cannot tell from an escaping
+        # preimage
+        if table is None or op.carrier.open_normals:
             one = is_left_localizable(op, s, side=side)
             if one.verdict == "no":
                 return LocalizabilityVerdict(
@@ -615,55 +630,16 @@ def _table_evidence(op, s, side, kind):
     return one.evidence()
 
 
-def _lattice_candidates(m, budget: int) -> Iterator[tuple]:
-    """Ray sums (on a lattice, generator combinations) ordered by
-    coefficient sum, then lexicographic: the first ``budget`` levels of
-    ``m.ray_sums()``.  Lazy: a level is read only once the previous one
-    has been used up."""
-    return chain.from_iterable(islice(m.ray_sums(), budget))
-
-
 def _dominator_candidates(m, budget: int) -> Iterator[tuple]:
-    """Candidate localizable dominators, in search order.  An open cone's
-    interior point is found at the call, so a degenerate cone is refused
-    before any candidate is read."""
-    if isinstance(m, LatticeMonoid):
-        return _lattice_candidates(m, budget)
-    return _cone_candidates(m, _interior_point(m), budget)
-
-
-def _cone_candidates(m: OpenConeMonoid, g0, budget: int) -> Iterator[tuple]:
-    """Multiples of the interior point g0, then of g0 plus each extreme ray
-    and of the ray itself."""
-    seen = set()
-    for k in range(1, budget + 1):
-        x = vscale(k, g0)
-        if x not in seen:
-            seen.add(x)
-            yield x
-    for r in m.cone.extreme_rays:
-        for k in range(1, budget + 1):
-            x = vadd(vscale(k, g0), r)
-            if m.contains(x) and x not in seen:
-                seen.add(x)
-                yield x
-            y = r if k == 1 else vscale(k, r)
-            if m.contains(y) and y not in seen:
-                seen.add(y)
-                yield y
+    """The members among the first ``budget`` levels of ``m.ray_sums()``,
+    each level sorted (on a lattice, every ray sum)."""
+    return filter(m.contains, chain.from_iterable(islice(m.ray_sums(), budget)))
 
 
 def is_weakly_localizable(op: BiadditiveOp, budget: int = 8) -> WeakLocalizabilityCertificate:
     m = op.carrier
-    verdicts: dict = {}  # candidate -> its localizability verdict
-
-    def localizable(s) -> bool:
-        """Decided once per candidate, however many queries reach it."""
-        v = verdicts.get(s)
-        if v is None:
-            v = verdicts[s] = is_localizable(op, s).verdict
-        return v == "yes"
-
+    # decided once per candidate, however many queries reach it
+    localizable = cache(lambda s: is_localizable(op, s).verdict == "yes")
     if isinstance(m, FiniteMonoid):
         # the order is total and every element localizable, so the search
         # settles each element on the first candidate, 0
@@ -672,27 +648,26 @@ def is_weakly_localizable(op: BiadditiveOp, budget: int = 8) -> WeakLocalizabili
         return WeakLocalizabilityCertificate(
             "yes", assignments=assignments, budget=budget, reason=FINITE_ORDER_IS_TOTAL)
     table = _ray_table(op)
-    obstruction = None if table is None else table.obstruction
-    if obstruction is not None:
-        # the first bad ray: nothing above it is localizable (see
-        # _simplicial_ray_table), so no candidate is built
+    if table is not None and table.obstruction is not None:
+        # the first bad ray, made a member: nothing above it is localizable
+        # (see _simplicial_ray_table), so no candidate is built
         return WeakLocalizabilityCertificate(
-            "no", refuted=tuple(obstruction["element"]), budget=budget,
+            "no", refuted=tuple(table.obstruction["element"]), budget=budget,
             reason="every element above the refuted one has a damping "
                    "row with two positive entries, so none is localizable",
-            details={"obstruction": obstruction})
+            details={"obstruction": table.obstruction})
+    # the table refused a degenerate cone, which has no query
     queries = list(m.generators) if isinstance(m, LatticeMonoid) else m.sample_elements(6)
-    # built only when no bad ray refuted the operation first, and only
-    # as far as the search for a dominator reads; each query searches from
-    # the first candidate
-    searches = tee(_dominator_candidates(m, budget), len(queries))
     assignments = {}
-    for a, candidates in zip(queries, searches):
-        found = None
-        for s in candidates:
-            if leq(m, a, s) and localizable(s):
-                found = s
-                break
+    for a in queries:
+        if table is not None:
+            # no bad ray: every element is localizable, and a <~ a
+            found = tuple(a)
+        else:
+            # each query reads the candidates from the first; the levels
+            # of ray sums are built once, on the carrier
+            found = next((s for s in _dominator_candidates(m, budget)
+                          if leq(m, a, s) and localizable(s)), None)
         if found is None:
             return WeakLocalizabilityCertificate(
                 "unknown", assignments=assignments, budget=budget,
@@ -704,12 +679,12 @@ def is_weakly_localizable(op: BiadditiveOp, budget: int = 8) -> WeakLocalizabili
         reason="localizable dominator found for every queried element")
 
 
-def is_strongly_localizable(op: BiadditiveOp, budget: int = 3) -> dict:
-    """Yes on finite carriers.  On vector ones, structural where the
-    ray-product table applies (see :func:`_simplicial_ray_table`): yes
-    when no ray is bad, else the first bad ray is refuted.  Elsewhere
-    every candidate up to ``budget`` is decided: a "yes" is sampled, and
-    "unknown" when no candidate was checked."""
+def is_strongly_localizable(op: BiadditiveOp, budget: int = 8) -> dict:
+    """Yes on finite carriers, by theorem.  On vector ones, structural
+    where the ray-product table applies (see :func:`_simplicial_ray_table`):
+    yes when no ray is bad, else the first bad ray is refuted.  Elsewhere
+    the dominator candidates of at most 4 levels are decided only to
+    refute one: with none refuted the answer is "unknown"."""
     m = op.carrier
     if isinstance(m, FiniteMonoid):
         # every element of a finite carrier is localizable
@@ -728,23 +703,24 @@ def is_strongly_localizable(op: BiadditiveOp, budget: int = 3) -> dict:
                               "so every damping map is a positive diagonal in "
                               "ray coordinates",
                     "rays": table.rays, "weights": table.weights}
-        # the first bad ray is itself not localizable: refuted, not sampled
+        # the refuted element, the first bad ray with each other ray whose
+        # facet is excluded added, is itself not localizable
         s = tuple(table.obstruction["element"])
         v = is_localizable(op, s)
         if v.verdict != "no":
             raise InternalCheckError("ray-product table refuted a ray that the decision keeps")
         return refuted(s, v)
-    samples = list(_dominator_candidates(m, budget))
-    for s in samples:
+    # the candidates grow with each level, and no number of them proves a yes
+    levels = min(budget, 4)
+    candidates = list(_dominator_candidates(m, levels))
+    for s in candidates:
         v = is_localizable(op, s)
         if v.verdict == "no":
             return refuted(s, v)
-    if not samples:
-        return {"verdict": "unknown", "confirmed": "sampled", "elements_checked": 0,
-                "reason": f"no element checked within {m.budget_text} {budget}"}
-    return {"verdict": "yes", "confirmed": "sampled",
-            "elements_checked": len(samples),
-            "note": "refutations are sound; confirmation is sampled"}
+    return {"verdict": "unknown", "elements_checked": len(candidates),
+            "reason": f"no element refuted in the first {levels} levels of ray "
+                      "sums; off the ray-product table no search confirms "
+                      "strong localizability"}
 
 
 # ---------------------------------------------------------------------------
@@ -817,11 +793,9 @@ def order_unit_fast_path(op: BiadditiveOp, e, budget: int = 8) -> WeakLocalizabi
     if refusals:
         return fallback(refusals)
     assignments = {}
-    validated: dict = {}
+    localizable = cache(lambda s: is_localizable(op, s).verdict == "yes")
     for a, s in dominators.items():
-        if s not in validated:
-            validated[s] = is_localizable(op, s).verdict
-        if validated[s] != "yes":
+        if not localizable(s):
             return fallback([f"unit multiple {_ser(s)} failed localizability"])
         if not leq(m, a, s):
             raise InternalCheckError("order-unit multiple does not dominate")

@@ -171,13 +171,13 @@ def test_weak_refutation_builds_no_dominator_candidates(monkeypatch):
     # ray products (span rank r = 4) off the tensor, so no op.mu call is
     # made (at most r^2 would be allowed)
     requested = []
-    candidates = localizability._lattice_candidates
+    candidates = localizability._dominator_candidates
 
     def counted(m, budget):
         requested.append(budget)
         return candidates(m, budget)
 
-    monkeypatch.setattr(localizability, "_lattice_candidates", counted)
+    monkeypatch.setattr(localizability, "_dominator_candidates", counted)
     calls = _count_weak_refutation_work(monkeypatch, cli)
     code, doc, _ = run_json("--budget", "64", "localizable",
                             instance_path("matrix-2x2.mon"), "--weak")
@@ -197,18 +197,77 @@ def test_weak_refutation_builds_no_dominator_candidates(monkeypatch):
 
 
 def test_a_sampled_strong_search_with_no_element_checked_is_unknown():
-    # at budget 0 the open half-plane's sampled search checks nothing, so
-    # it cannot say yes; the matrix product is refuted off its ray table
-    # whatever the budget
+    # at budget 0 the open half-plane's search checks nothing, so it cannot
+    # say yes; nor can it at any budget, as off the ray-product table the
+    # search only refutes.  It reads at most 4 levels of ray sums, and its
+    # reason names the levels read.  The matrix product is refuted off its
+    # ray table whatever the budget
     code, doc, _ = run_json("--budget", "0", "localizable",
                             instance_path("half-open-half-plane.mon"), "--strong")
     assert (code, doc["result"]["verdict"]) == (EXIT_BUDGET, "unknown")
     assert doc["result"]["elements_checked"] == 0
+    for budget, levels, checked in (("2", 2, 5), ("4", 4, 17), ("8", 4, 17)):
+        code, doc, _ = run_json("--budget", budget, "localizable",
+                                instance_path("half-open-half-plane.mon"), "--strong")
+        assert (code, doc["result"]["verdict"]) == (EXIT_BUDGET, "unknown")
+        assert "confirmed" not in doc["result"]
+        assert doc["result"]["elements_checked"] == checked
+        assert doc["result"]["reason"].startswith(
+            f"no element refuted in the first {levels} levels of ray sums")
     for budget in ("0", "1", "8"):
         code, doc, _ = run_json("--budget", budget, "localizable",
                                 instance_path("matrix-2x2.mon"), "--strong")
         assert (code, doc["result"]["verdict"]) == (EXIT_REFUTED, "no")
         assert doc["result"]["refuted_element"] == ["0", "1", "0", "0"]
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("localizable", "free-monoid-2.mon", "1,1", "--weak"),
+     "argument --weak: not allowed with argument element"),
+    (("localizable", "free-monoid-2.mon", "--weak", "--strong"),
+     "argument --strong: not allowed with argument --weak"),
+    (("verify", "free-monoid-3.mon", "--main", "--element", "1,1,1"),
+     "--element is read only with --orderunit"),
+])
+def test_an_argument_the_command_would_not_read_is_a_usage_error(argv, message):
+    # an element with --weak or --strong, both modes, or --element off
+    # --orderunit: each is refused with one input error line, not dropped
+    command, name, *rest = argv
+    code, out, err = run_cli(command, instance_path(name), *rest)
+    assert (code, out) == (EXIT_INPUT, "")
+    assert [line for line in err.splitlines() if not line.startswith("[timing]")] == [
+        f"input error: {message}"]
+
+
+def test_a_weak_yes_read_from_the_ray_table_needs_no_budget():
+    # the free monoid's ray table has no bad ray, so each generator is its
+    # own dominator even at budget 0, where a search reads no candidate
+    code, doc, _ = run_json("--budget", "0", "localizable",
+                            instance_path("free-monoid-3.mon"), "--weak")
+    assert (code, doc["certificate"]["verdict"]) == (EXIT_PASS, "yes")
+    units = [[str(int(i == j)) for j in range(3)] for i in range(3)]
+    assert doc["certificate"]["assignments"] == {str(u): u for u in units}
+
+
+def test_a_strong_unknown_leaves_the_weak_strong_audit_inconclusive(tmp_path):
+    # four generators whose cone has four facets in rank 3: the ray table
+    # declines, and under the zero product every element is localizable, so
+    # the weak search says yes and the strong search refutes nothing.  The
+    # audit reads it as inconclusive (exit 4), not as a discrepancy (exit
+    # 1), and runs the strong search at its own budget
+    path = tmp_path / "four.mon"
+    path.write_text("kind: lattice\ndim: 3\n[generators]\n1 0 0\n0 1 0\n1 0 1\n0 1 1\n"
+                    "[tensor]\n0 0 0 0 0\n")
+    for budget, levels in (("2", 2), ("8", 4)):
+        code, doc, _ = run_json("--budget", budget, "verify", str(path), "--weak-strong")
+        assert (code, doc["status"]) == (EXIT_BUDGET, "inconclusive")
+        result = doc["result"]
+        assert result["ok"] and result["weak"]["verdict"] == "yes"
+        assert result["strong"]["verdict"] == "unknown"
+        assert result["reason"] == (
+            "strong search exhausted: no element refuted in the first "
+            f"{levels} levels of ray sums; off the ray-product table no search "
+            "confirms strong localizability")
 
 
 SKEWED_LEFT_SCALING = ("kind: lattice\ndim: 2\n[generators]\n1 0\n1 1\n"
@@ -428,18 +487,40 @@ def test_rational_fring_is_strongly_localizable_by_structure(tmp_path):
 def test_weak_unknown_reason_prints_rationals_as_p_over_q(tmp_path):
     # on the closed cone the ray-product table refutes (1, 0), which is
     # right-bad (mu((1, 2), (1, 0)) = (2, 0)); with the face of (1, 2)
-    # excluded the table declines and the search runs out of budget
+    # excluded the table still applies and refutes the same ray, a member
     path = tmp_path / "cone.mon"
     rays = "kind: open-cone\ndim: 2\n[rays]\n1 0\n1 2\n"
     tensor = "[tensor]\n0 0 0 0\n1 0 1 0\n"
-    path.write_text(rays + tensor)
-    code, doc, _ = run_json("localizable", str(path), "--weak")
-    assert (code, doc["certificate"]["refuted"]) == (EXIT_REFUTED, ["1", "0"])
-    path.write_text(rays + "[open-normals]\n2 -1\n" + tensor)
-    code, doc, _ = run_json("localizable", str(path), "--weak")
+    for text in (rays + tensor, rays + "[open-normals]\n2 -1\n" + tensor):
+        path.write_text(text)
+        code, doc, _ = run_json("localizable", str(path), "--weak")
+        assert (code, doc["certificate"]["refuted"]) == (EXIT_REFUTED, ["1", "0"])
+    # the half-plane is not pointed, so the table declines, and at budget 3
+    # the search runs out on a sample with rational coordinates
+    code, doc, _ = run_json("--budget", "3", "localizable",
+                            instance_path("half-open-half-plane.mon"), "--weak")
     assert code == EXIT_BUDGET
     assert doc["certificate"]["reason"] == (
-        "no localizable dominator found for (2, 0) within budget 8")
+        "no localizable dominator found for (3, -1) within budget 3")
+
+
+def test_a_bad_ray_on_an_excluded_face_refutes_a_member_above_it(tmp_path):
+    # the rational orthant with the face z = 0 excluded, and mu(e1, e1) =
+    # (2, 0, 2): e1 is left-bad but no member, so the table refutes
+    # e1 + e3, above which nothing is localizable.  A weak search over the
+    # six samples, none with x > 0, would find each its own dominator
+    path = tmp_path / "skew.mon"
+    path.write_text("kind: open-cone\ndim: 3\n[rays]\n1 0 0\n0 1 0\n0 0 1\n"
+                    "[open-normals]\n0 0 1\n[tensor]\n0 0 2 0 2\n")
+    code, doc, _ = run_json("localizable", str(path), "--weak")
+    assert (code, doc["certificate"]["refuted"]) == (EXIT_REFUTED, ["1", "0", "1"])
+    # the rays are in v_rep order, e3, e2, e1: row and columns index them
+    assert doc["certificate"]["details"]["obstruction"] == {
+        "element": [1, 0, 1], "side": "left", "row": 2, "positive_columns": [0, 2]}
+    code, doc, _ = run_json("localizable", str(path), "--strong")
+    assert (code, doc["result"]["refuted_element"]) == (EXIT_REFUTED, ["1", "0", "1"])
+    code, doc, _ = run_json("verify", str(path), "--main")
+    assert (code, doc["status"]) == (EXIT_REFUSED, "refused")
 
 
 def test_verify_fring_needs_a_lattice_group_instance():

@@ -537,10 +537,10 @@ small_lattices = st.integers(1, 3).flatmap(lambda d: st.lists(
 def test_generator_sums_keep_both_orders_and_are_members(gens):
     # the pool and the candidates read one enumerator; every sum it
     # builds enters the membership memo, and a fresh search agrees
-    from monoidorder.localizability import _lattice_candidates
+    from monoidorder.localizability import _dominator_candidates
     dim = len(gens[0])
     m = LatticeMonoid(dim, gens)
-    assert list(_lattice_candidates(m, 4)) == _bfs_candidates(LatticeMonoid(dim, gens), 4)
+    assert list(_dominator_candidates(m, 4)) == _bfs_candidates(LatticeMonoid(dim, gens), 4)
     assert m.element_pool(3) == _bfs_pool(LatticeMonoid(dim, gens), 3)
     fresh = LatticeMonoid(dim, gens)
     for x, member in m._cache["contains"].items():
