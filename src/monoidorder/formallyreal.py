@@ -17,13 +17,22 @@ membership path computes in integers: ``num * den`` is multiplied as
 primitive integer polynomials; gcds, exact quotients and Yun's
 square-free decomposition run over Z[x] with the primitive
 pseudo-remainder sequence; Sturm chains and witness candidates are
-signed by homogeneous integer Horner.  ``f - k`` needs no gcd at all:
-for canonical ``n/d``, ``gcd(n - k*d, d) = gcd(n, d) = 1``, so the shift
-search decides each probe on the integer numerator ``n - k*d`` alone.  The
-self-checks run on every call, in exact arithmetic: each integer
-quotient must divide exactly, the decomposition must reconstruct its
-input (compared in integers), and a witness must evaluate negative in
-``Fraction`` arithmetic on ``f`` itself.
+signed by homogeneous integer Horner.  One remainder sequence serves
+each polynomial: the Sturm chain of a primitive ``p`` ends in ``gcd(p,
+p')``, so Yun's decomposition reads its first gcd off that chain and
+hands the chain on, and a square-free ``p`` is counted and searched with
+it.  Root isolation and refinement keep their endpoints as integer
+numerators over one denominator, a power-of-two multiple of the start's,
+and sign them unreduced, so bisection forms no ``Fraction``;
+refinement signs the square-free seed alone, not the chain.  ``f - k``
+needs no gcd at all: for canonical ``n/d``, ``gcd(n - k*d, d) = gcd(n,
+d) = 1``, so the shift search decides each probe on the integer
+numerator ``n - k*d`` alone, and builds the witness at the answer from
+the refuting probe.  The self-checks run on every call, in exact
+arithmetic: each integer quotient must divide exactly, the
+decomposition must reconstruct its input (compared in integers), and a
+witness must evaluate negative in ``Fraction`` arithmetic on ``f``
+itself.
 """
 
 from __future__ import annotations
@@ -176,7 +185,7 @@ class RationalPolynomial:
 def _primitive(ints) -> tuple:
     """Integer coefficients divided by their (positive) content."""
     content = gcd(*ints)
-    return tuple(c // content for c in ints)
+    return tuple(ints) if content == 1 else tuple(c // content for c in ints)
 
 
 def _integer_multiple(p: RationalPolynomial) -> tuple:
@@ -282,30 +291,41 @@ def poly_gcd(a: RationalPolynomial, b: RationalPolynomial) -> RationalPolynomial
     return _monic(g) if g else RationalPolynomial([])
 
 
-def _yun(ints: tuple) -> list:
+def _yun(ints: tuple) -> tuple:
     """Yun's decomposition (SYMSAC 1976) of primitive nonzero ``ints``:
-    ``[(factor, multiplicity), ...]``, factors square-free, pairwise
-    coprime, nonconstant, primitive and leading positively.  Gcds are
-    primitive, so each quotient is an exact integer division, checked; so
-    is the product of the factors' powers against ``ints``."""
-    dp = _int_derivative(ints)
-    a = _int_gcd(ints, dp)
-    b = _exact_quotient(ints, a)
-    c = _exact_quotient(dp, a)
-    d = _int_sub(c, _int_derivative(b))
-    out = []
-    i = 1
-    while len(b) > 1:
-        g = _int_gcd(b, d)
-        if len(g) > 1:
-            out.append((_positive_lead(g), i))
-        b = _exact_quotient(b, g)
-        c = _exact_quotient(d, g)
+    ``([(factor, multiplicity), ...], chain)``, factors square-free,
+    pairwise coprime, nonconstant, primitive and leading positively.
+
+    The first gcd, ``gcd(p, p')``, is the last entry of the Sturm chain of
+    ``p`` (``ints`` made to lead positively), up to sign: both run the
+    same primitive pseudo-remainder sequence.  So it is read off that
+    chain, which is returned as well, for a caller that needs the chain
+    of ``p`` itself.  When that gcd is a unit, ``p`` is square-free and
+    its own decomposition.  Gcds are primitive, so each quotient is an
+    exact integer division, checked; so is the product of the factors'
+    powers against ``ints``."""
+    p = _positive_lead(ints)
+    chain = _sturm_entries(p)
+    a = chain[-1]
+    if len(a) == 1:
+        out = [(p, 1)] if len(p) > 1 else []
+    else:
+        out = []
+        b = _exact_quotient(p, a)
+        c = _exact_quotient(_int_derivative(p), a)
         d = _int_sub(c, _int_derivative(b))
-        i += 1
-    if _int_product(g for g, m in out for _ in range(m)) != _positive_lead(ints):
+        i = 1
+        while len(b) > 1:
+            g = _int_gcd(b, d)
+            if len(g) > 1:
+                out.append((_positive_lead(g), i))
+            b = _exact_quotient(b, g)
+            c = _exact_quotient(d, g)
+            d = _int_sub(c, _int_derivative(b))
+            i += 1
+    if _int_product(g for g, m in out for _ in range(m)) != p:
         raise InternalCheckError("square-free decomposition failed to reconstruct")
-    return out
+    return out, chain
 
 
 def _int_product(polys) -> tuple:
@@ -320,13 +340,7 @@ def squarefree_decomposition(p: RationalPolynomial):
     [(factor, multiplicity), ...])`` with monic factors (:func:`_yun`)."""
     if p.is_zero():
         raise InputError("the zero polynomial has no square-free decomposition")
-    return p.leading, [(_monic(g), m) for g, m in _yun(_integer_multiple(p))]
-
-
-def squarefree_part(p: RationalPolynomial) -> RationalPolynomial:
-    """Monic polynomial with the same distinct roots, each simple."""
-    _, factors = squarefree_decomposition(p)
-    return _monic(_int_product(_integer_multiple(g) for g, _ in factors))
+    return p.leading, [(_monic(g), m) for g, m in _yun(_integer_multiple(p))[0]]
 
 
 # ---------------------------------------------------------------------------
@@ -353,8 +367,10 @@ def _homogeneous_value(c: tuple, n: int, powers: list) -> int:
 
 
 def _sturm_entries(seed: tuple) -> list:
-    """The integer Sturm chain of square-free, positively leading ``seed``:
-    it, its primitive derivative, then primitive pseudo-remainders."""
+    """The integer Sturm chain of primitive, positively leading ``seed``:
+    it, its primitive derivative, then primitive pseudo-remainders.  The
+    last entry is ``gcd(seed, seed')`` up to sign, so a constant when
+    ``seed`` is square-free; only then is the chain a Sturm chain."""
     chain = [seed]
     if len(seed) > 1:
         chain.append(_primitive(_int_derivative(seed)))
@@ -389,11 +405,18 @@ def _fujiwara_tail(c: tuple) -> int:
     return 2 ** (e + 2)
 
 
-def _odd_root_count(factors) -> int:
+def _chain_for(seed: tuple, chain: list) -> list:
+    """``chain`` when it is the chain of ``seed``, else the chain of ``seed``."""
+    return chain if chain[0] == seed else _sturm_entries(seed)
+
+
+def _odd_root_count(factors, chain) -> int:
     """Distinct real roots of odd multiplicity of a product of Yun factors:
     those of the odd-multiplicity factors' product, read from its chain's
-    signs at the infinities, with no point evaluated."""
-    chain = _sturm_entries(_int_product(g for g, m in factors if m % 2))
+    signs at the infinities, with no point evaluated.  ``chain`` is the
+    one :func:`_yun` returned; it serves when the product was square-free,
+    as the odd part is then the product itself."""
+    chain = _chain_for(_int_product(g for g, m in factors if m % 2), chain)
     return _root_count(_infinity_variations(chain, False),
                        _infinity_variations(chain, True))
 
@@ -416,38 +439,56 @@ class SturmChain:
     the half-open interval ``(lo, hi]`` is then the difference of the
     variation counts at the endpoints, with root endpoints handled by the
     same convention; the counts at the infinities are kept, as is ``tail``
-    (:func:`_fujiwara_tail`).  ``squarefree=True`` promises that ``p`` is
-    already square-free and skips the decomposition.
+    (:func:`_fujiwara_tail`).  The chain :func:`_yun` builds for ``p`` is
+    kept when ``p`` proves square-free, so a square-free ``p`` costs one
+    remainder sequence.
     """
 
-    def __init__(self, p: RationalPolynomial, squarefree: bool = False):
+    def __init__(self, p: RationalPolynomial):
         if p.is_zero():
             raise InputError("cannot build a root-counting chain for zero")
-        ints = _integer_multiple(p if squarefree else squarefree_part(p))
-        self.chain = _sturm_entries(_positive_lead(ints))
-        self.minus_infinity = _infinity_variations(self.chain, False)
-        self.plus_infinity = _infinity_variations(self.chain, True)
-        self.tail = _fujiwara_tail(self.chain[0])
+        factors, chain = _yun(_integer_multiple(p))
+        self._adopt(_chain_for(_int_product(g for g, _ in factors), chain))
 
-    def variations(self, x: Rat) -> int:
-        x = Fraction(x)
-        powers = _powers(x.denominator, len(self.chain[0]) - 1)
+    @classmethod
+    def _of(cls, chain: list) -> "SturmChain":
+        """The chain whose integer entries are ``chain`` already."""
+        out = cls.__new__(cls)
+        out._adopt(chain)
+        return out
+
+    def _adopt(self, chain: list):
+        self.chain = chain
+        self.minus_infinity = _infinity_variations(chain, False)
+        self.plus_infinity = _infinity_variations(chain, True)
+        self.tail = _fujiwara_tail(chain[0])
+
+    def _variations(self, n: int, d: int) -> int:
+        """Sign variations at ``n/d`` for integers ``n`` and ``d > 0``, the
+        fraction not necessarily reduced."""
+        powers = _powers(d, len(self.chain[0]) - 1)
         signs = []
         for c in self.chain:
-            acc = _homogeneous_value(c, x.numerator, powers)
+            acc = _homogeneous_value(c, n, powers)
             if acc:
                 signs.append(acc > 0)
         return sum(a != b for a, b in zip(signs, signs[1:]))
 
-    def variations_at(self, x: Rat) -> int:
-        """``variations(x)`` at finite ``x``, evaluated only inside
-        ``(-tail, tail)``.  The count changes only at roots of the seed, so
-        beyond every root it is the count at the infinity on that side."""
-        if x <= -self.tail:
+    def _grid_variations(self, n: int, d: int) -> int:
+        """Sign variations at ``n/d`` (integers, ``d > 0``), evaluated only
+        inside ``(-tail, tail)``, compared in integers.  The count changes
+        only at roots of the seed, so beyond every root it is the count at
+        the infinity on that side."""
+        if n <= -self.tail * d:
             return self.minus_infinity
-        if x >= self.tail:
+        if n >= self.tail * d:
             return self.plus_infinity
-        return self.variations(x)
+        return self._variations(n, d)
+
+    def variations_at(self, x: Rat) -> int:
+        """Sign variations at finite ``x`` (:meth:`_grid_variations`)."""
+        x = Fraction(x)
+        return self._grid_variations(x.numerator, x.denominator)
 
     def count(self, lo: Optional[Rat] = None, hi: Optional[Rat] = None) -> int:
         """Distinct real roots in ``(lo, hi]``; ``None`` means infinite."""
@@ -486,44 +527,59 @@ def isolate_real_roots(p) -> list:
     intervals on a stack, left half on top, so they come out left to right
     however deep close roots make it go.  Each carries its endpoints'
     counts, so a step evaluates the chain at its midpoint only, and not
-    outside ``(-tail, tail)``, where the counts are known.
+    outside ``(-tail, tail)``, where the counts are known.  Endpoints stay
+    on an integer grid: numerators over ``den(B) * 2^t`` at depth ``t``,
+    so a midpoint is one integer sum, and no ``Fraction`` is formed before
+    the intervals are returned.
     """
     chain = _chain_of(p)
     if len(chain.chain[0]) <= 1:
         return []
     bound = cauchy_root_bound(chain.chain[0])
+    b = bound.numerator
     out = []
-    stack = [(-bound, bound, chain.minus_infinity, chain.plus_infinity)]
+    stack = [(-b, b, bound.denominator, chain.minus_infinity, chain.plus_infinity)]
     while stack:
-        a, b, at_a, at_b = stack.pop()
-        count = _root_count(at_a, at_b)
+        lo, hi, d, at_lo, at_hi = stack.pop()
+        count = _root_count(at_lo, at_hi)
         if count == 1:
-            out.append((a, b))
+            out.append((Fraction(lo, d), Fraction(hi, d)))
         elif count > 1:
-            mid = (a + b) / 2
-            at_mid = chain.variations_at(mid)
-            stack.append((mid, b, at_mid, at_b))
-            stack.append((a, mid, at_a, at_mid))
+            mid, lo, hi, d = lo + hi, 2 * lo, 2 * hi, 2 * d
+            at_mid = chain._grid_variations(mid, d)
+            stack.append((mid, hi, d, at_mid, at_hi))
+            stack.append((lo, mid, d, at_lo, at_mid))
     return out
 
 
 def refine_interval(p, interval, width: Fraction):
     """Shrink a one-root interval ``(lo, hi]`` below the requested width.
 
-    ``p`` is a polynomial or a :class:`SturmChain` built for one; the
-    count at ``lo`` is carried, so a halving evaluates its midpoint only.
+    ``p`` is a polynomial or a :class:`SturmChain` built for one.  The root
+    is a simple root of the chain's square-free seed, so the seed changes
+    sign there: a halving keeps ``(lo, mid]`` when the seed vanishes at
+    ``mid`` or has there the other sign than just right of ``lo``, and so
+    signs the seed alone at its midpoint, not the whole chain.  Just right
+    of ``lo`` the seed has its sign at ``lo``, or its derivative's when
+    ``lo`` is a root itself.  As in :func:`isolate_real_roots`, the
+    endpoints are integer numerators over one denominator, ``lcm(den(lo),
+    den(hi)) * 2^t`` after ``t`` halvings.
     """
-    lo, hi = Fraction(interval[0]), Fraction(interval[1])
-    chain = _chain_of(p)
-    at_lo = chain.variations_at(lo)
-    while hi - lo > width:
-        mid = (lo + hi) / 2
-        at_mid = chain.variations_at(mid)
-        if _root_count(at_lo, at_mid) == 1:
-            hi = mid
+    lo, hi, width = Fraction(interval[0]), Fraction(interval[1]), Fraction(width)
+    seed, derivative = _chain_of(p).chain[:2]
+    d = lcm(lo.denominator, hi.denominator)
+    a, b = lo.numerator * (d // lo.denominator), hi.numerator * (d // hi.denominator)
+    powers = _powers(d, len(seed) - 1)
+    right_of_a = (_homogeneous_value(seed, a, powers)
+                  or _homogeneous_value(derivative, a, powers))
+    while (b - a) * width.denominator > width.numerator * d:
+        mid, a, b, d = a + b, 2 * a, 2 * b, 2 * d
+        at_mid = _homogeneous_value(seed, mid, _powers(d, len(seed) - 1))
+        if at_mid == 0 or (at_mid > 0) != (right_of_a > 0):
+            b = mid
         else:
-            lo, at_lo = mid, at_mid
-    return lo, hi
+            a, right_of_a = mid, at_mid
+    return Fraction(a, d), Fraction(b, d)
 
 
 # ---------------------------------------------------------------------------
@@ -624,24 +680,6 @@ class RationalFunction:
             raise InputError("division by the zero function")
         return RationalFunction(self.numerator * other.denominator,
                                 self.denominator * other.numerator)
-
-    def shift(self, c: Rat) -> "RationalFunction":
-        """The function minus the constant ``c``, canonical without a gcd.
-
-        For canonical ``n/d`` the result is ``(n - c*d)/d``: the pair is
-        coprime because ``gcd(n - c*d, d) = gcd(n, d) = 1``, and ``d`` is
-        monic already, so it is returned as is.  When ``n = c*d`` the
-        function is the constant ``c``, so ``d = 1`` and the result is the
-        canonical zero ``0/1``.
-        """
-        out = object.__new__(RationalFunction)
-        object.__setattr__(out, "numerator",
-                           self.numerator - self.denominator.scale(c))
-        object.__setattr__(out, "denominator", self.denominator)
-        return out
-
-    def defined_at(self, x: Rat) -> bool:
-        return self.denominator.evaluate(x) != 0
 
     def evaluate(self, x: Rat) -> Fraction:
         d = self.denominator.evaluate(x)
@@ -839,7 +877,9 @@ def is_sos_membership(f: RationalFunction) -> dict:
     verdict carries a rational witness point with exactly negative value.
     One square-free decomposition of ``num * den`` (a positive multiple,
     multiplied in integers) serves both the odd-multiplicity count and the
-    witness search.
+    witness search; when ``num * den`` is square-free, the Sturm chain the
+    decomposition built serves both as well, so one remainder sequence
+    runs in all.
     """
     if f.is_zero():
         return {"member": True, "witness": None, "witness_value": None,
@@ -850,16 +890,16 @@ def is_sos_membership(f: RationalFunction) -> dict:
     lead_ok = lead > 0
     # a positive multiple of num * den, multiplied in integers
     g = _int_mul(_integer_multiple(num), _integer_multiple(den))
-    factors = _yun(g)
+    factors, chain = _yun(g)
     if lead_ok:
-        odd_roots = _odd_root_count(factors)
+        odd_roots = _odd_root_count(factors, chain)
         if odd_roots == 0:
             return {"member": True, "witness": None, "witness_value": None,
                     "criterion": POINTWISE_FACT,
                     "detail": f"leading coefficient {lead} > 0 and no "
                               "real root of odd multiplicity"}
-    sf = RationalPolynomial(_int_product(h for h, _ in factors))
-    witness = _negative_point(g, SturmChain(sf, squarefree=True))
+    sf = _int_product(h for h, _ in factors)
+    witness = _negative_point(g, SturmChain._of(_chain_for(sf, chain)))
     value = f.evaluate(witness)
     if value >= 0:
         raise InternalCheckError("witness point does not evaluate negative")
@@ -873,7 +913,7 @@ def _negative_point(g: tuple, chain: SturmChain) -> Fraction:
     """A point with ``g < 0``, minimal denominator first, deterministic.
 
     ``g`` is a nonzero integer polynomial, low degree first, and ``chain``
-    its Sturm chain; every isolation and refinement step counts with it.
+    its Sturm chain; isolation counts with it, refinement signs its seed.
     Candidates: the simplest rationals in the gaps between isolated real
     roots, plus points beyond the root bound on each side.  They are
     signed in the order (denominator, absolute value), the nonnegative one
@@ -918,9 +958,11 @@ def _negative_point(g: tuple, chain: SturmChain) -> Fraction:
     raise InternalCheckError("failed to locate a negative point")
 
 
-def _shift_is_member(N: tuple, D: tuple, k: int) -> bool:
+def _shift_probe(N: tuple, D: tuple, k: int) -> tuple:
     """Whether ``f - k`` is a sum of squares, for canonical ``f = N/D``
-    scaled to integers, ``D`` without real roots of odd multiplicity.
+    scaled to integers, ``D`` without real roots of odd multiplicity, as
+    ``(member, m, yun)``: ``m`` is the primitive numerator ``N - k*D`` and
+    ``yun`` its :func:`_yun` result, ``None`` when the decision needed none.
 
     As ``gcd(N - k*D, D) = gcd(N, D) = 1``, the odd-multiplicity real
     roots of ``(N - k*D) * D`` are those of ``N - k*D``: none, with a
@@ -928,10 +970,36 @@ def _shift_is_member(N: tuple, D: tuple, k: int) -> bool:
     """
     m = _int_sub(N, [k * c for c in D])
     if not m:
-        return True
+        return True, m, None
+    m = _primitive(m)
     if m[-1] < 0 or len(m) % 2 == 0:
-        return False
-    return _odd_root_count(_yun(_primitive(m))) == 0
+        return False, m, None
+    yun = _yun(m)
+    return _odd_root_count(*yun) == 0, m, yun
+
+
+def _shift_witness(m: tuple, yun, D: tuple, d_factors) -> Fraction:
+    """The witness of ``f - k = m/D`` (both primitive, ``d_factors`` the
+    Yun factors of ``D``) that :func:`is_sos_membership` finds.
+
+    It searches ``g = m * D``, which is primitive by Gauss's lemma, so the
+    very ``g`` that membership multiplies; as ``gcd(m, D) = 1``, the
+    square-free part of ``g`` is that of ``m`` times that of ``D``.  The
+    chain :func:`_yun` built for ``m`` is that of the square-free part
+    when ``m`` is square-free and ``D`` constant; otherwise one chain is
+    built.
+    """
+    factors, chain = yun or _yun(m)
+    sf = _int_product(h for h, _ in factors + d_factors)
+    return _negative_point(_int_mul(m, D), SturmChain._of(_chain_for(sf, chain)))
+
+
+def _int_value(c: tuple, x: int) -> int:
+    """``c(x)`` for integer ``c`` and ``x``, by Horner."""
+    acc = 0
+    for a in reversed(c):
+        acc = acc * x + a
+    return acc
 
 
 def theorem_skew_hypothesis(f: RationalFunction) -> dict:
@@ -951,40 +1019,50 @@ def theorem_skew_hypothesis(f: RationalFunction) -> dict:
 
     Cost: at most ``2 * ceil(log2 cap)`` probes (one when ``cap = 1``),
     each a decision in integers on the shifted numerator alone
-    (:func:`_shift_is_member`), then one :func:`is_sos_membership` at the
-    answer builds the witness, so the result equals that of a linear scan
-    ``k = 1, 2, ...``; a witness build that finds a member raises
-    :class:`InternalCheckError`.
+    (:func:`_shift_probe`), then the witness at the answer is built from
+    the refuting probe's numerator, factors and chain
+    (:func:`_shift_witness`), so the result equals that of a linear scan
+    ``k = 1, 2, ...`` with :func:`is_sos_membership`.  The witness must
+    evaluate negative in ``Fraction`` arithmetic on ``f`` itself;
+    otherwise :class:`InternalCheckError` is raised.
     """
     num, den = f.numerator, f.denominator
-    x0 = next(Fraction(c) for c in ((i + 1) // 2 * (-1) ** (i + 1)
-                                    for i in range(den.degree + 1))
-              if f.defined_at(c))
-    cap = max(1, floor(f.evaluate(x0)) + 1)
     # num and den scaled by one positive factor; den is monic, so no zero
     # at the end of the joined coefficients is stripped
     ints = _integer_multiple(RationalPolynomial(num.coefficients + den.coefficients))
     N, D = ints[:num.degree + 1], ints[num.degree + 1:]
-    every_shift_refuted = _odd_root_count(_yun(_integer_multiple(den)))
+    x0 = next(c for c in ((i + 1) // 2 * (-1) ** (i + 1)
+                          for i in range(den.degree + 1))
+              if _int_value(D, c))
+    cap = max(1, floor(Fraction(_int_value(N, x0), _int_value(D, x0))) + 1)
+    Dp = _primitive(D)
+    d_factors, d_chain = _yun(Dp)
     member, k = 0, 1  # f - j is a sum of squares for every 1 <= j <= member
-    while not every_shift_refuted and _shift_is_member(N, D, k):
+    if _odd_root_count(d_factors, d_chain):  # every shift is refuted
+        probe = (False, _primitive(_int_sub(N, D)), None)
+    else:
+        probe = _shift_probe(N, D, k)
+    while probe[0]:
         if k == cap:
             raise InternalCheckError(
                 "the evaluation bound failed to stop the downward search")
         member, k = k, min(2 * k, cap)
-    refuted = k
+        probe = _shift_probe(N, D, k)
+    refuted, refuting = k, probe
     while refuted - member > 1:
         mid = (member + refuted) // 2
-        if _shift_is_member(N, D, mid):
+        probe = _shift_probe(N, D, mid)
+        if probe[0]:
             member = mid
         else:
-            refuted = mid
-    verdict = is_sos_membership(f.shift(refuted))
-    if verdict["member"]:
+            refuted, refuting = mid, probe
+    _, m, yun = refuting
+    witness = _shift_witness(m, yun, Dp, d_factors)
+    value = f.evaluate(witness) - refuted
+    if value >= 0:
         raise InternalCheckError("the least refuted shift is a sum of squares")
-    return {"k": refuted, "witness": verdict["witness"],
-            "witness_value": verdict["witness_value"],
-            "sample_point": x0, "bound": cap,
+    return {"k": refuted, "witness": witness, "witness_value": value,
+            "sample_point": Fraction(x0), "bound": cap,
             "criterion": POINTWISE_FACT}
 
 

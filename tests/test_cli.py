@@ -770,21 +770,29 @@ def test_sos_input_at_the_degree_cap_is_accepted():
 
 def test_sos_negative_at_zero_isolates_no_root(monkeypatch):
     # 0 is the first candidate, so it is signed before the 1000 roots of
-    # the Sturm chain are isolated and refined
-    calls = []
+    # the Sturm chain are isolated and refined: no chain is evaluated
+    calls, evaluations = [], []
     isolate = formallyreal.isolate_real_roots
+    variations = formallyreal.SturmChain._variations
 
     def counted(chain):
         calls.append(chain)
         return isolate(chain)
 
+    def counted_variations(self, n, d):
+        evaluations.append((n, d))
+        return variations(self, n, d)
+
     monkeypatch.setattr(formallyreal, "isolate_real_roots", counted)
+    monkeypatch.setattr(formallyreal.SturmChain, "_variations",
+                        counted_variations)
     code, doc, err = run_json("sos", "(x+1)^1000-2")
     assert code == EXIT_REFUTED, err
     assert doc["result"]["member"] is False
     assert doc["result"]["witness"] == 0
     assert doc["result"]["witness_value"] == -1
     assert calls == []
+    assert evaluations == []
 
 
 def test_sos_two_roots_closer_than_recursion_depth_are_refuted():
@@ -802,21 +810,23 @@ def test_sos_two_roots_closer_than_recursion_depth_are_refuted():
 
 def test_sos_isolation_evaluates_no_point_beyond_the_roots(monkeypatch):
     # the Cauchy bound of (x-3)^200-1 is ~2^397 wide, but every grid point
-    # beyond the chain's power-of-two root bound has a known count
+    # beyond the chain's power-of-two root bound has a known count; every
+    # isolation step signs the chain at an integer grid point (refinement
+    # signs the seed alone)
     calls = []
-    variations = formallyreal.SturmChain.variations
+    variations = formallyreal.SturmChain._variations
 
-    def counted(self, x):
-        calls.append(x)
-        return variations(self, x)
+    def counted(self, n, d):
+        calls.append((n, d))
+        return variations(self, n, d)
 
-    monkeypatch.setattr(formallyreal.SturmChain, "variations", counted)
+    monkeypatch.setattr(formallyreal.SturmChain, "_variations", counted)
     start = time.monotonic()
     code, doc, err = run_json("sos", "(x-3)^200-1")
     elapsed = time.monotonic() - start
     assert code == EXIT_REFUTED, err
     assert (doc["result"]["witness"], doc["result"]["witness_value"]) == (3, -1)
-    assert len(calls) <= 50
+    assert 0 < len(calls) <= 50
     assert elapsed < 2
 
 
@@ -845,22 +855,40 @@ def test_sos_theorem_mode_reports_the_least_refuted_shift():
     assert doc["result"]["witness_value"] == -1
 
 
+@pytest.mark.parametrize("expression, k, witness, value, bound, sample", [
+    ("1/x^2", 1, 2, "-3/4", 2, 1),
+    ("(x^2+1)/x^2", 2, 2, "-3/4", 3, 1),
+    ("(x^4+1)/(x-1)^2+3", 4, -1, "-1/2", 5, 0),
+])
+def test_sos_theorem_on_denominators_with_double_real_roots_is_frozen(
+        expression, k, witness, value, bound, sample):
+    # the witness at the answer comes from the square-free part of the
+    # shifted numerator times that of a denominator with a real root of
+    # even multiplicity
+    code, doc, err = run_json("sos", expression, "--theorem")
+    assert code == EXIT_PASS, err
+    result = doc["result"]
+    assert (result["k"], result["witness"], result["witness_value"],
+            result["bound"], result["sample_point"]) == \
+        (k, witness, value, bound, sample)
+
+
 def test_sos_theorem_large_shift_needs_logarithmically_many_memberships(
         monkeypatch):
     calls, witnesses = [], []
-    decide = formallyreal._shift_is_member
-    membership = formallyreal.is_sos_membership
+    decide = formallyreal._shift_probe
+    build_witness = formallyreal._shift_witness
 
     def counted(n, d, k):
         calls.append(k)
         return decide(n, d, k)
 
-    def counted_witness(f):
-        witnesses.append(f)
-        return membership(f)
+    def counted_witness(*args):
+        witnesses.append(args)
+        return build_witness(*args)
 
-    monkeypatch.setattr(formallyreal, "_shift_is_member", counted)
-    monkeypatch.setattr(formallyreal, "is_sos_membership", counted_witness)
+    monkeypatch.setattr(formallyreal, "_shift_probe", counted)
+    monkeypatch.setattr(formallyreal, "_shift_witness", counted_witness)
     code, doc, _ = run_json("sos", "x^2+100000", "--theorem")
     assert code == EXIT_PASS
     result = doc["result"]

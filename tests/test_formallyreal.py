@@ -12,13 +12,14 @@ from monoidorder import formallyreal
 from monoidorder.exactmath import InputError, InternalCheckError
 from monoidorder.formallyreal import (POINTWISE_FACT, RationalFunction,
                                       RationalPolynomial, SturmChain,
-                                      _exact_quotient, categorize,
+                                      _exact_quotient, _int_derivative,
+                                      categorize,
                                       cauchy_root_bound, is_sos_membership,
                                       isolate_real_roots,
                                       parse_rational_function, poly_gcd,
                                       refine_interval, simplest_between,
                                       squarefree_decomposition,
-                                      squarefree_part, sturm_root_count,
+                                      sturm_root_count,
                                       theorem_skew_hypothesis)
 
 from conftest import seeded
@@ -64,6 +65,24 @@ def _derivative(p):
 
 def _monic(p):
     return p.scale(1 / p.leading)
+
+
+def _defined_at(f, x):
+    return f.denominator.evaluate(x) != 0
+
+
+def _variations(chain, x):
+    """Sign variations of ``chain`` at rational ``x``, evaluated always."""
+    x = Fraction(x)
+    return chain._variations(x.numerator, x.denominator)
+
+
+def _squarefree_part(p):
+    """Monic polynomial with the same distinct roots, each simple."""
+    out = ONE
+    for g, _ in squarefree_decomposition(p)[1]:
+        out = out * g
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +244,7 @@ def test_non_exact_integer_division_raises():
 
 def test_squarefree_and_odd_parts():
     sq = _linear(1) * _linear(1) * _linear(-1) * _linear(-1) * _linear(-1)
-    assert squarefree_part(sq) == _monic(_linear(1) * _linear(-1))
+    assert _squarefree_part(sq) == _monic(_linear(1) * _linear(-1))
     _, factors = squarefree_decomposition(sq)
     assert [g for g, m in factors if m % 2 == 1] == [_monic(_linear(-1))]
 
@@ -320,7 +339,7 @@ def test_refine_interval_shrinks_around_root():
 
 def _rational_sturm_sequence(p):
     """The textbook Sturm sequence of the square-free part, in Fractions."""
-    seed = squarefree_part(p)
+    seed = _squarefree_part(p)
     seq = [seed]
     if seed.degree > 0:
         seq.append(_derivative(seed))
@@ -372,8 +391,8 @@ def test_integer_sign_evaluation_matches_fraction_evaluation():
                    for _ in range(3)]
         points += sorted(set(roots or ()))
         for x in points:
-            assert chain.variations(x) == _fraction_variations(entries, x)
-            assert chain.variations(x) == _fraction_variations(
+            assert _variations(chain, x) == _fraction_variations(entries, x)
+            assert _variations(chain, x) == _fraction_variations(
                 [q.coefficients for q in reference], x)
         # beyond every root of every entry the signs are those at infinity
         far = 1 + max(cauchy_root_bound(q) for q in reference)
@@ -392,20 +411,31 @@ def test_integer_sign_evaluation_matches_fraction_evaluation():
                                   and (hi is None or r <= hi))
 
 
-def test_chain_of_a_square_free_polynomial_skips_the_decomposition():
+def test_chain_of_a_square_free_polynomial_runs_one_remainder_sequence(
+        monkeypatch):
+    # the chain Yun's decomposition builds for its first gcd is the chain
     p = _linear(1) * _linear(-2) * _poly(3, 0, 1)
-    given_sf = SturmChain(p.scale(-5), squarefree=True)
-    assert _monic(RationalPolynomial(given_sf.chain[0])) == _monic(p)
-    assert given_sf.chain == SturmChain(p * p).chain
-    assert sturm_root_count(given_sf) == 2
-    assert isolate_real_roots(given_sf) == isolate_real_roots(p)
+    seeds = []
+    entries = formallyreal._sturm_entries
+
+    def counted(seed):
+        seeds.append(seed)
+        return entries(seed)
+
+    monkeypatch.setattr(formallyreal, "_sturm_entries", counted)
+    square_free = SturmChain(p.scale(-5))
+    assert len(seeds) == 1
+    assert _monic(RationalPolynomial(square_free.chain[0])) == _monic(p)
+    assert square_free.chain == SturmChain(p * p).chain
+    assert sturm_root_count(square_free) == 2
+    assert isolate_real_roots(square_free) == isolate_real_roots(p)
 
 
 def _two_evaluation_isolation(chain, bound):
     """Bisection of ``[-bound, bound]`` that evaluates both ends of every
     count, as isolation did before counts were carried with intervals."""
     def count(lo, hi):
-        return chain.variations(lo) - chain.variations(hi)
+        return _variations(chain, lo) - _variations(chain, hi)
 
     out, stack = [], [(-bound, bound, count(-bound, bound))]
     while stack:
@@ -424,7 +454,7 @@ def _two_evaluation_refinement(chain, interval, width):
     lo, hi = interval
     while hi - lo > width:
         mid = (lo + hi) / 2
-        if chain.variations(lo) - chain.variations(mid) == 1:
+        if _variations(chain, lo) - _variations(chain, mid) == 1:
             hi = mid
         else:
             lo = mid
@@ -432,6 +462,15 @@ def _two_evaluation_refinement(chain, interval, width):
 
 
 def test_isolation_and_refinement_equal_the_two_evaluation_bisection():
+    # refinement from non-dyadic ends: the root 1/2 of (x - 1/2)(x - 2)(x + 1)
+    # in (1/3, 5/7], halved on the grid 1/3 + j * 8/(21 * 2^t)
+    chain = SturmChain(_linear(Fraction(1, 2)) * _linear(2) * _linear(-1))
+    start = (Fraction(1, 3), Fraction(5, 7))
+    lo, hi = refine_interval(chain, start, Fraction(1, 100))
+    assert (lo, hi) == _two_evaluation_refinement(chain, start, Fraction(1, 100))
+    assert lo < Fraction(1, 2) <= hi and hi - lo == Fraction(8, 21 * 2 ** 6)
+    assert ((lo - Fraction(1, 3)) * 168).denominator == 1
+    assert refine_interval(chain, start, 1) == start
     # roots on dyadic grid points (0, +-1, +-1/2, ...) and at powers of two,
     # next to the known-count boundary ``tail``
     rng = seeded(83)
@@ -450,16 +489,33 @@ def test_isolation_and_refinement_equal_the_two_evaluation_bisection():
             continue
         chain = SturmChain(p)
         want = _two_evaluation_isolation(
-            chain, cauchy_root_bound(squarefree_part(p)))
+            chain, cauchy_root_bound(_squarefree_part(p)))
         assert isolate_real_roots(chain) == want
         for interval in want:
             for width in (Fraction(1, 4), Fraction(1, 2 ** 20)):
                 assert refine_interval(chain, interval, width) == \
                     _two_evaluation_refinement(chain, interval, width)
+            # the halved widths of the witness search's strict-gap loop
+            refined = refine_interval(chain, interval, Fraction(1, 4))
+            for _ in range(4):
+                width = (refined[1] - refined[0]) / 2
+                want_refined = _two_evaluation_refinement(chain, refined, width)
+                refined = refine_interval(chain, refined, width)
+                assert refined == want_refined
+            # non-dyadic endpoints around the same root
+            lo, hi = refine_interval(chain, interval, Fraction(1, 2 ** 30))
+            for den_lo, den_hi in ((3, 7), (5, 9), (12, 15)):
+                outer = (Fraction(math.floor(lo * den_lo) - 1, den_lo),
+                         Fraction(math.ceil(hi * den_hi) + 1, den_hi))
+                if chain.count(*outer) != 1:
+                    continue
+                for width in (Fraction(1, 3), Fraction(2, 7 ** 9)):
+                    assert refine_interval(chain, outer, width) == \
+                        _two_evaluation_refinement(chain, outer, width)
         tail = chain.tail
         for x in (tail, tail + 1, 2 * tail, tail - Fraction(1, 3), 0):
-            assert chain.variations_at(x) == chain.variations(x)
-            assert chain.variations_at(-x) == chain.variations(-x)
+            assert chain.variations_at(x) == _variations(chain, x)
+            assert chain.variations_at(-x) == _variations(chain, -x)
 
 
 # ---------------------------------------------------------------------------
@@ -507,20 +563,8 @@ def test_rational_function_field_ops(a, b, t):
     f = RationalFunction(p, q)
     g = RationalFunction(q, ONE)
     h = f * g + f
-    if f.defined_at(t) and g.defined_at(t) and h.defined_at(t):
+    if all(_defined_at(fn, t) for fn in (f, g, h)):
         assert h.evaluate(t) == f.evaluate(t) * g.evaluate(t) + f.evaluate(t)
-
-
-@given(coeff_lists, coeff_lists, small_frac)
-def test_shift_equals_subtracting_the_constant(a, b, c):
-    p, q = _from_list(a), _from_list(b)
-    if q.is_zero():
-        return
-    f = RationalFunction(p, q)
-    assert f.shift(c) == f - RationalFunction.constant(c)
-    constant = RationalFunction.constant(c)
-    assert constant.shift(c) == RationalFunction(RationalPolynomial(()))
-    assert constant.shift(c).denominator == ONE
 
 
 def test_parser_reports_position_and_expectation():
@@ -567,7 +611,7 @@ def test_membership_witnesses_are_exactly_negative():
         res = is_sos_membership(f)
         if not res["member"]:
             w = res["witness"]
-            assert f.defined_at(w)
+            assert _defined_at(f, w)
             assert f.evaluate(w) == res["witness_value"]
             assert res["witness_value"] < 0
 
@@ -631,37 +675,121 @@ def test_skew_hypothesis_minimality_on_random_instances():
 
 def test_large_shift_search_divides_no_rational_polynomial(monkeypatch):
     # work counters do not jitter: the search makes 34 integer decisions
-    # and builds one witness, at the answer; the library has no ``Fraction``
-    # polynomial division left to make
+    # and builds one witness, from the refuting probe at the answer, with no
+    # membership call; the library has no ``Fraction`` polynomial division
+    # left to make
     f = parse_rational_function("x^2+100000")
-    decisions, witnesses = [], []
-    decide = formallyreal._shift_is_member
+    decisions, witnesses, memberships = [], [], []
+    decide = formallyreal._shift_probe
+    witness = formallyreal._shift_witness
     membership = formallyreal.is_sos_membership
 
     def counted_decision(n, d, k):
         decisions.append(k)
         return decide(n, d, k)
 
+    def counted_witness(m, yun, d, d_factors):
+        witnesses.append((m, d))
+        return witness(m, yun, d, d_factors)
+
     def counted_membership(g):
-        witnesses.append(g)
+        memberships.append(g)
         return membership(g)
 
-    monkeypatch.setattr(formallyreal, "_shift_is_member", counted_decision)
+    monkeypatch.setattr(formallyreal, "_shift_probe", counted_decision)
+    monkeypatch.setattr(formallyreal, "_shift_witness", counted_witness)
     monkeypatch.setattr(formallyreal, "is_sos_membership", counted_membership)
     res = theorem_skew_hypothesis(f)
     assert not hasattr(RationalPolynomial, "divmod")
     assert len(decisions) == 34
-    assert witnesses == [f.shift(100001)]
+    assert witnesses == [((-1, 0, 1), (1,))]  # x^2 - 1 over 1
+    assert memberships == []
     assert (res["k"], res["witness"], res["witness_value"]) == (100001, 0, -1)
+
+
+def _count_chain_builds(monkeypatch):
+    """Count the remainder sequences run, one per ``_sturm_entries`` or
+    ``_int_gcd`` call: in all, ``(ran_yun, square_free, builds)`` per
+    probe, and ``builds`` per witness."""
+    builds, probes, witnesses = [0], [], []
+    entries = formallyreal._sturm_entries
+    int_gcd = formallyreal._int_gcd
+    decide = formallyreal._shift_probe
+    witness = formallyreal._shift_witness
+
+    def counted_entries(seed):
+        builds[0] += 1
+        return entries(seed)
+
+    def counted_gcd(a, b):
+        builds[0] += 1
+        return int_gcd(a, b)
+
+    def counted_decision(n, d, k):
+        before = builds[0]
+        out = decide(n, d, k)
+        ran_yun, m = out[2] is not None, out[1]
+        square_free = ran_yun and len(int_gcd(m, _int_derivative(m))) == 1
+        probes.append((ran_yun, square_free, builds[0] - before))
+        return out
+
+    def counted_witness(*args):
+        before = builds[0]
+        out = witness(*args)
+        witnesses.append(builds[0] - before)
+        return out
+
+    monkeypatch.setattr(formallyreal, "_sturm_entries", counted_entries)
+    monkeypatch.setattr(formallyreal, "_int_gcd", counted_gcd)
+    monkeypatch.setattr(formallyreal, "_shift_probe", counted_decision)
+    monkeypatch.setattr(formallyreal, "_shift_witness", counted_witness)
+    return builds, probes, witnesses
+
+
+@pytest.mark.parametrize("text, k", [
+    ("x^2+100000", 100001),
+    # p^2/(q^2+1) + 2 with p = (2x - 3)(x^5 - 2x^3 + x^2 + 3x - 1), degree 12
+    ("((2*x-3)*(x^5-2*x^3+x^2+3*x-1))^2/((x^2-x+2)^2+1)+2", 3),
+])
+def test_a_square_free_probe_runs_one_remainder_sequence(monkeypatch, text, k):
+    # Yun's first gcd is read off the Sturm chain of the shifted numerator,
+    # and that chain counts its odd roots when it is square-free; the
+    # witness reuses it or builds one chain of the square-free part
+    f = parse_rational_function(text)
+    builds, probes, witnesses = _count_chain_builds(monkeypatch)
+    res = theorem_skew_hypothesis(f)
+    assert res["k"] == k
+    assert sum(square_free for _, square_free, _ in probes) >= 2
+    for ran_yun, square_free, n in probes:
+        if square_free:
+            assert n == 1
+        elif not ran_yun:
+            assert n == 0
+    assert len(witnesses) == 1 and witnesses[0] <= 1
+    # and one more for the denominator's decomposition, before any probe
+    assert builds[0] == sum(n for *_, n in probes) + witnesses[0] + 1
+
+
+@pytest.mark.parametrize("text, member", [
+    ("(x^2-2)/(x^2+1)", False),
+    ("(x^2+2)/(x^2+1)", True),
+    ("(x-1)*(x+3)*(x^2+x+1)", False),
+])
+def test_membership_on_a_square_free_product_runs_one_remainder_sequence(
+        monkeypatch, text, member):
+    f = parse_rational_function(text)
+    builds, _, _ = _count_chain_builds(monkeypatch)
+    assert is_sos_membership(f)["member"] is member
+    assert builds == [1]
 
 
 def _linear_scan_shift(f):
     """The least refuted shift found by trying k = 1, 2, ... in turn."""
     walk = (c for n in itertools.count() for c in ((n, -n) if n else (0,)))
-    x0 = next(Fraction(c) for c in walk if f.defined_at(c))
+    x0 = next(Fraction(c) for c in walk if _defined_at(f, c))
     cap = max(1, math.floor(f.evaluate(x0)) + 1)
     for k in range(1, cap + 1):
-        verdict = is_sos_membership(f.shift(k))
+        verdict = is_sos_membership(f - RationalFunction.constant(k))
         if not verdict["member"]:
             return {"k": k, "witness": verdict["witness"],
                     "witness_value": verdict["witness_value"],
