@@ -410,15 +410,21 @@ def _chain_for(seed: tuple, chain: list) -> list:
     return chain if chain[0] == seed else _sturm_entries(seed)
 
 
-def _odd_root_count(factors, chain) -> int:
-    """Distinct real roots of odd multiplicity of a product of Yun factors:
-    those of the odd-multiplicity factors' product, read from its chain's
-    signs at the infinities, with no point evaluated.  ``chain`` is the
-    one :func:`_yun` returned; it serves when the product was square-free,
-    as the odd part is then the product itself."""
-    chain = _chain_for(_int_product(g for g, m in factors if m % 2), chain)
+def _distinct_root_count(seed: tuple, chain: list) -> int:
+    """Distinct real roots of square-free ``seed``, read from its chain's
+    signs at the infinities, with no point evaluated; ``chain`` serves
+    when it is the chain of ``seed`` (:func:`_chain_for`)."""
+    chain = _chain_for(seed, chain)
     return _root_count(_infinity_variations(chain, False),
                        _infinity_variations(chain, True))
+
+
+def _odd_root_count(factors, chain) -> int:
+    """Distinct real roots of odd multiplicity of a product of Yun factors:
+    those of the odd-multiplicity factors' product.  ``chain`` is the one
+    :func:`_yun` returned; it serves when the product was square-free, as
+    the odd part is then the product itself."""
+    return _distinct_root_count(_int_product(g for g, m in factors if m % 2), chain)
 
 
 class SturmChain:
@@ -533,9 +539,15 @@ def isolate_real_roots(p) -> list:
     the intervals are returned.
     """
     chain = _chain_of(p)
+    return _isolate(chain, cauchy_root_bound(chain.chain[0]))
+
+
+def _isolate(chain: SturmChain, bound: Fraction) -> list:
+    """:func:`isolate_real_roots` from ``[-bound, bound]``, ``bound`` above
+    every root of the chain's seed.  The grid, and so the intervals that
+    come out, depends on ``bound``."""
     if len(chain.chain[0]) <= 1:
         return []
-    bound = cauchy_root_bound(chain.chain[0])
     b = bound.numerator
     out = []
     stack = [(-b, b, bound.denominator, chain.minus_infinity, chain.plus_infinity)]
@@ -899,7 +911,8 @@ def is_sos_membership(f: RationalFunction) -> dict:
                     "detail": f"leading coefficient {lead} > 0 and no "
                               "real root of odd multiplicity"}
     sf = _int_product(h for h, _ in factors)
-    witness = _negative_point(g, SturmChain._of(_chain_for(sf, chain)))
+    witness = _negative_point(g, SturmChain._of(_chain_for(sf, chain)),
+                              cauchy_root_bound(sf))
     value = f.evaluate(witness)
     if value >= 0:
         raise InternalCheckError("witness point does not evaluate negative")
@@ -909,17 +922,23 @@ def is_sos_membership(f: RationalFunction) -> dict:
                        f"{odd_roots} real roots of odd multiplicity")}
 
 
-def _negative_point(g: tuple, chain: SturmChain) -> Fraction:
+def _negative_point(g: tuple, chain: SturmChain, grid: Fraction) -> Fraction:
     """A point with ``g < 0``, minimal denominator first, deterministic.
 
     ``g`` is a nonzero integer polynomial, low degree first, and ``chain``
-    its Sturm chain; isolation counts with it, refinement signs its seed.
-    Candidates: the simplest rationals in the gaps between isolated real
-    roots, plus points beyond the root bound on each side.  They are
-    signed in the order (denominator, absolute value), the nonnegative one
-    first on ties, and the first negative one is returned.  Each
-    candidate's sign is that of ``g``, by homogeneous Horner.  0 comes
-    first in that order, so it is signed before any root is isolated.
+    the Sturm chain of its square-free part ``s``, or of a factor ``r`` of
+    ``s`` whose cofactor is positive on the whole line.  Then ``r`` has the
+    roots and the signs of ``s``, and at each root the sign of ``s'`` as
+    its own derivative's, so its chain counts the same roots in every
+    ``(lo, hi]`` and refinement keeps the same halves.  Isolation runs on
+    the grid of ``grid``, the Cauchy bound of ``s``, and so returns the
+    intervals of ``s`` either way.  Candidates: the simplest rationals in
+    the gaps between isolated real roots, plus points beyond the root
+    bound of ``g`` on each side.  They are signed in the order
+    (denominator, absolute value), the nonnegative one first on ties, and
+    the first negative one is returned.  Each candidate's sign is that of
+    ``g``, by homogeneous Horner.  0 comes first in that order, so it is
+    signed before any root is isolated.
     """
     def negative(x):
         return _homogeneous_value(g, x.numerator, _powers(x.denominator, len(g) - 1)) < 0
@@ -928,7 +947,7 @@ def _negative_point(g: tuple, chain: SturmChain) -> Fraction:
         return Fraction(0)
     bound = cauchy_root_bound(g)
     candidates = [Fraction(int(bound) + 1), Fraction(-int(bound) - 1)]
-    intervals = sorted(isolate_real_roots(chain))
+    intervals = sorted(_isolate(chain, grid))
     if intervals:
         quarter = Fraction(1, 4)
         refined = [refine_interval(chain, iv, quarter) for iv in intervals]
@@ -978,20 +997,28 @@ def _shift_probe(N: tuple, D: tuple, k: int) -> tuple:
     return _odd_root_count(*yun) == 0, m, yun
 
 
-def _shift_witness(m: tuple, yun, D: tuple, d_factors) -> Fraction:
-    """The witness of ``f - k = m/D`` (both primitive, ``d_factors`` the
-    Yun factors of ``D``) that :func:`is_sos_membership` finds.
+def _shift_witness(m: tuple, yun, D: tuple, d_yun) -> Fraction:
+    """The witness of ``f - k = m/D`` (both primitive, ``d_yun`` the
+    :func:`_yun` result of ``D``) that :func:`is_sos_membership` finds.
 
     It searches ``g = m * D``, which is primitive by Gauss's lemma, so the
     very ``g`` that membership multiplies; as ``gcd(m, D) = 1``, the
-    square-free part of ``g`` is that of ``m`` times that of ``D``.  The
-    chain :func:`_yun` built for ``m`` is that of the square-free part
-    when ``m`` is square-free and ``D`` constant; otherwise one chain is
-    built.
+    square-free part of ``g`` is ``sqf(m) * sqf(D)``, and isolation runs
+    on the grid of its Cauchy bound.  When ``sqf(D)`` has no real root
+    (counted on its chain, which is ``D``'s own when ``D`` is square-free),
+    it is positive on the whole line, so the chain of ``sqf(m)`` isolates
+    and refines in its place (:func:`_negative_point`): the refuting
+    probe's chain when ``m`` is square-free, else one chain of ``sqf(m)``.
+    A ``D`` with real roots keeps the chain of ``sqf(m) * sqf(D)``.
     """
     factors, chain = yun or _yun(m)
-    sf = _int_product(h for h, _ in factors + d_factors)
-    return _negative_point(_int_mul(m, D), SturmChain._of(_chain_for(sf, chain)))
+    d_factors, d_chain = d_yun
+    sf_m = _int_product(h for h, _ in factors)
+    sf_d = _int_product(h for h, _ in d_factors)
+    sf = _int_mul(sf_m, sf_d)
+    seed = sf if _distinct_root_count(sf_d, d_chain) else sf_m
+    return _negative_point(_int_mul(m, D), SturmChain._of(_chain_for(seed, chain)),
+                           cauchy_root_bound(sf))
 
 
 def _int_value(c: tuple, x: int) -> int:
@@ -1021,7 +1048,10 @@ def theorem_skew_hypothesis(f: RationalFunction) -> dict:
     each a decision in integers on the shifted numerator alone
     (:func:`_shift_probe`), then the witness at the answer is built from
     the refuting probe's numerator, factors and chain
-    (:func:`_shift_witness`), so the result equals that of a linear scan
+    (:func:`_shift_witness`): when the denominator has no real root, it
+    isolates on the probe's chain if the numerator is square-free, else on
+    one chain of its square-free part, never on a chain that includes the
+    denominator.  The result equals that of a linear scan
     ``k = 1, 2, ...`` with :func:`is_sos_membership`.  The witness must
     evaluate negative in ``Fraction`` arithmetic on ``f`` itself;
     otherwise :class:`InternalCheckError` is raised.
@@ -1036,9 +1066,9 @@ def theorem_skew_hypothesis(f: RationalFunction) -> dict:
               if _int_value(D, c))
     cap = max(1, floor(Fraction(_int_value(N, x0), _int_value(D, x0))) + 1)
     Dp = _primitive(D)
-    d_factors, d_chain = _yun(Dp)
+    d_yun = _yun(Dp)
     member, k = 0, 1  # f - j is a sum of squares for every 1 <= j <= member
-    if _odd_root_count(d_factors, d_chain):  # every shift is refuted
+    if _odd_root_count(*d_yun):  # every shift is refuted
         probe = (False, _primitive(_int_sub(N, D)), None)
     else:
         probe = _shift_probe(N, D, k)
@@ -1057,7 +1087,7 @@ def theorem_skew_hypothesis(f: RationalFunction) -> dict:
         else:
             refuted, refuting = mid, probe
     _, m, yun = refuting
-    witness = _shift_witness(m, yun, Dp, d_factors)
+    witness = _shift_witness(m, yun, Dp, d_yun)
     value = f.evaluate(witness) - refuted
     if value >= 0:
         raise InternalCheckError("the least refuted shift is a sum of squares")

@@ -772,18 +772,18 @@ def test_sos_negative_at_zero_isolates_no_root(monkeypatch):
     # 0 is the first candidate, so it is signed before the 1000 roots of
     # the Sturm chain are isolated and refined: no chain is evaluated
     calls, evaluations = [], []
-    isolate = formallyreal.isolate_real_roots
+    isolate = formallyreal._isolate
     variations = formallyreal.SturmChain._variations
 
-    def counted(chain):
+    def counted(chain, bound):
         calls.append(chain)
-        return isolate(chain)
+        return isolate(chain, bound)
 
     def counted_variations(self, n, d):
         evaluations.append((n, d))
         return variations(self, n, d)
 
-    monkeypatch.setattr(formallyreal, "isolate_real_roots", counted)
+    monkeypatch.setattr(formallyreal, "_isolate", counted)
     monkeypatch.setattr(formallyreal.SturmChain, "_variations",
                         counted_variations)
     code, doc, err = run_json("sos", "(x+1)^1000-2")

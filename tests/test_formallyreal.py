@@ -646,6 +646,19 @@ def test_skew_hypothesis_frozen():
     assert quartic["bound"] == 4
 
 
+@pytest.mark.parametrize("text, k, witness, value", [
+    ("(8+16*x-2*x^2-8*x^3-2*x^4)^2/((3-x)^2+1)+3", 4, -1, Fraction(-1, 17)),
+    ("(2+2*x+3*x^2-2*x^3)^2/((1-x^2)^2+1)+5", 6, 2, Fraction(-3, 5)),
+])
+def test_shift_witness_isolates_on_the_grid_of_the_product_bound(
+        text, k, witness, value):
+    # the witness isolates the roots of the shifted numerator on the grid
+    # set by the Cauchy bound of sqf(m) * sqf(D); the grid of sqf(m)'s own
+    # bound would find the witnesses -2 and 7/3 here
+    res = theorem_skew_hypothesis(parse_rational_function(text))
+    assert (res["k"], res["witness"], res["witness_value"]) == (k, witness, value)
+
+
 def test_skew_hypothesis_minimality_on_random_instances():
     rng = seeded(71)
     done = 0
@@ -688,9 +701,9 @@ def test_large_shift_search_divides_no_rational_polynomial(monkeypatch):
         decisions.append(k)
         return decide(n, d, k)
 
-    def counted_witness(m, yun, d, d_factors):
+    def counted_witness(m, yun, d, d_yun):
         witnesses.append((m, d))
-        return witness(m, yun, d, d_factors)
+        return witness(m, yun, d, d_yun)
 
     def counted_membership(g):
         memberships.append(g)
@@ -754,7 +767,7 @@ def _count_chain_builds(monkeypatch):
 def test_a_square_free_probe_runs_one_remainder_sequence(monkeypatch, text, k):
     # Yun's first gcd is read off the Sturm chain of the shifted numerator,
     # and that chain counts its odd roots when it is square-free; the
-    # witness reuses it or builds one chain of the square-free part
+    # denominator has no real root, so the witness isolates on that chain
     f = parse_rational_function(text)
     builds, probes, witnesses = _count_chain_builds(monkeypatch)
     res = theorem_skew_hypothesis(f)
@@ -765,8 +778,39 @@ def test_a_square_free_probe_runs_one_remainder_sequence(monkeypatch, text, k):
             assert n == 1
         elif not ran_yun:
             assert n == 0
-    assert len(witnesses) == 1 and witnesses[0] <= 1
+    assert witnesses == [0]
     # and one more for the denominator's decomposition, before any probe
+    assert builds[0] == sum(n for *_, n in probes) + witnesses[0] + 1
+
+
+def test_a_repeated_root_probe_builds_one_chain_of_its_square_free_part(
+        monkeypatch):
+    # (x^2-1)^2/(x^2+1) - 1 = x^2 (x^2 - 3)/(x^2 + 1): the denominator has
+    # no real root, so the witness isolates on one chain of x (x^2 - 3),
+    # not of x (x^2 - 3) (x^2 + 1)
+    f = parse_rational_function("(x^2-1)^2/(x^2+1)")
+    builds, probes, witnesses = _count_chain_builds(monkeypatch)
+    seeds, witness_seeds = [], []
+    entries = formallyreal._sturm_entries
+    witness = formallyreal._shift_witness
+
+    def recorded_entries(seed):
+        seeds.append(seed)
+        return entries(seed)
+
+    def recorded_witness(*args):
+        before = len(seeds)
+        out = witness(*args)
+        witness_seeds.extend(seeds[before:])
+        return out
+
+    monkeypatch.setattr(formallyreal, "_sturm_entries", recorded_entries)
+    monkeypatch.setattr(formallyreal, "_shift_witness", recorded_witness)
+    res = theorem_skew_hypothesis(f)
+    assert (res["k"], res["witness"], res["witness_value"]) == (1, 1, -1)
+    assert [square_free for _, square_free, _ in probes] == [False]
+    assert witnesses == [1]
+    assert witness_seeds == [(0, -3, 0, 1)]  # x^3 - 3x, degree 3
     assert builds[0] == sum(n for *_, n in probes) + witnesses[0] + 1
 
 
@@ -837,14 +881,47 @@ def _shift_search_inputs(rng):
             den = den * _poly(1, 0, rng.randint(1, 3))
         out.append(RationalFunction(num, den)
                    + RationalFunction.constant(rng.randint(0, 3)))
+    for _ in range(30):  # p^2/(q^2+1)^2 + s: no real root, not square-free
+        p = RationalPolynomial(tuple(Fraction(rng.randint(-3, 3))
+                                     for _ in range(rng.randint(1, 4))))
+        q = _poly(rng.choice((-2, -1, 1, 2)), rng.randint(-3, 3))
+        out.append(RationalFunction(p * p, (q * q + ONE).pow(2))
+                   + RationalFunction.constant(rng.randint(0, 6)))
+    for _ in range(30):  # refuted at k = c on t (x-a)^2 (x-b)(x-e) / den
+        a, b = rng.randint(-2, 2), rng.randint(-2, 2)
+        e = b + rng.randint(1, 3)
+        # t times the least value of (x-a)^2 (x-b)(x-e) is above -1 and
+        # den >= 1, so f - (c - 1) > 0 while f - c < 0 between b and e
+        t = 1 / (1 + Fraction((e - b) ** 2, 4) * max(abs(b - a), abs(e - a)) ** 2)
+        q = _poly(rng.randint(-2, 2), rng.randint(-3, 3))
+        den = (q * q + ONE).pow(rng.choice((1, 2)))
+        num = (_linear(a).pow(2) * _linear(b) * _linear(e)).scale(t)
+        out.append(RationalFunction(num, den)
+                   + RationalFunction.constant(rng.randint(1, 4)))
     return out
 
 
-def test_shift_search_equals_the_linear_scan_on_varied_functions():
+def test_shift_search_equals_the_linear_scan_on_varied_functions(monkeypatch):
+    # the draws reach every branch of the witness rule: a denominator with
+    # real roots, and one without, square-free or not, under a refuting
+    # numerator square-free or not
+    branches = set()
+    witness = formallyreal._shift_witness
+
+    def recorded_witness(m, yun, d, d_yun):
+        square_free = [len(formallyreal._int_gcd(c, _int_derivative(c))) == 1
+                       for c in (m, d)]
+        real_roots = sturm_root_count(RationalPolynomial(d)) > 0
+        branches.add((real_roots, *square_free))
+        return witness(m, yun, d, d_yun)
+
+    monkeypatch.setattr(formallyreal, "_shift_witness", recorded_witness)
     inputs = _shift_search_inputs(seeded(89))
     assert len(inputs) >= 200
     for f in inputs:
         assert theorem_skew_hypothesis(f) == _linear_scan_shift(f)
+    assert {(False, m, d) for m in (True, False) for d in (True, False)} <= branches
+    assert any(real_roots for real_roots, *_ in branches)
 
 
 # ---------------------------------------------------------------------------
