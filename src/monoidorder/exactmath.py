@@ -507,21 +507,7 @@ class RationalCone:
 
     def dual(self) -> "RationalCone":
         """The cone of functionals nonnegative on this cone."""
-        h = self.h_rep
-        if not h:
-            return RationalCone.from_inequalities(
-                [tuple(1 if j == i else 0 for j in range(self.dim)) for i in range(self.dim)]
-                + [tuple(-1 if j == i else 0 for j in range(self.dim)) for i in range(self.dim)],
-                self.dim)
-        return RationalCone.from_rays(h, self.dim)
-
-    def describe(self) -> dict:
-        return {
-            "dim": self.dim,
-            "extreme_rays": [list(r) for r in self.extreme_rays],
-            "lineality_basis": [list(l) for l in self.lineality_basis],
-            "h_rep": [list(n) for n in self.h_rep],
-        }
+        return RationalCone.from_rays(self.h_rep, self.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -677,10 +663,6 @@ class IntegerLattice:
 
     def _hermite(self) -> list[tuple[int, ...]]:
         return [tuple(row) for row in hermite_normal_form(self.rows)]
-
-    @property
-    def rank(self) -> int:
-        return len(self.basis)
 
     def coordinates(self, x: Sequence[int]) -> Optional[tuple[int, ...]]:
         """Integer coordinates of x in the HNF basis, or None (also for a

@@ -40,10 +40,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
-from math import floor, gcd, lcm
+from math import floor, lcm
 from typing import Optional, Sequence, Union
 
-from .exactmath import InputError, InternalCheckError
+from .exactmath import InputError, InternalCheckError, primitive
 
 Rat = Union[int, Fraction]
 
@@ -182,17 +182,11 @@ class RationalPolynomial:
 # results convert back to monic rational polynomials at the end.
 
 
-def _primitive(ints) -> tuple:
-    """Integer coefficients divided by their (positive) content."""
-    content = gcd(*ints)
-    return tuple(ints) if content == 1 else tuple(c // content for c in ints)
-
-
 def _integer_multiple(p: RationalPolynomial) -> tuple:
     """Primitive integer coefficients that are a positive multiple of ``p``."""
     den = lcm(*(c.denominator for c in p.coefficients))
-    return _primitive([c.numerator * (den // c.denominator)
-                       for c in p.coefficients])
+    return primitive([c.numerator * (den // c.denominator)
+                      for c in p.coefficients])
 
 
 def _monic(ints: tuple) -> RationalPolynomial:
@@ -272,7 +266,7 @@ def _negated_remainder(a: tuple, b: tuple) -> tuple:
             rem[shift + i] -= top * c
         while rem and rem[-1] == 0:
             rem.pop()
-    return _primitive([-c for c in rem]) if rem else ()
+    return primitive([-c for c in rem]) if rem else ()
 
 
 def _int_gcd(a: tuple, b: tuple) -> tuple:
@@ -281,7 +275,7 @@ def _int_gcd(a: tuple, b: tuple) -> tuple:
     both are zero."""
     while b:
         a, b = b, _negated_remainder(a, b)
-    return _primitive(a)
+    return primitive(a)
 
 
 def poly_gcd(a: RationalPolynomial, b: RationalPolynomial) -> RationalPolynomial:
@@ -373,7 +367,7 @@ def _sturm_entries(seed: tuple) -> list:
     ``seed`` is square-free; only then is the chain a Sturm chain."""
     chain = [seed]
     if len(seed) > 1:
-        chain.append(_primitive(_int_derivative(seed)))
+        chain.append(primitive(_int_derivative(seed)))
         while len(chain[-1]) > 1:
             rem = _negated_remainder(chain[-2], chain[-1])
             if not rem:
@@ -990,7 +984,7 @@ def _shift_probe(N: tuple, D: tuple, k: int) -> tuple:
     m = _int_sub(N, [k * c for c in D])
     if not m:
         return True, m, None
-    m = _primitive(m)
+    m = primitive(m)
     if m[-1] < 0 or len(m) % 2 == 0:
         return False, m, None
     yun = _yun(m)
@@ -1065,11 +1059,11 @@ def theorem_skew_hypothesis(f: RationalFunction) -> dict:
                           for i in range(den.degree + 1))
               if _int_value(D, c))
     cap = max(1, floor(Fraction(_int_value(N, x0), _int_value(D, x0))) + 1)
-    Dp = _primitive(D)
+    Dp = primitive(D)
     d_yun = _yun(Dp)
     member, k = 0, 1  # f - j is a sum of squares for every 1 <= j <= member
     if _odd_root_count(*d_yun):  # every shift is refuted
-        probe = (False, _primitive(_int_sub(N, D)), None)
+        probe = (False, primitive(_int_sub(N, D)), None)
     else:
         probe = _shift_probe(N, D, k)
     while probe[0]:

@@ -26,7 +26,6 @@ from .exactmath import (
     as_int_vector,
     echelon_solve,
     is_zero_vector,
-    primitive,
     solve_nonneg_rational,
     vadd,
     vdot,
@@ -77,34 +76,26 @@ class OrderedSubgroup:
             if c not in seen:
                 seen.append(c)
         self.generating_set = tuple(seen)
+        # the zero-rank subgroup, until a nonzero class spans more
+        self.scale = 1
+        self.lattice = None
+        self.span_basis = ()
+        self.rank = 0
+        self.positive_cone = None
+        self.ambient_forms = ()
         if reduction.kind == "finite":
             # torsion classes admit no nonzero rational additive functional
-            self.scale = 1
-            self.lattice = None
-            self.span_basis = ()
-            self.rank = 0
-            self.positive_cone = None
-            self.ambient_forms = ()
             return
+        self.ambient_forms = tuple(reduction.ambient_forms)
         vecs = [tuple(Fraction(x) for x in c) for c in self.generating_set]
-        denom = 1
-        for v in vecs:
-            for x in v:
-                denom = lcm(denom, x.denominator)
-        self.scale = denom
-        scaled = [_exact_ints(vscale(denom, v)) for v in vecs]
+        self.scale = lcm(*(x.denominator for v in vecs for x in v))
+        scaled = [_exact_ints(vscale(self.scale, v)) for v in vecs]
         nonzero = [v for v in scaled if any(v)]
         if not nonzero:
-            self.lattice = None
-            self.span_basis = ()
-            self.rank = 0
-            self.positive_cone = None
-            self.ambient_forms = tuple(reduction.ambient_forms)
             return
         self.lattice = IntegerLattice(reduction.rank, nonzero)
         self.span_basis = tuple(tuple(row) for row in self.lattice.basis)
         self.rank = len(self.span_basis)
-        self.ambient_forms = tuple(reduction.ambient_forms)
         normals = []
         for h in self.ambient_forms:
             row = tuple(vdot(h, b) for b in self.span_basis)
@@ -650,7 +641,6 @@ def verify_theorem_main(op: BiadditiveOp,
     index: dict = {}    # element, as its report key -> its index
     keys: list = []     # index -> report key
     rows: list = []     # index -> {right index: index of the product}
-    classes: list = []  # index -> class key, None until first compared
 
     def intern(x) -> int:
         k = x if isinstance(x, int) else tuple(x)
@@ -659,7 +649,6 @@ def verify_theorem_main(op: BiadditiveOp,
             i = index[k] = len(keys)
             keys.append(k)
             rows.append({})
-            classes.append(None)
         return i
 
     def mul(i: int, j: int) -> int:
@@ -690,14 +679,11 @@ def verify_theorem_main(op: BiadditiveOp,
         return class_keys[x]
 
     def class_of(i: int):
-        c = classes[i]
-        if c is None:
-            k = keys[i]
-            if members is not None and k not in members:
-                m.check_element(k)
-                members.add(k)
-            c = classes[i] = class_key(k)
-        return c
+        k = keys[i]
+        if members is not None and k not in members:
+            m.check_element(k)
+            members.add(k)
+        return class_key(k)
 
     def triple_sweep() -> tuple:
         """The associativity failures on the pool, and their exact count."""

@@ -65,7 +65,6 @@ class Instance:
 
     kind: str
     source: str
-    headers: dict
     monoid: object = None
     op: Optional[BiadditiveOp] = None
     function: Optional[RationalFunction] = None
@@ -265,8 +264,8 @@ def _build_finite(raw: _Raw) -> Instance:
 
     monoid = FiniteMonoid(table_from("add"), names=names)
     op = _operation(raw, monoid, table=table_from("mu") if "mu" in raw.sections else None)
-    return Instance(kind="finite", source=raw.source, headers=dict(raw.headers),
-                    monoid=monoid, op=op, names=list(names))
+    return Instance(kind="finite", source=raw.source, monoid=monoid, op=op,
+                    names=list(names))
 
 
 def _operation(raw: _Raw, carrier, table=None, tensor=None) -> Optional[BiadditiveOp]:
@@ -294,8 +293,8 @@ def _build_lattice(raw: _Raw) -> Instance:
     if not any(any(g) for g in gens):
         raise InputError(f"{raw.source}: [generators] needs a nonzero row")
     monoid = LatticeMonoid(dim, gens)
-    return Instance(kind="lattice", source=raw.source, headers=dict(raw.headers),
-                    monoid=monoid, op=_operation(raw, monoid, tensor=_tensor_rows(raw, dim)))
+    return Instance(kind="lattice", source=raw.source, monoid=monoid,
+                    op=_operation(raw, monoid, tensor=_tensor_rows(raw, dim)))
 
 
 def _build_open_cone(raw: _Raw) -> Instance:
@@ -328,8 +327,8 @@ def _build_open_cone(raw: _Raw) -> Instance:
             # an implicit equality of a lower-dimensional cone
             raise InputError(f"{raw.source}: open normal {list(n)} vanishes on "
                              "the whole closed cone, which leaves only the origin")
-    return Instance(kind="open-cone", source=raw.source, headers=dict(raw.headers),
-                    monoid=monoid, op=_operation(raw, monoid, tensor=_tensor_rows(raw, dim)))
+    return Instance(kind="open-cone", source=raw.source, monoid=monoid,
+                    op=_operation(raw, monoid, tensor=_tensor_rows(raw, dim)))
 
 
 def _build_lattice_group(raw: _Raw) -> Instance:
@@ -345,8 +344,7 @@ def _build_lattice_group(raw: _Raw) -> Instance:
         raise InputError("dimension must be positive")
     tensor = _tensor_rows(raw, dim)  # read before the orthant is allocated
     op = _operation(raw, orthant(dim, scalar), tensor=tensor)
-    return Instance(kind="lattice-group", source=raw.source,
-                    headers=dict(raw.headers), monoid=op.carrier, op=op)
+    return Instance(kind="lattice-group", source=raw.source, monoid=op.carrier, op=op)
 
 
 def _build_rational_function(raw: _Raw) -> Instance:
@@ -356,8 +354,7 @@ def _build_rational_function(raw: _Raw) -> Instance:
         fn = parse_rational_function(expr)
     except InputError as exc:
         raise InputError(f"{raw.source}: {exc}") from None
-    return Instance(kind="rational-function", source=raw.source,
-                    headers=dict(raw.headers), function=fn)
+    return Instance(kind="rational-function", source=raw.source, function=fn)
 
 
 _BUILDERS = {

@@ -23,19 +23,20 @@ inside.
 
 Where C is a pointed simplicial cone (with or without excluded faces)
 and the operation is closed on it, one table of ray products, built once
-per operation, decides it all with no damped map (the lemma of
+per operation, decides the bulk notions with no damped map (the lemma of
 :func:`_simplicial_ray_table`): s is localizable iff no bad ray lies in
 its support, the first bad ray refutes weak and strong localizability
 alike, and with no bad ray every element is localizable and its own weak
 dominator.  Elsewhere the weak and strong searches decide the member ray
 sums level by level, the strong one only to refute: a strong "yes" is a
-theorem (finite) or the table's.
+theorem (finite) or the table's.  For one element a side the table
+proves holds with no damped map; a side it refutes is decided again by
+the one-sided decision, which gives the reason and must refute it too.
 
 A verdict is decided first; the explicit witness pair of a "no" is built
 on first read and re-validated through the order decision procedures
-before it is handed out.  That read runs the one-sided decision of the
-failing side (after a table "no" as well), and after a Cramer "no" the
-double description, whose first escaping ray is the witness direction.
+before it is handed out.  After a Cramer "no" that read runs the double
+description, whose first escaping ray is the witness direction.
 """
 
 from __future__ import annotations
@@ -143,9 +144,6 @@ def _ser(x):
     return str(x)
 
 
-PREIMAGE_ESCAPES = "preimage cone escapes the positivity cone"
-
-
 # ---------------------------------------------------------------------------
 # left localizability
 
@@ -188,12 +186,11 @@ def _vector_left(op, s, side, kind) -> LocalizabilityVerdict:
     """Left localizability of s on a lattice or open-cone carrier.
 
     This is the decision of :func:`is_left_localizable`, and of
-    :func:`is_localizable` wherever the ray-product table declines (see
-    :func:`_simplicial_ray_table`) or a face is excluded; after a table
-    "no" it builds the evidence.  With ``L_s`` the damped map on the
-    difference span and C the closed positivity cone, three steps decide
-    it; a lattice is the carrier with no strict faces, so it skips the
-    second.
+    :func:`is_localizable` on each side that the ray-product table (see
+    :func:`_simplicial_ray_table`) declines or refutes.  With ``L_s`` the
+    damped map on the difference span and C the closed positivity cone,
+    three steps decide it; a lattice is the carrier with no strict faces,
+    so it skips the second.
 
     1. A positive multiple of the identity on the span: yes.
     2. With open normals, a nonzero direction x that ``L_s`` kills
@@ -270,7 +267,8 @@ def _vector_left(op, s, side, kind) -> LocalizabilityVerdict:
         if _inside(m, damped(violation())):
             return violation()
         return _strictify(m, damped, bl, basis, violation())
-    return _refuted(op, s, side, kind, PREIMAGE_ESCAPES, strict_direction,
+    return _refuted(op, s, side, kind, "preimage cone escapes the positivity cone",
+                    strict_direction,
                     lambda: {"violating_direction": [int(v) for v in violation()],
                              "injective_on_span": not _left_kernel(bl)})
 
@@ -595,39 +593,25 @@ def _simplicial_ray_table(op: BiadditiveOp) -> Optional[RayTable]:
 
 
 def is_localizable(op: BiadditiveOp, s) -> LocalizabilityVerdict:
-    """Localizability of s: both sides, the left first.  Where the
-    ray-product table applies and no face is excluded, both are read off
-    it; elsewhere each side
-    runs :func:`is_left_localizable`.  A "no" gives the failing side's
-    reason and, on read, its evidence."""
+    """Localizability of s: both sides, the left first.  A side holds
+    where the ray-product table applies and no bad normal of that side is
+    positive on s; every other side runs :func:`is_left_localizable`, and
+    a "no" gives its reason and, on read, its evidence.  A side the table
+    refutes that this decision keeps is an internal error."""
     op.carrier.check_element(s)
     table = _ray_table(op)
-    for side, condition, kind in (("left", "left", "left"),
-                                  ("right", "opposite", "left-opposite")):
-        # with an excluded face a singular damped map is refuted as a
-        # killed direction, which the table cannot tell from an escaping
-        # preimage
-        if table is None or op.carrier.open_normals:
+    for side, condition in (("left", "left"), ("right", "opposite")):
+        if table is None or any(vdot(h, s) > 0 for h in table.bad_normals[side == "right"]):
             one = is_left_localizable(op, s, side=side)
             if one.verdict == "no":
                 return LocalizabilityVerdict(
                     s, "full", "no", f"{condition} condition fails: {one.reason}",
                     one.evidence)
-        elif any(vdot(h, s) > 0 for h in table.bad_normals[side == "right"]):
-            return LocalizabilityVerdict(
-                s, "full", "no", f"{condition} condition fails: {PREIMAGE_ESCAPES}",
-                lambda side=side, kind=kind: _table_evidence(op, s, side, kind))
+            if table is not None:
+                raise InternalCheckError(
+                    f"ray-product table refuted a {one.kind} condition "
+                    "that the preimage decision keeps")
     return LocalizabilityVerdict(s, "full", "yes", "both sides localizable")
-
-
-def _table_evidence(op, s, side, kind):
-    """The evidence of a side the ray-product table refutes: that of the
-    one-sided decision, which must refute it too."""
-    one = _vector_left(op, s, side, kind)
-    if one.verdict != "no":
-        raise InternalCheckError(
-            f"ray-product table refuted a {kind} condition that the preimage decision keeps")
-    return one.evidence()
 
 
 def _dominator_candidates(m, budget: int) -> Iterator[tuple]:
@@ -760,8 +744,9 @@ def order_unit_fast_path(op: BiadditiveOp, e, budget: int = 8) -> WeakLocalizabi
     The positivity cone always spans the carrier's space, so no refusal
     asks for it: ``m.cone`` is spanned by ``m.rays`` (a lattice's cone is
     built from its nonzero generators, and an open cone's rays are its
-    closed cone's ``v_rep``), and an all-zero lattice's cone is the whole
-    space.
+    closed cone's ``v_rep``), and an all-zero lattice's cone is the
+    origin, as is the lattice: its ``h_rep`` is the ±e_i and its
+    ``v_rep`` is empty.
     """
     m = op.carrier
     m.check_element(e)

@@ -44,7 +44,6 @@ from .exactmath import (
     is_zero_vector,
     vadd,
     vdot,
-    vneg,
     vscale,
     vsub,
 )
@@ -395,13 +394,8 @@ class LatticeMonoid(VectorCarrier):
     @property
     def cone(self) -> RationalCone:
         if "cone" not in self._cache:
-            nonzero = [g for g in self.generators if not is_zero_vector(g)]
-            if nonzero:
-                cone = RationalCone.from_rays(nonzero, self.dim)
-            else:
-                unit = [tuple(1 if j == i else 0 for j in range(self.dim)) for i in range(self.dim)]
-                cone = RationalCone.from_inequalities(unit + [vneg(u) for u in unit], self.dim)
-            self._cache["cone"] = cone
+            # from_rays drops the zero generators: with none left, the origin
+            self._cache["cone"] = RationalCone.from_rays(self.generators, self.dim)
         return self._cache["cone"]
 
     def coordinates(self, x: Sequence) -> Optional[tuple[int, ...]]:

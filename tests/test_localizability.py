@@ -1055,20 +1055,44 @@ def test_weak_search_on_the_lattice_corpus_runs_no_damped_map(monkeypatch, name)
     assert calls["candidate"] > 0
 
 
-@pytest.mark.parametrize("bad_normals,s,reason", [
-    (([(1, 0)], []), (1, 0), "left condition fails: preimage cone escapes the positivity cone"),
-    (([], [(0, 1)]), (2, 1), "opposite condition fails: preimage cone escapes the positivity cone"),
+@pytest.mark.parametrize("bad_normals,s", [
+    (([(1, 0)], []), (1, 0)),
+    (([], [(0, 1)]), (2, 1)),
 ])
-def test_a_table_refutation_the_decision_keeps_is_an_internal_error(bad_normals, s, reason):
-    # a planted table calls a localizable side bad: the verdict follows the
-    # table, and reading its evidence runs the one-sided decision, which
-    # says yes, so the read fails loudly
+def test_a_table_refutation_the_decision_keeps_is_an_internal_error(bad_normals, s):
+    # a planted table calls a localizable side bad: the side it refutes
+    # runs the one-sided decision, which says yes, so the decision fails
+    # loudly and returns no verdict
     op = elementwise_op(2)
     op._cache["ray_table"] = localizability.RayTable([(1, 0), (0, 1)], [1, 1], bad_normals, None)
-    v = is_localizable(op, s)
-    assert (v.verdict, v.reason) == ("no", reason)
     with pytest.raises(InternalCheckError, match="ray-product table"):
-        v.as_dict()
+        is_localizable(op, s)
+
+
+@pytest.mark.parametrize("s,sides,verdict,reason", [
+    ((1, 0), [], "yes", "both sides localizable"),
+    ((1, 1), ["right"], "no",
+     "opposite condition fails: preimage cone escapes the positivity cone"),
+])
+def test_only_a_side_the_table_refutes_runs_the_damped_map(monkeypatch, s, sides,
+                                                           verdict, reason):
+    # the quarter plane with the facet x = 0 excluded and mu(e0, e1) = e1:
+    # e1 is right-bad and no ray is left-bad, so a side whose bad normals
+    # all vanish on s holds by the table, and only the right side of an
+    # element with a positive e1 coordinate is decided again
+    quarter = RationalCone.from_rays([(1, 0), (0, 1)], 2)
+    op = BiadditiveOp(OpenConeMonoid(quarter, [(1, 0)]),
+                      tensor=[[[0, 0], [0, 1]], [[0, 0], [0, 0]]])
+    assert localizability._ray_table(op).bad_normals == ([], [(0, 1)])
+    called = []
+    vector_left = localizability._vector_left
+    monkeypatch.setattr(localizability, "_vector_left",
+                        lambda op, s, side, kind: called.append(side)
+                        or vector_left(op, s, side, kind))
+    v = is_localizable(op, s)
+    assert (v.verdict, v.reason) == (verdict, reason)
+    v.as_dict()
+    assert called == sides
 
 
 def test_a_strong_refutation_the_table_cannot_witness_is_an_internal_error():

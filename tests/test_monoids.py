@@ -334,6 +334,20 @@ def test_lattice_leq_and_approx_match_the_rational_cone_oracle(gens, data):
     assert approx(m, a, b) == approx(m, b, a) == (up and down)
 
 
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_an_all_zero_lattice_and_the_dual_of_the_whole_space_are_the_origin_cone(d):
+    # the cone of no rays is the origin: from_rays drops zero rays, and the
+    # dual of a cone with no inequality is the cone of its (no) normals
+    cones = [RationalCone.from_rays([], d), LatticeMonoid(d, [(0,) * d]).cone,
+             RationalCone.from_inequalities([], d).dual()]
+    unit = [tuple(int(j == i) for j in range(d)) for i in range(d)]
+    for cone in cones:
+        assert cone.h_rep == sorted(unit + [vneg(u) for u in unit])
+        assert (cone.v_rep, cone.extreme_rays, cone.lineality_basis) == ([], [], [])
+        assert [x for x in itertools.product(range(-1, 2), repeat=d)
+                if cone.member(x)] == [(0,) * d]
+
+
 # ---------------------------------------------------------------------------
 # class keys: a ~~ b iff the keys of a and b are equal
 

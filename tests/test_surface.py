@@ -183,3 +183,31 @@ def test_every_default_is_overridden_by_the_program():
 @pytest.mark.parametrize("entry", sorted(SET_BY_TESTS))
 def test_each_test_only_default_is_needed(entry):
     assert entry in _unpassed_defaults(), f"{entry} is passed by the program"
+
+
+def _unused_imports(path):
+    """The names that a module under the package imports and never reads.
+    A name counts as read where it appears as a name (an attribute chain
+    starts with one); a ``from __future__`` import and an import marked
+    ``# noqa: F401`` (a re-export) are exempt."""
+    source = _read(path)
+    lines = source.splitlines()
+    tree = ast.parse(source)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    out = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if getattr(node, "module", None) == "__future__" or "noqa: F401" in lines[node.lineno - 1]:
+            continue
+        for alias in node.names:
+            name = alias.asname or alias.name.partition(".")[0]
+            if name not in read:
+                out.append(name)
+    return out
+
+
+@pytest.mark.parametrize("path", sorted(_python_files(PACKAGE)),
+                         ids=lambda path: os.path.relpath(path, PACKAGE))
+def test_every_import_is_used_by_its_module(path):
+    assert _unused_imports(path) == []
