@@ -81,7 +81,7 @@ def as_int_vector(a) -> tuple[int, ...]:
     a = tuple(a)
     if all(type(x) is int for x in a):
         return primitive(a)
-    fracs = [Fraction(x) for x in a]
+    fracs = [x if type(x) is Fraction else Fraction(x) for x in a]
     if not any(fracs):
         return tuple(0 for _ in fracs)
     denom = lcm(*(f.denominator for f in fracs))

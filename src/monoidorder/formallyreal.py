@@ -645,13 +645,17 @@ class RationalFunction:
             numerator = RationalPolynomial([])
             denominator = RationalPolynomial([1])
         else:
-            g = poly_gcd(numerator, denominator)
-            if g.degree > 0:
-                numerator = numerator.exact_div(g)
-                denominator = denominator.exact_div(g)
+            # a constant denominator is coprime to everything, and a monic
+            # one needs no scaling
+            if denominator.degree > 0:
+                g = poly_gcd(numerator, denominator)
+                if g.degree > 0:
+                    numerator = numerator.exact_div(g)
+                    denominator = denominator.exact_div(g)
             lc = denominator.leading
-            numerator = numerator.scale(1 / lc)
-            denominator = denominator.scale(1 / lc)
+            if lc != 1:
+                numerator = numerator.scale(1 / lc)
+                denominator = denominator.scale(1 / lc)
         object.__setattr__(self, "numerator", numerator)
         object.__setattr__(self, "denominator", denominator)
 

@@ -82,11 +82,9 @@ class OrderedSubgroup:
         self.span_basis = ()
         self.rank = 0
         self.positive_cone = None
-        self.ambient_forms = ()
         if reduction.kind == "finite":
             # torsion classes admit no nonzero rational additive functional
             return
-        self.ambient_forms = tuple(reduction.ambient_forms)
         vecs = [tuple(Fraction(x) for x in c) for c in self.generating_set]
         self.scale = lcm(*(x.denominator for v in vecs for x in v))
         scaled = [_exact_ints(vscale(self.scale, v)) for v in vecs]
@@ -97,7 +95,7 @@ class OrderedSubgroup:
         self.span_basis = tuple(tuple(row) for row in self.lattice.basis)
         self.rank = len(self.span_basis)
         normals = []
-        for h in self.ambient_forms:
+        for h in reduction.ambient_forms:
             row = tuple(vdot(h, b) for b in self.span_basis)
             if not is_zero_vector(row):
                 normals.append(row)

@@ -15,6 +15,7 @@ associativity.
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import product
 
 from .exactmath import InternalCheckError
@@ -120,6 +121,12 @@ def almost_fring_tensor() -> list:
     return t
 
 
+def _combination(coefficients, vectors) -> tuple:
+    """``sum_j coefficients[j] * vectors[j]`` of int vectors."""
+    return tuple(sum(c * v[t] for c, v in zip(coefficients, vectors))
+                 for t in range(len(vectors[0])))
+
+
 def almost_fring_counterexample() -> dict:
     """Disjoint products vanish, yet the operation is not associative.
 
@@ -143,14 +150,7 @@ def almost_fring_counterexample() -> dict:
     """
     op = BiadditiveOp(free_monoid(3), tensor=almost_fring_tensor())
     cells = list(product(range(3), repeat=3))
-    products: dict = {}
-
-    def mul(a, b):
-        key = (a, b)
-        p = products.get(key)
-        if p is None:
-            p = products[key] = op.mu(a, b)
-        return p
+    mul = cache(op.mu)
 
     axiom_checked = 0
     axiom_failures = []
@@ -170,20 +170,31 @@ def almost_fring_counterexample() -> dict:
             if mul(a, b) != mul(b, a):
                 commut_failures.append({"a": a, "b": b})
 
+    # The associator (ab)c - a(bc) is trilinear, and the box holds every
+    # unit vector e_j, so for a fixed a its values A[j][k] on (e_j, e_k)
+    # give it everywhere: sum_jk b_j c_k A[j][k].  An a with A == 0 has no
+    # witness, nor, under an a, a b with sum_j b_j A[j][k] == 0 for every
+    # k; the first (a, b) left has one at some c = e_k, and its first c in
+    # box order is the first witness, recomputed with mul.
+    units = [tuple(int(i == j) for i in range(3)) for j in range(3)]
     witness = None
     for a in cells:
+        assoc = [[tuple(x - y for x, y in zip(mul(mul(a, e), f), mul(a, mul(e, f))))
+                  for f in units] for e in units]
+        if not any(any(v) for row in assoc for v in row):
+            continue
         for b in cells:
-            for c in cells:
-                left = mul(mul(a, b), c)
-                right = mul(a, mul(b, c))
-                if left != right:
-                    witness = {"a": a, "b": b, "c": c,
-                               "left": left, "right": right}
-                    break
-            if witness:
+            # on_b[k] is the associator on (a, b, e_k)
+            on_b = [_combination(b, [row[k] for row in assoc]) for k in range(3)]
+            if any(any(v) for v in on_b):
+                c = next(c for c in cells if any(_combination(c, on_b)))
+                left, right = mul(mul(a, b), c), mul(a, mul(b, c))
+                if left == right:
+                    raise InternalCheckError(
+                        "the associator's trilinear form disagrees with mul")
+                witness = {"a": a, "b": b, "c": c, "left": left, "right": right}
                 break
-        if witness:
-            break
+        break
 
     archimedean_checked = 0
     archimedean_failures = []
@@ -192,10 +203,9 @@ def almost_fring_counterexample() -> dict:
             continue
         for b in cells:
             archimedean_checked += 1
-            bound = max(b) + 1
-            dominated_forever = all(
-                all(ell * x <= y for x, y in zip(a, b))
-                for ell in range(1, bound + 2))
+            # ell * x <= y for every ell up to max(b) + 2 iff for the last,
+            # the cells being nonnegative
+            dominated_forever = all((max(b) + 2) * x <= y for x, y in zip(a, b))
             if dominated_forever:
                 archimedean_failures.append({"a": a, "b": b})
 

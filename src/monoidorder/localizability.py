@@ -149,10 +149,14 @@ def _ser(x):
 
 
 def is_left_localizable(op: BiadditiveOp, s, side: str = "left") -> LocalizabilityVerdict:
-    m = op.carrier
-    m.check_element(s)
+    op.carrier.check_element(s)
+    return _left(op, s, side)
+
+
+def _left(op: BiadditiveOp, s, side: str) -> LocalizabilityVerdict:
+    """:func:`is_left_localizable` of an element already checked."""
     kind = "left" if side == "left" else "left-opposite"
-    if isinstance(m, FiniteMonoid):
+    if isinstance(op.carrier, FiniteMonoid):
         # every pair has a <~ b, so no damped comparison can refute
         return LocalizabilityVerdict(s, kind, "yes", FINITE_ORDER_IS_TOTAL)
     return _vector_left(op, s, side, kind)
@@ -602,7 +606,7 @@ def is_localizable(op: BiadditiveOp, s) -> LocalizabilityVerdict:
     table = _ray_table(op)
     for side, condition in (("left", "left"), ("right", "opposite")):
         if table is None or any(vdot(h, s) > 0 for h in table.bad_normals[side == "right"]):
-            one = is_left_localizable(op, s, side=side)
+            one = _left(op, s, side)
             if one.verdict == "no":
                 return LocalizabilityVerdict(
                     s, "full", "no", f"{condition} condition fails: {one.reason}",

@@ -513,6 +513,14 @@ class OpenConeMonoid(VectorCarrier):
         vector scaled to a primitive integer one)."""
         return [as_int_vector(self.coordinates(v)) for v in self.cone.lineality_basis]
 
+    def boundary_status(self, x: Sequence) -> str:
+        """As on every vector carrier, with the signs of a point that has a
+        non-``int`` coordinate read on :func:`as_int_vector` of it, a
+        positive multiple: no ``Fraction`` product is formed."""
+        if not all(type(v) is int for v in x):
+            x = as_int_vector(x)
+        return super().boundary_status(x)
+
     def contains(self, x: Sequence) -> bool:
         return self.boundary_status(x) == "inside"
 
@@ -711,20 +719,22 @@ def enumerate_biadditive_ops(m: FiniteMonoid, unital: Optional[int] = None,
     search assigns those values depth first and prunes with the unit
     constraints when ``unital`` names a two-sided unit.  The budget counts
     assignment nodes; exceeding it raises :class:`ResourceBudgetError`.
-    Every leaf's table is extended from the generator values, checked
-    against the unit (if given), and then validated against both
-    distributive laws before it is kept.
+    Every leaf is checked against the unit (if given) on its generator
+    values; a leaf that passes has its table extended from those values
+    (see :func:`_extend`) and validated against both distributive laws
+    before it is kept.
 
-    The extension follows the breadth-first expressions of
-    :meth:`FiniteMonoid.expressions`: ``expr[a] == expr[p] + (h,)`` for a
-    parent p and a generator h.  The row of a generator g is
-    ``g b = g p + g h`` over the right operand b, and then the table is
-    ``a b = p b + h b``, one row sum per element: row and column 0 are 0,
-    and every entry is the sum of the generator values over
-    ``expr[a] x expr[b]``, whatever the order of the sum.  Row and column 0
+    Every entry of the table is the sum of the generator values over
+    ``expr[a] x expr[b]``, so ``u b`` is the sum of the ``u h`` over the
+    generators h in ``expr[b]``, and ``u h`` is the unit-weighted column
+    sum of the values ``v(i, h)``.  So ``u b == b`` for every b iff every
+    such column sum is its generator (the search already forces this), and
+    ``a u == a`` for every a iff every unit-weighted row sum
+    ``sum_j unit_counts[j] v(i, j)`` is its generator ``g_i``: 2 g sums
+    decide the unit, not the 2 n entries of a table.  Row and column 0
     being 0, the distributive laws need checking only with a generator in
-    the slot that is added to (see :func:`_distributive`).  So a leaf
-    costs n^2 + g n sums and n^2 g law checks.
+    the slot that is added to (see :func:`_distributive`).  So a leaf that
+    passes costs n^2 + g n sums and n^2 g law checks.
     """
     gens = m.generators()
     expr = m.expressions()
@@ -745,46 +755,32 @@ def enumerate_biadditive_ops(m: FiniteMonoid, unital: Optional[int] = None,
         back = [set() for _ in range(total + 1)]
         back[total] = {target}
         for t in reversed(range(total)):
-            ok = set()
-            for p in range(m.n):
-                fine = False
-                for v in range(m.n):
-                    if m.table[p][v] in back[t + 1]:
-                        fine = True
-                        break
-                if fine:
-                    ok.add(p)
-            back[t] = ok
+            # the p from which some p + v is feasible after t + 1
+            back[t] = {p for p, row in enumerate(m.table) if not back[t + 1].isdisjoint(row)}
         return back
 
     feasible = [column_feasible_sets(j) for j in range(g)] if unital is not None else None
 
     add = m.table
-    elems = m.elements()
     position = {x: i for i, x in enumerate(gens)}
     element_of = {e: a for a, e in expr.items()}
     # (a, p, position of h) with expr[a] == expr[p] + (h,), parents first
     steps = [(a, element_of[e[:-1]], position[e[-1]]) for a, e in expr.items() if e]
-    zero_row = (0,) * m.n
     assign: dict[tuple[int, int], int] = {}
     results: set = set()
     nodes = 0
 
+    def weighted_sum(values) -> int:
+        return m.sum_elements(v for v, k in zip(values, unit_counts) for _ in range(k))
+
     def extend_and_validate():
-        gen_rows = []  # gen_rows[i][b] == gens[i] b
-        for i in range(g):
-            values = [assign[(i, j)] for j in range(g)]
-            row = [0] * m.n
-            for b, p, h in steps:
-                row[b] = add[row[p]][values[h]]
-            gen_rows.append(row)
-        table = [zero_row] * m.n
-        for a, p, h in steps:
-            table[a] = tuple([add[x][y] for x, y in zip(table[p], gen_rows[h])])
-        if unital is not None:  # O(n) before the O(n^2 g) law checks
-            for a in elems:
-                if table[unital][a] != a or table[a][unital] != a:
-                    return
+        values = [[assign[(i, j)] for j in range(g)] for i in range(g)]
+        if unital is not None and not all(
+                weighted_sum(values[i]) == gens[i]
+                and weighted_sum([row[i] for row in values]) == gens[i]
+                for i in range(g)):
+            return
+        table = _extend(add, steps, values)
         if _distributive(add, table, gens):
             results.add(tuple(table))
 
@@ -821,6 +817,29 @@ def enumerate_biadditive_ops(m: FiniteMonoid, unital: Optional[int] = None,
     return ops
 
 
+def _extend(add, steps, values) -> list[tuple[int, ...]]:
+    """The table of the biadditive operation with the generator values
+    ``values[i][j] == g_i g_j``, by additivity along the expression steps
+    ``(a, p, h)`` of :func:`enumerate_biadditive_ops`.
+
+    The row of a generator g is ``g b = g p + g h`` over the right operand
+    b, and then the table is ``a b = p b + h b``, one row sum per element:
+    row and column 0 are 0, and every entry is the sum of the generator
+    values over ``expr[a] x expr[b]``, whatever the order of the sum.
+    """
+    n = len(add)
+    gen_rows = []  # gen_rows[i][b] == g_i b
+    for row_values in values:
+        row = [0] * n
+        for b, p, h in steps:
+            row[b] = add[row[p]][row_values[h]]
+        gen_rows.append(row)
+    table = [(0,) * n] * n
+    for a, p, h in steps:
+        table[a] = tuple([add[x][y] for x, y in zip(table[p], gen_rows[h])])
+    return table
+
+
 # ---------------------------------------------------------------------------
 # carrier factories
 
@@ -830,23 +849,36 @@ def truncated_free_monoid(coords: int, cap: int = 2) -> FiniteMonoid:
     if coords < 1:
         raise InputError("need at least one coordinate")
     tuples = list(itertools.product(range(cap + 1), repeat=coords))
-    index = {t: i for i, t in enumerate(tuples)}
-    table = [[index[tuple(min(cap, x + y) for x, y in zip(s, t))] for t in tuples]
-             for s in tuples]
-    m = FiniteMonoid(table)
+    digits = range(cap + 1)
+    m = FiniteMonoid(_coordinatewise([[min(cap, x + y) for y in digits] for x in digits],
+                                     coords))
     m._cache["tuples"] = tuples
-    m._cache["tuple_index"] = index
+    m._cache["tuple_index"] = {t: i for i, t in enumerate(tuples)}
     return m
 
 
 def saturating_product_op(m: FiniteMonoid) -> BiadditiveOp:
     """Coordinatewise saturating multiplication on a truncated free monoid."""
     tuples = m._cache["tuples"]
-    index = m._cache["tuple_index"]
     cap = max(max(t) for t in tuples)
-    table = [[index[tuple(min(cap, x * y) for x, y in zip(s, t))] for t in tuples]
-             for s in tuples]
-    return BiadditiveOp(m, table=table)
+    digits = range(cap + 1)
+    return BiadditiveOp(m, table=_coordinatewise(
+        [[min(cap, x * y) for y in digits] for x in digits], len(tuples[0])))
+
+
+def _coordinatewise(digit_table, coords: int) -> list[list[int]]:
+    """The index table of an operation taken coordinatewise on the tuples
+    of ``coords`` digits, indexed as ``itertools.product`` lists them, from
+    its table on one digit.  The tuple (x, s) of a first digit x and a rest
+    s has index ``x * size + s`` with size the number of rests, so the
+    table is built a digit at a time:
+    ``T[(x, s)][(y, t)] == op(x, y) * size + T_rest[s][t]``."""
+    table, size = digit_table, len(digit_table)
+    for _ in range(coords - 1):
+        table = [[xy * size + e for xy in op_x for e in row]
+                 for op_x in digit_table for row in table]
+        size *= len(digit_table)
+    return table
 
 
 def cyclic_group_monoid(k: int) -> FiniteMonoid:

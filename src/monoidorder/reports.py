@@ -9,11 +9,11 @@ not a result, and goes to stderr only.
 
 from __future__ import annotations
 
-import json
 import sys
 import time
 from contextlib import contextmanager
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .exactmath import InputError
 
@@ -34,8 +34,7 @@ def canonical(doc):
     if isinstance(doc, bool) or doc is None or isinstance(doc, (int, str)):
         return doc
     if isinstance(doc, float):
-        raise InputError(
-            "floating-point values are not allowed in reports; use Fraction")
+        raise _refusal(doc)
     if isinstance(doc, (list, tuple)):
         return [canonical(x) for x in doc]
     if isinstance(doc, dict):
@@ -44,7 +43,14 @@ def canonical(doc):
         return canonical(doc.as_dict())
     if hasattr(doc, "describe"):
         return canonical(doc.describe())
-    raise InputError(f"cannot serialize {type(doc).__name__} into a report")
+    raise _refusal(doc)
+
+
+def _refusal(doc) -> InputError:
+    if isinstance(doc, float):
+        return InputError(
+            "floating-point values are not allowed in reports; use Fraction")
+    return InputError(f"cannot serialize {type(doc).__name__} into a report")
 
 
 def _key(k) -> str:
@@ -56,8 +62,77 @@ def _key(k) -> str:
 
 
 def render_json(doc) -> str:
-    return json.dumps(canonical(doc), sort_keys=True, indent=2,
-                      ensure_ascii=True) + "\n"
+    """The JSON text of ``canonical(doc)`` with sorted keys, an indent of
+    2 and ASCII escapes, written in one walk of the document: the bytes of
+    ``json.dumps(canonical(doc), sort_keys=True, indent=2,
+    ensure_ascii=True)`` and a newline."""
+    return _json(doc, "") + "\n"
+
+
+def _json(doc, pad: str) -> str:
+    """The JSON text of one value that starts a line indented by ``pad``.
+
+    The exact report types are tried first; any other value takes the
+    branches of :func:`canonical` in its order, so a subclass of ``int`` or
+    ``str`` prints as ``json`` prints it.  The items of a container are all
+    rendered, in their order, before a dict's keys are sorted, so the
+    first value ``canonical`` would refuse is the one refused here.
+    """
+    t = type(doc)
+    if t is str:
+        return _string(doc)
+    if t is int:
+        return repr(doc)
+    if t is bool or doc is None:
+        return _CONSTANTS[doc]
+    if t is dict:
+        return _json_dict(doc, pad)
+    if t is list or t is tuple:
+        return _json_list(doc, pad)
+    if isinstance(doc, Fraction):
+        if doc.denominator == 1:
+            return repr(int(doc))
+        return f'"{doc.numerator}/{doc.denominator}"'
+    if isinstance(doc, int):
+        return int.__repr__(doc)
+    if isinstance(doc, str):
+        return _string(doc)
+    if isinstance(doc, float):
+        raise _refusal(doc)
+    if isinstance(doc, (list, tuple)):
+        return _json_list(doc, pad)
+    if isinstance(doc, dict):
+        return _json_dict(doc, pad)
+    if hasattr(doc, "as_dict"):
+        return _json(doc.as_dict(), pad)
+    if hasattr(doc, "describe"):
+        return _json(doc.describe(), pad)
+    raise _refusal(doc)
+
+
+_CONSTANTS = {True: "true", False: "false", None: "null"}
+_string = encode_basestring_ascii
+
+
+def _json_list(doc, pad: str) -> str:
+    if not doc:
+        return "[]"
+    inner = pad + "  "
+    if all(type(x) is int for x in doc):
+        items = map(repr, doc)
+    else:
+        items = [_json(x, inner) for x in doc]
+    return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}]"
+
+
+def _json_dict(doc, pad: str) -> str:
+    if not doc:
+        return "{}"
+    inner = pad + "  "
+    # a later key that flattens to an earlier one replaces its value
+    items = {k if type(k) is str else _key(k): _json(v, inner) for k, v in doc.items()}
+    return f"{{\n{inner}" + f",\n{inner}".join(
+        [f"{_string(k)}: {items[k]}" for k in sorted(items)]) + f"\n{pad}}}"
 
 
 def _text_lines(value, prefix: str, out: list) -> None:

@@ -37,7 +37,7 @@ from monoidorder.latticeorder import (almost_fring_counterexample,
                                       is_extended_f_ring)
 from monoidorder.localizability import (is_left_localizable,
                                         is_weakly_localizable)
-from monoidorder.monoids import (BiadditiveOp, LatticeMonoid, OpenConeMonoid,
+from monoidorder.monoids import (BiadditiveOp, LatticeMonoid,
                                  approx, diagonal_tensor,
                                  enumerate_biadditive_ops, free_monoid,
                                  half_open_half_plane,

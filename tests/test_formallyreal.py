@@ -584,6 +584,22 @@ def test_parse_text_roundtrip():
         assert again == f
 
 
+@pytest.mark.parametrize("expr,coefficients", [
+    ("x^2+2", [2, 0, 1]),
+    ("(x-3)^4+7*x", [81, -101, 54, -12, 1]),
+])
+def test_a_constant_denominator_makes_no_gcd(monkeypatch, expr, coefficients):
+    # every intermediate function of the parse has the denominator 1, which
+    # is coprime to every numerator (4 gcds for x^2+2 when each one is taken)
+    calls = []
+    gcd = formallyreal.poly_gcd
+    monkeypatch.setattr(formallyreal, "poly_gcd",
+                        lambda a, b: calls.append(1) or gcd(a, b))
+    f = parse_rational_function(expr)
+    assert (f.numerator, f.denominator) == (RationalPolynomial(coefficients), ONE)
+    assert calls == []
+
+
 # ---------------------------------------------------------------------------
 # sum-of-squares membership
 

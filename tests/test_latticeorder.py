@@ -2,19 +2,24 @@
 operations on the positive orthant."""
 
 import itertools
+import json
 import random
 from fractions import Fraction
+from functools import cache
+from importlib import resources
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from monoidorder import latticeorder
 from monoidorder.exactmath import InputError, vadd
 from monoidorder.latticeorder import (almost_fring_counterexample,
                                       almost_fring_tensor,
                                       fring_strong_localizability,
                                       is_extended_f_ring)
 from monoidorder.monoids import BiadditiveOp, diagonal_tensor, orthant
+from monoidorder.reports import canonical
 
 
 def _box(dim, lo, hi):
@@ -212,3 +217,22 @@ def test_almost_fring_tensor_shape():
                if t[i][j][k]]
     assert nonzero == [(0, 0, 0), (0, 0, 1), (0, 0, 2),
                        (2, 2, 0), (2, 2, 1), (2, 2, 2)]
+
+
+def test_the_associator_is_read_off_its_trilinear_form(monkeypatch):
+    # the pair sweeps compute each of the 729 box products once, and the
+    # witness search adds only lookups of them (4,647 lookups when every
+    # triple up to the witness is multiplied out)
+    memos = []
+    monkeypatch.setattr(latticeorder, "cache", lambda f: memos.append(cache(f)) or memos[-1])
+    mu_calls = []
+    mu = BiadditiveOp.mu
+    monkeypatch.setattr(BiadditiveOp, "mu",
+                        lambda self, a, b: mu_calls.append(1) or mu(self, a, b))
+    res = almost_fring_counterexample()
+    (mul,) = memos
+    lookups = mul.cache_info().hits + mul.cache_info().misses
+    assert lookups <= 1700
+    assert len(mu_calls) == mul.cache_info().misses == 729
+    golden = resources.files("monoidorder").joinpath("goldens", "almost-fring.json")
+    assert canonical(res) == json.loads(golden.read_text(encoding="utf-8"))["result"]

@@ -21,7 +21,7 @@ from monoidorder.localizability import (_ser, _witness_pair,
                                         is_weakly_localizable,
                                         order_unit_fast_path)
 from monoidorder.monoids import (BiadditiveOp, FiniteMonoid, LatticeMonoid,
-                                 OpenConeMonoid, VectorCarrier, approx,
+                                 OpenConeMonoid, VectorCarrier,
                                  cyclic_group_monoid,
                                  diagonal_tensor, enumerate_biadditive_ops,
                                  free_monoid, half_open_half_plane, leq, orthant,
@@ -1093,6 +1093,19 @@ def test_only_a_side_the_table_refutes_runs_the_damped_map(monkeypatch, s, sides
     assert (v.verdict, v.reason) == (verdict, reason)
     v.as_dict()
     assert called == sides
+
+
+def test_a_side_the_table_refutes_checks_the_element_once(monkeypatch):
+    # the quarter plane of the test above: (1, 1) is refuted on the right,
+    # and the one-sided decision there takes the element is_localizable checked
+    quarter = RationalCone.from_rays([(1, 0), (0, 1)], 2)
+    m = OpenConeMonoid(quarter, [(1, 0)])
+    op = BiadditiveOp(m, tensor=[[[0, 0], [0, 1]], [[0, 0], [0, 0]]])
+    checked = []
+    check = m.check_element
+    monkeypatch.setattr(m, "check_element", lambda x: checked.append(x) or check(x))
+    assert is_localizable(op, (1, 1)).verdict == "no"
+    assert checked == [(1, 1)]
 
 
 def test_a_strong_refutation_the_table_cannot_witness_is_an_internal_error():

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from monoidorder.exactmath import (CombinationSearch, InputError, RationalCone,
                                    ResourceBudgetError, solve_nonneg_rational, vadd, vneg, vscale,
                                    vsub)
+from monoidorder import monoids
 from monoidorder.grothendieck import grothendieck, nabla
 from monoidorder.localizability import (is_left_localizable,
                                         is_strongly_localizable,
@@ -945,3 +946,19 @@ def test_free_monoid_order_is_coordinatewise(ax, ay, bx, by):
     m = free_monoid(2)
     assert leq(m, (ax, ay), (bx, by)) == (ax <= bx and ay <= by)
     assert approx(m, (ax, ay), (bx, by)) == ((ax, ay) == (bx, by))
+
+
+def test_the_intro_example_extends_one_table_per_carrier(monkeypatch):
+    # the unit laws are decided on the generator values, so only the leaf
+    # that passes them has its table built (27 leaves are built at 3
+    # coordinates when the unit is checked on the table)
+    extensions = []
+    extend = monoids._extend
+    monkeypatch.setattr(monoids, "_extend",
+                        lambda *args: extensions.append(1) or extend(*args))
+    for coords in (1, 2, 3):
+        m = truncated_free_monoid(coords, cap=2)
+        extensions.clear()
+        ops = enumerate_biadditive_ops(m, unital=m._cache["tuple_index"][(1,) * coords])
+        assert [op.table for op in ops] == [saturating_product_op(m).table]
+        assert len(extensions) <= 1

@@ -5,7 +5,9 @@ clocks or environment data.  Rationals are printed exactly, never as
 floats.
 """
 
+import enum
 import json
+import os
 from fractions import Fraction
 
 import pytest
@@ -138,3 +140,113 @@ def test_stderr_timer_writes_stderr_only(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "[timing] unit-test:" in captured.err
+
+
+# --------------------------------------------------------------------------
+# render_json() against json.dumps over canonical()
+# --------------------------------------------------------------------------
+
+def _reference_json(doc) -> str:
+    return json.dumps(canonical(doc), sort_keys=True, indent=2,
+                      ensure_ascii=True) + "\n"
+
+
+def _outcome(render, doc):
+    try:
+        return render(doc)
+    except InputError as exc:
+        return ("InputError", str(exc))
+
+
+class _Weight(enum.IntEnum):
+    LIGHT = 1
+    HEAVY = 7
+
+
+class _Name(str):
+    pass
+
+
+class _AsDict:
+    def __init__(self, doc):
+        self.doc = doc
+
+    def as_dict(self):
+        return self.doc
+
+
+class _Describe:
+    def __init__(self, doc):
+        self.doc = doc
+
+    def describe(self):
+        return self.doc
+
+
+_TEXT = st.text(max_size=5)  # control characters and non-ASCII too
+_SCALARS = st.one_of(
+    st.integers(), st.booleans(), st.none(), _TEXT,
+    st.fractions(max_denominator=9),
+    st.integers(-5, 5).map(Fraction),  # integral: prints as an int
+    st.sampled_from(list(_Weight)), _TEXT.map(_Name))
+# keys that flatten to the same string: (1, 2) and "1,2", 1/2 and "1/2",
+# True and "True", 7 and Fraction(7) and _Weight.HEAVY
+_KEYS = st.one_of(
+    _TEXT, st.integers(-3, 3), st.fractions(max_denominator=4),
+    st.tuples(st.integers(0, 2), st.fractions(max_denominator=2)),
+    st.sampled_from([(1, 2), "1,2", Fraction(1, 2), "1/2", True, False, "True",
+                     None, 7, Fraction(7), _Weight.HEAVY, _Name("k"), "k", (), ""]))
+
+
+def _documents(leaves):
+    return st.recursive(leaves, lambda inner: st.one_of(
+        st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(_KEYS, inner, max_size=4),
+        inner.map(_AsDict), inner.map(_Describe)), max_leaves=12)
+
+
+@given(_documents(_SCALARS))
+def test_render_json_equals_json_dumps_of_canonical(doc):
+    assert render_json(doc) == _reference_json(doc)
+
+
+_BAD = st.one_of(st.floats(allow_nan=False), st.just(object()),
+                 st.just(frozenset({1})), st.just(b"bytes"))
+
+
+@given(_documents(st.one_of(_SCALARS, _BAD)))
+def test_render_json_refuses_what_canonical_refuses(doc):
+    assert _outcome(render_json, doc) == _outcome(_reference_json, doc)
+
+
+@given(_documents(_SCALARS), _BAD, st.integers(0, 3))
+def test_a_float_or_an_unknown_type_at_any_depth_is_refused(doc, bad, depth):
+    message = ("floating-point values are not allowed in reports; use Fraction"
+               if isinstance(bad, float) else
+               f"cannot serialize {type(bad).__name__} into a report")
+    nested = bad
+    for _ in range(depth):
+        nested = [doc, {"x": _AsDict(nested)}]
+    for refused in (nested, {(1, bad): 0}):
+        with pytest.raises(InputError) as exc:
+            render_json(refused)
+        assert str(exc.value) == message
+
+
+def test_int_and_str_subclasses_print_as_json_prints_them():
+    doc = {_Weight.HEAVY: [_Weight.LIGHT, _Name("é\n")], _Name("key"): _Weight.HEAVY}
+    assert render_json(doc) == _reference_json(doc)
+    assert render_json(_Weight.HEAVY) == "7\n"
+
+
+def test_the_cli_snapshot_documents_render_back_to_their_bytes():
+    with open(os.path.join(os.path.dirname(__file__), "data", "cli_snapshots.json"),
+              encoding="utf-8") as fh:
+        recorded = json.load(fh)
+    documents = 0
+    for case, output in recorded.items():
+        if output["stdout"] and not case.startswith("--format text"):
+            doc = json.loads(output["stdout"])
+            assert render_json(doc) == _reference_json(doc) == output["stdout"], case
+            documents += 1
+    assert documents > 50

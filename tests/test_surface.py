@@ -186,7 +186,7 @@ def test_each_test_only_default_is_needed(entry):
 
 
 def _unused_imports(path):
-    """The names that a module under the package imports and never reads.
+    """The names that a module imports and never reads.
     A name counts as read where it appears as a name (an attribute chain
     starts with one); a ``from __future__`` import and an import marked
     ``# noqa: F401`` (a re-export) are exempt."""
@@ -210,4 +210,10 @@ def _unused_imports(path):
 @pytest.mark.parametrize("path", sorted(_python_files(PACKAGE)),
                          ids=lambda path: os.path.relpath(path, PACKAGE))
 def test_every_import_is_used_by_its_module(path):
+    assert _unused_imports(path) == []
+
+
+@pytest.mark.parametrize("path", sorted(_python_files(os.path.join(ROOT, "tests"))),
+                         ids=lambda path: os.path.relpath(path, ROOT))
+def test_every_import_is_used_by_its_test_module(path):
     assert _unused_imports(path) == []
