@@ -6,7 +6,9 @@ enumeration) reduces to a handful of primitives implemented here:
 * vector/matrix arithmetic over ``fractions.Fraction`` and ``int``,
 * the double description method for converting between generator and
   inequality representations of rational polyhedral cones,
-* exact LP feasibility (phase-one simplex with Bland's rule),
+* exact LP feasibility (phase-one simplex with Bland's rule), which no
+  program path runs: cones are certified by their structure, and the
+  simplex is kept as the tests' reference,
 * the Hermite normal form of integer matrices; rank, solutions and kernels
   over the rationals are read off it, whose only rational step is
   back-substitution on its pivots, and integer solves, kernels and
@@ -183,7 +185,9 @@ def _phase_one(columns: list[list[Fraction]], rhs: list[Fraction]) -> Optional[l
     """Feasibility of ``A q = b, q >= 0`` with A given column-wise.
 
     Returns a solution vector q or None.  Bland's rule prevents cycling; all
-    arithmetic is exact so there is no tolerance anywhere.
+    arithmetic is exact so there is no tolerance anywhere.  Only
+    :func:`solve_nonneg_rational` and :func:`lp_feasible`, the tests'
+    reference, call it.
     """
     m = len(rhs)
     n = len(columns)
@@ -244,8 +248,10 @@ def _phase_one(columns: list[list[Fraction]], rhs: list[Fraction]) -> Optional[l
 def solve_nonneg_rational(generators: Sequence[Sequence], target: Sequence) -> Optional[list[Fraction]]:
     """Exact coefficients q >= 0 with ``sum(q[i] * generators[i]) == target``.
 
-    Returns None when no nonnegative rational combination exists.  The
-    returned certificate always re-validates by direct substitution.
+    No program path calls it; it is the tests' reference for the cone
+    certificates, and the benchmark's tracer keeps it, by name.  Returns
+    None when no nonnegative rational combination exists.  The returned
+    certificate always re-validates by direct substitution.
     """
     if not generators:
         return [] if all(Fraction(x) == 0 for x in target) else None
@@ -271,8 +277,9 @@ def lp_feasible(n_vars: int,
                 ineqs: Sequence[tuple[Sequence, object]] = ()) -> Optional[list[Fraction]]:
     """Feasibility of ``coeffs.x == rhs`` (eqs) and ``coeffs.x >= rhs`` (ineqs).
 
-    Variables are free; internally split into positive and negative parts
-    plus one surplus variable per inequality.
+    No program path calls it; it is a test reference, and the benchmark's
+    tracer keeps it, by name.  Variables are free; internally split into
+    positive and negative parts plus one surplus variable per inequality.
     """
     rows = []
     rhs = []
@@ -396,6 +403,32 @@ def _reduce_mod_lineality(ray, lin_basis) -> tuple[int, ...]:
     return primitive(residue)
 
 
+def certify_extreme_rays(normals: Sequence[Sequence[int]], rays: Sequence[Sequence[int]],
+                         lin: Sequence[Sequence[int]]) -> None:
+    """No ray is a nonnegative combination of the other rays and ``±lin``,
+    for rays of the cone ``{x : n . x >= 0 for every normal n}`` whose
+    lineality space L has the Hermite basis ``lin``.
+
+    A vector r of the cone spans an extreme ray iff the normals tight at r
+    (``n . r == 0``) have rank ``d - 1 - dim L`` (Schrijver, *Theory of
+    Linear and Integer Programming*, ch. 8); the rank is read off their
+    Hermite form.  An extreme ray is a nonnegative combination of other
+    generators only if one of them lies on its ray modulo L, so with the
+    rays' residues modulo L pairwise distinct, none is.  Each ray is
+    checked to lie in the cone, to have that tight rank, and the residues
+    to be distinct; a failure raises :class:`InternalCheckError`.
+    """
+    for r in rays:
+        values = [sum(map(mul, n, r)) for n in normals]
+        if min(values, default=0) < 0:
+            raise InternalCheckError(f"ray {list(r)} lies outside the cone")
+        tight = [n for n, v in zip(normals, values) if v == 0]
+        if len(hermite_normal_form(tight)) != len(r) - 1 - len(lin):
+            raise InternalCheckError(f"ray {list(r)} is a combination of the remaining rays")
+    if len({_reduce_mod_lineality(r, lin) for r in rays}) != len(rays):
+        raise InternalCheckError("two rays lie on one ray modulo the lineality space")
+
+
 class RationalCone:
     """A rational polyhedral cone carrying both representations.
 
@@ -403,7 +436,9 @@ class RationalCone:
     complementary representation is computed on demand via the double
     description method, and both are kept in a deterministic canonical
     form: primitive integer vectors, lexicographically sorted (the
-    lineality basis additionally in Hermite normal form).
+    lineality basis additionally in Hermite normal form).  Generators
+    computed for a cone given by rays are certified against those rays by
+    structure, in integers (:meth:`_certify_generators`): no simplex runs.
     """
 
     def __init__(self, dim: int):
@@ -457,12 +492,35 @@ class RationalCone:
         self._lineality = [tuple(l) for l in lin]
         self._extreme = ext
         if self._rays is not None:
-            for r in self._rays:
-                if not self.member(r):
-                    raise InternalCheckError("input ray escaped computed h-representation")
-            for r in ext:
-                if solve_nonneg_rational(self._rays, r) is None:
-                    raise InternalCheckError("extreme ray not spanned by input rays")
+            self._certify_generators()
+
+    def _certify_generators(self):
+        """The computed generators span the cone of the input rays, exactly.
+
+        Every input ray must satisfy the h-representation.  Conversely,
+        every computed extreme ray must be the residue modulo the lineality
+        space L of some input ray r, ``c*r - l`` with ``c > 0`` and l in L
+        (a generating set of the pointed cone ``C/L`` holds each of its
+        extreme rays).  The input rays whose residue is zero, those on
+        which every normal vanishes, must span L and have a strictly
+        positive integer relation (:func:`positive_relation`), so their
+        cone is L; then ``-l`` and each extreme ray lie in the cone of the
+        input rays.  On a pointed cone the residue of r is r itself.  A
+        failure raises :class:`InternalCheckError`.
+        """
+        for r in self._rays:
+            if not self.member(r):
+                raise InternalCheckError("input ray escaped computed h-representation")
+        lin = self._lineality
+        residues = [_reduce_mod_lineality(r, lin) for r in self._rays]
+        if not set(residues).issuperset(self._extreme):
+            raise InternalCheckError("extreme ray not spanned by input rays")
+        if lin:
+            inner = [r for r, residue in zip(self._rays, residues) if not any(residue)]
+            pivots = _pivots(hermite_normal_form(inner))
+            if len(pivots) != len(lin):
+                raise InternalCheckError("lineality space not spanned by input rays")
+            positive_relation(inner, pivots)
 
     @property
     def extreme_rays(self) -> list[tuple[int, ...]]:
@@ -898,6 +956,73 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]):
 # nonnegative integer combinations
 
 
+def positive_relation(vectors: Sequence[Sequence[int]],
+                      pivots: Sequence[int]) -> tuple[int, ...]:
+    """Strictly positive integers r with ``sum(r[i] * vectors[i]) == 0``,
+    for integer vectors that positively span their linear span; ``pivots``
+    are the pivot columns of their Hermite form.
+
+    A sum of positive circuits of the vectors' distinct directions, each
+    read off their entries at the pivots, taken until every direction lies
+    in one, then spread over the vectors of each direction.  Such a
+    relation exists iff the vectors positively span their span (Bjorner,
+    Las Vergnas, Sturmfels, White, Ziegler, Oriented Matroids, 3.4); a
+    relation that is not strictly positive, as when they do not, or that
+    fails re-substitution raises :class:`InternalCheckError`.
+    """
+    # If the vectors positively span their span, then by conformal
+    # decomposition of a strictly positive relation every vector lies in a
+    # positive circuit, and positive circuits that cover every vector sum
+    # to a strictly positive relation.  A zero vector, or a repeat or
+    # positive multiple of another, adds no other circuit, so the circuits
+    # are sought among one primitive direction per class of positively
+    # parallel nonzero vectors.  With rho the vectors' rank, every circuit
+    # is the one relation, up to scale, among some rho + 1 directions of
+    # rank rho: by Cramer's rule, the signed rho-minors of their span
+    # coordinates: their entries at the rho Hermite pivots, a linear map
+    # that is one-to-one on the span (back-substitution on the pivots
+    # recovers a vector of it).  A circuit is added when it covers a
+    # direction no earlier one does, so a set of covered directions is not
+    # tried.
+    rho = len(pivots)
+    classes: dict[tuple[int, ...], list[int]] = {}
+    for i, u in enumerate(vectors):
+        if any(u):
+            classes.setdefault(primitive(u), []).append(i)
+    members = list(classes.values())
+    scale = [gcd(*u) for u in vectors]  # u == scale * primitive(u)
+    dirs = [tuple(map(d.__getitem__, pivots)) for d in classes]
+    cover = [0] * len(dirs)
+    for support in combinations(range(len(dirs)), rho + 1):
+        if all(cover):
+            break
+        if all(map(cover.__getitem__, support)):
+            continue
+        rows = list(map(dirs.__getitem__, support))
+        z = [int_det(rows[:pos] + rows[pos + 1:]) for pos in range(rho + 1)]
+        z[1::2] = [-c for c in z[1::2]]
+        if max(z) <= 0:
+            z = [-c for c in z]
+        if min(z) >= 0 and any(c and not cover[t] for c, t in zip(z, support)):
+            g = gcd(*z)
+            for c, t in zip(z, support):
+                cover[t] += c // g
+    # direction p with copies u_i == scale_i * p gets cover_p * T spread as
+    # cover_p * T / (n_p * scale_i) on each of its n_p copies, T divisible
+    # by every such denominator; a zero vector takes any positive coefficient
+    t = lcm(1, *(len(ix) * scale[i] for ix in members for i in ix))
+    rel = [1] * len(vectors)
+    for c, ix in zip(cover, members):
+        for i in ix:
+            rel[i] = c * t // (len(ix) * scale[i])
+    rel = primitive(rel)
+    if not all(r > 0 for r in rel):
+        raise InternalCheckError("the vectors do not positively span their span")
+    if any(sum(map(mul, rel, col)) for col in zip(*vectors)):
+        raise InternalCheckError("positive relation failed re-substitution")
+    return rel
+
+
 class CombinationSearch:
     """Complete search for naturals n with ``sum(n[i] * generators[i]) == target``.
 
@@ -1014,71 +1139,11 @@ class CombinationSearch:
         self.nodes = 0
 
     def unit_relation(self) -> tuple[int, ...]:
-        """Strictly positive integers r with ``sum(r[i] * units[i]) == 0``.
-
-        A sum of positive circuits of the units' distinct directions, each
-        read off their entries at the units' Hermite pivots, taken until
-        every direction lies in one, then spread over the units of each
-        direction; a relation that is not strictly positive or fails
-        re-substitution raises :class:`InternalCheckError`.
-        """
+        """Strictly positive integers r with ``sum(r[i] * units[i]) == 0``:
+        :func:`positive_relation` of the units, read at the pivots of the
+        one Hermite form of ``[units | I]``, built once."""
         if self._relation is None:
-            units = self._unit_vectors
-            # The units positively span the lineality space, so by conformal
-            # decomposition of a strictly positive relation every unit lies
-            # in a positive circuit (Bjorner, Las Vergnas, Sturmfels, White,
-            # Ziegler, Oriented Matroids, 3.4), and positive circuits that
-            # cover every unit sum to a strictly positive relation.  A zero
-            # unit, or a repeat or positive multiple of another, adds no
-            # other circuit, so the circuits are sought among one primitive
-            # direction per class of positively parallel nonzero units.
-            # With rho the units' rank, every circuit is the one relation, up
-            # to scale, among some rho + 1 directions of rank rho: by
-            # Cramer's rule, the signed rho-minors of their span coordinates:
-            # their entries at the units' rho Hermite pivots, a linear map
-            # that is one-to-one on the span (back-substitution on the
-            # pivots recovers a vector of it).  A circuit is added when it
-            # covers a direction no earlier one does, so a set of covered
-            # directions is not tried.
-            pivots = self._unit_solver.pivots
-            rho = len(pivots)
-            classes: dict[tuple[int, ...], list[int]] = {}
-            for i, u in enumerate(units):
-                if any(u):
-                    classes.setdefault(primitive(u), []).append(i)
-            members = list(classes.values())
-            scale = [gcd(*u) for u in units]  # u == scale * primitive(u)
-            dirs = [tuple(map(d.__getitem__, pivots)) for d in classes]
-            cover = [0] * len(dirs)
-            for support in combinations(range(len(dirs)), rho + 1):
-                if all(cover):
-                    break
-                if all(map(cover.__getitem__, support)):
-                    continue
-                rows = list(map(dirs.__getitem__, support))
-                z = [int_det(rows[:pos] + rows[pos + 1:]) for pos in range(rho + 1)]
-                z[1::2] = [-c for c in z[1::2]]
-                if max(z) <= 0:
-                    z = [-c for c in z]
-                if min(z) >= 0 and any(c and not cover[t] for c, t in zip(z, support)):
-                    g = gcd(*z)
-                    for c, t in zip(z, support):
-                        cover[t] += c // g
-            # direction p with copies u_i == scale_i * p gets cover_p * T
-            # spread as cover_p * T / (n_p * scale_i) on each of its n_p
-            # copies, T divisible by every such denominator; a zero unit
-            # takes any positive coefficient
-            t = lcm(1, *(len(ix) * scale[i] for ix in members for i in ix))
-            rel = [1] * len(units)
-            for c, ix in zip(cover, members):
-                for i in ix:
-                    rel[i] = c * t // (len(ix) * scale[i])
-            rel = primitive(rel)
-            if not all(r > 0 for r in rel):
-                raise InternalCheckError("units do not span a group")
-            if any(sum(map(mul, rel, col)) for col in zip(*units)):
-                raise InternalCheckError("unit relation failed re-substitution")
-            self._relation = rel
+            self._relation = positive_relation(self._unit_vectors, self._unit_solver.pivots)
         return self._relation
 
     def find(self, target: Sequence[int]) -> Optional[tuple[int, ...]]:

@@ -31,8 +31,11 @@ numerator ``n - k*d`` alone, and builds the witness at the answer from
 the refuting probe.  The self-checks run on every call, in exact
 arithmetic: each integer quotient must divide exactly, the
 decomposition must reconstruct its input (compared in integers), and a
-witness must evaluate negative in ``Fraction`` arithmetic on ``f``
-itself.
+witness must evaluate negative: on ``f`` itself in ``Fraction``
+arithmetic, or, for a shift's witness, on the integer numerator and
+denominator the search used, by homogeneous Horner with one
+``Fraction`` formed at the end, after their leading coefficients are
+checked against ``f``'s.
 """
 
 from __future__ import annotations
@@ -1051,8 +1054,11 @@ def theorem_skew_hypothesis(f: RationalFunction) -> dict:
     one chain of its square-free part, never on a chain that includes the
     denominator.  The result equals that of a linear scan
     ``k = 1, 2, ...`` with :func:`is_sos_membership`.  The witness must
-    evaluate negative in ``Fraction`` arithmetic on ``f`` itself;
-    otherwise :class:`InternalCheckError` is raised.
+    make ``f - k`` negative, evaluated on the integer numerator and
+    denominator the search used, by homogeneous Horner, with one
+    ``Fraction`` formed at the end; those two must lead as ``f``'s own
+    numerator and denominator do.  Otherwise :class:`InternalCheckError`
+    is raised.
     """
     num, den = f.numerator, f.denominator
     # num and den scaled by one positive factor; den is monic, so no zero
@@ -1086,7 +1092,21 @@ def theorem_skew_hypothesis(f: RationalFunction) -> dict:
             refuted, refuting = mid, probe
     _, m, yun = refuting
     witness = _shift_witness(m, yun, Dp, d_yun)
-    value = f.evaluate(witness) - refuted
+    # f(w) - k at w = p/q in integers: with the homogeneous values n_q =
+    # q^deg(N) N(w) and d_q = q^deg(D) D(w), f(w) = N(w) / D(w) is
+    # n_q q^deg(D) / (d_q q^deg(N)); one Fraction is formed, at the end.
+    # N and D are the search's own, so the split of f into them is checked
+    # first on f's leading coefficients
+    if N and N[-1] * den.leading != D[-1] * num.leading:
+        raise InternalCheckError("the integer numerator and denominator are not f's")
+    p, q = witness.numerator, witness.denominator
+    deg_n, deg_d = max(len(N) - 1, 0), len(D) - 1
+    powers = _powers(q, max(deg_n, deg_d))
+    n_q = _homogeneous_value(N, p, powers) if N else 0
+    bottom = _homogeneous_value(D, p, powers) * powers[deg_n]
+    if not bottom:
+        raise InternalCheckError("the witness is a pole of the function")
+    value = Fraction(n_q * powers[deg_d] - refuted * bottom, bottom)
     if value >= 0:
         raise InternalCheckError("the least refuted shift is a sum of squares")
     return {"k": refuted, "witness": witness, "witness_value": value,

@@ -24,9 +24,9 @@ from .exactmath import (
     IntegerLattice,
     RationalCone,
     as_int_vector,
+    certify_extreme_rays,
     echelon_solve,
     is_zero_vector,
-    solve_nonneg_rational,
     vadd,
     vdot,
     vneg,
@@ -292,18 +292,13 @@ def positive_functionals(h: OrderedSubgroup) -> list[AdditiveFunctional]:
     out = []
     for r in sorted(rays):
         out.append(AdditiveFunctional(h, tuple(Fraction(x) for x in r), extremal=True))
-    _certify_extremality(h, rays, lin)
+    # no dual ray is a nonnegative combination of the other generators:
+    # the dual cone is cut out by the positive cone's generators, so each
+    # ray's tight generators have rank ``rank - 1 - dim L``, and the rays
+    # are pairwise distinct modulo the lineality space L
+    certify_extreme_rays(h.positive_cone.v_rep, rays, lin)
     _certify_decomposition(h, rays, lin)
     return out
-
-
-def _certify_extremality(h: OrderedSubgroup, rays, lin) -> None:
-    """No dual ray is a nonnegative combination of the other generators."""
-    for i, r in enumerate(rays):
-        others = rays[:i] + rays[i + 1:] + lin + [vneg(v) for v in lin]
-        if solve_nonneg_rational(others, r) is not None:
-            raise InternalCheckError(
-                f"dual ray {list(r)} is a combination of the remaining rays")
 
 
 def _certify_decomposition(h: OrderedSubgroup, rays, lin) -> None:

@@ -152,23 +152,20 @@ def almost_fring_counterexample() -> dict:
     cells = list(product(range(3), repeat=3))
     mul = cache(op.mu)
 
-    axiom_checked = 0
-    axiom_failures = []
-    for a in cells:
-        for b in cells:
-            if _meets(a, b):
-                continue
-            axiom_checked += 1
-            if any(mul(a, b)):
-                axiom_failures.append({"a": a, "b": b, "mu": mul(a, b)})
-
-    commut_checked = 0
-    commut_failures = []
-    for a in cells:
-        for b in cells:
-            commut_checked += 1
-            if mul(a, b) != mul(b, a):
-                commut_failures.append({"a": a, "b": b})
+    # mu is bilinear and the box holds every unit vector e_i, so the pair
+    # laws on the box are read off the tensor: disjoint products vanish iff
+    # T[i][j] == 0 for i != j (disjoint a, b have a_i b_i == 0 for every
+    # i, and e_i, e_j are disjoint), and mu is commutative iff T[i][j] ==
+    # T[j][i].  Both hold on the fixed tensor, so each is checked on every
+    # pair of the box: the b disjoint from a number 3^(zeros of a), and
+    # the pairs 27^2.
+    t = op.tensor
+    if any(any(t[i][j]) for i in range(3) for j in range(3) if i != j):
+        raise InternalCheckError("a product of disjoint unit vectors is nonzero")
+    if any(t[i][j] != t[j][i] for i in range(3) for j in range(3)):
+        raise InternalCheckError("the tensor is not symmetric")
+    axiom_checked = sum(3 ** a.count(0) for a in cells)
+    commut_checked = len(cells) ** 2
 
     # The associator (ab)c - a(bc) is trilinear, and the box holds every
     # unit vector e_j, so for a fixed a its values A[j][k] on (e_j, e_k)
@@ -210,15 +207,13 @@ def almost_fring_counterexample() -> dict:
                 archimedean_failures.append({"a": a, "b": b})
 
     weak = is_weakly_localizable(op)
-    ok = (not axiom_failures and not commut_failures
-          and witness is not None and not archimedean_failures
+    ok = (witness is not None and not archimedean_failures
           and weak.verdict == "no")
     return {
         "ok": ok,
         "disjoint_products_vanish": {"checked": axiom_checked,
-                                     "failures": axiom_failures},
-        "commutative": {"checked": commut_checked,
-                        "failures": commut_failures},
+                                     "failures": []},
+        "commutative": {"checked": commut_checked, "failures": []},
         "archimedean": {"checked": archimedean_checked,
                         "failures": archimedean_failures},
         "non_associative_witness": witness,

@@ -37,6 +37,7 @@ from .exactmath import (
     InputError,
     InternalCheckError,
     IntegerLattice,
+    IntegerSolver,
     RationalCone,
     ResourceBudgetError,
     as_int_vector,
@@ -430,25 +431,31 @@ class LatticeMonoid(VectorCarrier):
     def contains(self, x: Sequence) -> bool:
         """Exact membership: is x a nonnegative integer combination of the generators?
 
-        A vector with a non-integral coordinate is not a member.  Integer
-        vectors outside the generators' lattice or cone are refused at once;
-        the rest go to :class:`CombinationSearch`, which is complete: the
-        generators split into units (every facet normal of the cone vanishes
-        on them; they generate the group ``Z*units``) and positive
-        generators (the sum ``w`` of the normals is positive on them).  As
-        ``w`` vanishes on the units, any combination has
+        A vector with a non-integral coordinate is not a member.  On a free
+        carrier, whose generators have no integer relation (the lattice's
+        rank equals their number), x has at most one integer combination,
+        so it is a member iff :meth:`IntegerSolver.solve` returns one and
+        every coefficient is nonnegative; the solve re-substitutes its
+        answer, and no cone or search is built.  On any other carrier,
+        integer vectors outside the generators' lattice or cone are refused
+        at once; the rest go to :class:`CombinationSearch`, which is
+        complete: the generators split into units (every facet normal of
+        the cone vanishes on them; they generate the group ``Z*units``) and
+        positive generators (the sum ``w`` of the normals is positive on
+        them).  As ``w`` vanishes on the units, any combination has
         ``sum(n[i] * w(p[i])) == w(x)`` over the positive generators, so a
         depth-first search under that exact weight equality is finite, and
-        at each leaf the residue must lie in the unit lattice.  A True answer
-        carries a certificate of nonnegative integer coefficients that is
-        re-substituted.  Deciding and certifying run in integers: one
-        Hermite form of ``[units | I]`` answers the leaf checks and gives the
-        unit coefficients, and a strictly positive integer relation among
-        the units shifts negative ones; no rational simplex is run.  Answers
-        are memoized per monoid.  The memo also holds, as True, every
-        vector that :meth:`ray_sums` has built: each is ``x + g`` for a sum
-        x of generators and a generator g, a member by the definition of
-        the monoid, with that construction as its certificate.
+        at each leaf the residue must lie in the unit lattice.  A True
+        answer carries a certificate of nonnegative integer coefficients
+        that is re-substituted.  Deciding and certifying run in integers:
+        one Hermite form of ``[units | I]`` answers the leaf checks and
+        gives the unit coefficients, and a strictly positive integer
+        relation among the units shifts negative ones; no rational simplex
+        is run.  Answers are memoized per monoid.  The memo also holds, as
+        True, every vector that :meth:`ray_sums` has built: each is ``x +
+        g`` for a sum x of generators and a generator g, a member by the
+        definition of the monoid, with that construction as its
+        certificate.
         """
         if len(x) != self.dim:
             raise InputError("element dimension mismatch")
@@ -457,10 +464,18 @@ class LatticeMonoid(VectorCarrier):
             return False  # a non-integral coordinate
         memo = self._cache.setdefault("contains", {})
         if key not in memo:
-            memo[key] = is_zero_vector(key) or (
-                self.lattice.contains(key) and self.cone.member(key)
-                and self.combinations.find(key) is not None)
+            memo[key] = is_zero_vector(key) or self._member(key)
         return memo[key]
+
+    def _member(self, key: tuple) -> bool:
+        """Membership of a nonzero integer vector, not memoized."""
+        if len(self.lattice.basis) == len(self.generators):
+            if "solver" not in self._cache:
+                self._cache["solver"] = IntegerSolver(self.dim, self.generators)
+            coefficients = self._cache["solver"].solve(key)
+            return coefficients is not None and min(coefficients) >= 0
+        return (self.lattice.contains(key) and self.cone.member(key)
+                and self.combinations.find(key) is not None)
 
 
 class OpenConeMonoid(VectorCarrier):

@@ -128,9 +128,17 @@ def _json_list(doc, pad: str) -> str:
 def _json_dict(doc, pad: str) -> str:
     if not doc:
         return "{}"
-    inner = pad + "  "
+    return _json_join(_json_items(doc, pad + "  "), pad)
+
+
+def _json_items(doc, inner: str) -> dict:
+    """Each value of a dict rendered under its flattened key."""
     # a later key that flattens to an earlier one replaces its value
-    items = {k if type(k) is str else _key(k): _json(v, inner) for k, v in doc.items()}
+    return {k if type(k) is str else _key(k): _json(v, inner) for k, v in doc.items()}
+
+
+def _json_join(items: dict, pad: str) -> str:
+    inner = pad + "  "
     return f"{{\n{inner}" + f",\n{inner}".join(
         [f"{_string(k)}: {items[k]}" for k in sorted(items)]) + f"\n{pad}}}"
 
@@ -165,9 +173,28 @@ def render_text(doc) -> str:
     return "\n".join(lines) + "\n"
 
 
+class RenderedReport(dict):
+    """A report document that carries its JSON text, rendered once:
+    :func:`render_report` returns that text for it under ``json``."""
+
+    def __init__(self, doc: dict, text: str):
+        super().__init__(doc)
+        self.text = text
+
+
+def render_json_without(doc: dict, key: str) -> tuple[str, RenderedReport]:
+    """The JSON text of ``doc`` with its top-level ``key`` left out, and
+    ``doc`` carrying the text of it all, from one render of each value:
+    the bytes :func:`render_json` gives for each."""
+    items = _json_items(doc, "  ")
+    whole = _json_join(items, "") + "\n"
+    del items[key]
+    return (_json_join(items, "") + "\n" if items else "{}\n"), RenderedReport(doc, whole)
+
+
 def render_report(doc, fmt: str = "json") -> str:
     if fmt == "json":
-        return render_json(doc)
+        return doc.text if type(doc) is RenderedReport else render_json(doc)
     if fmt == "text":
         return render_text(doc)
     raise InputError(f"unknown report format {fmt!r}; use one of {FORMATS}")

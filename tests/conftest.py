@@ -635,23 +635,37 @@ def matrix_op() -> BiadditiveOp:
     return matrix_product_op()
 
 
-@pytest.fixture
-def no_smith_form(monkeypatch):
-    """Make the Smith form unreachable for one test: every name in the
-    package bound to ``exactmath.smith_normal_form`` raises when called.
-    Only the benchmark's tracer keeps that function, so no program path
-    may reach it."""
+def _make_unreachable(monkeypatch, function, what):
+    """Every name in the package bound to ``function`` raises when called."""
     import monoidorder
-    from monoidorder import exactmath
-
-    smith = exactmath.smith_normal_form
 
     def unreachable(*args, **kwargs):
-        raise AssertionError("a program path reached the Smith form")
+        raise AssertionError(f"a program path reached {what}")
 
     for info in pkgutil.iter_modules(monoidorder.__path__):
         if info.name != "__main__":
             module = importlib.import_module(f"monoidorder.{info.name}")
             for name, value in list(vars(module).items()):
-                if value is smith:
+                if value is function:
                     monkeypatch.setattr(module, name, unreachable)
+
+
+@pytest.fixture
+def no_smith_form(monkeypatch):
+    """Make the Smith form unreachable for one test.  Only the benchmark's
+    tracer keeps that function, so no program path may reach it."""
+    from monoidorder import exactmath
+
+    _make_unreachable(monkeypatch, exactmath.smith_normal_form, "the Smith form")
+
+
+@pytest.fixture
+def no_simplex(monkeypatch):
+    """Make the rational simplex unreachable for one test: cones and dual
+    rays are certified by their structure, and the simplex is kept only as
+    the tests' reference and by name in the benchmark's tracer."""
+    from monoidorder import exactmath
+
+    for function in (exactmath.solve_nonneg_rational, exactmath.lp_feasible,
+                     exactmath._phase_one):
+        _make_unreachable(monkeypatch, function, f"the simplex ({function.__name__})")

@@ -49,8 +49,8 @@ from monoidorder.reports import render_report
 from conftest import (cone_corpus, finite_corpus, lattice_corpus, rational_rank,
                       seeded, weakly_localizable_ops)
 
-# every criterion runs with the Smith form made unreachable
-pytestmark = pytest.mark.usefixtures("no_smith_form")
+# every criterion runs with the Smith form and the simplex made unreachable
+pytestmark = pytest.mark.usefixtures("no_smith_form", "no_simplex")
 
 
 def criterion(num: int, label: str):

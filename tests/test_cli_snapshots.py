@@ -30,8 +30,8 @@ from monoidorder import cli
 ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir))
 SNAPSHOTS = os.path.join(ROOT, "tests", "data", "cli_snapshots.json")
 
-# every recorded case runs with the Smith form made unreachable
-pytestmark = pytest.mark.usefixtures("no_smith_form")
+# every recorded case runs with the Smith form and the simplex made unreachable
+pytestmark = pytest.mark.usefixtures("no_smith_form", "no_simplex")
 
 
 def _inst(name):

@@ -11,11 +11,12 @@ from monoidorder import exactmath
 from monoidorder.exactmath import (CombinationSearch, InputError,
                                    IntegerLattice, InternalCheckError, RationalCone,
                                    as_int_vector, bounded_nonneg_combination,
+                                   certify_extreme_rays,
                                    default_combination_bound, echelon_kernel,
                                    echelon_solve,
                                    hermite_normal_form, int_adjugate, int_det,
                                    integer_kernel, integer_solve,
-                                   lp_feasible, primitive,
+                                   lp_feasible, positive_relation, primitive,
                                    sign_canonical,
                                    smith_normal_form, solve_nonneg_rational,
                                    vadd, vdot, vneg, vscale, vsub)
@@ -704,6 +705,106 @@ def test_extreme_rays_minimality_random():
             others += cone.lineality_basis
             others += [vneg(b) for b in cone.lineality_basis]
             assert solve_nonneg_rational(others, r) is None
+
+
+@st.composite
+def _drawn_cones(draw):
+    """Rays of a cone in dimension d <= 4: pointed or not (a drawn ray and
+    its negative), often lower-dimensional, with repeated and scaled rays."""
+    d = draw(st.integers(1, 4))
+    rays = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * d), min_size=1, max_size=5))
+    assume(any(map(any, rays)))
+    if draw(st.booleans()):
+        rays.append(vneg(rays[0]))
+    if draw(st.booleans()):
+        rays += [rays[-1], vscale(2, rays[0])]
+    return d, rays
+
+
+def _simplex_extreme(ext, lin, v):
+    """The simplex reference: v is not a nonnegative combination of the
+    generators off its ray modulo the lineality space."""
+    others = [e for e in ext if e != exactmath._reduce_mod_lineality(v, lin)]
+    return solve_nonneg_rational(others + lin + [vneg(b) for b in lin], v) is None
+
+
+@settings(max_examples=150)
+@given(_drawn_cones())
+def test_cone_certificates_agree_with_the_simplex(case):
+    d, rays = case
+    cone = RationalCone.from_rays(rays, d)
+    ext, lin = cone.extreme_rays, cone.lineality_basis  # certified on the way
+    event("pointed" if not lin else "not pointed")
+    event(f"rank {rational_rank(rays)} of {d}")
+    # the simplex agrees that every generator lies in cone(R)
+    for g in ext + lin + [vneg(b) for b in lin]:
+        assert solve_nonneg_rational(rays, g) is not None
+    # the tight-facet rank agrees with the simplex on every box point of
+    # the cone off the lineality space; a point outside the cone, a
+    # non-extreme point and a second vector on an extreme ray are rejected
+    certify_extreme_rays(cone.h_rep, ext, lin)
+    side = range(-2, 3) if d < 4 else range(-1, 2)
+    box = [v for v in itertools.product(side, repeat=d)
+           if any(exactmath._reduce_mod_lineality(v, lin))]
+    for v in box:
+        inside = cone.member(v)
+        extreme = inside and _simplex_extreme(ext, lin, v)
+        try:
+            certify_extreme_rays(cone.h_rep, [v], lin)
+            certified = True
+        except InternalCheckError:
+            certified = False
+        assert certified == extreme
+        if not inside or not extreme:
+            with pytest.raises(InternalCheckError):
+                certify_extreme_rays(cone.h_rep, ext + [v], lin)
+        elif exactmath._reduce_mod_lineality(v, lin) in ext and v not in ext:
+            with pytest.raises(InternalCheckError):
+                certify_extreme_rays(cone.h_rep, ext + [v], lin)
+        # a vector outside cone(R) planted among the extreme rays
+        if solve_nonneg_rational(rays, v) is None:
+            assert not inside
+            planted = RationalCone.from_rays(rays, d)
+            planted.extreme_rays
+            planted._extreme = ext + [v]
+            with pytest.raises(InternalCheckError):
+                planted._certify_generators()
+
+
+@settings(max_examples=150)
+@given(st.integers(1, 4).flatmap(lambda d: st.lists(
+    st.tuples(*[st.integers(-2, 2)] * d), min_size=1, max_size=6)))
+def test_positive_relation_exists_iff_the_simplex_spans_each_negative(vectors):
+    # vectors positively span their span iff each one's negative is a
+    # nonnegative combination of them
+    spans = all(solve_nonneg_rational(vectors, vneg(v)) is not None for v in vectors)
+    pivots = IntegerLattice(len(vectors[0]), vectors).pivots
+    event("spans" if spans else "does not span")
+    if spans:
+        rel = positive_relation(vectors, pivots)
+        assert all(r > 0 for r in rel)
+        assert all(sum(r * v[j] for r, v in zip(rel, vectors)) == 0
+                   for j in range(len(vectors[0])))
+    else:
+        with pytest.raises(InternalCheckError):
+            positive_relation(vectors, pivots)
+
+
+def test_a_lineality_space_the_input_rays_do_not_span_is_rejected():
+    # the half-plane x >= 0 from the rays (1, 0), (0, 1), (0, -1); planted
+    # data where the rays in the lineality space are one-sided or missing
+    cone = RationalCone.from_rays([(1, 0), (0, 1), (0, -1)], 2)
+    assert cone.lineality_basis == [(0, 1)] and cone.extreme_rays == [(1, 0)]
+    one_sided = RationalCone.from_rays([(1, 0), (0, 1), (0, -1)], 2)
+    one_sided.extreme_rays
+    one_sided._rays = [(1, 0), (0, 1), (1, -1)]
+    with pytest.raises(InternalCheckError, match="positively span"):
+        one_sided._certify_generators()
+    missing = RationalCone.from_rays([(1, 0), (0, 1), (0, -1)], 2)
+    missing.extreme_rays
+    missing._rays = [(1, 0), (1, 1), (1, -1)]
+    with pytest.raises(InternalCheckError, match="lineality space not spanned"):
+        missing._certify_generators()
 
 
 def test_cone_containment():

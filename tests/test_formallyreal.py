@@ -940,6 +940,30 @@ def test_shift_search_equals_the_linear_scan_on_varied_functions(monkeypatch):
     assert any(real_roots for real_roots, *_ in branches)
 
 
+def test_the_final_check_in_integers_equals_the_fraction_value():
+    # the value at the witness is formed in integers, by homogeneous Horner
+    # on the integer numerator and denominator, and equals f(w) - k in
+    # Fraction arithmetic: on the expressions of the sos snapshots, those
+    # that categorize evaluates, and drawn sos-shift shapes
+    texts = ["x", "(x^4+3)/(x^2+1)", "x^2", "(x^2+1)/(x^2+2)", "x^2+2",
+             "0", "1", "2", "7"]
+    inputs = [parse_rational_function(t) for t in texts] + _shift_search_inputs(seeded(97))
+    for f in inputs:
+        res = theorem_skew_hypothesis(f)
+        assert res["witness_value"] == f.evaluate(res["witness"]) - res["k"] < 0
+        assert type(res["witness_value"]) is Fraction
+
+
+def test_a_split_that_is_not_fs_trips_the_final_check(monkeypatch):
+    # the denominator's leading coefficient doubled: the search runs on
+    # another function, and the final check catches it on f's own leads
+    split = formallyreal._integer_multiple
+    monkeypatch.setattr(formallyreal, "_integer_multiple",
+                        lambda p: split(p)[:-1] + (2 * split(p)[-1],))
+    with pytest.raises(InternalCheckError, match="not f's"):
+        theorem_skew_hypothesis(parse_rational_function("(x^4+3)/(x^2+1)"))
+
+
 # ---------------------------------------------------------------------------
 # instance categorization
 

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from monoidorder import latticeorder
-from monoidorder.exactmath import InputError, vadd
+from monoidorder.exactmath import InputError, InternalCheckError, vadd
 from monoidorder.latticeorder import (almost_fring_counterexample,
                                       almost_fring_tensor,
                                       fring_strong_localizability,
@@ -220,8 +220,9 @@ def test_almost_fring_tensor_shape():
 
 
 def test_the_associator_is_read_off_its_trilinear_form(monkeypatch):
-    # the pair sweeps compute each of the 729 box products once, and the
-    # witness search adds only lookups of them (4,647 lookups when every
+    # both pair laws hold on the tensor, so neither is swept (the sweeps
+    # computed each of the 729 box products once); the witness search
+    # computes 19 products and looks them up (4,647 lookups when every
     # triple up to the witness is multiplied out)
     memos = []
     monkeypatch.setattr(latticeorder, "cache", lambda f: memos.append(cache(f)) or memos[-1])
@@ -233,6 +234,45 @@ def test_the_associator_is_read_off_its_trilinear_form(monkeypatch):
     (mul,) = memos
     lookups = mul.cache_info().hits + mul.cache_info().misses
     assert lookups <= 1700
-    assert len(mu_calls) == mul.cache_info().misses == 729
+    assert len(mu_calls) == mul.cache_info().misses == 19
     golden = resources.files("monoidorder").joinpath("goldens", "almost-fring.json")
     assert canonical(res) == json.loads(golden.read_text(encoding="utf-8"))["result"]
+
+
+def _box_pair_laws(tensor):
+    """Both pair laws swept over the box of side 3, the reference."""
+    op = BiadditiveOp(orthant(3, "integer"), tensor=tensor)
+    cells = list(itertools.product(range(3), repeat=3))
+    disjoint = [(a, b) for a in cells for b in cells if not any(min(s, t) for s, t in zip(a, b))]
+    return ({"checked": len(disjoint),
+             "failures": [{"a": a, "b": b, "mu": op.mu(a, b)}
+                          for a, b in disjoint if any(op.mu(a, b))]},
+            {"checked": len(cells) ** 2,
+             "failures": [{"a": a, "b": b} for a in cells for b in cells
+                          if op.mu(a, b) != op.mu(b, a)]})
+
+
+def test_pair_laws_read_off_the_tensor_match_the_box_sweep():
+    # both laws hold on the tensor, so the report gives the sweep's counts
+    # and no failure
+    res = almost_fring_counterexample()
+    disjoint, commutative = _box_pair_laws(almost_fring_tensor())
+    assert res["disjoint_products_vanish"] == disjoint
+    assert res["commutative"] == commutative
+    assert disjoint["checked"] == 125 and commutative["checked"] == 729
+
+
+@pytest.mark.parametrize("slot, value", [((0, 1), [1, 0, 0]), ((2, 1), [0, 0, 1])])
+def test_a_tensor_that_breaks_a_pair_law_is_an_internal_error(monkeypatch, slot, value):
+    # (0, 1) and (1, 0) both set: symmetric, but disjoint unit vectors
+    # multiply to nonzero; (2, 1) alone: not symmetric either
+    tensor = almost_fring_tensor()
+    i, j = slot
+    tensor[i][j] = value
+    if slot == (0, 1):
+        tensor[j][i] = value
+    disjoint, commutative = _box_pair_laws(tensor)
+    assert disjoint["failures"] and (commutative["failures"] or slot == (0, 1))
+    monkeypatch.setattr(latticeorder, "almost_fring_tensor", lambda: tensor)
+    with pytest.raises(InternalCheckError):
+        almost_fring_counterexample()

@@ -488,7 +488,10 @@ def test_line_membership_matches_the_oracle(values, x):
 def test_membership_is_memoized_per_distinct_vector(monkeypatch):
     # a symmetric product on N^2 whose generator products are sums of 5
     # or 8 generators, past the pool's 3: the closure check searches each
-    # distinct product once, and the product (4, 4) is asked twice
+    # distinct product once, and the product (4, 4) is asked twice.  The
+    # first generator is repeated, so the generators have an integer
+    # relation and membership runs the search (on the free N^2 it is one
+    # integer solve)
     from monoidorder.functionals import verify_theorem_main
     calls = {}
     searches = []  # keep every search alive so that ids are not reused
@@ -502,7 +505,7 @@ def test_membership_is_memoized_per_distinct_vector(monkeypatch):
 
     monkeypatch.setattr(CombinationSearch, "find", counted)
     tensor = (((5, 0), (4, 4)), ((4, 4), (0, 5)))
-    op = BiadditiveOp(free_monoid(2), tensor=tensor)
+    op = BiadditiveOp(LatticeMonoid(2, [(1, 0), (0, 1), (1, 0)]), tensor=tensor)
     verify_theorem_main(op)
     assert calls and max(calls.values()) == 1
     assert len(calls) == 3
@@ -573,11 +576,16 @@ def test_combination_search_nodes_on_the_theorem_sweep():
     # built, so the sweeps search only generator products past the pool:
     # 7 nodes on the diagonal product and none on the matrix product, whose
     # generator products are generators or 0 (71 and 139 when every pool
-    # element and dominator candidate was searched)
+    # element and dominator candidate was searched).  Each carrier repeats
+    # its first generator, so the generators have an integer relation and
+    # membership runs the search (on a free carrier it is one integer solve)
     from monoidorder.functionals import verify_theorem_main
-    from monoidorder.monoids import diagonal_tensor, matrix_product_op
-    diagonal = BiadditiveOp(free_monoid(3), tensor=diagonal_tensor(3, [2, 5, 5]))
-    matrix = matrix_product_op()
+    from monoidorder.monoids import diagonal_tensor, matrix_monoid_2x2, matrix_product_tensor
+    gens = list(free_monoid(3).generators)
+    diagonal = BiadditiveOp(LatticeMonoid(3, gens + gens[:1]),
+                            tensor=diagonal_tensor(3, [2, 5, 5]))
+    gens = list(matrix_monoid_2x2().generators)
+    matrix = BiadditiveOp(LatticeMonoid(4, gens + gens[:1]), tensor=matrix_product_tensor())
     for op, most in ((diagonal, 7), (matrix, 0)):
         verify_theorem_main(op)
         assert op.carrier.combinations.nodes <= most
@@ -585,6 +593,45 @@ def test_combination_search_nodes_on_the_theorem_sweep():
     # a query that is not built as a sum still runs the search
     assert matrix.carrier.contains((2, 1, 1, 1))
     assert matrix.carrier.combinations.nodes > 0
+
+
+def test_free_carriers_decide_membership_without_the_search(monkeypatch):
+    # the generators of N^3 and of the 2x2 matrices have no integer
+    # relation, so membership is one integer solve: no combination search
+    # runs, and on N^3 no cone is built
+    from monoidorder.monoids import matrix_product_op
+    finds = []
+    find = CombinationSearch.find
+    monkeypatch.setattr(CombinationSearch, "find",
+                        lambda self, target: finds.append(target) or find(self, target))
+    m = free_monoid(3)
+    for x in itertools.product(range(-2, 3), repeat=3):
+        assert m.contains(x) == (min(x) >= 0)
+    assert not m.contains((Fraction(1, 2), 0, 0))
+    assert "cone" not in m._cache and "combinations" not in m._cache
+    assert matrix_product_op().validate() == []
+    assert finds == []
+
+
+free_lattices = st.integers(1, 3).flatmap(lambda d: st.lists(
+    st.tuples(*[st.integers(-3, 3)] * d), min_size=1, max_size=d))
+
+
+@settings(max_examples=80)
+@given(free_lattices, st.data())
+def test_free_membership_agrees_with_the_search(gens, data):
+    # independent generators: the integer solve and the complete search
+    # give the same answer on members and on drawn points
+    dim = len(gens[0])
+    m = LatticeMonoid(dim, gens)
+    assume(len(m.lattice.basis) == len(gens))
+    search = CombinationSearch(gens, m.cone.h_rep)
+    coeffs = data.draw(st.lists(st.integers(0, 3), min_size=len(gens), max_size=len(gens)))
+    member = tuple(sum(c * g[j] for c, g in zip(coeffs, gens)) for j in range(dim))
+    assert m.contains(member)
+    for x in [member] + data.draw(st.lists(st.tuples(*[st.integers(-6, 6)] * dim),
+                                           max_size=8)):
+        assert LatticeMonoid(dim, gens).contains(x) == (search.find(x) is not None)
 
 
 # ---------------------------------------------------------------------------

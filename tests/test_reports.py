@@ -15,8 +15,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from monoidorder.exactmath import InputError
-from monoidorder.reports import (canonical, render_json, render_report,
-                                 render_text, stderr_timer)
+from monoidorder.reports import (canonical, render_json, render_json_without,
+                                 render_report, render_text, stderr_timer)
 
 
 # --------------------------------------------------------------------------
@@ -103,6 +103,24 @@ def test_render_json_roundtrips_scalar_documents(doc):
     rendered = render_json(doc)
     assert rendered == render_json(dict(reversed(list(doc.items()))))
     json.loads(rendered)
+
+
+@given(st.dictionaries(
+    st.text(min_size=1, max_size=6),
+    st.recursive(st.one_of(st.integers(), st.booleans(), st.none(), st.text(max_size=4),
+                           st.fractions(max_denominator=50)),
+                 lambda kids: st.lists(kids, max_size=3)
+                 | st.dictionaries(st.text(max_size=3), kids, max_size=3),
+                 max_leaves=8),
+    max_size=5), st.booleans())
+def test_render_json_without_gives_the_bytes_of_two_renders(doc, flag):
+    # a key that sorts anywhere among the others, newlines in strings included
+    doc["golden_match"] = flag
+    rest = {k: v for k, v in doc.items() if k != "golden_match"}
+    rendered, report = render_json_without(doc, "golden_match")
+    assert rendered == render_json(rest)
+    assert render_report(report, "json") == render_json(doc)
+    assert report == doc and render_report(report, "text") == render_text(doc)
 
 
 # --------------------------------------------------------------------------
