@@ -1,9 +1,9 @@
 """Command-line harness: decisions, verifiers, and reproducible examples.
 
 Exit codes: 0 answered/pass, 1 refuted/counterexample, 2 refused because a
-hypothesis does not hold, 3 input error, 4 resource budget exhausted
-(including a hypothesis that could not be verified within budget), 5
-internal self-check failed (no report is printed).
+hypothesis does not hold, 3 input error, 4 resource budget exhausted or a
+verdict left undecided, 5 internal self-check failed (no report is
+printed).
 """
 
 from __future__ import annotations
@@ -111,12 +111,13 @@ def cmd_localizable(args) -> tuple:
     op = instance.require_op()
     doc = {"command": "localizable", "instance": instance.describe()}
     if args.weak:
-        cert = is_weakly_localizable(op, budget=args.budget)
+        cert = is_weakly_localizable(op)
+        cert.budget = args.budget
         doc["mode"] = "weak"
         doc["certificate"] = cert.as_dict()
         return doc, _verdict_exit(cert.verdict)
     if args.strong:
-        res = is_strongly_localizable(op, budget=args.budget)
+        res = is_strongly_localizable(op)
         doc["mode"] = "strong"
         doc["result"] = res
         return doc, _verdict_exit(res["verdict"])
@@ -148,7 +149,8 @@ def cmd_verify(args) -> tuple:
 
 def _verify_main(instance, doc, args) -> tuple:
     op = instance.require_op()
-    cert = is_weakly_localizable(op, budget=args.budget)
+    cert = is_weakly_localizable(op)
+    cert.budget = args.budget
     hypothesis = {"name": "weak-localizability",
                   "status": "checked" if cert.verdict == "yes" else cert.verdict,
                   "detail": cert.as_dict()}
@@ -158,11 +160,6 @@ def _verify_main(instance, doc, args) -> tuple:
         doc["status"] = "refused"
         doc["reason"] = "the weak localizability hypothesis is refuted"
         return doc, EXIT_REFUSED
-    if cert.verdict != "yes":
-        doc["status"] = "unknown"
-        doc["reason"] = ("the weak localizability hypothesis could not be "
-                         "verified within budget")
-        return doc, EXIT_BUDGET
     result = verify_theorem_main(op, weak=cert)
     doc["result"] = result
     doc["status"] = "pass" if result["ok"] else "failed"
@@ -196,7 +193,8 @@ def _verify_orderunit(instance, doc, args) -> tuple:
         raise InputError("--orderunit needs --element (the candidate unit)")
     e = parse_element(instance, args.element)
     check_membership(instance, e)
-    cert = order_unit_fast_path(op, e, budget=args.budget)
+    cert = order_unit_fast_path(op, e)
+    cert.budget = args.budget
     doc["goal"] = "orderunit"
     doc["element"] = _element_text(instance, e)
     doc["certificate"] = cert.as_dict()
@@ -205,24 +203,20 @@ def _verify_orderunit(instance, doc, args) -> tuple:
         "name": "order-unit-and-operation-unit",
         "status": "checked" if not refusals else "failed",
         "detail": refusals}]
-    doc["status"] = {"yes": "pass", "no": "refuted"}.get(cert.verdict, "unknown")
+    doc["status"] = "pass" if cert.verdict == "yes" else "refuted"
     return doc, _verdict_exit(cert.verdict)
 
 
 def _verify_weak_strong(instance, doc, args) -> tuple:
     op = instance.require_op()
-    audit = weak_implies_strong_audit(op, budget=args.budget)
+    audit = weak_implies_strong_audit(op)
+    if "weak" in audit:
+        audit["weak"]["budget"] = args.budget
     doc["goal"] = "weak-strong"
     doc["result"] = audit
-    status = audit["status"]
-    doc["status"] = status
-    if status in ("confirmed", "vacuous"):
-        return doc, EXIT_PASS
-    if status == "discrepancy":
-        return doc, EXIT_REFUTED
-    if status == "skipped":
-        return doc, EXIT_REFUSED
-    return doc, EXIT_BUDGET
+    doc["status"] = audit["status"]
+    return doc, {"confirmed": EXIT_PASS, "vacuous": EXIT_PASS,
+                 "discrepancy": EXIT_REFUTED, "skipped": EXIT_REFUSED}[audit["status"]]
 
 
 def cmd_extremals(args) -> tuple:
@@ -537,7 +531,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--format", choices=("json", "text"), default="json",
                         help="report rendering (default: json)")
     parser.add_argument("--budget", type=_count, default=8,
-                        help="search budget for sampling sweeps (default: 8)")
+                        help="budget echoed in localizability certificates "
+                             "(default: 8)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("order", help="compare two elements in the canonical "

@@ -7,36 +7,22 @@ comparison ``mu(s,a) + a <~ mu(s,b) + b`` always forces ``a <~ b``; it is
 and *strongly localizable* when every element is localizable.
 
 On a finite carrier every element is localizable: its canonical
-quasi-order is total (see :mod:`monoids`), so ``a <~ b`` holds whatever
-the damped comparison says.  Lattice and open-cone carriers
-share one decision in exact convex geometry, with ``L_s(x) = x + mu(s, x)``
-linear on the difference span and C the closed positivity cone: a map
-that scales the span is localizable; with excluded faces, a map that
-kills a direction is not; otherwise s is left localizable exactly when
-the preimage of C under L_s stays inside C.  When L_s is invertible on
-the span that is decided in integers by Cramer's rule, with an
-adjugate; a singular L_s is decided by double description.  Faces need
-no check of their own: a closed operation with a contained preimage and
-an injective L_s maps every face of C onto itself (see
-``_vector_left``), so no excluded-face direction can map strictly
-inside.
+quasi-order is total (see :mod:`monoids`).  On lattice and open-cone
+carriers one element is decided in exact convex geometry by
+``_vector_left``, and the bulk notions are read off one table of products
+of the extreme rays of the closed cone modulo its lineality space, built
+once per operation closed on the cone (the ray lemma of
+:func:`_polyhedral_ray_table`): s is localizable iff no bad ray lies in
+its face, so the first bad ray refutes weak and strong localizability,
+and with no bad ray every element is localizable.  With excluded faces
+and a lineality space a damping map must also be injective on that
+space: each element's decision checks it, a line is decided by the
+table's rule, and strong localizability on a larger space is "unknown".
+No verdict rests on a search.  A side the table refutes is decided again
+by the one-sided decision, which gives the reason and must refute it too.
 
-Where C is a pointed simplicial cone (with or without excluded faces)
-and the operation is closed on it, one table of ray products, built once
-per operation, decides the bulk notions with no damped map (the lemma of
-:func:`_simplicial_ray_table`): s is localizable iff no bad ray lies in
-its support, the first bad ray refutes weak and strong localizability
-alike, and with no bad ray every element is localizable and its own weak
-dominator.  Elsewhere the weak and strong searches decide the member ray
-sums level by level, the strong one only to refute: a strong "yes" is a
-theorem (finite) or the table's.  For one element a side the table
-proves holds with no damped map; a side it refutes is decided again by
-the one-sided decision, which gives the reason and must refute it too.
-
-A verdict is decided first; the explicit witness pair of a "no" is built
-on first read and re-validated through the order decision procedures
-before it is handed out.  After a Cramer "no" that read runs the double
-description, whose first escaping ray is the witness direction.
+The witness pair of a "no" is built on first read and re-validated
+through the order decision procedures before it is handed out.
 """
 
 from __future__ import annotations
@@ -44,10 +30,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, reduce
-from itertools import chain, islice
 from math import lcm
 from operator import mul
-from typing import Iterator, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 from .exactmath import (
     InputError,
@@ -111,11 +96,11 @@ class LocalizabilityVerdict:
 
 @dataclass
 class WeakLocalizabilityCertificate:
-    verdict: str                    # "yes", "no", or "unknown"
+    verdict: str                    # "yes" or "no"
     assignments: dict = field(default_factory=dict)  # query -> localizable s
     refuted: Optional[object] = None
     reason: str = ""
-    budget: int = 0
+    budget: int = 8                 # the command line's --budget, echoed
     method: str = "search"
     details: dict = field(default_factory=dict)
 
@@ -129,11 +114,6 @@ class WeakLocalizabilityCertificate:
             "method": self.method,
             "details": self.details,
         }
-
-
-def _tuple_text(x) -> str:
-    """``tuple(x)`` as Python prints it, with rationals as ``p/q``."""
-    return f"({', '.join(map(str, x))}{',' if len(x) == 1 else ''})"
 
 
 def _ser(x):
@@ -191,7 +171,7 @@ def _vector_left(op, s, side, kind) -> LocalizabilityVerdict:
 
     This is the decision of :func:`is_left_localizable`, and of
     :func:`is_localizable` on each side that the ray-product table (see
-    :func:`_simplicial_ray_table`) declines or refutes.  With ``L_s`` the
+    :func:`_polyhedral_ray_table`) does not prove.  With ``L_s`` the
     damped map on the difference span and C the closed positivity cone,
     three steps decide it; a lattice is the carrier with no strict faces,
     so it skips the second.
@@ -417,8 +397,9 @@ def _interior_point(m: OpenConeMonoid) -> tuple:
     for h in m.cone.h_rep:
         if vdot(h, acc) <= 0 and any(vdot(h, r) for r in rays):
             raise InternalCheckError("ray sum is not relatively interior")
-    if not m.contains(acc):
-        # only an open normal that vanishes on the whole cone excludes it
+    if any(vdot(n, acc) <= 0 for n in m.open_normals):
+        # only an open normal that vanishes on the whole cone excludes it;
+        # the ray sum of a linear space is the origin, which is no proof
         raise InputError("open-cone carrier has no member but the origin")
     return acc
 
@@ -458,138 +439,159 @@ def _strictify(m: OpenConeMonoid, damped, bl, basis, x):
 
 
 # ---------------------------------------------------------------------------
-# the ray-product table of a simplicial closed carrier
+# the ray-product table of a closed operation
 
 
 class RayTable(NamedTuple):
-    """What :func:`_simplicial_ray_table` reads off the ray products."""
-    rays: list          # the rays r_i, in m.rays order
-    weights: list       # h_i . mu(r_i, r_i) / h_i . r_i, exact: w_i when no ray is bad
-    bad_normals: tuple  # the normals h_i of the left-bad rays, and of the right-bad rays
-    obstruction: Optional[dict]  # the first bad ray's first row with two positive entries
+    """What :func:`_polyhedral_ray_table` reads off the ray products."""
+    rays: list          # the extreme rays r_i of C modulo L, in m.rays order
+    zero_sets: list     # Z(r_i), a bit mask over the normals of cone.h_rep
+    weights: list       # h . mu(r_i, r_i) / h . r_i, h the first normal nonzero on r_i
+    bad: tuple          # the indices i of the left-bad rays, and of the right-bad rays
+    obstruction: Optional[dict]  # the first bad ray's first row with two columns
+    decisive: bool      # no excluded face, or L = 0: a side holds iff no bad ray is in F(s)
+
+
+def _zero_set(normals, x) -> int:
+    """``Z(x)``: the normals that vanish on x, as a bit mask of their indices."""
+    return sum(1 << k for k, h in enumerate(normals) if not vdot(h, x))
 
 
 def _ray_table(op: BiadditiveOp) -> Optional[RayTable]:
-    """:func:`_simplicial_ray_table`, built once and kept on the operation."""
+    """:func:`_polyhedral_ray_table` of a vector carrier, built once and
+    kept on the operation; None on a finite carrier."""
     if "ray_table" not in op._cache:
-        op._cache["ray_table"] = _simplicial_ray_table(op)
+        op._cache["ray_table"] = None if op.tensor is None else _polyhedral_ray_table(op)
     return op._cache["ray_table"]
 
 
-def _simplicial_ray_table(op: BiadditiveOp) -> Optional[RayTable]:
+def _closed_table(op: BiadditiveOp) -> RayTable:
+    """The ray table of a vector carrier, which the bulk verdicts need: an
+    operation that is not closed on C is refused with a product outside."""
+    table = _ray_table(op)
+    if table is None:
+        # a product of two generators leaves C, so validate lists a
+        # product outside the carrier
+        op.carrier.check_element(tuple(op.validate()[0][-1]))
+        raise InternalCheckError("ray table declined an operation closed on the carrier")
+    return table
+
+
+def _lifted(m, rays, r) -> list:
+    """For each open normal that vanishes on r, the first of ``rays``
+    positive on it: r plus their sum is a member."""
+    return list(dict.fromkeys(next(g for g in rays if vdot(n, g) > 0)
+                              for n in m.open_normals if not vdot(n, r)))
+
+
+def _polyhedral_ray_table(op: BiadditiveOp) -> Optional[RayTable]:
     """The ray-product table of the operation, the one structural
-    decision of localizability; None where it does not apply.
+    decision of localizability on a vector carrier; None when the
+    operation is not closed on the closed cone C.  A zero span and an
+    excluded face that is all of C are refused first, as the decision is.
 
-    It applies to a vector carrier whose closed cone C is pointed and
-    simplicial, faces excluded or not, with the operation closed on C; a
-    zero span and an excluded face that is all of C are refused first, as
-    the decision refuses them.  C is recognised from ``cone.h_rep`` and the
-    rays alone, without computing its extreme rays: the facet normals that
-    are nonzero on some ray must number the rank r of the span, and each
-    normal ``h_i`` must have a ray ``r_i`` on which it alone is nonzero,
-    and positive (the first such ray of ``m.rays``).  Then ``h_k . r_i``
-    is zero for k != i, so the ``r_i`` are a basis of the span, the other
-    normals of ``h_rep`` vanish on it, and ``x = sum_i (h_i . x / h_i .
-    r_i) r_i`` there: in these ray coordinates C is the orthant, pointed,
-    with extreme rays ``r_i``.  The operation is closed on C iff every
-    ``mu(r_i, r_j)`` lies in C (by bilinearity); if one does not, the
-    table declines.
+    *Zero sets.*  ``Z(x)`` is the set of normals of ``cone.h_rep`` that
+    vanish on x.  The smallest face of C holding x is ``F(x) = {y in C :
+    Z(y) ⊇ Z(x)}``; the lineality space ``L = C ∩ -C`` is the face where
+    all vanish.  A face is generated by the generators in it (Schrijver,
+    *Theory of Linear and Integer Programming*, ch. 8), so L by the rays
+    of ``m.rays`` in it, and each extreme ray of the pointed ``C/L`` by the
+    rays off L whose zero set is maximal among theirs.  The table keeps the
+    first ray ``r_i`` of each such zero set; with the rays in L they
+    generate C, so the operation is closed on C iff their products lie
+    in C.  Row j of ray i holds j and each k with ``r_k`` in ``F(mu(r_i,
+    r_j))``: ray i is *left-bad* if some row has two entries, that is, some
+    ``mu(r_i, r_j)`` is not ``c r_j + l`` with ``c >= 0``, l in L;
+    *right-bad* alike with ``mu(r_j, r_i)``.
 
-    Ray i is *left-bad* if some ``mu(r_i, r_j)`` is not a multiple of
-    ``r_j``, that is, some normal other than ``h_j`` is nonzero on it, and
-    *right-bad* if some ``mu(r_j, r_i)`` is not a multiple of ``r_j``.
+    **Lemma.**  s is left localizable iff no left-bad ray lies in F(s)
+    and, where C has excluded faces and ``L != 0``, ``L_s`` is injective on
+    L.  (The right side is the opposite operation's left side.)
 
-    **Lemma.** On such a carrier, s is left localizable iff ``h_i . s = 0``
-    for every left-bad ray i, and right localizable iff the same holds for
-    every right-bad ray.
+    *Proof.*  Closure puts ``±mu(s, l)`` in C, so ``L_s`` keeps L and
+    induces M on ``V/L``; as C is the preimage of ``C/L``, ``L_s^-1(C) ⊆
+    C`` iff ``M^-1(C/L) ⊆ C/L``.  Only if: a localizable s has that
+    preimage in C (see :func:`_vector_left`), so M is injective (a kernel
+    vector and its negative would both lie in the pointed ``C/L``) and,
+    with ``M(C/L) ⊆ C/L``, permutes the extreme rays.  Write ``s = l +
+    sum_i s_i r_i``, ``s_i > 0`` exactly on the rays of F(s), in whose
+    relative interior s lies.  ``M(r_j) = r_j + sum_i s_i mu(r_i, r_j)``
+    lies on one extreme ray, a face, so each summand does, and ``r_j``
+    makes it ``r_j``'s own: no ray of F(s) is bad.  With excluded faces a
+    killed direction refutes (step 2 there).  If: M scales each ``r_j`` by
+    ``1 + sum_i s_i c_ij >= 1``, so ``L_s^-1(C) = C``, which is
+    localizability without excluded faces; with them, and with ``L_s``
+    injective on L, ``L_s`` maps each face of C onto itself and keeps
+    membership.  ∎
 
-    *Proof* (the left side; the right side is the opposite operation's
-    left side).  Write ``s = sum_i s_i r_i``, every ``s_i >= 0``, and let
-    ``P_i`` be the matrix of ``x -> mu(r_i, x)`` in ray coordinates, rows
-    = inputs: row j holds the coordinates of ``mu(r_i, r_j)``, all
-    ``>= 0`` as the product lies in C.  ``L_s`` has the matrix
-    ``M = I + sum_i s_i P_i >= 0``, and a localizable s has
-    ``L_s^-1(C) ⊆ C`` (see :func:`_vector_left`).  If M is singular, a
-    nonzero x with ``L_s(x) = 0`` and ``-x`` both lie in the preimage, and
-    not both in the pointed C.  If M is invertible, the preimage of the
-    orthant is generated by the rows of ``M^-1``, so it lies in C iff
-    ``M^-1 >= 0``.  A nonnegative matrix with a nonnegative inverse is
-    monomial (Berman and Plemmons, *Nonnegative Matrices in the
-    Mathematical Sciences*, 1994), and as M's diagonal entries are at
-    least 1 it is diagonal.  Conversely a diagonal ``M >= I`` scales each
-    ray coordinate by a positive factor, which keeps its sign, and the
-    sign pattern of the ray coordinates decides membership of the
-    monoid, excluded faces included: ``L_s(x)`` is a member iff x is, so
-    s is localizable.  So s is left localizable iff M is diagonal, iff
-    ``P_i`` is diagonal for every i with ``s_i > 0``, iff no such ray is
-    left-bad; and ``s_i > 0`` iff ``h_i . s > 0``.  ∎
-
-    **Weak "no".**  The refuted element e is the first bad ray ``r_i``
-    plus every other ray whose own facet is excluded, so a member, with
-    ``h_i . e = h_i . r_i > 0``.  Every s above e has ``s - e`` in C, so
-    ``h_i . s > 0``: by the lemma no s above e is localizable.  In ray
-    coordinates a row j of ``I + P_i`` has two positive entries:
-    ``M[j][j] >= 1``, and the off-ray support of ``mu(r_i, r_j)``
-    (``RayTable.obstruction``).
-
-    **Strong "yes".**  With no bad ray, ``mu(r_i, r_j)`` is a multiple of
-    both ``r_i`` and ``r_j``, so it is ``δ_ij w_i r_i`` with ``w_i >= 0``
-    (closure): the tensor is diagonal in ray coordinates, and every s is
-    localizable.  With a bad ray, the refuted element itself is not.
+    **Verdicts.**  A bad ray ``r_i`` refutes the member e, ``r_i`` plus
+    :func:`_lifted` of it: every s above e has ``s - e`` in C, so ``Z(s) ⊆
+    Z(e) ⊆ Z(r_i)`` and ``r_i`` lies in F(s).  With no bad ray and no
+    excluded face or ``L = 0`` (``decisive``) every element is localizable,
+    its own weak dominator.  Otherwise weak still holds: the determinant
+    of ``L_s`` on L is a polynomial in s, 1 at 0, so nonzero at some member
+    above any element.  For strong, on a line ``L = Q u`` closure gives
+    ``mu(x, u) = α(x) u`` with α linear, and ``L_s(u) = (1 + α(s)) u``;
+    members are ``t u`` plus nonnegative ray sums, so none has ``α(s) =
+    -1`` iff ``α(u) = 0`` and every ``α(r_i) >= 0`` (the right side with
+    ``mu(u, x)``).  A larger L is left "unknown".
     """
     m = op.carrier
-    if op.tensor is None:
-        return None
     if m.open_normals:
         _interior_point(m)
-    rank = len(_nonzero_span(m))
-    cone = m.cone
-    # each facet normal that is nonzero on some ray, with its values on the rays
-    values = [(h, vals) for h, vals in ((h, [vdot(h, g) for g in m.rays]) for h in cone.h_rep)
-              if any(vals)]
-    if len(values) != rank:
-        return None
-    chosen = {}  # normal index -> the first ray on which it alone is nonzero
-    for g, column in zip(m.rays, zip(*(vals for _, vals in values))):
-        support = [i for i, v in enumerate(column) if v]
-        if len(support) == 1 and column[support[0]] > 0:
-            chosen.setdefault(support[0], g)
-    if len(chosen) != rank:
-        return None
+    _nonzero_span(m)
+    normals = m.cone.h_rep
+    full = (1 << len(normals)) - 1
+    firsts, lineality = {}, []  # zero set -> its first ray off L; the rays in L
+    for g in m.rays:
+        z = _zero_set(normals, g)
+        if z != full:
+            firsts.setdefault(z, g)
+        elif any(g):
+            lineality.append(g)
     # a dict keeps the order of insertion, so the rays are in m.rays order
-    rays = list(chosen.values())
-    normals = [values[i][0] for i in chosen]
-    lifted = [r for r, h in zip(rays, normals) if h in m.open_normals]
-    # prods[i][j][k] = h_k . mu(r_i, r_j), positive iff ray coordinate k is.
-    # Each product is summed off the tensor over the pairs of nonzero ray
-    # coordinates (a ray is nonzero), as the f-ring verdict reads the
-    # tensor, so the table makes no op.mu call
-    supports = [[(a, x) for a, x in enumerate(r) if x] for r in rays]
-    prods = [[None] * rank for _ in rays]
+    zero_sets = [z for z in firsts if not any(z | y == y != z for y in firsts)]
+    rays = [firsts[z] for z in zero_sets]
+    n = len(rays)
+    # each product of two generators is summed off the tensor over the
+    # pairs of nonzero coordinates, as the f-ring verdict reads the
+    # tensor, so the table makes no op.mu call; prods[i][j] = Z(mu(r_i, r_j))
+    supports = [[(a, x) for a, x in enumerate(r) if x] for r in rays + lineality]
+    prods, weights = [[None] * n for _ in rays], []
     for i, si in enumerate(supports):
         for j, sj in enumerate(supports):
             p = reduce(vadd, [vscale(x * y, op.tensor[a][b]) for a, x in si for b, y in sj])
-            if not cone.member(p):
-                return None
-            prods[i][j] = [vdot(h, p) for h in normals]
-    # the normals of the rays bad on each side, and the obstruction: the
-    # first row j of I + P_i (on the right, of x -> x + mu(x, r_i)) with two
-    # positive entries, of the first bad ray i, the left side first
-    bad_normals, obstruction = ([], []), None
-    for i in range(rank):
-        for bad, side in zip(bad_normals, ("left", "right")):
-            for j in range(rank):
-                p = prods[i][j] if side == "left" else prods[j][i]
-                columns = sorted({j}.union(k for k, v in enumerate(p) if v))
-                if len(columns) > 1:
-                    bad.append(normals[i])
-                    if obstruction is None:
-                        e = reduce(vadd, [r for r in lifted if r != rays[i]], rays[i])
-                        obstruction = {"element": list(e), "side": side,
-                                       "row": j, "positive_columns": columns}
-                    break
-    weights = [Fraction(prods[i][i][i], vdot(normals[i], r)) for i, r in enumerate(rays)]
-    return RayTable(rays, weights, bad_normals, obstruction)
+            z = 0
+            for k, h in enumerate(normals):
+                v = vdot(h, p)
+                if v < 0:
+                    return None
+                if not v:
+                    z |= 1 << k
+            if i < n and j < n:
+                prods[i][j] = z
+                if i == j:
+                    h = next(h for h in normals if vdot(h, rays[i]))
+                    weights.append(Fraction(vdot(h, p), vdot(h, rays[i])))
+    # row j has one entry iff the product lies in L or on r_j's own face:
+    # else its face holds another extreme ray.  The obstruction is the
+    # first row with two entries of the first bad ray, the left side first
+    bad, obstruction = ([], []), None
+    for i in range(n):
+        for indices, side in zip(bad, ("left", "right")):
+            row = [prods[i][j] if side == "left" else prods[j][i] for j in range(n)]
+            j = next((j for j, z in enumerate(row) if z not in (full, zero_sets[j])), None)
+            if j is None:
+                continue
+            indices.append(i)
+            if obstruction is None:
+                columns = sorted({j}.union(
+                    k for k, zk in enumerate(zero_sets) if row[j] | zk == zk))
+                e = reduce(vadd, _lifted(m, rays, rays[i]), rays[i])
+                obstruction = {"element": list(e), "side": side,
+                               "row": j, "positive_columns": columns}
+    decisive = not (m.open_normals and lineality)
+    return RayTable(rays, zero_sets, weights, bad, obstruction, decisive)
 
 
 # ---------------------------------------------------------------------------
@@ -598,117 +600,114 @@ def _simplicial_ray_table(op: BiadditiveOp) -> Optional[RayTable]:
 
 def is_localizable(op: BiadditiveOp, s) -> LocalizabilityVerdict:
     """Localizability of s: both sides, the left first.  A side holds
-    where the ray-product table applies and no bad normal of that side is
-    positive on s; every other side runs :func:`is_left_localizable`, and
-    a "no" gives its reason and, on read, its evidence.  A side the table
+    where the ray table is decisive and no bad ray of that side lies in
+    ``F(s)``; every other side runs :func:`is_left_localizable`, and a
+    "no" gives its reason and, on read, its evidence.  A side the table
     refutes that this decision keeps is an internal error."""
-    op.carrier.check_element(s)
+    m = op.carrier
+    m.check_element(s)
     table = _ray_table(op)
+    z = None if table is None else _zero_set(m.cone.h_rep, s)
     for side, condition in (("left", "left"), ("right", "opposite")):
-        if table is None or any(vdot(h, s) > 0 for h in table.bad_normals[side == "right"]):
+        bad = z is not None and any(
+            z | table.zero_sets[i] == table.zero_sets[i] for i in table.bad[side == "right"])
+        if table is None or bad or not table.decisive:
             one = _left(op, s, side)
             if one.verdict == "no":
                 return LocalizabilityVerdict(
                     s, "full", "no", f"{condition} condition fails: {one.reason}",
                     one.evidence)
-            if table is not None:
+            if bad:
                 raise InternalCheckError(
                     f"ray-product table refuted a {one.kind} condition "
                     "that the preimage decision keeps")
     return LocalizabilityVerdict(s, "full", "yes", "both sides localizable")
 
 
-def _dominator_candidates(m, budget: int) -> Iterator[tuple]:
-    """The members among the first ``budget`` levels of ``m.ray_sums()``,
-    each level sorted (on a lattice, every ray sum)."""
-    return filter(m.contains, chain.from_iterable(islice(m.ray_sums(), budget)))
-
-
-def is_weakly_localizable(op: BiadditiveOp, budget: int = 8) -> WeakLocalizabilityCertificate:
+def is_weakly_localizable(op: BiadditiveOp) -> WeakLocalizabilityCertificate:
+    """Yes on finite carriers, each element below 0.  On vector ones read
+    off the ray table (see :func:`_polyhedral_ray_table`): the first bad ray
+    refutes, and otherwise each member among ``m.rays`` is its own
+    localizable dominator (with excluded faces and a lineality space, each
+    one that :func:`is_localizable` accepts)."""
     m = op.carrier
-    # decided once per candidate, however many queries reach it
-    localizable = cache(lambda s: is_localizable(op, s).verdict == "yes")
     if isinstance(m, FiniteMonoid):
-        # the order is total and every element localizable, so the search
-        # settles each element on the first candidate, 0
+        # the order is total and every element localizable, so each element
+        # settles on the first candidate, 0, decided once
+        localizable = cache(lambda s: is_localizable(op, s).verdict == "yes")
         assignments = {a: next(s for s in m.elements() if leq(m, a, s) and localizable(s))
                        for a in m.elements()}
         return WeakLocalizabilityCertificate(
-            "yes", assignments=assignments, budget=budget, reason=FINITE_ORDER_IS_TOTAL)
-    table = _ray_table(op)
-    if table is not None and table.obstruction is not None:
+            "yes", assignments=assignments, reason=FINITE_ORDER_IS_TOTAL)
+    table = _closed_table(op)
+    if table.obstruction is not None:
         # the first bad ray, made a member: nothing above it is localizable
-        # (see _simplicial_ray_table), so no candidate is built
         return WeakLocalizabilityCertificate(
-            "no", refuted=tuple(table.obstruction["element"]), budget=budget,
+            "no", refuted=tuple(table.obstruction["element"]),
             reason="every element above the refuted one has a damping "
                    "row with two positive entries, so none is localizable",
             details={"obstruction": table.obstruction})
-    # the table refused a degenerate cone, which has no query
-    queries = list(m.generators) if isinstance(m, LatticeMonoid) else m.sample_elements(6)
-    assignments = {}
-    for a in queries:
-        if table is not None:
-            # no bad ray: every element is localizable, and a <~ a
-            found = tuple(a)
-        else:
-            # each query reads the candidates from the first; the levels
-            # of ray sums are built once, on the carrier
-            found = next((s for s in _dominator_candidates(m, budget)
-                          if leq(m, a, s) and localizable(s)), None)
-        if found is None:
-            return WeakLocalizabilityCertificate(
-                "unknown", assignments=assignments, budget=budget,
-                reason=f"no localizable dominator found for {_tuple_text(a)} "
-                       f"within {m.budget_text} {budget}")
-        assignments[tuple(a)] = found
+    # every generator of a lattice is a member
+    queries = m.generators if isinstance(m, LatticeMonoid) else filter(m.contains, m.rays)
+    if not table.decisive:
+        queries = [a for a in queries if is_localizable(op, a).verdict == "yes"]
     return WeakLocalizabilityCertificate(
-        "yes", assignments=assignments, budget=budget,
+        "yes", assignments={tuple(a): tuple(a) for a in queries},
         reason="localizable dominator found for every queried element")
 
 
-def is_strongly_localizable(op: BiadditiveOp, budget: int = 8) -> dict:
-    """Yes on finite carriers, by theorem.  On vector ones, structural
-    where the ray-product table applies (see :func:`_simplicial_ray_table`):
-    yes when no ray is bad, else the first bad ray is refuted.  Elsewhere
-    the dominator candidates of at most 4 levels are decided only to
-    refute one: with none refuted the answer is "unknown"."""
+def _line_refutation(op: BiadditiveOp, table: RayTable) -> Optional[tuple]:
+    """A member s whose damping map on one side kills the lineality line
+    ``Q u`` of a carrier with excluded faces, None when no member has one
+    (the rule of :func:`_polyhedral_ray_table`)."""
+    m = op.carrier
+    u = m.cone.lineality_basis[0]
+    k = next(k for k, v in enumerate(u) if v)
+    for side in ("left", "right"):
+        def alpha(x):
+            return Fraction((op.mu(x, u) if side == "left" else op.mu(u, x))[k], u[k])
+        if alpha(u):
+            p = _interior_point(m)
+            return vadd(p, vscale(-(1 + alpha(p)) / alpha(u), u))
+        for r in table.rays:
+            if alpha(r) < 0:
+                w = reduce(vadd, _lifted(m, table.rays, r), (0,) * m.dim)
+                x = vadd(vscale(max(1, alpha(w) // -alpha(r) + 1), r), w)
+                return vscale(1 / -alpha(x), x)
+    return None
+
+
+def is_strongly_localizable(op: BiadditiveOp) -> dict:
+    """Yes on finite carriers, by theorem.  On vector ones read off the ray
+    table (see :func:`_polyhedral_ray_table`): the first bad ray's refuted
+    element is refuted, and with no bad ray the answer is a structural
+    yes, unless excluded faces and a lineality space ask for injectivity
+    on it: decided on a line, "unknown" on a larger space."""
     m = op.carrier
     if isinstance(m, FiniteMonoid):
         # every element of a finite carrier is localizable
         return {"verdict": "yes", "confirmed": "theorem", "reason": FINITE_ORDER_IS_TOTAL}
-
-    def refuted(s, v):
-        return {"verdict": "no", "confirmed": "witnessed",
-                "refuted_element": _ser(s), "witness": v.as_dict()["witness"]}
-
-    table = _ray_table(op)
-    if table is not None:
-        if table.obstruction is None:
-            return {"verdict": "yes", "confirmed": "structural",
-                    "reason": "simplicial lemma: on this pointed simplicial cone "
-                              "every ray product is a multiple of each factor, "
-                              "so every damping map is a positive diagonal in "
-                              "ray coordinates",
-                    "rays": table.rays, "weights": table.weights}
-        # the refuted element, the first bad ray with each other ray whose
-        # facet is excluded added, is itself not localizable
-        s = tuple(table.obstruction["element"])
-        v = is_localizable(op, s)
-        if v.verdict != "no":
-            raise InternalCheckError("ray-product table refuted a ray that the decision keeps")
-        return refuted(s, v)
-    # the candidates grow with each level, and no number of them proves a yes
-    levels = min(budget, 4)
-    candidates = list(_dominator_candidates(m, levels))
-    for s in candidates:
-        v = is_localizable(op, s)
-        if v.verdict == "no":
-            return refuted(s, v)
-    return {"verdict": "unknown", "elements_checked": len(candidates),
-            "reason": f"no element refuted in the first {levels} levels of ray "
-                      "sums; off the ray-product table no search confirms "
-                      "strong localizability"}
+    table = _closed_table(op)
+    reason = ("ray lemma: every product of two extreme rays is, modulo the "
+              "lineality space, a nonnegative multiple of each factor, so every "
+              "damping map scales each extreme ray by a factor of at least 1")
+    s = None if table.obstruction is None else tuple(table.obstruction["element"])
+    if s is None and not table.decisive:
+        if len(m.cone.lineality_basis) > 1:
+            return {"verdict": "unknown",
+                    "reason": "with excluded faces, injectivity of the damping maps "
+                              "on a lineality space of dimension at least 2 is "
+                              "not decided"}
+        s = _line_refutation(op, table)
+        reason += ", and the lineality line too"
+    if s is None:
+        return {"verdict": "yes", "confirmed": "structural", "reason": reason,
+                "rays": table.rays, "weights": table.weights}
+    v = is_localizable(op, s)
+    if v.verdict != "no":
+        raise InternalCheckError("ray-product table refuted an element that the decision keeps")
+    return {"verdict": "no", "confirmed": "witnessed",
+            "refuted_element": _ser(s), "witness": v.as_dict()["witness"]}
 
 
 # ---------------------------------------------------------------------------
@@ -736,14 +735,14 @@ def _order_unit_multiple(cone: RationalCone, e, g) -> Optional[int]:
     return lo
 
 
-def order_unit_fast_path(op: BiadditiveOp, e, budget: int = 8) -> WeakLocalizabilityCertificate:
+def order_unit_fast_path(op: BiadditiveOp, e) -> WeakLocalizabilityCertificate:
     """Weak-localizability certificate through multiples of a unit.
 
     Demands that e is a two-sided unit for the operation and an order
     unit of the level-1 reduction, and that the reduction's positivity
     is a closed polyhedral cone (hence unperforated with damped limits
-    adding nothing).  On refusal the general search runs instead, with
-    the refusal reasons attached.
+    adding nothing).  On refusal :func:`is_weakly_localizable` answers
+    instead, with the refusal reasons attached.
 
     The positivity cone always spans the carrier's space, so no refusal
     asks for it: ``m.cone`` is spanned by ``m.rays`` (a lattice's cone is
@@ -775,7 +774,7 @@ def order_unit_fast_path(op: BiadditiveOp, e, budget: int = 8) -> WeakLocalizabi
         refusals.insert(0, "not a two-sided unit for the operation")
 
     def fallback(reasons):
-        cert = is_weakly_localizable(op, budget=budget)
+        cert = is_weakly_localizable(op)
         cert.method = "search-after-refusal"
         cert.details = dict(cert.details, refusal_reasons=reasons)
         return cert
@@ -790,7 +789,7 @@ def order_unit_fast_path(op: BiadditiveOp, e, budget: int = 8) -> WeakLocalizabi
             raise InternalCheckError("order-unit multiple does not dominate")
         assignments[a] = s
     return WeakLocalizabilityCertificate(
-        "yes", assignments=assignments, budget=budget, method="order-unit",
+        "yes", assignments=assignments, method="order-unit",
         reason="unit multiples dominate and are localizable",
         details={"hypotheses": "two-sided unit; order unit of the level-1 "
                                "reduction; closed polyhedral positivity"})

@@ -45,7 +45,6 @@ from .exactmath import (
     is_zero_vector,
     vadd,
     vdot,
-    vscale,
     vsub,
 )
 
@@ -224,8 +223,8 @@ class VectorCarrier:
     ``basis_key`` the report key of its basis, ``difference_group``
     what an element outside it is outside of, ``nonmember_text`` why an
     element is refused, ``origin_only_text`` why a carrier whose rays are
-    all zero is, ``budget_text`` what a candidate budget counts, and
-    ``scalar`` what a coordinate is ("integer" or "rational").
+    all zero is, and ``scalar`` what a coordinate is ("integer" or
+    "rational").
     """
 
     scalar: str
@@ -234,7 +233,6 @@ class VectorCarrier:
     difference_group: str
     nonmember_text: str
     origin_only_text: str
-    budget_text: str
     open_normals: tuple = ()
 
     @property
@@ -373,7 +371,6 @@ class LatticeMonoid(VectorCarrier):
     difference_group = "difference lattice"
     nonmember_text = "is not a generator combination"
     origin_only_text = "lattice carrier needs a nonzero generator"
-    budget_text = "coefficient budget"
 
     def __init__(self, dim: int, generators: Sequence[Sequence[int]]):
         self.dim = int(dim)
@@ -496,7 +493,6 @@ class OpenConeMonoid(VectorCarrier):
     difference_group = "difference span"
     nonmember_text = "is outside the open cone"
     origin_only_text = "open-cone carrier needs a closed cone other than the origin"
-    budget_text = "budget"
 
     def __init__(self, closed_cone: RationalCone, open_normals: Sequence[Sequence[int]]):
         self.dim = closed_cone.dim
@@ -538,32 +534,6 @@ class OpenConeMonoid(VectorCarrier):
 
     def contains(self, x: Sequence) -> bool:
         return self.boundary_status(x) == "inside"
-
-    def sample_elements(self, count: int = 12) -> list[tuple[Fraction, ...]]:
-        """Deterministic nonzero members built from extreme rays."""
-        rays = self.cone.v_rep
-        interior = None
-        for r in rays:
-            if self.contains(r):
-                interior = r
-                break
-        if interior is None:
-            acc = tuple(0 for _ in range(self.dim))
-            for r in rays:
-                acc = vadd(acc, r)
-            if self.contains(acc):
-                interior = acc
-        out = []
-        if interior is None:
-            return out
-        for r in rays:
-            for k in (1, 2, 3):
-                cand = vadd(vscale(k, interior), r)
-                if self.contains(cand):
-                    out.append(tuple(Fraction(v) for v in cand))
-                if len(out) >= count:
-                    return out
-        return out
 
 
 # ---------------------------------------------------------------------------

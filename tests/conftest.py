@@ -47,6 +47,28 @@ def seeded(salt: int = 0) -> random.Random:
     return random.Random(20240901 + salt)
 
 
+def sample_elements(m: OpenConeMonoid, count: int = 12) -> list[tuple[Fraction, ...]]:
+    """Deterministic nonzero members of an open cone built from its rays:
+    ``k * p + r`` for each ray r and k = 1, 2, 3, with p the first member
+    ray, else the ray sum if it is a member (else there are none)."""
+    rays = m.cone.v_rep
+    interior = next((r for r in rays if m.contains(r)), None)
+    if interior is None:
+        acc = tuple(map(sum, zip(*rays))) if rays else (0,) * m.dim
+        interior = acc if m.contains(acc) else None
+    out = []
+    if interior is None:
+        return out
+    for r in rays:
+        for k in (1, 2, 3):
+            cand = tuple(k * p + x for p, x in zip(interior, r))
+            if m.contains(cand):
+                out.append(tuple(Fraction(v) for v in cand))
+            if len(out) >= count:
+                return out
+    return out
+
+
 def default_pairs(m, count: int = 200, seed: int = 20240901) -> list[tuple]:
     """Deterministic element pairs for the order-transfer checks: every pair
     of a finite carrier, else ``count`` pairs drawn from a pool of members."""
@@ -59,7 +81,7 @@ def default_pairs(m, count: int = 200, seed: int = 20240901) -> list[tuple]:
         # a cone is divisible: halves and triples of its samples are members
         zero = tuple(Fraction(0) for _ in range(m.dim))
         pool = []
-        for p in [zero] + [tuple(Fraction(x) for x in p) for p in m.sample_elements(12)]:
+        for p in [zero] + [tuple(Fraction(x) for x in p) for p in sample_elements(m, 12)]:
             pool.append(p)
             pool.append(tuple(x / 2 for x in p))
             pool.append(tuple(3 * x for x in p))

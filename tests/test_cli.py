@@ -165,24 +165,14 @@ def _count_weak_refutation_work(monkeypatch, module):
 
 
 def test_weak_refutation_builds_no_dominator_candidates(monkeypatch):
-    # the first bad ray of the ray-product table refutes the matrix product
-    # before any dominator search, so a large budget costs nothing: no
-    # candidate is built, no damped map runs, and the table reads its r^2
-    # ray products (span rank r = 4) off the tensor, so no op.mu call is
-    # made (at most r^2 would be allowed)
-    requested = []
-    candidates = localizability._dominator_candidates
-
-    def counted(m, budget):
-        requested.append(budget)
-        return candidates(m, budget)
-
-    monkeypatch.setattr(localizability, "_dominator_candidates", counted)
+    # the first bad ray of the ray-product table refutes the matrix product,
+    # so a large budget costs nothing: no damped map runs, and the table
+    # reads its r^2 ray products (span rank r = 4) off the tensor, so no
+    # op.mu call is made (at most r^2 would be allowed)
     calls = _count_weak_refutation_work(monkeypatch, cli)
     code, doc, _ = run_json("--budget", "64", "localizable",
                             instance_path("matrix-2x2.mon"), "--weak")
     assert code == EXIT_REFUTED
-    assert requested == []
     assert calls == {"_vector_left": 0, "mu": 0}
     _, small, _ = run_json("localizable", instance_path("matrix-2x2.mon"),
                            "--weak")
@@ -196,29 +186,42 @@ def test_weak_refutation_builds_no_dominator_candidates(monkeypatch):
     assert calls == {"_vector_left": 0, "mu": 0}
 
 
-def test_a_sampled_strong_search_with_no_element_checked_is_unknown():
-    # at budget 0 the open half-plane's search checks nothing, so it cannot
-    # say yes; nor can it at any budget, as off the ray-product table the
-    # search only refutes.  It reads at most 4 levels of ray sums, and its
-    # reason names the levels read.  The matrix product is refuted off its
-    # ray table whatever the budget
-    code, doc, _ = run_json("--budget", "0", "localizable",
-                            instance_path("half-open-half-plane.mon"), "--strong")
-    assert (code, doc["result"]["verdict"]) == (EXIT_BUDGET, "unknown")
-    assert doc["result"]["elements_checked"] == 0
-    for budget, levels, checked in (("2", 2, 5), ("4", 4, 17), ("8", 4, 17)):
+def test_the_half_plane_is_strongly_localizable_at_every_budget(monkeypatch):
+    # the open half-plane's one extreme ray (1, 0) is not bad, and on its
+    # lineality line mu((x, y), (0, 1)) = x (0, 1) and mu((0, 1), x) = 0, so
+    # every damping map keeps that line with a factor of at least 1: a
+    # structural "yes" whatever the budget, with no damped map built.  The
+    # matrix product is refuted off its ray table whatever the budget
+    calls = _count_weak_refutation_work(monkeypatch, cli)
+    for budget in ("0", "2", "8"):
         code, doc, _ = run_json("--budget", budget, "localizable",
                                 instance_path("half-open-half-plane.mon"), "--strong")
-        assert (code, doc["result"]["verdict"]) == (EXIT_BUDGET, "unknown")
-        assert "confirmed" not in doc["result"]
-        assert doc["result"]["elements_checked"] == checked
-        assert doc["result"]["reason"].startswith(
-            f"no element refuted in the first {levels} levels of ray sums")
+        result = doc["result"]
+        assert (code, result["verdict"], result["confirmed"]) == (EXIT_PASS, "yes", "structural")
+        assert result["rays"] == [[1, 0]] and result["reason"].endswith("the lineality line too")
+    assert calls["_vector_left"] == 0
     for budget in ("0", "1", "8"):
         code, doc, _ = run_json("--budget", budget, "localizable",
                                 instance_path("matrix-2x2.mon"), "--strong")
         assert (code, doc["result"]["verdict"]) == (EXIT_REFUTED, "no")
         assert doc["result"]["refuted_element"] == ["0", "1", "0", "0"]
+
+
+@pytest.mark.parametrize("name,code", [
+    ("almost-fring.mon", EXIT_REFUTED), ("cyclic-3.mon", EXIT_PASS),
+    ("finite-flag.mon", EXIT_PASS), ("free-monoid-2.mon", EXIT_PASS),
+    ("free-monoid-3.mon", EXIT_PASS), ("fring-elementwise-3.mon", EXIT_PASS),
+    ("fring-weighted-2.mon", EXIT_PASS), ("half-open-half-plane.mon", EXIT_PASS),
+    ("matrix-2x2.mon", EXIT_REFUTED),
+])
+def test_every_shipped_operation_has_weak_and_strong_decided_alike(name, code):
+    # no shipped operation is left "unknown": weak and strong localizability
+    # agree, and a strong refutation names the weak verdict's refuted element
+    weak_code, weak, _ = run_json("localizable", instance_path(name), "--weak")
+    strong_code, strong, _ = run_json("localizable", instance_path(name), "--strong")
+    assert weak_code == strong_code == code
+    if code == EXIT_REFUTED:
+        assert strong["result"]["refuted_element"] == weak["certificate"]["refuted"]
 
 
 @pytest.mark.parametrize("argv,message", [
@@ -249,25 +252,22 @@ def test_a_weak_yes_read_from_the_ray_table_needs_no_budget():
     assert doc["certificate"]["assignments"] == {str(u): u for u in units}
 
 
-def test_a_strong_unknown_leaves_the_weak_strong_audit_inconclusive(tmp_path):
-    # four generators whose cone has four facets in rank 3: the ray table
-    # declines, and under the zero product every element is localizable, so
-    # the weak search says yes and the strong search refutes nothing.  The
-    # audit reads it as inconclusive (exit 4), not as a discrepancy (exit
-    # 1), and runs the strong search at its own budget
+def test_the_weak_strong_audit_confirms_a_cone_that_is_not_simplicial(tmp_path):
+    # four generators whose cone has four facets in rank 3: all four are
+    # extreme rays of the ray table, and under the zero product none is
+    # bad, so weak and strong localizability are both structural and the
+    # audit confirms (exit 0), with the budget echoed in the weak certificate
     path = tmp_path / "four.mon"
     path.write_text("kind: lattice\ndim: 3\n[generators]\n1 0 0\n0 1 0\n1 0 1\n0 1 1\n"
                     "[tensor]\n0 0 0 0 0\n")
-    for budget, levels in (("2", 2), ("8", 4)):
+    for budget in ("2", "8"):
         code, doc, _ = run_json("--budget", budget, "verify", str(path), "--weak-strong")
-        assert (code, doc["status"]) == (EXIT_BUDGET, "inconclusive")
+        assert (code, doc["status"]) == (EXIT_PASS, "confirmed")
         result = doc["result"]
         assert result["ok"] and result["weak"]["verdict"] == "yes"
-        assert result["strong"]["verdict"] == "unknown"
-        assert result["reason"] == (
-            "strong search exhausted: no element refuted in the first "
-            f"{levels} levels of ray sums; off the ray-product table no search "
-            "confirms strong localizability")
+        assert result["weak"]["budget"] == int(budget)
+        assert result["strong"]["confirmed"] == "structural"
+        assert result["strong"]["rays"] == [[1, 0, 0], [0, 1, 0], [1, 0, 1], [0, 1, 1]]
 
 
 SKEWED_LEFT_SCALING = ("kind: lattice\ndim: 2\n[generators]\n1 0\n1 1\n"
@@ -484,7 +484,7 @@ def test_rational_fring_is_strongly_localizable_by_structure(tmp_path):
     assert doc["result"]["strong"]["confirmed"] == "structural"
 
 
-def test_weak_unknown_reason_prints_rationals_as_p_over_q(tmp_path):
+def test_a_right_bad_ray_refutes_a_cone_with_or_without_an_excluded_face(tmp_path):
     # on the closed cone the ray-product table refutes (1, 0), which is
     # right-bad (mu((1, 2), (1, 0)) = (2, 0)); with the face of (1, 2)
     # excluded the table still applies and refutes the same ray, a member
@@ -495,13 +495,6 @@ def test_weak_unknown_reason_prints_rationals_as_p_over_q(tmp_path):
         path.write_text(text)
         code, doc, _ = run_json("localizable", str(path), "--weak")
         assert (code, doc["certificate"]["refuted"]) == (EXIT_REFUTED, ["1", "0"])
-    # the half-plane is not pointed, so the table declines, and at budget 3
-    # the search runs out on a sample with rational coordinates
-    code, doc, _ = run_json("--budget", "3", "localizable",
-                            instance_path("half-open-half-plane.mon"), "--weak")
-    assert code == EXIT_BUDGET
-    assert doc["certificate"]["reason"] == (
-        "no localizable dominator found for (3, -1) within budget 3")
 
 
 def test_a_bad_ray_on_an_excluded_face_refutes_a_member_above_it(tmp_path):
@@ -1156,27 +1149,10 @@ def test_open_normal_vanishing_on_the_cone_is_an_input_error(tmp_path, command):
             "closed cone, which leaves only the origin") in err
 
 
-def test_unverified_hypothesis_exits_with_the_budget_code(tmp_path):
-    # within coefficient budget 1 the weak search finds no dominator for
-    # (0, 1, 0): verify --main answers "unknown" with the same code as the
-    # weak search itself, 4, not the "refused" code 2
-    path = tmp_path / "five.mon"
-    path.write_text("kind: lattice\ndim: 3\n[generators]\n1 0 0\n0 1 0\n"
-                    "0 0 1\n4 5 0\n-1 2 6\n[tensor]\n0 0 0 0 0\n"
-                    "1 0 0 0 0\n1 1 0 2 2\n1 2 1 1 0\n2 1 1 2 0\n")
-    code, doc, _ = run_json("--budget", "1", "verify", str(path), "--main")
-    assert code == EXIT_BUDGET
-    assert doc["status"] == "unknown"
-    assert doc["hypotheses"][0]["status"] == "unknown"
-    assert "could not be verified within budget" in doc["reason"]
-    code, doc, _ = run_json("--budget", "1", "localizable", str(path), "--weak")
-    assert code == EXIT_BUDGET
-    assert doc["certificate"]["verdict"] == "unknown"
-
-
 FIVE_GENERATORS = ("kind: lattice\ndim: 3\n[generators]\n1 0 0\n0 1 0\n0 0 1\n"
                    "4 5 0\n-1 2 6\n[tensor]\n0 0 0 0 0\n1 0 0 0 0\n"
                    "1 1 0 2 2\n1 2 1 1 0\n2 1 1 2 0\n")
+FIVE_GENERATOR_LIST = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [4, 5, 0], [-1, 2, 6]]
 FOUR_GENERATORS = ("kind: lattice\ndim: 3\n[generators]\n1 0 0\n0 1 0\n0 0 1\n"
                    "5 9 3\n[tensor]\n0 1 1 1 2\n1 2 2 0 1\n2 0 1 2 0\n")
 
@@ -1194,51 +1170,87 @@ def _count_witness_work(monkeypatch):
     return counts
 
 
-def _unknown_weak(source, generators, budget, query, assignments):
+def _refuted_weak(source, generators, budget, element, row, columns):
+    """The lattice instance and the weak certificate that refutes its ray
+    ``element`` on the left, with the obstruction row and its columns."""
     instance = {"dim": 3, "generators": generators, "has_operation": True,
                 "kind": "lattice", "source": source}
     certificate = {
-        "assignments": assignments, "budget": budget, "details": {},
-        "method": "search", "refuted": None, "verdict": "unknown",
-        "reason": f"no localizable dominator found for {query} within "
-                  f"coefficient budget {budget}"}
+        "assignments": {}, "budget": budget, "method": "search", "verdict": "no",
+        "details": {"obstruction": {"element": element, "side": "left",
+                                    "row": row, "positive_columns": columns}},
+        "reason": "every element above the refuted one has a damping row "
+                  "with two positive entries, so none is localizable",
+        "refuted": [str(v) for v in element]}
     return instance, certificate
 
 
-def test_weak_search_builds_no_witness_it_does_not_print(tmp_path, monkeypatch):
-    # a refuted candidate only needs its verdict: the search and the
-    # verify --main gate build and re-validate no witness pair, and print
-    # what they printed when they built one for every refuted candidate
+@pytest.mark.parametrize("budget", ["0", "1", "8", "16"])
+def test_five_t_is_refuted_at_every_budget_with_no_damped_map(tmp_path, monkeypatch, budget):
+    # FIVE_T's extreme rays are (1, 0, 0), (0, 1, 0), (0, 0, 1) and
+    # (-1, 2, 6), in generator order; (4, 5, 0) is no extreme ray.  All but
+    # (1, 0, 0) are bad on both sides, so the ray table refutes the first
+    # bad generator, (0, 1, 0), whose damping row 1 meets all four rays:
+    # weak localizability is refuted (exit 1) and verify --main refuses
+    # (exit 2) at every budget, with no damped map built
+    path = tmp_path / "five.mon"
+    path.write_text(FIVE_GENERATORS, encoding="utf-8")
+    calls = _count_weak_refutation_work(monkeypatch, cli)
+    code, doc, _ = run_json("--budget", budget, "localizable", str(path), "--weak")
+    _, weak = _refuted_weak(str(path), FIVE_GENERATOR_LIST, int(budget),
+                            [0, 1, 0], 1, [0, 1, 2, 3])
+    assert (code, doc["certificate"]) == (EXIT_REFUTED, weak)
+    code, doc, _ = run_json("--budget", budget, "verify", str(path), "--main")
+    assert (code, doc["status"]) == (EXIT_REFUSED, "refused")
+    assert doc["hypotheses"] == [{"detail": weak, "name": "weak-localizability",
+                                  "status": "no"}]
+    assert calls == {"_vector_left": 0, "mu": 0}
+
+
+def test_excluded_faces_with_a_lineality_plane_are_the_one_strong_unknown(tmp_path, monkeypatch):
+    # the half-space x > 0 of Q^3 with mu(x, y) = x_0 y_0 e_0: no ray is
+    # bad, so weak localizability holds, but strong localizability would
+    # need every damping map injective on the lineality plane x = 0, which
+    # the ray lemma decides only for a line: "unknown" (exit 4), with no
+    # damped map built for it
+    path = tmp_path / "half-space.mon"
+    path.write_text("kind: open-cone\ndim: 3\n[rays]\n1 0 0\n0 1 0\n0 -1 0\n0 0 1\n"
+                    "0 0 -1\n[open-normals]\n1 0 0\n[tensor]\n0 0 1 0 0\n")
+    code, doc, _ = run_json("localizable", str(path), "--weak")
+    assert (code, doc["certificate"]["verdict"]) == (EXIT_PASS, "yes")
+    vector_left = []
+    real = localizability._vector_left
+    monkeypatch.setattr(localizability, "_vector_left",
+                        lambda *args: vector_left.append(args) or real(*args))
+    code, doc, _ = run_json("localizable", str(path), "--strong")
+    assert (code, doc["result"]["verdict"]) == (EXIT_BUDGET, "unknown")
+    assert vector_left == []
+
+
+def test_a_weak_verdict_builds_no_witness_it_does_not_print(tmp_path, monkeypatch):
+    # a refuted ray only needs its verdict: the weak verdict and the
+    # verify --main gate build and re-validate no witness pair
     five, four = tmp_path / "five.mon", tmp_path / "four.mon"
     five.write_text(FIVE_GENERATORS, encoding="utf-8")
     four.write_text(FOUR_GENERATORS, encoding="utf-8")
-    five_gens = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [4, 5, 0], [-1, 2, 6]]
     four_gens = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [5, 9, 3]]
-    inst5, weak5 = _unknown_weak(str(five), five_gens, 8, "(0, 1, 0)",
-                                 {"['1', '0', '0']": ["1", "0", "0"]})
-    inst4, _ = _unknown_weak(str(four), four_gens, 16, "(1, 0, 0)", {})
+    inst5, weak5 = _refuted_weak(str(five), FIVE_GENERATOR_LIST, 8, [0, 1, 0], 1, [0, 1, 2, 3])
     # four generators span the orthant, so the ray-product table refutes
-    # its first bad ray before the search
-    weak4 = {"assignments": {}, "budget": 16, "method": "search", "verdict": "no",
-             "details": {"obstruction": {"element": [1, 0, 0], "side": "left",
-                                         "row": 1, "positive_columns": [0, 1, 2]}},
-             "reason": "every element above the refuted one has a damping row "
-                       "with two positive entries, so none is localizable",
-             "refuted": ["1", "0", "0"]}
+    # its first bad ray
+    inst4, weak4 = _refuted_weak(str(four), four_gens, 16, [1, 0, 0], 1, [0, 1, 2])
     runs = [
-        (("--budget", "8", "localizable", str(five), "--weak"), EXIT_BUDGET,
+        (("--budget", "8", "localizable", str(five), "--weak"), EXIT_REFUTED,
          {"command": "localizable", "instance": inst5, "mode": "weak",
           "certificate": weak5}),
         (("--budget", "16", "localizable", str(four), "--weak"), EXIT_REFUTED,
          {"command": "localizable", "instance": inst4, "mode": "weak",
           "certificate": weak4}),
-        (("--budget", "8", "verify", str(five), "--main"), EXIT_BUDGET,
+        (("--budget", "8", "verify", str(five), "--main"), EXIT_REFUSED,
          {"command": "verify", "goal": "main", "instance": inst5,
           "hypotheses": [{"detail": weak5, "name": "weak-localizability",
-                          "status": "unknown"}],
-          "reason": "the weak localizability hypothesis could not be "
-                    "verified within budget",
-          "status": "unknown"}),
+                          "status": "no"}],
+          "reason": "the weak localizability hypothesis is refuted",
+          "status": "refused"}),
     ]
     for argv, exit_code, want in runs:
         counts = _count_witness_work(monkeypatch)

@@ -15,7 +15,7 @@ from monoidorder.monoids import (FiniteMonoid, LatticeMonoid, OpenConeMonoid,
                                  approx, free_monoid, half_open_half_plane, leq)
 
 from conftest import (cone_corpus, default_pairs, finite_corpus, instance_path,
-                      lattice_corpus, rational_solve)
+                      lattice_corpus, rational_solve, sample_elements)
 
 
 def _cyclic_table(n):
@@ -154,7 +154,7 @@ def _sample_pi12_checks(p):
     if isinstance(m, LatticeMonoid):
         samples = m.element_pool(2)
     else:
-        samples = m.sample_elements(8) + [tuple(Fraction(0) for _ in range(m.dim))]
+        samples = sample_elements(m, 8) + [tuple(Fraction(0) for _ in range(m.dim))]
     triangle = all(r2.eq(p.map(r1.iota(a)), r2.iota(a)) for a in samples)
     additive = all(
         r2.eq(p.map(vadd(r1.iota(a), r1.iota(b))),

@@ -24,7 +24,7 @@ from monoidorder.monoids import (BiadditiveOp, FiniteMonoid, LatticeMonoid,
                                  saturating_product_op, truncated_free_monoid)
 
 from conftest import (cone_corpus, finite_corpus, lattice_corpus, monogenic_table,
-                      product_table, seeded, weakly_localizable_ops)
+                      product_table, sample_elements, seeded, weakly_localizable_ops)
 
 
 def _lattice_points(m: LatticeMonoid, count=40, salt=0):
@@ -34,7 +34,7 @@ def _lattice_points(m: LatticeMonoid, count=40, salt=0):
 
 
 def _cone_points(m, count=30, salt=0):
-    return m.sample_elements(count)
+    return sample_elements(m, count)
 
 
 # ---------------------------------------------------------------------------
@@ -535,8 +535,8 @@ def _bfs_pool(m, max_coeff_sum):
 
 
 def _bfs_candidates(m, budget):
-    """The dominator candidates as the weak search built them before the
-    shared enumerator: by coefficient sum, then lexicographic."""
+    """The generator sums by coefficient sum, then lexicographic, as a
+    breadth-first search builds them."""
     seen, out = set(), []
     frontier = {tuple(0 for _ in range(m.dim))}
     for _ in range(budget):
@@ -553,12 +553,12 @@ small_lattices = st.integers(1, 3).flatmap(lambda d: st.lists(
 
 @given(small_lattices)
 def test_generator_sums_keep_both_orders_and_are_members(gens):
-    # the pool and the candidates read one enumerator; every sum it
+    # the pool and the sums by level read one enumerator; every sum it
     # builds enters the membership memo, and a fresh search agrees
-    from monoidorder.localizability import _dominator_candidates
     dim = len(gens[0])
     m = LatticeMonoid(dim, gens)
-    assert list(_dominator_candidates(m, 4)) == _bfs_candidates(LatticeMonoid(dim, gens), 4)
+    levels = list(itertools.chain.from_iterable(itertools.islice(m.ray_sums(), 4)))
+    assert levels == _bfs_candidates(LatticeMonoid(dim, gens), 4)
     assert m.element_pool(3) == _bfs_pool(LatticeMonoid(dim, gens), 3)
     fresh = LatticeMonoid(dim, gens)
     for x, member in m._cache["contains"].items():
