@@ -501,12 +501,14 @@ class _Parser(argparse.ArgumentParser):
     whose first coordinate is negative, such as ``-1,0`` or ``-1/2,0``, is
     a positional too, so argparse's negative-number pattern is widened to
     a comma-separated list of integers, ``p/q`` rationals or decimals with
-    a leading minus.
+    a leading minus, and to an ``sos`` expression that starts with ``-x``
+    or ``-(``, such as ``-x^2`` or ``-(x-1)^2+2``.
     """
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(rf"^-{_NUMBER}(,[-+]?{_NUMBER})*$")
+        self._negative_number_matcher = re.compile(
+            rf"^-({_NUMBER}(,[-+]?{_NUMBER})*$|x|\()")
 
     def error(self, message):
         raise InputError(message)

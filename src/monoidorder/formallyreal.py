@@ -27,15 +27,15 @@ and sign them unreduced, so bisection forms no ``Fraction``;
 refinement signs the square-free seed alone, not the chain.  ``f - k``
 needs no gcd at all: for canonical ``n/d``, ``gcd(n - k*d, d) = gcd(n,
 d) = 1``, so the shift search decides each probe on the integer
-numerator ``n - k*d`` alone, and builds the witness at the answer from
-the refuting probe.  The self-checks run on every call, in exact
-arithmetic: each integer quotient must divide exactly, the
-decomposition must reconstruct its input (compared in integers), and a
-witness must evaluate negative: on ``f`` itself in ``Fraction``
-arithmetic, or, for a shift's witness, on the integer numerator and
-denominator the search used, by homogeneous Horner with one
-``Fraction`` formed at the end, after their leading coefficients are
-checked against ``f``'s.
+numerator ``n - k*d`` alone, and takes the witness at the answer from
+its own integer samples of ``f``, or else builds it from the refuting
+probe.  The self-checks run on every call, in exact arithmetic: each
+integer quotient must divide exactly, the decomposition must
+reconstruct its input (compared in integers), and a witness must
+evaluate negative: on ``f`` itself in ``Fraction`` arithmetic, or, for
+a shift's witness, on the integer numerator and denominator the search
+used, by homogeneous Horner with one ``Fraction`` formed at the end,
+after their leading coefficients are checked against ``f``'s.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
-from math import floor, lcm
+from math import lcm
 from typing import Optional, Sequence, Union
 
 from .exactmath import InputError, InternalCheckError, primitive
@@ -536,13 +536,15 @@ def isolate_real_roots(p) -> list:
     the intervals are returned.
     """
     chain = _chain_of(p)
-    return _isolate(chain, cauchy_root_bound(chain.chain[0]))
+    return [(Fraction(lo, d), Fraction(hi, d))
+            for lo, hi, d in _isolate(chain, cauchy_root_bound(chain.chain[0]))]
 
 
 def _isolate(chain: SturmChain, bound: Fraction) -> list:
     """:func:`isolate_real_roots` from ``[-bound, bound]``, ``bound`` above
-    every root of the chain's seed.  The grid, and so the intervals that
-    come out, depends on ``bound``."""
+    every root of the chain's seed, left to right, each interval as its
+    integer grid ``(lo, hi, d)`` for ``(lo/d, hi/d]``.  The grid, and so
+    the intervals that come out, depends on ``bound``."""
     if len(chain.chain[0]) <= 1:
         return []
     b = bound.numerator
@@ -552,7 +554,7 @@ def _isolate(chain: SturmChain, bound: Fraction) -> list:
         lo, hi, d, at_lo, at_hi = stack.pop()
         count = _root_count(at_lo, at_hi)
         if count == 1:
-            out.append((Fraction(lo, d), Fraction(hi, d)))
+            out.append((lo, hi, d))
         elif count > 1:
             mid, lo, hi, d = lo + hi, 2 * lo, 2 * hi, 2 * d
             at_mid = chain._grid_variations(mid, d)
@@ -595,32 +597,36 @@ def refine_interval(p, interval, width: Fraction):
 # simplest rationals inside an interval
 
 
-def simplest_between(lo: Rat, hi: Rat) -> Fraction:
-    """Minimal-denominator rational in the open interval ``(lo, hi)``.
+def _simplest(lo, hi) -> tuple:
+    """The least rational in the order (denominator, ``|x|``, + before -)
+    inside the open interval ``(lo, hi)``, as a reduced pair ``(p, q)``:
+    the simplest one, on the Stern-Brocot tree (Graham, Knuth and
+    Patashnik, *Concrete Mathematics*, 4.5).  Each end is a pair ``(n,
+    d)`` for ``n/d`` with ``d > 0``, not necessarily reduced, or ``None``
+    for an infinite end."""
+    if lo is not None and lo[0] >= 0:
+        return _simplest_above(lo, hi)
+    if hi is not None and hi[0] <= 0:
+        p, q = _simplest_above((-hi[0], hi[1]), lo and (-lo[0], lo[1]))
+        return -p, q
+    return 0, 1
 
-    Denominator ties resolve to the smallest absolute value, then to the
-    positive sign, which keeps witness points reproducible.
-    """
-    a, b = Fraction(lo), Fraction(hi)
-    if not a < b:
-        raise InputError("interval is empty")
-    if a < 0 < b:
-        return Fraction(0)
-    if b <= 0:
-        return -_simplest_nonneg(-b, -a)
-    return _simplest_nonneg(a, b)
 
-
-def _simplest_nonneg(a: Fraction, b: Fraction) -> Fraction:
-    """Minimal-denominator rational in open ``(a, b)`` with ``0 <= a < b``."""
-    ia = a.numerator // a.denominator
-    if ia + 1 < b:
-        return Fraction(ia + 1)
-    if a == ia:
-        # (integer, b) with b - ia <= 1: the answer is ia + 1/n
-        n = int(1 / (b - ia)) + 1
-        return ia + Fraction(1, n)
-    return ia + 1 / _simplest_nonneg(1 / (b - ia), 1 / (a - ia))
+def _simplest_above(lo, hi) -> tuple:
+    """:func:`_simplest` for ``lo >= 0``: the least integer above ``lo``
+    when it is below ``hi``, else the integer part ``n`` of ``lo`` plus the
+    reciprocal of the simplest rational between the reciprocals of the
+    two ends' parts above ``n``."""
+    (p, q), n = lo, lo[0] // lo[1]
+    if hi is None or (n + 1) * hi[1] < hi[0]:
+        return n + 1, 1
+    r, s = hi[0] - n * hi[1], hi[1]
+    p -= n * q
+    if not p:  # (n, n + r/s) with r/s <= 1: n + 1/m, m the least above s/r
+        m = s // r + 1
+        return n * m + 1, m
+    u, v = _simplest_above((s, r), (q, p))
+    return n * u + v, u
 
 
 # ---------------------------------------------------------------------------
@@ -924,58 +930,71 @@ def is_sos_membership(f: RationalFunction) -> dict:
 
 
 def _negative_point(g: tuple, chain: SturmChain, grid: Fraction) -> Fraction:
-    """A point with ``g < 0``, minimal denominator first, deterministic.
+    """The canonical witness: the least rational ``x`` with ``g(x) < 0`` in
+    the order (denominator, ``|x|``, + before -).
 
     ``g`` is a nonzero integer polynomial, low degree first, and ``chain``
-    the Sturm chain of its square-free part ``s``, or of a factor ``r`` of
-    ``s`` whose cofactor is positive on the whole line.  Then ``r`` has the
-    roots and the signs of ``s``, and at each root the sign of ``s'`` as
-    its own derivative's, so its chain counts the same roots in every
-    ``(lo, hi]`` and refinement keeps the same halves.  Isolation runs on
-    the grid of ``grid``, the Cauchy bound of ``s``, and so returns the
-    intervals of ``s`` either way.  Candidates: the simplest rationals in
-    the gaps between isolated real roots, plus points beyond the root
-    bound of ``g`` on each side.  They are signed in the order
-    (denominator, absolute value), the nonnegative one first on ties, and
-    the first negative one is returned.  Each candidate's sign is that of
-    ``g``, by homogeneous Horner.  0 comes first in that order, so it is
-    signed before any root is isolated.
+    the Sturm chain of its square-free part ``s``, or of a factor of ``s``
+    whose cofactor is positive on the whole line, which has the same
+    roots, each simple.  ``g`` keeps one sign on each gap between
+    consecutive real roots, so the witness is the least of the negative
+    gaps' simplest rationals (:func:`_simplest`).  0 comes first, so it is
+    signed before any root is isolated, on the grid of ``grid``, the
+    Cauchy bound of ``s``.  Each isolated ``(lo, hi]`` is made open by
+    signing the seed at ``hi``, where a root is made exact.  A gap's
+    simplest rational is that of the outer ends of its roots' brackets
+    once it lies in the gap.  Until then it lies inside one bracket: if the
+    seed vanishes there, that root is made exact, which takes a rational
+    root out of the gap however simple it is; else the bracket is halved
+    on its integer grid until the point leaves it.  A gap whose outer
+    simplest rational comes after the best so far is skipped, and ``g`` is
+    signed once per gap, by homogeneous Horner.
     """
-    def negative(x):
-        return _homogeneous_value(g, x.numerator, _powers(x.denominator, len(g) - 1)) < 0
+    def value(c, p, q):
+        return _homogeneous_value(c, p, _powers(q, len(c) - 1))
 
-    if negative(Fraction(0)):
+    if value(g, 0, 1) < 0:
         return Fraction(0)
-    bound = cauchy_root_bound(g)
-    candidates = [Fraction(int(bound) + 1), Fraction(-int(bound) - 1)]
-    intervals = sorted(_isolate(chain, grid))
-    if intervals:
-        quarter = Fraction(1, 4)
-        refined = [refine_interval(chain, iv, quarter) for iv in intervals]
-        # force strict gaps between consecutive isolating intervals
-        changed = True
-        while changed:
-            changed = False
-            for i in range(len(refined) - 1):
-                if refined[i][1] >= refined[i + 1][0]:
-                    w = (refined[i][1] - refined[i][0]) / 2
-                    refined[i] = refine_interval(chain, refined[i], w)
-                    refined[i + 1] = refine_interval(chain, refined[i + 1], w)
-                    changed = True
-        candidates.append(simplest_between(-bound - 1, refined[0][0]))
-        candidates.append(simplest_between(refined[-1][1], bound + 1))
-        for left, right in zip(refined, refined[1:]):
-            if left[1] < right[0]:
-                candidates.append(simplest_between(left[1], right[0]))
-            # half-open isolation: the left interval's upper end is strictly
-            # between the two roots unless it is the left root itself
-            candidates.append(left[1])
-    for x in sorted(set(candidates), key=lambda t: (t.denominator, abs(t), t < 0)):
-        if negative(x):
-            return x
-    # every open region between consecutive distinct roots holds one
-    # candidate, so a sign-negative region cannot have been missed
-    raise InternalCheckError("failed to locate a negative point")
+    seed = chain.chain[0]
+    # each root strictly inside (lo/d, hi/d), where the seed has sign s, or
+    # exact at lo/d = hi/d
+    roots = []
+    for lo, hi, d in _isolate(chain, grid):
+        s = value(seed, hi, d)
+        roots.append([hi if s == 0 else lo, hi, d, s])
+    best = None
+    ends = [None, *roots, None]
+    for left, right in zip(ends, ends[1:]):
+        while True:
+            p, q = _simplest(left and (left[0], left[2]), right and (right[1], right[2]))
+            key = (q, abs(p), p < 0)
+            if best and key >= best[0]:
+                break
+            if left and left[0] != left[1] and p * left[2] < left[1] * q:
+                root = left
+            elif right and right[0] != right[1] and p * right[2] > right[0] * q:
+                root = right
+            else:  # x = p/q is in the gap, and g(0) >= 0 is known
+                if p and value(g, p, q) < 0:
+                    best = key, p, q
+                break
+            lo, hi, d, s = root
+            if value(seed, p, q) == 0:
+                root[:] = [p, p, q, s]
+                continue
+            while lo * q < p * d < hi * q:
+                mid, lo, hi, d = lo + hi, 2 * lo, 2 * hi, 2 * d
+                at_mid = value(seed, mid, d)
+                if at_mid == 0:
+                    lo = hi = mid
+                elif (at_mid > 0) == (s > 0):
+                    hi = mid
+                else:
+                    lo = mid
+            root[:] = [lo, hi, d, s]
+    if best is None:
+        raise InternalCheckError("failed to locate a negative point")
+    return Fraction(best[1], best[2])
 
 
 def _shift_probe(N: tuple, D: tuple, k: int) -> tuple:
@@ -1033,56 +1052,73 @@ def _int_value(c: tuple, x: int) -> int:
 def theorem_skew_hypothesis(f: RationalFunction) -> dict:
     """Least natural ``k`` with ``f - k`` outside the sums of squares.
 
-    Termination bound: at a sample point ``x0`` where ``f`` is defined,
-    ``f(x0) - k < 0`` once ``k > f(x0)``, so the answer is at most ``cap =
-    floor(f(x0)) + 1``.  ``x0`` is the first of ``0, 1, -1, 2, -2, ...``
-    off the denominator's roots, so one of the first ``deg(den) + 1``.
+    Samples: ``f`` is evaluated, by integer Horner on its numerator and
+    denominator, along ``0, 1, -1, 2, -2, ...`` off the denominator's
+    roots.  At the first point ``x0``, ``f(x0) - k < 0`` once ``k >
+    f(x0)``, so the answer is at most ``cap = floor(f(x0)) + 1``.  The
+    walk takes ``2 * ceil(log2 cap) + 1`` points, the gallop's own
+    worst-case probe count, or stops at a value below 1, which refutes
+    every shift; ``top = min floor(f(x)) + 1`` over them is refuted.
 
     Monotonicity: for ``k' < k``, ``(f - k') - (f - k) = k - k'`` is a
     positive rational, hence a sum of squares, and sums of squares are
-    closed under addition; so the refuted shifts are upward closed and the
-    search gallops: it probes ``k = 1, 2, 4, ...`` (the last clipped to
-    ``cap``) until one is refuted, then bisects the gap above the last
-    member.  A denominator root of odd multiplicity refutes every shift.
+    closed under addition; so the refuted shifts are upward closed.  The
+    search probes ``top - 1`` first, and a member there makes ``k = top``.
+    Otherwise it probes ``1, 2, 4, ...`` below ``top - 1`` until one is
+    refuted, then bisects the gap above the last member.  A denominator
+    root of odd multiplicity refutes every shift.
 
-    Cost: at most ``2 * ceil(log2 cap)`` probes (one when ``cap = 1``),
-    each a decision in integers on the shifted numerator alone
-    (:func:`_shift_probe`), then the witness at the answer is built from
-    the refuting probe's numerator, factors and chain
-    (:func:`_shift_witness`): when the denominator has no real root, it
-    isolates on the probe's chain if the numerator is square-free, else on
-    one chain of its square-free part, never on a chain that includes the
-    denominator.  The result equals that of a linear scan
-    ``k = 1, 2, ...`` with :func:`is_sos_membership`.  The witness must
-    make ``f - k`` negative, evaluated on the integer numerator and
-    denominator the search used, by homogeneous Horner, with one
-    ``Fraction`` formed at the end; those two must lead as ``f``'s own
-    numerator and denominator do.  Otherwise :class:`InternalCheckError`
-    is raised.
+    Cost: at most ``2 * ceil(log2 cap) + 1`` probes, one when the sample
+    bound is one above the answer and none when a sample is below 1, each
+    a decision in integers on the shifted numerator alone
+    (:func:`_shift_probe`).  The witness is the least rational, in the
+    order (denominator, ``|x|``, + before -), where ``f`` is defined and
+    ``f - k < 0``, as in :func:`is_sos_membership`.  Integers come first
+    in that order, and the samples walk them in it, skipping only poles,
+    so the first sample below ``k`` is the witness, with no root isolated.
+    Only when no sample is below ``k`` is it built from the refuting
+    probe's numerator, factors and chain (:func:`_shift_witness`).
+
+    Checks: the witness must make ``f - k`` negative, evaluated on the
+    integer numerator and denominator the search used, by homogeneous
+    Horner, with one ``Fraction`` formed at the end; those two must lead
+    as ``f``'s own numerator and denominator do.  Otherwise
+    :class:`InternalCheckError` is raised.
     """
     num, den = f.numerator, f.denominator
     # num and den scaled by one positive factor; den is monic, so no zero
     # at the end of the joined coefficients is stripped
     ints = _integer_multiple(RationalPolynomial(num.coefficients + den.coefficients))
     N, D = ints[:num.degree + 1], ints[num.degree + 1:]
-    x0 = next(c for c in ((i + 1) // 2 * (-1) ** (i + 1)
-                          for i in range(den.degree + 1))
-              if _int_value(D, c))
-    cap = max(1, floor(Fraction(_int_value(N, x0), _int_value(D, x0))) + 1)
+    samples, x = [], 0  # (x, floor(f(x))) at x = 0, 1, -1, 2, ... off the poles
+    while True:
+        d = _int_value(D, x)
+        if d:
+            samples.append((x, _int_value(N, x) // d))
+            cap = max(1, samples[0][1] + 1)
+            if samples[-1][1] < 1 or len(samples) > 2 * (cap - 1).bit_length():
+                break
+        x = -x if x > 0 else 1 - x
+    top = max(1, min(v for _, v in samples) + 1)
     Dp = primitive(D)
     d_yun = _yun(Dp)
-    member, k = 0, 1  # f - j is a sum of squares for every 1 <= j <= member
+    # f - j is a sum of squares for every 1 <= j <= member; refuting is the
+    # probe that refuted, None when a sample did
+    member, refuted, refuting = 0, top, None
     if _odd_root_count(*d_yun):  # every shift is refuted
-        probe = (False, primitive(_int_sub(N, D)), None)
-    else:
-        probe = _shift_probe(N, D, k)
-    while probe[0]:
-        if k == cap:
-            raise InternalCheckError(
-                "the evaluation bound failed to stop the downward search")
-        member, k = k, min(2 * k, cap)
-        probe = _shift_probe(N, D, k)
-    refuted, refuting = k, probe
+        refuted, refuting = 1, (False, primitive(_int_sub(N, D)), None)
+    elif top > 1:
+        probe = _shift_probe(N, D, top - 1)
+        if probe[0]:
+            member = top - 1
+        else:
+            refuted, refuting, k = top - 1, probe, 1
+            while k < refuted:
+                probe = _shift_probe(N, D, k)
+                if not probe[0]:
+                    refuted, refuting = k, probe
+                    break
+                member, k = k, 2 * k
     while refuted - member > 1:
         mid = (member + refuted) // 2
         probe = _shift_probe(N, D, mid)
@@ -1090,8 +1126,13 @@ def theorem_skew_hypothesis(f: RationalFunction) -> dict:
             member = mid
         else:
             refuted, refuting = mid, probe
-    _, m, yun = refuting
-    witness = _shift_witness(m, yun, Dp, d_yun)
+    witness = next((Fraction(x) for x, v in samples if v < refuted), None)
+    if witness is None:
+        if refuting is None:
+            raise InternalCheckError(
+                "the evaluation bound failed to stop the downward search")
+        _, m, yun = refuting
+        witness = _shift_witness(m, yun, Dp, d_yun)
     # f(w) - k at w = p/q in integers: with the homogeneous values n_q =
     # q^deg(N) N(w) and d_q = q^deg(D) D(w), f(w) = N(w) / D(w) is
     # n_q q^deg(D) / (d_q q^deg(N)); one Fraction is formed, at the end.
@@ -1110,7 +1151,7 @@ def theorem_skew_hypothesis(f: RationalFunction) -> dict:
     if value >= 0:
         raise InternalCheckError("the least refuted shift is a sum of squares")
     return {"k": refuted, "witness": witness, "witness_value": value,
-            "sample_point": Fraction(x0), "bound": cap,
+            "sample_point": Fraction(samples[0][0]), "bound": cap,
             "criterion": POINTWISE_FACT}
 
 

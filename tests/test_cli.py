@@ -866,8 +866,9 @@ def test_sos_theorem_on_denominators_with_double_real_roots_is_frozen(
         (k, witness, value, bound, sample)
 
 
-def test_sos_theorem_large_shift_needs_logarithmically_many_memberships(
-        monkeypatch):
+def test_sos_theorem_large_shift_needs_one_membership(monkeypatch):
+    # the sample at 0 refutes 100001: one probe, at 100000, settles k, and
+    # that sample is the witness, so no witness is built
     calls, witnesses = [], []
     decide = formallyreal._shift_probe
     build_witness = formallyreal._shift_witness
@@ -890,10 +891,8 @@ def test_sos_theorem_large_shift_needs_logarithmically_many_memberships(
     value = Fraction(str(result["witness_value"]))
     assert value < 0
     assert witness * witness + 100000 - result["k"] == value
-    cap = result["bound"]
-    ceil_log2_cap = (cap - 1).bit_length()
-    assert len(calls) <= 2 * ceil_log2_cap + 2
-    assert len(witnesses) == 1
+    assert calls == [100000]
+    assert witnesses == []
 
 
 def test_sos_categorize_both_known_fields():

@@ -120,6 +120,9 @@ CASES = (
         ["sos", "--categorize", "Q"],
         ["sos", "(x^4+3)/(x^2+1)"],
         ["sos", "(x^4+3)/(x^2+1)", "--theorem"],
+        # an expression with a leading minus is a positional, not an option
+        ["sos", "-x^2"],
+        ["sos", "-(x-1)^2+2", "--theorem"],
     ]
     + [["reproduce", rid] for rid in REPRODUCE]
 )

@@ -9,15 +9,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from monoidorder import formallyreal
-from monoidorder.exactmath import InputError, InternalCheckError
+from monoidorder.exactmath import InputError, InternalCheckError, primitive
 from monoidorder.formallyreal import (POINTWISE_FACT, RationalFunction,
                                       RationalPolynomial, SturmChain,
                                       _exact_quotient, _int_derivative,
+                                      _int_sub,
                                       categorize,
                                       cauchy_root_bound, is_sos_membership,
                                       isolate_real_roots,
                                       parse_rational_function, poly_gcd,
-                                      refine_interval, simplest_between,
+                                      refine_interval,
                                       squarefree_decomposition,
                                       sturm_root_count,
                                       theorem_skew_hypothesis)
@@ -495,7 +496,7 @@ def test_isolation_and_refinement_equal_the_two_evaluation_bisection():
             for width in (Fraction(1, 4), Fraction(1, 2 ** 20)):
                 assert refine_interval(chain, interval, width) == \
                     _two_evaluation_refinement(chain, interval, width)
-            # the halved widths of the witness search's strict-gap loop
+            # halved widths, from a refined interval
             refined = refine_interval(chain, interval, Fraction(1, 4))
             for _ in range(4):
                 width = (refined[1] - refined[0]) / 2
@@ -522,10 +523,25 @@ def test_isolation_and_refinement_equal_the_two_evaluation_bisection():
 # simplest rationals
 
 
+def simplest_between(lo, hi):
+    """The simplest rational in the open interval ``(lo, hi)``, read by
+    :func:`formallyreal._simplest` off the ends as integer pairs."""
+    a, b = Fraction(lo), Fraction(hi)
+    return Fraction(*formallyreal._simplest((a.numerator, a.denominator),
+                                            (b.numerator, b.denominator)))
+
+
 def test_simplest_between_frozen():
     assert simplest_between(Fraction(1, 4), Fraction(1, 3)) == Fraction(2, 7)
     assert simplest_between(Fraction(-1, 2), Fraction(1, 2)) == 0
     assert simplest_between(Fraction(5, 2), Fraction(7, 2)) == 3
+    # unreduced ends, and an infinite end as None
+    assert formallyreal._simplest((2, 8), (4, 12)) == (2, 7)
+    assert formallyreal._simplest(None, (-3, 2)) == (-2, 1)
+    assert formallyreal._simplest(None, (0, 1)) == (-1, 1)
+    assert formallyreal._simplest((5, 2), None) == (3, 1)
+    assert formallyreal._simplest((-1, 3), None) == (0, 1)
+    assert formallyreal._simplest(None, None) == (0, 1)
 
 
 @given(st.fractions(min_value=-10, max_value=10, max_denominator=40),
@@ -535,10 +551,13 @@ def test_simplest_between_is_minimal_denominator(a, b):
         return
     s = simplest_between(a, b)
     assert a < s < b
-    for q in range(1, s.denominator):
+    for q in range(1, s.denominator + 1):
         lo_p = math.floor(a * q) + 1
-        # any fraction p/q strictly inside would contradict minimality
+        # any fraction p/q strictly inside with a smaller denominator, or
+        # with the same one and a smaller absolute value, would contradict
+        # minimality in the (denominator, |x|, + before -) order
         assert not any(a < Fraction(p, q) < b
+                       and (q < s.denominator or abs(p) < abs(s.numerator))
                        for p in range(lo_p, math.ceil(b * q) + 1))
 
 
@@ -666,13 +685,21 @@ def test_skew_hypothesis_frozen():
     ("(8+16*x-2*x^2-8*x^3-2*x^4)^2/((3-x)^2+1)+3", 4, -1, Fraction(-1, 17)),
     ("(2+2*x+3*x^2-2*x^3)^2/((1-x^2)^2+1)+5", 6, 2, Fraction(-3, 5)),
 ])
-def test_shift_witness_isolates_on_the_grid_of_the_product_bound(
+def test_the_shift_witness_does_not_depend_on_the_isolation_grid(
         text, k, witness, value):
-    # the witness isolates the roots of the shifted numerator on the grid
-    # set by the Cauchy bound of sqf(m) * sqf(D); the grid of sqf(m)'s own
-    # bound would find the witnesses -2 and 7/3 here
-    res = theorem_skew_hypothesis(parse_rational_function(text))
+    # the witness is the least point of the order, so isolating the roots
+    # of the shifted numerator on the grid of sqf(m) * sqf(D)'s Cauchy
+    # bound or on that of sqf(m)'s own bound gives the same one
+    f = parse_rational_function(text)
+    res = theorem_skew_hypothesis(f)
     assert (res["k"], res["witness"], res["witness_value"]) == (k, witness, value)
+    N, D = _split(f)
+    m = primitive(_int_sub(N, [k * c for c in D]))
+    factors, _ = formallyreal._yun(m)
+    sf_m = formallyreal._int_product(h for h, _ in factors)
+    own = formallyreal._negative_point(formallyreal._int_mul(m, D), SturmChain._of(
+        formallyreal._sturm_entries(sf_m)), cauchy_root_bound(sf_m))
+    assert own == _shift_witness_at(f, k) == witness
 
 
 def test_skew_hypothesis_minimality_on_random_instances():
@@ -703,10 +730,10 @@ def test_skew_hypothesis_minimality_on_random_instances():
 
 
 def test_large_shift_search_divides_no_rational_polynomial(monkeypatch):
-    # work counters do not jitter: the search makes 34 integer decisions
-    # and builds one witness, from the refuting probe at the answer, with no
-    # membership call; the library has no ``Fraction`` polynomial division
-    # left to make
+    # work counters do not jitter: the sample at 0 refutes 100001, so the
+    # search makes one integer decision, at 100000, and that sample is the
+    # witness: no witness is built and no membership call is made; the
+    # library has no ``Fraction`` polynomial division left to make
     f = parse_rational_function("x^2+100000")
     decisions, witnesses, memberships = [], [], []
     decide = formallyreal._shift_probe
@@ -730,8 +757,8 @@ def test_large_shift_search_divides_no_rational_polynomial(monkeypatch):
     monkeypatch.setattr(formallyreal, "is_sos_membership", counted_membership)
     res = theorem_skew_hypothesis(f)
     assert not hasattr(RationalPolynomial, "divmod")
-    assert len(decisions) == 34
-    assert witnesses == [((-1, 0, 1), (1,))]  # x^2 - 1 over 1
+    assert decisions == [100000]
+    assert witnesses == []
     assert memberships == []
     assert (res["k"], res["witness"], res["witness_value"]) == (100001, 0, -1)
 
@@ -775,37 +802,49 @@ def _count_chain_builds(monkeypatch):
     return builds, probes, witnesses
 
 
-@pytest.mark.parametrize("text, k", [
-    ("x^2+100000", 100001),
-    # p^2/(q^2+1) + 2 with p = (2x - 3)(x^5 - 2x^3 + x^2 + 3x - 1), degree 12
-    ("((2*x-3)*(x^5-2*x^3+x^2+3*x-1))^2/((x^2-x+2)^2+1)+2", 3),
+@pytest.mark.parametrize("text, k, decided, witnesses_built", [
+    # the sample at 0 refutes 100001, and the one probe, at 100000, is the
+    # member x^2 + 1/2; that sample is the witness
+    ("x^2+200001/2", 100001, [100000], []),
+    # p^2/(q^2+1) + 5/2 with p = (2x - 3)(x^5 - 2x^3 + x^2 + 3x - 1), degree
+    # 12: a sample refutes 4 and the probes 3, 1, 2 find k = 3; no sample is
+    # below 3, so the witness isolates on the refuting probe's chain
+    ("((2*x-3)*(x^5-2*x^3+x^2+3*x-1))^2/((x^2-x+2)^2+1)+5/2", 3, [3, 1, 2], [0]),
 ])
-def test_a_square_free_probe_runs_one_remainder_sequence(monkeypatch, text, k):
+def test_a_square_free_probe_runs_one_remainder_sequence(
+        monkeypatch, text, k, decided, witnesses_built):
     # Yun's first gcd is read off the Sturm chain of the shifted numerator,
     # and that chain counts its odd roots when it is square-free; the
-    # denominator has no real root, so the witness isolates on that chain
+    # denominator has no real root, so a witness isolates on that chain
     f = parse_rational_function(text)
     builds, probes, witnesses = _count_chain_builds(monkeypatch)
+    ks = []
+    decide = formallyreal._shift_probe
+
+    def recorded(n, d, shift):
+        ks.append(shift)
+        return decide(n, d, shift)
+
+    monkeypatch.setattr(formallyreal, "_shift_probe", recorded)
     res = theorem_skew_hypothesis(f)
     assert res["k"] == k
-    assert sum(square_free for _, square_free, _ in probes) >= 2
-    for ran_yun, square_free, n in probes:
-        if square_free:
-            assert n == 1
-        elif not ran_yun:
-            assert n == 0
-    assert witnesses == [0]
+    assert ks == decided
+    assert probes == [(True, True, 1)] * len(decided)
+    assert witnesses == witnesses_built
     # and one more for the denominator's decomposition, before any probe
-    assert builds[0] == sum(n for *_, n in probes) + witnesses[0] + 1
+    assert builds[0] == len(decided) + 1
 
 
 def test_a_repeated_root_probe_builds_one_chain_of_its_square_free_part(
         monkeypatch):
-    # (x^2-1)^2/(x^2+1) - 1 = x^2 (x^2 - 3)/(x^2 + 1): the denominator has
-    # no real root, so the witness isolates on one chain of x (x^2 - 3),
-    # not of x (x^2 - 3) (x^2 + 1)
-    f = parse_rational_function("(x^2-1)^2/(x^2+1)")
+    # (9x^4 + 1)/(x^2 + 1) - 1 = x^2 (9x^2 - 1)/(x^2 + 1) is negative only
+    # on 0 < |x| < 1/3, where no integer sample falls: the denominator has
+    # no real root, so the witness isolates on one chain of x (9x^2 - 1),
+    # not of x (9x^2 - 1) (x^2 + 1); the root 1/3 is made exact, and 1/4
+    # is the least point of the order below it
+    f = parse_rational_function("(9*x^4+1)/(x^2+1)")
     builds, probes, witnesses = _count_chain_builds(monkeypatch)
+    _bounded_evaluations(monkeypatch, 1000)
     seeds, witness_seeds = [], []
     entries = formallyreal._sturm_entries
     witness = formallyreal._shift_witness
@@ -823,10 +862,11 @@ def test_a_repeated_root_probe_builds_one_chain_of_its_square_free_part(
     monkeypatch.setattr(formallyreal, "_sturm_entries", recorded_entries)
     monkeypatch.setattr(formallyreal, "_shift_witness", recorded_witness)
     res = theorem_skew_hypothesis(f)
-    assert (res["k"], res["witness"], res["witness_value"]) == (1, 1, -1)
+    assert (res["k"], res["witness"], res["witness_value"]) == \
+        (1, Fraction(1, 4), Fraction(-7, 272))
     assert [square_free for _, square_free, _ in probes] == [False]
     assert witnesses == [1]
-    assert witness_seeds == [(0, -3, 0, 1)]  # x^3 - 3x, degree 3
+    assert witness_seeds == [(0, -1, 0, 9)]  # 9x^3 - x, degree 3
     assert builds[0] == sum(n for *_, n in probes) + witnesses[0] + 1
 
 
@@ -841,6 +881,45 @@ def test_membership_on_a_square_free_product_runs_one_remainder_sequence(
     builds, _, _ = _count_chain_builds(monkeypatch)
     assert is_sos_membership(f)["member"] is member
     assert builds == [1]
+
+
+def _split(f):
+    """The integer numerator and denominator the shift search uses."""
+    num, den = f.numerator, f.denominator
+    ints = formallyreal._integer_multiple(
+        RationalPolynomial(num.coefficients + den.coefficients))
+    return ints[:num.degree + 1], ints[num.degree + 1:]
+
+
+def _shift_witness_at(f, k):
+    """The witness that the root-isolating path builds for ``f - k``."""
+    N, D = _split(f)
+    m = primitive(_int_sub(N, [k * c for c in D]))
+    Dp = primitive(D)
+    return formallyreal._shift_witness(m, None, Dp, formallyreal._yun(Dp))
+
+
+def _least_negative_point(f, k, dens=16, reach=20):
+    """The first rational ``x`` with ``f(x) - k < 0``, ``f`` defined, in the
+    order (denominator, |x|, + before -), walked by brute force over
+    denominators up to ``dens`` and ``|x| <= reach``; ``None`` past that."""
+    for q in range(1, dens + 1):
+        for a in range(reach * q + 1):
+            if math.gcd(a, q) != 1:
+                continue
+            for x in ((Fraction(a, q), Fraction(-a, q)) if a else (Fraction(0),)):
+                if _defined_at(f, x) and f.evaluate(x) < k:
+                    return x
+    return None
+
+
+def _is_least_negative_point(f, k, w, dens=16, reach=20):
+    """``w`` is the brute-force least point, or lies past the walk's reach
+    with no point of the walk negative."""
+    want = _least_negative_point(f, k, dens, reach)
+    if want is None:
+        return w.denominator > dens or abs(w) > reach
+    return w == want
 
 
 def _linear_scan_shift(f):
@@ -914,13 +993,28 @@ def _shift_search_inputs(rng):
         num = (_linear(a).pow(2) * _linear(b) * _linear(e)).scale(t)
         out.append(RationalFunction(num, den)
                    + RationalFunction.constant(rng.randint(1, 4)))
+    for _ in range(30):  # refuted at k = c on t (x-b)(x-b-1) / den only
+        # between b and b + 1, where no integer sample falls: t < 4 and den
+        # >= 1 there, over a denominator without real roots or over (x-r)^2
+        # at an integer r at least 1 away from [b, b + 1]
+        b, t = rng.randint(-3, 3), Fraction(rng.randint(1, 7), 2)
+        if rng.random() < 0.5:
+            den = _linear(rng.choice((b - rng.randint(1, 3),
+                                      b + 1 + rng.randint(1, 3)))).pow(2)
+        else:
+            q = _poly(rng.randint(-2, 2), rng.randint(-3, 3))
+            den = (q * q + ONE).pow(rng.choice((1, 2)))
+        out.append(RationalFunction((_linear(b) * _linear(b + 1)).scale(t), den)
+                   + RationalFunction.constant(rng.randint(1, 4)))
     return out
 
 
 def test_shift_search_equals_the_linear_scan_on_varied_functions(monkeypatch):
     # the draws reach every branch of the witness rule: a denominator with
     # real roots, and one without, square-free or not, under a refuting
-    # numerator square-free or not
+    # numerator square-free or not; the rule runs only on draws with no
+    # integer sample below k, such as those negative only between b and
+    # b + 1
     branches = set()
     witness = formallyreal._shift_witness
 
@@ -938,6 +1032,140 @@ def test_shift_search_equals_the_linear_scan_on_varied_functions(monkeypatch):
         assert theorem_skew_hypothesis(f) == _linear_scan_shift(f)
     assert {(False, m, d) for m in (True, False) for d in (True, False)} <= branches
     assert any(real_roots for real_roots, *_ in branches)
+
+
+def _sos_shift_shapes(rng):
+    """``(f, s + 1)`` for ``f = p^2/(q^2+1) + s`` as the sos-shift benchmark
+    recipe draws them: ``p = (a x - b) r`` with ``r`` of degree ``rdeg`` and
+    ``q`` of degree ``qdeg`` per shape ``(rdeg, qdeg, s)``, then ``(x -
+    b)^2 + s`` for the large shifts.  ``f - s`` is nonnegative and vanishes
+    at ``b/a``, so ``s + 1`` is the least refuted shift."""
+    out = []
+    for rdeg, qdeg, shift in ((2, 1, 3), (3, 2, 2), (4, 3, 1), (5, 2, 2),
+                              (2, 3, 4), (3, 1, 3)):
+        a, b = rng.randint(1, 3), rng.randint(-4, 4)
+        r, q = ([rng.randint(-3, 3) for _ in range(n)] + [rng.choice((-2, -1, 1, 2))]
+                for n in (rdeg, qdeg))
+        p, q = RationalPolynomial([-b, a]) * RationalPolynomial(r), RationalPolynomial(q)
+        out.append((RationalFunction(p * p, q * q + ONE)
+                    + RationalFunction.constant(shift), shift + 1))
+    for shift in (120, 160, 200, 240):
+        p = _linear(rng.randint(-5, 5))
+        out.append((RationalFunction(p * p) + RationalFunction.constant(shift),
+                    shift + 1))
+    return out
+
+
+def test_planted_shifts_take_one_probe_and_rarely_isolate_a_root(monkeypatch):
+    # work counters on 100 draws of the sos-shift recipe: a sample near the
+    # planted root refutes s + 1, so the search probes about once per
+    # theorem, and a sample below k is the witness on all but a few; a
+    # search that gallops from 1 makes 8.3 probes per theorem there and
+    # isolates roots for every witness
+    probes, witnesses = [], []
+    decide, witness = formallyreal._shift_probe, formallyreal._shift_witness
+
+    def counted_decision(*args):
+        probes.append(args[2])
+        return decide(*args)
+
+    def counted_witness(*args):
+        witnesses.append(args[0])
+        return witness(*args)
+
+    monkeypatch.setattr(formallyreal, "_shift_probe", counted_decision)
+    monkeypatch.setattr(formallyreal, "_shift_witness", counted_witness)
+    rng = seeded(101)
+    drawn = [item for _ in range(10) for item in _sos_shift_shapes(rng)]
+    assert len(drawn) == 100
+    for f, k in drawn:
+        assert theorem_skew_hypothesis(f)["k"] == k
+    assert len(probes) <= 150
+    assert len(witnesses) <= 10
+
+
+def _bounded_evaluations(monkeypatch, limit):
+    """Fail once more than ``limit`` homogeneous evaluations run between
+    resets of the returned counter, so that a witness search that does not
+    stop (say, at a rational root it cannot exclude) fails the test."""
+    calls = [0]
+    value = formallyreal._homogeneous_value
+
+    def counted(*args):
+        calls[0] += 1
+        assert calls[0] <= limit, "the witness search does not stop"
+        return value(*args)
+
+    monkeypatch.setattr(formallyreal, "_homogeneous_value", counted)
+    return calls
+
+
+def _planted_rational_roots(rng):
+    """A product of 2-3 linear factors with roots ``p/q``, ``q <= 7``, some
+    of them squared, times a rootless quadratic or a constant."""
+    f = RationalPolynomial.constant(rng.choice((1, -1, 2, Fraction(-1, 3))))
+    for _ in range(rng.randint(2, 3)):
+        root = Fraction(rng.randint(-7, 7), rng.randint(1, 7))
+        f = f * _linear(root).pow(rng.choice((1, 1, 2)))
+    if rng.random() < 0.5:
+        f = f * _poly(1, rng.randint(-1, 1), rng.randint(1, 3))
+    return RationalFunction(f)
+
+
+def test_witnesses_are_the_least_negative_points_of_the_order(monkeypatch):
+    # the witness of a refuted membership and of the least refuted shift is
+    # the least rational, in (denominator, |x|, + before -) order, where f
+    # is defined and f - k is negative: checked against a walk of that
+    # order on sos-shift shapes, random products and quotients, and planted
+    # rational roots, which the search must make exact to pass them
+    calls = _bounded_evaluations(monkeypatch, 5000)
+    assert is_sos_membership(
+        parse_rational_function("(x-1/3)*(x-1/2)"))["witness"] == Fraction(2, 5)
+    rng = seeded(103)
+    inputs = [f for _ in range(4) for f, _ in _sos_shift_shapes(rng)]
+    while len(inputs) < 100:  # random products and quotients
+        num, den = _random_known_poly(rng)[0], _random_known_poly(rng)[0]
+        if not num.is_zero() and num.degree + den.degree <= 8:
+            inputs.append(RationalFunction(num, den))
+    inputs += [_planted_rational_roots(rng) for _ in range(100)]
+    refuted = 0
+    for f in inputs:
+        calls[0] = 0
+        res = is_sos_membership(f)
+        if not res["member"]:
+            refuted += 1
+            assert _is_least_negative_point(f, 0, res["witness"]), f.text()
+        shifted = theorem_skew_hypothesis(f)
+        assert _is_least_negative_point(f, shifted["k"], shifted["witness"]), f.text()
+    assert refuted >= 100
+
+
+def test_the_sample_witness_is_the_one_root_isolation_finds(monkeypatch):
+    # wherever a sample below k answers, the root-isolating path at the
+    # same k finds the same point: integers come first in the order, and
+    # the samples walk them in it, skipping only poles
+    built = []
+    witness = formallyreal._shift_witness
+
+    def recorded(*args):
+        built.append(args)
+        return witness(*args)
+
+    monkeypatch.setattr(formallyreal, "_shift_witness", recorded)
+    rng = seeded(109)
+    inputs = (_shift_search_inputs(seeded(107))
+              + [f for _ in range(5) for f, _ in _sos_shift_shapes(rng)])
+    calls = _bounded_evaluations(monkeypatch, 5000)
+    answered = 0
+    for f in inputs:
+        del built[:]
+        calls[0] = 0
+        res = theorem_skew_hypothesis(f)
+        if not built:
+            answered += 1
+            assert res["witness"].denominator == 1
+            assert _shift_witness_at(f, res["k"]) == res["witness"]
+    assert answered >= 200
 
 
 def test_the_final_check_in_integers_equals_the_fraction_value():
