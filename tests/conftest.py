@@ -691,3 +691,20 @@ def no_simplex(monkeypatch):
     for function in (exactmath.solve_nonneg_rational, exactmath.lp_feasible,
                      exactmath._phase_one):
         _make_unreachable(monkeypatch, function, f"the simplex ({function.__name__})")
+
+
+@pytest.fixture
+def searches_built(monkeypatch):
+    """The argument tuples of every :class:`CombinationSearch` that a lattice
+    carrier builds during one test, in order."""
+    from monoidorder import monoids
+
+    built = []
+
+    class Counted(monoids.CombinationSearch):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(monoids, "CombinationSearch", Counted)
+    return built

@@ -73,6 +73,44 @@ def test_order_decides_members_with_large_coefficients(tmp_path):
     assert doc["leq_ab"] is True and doc["leq_ba"] is True
 
 
+FIVE = "kind: lattice\ndim: 3\n\n[generators]\n1 0 0\n0 1 0\n0 0 1\n-2 1 -1\n5 4 7\n"
+
+
+@pytest.mark.parametrize("a,b,leq_ab,leq_ba", [
+    ("0,0,0", "153,220,198", True, False),
+    ("400,500,600", "1,1,1", False, True),
+])
+def test_order_on_five_checks_large_members_without_a_search(tmp_path, searches_built,
+                                                              a, b, leq_ab, leq_ba):
+    # both points are covered by FIVE's unit vectors, a unimodular basis, so
+    # each input check is one integer solve; the combination search, in
+    # input order, ran for seconds on the first pair and past 20 s on the
+    # second
+    path = tmp_path / "five.mon"
+    path.write_text(FIVE, encoding="utf-8")
+    code, doc, err = run_json("order", str(path), a, b)
+    assert code == EXIT_PASS, err
+    assert (doc["leq_ab"], doc["leq_ba"], doc["consistent"]) == (leq_ab, leq_ba, True)
+    assert searches_built == []
+
+
+def test_a_strong_refutation_validates_its_witness_without_a_search(tmp_path,
+                                                                   searches_built):
+    # a lattice that is not free, whose strong refutation re-validates a
+    # witness pair with entries in the thousands: each membership check is
+    # covered by a unimodular basis of generators, so no combination search
+    # runs (one did, past 60 s)
+    path = tmp_path / "strong.mon"
+    path.write_text("kind: lattice\ndim: 3\n\n[generators]\n-1 1 1\n-2 -1 2\n-1 2 1\n"
+                    "0 2 1\n-2 0 1\n1 0 0\n\n[tensor]\n0 0 4 32 16\n0 1 -2 -16 -4\n"
+                    "0 2 8 64 34\n1 0 0 -28 -16\n1 1 -16 22 16\n1 2 -8 -52 -28\n"
+                    "2 0 0 96 52\n2 1 -16 -48 -10\n2 2 -8 192 112\n", encoding="utf-8")
+    code, doc, err = run_json("localizable", str(path), "--strong")
+    assert code == EXIT_REFUTED, err
+    assert doc["result"]["verdict"] == "no"
+    assert searches_built == []
+
+
 def test_order_on_finite_instance_uses_element_names():
     code, doc, _ = run_json("order", instance_path("finite-flag.mon"),
                             "o", "t")

@@ -393,7 +393,9 @@ def test_one_hermite_transform_per_combination_search(monkeypatch):
 def test_lattice_membership_runs_no_simplex(monkeypatch):
     # fresh lattices with units whose integer kernel has rank 1, 2 and 3,
     # one with a zero and one with a repeated generator: deciding and
-    # certifying membership makes no rational simplex call
+    # certifying membership makes no rational simplex call.  Most members
+    # are covered by a unimodular basis of generators, which decides them
+    # with no search, so each point is also put to the search directly
     from monoidorder.monoids import LatticeMonoid
     lattices = [
         [(1, 0), (-1, 0), (0, 1)],                      # kernel rank 1
@@ -427,7 +429,9 @@ def test_lattice_membership_runs_no_simplex(monkeypatch):
         units = [gens[i] for i in search.units]
         kernel_ranks.add(len(units) - rational_rank(units))
         for x in itertools.product(range(-3, 4), repeat=m.dim):
-            assert m.contains(x) == (bounded_nonneg_combination(gens, x, 12) is not None)
+            member = bounded_nonneg_combination(gens, x, 12) is not None
+            assert m.contains(x) == member
+            assert (search.find(x) is not None) == member
     assert kernel_ranks == {1, 2, 3}
     assert len(relations) == len(lattices)
     assert lp_calls == []

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
-from monoidorder.exactmath import (CombinationSearch, InputError, RationalCone,
-                                   ResourceBudgetError, solve_nonneg_rational, vadd, vneg, vscale,
+from monoidorder.exactmath import (CombinationSearch, InputError, InternalCheckError,
+                                   RationalCone, ResourceBudgetError, solve_nonneg_rational, vadd, vneg, vscale,
                                    vsub)
 from monoidorder import monoids
 from monoidorder.grothendieck import grothendieck, nabla
@@ -486,12 +486,12 @@ def test_line_membership_matches_the_oracle(values, x):
 
 
 def test_membership_is_memoized_per_distinct_vector(monkeypatch):
-    # a symmetric product on N^2 whose generator products are sums of 5
-    # or 8 generators, past the pool's 3: the closure check searches each
-    # distinct product once, and the product (4, 4) is asked twice.  The
-    # first generator is repeated, so the generators have an integer
-    # relation and membership runs the search (on the free N^2 it is one
-    # integer solve)
+    # a symmetric product on the carrier <2, 3> x <2, 3> of N^2 whose
+    # generator products are past the pool's sums of 3 generators: the
+    # closure check searches each distinct product once, and each mixed
+    # product, such as (16, 16), is asked twice.  No two generators are a
+    # basis of Z^2, so no unimodular basis decides membership and every
+    # product runs the search
     from monoidorder.functionals import verify_theorem_main
     calls = {}
     searches = []  # keep every search alive so that ids are not reused
@@ -505,13 +505,14 @@ def test_membership_is_memoized_per_distinct_vector(monkeypatch):
 
     monkeypatch.setattr(CombinationSearch, "find", counted)
     tensor = (((5, 0), (4, 4)), ((4, 4), (0, 5)))
-    op = BiadditiveOp(LatticeMonoid(2, [(1, 0), (0, 1), (1, 0)]), tensor=tensor)
+    op = BiadditiveOp(LatticeMonoid(2, [(2, 0), (3, 0), (0, 2), (0, 3)]), tensor=tensor)
     verify_theorem_main(op)
     assert calls and max(calls.values()) == 1
-    assert len(calls) == 3
+    assert len(calls) == 9
     m = op.carrier
+    assert m._cache["bases"] == []
     memo = m._cache["contains"]
-    assert len(memo) <= 16
+    assert len(memo) <= 41
     fresh = LatticeMonoid(m.dim, m.generators)
     for x, answer in memo.items():
         assert fresh.contains(x) == answer
@@ -570,29 +571,39 @@ def test_open_cone_pool_keeps_only_members(name, m):
     assert m.element_pool(3) == _bfs_pool(m, 3)
 
 
+def _twos_and_threes(gens):
+    """2g and 3g for every generator g: the same lattice and cone, but no r
+    of them form a basis of the lattice, so membership runs the search."""
+    return [tuple(k * v for v in g) for g in gens for k in (2, 3)]
+
+
 def test_combination_search_nodes_on_the_theorem_sweep():
     # depth-first nodes do not jitter, so they gate the membership search's
     # work.  Sums of generators enter the membership memo as they are
     # built, so the sweeps search only generator products past the pool:
-    # 7 nodes on the diagonal product and none on the matrix product, whose
-    # generator products are generators or 0 (71 and 139 when every pool
-    # element and dominator candidate was searched).  Each carrier repeats
-    # its first generator, so the generators have an integer relation and
-    # membership runs the search (on a free carrier it is one integer solve)
+    # 38 nodes on the diagonal product and none on the matrix product, whose
+    # generator products are generators or sums of two.  Each carrier takes
+    # 2g and 3g for every generator g of N^3 and of the 2x2 matrices, so it
+    # has no unimodular basis and membership runs the search (with one, a
+    # covered member is one integer solve)
     from monoidorder.functionals import verify_theorem_main
     from monoidorder.monoids import diagonal_tensor, matrix_monoid_2x2, matrix_product_tensor
-    gens = list(free_monoid(3).generators)
-    diagonal = BiadditiveOp(LatticeMonoid(3, gens + gens[:1]),
+    diagonal = BiadditiveOp(LatticeMonoid(3, _twos_and_threes(free_monoid(3).generators)),
                             tensor=diagonal_tensor(3, [2, 5, 5]))
-    gens = list(matrix_monoid_2x2().generators)
-    matrix = BiadditiveOp(LatticeMonoid(4, gens + gens[:1]), tensor=matrix_product_tensor())
-    for op, most in ((diagonal, 7), (matrix, 0)):
+    matrix = BiadditiveOp(LatticeMonoid(4, _twos_and_threes(matrix_monoid_2x2().generators)),
+                          tensor=matrix_product_tensor())
+    for op, most in ((diagonal, 38), (matrix, 0)):
         verify_theorem_main(op)
         assert op.carrier.combinations.nodes <= most
     assert diagonal.carrier.combinations.nodes > 0
     # a query that is not built as a sum still runs the search
-    assert matrix.carrier.contains((2, 1, 1, 1))
+    assert matrix.carrier.contains((2, 2, 2, 3))
+    assert not matrix.carrier.contains((2, 1, 1, 1))
     assert matrix.carrier.combinations.nodes > 0
+    fresh = LatticeMonoid(4, matrix.carrier.generators)
+    search = CombinationSearch(fresh.generators, fresh.cone.h_rep)
+    for x, answer in matrix.carrier._cache["contains"].items():
+        assert (search.find(x) is not None) == answer
 
 
 def test_free_carriers_decide_membership_without_the_search(monkeypatch):
@@ -632,6 +643,104 @@ def test_free_membership_agrees_with_the_search(gens, data):
     for x in [member] + data.draw(st.lists(st.tuples(*[st.integers(-6, 6)] * dim),
                                            max_size=8)):
         assert LatticeMonoid(dim, gens).contains(x) == (search.find(x) is not None)
+
+
+FIVE = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-2, 1, -1), (5, 4, 7)]
+
+
+def test_unimodular_membership_does_not_grow_with_the_element(monkeypatch, searches_built):
+    # FIVE's unit vectors are a unimodular basis that covers k * (153, 220,
+    # 198), so each k is one integer solve: no search is built, and no
+    # more than its C(5, 3) = 10 determinants are ever computed.  (The
+    # search, in input order, visits 882,722 nodes at k = 1.)
+    dets = []
+    int_det = monoids.int_det
+    monkeypatch.setattr(monoids, "int_det", lambda rows: dets.append(rows) or int_det(rows))
+    m = LatticeMonoid(3, FIVE)
+    for k in (1, 10, 100):
+        assert m.contains((153 * k, 220 * k, 198 * k))
+        assert m.contains((400 * k, 500 * k, 600 * k))
+    assert searches_built == [] and "combinations" not in m._cache
+    assert 1 <= len(dets) <= 10
+
+
+def test_a_point_off_every_unimodular_basis_reaches_the_search(searches_built):
+    # neither generator of <2, 3> is a basis of Z, so 1 is decided by the
+    # complete search, and 5 = 2 + 3 too
+    m = LatticeMonoid(1, [(2,), (3,)])
+    assert not m.contains((1,))
+    assert len(searches_built) == 1
+    assert m.contains((5,)) and not m.contains((-2,))
+    assert m._cache["bases"] == [] and len(searches_built) == 1
+
+
+def test_searches_built_on_an_order_fresh_corpus(searches_built):
+    # carriers shaped like the order-fresh benchmark's (dimension 2 or 3,
+    # entries -1..1, full rank, 3 to 5 nonzero generators), each asked about
+    # four sums of generators with coefficients 0..2: only the members that
+    # no unimodular basis covers build a search, on 15 carriers.  When
+    # membership ran the search on every non-free carrier, the same corpus
+    # built 109, one per non-free carrier
+    rng = seeded(40)
+    carriers = 0
+    while carriers < 120:
+        dim = rng.choice((2, 3))
+        gens = [tuple(rng.randint(-1, 1) for _ in range(dim)) for _ in range(rng.randint(3, 5))]
+        m = LatticeMonoid(dim, gens)
+        if not all(any(g) for g in gens) or len(m.lattice.basis) != dim:
+            continue
+        carriers += 1
+        for _ in range(4):
+            c = [rng.randint(0, 2) for _ in gens]
+            assert m.contains(tuple(sum(ci * g[j] for ci, g in zip(c, gens))
+                                    for j in range(dim)))
+    assert len(searches_built) == 15
+
+
+def test_unimodular_membership_agrees_with_the_search():
+    # 20,000 queries on 1,000 drawn carriers of dimension at most 4 with at
+    # most 6 generators, entries -3..3, some with a zero or a repeated
+    # generator, pointed or not: half the queries are sums of generators,
+    # half are drawn points, and membership equals the reference search
+    rng = seeded(20261019)
+    seen, queries, members = set(), 0, 0
+    while queries < 20000:
+        d, n = rng.randint(1, 4), rng.randint(1, 6)
+        gens = [tuple(rng.randint(-3, 3) for _ in range(d)) for _ in range(n)]
+        if n > 1 and rng.random() < 0.2:
+            gens[-1] = rng.choice(gens[:-1])
+        if rng.random() < 0.2:
+            gens[0] = (0,) * d
+        if not any(any(g) for g in gens):
+            continue
+        m = LatticeMonoid(d, gens)
+        reference = CombinationSearch(gens, m.cone.h_rep)
+        seen.add("pointed" if m.cone.is_pointed() else "not pointed")
+        seen.update({"zero"} if (0,) * d in gens else set())
+        seen.update({"repeat"} if len(set(gens)) < n else set())
+        for _ in range(20):
+            if rng.random() < 0.5:
+                c = [rng.randint(0, 2) for _ in gens]
+                x = tuple(sum(ci * g[j] for ci, g in zip(c, gens)) for j in range(d))
+            else:
+                x = tuple(rng.randint(-4, 4) for _ in range(d))
+            answer = m.contains(x)
+            assert answer == (reference.find(x) is not None), (gens, x)
+            members += answer
+            queries += 1
+    assert seen == {"pointed", "not pointed", "zero", "repeat"}
+    assert 0 < members < queries
+
+
+def test_a_corrupt_adjugate_column_is_caught():
+    # the coefficients read off a unimodular basis are re-substituted
+    # before a True answer: a planted wrong column raises
+    m = free_monoid(2)
+    assert m.contains((1, 2))
+    [(subset, columns)] = m._cache["bases"]
+    m._cache["bases"][0] = (subset, ((1, 1),) + columns[1:])
+    with pytest.raises(InternalCheckError, match="unimodular basis certificate"):
+        m.contains((1, 1))
 
 
 # ---------------------------------------------------------------------------
