@@ -471,10 +471,10 @@ def _sample_pool(m) -> list:
     return m.element_pool(3)
 
 
-def _pool_products(m, pool: list, ray_product) -> list[list]:
+def _pool_products(m, pool: list, products: dict) -> list[list]:
     """``table[i][j] == mu(pool[i], pool[j])`` on a vector carrier, built by
-    additivity (see :func:`verify_theorem_main`) from ``ray_product``, the
-    product of two rays.  The row of a ray sum ``y + r``
+    additivity (see :func:`verify_theorem_main`) from ``products``, the
+    operation's ``ray_products``.  The row of a ray sum ``y + r``
     (``m.ray_sum_parent``) is the row of y plus the row of the ray r, and
     the row of a ray is built alike in the right slot.  A parent need not
     be a pool element (on an open cone it may lie on an excluded face), so
@@ -495,7 +495,6 @@ def _pool_products(m, pool: list, ray_product) -> list[list]:
         return f
 
     rays = list(dict.fromkeys(m.rays))
-    products = {(r, s): ray_product(r, s) for r in rays for s in rays}
     ray_rows = {}
     for r in rays:
         right = by_parents(zero, lambda s, r=r: products[r, s],
@@ -560,10 +559,10 @@ def verify_theorem_main(op: BiadditiveOp,
     by biadditivity so is every product of members: with ``x = sum a_i g_i``
     and ``y = sum b_j g_j``, ``mu(x, y) = sum a_i b_j mu(g_i, g_j)`` is a
     sum of members.  So once that closure holds, no product needs
-    ``check_element``.  Closure is decided first, by ``contains`` on the
-    generator products (the generators are pool elements).  A finite
-    carrier is closed: every entry of the operation's table is an element.
-    Every product on an open-cone carrier keeps the check.
+    ``check_element``.  Closure is decided first, by ``contains`` on
+    ``op.ray_products``, the generator products.  A finite carrier is
+    closed: every entry of the operation's table is an element.  Every
+    product on an open-cone carrier keeps the check.
 
     The generator proof, one law at a time.  On a lattice monoid with
     closure, each law is decided exactly on the generators: commutativity
@@ -603,13 +602,13 @@ def verify_theorem_main(op: BiadditiveOp,
     carrier it is built by additivity (:func:`_pool_products`): every pool
     element ``x != 0`` is a ray sum ``y + r`` with y one ray shorter, and
     ``mu`` is a tensor, so ``mu(y + r, b) == mu(y, b) + mu(r, b)`` and
-    ``mu(0, b) == 0`` exactly; the right slot alike.  ``op.mu`` runs on
-    ray pairs only, which on a lattice monoid are the generator pairs that
-    deciding closure has already multiplied.  Pools and tensors are
-    integer, so each entry has the value and the type (``int``) that
-    ``op.mu`` gives.  The
-    pair sweep (:func:`_commutativity_sweep`) compares ``table[i][j]``
-    with ``table[j][i]``.  The triple sweep interns each element once to
+    ``mu(0, b) == 0`` exactly; the right slot alike.  The products of two
+    rays are read off ``op.ray_products``, which also seeds the memo of
+    the generator proof and the triple sweep, so ``op.mu`` runs on no ray
+    pair.  Pools and tensors are integer, so each entry has the value and
+    the type (``int``) that ``op.mu`` gives.  The pair sweep
+    (:func:`_commutativity_sweep`) compares ``table[i][j]`` with
+    ``table[j][i]``.  The triple sweep interns each element once to
     an int index, so exact equality is equality of indices; its memo of
     products per left operand starts from the table, beyond which
     ``op.mu`` runs once per distinct pair of indices, a product not seen
@@ -620,10 +619,10 @@ def verify_theorem_main(op: BiadditiveOp,
     checked at its first comparison.
 
     The pairs are swept before the triples, each in pool order.  Since
-    ``op.mu`` is pure, a tensor adds exactly and deciding closure refuses
-    no element, the report and the first error raised (say, a product
-    outside the carrier) are those of a plain sweep that calls ``op.mu``
-    and ``approx`` on every pair and triple.
+    ``op.mu`` is pure and ``op.ray_products`` holds its values, a tensor
+    adds exactly and closure refuses no element, the report and the first
+    error raised (say, a product outside the carrier) are those of a plain
+    sweep that calls ``op.mu`` and ``approx`` on every pair and triple.
     """
     m = op.carrier
     if weak is None:
@@ -655,11 +654,12 @@ def verify_theorem_main(op: BiadditiveOp,
     if isinstance(m, FiniteMonoid):
         gens = [index[0]] + [index[g] for g in m.generators()]
         closed = True
-    elif isinstance(m, LatticeMonoid):
-        gens = list(dict.fromkeys(index[g] for g in m.generators))
-        closed = all(m.contains(keys[mul(g, h)]) for g in gens for h in gens)
     else:
-        gens, closed = [], False
+        products = op.ray_products
+        for (r, s), p in products.items():
+            rows[intern(r)][intern(s)] = intern(p)
+        closed = isinstance(m, LatticeMonoid) and all(map(m.contains, products.values()))
+        gens = list(dict.fromkeys(index[g] for g in m.generators)) if closed else []
 
     # the elements known to be members, None when closure makes every
     # product one; each element's class key, by value
@@ -702,7 +702,7 @@ def verify_theorem_main(op: BiadditiveOp,
     elif isinstance(m, FiniteMonoid):
         table = op.table
     else:
-        table = _pool_products(m, pool, lambda r, s: keys[mul(intern(r), intern(s))])
+        table = _pool_products(m, pool, op.ray_products)
     comm_fail, comm_exact_fail = (
         ([], 0) if commutes
         else _commutativity_sweep(m, pool, table, members, class_key))

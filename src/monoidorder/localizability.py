@@ -9,10 +9,11 @@ and *strongly localizable* when every element is localizable.
 On a finite carrier every element is localizable: its canonical
 quasi-order is total (see :mod:`monoids`).  On lattice and open-cone
 carriers one element is decided in exact convex geometry by
-``_vector_left``, and the bulk notions are read off one table of products
-of the extreme rays of the closed cone modulo its lineality space, built
-once per operation closed on the cone (the ray lemma of
-:func:`_polyhedral_ray_table`): s is localizable iff no bad ray lies in
+``_vector_left``, and the bulk notions are read off ``op.ray_products``,
+the products of two rays that the operation builds once: the facet
+normals' signs on them decide closure on the closed cone, and their zero
+sets on the extreme rays modulo the lineality space give the ray lemma of
+:func:`_polyhedral_ray_table`.  s is localizable iff no bad ray lies in
 its face, so the first bad ray refutes weak and strong localizability,
 and with no bad ray every element is localizable.  With excluded faces
 and a lineality space a damping map must also be injective on that
@@ -190,15 +191,15 @@ def _vector_left(op, s, side, kind) -> LocalizabilityVerdict:
        perturbed until the image is strictly inside.
 
     No face of C needs a check of its own.  ``validate`` checks every
-    product of ``v_rep`` rays, lineality in both signs, so
-    ``mu(C, C) ⊆ C`` and hence ``L_s(C) ⊆ C``; with step 3 passed,
-    ``L_s^-1(C) = C``.  With open normals step 2 makes ``L_s`` injective
-    on the span, so ``L_s(C) = C`` and ``L_s`` maps faces onto faces.
-    For a face F and an x in its relative interior, ``L_s(x) = x +
-    mu(s, x)`` lies in the face ``L_s(F)`` and ``mu(s, x)`` lies in C, so
-    x lies in that face too: ``F ⊆ L_s(F)``, and as the dimensions are
-    equal, ``L_s(F) = F``.  So no direction of an excluded face maps
-    strictly inside.
+    product in ``op.ray_products``, whose rays (on an open cone ``v_rep``,
+    lineality in both signs) generate C, so ``mu(C, C) ⊆ C`` and hence
+    ``L_s(C) ⊆ C``; with step 3 passed, ``L_s^-1(C) = C``.  With open
+    normals step 2 makes ``L_s`` injective on the span, so ``L_s(C) = C``
+    and ``L_s`` maps faces onto faces.  For a face F and an x in its
+    relative interior, ``L_s(x) = x + mu(s, x)`` lies in the face
+    ``L_s(F)`` and ``mu(s, x)`` lies in C, so x lies in that face too:
+    ``F ⊆ L_s(F)``, and as the dimensions are equal, ``L_s(F) = F``.  So
+    no direction of an excluded face maps strictly inside.
     """
     m = op.carrier
     basis = _nonzero_span(m)
@@ -497,12 +498,12 @@ def _polyhedral_ray_table(op: BiadditiveOp) -> Optional[RayTable]:
     *Theory of Linear and Integer Programming*, ch. 8), so L by the rays
     of ``m.rays`` in it, and each extreme ray of the pointed ``C/L`` by the
     rays off L whose zero set is maximal among theirs.  The table keeps the
-    first ray ``r_i`` of each such zero set; with the rays in L they
-    generate C, so the operation is closed on C iff their products lie
-    in C.  Row j of ray i holds j and each k with ``r_k`` in ``F(mu(r_i,
-    r_j))``: ray i is *left-bad* if some row has two entries, that is, some
-    ``mu(r_i, r_j)`` is not ``c r_j + l`` with ``c >= 0``, l in L;
-    *right-bad* alike with ``mu(r_j, r_i)``.
+    first ray ``r_i`` of each such zero set.  All of ``m.rays`` generate C,
+    so the operation is closed on C iff every product in
+    ``op.ray_products`` lies in C.  Row j of ray i holds j and each k with
+    ``r_k`` in ``F(mu(r_i, r_j))``: ray i is *left-bad* if some row has two
+    entries, that is, some ``mu(r_i, r_j)`` is not ``c r_j + l`` with
+    ``c >= 0``, l in L; *right-bad* alike with ``mu(r_j, r_i)``.
 
     **Lemma.**  s is left localizable iff no left-bad ray lies in F(s)
     and, where C has excluded faces and ``L != 0``, ``L_s`` is injective on
@@ -542,44 +543,37 @@ def _polyhedral_ray_table(op: BiadditiveOp) -> Optional[RayTable]:
     _nonzero_span(m)
     normals = m.cone.h_rep
     full = (1 << len(normals)) - 1
-    firsts, lineality = {}, []  # zero set -> its first ray off L; the rays in L
+    firsts = {}  # zero set -> its first ray
     for g in m.rays:
-        z = _zero_set(normals, g)
-        if z != full:
-            firsts.setdefault(z, g)
-        elif any(g):
-            lineality.append(g)
+        firsts.setdefault(_zero_set(normals, g), g)
+    # the first ray in L, where every normal vanishes; an open cone's rays
+    # are nonzero, so there it is None iff L = 0
+    in_lineality = firsts.pop(full, None)
     # a dict keeps the order of insertion, so the rays are in m.rays order
     zero_sets = [z for z in firsts if not any(z | y == y != z for y in firsts)]
     rays = [firsts[z] for z in zero_sets]
-    n = len(rays)
-    # each product of two generators is summed off the tensor over the
-    # pairs of nonzero coordinates, as the f-ring verdict reads the
-    # tensor, so the table makes no op.mu call; prods[i][j] = Z(mu(r_i, r_j))
-    supports = [[(a, x) for a, x in enumerate(r) if x] for r in rays + lineality]
-    prods, weights = [[None] * n for _ in rays], []
-    for i, si in enumerate(supports):
-        for j, sj in enumerate(supports):
-            p = reduce(vadd, [vscale(x * y, op.tensor[a][b]) for a, x in si for b, y in sj])
-            z = 0
-            for k, h in enumerate(normals):
-                v = vdot(h, p)
-                if v < 0:
-                    return None
-                if not v:
-                    z |= 1 << k
-            if i < n and j < n:
-                prods[i][j] = z
-                if i == j:
-                    h = next(h for h in normals if vdot(h, rays[i]))
-                    weights.append(Fraction(vdot(h, p), vdot(h, rays[i])))
+    # the rays of m.rays generate C, so the operation is closed on C iff
+    # no normal is negative on a product of op.ray_products; the signs and
+    # the zero sets are taken in one pass, faces[r, s] = Z(mu(r, s))
+    faces = {}
+    for pair, p in op.ray_products.items():
+        z = 0
+        for k, h in enumerate(normals):
+            v = vdot(h, p)
+            if v < 0:
+                return None
+            if not v:
+                z |= 1 << k
+        faces[pair] = z
     # row j has one entry iff the product lies in L or on r_j's own face:
     # else its face holds another extreme ray.  The obstruction is the
     # first row with two entries of the first bad ray, the left side first
-    bad, obstruction = ([], []), None
-    for i in range(n):
+    bad, obstruction, weights = ([], []), None, []
+    for i, r in enumerate(rays):
+        h = next(h for h in normals if vdot(h, r))
+        weights.append(Fraction(vdot(h, op.ray_products[r, r]), vdot(h, r)))
         for indices, side in zip(bad, ("left", "right")):
-            row = [prods[i][j] if side == "left" else prods[j][i] for j in range(n)]
+            row = [faces[(r, s) if side == "left" else (s, r)] for s in rays]
             j = next((j for j, z in enumerate(row) if z not in (full, zero_sets[j])), None)
             if j is None:
                 continue
@@ -587,10 +581,10 @@ def _polyhedral_ray_table(op: BiadditiveOp) -> Optional[RayTable]:
             if obstruction is None:
                 columns = sorted({j}.union(
                     k for k, zk in enumerate(zero_sets) if row[j] | zk == zk))
-                e = reduce(vadd, _lifted(m, rays, rays[i]), rays[i])
+                e = reduce(vadd, _lifted(m, rays, r), r)
                 obstruction = {"element": list(e), "side": side,
                                "row": j, "positive_columns": columns}
-    decisive = not (m.open_normals and lineality)
+    decisive = not (m.open_normals and in_lineality is not None)
     return RayTable(rays, zero_sets, weights, bad, obstruction, decisive)
 
 

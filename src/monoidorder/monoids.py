@@ -669,9 +669,13 @@ class BiadditiveOp:
         if len(a) != d or len(b) != d:
             raise InputError(f"operands of lengths {len(a)} and {len(b)} "
                              f"in dimension {d}")
-        # only entries whose factors are both nonzero are added, so an
-        # untouched coordinate stays the int 0 whatever the operand types
-        out = [0] * d
+        return self._product(a, b)
+
+    def _product(self, a, b) -> tuple:
+        # mu(a, b) on a vector carrier: only entries whose factors are both
+        # nonzero are added, so an untouched coordinate stays the int 0
+        # whatever the operand types
+        out = [0] * self.carrier.dim
         for i, j, k, t in self._entries:
             x = a[i]
             if x:
@@ -680,16 +684,25 @@ class BiadditiveOp:
                     out[k] += x * y * t
         return tuple(out)
 
+    @property
+    def ray_products(self) -> dict:
+        """``{(r, s): mu(r, s)}`` over the distinct ``carrier.rays``, built
+        once: the one place a product of two rays is formed."""
+        if "ray_products" not in self._cache:
+            rays = list(dict.fromkeys(self.carrier.rays))
+            self._cache["ray_products"] = {(r, s): self._product(r, s)
+                                           for r in rays for s in rays}
+        return self._cache["ray_products"]
+
     # -- validation --------------------------------------------------------
 
     def validate(self) -> list:
         """The failures of the operation's laws on the carrier, empty when
         it is biadditive and closed: both distributive laws on every finite
-        triple, generator products of a lattice, ray products of an open
-        cone (biadditivity is structural for a tensor).  The n^3 triples
-        are swept only to list the failures once :func:`_distributive`
-        finds one with the generators and 0 in the added-to slot.
-        """
+        triple, and on a lattice or an open cone the :attr:`ray_products`
+        (biadditivity is structural for a tensor).  The n^3 triples are
+        swept only to list the failures once :func:`_distributive` finds
+        one with the generators and 0 in the added-to slot."""
         m = self.carrier
         failures = []
         if isinstance(m, FiniteMonoid):
@@ -707,16 +720,14 @@ class BiadditiveOp:
         elif isinstance(m, LatticeMonoid):
             for i, g in enumerate(m.generators):
                 for j, h in enumerate(m.generators):
-                    prod = self.mu(g, h)
+                    prod = self.ray_products[g, h]
                     if not m.contains(prod):
                         failures.append(("generator-product-outside", i, j, list(prod)))
         else:
-            for a in m.cone.v_rep:
-                for b in m.cone.v_rep:
-                    prod = self.mu(a, b)
-                    if not m.cone.member(prod):
-                        failures.append(("ray-product-outside-closure",
-                                         list(a), list(b), list(prod)))
+            for (a, b), prod in self.ray_products.items():
+                if not m.cone.member(prod):
+                    failures.append(("ray-product-outside-closure",
+                                     list(a), list(b), list(prod)))
         return failures
 
 

@@ -708,3 +708,23 @@ def searches_built(monkeypatch):
 
     monkeypatch.setattr(monoids, "CombinationSearch", Counted)
     return built
+
+
+@pytest.fixture
+def mu_calls(monkeypatch):
+    """The ``(op, a, b)`` of every :meth:`BiadditiveOp.mu` call during one
+    test, in order; :func:`calls_of` keeps those of one operation."""
+    calls = []
+    mu = BiadditiveOp.mu
+
+    def counted(self, a, b):
+        calls.append((self, a, b))
+        return mu(self, a, b)
+
+    monkeypatch.setattr(BiadditiveOp, "mu", counted)
+    return calls
+
+
+def calls_of(mu_calls, op) -> list:
+    """The operand pairs of the ``mu_calls`` made on ``op``."""
+    return [(a, b) for o, a, b in mu_calls if o is op]

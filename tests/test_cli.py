@@ -9,6 +9,7 @@ timestamps) on stdout, and diagnostics go to stderr.
 
 import io
 import json
+import pathlib
 import subprocess
 import sys
 import time
@@ -31,7 +32,7 @@ from monoidorder.latticeorder import (fring_strong_localizability,
 from monoidorder.monoids import BiadditiveOp, leq
 from monoidorder.reports import render_report
 
-from conftest import instance_path
+from conftest import INSTANCE_DIR, instance_path
 
 
 def run_cli(*argv):
@@ -173,41 +174,35 @@ def test_localizable_weak_verdicts():
     assert doc["certificate"]["assignments"]
 
 
-def _count_weak_refutation_work(monkeypatch, module):
+def _count_weak_refutation_work(monkeypatch, mu_calls, module):
     """Count, from here on, the ``_vector_left`` calls anywhere and the
-    ``BiadditiveOp.mu`` calls inside the weak searches that ``module`` runs."""
+    ``mu_calls`` made inside the weak searches that ``module`` runs."""
     calls = {"_vector_left": 0, "mu": 0}
-    inside = []
-    vector_left, mu = localizability._vector_left, BiadditiveOp.mu
+    vector_left = localizability._vector_left
     weak = localizability.is_weakly_localizable
 
     def counted_vector_left(*args):
         calls["_vector_left"] += 1
         return vector_left(*args)
 
-    def counted_mu(self, a, b):
-        calls["mu"] += bool(inside)
-        return mu(self, a, b)
-
     def counted_weak(*args, **kwargs):
-        inside.append(1)
+        before = len(mu_calls)
         try:
             return weak(*args, **kwargs)
         finally:
-            inside.pop()
+            calls["mu"] += len(mu_calls) - before
 
     monkeypatch.setattr(localizability, "_vector_left", counted_vector_left)
-    monkeypatch.setattr(BiadditiveOp, "mu", counted_mu)
     monkeypatch.setattr(module, "is_weakly_localizable", counted_weak)
     return calls
 
 
-def test_weak_refutation_builds_no_dominator_candidates(monkeypatch):
+def test_weak_refutation_builds_no_dominator_candidates(monkeypatch, mu_calls):
     # the first bad ray of the ray-product table refutes the matrix product,
     # so a large budget costs nothing: no damped map runs, and the table
-    # reads its r^2 ray products (span rank r = 4) off the tensor, so no
-    # op.mu call is made (at most r^2 would be allowed)
-    calls = _count_weak_refutation_work(monkeypatch, cli)
+    # reads its r^2 ray products (span rank r = 4) off op.ray_products, so
+    # no op.mu call is made (at most r^2 would be allowed)
+    calls = _count_weak_refutation_work(monkeypatch, mu_calls, cli)
     code, doc, _ = run_json("--budget", "64", "localizable",
                             instance_path("matrix-2x2.mon"), "--weak")
     assert code == EXIT_REFUTED
@@ -218,19 +213,19 @@ def test_weak_refutation_builds_no_dominator_candidates(monkeypatch):
     assert doc["certificate"]["budget"] == 64
     assert dict(doc["certificate"], budget=8) == small["certificate"]
     # the almost-f-ring operation on the integer orthant, of rank 3
-    calls = _count_weak_refutation_work(monkeypatch, latticeorder)
+    calls = _count_weak_refutation_work(monkeypatch, mu_calls, latticeorder)
     result = latticeorder.almost_fring_counterexample()
     assert result["weak_localizability"]["refuted"] == (1, 0, 0)
     assert calls == {"_vector_left": 0, "mu": 0}
 
 
-def test_the_half_plane_is_strongly_localizable_at_every_budget(monkeypatch):
+def test_the_half_plane_is_strongly_localizable_at_every_budget(monkeypatch, mu_calls):
     # the open half-plane's one extreme ray (1, 0) is not bad, and on its
     # lineality line mu((x, y), (0, 1)) = x (0, 1) and mu((0, 1), x) = 0, so
     # every damping map keeps that line with a factor of at least 1: a
     # structural "yes" whatever the budget, with no damped map built.  The
     # matrix product is refuted off its ray table whatever the budget
-    calls = _count_weak_refutation_work(monkeypatch, cli)
+    calls = _count_weak_refutation_work(monkeypatch, mu_calls, cli)
     for budget in ("0", "2", "8"):
         code, doc, _ = run_json("--budget", budget, "localizable",
                                 instance_path("half-open-half-plane.mon"), "--strong")
@@ -456,47 +451,92 @@ def test_verify_fring_report_equals_direct_calls(name):
     assert (code, out) == (expected_code, render_report(expected))
 
 
-def _count_f_ring_work(monkeypatch):
-    """Count f-ring verdicts and ``BiadditiveOp.mu`` products."""
-    calls = {"verdicts": 0, "mu": 0}
-    verdict, mu = latticeorder.is_extended_f_ring, BiadditiveOp.mu
+def test_verify_fring_decides_once_and_the_verdict_makes_no_products(
+        monkeypatch, mu_calls):
+    # work counters do not jitter: the verdict reads the tensor, so on a
+    # diagonal one it computes no product
+    verdicts = []
+    verdict = latticeorder.is_extended_f_ring
 
     def counted_verdict(*args, **kwargs):
-        calls["verdicts"] += 1
+        verdicts.append(args)
         return verdict(*args, **kwargs)
-
-    def counted_mu(self, a, b):
-        calls["mu"] += 1
-        return mu(self, a, b)
 
     monkeypatch.setattr(latticeorder, "is_extended_f_ring", counted_verdict)
     # also where the command module may hold its own reference
     monkeypatch.setattr(cli, "is_extended_f_ring", counted_verdict,
                         raising=False)
-    monkeypatch.setattr(BiadditiveOp, "mu", counted_mu)
-    return calls
-
-
-def test_verify_fring_decides_once_and_the_verdict_makes_no_products(
-        monkeypatch):
-    # work counters do not jitter: the verdict reads the tensor, so on a
-    # diagonal one it computes no product
-    calls = _count_f_ring_work(monkeypatch)
     path = instance_path("fring-elementwise-3.mon")
     code, _, _ = run_cli("verify", path, "--fring")
     assert code == EXIT_PASS
-    assert calls["verdicts"] == 1
+    assert len(verdicts) == 1
     op = load_instance(path).op
-    calls["mu"] = 0
+    mu_calls.clear()
     assert latticeorder.is_extended_f_ring(op)["verdict"] == "yes"
-    assert calls["mu"] == 0
+    assert mu_calls == []
 
 
-def test_reproduce_almost_fring_memoizes_products(monkeypatch):
-    calls = _count_f_ring_work(monkeypatch)
+def test_reproduce_almost_fring_memoizes_products(mu_calls):
     code, _, _ = run_cli("reproduce", "almost-fring")
     assert code == EXIT_PASS
-    assert calls["mu"] <= 1000
+    assert len(mu_calls) <= 1000
+
+
+# op.mu calls through cli.main, load included, of (verify --main,
+# localizable --weak, localizable --strong) on each shipped instance with a
+# vector operation.  Every product of two rays is read off op.ray_products,
+# so the calls left are per-element decisions and witness re-validation;
+# when validation, the ray lemma and verify --main each built ray products
+# their own way the counts were almost-fring (9, 9, 15), free-monoid-2 (12,
+# 4, 4), free-monoid-3 and fring-elementwise-3 (24, 9, 9), fring-weighted-2
+# (20, 4, 4), half-open-half-plane (322, 13, 13) and matrix-2x2 (16, 16, 23)
+MU_CALLS = {
+    "almost-fring.mon": (0, 0, 6),
+    "free-monoid-2.mon": (4, 0, 0),
+    "free-monoid-3.mon": (6, 0, 0),
+    "fring-elementwise-3.mon": (6, 0, 0),
+    "fring-weighted-2.mon": (12, 0, 0),
+    "half-open-half-plane.mon": (304, 4, 4),
+    "matrix-2x2.mon": (0, 0, 7),
+}
+
+
+def test_mu_calls_cover_every_shipped_vector_operation():
+    vector = set()
+    for path in sorted(pathlib.Path(INSTANCE_DIR).glob("*.mon")):
+        op = load_instance(str(path)).op
+        if op is not None and op.tensor is not None:
+            vector.add(path.name)
+    assert vector == set(MU_CALLS)
+
+
+@pytest.mark.parametrize("name", sorted(MU_CALLS))
+def test_commands_make_at_most_their_counted_mu_calls(name, mu_calls):
+    path = instance_path(name)
+    counts = []
+    for argv in (("verify", path, "--main"), ("localizable", path, "--weak"),
+                 ("localizable", path, "--strong")):
+        mu_calls.clear()
+        run_cli(*argv)
+        counts.append(len(mu_calls))
+    assert all(c <= bound for c, bound in zip(counts, MU_CALLS[name])), counts
+
+
+@pytest.mark.parametrize("name,rays", [("matrix-2x2.mon", 4), ("free-monoid-3.mon", 3),
+                                       ("half-open-half-plane.mon", 3)])
+def test_ray_products_are_built_once_per_operation(name, rays, monkeypatch, mu_calls):
+    # load, the weak and strong verdicts and verify_theorem_main on one
+    # loaded operation form (distinct rays)^2 products outside op.mu: the
+    # table that validation builds, which every later reader shares
+    products = []
+    product = BiadditiveOp._product
+    monkeypatch.setattr(BiadditiveOp, "_product",
+                        lambda self, a, b: products.append((a, b)) or product(self, a, b))
+    op = load_instance(instance_path(name)).op
+    localizability.is_weakly_localizable(op)
+    localizability.is_strongly_localizable(op)
+    functionals.verify_theorem_main(op)
+    assert len(products) - len(mu_calls) == rays ** 2
 
 
 def test_rational_fring_is_strongly_localizable_by_structure(tmp_path):
@@ -1223,7 +1263,8 @@ def _refuted_weak(source, generators, budget, element, row, columns):
 
 
 @pytest.mark.parametrize("budget", ["0", "1", "8", "16"])
-def test_five_t_is_refuted_at_every_budget_with_no_damped_map(tmp_path, monkeypatch, budget):
+def test_five_t_is_refuted_at_every_budget_with_no_damped_map(tmp_path, monkeypatch, mu_calls,
+                                                             budget):
     # FIVE_T's extreme rays are (1, 0, 0), (0, 1, 0), (0, 0, 1) and
     # (-1, 2, 6), in generator order; (4, 5, 0) is no extreme ray.  All but
     # (1, 0, 0) are bad on both sides, so the ray table refutes the first
@@ -1232,7 +1273,7 @@ def test_five_t_is_refuted_at_every_budget_with_no_damped_map(tmp_path, monkeypa
     # (exit 2) at every budget, with no damped map built
     path = tmp_path / "five.mon"
     path.write_text(FIVE_GENERATORS, encoding="utf-8")
-    calls = _count_weak_refutation_work(monkeypatch, cli)
+    calls = _count_weak_refutation_work(monkeypatch, mu_calls, cli)
     code, doc, _ = run_json("--budget", budget, "localizable", str(path), "--weak")
     _, weak = _refuted_weak(str(path), FIVE_GENERATOR_LIST, int(budget),
                             [0, 1, 0], 1, [0, 1, 2, 3])

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 from typing import Optional, Sequence
 
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from monoidorder.exactmath import (InputError, InternalCheckError, RationalCone,
@@ -29,7 +29,7 @@ from monoidorder.monoids import (BiadditiveOp, FiniteMonoid, LatticeMonoid,
                                  saturating_product_op, truncated_free_monoid)
 from monoidorder.monoids import matrix_product_op as matrix_monoid_product_op
 
-from conftest import (instance_path, monogenic_table, opposite_op, product_table,
+from conftest import (calls_of, instance_path, monogenic_table, opposite_op, product_table,
                       rational_rank, weakly_localizable_ops)
 
 
@@ -621,17 +621,13 @@ def test_sweep_raises_the_first_error_of_a_plain_sweep():
     assert "is outside the open cone" in str(caught.value)
 
 
-def test_sweep_evaluates_each_distinct_product_and_comparison_once(monkeypatch):
+def test_sweep_evaluates_each_distinct_product_and_comparison_once(monkeypatch, mu_calls):
     # work counters do not jitter, so they guard the sweep's cost where
     # wall time cannot
     op = matrix_monoid_product_op()
     m = op.carrier
-    calls = {"mu": 0, "approx": 0, "class_key": 0}
-    mu, compare, class_key = op.mu, m.approx, m.class_key
-
-    def counted_mu(a, b):
-        calls["mu"] += 1
-        return mu(a, b)
+    calls = {"approx": 0, "class_key": 0}
+    compare, class_key = m.approx, m.class_key
 
     def counted_approx(a, b):
         calls["approx"] += 1
@@ -641,7 +637,6 @@ def test_sweep_evaluates_each_distinct_product_and_comparison_once(monkeypatch):
         calls["class_key"] += 1
         return class_key(x)
 
-    monkeypatch.setattr(op, "mu", counted_mu)
     monkeypatch.setattr(m, "approx", counted_approx)
     monkeypatch.setattr(m, "class_key", counted_class_key)
     report = verify_theorem_main(op)
@@ -651,7 +646,7 @@ def test_sweep_evaluates_each_distinct_product_and_comparison_once(monkeypatch):
     # generator products the closure proof already made: 24 products in
     # all, at most g^2 + 2 g^3 = 144 (1,225 when the sweep multiplied each
     # pool pair, 8,435 when both laws were swept)
-    assert calls["mu"] <= 24
+    assert len(calls_of(mu_calls, op)) <= 24
     assert calls["approx"] == 0
     # the cone has no lineality space, so approx is equality on the span
     # and a failure needs no class key (138 when each compared class was read)
@@ -733,17 +728,15 @@ def unit_direction_op():
     return BiadditiveOp(LatticeMonoid(2, [(1, 0), (0, 1), (-1, 0)]), tensor=t)
 
 
-@settings(max_examples=80)
+@settings(max_examples=80, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(lattice_tensor_ops())
 @example(unit_direction_op())
 @example(matrix_product_op())
 @example(BiadditiveOp(free_monoid(3), tensor=almost_fring_tensor()))
-def test_generator_proof_matches_the_pool_sweep(op):
+def test_generator_proof_matches_the_pool_sweep(mu_calls, op):
     # with a stub certificate the weak search, which could raise first, is
     # skipped; the report, or the first error, is that of a plain sweep
-    calls = []
-    mu = op.mu
-    op.mu = lambda a, b: calls.append((a, b)) or mu(a, b)
+    mu_calls.clear()
     try:
         report = verify_theorem_main(op, weak=UNCERTIFIED)
     except InputError as caught:
@@ -757,10 +750,10 @@ def test_generator_proof_matches_the_pool_sweep(op):
     # elements, and its proof decided its report
     g = len(op.carrier.generators)
     if report["associativity"]["exact_equality_failures"] == 0:
-        # no pool triple is swept: the g^2 generator pairs and at most a
-        # left and a right product per generator triple; the pair sweep's
-        # table multiplies only rays, the generator pairs again
-        assert len(calls) <= g * g + 2 * g ** 3
+        # no pool triple is swept: at most a left and a right product per
+        # generator triple, as the generator pairs and the pair sweep's
+        # table are read off op.ray_products
+        assert len(calls_of(mu_calls, op)) <= g * g + 2 * g ** 3
     assert _sweep_parts(report) == _unmemoized_sweep(op)
 
 
@@ -833,8 +826,8 @@ def test_product_table_matches_the_pool_sweep(op):
 def test_reported_products_are_those_of_op_mu():
     # every product the sweep reports has the value and the type that
     # op.mu gives, so the rendered bytes do not depend on how the table
-    # was built; the half-plane lists no failure, so its whole table is
-    # compared
+    # was built; the half-plane lists no failure, so its whole table,
+    # built from op.ray_products, is compared with op.mu on every pool pair
     op = matrix_monoid_product_op()
     failures = verify_theorem_main(op)["commutativity"]["failures"]
     assert len(failures) == 976
@@ -845,36 +838,28 @@ def test_reported_products_are_those_of_op_mu():
             assert list(map(type, got)) == list(map(type, want))
     for op in (half_plane_op(), matrix_monoid_product_op()):
         pool = _sample_pool(op.carrier)
-        table = _pool_products(op.carrier, pool, op.mu)
+        table = _pool_products(op.carrier, pool, op.ray_products)
         for a, row in zip(pool, table):
             for b, ab in zip(pool, row):
                 assert ab == op.mu(a, b)
                 assert list(map(type, ab)) == list(map(type, op.mu(a, b)))
 
 
-def _counted_mu(op) -> list:
-    """Count the op.mu calls of one operation: the returned list grows by
-    one per call."""
-    calls = []
-    mu = op.mu
-    op.mu = lambda a, b: calls.append((a, b)) or mu(a, b)
-    return calls
-
-
-def test_half_plane_sweep_multiplies_ray_pairs_then_triples():
-    # an open cone sweeps both laws: the pair sweep's table takes the 9
-    # products of the 3 rays, and the triple sweep reads the pool pairs off
-    # the table and multiplies each distinct (ab, c) and (a, bc) once (400
-    # products when the pair sweep multiplied its 100 pool pairs)
+def test_half_plane_sweep_multiplies_ray_pairs_then_triples(mu_calls):
+    # an open cone sweeps both laws: the pair sweep's table reads the 9
+    # products of the 3 rays off op.ray_products, and the triple sweep
+    # reads the pool pairs off the table and multiplies each distinct
+    # (ab, c) and (a, bc) once (400 products when the pair sweep
+    # multiplied its 100 pool pairs)
     op = half_plane_op()
     weak = is_weakly_localizable(op)
-    calls = _counted_mu(op)
+    mu_calls.clear()
     report = verify_theorem_main(op, weak=weak)
     assert report["pool_size"] == 10
-    assert len(calls) <= 9 + 300
+    assert len(calls_of(mu_calls, op)) <= 9 + 300
 
 
-def test_theorem_corpus_products_stay_counted():
+def test_theorem_corpus_products_stay_counted(mu_calls):
     # op.mu calls of verify_theorem_main over the certified corpus, the
     # matrix product and the half-plane, each given its weak certificate:
     # a later change that multiplies more shows here without a clock
@@ -885,30 +870,22 @@ def test_theorem_corpus_products_stay_counted():
     total = 0
     for op in ops:
         weak = is_weakly_localizable(op)
-        calls = _counted_mu(op)
+        mu_calls.clear()
         verify_theorem_main(op, weak=weak)
-        total += len(calls)
+        total += len(calls_of(mu_calls, op))
     assert total <= 534
 
 
-def test_generator_proof_replaces_the_sweep_on_free_monoid_3(monkeypatch):
+def test_generator_proof_replaces_the_sweep_on_free_monoid_3(mu_calls):
     # the elementwise product is exactly commutative and associative on the
     # three generators of a closed carrier, so no pool pair or triple is
     # multiplied: at most g^2 + g^3 = 36 products (1,120 by the sweep)
     op = load_instance(instance_path("free-monoid-3.mon")).op
-    calls = {"mu": 0}
-    mu = op.mu
-
-    def counted_mu(a, b):
-        calls["mu"] += 1
-        return mu(a, b)
-
-    monkeypatch.setattr(op, "mu", counted_mu)
     report = verify_theorem_main(op)
     assert report["claimed"] and report["pool_size"] == 20
     assert report["commutativity"]["checked"] == 400
     assert report["associativity"]["checked"] == 8000
-    assert calls["mu"] <= 36
+    assert len(calls_of(mu_calls, op)) <= 36
 
 
 def _validated_ops(m):
@@ -928,7 +905,7 @@ def _validated_ops(m):
      enumerate_biadditive_ops),
     (truncated_free_monoid(2, cap=1), enumerate_biadditive_ops),
 ], ids=["flag", "chain-semilattice-3", "monogenic-1-2-x-0-2", "truncated-2-cap1"])
-def test_finite_generator_proof_matches_the_pool_sweep(m, ops):
+def test_finite_generator_proof_matches_the_pool_sweep(m, ops, mu_calls):
     # every biadditive table of the carrier, many failing an exact law
     # (on truncated-2-cap1, 192 of 256 fail commutativity); on the flag, mu(a, b) = a commutes on the generator pair and
     # not at (0, 1), which is why 0 is among the elements the proof reads.
@@ -936,38 +913,29 @@ def test_finite_generator_proof_matches_the_pool_sweep(m, ops):
     # hold exactly multiplies only the generators and 0
     g = len(m.generators())
     for op in ops(m):
-        calls = []
-        mu = op.mu
-        op.mu = lambda a, b: calls.append((a, b)) or mu(a, b)
+        mu_calls.clear()
         report = verify_theorem_main(op, weak=UNCERTIFIED)
         if not (report["commutativity"]["exact_equality_failures"]
                 or report["associativity"]["exact_equality_failures"]):
-            assert len(calls) <= (g + 1) ** 2 + 2 * (g + 1) ** 3
+            assert len(calls_of(mu_calls, op)) <= (g + 1) ** 2 + 2 * (g + 1) ** 3
         assert _sweep_parts(report) == _unmemoized_sweep(op)
 
 
-def test_generator_proof_replaces_the_sweep_on_a_finite_carrier(monkeypatch):
+def test_generator_proof_replaces_the_sweep_on_a_finite_carrier(mu_calls):
     # the saturating product on {0..4}^3 is exactly commutative and
     # associative on the three generators and 0, and a finite carrier is
     # closed, so no pool pair or triple is multiplied: at most
     # (g + 1)^2 + 2 (g + 1)^3 = 144 products (15,625 by the sweep)
     op = saturating_product_op(truncated_free_monoid(3, cap=4))
     weak = is_weakly_localizable(op)
-    calls = {"mu": 0}
-    mu = op.mu
-
-    def counted_mu(a, b):
-        calls["mu"] += 1
-        return mu(a, b)
-
-    monkeypatch.setattr(op, "mu", counted_mu)
+    mu_calls.clear()
     report = verify_theorem_main(op, weak=weak)
     assert report["claimed"] and report["pool_size"] == 125
     assert report["commutativity"] == {"checked": 125 ** 2, "failures": [],
                                        "exact_equality_failures": 0}
     assert report["associativity"] == {"checked": 125 ** 3, "failures": [],
                                        "exact_equality_failures": 0}
-    assert calls["mu"] <= 4 ** 2 + 2 * 4 ** 3
+    assert len(calls_of(mu_calls, op)) <= 4 ** 2 + 2 * 4 ** 3
 
 
 def test_weak_strong_audit_statuses():

@@ -144,6 +144,18 @@ def test_lattice_group_entry_leaving_the_orthant_is_refused(i, j, k, scalar):
                   "validation", str(row))
 
 
+def test_a_generator_product_outside_the_lattice_is_refused_on_load(tmp_path):
+    # the lattice case of test_monoids' pinned validate() lists: load names
+    # the first failure
+    path = tmp_path / "outside.mon"
+    path.write_text("kind: lattice\ndim: 2\n[generators]\n2 0\n0 1\n1 1\n0 1\n"
+                    "[tensor]\n1 1 1 0\n", encoding="utf-8")
+    with pytest.raises(InputError) as err:
+        load_instance(str(path))
+    assert str(err.value) == (f"{path}: operation fails biadditivity/monotonicity "
+                              "validation: ('generator-product-outside', 1, 1, [1, 0])")
+
+
 def test_rational_function_instance():
     inst = load_instance(instance_path("rational-function.mon"))
     assert inst.kind == "rational-function"

@@ -502,15 +502,12 @@ def test_finite_left_check_matches_the_double_leq_loop_on_the_corpus(name, op):
             _assert_left_matches_double_leq(op, s, side)
 
 
-def test_finite_left_check_multiplies_each_element_once(monkeypatch):
+def test_finite_left_check_multiplies_each_element_once(mu_calls):
     # the order is total, so the check says yes without a product
     m = truncated_free_monoid(2, cap=2)
     op = saturating_product_op(m)
-    calls = []
-    mu = op.mu
-    monkeypatch.setattr(op, "mu", lambda a, b: calls.append((a, b)) or mu(a, b))
     assert is_left_localizable(op, m.n - 1).verdict == "yes"
-    assert len(calls) == 0
+    assert mu_calls == []
 
 
 # ---------------------------------------------------------------------------

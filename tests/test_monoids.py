@@ -200,7 +200,7 @@ def test_kernel_decisions_match_the_definitional_oracles_on_the_corpus(name, m):
     _assert_kernel_decisions(m, [(a, b) for a in m.elements() for b in m.elements()])
 
 
-def test_finite_decisions_read_one_kernel_and_no_product(monkeypatch):
+def test_finite_decisions_read_one_kernel_and_no_product(monkeypatch, mu_calls):
     # n = 125: every leq call re-checks its certificate against the one
     # kernel, and the localizability checks multiply at most n times
     m = truncated_free_monoid(3, cap=4)
@@ -211,16 +211,13 @@ def test_finite_decisions_read_one_kernel_and_no_product(monkeypatch):
     monkeypatch.setattr(m, "sum_elements", lambda xs: builds.append(1) or sum_elements(xs))
     assert all(leq(m, a, b) for a in m.elements() for b in m.elements())
     assert len(builds) == 1
-    calls = []
-    mu = op.mu
-    monkeypatch.setattr(op, "mu", lambda a, b: calls.append((a, b)) or mu(a, b))
     verdicts = {"weak": lambda: is_weakly_localizable(op).verdict,
                 "strong": lambda: is_strongly_localizable(op)["verdict"],
                 "left": lambda: is_left_localizable(op, m.n - 1).verdict}
     for name, verdict in verdicts.items():
-        calls.clear()
+        mu_calls.clear()
         assert verdict() == "yes", name
-        assert len(calls) <= m.n, name
+        assert len(mu_calls) <= m.n, name
 
 
 @pytest.mark.parametrize("name,m", lattice_corpus())
@@ -878,6 +875,64 @@ def test_validation_of_the_125_element_product_checks_generator_slots_only():
     m.table = CountedRows(m.table)
     assert op.validate() == []
     assert 0 < CountedRows.reads <= 2 * n * n * (g + 1)
+
+
+# the failure lists of validate() on vector carriers, as read off
+# op.ray_products: the lattice's T[1][1] = (1, 0) takes the product of any
+# two of (0, 1), (1, 1) and the repeated (0, 1) out of the carrier, each
+# pair listed with its generator indices in row order; the half-plane's
+# T[1][1] = (-1, 0) takes the squares of both lineality rays out of its
+# closure, in v_rep order
+LATTICE_OUTSIDE = ([(2, 0), (0, 1), (1, 1), (0, 1)], [[[0, 0], [0, 0]], [[0, 0], [1, 0]]])
+
+
+def test_validate_lists_every_generator_product_outside_a_lattice():
+    gens, t = LATTICE_OUTSIDE
+    assert BiadditiveOp(LatticeMonoid(2, gens), tensor=t).validate() == [
+        ("generator-product-outside", i, j, [1, 0]) for i in (1, 2, 3) for j in (1, 2, 3)]
+
+
+def test_validate_lists_every_ray_product_outside_an_open_cone_closure():
+    cone = RationalCone.from_rays([(1, 0), (0, 1), (0, -1)], 2)
+    t = [[[0, 0], [0, 0]], [[0, 0], [-1, 0]]]
+    assert BiadditiveOp(OpenConeMonoid(cone, [(1, 0)]), tensor=t).validate() == [
+        ("ray-product-outside-closure", [0, -1], [0, -1], [-1, 0]),
+        ("ray-product-outside-closure", [0, 1], [0, 1], [-1, 0])]
+
+
+@st.composite
+def vector_carrier_ops(draw):
+    """A tensor with entries -2..2 on a lattice (d <= 3, 1-5 generators with
+    entries -2..2, zero and repeated generators allowed) or on an open cone
+    (d <= 3, 1-4 rays, each facet excluded or not)."""
+    d = draw(st.integers(min_value=1, max_value=3))
+    entry = st.integers(min_value=-2, max_value=2)
+    vectors = st.lists(st.tuples(*[entry] * d), min_size=1, max_size=4)
+    if draw(st.booleans()):
+        gens = draw(vectors)
+        if draw(st.booleans()):
+            gens.append(draw(st.sampled_from(gens)))
+        carrier = LatticeMonoid(d, gens)
+    else:
+        rays = draw(vectors.filter(lambda rs: any(map(any, rs))))
+        cone = RationalCone.from_rays(rays, d)
+        facets = [h for h in cone.h_rep if tuple(-x for x in h) not in cone.h_rep]
+        carrier = OpenConeMonoid(cone, [h for h in facets if draw(st.booleans())])
+    t = [[[draw(entry) for _ in range(d)] for _ in range(d)] for _ in range(d)]
+    return BiadditiveOp(carrier, tensor=t)
+
+
+@settings(max_examples=150)
+@given(vector_carrier_ops())
+@example(BiadditiveOp(LatticeMonoid(2, LATTICE_OUTSIDE[0]), tensor=LATTICE_OUTSIDE[1]))
+@example(BiadditiveOp(LatticeMonoid(1, [(0,), (2,), (0,)]), tensor=[[[-2]]]))
+def test_ray_products_agree_with_mu(op):
+    # one entry per pair of distinct rays, (distinct rays)^2 in all
+    rays = set(op.carrier.rays)
+    assert set(op.ray_products) == {(r, s) for r in rays for s in rays}
+    for (r, s), p in op.ray_products.items():
+        assert p == op.mu(r, s)
+        assert all(type(x) is int for x in p)
 
 
 def _brute_force_biadditive_tables(m):
