@@ -109,16 +109,32 @@ def sign_canonical(a: Sequence[int]) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# integer determinant (Bareiss, fraction free)
+# integer determinant and adjugate: cofactors up to order 3, Bareiss above
 
 
 def int_det(mat: Sequence[Sequence[int]]) -> int:
+    """``det M`` of a square integer matrix.
+
+    Orders 0 to 3 expand by cofactors along the first row.  From order 4
+    on, fraction-free Gaussian elimination (Bareiss 1968): step k clears
+    column k below the pivot p as ``(p a_ij - a_ik a_kj) / prev``, prev the
+    pivot before it, and each division is exact (the entries are minors);
+    the last entry is ``det(PM)`` for the row permutation P of the swaps.
+    """
     n = len(mat)
     for row in mat:
         if len(row) != n:
             raise InputError("determinant of a non-square matrix")
     if n == 0:
         return 1
+    if n == 1:
+        return mat[0][0]
+    if n == 2:
+        (a, b), (c, d) = mat
+        return a * d - b * c
+    if n == 3:
+        (a, b, c), (d, e, f), (g, h, i) = mat
+        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
     a = [list(row) for row in mat]
     sign = 1
     prev = 1
@@ -142,22 +158,44 @@ def int_det(mat: Sequence[Sequence[int]]) -> int:
     return sign * a[-1][-1]
 
 
+def _cofactor_adjugate(mat: Sequence[Sequence[int]]) -> list[list[int]]:
+    """``adj M`` of a matrix of order 1 to 3: entry (i, j) is the cofactor
+    of entry (j, i)."""
+    if len(mat) == 1:
+        return [[1]]
+    if len(mat) == 2:
+        (a, b), (c, d) = mat
+        return [[d, -b], [-c, a]]
+    (a, b, c), (d, e, f), (g, h, i) = mat
+    return [[e * i - f * h, c * h - b * i, b * f - c * e],
+            [f * g - d * i, a * i - c * g, c * d - a * f],
+            [d * h - e * g, b * g - a * h, a * e - b * d]]
+
+
 def int_adjugate(mat: Sequence[Sequence[int]]) -> tuple[int, Optional[list[list[int]]]]:
     """``(det M, adj M)`` of a square integer matrix, with
     ``M adj(M) == det(M) I``; ``(0, None)`` when M is singular.
 
-    Fraction-free Gauss-Jordan elimination (Bareiss 1968) on ``[M | I]``:
-    step k clears column k in every other row as ``(p a_ij - a_ik a_kj) /
-    prev``, p the pivot and prev the pivot before it, and each division is
-    exact (the entries are minors of the augmented matrix).  The rows end
-    at ``[d I | d (PM)^-1 P]`` for the row permutation P of the pivot
-    swaps, ``d = det(PM)``; multiplying by the sign of P gives ``det M``
-    and ``adj M = det(M) M^-1``.
+    Orders 0 to 3 take the adjugate by cofactors, and the determinant as
+    the first row times its first column.  From order 4 on, fraction-free
+    Gauss-Jordan elimination (Bareiss 1968) on ``[M | I]``: step k clears
+    column k in every other row as ``(p a_ij - a_ik a_kj) / prev``, p the
+    pivot and prev the pivot before it, and each division is exact (the
+    entries are minors of the augmented matrix).  The rows end at ``[d I |
+    d (PM)^-1 P]`` for the row permutation P of the pivot swaps, ``d =
+    det(PM)``; multiplying by the sign of P gives ``det M`` and ``adj M =
+    det(M) M^-1``.
     """
     n = len(mat)
     for row in mat:
         if len(row) != n:
             raise InputError("adjugate of a non-square matrix")
+    if n == 0:
+        return 1, []
+    if n <= 3:
+        adj = _cofactor_adjugate(mat)
+        det = sum(x * row[0] for x, row in zip(mat[0], adj))
+        return (det, adj) if det else (0, None)
     a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(mat)]
     sign = prev = 1
     for k in range(n):
@@ -555,7 +593,9 @@ class RationalCone:
         return all(vdot(n, x) >= 0 for n in self.h_rep)
 
     def is_pointed(self) -> bool:
-        return not self.lineality_basis
+        """No line in the cone: the lineality space is the common zero set
+        of the h-representation, so it is zero iff that has full rank."""
+        return len(hermite_normal_form(self.h_rep)) == self.dim
 
     def contains_cone(self, other: "RationalCone") -> bool:
         return all(self.member(g) for g in other.v_rep)
@@ -706,7 +746,8 @@ def echelon_kernel(rows: Sequence[Sequence]) -> list[tuple[Fraction, ...]]:
 
 
 class IntegerLattice:
-    """The set of integer combinations of a list of integer vectors."""
+    """The set of integer combinations of a list of integer vectors;
+    ``is_standard`` when that is all of Z^dim."""
 
     def __init__(self, dim: int, vectors: Iterable[Sequence[int]]):
         self.dim = dim
@@ -718,18 +759,25 @@ class IntegerLattice:
             self.rows.append(v)
         self.basis = self._hermite()
         self.pivots = _pivots(self.basis)
+        # a Hermite basis of full rank with unit pivots is the identity: its
+        # entries above each pivot are reduced into [0, 1)
+        self.is_standard = len(self.basis) == dim and all(
+            row[p] == 1 for row, p in zip(self.basis, self.pivots))
 
     def _hermite(self) -> list[tuple[int, ...]]:
         return [tuple(row) for row in hermite_normal_form(self.rows)]
 
     def coordinates(self, x: Sequence[int]) -> Optional[tuple[int, ...]]:
         """Integer coordinates of x in the HNF basis, or None (also for a
-        vector with a non-integral coordinate)."""
+        vector with a non-integral coordinate).  On Z^d, where the basis is
+        the identity, they are x's own entries, read with no solve."""
         if len(x) != self.dim:
             raise InputError("point dimension mismatch")
         residue = [int(v) for v in x]
         if residue != list(x):
             return None
+        if self.is_standard:
+            return tuple(residue)
         coords = []
         for row, piv in zip(self.basis, self.pivots):
             if residue[piv] % row[piv] != 0:

@@ -126,8 +126,9 @@ class ReducedVector:
     form of ``[K^T | I]`` has ``U . K^T == [H; 0]``, so ``V = U^T`` gives
     ``K . V == [H^T | 0]``.  A class is the remaining coordinates, the
     relation rows of U times the coordinates, and reconstructs through the
-    rows of ``V^-1``, the columns of ``U^-1 == det(U) adj(U)``.  The
-    positive part is the level's closure of the carrier.
+    rows of ``V^-1``, the columns of ``U^-1 == det(U) adj(U)``; with no
+    kernel (k = 0) V is the identity, and no solve runs.  The positive
+    part is the level's closure of the carrier.
     """
 
     def __init__(self, monoid: VectorCarrier, level: int):
@@ -145,15 +146,21 @@ class ReducedVector:
         self.kernel_vectors = tuple(
             tuple(sum(c[i] * basis[i][j] for i in range(r)) for j in range(monoid.dim))
             for c in kernel_coords)
-        solver = IntegerSolver(k, ([c[i] for c in kernel_coords] for i in range(r)))
-        self._relations = solver.relations
-        det, adj = int_adjugate(solver.transform)
         self.rank = r - k
-        # class w reconstructs through c = (0,...,0,w) V^{-1}; x = c B
-        self._recon_rows = [
-            tuple(sum(det * adj[i][k + t] * basis[i][j] for i in range(r))
-                  for j in range(monoid.dim))
-            for t in range(self.rank)]
+        if not k:
+            # no kernel, so V is the identity: a class is its coordinates,
+            # and reconstructs through the basis rows
+            self._relations = [tuple(int(i == j) for j in range(r)) for i in range(r)]
+            self._recon_rows = [tuple(row) for row in basis]
+        else:
+            solver = IntegerSolver(k, ([c[i] for c in kernel_coords] for i in range(r)))
+            self._relations = solver.relations
+            det, adj = int_adjugate(solver.transform)
+            # class w reconstructs through c = (0,...,0,w) V^{-1}; x = c B
+            self._recon_rows = [
+                tuple(sum(det * adj[i][k + t] * basis[i][j] for i in range(r))
+                      for j in range(monoid.dim))
+                for t in range(self.rank)]
 
     def project(self, x) -> tuple:
         c = self.monoid.coordinates(x)

@@ -657,9 +657,13 @@ def _line_refutation(op: BiadditiveOp, table: RayTable) -> Optional[tuple]:
     m = op.carrier
     u = m.cone.lineality_basis[0]
     k = next(k for k, v in enumerate(u) if v)
+    products = op.ray_products
     for side in ("left", "right"):
         def alpha(x):
-            return Fraction((op.mu(x, u) if side == "left" else op.mu(u, x))[k], u[k])
+            # a product of two carrier rays (the table's rays, and u where
+            # it is one) is read off the table; other points multiply
+            pair = (x, u) if side == "left" else (u, x)
+            return Fraction((products[pair] if pair in products else op.mu(*pair))[k], u[k])
         if alpha(u):
             p = _interior_point(m)
             return vadd(p, vscale(-(1 + alpha(p)) / alpha(u), u))

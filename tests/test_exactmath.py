@@ -1,5 +1,6 @@
 """Exact linear algebra and polyhedral geometry: frozen examples and oracles."""
 
+import copy
 import itertools
 from fractions import Fraction
 
@@ -92,6 +93,50 @@ def test_adjugate_inverts_up_to_the_determinant(mat, singular):
 def test_adjugate_of_a_non_square_matrix_is_an_input_error():
     with pytest.raises(InputError, match="non-square"):
         int_adjugate([[1, 2]])
+    with pytest.raises(InputError, match="non-square"):
+        int_det([[1, 2], [3]])
+
+
+@given(square_matrices, st.booleans())
+def test_determinant_matches_the_oracle(mat, singular):
+    # orders 0 to 3 expand by cofactors, 4 and 5 run Bareiss; a copied row
+    # makes the singular side as likely as the regular one
+    if singular and len(mat) > 1:
+        mat = mat[:-1] + [list(mat[0])]
+    det = int_det(mat)
+    event(f"order={len(mat)} singular={det == 0}")
+    assert type(det) is int
+    assert det == oracle_int_det(mat)
+
+
+def _block(mat, corner, n=4):
+    """``diag(mat, corner I)`` of order n."""
+    k = len(mat)
+    return ([list(row) + [0] * (n - k) for row in mat] +
+            [[0] * k + [corner * (i == j) for j in range(n - k)] for i in range(n - k)])
+
+
+small_square_matrices = st.integers(min_value=1, max_value=3).flatmap(
+    lambda n: st.lists(st.lists(small_ints, min_size=n, max_size=n),
+                       min_size=n, max_size=n))
+
+
+@given(small_square_matrices, st.booleans())
+def test_cofactor_forms_agree_with_bareiss_on_a_block_matrix(mat, singular):
+    # diag(M, I) has order 4, so Bareiss takes it; its determinant is det M
+    # and its adjugate diag(adj M, det M I), which the cofactors of M give
+    if singular and len(mat) > 1:
+        mat = mat[:-1] + [list(mat[0])]
+    det, adj = int_adjugate(mat)
+    event(f"order={len(mat)} singular={det == 0}")
+    block = _block(mat, 1)
+    assert int_det(block) == int_det(mat) == det
+    block_det, block_adj = int_adjugate(block)
+    assert block_det == det
+    if det == 0:
+        assert adj is None and block_adj is None
+    else:
+        assert block_adj == _block(adj, det)
 
 
 # ---------------------------------------------------------------------------
@@ -220,6 +265,55 @@ def test_integer_lattice_refuses_non_integral_vectors():
     assert lat.coordinates((Fraction(1, 2), 0)) is None
     assert not lat.contains((Fraction(1, 2), Fraction(3, 2)))
     assert lat.coordinates((Fraction(4, 2), 3)) == (2, 3)
+
+
+def test_integer_lattice_knows_when_it_is_the_standard_lattice():
+    assert IntegerLattice(2, [(2, 1), (1, 1)]).is_standard
+    assert IntegerLattice(0, []).is_standard
+    assert IntegerLattice(0, []).coordinates(()) == ()
+    assert not IntegerLattice(2, [(1, 0), (0, 2)]).is_standard
+    assert not IntegerLattice(2, [(1, 1)]).is_standard
+    assert not IntegerLattice(2, []).is_standard
+
+
+@st.composite
+def _standard_generators(draw):
+    """Generators of Z^d, d <= 3: the unit vectors and a few drawn vectors,
+    mixed by drawn elementary row operations, which keep the lattice."""
+    d = draw(st.integers(1, 3))
+    rows = [[int(i == j) for j in range(d)] for i in range(d)]
+    rows += draw(st.lists(st.lists(st.integers(-2, 2), min_size=d, max_size=d), max_size=2))
+    for _ in range(draw(st.integers(0, 4))):
+        i, j = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, len(rows) - 1))
+        if i != j:
+            c = draw(st.integers(-2, 2))
+            rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
+    return d, draw(st.permutations(rows))
+
+
+@settings(max_examples=100)
+@given(_standard_generators(), st.lists(st.integers(-9, 9), min_size=3, max_size=3))
+def test_coordinates_on_the_standard_lattice_read_the_vector(case, x):
+    # the coordinates read off the identity basis are those that
+    # back-substitution on it finds, as int, and they round-trip
+    d, rows = case
+    lat = IntegerLattice(d, rows)
+    assert lat.is_standard
+    assert lat.basis == [tuple(int(i == j) for j in range(d)) for i in range(d)]
+    solved = copy.copy(lat)
+    solved.is_standard = False  # back-substitution on the same basis
+    x = x[:d]
+    y = lat.coordinates(x)
+    assert y == solved.coordinates(x) == tuple(x)
+    assert all(type(v) is int for v in y)
+    assert [sum(c * row[j] for c, row in zip(y, lat.basis)) for j in range(d)] == x
+    integral = [Fraction(2 * v, 2) for v in x]
+    assert lat.coordinates(integral) == solved.coordinates(integral) == tuple(x)
+    assert all(type(v) is int for v in lat.coordinates(integral))
+    for off in ([Fraction(2 * x[0] + 1, 2)] + x[1:], x[:-1] + [Fraction(3 * x[-1] + 1, 3)]):
+        assert lat.coordinates(off) is None and solved.coordinates(off) is None
+    with pytest.raises(InputError, match="dimension"):
+        lat.coordinates(x + [0])
 
 
 def _random_matrix(rng, n, m, bound=5):
@@ -730,6 +824,18 @@ def _simplex_extreme(ext, lin, v):
     generators off its ray modulo the lineality space."""
     others = [e for e in ext if e != exactmath._reduce_mod_lineality(v, lin)]
     return solve_nonneg_rational(others + lin + [vneg(b) for b in lin], v) is None
+
+
+@settings(max_examples=150)
+@given(_drawn_cones(), st.booleans())
+def test_is_pointed_reads_the_rank_of_the_h_representation(case, by_inequalities):
+    # the drawn vectors read as rays or as inequality normals; a fresh cone
+    # computes the lineality space by double description
+    d, vectors = case
+    make = RationalCone.from_inequalities if by_inequalities else RationalCone.from_rays
+    pointed = make(vectors, d).is_pointed()
+    event(f"by_inequalities={by_inequalities} pointed={pointed}")
+    assert pointed == (not make(vectors, d).lineality_basis)
 
 
 @settings(max_examples=150)

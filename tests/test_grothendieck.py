@@ -246,6 +246,27 @@ def test_lattice_project_reconstruct_roundtrip():
         n1.project((3, -1))  # outside the difference lattice
 
 
+def test_reduction_with_no_order_kernel_runs_no_solve(monkeypatch):
+    # with k = 0 the solver would reduce [() | I] to the identity, whose
+    # relations are its rows and whose adjugate is itself, so a class is its
+    # coordinates and reconstructs through the span basis
+    from monoidorder import grothendieck as groth
+    from monoidorder.exactmath import IntegerSolver, int_adjugate
+    solver = IntegerSolver(0, [()] * 3)
+    identity = [tuple(int(i == j) for j in range(3)) for i in range(3)]
+    assert solver.relations == identity
+    assert int_adjugate(solver.transform) == (1, [list(row) for row in identity])
+    monkeypatch.setattr(groth, "IntegerSolver", None)
+    m = LatticeMonoid(3, [(1, 0, 0), (1, 2, 0), (0, 1, 1)])
+    n2 = nabla(m, 2)
+    assert n2.kernel_rank == 0 and n2.rank == 3
+    for x in [(1, 3, 1), (0, 0, 0), (2, 2, 0), (-4, 5, 3)]:
+        assert n2.project(x) == tuple(m.coordinates(x))
+        assert n2.reconstruct(n2.project(x)) == x
+    with pytest.raises(InputError):
+        n2.project((3, -2, 1))  # index 2: outside the difference lattice
+
+
 def test_lattice_project_refuses_non_integral_vectors():
     with pytest.raises(InputError, match="not in the difference lattice"):
         nabla(free_monoid(2), 1).project((Fraction(1, 2), Fraction(3, 2)))
