@@ -8,19 +8,18 @@ and *strongly localizable* when every element is localizable.
 
 On a finite carrier every element is localizable: its canonical
 quasi-order is total (see :mod:`monoids`).  On lattice and open-cone
-carriers one element is decided in exact convex geometry by
-``_vector_left``, and the bulk notions are read off ``op.ray_products``,
-the products of two rays that the operation builds once: the facet
-normals' signs on them decide closure on the closed cone, and their zero
-sets on the extreme rays modulo the lineality space give the ray lemma of
-:func:`_polyhedral_ray_table`.  s is localizable iff no bad ray lies in
-its face, so the first bad ray refutes weak and strong localizability,
-and with no bad ray every element is localizable.  With excluded faces
-and a lineality space a damping map must also be injective on that
-space: each element's decision checks it, a line is decided by the
-table's rule, and strong localizability on a larger space is "unknown".
-No verdict rests on a search.  A side the table refutes is decided again
-by the one-sided decision, which gives the reason and must refute it too.
+carriers one element and the bulk notions are all read off
+``op.ray_products``, the products of two rays that the operation builds
+once: the facet normals' signs on them decide closure on the closed cone,
+and their zero sets on the extreme rays modulo the lineality space give
+the ray lemma of :func:`_polyhedral_ray_table`.  s is localizable iff no
+bad ray lies in its face, so the first bad ray refutes weak and strong
+localizability, and with no bad ray every element is localizable.  With
+excluded faces and a lineality space a damping map must also be
+injective on that space: each element's decision checks its kernel, a
+line is decided by the table's rule, and strong localizability on a
+larger space is "unknown".  No verdict rests on a search, and an
+operation not closed on the closed cone is refused.
 
 The witness pair of a "no" is built on first read and re-validated
 through the order decision procedures before it is handed out.
@@ -31,8 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, reduce
-from math import lcm
-from operator import mul
 from typing import NamedTuple, Optional
 
 from .exactmath import (
@@ -43,7 +40,6 @@ from .exactmath import (
     cone_from_inequalities,
     echelon_kernel,
     echelon_solve,
-    int_adjugate,
     integer_solve,
     vadd,
     vdot,
@@ -143,6 +139,9 @@ def _left(op: BiadditiveOp, s, side: str) -> LocalizabilityVerdict:
     return _vector_left(op, s, side, kind)
 
 
+_PREIMAGE_INSIDE = "preimage of the positivity cone stays inside the cone"
+
+
 def _preimage_escape(m, bl, basis):
     """The first direction of the damped map's preimage of the closed cone
     that escapes the cone, None if the preimage stays inside.
@@ -168,55 +167,31 @@ def _preimage_escape(m, bl, basis):
 
 
 def _vector_left(op, s, side, kind) -> LocalizabilityVerdict:
-    """Left localizability of s on a lattice or open-cone carrier.
-
-    This is the decision of :func:`is_left_localizable`, and of
-    :func:`is_localizable` on each side that the ray-product table (see
-    :func:`_polyhedral_ray_table`) does not prove.  With ``L_s`` the
-    damped map on the difference span and C the closed positivity cone,
-    three steps decide it; a lattice is the carrier with no strict faces,
-    so it skips the second.
-
-    1. A positive multiple of the identity on the span: yes.
-    2. With open normals, a nonzero direction x that ``L_s`` kills
-       refutes: x and -x cannot both lie strictly inside, and the pair
-       over the one outside compares equal after damping.
-    3. The preimage ``L_s^-1(C)`` must lie in C.  With ``L_s`` invertible
-       on the span, Cramer's rule decides it in integers (see
-       :func:`_cramer_preimage_inside`); a singular ``L_s`` has its
-       preimage computed by double description.  A ray of the preimage
-       that escapes refutes: the first one in double description's
-       order, computed when the evidence of a "no" is read.  Its image
-       lies in C, and when it lies on an excluded face the ray is
-       perturbed until the image is strictly inside.
-
-    No face of C needs a check of its own.  ``validate`` checks every
-    product in ``op.ray_products``, whose rays (on an open cone ``v_rep``,
-    lineality in both signs) generate C, so ``mu(C, C) ⊆ C`` and hence
-    ``L_s(C) ⊆ C``; with step 3 passed, ``L_s^-1(C) = C``.  With open
-    normals step 2 makes ``L_s`` injective on the span, so ``L_s(C) = C``
-    and ``L_s`` maps faces onto faces.  For a face F and an x in its
-    relative interior, ``L_s(x) = x + mu(s, x)`` lies in the face
-    ``L_s(F)`` and ``mu(s, x)`` lies in C, so x lies in that face too:
-    ``F ⊆ L_s(F)``, and as the dimensions are equal, ``L_s(F) = F``.  So
-    no direction of an excluded face maps strictly inside.
+    """Left localizability of s on a lattice or open-cone carrier, read off
+    the ray table (see :func:`_polyhedral_ray_table`, which refuses an
+    operation not closed on the closed cone C).  With open normals a
+    nonzero direction that the damped map ``L_s`` kills refutes; else a
+    bad ray of this side in ``F(s)`` refutes, as the preimage
+    ``L_s^-1(C)`` escapes C; else the side holds.  A decisive table with
+    no bad ray in ``F(s)`` builds no damped map: ``L_s`` is injective
+    there.  The escaping ray is the preimage's first in double
+    description's order, computed when the evidence of the "no" is read,
+    and perturbed when its image lies on an excluded face.
     """
     m = op.carrier
-    basis = _nonzero_span(m)
-    r = len(basis)
+    table = _closed_table(op)
+    z = _zero_set(m.cone.h_rep, s)
+    bad = any(z | table.zero_sets[i] == table.zero_sets[i] for i in table.bad[side == "right"])
+    if not bad and table.decisive:
+        return LocalizabilityVerdict(s, kind, "yes", _PREIMAGE_INSIDE)
+    basis = m.span_basis
+    products = op.ray_products
 
     def damped(x):
         """``L_s(x)``: x plus its product with s on this side."""
-        return vadd(x, op.mu(s, x) if side == "left" else op.mu(x, s))
+        pair = (s, x) if side == "left" else (x, s)
+        return vadd(x, products[pair] if pair in products else op.mu(*pair))
     bl = [damped(b) for b in basis]
-
-    # bl[i] == lam * basis[i] for one lam > 0, by cross multiplication
-    # against the first nonzero basis entry
-    i0, k0 = next((i, k) for i, b in enumerate(basis) for k, v in enumerate(b) if v)
-    p, q = bl[i0][k0], basis[i0][k0]
-    if p * q > 0 and all(bl[i][k] * q == p * basis[i][k]
-                         for i in range(r) for k in range(m.dim)):
-        return LocalizabilityVerdict(s, kind, "yes", "damped map scales the span")
 
     if m.open_normals:
         kernel = _left_kernel(bl)
@@ -227,25 +202,16 @@ def _vector_left(op, s, side, kind) -> LocalizabilityVerdict:
                             "damped map kills a direction outside the strict cone",
                             lambda: direction,
                             lambda: {"kernel_direction": [str(v) for v in direction]})
+    if not bad:
+        return LocalizabilityVerdict(s, kind, "yes", _PREIMAGE_INSIDE)
 
-    inside = _cramer_preimage_inside(m, bl)
-    escape = None
-    if inside is None:  # L_s singular on the span: double description decides
-        escape = _preimage_escape(m, bl, basis)
-        inside = escape is None
-    if inside:
-        return LocalizabilityVerdict(
-            s, kind, "yes", "preimage of the positivity cone stays inside the cone")
-
+    @cache
     def violation():
-        """The first escaping ray in double description's order, computed
-        on the first read of the evidence after a Cramer refutation."""
-        nonlocal escape
+        """The first escaping ray in double description's order."""
+        escape = _preimage_escape(m, bl, basis)
         if escape is None:
-            escape = _preimage_escape(m, bl, basis)
-            if escape is None:
-                raise InternalCheckError(
-                    "Cramer test refuted a preimage that double description keeps inside")
+            raise InternalCheckError(
+                "ray-product table refuted a side whose preimage stays inside the cone")
         return escape
 
     def strict_direction():
@@ -256,45 +222,6 @@ def _vector_left(op, s, side, kind) -> LocalizabilityVerdict:
                     strict_direction,
                     lambda: {"violating_direction": [int(v) for v in violation()],
                              "injective_on_span": not _left_kernel(bl)})
-
-
-def _cramer_preimage_inside(m, bl) -> Optional[bool]:
-    """Whether ``L_s^-1(C) ⊆ C``, by Cramer's rule; None when ``L_s`` is
-    singular on the span (or, for an operation that is not closed, maps
-    the span out of it).
-
-    Write a vector of the span as ``c B`` in the coordinates c of its
-    basis B, and read it back by its entries at the pivot columns of B,
-    which fix a vector of the span.  From the one coordinates to the
-    other ``L_s`` has the r x r matrix M of the rows ``bl`` at the
-    pivots: ``c B`` maps to ``c M`` there.  C is generated by the vectors
-    v of ``cone.v_rep``, read there as ``v_p``, so when M is invertible
-    the preimage of C is generated by ``v_p M^-1`` in the coordinates c,
-    and lies in C iff ``(v_p M^-1) . (B h) >= 0`` for every facet normal h
-    and every v.  As ``M^-1 = adj(M) / det(M)``, that is iff
-    ``det(M) * ((v_p adj(M)) . (B h)) >= 0``, in integers once one common
-    positive denominator is cleared from M (scaling M whole keeps the map
-    up to a positive factor; scaling rows apart would not).
-    """
-    pivots, off_span, gens, normals = m.span_cone
-    if any(vdot(x, z) for x in bl for z in off_span):
-        return None
-    mat = [[x[p] for p in pivots] for x in bl]
-    if not all(type(v) is int for row in mat for v in row):
-        den = lcm(*(v.denominator for row in mat for v in row))
-        mat = [[int(v * den) for v in row] for row in mat]
-    det, adj = int_adjugate(mat)
-    if det == 0:
-        return None
-    if det < 0:
-        adj = [[-v for v in row] for row in adj]
-    cols = list(zip(*adj))
-    for v in gens:
-        w = [sum(map(mul, v, col)) for col in cols]
-        for hb in normals:
-            if sum(map(mul, w, hb)) < 0:
-                return False
-    return True
 
 
 def _refuted(op, s, side, kind, reason, direction, details) -> LocalizabilityVerdict:
@@ -489,7 +416,7 @@ def _polyhedral_ray_table(op: BiadditiveOp) -> Optional[RayTable]:
     """The ray-product table of the operation, the one structural
     decision of localizability on a vector carrier; None when the
     operation is not closed on the closed cone C.  A zero span and an
-    excluded face that is all of C are refused first, as the decision is.
+    excluded face that is all of C are refused first.
 
     *Zero sets.*  ``Z(x)`` is the set of normals of ``cone.h_rep`` that
     vanish on x.  The smallest face of C holding x is ``F(x) = {y in C :
@@ -505,6 +432,21 @@ def _polyhedral_ray_table(op: BiadditiveOp) -> Optional[RayTable]:
     entries, that is, some ``mu(r_i, r_j)`` is not ``c r_j + l`` with
     ``c >= 0``, l in L; *right-bad* alike with ``mu(r_j, r_i)``.
 
+    *The damped map.*  On the span V of the rays ``L_s(x) = x + mu(s,
+    x)``, and s is left localizable iff ``L_s^-1(C) ⊆ C`` and, where C
+    has excluded faces, ``L_s`` is injective on V.  Only if: a ray x of
+    the preimage outside C refutes by the pair over it, its image in C
+    (perturbed, when the image lies on an excluded face, until it lies
+    strictly inside); a nonzero x that ``L_s`` kills refutes too, as x and
+    -x cannot both lie strictly inside, and the pair over the one outside
+    compares equal after damping.  If: closure gives ``mu(C, C) ⊆ C``, so
+    ``L_s(C) ⊆ C`` and ``L_s^-1(C) = C``.  With open normals ``L_s`` is
+    injective, so ``L_s(C) = C`` and ``L_s`` maps faces onto faces.  For a
+    face F and an x in its relative interior, ``L_s(x) = x + mu(s, x)``
+    lies in the face ``L_s(F)`` and ``mu(s, x)`` in C, so x lies in that
+    face too: ``F ⊆ L_s(F)``, and as the dimensions are equal, ``L_s(F) =
+    F``.  So no direction of an excluded face maps strictly inside.
+
     **Lemma.**  s is left localizable iff no left-bad ray lies in F(s)
     and, where C has excluded faces and ``L != 0``, ``L_s`` is injective on
     L.  (The right side is the opposite operation's left side.)
@@ -512,18 +454,17 @@ def _polyhedral_ray_table(op: BiadditiveOp) -> Optional[RayTable]:
     *Proof.*  Closure puts ``±mu(s, l)`` in C, so ``L_s`` keeps L and
     induces M on ``V/L``; as C is the preimage of ``C/L``, ``L_s^-1(C) ⊆
     C`` iff ``M^-1(C/L) ⊆ C/L``.  Only if: a localizable s has that
-    preimage in C (see :func:`_vector_left`), so M is injective (a kernel
-    vector and its negative would both lie in the pointed ``C/L``) and,
-    with ``M(C/L) ⊆ C/L``, permutes the extreme rays.  Write ``s = l +
-    sum_i s_i r_i``, ``s_i > 0`` exactly on the rays of F(s), in whose
-    relative interior s lies.  ``M(r_j) = r_j + sum_i s_i mu(r_i, r_j)``
-    lies on one extreme ray, a face, so each summand does, and ``r_j``
-    makes it ``r_j``'s own: no ray of F(s) is bad.  With excluded faces a
-    killed direction refutes (step 2 there).  If: M scales each ``r_j`` by
-    ``1 + sum_i s_i c_ij >= 1``, so ``L_s^-1(C) = C``, which is
-    localizability without excluded faces; with them, and with ``L_s``
-    injective on L, ``L_s`` maps each face of C onto itself and keeps
-    membership.  ∎
+    preimage in C, so M is injective (a kernel vector and its negative
+    would both lie in the pointed ``C/L``) and, with ``M(C/L) ⊆ C/L``,
+    permutes the extreme rays.  Write ``s = l + sum_i s_i r_i``, ``s_i >
+    0`` exactly on the rays of F(s), in whose relative interior s lies.
+    ``M(r_j) = r_j + sum_i s_i mu(r_i, r_j)`` lies on one extreme ray, a
+    face, so each summand does, and ``r_j`` makes it ``r_j``'s own: no ray
+    of F(s) is bad.  With excluded faces a killed direction refutes.  If:
+    M scales each ``r_j`` by ``1 + sum_i s_i c_ij >= 1``, so ``L_s^-1(C) =
+    C``, which is localizability without excluded faces; with them, and
+    with ``L_s`` injective on L, ``L_s`` is injective on V (M is) and so
+    maps each face of C onto itself.  ∎
 
     **Verdicts.**  A bad ray ``r_i`` refutes the member e, ``r_i`` plus
     :func:`_lifted` of it: every s above e has ``s - e`` in C, so ``Z(s) ⊆
@@ -593,28 +534,14 @@ def _polyhedral_ray_table(op: BiadditiveOp) -> Optional[RayTable]:
 
 
 def is_localizable(op: BiadditiveOp, s) -> LocalizabilityVerdict:
-    """Localizability of s: both sides, the left first.  A side holds
-    where the ray table is decisive and no bad ray of that side lies in
-    ``F(s)``; every other side runs :func:`is_left_localizable`, and a
-    "no" gives its reason and, on read, its evidence.  A side the table
-    refutes that this decision keeps is an internal error."""
-    m = op.carrier
-    m.check_element(s)
-    table = _ray_table(op)
-    z = None if table is None else _zero_set(m.cone.h_rep, s)
+    """Localizability of s: both sides, the left first; a "no" gives the
+    failing side's reason and, on read, its evidence."""
+    op.carrier.check_element(s)
     for side, condition in (("left", "left"), ("right", "opposite")):
-        bad = z is not None and any(
-            z | table.zero_sets[i] == table.zero_sets[i] for i in table.bad[side == "right"])
-        if table is None or bad or not table.decisive:
-            one = _left(op, s, side)
-            if one.verdict == "no":
-                return LocalizabilityVerdict(
-                    s, "full", "no", f"{condition} condition fails: {one.reason}",
-                    one.evidence)
-            if bad:
-                raise InternalCheckError(
-                    f"ray-product table refuted a {one.kind} condition "
-                    "that the preimage decision keeps")
+        one = _left(op, s, side)
+        if one.verdict == "no":
+            return LocalizabilityVerdict(
+                s, "full", "no", f"{condition} condition fails: {one.reason}", one.evidence)
     return LocalizabilityVerdict(s, "full", "yes", "both sides localizable")
 
 
@@ -703,7 +630,7 @@ def is_strongly_localizable(op: BiadditiveOp) -> dict:
                 "rays": table.rays, "weights": table.weights}
     v = is_localizable(op, s)
     if v.verdict != "no":
-        raise InternalCheckError("ray-product table refuted an element that the decision keeps")
+        raise InternalCheckError("ray-product table refuted an element that it calls localizable")
     return {"verdict": "no", "confirmed": "witnessed",
             "refuted_element": _ser(s), "witness": v.as_dict()["witness"]}
 

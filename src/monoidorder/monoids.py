@@ -274,26 +274,6 @@ class VectorCarrier:
                 strict = False
         return "inside" if strict else "on_excluded_face"
 
-    @property
-    def span_cone(self) -> tuple[list, list, list, list]:
-        """The closed cone read on the span, built once, as ``(pivots,
-        off_span, generators, normals)``: the pivot column of each
-        ``span_basis`` row (the entries there fix a vector of the span),
-        integer vectors whose zero set is the span, the pivot entries of
-        each vector of ``cone.v_rep`` (a generating set: rays, lineality in
-        both signs), and the values ``(h . b_j)_j`` of each facet normal h
-        on the basis rows, leaving out the implicit equalities, which
-        vanish on the span."""
-        if "span_cone" not in self._cache:
-            basis = self.span_basis
-            pivots = self.lattice.pivots
-            off_span = integer_kernel(basis) if len(basis) < self.dim else []
-            gens = [tuple(v[p] for p in pivots) for v in self.cone.v_rep]
-            normals = [hb for hb in (tuple(vdot(h, b) for b in basis)
-                                     for h in self.cone.h_rep) if any(hb)]
-            self._cache["span_cone"] = (pivots, off_span, gens, normals)
-        return self._cache["span_cone"]
-
     def ray_sums(self) -> Iterator[list[tuple]]:
         """The sums of the rays by coefficient sum: the k-th list read (k
         from 1) holds, sorted, the vectors that are sums of k rays and of
