@@ -185,12 +185,10 @@ def _vector_left(op, s, side, kind) -> LocalizabilityVerdict:
     if not bad and table.decisive:
         return LocalizabilityVerdict(s, kind, "yes", _PREIMAGE_INSIDE)
     basis = m.span_basis
-    products = op.ray_products
 
     def damped(x):
         """``L_s(x)``: x plus its product with s on this side."""
-        pair = (s, x) if side == "left" else (x, s)
-        return vadd(x, products[pair] if pair in products else op.mu(*pair))
+        return vadd(x, _product(op, s, x, side))
     bl = [damped(b) for b in basis]
 
     if m.open_normals:
@@ -222,6 +220,15 @@ def _vector_left(op, s, side, kind) -> LocalizabilityVerdict:
                     strict_direction,
                     lambda: {"violating_direction": [int(v) for v in violation()],
                              "injective_on_span": not _left_kernel(bl)})
+
+
+def _product(op, x, y, side) -> tuple:
+    """``mu(x, y)`` on the left side, ``mu(y, x)`` on the right.  A product
+    of two carrier rays is read off ``op.ray_products``; other operands
+    multiply."""
+    pair = (x, y) if side == "left" else (y, x)
+    products = op.ray_products
+    return products[pair] if pair in products else op.mu(*pair)
 
 
 def _refuted(op, s, side, kind, reason, direction, details) -> LocalizabilityVerdict:
@@ -584,13 +591,9 @@ def _line_refutation(op: BiadditiveOp, table: RayTable) -> Optional[tuple]:
     m = op.carrier
     u = m.cone.lineality_basis[0]
     k = next(k for k, v in enumerate(u) if v)
-    products = op.ray_products
     for side in ("left", "right"):
         def alpha(x):
-            # a product of two carrier rays (the table's rays, and u where
-            # it is one) is read off the table; other points multiply
-            pair = (x, u) if side == "left" else (u, x)
-            return Fraction((products[pair] if pair in products else op.mu(*pair))[k], u[k])
+            return Fraction(_product(op, x, u, side)[k], u[k])
         if alpha(u):
             p = _interior_point(m)
             return vadd(p, vscale(-(1 + alpha(p)) / alpha(u), u))

@@ -325,8 +325,9 @@ def test_each_refutation_kind_is_among_the_examples(kind):
 def _excluded_face_direction(op, s, side):
     """A nonzero direction of an excluded face whose damped image lies
     strictly inside, found by one LP per open normal; None if there is
-    none.  Kept as the reference for the proof in ``_vector_left`` that a
-    validated operation never has one."""
+    none.  Kept as the reference for the proof in ``_polyhedral_ray_table``
+    (its "The damped map" paragraph) that a validated operation never has
+    one."""
     m = op.carrier
     mat = damping_matrix(op, s, side)
     closed = m.cone
@@ -961,12 +962,17 @@ def _counted(monkeypatch, module, name, calls):
 def test_weak_search_on_the_lattice_corpus_runs_no_damped_map(monkeypatch, mu_calls, name):
     # every lattice carrier of the corpus is a free monoid whose ray-product
     # table has no bad ray, so the table answers "yes" with no element
-    # decided: no product is formed by op.mu, and no preimage cone is built
+    # decided and no damped map built: no damped product is formed, looked
+    # up or multiplied, no product is formed by op.mu, and no preimage cone
+    # is built
+    calls = Counter()
+    for target in ("_vector_left", "is_localizable", "_product"):
+        _counted(monkeypatch, localizability, target, calls)
     op = dict(weakly_localizable_ops())[name]
     op.carrier.cone.h_rep
     double_descriptions = _counted_double_description(monkeypatch)
     assert is_weakly_localizable(op).verdict == "yes"
-    assert (calls_of(mu_calls, op), double_descriptions) == ([], [])
+    assert (calls, calls_of(mu_calls, op), double_descriptions) == (Counter(), [], [])
 
 
 def _planted_table(op, bad, obstruction=None):
@@ -1008,18 +1014,22 @@ def test_only_a_side_the_table_refutes_runs_the_damped_map(monkeypatch, mu_calls
     # e1 is right-bad and no ray is left-bad, so a side with no bad ray in
     # the face of s holds by the table, and only the right side of an
     # element with a positive e1 coordinate builds its damped map, by one
-    # product with s per basis vector; the preimage cone is built only when
-    # the evidence of the "no" is read
+    # product with s per basis vector (a ray s would read them off the
+    # table, so the products are counted whether looked up or multiplied);
+    # the preimage cone is built only when the evidence of the "no" is read
     quarter = RationalCone.from_rays([(1, 0), (0, 1)], 2)
     op = BiadditiveOp(OpenConeMonoid(quarter, [(1, 0)]),
                       tensor=[[[0, 0], [0, 1]], [[0, 0], [0, 0]]])
     table = localizability._ray_table(op)
     assert table.bad[0] == [] and [table.rays[i] for i in table.bad[1]] == [(0, 1)]
     op.carrier.cone.h_rep
+    calls = Counter()
+    _counted(monkeypatch, localizability, "_product", calls)
     double_descriptions = _counted_double_description(monkeypatch)
     v = is_localizable(op, s)
     assert (v.verdict, v.reason) == (verdict, reason)
     damped = [((1, 0), s), ((0, 1), s)] if refuted else []
+    assert calls["_product"] == len(damped)
     assert (calls_of(mu_calls, op), double_descriptions) == (damped, [])
     v.as_dict()
     assert len(double_descriptions) == refuted
