@@ -42,7 +42,6 @@ from .exactmath import (
     ResourceBudgetError,
     as_int_vector,
     int_adjugate,
-    int_det,
     integer_kernel,
     is_zero_vector,
     vadd,
@@ -410,44 +409,45 @@ class LatticeMonoid(VectorCarrier):
     def contains(self, x: Sequence) -> bool:
         """Exact membership: is x a nonnegative integer combination of the generators?
 
-        A vector with a non-integral coordinate, or outside the generators'
-        lattice L, is not a member.  For the rest, let y be x's coordinates
-        in L's Hermite basis and r the rank of L.  A set B of r generators
-        whose coordinate matrix has ``|det| == 1`` is a basis of L, so x
-        has exactly one integer combination ``c = y . det . adj`` of B, and
-        x lies in ``N*B`` (a subset of the monoid) iff ``min(c) >= 0``.  By
-        Carathéodory's theorem every point of the generators' cone lies in
-        the cone of some r independent generators (Schrijver, *Theory of
-        Linear and Integer Programming*, ch. 7 and 16), so a member whose
-        covering generators are unimodular is found this way.  The r-subsets
-        are walked in :func:`itertools.combinations` order; each one's
-        determinant is computed once per carrier, when a query first needs
-        it, and the adjugate only when that determinant is a unit.  A hit re-substitutes
-        c; a failure raises :class:`InternalCheckError`.
+        A vector with a non-integral coordinate is not a member.  Let r be
+        the rank of the generators' lattice L, and B any r independent
+        generators, their rows read in a basis of L's span: x's own entries
+        when r = d, with no Hermite form, and only on a carrier of lower rank
+        its coordinates in L's Hermite basis (x off L is no member).  x's
+        only rational combination of B is ``c = x . adj(B) / det(B)``, so x
+        lies in ``N*B`` (a subset of the monoid) iff every entry of ``x .
+        adj(B)`` is zero or a multiple of det(B) of det's sign; the rule of
+        unimodular bases is the case ``|det(B)| == 1``.  By Carathéodory's
+        theorem every point of the generators' cone lies in the cone of some
+        r independent generators (Schrijver, *Theory of Linear and Integer
+        Programming*, ch. 7 and 16), and the walk finds x whenever x lies in
+        ``N*B`` for one of them.  The nonsingular r-subsets are walked in
+        :func:`itertools.combinations` order, each one's adjugate and
+        determinant computed once per carrier, when a query first needs it.
+        A hit re-substitutes c; a failure raises :class:`InternalCheckError`.
 
         On a miss, a free carrier, whose generators have no integer relation
         (the rank of L equals their number), answers no: its one subset is
-        every generator, and it is unimodular, so c is x's only combination.
-        On any other carrier a miss falls back to the complete search:
-        vectors outside the cone are refused, and the rest go to
-        :class:`CombinationSearch`, built on the first miss.  The generators
+        every generator, so c is x's only combination.  On any other carrier a
+        miss falls back to the complete search: vectors off L (whose Hermite
+        form is built here) or outside the cone are refused, and the rest go
+        to :class:`CombinationSearch`, built on the first miss.  The generators
         split into units (every facet normal of the cone vanishes on them;
-        they generate the group ``Z*units``) and positive generators (the
-        sum ``w`` of the normals is positive on them).  As ``w`` vanishes on
-        the units, any combination has ``sum(n[i] * w(p[i])) == w(x)`` over
-        the positive generators, so a depth-first search under that exact
-        weight equality is finite, and at each leaf the residue must lie in
-        the unit lattice.  A True answer carries a certificate of
-        nonnegative integer coefficients that is re-substituted.  Deciding
-        and certifying run in integers: one Hermite form of ``[units | I]``
-        answers the leaf checks and gives the unit coefficients, and a
-        strictly positive integer relation among the units shifts negative
-        ones; no rational simplex is run.  So every "no" off a free carrier
-        is the search's.  Answers are memoized per monoid.  The memo also
-        holds, as True, every vector that :meth:`ray_sums` has built: each
-        is ``x + g`` for a sum x of generators and a generator g, a member
-        by the definition of the monoid, with that construction as its
-        certificate.
+        they generate the group ``Z*units``) and positive generators (the sum
+        ``w`` of the normals is positive on them).  As ``w`` vanishes on the
+        units, any combination has ``sum(n[i] * w(p[i])) == w(x)`` over the
+        positive generators, so a depth-first search under that exact weight
+        equality is finite, and at each leaf the residue must lie in the unit
+        lattice.  A True answer carries a certificate of nonnegative integer
+        coefficients that is re-substituted.  Deciding and certifying run in
+        integers: one Hermite form of ``[units | I]`` answers the leaf checks
+        and gives the unit coefficients, and a strictly positive integer
+        relation among the units shifts negative ones; no rational simplex is
+        run.  So every "no" off a free carrier is the search's.  Answers are
+        memoized per monoid.  The memo also holds, as True, every vector that
+        :meth:`ray_sums` has built: each is ``x + g`` for a sum x of
+        generators and a generator g, a member by the definition of the
+        monoid, with that construction as its certificate.
         """
         if len(x) != self.dim:
             raise InputError("element dimension mismatch")
@@ -461,48 +461,59 @@ class LatticeMonoid(VectorCarrier):
 
     def _member(self, key: tuple) -> bool:
         """Membership of a nonzero integer vector, not memoized."""
-        y = self.lattice.coordinates(key)
-        if y is None:
-            return False
-        for subset, columns in self._unimodular_bases():
-            c = [sum(map(mul, y, column)) for column in columns]
-            if min(c) >= 0:
+        y = key
+        for subset, columns, det in self._bases():
+            if len(subset) < len(y):  # a carrier of lower rank: Hermite coordinates
+                y = self.lattice.coordinates(key)
+                if y is None:
+                    return False
+            c = []
+            for column in columns:
+                q, rest = divmod(sum(map(mul, y, column)), det)
+                if rest or q < 0:
+                    break
+                c.append(q)
+            else:
                 check = [0] * self.dim
                 for cj, j in zip(c, subset):
                     if cj:
                         check = [a + cj * b for a, b in zip(check, self.generators[j])]
                 if check != list(key):
-                    raise InternalCheckError("unimodular basis certificate failed")
+                    raise InternalCheckError("basis certificate failed")
                 return True
-        if len(self.lattice.basis) == len(self.generators):
-            return False
-        return self.cone.member(key) and self.combinations.find(key) is not None
+        if len(subset) == len(self.generators):
+            return False  # free: its one subset is every generator
+        return (self.lattice.contains(key) and self.cone.member(key)
+                and self.combinations.find(key) is not None)
 
-    def _unimodular_bases(self) -> Iterator[tuple[tuple[int, ...], tuple]]:
-        """The r-subsets of the generators that are bases of their lattice,
-        in :func:`itertools.combinations` order, each with the columns of
-        ``det . adj`` of its coordinate matrix (the inverse, as det is a
-        unit): a row of coordinates times them gives the subset's
-        coefficients.  Each subset's determinant is computed once, when a
-        caller first walks past the ones found so far; ``_cache["bases"]``
-        holds the bases found, ``_cache["subsets"]`` the subsets not yet
-        tried, and ``_cache["generator_coordinates"]`` each generator's
-        coordinates in the lattice's Hermite basis."""
+    def _bases(self) -> Iterator[tuple[tuple[int, ...], tuple, int]]:
+        """The independent r-subsets of the generators (see :meth:`contains`),
+        each with the columns of the adjugate of its rows and their
+        determinant.  Each subset's adjugate is computed once, when a caller
+        first walks past the bases found so far; ``_cache["bases"]`` holds
+        those, and ``_cache["subsets"]`` the subsets not yet tried."""
         if "bases" not in self._cache:
             self._cache["bases"] = []
-            self._cache["subsets"] = itertools.combinations(
-                range(len(self.generators)), len(self.lattice.basis))
-            self._cache["generator_coordinates"] = [
-                self.lattice.coordinates(g) for g in self.generators]
-        bases, coordinates = self._cache["bases"], self._cache["generator_coordinates"]
+            self._cache["subsets"] = self._subsets()
+        bases = self._cache["bases"]
         yield from bases
-        for subset in self._cache["subsets"]:
-            rows = [coordinates[j] for j in subset]
-            if abs(int_det(rows)) == 1:
-                det, adj = int_adjugate(rows)
-                bases.append((subset, tuple(tuple(det * v for v in column)
-                                            for column in zip(*adj))))
+        for subset, rows in self._cache["subsets"]:
+            det, adj = int_adjugate(rows)
+            if det:
+                bases.append((subset, tuple(zip(*adj)), det))
                 yield bases[-1]
+
+    def _subsets(self) -> Iterator[tuple[tuple[int, ...], list]]:
+        """The d-subsets of the generators with their own entries as rows;
+        then, only if none is independent (r < d), the r-subsets with the
+        generators' coordinates in the lattice's Hermite basis as rows."""
+        indices = range(len(self.generators))
+        for subset in itertools.combinations(indices, self.dim):
+            yield subset, [self.generators[j] for j in subset]
+        if not self._cache["bases"]:
+            coordinates = [self.lattice.coordinates(g) for g in self.generators]
+            for subset in itertools.combinations(indices, len(self.lattice.basis)):
+                yield subset, [coordinates[j] for j in subset]
 
 
 class OpenConeMonoid(VectorCarrier):

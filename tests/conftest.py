@@ -711,6 +711,23 @@ def searches_built(monkeypatch):
 
 
 @pytest.fixture
+def lattices_built(monkeypatch):
+    """The argument tuples of every :class:`IntegerLattice` (one Hermite form
+    each) that a carrier builds during one test, in order."""
+    from monoidorder import monoids
+
+    built = []
+
+    class Counted(monoids.IntegerLattice):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(monoids, "IntegerLattice", Counted)
+    return built
+
+
+@pytest.fixture
 def mu_calls(monkeypatch):
     """The ``(op, a, b)`` of every :meth:`BiadditiveOp.mu` call during one
     test, in order; :func:`calls_of` keeps those of one operation."""

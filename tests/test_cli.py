@@ -95,6 +95,24 @@ def test_order_on_five_checks_large_members_without_a_search(tmp_path, searches_
     assert searches_built == []
 
 
+FIVE22 = ("kind: lattice\ndim: 3\n\n[generators]\n2 0 0\n3 0 0\n0 2 0\n0 3 0\n0 0 2\n"
+          "0 0 3\n-4 2 -2\n10 8 14\n")
+
+
+@pytest.mark.parametrize("b", ["153,220,198", "1530,2200,1980"])
+def test_order_on_five22_checks_large_members_without_a_search(tmp_path, searches_built, b):
+    # FIVE with each unit vector replaced by 2e_i and 3e_i and its other
+    # two generators doubled has no unimodular basis, but the nonsingular
+    # basis {3e_1, 2e_2, 2e_3} covers both points, so each input check is
+    # read off it; the combination search ran past 20 s on each
+    path = tmp_path / "five22.mon"
+    path.write_text(FIVE22, encoding="utf-8")
+    code, doc, err = run_json("order", str(path), "0,0,0", b)
+    assert code == EXIT_PASS, err
+    assert (doc["leq_ab"], doc["leq_ba"], doc["consistent"]) == (True, False, True)
+    assert searches_built == []
+
+
 def test_a_strong_refutation_validates_its_witness_without_a_search(tmp_path,
                                                                    searches_built):
     # a lattice that is not free, whose strong refutation re-validates a

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
-from monoidorder.exactmath import (CombinationSearch, InputError, InternalCheckError,
-                                   RationalCone, ResourceBudgetError, solve_nonneg_rational, vadd, vneg, vscale,
+from monoidorder.exactmath import (CombinationSearch, InputError, IntegerLattice,
+                                   InternalCheckError, RationalCone, ResourceBudgetError, solve_nonneg_rational, vadd, vneg, vscale,
                                    vsub)
 from monoidorder import monoids
 from monoidorder.grothendieck import grothendieck, nabla
@@ -485,31 +485,42 @@ def test_line_membership_matches_the_oracle(values, x):
 def test_membership_is_memoized_per_distinct_vector(monkeypatch):
     # a symmetric product on the carrier <2, 3> x <2, 3> of N^2 whose
     # generator products are past the pool's sums of 3 generators: the
-    # closure check searches each distinct product once, and each mixed
-    # product, such as (16, 16), is asked twice.  No two generators are a
-    # basis of Z^2, so no unimodular basis decides membership and every
-    # product runs the search
+    # closure check decides each distinct product once, and each mixed
+    # product, such as (16, 16), is asked twice.  Every product is a
+    # multiple of 2 or 3 on each axis, so a nonsingular basis of generators
+    # covers it and no search runs; (5, 5), (5, 7) and (7, 5) are on no
+    # basis's lattice, so the search decides each of them once
     from monoidorder.functionals import verify_theorem_main
-    calls = {}
+    calls, finds = {}, {}
     searches = []  # keep every search alive so that ids are not reused
-    original = CombinationSearch.find
+    member, find = LatticeMonoid._member, CombinationSearch.find
 
-    def counted(self, target):
+    def counted(self, key):
+        calls[key] = calls.get(key, 0) + 1
+        return member(self, key)
+
+    def counted_find(self, target):
         searches.append(self)
         key = (id(self), tuple(target))
-        calls[key] = calls.get(key, 0) + 1
-        return original(self, target)
+        finds[key] = finds.get(key, 0) + 1
+        return find(self, target)
 
-    monkeypatch.setattr(CombinationSearch, "find", counted)
+    monkeypatch.setattr(LatticeMonoid, "_member", counted)
+    monkeypatch.setattr(CombinationSearch, "find", counted_find)
     tensor = (((5, 0), (4, 4)), ((4, 4), (0, 5)))
     op = BiadditiveOp(LatticeMonoid(2, [(2, 0), (3, 0), (0, 2), (0, 3)]), tensor=tensor)
     verify_theorem_main(op)
     assert calls and max(calls.values()) == 1
     assert len(calls) == 9
     m = op.carrier
-    assert m._cache["bases"] == []
+    assert [subset for subset, _, _ in m._cache["bases"]] == [(0, 2), (0, 3), (1, 2)]
+    assert finds == {} and "combinations" not in m._cache
     memo = m._cache["contains"]
     assert len(memo) <= 41
+    for x in ((5, 5), (5, 7), (5, 5), (7, 5), (5, 7)):
+        assert m.contains(x)
+    assert max(calls.values()) == 1 and len(calls) == 12
+    assert len(finds) == 3 and max(finds.values()) == 1
     fresh = LatticeMonoid(m.dim, m.generators)
     for x, answer in memo.items():
         assert fresh.contains(x) == answer
@@ -570,33 +581,35 @@ def test_open_cone_pool_keeps_only_members(name, m):
 
 def _twos_and_threes(gens):
     """2g and 3g for every generator g: the same lattice and cone, but no r
-    of them form a basis of the lattice, so membership runs the search."""
+    of them form a basis of the lattice, so a point that none of their
+    nonsingular bases covers runs the search."""
     return [tuple(k * v for v in g) for g in gens for k in (2, 3)]
 
 
 def test_combination_search_nodes_on_the_theorem_sweep():
     # depth-first nodes do not jitter, so they gate the membership search's
     # work.  Sums of generators enter the membership memo as they are
-    # built, so the sweeps search only generator products past the pool:
-    # 38 nodes on the diagonal product and none on the matrix product, whose
-    # generator products are generators or sums of two.  Each carrier takes
-    # 2g and 3g for every generator g of N^3 and of the 2x2 matrices, so it
-    # has no unimodular basis and membership runs the search (with one, a
-    # covered member is one integer solve)
+    # built, and every generator product past the pool is a multiple of 2
+    # or 3 on each axis, which a nonsingular basis of generators covers: the
+    # sweeps build no search.  Each carrier takes 2g and 3g for every
+    # generator g of N^3 and of the 2x2 matrices, so it has no unimodular
+    # basis; a point with an entry 5 or 1 is on no basis's lattice and runs
+    # the search
     from monoidorder.functionals import verify_theorem_main
     from monoidorder.monoids import diagonal_tensor, matrix_monoid_2x2, matrix_product_tensor
     diagonal = BiadditiveOp(LatticeMonoid(3, _twos_and_threes(free_monoid(3).generators)),
                             tensor=diagonal_tensor(3, [2, 5, 5]))
     matrix = BiadditiveOp(LatticeMonoid(4, _twos_and_threes(matrix_monoid_2x2().generators)),
                           tensor=matrix_product_tensor())
-    for op, most in ((diagonal, 38), (matrix, 0)):
+    for op in (diagonal, matrix):
         verify_theorem_main(op)
-        assert op.carrier.combinations.nodes <= most
-    assert diagonal.carrier.combinations.nodes > 0
-    # a query that is not built as a sum still runs the search
+        assert "combinations" not in op.carrier._cache
     assert matrix.carrier.contains((2, 2, 2, 3))
-    assert not matrix.carrier.contains((2, 1, 1, 1))
-    assert matrix.carrier.combinations.nodes > 0
+    assert "combinations" not in matrix.carrier._cache
+    for op, member, nonmember, nodes in ((diagonal, (5, 5, 5), (1, 5, 5), 12),
+                                         (matrix, (5, 5, 5, 5), (2, 1, 1, 1), 18)):
+        assert op.carrier.contains(member) and not op.carrier.contains(nonmember)
+        assert op.carrier.combinations.nodes == nodes
     fresh = LatticeMonoid(4, matrix.carrier.generators)
     search = CombinationSearch(fresh.generators, fresh.cone.h_rep)
     for x, answer in matrix.carrier._cache["contains"].items():
@@ -645,65 +658,96 @@ def test_free_membership_agrees_with_the_search(gens, data):
 FIVE = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-2, 1, -1), (5, 4, 7)]
 
 
-def test_unimodular_membership_does_not_grow_with_the_element(monkeypatch, searches_built):
-    # FIVE's unit vectors are a unimodular basis that covers k * (153, 220,
-    # 198), so each k is one integer solve: no search is built, and no
-    # more than its C(5, 3) = 10 determinants are ever computed.  (The
-    # search, in input order, visits 882,722 nodes at k = 1.)
-    dets = []
-    int_det = monoids.int_det
-    monkeypatch.setattr(monoids, "int_det", lambda rows: dets.append(rows) or int_det(rows))
+def test_unimodular_membership_does_not_grow_with_the_element(monkeypatch, searches_built,
+                                                             lattices_built):
+    # FIVE's unit vectors, its first 3-subset, are a unimodular basis that
+    # covers k * (153, 220, 198), so each k is read off x's own entries: no
+    # search and no Hermite form are built, and one adjugate is ever
+    # computed.  (The search, in input order, visits 882,722 nodes at k = 1.)
+    adjugates = []
+    int_adjugate = monoids.int_adjugate
+    monkeypatch.setattr(monoids, "int_adjugate",
+                        lambda rows: adjugates.append(rows) or int_adjugate(rows))
     m = LatticeMonoid(3, FIVE)
     for k in (1, 10, 100):
         assert m.contains((153 * k, 220 * k, 198 * k))
         assert m.contains((400 * k, 500 * k, 600 * k))
     assert searches_built == [] and "combinations" not in m._cache
-    assert 1 <= len(dets) <= 10
+    assert lattices_built == [] and adjugates == [[(1, 0, 0), (0, 1, 0), (0, 0, 1)]]
 
 
 def test_a_point_off_every_unimodular_basis_reaches_the_search(searches_built):
-    # neither generator of <2, 3> is a basis of Z, so 1 is decided by the
-    # complete search, and 5 = 2 + 3 too
+    # each generator of <2, 3> is a nonsingular basis, of 2Z and of 3Z: 4
+    # and 6 are read off them, but 1 and 5 are on neither lattice, so the
+    # complete search decides them, and 5 = 2 + 3 is a member
     m = LatticeMonoid(1, [(2,), (3,)])
+    assert m.contains((4,)) and m.contains((6,))
+    assert searches_built == []
     assert not m.contains((1,))
     assert len(searches_built) == 1
     assert m.contains((5,)) and not m.contains((-2,))
-    assert m._cache["bases"] == [] and len(searches_built) == 1
+    assert m._cache["bases"] == [((0,), ((1,),), 2), ((1,), ((1,),), 3)]
+    assert len(searches_built) == 1
 
 
-def test_searches_built_on_an_order_fresh_corpus(searches_built):
+def test_a_basis_of_negative_determinant_reads_its_sign(searches_built, lattices_built):
+    # (4, 4) lies in N*{(0, 2), (2, 0)} and on no other basis's lattice:
+    # that basis has det -4 and x . adj = (-8, -8), so its coefficients
+    # (2, 2) are read with det's sign, and no Hermite form or search is built
+    m = LatticeMonoid(2, [(0, 2), (2, 0), (0, 3), (3, 0)])
+    assert m.contains((4, 4))
+    assert [det for _, _, det in m._cache["bases"]] == [-4]
+    assert searches_built == [] and lattices_built == []
+
+
+def test_searches_built_on_an_order_fresh_corpus(searches_built, lattices_built):
     # carriers shaped like the order-fresh benchmark's (dimension 2 or 3,
     # entries -1..1, full rank, 3 to 5 nonzero generators), each asked about
     # four sums of generators with coefficients 0..2: only the members that
-    # no unimodular basis covers build a search, on 15 carriers.  When
-    # membership ran the search on every non-free carrier, the same corpus
-    # built 109, one per non-free carrier
+    # no nonsingular basis covers build a Hermite form and a search, on 7
+    # carriers.  When membership ran the search on every non-free carrier,
+    # the same corpus built 109 searches, one per non-free carrier, and
+    # when it read only unimodular bases, 15 searches and a Hermite form
+    # on every carrier
     rng = seeded(40)
     carriers = 0
     while carriers < 120:
         dim = rng.choice((2, 3))
         gens = [tuple(rng.randint(-1, 1) for _ in range(dim)) for _ in range(rng.randint(3, 5))]
         m = LatticeMonoid(dim, gens)
-        if not all(any(g) for g in gens) or len(m.lattice.basis) != dim:
+        if not all(any(g) for g in gens) or len(IntegerLattice(dim, gens).basis) != dim:
             continue
         carriers += 1
         for _ in range(4):
             c = [rng.randint(0, 2) for _ in gens]
             assert m.contains(tuple(sum(ci * g[j] for ci, g in zip(c, gens))
                                     for j in range(dim)))
-    assert len(searches_built) == 15
+    assert len(searches_built) == 7
+    assert [args[1] for args in lattices_built] == [args[0] for args in searches_built]
 
 
-def test_unimodular_membership_agrees_with_the_search():
-    # 20,000 queries on 1,000 drawn carriers of dimension at most 4 with at
-    # most 6 generators, entries -3..3, some with a zero or a repeated
-    # generator, pointed or not: half the queries are sums of generators,
-    # half are drawn points, and membership equals the reference search
+def test_basis_membership_agrees_with_the_search():
+    # 20,000 queries on drawn carriers of dimension at most 4 with at most
+    # 6 generators, entries -3..3, some with a zero or a repeated generator,
+    # pointed or not; some take 2g and 3g for up to 3 drawn g, so their
+    # nonsingular bases have |det| > 1, some of it negative, and some draw
+    # every generator from the span of fewer than d vectors, so their rank
+    # is below d and the walk reads Hermite coordinates: half the queries
+    # are sums of generators, half are drawn points, and membership equals
+    # the reference search
     rng = seeded(20261019)
     seen, queries, members = set(), 0, 0
     while queries < 20000:
         d, n = rng.randint(1, 4), rng.randint(1, 6)
         gens = [tuple(rng.randint(-3, 3) for _ in range(d)) for _ in range(n)]
+        shape = rng.random()
+        if shape < 0.15:
+            gens = _twos_and_threes(gens[:3])
+        elif shape < 0.3 and d > 1:
+            span = [tuple(rng.randint(-2, 2) for _ in range(d)) for _ in range(d - 1)]
+            gens = [tuple(sum(rng.randint(-1, 1) * b[j] for b in span) for j in range(d))
+                    for _ in range(max(n, d))]
+        n = len(gens)
         if n > 1 and rng.random() < 0.2:
             gens[-1] = rng.choice(gens[:-1])
         if rng.random() < 0.2:
@@ -725,18 +769,23 @@ def test_unimodular_membership_agrees_with_the_search():
             assert answer == (reference.find(x) is not None), (gens, x)
             members += answer
             queries += 1
-    assert seen == {"pointed", "not pointed", "zero", "repeat"}
+        for subset, _, det in m._cache.get("bases", ()):
+            seen.update({"|det| > 1"} if abs(det) > 1 else set())
+            seen.update({"det < 0"} if det < 0 else set())
+            seen.update({"lower rank, n >= d"} if len(subset) < d <= n else set())
+    assert seen == {"pointed", "not pointed", "zero", "repeat",
+                    "|det| > 1", "det < 0", "lower rank, n >= d"}
     assert 0 < members < queries
 
 
 def test_a_corrupt_adjugate_column_is_caught():
-    # the coefficients read off a unimodular basis are re-substituted
+    # the coefficients read off a nonsingular basis are re-substituted
     # before a True answer: a planted wrong column raises
     m = free_monoid(2)
     assert m.contains((1, 2))
-    [(subset, columns)] = m._cache["bases"]
-    m._cache["bases"][0] = (subset, ((1, 1),) + columns[1:])
-    with pytest.raises(InternalCheckError, match="unimodular basis certificate"):
+    [(subset, columns, det)] = m._cache["bases"]
+    m._cache["bases"][0] = (subset, ((1, 1),) + columns[1:], det)
+    with pytest.raises(InternalCheckError, match="basis certificate failed"):
         m.contains((1, 1))
 
 
