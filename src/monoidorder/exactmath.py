@@ -68,6 +68,12 @@ def vdot(a, b):
     return sum(map(mul, a, b))
 
 
+def vcombine(coeffs, vectors):
+    """``sum_j coeffs[j] * vectors[j]`` over a nonempty list of vectors."""
+    return tuple(sum(c * v[t] for c, v in zip(coeffs, vectors))
+                 for t in range(len(vectors[0])))
+
+
 def is_zero_vector(a) -> bool:
     return not any(a)
 
@@ -591,11 +597,6 @@ class RationalCone:
         if len(x) != self.dim:
             raise InputError("point dimension mismatch")
         return all(vdot(n, x) >= 0 for n in self.h_rep)
-
-    def is_pointed(self) -> bool:
-        """No line in the cone: the lineality space is the common zero set
-        of the h-representation, so it is zero iff that has full rank."""
-        return len(hermite_normal_form(self.h_rep)) == self.dim
 
     def contains_cone(self, other: "RationalCone") -> bool:
         return all(self.member(g) for g in other.v_rep)

@@ -46,7 +46,7 @@ from itertools import zip_longest
 from math import lcm
 from typing import Optional, Sequence, Union
 
-from .exactmath import InputError, InternalCheckError, primitive
+from .exactmath import InputError, InternalCheckError, as_int_vector, primitive
 
 Rat = Union[int, Fraction]
 
@@ -123,7 +123,7 @@ class RationalPolynomial:
         back (:class:`InternalCheckError` when ``other`` does not divide)."""
         if other.is_zero():
             raise InputError("polynomial division by zero")
-        a, b = _integer_multiple(self), _integer_multiple(other)
+        a, b = as_int_vector(self.coefficients), as_int_vector(other.coefficients)
         q = _exact_quotient(a, b)
         if not q:
             return RationalPolynomial([])
@@ -142,7 +142,7 @@ class RationalPolynomial:
         squaring in integers, times ``(leading / ints[-1]) ** n``."""
         if self.is_zero():
             return RationalPolynomial([1] if n == 0 else [])
-        ints = _integer_multiple(self)
+        ints = as_int_vector(self.coefficients)
         ratio = (self.leading / ints[-1]) ** n
         out, base = (1,), ints
         while n:
@@ -183,13 +183,6 @@ class RationalPolynomial:
 # primitive integer tuple, low degree first.  Gcds, exact quotients and
 # Yun's decomposition then run without normalizing a single ``Fraction``;
 # results convert back to monic rational polynomials at the end.
-
-
-def _integer_multiple(p: RationalPolynomial) -> tuple:
-    """Primitive integer coefficients that are a positive multiple of ``p``."""
-    den = lcm(*(c.denominator for c in p.coefficients))
-    return primitive([c.numerator * (den // c.denominator)
-                      for c in p.coefficients])
 
 
 def _monic(ints: tuple) -> RationalPolynomial:
@@ -284,7 +277,7 @@ def _int_gcd(a: tuple, b: tuple) -> tuple:
 def poly_gcd(a: RationalPolynomial, b: RationalPolynomial) -> RationalPolynomial:
     """Monic greatest common divisor (zero when both are zero), computed as
     the gcd of the primitive integer multiples (:func:`_int_gcd`)."""
-    g = _int_gcd(_integer_multiple(a), _integer_multiple(b))
+    g = _int_gcd(as_int_vector(a.coefficients), as_int_vector(b.coefficients))
     return _monic(g) if g else RationalPolynomial([])
 
 
@@ -337,7 +330,7 @@ def squarefree_decomposition(p: RationalPolynomial):
     [(factor, multiplicity), ...])`` with monic factors (:func:`_yun`)."""
     if p.is_zero():
         raise InputError("the zero polynomial has no square-free decomposition")
-    return p.leading, [(_monic(g), m) for g, m in _yun(_integer_multiple(p))[0]]
+    return p.leading, [(_monic(g), m) for g, m in _yun(as_int_vector(p.coefficients))[0]]
 
 
 # ---------------------------------------------------------------------------
@@ -450,7 +443,7 @@ class SturmChain:
     def __init__(self, p: RationalPolynomial):
         if p.is_zero():
             raise InputError("cannot build a root-counting chain for zero")
-        factors, chain = _yun(_integer_multiple(p))
+        factors, chain = _yun(as_int_vector(p.coefficients))
         self._adopt(_chain_for(_int_product(g for g, _ in factors), chain))
 
     @classmethod
@@ -516,7 +509,7 @@ def sturm_root_count(p, lo: Optional[Rat] = None,
 
 def cauchy_root_bound(p) -> Fraction:
     """All real roots of ``p`` (or of integers ``p``) lie inside ``(-B, B)``."""
-    c = p if isinstance(p, tuple) else _integer_multiple(p)
+    c = p if isinstance(p, tuple) else as_int_vector(p.coefficients)
     if len(c) <= 1:
         return Fraction(1)
     return 1 + Fraction(max(abs(x) for x in c[:-1]), abs(c[-1]))
@@ -908,7 +901,7 @@ def is_sos_membership(f: RationalFunction) -> dict:
     lead = num.leading * den.leading
     lead_ok = lead > 0
     # a positive multiple of num * den, multiplied in integers
-    g = _int_mul(_integer_multiple(num), _integer_multiple(den))
+    g = _int_mul(as_int_vector(num.coefficients), as_int_vector(den.coefficients))
     factors, chain = _yun(g)
     if lead_ok:
         odd_roots = _odd_root_count(factors, chain)
@@ -917,9 +910,19 @@ def is_sos_membership(f: RationalFunction) -> dict:
                     "criterion": POINTWISE_FACT,
                     "detail": f"leading coefficient {lead} > 0 and no "
                               "real root of odd multiplicity"}
-    sf = _int_product(h for h, _ in factors)
-    witness = _negative_point(g, SturmChain._of(_chain_for(sf, chain)),
-                              cauchy_root_bound(sf))
+    # integers come first in the witness order of _negative_point, so g is
+    # signed by integer Horner at 0, 1, -1, 2, ..., as many points as it has
+    # coefficients, before any root is isolated
+    x = 0
+    for _ in g:
+        if _int_value(g, x) < 0:
+            witness = Fraction(x)
+            break
+        x = -x if x > 0 else 1 - x
+    else:
+        sf = _int_product(h for h, _ in factors)
+        witness = _negative_point(g, SturmChain._of(_chain_for(sf, chain)),
+                                  cauchy_root_bound(sf))
     value = f.evaluate(witness)
     if value >= 0:
         raise InternalCheckError("witness point does not evaluate negative")
@@ -1086,9 +1089,8 @@ def theorem_skew_hypothesis(f: RationalFunction) -> dict:
     :class:`InternalCheckError` is raised.
     """
     num, den = f.numerator, f.denominator
-    # num and den scaled by one positive factor; den is monic, so no zero
-    # at the end of the joined coefficients is stripped
-    ints = _integer_multiple(RationalPolynomial(num.coefficients + den.coefficients))
+    # num and den scaled by one positive factor
+    ints = as_int_vector(num.coefficients + den.coefficients)
     N, D = ints[:num.degree + 1], ints[num.degree + 1:]
     samples, x = [], 0  # (x, floor(f(x))) at x = 0, 1, -1, 2, ... off the poles
     while True:

@@ -506,15 +506,16 @@ def _pool_products(m, pool: list, products: dict) -> list[list]:
 
 
 def _commutativity_sweep(m, pool: list, table, members: Optional[set],
-                         class_key) -> tuple[list, int]:
+                         class_key, exact: bool) -> tuple[list, int]:
     """The commutativity failures on the pool, and their exact count, read
     off ``table[i][j] == mu(pool[i], pool[j])`` in pool order.
 
     An exact failure is a pair of differing entries, and only there are
-    the classes compared, by ``class_key``.  On a lattice monoid whose
-    cone has no lineality space the facet normals tell every two points of
-    the span apart, so ``approx`` is equality on the members, which every
-    compared product is, and differing entries fail with no class key.
+    the classes compared, by ``class_key``.  With ``exact`` (a vector
+    carrier whose cone has no lineality space) the facet normals tell
+    every two points apart, so ``approx`` is equality on the members,
+    which every compared product is once checked, and differing entries
+    fail with no class key.
 
     ``members`` holds the elements known to be members, None under
     closure.  Otherwise each compared product outside it is checked at
@@ -522,7 +523,6 @@ def _commutativity_sweep(m, pool: list, table, members: Optional[set],
     so the first error raised is that sweep's; each product that passes
     joins ``members``.
     """
-    exact = isinstance(m, LatticeMonoid) and not m.lineality_coordinates()
     fail, exact_fail = [], 0
     for a, row, column in zip(pool, table, zip(*table)):
         for b, ab, ba in zip(pool, row, column):
@@ -700,12 +700,13 @@ def verify_theorem_main(op: BiadditiveOp,
     if commutes and associates:
         table = None
     elif isinstance(m, FiniteMonoid):
-        table = op.table
+        table, exact = op.table, False
     else:
         table = _pool_products(m, pool, op.ray_products)
+        exact = not m.lineality_coordinates()  # a pointed cone
     comm_fail, comm_exact_fail = (
         ([], 0) if commutes
-        else _commutativity_sweep(m, pool, table, members, class_key))
+        else _commutativity_sweep(m, pool, table, members, class_key, exact))
     if associates:
         assoc_fail, assoc_exact_fail = [], 0
     else:
@@ -745,7 +746,7 @@ def weak_implies_strong_audit(op: BiadditiveOp) -> dict:
     if isinstance(m, FiniteMonoid) or m.open_normals:
         return {"status": "skipped", "ok": True,
                 "reason": "hypothesis needs a lattice carrier"}
-    if not m.cone.is_pointed():
+    if m.lineality_coordinates():
         return {"status": "skipped", "ok": True,
                 "reason": "hypothesis needs a pointed positivity cone"}
     weak = is_weakly_localizable(op)

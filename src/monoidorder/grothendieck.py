@@ -38,8 +38,8 @@ from .exactmath import (
     is_zero_vector,
     primitive,
     vadd,
+    vcombine,
     vdot,
-    vscale,
     vsub,
 )
 from .monoids import FiniteMonoid, VectorCarrier
@@ -49,15 +49,17 @@ class FiniteGrothGroup:
     """Difference group of a finite monoid: its kernel group K.
 
     ``classes`` counts the classes, numbered by first appearance over
-    (a, b) in lexicographic order; ``iota[a]`` is the class of (a, 0).
+    (a, b) in lexicographic order; ``iota[a]`` is the class of (a, 0).  The
+    row ``a = 0`` comes first and meets every class: ``0 - b`` is the
+    inverse of ``b + e`` in K, which runs over ``K = e + M``.  So the row
+    alone numbers the classes.
     """
 
     def __init__(self, monoid: FiniteMonoid):
         self.monoid = monoid
         number: dict[int, int] = {}
-        for a in monoid.elements():
-            for b in monoid.elements():
-                number.setdefault(monoid.difference(a, b), len(number))
+        for b in monoid.elements():
+            number.setdefault(monoid.difference(0, b), len(number))
         self.classes = len(number)
         self.iota = [number[monoid.difference(a, 0)] for a in monoid.elements()]
 
@@ -143,9 +145,7 @@ class ReducedVector:
             monoid.lineality_coordinates()
         k = len(kernel_coords)
         self.kernel_rank = k
-        self.kernel_vectors = tuple(
-            tuple(sum(c[i] * basis[i][j] for i in range(r)) for j in range(monoid.dim))
-            for c in kernel_coords)
+        self.kernel_vectors = tuple(vcombine(c, basis) for c in kernel_coords)
         self.rank = r - k
         if not k:
             # no kernel, so V is the identity: a class is its coordinates,
@@ -169,10 +169,7 @@ class ReducedVector:
         return tuple(sum(map(mul, rel, c)) for rel in self._relations)
 
     def reconstruct(self, w) -> tuple:
-        out = tuple(0 for _ in range(self.monoid.dim))
-        for t, coeff in enumerate(w):
-            out = vadd(out, vscale(coeff, self._recon_rows[t]))
-        return out
+        return vcombine(w, self._recon_rows) if self.rank else (0,) * self.monoid.dim
 
     def iota(self, a) -> tuple:
         return self.project(a)

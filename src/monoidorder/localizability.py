@@ -42,6 +42,7 @@ from .exactmath import (
     echelon_solve,
     integer_solve,
     vadd,
+    vcombine,
     vdot,
     vneg,
     vscale,
@@ -155,11 +156,11 @@ def _preimage_escape(m, bl, basis):
     normals = [as_int_vector(tuple(vdot(bl[i], h) for i in range(r))) for h in cone.h_rep]
     lineality, rays = cone_from_inequalities(normals, r)
     for c in sorted(rays):
-        x = _combine(c, basis)
+        x = vcombine(c, basis)
         if not cone.member(x):
             return x
     for c in sorted(lineality):
-        x = _combine(c, basis)
+        x = vcombine(c, basis)
         for y in (x, vneg(x)):
             if not cone.member(y):
                 return y
@@ -194,7 +195,7 @@ def _vector_left(op, s, side, kind) -> LocalizabilityVerdict:
     if m.open_normals:
         kernel = _left_kernel(bl)
         if kernel:
-            x = as_int_vector(_combine(kernel[0], basis))
+            x = as_int_vector(vcombine(kernel[0], basis))
             direction = x if not _inside(m, x) else vneg(x)
             return _refuted(op, s, side, kind,
                             "damped map kills a direction outside the strict cone",
@@ -246,34 +247,26 @@ def _left_kernel(bl) -> list[tuple]:
     return echelon_kernel(list(zip(*bl)))
 
 
-def _combine(coeffs, basis):
-    out = tuple(0 for _ in basis[0])
-    for c, b in zip(coeffs, basis):
-        out = vadd(out, vscale(c, b))
-    return out
-
-
 def _witness_pair(m, direction) -> tuple:
     """Deterministic monoid pair (a, a + direction), for a direction outside m.
 
-    The base point a is the least multiple ``k*g`` of the ray sum g whose
-    translate by the direction lies in m.  Every ``k*g`` is a member, and
-    membership of ``k*g + direction`` is upward closed in k (adding g keeps
-    it), so the least k is found by galloping from 0, then bisecting.  The
-    search stops at a k whose translate is certainly a member: on a
-    lattice, from an integer combination of the direction; on a cone, the
-    least k that every facet inequality allows, ``h . (k*g + d) >= 0``
-    for a closed normal positive on g and ``n . (k*g + d) > 0`` for an
-    open one.
+    The base point a is the least multiple ``k*g`` of the ray sum g (see
+    :func:`_interior_point`) whose translate by the direction lies in m.
+    Every ``k*g`` is a member, and membership of ``k*g + direction`` is
+    upward closed in k (adding g keeps it), so the least k is found by
+    galloping from 0, then bisecting.  The search stops at a k whose
+    translate is certainly a member: on a lattice, from an integer
+    combination of the direction; on a cone, the least k that every facet
+    inequality allows, ``h . (k*g + d) >= 0`` for a closed normal positive
+    on g and ``n . (k*g + d) > 0`` for an open one.
     """
+    g = _interior_point(m)
     if isinstance(m, LatticeMonoid):
-        combo = integer_solve([tuple(g) for g in m.generators], tuple(direction))
+        combo = integer_solve(m.generators, tuple(direction))
         if combo is None:
             raise InternalCheckError("violating direction left the difference lattice")
-        g = reduce(vadd, m.generators, (0,) * m.dim)
         cap = max(0, -min(combo)) + 1
     else:
-        g = _interior_point(m)
         cap = max([0] + [-(vdot(h, direction) // vdot(h, g))
                          for h in m.closed_normals if vdot(h, g) > 0]
                   + [-vdot(n, direction) // vdot(n, g) + 1 for n in m.open_normals])
@@ -318,15 +311,16 @@ def _nonzero_span(m) -> tuple:
     return m.span_basis
 
 
-def _interior_point(m: OpenConeMonoid) -> tuple:
-    """The ray sum: a member in the relative interior of the closed cone.
+def _interior_point(m) -> tuple:
+    """The sum of ``m.rays``: a member in the relative interior of the
+    closed cone.
 
     A cone of lower dimension keeps each implicit equality ``h . x = 0`` in
     ``h_rep`` as the pair ``h``, ``-h``, which vanishes on every ray and so
     on all of the cone.  Relative interiority asks strict positivity only
     of the other forms, each of which is positive on some ray.
     """
-    rays = m.cone.v_rep
+    rays = m.rays
     _nonzero_span(m)
     acc = reduce(vadd, rays, (0,) * m.dim)
     for h in m.cone.h_rep:
@@ -348,7 +342,7 @@ def _preimage(bl, basis, v):
     c = echelon_solve(list(zip(*bl)), v)
     if c is None:
         return None
-    return _combine(c, basis)
+    return vcombine(c, basis)
 
 
 def _strictify(m: OpenConeMonoid, damped, bl, basis, x):
@@ -589,7 +583,7 @@ def _line_refutation(op: BiadditiveOp, table: RayTable) -> Optional[tuple]:
     ``Q u`` of a carrier with excluded faces, None when no member has one
     (the rule of :func:`_polyhedral_ray_table`)."""
     m = op.carrier
-    u = m.cone.lineality_basis[0]
+    u = vcombine(m.lineality_coordinates()[0], m.span_basis)
     k = next(k for k, v in enumerate(u) if v)
     for side in ("left", "right"):
         def alpha(x):
@@ -621,7 +615,7 @@ def is_strongly_localizable(op: BiadditiveOp) -> dict:
               "damping map scales each extreme ray by a factor of at least 1")
     s = None if table.obstruction is None else tuple(table.obstruction["element"])
     if s is None and not table.decisive:
-        if len(m.cone.lineality_basis) > 1:
+        if len(m.lineality_coordinates()) > 1:
             return {"verdict": "unknown",
                     "reason": "with excluded faces, injectivity of the damping maps "
                               "on a lineality space of dimension at least 2 is "

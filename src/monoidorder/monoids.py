@@ -255,6 +255,19 @@ class VectorCarrier:
     def span_basis(self) -> tuple:
         return tuple(self.lattice.basis)
 
+    def lineality_coordinates(self) -> list[tuple[int, ...]]:
+        """A basis of the lattice points of the cone's lineality space, in
+        ``span_basis`` coordinates, built once: the integer kernel of the
+        facet normals read on ``span_basis``, or of a zero row when the cone
+        is everything (every coordinate vector).  The lineality space is the
+        common zero set of the facet normals and lies in the span, so the
+        basis is empty iff the cone is pointed."""
+        if "lineality" not in self._cache:
+            basis = self.span_basis
+            rows = [[vdot(n, b) for b in basis] for n in self.cone.h_rep]
+            self._cache["lineality"] = integer_kernel(rows or [[0] * len(basis)])
+        return self._cache["lineality"]
+
     def boundary_status(self, x: Sequence) -> str:
         """``inside`` the monoid's cone, ``outside`` it, or ``on_excluded_face``."""
         if len(x) != self.dim:
@@ -389,15 +402,6 @@ class LatticeMonoid(VectorCarrier):
         """The sums of at most ``max_coeff_sum`` generators, sorted: all
         members, so none is checked."""
         return self._ray_sum_pool(max_coeff_sum)
-
-    def lineality_coordinates(self) -> list[tuple[int, ...]]:
-        """A basis of the lattice points of the cone's lineality space, in
-        lattice coordinates: the integer kernel of the facet normals read on
-        ``span_basis`` (the whole lattice when the cone is everything)."""
-        basis = self.span_basis
-        if not self.cone.h_rep:
-            return [tuple(int(i == j) for j in range(len(basis))) for i in range(len(basis))]
-        return integer_kernel([[vdot(n, b) for b in basis] for n in self.cone.h_rep])
 
     @property
     def combinations(self) -> CombinationSearch:
@@ -559,11 +563,6 @@ class OpenConeMonoid(VectorCarrier):
 
     def coordinates(self, x: Sequence) -> Optional[list[Fraction]]:
         return self.lattice.rational_coordinates(x)
-
-    def lineality_coordinates(self) -> list[tuple[int, ...]]:
-        """A basis of the cone's lineality space, in span coordinates (each
-        vector scaled to a primitive integer one)."""
-        return [as_int_vector(self.coordinates(v)) for v in self.cone.lineality_basis]
 
     def boundary_status(self, x: Sequence) -> str:
         """As on every vector carrier, with the signs of a point that has a

@@ -900,7 +900,7 @@ def test_sos_two_roots_closer_than_recursion_depth_are_refuted():
 
 
 def test_sos_isolation_evaluates_no_point_beyond_the_roots(monkeypatch):
-    # the Cauchy bound of (x-3)^200-1 is ~2^397 wide, but every grid point
+    # the Cauchy bound of (2*x-7)^200-1 is ~2^430 wide, but every grid point
     # beyond the chain's power-of-two root bound has a known count; every
     # isolation step signs the chain at an integer grid point (refinement
     # signs the seed alone)
@@ -913,11 +913,32 @@ def test_sos_isolation_evaluates_no_point_beyond_the_roots(monkeypatch):
 
     monkeypatch.setattr(formallyreal.SturmChain, "_variations", counted)
     start = time.monotonic()
-    code, doc, err = run_json("sos", "(x-3)^200-1")
+    code, doc, err = run_json("sos", "(2*x-7)^200-1")
+    elapsed = time.monotonic() - start
+    assert code == EXIT_REFUTED, err
+    assert (doc["result"]["witness"], doc["result"]["witness_value"]) == ("7/2", -1)
+    assert 0 < len(calls) <= 50
+    assert elapsed < 2
+
+
+def test_sos_integer_witness_needs_no_root_isolation(monkeypatch):
+    # integers come first in the witness order, so the witness 3 of
+    # (x-3)^1000-1 is signed by integer Horner at 0, 1, -1, 2, -2, 3, and
+    # no Sturm chain is signed at a grid point
+    calls = []
+    variations = formallyreal.SturmChain._variations
+
+    def counted(self, n, d):
+        calls.append((n, d))
+        return variations(self, n, d)
+
+    monkeypatch.setattr(formallyreal.SturmChain, "_variations", counted)
+    start = time.monotonic()
+    code, doc, err = run_json("sos", "(x-3)^1000-1")
     elapsed = time.monotonic() - start
     assert code == EXIT_REFUTED, err
     assert (doc["result"]["witness"], doc["result"]["witness_value"]) == (3, -1)
-    assert 0 < len(calls) <= 50
+    assert calls == []
     assert elapsed < 2
 
 

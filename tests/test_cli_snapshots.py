@@ -26,6 +26,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 
 from monoidorder import cli
+from monoidorder.exactmath import RationalCone
 
 ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir))
 SNAPSHOTS = os.path.join(ROOT, "tests", "data", "cli_snapshots.json")
@@ -164,6 +165,31 @@ def test_cli_output_matches_recording(argv):
     assert code == recorded["code"]
     assert stdout == recorded["stdout"]
     assert stderr == recorded["stderr"]
+
+
+def test_no_cone_given_by_rays_computes_its_generators(monkeypatch):
+    # a carrier's lineality is read off its facet normals, so over every
+    # case only the dual cones whose extreme rays extremals reports compute
+    # generators from rays
+    duals, builds = set(), []
+    dual, compute = RationalCone.dual, RationalCone._compute_generators
+
+    def traced_dual(self):
+        cone = dual(self)
+        duals.add(id(cone))
+        return cone
+
+    def traced_compute(self):
+        if self._rays is not None:
+            builds.append((_case_id(argv), id(self) in duals))
+        return compute(self)
+
+    monkeypatch.setattr(RationalCone, "dual", traced_dual)
+    monkeypatch.setattr(RationalCone, "_compute_generators", traced_compute)
+    for argv in CASES:
+        run_case(argv)
+    assert builds and all(is_dual and case.startswith("extremals ")
+                          for case, is_dual in builds), builds
 
 
 def test_one_parser_serves_sequential_calls(monkeypatch):

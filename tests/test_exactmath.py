@@ -26,6 +26,7 @@ from conftest import (oracle_certificate, oracle_cone_from_inequalities,
                       oracle_h_rep, oracle_int_det, oracle_hermite_normal_form, oracle_primitive,
                       oracle_smith_normal_form, oracle_unit_relation,
                       rational_nullspace, rational_rank, rational_solve, seeded)
+from monoidorder.monoids import OpenConeMonoid
 
 small_ints = st.integers(min_value=-6, max_value=6)
 vectors3 = st.lists(small_ints, min_size=3, max_size=3)
@@ -752,13 +753,13 @@ def test_orthant_conversions():
 def test_slanted_cone_h_rep_frozen():
     cone = RationalCone.from_rays([(1, 0), (1, 2)], 2)
     assert sorted(cone.h_rep) == [(0, 1), (2, -1)]
-    assert cone.is_pointed()
+    assert not cone.lineality_basis
 
 
 def test_halfplane_has_lineality():
     cone = RationalCone.from_rays([(1, 0), (0, 1), (0, -1)], 2)
     assert cone.lineality_basis == [(0, 1)]
-    assert not cone.is_pointed()
+    assert OpenConeMonoid(cone, []).lineality_coordinates() == [(0, 1)]
     assert sorted(cone.h_rep) == [(1, 0)]
 
 
@@ -829,12 +830,14 @@ def _simplex_extreme(ext, lin, v):
 @settings(max_examples=150)
 @given(_drawn_cones(), st.booleans())
 def test_is_pointed_reads_the_rank_of_the_h_representation(case, by_inequalities):
-    # the drawn vectors read as rays or as inequality normals; a fresh cone
-    # computes the lineality space by double description
+    # the drawn vectors read as rays or as inequality normals; the carrier
+    # rule (the facet normals' kernel on the span), the rank of the
+    # h-representation and a fresh cone's double description agree
     d, vectors = case
     make = RationalCone.from_inequalities if by_inequalities else RationalCone.from_rays
-    pointed = make(vectors, d).is_pointed()
+    pointed = not OpenConeMonoid(make(vectors, d), []).lineality_coordinates()
     event(f"by_inequalities={by_inequalities} pointed={pointed}")
+    assert pointed == (len(hermite_normal_form(make(vectors, d).h_rep)) == d)
     assert pointed == (not make(vectors, d).lineality_basis)
 
 

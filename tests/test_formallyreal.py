@@ -5,7 +5,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from monoidorder import formallyreal
@@ -651,6 +651,19 @@ def test_membership_witnesses_are_exactly_negative():
             assert res["witness_value"] < 0
 
 
+@settings(max_examples=60)
+@given(st.integers(1, 300), st.integers(-5, 5), st.integers(1, 3))
+def test_membership_witness_of_a_shifted_power_is_the_first_negative_integer(n, a, b):
+    # (x-a)^n - b is -b < 0 at x = a, so some integer is a witness; the
+    # witness is the first one in the order 0, 1, -1, 2, -2, ...
+    res = is_sos_membership(parse_rational_function(f"(x-({a}))^{n}-{b}"))
+    x = 0
+    while (x - a) ** n - b >= 0:
+        x = -x if x > 0 else 1 - x
+    assert not res["member"]
+    assert (res["witness"], res["witness_value"]) == (x, (x - a) ** n - b)
+
+
 def test_membership_accepts_constructed_squares():
     rng = seeded(67)
     for _ in range(15):
@@ -886,8 +899,7 @@ def test_membership_on_a_square_free_product_runs_one_remainder_sequence(
 def _split(f):
     """The integer numerator and denominator the shift search uses."""
     num, den = f.numerator, f.denominator
-    ints = formallyreal._integer_multiple(
-        RationalPolynomial(num.coefficients + den.coefficients))
+    ints = formallyreal.as_int_vector(num.coefficients + den.coefficients)
     return ints[:num.degree + 1], ints[num.degree + 1:]
 
 
@@ -1185,11 +1197,12 @@ def test_the_final_check_in_integers_equals_the_fraction_value():
 def test_a_split_that_is_not_fs_trips_the_final_check(monkeypatch):
     # the denominator's leading coefficient doubled: the search runs on
     # another function, and the final check catches it on f's own leads
-    split = formallyreal._integer_multiple
-    monkeypatch.setattr(formallyreal, "_integer_multiple",
+    f = parse_rational_function("(x^4+3)/(x^2+1)")
+    split = formallyreal.as_int_vector
+    monkeypatch.setattr(formallyreal, "as_int_vector",
                         lambda p: split(p)[:-1] + (2 * split(p)[-1],))
     with pytest.raises(InternalCheckError, match="not f's"):
-        theorem_skew_hypothesis(parse_rational_function("(x^4+3)/(x^2+1)"))
+        theorem_skew_hypothesis(f)
 
 
 # ---------------------------------------------------------------------------

@@ -188,6 +188,23 @@ def test_almost_fring_counterexample_sections():
     assert res["weak_localizability"]["verdict"] == "no"
 
 
+def test_almost_fring_archimedean_count_matches_the_box_loop():
+    # the report reads the archimedean law off an argument; the loop over
+    # the box of side 3 finds, for each pair (a, b) with a nonzero, a scalar
+    # l <= max(b) + 1 with l * a <= b failing in some coordinate
+    cells = list(itertools.product(range(3), repeat=3))
+    checked, failures = 0, []
+    for a in cells:
+        if not any(a):
+            continue
+        for b in cells:
+            checked += 1
+            if all(all(l * x <= y for x, y in zip(a, b)) for l in range(1, max(b) + 2)):
+                failures.append({"a": a, "b": b})
+    assert (checked, failures) == (702, [])
+    assert almost_fring_counterexample()["archimedean"] == {"checked": 702, "failures": []}
+
+
 def test_almost_fring_counterexample_computes_in_ints():
     res = almost_fring_counterexample()
     assert res["ok"]

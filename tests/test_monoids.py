@@ -9,8 +9,9 @@ from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 from monoidorder.exactmath import (CombinationSearch, InputError, IntegerLattice,
-                                   InternalCheckError, RationalCone, ResourceBudgetError, solve_nonneg_rational, vadd, vneg, vscale,
-                                   vsub)
+                                   InternalCheckError, RationalCone, ResourceBudgetError,
+                                   hermite_normal_form, solve_nonneg_rational, vadd,
+                                   vcombine, vneg, vscale, vsub)
 from monoidorder import monoids
 from monoidorder.grothendieck import grothendieck, nabla
 from monoidorder.localizability import (is_left_localizable,
@@ -24,7 +25,8 @@ from monoidorder.monoids import (BiadditiveOp, FiniteMonoid, LatticeMonoid,
                                  saturating_product_op, truncated_free_monoid)
 
 from conftest import (cone_corpus, finite_corpus, lattice_corpus, monogenic_table,
-                      product_table, sample_elements, seeded, weakly_localizable_ops)
+                      product_table, rational_rank, sample_elements, seeded,
+                      weakly_localizable_ops)
 
 
 def _lattice_points(m: LatticeMonoid, count=40, salt=0):
@@ -198,6 +200,20 @@ def test_kernel_decisions_match_the_definitional_oracles(m, data):
 @pytest.mark.parametrize("name,m", finite_corpus())
 def test_kernel_decisions_match_the_definitional_oracles_on_the_corpus(name, m):
     _assert_kernel_decisions(m, [(a, b) for a in m.elements() for b in m.elements()])
+
+
+@settings(max_examples=100)
+@given(monogenic_products())
+def test_difference_classes_are_numbered_as_over_all_pairs(m):
+    # the reference numbers the classes by first appearance over all n^2
+    # pairs (a, b) in lexicographic order; the row a = 0 alone numbers them
+    number = {}
+    for a in m.elements():
+        for b in m.elements():
+            number.setdefault(m.difference(a, b), len(number))
+    gg = grothendieck(m)
+    assert gg.classes == len(number)
+    assert gg.iota == [number[m.difference(a, 0)] for a in m.elements()]
 
 
 def test_finite_decisions_read_one_kernel_and_no_product(monkeypatch, mu_calls):
@@ -726,6 +742,43 @@ def test_searches_built_on_an_order_fresh_corpus(searches_built, lattices_built)
     assert [args[1] for args in lattices_built] == [args[0] for args in searches_built]
 
 
+@st.composite
+def lineality_carriers(draw):
+    """A lattice (d <= 4, 2-6 generators with entries -2..2) or an open cone
+    (d <= 4, given by 1-5 rays or 1-5 inequality normals with entries
+    -2..2, each facet that is no implicit equality excluded or not)."""
+    d = draw(st.integers(1, 4))
+    entry = st.integers(-2, 2)
+    kind = draw(st.sampled_from(["lattice", "rays", "inequalities"]))
+    if kind == "lattice":
+        return kind, LatticeMonoid(d, draw(st.lists(st.tuples(*[entry] * d),
+                                                    min_size=2, max_size=6)))
+    vectors = draw(st.lists(st.tuples(*[entry] * d), min_size=1, max_size=5))
+    make = RationalCone.from_rays if kind == "rays" else RationalCone.from_inequalities
+    cone = make(vectors, d)
+    facets = [h for h in cone.h_rep if vneg(h) not in cone.h_rep]
+    return kind, OpenConeMonoid(cone, [h for h in facets if draw(st.booleans())])
+
+
+@settings(max_examples=200)
+@given(lineality_carriers())
+def test_lineality_is_read_off_the_facet_normals(case):
+    # the carrier rule (the integer kernel of the facet normals on the span
+    # basis) against the cone's double description and the rank of its
+    # h-representation, on both carrier kinds
+    kind, m = case
+    lin = m.lineality_coordinates()
+    reference = m.cone.lineality_basis
+    event(f"{kind}, open normals: {bool(m.open_normals)}, lineality {len(reference)}")
+    assert len(lin) == len(reference)
+    for c in lin:
+        v = vcombine(c, m.span_basis)
+        assert any(v)
+        assert rational_rank(reference + [v]) == len(reference)
+    assert (not lin) == (len(hermite_normal_form(m.cone.h_rep)) == m.dim)
+    assert m.lineality_coordinates() is lin  # built once
+
+
 def test_basis_membership_agrees_with_the_search():
     # 20,000 queries on drawn carriers of dimension at most 4 with at most
     # 6 generators, entries -3..3, some with a zero or a repeated generator,
@@ -756,7 +809,7 @@ def test_basis_membership_agrees_with_the_search():
             continue
         m = LatticeMonoid(d, gens)
         reference = CombinationSearch(gens, m.cone.h_rep)
-        seen.add("pointed" if m.cone.is_pointed() else "not pointed")
+        seen.add("not pointed" if m.lineality_coordinates() else "pointed")
         seen.update({"zero"} if (0,) * d in gens else set())
         seen.update({"repeat"} if len(set(gens)) < n else set())
         for _ in range(20):
