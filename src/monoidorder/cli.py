@@ -20,7 +20,7 @@ from .exactmath import InputError, InternalCheckError, ResourceBudgetError
 from .monoids import (approx, leq, enumerate_biadditive_ops,
                       half_open_half_plane, matrix_product_op,
                       saturating_product_op, truncated_free_monoid)
-from .grothendieck import grothendieck, nabla, pi12
+from .grothendieck import nabla, pi12
 from .localizability import (is_left_localizable, is_localizable,
                              is_strongly_localizable, is_weakly_localizable,
                              order_unit_fast_path)
@@ -67,12 +67,6 @@ def _ordered_monoid(instance: Instance):
     return instance.monoid
 
 
-def _element_text(instance: Instance, x):
-    if instance.kind == "finite":
-        return instance.names[x]
-    return list(x)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -94,8 +88,8 @@ def cmd_order(args) -> tuple:
     doc = {
         "command": "order",
         "instance": instance.describe(),
-        "a": _element_text(instance, a),
-        "b": _element_text(instance, b),
+        "a": m.element_text(a),
+        "b": m.element_text(b),
         "leq_ab": leq_ab,
         "leq_ba": leq_ba,
         "approx": approx_ab,
@@ -128,7 +122,7 @@ def cmd_localizable(args) -> tuple:
     check_membership(instance, s)
     verdict = is_localizable(op, s)
     doc["mode"] = "element"
-    doc["element"] = _element_text(instance, s)
+    doc["element"] = op.carrier.element_text(s)
     doc["result"] = verdict.as_dict()
     return doc, _verdict_exit(verdict.verdict)
 
@@ -196,7 +190,7 @@ def _verify_orderunit(instance, doc, args) -> tuple:
     cert = order_unit_fast_path(op, e)
     cert.budget = args.budget
     doc["goal"] = "orderunit"
-    doc["element"] = _element_text(instance, e)
+    doc["element"] = op.carrier.element_text(e)
     doc["certificate"] = cert.as_dict()
     refusals = cert.details.get("refusal_reasons", [])
     doc["hypotheses"] = [{
@@ -243,7 +237,7 @@ def cmd_extremals(args) -> tuple:
     doc = {
         "command": "extremals",
         "instance": instance.describe(),
-        "elements": [_element_text(instance, e) for e in elements],
+        "elements": [m.element_text(e) for e in elements],
         "subgroup": subgroup.describe(),
         "extremal_count": len(phis),
         "extremals": [],
@@ -257,7 +251,7 @@ def cmd_extremals(args) -> tuple:
     for phi in phis:
         entry = phi.describe()
         entry["values"] = [
-            {"element": _element_text(instance, e),
+            {"element": m.element_text(e),
              "value": phi.value_on_element(e)}
             for e in elements]
         if op is not None:
@@ -267,16 +261,6 @@ def cmd_extremals(args) -> tuple:
     return doc, EXIT_PASS
 
 
-def _groth_describe(instance) -> dict:
-    m = instance.monoid
-    if instance.kind == "finite":
-        groth = grothendieck(m)
-        return {"kind": "finite", "classes": groth.classes,
-                "monoid_image_classes": sorted(set(groth.iota))}
-    return {"kind": m.groth_kind, "dim": m.dim,
-            m.basis_key: [list(b) for b in m.span_basis]}
-
-
 def cmd_grothendieck(args) -> tuple:
     instance = load_instance(args.file)
     m = _ordered_monoid(instance)
@@ -284,7 +268,7 @@ def cmd_grothendieck(args) -> tuple:
     doc = {
         "command": "grothendieck",
         "instance": instance.describe(),
-        "grothendieck_group": _groth_describe(instance),
+        "grothendieck_group": comparison.red1.describe_group(),
         "reduction_level1": nabla(m, 1).describe(),
         "reduction_level2": nabla(m, 2).describe(),
         "level1_to_level2_map": dict(comparison.report),

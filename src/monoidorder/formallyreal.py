@@ -13,8 +13,8 @@ On top of the verdict sit the downward-shift search (least natural ``k``
 making ``f - k`` fail membership) and the field categorization report.
 
 Arithmetic.  Rational polynomials store ``Fraction`` coefficients, but the
-membership path computes in integers: ``num * den`` is multiplied as
-primitive integer polynomials; gcds, exact quotients and Yun's
+membership path computes in integers: ``num * den`` is multiplied from
+``num`` and ``den`` scaled by one positive factor, and made primitive; gcds, exact quotients and Yun's
 square-free decomposition run over Z[x] with the primitive
 pseudo-remainder sequence; Sturm chains and witness candidates are
 signed by homogeneous integer Horner.  One remainder sequence serves
@@ -32,10 +32,9 @@ its own integer samples of ``f``, or else builds it from the refuting
 probe.  The self-checks run on every call, in exact arithmetic: each
 integer quotient must divide exactly, the decomposition must
 reconstruct its input (compared in integers), and a witness must
-evaluate negative: on ``f`` itself in ``Fraction`` arithmetic, or, for
-a shift's witness, on the integer numerator and denominator the search
-used, by homogeneous Horner with one ``Fraction`` formed at the end,
-after their leading coefficients are checked against ``f``'s.
+evaluate negative on those integer numerator and denominator, by
+homogeneous Horner with one ``Fraction`` formed at the end, after their
+leading coefficients are checked against ``f``'s.
 """
 
 from __future__ import annotations
@@ -900,8 +899,10 @@ def is_sos_membership(f: RationalFunction) -> dict:
     num, den = f.numerator, f.denominator
     lead = num.leading * den.leading
     lead_ok = lead > 0
-    # a positive multiple of num * den, multiplied in integers
-    g = _int_mul(as_int_vector(num.coefficients), as_int_vector(den.coefficients))
+    # a positive multiple of num * den, multiplied in integers: the
+    # product of the primitive parts of num and den (Gauss's lemma)
+    N, D = _int_split(f)
+    g = primitive(_int_mul(N, D))
     factors, chain = _yun(g)
     if lead_ok:
         odd_roots = _odd_root_count(factors, chain)
@@ -923,7 +924,7 @@ def is_sos_membership(f: RationalFunction) -> dict:
         sf = _int_product(h for h, _ in factors)
         witness = _negative_point(g, SturmChain._of(_chain_for(sf, chain)),
                                   cauchy_root_bound(sf))
-    value = f.evaluate(witness)
+    value = _shifted_value(f, N, D, witness, 0)
     if value >= 0:
         raise InternalCheckError("witness point does not evaluate negative")
     return {"member": False, "witness": witness, "witness_value": value,
@@ -1044,6 +1045,33 @@ def _shift_witness(m: tuple, yun, D: tuple, d_yun) -> Fraction:
                            cauchy_root_bound(sf))
 
 
+def _int_split(f: RationalFunction) -> tuple[tuple, tuple]:
+    """``f``'s numerator and denominator scaled by one positive factor, in
+    integers."""
+    num, den = f.numerator, f.denominator
+    ints = as_int_vector(num.coefficients + den.coefficients)
+    return ints[:num.degree + 1], ints[num.degree + 1:]
+
+
+def _shifted_value(f: RationalFunction, N: tuple, D: tuple, w: Fraction, k: int) -> Fraction:
+    """``f(w) - k`` from the integer split ``N``, ``D`` of ``f``
+    (:func:`_int_split`), in integers: with the homogeneous values ``n_q =
+    q^deg(N) N(w)`` and ``d_q = q^deg(D) D(w)`` at ``w = p/q``, ``f(w) =
+    N(w) / D(w)`` is ``n_q q^deg(D) / (d_q q^deg(N))``; one ``Fraction`` is
+    formed, at the end.  The split is checked first on ``f``'s leading
+    coefficients, and a pole at w raises :class:`InternalCheckError`."""
+    if N and N[-1] * f.denominator.leading != D[-1] * f.numerator.leading:
+        raise InternalCheckError("the integer numerator and denominator are not f's")
+    p, q = w.numerator, w.denominator
+    deg_n, deg_d = max(len(N) - 1, 0), len(D) - 1
+    powers = _powers(q, max(deg_n, deg_d))
+    n_q = _homogeneous_value(N, p, powers) if N else 0
+    bottom = _homogeneous_value(D, p, powers) * powers[deg_n]
+    if not bottom:
+        raise InternalCheckError("the witness is a pole of the function")
+    return Fraction(n_q * powers[deg_d] - k * bottom, bottom)
+
+
 def _int_value(c: tuple, x: int) -> int:
     """``c(x)`` for integer ``c`` and ``x``, by Horner."""
     acc = 0
@@ -1083,15 +1111,10 @@ def theorem_skew_hypothesis(f: RationalFunction) -> dict:
     probe's numerator, factors and chain (:func:`_shift_witness`).
 
     Checks: the witness must make ``f - k`` negative, evaluated on the
-    integer numerator and denominator the search used, by homogeneous
-    Horner, with one ``Fraction`` formed at the end; those two must lead
-    as ``f``'s own numerator and denominator do.  Otherwise
+    integer split the search used (:func:`_shifted_value`).  Otherwise
     :class:`InternalCheckError` is raised.
     """
-    num, den = f.numerator, f.denominator
-    # num and den scaled by one positive factor
-    ints = as_int_vector(num.coefficients + den.coefficients)
-    N, D = ints[:num.degree + 1], ints[num.degree + 1:]
+    N, D = _int_split(f)
     samples, x = [], 0  # (x, floor(f(x))) at x = 0, 1, -1, 2, ... off the poles
     while True:
         d = _int_value(D, x)
@@ -1135,21 +1158,7 @@ def theorem_skew_hypothesis(f: RationalFunction) -> dict:
                 "the evaluation bound failed to stop the downward search")
         _, m, yun = refuting
         witness = _shift_witness(m, yun, Dp, d_yun)
-    # f(w) - k at w = p/q in integers: with the homogeneous values n_q =
-    # q^deg(N) N(w) and d_q = q^deg(D) D(w), f(w) = N(w) / D(w) is
-    # n_q q^deg(D) / (d_q q^deg(N)); one Fraction is formed, at the end.
-    # N and D are the search's own, so the split of f into them is checked
-    # first on f's leading coefficients
-    if N and N[-1] * den.leading != D[-1] * num.leading:
-        raise InternalCheckError("the integer numerator and denominator are not f's")
-    p, q = witness.numerator, witness.denominator
-    deg_n, deg_d = max(len(N) - 1, 0), len(D) - 1
-    powers = _powers(q, max(deg_n, deg_d))
-    n_q = _homogeneous_value(N, p, powers) if N else 0
-    bottom = _homogeneous_value(D, p, powers) * powers[deg_n]
-    if not bottom:
-        raise InternalCheckError("the witness is a pole of the function")
-    value = Fraction(n_q * powers[deg_d] - refuted * bottom, bottom)
+    value = _shifted_value(f, N, D, witness, refuted)
     if value >= 0:
         raise InternalCheckError("the least refuted shift is a sum of squares")
     return {"k": refuted, "witness": witness, "witness_value": value,

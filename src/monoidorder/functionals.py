@@ -35,12 +35,7 @@ from .exactmath import (
 from .grothendieck import nabla
 from .localizability import (WeakLocalizabilityCertificate, is_left_localizable,
                              is_strongly_localizable, is_weakly_localizable)
-from .monoids import (
-    BiadditiveOp,
-    FiniteMonoid,
-    LatticeMonoid,
-    leq,
-)
+from .monoids import BiadditiveOp, leq
 
 
 # ---------------------------------------------------------------------------
@@ -82,8 +77,9 @@ class OrderedSubgroup:
         self.span_basis = ()
         self.rank = 0
         self.positive_cone = None
-        if reduction.kind == "finite":
-            # torsion classes admit no nonzero rational additive functional
+        if not reduction.rank:
+            # no class of a rank-0 reduction (a finite carrier's is the
+            # one-element group) admits a nonzero rational functional
             return
         vecs = [tuple(Fraction(x) for x in c) for c in self.generating_set]
         self.scale = lcm(*(x.denominator for v in vecs for x in v))
@@ -120,10 +116,7 @@ class OrderedSubgroup:
     def coordinates(self, classvec) -> Optional[tuple[int, ...]]:
         """Integer coordinates of a class on ``span_basis``; None if outside."""
         if self.rank == 0:
-            if self.reduction.kind == "finite":
-                return () if classvec == 0 else None
-            v = tuple(Fraction(x) for x in classvec)
-            return () if all(x == 0 for x in v) else None
+            return () if self.reduction.eq(classvec, self.reduction.zero) else None
         v = vscale(self.scale, tuple(Fraction(x) for x in classvec))
         if any(x.denominator != 1 for x in v):
             return None
@@ -171,11 +164,9 @@ def span_of_elements(m, elements: Sequence) -> OrderedSubgroup:
 def span_with_products(op: BiadditiveOp, elements: Sequence) -> OrderedSubgroup:
     """Subgroup of the level-1 reduced group generated by the classes of
     ``elements`` and all their products."""
-    nr = nabla(op.carrier, 1)
     elements = list(elements)
     products = [op.mu(f, g) for f in elements for g in elements]
-    classes = [nr.iota(e) for e in elements] + [nr.iota(p) for p in products]
-    return OrderedSubgroup(nr, classes)
+    return span_of_elements(op.carrier, elements + products)
 
 
 # ---------------------------------------------------------------------------
@@ -259,13 +250,11 @@ def _carrier_covector(sub: OrderedSubgroup,
 
     Found by matching values on a basis of the difference span; the result
     represents the functional up to a positive factor (reporting aid only).
+    A class covector exists only on a subgroup of positive rank, so the
+    reduction, and the span, have positive rank too.
     """
     red = sub.reduction
-    if red.kind == "finite":
-        return None
     rows = red.monoid.span_basis
-    if not rows:
-        return None
     return _covector(rows, [vdot(class_cov, red.project(r)) for r in rows])
 
 
@@ -316,12 +305,6 @@ def _certify_decomposition(h: OrderedSubgroup, rays, lin) -> None:
 
 # ---------------------------------------------------------------------------
 # the quadratic identity and multiplicative normalization
-
-
-def _shown(x):
-    """An element as a report value: a finite carrier's int as it is, a
-    vector as a tuple."""
-    return x if isinstance(x, int) else tuple(x)
 
 
 def _largest_element(m, elements):
@@ -393,7 +376,7 @@ def normalize_multiplicative(op: BiadditiveOp, elements: Sequence,
     if phi_s == 0:
         products = (op.mu(f, fp) for f in elements for fp in elements)
         values = [(x, phi.value_on_element(x)) for x in chain(elements, products)]
-        checks = [{"at": _shown(x), "value": str(v), "ok": v == 0} for x, v in values]
+        checks = [{"at": m.element_key(x), "value": str(v), "ok": v == 0} for x, v in values]
         if any(v for _, v in values[:len(elements)]):
             raise InternalCheckError(
                 "functional vanishes at the top element but not below it")
@@ -441,7 +424,7 @@ def normalize_multiplicative(op: BiadditiveOp, elements: Sequence,
             left = psi.value_on_element(op.mu(f, fp))
             right = psi.value_on_element(f) * psi.value_on_element(fp)
             if left != right:
-                failures.append({"f": _shown(f), "f_prime": _shown(fp),
+                failures.append({"f": m.element_key(f), "f_prime": m.element_key(fp),
                                  "psi_product": str(left),
                                  "value_product": str(right)})
     identity_ok = all(p["ok"] for p in preconditions)
@@ -465,57 +448,16 @@ def normalize_multiplicative(op: BiadditiveOp, elements: Sequence,
 # theorem-level verdicts
 
 
-def _sample_pool(m) -> list:
-    if isinstance(m, FiniteMonoid):
-        return list(m.elements())
-    return m.element_pool(3)
-
-
-def _pool_products(m, pool: list, products: dict) -> list[list]:
-    """``table[i][j] == mu(pool[i], pool[j])`` on a vector carrier, built by
-    additivity (see :func:`verify_theorem_main`) from ``products``, the
-    operation's ``ray_products``.  The row of a ray sum ``y + r``
-    (``m.ray_sum_parent``) is the row of y plus the row of the ray r, and
-    the row of a ray is built alike in the right slot.  A parent need not
-    be a pool element (on an open cone it may lie on an excluded face), so
-    the memos run over every ray sum they meet.
-    """
-    zero = (0,) * m.dim
-
-    def by_parents(origin, ray, step):
-        """f on the ray sums with ``f(0) == origin``, ``f(r) == ray(r)`` on
-        a ray and ``f(y + r) == step(f(y), r)`` above, memoized."""
-        memo = {zero: origin}
-
-        def f(x):
-            if x not in memo:
-                y, r = m.ray_sum_parent(x)
-                memo[x] = ray(r) if y == zero else step(f(y), r)
-            return memo[x]
-        return f
-
-    rays = list(dict.fromkeys(m.rays))
-    ray_rows = {}
-    for r in rays:
-        right = by_parents(zero, lambda s, r=r: products[r, s],
-                           lambda v, s, r=r: vadd(v, products[r, s]))
-        ray_rows[r] = [right(b) for b in pool]
-    left = by_parents([zero] * len(pool), ray_rows.__getitem__,
-                      lambda v, r: list(map(vadd, v, ray_rows[r])))
-    return [left(a) for a in pool]
-
-
 def _commutativity_sweep(m, pool: list, table, members: Optional[set],
                          class_key, exact: bool) -> tuple[list, int]:
     """The commutativity failures on the pool, and their exact count, read
     off ``table[i][j] == mu(pool[i], pool[j])`` in pool order.
 
     An exact failure is a pair of differing entries, and only there are
-    the classes compared, by ``class_key``.  With ``exact`` (a vector
-    carrier whose cone has no lineality space) the facet normals tell
-    every two points apart, so ``approx`` is equality on the members,
-    which every compared product is once checked, and differing entries
-    fail with no class key.
+    the classes compared, by ``class_key``.  With ``exact`` (the carrier's
+    ``approx_is_equality``) ``approx`` is equality on the members, which
+    every compared product is once checked, and differing entries fail
+    with no class key.
 
     ``members`` holds the elements known to be members, None under
     closure.  Otherwise each compared product outside it is checked at
@@ -547,73 +489,43 @@ def verify_theorem_main(op: BiadditiveOp,
     checked, in observation mode.  Both laws are also checked for
     on-the-nose equality, whose failures are reported separately (they
     are expected on carriers where the equivalence is coarser than
-    equality).  For each law, ``checked`` counts the pool
-    pairs (commutativity) or triples (associativity) that are covered,
-    either by that law's generator proof below or by its sweep.
+    equality).  For each law, ``checked`` counts the pool pairs
+    (commutativity) or triples (associativity) that are covered, either
+    by that law's generator proof below or by its sweep.
 
-    Membership is checked only where it is not already proven.  The pool
-    elements are members: on a lattice monoid they are sums of
-    generators, members by definition, and on an open cone
-    ``element_pool`` keeps the ray sums that are members.  On a
-    lattice monoid, if every product of two generators is a member, then
-    by biadditivity so is every product of members: with ``x = sum a_i g_i``
-    and ``y = sum b_j g_j``, ``mu(x, y) = sum a_i b_j mu(g_i, g_j)`` is a
-    sum of members.  So once that closure holds, no product needs
-    ``check_element``.  Closure is decided first, by ``contains`` on
-    ``op.ray_products``, the generator products.  A finite carrier is
-    closed: every entry of the operation's table is an element.  Every
-    product on an open-cone carrier keeps the check.
+    The pool is the carrier's ``element_pool``, all members.  Its
+    ``closed_generators`` are the generators of the proof when the
+    operation is known closed on the carrier, None when a product of two
+    rays is no member; under closure every product of members is a
+    member, so no product needs ``check_element``.
 
-    The generator proof, one law at a time.  On a lattice monoid with
-    closure, each law is decided exactly on the generators: commutativity
-    on the g^2 pairs, associativity on the g^3 triples.  ``mu`` is
-    bilinear (a tensor), so ``mu(a, b) - mu(b, a)`` is bilinear in its
-    operands; expanding each operand over the generators writes it, on
-    elements of the Z-span of the generators, as an integer combination
-    of its values on generator pairs, so it vanishes on that span iff it
-    vanishes on the generators.  Every pool element is a sum of
-    generators, so exact commutativity on the generators gives exact
-    equality on every pool pair, and exact equality implies ``approx``
-    (the class key is a function of the element).  The same argument,
-    with the trilinear ``mu(mu(a, b), c) - mu(a, mu(b, c))`` and the
-    generator triples, takes exact associativity on the generators to
-    every pool triple.  Closure means that no compared product needs
-    ``check_element``, so a sweep would raise no error either.  A law
-    that holds on the generators therefore gets the report its sweep
-    would produce (n^2 pairs or n^3 triples checked, no failures, no
-    exact failures) without a sweep; only a law that fails there is
-    swept.
+    The generator proof, one law at a time.  ``mu`` is additive in each
+    slot (a tensor, or a finite table, whose laws ``load_instance``
+    validates), and every pool element is a sum of the listed generators,
+    so expanding both operands writes ``mu(a, b) - mu(b, a)`` as a sum of
+    its values on generator pairs: exact commutativity on the g^2 pairs
+    gives it on every pool pair, and exact equality implies ``approx``
+    (the class key is a function of the element).  The trilinear
+    ``mu(mu(a, b), c) - mu(a, mu(b, c))`` and the g^3 triples take exact
+    associativity to every pool triple alike.  Under closure a sweep would
+    raise no error either, so a law that holds on the generators gets the
+    report its sweep would produce (n^2 pairs or n^3 triples checked, no
+    failures, no exact failures) without a sweep; only a law that fails
+    there is swept.
 
-    A finite carrier takes the same proof on its generators and 0.  There
-    ``mu`` is additive in each slot (the contract of a finite
-    :class:`BiadditiveOp`; ``load_instance`` validates a file's table),
-    and every element is a nonempty sum of listed elements: 0 is listed,
-    and any other element is a sum of generators.  Expanding both operands,
-    ``mu(a, b)`` is the sum of ``mu(s, t)`` over the summands s of a and t
-    of b, and ``mu(b, a)`` the sum of the same terms swapped, so exact
-    commutativity on the listed pairs gives it on every pair; the triples
-    alike.  0 must be listed, as ``mu(0, x)`` is only known to be
-    idempotent, not 0.  The pool is every element.  On an open cone both
-    laws are swept.
-
-    The sweeps read the product of two pool elements off one table,
-    ``table[i][j] == mu(pool[i], pool[j])``.  On a finite carrier the pool
-    is every element in order, so the table is ``op.table``.  On a vector
-    carrier it is built by additivity (:func:`_pool_products`): every pool
-    element ``x != 0`` is a ray sum ``y + r`` with y one ray shorter, and
-    ``mu`` is a tensor, so ``mu(y + r, b) == mu(y, b) + mu(r, b)`` and
-    ``mu(0, b) == 0`` exactly; the right slot alike.  The products of two
-    rays are read off ``op.ray_products``, which also seeds the memo of
-    the generator proof and the triple sweep, so ``op.mu`` runs on no ray
-    pair.  Pools and tensors are integer, so each entry has the value and
-    the type (``int``) that ``op.mu`` gives.  The pair sweep
+    The sweeps read the product of two pool elements off the carrier's
+    ``product_table``, ``table[i][j] == mu(pool[i], pool[j])``.  The
+    products of two rays are read off ``op.ray_products`` (a finite carrier
+    has none), which also seeds the memo of the generator proof and the
+    triple sweep, so ``op.mu`` runs on no ray pair.  The pair sweep
     (:func:`_commutativity_sweep`) compares ``table[i][j]`` with
-    ``table[j][i]``.  The triple sweep interns each element once to
-    an int index, so exact equality is equality of indices; its memo of
-    products per left operand starts from the table, beyond which
-    ``op.mu`` runs once per distinct pair of indices, a product not seen
-    before getting the next index.  Both sweeps decide ``approx`` by the
-    carrier's ``class_key``, computed once per distinct compared element.
+    ``table[j][i]``.  The triple sweep interns each element once, by its
+    ``element_key``, to an int index, so exact equality is equality of
+    indices; its memo of products per left operand starts from the table,
+    beyond which ``op.mu`` runs once per distinct pair of indices, a
+    product not seen before getting the next index.  Both sweeps decide
+    ``approx`` by the carrier's ``class_key``, computed once per distinct
+    compared element, or by equality where ``approx_is_equality``.
     Without closure, each compared element not yet known to be a member
     (the pool elements are, and so is each product that passed) is
     checked at its first comparison.
@@ -628,14 +540,15 @@ def verify_theorem_main(op: BiadditiveOp,
     if weak is None:
         weak = is_weakly_localizable(op)
     mode = "certified" if weak.verdict == "yes" else "observation"
-    pool = _sample_pool(m)
+    pool = m.element_pool(3)
     n = len(pool)
     index: dict = {}    # element, as its report key -> its index
     keys: list = []     # index -> report key
     rows: list = []     # index -> {right index: index of the product}
+    element_key = m.element_key
 
     def intern(x) -> int:
-        k = x if isinstance(x, int) else tuple(x)
+        k = element_key(x)
         i = index.get(k)
         if i is None:
             i = index[k] = len(keys)
@@ -651,15 +564,11 @@ def verify_theorem_main(op: BiadditiveOp,
         return p
 
     ids = [intern(x) for x in pool]
-    if isinstance(m, FiniteMonoid):
-        gens = [index[0]] + [index[g] for g in m.generators()]
-        closed = True
-    else:
-        products = op.ray_products
-        for (r, s), p in products.items():
-            rows[intern(r)][intern(s)] = intern(p)
-        closed = isinstance(m, LatticeMonoid) and all(map(m.contains, products.values()))
-        gens = list(dict.fromkeys(index[g] for g in m.generators)) if closed else []
+    for (r, s), p in op.ray_products.items():
+        rows[intern(r)][intern(s)] = intern(p)
+    gens = m.closed_generators(op)
+    closed = gens is not None
+    gens = list(dict.fromkeys(index[g] for g in gens)) if closed else []
 
     # the elements known to be members, None when closure makes every
     # product one; each element's class key, by value
@@ -697,16 +606,10 @@ def verify_theorem_main(op: BiadditiveOp,
     commutes = closed and all(mul(a, b) == mul(b, a) for a in gens for b in gens)
     associates = closed and all(mul(mul(a, b), c) == mul(a, mul(b, c))
                                 for a in gens for b in gens for c in gens)
-    if commutes and associates:
-        table = None
-    elif isinstance(m, FiniteMonoid):
-        table, exact = op.table, False
-    else:
-        table = _pool_products(m, pool, op.ray_products)
-        exact = not m.lineality_coordinates()  # a pointed cone
+    table = None if commutes and associates else m.product_table(op, pool)
     comm_fail, comm_exact_fail = (
         ([], 0) if commutes
-        else _commutativity_sweep(m, pool, table, members, class_key, exact))
+        else _commutativity_sweep(m, pool, table, members, class_key, m.approx_is_equality))
     if associates:
         assoc_fail, assoc_exact_fail = [], 0
     else:
@@ -743,7 +646,7 @@ def weak_implies_strong_audit(op: BiadditiveOp) -> dict:
     discrepancy.
     """
     m = op.carrier
-    if isinstance(m, FiniteMonoid) or m.open_normals:
+    if m.order_is_total or m.open_normals:
         return {"status": "skipped", "ok": True,
                 "reason": "hypothesis needs a lattice carrier"}
     if m.lineality_coordinates():

@@ -33,7 +33,6 @@ from .exactmath import (
     IntegerLattice,
     IntegerSolver,
     InternalCheckError,
-    RationalCone,
     int_adjugate,
     is_zero_vector,
     primitive,
@@ -78,22 +77,20 @@ def grothendieck(m: FiniteMonoid) -> FiniteGrothGroup:
 
 
 class ReducedFinite:
-    """Reduction of a finite carrier: the one-element group, whose class
-    0 reconstructs to the neutral element."""
+    """Reduction of a finite carrier: the one-element group, of rank 0,
+    whose class 0 reconstructs to the neutral element."""
 
-    kind = "finite"
+    rank = 0
+    zero = 0
 
     def __init__(self, monoid: FiniteMonoid, level: int):
-        if level not in (1, 2):
-            raise InputError("level must be 1 or 2")
         self.monoid = monoid
         self.level = level
 
-    def iota(self, a: int) -> int:
-        return 0
-
     def project(self, x: int) -> int:
         return 0
+
+    iota = project
 
     def reconstruct(self, p: int) -> int:
         return 0
@@ -112,6 +109,12 @@ class ReducedFinite:
             "positive_class_count": 1,
             "kernel_size": grothendieck(self.monoid).classes,
         }
+
+    def describe_group(self) -> dict:
+        """The difference group this reduction quotients: the kernel group."""
+        groth = grothendieck(self.monoid)
+        return {"kind": "finite", "classes": groth.classes,
+                "monoid_image_classes": sorted(set(groth.iota))}
 
 
 class ReducedVector:
@@ -134,11 +137,8 @@ class ReducedVector:
     """
 
     def __init__(self, monoid: VectorCarrier, level: int):
-        if level not in (1, 2):
-            raise InputError("level must be 1 or 2")
         self.monoid = monoid
         self.level = level
-        self.kind = monoid.groth_kind
         basis = [list(row) for row in monoid.span_basis]
         r = len(basis)
         kernel_coords = [] if level == 1 and monoid.open_normals else \
@@ -147,6 +147,7 @@ class ReducedVector:
         self.kernel_rank = k
         self.kernel_vectors = tuple(vcombine(c, basis) for c in kernel_coords)
         self.rank = r - k
+        self.zero = (0,) * self.rank
         if not k:
             # no kernel, so V is the identity: a class is its coordinates,
             # and reconstructs through the basis rows
@@ -204,30 +205,23 @@ class ReducedVector:
         return sorted(set(rows))
 
     def describe(self) -> dict:
-        if self.kind == "lattice":  # pinned report keys
-            images = [self.project(g) for g in self.monoid.generators]
-            return {
-                "carrier": "lattice",
-                "level": self.level,
-                "free_rank": self.rank,
-                "kernel_rank": self.kernel_rank,
-                "positive_rays": [list(r) for r in RationalCone.from_rays(images, self.rank).v_rep],
-            }
-        return {
-            "carrier": "opencone",
-            "level": self.level,
-            "free_rank": self.rank,
-            "kernel_rank": self.kernel_rank,
-            "span_basis": [list(r) for r in self.monoid.span_basis],
-        }
+        return {"level": self.level, "free_rank": self.rank, "kernel_rank": self.kernel_rank,
+                **self.monoid.reduction_keys(self)}
+
+    def describe_group(self) -> dict:
+        """The difference group this reduction quotients, on its basis."""
+        m = self.monoid
+        return {"kind": m.groth_kind, "dim": m.dim,
+                m.basis_key: [list(b) for b in m.span_basis]}
 
 
 def nabla(m, level: int):
     """The level-1 or level-2 ordered reduction of a carrier, cached."""
     key = f"nabla{level}"
     if key not in m._cache:
-        m._cache[key] = (ReducedFinite(m, level) if isinstance(m, FiniteMonoid)
-                         else ReducedVector(m, level))
+        if level not in (1, 2):
+            raise InputError("level must be 1 or 2")
+        m._cache[key] = (ReducedFinite if m.order_is_total else ReducedVector)(m, level)
     return m._cache[key]
 
 
@@ -254,15 +248,12 @@ class Pi12:
         self.red1 = nabla(m, 1)
         self.red2 = nabla(m, 2)
         self.report = {"checks": []}
-        if isinstance(m, FiniteMonoid):
+        if m.order_is_total:
             # both reductions are the one-element group
             self.report["checks"] = [{"name": name, "ok": True}
                                      for name in ("additivity", "triangle", "surjectivity")]
             self.report["bijective"] = True
-        else:
-            self._init_vector()
-
-    def _init_vector(self):
+            return
         r1, r2 = self.red1, self.red2
         k1 = set(tuple(v) for v in r1.kernel_vectors)
         for kv in k1:

@@ -6,10 +6,10 @@ comparison ``mu(s,a) + a <~ mu(s,b) + b`` always forces ``a <~ b``; it is
 *weakly localizable* when every element sits below some localizable one,
 and *strongly localizable* when every element is localizable.
 
-On a finite carrier every element is localizable: its canonical
-quasi-order is total (see :mod:`monoids`).  On lattice and open-cone
-carriers one element and the bulk notions are all read off
-``op.ray_products``, the products of two rays that the operation builds
+On a carrier whose canonical quasi-order is total (``order_is_total``,
+a finite carrier: see :mod:`monoids`) every element is localizable.  On
+lattice and open-cone carriers one element and the bulk notions are all
+read off ``op.ray_products``, the products of two rays that the operation builds
 once: the facet normals' signs on them decide closure on the closed cone,
 and their zero sets on the extreme rays modulo the lineality space give
 the ray lemma of :func:`_polyhedral_ray_table`.  s is localizable iff no
@@ -33,28 +33,19 @@ from functools import cache, reduce
 from typing import NamedTuple, Optional
 
 from .exactmath import (
-    InputError,
     InternalCheckError,
     RationalCone,
     as_int_vector,
     cone_from_inequalities,
     echelon_kernel,
     echelon_solve,
-    integer_solve,
     vadd,
     vcombine,
     vdot,
     vneg,
     vscale,
 )
-from .monoids import (
-    FINITE_ORDER_IS_TOTAL,
-    BiadditiveOp,
-    FiniteMonoid,
-    LatticeMonoid,
-    OpenConeMonoid,
-    leq,
-)
+from .monoids import FINITE_ORDER_IS_TOTAL, BiadditiveOp, leq
 
 
 class LocalizabilityVerdict:
@@ -134,7 +125,7 @@ def is_left_localizable(op: BiadditiveOp, s, side: str = "left") -> Localizabili
 def _left(op: BiadditiveOp, s, side: str) -> LocalizabilityVerdict:
     """:func:`is_left_localizable` of an element already checked."""
     kind = "left" if side == "left" else "left-opposite"
-    if isinstance(op.carrier, FiniteMonoid):
+    if op.carrier.order_is_total:
         # every pair has a <~ b, so no damped comparison can refute
         return LocalizabilityVerdict(s, kind, "yes", FINITE_ORDER_IS_TOTAL)
     return _vector_left(op, s, side, kind)
@@ -236,7 +227,7 @@ def _refuted(op, s, side, kind, reason, direction, details) -> LocalizabilityVer
     """A "no" whose evidence is the pair over ``direction()``, re-validated,
     with ``details()``; neither is computed before it is read."""
     def evidence():
-        witness = _witness_pair(op.carrier, direction())
+        witness = op.carrier.witness_pair(direction())
         _validate_witness(op, s, side, witness)
         return witness, details()
     return LocalizabilityVerdict(s, kind, "no", reason, evidence)
@@ -245,48 +236,6 @@ def _refuted(op, s, side, kind, reason, direction, details) -> LocalizabilityVer
 def _left_kernel(bl) -> list[tuple]:
     """Nonzero combinations of the span basis killed by the damping map."""
     return echelon_kernel(list(zip(*bl)))
-
-
-def _witness_pair(m, direction) -> tuple:
-    """Deterministic monoid pair (a, a + direction), for a direction outside m.
-
-    The base point a is the least multiple ``k*g`` of the ray sum g (see
-    :func:`_interior_point`) whose translate by the direction lies in m.
-    Every ``k*g`` is a member, and membership of ``k*g + direction`` is
-    upward closed in k (adding g keeps it), so the least k is found by
-    galloping from 0, then bisecting.  The search stops at a k whose
-    translate is certainly a member: on a lattice, from an integer
-    combination of the direction; on a cone, the least k that every facet
-    inequality allows, ``h . (k*g + d) >= 0`` for a closed normal positive
-    on g and ``n . (k*g + d) > 0`` for an open one.
-    """
-    g = _interior_point(m)
-    if isinstance(m, LatticeMonoid):
-        combo = integer_solve(m.generators, tuple(direction))
-        if combo is None:
-            raise InternalCheckError("violating direction left the difference lattice")
-        cap = max(0, -min(combo)) + 1
-    else:
-        cap = max([0] + [-(vdot(h, direction) // vdot(h, g))
-                         for h in m.closed_normals if vdot(h, g) > 0]
-                  + [-vdot(n, direction) // vdot(n, g) + 1 for n in m.open_normals])
-
-    def pair(k):
-        a = vscale(k, g)
-        return a, vadd(a, tuple(direction))
-
-    miss, k = -1, 0
-    while not m.contains(pair(k)[1]):
-        if k == cap:
-            raise InternalCheckError("witness base point search exceeded its bound")
-        miss, k = k, min(cap, max(1, 2 * k))
-    while k - miss > 1:
-        mid = (miss + k) // 2
-        if m.contains(pair(mid)[1]):
-            k = mid
-        else:
-            miss = mid
-    return pair(k)
 
 
 def _validate_witness(op, s, side, witness) -> None:
@@ -301,36 +250,7 @@ def _validate_witness(op, s, side, witness) -> None:
         raise InternalCheckError("localizability witness failed re-validation")
 
 
-# -- the span, its relative interior and strict images -----------------------
-
-
-def _nonzero_span(m) -> tuple:
-    """The span basis; a carrier whose rays are all zero is refused."""
-    if not m.span_basis:
-        raise InputError(m.origin_only_text)
-    return m.span_basis
-
-
-def _interior_point(m) -> tuple:
-    """The sum of ``m.rays``: a member in the relative interior of the
-    closed cone.
-
-    A cone of lower dimension keeps each implicit equality ``h . x = 0`` in
-    ``h_rep`` as the pair ``h``, ``-h``, which vanishes on every ray and so
-    on all of the cone.  Relative interiority asks strict positivity only
-    of the other forms, each of which is positive on some ray.
-    """
-    rays = m.rays
-    _nonzero_span(m)
-    acc = reduce(vadd, rays, (0,) * m.dim)
-    for h in m.cone.h_rep:
-        if vdot(h, acc) <= 0 and any(vdot(h, r) for r in rays):
-            raise InternalCheckError("ray sum is not relatively interior")
-    if any(vdot(n, acc) <= 0 for n in m.open_normals):
-        # only an open normal that vanishes on the whole cone excludes it;
-        # the ray sum of a linear space is the origin, which is no proof
-        raise InputError("open-cone carrier has no member but the origin")
-    return acc
+# -- strict images -----------------------------------------------------------
 
 
 def _inside(m, x) -> bool:
@@ -345,10 +265,10 @@ def _preimage(bl, basis, v):
     return vcombine(c, basis)
 
 
-def _strictify(m: OpenConeMonoid, damped, bl, basis, x):
+def _strictify(m, damped, bl, basis, x):
     """Perturb x so its image becomes a strict member while x itself stays
     outside the closed cone.  Requires the interior to have a preimage."""
-    interior = _interior_point(m)
+    interior = m.interior_point()
     u = _preimage(bl, basis, interior)
     if u is None:
         raise InternalCheckError("interior point lost from the damped image")
@@ -480,9 +400,7 @@ def _polyhedral_ray_table(op: BiadditiveOp) -> Optional[RayTable]:
     ``mu(u, x)``).  A larger L is left "unknown".
     """
     m = op.carrier
-    if m.open_normals:
-        _interior_point(m)
-    _nonzero_span(m)
+    m.interior_point()
     normals = m.cone.h_rep
     full = (1 << len(normals)) - 1
     firsts = {}  # zero set -> its first ray
@@ -549,13 +467,13 @@ def is_localizable(op: BiadditiveOp, s) -> LocalizabilityVerdict:
 def is_weakly_localizable(op: BiadditiveOp) -> WeakLocalizabilityCertificate:
     """Yes on finite carriers, each element below 0.  On vector ones read
     off the ray table (see :func:`_polyhedral_ray_table`): the first bad ray
-    refutes, and otherwise each member among ``m.rays`` is its own
+    refutes, and otherwise each of ``m.member_rays`` is its own
     localizable dominator (with excluded faces and a lineality space, each
     one that :func:`is_localizable` accepts)."""
     m = op.carrier
-    if isinstance(m, FiniteMonoid):
-        # the order is total and every element localizable, so each element
-        # settles on the first candidate, 0, decided once
+    if m.order_is_total:
+        # the order is total and every element localizable, so each
+        # element settles on the first candidate, 0, decided once
         localizable = cache(lambda s: is_localizable(op, s).verdict == "yes")
         assignments = {a: next(s for s in m.elements() if leq(m, a, s) and localizable(s))
                        for a in m.elements()}
@@ -569,8 +487,7 @@ def is_weakly_localizable(op: BiadditiveOp) -> WeakLocalizabilityCertificate:
             reason="every element above the refuted one has a damping "
                    "row with two positive entries, so none is localizable",
             details={"obstruction": table.obstruction})
-    # every generator of a lattice is a member
-    queries = m.generators if isinstance(m, LatticeMonoid) else filter(m.contains, m.rays)
+    queries = m.member_rays
     if not table.decisive:
         queries = [a for a in queries if is_localizable(op, a).verdict == "yes"]
     return WeakLocalizabilityCertificate(
@@ -589,7 +506,7 @@ def _line_refutation(op: BiadditiveOp, table: RayTable) -> Optional[tuple]:
         def alpha(x):
             return Fraction(_product(op, x, u, side)[k], u[k])
         if alpha(u):
-            p = _interior_point(m)
+            p = m.interior_point()
             return vadd(p, vscale(-(1 + alpha(p)) / alpha(u), u))
         for r in table.rays:
             if alpha(r) < 0:
@@ -606,8 +523,8 @@ def is_strongly_localizable(op: BiadditiveOp) -> dict:
     yes, unless excluded faces and a lineality space ask for injectivity
     on it: decided on a line, "unknown" on a larger space."""
     m = op.carrier
-    if isinstance(m, FiniteMonoid):
-        # every element of a finite carrier is localizable
+    if m.order_is_total:
+        # every element is localizable
         return {"verdict": "yes", "confirmed": "theorem", "reason": FINITE_ORDER_IS_TOTAL}
     table = _closed_table(op)
     reason = ("ray lemma: every product of two extreme rays is, modulo the "
@@ -677,14 +594,13 @@ def order_unit_fast_path(op: BiadditiveOp, e) -> WeakLocalizabilityCertificate:
     m.check_element(e)
     refusals = []
     dominators = {}  # element -> the unit multiple that dominates it
-    if isinstance(m, FiniteMonoid):
-        unit_ok = all(op.mu(e, a) == a and op.mu(a, e) == a for a in m.elements())
-        # the canonical quasi-order on a finite carrier is total, so e
-        # itself dominates; the reduction is the one-element group
-        dominators = {a: e for a in m.elements()}
+    if m.order_is_total:
+        # the order relates every pair, so e itself dominates; the
+        # reduction is the one-element group
+        generating = m.elements()
+        dominators = {a: e for a in generating}
     else:
-        unit_ok = all(op.mu(e, tuple(a)) == tuple(a) and op.mu(tuple(a), e) == tuple(a)
-                      for a in m.rays)
+        generating = m.rays
         for g in m.rays:
             k = _order_unit_multiple(m.cone, e, g)
             if k is None:
@@ -692,7 +608,7 @@ def order_unit_fast_path(op: BiadditiveOp, e) -> WeakLocalizabilityCertificate:
                     f"not an order unit: no multiple dominates {tuple(g)}")
                 break
             dominators[tuple(g)] = vscale(k, tuple(e))
-    if not unit_ok:
+    if not all(op.mu(e, a) == a and op.mu(a, e) == a for a in map(m.element_key, generating)):
         refusals.insert(0, "not a two-sided unit for the operation")
 
     def fallback(reasons):

@@ -24,10 +24,27 @@ has one equivalence class (see :attr:`FiniteMonoid.kernel`).  A vector
 carrier decides both from the facet normals of its closed cone.
 Membership of a vector in a lattice monoid is decided exactly, with no
 coefficient bound (see :meth:`LatticeMonoid.contains`).
+
+Only this module decides what kind of carrier it holds.  Both kinds
+supply one protocol, and the other modules read only it:
+
+* ``check_element``, ``leq``, ``approx``, ``class_key``: the order;
+* ``order_is_total``: True where the order relates every pair by theorem
+  (a finite carrier), so every element is localizable and both
+  reductions are the one-element group (:mod:`localizability`,
+  :mod:`grothendieck`, the weak-strong audit); only where it is False is
+  the vector protocol of :class:`VectorCarrier` read;
+* ``read_operation``, ``operation_failures``: a :class:`BiadditiveOp`'s
+  data and laws;
+* ``rays``, ``element_pool``, ``closed_generators``, ``product_table``,
+  ``approx_is_equality``: the sweeps of :mod:`functionals`;
+* ``element_key``, ``element_text``: an element as a report key
+  (:mod:`functionals`) and as :mod:`cli` prints it.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 from operator import mul
@@ -43,9 +60,11 @@ from .exactmath import (
     as_int_vector,
     int_adjugate,
     integer_kernel,
+    integer_solve,
     is_zero_vector,
     vadd,
     vdot,
+    vscale,
     vsub,
 )
 
@@ -66,6 +85,9 @@ class FiniteMonoid:
     generators (see :meth:`generators`), so the table is associative iff
     every generator is in it: n^2 checks per generator, not n^3 in all.
     """
+
+    order_is_total = True
+    rays = ()  # no cone: an operation has no ray products
 
     def __init__(self, table: Sequence[Sequence[int]], names: Optional[Sequence[str]] = None):
         self.n = len(table)
@@ -202,6 +224,63 @@ class FiniteMonoid:
         """0: ``approx`` relates every pair, so there is one class."""
         return 0
 
+    @property
+    def approx_is_equality(self) -> bool:
+        return self.n == 1
+
+    def element_key(self, x: int) -> int:
+        return x
+
+    def element_text(self, x: int):
+        return self.names[x] if self.names is not None else x
+
+    def element_pool(self, max_coeff_sum: int) -> list[int]:
+        """Every element, whatever the bound: a finite carrier is swept whole."""
+        return list(self.elements())
+
+    # -- biadditive operations ----------------------------------------------
+
+    def read_operation(self, table, tensor) -> tuple:
+        """``(table, None)``: an n x n table of elements, ``mu(a, b)`` at
+        ``table[a][b]``; a finite carrier reads no tensor."""
+        if table is None:
+            raise InputError("finite carrier needs a value table")
+        table = tuple(tuple(_integral(x, (a, b), "table") for b, x in enumerate(row))
+                      for a, row in enumerate(table))
+        if len(table) != self.n or any(len(r) != self.n for r in table):
+            raise InputError("operation table shape mismatch")
+        if any(not 0 <= x < self.n for row in table for x in row):
+            raise InputError("operation table entry out of range")
+        return table, None
+
+    def operation_failures(self, op) -> list:
+        """Both distributive laws on every triple: the n^3 triples are swept
+        only to list the failures once :func:`_distributive` finds one with
+        the generators and 0 in the added-to slot."""
+        add, mu = self.table, op.table
+        if _distributive(add, mu, self.closed_generators(op)):
+            return []
+        failures = []
+        for a in self.elements():
+            for b in self.elements():
+                mu_a, mu_ab = mu[a], mu[add[a][b]]
+                for c in self.elements():
+                    if mu_ab[c] != add[mu_a[c]][mu[b][c]]:
+                        failures.append(("left-additivity", a, b, c))
+                    if mu_a[add[b][c]] != add[mu_a[b]][mu_a[c]]:
+                        failures.append(("right-additivity", a, b, c))
+        return failures
+
+    def closed_generators(self, op) -> list[int]:
+        """0 and the generators: every element is a nonempty sum of them,
+        and every entry of the operation's table is an element.  0 is
+        listed, as ``mu(0, x)`` is only known to be idempotent, not 0."""
+        return [0] + self.generators()
+
+    def product_table(self, op, pool: list) -> list[list[int]]:
+        """``table[i][j] == mu(pool[i], pool[j])``, read off the operation."""
+        return [[op.table[a][b] for b in pool] for a in pool]
+
 
 class VectorCarrier:
     """A submonoid of ``Q^d`` whose canonical order is read from a closed cone.
@@ -219,6 +298,15 @@ class VectorCarrier:
     cone with the excluded faces removed (or is zero), and ``a ~~ b`` when
     ``b - a`` lies in the lineality space of the cone.
 
+    Beside the protocol of every carrier (see :mod:`monoids`), a vector
+    carrier supplies what :mod:`localizability` and the reductions of
+    :mod:`grothendieck` read: ``cone``, ``open_normals``, ``span_basis``,
+    ``coordinates``, ``boundary_status``, ``lineality_coordinates``,
+    ``interior_point``, ``member_rays``, ``witness_pair`` and
+    ``reduction_keys``.  Each subclass owns the rules in which the kinds
+    differ: ``operation_failures``, ``member_rays``, ``_witness_cap``
+    and ``reduction_keys``.
+
     The class attributes that differ between the subclasses are report
     text: ``groth_kind`` names the carrier's difference group,
     ``basis_key`` the report key of its basis, ``difference_group``
@@ -228,6 +316,7 @@ class VectorCarrier:
     "rational").
     """
 
+    order_is_total = False
     scalar: str
     groth_kind: str
     basis_key: str
@@ -323,9 +412,19 @@ class VectorCarrier:
         pool.update(*itertools.islice(self.ray_sums(), max_coeff_sum))
         return sorted(pool)
 
-    def element_pool(self, max_coeff_sum: int = 3) -> list[tuple]:
+    def element_pool(self, max_coeff_sum: int) -> list[tuple]:
         """Members that are sums of at most ``max_coeff_sum`` rays, sorted."""
         return [v for v in self._ray_sum_pool(max_coeff_sum) if self.contains(v)]
+
+    @property
+    def member_rays(self) -> list:
+        return [r for r in self.rays if self.contains(r)]
+
+    def element_key(self, x) -> tuple:
+        return tuple(x)
+
+    def element_text(self, x) -> list:
+        return list(x)
 
     def check_element(self, x) -> None:
         if not self.contains(x):
@@ -354,6 +453,126 @@ class VectorCarrier:
         class.  x is not checked for membership.
         """
         return tuple(vdot(n, x) for n in self.cone.h_rep)
+
+    @property
+    def approx_is_equality(self) -> bool:
+        """A pointed cone: its facet normals tell every two points apart."""
+        return not self.lineality_coordinates()
+
+    # -- the relative interior and witness pairs ---------------------------
+
+    def interior_point(self) -> tuple:
+        """The sum of the rays: a member in the relative interior of the
+        closed cone.  A carrier whose rays are all zero is refused, and so
+        is one whose excluded faces leave only the origin.
+
+        A cone of lower dimension keeps each implicit equality ``h . x = 0``
+        in ``h_rep`` as the pair ``h``, ``-h``, which vanishes on every ray
+        and so on all of the cone.  Relative interiority asks strict
+        positivity only of the other forms, each of which is positive on
+        some ray.
+        """
+        if not self.span_basis:
+            raise InputError(self.origin_only_text)
+        acc = functools.reduce(vadd, self.rays, (0,) * self.dim)
+        for h in self.cone.h_rep:
+            if vdot(h, acc) <= 0 and any(vdot(h, r) for r in self.rays):
+                raise InternalCheckError("ray sum is not relatively interior")
+        if any(vdot(n, acc) <= 0 for n in self.open_normals):
+            # only an open normal that vanishes on the whole cone excludes it;
+            # the ray sum of a linear space is the origin, which is no proof
+            raise InputError("open-cone carrier has no member but the origin")
+        return acc
+
+    def witness_pair(self, direction) -> tuple:
+        """Deterministic member pair (a, a + direction), for a direction
+        outside the carrier.
+
+        The base point a is the least multiple ``k*g`` of the ray sum g (see
+        :meth:`interior_point`) whose translate by the direction is a
+        member.  Every ``k*g`` is a member, and membership of ``k*g +
+        direction`` is upward closed in k (adding g keeps it), so the least
+        k is found by galloping from 0, then bisecting.  The search stops at
+        :meth:`_witness_cap`, a k whose translate is certainly a member.
+        """
+        g = self.interior_point()
+        direction = tuple(direction)
+        cap = self._witness_cap(direction, g)
+
+        def pair(k):
+            a = vscale(k, g)
+            return a, vadd(a, direction)
+
+        miss, k = -1, 0
+        while not self.contains(pair(k)[1]):
+            if k == cap:
+                raise InternalCheckError("witness base point search exceeded its bound")
+            miss, k = k, min(cap, max(1, 2 * k))
+        while k - miss > 1:
+            mid = (miss + k) // 2
+            if self.contains(pair(mid)[1]):
+                k = mid
+            else:
+                miss = mid
+        return pair(k)
+
+    # -- biadditive operations ----------------------------------------------
+
+    def read_operation(self, table, tensor) -> tuple:
+        """``(None, tensor)``: a d x d x d integer tensor T, ``mu(x, y)[k] =
+        sum_ij T[i][j][k] x_i y_j``; a vector carrier reads no table."""
+        if tensor is None:
+            raise InputError("vector carrier needs a tensor")
+        tensor = tuple(tuple(tuple(_integral(x, (i, j, k), "tensor")
+                                   for k, x in enumerate(row))
+                             for j, row in enumerate(slab))
+                       for i, slab in enumerate(tensor))
+        if len(tensor) != self.dim or any(len(s) != self.dim for s in tensor) or \
+                any(len(r) != self.dim for s in tensor for r in s):
+            raise InputError("tensor shape mismatch")
+        return None, tensor
+
+    def closed_generators(self, op) -> Optional[tuple]:
+        """The rays when every product of two of them is a member, else
+        None: every pool element is a ray sum, and with ``x = sum a_i r_i``
+        and ``y = sum b_j r_j``, ``mu(x, y) = sum a_i b_j mu(r_i, r_j)`` is
+        then a sum of members."""
+        return self.rays if all(map(self.contains, op.ray_products.values())) else None
+
+    def product_table(self, op, pool: list) -> list[list]:
+        """``table[i][j] == mu(pool[i], pool[j])`` for a pool of ray sums,
+        built by additivity from ``op.ray_products``: ``mu`` is a tensor, so
+        ``mu(y + r, b) == mu(y, b) + mu(r, b)`` and ``mu(0, b) == 0``
+        exactly.  The row of a ray sum ``y + r`` (:meth:`ray_sum_parent`)
+        is the row of y plus the row of the ray r, and the row of a ray is
+        built alike in the right slot.  A parent need not be a pool element
+        (on an open cone it may lie on an excluded face), so the memos run
+        over every ray sum they meet.  Pools and tensors are integer, so
+        each entry has the value and the type that ``op.mu`` gives.
+        """
+        products = op.ray_products
+        zero = (0,) * self.dim
+
+        def by_parents(origin, ray, step):
+            """f on the ray sums with ``f(0) == origin``, ``f(r) == ray(r)`` on
+            a ray and ``f(y + r) == step(f(y), r)`` above, memoized."""
+            memo = {zero: origin}
+
+            def f(x):
+                if x not in memo:
+                    y, r = self.ray_sum_parent(x)
+                    memo[x] = ray(r) if y == zero else step(f(y), r)
+                return memo[x]
+            return f
+
+        ray_rows = {}
+        for r in dict.fromkeys(self.rays):
+            right = by_parents(zero, lambda s, r=r: products[r, s],
+                               lambda v, s, r=r: vadd(v, products[r, s]))
+            ray_rows[r] = [right(b) for b in pool]
+        left = by_parents([zero] * len(pool), ray_rows.__getitem__,
+                          lambda v, r: list(map(vadd, v, ray_rows[r])))
+        return [left(a) for a in pool]
 
 
 class LatticeMonoid(VectorCarrier):
@@ -398,10 +617,39 @@ class LatticeMonoid(VectorCarrier):
         membership memo (see :meth:`contains`)."""
         self._cache.setdefault("contains", {}).update(dict.fromkeys(level, True))
 
-    def element_pool(self, max_coeff_sum: int = 3) -> list[tuple]:
+    def element_pool(self, max_coeff_sum: int) -> list[tuple]:
         """The sums of at most ``max_coeff_sum`` generators, sorted: all
         members, so none is checked."""
         return self._ray_sum_pool(max_coeff_sum)
+
+    @property
+    def member_rays(self) -> tuple:
+        """The generators: every one is a member, so none is checked."""
+        return self.generators
+
+    def operation_failures(self, op) -> list:
+        """The products of two generators outside the monoid: biadditivity
+        is structural for a tensor, and by it every product of members is
+        a sum of those products."""
+        return [("generator-product-outside", i, j, list(op.ray_products[g, h]))
+                for i, g in enumerate(self.generators)
+                for j, h in enumerate(self.generators)
+                if not self.contains(op.ray_products[g, h])]
+
+    def _witness_cap(self, direction: tuple, g: tuple) -> int:
+        """A k with ``k*g + direction`` a member, g the generator sum: from
+        an integer combination c of the direction over the generators,
+        every coefficient of ``k*g + direction`` is ``k + c_i >= 0``."""
+        combo = integer_solve(self.generators, direction)
+        if combo is None:
+            raise InternalCheckError("violating direction left the difference lattice")
+        return max(0, -min(combo)) + 1
+
+    def reduction_keys(self, red) -> dict:
+        """The reduction's positive rays: the cone of the generators' images."""
+        images = [red.project(g) for g in self.generators]
+        return {"carrier": "lattice",
+                "positive_rays": [list(r) for r in RationalCone.from_rays(images, red.rank).v_rep]}
 
     @property
     def combinations(self) -> CombinationSearch:
@@ -575,6 +823,23 @@ class OpenConeMonoid(VectorCarrier):
     def contains(self, x: Sequence) -> bool:
         return self.boundary_status(x) == "inside"
 
+    def operation_failures(self, op) -> list:
+        """The products of two rays outside the closed cone: biadditivity is
+        structural for a tensor."""
+        return [("ray-product-outside-closure", list(a), list(b), list(prod))
+                for (a, b), prod in op.ray_products.items() if not self.cone.member(prod)]
+
+    def _witness_cap(self, direction: tuple, g: tuple) -> int:
+        """The least k that every facet inequality allows: ``h . (k*g + d)
+        >= 0`` for a closed normal positive on the ray sum g, and ``n . (k*g
+        + d) > 0`` for an open one."""
+        return max([0] + [-(vdot(h, direction) // vdot(h, g))
+                          for h in self.closed_normals if vdot(h, g) > 0]
+                   + [-vdot(n, direction) // vdot(n, g) + 1 for n in self.open_normals])
+
+    def reduction_keys(self, red) -> dict:
+        return {"carrier": "opencone", "span_basis": [list(r) for r in self.span_basis]}
+
 
 # ---------------------------------------------------------------------------
 # canonical quasi-order and its equivalence
@@ -613,44 +878,21 @@ class BiadditiveOp:
     """A biadditive binary operation on a carrier.
 
     Finite carriers take a value table; vector carriers take a d x d x d
-    integer tensor T acting as ``mu(x, y)[k] = sum_ij T[i][j][k] x_i y_j``.
-    An entry of either that is not an integer is an :class:`InputError`.
-    ``_cache`` holds what a decision procedure builds once per operation.
+    integer tensor T acting as ``mu(x, y)[k] = sum_ij T[i][j][k] x_i y_j``
+    (see the carrier's ``read_operation``).  An entry of either that is
+    not an integer is an :class:`InputError`.  ``_cache`` holds what a
+    decision procedure builds once per operation.
     """
 
     def __init__(self, carrier, table: Optional[Sequence[Sequence[int]]] = None,
                  tensor=None):
         self.carrier = carrier
         self._cache: dict = {}
-        if isinstance(carrier, FiniteMonoid):
-            if table is None:
-                raise InputError("finite carrier needs a value table")
-            self.table = tuple(tuple(_integral(x, (a, b), "table")
-                                     for b, x in enumerate(row))
-                               for a, row in enumerate(table))
-            if len(self.table) != carrier.n or any(len(r) != carrier.n for r in self.table):
-                raise InputError("operation table shape mismatch")
-            for row in self.table:
-                for x in row:
-                    if not 0 <= x < carrier.n:
-                        raise InputError("operation table entry out of range")
-            self.tensor = None
-        else:
-            if tensor is None:
-                raise InputError("vector carrier needs a tensor")
-            d = carrier.dim
-            self.tensor = tuple(tuple(tuple(_integral(x, (i, j, k), "tensor")
-                                            for k, x in enumerate(row))
-                                      for j, row in enumerate(slab))
-                                for i, slab in enumerate(tensor))
-            if len(self.tensor) != d or any(len(s) != d for s in self.tensor) or \
-                    any(len(r) != d for s in self.tensor for r in s):
-                raise InputError("tensor shape mismatch")
-            self.table = None
-            # the nonzero entries (i, j, k, T[i][j][k]) in i, j, k order
-            self._entries = tuple((i, j, k, t) for i, slab in enumerate(self.tensor)
-                                  for j, row in enumerate(slab)
-                                  for k, t in enumerate(row) if t)
+        self.table, self.tensor = carrier.read_operation(table, tensor)
+        # the nonzero entries (i, j, k, T[i][j][k]) of a tensor in i, j, k order
+        self._entries = tuple((i, j, k, t) for i, slab in enumerate(self.tensor or ())
+                              for j, row in enumerate(slab)
+                              for k, t in enumerate(row) if t)
 
     def mu(self, a, b):
         if self.table is not None:
@@ -684,41 +926,10 @@ class BiadditiveOp:
                                            for r in rays for s in rays}
         return self._cache["ray_products"]
 
-    # -- validation --------------------------------------------------------
-
     def validate(self) -> list:
-        """The failures of the operation's laws on the carrier, empty when
-        it is biadditive and closed: both distributive laws on every finite
-        triple, and on a lattice or an open cone the :attr:`ray_products`
-        (biadditivity is structural for a tensor).  The n^3 triples are
-        swept only to list the failures once :func:`_distributive` finds
-        one with the generators and 0 in the added-to slot."""
-        m = self.carrier
-        failures = []
-        if isinstance(m, FiniteMonoid):
-            add, mu = m.table, self.table
-            if _distributive(add, mu, [0] + m.generators()):
-                return failures
-            for a in m.elements():
-                for b in m.elements():
-                    mu_a, mu_ab = mu[a], mu[add[a][b]]
-                    for c in m.elements():
-                        if mu_ab[c] != add[mu_a[c]][mu[b][c]]:
-                            failures.append(("left-additivity", a, b, c))
-                        if mu_a[add[b][c]] != add[mu_a[b]][mu_a[c]]:
-                            failures.append(("right-additivity", a, b, c))
-        elif isinstance(m, LatticeMonoid):
-            for i, g in enumerate(m.generators):
-                for j, h in enumerate(m.generators):
-                    prod = self.ray_products[g, h]
-                    if not m.contains(prod):
-                        failures.append(("generator-product-outside", i, j, list(prod)))
-        else:
-            for (a, b), prod in self.ray_products.items():
-                if not m.cone.member(prod):
-                    failures.append(("ray-product-outside-closure",
-                                     list(a), list(b), list(prod)))
-        return failures
+        """The failures of the operation's laws on the carrier
+        (``operation_failures``), empty when it is biadditive and closed."""
+        return self.carrier.operation_failures(self)
 
 
 def _distributive(add, table, slots) -> bool:

@@ -29,7 +29,7 @@ from monoidorder.exactmath import InternalCheckError, vadd
 from monoidorder.instancefile import load_instance
 from monoidorder.latticeorder import (fring_strong_localizability,
                                       is_extended_f_ring)
-from monoidorder.monoids import BiadditiveOp, leq
+from monoidorder.monoids import BiadditiveOp, VectorCarrier, leq
 from monoidorder.reports import render_report
 
 from conftest import INSTANCE_DIR, instance_path
@@ -1276,15 +1276,15 @@ FOUR_GENERATORS = ("kind: lattice\ndim: 3\n[generators]\n1 0 0\n0 1 0\n0 0 1\n"
 
 
 def _count_witness_work(monkeypatch):
-    counts = {"_witness_pair": 0, "_validate_witness": 0}
-    for name in counts:
-        real = getattr(localizability, name)
+    counts = {"witness_pair": 0, "_validate_witness": 0}
+    for owner, name in ((VectorCarrier, "witness_pair"), (localizability, "_validate_witness")):
+        real = getattr(owner, name)
 
         def counted(*args, name=name, real=real):
             counts[name] += 1
             return real(*args)
 
-        monkeypatch.setattr(localizability, name, counted)
+        monkeypatch.setattr(owner, name, counted)
     return counts
 
 
@@ -1376,7 +1376,7 @@ def test_a_weak_verdict_builds_no_witness_it_does_not_print(tmp_path, monkeypatc
         code, out, err = run_cli(*argv)
         assert code == exit_code, err
         assert out == render_report(want)
-        assert counts == {"_witness_pair": 0, "_validate_witness": 0}, argv
+        assert counts == {"witness_pair": 0, "_validate_witness": 0}, argv
 
 
 @pytest.mark.parametrize("text,element,direction,witness", [
@@ -1396,7 +1396,7 @@ def test_a_printed_witness_is_built_and_re_validated(tmp_path, monkeypatch, text
         "kind": "full", "verdict": "no", "witness": witness,
         "reason": "left condition fails: preimage cone escapes the positivity cone",
         "subject": element.split(",")}
-    assert counts == {"_witness_pair": 1, "_validate_witness": 1}
+    assert counts == {"witness_pair": 1, "_validate_witness": 1}
 
 
 OPEN_QUADRANT = ("kind: open-cone\ndim: 2\n\n[rays]\n1 0\n0 1\n\n"

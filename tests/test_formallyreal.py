@@ -651,6 +651,42 @@ def test_membership_witnesses_are_exactly_negative():
             assert res["witness_value"] < 0
 
 
+@pytest.mark.parametrize("expr,witness", [
+    ("(x-3)^200-1", Fraction(3)),
+    ("(2*x-7)^2-1", Fraction(7, 2)),
+    ("((2*x-7)^2-1)/(3*x^2+1)", Fraction(7, 2)),
+    ("(x-1)/(x^2-4)", Fraction(-3)),
+    ("-(x^2+1)/(5*x-1)^2", Fraction(0)),
+])
+def test_the_membership_witness_is_valued_in_integers(monkeypatch, expr, witness):
+    # the self-check of a "no" values f at its witness on f's integer
+    # numerator and denominator, by homogeneous Horner, with no Fraction
+    # evaluation of f or of a polynomial; the value is f's, by that oracle
+    f = parse_rational_function(expr)
+
+    def refused(*args):
+        raise AssertionError("a Fraction evaluation ran")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(RationalFunction, "evaluate", refused)
+        patch.setattr(RationalPolynomial, "evaluate", refused)
+        res = is_sos_membership(f)
+    assert (res["member"], res["witness"]) == (False, witness)
+    assert type(res["witness_value"]) is Fraction
+    assert res["witness_value"] == f.evaluate(witness) < 0
+
+
+def test_a_split_that_is_not_fs_trips_the_membership_check():
+    # the integer split must lead as f's numerator and denominator do
+    f = parse_rational_function("(x^2-2)/(3*x+1)")
+    N, D = formallyreal._int_split(f)
+    assert formallyreal._shifted_value(f, N, D, Fraction(1, 2), 0) == f.evaluate(Fraction(1, 2))
+    with pytest.raises(InternalCheckError, match="are not f's"):
+        formallyreal._shifted_value(f, N, tuple(2 * c for c in D), Fraction(1, 2), 0)
+    with pytest.raises(InternalCheckError, match="pole"):
+        formallyreal._shifted_value(f, N, D, Fraction(-1, 3), 0)
+
+
 @settings(max_examples=60)
 @given(st.integers(1, 300), st.integers(-5, 5), st.integers(1, 3))
 def test_membership_witness_of_a_shifted_power_is_the_first_negative_integer(n, a, b):

@@ -13,8 +13,7 @@ from monoidorder.exactmath import (InputError, InternalCheckError, RationalCone,
                                    vdot, vsub)
 from monoidorder.functionals import (AdditiveFunctional, NormalizationResult,
                                      OrderedSubgroup, _certify_decomposition,
-                                     _largest_element, _pool_products,
-                                     _sample_pool, normalize_multiplicative,
+                                     _largest_element, normalize_multiplicative,
                                      positive_functionals,
                                      span_of_elements, span_with_products,
                                      verify_theorem_main,
@@ -526,7 +525,7 @@ def test_theorem_main_observation_mode_on_matrix_product():
 def _unmemoized_sweep(op):
     """The theorem sweep as a plain loop: op.mu and approx on every pair and triple."""
     m = op.carrier
-    pool = _sample_pool(m)
+    pool = m.element_pool(3)
     pairs = [(a, b) for a in pool for b in pool]
     triples = [(a, b, c) for a in pool for b in pool for c in pool]
 
@@ -578,14 +577,29 @@ def nonassociative_op():
     return BiadditiveOp(free_monoid(2), tensor=t)
 
 
+def _quadrant_op(open_normals, entries):
+    """An operation on the quadrant with the given faces excluded, from the
+    tensor entries ``(i, j, k): T[i][j][k]``; it is closed on the carrier."""
+    t = [[[0, 0], [0, 0]], [[0, 0], [0, 0]]]
+    for (i, j, k), v in entries.items():
+        t[i][j][k] = v
+    quadrant = RationalCone.from_rays([(1, 0), (0, 1)], 2)
+    return BiadditiveOp(OpenConeMonoid(quadrant, open_normals), tensor=t)
+
+
 @pytest.mark.parametrize("make_op", [
     matrix_monoid_product_op, half_plane_op,
     lambda: saturating_product_op(truncated_free_monoid(2, cap=2)),
     lambda: elementwise_op(3, weights=[5, 1, 4]),
     lambda: cyclic_product_op(5), flag_meet_op, nonassociative_op,
+    lambda: _quadrant_op([], {(0, 0, 0): 1, (1, 1, 1): 2}),
+    lambda: _quadrant_op([], {(0, 1, 1): 1}),
+    lambda: _quadrant_op([(1, 0)], {(0, 0, 0): 1}),
 ], ids=["matrix-product", "half-plane", "saturating-finite", "weighted-lattice",
-        "cyclic-5", "flag-meet", "nonassociative"])
+        "cyclic-5", "flag-meet", "nonassociative", "closed-quadrant",
+        "closed-quadrant-noncommutative", "open-quadrant"])
 def test_memoized_sweep_matches_the_unmemoized_loop(make_op):
+    # the closed open-cone operations take the generator proof on the rays
     report = verify_theorem_main(make_op())
     assert _sweep_parts(report) == _unmemoized_sweep(make_op())
 
@@ -877,8 +891,8 @@ def test_reported_products_are_those_of_op_mu():
             assert got == want
             assert list(map(type, got)) == list(map(type, want))
     for op in (half_plane_op(), matrix_monoid_product_op()):
-        pool = _sample_pool(op.carrier)
-        table = _pool_products(op.carrier, pool, op.ray_products)
+        pool = op.carrier.element_pool(3)
+        table = op.carrier.product_table(op, pool)
         for a, row in zip(pool, table):
             for b, ab in zip(pool, row):
                 assert ab == op.mu(a, b)

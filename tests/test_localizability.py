@@ -18,8 +18,7 @@ from monoidorder.exactmath import (InputError, InternalCheckError, RationalCone,
                                    integer_solve, lp_feasible, vadd, vdot, vneg,
                                    vscale, vsub)
 from monoidorder.functionals import verify_theorem_main
-from monoidorder.localizability import (_ser, _witness_pair,
-                                        is_left_localizable, is_localizable,
+from monoidorder.localizability import (_ser, is_left_localizable, is_localizable,
                                         is_strongly_localizable,
                                         is_weakly_localizable,
                                         order_unit_fast_path)
@@ -232,7 +231,7 @@ def _linear_scan_pair(m, direction):
             if m.contains(a) and m.contains(b):
                 return (a, b)
         raise AssertionError("no base point within the certain bound")
-    g0 = localizability._interior_point(m)
+    g0 = m.interior_point()
     for k in range(1, 10_001):
         a = vscale(k, g0)
         b = vadd(a, direction)
@@ -302,7 +301,7 @@ def test_galloping_base_point_equals_the_linear_scan(case):
     for c, r in zip(coeffs, m.rays):
         direction = vadd(direction, vscale(c, r))
     assume(not m.contains(direction))
-    a, b = _witness_pair(m, direction)
+    a, b = m.witness_pair(direction)
     want = _linear_scan_pair(m, direction)
     assert (a, b) == want
     assert [_ser(a), _ser(b)] == [_ser(want[0]), _ser(want[1])]
@@ -1420,7 +1419,7 @@ def test_the_line_rule_decides_strong_localizability_with_excluded_faces():
             continue
         m = OpenConeMonoid(cone, rng.sample(cone.h_rep, rng.randint(1, min(2, len(cone.h_rep)))))
         try:
-            localizability._interior_point(m)
+            m.interior_point()
         except InputError:
             continue
         op = BiadditiveOp(m, tensor=_closed_tensor(rng, m, line=cone.lineality_basis[0]))

@@ -1275,3 +1275,49 @@ def test_the_intro_example_extends_one_table_per_carrier(monkeypatch):
         ops = enumerate_biadditive_ops(m, unital=m._cache["tuple_index"][(1,) * coords])
         assert [op.table for op in ops] == [saturating_product_op(m).table]
         assert len(extensions) <= 1
+
+
+def _protocol_ops():
+    """An operation on each carrier kind: closed or not, commutative or not."""
+    flag = FiniteMonoid([[0, 1], [1, 1]], names=["o", "t"])
+    return [
+        ("cyclic-5", monoids.cyclic_product_op(5)),
+        ("flag-meet", BiadditiveOp(flag, table=[[0, 0], [0, 1]])),
+        ("saturating-2", saturating_product_op(truncated_free_monoid(2, cap=2))),
+        ("matrix", monoids.matrix_product_op()),
+        ("repeated-generator", BiadditiveOp(LatticeMonoid(2, [(1, 0), (0, 1), (1, 0)]),
+                                            tensor=monoids.diagonal_tensor(2, [1, 2]))),
+        ("not-closed", BiadditiveOp(free_monoid(2), tensor=[[[0, 0], [1, -1]],
+                                                            [[0, 0], [0, 0]]])),
+        ("half-plane", BiadditiveOp(half_open_half_plane(),
+                                    tensor=monoids.half_plane_product_tensor())),
+    ]
+
+
+@pytest.mark.parametrize("name,op", _protocol_ops(), ids=[n for n, _ in _protocol_ops()])
+def test_every_carrier_supplies_the_protocol(name, op):
+    # what verify_theorem_main reads off the carrier agrees with the
+    # definitions on every carrier kind: the pool is members, the product
+    # table is op.mu, approx is equality exactly where the carrier says,
+    # and closed generators sum to every pool element with products inside
+    m = op.carrier
+    pool = m.element_pool(2)
+    for x in pool:
+        m.check_element(x)
+    assert m.product_table(op, pool) == [[op.mu(a, b) for b in pool] for a in pool]
+    assert [m.element_key(x) for x in pool] == [x if m.order_is_total else tuple(x)
+                                                for x in pool]
+    assert m.approx_is_equality == all(approx(m, a, b) == (a == b) for a in pool for b in pool)
+    gens = m.closed_generators(op)
+    assert (gens is None) == (name in ("not-closed", "half-plane"))
+    if gens is not None:
+        assert op.validate() == []
+        for g, h in itertools.product(gens, repeat=2):
+            m.check_element(op.mu(g, h))
+        # the pool elements that are sums of the generators (the empty sum
+        # is 0 on a vector carrier, whose tensor makes mu(0, x) == 0)
+        sums = set(gens) | (set() if m.order_is_total else {(0,) * m.dim})
+        for _ in pool:
+            sums |= {m.sum_elements([s, g]) if m.order_is_total else vadd(s, g)
+                     for s in sums for g in gens} & set(pool)
+        assert sums == set(pool)

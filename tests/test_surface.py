@@ -15,6 +15,12 @@ passed by some call in ``src/``, ``perfbench/`` or
 ``tests/test_acceptance.py``: a default that no caller overrides is a
 constant.  The few that only tests set are listed in ``SET_BY_TESTS`` with
 the reason.
+
+Only ``monoids`` decides what kind of carrier it holds: no module tests a
+carrier class with ``isinstance``, none but the instance file loader
+compares a ``kind`` with a carrier-kind string, and the one carrier fact
+that stands for a finite carrier, ``order_is_total``, is read at a few
+counted sites.
 """
 
 import ast
@@ -217,3 +223,77 @@ def test_every_import_is_used_by_its_module(path):
                          ids=lambda path: os.path.relpath(path, ROOT))
 def test_every_import_is_used_by_its_test_module(path):
     assert _unused_imports(path) == []
+
+
+# Only ``monoids`` decides what kind of carrier it holds: the other
+# modules read the carrier protocol (see the ``monoids`` docstring).  The
+# instance file loader alone names the kinds, as they are spelled in files.
+CARRIER_CLASSES = {"FiniteMonoid", "LatticeMonoid", "OpenConeMonoid", "VectorCarrier"}
+CARRIER_KINDS = {"finite", "lattice", "cone", "open-cone"}
+# the one carrier fact that stands for "a finite carrier", and its budget
+TOTAL_ORDER_READS = 7
+
+
+def _names_in(node):
+    return {n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def _kind_decisions(directory):
+    """(file, line), sorted, of each ``isinstance`` on a carrier class
+    anywhere, and of each comparison of a ``kind`` or ``groth_kind`` with a carrier-kind
+    string outside ``instancefile.py``."""
+    out = []
+    for path in sorted(_python_files(directory)):
+        name = os.path.basename(path)
+        for node in ast.walk(ast.parse(_read(path))):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "isinstance" and len(node.args) == 2
+                    and _names_in(node.args[1]) & CARRIER_CLASSES):
+                out.append((name, node.lineno))
+            elif isinstance(node, ast.Compare) and name != "instancefile.py":
+                operands = [node.left] + node.comparators
+                strings = {c.value for o in operands for c in ast.walk(o)
+                           if isinstance(c, ast.Constant) and isinstance(c.value, str)}
+                kinds = {o.id if isinstance(o, ast.Name) else getattr(o, "attr", None)
+                         for o in operands}
+                if kinds & {"kind", "groth_kind"} and strings & CARRIER_KINDS:
+                    out.append((name, node.lineno))
+    return sorted(out)
+
+
+def _attribute_reads(directory, attr):
+    return [(os.path.basename(path), node.lineno)
+            for path in sorted(_python_files(directory))
+            for node in ast.walk(ast.parse(_read(path)))
+            if isinstance(node, ast.Attribute) and node.attr == attr
+            and isinstance(node.ctx, ast.Load)]
+
+
+def test_no_module_but_monoids_decides_the_carrier_kind():
+    assert _kind_decisions(PACKAGE) == []
+
+
+def test_the_total_order_fact_is_read_at_few_sites():
+    reads = _attribute_reads(PACKAGE, "order_is_total")
+    assert 0 < len(reads) <= TOTAL_ORDER_READS, reads
+
+
+@pytest.mark.parametrize("module", ["localizability.py", "functionals.py", "cli.py"])
+def test_the_deciding_modules_import_no_carrier_class(module):
+    tree = ast.parse(_read(os.path.join(PACKAGE, module)))
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    assert imported & CARRIER_CLASSES == set()
+
+
+def test_the_kind_walk_finds_a_planted_decision(tmp_path):
+    # the walk is not vacuous: each shape it forbids is found where planted
+    (tmp_path / "planted.py").write_text(
+        "def f(m, red, instance):\n"
+        "    if isinstance(m, (FiniteMonoid, int)):\n"
+        "        return red.kind == 'finite'\n"
+        "    return 'lattice' != m.groth_kind or instance.kind in ('cone', 'open-cone')\n")
+    (tmp_path / "instancefile.py").write_text("ok = kind == 'finite'\n")
+    assert _kind_decisions(str(tmp_path)) == [
+        ("planted.py", 2), ("planted.py", 3), ("planted.py", 4), ("planted.py", 4)]
