@@ -137,12 +137,17 @@ class RationalPolynomial:
         return acc
 
     def pow(self, n: int) -> "RationalPolynomial":
-        """``self ** n``: the power of a primitive integer multiple, by
-        squaring in integers, times ``(leading / ints[-1]) ** n``."""
+        """``self ** n``: the power of a primitive integer multiple, times
+        ``(leading / ints[-1]) ** n``.  A linear multiple ``a*x + b`` is
+        expanded by the binomial theorem, ``C(n, k) a^k b^(n-k)`` at x^k,
+        each binomial read off the one before it; any other base by
+        squaring in integers."""
         if self.is_zero():
             return RationalPolynomial([1] if n == 0 else [])
         ints = as_int_vector(self.coefficients)
         ratio = (self.leading / ints[-1]) ** n
+        if len(ints) == 2:
+            return RationalPolynomial([ratio * c for c in _binomial_power(*ints, n)])
         out, base = (1,), ints
         while n:
             if n & 1:
@@ -200,6 +205,19 @@ def _int_sub(a: tuple, b: tuple) -> tuple:
     while out and out[-1] == 0:
         out.pop()
     return tuple(out)
+
+
+def _binomial_power(b: int, a: int, n: int) -> list:
+    """The coefficients of ``(a*x + b) ** n``, low degree first."""
+    b_powers = [1]
+    for _ in range(n):
+        b_powers.append(b_powers[-1] * b)
+    out, binomial, a_power = [], 1, 1
+    for k in range(n + 1):
+        out.append(binomial * a_power * b_powers[n - k])
+        binomial = binomial * (n - k) // (k + 1)
+        a_power *= a
+    return out
 
 
 def _int_mul(a: tuple, b: tuple) -> tuple:

@@ -394,15 +394,15 @@ def parse_element(instance: Instance, text: str):
     of integers on an integer carrier and of rationals ``p/q`` on a
     rational one."""
     text = text.strip()
-    if instance.kind == "finite":
-        if instance.names and text in instance.names:
-            return instance.names.index(text)
-        raise InputError(
-            f"unknown element {text!r}: expected one of {instance.names}")
     m = instance.monoid
     if m is None:
         raise InputError(
             f"instances of kind {instance.kind!r} have no carrier elements")
+    if m.names is not None:
+        if text in m.names:
+            return m.names.index(text)
+        raise InputError(
+            f"unknown element {text!r}: expected one of {list(m.names)}")
     body = text
     if body.startswith("(") and body.endswith(")"):
         body = body[1:-1]
@@ -419,7 +419,7 @@ def check_membership(instance: Instance, element) -> None:
     monoid = instance.monoid
     if monoid is None:
         raise InputError("this instance kind has no membership test")
-    if instance.kind != "finite" and not monoid.contains(element):
+    if not monoid.contains(element):
         shown = ", ".join(map(str, element))  # rationals as p/q
         raise InputError(
             f"element [{shown}] is not in the monoid described by "

@@ -308,9 +308,10 @@ def _zero_set(normals, x) -> int:
 
 def _ray_table(op: BiadditiveOp) -> Optional[RayTable]:
     """:func:`_polyhedral_ray_table` of a vector carrier, built once and
-    kept on the operation; None on a finite carrier."""
+    kept on the operation.  Every caller has decided a finite carrier
+    (``order_is_total``) before it asks."""
     if "ray_table" not in op._cache:
-        op._cache["ray_table"] = None if op.tensor is None else _polyhedral_ray_table(op)
+        op._cache["ray_table"] = _polyhedral_ray_table(op)
     return op._cache["ray_table"]
 
 

@@ -39,7 +39,9 @@ supply one protocol, and the other modules read only it:
 * ``rays``, ``element_pool``, ``closed_generators``, ``product_table``,
   ``approx_is_equality``: the sweeps of :mod:`functionals`;
 * ``element_key``, ``element_text``: an element as a report key
-  (:mod:`functionals`) and as :mod:`cli` prints it.
+  (:mod:`functionals`) and as :mod:`cli` prints it;
+* ``contains``, ``names``: membership, and the names an element is read
+  by (None where it is read as a vector), for :mod:`instancefile`.
 """
 
 from __future__ import annotations
@@ -70,6 +72,10 @@ from .exactmath import (
 
 # the reason of every verdict that holds on a finite carrier by theorem
 FINITE_ORDER_IS_TOTAL = "the canonical order of a finite carrier is total"
+
+# the largest |det B| of a basis B whose class table lattice membership
+# builds (see LatticeMonoid.contains): one entry per class, |det B| at most
+CLASS_TABLE_MAX_DET = 512
 
 
 class FiniteMonoid:
@@ -199,6 +205,10 @@ class FiniteMonoid:
         e, neg = self.kernel
         return self.table[self.table[a][e]][neg[self.table[b][e]]]
 
+    def contains(self, x: int) -> bool:
+        """Is x an element: an index in ``0..n-1``?"""
+        return 0 <= x < self.n
+
     def check_element(self, x) -> None:
         if not isinstance(x, int) or not 0 <= x < self.n:
             raise InputError(f"element {x!r} not an index in 0..{self.n - 1}")
@@ -317,6 +327,7 @@ class VectorCarrier:
     """
 
     order_is_total = False
+    names = None  # an element is read as a vector, not by name
     scalar: str
     groth_kind: str
     basis_key: str
@@ -672,18 +683,37 @@ class LatticeMonoid(VectorCarrier):
         unimodular bases is the case ``|det(B)| == 1``.  By Carathéodory's
         theorem every point of the generators' cone lies in the cone of some
         r independent generators (Schrijver, *Theory of Linear and Integer
-        Programming*, ch. 7 and 16), and the walk finds x whenever x lies in
-        ``N*B`` for one of them.  The nonsingular r-subsets are walked in
-        :func:`itertools.combinations` order, each one's adjugate and
+        Programming*, ch. 7 and 16).  The nonsingular r-subsets are walked
+        in :func:`itertools.combinations` order, each one's adjugate and
         determinant computed once per carrier, when a query first needs it.
-        A hit re-substitutes c; a failure raises :class:`InternalCheckError`.
 
-        On a miss, a free carrier, whose generators have no integer relation
-        (the rank of L equals their number), answers no: its one subset is
-        every generator, so c is x's only combination.  On any other carrier a
-        miss falls back to the complete search: vectors off L (whose Hermite
-        form is built here) or outside the cone are refused, and the rest go
-        to :class:`CombinationSearch`, built on the first miss.  The generators
+        *The class lemma.*  The classes of ``L / Z*B`` are keyed by ``y .
+        adj(B) mod |det(B)|``: y and y' share a key iff ``(y - y') . adj(B)
+        / det(B)``, the coefficients of ``y - y'`` on B, is an integer
+        vector, that is iff ``y - y' in Z*B``.  So there are at most
+        |det(B)| classes.  Pick one member a_h of the monoid in each class h.
+        If x is in class h and ``(x - a_h) . adj(B) / det(B)`` is a
+        nonnegative (integer) vector, then ``x - a_h`` lies in ``N*B`` and
+        ``x = a_h + (x - a_h)`` is a sum of members, so a member.  Its
+        certificate is a_h's coefficients plus those on B, re-substituted;
+        a failure raises :class:`InternalCheckError`.  The class of 0 has the
+        origin as its member, which gives the rule of ``N*B`` above.  A
+        member for every class is found by a breadth-first walk from 0 that
+        adds one generator at a time (see :meth:`_class_table`): the
+        generators generate L, so their sums reach every class of the
+        finite group ``L / Z*B``.  Only a "yes" is read this way.
+
+        *The walk.*  (1) Every basis is read at class 0, the origin, which
+        builds no table.  (2) On a miss, a free carrier, whose generators
+        have no integer relation (the rank of L equals their number),
+        answers no: its one subset is every generator, so c is x's only
+        combination; on any other carrier a point outside the cone is
+        refused.  (3) Every basis with ``|det(B)| <= CLASS_TABLE_MAX_DET``
+        (512) is read at x's class, its class table built once, when a query
+        first reaches it; the cap bounds a table's size and the walk that
+        builds it.  (4) Only then is a vector off L (whose Hermite form is
+        built here) refused, and the rest go to :class:`CombinationSearch`,
+        built on the first query that reaches it.  The generators
         split into units (every facet normal of the cone vanishes on them;
         they generate the group ``Z*units``) and positive generators (the sum
         ``w`` of the normals is positive on them).  As ``w`` vanishes on the
@@ -695,7 +725,8 @@ class LatticeMonoid(VectorCarrier):
         integers: one Hermite form of ``[units | I]`` answers the leaf checks
         and gives the unit coefficients, and a strictly positive integer
         relation among the units shifts negative ones; no rational simplex is
-        run.  So every "no" off a free carrier is the search's.  Answers are
+        run.  So every "no" off a free carrier, other than a point outside
+        the cone or off L, is the search's.  Answers are
         memoized per monoid.  The memo also holds, as True, every vector that
         :meth:`ray_sums` has built: each is ``x + g`` for a sum x of
         generators and a generator g, a member by the definition of the
@@ -712,31 +743,82 @@ class LatticeMonoid(VectorCarrier):
         return memo[key]
 
     def _member(self, key: tuple) -> bool:
-        """Membership of a nonzero integer vector, not memoized."""
+        """Membership of a nonzero integer vector, not memoized: the walk of
+        :meth:`contains`."""
         y = key
-        for subset, columns, det in self._bases():
-            if len(subset) < len(y):  # a carrier of lower rank: Hermite coordinates
+        for basis in self._bases():
+            if len(basis[0]) < len(y):  # a carrier of lower rank: Hermite coordinates
                 y = self.lattice.coordinates(key)
                 if y is None:
                     return False
-            c = []
-            for column in columns:
-                q, rest = divmod(sum(map(mul, y, column)), det)
-                if rest or q < 0:
-                    break
-                c.append(q)
-            else:
-                check = [0] * self.dim
-                for cj, j in zip(c, subset):
-                    if cj:
-                        check = [a + cj * b for a, b in zip(check, self.generators[j])]
-                if check != list(key):
-                    raise InternalCheckError("basis certificate failed")
+            if self._read_off(key, y, basis, None):
                 return True
-        if len(subset) == len(self.generators):
+        if len(basis[0]) == len(self.generators):
             return False  # free: its one subset is every generator
-        return (self.lattice.contains(key) and self.cone.member(key)
-                and self.combinations.find(key) is not None)
+        if not self.cone.member(key):
+            return False
+        for basis in self._bases():
+            modulus = abs(basis[2])
+            if modulus <= CLASS_TABLE_MAX_DET:
+                h = tuple(sum(map(mul, y, column)) % modulus for column in basis[1])
+                entry = self._class_table(basis).get(h)
+                if entry is not None and self._read_off(key, y, basis, entry):
+                    return True
+        return self.lattice.contains(key) and self.combinations.find(key) is not None
+
+    def _read_off(self, key: tuple, y: Sequence[int], basis: tuple,
+                  entry: Optional[tuple]) -> bool:
+        """Is ``x - a`` in ``N*B``, for x = key (y its coordinates) and the
+        class entry ``entry = (a . adj(B), a's coefficients)``, None for
+        class 0's entry, the origin?  If so, a's coefficients plus ``(x - a)
+        . adj(B) / det(B)`` on B are re-substituted; a mismatch raises
+        :class:`InternalCheckError`."""
+        subset, columns, det = basis
+        shift = itertools.repeat(0) if entry is None else entry[0]
+        c = []
+        for column, a in zip(columns, shift):
+            q, rest = divmod(sum(map(mul, y, column)) - a, det)
+            if rest or q < 0:
+                return False
+            c.append(q)
+        coefficients = [0] * len(self.generators) if entry is None else list(entry[1])
+        for j, q in zip(subset, c):
+            coefficients[j] += q
+        check = [0] * self.dim
+        for cj, g in zip(coefficients, self.generators):
+            if cj:
+                check = [a + cj * b for a, b in zip(check, g)]
+        if check != list(key):
+            raise InternalCheckError("basis certificate failed")
+        return True
+
+    def _class_table(self, basis: tuple) -> dict:
+        """One member per class of ``L / Z*B``, keyed by ``a . adj(B) mod
+        |det(B)|``: the entry ``(a . adj(B), a's coefficients)`` of the
+        member a that a breadth-first walk from 0, adding one generator at
+        a time, reaches first.  The generators generate L, and L/ZB is a
+        finite group, so the walk reaches every class, in at most |det(B)|
+        steps of one addition per generator.  Built once per basis, when a
+        query first needs it."""
+        tables = self._cache.setdefault("class_tables", {})
+        subset, columns, det = basis
+        if subset not in tables:
+            rows = self.generators if len(subset) == self.dim else [
+                self.lattice.coordinates(g) for g in self.generators]
+            steps = [[sum(map(mul, g, column)) for column in columns] for g in rows]
+            origin = ((0,) * len(subset), (0,) * len(self.generators))
+            table = {origin[0]: origin}
+            frontier = [origin]
+            for values, coefficients in frontier:
+                for i, step in enumerate(steps):
+                    shifted = tuple(v + s for v, s in zip(values, step))
+                    h = tuple(v % abs(det) for v in shifted)
+                    if h not in table:
+                        table[h] = (shifted, coefficients[:i] + (coefficients[i] + 1,)
+                                    + coefficients[i + 1:])
+                        frontier.append(table[h])
+            tables[subset] = table
+        return tables[subset]
 
     def _bases(self) -> Iterator[tuple[tuple[int, ...], tuple, int]]:
         """The independent r-subsets of the generators (see :meth:`contains`),

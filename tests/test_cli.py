@@ -99,18 +99,35 @@ FIVE22 = ("kind: lattice\ndim: 3\n\n[generators]\n2 0 0\n3 0 0\n0 2 0\n0 3 0\n0 
           "0 0 3\n-4 2 -2\n10 8 14\n")
 
 
-@pytest.mark.parametrize("b", ["153,220,198", "1530,2200,1980"])
+@pytest.mark.parametrize("b", ["153,220,198", "1530,2200,1980", "153,220,199", "153,221,198"])
 def test_order_on_five22_checks_large_members_without_a_search(tmp_path, searches_built, b):
     # FIVE with each unit vector replaced by 2e_i and 3e_i and its other
-    # two generators doubled has no unimodular basis, but the nonsingular
-    # basis {3e_1, 2e_2, 2e_3} covers both points, so each input check is
-    # read off it; the combination search ran past 20 s on each
+    # two generators doubled has no unimodular basis.  The nonsingular
+    # bases {3e_1, 2e_2, 2e_3} and {2e_1, 2e_2, 2e_3} cover the first two
+    # points; the last two lie in N*B for no basis B, and are read off a
+    # class entry of {2e_1, 2e_2, 2e_3}: (3, 0, 3) plus (150, 220, 196), and
+    # (3, 3, 0) plus (150, 218, 198).  So each input check is read off a
+    # basis; the combination search ran past 20 s on each
     path = tmp_path / "five22.mon"
     path.write_text(FIVE22, encoding="utf-8")
+    start = time.perf_counter()
     code, doc, err = run_json("order", str(path), "0,0,0", b)
+    assert time.perf_counter() - start < 2.0
     assert code == EXIT_PASS, err
     assert (doc["leq_ab"], doc["leq_ba"], doc["consistent"]) == (True, False, True)
     assert searches_built == []
+
+
+def test_an_in_cone_non_member_of_five22_is_refused_by_the_search(tmp_path, searches_built):
+    # (1, 0, 200) lies in FIVE22's cone and its lattice Z^3, but it is no
+    # sum of generators: no class entry reads a "no", so the search decides
+    # it, and the order command refuses the element
+    path = tmp_path / "five22.mon"
+    path.write_text(FIVE22, encoding="utf-8")
+    code, _, err = run_cli("order", str(path), "0,0,0", "1,0,200")
+    assert code == EXIT_INPUT
+    assert "element [1, 0, 200] is not in the monoid" in err
+    assert len(searches_built) == 1
 
 
 def test_a_strong_refutation_validates_its_witness_without_a_search(tmp_path,

@@ -263,6 +263,29 @@ def test_power_matches_binomials_and_repeated_products():
     assert RationalPolynomial([]).pow(3).is_zero()
 
 
+def _power_by_squaring(base, n):
+    """``base ** n`` by repeated squaring of the polynomial product."""
+    out = ONE
+    while n:
+        if n & 1:
+            out = out * base
+        n >>= 1
+        base = base * base
+    return out
+
+
+rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+
+
+@given(rationals.filter(bool), rationals, st.integers(0, 80))
+def test_a_linear_power_by_binomials_equals_the_squaring(a, b, n):
+    # (a*x + b)^n is expanded by the binomial theorem: its coefficients
+    # are the ones that repeated squaring gives
+    base = _poly(a, b)
+    assert base.degree == 1
+    assert base.pow(n).coefficients == _power_by_squaring(base, n).coefficients
+
+
 # ---------------------------------------------------------------------------
 # Sturm counting against constructed factorizations
 

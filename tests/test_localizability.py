@@ -1064,8 +1064,9 @@ FOUR_RAYS = [(1, 0, 0), (0, 1, 0), (1, 0, 1), (0, 1, 1)]
 def test_the_table_declines_only_an_operation_not_closed_on_the_cone():
     # a cone that is not pointed (the half-plane), a cone with more facets
     # than the span's rank and an excluded face all have a table; a product
-    # outside the cone and a finite carrier have none, and the bulk
-    # verdicts refuse the first with the product that leaves the carrier
+    # outside the cone has none, and the bulk verdicts refuse it with the
+    # product that leaves the carrier.  A finite carrier is decided by
+    # theorem before any table is built
     quarter = RationalCone.from_rays([(1, 0), (0, 1)], 2)
     tabled = [
         BiadditiveOp(OpenConeMonoid(quarter, [(1, 0)]), tensor=diagonal_tensor(2, [1, 1])),
@@ -1080,7 +1081,11 @@ def test_the_table_declines_only_an_operation_not_closed_on_the_cone():
     assert tables[3].bad == ([], []) and tables[3].obstruction is None
     outside = BiadditiveOp(free_monoid(2), tensor=[[[0, -1], [0, 0]], [[0, 0], [0, 0]]])
     assert localizability._ray_table(outside) is None
-    assert localizability._ray_table(saturating_product_op(truncated_free_monoid(2, cap=2))) is None
+    finite = saturating_product_op(truncated_free_monoid(2, cap=2))
+    assert is_weakly_localizable(finite).verdict == "yes"
+    assert is_strongly_localizable(finite)["verdict"] == "yes"
+    assert all(is_localizable(finite, s).verdict == "yes" for s in finite.carrier.elements())
+    assert "ray_table" not in finite._cache
     for check in (is_weakly_localizable, is_strongly_localizable):
         with pytest.raises(InputError, match=r"element \(0, -1\) is not a generator combination"):
             check(outside)

@@ -505,7 +505,8 @@ def test_membership_is_memoized_per_distinct_vector(monkeypatch):
     # product, such as (16, 16), is asked twice.  Every product is a
     # multiple of 2 or 3 on each axis, so a nonsingular basis of generators
     # covers it and no search runs; (5, 5), (5, 7) and (7, 5) are on no
-    # basis's lattice, so the search decides each of them once
+    # basis's lattice, so each is read off a class entry of a basis: (5, 5)
+    # is (3, 3) plus (2, 2) on {2e_1, 2e_2}, and still no search runs
     from monoidorder.functionals import verify_theorem_main
     calls, finds = {}, {}
     searches = []  # keep every search alive so that ids are not reused
@@ -536,7 +537,7 @@ def test_membership_is_memoized_per_distinct_vector(monkeypatch):
     for x in ((5, 5), (5, 7), (5, 5), (7, 5), (5, 7)):
         assert m.contains(x)
     assert max(calls.values()) == 1 and len(calls) == 12
-    assert len(finds) == 3 and max(finds.values()) == 1
+    assert finds == {} and "combinations" not in m._cache
     fresh = LatticeMonoid(m.dim, m.generators)
     for x, answer in memo.items():
         assert fresh.contains(x) == answer
@@ -609,8 +610,11 @@ def test_combination_search_nodes_on_the_theorem_sweep():
     # or 3 on each axis, which a nonsingular basis of generators covers: the
     # sweeps build no search.  Each carrier takes 2g and 3g for every
     # generator g of N^3 and of the 2x2 matrices, so it has no unimodular
-    # basis; a point with an entry 5 or 1 is on no basis's lattice and runs
-    # the search
+    # basis, and a point with an entry 5 or 1 is on no basis's lattice: the
+    # members (5, 5, 5) and (5, 5, 5, 5) are read off a class entry, such as
+    # (3, 3, 3) plus (2, 2, 2) on {2e_1, 2e_2, 2e_3}, and build no search;
+    # the non-members run it.  When only class 0 of each basis was read, the
+    # searches of each member and non-member pair visited 12 and 18 nodes
     from monoidorder.functionals import verify_theorem_main
     from monoidorder.monoids import diagonal_tensor, matrix_monoid_2x2, matrix_product_tensor
     diagonal = BiadditiveOp(LatticeMonoid(3, _twos_and_threes(free_monoid(3).generators)),
@@ -622,9 +626,11 @@ def test_combination_search_nodes_on_the_theorem_sweep():
         assert "combinations" not in op.carrier._cache
     assert matrix.carrier.contains((2, 2, 2, 3))
     assert "combinations" not in matrix.carrier._cache
-    for op, member, nonmember, nodes in ((diagonal, (5, 5, 5), (1, 5, 5), 12),
-                                         (matrix, (5, 5, 5, 5), (2, 1, 1, 1), 18)):
-        assert op.carrier.contains(member) and not op.carrier.contains(nonmember)
+    for op, member, nonmember, nodes in ((diagonal, (5, 5, 5), (1, 5, 5), 2),
+                                         (matrix, (5, 5, 5, 5), (2, 1, 1, 1), 5)):
+        assert op.carrier.contains(member)
+        assert "combinations" not in op.carrier._cache
+        assert not op.carrier.contains(nonmember)
         assert op.carrier.combinations.nodes == nodes
     fresh = LatticeMonoid(4, matrix.carrier.generators)
     search = CombinationSearch(fresh.generators, fresh.cone.h_rep)
@@ -706,6 +712,32 @@ def test_a_point_off_every_unimodular_basis_reaches_the_search(searches_built):
     assert len(searches_built) == 1
 
 
+SNF6 = [(-2, 3, -2, 4, 4, 3), (3, -3, -1, 3, 4, 4), (0, 4, -2, 4, 4, 4), (0, 0, 2, -1, 0, -2),
+        (4, 4, 0, 3, -1, 2), (4, -3, 4, -4, 2, -4), (4, -4, 4, 2, 4, -3), (3, -3, -2, -3, 4, 3),
+        (2, 2, 0, -1, 3, 3), (-2, 1, 2, 3, 4, 1)]
+
+
+def test_wide_lattice_members_are_read_off_class_tables(searches_built, lattices_built):
+    # SNF6's 210 nonsingular bases have |det| from 8 to 20,085, 30 of them
+    # at most 512.  Of 30 drawn sums of its generators (coefficients 0..3),
+    # 26 lie in N*B for no basis B; each is read off a class entry of a
+    # basis with |det| <= 512, so no Hermite form and no search is built
+    # (the search took seconds on them).  Tables are built lazily, so not
+    # every basis with |det| <= 512 gets one
+    rng = seeded(6)
+    m = LatticeMonoid(6, SNF6)
+    members = [tuple(sum(c * g[j] for c, g in zip(coeffs, SNF6)) for j in range(6))
+               for coeffs in ([rng.randint(0, 3) for _ in SNF6] for _ in range(30))]
+    for x in members:
+        assert m.contains(x)
+    bases = m._cache["bases"]
+    assert sum(not any(_in_basis_monoid(x, basis) for basis in bases) for x in members) == 26
+    assert searches_built == [] and lattices_built == []
+    tabled = [abs(det) for subset, _, det in bases if subset in m._cache["class_tables"]]
+    assert tabled and max(tabled) <= monoids.CLASS_TABLE_MAX_DET
+    assert len(tabled) < sum(abs(det) <= monoids.CLASS_TABLE_MAX_DET for _, _, det in bases)
+
+
 def test_a_basis_of_negative_determinant_reads_its_sign(searches_built, lattices_built):
     # (4, 4) lies in N*{(0, 2), (2, 0)} and on no other basis's lattice:
     # that basis has det -4 and x . adj = (-8, -8), so its coefficients
@@ -719,12 +751,13 @@ def test_a_basis_of_negative_determinant_reads_its_sign(searches_built, lattices
 def test_searches_built_on_an_order_fresh_corpus(searches_built, lattices_built):
     # carriers shaped like the order-fresh benchmark's (dimension 2 or 3,
     # entries -1..1, full rank, 3 to 5 nonzero generators), each asked about
-    # four sums of generators with coefficients 0..2: only the members that
-    # no nonsingular basis covers build a Hermite form and a search, on 7
-    # carriers.  When membership ran the search on every non-free carrier,
-    # the same corpus built 109 searches, one per non-free carrier, and
-    # when it read only unimodular bases, 15 searches and a Hermite form
-    # on every carrier
+    # four sums of generators with coefficients 0..2: the members that no
+    # nonsingular basis covers are read off its class table, so no Hermite
+    # form and no search is built.  When membership ran the search on every
+    # non-free carrier, the same corpus built 109 searches, one per non-free
+    # carrier; when it read only unimodular bases, 15 searches and a Hermite
+    # form on every carrier; and when it read only class 0 of each basis, 7
+    # searches and 7 Hermite forms
     rng = seeded(40)
     carriers = 0
     while carriers < 120:
@@ -738,8 +771,7 @@ def test_searches_built_on_an_order_fresh_corpus(searches_built, lattices_built)
             c = [rng.randint(0, 2) for _ in gens]
             assert m.contains(tuple(sum(ci * g[j] for ci, g in zip(c, gens))
                                     for j in range(dim)))
-    assert len(searches_built) == 7
-    assert [args[1] for args in lattices_built] == [args[0] for args in searches_built]
+    assert searches_built == [] and lattices_built == []
 
 
 @st.composite
@@ -779,6 +811,13 @@ def test_lineality_is_read_off_the_facet_normals(case):
     assert m.lineality_coordinates() is lin  # built once
 
 
+def _in_basis_monoid(x, basis):
+    """Is x in ``N*B``, B of full rank, by its coefficients ``x . adj(B) / det(B)``?"""
+    _, columns, det = basis
+    values = [sum(a * b for a, b in zip(x, column)) for column in columns]
+    return all(v % det == 0 and v // det >= 0 for v in values)
+
+
 def test_basis_membership_agrees_with_the_search():
     # 20,000 queries on drawn carriers of dimension at most 4 with at most
     # 6 generators, entries -3..3, some with a zero or a repeated generator,
@@ -787,7 +826,8 @@ def test_basis_membership_agrees_with_the_search():
     # every generator from the span of fewer than d vectors, so their rank
     # is below d and the walk reads Hermite coordinates: half the queries
     # are sums of generators, half are drawn points, and membership equals
-    # the reference search
+    # the reference search.  Some members are read off a class entry of a
+    # basis other than class 0's origin, before any search is built
     rng = seeded(20261019)
     seen, queries, members = set(), 0, 0
     while queries < 20000:
@@ -822,13 +862,37 @@ def test_basis_membership_agrees_with_the_search():
             assert answer == (reference.find(x) is not None), (gens, x)
             members += answer
             queries += 1
+            bases = m._cache.get("bases", ())
+            if (answer and "combinations" not in m._cache and bases and len(bases[0][0]) == d
+                    and not any(_in_basis_monoid(x, basis) for basis in bases)):
+                seen.add("class entry")  # a member that no class 0 reads, and no search
         for subset, _, det in m._cache.get("bases", ()):
             seen.update({"|det| > 1"} if abs(det) > 1 else set())
             seen.update({"det < 0"} if det < 0 else set())
             seen.update({"lower rank, n >= d"} if len(subset) < d <= n else set())
     assert seen == {"pointed", "not pointed", "zero", "repeat",
-                    "|det| > 1", "det < 0", "lower rank, n >= d"}
+                    "|det| > 1", "det < 0", "lower rank, n >= d", "class entry"}
     assert 0 < members < queries
+
+
+def test_a_class_entry_reads_members_and_is_checked():
+    # on <2, 3>, 5 lies in N*B for neither basis; the class table of {2}
+    # holds 0 and 3, the first member of the odd class, and 5 = 3 + 1*2 is
+    # read off it.  A planted wrong entry fails the re-substitution
+    m = LatticeMonoid(1, [(2,), (3,)])
+    assert m.contains((5,)) and "combinations" not in m._cache
+    assert m._cache["class_tables"] == {(0,): {(0,): ((0,), (0, 0)), (1,): ((3,), (0, 1))}}
+    m._cache["class_tables"][(0,)][(1,)] = ((3,), (1, 0))
+    with pytest.raises(InternalCheckError, match="basis certificate failed"):
+        m.contains((7,))
+
+
+def test_a_basis_past_the_cap_gets_no_class_table(searches_built):
+    # both bases of <600, 601> have |det| > 512, so 1201 = 600 + 601, on
+    # neither basis's lattice, is decided by the search, and no table is built
+    m = LatticeMonoid(1, [(600,), (601,)])
+    assert m.contains((1201,))
+    assert "class_tables" not in m._cache and len(searches_built) == 1
 
 
 def test_a_corrupt_adjugate_column_is_caught():
