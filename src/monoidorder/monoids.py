@@ -586,6 +586,19 @@ class VectorCarrier:
         return [left(a) for a in pool]
 
 
+def _basis_coefficients(y: Sequence[int], columns: tuple, det: int) -> Optional[list[int]]:
+    """y's coefficients ``y . adj(B) / det(B)`` on a nonsingular basis B,
+    given the columns of adj(B) and det(B), when they are a nonnegative
+    integer vector, that is when y lies in ``N*B``; else None."""
+    c = []
+    for column in columns:
+        q, rest = divmod(sum(map(mul, y, column)), det)
+        if rest or q < 0:
+            return None
+        c.append(q)
+    return c
+
+
 class LatticeMonoid(VectorCarrier):
     """All sums (with repetition) of finitely many generators in ``Z^d``."""
 
@@ -744,79 +757,80 @@ class LatticeMonoid(VectorCarrier):
 
     def _member(self, key: tuple) -> bool:
         """Membership of a nonzero integer vector, not memoized: the walk of
-        :meth:`contains`."""
-        y = key
-        for basis in self._bases():
-            if len(basis[0]) < len(y):  # a carrier of lower rank: Hermite coordinates
+        :meth:`contains`.  A member read off a basis is re-substituted: its
+        coefficients on the basis, plus its class entry's on every
+        generator, must sum to key, else :class:`InternalCheckError`."""
+        y, coefficients = key, ()
+        for subset, columns, det in self._bases():
+            if len(subset) < len(y):  # a carrier of lower rank: Hermite coordinates
                 y = self.lattice.coordinates(key)
                 if y is None:
                     return False
-            if self._read_off(key, y, basis, None):
-                return True
-        if len(basis[0]) == len(self.generators):
-            return False  # free: its one subset is every generator
-        if not self.cone.member(key):
-            return False
-        for basis in self._bases():
-            modulus = abs(basis[2])
-            if modulus <= CLASS_TABLE_MAX_DET:
-                h = tuple(sum(map(mul, y, column)) % modulus for column in basis[1])
-                entry = self._class_table(basis).get(h)
-                if entry is not None and self._read_off(key, y, basis, entry):
-                    return True
-        return self.lattice.contains(key) and self.combinations.find(key) is not None
-
-    def _read_off(self, key: tuple, y: Sequence[int], basis: tuple,
-                  entry: Optional[tuple]) -> bool:
-        """Is ``x - a`` in ``N*B``, for x = key (y its coordinates) and the
-        class entry ``entry = (a . adj(B), a's coefficients)``, None for
-        class 0's entry, the origin?  If so, a's coefficients plus ``(x - a)
-        . adj(B) / det(B)`` on B are re-substituted; a mismatch raises
-        :class:`InternalCheckError`."""
-        subset, columns, det = basis
-        shift = itertools.repeat(0) if entry is None else entry[0]
-        c = []
-        for column, a in zip(columns, shift):
-            q, rest = divmod(sum(map(mul, y, column)) - a, det)
-            if rest or q < 0:
+            c = _basis_coefficients(y, columns, det)
+            if c is not None:
+                break
+        else:
+            if len(subset) == len(self.generators):
+                return False  # free: its one subset is every generator
+            if not self.cone.member(key):
                 return False
-            c.append(q)
-        coefficients = [0] * len(self.generators) if entry is None else list(entry[1])
-        for j, q in zip(subset, c):
-            coefficients[j] += q
+            read = self._class_read(y)
+            if read is None:
+                return self.lattice.contains(key) and self.combinations.find(key) is not None
+            subset, c, coefficients = read
         check = [0] * self.dim
         for cj, g in zip(coefficients, self.generators):
             if cj:
                 check = [a + cj * b for a, b in zip(check, g)]
+        for cj, j in zip(c, subset):
+            if cj:
+                check = [a + cj * b for a, b in zip(check, self.generators[j])]
         if check != list(key):
             raise InternalCheckError("basis certificate failed")
         return True
 
+    def _class_read(self, y: Sequence[int]) -> Optional[tuple]:
+        """``(subset, c, coefficients)`` for the first basis B, in walk
+        order, with ``|det(B)| <= CLASS_TABLE_MAX_DET`` whose member a of
+        y's class has ``y - a`` in ``N*B``: B's generators, the coefficients
+        c of ``y - a`` on them, and a's on every generator; None if none."""
+        for basis in self._bases():
+            subset, columns, det = basis
+            if abs(det) <= CLASS_TABLE_MAX_DET:
+                h = tuple(sum(map(mul, y, column)) % abs(det) for column in columns)
+                entry = self._class_table(basis).get(h)
+                if entry is not None:
+                    c = _basis_coefficients(vsub(y, entry[0]), columns, det)
+                    if c is not None:
+                        return subset, c, entry[1]
+        return None
+
     def _class_table(self, basis: tuple) -> dict:
-        """One member per class of ``L / Z*B``, keyed by ``a . adj(B) mod
-        |det(B)|``: the entry ``(a . adj(B), a's coefficients)`` of the
-        member a that a breadth-first walk from 0, adding one generator at
-        a time, reaches first.  The generators generate L, and L/ZB is a
-        finite group, so the walk reaches every class, in at most |det(B)|
-        steps of one addition per generator.  Built once per basis, when a
-        query first needs it."""
+        """One member a per class of ``L / Z*B``, keyed by ``a . adj(B) mod
+        |det(B)|``: the entry ``(a, a's coefficients)``, a in the basis's
+        coordinates, of the member that a breadth-first walk from 0, adding
+        one generator at a time, reaches first.  The generators generate L,
+        and L/ZB is a finite group, so the walk reaches every class, in at
+        most |det(B)| steps of one addition per generator.  Built once per
+        basis, when a query first needs it."""
         tables = self._cache.setdefault("class_tables", {})
         subset, columns, det = basis
         if subset not in tables:
             rows = self.generators if len(subset) == self.dim else [
                 self.lattice.coordinates(g) for g in self.generators]
-            steps = [[sum(map(mul, g, column)) for column in columns] for g in rows]
-            origin = ((0,) * len(subset), (0,) * len(self.generators))
-            table = {origin[0]: origin}
-            frontier = [origin]
-            for values, coefficients in frontier:
-                for i, step in enumerate(steps):
-                    shifted = tuple(v + s for v, s in zip(values, step))
-                    h = tuple(v % abs(det) for v in shifted)
-                    if h not in table:
-                        table[h] = (shifted, coefficients[:i] + (coefficients[i] + 1,)
+            steps = [(g, tuple(sum(map(mul, g, column)) for column in columns)) for g in rows]
+            zero = (0,) * len(subset)
+            table = {zero: (zero, (0,) * len(self.generators))}
+            frontier = [(zero, zero)]  # (a . adj(B), its class) of each entry, in walk order
+            for values, h in frontier:
+                a, coefficients = table[h]
+                for i, (g, step) in enumerate(steps):
+                    shifted = vadd(values, step)
+                    k = tuple(v % abs(det) for v in shifted)
+                    if k not in table:
+                        table[k] = (vadd(a, g), coefficients[:i] + (coefficients[i] + 1,)
                                     + coefficients[i + 1:])
-                        frontier.append(table[h])
+                        frontier.append((shifted, k))
             tables[subset] = table
         return tables[subset]
 
