@@ -506,7 +506,8 @@ def test_membership_is_memoized_per_distinct_vector(monkeypatch):
     # multiple of 2 or 3 on each axis, so a nonsingular basis of generators
     # covers it and no search runs; (5, 5), (5, 7) and (7, 5) are on no
     # basis's lattice, so each is read off a class entry of a basis: (5, 5)
-    # is (3, 3) plus (2, 2) on {2e_1, 2e_2}, and still no search runs
+    # is (3, 3) plus (2, 2), which lies in N*{2e_1, 2e_2}, and still no
+    # search runs
     from monoidorder.functionals import verify_theorem_main
     calls, finds = {}, {}
     searches = []  # keep every search alive so that ids are not reused
@@ -599,7 +600,7 @@ def test_open_cone_pool_keeps_only_members(name, m):
 def _twos_and_threes(gens):
     """2g and 3g for every generator g: the same lattice and cone, but no r
     of them form a basis of the lattice, so a point that none of their
-    nonsingular bases covers runs the search."""
+    nonsingular bases covers is read off a class table or runs the search."""
     return [tuple(k * v for v in g) for g in gens for k in (2, 3)]
 
 
@@ -612,7 +613,7 @@ def test_combination_search_nodes_on_the_theorem_sweep():
     # generator g of N^3 and of the 2x2 matrices, so it has no unimodular
     # basis, and a point with an entry 5 or 1 is on no basis's lattice: the
     # members (5, 5, 5) and (5, 5, 5, 5) are read off a class entry, such as
-    # (3, 3, 3) plus (2, 2, 2) on {2e_1, 2e_2, 2e_3}, and build no search;
+    # (3, 3, 3) plus (2, 2, 2) in N*{2e_1, 2e_2, 2e_3}, and build no search;
     # the non-members run it.  When only class 0 of each basis was read, the
     # searches of each member and non-member pair visited 12 and 18 nodes
     from monoidorder.functionals import verify_theorem_main
@@ -700,8 +701,9 @@ def test_unimodular_membership_does_not_grow_with_the_element(monkeypatch, searc
 
 def test_a_point_off_every_unimodular_basis_reaches_the_search(searches_built):
     # each generator of <2, 3> is a nonsingular basis, of 2Z and of 3Z: 4
-    # and 6 are read off them, but 1 and 5 are on neither lattice, so the
-    # complete search decides them, and 5 = 2 + 3 is a member
+    # and 6 are read off them, but 1 and 5 are on neither lattice.  5 = 3 +
+    # 2 is read off the class table of {2}, and the non-member 1 is decided
+    # by the complete search
     m = LatticeMonoid(1, [(2,), (3,)])
     assert m.contains((4,)) and m.contains((6,))
     assert searches_built == []
