@@ -547,7 +547,8 @@ class RationalCone:
         (a generating set of the pointed cone ``C/L`` holds each of its
         extreme rays).  The input rays whose residue is zero, those on
         which every normal vanishes, must span L and have a strictly
-        positive integer relation (:func:`positive_relation`), so their
+        positive integer relation, read off the first basis of them whose
+        cone holds minus their sum (:func:`positive_relation`), so their
         cone is L; then ``-l`` and each extreme ray lie in the cone of the
         input rays.  On a pointed cone the residue of r is r itself.  A
         failure raises :class:`InternalCheckError`.
@@ -1011,65 +1012,38 @@ def positive_relation(vectors: Sequence[Sequence[int]],
     for integer vectors that positively span their linear span; ``pivots``
     are the pivot columns of their Hermite form.
 
-    A sum of positive circuits of the vectors' distinct directions, each
-    read off their entries at the pivots, taken until every direction lies
-    in one, then spread over the vectors of each direction.  Such a
-    relation exists iff the vectors positively span their span (Bjorner,
-    Las Vergnas, Sturmfels, White, Ziegler, Oriented Matroids, 3.4); a
-    relation that is not strictly positive, as when they do not, or that
-    fails re-substitution raises :class:`InternalCheckError`.
+    Read off one simplicial cone.  With w the vectors' sum and rho their
+    rank, B is the first rho-subset, in ``combinations`` order, of the
+    first vector of each primitive direction whose entries at the pivots
+    (a linear map that is one-to-one on the span) are nonsingular and whose
+    cone holds -w: ``c = -w adj(B)``, signed by ``det B``, is >= 0.  Then
+    ``|det B|`` on every vector plus c on B is a relation, made primitive.
+    If the vectors positively span their span, -w lies in their cone, so by
+    Caratheodory's theorem (Schrijver, Theory of Linear and Integer
+    Programming, ch. 7) in the cone of independent ones, which extend to
+    such a B; conversely a B yields r, so the vectors positively span.  No
+    B, or a relation that fails re-substitution, raises
+    :class:`InternalCheckError`.
     """
-    # If the vectors positively span their span, then by conformal
-    # decomposition of a strictly positive relation every vector lies in a
-    # positive circuit, and positive circuits that cover every vector sum
-    # to a strictly positive relation.  A zero vector, or a repeat or
-    # positive multiple of another, adds no other circuit, so the circuits
-    # are sought among one primitive direction per class of positively
-    # parallel nonzero vectors.  With rho the vectors' rank, every circuit
-    # is the one relation, up to scale, among some rho + 1 directions of
-    # rank rho: by Cramer's rule, the signed rho-minors of their span
-    # coordinates: their entries at the rho Hermite pivots, a linear map
-    # that is one-to-one on the span (back-substitution on the pivots
-    # recovers a vector of it).  A circuit is added when it covers a
-    # direction no earlier one does, so a set of covered directions is not
-    # tried.
-    rho = len(pivots)
-    classes: dict[tuple[int, ...], list[int]] = {}
+    firsts: dict[tuple[int, ...], int] = {}
     for i, u in enumerate(vectors):
         if any(u):
-            classes.setdefault(primitive(u), []).append(i)
-    members = list(classes.values())
-    scale = [gcd(*u) for u in vectors]  # u == scale * primitive(u)
-    dirs = [tuple(map(d.__getitem__, pivots)) for d in classes]
-    cover = [0] * len(dirs)
-    for support in combinations(range(len(dirs)), rho + 1):
-        if all(cover):
-            break
-        if all(map(cover.__getitem__, support)):
+            firsts.setdefault(primitive(u), i)
+    neg_w = [-sum(u[j] for u in vectors) for j in pivots]
+    for basis in combinations(firsts.values(), len(pivots)):
+        det, adj = int_adjugate([[vectors[i][j] for j in pivots] for i in basis])
+        if not det:
             continue
-        rows = list(map(dirs.__getitem__, support))
-        z = [int_det(rows[:pos] + rows[pos + 1:]) for pos in range(rho + 1)]
-        z[1::2] = [-c for c in z[1::2]]
-        if max(z) <= 0:
-            z = [-c for c in z]
-        if min(z) >= 0 and any(c and not cover[t] for c, t in zip(z, support)):
-            g = gcd(*z)
-            for c, t in zip(z, support):
-                cover[t] += c // g
-    # direction p with copies u_i == scale_i * p gets cover_p * T spread as
-    # cover_p * T / (n_p * scale_i) on each of its n_p copies, T divisible
-    # by every such denominator; a zero vector takes any positive coefficient
-    t = lcm(1, *(len(ix) * scale[i] for ix in members for i in ix))
-    rel = [1] * len(vectors)
-    for c, ix in zip(cover, members):
-        for i in ix:
-            rel[i] = c * t // (len(ix) * scale[i])
-    rel = primitive(rel)
-    if not all(r > 0 for r in rel):
-        raise InternalCheckError("the vectors do not positively span their span")
-    if any(sum(map(mul, rel, col)) for col in zip(*vectors)):
-        raise InternalCheckError("positive relation failed re-substitution")
-    return rel
+        c = [vdot(neg_w, col) * (1 if det > 0 else -1) for col in zip(*adj)]
+        if min(c, default=0) >= 0:
+            rel = [abs(det)] * len(vectors)
+            for i, ci in zip(basis, c):
+                rel[i] += ci
+            rel = primitive(rel)
+            if any(sum(map(mul, rel, col)) for col in zip(*vectors)):
+                raise InternalCheckError("positive relation failed re-substitution")
+            return rel
+    raise InternalCheckError("the vectors do not positively span their span")
 
 
 class CombinationSearch:
@@ -1115,7 +1089,9 @@ class CombinationSearch:
     it whether the residue lies in ``Z*units`` and keeps the integer unit
     coefficients it returns, the certificate uses those coefficients, and
     :meth:`unit_relation`, which shifts negative ones, reads the units'
-    span coordinates at the same form's pivots.  No rational simplex is run.
+    span coordinates at the same form's pivots and takes the relation off
+    the first basis of units whose cone holds minus their sum.  No rational
+    simplex is run.
     """
 
     def __init__(self, generators: Sequence[Sequence[int]], normals: Sequence[Sequence[int]]):

@@ -68,7 +68,6 @@ class Instance:
     monoid: object = None
     op: Optional[BiadditiveOp] = None
     function: Optional[RationalFunction] = None
-    names: Optional[list] = None
 
     def require_op(self) -> BiadditiveOp:
         if self.op is None:
@@ -81,7 +80,7 @@ class Instance:
         out = {"kind": self.kind, "source": self.source}
         if self.kind == "finite":
             out["size"] = self.monoid.n
-            out["names"] = list(self.names)
+            out["names"] = list(self.monoid.names)
         elif self.kind == "lattice":
             out["dim"] = self.monoid.dim
             out["generators"] = [list(g) for g in self.monoid.generators]
@@ -264,8 +263,7 @@ def _build_finite(raw: _Raw) -> Instance:
 
     monoid = FiniteMonoid(table_from("add"), names=names)
     op = _operation(raw, monoid, table=table_from("mu") if "mu" in raw.sections else None)
-    return Instance(kind="finite", source=raw.source, monoid=monoid, op=op,
-                    names=list(names))
+    return Instance(kind="finite", source=raw.source, monoid=monoid, op=op)
 
 
 def _operation(raw: _Raw, carrier, table=None, tensor=None) -> Optional[BiadditiveOp]:

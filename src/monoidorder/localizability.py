@@ -555,24 +555,17 @@ def is_strongly_localizable(op: BiadditiveOp) -> dict:
 
 
 def _order_unit_multiple(cone: RationalCone, e, g) -> Optional[int]:
-    """Least k >= 1 with k*e - g in the cone, decided exactly."""
-    lo = 1
-    hi = None
+    """Least k >= 1 with k*e - g in the cone, decided exactly; e lies in
+    the cone, so every normal is >= 0 on it."""
+    k = 1
     for h in cone.h_rep:
         he = vdot(h, e)
         hg = vdot(h, g)
         if he > 0:
-            need = -(-hg // he) if hg > 0 else 0  # ceil for positive demand
-            lo = max(lo, need)
-        elif he == 0:
-            if hg > 0:
-                return None
-        else:
-            bound = hg // he  # floor of hg/he with he < 0
-            hi = bound if hi is None else min(hi, bound)
-    if hi is not None and lo > hi:
-        return None
-    return lo
+            k = max(k, -(-hg // he))
+        elif hg > 0:
+            return None
+    return k
 
 
 def order_unit_fast_path(op: BiadditiveOp, e) -> WeakLocalizabilityCertificate:
@@ -582,7 +575,10 @@ def order_unit_fast_path(op: BiadditiveOp, e) -> WeakLocalizabilityCertificate:
     unit of the level-1 reduction, and that the reduction's positivity
     is a closed polyhedral cone (hence unperforated with damped limits
     adding nothing).  On refusal :func:`is_weakly_localizable` answers
-    instead, with the refusal reasons attached.
+    instead, with the refusal reasons attached.  Once e is a two-sided
+    unit, every damping map of ``k*e`` is ``(1 + k)*id``, so each unit
+    multiple is localizable, and a "no" raises
+    :class:`InternalCheckError`.
 
     The positivity cone always spans the carrier's space, so no refusal
     asks for it: ``m.cone`` is spanned by ``m.rays`` (a lattice's cone is
@@ -612,18 +608,17 @@ def order_unit_fast_path(op: BiadditiveOp, e) -> WeakLocalizabilityCertificate:
     if not all(op.mu(e, a) == a and op.mu(a, e) == a for a in map(m.element_key, generating)):
         refusals.insert(0, "not a two-sided unit for the operation")
 
-    def fallback(reasons):
+    if refusals:
         cert = is_weakly_localizable(op)
         cert.method = "search-after-refusal"
-        cert.details = dict(cert.details, refusal_reasons=reasons)
+        cert.details = dict(cert.details, refusal_reasons=refusals)
         return cert
-    if refusals:
-        return fallback(refusals)
     assignments = {}
     localizable = cache(lambda s: is_localizable(op, s).verdict == "yes")
     for a, s in dominators.items():
         if not localizable(s):
-            return fallback([f"unit multiple {_ser(s)} failed localizability"])
+            raise InternalCheckError(f"unit multiple {_ser(s)} of a two-sided unit "
+                                     "is not localizable")
         if not leq(m, a, s):
             raise InternalCheckError("order-unit multiple does not dominate")
         assignments[a] = s

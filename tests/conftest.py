@@ -454,35 +454,32 @@ def _o_span_coordinates(rows):
 
 def oracle_unit_relation(units):
     """The strictly positive relation ``CombinationSearch.unit_relation``
-    returns for these units (a nonempty list of integer tuples)."""
+    returns for these units (a nonempty list of integer tuples): with w
+    their sum, take the first rank-subset B, in ``combinations`` order, of
+    the first unit of each direction that is independent and has -w in its
+    cone, -w == sum(c[k] * B[k]) with c >= 0 by Cramer's rule; then 1 on
+    every unit plus c on B, scaled to a primitive integer vector."""
     coords = _o_span_coordinates(units)
     rho = len(coords[0]) if coords else 0
-    classes = {}
+    firsts = {}
     for i, u in enumerate(units):
         if any(u):
-            classes.setdefault(oracle_primitive(u), []).append(i)
-    members = list(classes.values())
-    scale = [math.gcd(*u) for u in units]
-    dirs = [tuple(c // scale[ix[0]] for c in coords[ix[0]]) for ix in members]
-    cover = [0] * len(dirs)
-    for support in itertools.combinations(range(len(dirs)), rho + 1):
-        if all(cover):
-            break
-        if all(cover[t] for t in support):
+            firsts.setdefault(oracle_primitive(u), i)
+    neg_w = [-sum(x[j] for x in coords) for j in range(rho)]
+    for basis in itertools.combinations(firsts.values(), rho):
+        rows = [coords[i] for i in basis]
+        det = oracle_int_det(rows)
+        if not det:
             continue
-        z = [0] * len(dirs)
-        for pos, t in enumerate(support):
-            z[t] = (-1) ** pos * oracle_int_det([dirs[s] for s in support if s != t])
-        if all(c <= 0 for c in z):
-            z = _o_vneg(z)
-        if all(c >= 0 for c in z) and any(c and not r for c, r in zip(z, cover)):
-            cover = [r + c for r, c in zip(cover, oracle_primitive(z))]
-    t = math.lcm(1, *(len(ix) * scale[i] for ix in members for i in ix))
-    rel = [1] * len(units)
-    for c, ix in zip(cover, members):
-        for i in ix:
-            rel[i] = c * t // (len(ix) * scale[i])
-    return oracle_primitive(rel)
+        c = [Fraction(oracle_int_det(rows[:k] + [neg_w] + rows[k + 1:]), det)
+             for k in range(rho)]
+        if all(x >= 0 for x in c):
+            rel = [Fraction(1)] * len(units)
+            for i, x in zip(basis, c):
+                rel[i] += x
+            scale = math.lcm(*(x.denominator for x in rel))
+            return oracle_primitive([int(x * scale) for x in rel])
+    raise AssertionError("the units do not positively span their span")
 
 
 def _o_integer_solve(rows, rhs):

@@ -532,26 +532,30 @@ def test_lattice_membership_runs_no_simplex(monkeypatch):
     assert lp_calls == []
 
 
+def _counted_adjugates(monkeypatch):
+    calls = []
+    adjugate = exactmath.int_adjugate
+
+    def counted(mat):
+        calls.append(mat)
+        return adjugate(mat)
+
+    monkeypatch.setattr(exactmath, "int_adjugate", counted)
+    return calls
+
+
 def test_unit_relation_merges_parallel_units(monkeypatch):
     # the whole space of dimension 4, with 30 copies of e2 and two positive
-    # multiples of it: its only positive circuits are e1, one unit along
-    # e2, e3, e4 and -(e1 + e2 + e3 + e4), so with one direction per class
-    # of parallel units one circuit of 5 minors covers every unit, where
-    # the subsets of all units number tens of thousands before the last
-    # copy of e2 is covered
+    # multiples of it: with one vector per class of parallel units, the
+    # bases tried are 4-subsets of e1, e2, e3, e4 and -(e1 + e2 + e3 + e4),
+    # the first whose cone holds minus the units' sum is found within 5
+    # adjugates, where the 4-subsets of all units number tens of thousands
     e = [tuple(int(i == j) for j in range(4)) for i in range(4)]
     units = ([e[0]] + [e[1]] * 30 + [vscale(2, e[1]), vscale(3, e[1]), e[2], e[3],
              (-1, -1, -1, -1), (0, 0, 0, 0)])
     search = _search(units)
     assert search.units == list(range(len(units)))
-    calls = []
-    det = exactmath.int_det
-
-    def counted(mat):
-        calls.append(mat)
-        return det(mat)
-
-    monkeypatch.setattr(exactmath, "int_det", counted)
+    calls = _counted_adjugates(monkeypatch)
     rel = search.unit_relation()
     assert len(calls) <= 5
     assert all(r > 0 for r in rel)
@@ -560,6 +564,22 @@ def test_unit_relation_merges_parallel_units(monkeypatch):
         total = vadd(total, vscale(r, u))
     assert total == (0, 0, 0, 0)
     assert search.find((-5, 7, -3, 2)) is not None
+
+
+def test_unit_relation_of_many_directions_tries_few_bases(monkeypatch):
+    # 34 distinct unit directions in dimension 4: e1, e3, e4,
+    # -(e1 + e2 + e3 + e4) and (0, 1, j, 0) for j < 30.  Their 4-subsets
+    # number 46,376 and their 5-subsets 278,256; the first basis whose cone
+    # holds minus the units' sum comes within 500 adjugates
+    units = ([(1, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (-1, -1, -1, -1)]
+             + [(0, 1, j, 0) for j in range(30)])
+    search = _search(units)
+    assert search.units == list(range(len(units)))
+    calls = _counted_adjugates(monkeypatch)
+    rel = search.unit_relation()
+    assert len(calls) <= 500
+    assert all(r > 0 for r in rel)
+    assert all(sum(r * u[j] for r, u in zip(rel, units)) == 0 for j in range(4))
 
 
 def test_integer_solver_answers_like_integer_solve():

@@ -1199,6 +1199,8 @@ def test_witnesses_are_the_least_negative_points_of_the_order(monkeypatch):
         if not num.is_zero() and num.degree + den.degree <= 8:
             inputs.append(RationalFunction(num, den))
     inputs += [_planted_rational_roots(rng) for _ in range(100)]
+    # bisection lands exactly on the root -5/4 of 4x + 5
+    inputs.append(parse_rational_function("(x+12)*(4*x+5)"))
     refuted = 0
     for f in inputs:
         calls[0] = 0

@@ -36,7 +36,7 @@ def test_finite_instance_round_trip():
     inst = load_instance(instance_path("finite-flag.mon"))
     assert inst.kind == "finite"
     assert isinstance(inst.monoid, FiniteMonoid)
-    assert inst.names == ["o", "t"]
+    assert inst.monoid.names == ("o", "t")
     assert inst.monoid.add(1, 1) == 1
     op = inst.require_op()
     assert op.mu(1, 1) == 1

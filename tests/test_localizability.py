@@ -545,6 +545,22 @@ def test_fast_path_refuses_one_sided_unit():
     assert any("unit" in r for r in cert.details["refusal_reasons"])
 
 
+def test_a_unit_multiple_that_is_not_localizable_is_an_internal_error(monkeypatch):
+    # once e is a two-sided unit every damping map of k*e is (1 + k)*id, so
+    # a "no" for a unit multiple is a fault, never a reason to search: a
+    # planted "no" fails loudly, and the command renders no report
+    refusal = is_localizable(matrix_product_op(), (1, 1, 0, 1))
+    assert refusal.verdict == "no"
+    monkeypatch.setattr(localizability, "is_localizable", lambda op, s: refusal)
+    with pytest.raises(InternalCheckError, match="unit multiple"):
+        order_unit_fast_path(elementwise_op(2), (1, 1))
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        code = cli.main(["verify", instance_path("free-monoid-3.mon"),
+                         "--orderunit", "--element", "1,1,1"])
+    assert (code, out.getvalue()) == (cli.EXIT_INTERNAL, "")
+
+
 # ---------------------------------------------------------------------------
 # strong localizability
 
