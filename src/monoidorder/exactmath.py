@@ -200,7 +200,7 @@ def int_adjugate(mat: Sequence[Sequence[int]]) -> tuple[int, Optional[list[list[
         return 1, []
     if n <= 3:
         adj = _cofactor_adjugate(mat)
-        det = sum(x * row[0] for x, row in zip(mat[0], adj))
+        det = sum(map(mul, mat[0], [row[0] for row in adj]))
         return (det, adj) if det else (0, None)
     a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(mat)]
     sign = prev = 1

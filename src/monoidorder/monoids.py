@@ -21,7 +21,9 @@ e is the idempotent among the multiples of z, and ``K = e + M``.  So
 ``k = 1``, ``t = e`` and ``c = (b + e) - (a + e)`` in K certify ``a <~ b``
 for every pair, and ``d = 0`` certifies ``a ~~ b``: the order is total and
 has one equivalence class (see :attr:`FiniteMonoid.kernel`).  A vector
-carrier decides both from the facet normals of its closed cone.
+carrier decides both from its closed cone: an open cone from the cone's
+facet normals, a lattice monoid on the simplicial cones of its bases of
+generators (see :meth:`LatticeMonoid._in_cone`).
 Membership of a vector in a lattice monoid is decided exactly, with no
 coefficient bound (see :meth:`LatticeMonoid.contains`).
 
@@ -64,8 +66,10 @@ from .exactmath import (
     integer_kernel,
     integer_solve,
     is_zero_vector,
+    primitive,
     vadd,
     vdot,
+    vneg,
     vscale,
     vsub,
 )
@@ -449,6 +453,8 @@ class VectorCarrier:
         return self.boundary_status(vsub(b, a)) == "inside"
 
     def approx(self, a, b) -> bool:
+        """Equal :meth:`class_key` values; a lattice monoid overrides it with
+        two cone tests on its bases."""
         self.check_element(a)
         self.check_element(b)
         return self.class_key(a) == self.class_key(b)
@@ -461,7 +467,10 @@ class VectorCarrier:
         lineality space of C.  A vector lies there iff every facet normal of
         C vanishes on it, so ``a ~~ b`` iff every facet normal takes the
         same value on a and on b: the tuple of those values is a key of the
-        class.  x is not checked for membership.
+        class.  x is not checked for membership.  It is read where many
+        elements are sorted into classes (the sweeps of :mod:`functionals`)
+        and by an open cone's ``approx``; a lattice monoid's ``approx`` of
+        one pair reads two cone tests instead, with no double description.
         """
         return tuple(vdot(n, x) for n in self.cone.h_rep)
 
@@ -586,13 +595,28 @@ class VectorCarrier:
         return [left(a) for a in pool]
 
 
-def _basis_coefficients(y: Sequence[int], columns: tuple, det: int) -> Optional[list[int]]:
-    """y's coefficients ``y . adj(B) / det(B)`` on a nonsingular basis B,
-    given the columns of adj(B) and det(B), when they are a nonnegative
-    integer vector, that is when y lies in ``N*B``; else None."""
+def _basis_values(y: Sequence, columns: tuple) -> Iterator[int]:
+    """``y . adj(B)``: y read on each column of the adjugate of a basis B,
+    lazily, so that a reader may stop at the first entry it refuses.  The
+    one per-basis read of a point: membership's class-0 sweep, its class
+    keys and entries, and the cone test all read it."""
+    return map(_dot, itertools.repeat(y), columns)
+
+
+def _dot(a: Sequence, b: Sequence):
+    """``a . b`` for two vectors of one length, unchecked: the reads of
+    the bases, on a query's hot path, pair only vectors of the rank's
+    length (:func:`vdot` checks the lengths)."""
+    return sum(map(mul, a, b))
+
+
+def _basis_coefficients(values: Iterable[int], det: int) -> Optional[list[int]]:
+    """y's coefficients ``values / det(B)`` on a nonsingular basis B, for the
+    :func:`_basis_values` of y on B, when they are a nonnegative integer
+    vector, that is when y lies in ``N*B``; else None."""
     c = []
-    for column in columns:
-        q, rest = divmod(sum(map(mul, y, column)), det)
+    for v in values:
+        q, rest = divmod(v, det)
         if rest or q < 0:
             return None
         c.append(q)
@@ -721,10 +745,11 @@ class LatticeMonoid(VectorCarrier):
         have no integer relation (the rank of L equals their number),
         answers no: its one subset is every generator, so c is x's only
         combination; on any other carrier a point outside the cone is
-        refused.  (3) Every basis with ``|det(B)| <= CLASS_TABLE_MAX_DET``
-        (512) is read at x's class, its class table built once, when a query
-        first reaches it; the cap bounds a table's size and the walk that
-        builds it.  (4) Only then is a vector off L (whose Hermite form is
+        refused by the cone test :meth:`_in_cone`, read off the same bases,
+        so no double description is built.  (3) Every basis with ``|det(B)|
+        <= CLASS_TABLE_MAX_DET`` (512) is read at x's class, its class table
+        built once, when a query first reaches it; the cap bounds a table's
+        size and the walk that builds it.  (4) Only then is a vector off L (whose Hermite form is
         built here) refused, and the rest go to :class:`CombinationSearch`,
         built on the first query that reaches it.  The generators
         split into units (every facet normal of the cone vanishes on them;
@@ -747,7 +772,7 @@ class LatticeMonoid(VectorCarrier):
         """
         if len(x) != self.dim:
             raise InputError("element dimension mismatch")
-        key = tuple(int(v) for v in x)
+        key = tuple(map(int, x))
         if key != tuple(x):
             return False  # a non-integral coordinate
         memo = self._cache.setdefault("contains", {})
@@ -761,18 +786,18 @@ class LatticeMonoid(VectorCarrier):
         coefficients on the basis, plus its class entry's on every
         generator, must sum to key, else :class:`InternalCheckError`."""
         y, coefficients = key, ()
+        if not self._full_rank:  # a carrier of lower rank: Hermite coordinates
+            y = self.lattice.coordinates(key)
+            if y is None:
+                return False
         for subset, columns, det in self._bases():
-            if len(subset) < len(y):  # a carrier of lower rank: Hermite coordinates
-                y = self.lattice.coordinates(key)
-                if y is None:
-                    return False
-            c = _basis_coefficients(y, columns, det)
+            c = _basis_coefficients(_basis_values(y, columns), det)
             if c is not None:
                 break
         else:
             if len(subset) == len(self.generators):
                 return False  # free: its one subset is every generator
-            if not self.cone.member(key):
+            if not self._in_cone(y):
                 return False
             read = self._class_read(y)
             if read is None:
@@ -797,42 +822,152 @@ class LatticeMonoid(VectorCarrier):
         for basis in self._bases():
             subset, columns, det = basis
             if abs(det) <= CLASS_TABLE_MAX_DET:
-                h = tuple(sum(map(mul, y, column)) % abs(det) for column in columns)
-                entry = self._class_table(basis).get(h)
+                values = tuple(_basis_values(y, columns))
+                entry = self._class_table(basis).get(tuple([v % abs(det) for v in values]))
                 if entry is not None:
-                    c = _basis_coefficients(vsub(y, entry[0]), columns, det)
+                    c = _basis_coefficients(vsub(values, entry[0]), det)
                     if c is not None:
                         return subset, c, entry[1]
         return None
 
     def _class_table(self, basis: tuple) -> dict:
         """One member a per class of ``L / Z*B``, keyed by ``a . adj(B) mod
-        |det(B)|``: the entry ``(a, a's coefficients)``, a in the basis's
-        coordinates, of the member that a breadth-first walk from 0, adding
-        one generator at a time, reaches first.  The generators generate L,
-        and L/ZB is a finite group, so the walk reaches every class, in at
-        most |det(B)| steps of one addition per generator.  Built once per
-        basis, when a query first needs it."""
+        |det(B)|``: the entry ``(a . adj(B), a's coefficients)``, a in the
+        basis's coordinates, of the member that a breadth-first walk from 0,
+        adding one generator at a time, reaches first.  The generators
+        generate L, and L/ZB is a finite group, so the walk reaches every
+        class, in at most |det(B)| steps of one addition per generator.
+        Built once per basis, when a query first needs it."""
         tables = self._cache.setdefault("class_tables", {})
         subset, columns, det = basis
         if subset not in tables:
-            rows = self.generators if len(subset) == self.dim else [
-                self.lattice.coordinates(g) for g in self.generators]
-            steps = [(g, tuple(sum(map(mul, g, column)) for column in columns)) for g in rows]
-            zero = (0,) * len(subset)
+            steps = [tuple(_basis_values(g, columns)) for g in self._rows()]
+            zero, size = (0,) * len(subset), abs(det)
             table = {zero: (zero, (0,) * len(self.generators))}
-            frontier = [(zero, zero)]  # (a . adj(B), its class) of each entry, in walk order
-            for values, h in frontier:
-                a, coefficients = table[h]
-                for i, (g, step) in enumerate(steps):
-                    shifted = vadd(values, step)
-                    k = tuple(v % abs(det) for v in shifted)
+            frontier = [zero]  # the class of each entry, in walk order
+            for h in frontier:
+                values, coefficients = table[h]
+                for i, step in enumerate(steps):
+                    k = tuple([(v + w) % size for v, w in zip(values, step)])
                     if k not in table:
-                        table[k] = (vadd(a, g), coefficients[:i] + (coefficients[i] + 1,)
+                        table[k] = (vadd(values, step), coefficients[:i] + (coefficients[i] + 1,)
                                     + coefficients[i + 1:])
-                        frontier.append((shifted, k))
+                        frontier.append(k)
             tables[subset] = table
         return tables[subset]
+
+    def boundary_status(self, x: Sequence) -> str:
+        """``inside`` the generators' closed cone or ``outside`` it (a lattice
+        monoid excludes no face), decided on the bases by :meth:`_in_cone`:
+        no double description is built.  A point with a non-``int``
+        coordinate is read as :func:`as_int_vector` of it, a positive
+        multiple."""
+        if len(x) != self.dim:
+            raise InputError("element dimension mismatch")
+        y = self._cone_coordinates(x)
+        return "inside" if y is not None and self._in_cone(y) else "outside"
+
+    def approx(self, a, b) -> bool:
+        """``b - a`` in C and in -C, C the closed cone, as in
+        :meth:`class_key`: two cone tests on the bases (:meth:`_in_cone`),
+        so no double description is built.  The sweeps of
+        :mod:`functionals`, which sort many elements into classes, read
+        ``class_key``."""
+        self.check_element(a)
+        self.check_element(b)
+        y = self._cone_coordinates(vsub(b, a))  # members: b - a is in the span
+        return self._in_cone(y) and self._in_cone(vneg(y))
+
+    def _cone_coordinates(self, x: Sequence) -> Optional[tuple[int, ...]]:
+        """x in the coordinates the bases are read in, as an integer vector
+        on its ray: x's own entries, or on a carrier of lower rank its
+        rational coordinates in the lattice's Hermite basis; None off the
+        generators' span."""
+        if not self._full_rank:
+            x = self.lattice.rational_coordinates(x)
+            if x is None:
+                return None
+        return tuple(x) if all(type(v) is int for v in x) else as_int_vector(x)
+
+    def _in_cone(self, y: Sequence[int]) -> bool:
+        """Does the closed cone C of the generators hold y, an integer point
+        in the bases' coordinates (:meth:`_cone_coordinates`)?  Decided on
+        the bases of :meth:`_bases`, in walk order, each read once by
+        :func:`_basis_values` (``v = y . adj(B)``, ``s = sign(det B)``).
+        C is the cone of the generators' distinct primitive directions (a
+        positive multiple spans the same ray, a zero generator none), so
+        only bases of the first generator of each direction are read, and
+        "every generator" below means one per direction.
+
+        * **Yes.**  The first B with ``s*v >= 0`` holds y in its cone, so C
+          does.  It is re-substituted as ``det(B)*y == sum_j v_j*B_j``.
+        * **No.**  A B with ``s*v_j < 0`` answers no when column j of ``s *
+          adj(B)``, the normal n of the facet of cone(B) opposite B_j
+          (``n . B_i == |det B|`` at i = j, else 0), is ``>= 0`` on every
+          generator: then n is >= 0 on C, and ``n . y == s*v_j < 0``.  Each
+          such separating facet is kept, and read first by later queries.
+
+        *Completeness.*  If y lies in C, then by Caratheodory's theorem it
+        lies in the cone of some independent generators (Schrijver,
+        *Theory of Linear and Integer Programming*, ch. 7), which extend to
+        an r-subset B, r the rank: its coefficients are >= 0.  If y is not
+        in C, by Farkas' lemma some facet F of C (in the span, where the
+        bases are full-dimensional) has ``n . y < 0`` for its normal n.
+        F is a face of C, so it is the cone of the generators on it, and
+        it has dimension r - 1, so r - 1 independent generators lie on it.
+        C is not the whole span, so some generator g has ``n . g > 0``;
+        g is off the span of F, so the r - 1 and g are a basis B.  The
+        normal of cone(B) opposite g vanishes on F's span and is positive
+        on g, so it is a positive multiple of n: g's coefficient is
+        negative, and the column is >= 0 on every generator.  So the walk
+        always answers; a walk that does not, or a yes that fails its
+        re-substitution, raises :class:`InternalCheckError`.
+        """
+        facets = self._cache.setdefault("facets", [])
+        if any(_dot(n, y) < 0 for n in facets):
+            return False
+        rows = self._rows()
+        if "directions" not in self._cache:
+            firsts = {}
+            for i, g in enumerate(rows):
+                if any(g):
+                    firsts.setdefault(primitive(g), i)
+            self._cache["directions"] = tuple(firsts), frozenset(firsts.values())
+        directions, firsts = self._cache["directions"]
+        for subset, columns, det in self._bases():
+            if not firsts.issuperset(subset):
+                continue
+            values = tuple(_basis_values(y, columns))
+            s = 1 if det > 0 else -1
+            negative = [j for j, v in enumerate(values) if s * v < 0]
+            if not negative:
+                check = [0] * len(y)
+                for v, j in zip(values, subset):
+                    if v:
+                        check = [a + v * b for a, b in zip(check, rows[j])]
+                if check != [det * t for t in y]:
+                    raise InternalCheckError("cone certificate failed")
+                return True
+            for j in negative:
+                column = columns[j]
+                if all(s * sum(map(mul, g, column)) >= 0 for g in directions):
+                    facets.append(tuple(s * t for t in column))
+                    return False
+        raise InternalCheckError("no basis held the point or separated it from the cone")
+
+    @property
+    def _full_rank(self) -> bool:
+        """Are the bases d-subsets, read in a point's own entries (else the
+        rank r is below d, and they are r-subsets read in the coordinates of
+        the lattice's Hermite basis)?"""
+        if "full_rank" not in self._cache:
+            subset, _, _ = next(self._bases())
+            self._cache["full_rank"] = len(subset) == self.dim
+        return self._cache["full_rank"]
+
+    def _rows(self) -> Sequence[tuple[int, ...]]:
+        """The generators in the coordinates the bases are read in."""
+        return self.generators if self._full_rank else self._cache["coordinate_rows"]
 
     def _bases(self) -> Iterator[tuple[tuple[int, ...], tuple, int]]:
         """The independent r-subsets of the generators (see :meth:`contains`),
@@ -856,10 +991,11 @@ class LatticeMonoid(VectorCarrier):
         then, only if none is independent (r < d), the r-subsets with the
         generators' coordinates in the lattice's Hermite basis as rows."""
         indices = range(len(self.generators))
-        for subset in itertools.combinations(indices, self.dim):
-            yield subset, [self.generators[j] for j in subset]
+        yield from zip(itertools.combinations(indices, self.dim),
+                       map(list, itertools.combinations(self.generators, self.dim)))
         if not self._cache["bases"]:
-            coordinates = [self.lattice.coordinates(g) for g in self.generators]
+            coordinates = self._cache["coordinate_rows"] = [
+                self.lattice.coordinates(g) for g in self.generators]
             for subset in itertools.combinations(indices, len(self.lattice.basis)):
                 yield subset, [coordinates[j] for j in subset]
 

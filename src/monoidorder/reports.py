@@ -202,10 +202,11 @@ def render_report(doc, fmt: str = "json") -> str:
 
 @contextmanager
 def stderr_timer(label: str):
-    """Print elapsed wall time to stderr; never touches the report body."""
-    start = time.monotonic()
+    """Print elapsed wall time to stderr, in seconds to the microsecond (most
+    commands take under a millisecond); never touches the report body."""
+    start = time.perf_counter()
     try:
         yield
     finally:
-        elapsed = time.monotonic() - start
-        print(f"[timing] {label}: {elapsed:.3f}s", file=sys.stderr)
+        elapsed = time.perf_counter() - start
+        print(f"[timing] {label}: {elapsed:.6f}s", file=sys.stderr)

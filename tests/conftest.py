@@ -654,19 +654,26 @@ def matrix_op() -> BiadditiveOp:
     return matrix_product_op()
 
 
-def _make_unreachable(monkeypatch, function, what):
-    """Every name in the package bound to ``function`` raises when called."""
+def _rebind(monkeypatch, function, replacement):
+    """Every name in the package bound to ``function`` is bound to
+    ``replacement`` for one test."""
     import monoidorder
-
-    def unreachable(*args, **kwargs):
-        raise AssertionError(f"a program path reached {what}")
 
     for info in pkgutil.iter_modules(monoidorder.__path__):
         if info.name != "__main__":
             module = importlib.import_module(f"monoidorder.{info.name}")
             for name, value in list(vars(module).items()):
                 if value is function:
-                    monkeypatch.setattr(module, name, unreachable)
+                    monkeypatch.setattr(module, name, replacement)
+
+
+def _make_unreachable(monkeypatch, function, what):
+    """Every name in the package bound to ``function`` raises when called."""
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError(f"a program path reached {what}")
+
+    _rebind(monkeypatch, function, unreachable)
 
 
 @pytest.fixture
@@ -688,6 +695,24 @@ def no_simplex(monkeypatch):
     for function in (exactmath.solve_nonneg_rational, exactmath.lp_feasible,
                      exactmath._phase_one):
         _make_unreachable(monkeypatch, function, f"the simplex ({function.__name__})")
+
+
+@pytest.fixture
+def cones_built(monkeypatch):
+    """The ``(normals, dim)`` of every double description
+    (:func:`exactmath.cone_from_inequalities`) run during one test, in
+    order, wherever in the package it is called from."""
+    from monoidorder import exactmath
+
+    built = []
+    real = exactmath.cone_from_inequalities
+
+    def counted(normals, dim):
+        built.append((normals, dim))
+        return real(normals, dim)
+
+    _rebind(monkeypatch, real, counted)
+    return built
 
 
 @pytest.fixture

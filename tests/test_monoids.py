@@ -750,7 +750,8 @@ def test_a_basis_of_negative_determinant_reads_its_sign(searches_built, lattices
     assert searches_built == [] and lattices_built == []
 
 
-def test_searches_built_on_an_order_fresh_corpus(searches_built, lattices_built):
+def test_searches_built_on_an_order_fresh_corpus(searches_built, lattices_built,
+                                                 cones_built):
     # carriers shaped like the order-fresh benchmark's (dimension 2 or 3,
     # entries -1..1, full rank, 3 to 5 nonzero generators), each asked about
     # four sums of generators with coefficients 0..2: the members that no
@@ -759,7 +760,9 @@ def test_searches_built_on_an_order_fresh_corpus(searches_built, lattices_built)
     # non-free carrier, the same corpus built 109 searches, one per non-free
     # carrier; when it read only unimodular bases, 15 searches and a Hermite
     # form on every carrier; and when it read only class 0 of each basis, 7
-    # searches and 7 Hermite forms
+    # searches and 7 Hermite forms.  One leq and one approx per carrier are
+    # decided on the bases, so no double description is built either (one
+    # per carrier when the order read the cone's facet normals)
     rng = seeded(40)
     carriers = 0
     while carriers < 120:
@@ -769,11 +772,30 @@ def test_searches_built_on_an_order_fresh_corpus(searches_built, lattices_built)
         if not all(any(g) for g in gens) or len(IntegerLattice(dim, gens).basis) != dim:
             continue
         carriers += 1
+        sums = []
         for _ in range(4):
             c = [rng.randint(0, 2) for _ in gens]
-            assert m.contains(tuple(sum(ci * g[j] for ci, g in zip(c, gens))
-                                    for j in range(dim)))
-    assert searches_built == [] and lattices_built == []
+            sums.append(tuple(sum(ci * g[j] for ci, g in zip(c, gens)) for j in range(dim)))
+            assert m.contains(sums[-1])
+        m.leq(sums[0], sums[1])
+        m.approx(sums[2], sums[3])
+    assert searches_built == [] and lattices_built == [] and cones_built == []
+
+
+def test_a_point_outside_the_cone_is_refused_with_no_double_description(
+        searches_built, cones_built):
+    # on <(2, 0), (3, 0), (0, 1)>, (-1, 0) is on no basis's class 0, and
+    # the facet x >= 0 of the cone of (2, 0), (0, 1), opposite (2, 0), is
+    # >= 0 on every generator: it refuses the point with no double
+    # description and no search.  (1, 0) is in the cone and no member; only
+    # the search refuses it, and the search reads the facet normals, so
+    # exactly one double description is built
+    m = LatticeMonoid(2, [(2, 0), (3, 0), (0, 1)])
+    assert not m.contains((-1, 0))
+    assert cones_built == [] and searches_built == []
+    assert m._cache["facets"] == [(1, 0)]
+    assert not m.contains((1, 0))
+    assert len(cones_built) == 1 and len(searches_built) == 1
 
 
 @st.composite
@@ -906,6 +928,81 @@ def test_a_corrupt_adjugate_column_is_caught():
     m._cache["bases"][0] = (subset, ((1, 1),) + columns[1:], det)
     with pytest.raises(InternalCheckError, match="basis certificate failed"):
         m.contains((1, 1))
+
+
+@st.composite
+def cone_test_cases(draw):
+    """A lattice carrier (d <= 4, 1-6 generators with entries -2..2), and
+    points to test: integer and rational ones with entries -3..3, off the
+    generators' span too on a carrier of lower rank."""
+    d = draw(st.integers(1, 4))
+    gens = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * d), min_size=1, max_size=6))
+    entry = st.fractions(-3, 3, max_denominator=3)
+    points = draw(st.lists(st.tuples(*[st.integers(-3, 3) | entry] * d), min_size=4,
+                           max_size=8))
+    return LatticeMonoid(d, gens), points
+
+
+def test_the_cone_test_agrees_with_the_double_description():
+    # the cone test read off the bases (boundary_status), leq and approx,
+    # against the double description of the generators' cone: membership
+    # in it, of b - a, and equal facet-normal values (class_key), on drawn
+    # carriers of every shape
+    seen = set()
+
+    @settings(max_examples=300)
+    @given(cone_test_cases())
+    def check(case):
+        m, points = case
+        d, gens = m.dim, m.generators
+        cone = RationalCone.from_rays(gens, d)
+        rank = len(IntegerLattice(d, gens).basis)
+        seen.update({"lower rank"} if rank < d else set())
+        seen.update({"zero generator"} if (0,) * d in gens else set())
+        seen.update({"repeated generator"} if len(set(gens)) < len(gens) else set())
+        seen.update({"not pointed"} if cone.lineality_basis else set())
+        for x in points:
+            inside = cone.member(x)
+            assert m.boundary_status(x) == ("inside" if inside else "outside"), (gens, x)
+            seen.add("inside" if inside else "outside")
+            seen.update({"rational"} if any(type(v) is not int for v in x) else set())
+            if rank < d and rational_rank(list(gens) + [x]) > rank:
+                seen.add("off the span")
+        pool = m.element_pool(2)
+        for a, b in zip(pool, reversed(pool)):
+            assert m.leq(a, b) == cone.member(vsub(b, a)), (gens, a, b)
+            assert m.approx(a, b) == (m.class_key(a) == m.class_key(b)), (gens, a, b)
+
+    check()
+    assert seen == {"lower rank", "zero generator", "repeated generator", "not pointed",
+                    "inside", "outside", "rational", "off the span"}
+
+
+def test_a_cone_test_yes_is_re_substituted():
+    # a planted wrong adjugate column gives (1, 1) the coefficients (2, 1)
+    # on the unit vectors: the re-substitution of the "yes" catches it
+    m = free_monoid(2)
+    assert m.boundary_status((1, 2)) == "inside"
+    [(subset, columns, det)] = m._cache["bases"]
+    m._cache["bases"][0] = (subset, ((1, 1),) + columns[1:], det)
+    with pytest.raises(InternalCheckError, match="cone certificate failed"):
+        m.boundary_status((1, 1))
+
+
+def test_a_cone_test_that_finds_no_facet_is_an_internal_error():
+    # the cone of (1, 0), (0, 1), (-1, 1) has the facets y >= 0 and
+    # x + y >= 0.  On the first basis, the unit vectors, (-1, 0) has a
+    # negative coefficient, but x >= 0 fails on (-1, 1); the second basis
+    # finds x + y >= 0.  With the walk planted to end after the first
+    # basis, no basis answers, and that raises
+    m = LatticeMonoid(2, [(1, 0), (0, 1), (-1, 1)])
+    assert m.boundary_status((1, 1)) == "inside"
+    m._cache["subsets"] = iter(())
+    with pytest.raises(InternalCheckError, match="no basis held the point"):
+        m.boundary_status((-1, 0))
+    fresh = LatticeMonoid(2, m.generators)
+    assert fresh.boundary_status((-1, 0)) == "outside"
+    assert fresh._cache["facets"] == [(1, 1)]
 
 
 # ---------------------------------------------------------------------------

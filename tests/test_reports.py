@@ -8,6 +8,7 @@ floats.
 import enum
 import json
 import os
+import re
 from fractions import Fraction
 
 import pytest
@@ -158,6 +159,13 @@ def test_stderr_timer_writes_stderr_only(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "[timing] unit-test:" in captured.err
+
+
+def test_stderr_timer_prints_microseconds(capsys):
+    # six decimals, so that a sub-millisecond command does not read 0.000s
+    with stderr_timer("order"):
+        pass
+    assert re.fullmatch(r"\[timing\] order: \d+\.\d{6}s\n", capsys.readouterr().err)
 
 
 # --------------------------------------------------------------------------
