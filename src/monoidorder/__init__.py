@@ -10,7 +10,7 @@ conditions, and sums-of-squares membership for rational functions.
 
 __version__ = "0.1.0"
 
-from .exactmath import (  # noqa: F401
+from .core import (  # noqa: F401
     InputError,
     InternalCheckError,
     ResourceBudgetError,

@@ -4,34 +4,26 @@ Exit codes: 0 answered/pass, 1 refuted/counterexample, 2 refused because a
 hypothesis does not hold, 3 input error, 4 resource budget exhausted or a
 verdict left undecided, 5 internal self-check failed (no report is
 printed).
+
+Imports.  Of the package, this module imports only the shared leaf
+:mod:`monoidorder.core` and :mod:`monoidorder.reports` at module level.
+Each handler imports the layers it runs itself, one plain ``from .x
+import ...`` statement per layer, so a fresh process compiles only those:
+``sos`` loads the sums-of-squares layer and no polyhedral code, ``order``
+and ``grothendieck`` no localizability, functionals or sums of squares.
+A handler reads each name from its defining module when it runs, so a
+test that rebinds the name there reaches every handler.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import random
 import re
 import sys
 from fractions import Fraction
-from importlib import resources
 
-from .exactmath import InputError, InternalCheckError, ResourceBudgetError
-from .monoids import (approx, leq, enumerate_biadditive_ops,
-                      half_open_half_plane, matrix_product_op,
-                      saturating_product_op, truncated_free_monoid)
-from .grothendieck import nabla, pi12
-from .localizability import (is_left_localizable, is_localizable,
-                             is_strongly_localizable, is_weakly_localizable,
-                             order_unit_fast_path)
-from .functionals import (normalize_multiplicative, positive_functionals,
-                          span_of_elements, span_with_products,
-                          verify_theorem_main, weak_implies_strong_audit)
-from .latticeorder import (almost_fring_counterexample,
-                           fring_strong_localizability)
-from .formallyreal import (categorize, is_sos_membership,
-                           parse_rational_function, theorem_skew_hypothesis)
-from .instancefile import Instance, check_membership, load_instance, parse_element
+from .core import InputError, InternalCheckError, ResourceBudgetError
 from .reports import render_json_without, render_report, stderr_timer
 
 EXIT_PASS = 0
@@ -54,7 +46,7 @@ def _verdict_exit(verdict: str) -> int:
     return EXIT_BUDGET
 
 
-def _ordered_monoid(instance: Instance):
+def _ordered_monoid(instance):
     if instance.kind == "lattice-group":
         raise InputError(
             f"{instance.source}: kind 'lattice-group' gives an operation on "
@@ -72,6 +64,10 @@ def _ordered_monoid(instance: Instance):
 
 
 def cmd_order(args) -> tuple:
+    from .grothendieck import nabla
+    from .instancefile import check_membership, load_instance, parse_element
+    from .monoids import approx, leq
+
     instance = load_instance(args.file)
     m = _ordered_monoid(instance)
     a = parse_element(instance, args.a)
@@ -101,6 +97,9 @@ def cmd_order(args) -> tuple:
 
 
 def cmd_localizable(args) -> tuple:
+    from .instancefile import check_membership, load_instance, parse_element
+    from .localizability import is_localizable, is_strongly_localizable, is_weakly_localizable
+
     instance = load_instance(args.file)
     op = instance.require_op()
     doc = {"command": "localizable", "instance": instance.describe()}
@@ -128,6 +127,8 @@ def cmd_localizable(args) -> tuple:
 
 
 def cmd_verify(args) -> tuple:
+    from .instancefile import load_instance
+
     if args.element is not None and args.goal != "orderunit":
         raise InputError("--element is read only with --orderunit")
     instance = load_instance(args.file)
@@ -142,6 +143,9 @@ def cmd_verify(args) -> tuple:
 
 
 def _verify_main(instance, doc, args) -> tuple:
+    from .functionals import verify_theorem_main
+    from .localizability import is_weakly_localizable
+
     op = instance.require_op()
     cert = is_weakly_localizable(op)
     cert.budget = args.budget
@@ -161,6 +165,8 @@ def _verify_main(instance, doc, args) -> tuple:
 
 
 def _verify_fring(instance, doc, args) -> tuple:
+    from .latticeorder import fring_strong_localizability
+
     if instance.kind != "lattice-group":
         raise InputError(
             f"{instance.source}: --fring needs a lattice-group instance")
@@ -182,6 +188,9 @@ def _verify_fring(instance, doc, args) -> tuple:
 
 
 def _verify_orderunit(instance, doc, args) -> tuple:
+    from .instancefile import check_membership, parse_element
+    from .localizability import order_unit_fast_path
+
     op = instance.require_op()
     if args.element is None:
         raise InputError("--orderunit needs --element (the candidate unit)")
@@ -202,6 +211,8 @@ def _verify_orderunit(instance, doc, args) -> tuple:
 
 
 def _verify_weak_strong(instance, doc, args) -> tuple:
+    from .functionals import weak_implies_strong_audit
+
     op = instance.require_op()
     audit = weak_implies_strong_audit(op)
     if "weak" in audit:
@@ -214,6 +225,10 @@ def _verify_weak_strong(instance, doc, args) -> tuple:
 
 
 def cmd_extremals(args) -> tuple:
+    from .functionals import (normalize_multiplicative, positive_functionals,
+                              span_of_elements, span_with_products)
+    from .instancefile import check_membership, load_instance, parse_element
+
     instance = load_instance(args.file)
     m = _ordered_monoid(instance)
     if not args.elements:
@@ -262,6 +277,9 @@ def cmd_extremals(args) -> tuple:
 
 
 def cmd_grothendieck(args) -> tuple:
+    from .grothendieck import nabla, pi12
+    from .instancefile import load_instance
+
     instance = load_instance(args.file)
     m = _ordered_monoid(instance)
     comparison = pi12(m)
@@ -277,6 +295,9 @@ def cmd_grothendieck(args) -> tuple:
 
 
 def cmd_sos(args) -> tuple:
+    from .formallyreal import (categorize, is_sos_membership, parse_rational_function,
+                               theorem_skew_hypothesis)
+
     if args.categorize is not None:
         report = categorize(args.categorize)
         doc = {"command": "sos", "mode": "categorize", "result": report}
@@ -300,6 +321,8 @@ def cmd_sos(args) -> tuple:
 
 
 def _reproduce_intro_free_monoid() -> dict:
+    from .monoids import enumerate_biadditive_ops, saturating_product_op, truncated_free_monoid
+
     cases = []
     for coords in (1, 2, 3):
         m = truncated_free_monoid(coords, cap=2)
@@ -326,6 +349,10 @@ def _reproduce_intro_free_monoid() -> dict:
 
 
 def _reproduce_open_cone_approx() -> dict:
+    import random
+
+    from .monoids import approx, half_open_half_plane
+
     m = half_open_half_plane()
     rng = random.Random(20240901)
     x_pool = [Fraction(1), Fraction(2), Fraction(3), Fraction(1, 2),
@@ -360,6 +387,9 @@ def _reproduce_open_cone_approx() -> dict:
 
 
 def _reproduce_matrix_not_localizable() -> dict:
+    from .localizability import is_left_localizable, is_weakly_localizable
+    from .monoids import leq, matrix_product_op
+
     op = matrix_product_op()
     weak = is_weakly_localizable(op)
     swap = (0, 1, 1, 0)  # both off-diagonal entries positive
@@ -392,6 +422,8 @@ def _reproduce_matrix_not_localizable() -> dict:
 
 
 def _reproduce_almost_fring() -> dict:
+    from .latticeorder import almost_fring_counterexample
+
     result = almost_fring_counterexample()
     return {
         "example": "almost-fring",
@@ -406,6 +438,8 @@ def _reproduce_almost_fring() -> dict:
 
 
 def _reproduce_rational_function_category() -> dict:
+    from .formallyreal import categorize
+
     report = categorize("Q(x)")
     return {
         "example": "rational-function-category",
@@ -435,6 +469,8 @@ def reproduce_document(example_id: str) -> dict:
 
 
 def default_golden_path(example_id: str):
+    from importlib import resources
+
     return resources.files(__package__).joinpath("goldens",
                                                  f"{example_id}.json")
 

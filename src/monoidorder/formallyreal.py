@@ -39,26 +39,60 @@ leading coefficients are checked against ``f``'s.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
 from math import lcm
 from typing import Optional, Sequence, Union
 
-from .exactmath import InputError, InternalCheckError, as_int_vector, primitive
+from .core import InputError, InternalCheckError, as_int_vector, primitive
 
 Rat = Union[int, Fraction]
+
+
+# ---------------------------------------------------------------------------
+# immutable values
+
+
+class _Value:
+    """An immutable value whose ``==``, ``hash`` and ``repr`` read its
+    ``__slots__`` in order, as a ``@dataclass(frozen=True)`` with those
+    fields would; built without ``dataclasses``, whose import costs more
+    than the sums-of-squares layer itself at start-up.  Values of
+    different classes are never equal, and any assignment raises
+    :class:`AttributeError`."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 # ---------------------------------------------------------------------------
 # dense univariate polynomials over the rationals
 
 
-@dataclass(frozen=True)
-class RationalPolynomial:
+class RationalPolynomial(_Value):
     """Dense polynomial with exact rational coefficients, low degree first."""
 
-    coefficients: tuple
+    __slots__ = ("coefficients",)
 
     def __init__(self, coefficients: Sequence[Rat]):
         coeffs = [Fraction(c) for c in coefficients]
@@ -643,16 +677,14 @@ def _simplest_above(lo, hi) -> tuple:
 # rational functions
 
 
-@dataclass(frozen=True)
-class RationalFunction:
+class RationalFunction(_Value):
     """Quotient of rational polynomials in canonical form.
 
     Canonical means: numerator and denominator coprime, denominator monic.
     The zero function is ``0/1``.
     """
 
-    numerator: RationalPolynomial
-    denominator: RationalPolynomial
+    __slots__ = ("numerator", "denominator")
 
     def __init__(self, numerator: RationalPolynomial,
                  denominator: Optional[RationalPolynomial] = None):

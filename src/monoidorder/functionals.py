@@ -18,20 +18,17 @@ from itertools import chain
 from math import lcm
 from typing import Optional, Sequence
 
-from .exactmath import (
+from .core import (
     InputError,
     InternalCheckError,
-    IntegerLattice,
-    RationalCone,
     as_int_vector,
-    certify_extreme_rays,
-    echelon_solve,
     is_zero_vector,
     vadd,
     vdot,
     vneg,
     vscale,
 )
+from .exactmath import IntegerLattice, RationalCone, certify_extreme_rays, echelon_solve
 from .grothendieck import nabla
 from .localizability import (WeakLocalizabilityCertificate, is_left_localizable,
                              is_strongly_localizable, is_weakly_localizable)

@@ -28,12 +28,9 @@ from __future__ import annotations
 
 from operator import mul
 
-from .exactmath import (
+from .core import (
     InputError,
-    IntegerLattice,
-    IntegerSolver,
     InternalCheckError,
-    int_adjugate,
     is_zero_vector,
     primitive,
     vadd,
@@ -41,6 +38,7 @@ from .exactmath import (
     vdot,
     vsub,
 )
+from .exactmath import IntegerLattice, IntegerSolver, int_adjugate
 from .monoids import FiniteMonoid, VectorCarrier
 
 

@@ -51,10 +51,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .exactmath import InputError, RationalCone, vdot
+from .core import InputError, vdot
+from .exactmath import RationalCone
 from .monoids import (BiadditiveOp, FiniteMonoid, LatticeMonoid,
                       OpenConeMonoid, orthant)
-from .formallyreal import RationalFunction, parse_rational_function
 
 KINDS = ("finite", "lattice", "open-cone", "lattice-group", "rational-function")
 
@@ -67,7 +67,7 @@ class Instance:
     source: str
     monoid: object = None
     op: Optional[BiadditiveOp] = None
-    function: Optional[RationalFunction] = None
+    function: object = None  # a formallyreal.RationalFunction
 
     def require_op(self) -> BiadditiveOp:
         if self.op is None:
@@ -346,6 +346,8 @@ def _build_lattice_group(raw: _Raw) -> Instance:
 
 
 def _build_rational_function(raw: _Raw) -> Instance:
+    from .formallyreal import parse_rational_function
+
     _check_known(raw, {"kind", "expression"}, set())
     expr = _need_header(raw, "expression")
     try:

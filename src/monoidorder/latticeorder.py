@@ -18,7 +18,7 @@ from __future__ import annotations
 from functools import cache
 from itertools import product
 
-from .exactmath import InternalCheckError, vcombine
+from .core import InternalCheckError, vcombine
 from .functionals import verify_theorem_main
 from .localizability import is_strongly_localizable, is_weakly_localizable
 from .monoids import BiadditiveOp, free_monoid

@@ -32,18 +32,12 @@ from fractions import Fraction
 from functools import cache, reduce
 from typing import NamedTuple, Optional
 
+from .core import InternalCheckError, as_int_vector, vadd, vcombine, vdot, vneg, vscale
 from .exactmath import (
-    InternalCheckError,
     RationalCone,
-    as_int_vector,
     cone_from_inequalities,
     echelon_kernel,
     echelon_solve,
-    vadd,
-    vcombine,
-    vdot,
-    vneg,
-    vscale,
 )
 from .monoids import FINITE_ORDER_IS_TOTAL, BiadditiveOp, leq
 

@@ -54,17 +54,11 @@ from fractions import Fraction
 from operator import mul
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .exactmath import (
-    CombinationSearch,
+from .core import (
     InputError,
     InternalCheckError,
-    IntegerLattice,
-    RationalCone,
     ResourceBudgetError,
     as_int_vector,
-    int_adjugate,
-    integer_kernel,
-    integer_solve,
     is_zero_vector,
     primitive,
     vadd,
@@ -72,6 +66,14 @@ from .exactmath import (
     vneg,
     vscale,
     vsub,
+)
+from .exactmath import (
+    CombinationSearch,
+    IntegerLattice,
+    RationalCone,
+    int_adjugate,
+    integer_kernel,
+    integer_solve,
 )
 
 # the reason of every verdict that holds on a finite carrier by theorem

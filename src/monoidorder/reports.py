@@ -15,7 +15,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
-from .exactmath import InputError
+from .core import InputError
 
 FORMATS = ("json", "text")
 

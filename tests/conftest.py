@@ -18,7 +18,8 @@ from monoidorder.monoids import (BiadditiveOp, FiniteMonoid, LatticeMonoid,
                                  half_plane_product_tensor,
                                  matrix_product_op, saturating_product_op,
                                  truncated_free_monoid)
-from monoidorder.exactmath import InputError, RationalCone
+from monoidorder.core import InputError
+from monoidorder.exactmath import RationalCone
 
 settings.register_profile(
     "ci",

@@ -20,7 +20,7 @@ from fractions import Fraction
 import pytest
 
 from monoidorder.cli import default_golden_path, reproduce_document
-from monoidorder.exactmath import vdot
+from monoidorder.core import vdot
 from monoidorder.formallyreal import (RationalFunction, RationalPolynomial,
                                       is_sos_membership,
                                       parse_rational_function,

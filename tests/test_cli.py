@@ -25,7 +25,7 @@ from monoidorder import (cli, formallyreal, functionals, latticeorder,
 from monoidorder.cli import (EXIT_BUDGET, EXIT_INPUT, EXIT_INTERNAL, EXIT_PASS,
                              EXIT_REFUSED, EXIT_REFUTED, REPRODUCE_IDS,
                              default_golden_path, main, reproduce_document)
-from monoidorder.exactmath import InternalCheckError, vadd
+from monoidorder.core import InternalCheckError, vadd
 from monoidorder.instancefile import load_instance
 from monoidorder.latticeorder import (fring_strong_localizability,
                                       is_extended_f_ring)
@@ -211,7 +211,8 @@ def test_localizable_weak_verdicts():
 
 def _count_weak_refutation_work(monkeypatch, mu_calls, module):
     """Count, from here on, the ``_vector_left`` calls anywhere and the
-    ``mu_calls`` made inside the weak searches that ``module`` runs."""
+    ``mu_calls`` made inside the weak searches called through ``module``'s
+    name for them (the command handlers read the one in ``localizability``)."""
     calls = {"_vector_left": 0, "mu": 0}
     vector_left = localizability._vector_left
     weak = localizability.is_weakly_localizable
@@ -237,7 +238,7 @@ def test_weak_refutation_builds_no_dominator_candidates(monkeypatch, mu_calls):
     # so a large budget costs nothing: no damped map runs, and the table
     # reads its r^2 ray products (span rank r = 4) off op.ray_products, so
     # no op.mu call is made (at most r^2 would be allowed)
-    calls = _count_weak_refutation_work(monkeypatch, mu_calls, cli)
+    calls = _count_weak_refutation_work(monkeypatch, mu_calls, localizability)
     code, doc, _ = run_json("--budget", "64", "localizable",
                             instance_path("matrix-2x2.mon"), "--weak")
     assert code == EXIT_REFUTED
@@ -260,7 +261,7 @@ def test_the_half_plane_is_strongly_localizable_at_every_budget(monkeypatch, mu_
     # every damping map keeps that line with a factor of at least 1: a
     # structural "yes" whatever the budget, with no damped map built.  The
     # matrix product is refuted off its ray table whatever the budget
-    calls = _count_weak_refutation_work(monkeypatch, mu_calls, cli)
+    calls = _count_weak_refutation_work(monkeypatch, mu_calls, localizability)
     for budget in ("0", "2", "8"):
         code, doc, _ = run_json("--budget", budget, "localizable",
                                 instance_path("half-open-half-plane.mon"), "--strong")
@@ -432,7 +433,9 @@ def test_verify_main_runs_one_weak_search(monkeypatch):
         calls.append(1)
         return search(*args, **kwargs)
 
-    for module in (cli, functionals):
+    # the handler reads it from localizability at call time; functionals
+    # holds its own reference
+    for module in (localizability, functionals):
         monkeypatch.setattr(module, "is_weakly_localizable", counted)
     assert main(["verify", instance_path("free-monoid-3.mon"), "--main"]) == EXIT_PASS
     assert len(calls) == 1
@@ -498,9 +501,6 @@ def test_verify_fring_decides_once_and_the_verdict_makes_no_products(
         return verdict(*args, **kwargs)
 
     monkeypatch.setattr(latticeorder, "is_extended_f_ring", counted_verdict)
-    # also where the command module may hold its own reference
-    monkeypatch.setattr(cli, "is_extended_f_ring", counted_verdict,
-                        raising=False)
     path = instance_path("fring-elementwise-3.mon")
     code, _, _ = run_cli("verify", path, "--fring")
     assert code == EXIT_PASS
@@ -1331,7 +1331,7 @@ def test_five_t_is_refuted_at_every_budget_with_no_damped_map(tmp_path, monkeypa
     # (exit 2) at every budget, with no damped map built
     path = tmp_path / "five.mon"
     path.write_text(FIVE_GENERATORS, encoding="utf-8")
-    calls = _count_weak_refutation_work(monkeypatch, mu_calls, cli)
+    calls = _count_weak_refutation_work(monkeypatch, mu_calls, localizability)
     code, doc, _ = run_json("--budget", budget, "localizable", str(path), "--weak")
     _, weak = _refuted_weak(str(path), FIVE_GENERATOR_LIST, int(budget),
                             [0, 1, 0], 1, [0, 1, 2, 3])

@@ -9,18 +9,15 @@ from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from monoidorder import exactmath
-from monoidorder.exactmath import (CombinationSearch, InputError,
-                                   IntegerLattice, InternalCheckError, RationalCone,
-                                   as_int_vector, bounded_nonneg_combination,
-                                   certify_extreme_rays,
-                                   default_combination_bound, echelon_kernel,
-                                   echelon_solve,
+from monoidorder.core import (InputError, InternalCheckError, as_int_vector, primitive,
+                              vadd, vdot, vneg, vscale, vsub)
+from monoidorder.exactmath import (CombinationSearch, IntegerLattice, RationalCone,
+                                   bounded_nonneg_combination, certify_extreme_rays,
+                                   default_combination_bound, echelon_kernel, echelon_solve,
                                    hermite_normal_form, int_adjugate, int_det,
-                                   integer_kernel, integer_solve,
-                                   lp_feasible, positive_relation, primitive,
-                                   sign_canonical,
-                                   smith_normal_form, solve_nonneg_rational,
-                                   vadd, vdot, vneg, vscale, vsub)
+                                   integer_kernel, integer_solve, lp_feasible,
+                                   positive_relation, sign_canonical, smith_normal_form,
+                                   solve_nonneg_rational)
 
 from conftest import (oracle_certificate, oracle_cone_from_inequalities,
                       oracle_h_rep, oracle_int_det, oracle_hermite_normal_form, oracle_primitive,

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from monoidorder import formallyreal
-from monoidorder.exactmath import InputError, InternalCheckError, primitive
+from monoidorder.core import InputError, InternalCheckError, primitive
 from monoidorder.formallyreal import (POINTWISE_FACT, RationalFunction,
                                       RationalPolynomial, SturmChain,
                                       _exact_quotient, _int_derivative,
@@ -128,6 +128,69 @@ def test_gcd_of_known_factorizations():
     b = _linear(1) * _linear(3)
     assert poly_gcd(a, b) == _linear(1)
     assert poly_gcd(a, _poly(1)) == ONE
+
+
+# ---------------------------------------------------------------------------
+# polynomials and functions are immutable values
+
+
+value_coeffs = st.lists(st.fractions(min_value=-1, max_value=1, max_denominator=2),
+                        max_size=3)
+# two drawn lists, or one list and itself with trailing zeros (the same
+# polynomial), so that both equal and unequal values are drawn
+value_pairs = st.one_of(
+    st.tuples(value_coeffs, value_coeffs),
+    st.tuples(value_coeffs, st.integers(0, 2)).map(lambda t: (t[0], t[0] + [0] * t[1])))
+
+
+def _assert_values(u, v, same):
+    """``u`` and ``v`` compare as values that are equal exactly when
+    ``same``; equal values hash equal and dedupe in a set."""
+    assert (u == v) == same and (u != v) == (not same)
+    if same:
+        assert hash(u) == hash(v) and len({u, v}) == 1
+
+
+def _assert_immutable(value, field):
+    for change in (lambda: setattr(value, field, None), lambda: delattr(value, field),
+                   lambda: setattr(value, "other", None)):
+        with pytest.raises(AttributeError):
+            change()
+
+
+@given(value_pairs)
+def test_a_polynomial_is_a_value_of_its_coefficients(pair):
+    p, q = RationalPolynomial(pair[0]), RationalPolynomial(pair[1])
+    _assert_values(p, q, p.coefficients == q.coefficients)
+    _assert_values(p, RationalPolynomial(list(p.coefficients) + [0]), True)
+    assert repr(p) == f"RationalPolynomial(coefficients={p.coefficients!r})"
+    assert p != p.coefficients and p.coefficients != p and p != tuple(pair[0])
+    coefficients = p.coefficients
+    _assert_immutable(p, "coefficients")
+    assert p.coefficients is coefficients
+
+
+@given(value_pairs, value_coeffs, value_coeffs)
+def test_a_rational_function_is_a_value_of_its_canonical_form(pair, b, c):
+    den = RationalPolynomial(b) if any(b) else ONE
+    cofactor = RationalPolynomial(c) if any(c) else X
+    f = RationalFunction(RationalPolynomial(pair[0]), den)
+    g = RationalFunction(RationalPolynomial(pair[1]), den)
+    parts = (f.numerator.coefficients, f.denominator.coefficients)
+    _assert_values(f, g, parts == (g.numerator.coefficients, g.denominator.coefficients))
+    _assert_values(f, RationalFunction(f.numerator * cofactor, f.denominator * cofactor), True)
+    assert repr(f) == (f"RationalFunction(numerator={f.numerator!r}, "
+                       f"denominator={f.denominator!r})")
+    assert f != (f.numerator, f.denominator) and f != parts and f != f.numerator
+    _assert_immutable(f, "numerator")
+    _assert_immutable(f, "denominator")
+    assert (f.numerator.coefficients, f.denominator.coefficients) == parts
+
+
+def test_value_reprs_keep_the_dataclass_form():
+    assert repr(RationalFunction.constant(2)) == (
+        "RationalFunction(numerator=RationalPolynomial(coefficients=(Fraction(2, 1),)), "
+        "denominator=RationalPolynomial(coefficients=(Fraction(1, 1),)))")
 
 
 # ---------------------------------------------------------------------------

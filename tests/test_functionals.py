@@ -9,8 +9,8 @@ import pytest
 from hypothesis import HealthCheck, assume, event, example, given, settings
 from hypothesis import strategies as st
 
-from monoidorder.exactmath import (InputError, InternalCheckError, RationalCone,
-                                   vdot, vsub)
+from monoidorder.core import InputError, InternalCheckError, vdot, vsub
+from monoidorder.exactmath import RationalCone
 from monoidorder.functionals import (AdditiveFunctional, NormalizationResult,
                                      OrderedSubgroup, _certify_decomposition,
                                      _largest_element, normalize_multiplicative,

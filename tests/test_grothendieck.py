@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from monoidorder.exactmath import (InputError, RationalCone, solve_nonneg_rational,
-                                   vadd)
+from monoidorder.core import InputError, vadd
+from monoidorder.exactmath import RationalCone, solve_nonneg_rational
 from monoidorder.grothendieck import grothendieck, nabla, pi12
 from monoidorder.monoids import (FiniteMonoid, LatticeMonoid, OpenConeMonoid,
                                  approx, free_monoid, half_open_half_plane, leq)

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from monoidorder.exactmath import InputError
+from monoidorder.core import InputError
 from monoidorder.instancefile import (check_membership, load_instance,
                                       parse_element, parse_instance_text)
 from monoidorder.monoids import (BiadditiveOp, FiniteMonoid, LatticeMonoid,

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from monoidorder import latticeorder
-from monoidorder.exactmath import InputError, InternalCheckError, vadd
+from monoidorder.core import InputError, InternalCheckError, vadd
 from monoidorder.latticeorder import (almost_fring_counterexample,
                                       almost_fring_tensor,
                                       fring_strong_localizability,

@@ -14,9 +14,8 @@ from hypothesis import strategies as st
 import monoidorder.cli as cli
 import monoidorder.exactmath as exactmath
 import monoidorder.localizability as localizability
-from monoidorder.exactmath import (InputError, InternalCheckError, RationalCone,
-                                   integer_solve, lp_feasible, vadd, vdot, vneg,
-                                   vscale, vsub)
+from monoidorder.core import InputError, InternalCheckError, vadd, vdot, vneg, vscale, vsub
+from monoidorder.exactmath import RationalCone, integer_solve, lp_feasible
 from monoidorder.functionals import verify_theorem_main
 from monoidorder.localizability import (_ser, is_left_localizable, is_localizable,
                                         is_strongly_localizable,

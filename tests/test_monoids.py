@@ -8,10 +8,10 @@ import pytest
 from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
-from monoidorder.exactmath import (CombinationSearch, InputError, IntegerLattice,
-                                   InternalCheckError, RationalCone, ResourceBudgetError,
-                                   hermite_normal_form, solve_nonneg_rational, vadd,
-                                   vcombine, vneg, vscale, vsub)
+from monoidorder.core import (InputError, InternalCheckError, ResourceBudgetError, vadd,
+                              vcombine, vneg, vscale, vsub)
+from monoidorder.exactmath import (CombinationSearch, IntegerLattice, RationalCone,
+                                   hermite_normal_form, solve_nonneg_rational)
 from monoidorder import monoids
 from monoidorder.grothendieck import grothendieck, nabla
 from monoidorder.localizability import (is_left_localizable,

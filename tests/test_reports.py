@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from monoidorder.exactmath import InputError
+from monoidorder.core import InputError
 from monoidorder.reports import (canonical, render_json, render_json_without,
                                  render_report, render_text, stderr_timer)
 

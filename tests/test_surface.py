@@ -297,3 +297,81 @@ def test_the_kind_walk_finds_a_planted_decision(tmp_path):
     (tmp_path / "instancefile.py").write_text("ok = kind == 'finite'\n")
     assert _kind_decisions(str(tmp_path)) == [
         ("planted.py", 2), ("planted.py", 3), ("planted.py", 4), ("planted.py", 4)]
+
+
+# The package modules each module may import when it is imported: a fresh
+# process compiles only the layers its entry point runs.  ``core`` is the
+# shared leaf; the command line's handlers import their own layers inside
+# the function, and the instance file loader reads ``formallyreal`` only
+# for a rational-function file.
+IMPORT_TIME_LAYERS = {
+    "core.py": set(),
+    "formallyreal.py": {"core"},
+    "reports.py": {"core"},
+    "cli.py": {"core", "reports"},
+}
+
+
+def _import_time_package_imports(path):
+    """The package modules that a module imports outside any function
+    body, that is when it is itself imported, by first name after the
+    package (``from .core import x``, ``from . import core``, ``import
+    monoidorder.core`` and ``from monoidorder.core import x`` all give
+    ``core``)."""
+    found = set()
+    stack = list(ast.parse(_read(path)).body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        stack.extend(ast.iter_child_nodes(node))
+        if isinstance(node, ast.Import):
+            dotted = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level:
+            dotted = (["monoidorder." + node.module] if node.module else
+                      ["monoidorder." + alias.name for alias in node.names])
+        elif isinstance(node, ast.ImportFrom):
+            dotted = ([f"{node.module}.{alias.name}" for alias in node.names]
+                      if node.module == "monoidorder" else [node.module])
+        else:
+            continue
+        found.update(name.split(".")[1] for name in dotted
+                     if name.startswith("monoidorder."))
+    return found
+
+
+@pytest.mark.parametrize("module", sorted(IMPORT_TIME_LAYERS))
+def test_a_module_imports_only_its_layers_when_imported(module):
+    imported = _import_time_package_imports(os.path.join(PACKAGE, module))
+    assert imported <= IMPORT_TIME_LAYERS[module]
+
+
+def test_the_instance_loader_reads_formallyreal_only_for_a_function_file():
+    imported = _import_time_package_imports(os.path.join(PACKAGE, "instancefile.py"))
+    assert "monoids" in imported and "formallyreal" not in imported
+
+
+def test_the_layer_walk_finds_each_import_shape(tmp_path):
+    # the walk is not vacuous: every shape of package import outside a
+    # function body is found, and one inside a function body is not
+    planted = tmp_path / "planted.py"
+    planted.write_text(
+        "import os\n"
+        "from .core import InputError\n"
+        "from . import reports\n"
+        "import monoidorder.monoids\n"
+        "from monoidorder.exactmath import vdot\n"
+        "from monoidorder import instancefile\n"
+        "try:\n"
+        "    from .grothendieck import nabla\n"
+        "except ImportError:\n"
+        "    pass\n"
+        "class C:\n"
+        "    from .functionals import positive_functionals\n"
+        "    def f(self):\n"
+        "        from .latticeorder import almost_fring_tensor\n"
+        "def g():\n"
+        "    from .localizability import is_localizable\n")
+    assert _import_time_package_imports(str(planted)) == {
+        "core", "reports", "monoids", "exactmath", "instancefile", "grothendieck",
+        "functionals"}
