@@ -12,7 +12,6 @@ and weak-implies-strong localizability on ordered lattice carriers).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
 from math import lcm
@@ -29,7 +28,6 @@ from .core import (
     vscale,
 )
 from .exactmath import IntegerLattice, RationalCone, certify_extreme_rays, echelon_solve
-from .grothendieck import nabla
 from .localizability import (WeakLocalizabilityCertificate, is_left_localizable,
                              is_strongly_localizable, is_weakly_localizable)
 from .monoids import BiadditiveOp, leq
@@ -153,6 +151,7 @@ class OrderedSubgroup:
 def span_of_elements(m, elements: Sequence) -> OrderedSubgroup:
     """Subgroup of the level-1 reduced group generated by the classes of
     ``elements``."""
+    from .grothendieck import nabla
     nr = nabla(m, 1)
     classes = [nr.iota(e) for e in elements]
     return OrderedSubgroup(nr, classes)
@@ -170,40 +169,52 @@ def span_with_products(op: BiadditiveOp, elements: Sequence) -> OrderedSubgroup:
 # additive functionals
 
 
-@dataclass
 class AdditiveFunctional:
     """Rational additive functional on an ordered subgroup.
 
     ``coefficients`` act on ``span_basis`` coordinates; positivity is
     checked on the extreme rays of the subgroup's positivity cone at
     construction time.  ``ambient_covector`` is a primitive integer
-    covector on class coordinates inducing the same values (a convenience
-    for printing; evaluation always goes through the coordinates).
+    covector on class coordinates inducing the same values, and
+    ``carrier_covector`` one on carrier coordinates (a convenience for
+    printing; evaluation always goes through the coordinates).  A plain,
+    mutable record: ``==`` and ``repr`` read the fields in order, as a
+    ``@dataclass`` would.
     """
 
-    subgroup: OrderedSubgroup
-    coefficients: tuple
-    extremal: bool = False
-    ambient_covector: Optional[tuple[int, ...]] = None
-    carrier_covector: Optional[tuple[int, ...]] = None
-
-    def __post_init__(self):
-        coeffs = tuple(Fraction(c) for c in self.coefficients)
-        if len(coeffs) != self.subgroup.rank:
+    def __init__(self, subgroup: OrderedSubgroup, coefficients: tuple,
+                 extremal: bool = False,
+                 ambient_covector: Optional[tuple[int, ...]] = None):
+        coeffs = tuple(Fraction(c) for c in coefficients)
+        if len(coeffs) != subgroup.rank:
             raise InputError("coefficient count does not match the subgroup rank")
-        object.__setattr__(self, "coefficients", coeffs)
-        if self.subgroup.positive_cone is not None:
-            for ray in self.subgroup.positive_cone.v_rep:
+        if subgroup.positive_cone is not None:
+            for ray in subgroup.positive_cone.v_rep:
                 if vdot(coeffs, ray) < 0:
                     raise InputError(
                         f"functional is negative on the positive ray {list(ray)}")
-        if self.ambient_covector is None and self.subgroup.rank > 0:
-            object.__setattr__(self, "ambient_covector",
-                               _ambient_covector(self.subgroup, coeffs))
-        if self.carrier_covector is None and self.ambient_covector is not None:
-            object.__setattr__(self, "carrier_covector",
-                               _carrier_covector(self.subgroup,
-                                                 self.ambient_covector))
+        if ambient_covector is None and subgroup.rank > 0:
+            ambient_covector = _ambient_covector(subgroup, coeffs)
+        self.subgroup = subgroup
+        self.coefficients = coeffs
+        self.extremal = extremal
+        self.ambient_covector = ambient_covector
+        self.carrier_covector = (None if ambient_covector is None
+                                 else _carrier_covector(subgroup, ambient_covector))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.subgroup, self.coefficients, self.extremal, self.ambient_covector,
+                 self.carrier_covector)
+                == (other.subgroup, other.coefficients, other.extremal,
+                    other.ambient_covector, other.carrier_covector))
+
+    def __repr__(self):
+        return (f"{type(self).__qualname__}(subgroup={self.subgroup!r}, "
+                f"coefficients={self.coefficients!r}, extremal={self.extremal!r}, "
+                f"ambient_covector={self.ambient_covector!r}, "
+                f"carrier_covector={self.carrier_covector!r})")
 
     def value_on_coordinates(self, coords) -> Fraction:
         return Fraction(vdot(self.coefficients, coords)) if coords else Fraction(0)
@@ -311,17 +322,36 @@ def _largest_element(m, elements):
     return None
 
 
-@dataclass
 class NormalizationResult:
-    """Outcome of rescaling a functional towards multiplicativity."""
+    """Outcome of rescaling a functional towards multiplicativity.  A
+    plain record: ``==`` and ``repr`` read the fields in order, as a
+    ``@dataclass`` would."""
 
-    status: str
-    psi: Optional[AdditiveFunctional]
-    factor: Optional[Fraction]
-    failures: list = field(default_factory=list)
-    preconditions: list = field(default_factory=list)
-    degenerate_checks: list = field(default_factory=list)
-    reason: str = ""
+    def __init__(self, status: str, psi: Optional[AdditiveFunctional],
+                 factor: Optional[Fraction], failures: Optional[list] = None,
+                 preconditions: Optional[list] = None,
+                 degenerate_checks: Optional[list] = None, reason: str = ""):
+        self.status = status
+        self.psi = psi
+        self.factor = factor
+        self.failures = [] if failures is None else failures
+        self.preconditions = [] if preconditions is None else preconditions
+        self.degenerate_checks = [] if degenerate_checks is None else degenerate_checks
+        self.reason = reason
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.status, self.psi, self.factor, self.failures, self.preconditions,
+                 self.degenerate_checks, self.reason)
+                == (other.status, other.psi, other.factor, other.failures,
+                    other.preconditions, other.degenerate_checks, other.reason))
+
+    def __repr__(self):
+        return (f"{type(self).__qualname__}(status={self.status!r}, psi={self.psi!r}, "
+                f"factor={self.factor!r}, failures={self.failures!r}, "
+                f"preconditions={self.preconditions!r}, "
+                f"degenerate_checks={self.degenerate_checks!r}, reason={self.reason!r})")
 
     @property
     def ok(self) -> bool:

@@ -47,7 +47,6 @@ Errors carry ``source:line:`` positions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
@@ -59,15 +58,27 @@ from .monoids import (BiadditiveOp, FiniteMonoid, LatticeMonoid,
 KINDS = ("finite", "lattice", "open-cone", "lattice-group", "rational-function")
 
 
-@dataclass
 class Instance:
-    """A parsed and validated instance file."""
+    """A parsed and validated instance file.  A plain record: ``==`` and
+    ``repr`` read the fields in order, as a ``@dataclass`` would."""
 
-    kind: str
-    source: str
-    monoid: object = None
-    op: Optional[BiadditiveOp] = None
-    function: object = None  # a formallyreal.RationalFunction
+    def __init__(self, kind: str, source: str, monoid: object = None,
+                 op: Optional[BiadditiveOp] = None, function: object = None):
+        self.kind = kind
+        self.source = source
+        self.monoid = monoid
+        self.op = op
+        self.function = function  # a formallyreal.RationalFunction
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.kind, self.source, self.monoid, self.op, self.function)
+                == (other.kind, other.source, other.monoid, other.op, other.function))
+
+    def __repr__(self):
+        return (f"{type(self).__qualname__}(kind={self.kind!r}, source={self.source!r}, "
+                f"monoid={self.monoid!r}, op={self.op!r}, function={self.function!r})")
 
     def require_op(self) -> BiadditiveOp:
         if self.op is None:
@@ -97,14 +108,31 @@ class Instance:
         return out
 
 
-@dataclass
 class _Raw:
-    source: str
-    headers: dict = field(default_factory=dict)
-    header_lines: dict = field(default_factory=dict)
-    sections: dict = field(default_factory=dict)
-    section_lines: dict = field(default_factory=dict)
-    section_starts: dict = field(default_factory=dict)  # name -> header line
+    """The tokens of one file, filled in by :func:`_tokenize`; ``==`` and
+    ``repr`` read the fields in order."""
+
+    def __init__(self, source: str):
+        self.source = source
+        self.headers = {}
+        self.header_lines = {}
+        self.sections = {}
+        self.section_lines = {}
+        self.section_starts = {}  # name -> header line
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.source, self.headers, self.header_lines, self.sections,
+                 self.section_lines, self.section_starts)
+                == (other.source, other.headers, other.header_lines, other.sections,
+                    other.section_lines, other.section_starts))
+
+    def __repr__(self):
+        return (f"{type(self).__qualname__}(source={self.source!r}, "
+                f"headers={self.headers!r}, header_lines={self.header_lines!r}, "
+                f"sections={self.sections!r}, section_lines={self.section_lines!r}, "
+                f"section_starts={self.section_starts!r})")
 
 
 def _tokenize(raw_text: str, source: str) -> _Raw:

@@ -21,13 +21,18 @@ line is decided by the table's rule, and strong localizability on a
 larger space is "unknown".  No verdict rests on a search, and an
 operation not closed on the closed cone is refused.
 
+Every decision assumes a validated operation (``op.validate() == []``,
+which the instance file loader checks and :class:`BiadditiveOp` does not).
+On a lattice carrier a product can lie in the closed cone but outside the
+monoid: the ray table cannot see that, so such an operation gets a verdict
+that means nothing, or an error from a witness self-check.
+
 The witness pair of a "no" is built on first read and re-validated
 through the order decision procedures before it is handed out.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, reduce
 from typing import NamedTuple, Optional
@@ -77,15 +82,35 @@ class LocalizabilityVerdict:
         }
 
 
-@dataclass
 class WeakLocalizabilityCertificate:
-    verdict: str                    # "yes" or "no"
-    assignments: dict = field(default_factory=dict)  # query -> localizable s
-    refuted: Optional[object] = None
-    reason: str = ""
-    budget: int = 8                 # the command line's --budget, echoed
-    method: str = "search"
-    details: dict = field(default_factory=dict)
+    """The verdict on weak localizability and its evidence.  A plain,
+    mutable record: ``==`` and ``repr`` read the fields in order, as a
+    ``@dataclass`` would."""
+
+    def __init__(self, verdict: str, assignments: Optional[dict] = None,
+                 refuted: Optional[object] = None, reason: str = "",
+                 method: str = "search", details: Optional[dict] = None):
+        self.verdict = verdict      # "yes" or "no"
+        self.assignments = {} if assignments is None else assignments  # query -> localizable s
+        self.refuted = refuted
+        self.reason = reason
+        self.budget = 8             # the command line's --budget, echoed
+        self.method = method
+        self.details = {} if details is None else details
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.verdict, self.assignments, self.refuted, self.reason, self.budget,
+                 self.method, self.details)
+                == (other.verdict, other.assignments, other.refuted, other.reason,
+                    other.budget, other.method, other.details))
+
+    def __repr__(self):
+        return (f"{type(self).__qualname__}(verdict={self.verdict!r}, "
+                f"assignments={self.assignments!r}, refuted={self.refuted!r}, "
+                f"reason={self.reason!r}, budget={self.budget!r}, "
+                f"method={self.method!r}, details={self.details!r})")
 
     def as_dict(self) -> dict:
         return {

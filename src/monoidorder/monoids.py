@@ -1116,6 +1116,12 @@ class BiadditiveOp:
     (see the carrier's ``read_operation``).  An entry of either that is
     not an integer is an :class:`InputError`.  ``_cache`` holds what a
     decision procedure builds once per operation.
+
+    The constructor checks neither the laws nor closure on the carrier:
+    :meth:`validate` lists their failures, and every decision procedure
+    assumes a validated operation, one it lists none for.  The instance
+    file loader validates (a failure exits 3); on an operation that fails
+    validation a verdict means nothing, and may even be an error.
     """
 
     def __init__(self, carrier, table: Optional[Sequence[Sequence[int]]] = None,

@@ -383,6 +383,28 @@ def test_verdicts_on_validated_operations_agree_with_the_definition(case):
         assert _definitional_violations(one_sided, s, [witness]) == [witness]
 
 
+# mu(e0, e0) = (1, -1): the generator product (1, 1)(1, 1) = (3, 4) lies in
+# the closed cone but is no combination of the generators (1, 1) and (0, 2)
+PRODUCT_OUTSIDE_THE_MONOID = [[[1, -1], [0, 2]], [[2, 2], [0, 1]]]
+
+
+def test_every_decision_assumes_a_validated_operation(tmp_path):
+    # the library does not validate an operation when it builds one (that
+    # would move g^2 products into every construction); validate() lists
+    # the failure, and the instance file loader refuses the operation
+    op = BiadditiveOp(LatticeMonoid(2, [(1, 1), (0, 2)]), tensor=PRODUCT_OUTSIDE_THE_MONOID)
+    assert op.validate() == [("generator-product-outside", 0, 0, [3, 4])]
+    path = tmp_path / "outside.mon"
+    path.write_text("kind: lattice\ndim: 2\n[generators]\n1 1\n0 2\n"
+                    "[tensor]\n0 0 1 -1\n0 1 0 2\n1 0 2 2\n1 1 0 1\n")
+    for mode in ("--weak", "--strong"):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = cli.main(["localizable", str(path), mode])
+        assert (code, out.getvalue()) == (cli.EXIT_INPUT, "")
+        assert "('generator-product-outside', 0, 0, [3, 4])" in err.getvalue()
+
+
 # ---------------------------------------------------------------------------
 # weak localizability certificates
 

@@ -13,6 +13,8 @@ import re
 import subprocess
 import sys
 
+import pytest
+
 import monoidorder
 
 from conftest import instance_path
@@ -71,3 +73,29 @@ def test_order_loads_no_theorem_layer():
     unused = {f"monoidorder.{name}" for name in (
         "functionals", "localizability", "latticeorder", "formallyreal")}
     assert added & unused == set()
+
+
+# each command runs to a verdict that exits 0
+LATTICE_AND_THEOREM_COMMANDS = [
+    ("order", "free-monoid-2.mon", "1,0", "2,0"),
+    ("grothendieck", "matrix-2x2.mon"),
+    ("verify", "free-monoid-3.mon", "--main"),
+    ("localizable", "free-monoid-2.mon", "--weak"),
+    ("extremals", "slanted-cone.mon", "--elements", "1,0; 1,2"),
+]
+
+
+@pytest.mark.parametrize("argv", LATTICE_AND_THEOREM_COMMANDS, ids=lambda argv: argv[0])
+def test_a_lattice_or_theorem_command_loads_no_dataclasses(argv):
+    command, name, *rest = argv
+    code, added = _added("-m", "monoidorder", command, instance_path(name), *rest)
+    assert code == 0
+    assert "monoidorder.instancefile" in added
+    assert added & {"dataclasses", "inspect"} == set()
+
+
+def test_the_functionals_layer_loads_grothendieck_only_to_span_elements():
+    code, added = _added("-c", "import monoidorder.functionals")
+    assert code == 0
+    assert {"monoidorder.functionals", "monoidorder.localizability"} <= added
+    assert "monoidorder.grothendieck" not in added

@@ -375,3 +375,38 @@ def test_the_layer_walk_finds_each_import_shape(tmp_path):
     assert _import_time_package_imports(str(planted)) == {
         "core", "reports", "monoids", "exactmath", "instancefile", "grothendieck",
         "functionals"}
+
+
+def _importers(directory, module):
+    """The files, sorted, that import the top-level ``module`` anywhere:
+    at module level or in a function body, whole or by name."""
+    out = []
+    for path in sorted(_python_files(directory)):
+        for node in ast.walk(ast.parse(_read(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            if module in (name.partition(".")[0] for name in names):
+                out.append(os.path.basename(path))
+                break
+    return out
+
+
+# ``dataclasses`` loads ``inspect``, ``ast``, ``dis`` and ``tokenize`` and
+# runs ``exec`` per decorated class, which costs a fresh command more than
+# some layers do: the package's records are plain classes
+def test_no_module_imports_dataclasses():
+    assert _importers(os.path.join(ROOT, "src"), "dataclasses") == []
+
+
+def test_the_importer_walk_finds_each_import_shape(tmp_path):
+    # the walk is not vacuous: a whole import, an alias and an import by
+    # name in a function body are found; a relative module of that name
+    # and a longer name are not
+    (tmp_path / "a.py").write_text("import os, dataclasses as dc\n")
+    (tmp_path / "b.py").write_text("def f():\n    from dataclasses import field\n")
+    (tmp_path / "c.py").write_text("from .dataclasses import x\nimport dataclassesx\n")
+    assert _importers(str(tmp_path), "dataclasses") == ["a.py", "b.py"]
