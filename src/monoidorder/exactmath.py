@@ -14,6 +14,8 @@ enumeration) reduces to a handful of primitives implemented here:
   over the rationals are read off it, whose only rational step is
   back-substitution on its pivots, and integer solves, kernels and
   unimodular transforms off the Hermite form of ``[A | I]``,
+* the exchange walk on simplicial cones of generators (:func:`cone_walk`),
+  which decides cone membership and gives strictly positive relations,
 * complete search for nonnegative integer combinations (membership in a
   finitely generated monoid), plus the bounded search kept as a reference.
 
@@ -25,7 +27,6 @@ wrapper scalar type is introduced.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
 from operator import mul, neg
 from typing import Iterable, Optional, Sequence
 
@@ -478,8 +479,7 @@ class RationalCone:
         (a generating set of the pointed cone ``C/L`` holds each of its
         extreme rays).  The input rays whose residue is zero, those on
         which every normal vanishes, must span L and have a strictly
-        positive integer relation, read off the first basis of them whose
-        cone holds minus their sum (:func:`positive_relation`), so their
+        positive integer relation (:func:`positive_relation`), so their
         cone is L; then ``-l`` and each extreme ray lie in the cone of the
         input rays.  On a pointed cone the residue of r is r itself.  A
         failure raises :class:`InternalCheckError`.
@@ -934,47 +934,105 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]):
 
 
 # ---------------------------------------------------------------------------
-# nonnegative integer combinations
+# the exchange walk on simplicial cones, and the relations read off it
+
+
+def cone_walk(rows: Sequence[Sequence[int]], y: Sequence[int], basis: tuple[int, ...],
+              adjugates: dict) -> tuple:
+    """Does the cone of ``rows`` (integer vectors spanning ``Q^r``) hold the
+    integer point y?  If so ``(B, v, det M)``: B is a basis, the increasing
+    indices of r independent rows M whose cone holds y, and ``v = y .
+    adj(M)``, so y's coefficients on B, ``v / det M``, are >= 0.  Else
+    ``(None, n, 0)``: n is a facet normal of the cone with ``n . y < 0``.
+    The walk starts at ``basis``, and reads and fills ``adjugates``, ``{B:
+    (det M, the columns of adj M)}``.
+
+    A step is the exchange of Schrijver's proof of the fundamental theorem
+    of linear inequalities (*Theory of Linear and Integer Programming*,
+    7.1) under Bland's least-index rule (Math. Oper. Res. 2(2), 1977).  If
+    no coefficient is negative, B holds y, re-substituted as ``det(M) * y
+    == sum(v_j * M_j)``.  Else, h the least index of B with a negative one,
+    column h of ``sign(det M) * adj(M)`` is the normal c of the facet of
+    cone(B) opposite row h, with ``c . y < 0``.  If c is >= 0 on every row,
+    it is a facet normal of the cone (its hyperplane holds the other r - 1
+    rows of B) that separates y.  Else the least t with ``c . rows[t] < 0``
+    takes h's place.
+
+    *Termination.*  Were a basis to recur, let k be the greatest index that
+    leaves in the cycle, at a step p where ``y = sum(l_i * rows[i])`` over
+    B, and enters at a step q, with normal c.  The indices above k stay, and
+    the one leaving at q is below k, so c vanishes on the rows of B at p
+    above k; below k, ``l_i >= 0`` and ``c . rows[i] >= 0`` (k is the least
+    negative of each), and at k both are negative: ``c . y > 0``, against
+    step q.  A basis that recurs or is singular (a corrupt adjugate) and a
+    yes that fails re-substitution raise :class:`InternalCheckError`.
+    """
+    seen = set()
+    while basis not in seen:
+        seen.add(basis)
+        matrix = [rows[i] for i in basis]
+        if basis not in adjugates:
+            det, adj = int_adjugate(matrix)
+            adjugates[basis] = det, adj and tuple(zip(*adj))
+        det, columns = adjugates[basis]
+        if not det:
+            break
+        s = 1 if det > 0 else -1
+        values = [sum(map(mul, y, column)) for column in columns]
+        h = next((j for j, v in enumerate(values) if s * v < 0), None)
+        if h is None:
+            if [sum(map(mul, values, col)) for col in zip(*matrix)] != [det * t for t in y]:
+                raise InternalCheckError("cone certificate failed")
+            return basis, values, det
+        c = [s * t for t in columns[h]]
+        t = next((i for i, g in enumerate(rows) if sum(map(mul, c, g)) < 0), None)
+        if t is None:
+            return None, tuple(c), 0
+        basis = tuple(sorted(basis[:h] + basis[h + 1:] + (t,)))
+    raise InternalCheckError("the cone walk revisited a basis or reached a singular one")
+
+
+def _independent(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """The indices of the rows independent of the rows before them, by
+    fraction-free elimination against the rows kept so far."""
+    echelon = []
+    for i, row in enumerate(rows):
+        for e, p, _ in echelon:
+            if row[p]:
+                row = [e[p] * a - row[p] * b for a, b in zip(row, e)]
+        p = next((j for j, x in enumerate(row) if x), None)
+        if p is not None:
+            echelon.append((row, p, i))
+    return tuple(i for _, _, i in echelon)
 
 
 def positive_relation(vectors: Sequence[Sequence[int]],
                       pivots: Sequence[int]) -> tuple[int, ...]:
-    """Strictly positive integers r with ``sum(r[i] * vectors[i]) == 0``,
-    for integer vectors that positively span their linear span; ``pivots``
-    are the pivot columns of their Hermite form.
-
-    Read off one simplicial cone.  With w the vectors' sum and rho their
-    rank, B is the first rho-subset, in ``combinations`` order, of the
-    first vector of each primitive direction whose entries at the pivots
-    (a linear map that is one-to-one on the span) are nonsingular and whose
-    cone holds -w: ``c = -w adj(B)``, signed by ``det B``, is >= 0.  Then
-    ``|det B|`` on every vector plus c on B is a relation, made primitive.
-    If the vectors positively span their span, -w lies in their cone, so by
-    Caratheodory's theorem (Schrijver, Theory of Linear and Integer
-    Programming, ch. 7) in the cone of independent ones, which extend to
-    such a B; conversely a B yields r, so the vectors positively span.  No
-    B, or a relation that fails re-substitution, raises
-    :class:`InternalCheckError`.
+    """Strictly positive integers r with ``sum(r[i] * vectors[i]) == 0``, for
+    integer vectors that positively span their span, read at ``pivots``,
+    their Hermite form's pivot columns (one-to-one on the span).  The
+    vectors' cone holds minus their sum w iff they positively span: a
+    :func:`cone_walk` from the greedily independent vectors finds a basis B
+    whose cone holds -w, and ``|det B|`` on every vector plus ``sign(det B)
+    * (-w . adj(B))`` on B, made primitive, is r.  A walk that separates -w,
+    or an r that fails re-substitution, raises :class:`InternalCheckError`.
     """
-    firsts: dict[tuple[int, ...], int] = {}
-    for i, u in enumerate(vectors):
-        if any(u):
-            firsts.setdefault(primitive(u), i)
+    rows = [[u[j] for j in pivots] for u in vectors]
     neg_w = [-sum(u[j] for u in vectors) for j in pivots]
-    for basis in combinations(firsts.values(), len(pivots)):
-        det, adj = int_adjugate([[vectors[i][j] for j in pivots] for i in basis])
-        if not det:
-            continue
-        c = [vdot(neg_w, col) * (1 if det > 0 else -1) for col in zip(*adj)]
-        if min(c, default=0) >= 0:
-            rel = [abs(det)] * len(vectors)
-            for i, ci in zip(basis, c):
-                rel[i] += ci
-            rel = primitive(rel)
-            if any(sum(map(mul, rel, col)) for col in zip(*vectors)):
-                raise InternalCheckError("positive relation failed re-substitution")
-            return rel
-    raise InternalCheckError("the vectors do not positively span their span")
+    basis, values, det = cone_walk(rows, neg_w, _independent(rows), {})
+    if basis is None:
+        raise InternalCheckError("the vectors do not positively span their span")
+    rel = [abs(det)] * len(vectors)
+    for i, v in zip(basis, values):
+        rel[i] += v if det > 0 else -v
+    rel = primitive(rel)
+    if any(sum(map(mul, rel, col)) for col in zip(*vectors)):
+        raise InternalCheckError("positive relation failed re-substitution")
+    return rel
+
+
+# ---------------------------------------------------------------------------
+# nonnegative integer combinations
 
 
 class CombinationSearch:
@@ -1020,9 +1078,8 @@ class CombinationSearch:
     it whether the residue lies in ``Z*units`` and keeps the integer unit
     coefficients it returns, the certificate uses those coefficients, and
     :meth:`unit_relation`, which shifts negative ones, reads the units'
-    span coordinates at the same form's pivots and takes the relation off
-    the first basis of units whose cone holds minus their sum.  No rational
-    simplex is run.
+    span coordinates at the same form's pivots.  No rational simplex is
+    run.
     """
 
     def __init__(self, generators: Sequence[Sequence[int]], normals: Sequence[Sequence[int]]):

@@ -60,7 +60,6 @@ from .core import (
     ResourceBudgetError,
     as_int_vector,
     is_zero_vector,
-    primitive,
     vadd,
     vdot,
     vneg,
@@ -71,6 +70,7 @@ from .exactmath import (
     CombinationSearch,
     IntegerLattice,
     RationalCone,
+    cone_walk,
     int_adjugate,
     integer_kernel,
     integer_solve,
@@ -362,16 +362,20 @@ class VectorCarrier:
         return tuple(self.lattice.basis)
 
     def lineality_coordinates(self) -> list[tuple[int, ...]]:
-        """A basis of the lattice points of the cone's lineality space, in
-        ``span_basis`` coordinates, built once: the integer kernel of the
-        facet normals read on ``span_basis``, or of a zero row when the cone
-        is everything (every coordinate vector).  The lineality space is the
-        common zero set of the facet normals and lies in the span, so the
-        basis is empty iff the cone is pointed."""
+        """A Hermite basis of the lattice points of the cone's lineality
+        space in ``span_basis`` coordinates, built once.  The space is the
+        cone's least face, so the units, the rays r with ``boundary_status``
+        of -r not "outside", span it, and its lattice points are the integer
+        kernel of the integer kernel of the units' coordinates: all of them
+        if every ray is a unit.  The basis is empty iff the cone is pointed."""
         if "lineality" not in self._cache:
-            basis = self.span_basis
-            rows = [[vdot(n, b) for b in basis] for n in self.cone.h_rep]
-            self._cache["lineality"] = integer_kernel(rows or [[0] * len(basis)])
+            units = [self.lattice.coordinates(r) for r in self.rays
+                     if self.boundary_status(vneg(r)) != "outside"]
+            r = len(self.span_basis)
+            self._cache["lineality"] = (
+                [tuple(int(i == j) for j in range(r)) for i in range(r)]
+                if len(units) == len(self.rays) else
+                units and integer_kernel(integer_kernel(units)))
         return self._cache["lineality"]
 
     def boundary_status(self, x: Sequence) -> str:
@@ -599,9 +603,8 @@ class VectorCarrier:
 
 def _basis_values(y: Sequence, columns: tuple) -> Iterator[int]:
     """``y . adj(B)``: y read on each column of the adjugate of a basis B,
-    lazily, so that a reader may stop at the first entry it refuses.  The
-    one per-basis read of a point: membership's class-0 sweep, its class
-    keys and entries, and the cone test all read it."""
+    lazily, so that a reader may stop at the first entry it refuses: the
+    per-basis read of membership's class-0 sweep, class keys and entries."""
     return map(_dot, itertools.repeat(y), columns)
 
 
@@ -719,12 +722,9 @@ class LatticeMonoid(VectorCarrier):
         only rational combination of B is ``c = x . adj(B) / det(B)``, so x
         lies in ``N*B`` (a subset of the monoid) iff every entry of ``x .
         adj(B)`` is zero or a multiple of det(B) of det's sign; the rule of
-        unimodular bases is the case ``|det(B)| == 1``.  By Carathéodory's
-        theorem every point of the generators' cone lies in the cone of some
-        r independent generators (Schrijver, *Theory of Linear and Integer
-        Programming*, ch. 7 and 16).  The nonsingular r-subsets are walked
-        in :func:`itertools.combinations` order, each one's adjugate and
-        determinant computed once per carrier, when a query first needs it.
+        unimodular bases is the case ``|det(B)| == 1``.  The nonsingular
+        r-subsets are walked in :func:`itertools.combinations` order, each
+        one's adjugate and determinant computed once per carrier.
 
         *The class lemma.*  The classes of ``L / Z*B`` are keyed by ``y .
         adj(B) mod |det(B)|``: y and y' share a key iff ``(y - y') . adj(B)
@@ -860,10 +860,8 @@ class LatticeMonoid(VectorCarrier):
 
     def boundary_status(self, x: Sequence) -> str:
         """``inside`` the generators' closed cone or ``outside`` it (a lattice
-        monoid excludes no face), decided on the bases by :meth:`_in_cone`:
-        no double description is built.  A point with a non-``int``
-        coordinate is read as :func:`as_int_vector` of it, a positive
-        multiple."""
+        monoid excludes no face), decided by :meth:`_in_cone` on x's
+        :meth:`_cone_coordinates`: no double description is built."""
         if len(x) != self.dim:
             raise InputError("element dimension mismatch")
         y = self._cone_coordinates(x)
@@ -872,9 +870,7 @@ class LatticeMonoid(VectorCarrier):
     def approx(self, a, b) -> bool:
         """``b - a`` in C and in -C, C the closed cone, as in
         :meth:`class_key`: two cone tests on the bases (:meth:`_in_cone`),
-        so no double description is built.  The sweeps of
-        :mod:`functionals`, which sort many elements into classes, read
-        ``class_key``."""
+        so no double description is built."""
         self.check_element(a)
         self.check_element(b)
         y = self._cone_coordinates(vsub(b, a))  # members: b - a is in the span
@@ -892,70 +888,18 @@ class LatticeMonoid(VectorCarrier):
         return tuple(x) if all(type(v) is int for v in x) else as_int_vector(x)
 
     def _in_cone(self, y: Sequence[int]) -> bool:
-        """Does the closed cone C of the generators hold y, an integer point
-        in the bases' coordinates (:meth:`_cone_coordinates`)?  Decided on
-        the bases of :meth:`_bases`, in walk order, each read once by
-        :func:`_basis_values` (``v = y . adj(B)``, ``s = sign(det B)``).
-        C is the cone of the generators' distinct primitive directions (a
-        positive multiple spans the same ray, a zero generator none), so
-        only bases of the first generator of each direction are read, and
-        "every generator" below means one per direction.
-
-        * **Yes.**  The first B with ``s*v >= 0`` holds y in its cone, so C
-          does.  It is re-substituted as ``det(B)*y == sum_j v_j*B_j``.
-        * **No.**  A B with ``s*v_j < 0`` answers no when column j of ``s *
-          adj(B)``, the normal n of the facet of cone(B) opposite B_j
-          (``n . B_i == |det B|`` at i = j, else 0), is ``>= 0`` on every
-          generator: then n is >= 0 on C, and ``n . y == s*v_j < 0``.  Each
-          such separating facet is kept, and read first by later queries.
-
-        *Completeness.*  If y lies in C, then by Caratheodory's theorem it
-        lies in the cone of some independent generators (Schrijver,
-        *Theory of Linear and Integer Programming*, ch. 7), which extend to
-        an r-subset B, r the rank: its coefficients are >= 0.  If y is not
-        in C, by Farkas' lemma some facet F of C (in the span, where the
-        bases are full-dimensional) has ``n . y < 0`` for its normal n.
-        F is a face of C, so it is the cone of the generators on it, and
-        it has dimension r - 1, so r - 1 independent generators lie on it.
-        C is not the whole span, so some generator g has ``n . g > 0``;
-        g is off the span of F, so the r - 1 and g are a basis B.  The
-        normal of cone(B) opposite g vanishes on F's span and is positive
-        on g, so it is a positive multiple of n: g's coefficient is
-        negative, and the column is >= 0 on every generator.  So the walk
-        always answers; a walk that does not, or a yes that fails its
-        re-substitution, raises :class:`InternalCheckError`.
-        """
+        """Does the closed cone of the generators hold y, an integer point in
+        the bases' coordinates?  The facet normals that refused earlier
+        points are read first, then one :func:`cone_walk` from the first
+        basis of :meth:`_bases`, on its adjugates, keeps a separating one."""
         facets = self._cache.setdefault("facets", [])
         if any(_dot(n, y) < 0 for n in facets):
             return False
-        rows = self._rows()
-        if "directions" not in self._cache:
-            firsts = {}
-            for i, g in enumerate(rows):
-                if any(g):
-                    firsts.setdefault(primitive(g), i)
-            self._cache["directions"] = tuple(firsts), frozenset(firsts.values())
-        directions, firsts = self._cache["directions"]
-        for subset, columns, det in self._bases():
-            if not firsts.issuperset(subset):
-                continue
-            values = tuple(_basis_values(y, columns))
-            s = 1 if det > 0 else -1
-            negative = [j for j, v in enumerate(values) if s * v < 0]
-            if not negative:
-                check = [0] * len(y)
-                for v, j in zip(values, subset):
-                    if v:
-                        check = [a + v * b for a, b in zip(check, rows[j])]
-                if check != [det * t for t in y]:
-                    raise InternalCheckError("cone certificate failed")
-                return True
-            for j in negative:
-                column = columns[j]
-                if all(s * sum(map(mul, g, column)) >= 0 for g in directions):
-                    facets.append(tuple(s * t for t in column))
-                    return False
-        raise InternalCheckError("no basis held the point or separated it from the cone")
+        start, _, _ = next(self._bases())
+        basis, normal, _ = cone_walk(self._rows(), y, start, self._cache["adjugates"])
+        if basis is None:
+            facets.append(normal)
+        return basis is not None
 
     @property
     def _full_rank(self) -> bool:
@@ -974,18 +918,23 @@ class LatticeMonoid(VectorCarrier):
     def _bases(self) -> Iterator[tuple[tuple[int, ...], tuple, int]]:
         """The independent r-subsets of the generators (see :meth:`contains`),
         each with the columns of the adjugate of its rows and their
-        determinant.  Each subset's adjugate is computed once, when a caller
-        first walks past the bases found so far; ``_cache["bases"]`` holds
-        those, and ``_cache["subsets"]`` the subsets not yet tried."""
+        determinant.  Each subset's adjugate is computed once, and kept in
+        ``_cache["adjugates"]``, which :meth:`_in_cone`'s walk shares;
+        ``_cache["bases"]`` holds the bases found so far, and
+        ``_cache["subsets"]`` the subsets not yet tried."""
         if "bases" not in self._cache:
             self._cache["bases"] = []
+            self._cache["adjugates"] = {}
             self._cache["subsets"] = self._subsets()
-        bases = self._cache["bases"]
+        bases, adjugates = self._cache["bases"], self._cache["adjugates"]
         yield from bases
         for subset, rows in self._cache["subsets"]:
-            det, adj = int_adjugate(rows)
+            if subset not in adjugates:
+                det, adj = int_adjugate(rows)
+                adjugates[subset] = det, adj and tuple(zip(*adj))
+            det, columns = adjugates[subset]
             if det:
-                bases.append((subset, tuple(zip(*adj)), det))
+                bases.append((subset, columns, det))
                 yield bases[-1]
 
     def _subsets(self) -> Iterator[tuple[tuple[int, ...], list]]:

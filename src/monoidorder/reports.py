@@ -13,7 +13,9 @@ import sys
 import time
 from contextlib import contextmanager
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii
+# the C encoder that json.encoder itself uses; importing it from there
+# would load the whole json package, its decoder and scanner too
+from _json import encode_basestring_ascii
 
 from .core import InputError
 

@@ -446,41 +446,19 @@ def oracle_smith_normal_form(matrix):
     return u, [row[:] for row in a], v, vinv
 
 
-def _o_span_coordinates(rows):
-    _, d, v, _ = oracle_smith_normal_form(rows)
-    rank = sum(1 for i in range(min(len(d), len(d[0]))) if d[i][i])
-    return [tuple(sum(x * v[i][j] for i, x in enumerate(row)) for j in range(rank))
-            for row in rows]
-
-
-def oracle_unit_relation(units):
-    """The strictly positive relation ``CombinationSearch.unit_relation``
-    returns for these units (a nonempty list of integer tuples): with w
-    their sum, take the first rank-subset B, in ``combinations`` order, of
-    the first unit of each direction that is independent and has -w in its
-    cone, -w == sum(c[k] * B[k]) with c >= 0 by Cramer's rule; then 1 on
-    every unit plus c on B, scaled to a primitive integer vector."""
-    coords = _o_span_coordinates(units)
-    rho = len(coords[0]) if coords else 0
-    firsts = {}
-    for i, u in enumerate(units):
-        if any(u):
-            firsts.setdefault(oracle_primitive(u), i)
-    neg_w = [-sum(x[j] for x in coords) for j in range(rho)]
-    for basis in itertools.combinations(firsts.values(), rho):
-        rows = [coords[i] for i in basis]
-        det = oracle_int_det(rows)
-        if not det:
-            continue
-        c = [Fraction(oracle_int_det(rows[:k] + [neg_w] + rows[k + 1:]), det)
-             for k in range(rho)]
-        if all(x >= 0 for x in c):
-            rel = [Fraction(1)] * len(units)
-            for i, x in zip(basis, c):
-                rel[i] += x
-            scale = math.lcm(*(x.denominator for x in rel))
-            return oracle_primitive([int(x * scale) for x in rel])
-    raise AssertionError("the units do not positively span their span")
+def oracle_lineality_coordinates(m):
+    """What ``m.lineality_coordinates()`` returns, by the route it took
+    before it read the units: the integer kernel of the closed cone's facet
+    normals read on ``span_basis``, of a zero row when the cone has none,
+    taken as the rows of the Hermite form of ``[A^T | I]`` whose left part
+    is zero (A the normals' rows)."""
+    basis = m.span_basis
+    normals = [[_o_vdot(n, b) for b in basis] for n in m.cone.h_rep] or [[0] * len(basis)]
+    k, r = len(normals), len(basis)
+    # row j of [A^T | I]: column j of A, then the unit vector e_j
+    h = oracle_hermite_normal_form([[row[j] for row in normals] + [int(i == j) for i in range(r)]
+                                    for j in range(r)])
+    return [tuple(row[k:]) for row in h if not any(row[:k])]
 
 
 def _o_integer_solve(rows, rhs):
@@ -503,14 +481,14 @@ def _o_integer_solve(rows, rhs):
     return None if any(residue) else tuple(x)
 
 
-def oracle_certificate(generators, normals, target):
+def oracle_certificate(generators, normals, target, relation):
     """The first certificate ``CombinationSearch(generators, normals).find``
     returns, or None: a depth-first search over the positive generators'
     coefficients, each from ``rest // w`` down to 0, that rejects a node
     breaking the ``Fraction`` ratio bounds on the coordinates no unit
     touches; the unit part is the solution read off the Hermite form of
-    ``[units | I]``, shifted by the unit relation when it has a negative
-    entry."""
+    ``[units | I]``, shifted by ``relation``, the units' strictly positive
+    relation, when it has a negative entry."""
     gens = [tuple(g) for g in generators]
     weight = tuple(sum(n[j] for n in normals) for j in range(len(target)))
     positive = [i for i, g in enumerate(gens) if any(_o_vdot(n, g) for n in normals)]
@@ -546,9 +524,8 @@ def oracle_certificate(generators, normals, target):
     if z is None:
         return None
     if any(c < 0 for c in z):
-        rel = oracle_unit_relation(unit_vectors)
-        shift = max(-(c // r) for c, r in zip(z, rel))
-        z = tuple(c + shift * r for c, r in zip(z, rel))
+        shift = max(-(c // r) for c, r in zip(z, relation))
+        z = tuple(c + shift * r for c, r in zip(z, relation))
     full = [0] * len(gens)
     for i, c in zip(positive, coeffs):
         full[i] = c
@@ -714,6 +691,23 @@ def cones_built(monkeypatch):
 
     _rebind(monkeypatch, real, counted)
     return built
+
+
+@pytest.fixture
+def adjugates_made(monkeypatch):
+    """The matrices of every :func:`exactmath.int_adjugate` call made during
+    one test, in order, wherever in the package it is called from."""
+    from monoidorder import exactmath
+
+    made = []
+    real = exactmath.int_adjugate
+
+    def counted(mat):
+        made.append(mat)
+        return real(mat)
+
+    _rebind(monkeypatch, real, counted)
+    return made
 
 
 @pytest.fixture

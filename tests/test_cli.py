@@ -95,6 +95,25 @@ def test_order_on_five_checks_large_members_without_a_search(tmp_path, searches_
     assert searches_built == []
 
 
+@pytest.mark.parametrize("name,a,b", [
+    ("free-monoid-2.mon", "1,0", "2,0"),
+    ("free-monoid-3.mon", "1,0,0", "0,1,1"),
+    ("line-group.mon", "1", "-1"),
+    ("matrix-2x2.mon", "1,0,0,0", "0,1,0,1"),
+    ("slanted-cone.mon", "1,0", "1,2"),
+])
+def test_order_and_grothendieck_on_a_lattice_build_no_double_description(cones_built,
+                                                                          name, a, b):
+    # leq and approx are cone tests on the bases, and the reductions read
+    # the lineality space off the generators whose negation the cone holds,
+    # so neither command builds a double description (each built one, for
+    # the lineality space, when it was read off the facet normals)
+    for argv in (("order", instance_path(name), a, b), ("grothendieck", instance_path(name))):
+        code, _, err = run_cli(*argv)
+        assert code == EXIT_PASS, err
+    assert cones_built == []
+
+
 FIVE22 = ("kind: lattice\ndim: 3\n\n[generators]\n2 0 0\n3 0 0\n0 2 0\n0 3 0\n0 0 2\n"
           "0 0 3\n-4 2 -2\n10 8 14\n")
 

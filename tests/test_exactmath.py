@@ -2,6 +2,7 @@
 
 import copy
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -21,7 +22,7 @@ from monoidorder.exactmath import (CombinationSearch, IntegerLattice, RationalCo
 
 from conftest import (oracle_certificate, oracle_cone_from_inequalities,
                       oracle_h_rep, oracle_int_det, oracle_hermite_normal_form, oracle_primitive,
-                      oracle_smith_normal_form, oracle_unit_relation,
+                      oracle_smith_normal_form,
                       rational_nullspace, rational_rank, rational_solve, seeded)
 from monoidorder.monoids import OpenConeMonoid
 
@@ -563,18 +564,23 @@ def test_unit_relation_merges_parallel_units(monkeypatch):
     assert search.find((-5, 7, -3, 2)) is not None
 
 
-def test_unit_relation_of_many_directions_tries_few_bases(monkeypatch):
+@pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reversed"])
+def test_unit_relation_of_many_directions_tries_few_bases(monkeypatch, reverse):
     # 34 distinct unit directions in dimension 4: e1, e3, e4,
-    # -(e1 + e2 + e3 + e4) and (0, 1, j, 0) for j < 30.  Their 4-subsets
-    # number 46,376 and their 5-subsets 278,256; the first basis whose cone
-    # holds minus the units' sum comes within 500 adjugates
+    # -(e1 + e2 + e3 + e4) and (0, 1, j, 0) for j < 30, or in reverse order
+    # (the 30 vectors first, j descending).  Their 4-subsets number 46,376;
+    # in combinations order the first basis whose cone holds minus the
+    # units' sum took 497 adjugates forward and 46,374 reversed.  The
+    # exchange walk takes 2 and 4
     units = ([(1, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (-1, -1, -1, -1)]
              + [(0, 1, j, 0) for j in range(30)])
+    if reverse:
+        units = units[:3:-1] + units[:4]
     search = _search(units)
     assert search.units == list(range(len(units)))
     calls = _counted_adjugates(monkeypatch)
     rel = search.unit_relation()
-    assert len(calls) <= 500
+    assert len(calls) <= 10
     assert all(r > 0 for r in rel)
     assert all(sum(r * u[j] for r, u in zip(rel, units)) == 0 for j in range(4))
 
@@ -1014,10 +1020,14 @@ def test_integer_kernels_return_exactly_what_the_references_return(case):
         event("lower rank")
     search = CombinationSearch(vectors, cone.h_rep)
     units = [vectors[i] for i in search.units]
+    relation = search.unit_relation() if units else None
     if units:
-        assert search.unit_relation() == oracle_unit_relation(units)
+        # the relation's own properties: strictly positive, primitive, and
+        # a relation
+        assert min(relation) > 0 and math.gcd(*relation) == 1
+        assert all(sum(r * u[j] for r, u in zip(relation, units)) == 0 for j in range(d))
     for target in (member, point):
-        assert search.find(target) == oracle_certificate(vectors, cone.h_rep, target)
+        assert search.find(target) == oracle_certificate(vectors, cone.h_rep, target, relation)
     assert search.find(member) is not None
 
 

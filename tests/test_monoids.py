@@ -25,8 +25,8 @@ from monoidorder.monoids import (BiadditiveOp, FiniteMonoid, LatticeMonoid,
                                  saturating_product_op, truncated_free_monoid)
 
 from conftest import (cone_corpus, finite_corpus, lattice_corpus, monogenic_table,
-                      product_table, rational_rank, sample_elements, seeded,
-                      weakly_localizable_ops)
+                      oracle_lineality_coordinates, product_table, rational_rank,
+                      sample_elements, seeded, weakly_localizable_ops)
 
 
 def _lattice_points(m: LatticeMonoid, count=40, salt=0):
@@ -800,15 +800,16 @@ def test_a_point_outside_the_cone_is_refused_with_no_double_description(
 
 @st.composite
 def lineality_carriers(draw):
-    """A lattice (d <= 4, 2-6 generators with entries -2..2) or an open cone
-    (d <= 4, given by 1-5 rays or 1-5 inequality normals with entries
-    -2..2, each facet that is no implicit equality excluded or not)."""
+    """A lattice (d <= 4, 2-6 generators with entries -3..3, some with the
+    negations of up to two of them, so with units) or an open cone (d <= 4,
+    given by 1-5 rays or 1-5 inequality normals with entries -2..2, each
+    facet that is no implicit equality excluded or not)."""
     d = draw(st.integers(1, 4))
     entry = st.integers(-2, 2)
     kind = draw(st.sampled_from(["lattice", "rays", "inequalities"]))
     if kind == "lattice":
-        return kind, LatticeMonoid(d, draw(st.lists(st.tuples(*[entry] * d),
-                                                    min_size=2, max_size=6)))
+        gens = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * d), min_size=2, max_size=6))
+        return kind, LatticeMonoid(d, gens + [vneg(g) for g in gens[:draw(st.integers(0, 2))]])
     vectors = draw(st.lists(st.tuples(*[entry] * d), min_size=1, max_size=5))
     make = RationalCone.from_rays if kind == "rays" else RationalCone.from_inequalities
     cone = make(vectors, d)
@@ -818,14 +819,18 @@ def lineality_carriers(draw):
 
 @settings(max_examples=200)
 @given(lineality_carriers())
-def test_lineality_is_read_off_the_facet_normals(case):
-    # the carrier rule (the integer kernel of the facet normals on the span
-    # basis) against the cone's double description and the rank of its
+def test_lineality_is_read_off_the_units(case):
+    # the carrier rule (the integer kernel of the integer kernel of the
+    # units' coordinates) against the facet normals' integer kernel on the
+    # span basis, element for element: reductions print from this basis.
+    # And against the cone's double description and the rank of its
     # h-representation, on both carrier kinds
     kind, m = case
     lin = m.lineality_coordinates()
+    assert lin == oracle_lineality_coordinates(m)
     reference = m.cone.lineality_basis
-    event(f"{kind}, open normals: {bool(m.open_normals)}, lineality {len(reference)}")
+    event(f"{kind}, open normals: {bool(m.open_normals)}, lineality {len(reference)}, "
+          f"{'every' if len(reference) == len(m.span_basis) else 'not every'} ray a unit")
     assert len(lin) == len(reference)
     for c in lin:
         v = vcombine(c, m.span_basis)
@@ -979,30 +984,135 @@ def test_the_cone_test_agrees_with_the_double_description():
 
 
 def test_a_cone_test_yes_is_re_substituted():
-    # a planted wrong adjugate column gives (1, 1) the coefficients (2, 1)
-    # on the unit vectors: the re-substitution of the "yes" catches it
+    # a wrong adjugate column planted into the adjugates that membership and
+    # the cone walk share gives (1, 1) the coefficients (2, 1) on the unit
+    # vectors: the re-substitution of the "yes" catches it
     m = free_monoid(2)
     assert m.boundary_status((1, 2)) == "inside"
-    [(subset, columns, det)] = m._cache["bases"]
-    m._cache["bases"][0] = (subset, ((1, 1),) + columns[1:], det)
+    [(subset, (det, columns))] = m._cache["adjugates"].items()
+    m._cache["adjugates"][subset] = (det, ((1, 1),) + columns[1:])
     with pytest.raises(InternalCheckError, match="cone certificate failed"):
         m.boundary_status((1, 1))
 
 
-def test_a_cone_test_that_finds_no_facet_is_an_internal_error():
+def test_a_cone_walk_that_revisits_a_basis_is_an_internal_error():
     # the cone of (1, 0), (0, 1), (-1, 1) has the facets y >= 0 and
-    # x + y >= 0.  On the first basis, the unit vectors, (-1, 0) has a
-    # negative coefficient, but x >= 0 fails on (-1, 1); the second basis
-    # finds x + y >= 0.  With the walk planted to end after the first
-    # basis, no basis answers, and that raises
+    # x + y >= 0.  From the unit vectors, (-2, -2) has a negative
+    # coefficient on (1, 0), and the facet x >= 0 opposite it fails on
+    # (-1, 1), which enters; on {(0, 1), (-1, 1)} the facet x + y >= 0
+    # refuses the point.  A planted adjugate of that basis, with det 1 and
+    # columns (-1, 0) and (-1, 2), sends (-1, 1) out and (1, 0) back in: the
+    # walk would cycle, and revisiting the unit vectors raises
     m = LatticeMonoid(2, [(1, 0), (0, 1), (-1, 1)])
     assert m.boundary_status((1, 1)) == "inside"
-    m._cache["subsets"] = iter(())
-    with pytest.raises(InternalCheckError, match="no basis held the point"):
-        m.boundary_status((-1, 0))
+    m._cache["adjugates"][(1, 2)] = (1, ((-1, 0), (-1, 2)))
+    with pytest.raises(InternalCheckError, match="revisited a basis"):
+        m.boundary_status((-2, -2))
     fresh = LatticeMonoid(2, m.generators)
-    assert fresh.boundary_status((-1, 0)) == "outside"
+    assert fresh.boundary_status((-2, -2)) == "outside"
     assert fresh._cache["facets"] == [(1, 1)]
+
+
+# the cone of the 16 generators (x, y, 1) over a polygon; (19, -29, 6) lies
+# just outside the edge from (2, -5) to (4, -4)
+POLY16 = [(x, y, 1) for x, y in ((5, 0), (5, 2), (4, 4), (2, 5), (0, 5), (-2, 5), (-4, 4),
+                                 (-5, 2), (-5, 0), (-5, -2), (-4, -4), (-2, -5), (0, -5),
+                                 (2, -5), (4, -4), (5, -2))]
+
+
+def test_a_point_just_outside_a_wide_cone_takes_few_adjugates(adjugates_made):
+    # the cone test read the bases in combinations order and made 103
+    # adjugates before one had the separating facet; the exchange walk
+    # makes 13.  Its facet normal is kept and refuses the next point with
+    # no adjugate
+    m = LatticeMonoid(3, POLY16)
+    assert m.boundary_status((19, -29, 6)) == "outside"
+    assert len(adjugates_made) <= 15
+    [normal] = m._cache["facets"]
+    assert all(sum(a * b for a, b in zip(normal, g)) >= 0 for g in POLY16)
+    assert sum(a * b for a, b in zip(normal, (19, -29, 6))) < 0
+    del adjugates_made[:]
+    assert m.boundary_status((38, -58, 12)) == "outside" and adjugates_made == []
+
+
+def _unimodular(rng, d):
+    """A random U in GL_d(Z): a product of elementary row operations and
+    sign flips, with entries kept small."""
+    u = [[int(i == j) for j in range(d)] for i in range(d)]
+    for _ in range(2 * d):
+        i, j = rng.sample(range(d), 2) if d > 1 else (0, 0)
+        if i != j:
+            q = rng.choice((-1, 1))
+            u[i] = [a + q * b for a, b in zip(u[i], u[j])]
+        if rng.random() < 0.3:
+            u[i] = [-a for a in u[i]]
+    return u
+
+
+def _frame_answers(m, points, pairs, frame):
+    """What the cone walk decides on m, each point and pair read through
+    ``frame``: boundary_status, leq, approx and both reduction ranks; a
+    query that raises :class:`InputError` (a member refused) reads as
+    "refused"."""
+    def guarded(f, *args):
+        try:
+            return f(*args)
+        except InputError:
+            return "refused"
+    return ([m.boundary_status(frame(x)) for x in points]
+            + [guarded(m.leq, frame(a), frame(b)) for a, b in pairs]
+            + [guarded(m.approx, frame(a), frame(b)) for a, b in pairs]
+            + [guarded(lambda level: nabla(m, level).rank, level) for level in (1, 2)])
+
+
+def _frame_differences(seed):
+    """On 60 drawn lattice carriers (d 2-3, 3-6 generators with entries
+    -2..2, some with units), the carriers whose answers change when the
+    generators are permuted and every vector is mapped by a drawn
+    U in GL_d(Z), and those where a query was refused."""
+    rng = seeded(seed)
+    differ = refused = 0
+    for _ in range(60):
+        d = rng.choice((2, 3))
+        gens = [tuple(rng.randint(-2, 2) for _ in range(d)) for _ in range(rng.randint(3, 6))]
+        if rng.random() < 0.3:
+            gens.append(vneg(gens[0]))
+        if not any(map(any, gens)):
+            continue
+        u = _unimodular(rng, d)
+        moved = [tuple(sum(a * b for a, b in zip(row, g)) for row in u) for g in gens]
+        rng.shuffle(moved)
+        m, m_moved = LatticeMonoid(d, gens), LatticeMonoid(d, moved)
+        points = [tuple(rng.randint(-3, 3) for _ in range(d)) for _ in range(8)]
+        pool = m.element_pool(2)
+        pairs = [(rng.choice(pool), rng.choice(pool)) for _ in range(6)]
+        mapped = _frame_answers(m_moved, points, pairs,
+                                lambda x: tuple(sum(a * b for a, b in zip(row, x)) for row in u))
+        answers = _frame_answers(m, points, pairs, tuple)
+        differ += answers != mapped
+        refused += "refused" in answers + mapped
+    return differ, refused
+
+
+def test_the_cone_walk_answers_the_same_in_every_frame(monkeypatch):
+    # leq, approx, boundary_status and the reduction ranks do not depend on
+    # the order of the generators or on the lattice basis they are written
+    # in, though the walk starts from another basis in each frame.  A
+    # planted walk that answers from its start basis only, "yes" if that
+    # basis holds the point and else the facet opposite its first negative
+    # coefficient, changes answers between frames, and the same drawing
+    # catches it
+    assert _frame_differences(23) == (0, 0)
+
+    def start_basis_only(rows, y, basis, adjugates):
+        det, columns = adjugates[basis]
+        s = 1 if det > 0 else -1
+        values = [sum(a * b for a, b in zip(y, c)) for c in columns]
+        h = next((j for j, v in enumerate(values) if s * v < 0), None)
+        return (basis, values, det) if h is None else (None, tuple(s * t for t in columns[h]), 0)
+
+    monkeypatch.setattr(monoids, "cone_walk", start_basis_only)
+    assert _frame_differences(23)[0] > 0
 
 
 # ---------------------------------------------------------------------------

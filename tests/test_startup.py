@@ -75,6 +75,21 @@ def test_order_loads_no_theorem_layer():
     assert added & unused == set()
 
 
+@pytest.mark.parametrize("argv", [("sos", "x^2+1"),
+                                  ("order", "free-monoid-2.mon", "1,0", "2,0")],
+                         ids=lambda argv: argv[0])
+def test_rendering_a_report_loads_no_json_decoder(argv):
+    # reports encode strings with the C encoder of ``_json``; importing it
+    # from ``json.encoder`` loaded the whole ``json`` package
+    command, *rest = argv
+    if command == "order":
+        rest[0] = instance_path(rest[0])
+    code, added = _added("-m", "monoidorder", command, *rest)
+    assert code == 0
+    assert "monoidorder.reports" in added
+    assert added & {"json", "json.decoder", "json.scanner"} == set()
+
+
 # each command runs to a verdict that exits 0
 LATTICE_AND_THEOREM_COMMANDS = [
     ("order", "free-monoid-2.mon", "1,0", "2,0"),
