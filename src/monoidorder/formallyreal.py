@@ -21,9 +21,11 @@ signed by homogeneous integer Horner.  One remainder sequence serves
 each polynomial: the Sturm chain of a primitive ``p`` ends in ``gcd(p,
 p')``, so Yun's decomposition reads its first gcd off that chain and
 hands the chain on, and a square-free ``p`` is counted and searched with
-it.  Root isolation and refinement keep their endpoints as integer
-numerators over one denominator, a power-of-two multiple of the start's,
-and sign them unreduced, so bisection forms no ``Fraction``;
+it.  Root isolation has one root bound, the chain's power-of-two
+``tail`` (after Fujiwara): it bisects ``[-tail, tail]``, so its endpoints
+are integer numerators over a power of two.  Refinement keeps its
+endpoints over one denominator, a power-of-two multiple of the start's.
+Both sign them unreduced, so bisection forms no ``Fraction``;
 refinement signs the square-free seed alone, not the chain.  ``f - k``
 needs no gcd at all: for canonical ``n/d``, ``gcd(n - k*d, d) = gcd(n,
 d) = 1``, so the shift search decides each probe on the integer
@@ -486,7 +488,8 @@ class SturmChain:
     the half-open interval ``(lo, hi]`` is then the difference of the
     variation counts at the endpoints, with root endpoints handled by the
     same convention; the counts at the infinities are kept, as is ``tail``
-    (:func:`_fujiwara_tail`).  The chain :func:`_yun` builds for ``p`` is
+    (:func:`_fujiwara_tail`), the one root bound, from which isolation
+    starts.  The chain :func:`_yun` builds for ``p`` is
     kept when ``p`` proves square-free, so a square-free ``p`` costs one
     remainder sequence.
     """
@@ -521,21 +524,10 @@ class SturmChain:
                 signs.append(acc > 0)
         return sum(a != b for a, b in zip(signs, signs[1:]))
 
-    def _grid_variations(self, n: int, d: int) -> int:
-        """Sign variations at ``n/d`` (integers, ``d > 0``), evaluated only
-        inside ``(-tail, tail)``, compared in integers.  The count changes
-        only at roots of the seed, so beyond every root it is the count at
-        the infinity on that side."""
-        if n <= -self.tail * d:
-            return self.minus_infinity
-        if n >= self.tail * d:
-            return self.plus_infinity
-        return self._variations(n, d)
-
     def variations_at(self, x: Rat) -> int:
-        """Sign variations at finite ``x`` (:meth:`_grid_variations`)."""
+        """Sign variations at finite ``x`` (:meth:`_variations`)."""
         x = Fraction(x)
-        return self._grid_variations(x.numerator, x.denominator)
+        return self._variations(x.numerator, x.denominator)
 
     def count(self, lo: Optional[Rat] = None, hi: Optional[Rat] = None) -> int:
         """Distinct real roots in ``(lo, hi]``; ``None`` means infinite."""
@@ -558,42 +550,31 @@ def sturm_root_count(p, lo: Optional[Rat] = None,
     return _chain_of(p).count(lo, hi)
 
 
-def cauchy_root_bound(p) -> Fraction:
-    """All real roots of ``p`` (or of integers ``p``) lie inside ``(-B, B)``."""
-    c = p if isinstance(p, tuple) else as_int_vector(p.coefficients)
-    if len(c) <= 1:
-        return Fraction(1)
-    return 1 + Fraction(max(abs(x) for x in c[:-1]), abs(c[-1]))
-
-
 def isolate_real_roots(p) -> list:
     """Disjoint rational intervals ``(lo, hi]``, one distinct real root each.
 
     ``p`` is a polynomial or a :class:`SturmChain` built for one.  The
-    bisection of ``[-B, B]`` (``B`` the Cauchy bound) keeps pending
-    intervals on a stack, left half on top, so they come out left to right
-    however deep close roots make it go.  Each carries its endpoints'
-    counts, so a step evaluates the chain at its midpoint only, and not
-    outside ``(-tail, tail)``, where the counts are known.  Endpoints stay
-    on an integer grid: numerators over ``den(B) * 2^t`` at depth ``t``,
-    so a midpoint is one integer sum, and no ``Fraction`` is formed before
-    the intervals are returned.
+    bisection of ``[-tail, tail]`` (the chain's power-of-two root bound,
+    :func:`_fujiwara_tail`) keeps pending intervals on a stack, left half
+    on top, so they come out left to right however deep close roots make
+    it go.  Each carries its endpoints' counts, so a step evaluates the
+    chain at its midpoint only.  Endpoints stay on an integer grid:
+    numerators over ``2^t`` at depth ``t``, so a midpoint is one integer
+    sum, and no ``Fraction`` is formed before the intervals are returned.
     """
     chain = _chain_of(p)
-    return [(Fraction(lo, d), Fraction(hi, d))
-            for lo, hi, d in _isolate(chain, cauchy_root_bound(chain.chain[0]))]
+    return [(Fraction(lo, d), Fraction(hi, d)) for lo, hi, d in _isolate(chain)]
 
 
-def _isolate(chain: SturmChain, bound: Fraction) -> list:
-    """:func:`isolate_real_roots` from ``[-bound, bound]``, ``bound`` above
-    every root of the chain's seed, left to right, each interval as its
-    integer grid ``(lo, hi, d)`` for ``(lo/d, hi/d]``.  The grid, and so
-    the intervals that come out, depends on ``bound``."""
+def _isolate(chain: SturmChain) -> list:
+    """:func:`isolate_real_roots` of the chain's seed, left to right, each
+    interval as its integer grid ``(lo, hi, d)`` for ``(lo/d, hi/d]``.
+    Every root lies strictly inside ``(-tail, tail)``, so the counts at
+    the start's ends are those at the infinities."""
     if len(chain.chain[0]) <= 1:
         return []
-    b = bound.numerator
     out = []
-    stack = [(-b, b, bound.denominator, chain.minus_infinity, chain.plus_infinity)]
+    stack = [(-chain.tail, chain.tail, 1, chain.minus_infinity, chain.plus_infinity)]
     while stack:
         lo, hi, d, at_lo, at_hi = stack.pop()
         count = _root_count(at_lo, at_hi)
@@ -601,7 +582,7 @@ def _isolate(chain: SturmChain, bound: Fraction) -> list:
             out.append((lo, hi, d))
         elif count > 1:
             mid, lo, hi, d = lo + hi, 2 * lo, 2 * hi, 2 * d
-            at_mid = chain._grid_variations(mid, d)
+            at_mid = chain._variations(mid, d)
             stack.append((mid, hi, d, at_mid, at_hi))
             stack.append((lo, mid, d, at_lo, at_mid))
     return out
@@ -972,8 +953,7 @@ def is_sos_membership(f: RationalFunction) -> dict:
         x = -x if x > 0 else 1 - x
     else:
         sf = _int_product(h for h, _ in factors)
-        witness = _negative_point(g, SturmChain._of(_chain_for(sf, chain)),
-                                  cauchy_root_bound(sf))
+        witness = _negative_point(g, SturmChain._of(_chain_for(sf, chain)))
     value = _shifted_value(f, N, D, witness, 0)
     if value >= 0:
         raise InternalCheckError("witness point does not evaluate negative")
@@ -983,7 +963,7 @@ def is_sos_membership(f: RationalFunction) -> dict:
                        f"{odd_roots} real roots of odd multiplicity")}
 
 
-def _negative_point(g: tuple, chain: SturmChain, grid: Fraction) -> Fraction:
+def _negative_point(g: tuple, chain: SturmChain) -> Fraction:
     """The canonical witness: the least rational ``x`` with ``g(x) < 0`` in
     the order (denominator, ``|x|``, + before -).
 
@@ -992,9 +972,9 @@ def _negative_point(g: tuple, chain: SturmChain, grid: Fraction) -> Fraction:
     whose cofactor is positive on the whole line, which has the same
     roots, each simple.  ``g`` keeps one sign on each gap between
     consecutive real roots, so the witness is the least of the negative
-    gaps' simplest rationals (:func:`_simplest`).  0 comes first, so it is
-    signed before any root is isolated, on the grid of ``grid``, the
-    Cauchy bound of ``s``.  Each isolated ``(lo, hi]`` is made open by
+    gaps' simplest rationals (:func:`_simplest`), wherever the roots'
+    brackets lie.  0 comes first, so it is signed before any root is
+    isolated (:func:`_isolate`).  Each isolated ``(lo, hi]`` is made open by
     signing the seed at ``hi``, where a root is made exact.  A gap's
     simplest rational is that of the outer ends of its roots' brackets
     once it lies in the gap.  Until then it lies inside one bracket: if the
@@ -1013,7 +993,7 @@ def _negative_point(g: tuple, chain: SturmChain, grid: Fraction) -> Fraction:
     # each root strictly inside (lo/d, hi/d), where the seed has sign s, or
     # exact at lo/d = hi/d
     roots = []
-    for lo, hi, d in _isolate(chain, grid):
+    for lo, hi, d in _isolate(chain):
         s = value(seed, hi, d)
         roots.append([hi if s == 0 else lo, hi, d, s])
     best = None
@@ -1077,22 +1057,21 @@ def _shift_witness(m: tuple, yun, D: tuple, d_yun) -> Fraction:
 
     It searches ``g = m * D``, which is primitive by Gauss's lemma, so the
     very ``g`` that membership multiplies; as ``gcd(m, D) = 1``, the
-    square-free part of ``g`` is ``sqf(m) * sqf(D)``, and isolation runs
-    on the grid of its Cauchy bound.  When ``sqf(D)`` has no real root
-    (counted on its chain, which is ``D``'s own when ``D`` is square-free),
-    it is positive on the whole line, so the chain of ``sqf(m)`` isolates
-    and refines in its place (:func:`_negative_point`): the refuting
-    probe's chain when ``m`` is square-free, else one chain of ``sqf(m)``.
-    A ``D`` with real roots keeps the chain of ``sqf(m) * sqf(D)``.
+    square-free part of ``g`` is ``sqf(m) * sqf(D)``.  When ``sqf(D)`` has
+    no real root (counted on its chain, which is ``D``'s own when ``D`` is
+    square-free), it is positive on the whole line, so the chain of
+    ``sqf(m)`` isolates and refines in its place (:func:`_negative_point`):
+    the refuting probe's chain when ``m`` is square-free, else one chain
+    of ``sqf(m)``.  Only a ``D`` with real roots forms ``sqf(m) *
+    sqf(D)`` and its chain.
     """
     factors, chain = yun or _yun(m)
     d_factors, d_chain = d_yun
-    sf_m = _int_product(h for h, _ in factors)
+    seed = _int_product(h for h, _ in factors)
     sf_d = _int_product(h for h, _ in d_factors)
-    sf = _int_mul(sf_m, sf_d)
-    seed = sf if _distinct_root_count(sf_d, d_chain) else sf_m
-    return _negative_point(_int_mul(m, D), SturmChain._of(_chain_for(seed, chain)),
-                           cauchy_root_bound(sf))
+    if _distinct_root_count(sf_d, d_chain):
+        seed = _int_mul(seed, sf_d)
+    return _negative_point(_int_mul(m, D), SturmChain._of(_chain_for(seed, chain)))
 
 
 def _int_split(f: RationalFunction) -> tuple[tuple, tuple]:

@@ -70,6 +70,7 @@ from .exactmath import (
     CombinationSearch,
     IntegerLattice,
     RationalCone,
+    _independent,
     cone_walk,
     int_adjugate,
     integer_kernel,
@@ -938,12 +939,18 @@ class LatticeMonoid(VectorCarrier):
                 yield bases[-1]
 
     def _subsets(self) -> Iterator[tuple[tuple[int, ...], list]]:
-        """The d-subsets of the generators with their own entries as rows;
-        then, only if none is independent (r < d), the r-subsets with the
-        generators' coordinates in the lattice's Hermite basis as rows."""
+        """The d-subsets of the generators with their own entries as rows,
+        the rest of them only if the first is independent or the
+        generators' rank, read once by :func:`_independent` (no Hermite
+        form), is d; then, only if none is independent (r < d), the
+        r-subsets with the generators' coordinates in the lattice's Hermite
+        basis as rows."""
         indices = range(len(self.generators))
-        yield from zip(itertools.combinations(indices, self.dim),
-                       map(list, itertools.combinations(self.generators, self.dim)))
+        pending = zip(itertools.combinations(indices, self.dim),
+                      map(list, itertools.combinations(self.generators, self.dim)))
+        yield from itertools.islice(pending, 1)
+        if self._cache["bases"] or len(_independent(self.generators)) == self.dim:
+            yield from pending
         if not self._cache["bases"]:
             coordinates = self._cache["coordinate_rows"] = [
                 self.lattice.coordinates(g) for g in self.generators]

@@ -461,6 +461,45 @@ def oracle_lineality_coordinates(m):
     return [tuple(row[k:]) for row in h if not any(row[:k])]
 
 
+def cauchy_root_bound(p) -> Fraction:
+    """Cauchy's bound ``1 + max |c_i| / |c_n|``: every real root of ``p``
+    (a polynomial, or integers low degree first) lies inside ``(-B, B)``."""
+    c = p if isinstance(p, tuple) else _o_as_int_vector(p.coefficients)
+    if len(c) <= 1:
+        return Fraction(1)
+    return 1 + Fraction(max(abs(x) for x in c[:-1]), abs(c[-1]))
+
+
+def oracle_cauchy_isolation(chain, bound=None) -> list:
+    """What ``formallyreal._isolate(chain)`` returned when isolation
+    bisected ``[-B, B]``, B ``bound`` or else the Cauchy bound of the
+    chain's seed: integer grids ``(lo, hi, d)`` over ``den(B) * 2^t``, left
+    to right, with the counts at grid points outside ``(-tail, tail)``
+    read off the infinities rather than evaluated."""
+    def variations(n, d):
+        if n <= -chain.tail * d:
+            return chain.minus_infinity
+        if n >= chain.tail * d:
+            return chain.plus_infinity
+        return chain._variations(n, d)
+
+    if len(chain.chain[0]) <= 1:
+        return []
+    bound = bound or cauchy_root_bound(chain.chain[0])
+    b, out = bound.numerator, []
+    stack = [(-b, b, bound.denominator, chain.minus_infinity, chain.plus_infinity)]
+    while stack:
+        lo, hi, d, at_lo, at_hi = stack.pop()
+        if at_lo - at_hi == 1:
+            out.append((lo, hi, d))
+        elif at_lo - at_hi > 1:
+            mid, lo, hi, d = lo + hi, 2 * lo, 2 * hi, 2 * d
+            at_mid = variations(mid, d)
+            stack.append((mid, hi, d, at_mid, at_hi))
+            stack.append((lo, mid, d, at_lo, at_mid))
+    return out
+
+
 def _o_integer_solve(rows, rhs):
     """Integer x with ``sum(x[i] * rows[i]) == rhs``, or None: rhs's integer
     coordinates on the rows of the Hermite form of ``[rows | I]`` whose

@@ -9,6 +9,7 @@ timestamps) on stdout, and diagnostics go to stderr.
 
 import io
 import json
+import math
 import pathlib
 import subprocess
 import sys
@@ -902,9 +903,9 @@ def test_sos_negative_at_zero_isolates_no_root(monkeypatch):
     isolate = formallyreal._isolate
     variations = formallyreal.SturmChain._variations
 
-    def counted(chain, bound):
+    def counted(chain):
         calls.append(chain)
-        return isolate(chain, bound)
+        return isolate(chain)
 
     def counted_variations(self, n, d):
         evaluations.append((n, d))
@@ -936,10 +937,9 @@ def test_sos_two_roots_closer_than_recursion_depth_are_refuted():
 
 
 def test_sos_isolation_evaluates_no_point_beyond_the_roots(monkeypatch):
-    # the Cauchy bound of (2*x-7)^200-1 is ~2^430 wide, but every grid point
-    # beyond the chain's power-of-two root bound has a known count; every
-    # isolation step signs the chain at an integer grid point (refinement
-    # signs the seed alone)
+    # isolation bisects from the chain's power-of-two root bound, so every
+    # isolation step signs the chain at an integer grid point inside it
+    # (refinement signs the seed alone)
     calls = []
     variations = formallyreal.SturmChain._variations
 
@@ -954,6 +954,19 @@ def test_sos_isolation_evaluates_no_point_beyond_the_roots(monkeypatch):
     assert code == EXIT_REFUTED, err
     assert (doc["result"]["witness"], doc["result"]["witness_value"]) == ("7/2", -1)
     assert 0 < len(calls) <= 50
+    assert elapsed < 2
+
+
+@pytest.mark.parametrize("n", [500, 800])
+def test_sos_high_powers_isolate_from_the_power_of_two_bound(n):
+    # the witness 7/2 lies between the roots 3 and 4; isolation starts
+    # from the chain's power-of-two bound, 2^13 or 2^14 here, where
+    # Cauchy's bound is a fraction of over a thousand bits
+    start = time.monotonic()
+    code, doc, err = run_json("sos", f"(2*x-7)^{n}-1")
+    elapsed = time.monotonic() - start
+    assert code == EXIT_REFUTED, err
+    assert (doc["result"]["witness"], doc["result"]["witness_value"]) == ("7/2", -1)
     assert elapsed < 2
 
 
@@ -1610,13 +1623,19 @@ def elements(draw, kind, d):
 
 @st.composite
 def rational_functions(draw):
-    """Quotients of polynomials of degree <= 4 with coefficients -3..3,
-    sometimes cut short or with a stray character."""
+    """Quotients of polynomials of degree <= 4 with coefficients -3..3, or
+    now and then a power ``(a*x-b)^n-c`` of degree <= 300 whose witness
+    need not be an integer, sometimes cut short or with a stray character."""
     term = st.builds("{:+d}*x^{}".format, st.integers(-3, 3), st.integers(0, 4))
     poly = st.lists(term, min_size=1, max_size=3).map(lambda ts: "".join(ts).lstrip("+"))
-    text = draw(poly)
-    if draw(st.booleans()):
-        text = f"({text})/({draw(poly)})"
+    if draw(st.integers(0, 7)) == 0:
+        a = draw(st.integers(2, 5))
+        b = draw(st.integers(1, 20).filter(lambda b: math.gcd(a, b) == 1))
+        text = f"({a}*x-{b})^{draw(st.integers(1, 300))}-{draw(st.integers(1, 3))}"
+    else:
+        text = draw(poly)
+        if draw(st.booleans()):
+            text = f"({text})/({draw(poly)})"
     how = draw(st.sampled_from(["none", "none", "cut", "stray"]))
     i = draw(st.integers(0, len(text)))
     if how == "cut":
@@ -1657,6 +1676,7 @@ def cli_calls(draw):
 @given(call=cli_calls())
 @example(call=(VANISHING_AT_S_ONLY, ["--budget", "2", "--format", "json",
                                      "extremals", "FILE", "--elements", "1,0"]))
+@example(call=(None, ["--budget", "1", "--format", "text", "sos", "(2*x-7)^300-1"]))
 def test_every_drawn_call_keeps_the_exit_code_contract(call, tmp_path_factory):
     # a break of the contract is a bug in the program, never a reason to
     # narrow the strategies

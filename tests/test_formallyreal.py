@@ -14,8 +14,7 @@ from monoidorder.formallyreal import (POINTWISE_FACT, RationalFunction,
                                       RationalPolynomial, SturmChain,
                                       _exact_quotient, _int_derivative,
                                       _int_sub,
-                                      categorize,
-                                      cauchy_root_bound, is_sos_membership,
+                                      categorize, is_sos_membership,
                                       isolate_real_roots,
                                       parse_rational_function, poly_gcd,
                                       refine_interval,
@@ -23,7 +22,7 @@ from monoidorder.formallyreal import (POINTWISE_FACT, RationalFunction,
                                       sturm_root_count,
                                       theorem_skew_hypothesis)
 
-from conftest import seeded
+from conftest import cauchy_root_bound, oracle_cauchy_isolation, seeded
 
 X = RationalPolynomial.variable()
 ONE = RationalPolynomial.constant(1)
@@ -412,8 +411,8 @@ def test_isolating_intervals_partition_roots():
         assert len(intervals) == len(distinct)
         for (lo, hi), r in zip(sorted(intervals), distinct):
             assert lo < r <= hi
-        bound = cauchy_root_bound(p)
-        assert all(-bound <= r <= bound for r in distinct)
+        tail = SturmChain(p).tail
+        assert all(-tail < r < tail for r in distinct)
 
 
 def test_refine_interval_shrinks_around_root():
@@ -518,12 +517,13 @@ def test_chain_of_a_square_free_polynomial_runs_one_remainder_sequence(
     assert isolate_real_roots(square_free) == isolate_real_roots(p)
 
 
-def _two_evaluation_isolation(chain, bound):
-    """Bisection of ``[-bound, bound]`` that evaluates both ends of every
+def _two_evaluation_isolation(chain):
+    """Bisection of ``[-tail, tail]`` that evaluates both ends of every
     count, as isolation did before counts were carried with intervals."""
     def count(lo, hi):
         return _variations(chain, lo) - _variations(chain, hi)
 
+    bound = Fraction(chain.tail)
     out, stack = [], [(-bound, bound, count(-bound, bound))]
     while stack:
         a, b, c = stack.pop()
@@ -559,7 +559,7 @@ def test_isolation_and_refinement_equal_the_two_evaluation_bisection():
     assert ((lo - Fraction(1, 3)) * 168).denominator == 1
     assert refine_interval(chain, start, 1) == start
     # roots on dyadic grid points (0, +-1, +-1/2, ...) and at powers of two,
-    # next to the known-count boundary ``tail``
+    # next to the ends of isolation's start ``[-tail, tail]``
     rng = seeded(83)
     pool = [0, 1, -1, 2, -2, 4, -4, 8, -8, 64, -64, 3, -5,
             Fraction(1, 2), Fraction(-1, 2), Fraction(3, 4), Fraction(-3, 8)]
@@ -575,8 +575,7 @@ def test_isolation_and_refinement_equal_the_two_evaluation_bisection():
         if p.degree < 1:
             continue
         chain = SturmChain(p)
-        want = _two_evaluation_isolation(
-            chain, cauchy_root_bound(_squarefree_part(p)))
+        want = _two_evaluation_isolation(chain)
         assert isolate_real_roots(chain) == want
         for interval in want:
             for width in (Fraction(1, 4), Fraction(1, 2 ** 20)):
@@ -821,20 +820,31 @@ def test_skew_hypothesis_frozen():
     ("(2+2*x+3*x^2-2*x^3)^2/((1-x^2)^2+1)+5", 6, 2, Fraction(-3, 5)),
 ])
 def test_the_shift_witness_does_not_depend_on_the_isolation_grid(
-        text, k, witness, value):
+        monkeypatch, text, k, witness, value):
     # the witness is the least point of the order, so isolating the roots
-    # of the shifted numerator on the grid of sqf(m) * sqf(D)'s Cauchy
-    # bound or on that of sqf(m)'s own bound gives the same one
+    # of the shifted numerator from the chain's power-of-two bound, on the
+    # grid of sqf(m) * sqf(D)'s Cauchy bound (the rule isolation once
+    # followed here) or on that of sqf(m)'s own gives the same one
     f = parse_rational_function(text)
     res = theorem_skew_hypothesis(f)
     assert (res["k"], res["witness"], res["witness_value"]) == (k, witness, value)
+    assert _shift_witness_at(f, k) == witness
     N, D = _split(f)
-    m = primitive(_int_sub(N, [k * c for c in D]))
-    factors, _ = formallyreal._yun(m)
-    sf_m = formallyreal._int_product(h for h, _ in factors)
-    own = formallyreal._negative_point(formallyreal._int_mul(m, D), SturmChain._of(
-        formallyreal._sturm_entries(sf_m)), cauchy_root_bound(sf_m))
-    assert own == _shift_witness_at(f, k) == witness
+    m, Dp = primitive(_int_sub(N, [k * c for c in D])), primitive(D)
+    sf = formallyreal._int_product(
+        h for h, _ in formallyreal._yun(m)[0] + formallyreal._yun(Dp)[0])
+    isolate = formallyreal._isolate
+    for bound in (cauchy_root_bound(sf), None):
+        grids = []
+
+        def on_the_cauchy_grid(chain):
+            grids.append((oracle_cauchy_isolation(chain, bound), isolate(chain)))
+            return grids[-1][0]
+
+        monkeypatch.setattr(formallyreal, "_isolate", on_the_cauchy_grid)
+        assert _shift_witness_at(f, k) == witness
+        # the brackets the witness was read from are not the program's
+        assert grids and all(cauchy != own for cauchy, own in grids)
 
 
 def test_skew_hypothesis_minimality_on_random_instances():
@@ -1274,6 +1284,56 @@ def test_witnesses_are_the_least_negative_points_of_the_order(monkeypatch):
         shifted = theorem_skew_hypothesis(f)
         assert _is_least_negative_point(f, shifted["k"], shifted["witness"]), f.text()
     assert refuted >= 100
+
+
+def _power_products(rng):
+    """A product of powers ``(a*x - b)^k``, ``a`` in 1..5, and rootless
+    quadratics, degree at most 16; then, or not, minus a shift, and
+    sometimes over a rootless quadratic."""
+    p, degree = RationalPolynomial.constant(rng.choice((1, 2, Fraction(1, 3), -1))), 0
+    while rng.random() < 0.85:
+        if rng.random() < 0.7:
+            k = rng.choice((1, 2, 2, 3, 4, 4))
+            factor = _poly(rng.randint(1, 5), -rng.randint(-12, 12)).pow(k)
+        else:
+            b = rng.randint(-3, 3)
+            k, factor = 2, _poly(1, b, b * b // 4 + rng.randint(1, 4))
+        if degree + k > 16:
+            break
+        p, degree = p * factor, degree + k
+    f = RationalFunction(p)
+    shift = rng.choice((0, 0, 1, 3, Fraction(1, 4), Fraction(1, 9), Fraction(2, 7)))
+    f = f - RationalFunction.constant(shift)
+    if rng.random() < 0.3:
+        f = f / RationalFunction(_poly(1, 0, rng.randint(1, 5)))
+    return f
+
+
+def test_witnesses_equal_those_isolated_on_the_cauchy_grid(monkeypatch):
+    # isolation starts from the chain's power-of-two bound; bisecting from
+    # the Cauchy bound instead, as it once did, puts the brackets elsewhere
+    # but gives the same verdicts, shifts, witnesses and values
+    rng = seeded(127)
+    inputs = [_power_products(rng) for _ in range(500)]
+
+    def answers():
+        return ([is_sos_membership(f) for f in inputs],
+                [theorem_skew_hypothesis(f) for f in inputs])
+
+    own = answers()
+    isolated = []
+
+    def on_the_cauchy_grid(chain):
+        isolated.append(chain)
+        return oracle_cauchy_isolation(chain)
+
+    monkeypatch.setattr(formallyreal, "_isolate", on_the_cauchy_grid)
+    memberships, shifts = own
+    assert answers() == own
+    assert 50 <= sum(res["member"] for res in memberships) <= 450
+    assert sum(res["witness"].denominator > 1 for res in memberships + shifts
+               if res["witness"] is not None) >= 40
+    assert len(isolated) >= 80
 
 
 def test_the_sample_witness_is_the_one_root_isolation_finds(monkeypatch):

@@ -1035,6 +1035,27 @@ def test_a_point_just_outside_a_wide_cone_takes_few_adjugates(adjugates_made):
     assert m.boundary_status((38, -58, 12)) == "outside" and adjugates_made == []
 
 
+def test_a_carrier_of_lower_rank_tries_no_singular_d_subset_past_the_first(
+        adjugates_made, lattices_built):
+    # a rank-3 carrier of 12 generators in dimension 4: all C(12, 4) = 495
+    # d-subsets are singular, and they were all tried before the first
+    # r-subset; the rank, read once the first proves singular, skips them
+    gens = [(1, 0, 0, 1), (0, 1, 0, 1), (0, 0, 1, 1), (1, 1, 0, 2), (1, 0, 1, 2),
+            (0, 1, 1, 2), (2, 1, 0, 3), (1, 2, 0, 3), (0, 1, 2, 3), (2, 0, 1, 3),
+            (1, 1, 1, 3), (3, 1, 0, 4)]
+    m = LatticeMonoid(4, gens)
+    assert m.boundary_status((1, 1, 1, 3)) == "inside"
+    assert len(adjugates_made) <= 10
+    assert m.boundary_status((1, 1, 1, 2)) == "outside"
+    assert m.boundary_status((-1, 0, 0, -1)) == "outside"
+    # a full-rank carrier whose first d-subset is singular still reads
+    # every d-subset in its own entries, with no lattice built
+    del adjugates_made[:], lattices_built[:]
+    m = LatticeMonoid(2, [(1, 0), (2, 0), (0, 1)])
+    assert m.boundary_status((1, 1)) == "inside" and m._full_rank
+    assert len(adjugates_made) == 2 and lattices_built == []
+
+
 def _unimodular(rng, d):
     """A random U in GL_d(Z): a product of elementary row operations and
     sign flips, with entries kept small."""
