@@ -1,4 +1,5 @@
-"""The package's shared leaf: its error classes and exact vector helpers.
+"""The package's shared leaf: its error classes, its record base and exact
+vector helpers.
 
 Every other module reads these; this one imports nothing from the package,
 so a module that needs only them (the sums-of-squares layer, the report
@@ -24,6 +25,29 @@ class ResourceBudgetError(RuntimeError):
 
 class InternalCheckError(RuntimeError):
     """A redundant internal cross-check failed; indicates a genuine bug."""
+
+
+class Record:
+    """A record whose ``==`` and ``repr`` read the fields named in
+    ``_fields``, in order, as a ``@dataclass`` with those fields would;
+    built without ``dataclasses``, whose import costs a fresh command more
+    than some layers do.  Records of different classes are never equal,
+    and a record is unhashable unless its class defines ``__hash__``."""
+
+    __slots__ = ()
+    _fields: tuple = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,8 @@
 Everything downstream (orders on monoids, cone reductions, functional
 enumeration) reduces to a handful of primitives implemented here:
 
-* integer determinants and adjugates (the vector helpers and the error
-  classes are in :mod:`monoidorder.core`),
+* integer adjugates, which carry the determinant (the vector helpers and
+  the error classes are in :mod:`monoidorder.core`),
 * the double description method for converting between generator and
   inequality representations of rational polyhedral cones,
 * exact LP feasibility (phase-one simplex with Bland's rule), which no
@@ -47,53 +47,7 @@ def sign_canonical(a: Sequence[int]) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# integer determinant and adjugate: cofactors up to order 3, Bareiss above
-
-
-def int_det(mat: Sequence[Sequence[int]]) -> int:
-    """``det M`` of a square integer matrix.
-
-    Orders 0 to 3 expand by cofactors along the first row.  From order 4
-    on, fraction-free Gaussian elimination (Bareiss 1968): step k clears
-    column k below the pivot p as ``(p a_ij - a_ik a_kj) / prev``, prev the
-    pivot before it, and each division is exact (the entries are minors);
-    the last entry is ``det(PM)`` for the row permutation P of the swaps.
-    """
-    n = len(mat)
-    for row in mat:
-        if len(row) != n:
-            raise InputError("determinant of a non-square matrix")
-    if n == 0:
-        return 1
-    if n == 1:
-        return mat[0][0]
-    if n == 2:
-        (a, b), (c, d) = mat
-        return a * d - b * c
-    if n == 3:
-        (a, b, c), (d, e, f), (g, h, i) = mat
-        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-    a = [list(row) for row in mat]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        ak = a[k]
-        if ak[k] == 0:
-            piv = next((r for r in range(k + 1, n) if a[r][k] != 0), None)
-            if piv is None:
-                return 0
-            a[k], a[piv] = a[piv], ak
-            ak = a[k]
-            sign = -sign
-        p = ak[k]
-        for i in range(k + 1, n):
-            ai = a[i]
-            c = ai[k]
-            for j in range(k + 1, n):
-                ai[j] = (ai[j] * p - c * ak[j]) // prev
-            ai[k] = 0
-        prev = p
-    return sign * a[-1][-1]
+# integer adjugate and determinant: cofactors up to order 3, Bareiss above
 
 
 def _cofactor_adjugate(mat: Sequence[Sequence[int]]) -> list[list[int]]:
@@ -750,7 +704,8 @@ class IntegerSolver(IntegerLattice):
     U whose left part is zero, ``relations``, are a basis of the integer
     relations ``{x : x . rows == 0}``.  The reduction above each pivot
     bounds the entries of U as it does those of H.  ``|det U| == 1`` is
-    checked here; a failure raises :class:`InternalCheckError`.
+    checked here; a failure raises :class:`InternalCheckError`.  So
+    ``inverse``, ``det(U) adj(U)``, is ``U^-1``.
     """
 
     def _hermite(self) -> list[tuple[int, ...]]:
@@ -758,8 +713,10 @@ class IntegerSolver(IntegerLattice):
         h = hermite_normal_form([row + tuple(int(i == j) for j in range(m))
                                  for i, row in enumerate(self.rows)])
         self.transform = [tuple(row[self.dim:]) for row in h]
-        if abs(int_det(self.transform)) != 1:
+        det, adj = int_adjugate(self.transform)
+        if abs(det) != 1:
             raise InternalCheckError("Hermite transform not unimodular")
+        self.inverse = [[det * x for x in row] for row in adj]
         rank = sum(1 for row in h if any(row[:self.dim]))
         self.relations = self.transform[rank:]
         return [tuple(row[:self.dim]) for row in h[:rank]]
@@ -909,7 +866,7 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]):
 
     d = a
     # verify
-    if abs(int_det(u)) != 1 or abs(int_det(v)) != 1:
+    if abs(int_adjugate(u)[0]) != 1 or abs(int_adjugate(v)[0]) != 1:
         raise InternalCheckError("SNF transform not unimodular")
     cols = list(zip(*original))
     ua = [[sum(map(mul, row, col)) for col in cols] for row in u]

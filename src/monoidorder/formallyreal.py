@@ -46,7 +46,7 @@ from itertools import zip_longest
 from math import lcm
 from typing import Optional, Sequence, Union
 
-from .core import InputError, InternalCheckError, as_int_vector, primitive
+from .core import InputError, InternalCheckError, Record, as_int_vector, primitive
 
 Rat = Union[int, Fraction]
 
@@ -55,30 +55,15 @@ Rat = Union[int, Fraction]
 # immutable values
 
 
-class _Value:
-    """An immutable value whose ``==``, ``hash`` and ``repr`` read its
-    ``__slots__`` in order, as a ``@dataclass(frozen=True)`` with those
-    fields would; built without ``dataclasses``, whose import costs more
-    than the sums-of-squares layer itself at start-up.  Values of
-    different classes are never equal, and any assignment raises
-    :class:`AttributeError`."""
+class _Value(Record):
+    """An immutable :class:`Record` whose ``hash`` also reads its fields, as
+    a ``@dataclass(frozen=True)`` with those fields would; any assignment
+    raises :class:`AttributeError`."""
 
     __slots__ = ()
 
-    def _fields(self) -> tuple:
-        return tuple([getattr(self, name) for name in self.__slots__])
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._fields() == other._fields()
-        return NotImplemented
-
     def __hash__(self):
-        return hash(self._fields())
-
-    def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{type(self).__qualname__}({fields})"
+        return hash(self._values())
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -94,7 +79,7 @@ class _Value:
 class RationalPolynomial(_Value):
     """Dense polynomial with exact rational coefficients, low degree first."""
 
-    __slots__ = ("coefficients",)
+    _fields = __slots__ = ("coefficients",)
 
     def __init__(self, coefficients: Sequence[Rat]):
         coeffs = [Fraction(c) for c in coefficients]
@@ -665,7 +650,7 @@ class RationalFunction(_Value):
     The zero function is ``0/1``.
     """
 
-    __slots__ = ("numerator", "denominator")
+    _fields = __slots__ = ("numerator", "denominator")
 
     def __init__(self, numerator: RationalPolynomial,
                  denominator: Optional[RationalPolynomial] = None):

@@ -20,6 +20,7 @@ from typing import Optional, Sequence
 from .core import (
     InputError,
     InternalCheckError,
+    Record,
     as_int_vector,
     is_zero_vector,
     vadd,
@@ -169,7 +170,7 @@ def span_with_products(op: BiadditiveOp, elements: Sequence) -> OrderedSubgroup:
 # additive functionals
 
 
-class AdditiveFunctional:
+class AdditiveFunctional(Record):
     """Rational additive functional on an ordered subgroup.
 
     ``coefficients`` act on ``span_basis`` coordinates; positivity is
@@ -177,10 +178,12 @@ class AdditiveFunctional:
     construction time.  ``ambient_covector`` is a primitive integer
     covector on class coordinates inducing the same values, and
     ``carrier_covector`` one on carrier coordinates (a convenience for
-    printing; evaluation always goes through the coordinates).  A plain,
-    mutable record: ``==`` and ``repr`` read the fields in order, as a
-    ``@dataclass`` would.
+    printing; evaluation always goes through the coordinates).  A mutable
+    record.
     """
+
+    _fields = ("subgroup", "coefficients", "extremal", "ambient_covector",
+               "carrier_covector")
 
     def __init__(self, subgroup: OrderedSubgroup, coefficients: tuple,
                  extremal: bool = False,
@@ -201,20 +204,6 @@ class AdditiveFunctional:
         self.ambient_covector = ambient_covector
         self.carrier_covector = (None if ambient_covector is None
                                  else _carrier_covector(subgroup, ambient_covector))
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.subgroup, self.coefficients, self.extremal, self.ambient_covector,
-                 self.carrier_covector)
-                == (other.subgroup, other.coefficients, other.extremal,
-                    other.ambient_covector, other.carrier_covector))
-
-    def __repr__(self):
-        return (f"{type(self).__qualname__}(subgroup={self.subgroup!r}, "
-                f"coefficients={self.coefficients!r}, extremal={self.extremal!r}, "
-                f"ambient_covector={self.ambient_covector!r}, "
-                f"carrier_covector={self.carrier_covector!r})")
 
     def value_on_coordinates(self, coords) -> Fraction:
         return Fraction(vdot(self.coefficients, coords)) if coords else Fraction(0)
@@ -322,10 +311,11 @@ def _largest_element(m, elements):
     return None
 
 
-class NormalizationResult:
-    """Outcome of rescaling a functional towards multiplicativity.  A
-    plain record: ``==`` and ``repr`` read the fields in order, as a
-    ``@dataclass`` would."""
+class NormalizationResult(Record):
+    """Outcome of rescaling a functional towards multiplicativity."""
+
+    _fields = ("status", "psi", "factor", "failures", "preconditions",
+               "degenerate_checks", "reason")
 
     def __init__(self, status: str, psi: Optional[AdditiveFunctional],
                  factor: Optional[Fraction], failures: Optional[list] = None,
@@ -338,20 +328,6 @@ class NormalizationResult:
         self.preconditions = [] if preconditions is None else preconditions
         self.degenerate_checks = [] if degenerate_checks is None else degenerate_checks
         self.reason = reason
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.status, self.psi, self.factor, self.failures, self.preconditions,
-                 self.degenerate_checks, self.reason)
-                == (other.status, other.psi, other.factor, other.failures,
-                    other.preconditions, other.degenerate_checks, other.reason))
-
-    def __repr__(self):
-        return (f"{type(self).__qualname__}(status={self.status!r}, psi={self.psi!r}, "
-                f"factor={self.factor!r}, failures={self.failures!r}, "
-                f"preconditions={self.preconditions!r}, "
-                f"degenerate_checks={self.degenerate_checks!r}, reason={self.reason!r})")
 
     @property
     def ok(self) -> bool:

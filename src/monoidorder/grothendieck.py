@@ -38,7 +38,7 @@ from .core import (
     vdot,
     vsub,
 )
-from .exactmath import IntegerLattice, IntegerSolver, int_adjugate
+from .exactmath import IntegerLattice, IntegerSolver
 from .monoids import FiniteMonoid, VectorCarrier
 
 
@@ -129,8 +129,8 @@ class ReducedVector:
     form of ``[K^T | I]`` has ``U . K^T == [H; 0]``, so ``V = U^T`` gives
     ``K . V == [H^T | 0]``.  A class is the remaining coordinates, the
     relation rows of U times the coordinates, and reconstructs through the
-    rows of ``V^-1``, the columns of ``U^-1 == det(U) adj(U)``; with no
-    kernel (k = 0) V is the identity, and no solve runs.  The positive
+    rows of ``V^-1``, the columns of the solver's ``inverse`` ``U^-1``; with
+    no kernel (k = 0) V is the identity, and no solve runs.  The positive
     part is the level's closure of the carrier.
     """
 
@@ -154,10 +154,10 @@ class ReducedVector:
         else:
             solver = IntegerSolver(k, ([c[i] for c in kernel_coords] for i in range(r)))
             self._relations = solver.relations
-            det, adj = int_adjugate(solver.transform)
+            inverse = solver.inverse
             # class w reconstructs through c = (0,...,0,w) V^{-1}; x = c B
             self._recon_rows = [
-                tuple(sum(det * adj[i][k + t] * basis[i][j] for i in range(r))
+                tuple(sum(inverse[i][k + t] * basis[i][j] for i in range(r))
                       for j in range(monoid.dim))
                 for t in range(self.rank)]
 

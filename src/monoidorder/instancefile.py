@@ -50,7 +50,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional
 
-from .core import InputError, vdot
+from .core import InputError, Record, vdot
 from .exactmath import RationalCone
 from .monoids import (BiadditiveOp, FiniteMonoid, LatticeMonoid,
                       OpenConeMonoid, orthant)
@@ -58,9 +58,10 @@ from .monoids import (BiadditiveOp, FiniteMonoid, LatticeMonoid,
 KINDS = ("finite", "lattice", "open-cone", "lattice-group", "rational-function")
 
 
-class Instance:
-    """A parsed and validated instance file.  A plain record: ``==`` and
-    ``repr`` read the fields in order, as a ``@dataclass`` would."""
+class Instance(Record):
+    """A parsed and validated instance file."""
+
+    _fields = ("kind", "source", "monoid", "op", "function")
 
     def __init__(self, kind: str, source: str, monoid: object = None,
                  op: Optional[BiadditiveOp] = None, function: object = None):
@@ -69,16 +70,6 @@ class Instance:
         self.monoid = monoid
         self.op = op
         self.function = function  # a formallyreal.RationalFunction
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.kind, self.source, self.monoid, self.op, self.function)
-                == (other.kind, other.source, other.monoid, other.op, other.function))
-
-    def __repr__(self):
-        return (f"{type(self).__qualname__}(kind={self.kind!r}, source={self.source!r}, "
-                f"monoid={self.monoid!r}, op={self.op!r}, function={self.function!r})")
 
     def require_op(self) -> BiadditiveOp:
         if self.op is None:
@@ -108,9 +99,11 @@ class Instance:
         return out
 
 
-class _Raw:
-    """The tokens of one file, filled in by :func:`_tokenize`; ``==`` and
-    ``repr`` read the fields in order."""
+class _Raw(Record):
+    """The tokens of one file, filled in by :func:`_tokenize`."""
+
+    _fields = ("source", "headers", "header_lines", "sections", "section_lines",
+               "section_starts")
 
     def __init__(self, source: str):
         self.source = source
@@ -120,19 +113,6 @@ class _Raw:
         self.section_lines = {}
         self.section_starts = {}  # name -> header line
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.source, self.headers, self.header_lines, self.sections,
-                 self.section_lines, self.section_starts)
-                == (other.source, other.headers, other.header_lines, other.sections,
-                    other.section_lines, other.section_starts))
-
-    def __repr__(self):
-        return (f"{type(self).__qualname__}(source={self.source!r}, "
-                f"headers={self.headers!r}, header_lines={self.header_lines!r}, "
-                f"sections={self.sections!r}, section_lines={self.section_lines!r}, "
-                f"section_starts={self.section_starts!r})")
 
 
 def _tokenize(raw_text: str, source: str) -> _Raw:

@@ -37,7 +37,8 @@ from fractions import Fraction
 from functools import cache, reduce
 from typing import NamedTuple, Optional
 
-from .core import InternalCheckError, as_int_vector, vadd, vcombine, vdot, vneg, vscale
+from .core import (InternalCheckError, Record, as_int_vector, vadd, vcombine, vdot, vneg,
+                   vscale)
 from .exactmath import (
     RationalCone,
     cone_from_inequalities,
@@ -82,10 +83,12 @@ class LocalizabilityVerdict:
         }
 
 
-class WeakLocalizabilityCertificate:
-    """The verdict on weak localizability and its evidence.  A plain,
-    mutable record: ``==`` and ``repr`` read the fields in order, as a
-    ``@dataclass`` would."""
+class WeakLocalizabilityCertificate(Record):
+    """The verdict on weak localizability and its evidence: a mutable
+    record."""
+
+    _fields = ("verdict", "assignments", "refuted", "reason", "budget", "method",
+               "details")
 
     def __init__(self, verdict: str, assignments: Optional[dict] = None,
                  refuted: Optional[object] = None, reason: str = "",
@@ -97,20 +100,6 @@ class WeakLocalizabilityCertificate:
         self.budget = 8             # the command line's --budget, echoed
         self.method = method
         self.details = {} if details is None else details
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.verdict, self.assignments, self.refuted, self.reason, self.budget,
-                 self.method, self.details)
-                == (other.verdict, other.assignments, other.refuted, other.reason,
-                    other.budget, other.method, other.details))
-
-    def __repr__(self):
-        return (f"{type(self).__qualname__}(verdict={self.verdict!r}, "
-                f"assignments={self.assignments!r}, refuted={self.refuted!r}, "
-                f"reason={self.reason!r}, budget={self.budget!r}, "
-                f"method={self.method!r}, details={self.details!r})")
 
     def as_dict(self) -> dict:
         return {

@@ -499,7 +499,7 @@ class VectorCarrier:
         positivity only of the other forms, each of which is positive on
         some ray.
         """
-        if not self.span_basis:
+        if not any(map(any, self.rays)):
             raise InputError(self.origin_only_text)
         acc = functools.reduce(vadd, self.rays, (0,) * self.dim)
         for h in self.cone.h_rep:

@@ -1,6 +1,7 @@
 """Positive functionals on spanned subgroups and theorem-level verdicts."""
 
 import itertools
+from collections import Counter
 from fractions import Fraction
 from types import SimpleNamespace
 from typing import Optional, Sequence
@@ -9,8 +10,9 @@ import pytest
 from hypothesis import HealthCheck, assume, event, example, given, settings
 from hypothesis import strategies as st
 
-from monoidorder.core import InputError, InternalCheckError, vdot, vsub
-from monoidorder.exactmath import RationalCone
+from monoidorder import localizability
+from monoidorder.core import InputError, InternalCheckError, vcombine, vdot, vneg, vsub
+from monoidorder.exactmath import RationalCone, int_adjugate
 from monoidorder.functionals import (AdditiveFunctional, NormalizationResult,
                                      OrderedSubgroup, _certify_decomposition,
                                      _largest_element, normalize_multiplicative,
@@ -23,13 +25,15 @@ from monoidorder.latticeorder import almost_fring_tensor
 from monoidorder.localizability import is_left_localizable, is_weakly_localizable
 from monoidorder.monoids import (BiadditiveOp, FiniteMonoid, LatticeMonoid,
                                  OpenConeMonoid, approx, cyclic_product_op,
-                                 enumerate_biadditive_ops, free_monoid,
+                                 elementwise_product_op, enumerate_biadditive_ops,
+                                 free_monoid,
                                  half_open_half_plane,
                                  saturating_product_op, truncated_free_monoid)
 from monoidorder.monoids import matrix_product_op as matrix_monoid_product_op
 
-from conftest import (calls_of, instance_path, monogenic_table, opposite_op, product_table,
-                      rational_rank, weakly_localizable_ops)
+from conftest import (calls_of, instance_path, monogenic_table, opposite_op,
+                      oracle_int_det, product_table, rational_rank, seeded,
+                      weakly_localizable_ops)
 
 
 def elementwise_op(dim, weights=None):
@@ -520,6 +524,89 @@ def test_theorem_main_observation_mode_on_matrix_product():
     assert not res["claimed"] and not res["ok"]
     assert res["weak_certificate"]["verdict"] == "no"
     assert res["commutativity"]["failures"]
+
+
+def test_the_theorem_on_a_free_carrier_builds_no_lattice(lattices_built):
+    # the ray table's interior point refuses a carrier whose rays are all
+    # zero by reading the rays, not the lattice's Hermite basis
+    op = elementwise_product_op(free_monoid(3))
+    assert is_weakly_localizable(op).verdict == "yes"
+    assert verify_theorem_main(op)["ok"]
+    assert lattices_built == []
+    with pytest.raises(InputError, match="needs a nonzero generator"):
+        LatticeMonoid(2, [(0, 0)]).interior_point()
+    assert lattices_built == []
+
+
+def _theorem_draws(rng, count):
+    """``(d, generators, tensor)`` of drawn lattice operations.  The
+    generators are a unimodular basis B of Z^d (d = 1 to 3), up to two
+    nonnegative combinations of it and, sometimes, the negative of one of
+    them, a unit pair.  The product of two basis vectors is a nonnegative
+    combination of B, so the tensor is closed on the cone of B; closure on
+    the carrier is left to ``op.validate()``."""
+    for _ in range(count):
+        d = rng.randint(1, 3)
+        basis = [tuple(int(i == j) for j in range(d)) for i in range(d)]
+        for _ in range(rng.randint(0, 3) if d > 1 else 0):
+            i, j = rng.sample(range(d), 2)
+            basis[i] = tuple(a + rng.choice((-1, 1)) * b for a, b in zip(basis[i], basis[j]))
+        basis = [b if rng.random() < 0.7 else vneg(b) for b in basis]
+        det, adj = int_adjugate(basis)
+        inverse = [[det * x for x in row] for row in adj]
+        generators = list(basis)
+        for _ in range(rng.randint(0, 2)):
+            c = [rng.randint(0, 3) for _ in range(d)]
+            if any(c):
+                generators.append(vcombine(c, basis))
+        if rng.random() < 0.3:
+            generators.append(vneg(rng.choice(generators)))
+        # mu(b_i, b_j) = n_ij . B, and x = (x . B^-1) . B
+        products = [[vcombine([rng.choice((0, 0, 1, 2)) for _ in range(d)], basis)
+                     for _ in range(d)] for _ in range(d)]
+        tensor = [[[sum(inverse[p][i] * inverse[q][j] * products[i][j][k]
+                        for i in range(d) for j in range(d))
+                    for k in range(d)] for q in range(d)] for p in range(d)]
+        yield d, generators, tensor
+
+
+def _theorem_oracle_failures(draws, seen, refuted):
+    """The drawn operations that are weakly localizable but fail
+    ``verify_theorem_main``, which the paper's main theorem rules out:
+    both laws hold up to the equivalence on a weakly localizable one.  The
+    validated draws that are not weakly localizable go to ``refuted``."""
+    failures = []
+    for draw in draws:
+        d, generators, tensor = draw
+        op = BiadditiveOp(LatticeMonoid(d, generators), tensor=tensor)
+        if op.validate():
+            continue
+        verdict = is_weakly_localizable(op).verdict
+        seen[verdict] += 1
+        if verdict == "no":
+            refuted.append(draw)
+            continue
+        seen["lineality"] += bool(op.carrier.lineality_coordinates())
+        seen["|det B| > 1"] += any(abs(oracle_int_det(b)) > 1
+                                   for b in itertools.combinations(generators, d))
+        if not verify_theorem_main(op)["ok"]:
+            failures.append(draw)
+    return failures
+
+
+def test_the_main_theorem_holds_on_every_weakly_localizable_draw(monkeypatch):
+    # the paper proves both laws up to the equivalence on a weakly
+    # localizable operation, so a "yes" whose laws fail is a wrong "yes"
+    seen, refuted = Counter(), []
+    assert _theorem_oracle_failures(_theorem_draws(seeded(55), 250),
+                                    seen, refuted) == []
+    assert all(seen[k] > 0 for k in ("yes", "no", "lineality", "|det B| > 1")), seen
+    # a planted fault is caught: a ray table that never marks a bad ray
+    # says "yes" where the laws fail
+    table = localizability._polyhedral_ray_table
+    monkeypatch.setattr(localizability, "_polyhedral_ray_table",
+                        lambda op: table(op)._replace(bad=((), ()), obstruction=None))
+    assert any(_theorem_oracle_failures([draw], Counter(), []) for draw in refuted)
 
 
 def _unmemoized_sweep(op):

@@ -410,3 +410,65 @@ def test_the_importer_walk_finds_each_import_shape(tmp_path):
     (tmp_path / "b.py").write_text("def f():\n    from dataclasses import field\n")
     (tmp_path / "c.py").write_text("from .dataclasses import x\nimport dataclassesx\n")
     assert _importers(str(tmp_path), "dataclasses") == ["a.py", "b.py"]
+
+
+# Each shared job is written once: the records' ``==`` and ``repr`` in
+# ``core.Record``, the values' ``hash`` in ``formallyreal._Value``, and the
+# integer determinant in ``exactmath.int_adjugate``, which carries it.
+SHARED_JOBS = {"__eq__", "__repr__", "__hash__", "int_det"}
+
+
+def _shared_job_sites(directory):
+    """(file, enclosing class or "", name), sorted, of each definition or
+    assignment of a name in ``SHARED_JOBS`` at any depth, and of each use
+    of ``int_det``: a name, an attribute or an imported name."""
+    out = []
+    for path in sorted(_python_files(directory)):
+        tree = ast.parse(_read(path))
+        owners = {child: node.name for node in ast.walk(tree)
+                  if isinstance(node, ast.ClassDef) for child in node.body}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.ImportFrom):
+                names = [alias.name for alias in node.names if alias.name == "int_det"]
+            elif isinstance(node, (ast.Name, ast.Attribute)):
+                names = [n for n in _names_in(node) if n == "int_det"]
+            else:
+                continue
+            out.extend((os.path.basename(path), owners.get(node, ""), name)
+                       for name in names if name in SHARED_JOBS)
+    return sorted(out)
+
+
+def test_each_shared_job_is_written_once():
+    assert _shared_job_sites(PACKAGE) == [
+        ("core.py", "Record", "__eq__"), ("core.py", "Record", "__repr__"),
+        ("formallyreal.py", "_Value", "__hash__")]
+    # the reduction reads U^-1 off the solver that proved U unimodular
+    used = _names_in(ast.parse(_read(os.path.join(PACKAGE, "grothendieck.py"))))
+    assert "inverse" in used and "int_adjugate" not in used
+
+
+def test_the_shared_job_walk_finds_a_planted_copy(tmp_path):
+    # the walk is not vacuous: a dunder defined or assigned in a class, one
+    # in a nested class, and a determinant defined, imported or called are
+    # each found where planted
+    (tmp_path / "planted.py").write_text(
+        "from .exactmath import int_det\n"
+        "class A:\n"
+        "    def __eq__(self, other):\n"
+        "        return exactmath.int_det(other) == 1\n"
+        "    __hash__ = None\n"
+        "def f():\n"
+        "    class B:\n"
+        "        def __repr__(self):\n"
+        "            return ''\n"
+        "    def int_det(m):\n"
+        "        return 1\n")
+    assert _shared_job_sites(str(tmp_path)) == [
+        ("planted.py", "", "int_det"), ("planted.py", "", "int_det"),
+        ("planted.py", "", "int_det"), ("planted.py", "A", "__eq__"),
+        ("planted.py", "A", "__hash__"), ("planted.py", "B", "__repr__")]
