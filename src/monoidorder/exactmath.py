@@ -35,18 +35,6 @@ from .core import (InputError, InternalCheckError, as_int_vector, is_zero_vector
 
 
 # ---------------------------------------------------------------------------
-# sign of a line
-
-
-def sign_canonical(a: Sequence[int]) -> tuple[int, ...]:
-    """Flip sign so the first nonzero entry is positive (for lines only)."""
-    for x in a:
-        if x != 0:
-            return tuple(a) if x > 0 else tuple(-y for y in a)
-    return tuple(a)
-
-
-# ---------------------------------------------------------------------------
 # integer adjugate and determinant: cofactors up to order 3, Bareiss above
 
 
@@ -341,8 +329,8 @@ def certify_extreme_rays(normals: Sequence[Sequence[int]], rays: Sequence[Sequen
 
     A vector r of the cone spans an extreme ray iff the normals tight at r
     (``n . r == 0``) have rank ``d - 1 - dim L`` (Schrijver, *Theory of
-    Linear and Integer Programming*, ch. 8); the rank is read off their
-    Hermite form.  An extreme ray is a nonnegative combination of other
+    Linear and Integer Programming*, ch. 8); the rank is the number of
+    them :func:`_independent` keeps.  An extreme ray is a nonnegative combination of other
     generators only if one of them lies on its ray modulo L, so with the
     rays' residues modulo L pairwise distinct, none is.  Each ray is
     checked to lie in the cone, to have that tight rank, and the residues
@@ -353,7 +341,7 @@ def certify_extreme_rays(normals: Sequence[Sequence[int]], rays: Sequence[Sequen
         if min(values, default=0) < 0:
             raise InternalCheckError(f"ray {list(r)} lies outside the cone")
         tight = [n for n, v in zip(normals, values) if v == 0]
-        if len(hermite_normal_form(tight)) != len(r) - 1 - len(lin):
+        if len(_independent(tight)) != len(r) - 1 - len(lin):
             raise InternalCheckError(f"ray {list(r)} is a combination of the remaining rays")
     if len({_reduce_mod_lineality(r, lin) for r in rays}) != len(rays):
         raise InternalCheckError("two rays lie on one ray modulo the lineality space")
@@ -432,8 +420,9 @@ class RationalCone:
         space L of some input ray r, ``c*r - l`` with ``c > 0`` and l in L
         (a generating set of the pointed cone ``C/L`` holds each of its
         extreme rays).  The input rays whose residue is zero, those on
-        which every normal vanishes, must span L and have a strictly
-        positive integer relation (:func:`positive_relation`), so their
+        which every normal vanishes, must span L (have dim L pivot columns,
+        which :func:`_independent` reads) and have a strictly positive
+        integer relation (:func:`positive_relation`), so their
         cone is L; then ``-l`` and each extreme ray lie in the cone of the
         input rays.  On a pointed cone the residue of r is r itself.  A
         failure raises :class:`InternalCheckError`.
@@ -447,7 +436,7 @@ class RationalCone:
             raise InternalCheckError("extreme ray not spanned by input rays")
         if lin:
             inner = [r for r, residue in zip(self._rays, residues) if not any(residue)]
-            pivots = _pivots(hermite_normal_form(inner))
+            pivots = _independent(list(zip(*inner)))
             if len(pivots) != len(lin):
                 raise InternalCheckError("lineality space not spanned by input rays")
             positive_relation(inner, pivots)
@@ -486,9 +475,6 @@ class RationalCone:
 
     def contains_cone(self, other: "RationalCone") -> bool:
         return all(self.member(g) for g in other.v_rep)
-
-    def same_cone(self, other: "RationalCone") -> bool:
-        return self.contains_cone(other) and other.contains_cone(self)
 
     def dual(self) -> "RationalCone":
         """The cone of functionals nonnegative on this cone."""

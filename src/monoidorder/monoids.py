@@ -940,7 +940,7 @@ class LatticeMonoid(VectorCarrier):
 
     def _subsets(self) -> Iterator[tuple[tuple[int, ...], list]]:
         """The d-subsets of the generators with their own entries as rows,
-        the rest of them only if the first is independent or the
+        the rest of them only if one of the first two is independent or the
         generators' rank, read once by :func:`_independent` (no Hermite
         form), is d; then, only if none is independent (r < d), the
         r-subsets with the generators' coordinates in the lattice's Hermite
@@ -948,7 +948,7 @@ class LatticeMonoid(VectorCarrier):
         indices = range(len(self.generators))
         pending = zip(itertools.combinations(indices, self.dim),
                       map(list, itertools.combinations(self.generators, self.dim)))
-        yield from itertools.islice(pending, 1)
+        yield from itertools.islice(pending, 2)
         if self._cache["bases"] or len(_independent(self.generators)) == self.dim:
             yield from pending
         if not self._cache["bases"]:

@@ -74,9 +74,10 @@ def render_json(doc) -> str:
 def _json(doc, pad: str) -> str:
     """The JSON text of one value that starts a line indented by ``pad``.
 
-    The exact report types are tried first; any other value takes the
-    branches of :func:`canonical` in its order, so a subclass of ``int`` or
-    ``str`` prints as ``json`` prints it.  The items of a container are all
+    The exact report types are written directly; any other value is
+    written as :func:`canonical` copies it, which refuses what it cannot
+    copy, and a subclass of ``int`` or ``str``, which it leaves as it is,
+    prints as ``json`` prints it.  The items of a container are all
     rendered, in their order, before a dict's keys are sorted, so the
     first value ``canonical`` would refuse is the one refused here.
     """
@@ -91,25 +92,10 @@ def _json(doc, pad: str) -> str:
         return _json_dict(doc, pad)
     if t is list or t is tuple:
         return _json_list(doc, pad)
-    if isinstance(doc, Fraction):
-        if doc.denominator == 1:
-            return repr(int(doc))
-        return f'"{doc.numerator}/{doc.denominator}"'
-    if isinstance(doc, int):
-        return int.__repr__(doc)
-    if isinstance(doc, str):
-        return _string(doc)
-    if isinstance(doc, float):
-        raise _refusal(doc)
-    if isinstance(doc, (list, tuple)):
-        return _json_list(doc, pad)
-    if isinstance(doc, dict):
-        return _json_dict(doc, pad)
-    if hasattr(doc, "as_dict"):
-        return _json(doc.as_dict(), pad)
-    if hasattr(doc, "describe"):
-        return _json(doc.describe(), pad)
-    raise _refusal(doc)
+    flat = canonical(doc)
+    if flat is doc:
+        return _string(doc) if isinstance(doc, str) else int.__repr__(doc)
+    return _json(flat, pad)
 
 
 _CONSTANTS = {True: "true", False: "false", None: "null"}

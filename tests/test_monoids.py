@@ -24,7 +24,8 @@ from monoidorder.monoids import (BiadditiveOp, FiniteMonoid, LatticeMonoid,
                                  half_open_half_plane, leq,
                                  saturating_product_op, truncated_free_monoid)
 
-from conftest import (cone_corpus, finite_corpus, lattice_corpus, monogenic_table,
+from conftest import (_make_unreachable, cone_corpus, finite_corpus, lattice_corpus,
+                      monogenic_table,
                       oracle_lineality_coordinates, product_table, rational_rank,
                       sample_elements, seeded, weakly_localizable_ops)
 
@@ -1039,7 +1040,7 @@ def test_a_carrier_of_lower_rank_tries_no_singular_d_subset_past_the_first(
         adjugates_made, lattices_built):
     # a rank-3 carrier of 12 generators in dimension 4: all C(12, 4) = 495
     # d-subsets are singular, and they were all tried before the first
-    # r-subset; the rank, read once the first proves singular, skips them
+    # r-subset; the rank, read once the second proves singular, skips them
     gens = [(1, 0, 0, 1), (0, 1, 0, 1), (0, 0, 1, 1), (1, 1, 0, 2), (1, 0, 1, 2),
             (0, 1, 1, 2), (2, 1, 0, 3), (1, 2, 0, 3), (0, 1, 2, 3), (2, 0, 1, 3),
             (1, 1, 1, 3), (3, 1, 0, 4)]
@@ -1054,6 +1055,18 @@ def test_a_carrier_of_lower_rank_tries_no_singular_d_subset_past_the_first(
     m = LatticeMonoid(2, [(1, 0), (2, 0), (0, 1)])
     assert m.boundary_status((1, 1)) == "inside" and m._full_rank
     assert len(adjugates_made) == 2 and lattices_built == []
+
+
+def test_a_full_rank_carrier_whose_second_d_subset_is_independent_reads_no_rank(
+        monkeypatch):
+    # the first d-subset is singular and the second is not: the bases go
+    # on in the generators' own entries without reading their rank
+    _make_unreachable(monkeypatch, monoids._independent, "the generators' rank")
+    for d, gens in ((2, [(1, 0), (2, 0), (0, 1)]),
+                    (3, [(1, 0, 0), (0, 1, 0), (2, 0, 0), (0, 0, 1), (1, 1, 1)])):
+        m = LatticeMonoid(d, gens)
+        assert m.boundary_status((1,) * d) == "inside" and m._full_rank
+        assert m.leq((0,) * d, (1,) * d) and not m.leq((1,) * d, (0,) * d)
 
 
 def _unimodular(rng, d):

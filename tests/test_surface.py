@@ -6,9 +6,8 @@ as a Python name (a name, an attribute or an imported name, so a report key
 or a word in a docstring does not count), or in ``perfbench/`` as a whole
 word (the tracer names its targets in strings).  Every method of such a
 class that is not a dunder must be used there as an attribute (``.name``).
-A name that only a unit test reaches belongs next to that test, unless the
-test uses it as an oracle; those few are listed in ``ORACLES`` (a method as
-``Class.name``) with the test file that uses them.
+A name that only a unit test reaches belongs next to that test, oracles
+included.
 
 Every parameter with a default, of a library function or method, must be
 passed by some call in ``src/``, ``perfbench/`` or
@@ -32,12 +31,6 @@ import pytest
 ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir))
 PACKAGE = os.path.join(ROOT, "src", "monoidorder")
 PERFBENCH = os.path.join(ROOT, "perfbench")
-
-# name -> the test file that uses it as an oracle
-ORACLES = {
-    "sign_canonical": "tests/test_exactmath.py",  # pointed cones for a property
-    "RationalCone.same_cone": "tests/test_exactmath.py",  # dual of the dual
-}
 
 # (function, parameter) -> why only tests pass it
 SET_BY_TESTS = {
@@ -171,15 +164,7 @@ def _unpassed_defaults():
 
 
 def test_every_library_name_is_reached_outside_the_unit_tests():
-    assert sorted(set(_unreached()) - set(ORACLES)) == []
-
-
-@pytest.mark.parametrize("name", sorted(ORACLES))
-def test_each_oracle_entry_is_needed_and_used(name):
-    assert name in _unreached(), f"{name} is reached from the program"
-    text = _read(os.path.join(ROOT, ORACLES[name]))
-    word = name.rpartition(".")[2]
-    assert re.search(rf"\b{re.escape(word)}\b", text)
+    assert _unreached() == []
 
 
 def test_every_default_is_overridden_by_the_program():
@@ -413,9 +398,14 @@ def test_the_importer_walk_finds_each_import_shape(tmp_path):
 
 
 # Each shared job is written once: the records' ``==`` and ``repr`` in
-# ``core.Record``, the values' ``hash`` in ``formallyreal._Value``, and the
-# integer determinant in ``exactmath.int_adjugate``, which carries it.
+# ``core.Record``, the values' ``hash`` in ``formallyreal._Value``, the
+# integer determinant in ``exactmath.int_adjugate``, which carries it, the
+# report value ladder in ``reports.canonical``, which the JSON writer falls
+# back on, and a rank or pivot columns in ``exactmath._independent``, with
+# no Hermite form built only to count its rows or read its pivots.
 SHARED_JOBS = {"__eq__", "__repr__", "__hash__", "int_det"}
+# the oracles only tests use, which live next to them
+TEST_ORACLES = {"sign_canonical", "same_cone"}
 
 
 def _shared_job_sites(directory):
@@ -443,10 +433,53 @@ def _shared_job_sites(directory):
     return sorted(out)
 
 
+def _functions(tree):
+    """(name, node) of each top-level function and each method of a
+    top-level class (named ``Class.method``)."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef):
+            yield from ((f"{node.name}.{item.name}", item) for item in node.body
+                        if isinstance(item, ast.FunctionDef))
+
+
+def _callee(call):
+    f = call.func
+    return f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+
+
+def _second_copies(directory):
+    """(file, function, what), sorted, of each second copy of a job that
+    has one home: a ``hasattr`` call or a ``float`` in ``_json``, a call
+    of ``_refusal`` outside ``canonical``, a ``len`` or ``_pivots`` of a
+    fresh Hermite form, and a definition of a test oracle."""
+    out = []
+    for path in sorted(_python_files(directory)):
+        name = os.path.basename(path)
+        for func, node in _functions(ast.parse(_read(path))):
+            if func.rpartition(".")[2] in TEST_ORACLES:
+                out.append((name, func, "defined"))
+            for n in ast.walk(node):
+                if func == "_json" and isinstance(n, ast.Name) and n.id == "float":
+                    out.append((name, func, "float"))
+                if not isinstance(n, ast.Call):
+                    continue
+                callee = _callee(n)
+                if (func == "_json" and callee == "hasattr"
+                        or func != "canonical" and callee == "_refusal"):
+                    out.append((name, func, callee))
+                elif (callee in ("len", "_pivots") and n.args and isinstance(n.args[0], ast.Call)
+                      and _callee(n.args[0]) == "hermite_normal_form"):
+                    out.append((name, func, f"{callee}(hermite_normal_form)"))
+    return sorted(out)
+
+
 def test_each_shared_job_is_written_once():
     assert _shared_job_sites(PACKAGE) == [
         ("core.py", "Record", "__eq__"), ("core.py", "Record", "__repr__"),
         ("formallyreal.py", "_Value", "__hash__")]
+    assert _second_copies(PACKAGE) == []
     # the reduction reads U^-1 off the solver that proved U unimodular
     used = _names_in(ast.parse(_read(os.path.join(PACKAGE, "grothendieck.py"))))
     assert "inverse" in used and "int_adjugate" not in used
@@ -472,3 +505,26 @@ def test_the_shared_job_walk_finds_a_planted_copy(tmp_path):
         ("planted.py", "", "int_det"), ("planted.py", "", "int_det"),
         ("planted.py", "", "int_det"), ("planted.py", "A", "__eq__"),
         ("planted.py", "A", "__hash__"), ("planted.py", "B", "__repr__")]
+
+
+def test_the_second_copy_walk_finds_each_planted_copy(tmp_path):
+    # the walk is not vacuous: each second copy is found where planted,
+    # and canonical's own refusal is not
+    (tmp_path / "planted.py").write_text(
+        "def canonical(doc):\n"
+        "    raise _refusal(doc)\n"
+        "def _json(doc, pad):\n"
+        "    if hasattr(doc, 'as_dict') or isinstance(doc, float):\n"
+        "        raise _refusal(doc)\n"
+        "def sign_canonical(a):\n"
+        "    return len(hermite_normal_form(a))\n"
+        "class RationalCone:\n"
+        "    def same_cone(self, other):\n"
+        "        return _pivots(exactmath.hermite_normal_form(other))\n")
+    assert _second_copies(str(tmp_path)) == [
+        ("planted.py", "RationalCone.same_cone", "_pivots(hermite_normal_form)"),
+        ("planted.py", "RationalCone.same_cone", "defined"),
+        ("planted.py", "_json", "_refusal"), ("planted.py", "_json", "float"),
+        ("planted.py", "_json", "hasattr"),
+        ("planted.py", "sign_canonical", "defined"),
+        ("planted.py", "sign_canonical", "len(hermite_normal_form)")]
