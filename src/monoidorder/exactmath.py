@@ -329,12 +329,12 @@ def certify_extreme_rays(normals: Sequence[Sequence[int]], rays: Sequence[Sequen
 
     A vector r of the cone spans an extreme ray iff the normals tight at r
     (``n . r == 0``) have rank ``d - 1 - dim L`` (Schrijver, *Theory of
-    Linear and Integer Programming*, ch. 8); the rank is the number of
-    them :func:`_independent` keeps.  An extreme ray is a nonnegative combination of other
-    generators only if one of them lies on its ray modulo L, so with the
-    rays' residues modulo L pairwise distinct, none is.  Each ray is
-    checked to lie in the cone, to have that tight rank, and the residues
-    to be distinct; a failure raises :class:`InternalCheckError`.
+    Linear and Integer Programming*, ch. 8), read by :func:`_independent`.
+    An extreme ray is a nonnegative combination of other generators only
+    if one of them lies on its ray modulo L, so with the rays' residues
+    modulo L pairwise distinct, none is.  Each ray is checked to lie in
+    the cone, to have that tight rank, and the residues to be distinct; a
+    failure raises :class:`InternalCheckError`.
     """
     for r in rays:
         values = [sum(map(mul, n, r)) for n in normals]
@@ -953,7 +953,7 @@ def positive_relation(vectors: Sequence[Sequence[int]],
                       pivots: Sequence[int]) -> tuple[int, ...]:
     """Strictly positive integers r with ``sum(r[i] * vectors[i]) == 0``, for
     integer vectors that positively span their span, read at ``pivots``,
-    their Hermite form's pivot columns (one-to-one on the span).  The
+    their pivot columns (one-to-one on the span).  The
     vectors' cone holds minus their sum w iff they positively span: a
     :func:`cone_walk` from the greedily independent vectors finds a basis B
     whose cone holds -w, and ``|det B|`` on every vector plus ``sign(det B)
