@@ -33,11 +33,6 @@ EXIT_INPUT = 3
 EXIT_BUDGET = 4
 EXIT_INTERNAL = 5
 
-REPRODUCE_IDS = ("intro-free-monoid", "open-cone-approx",
-                 "matrix-not-localizable", "almost-fring",
-                 "rational-function-category")
-
-
 def _verdict_exit(verdict: str) -> int:
     if verdict == "yes":
         return EXIT_PASS
@@ -458,6 +453,7 @@ _REPRODUCERS = {
     "almost-fring": _reproduce_almost_fring,
     "rational-function-category": _reproduce_rational_function_category,
 }
+REPRODUCE_IDS = tuple(_REPRODUCERS)
 
 
 def reproduce_document(example_id: str) -> dict:

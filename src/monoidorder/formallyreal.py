@@ -12,12 +12,14 @@ coefficient is positive and its odd-multiplicity part has no real root.
 On top of the verdict sit the downward-shift search (least natural ``k``
 making ``f - k`` fail membership) and the field categorization report.
 
-Arithmetic.  Rational polynomials store ``Fraction`` coefficients, but the
-membership path computes in integers: ``num * den`` is multiplied from
-``num`` and ``den`` scaled by one positive factor, and made primitive; gcds, exact quotients and Yun's
-square-free decomposition run over Z[x] with the primitive
-pseudo-remainder sequence; Sturm chains and witness candidates are
-signed by homogeneous integer Horner.  One remainder sequence serves
+Arithmetic.  Rational polynomials store ``Fraction`` coefficients, but
+products, powers and a rational function's cancellation run on primitive
+integer multiples, and the membership path computes in integers: ``num *
+den`` is multiplied from ``num`` and ``den`` scaled by one positive
+factor, and made primitive; gcds, exact quotients and Yun's square-free
+decomposition run over Z[x] with the primitive pseudo-remainder
+sequence; Sturm chains and witness candidates are signed by homogeneous
+integer Horner.  One remainder sequence serves
 each polynomial: the Sturm chain of a primitive ``p`` ends in ``gcd(p,
 p')``, so Yun's decomposition reads its first gcd off that chain and
 hands the chain on, and a square-free ``p`` is counted and searched with
@@ -82,7 +84,7 @@ class RationalPolynomial(_Value):
     _fields = __slots__ = ("coefficients",)
 
     def __init__(self, coefficients: Sequence[Rat]):
-        coeffs = [Fraction(c) for c in coefficients]
+        coeffs = [c if type(c) is Fraction else Fraction(c) for c in coefficients]
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
         object.__setattr__(self, "coefficients", tuple(coeffs))
@@ -126,29 +128,12 @@ class RationalPolynomial(_Value):
     def __mul__(self, other: "RationalPolynomial") -> "RationalPolynomial":
         if self.is_zero() or other.is_zero():
             return RationalPolynomial([])
-        a, b = self.coefficients, other.coefficients
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca == 0:
-                continue
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-        return RationalPolynomial(out)
+        a, b = as_int_vector(self.coefficients), as_int_vector(other.coefficients)
+        ratio = self.leading * other.leading / (a[-1] * b[-1])
+        return RationalPolynomial([ratio * c for c in _int_mul(a, b)])
 
     def scale(self, c: Rat) -> "RationalPolynomial":
         return RationalPolynomial([Fraction(c) * x for x in self.coefficients])
-
-    def exact_div(self, other: "RationalPolynomial") -> "RationalPolynomial":
-        """The quotient by a divisor, divided exactly in integers and scaled
-        back (:class:`InternalCheckError` when ``other`` does not divide)."""
-        if other.is_zero():
-            raise InputError("polynomial division by zero")
-        a, b = as_int_vector(self.coefficients), as_int_vector(other.coefficients)
-        q = _exact_quotient(a, b)
-        if not q:
-            return RationalPolynomial([])
-        ratio = self.leading * b[-1] / (other.leading * a[-1])
-        return RationalPolynomial([ratio * c for c in q])
 
     def evaluate(self, x: Rat) -> Fraction:
         x = Fraction(x)
@@ -208,12 +193,6 @@ class RationalPolynomial(_Value):
 # primitive integer tuple, low degree first.  Gcds, exact quotients and
 # Yun's decomposition then run without normalizing a single ``Fraction``;
 # results convert back to monic rational polynomials at the end.
-
-
-def _monic(ints: tuple) -> RationalPolynomial:
-    """The monic rational polynomial proportional to nonzero ``ints``."""
-    lead = ints[-1]
-    return RationalPolynomial([Fraction(c, lead) for c in ints])
 
 
 def _positive_lead(ints: tuple) -> tuple:
@@ -312,13 +291,6 @@ def _int_gcd(a: tuple, b: tuple) -> tuple:
     return primitive(a)
 
 
-def poly_gcd(a: RationalPolynomial, b: RationalPolynomial) -> RationalPolynomial:
-    """Monic greatest common divisor (zero when both are zero), computed as
-    the gcd of the primitive integer multiples (:func:`_int_gcd`)."""
-    g = _int_gcd(as_int_vector(a.coefficients), as_int_vector(b.coefficients))
-    return _monic(g) if g else RationalPolynomial([])
-
-
 def _yun(ints: tuple) -> tuple:
     """Yun's decomposition (SYMSAC 1976) of primitive nonzero ``ints``:
     ``([(factor, multiplicity), ...], chain)``, factors square-free,
@@ -368,7 +340,8 @@ def squarefree_decomposition(p: RationalPolynomial):
     [(factor, multiplicity), ...])`` with monic factors (:func:`_yun`)."""
     if p.is_zero():
         raise InputError("the zero polynomial has no square-free decomposition")
-    return p.leading, [(_monic(g), m) for g, m in _yun(as_int_vector(p.coefficients))[0]]
+    return p.leading, [(RationalPolynomial([Fraction(c, g[-1]) for c in g]), m)
+                       for g, m in _yun(as_int_vector(p.coefficients))[0]]
 
 
 # ---------------------------------------------------------------------------
@@ -661,18 +634,18 @@ class RationalFunction(_Value):
         if numerator.is_zero():
             numerator = RationalPolynomial([])
             denominator = RationalPolynomial([1])
-        else:
-            # a constant denominator is coprime to everything, and a monic
-            # one needs no scaling
-            if denominator.degree > 0:
-                g = poly_gcd(numerator, denominator)
-                if g.degree > 0:
-                    numerator = numerator.exact_div(g)
-                    denominator = denominator.exact_div(g)
-            lc = denominator.leading
-            if lc != 1:
-                numerator = numerator.scale(1 / lc)
-                denominator = denominator.scale(1 / lc)
+        elif denominator.degree > 0:
+            # both scaled by one positive factor to integers, the common
+            # factor cancelled exactly there, then made monic in one pass
+            N, D = _int_split(numerator, denominator)
+            g = _int_gcd(N, D)
+            N, D = _exact_quotient(N, g), _exact_quotient(D, g)
+            numerator = RationalPolynomial([Fraction(c, D[-1]) for c in N])
+            denominator = RationalPolynomial([Fraction(c, D[-1]) for c in D])
+        elif denominator.leading != 1:
+            # a constant denominator is coprime to everything
+            numerator = numerator.scale(1 / denominator.leading)
+            denominator = RationalPolynomial([1])
         object.__setattr__(self, "numerator", numerator)
         object.__setattr__(self, "denominator", denominator)
 
@@ -917,7 +890,7 @@ def is_sos_membership(f: RationalFunction) -> dict:
     lead_ok = lead > 0
     # a positive multiple of num * den, multiplied in integers: the
     # product of the primitive parts of num and den (Gauss's lemma)
-    N, D = _int_split(f)
+    N, D = _int_split(f.numerator, f.denominator)
     g = primitive(_int_mul(N, D))
     factors, chain = _yun(g)
     if lead_ok:
@@ -1059,10 +1032,8 @@ def _shift_witness(m: tuple, yun, D: tuple, d_yun) -> Fraction:
     return _negative_point(_int_mul(m, D), SturmChain._of(_chain_for(seed, chain)))
 
 
-def _int_split(f: RationalFunction) -> tuple[tuple, tuple]:
-    """``f``'s numerator and denominator scaled by one positive factor, in
-    integers."""
-    num, den = f.numerator, f.denominator
+def _int_split(num: RationalPolynomial, den: RationalPolynomial) -> tuple[tuple, tuple]:
+    """``num`` and ``den`` scaled by one positive factor, in integers."""
     ints = as_int_vector(num.coefficients + den.coefficients)
     return ints[:num.degree + 1], ints[num.degree + 1:]
 
@@ -1128,7 +1099,7 @@ def theorem_skew_hypothesis(f: RationalFunction) -> dict:
     integer split the search used (:func:`_shifted_value`).  Otherwise
     :class:`InternalCheckError` is raised.
     """
-    N, D = _int_split(f)
+    N, D = _int_split(f.numerator, f.denominator)
     samples, x = [], 0  # (x, floor(f(x))) at x = 0, 1, -1, 2, ... off the poles
     while True:
         d = _int_value(D, x)

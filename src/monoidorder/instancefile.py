@@ -55,9 +55,6 @@ from .exactmath import RationalCone
 from .monoids import (BiadditiveOp, FiniteMonoid, LatticeMonoid,
                       OpenConeMonoid, orthant)
 
-KINDS = ("finite", "lattice", "open-cone", "lattice-group", "rational-function")
-
-
 class Instance(Record):
     """A parsed and validated instance file."""
 
@@ -100,19 +97,16 @@ class Instance(Record):
 
 
 class _Raw(Record):
-    """The tokens of one file, filled in by :func:`_tokenize`."""
+    """The tokens of one file, filled in by :func:`_tokenize`, each with
+    the line it was read from."""
 
-    _fields = ("source", "headers", "header_lines", "sections", "section_lines",
-               "section_starts")
+    _fields = ("source", "headers", "sections", "section_starts")
 
     def __init__(self, source: str):
         self.source = source
-        self.headers = {}
-        self.header_lines = {}
-        self.sections = {}
-        self.section_lines = {}
+        self.headers = {}  # key -> (line, value)
+        self.sections = {}  # name -> [(line, tokens), ...]
         self.section_starts = {}  # name -> header line
-
 
 
 def _tokenize(raw_text: str, source: str) -> _Raw:
@@ -130,7 +124,6 @@ def _tokenize(raw_text: str, source: str) -> _Raw:
                 raise InputError(f"{source}:{lineno}: duplicate section "
                                  f"[{current}]")
             raw.sections[current] = []
-            raw.section_lines[current] = []
             raw.section_starts[current] = lineno
             continue
         if current is None:
@@ -143,11 +136,9 @@ def _tokenize(raw_text: str, source: str) -> _Raw:
             if key in raw.headers:
                 raise InputError(f"{source}:{lineno}: duplicate header "
                                  f"{key!r}")
-            raw.headers[key] = value.strip()
-            raw.header_lines[key] = lineno
+            raw.headers[key] = (lineno, value.strip())
         else:
-            raw.sections[current].append(body.split())
-            raw.section_lines[current].append(lineno)
+            raw.sections[current].append((lineno, body.split()))
     return raw
 
 
@@ -169,7 +160,7 @@ def _rat_token(tok: str, where: str) -> Fraction:
 def _need_header(raw: _Raw, key: str) -> str:
     if key not in raw.headers:
         raise InputError(f"{raw.source}: missing required header {key!r}")
-    return raw.headers[key]
+    return raw.headers[key][1]
 
 
 def _need_section(raw: _Raw, name: str):
@@ -182,7 +173,7 @@ def _check_known(raw: _Raw, headers, sections):
     for key in raw.headers:
         if key not in headers:
             raise InputError(
-                f"{raw.source}:{raw.header_lines[key]}: unknown header "
+                f"{raw.source}:{raw.headers[key][0]}: unknown header "
                 f"{key!r} (expected one of {sorted(headers)})")
     for name in raw.sections:
         if name not in sections:
@@ -193,7 +184,7 @@ def _check_known(raw: _Raw, headers, sections):
 
 def _int_rows(raw: _Raw, name: str, width: Optional[int] = None):
     rows = []
-    for row, lineno in zip(raw.sections[name], raw.section_lines[name]):
+    for lineno, row in raw.sections[name]:
         where = f"{raw.source}:{lineno}"
         if width is not None and len(row) != width:
             raise InputError(
@@ -213,7 +204,7 @@ def _tensor_rows(raw: _Raw, dim: int):
     if "tensor" not in raw.sections:
         return None
     rows = {}
-    for row, lineno in zip(raw.sections["tensor"], raw.section_lines["tensor"]):
+    for lineno, row in raw.sections["tensor"]:
         where = f"{raw.source}:{lineno}"
         if len(row) != 2 + dim:
             raise InputError(
@@ -249,13 +240,12 @@ def _build_finite(raw: _Raw) -> Instance:
 
     def table_from(section: str):
         rows = _need_section(raw, section)
-        lines = raw.section_lines[section]
         if len(rows) != n:
             raise InputError(
                 f"{raw.source}: [{section}] needs {n} rows (one per element), "
                 f"got {len(rows)}")
         table = []
-        for row, lineno in zip(rows, lines):
+        for lineno, row in rows:
             where = f"{raw.source}:{lineno}"
             if len(row) != n:
                 raise InputError(
@@ -340,14 +330,14 @@ def _build_open_cone(raw: _Raw) -> Instance:
 def _build_lattice_group(raw: _Raw) -> Instance:
     _check_known(raw, {"kind", "dim", "scalar"}, {"tensor"})
     dim = _int_token(_need_header(raw, "dim"), raw.source)
-    scalar = raw.headers.get("scalar", "integer")
+    scalar = _need_header(raw, "scalar") if "scalar" in raw.headers else "integer"
     if scalar not in ("integer", "rational"):
         raise InputError(
             f"{raw.source}: scalar must be 'integer' or 'rational', "
             f"got {scalar!r}")
     _need_section(raw, "tensor")
     if dim <= 0:
-        raise InputError("dimension must be positive")
+        raise InputError(f"{raw.source}: dimension must be positive")
     tensor = _tensor_rows(raw, dim)  # read before the orthant is allocated
     op = _operation(raw, orthant(dim, scalar), tensor=tensor)
     return Instance(kind="lattice-group", source=raw.source, monoid=op.carrier, op=op)
@@ -372,6 +362,7 @@ _BUILDERS = {
     "lattice-group": _build_lattice_group,
     "rational-function": _build_rational_function,
 }
+KINDS = tuple(_BUILDERS)
 
 
 def parse_instance_text(text: str, source: str = "<string>") -> Instance:
@@ -379,7 +370,7 @@ def parse_instance_text(text: str, source: str = "<string>") -> Instance:
     kind = _need_header(raw, "kind")
     if kind not in KINDS:
         raise InputError(
-            f"{source}:{raw.header_lines.get('kind', 0)}: unknown kind "
+            f"{source}:{raw.headers['kind'][0]}: unknown kind "
             f"{kind!r} (expected one of {list(KINDS)})")
     return _BUILDERS[kind](raw)
 

@@ -26,8 +26,9 @@ def canonical(doc):
     """Copy a report document onto the JSON-safe value set.
 
     Fractions become ``"p/q"`` strings (plain integers stay integers),
-    tuples become lists, and dict keys become strings.  Unexpected types
-    are rejected rather than silently stringified.
+    tuples become lists, and scalar dict keys become strings.  Unexpected
+    types, a vector key among them, are rejected rather than silently
+    stringified.
     """
     if isinstance(doc, Fraction):
         if doc.denominator == 1:
@@ -41,10 +42,6 @@ def canonical(doc):
         return [canonical(x) for x in doc]
     if isinstance(doc, dict):
         return {_key(k): canonical(v) for k, v in doc.items()}
-    if hasattr(doc, "as_dict"):
-        return canonical(doc.as_dict())
-    if hasattr(doc, "describe"):
-        return canonical(doc.describe())
     raise _refusal(doc)
 
 
@@ -56,10 +53,10 @@ def _refusal(doc) -> InputError:
 
 
 def _key(k) -> str:
-    """Flatten a dict key to a stable string: vectors join with commas."""
-    if isinstance(k, (list, tuple)):
-        return ",".join(_key(x) for x in k)
+    """A scalar dict key as a string."""
     flat = canonical(k)
+    if type(flat) is list:
+        raise InputError(f"cannot use a {type(k).__name__} as a report key")
     return flat if isinstance(flat, str) else str(flat)
 
 

@@ -21,8 +21,8 @@ import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from monoidorder import (cli, formallyreal, functionals, latticeorder,
-                         localizability)
+from monoidorder import (cli, exactmath, formallyreal, functionals,
+                         latticeorder, localizability)
 from monoidorder.cli import (EXIT_BUDGET, EXIT_INPUT, EXIT_INTERNAL, EXIT_PASS,
                              EXIT_REFUSED, EXIT_REFUTED, REPRODUCE_IDS,
                              default_golden_path, main, reproduce_document)
@@ -73,6 +73,25 @@ def test_order_decides_members_with_large_coefficients(tmp_path):
     code, doc, err = run_json("order", str(path), "1", "0")
     assert code == EXIT_PASS, err
     assert doc["leq_ab"] is True and doc["leq_ba"] is True
+
+
+def test_order_on_a_whole_plane_reads_a_positive_relation(tmp_path, monkeypatch):
+    # the generators span the whole plane, a lineality space, whose
+    # generators are certified by a positive integer relation among them
+    calls = []
+    relation = exactmath.positive_relation
+    monkeypatch.setattr(exactmath, "positive_relation",
+                        lambda *args: calls.append(args) or relation(*args))
+    path = tmp_path / "plane.mon"
+    path.write_text("kind: lattice\ndim: 2\n\n[generators]\n"
+                    "-1 1\n1 -1\n2 3\n-1 0\n2 1\n", encoding="utf-8")
+    code, doc, err = run_json("order", str(path), "10,6", "3,-2")
+    assert code == EXIT_PASS, err
+    assert doc["leq_ab"] is True and doc["leq_ba"] is True
+    assert doc["approx"] is True and doc["consistent"] is True
+    assert doc["reduction_level1_leq_ab"] is True
+    assert doc["reduction_level2_equal"] is True
+    assert calls
 
 
 FIVE = "kind: lattice\ndim: 3\n\n[generators]\n1 0 0\n0 1 0\n0 0 1\n-2 1 -1\n5 4 7\n"

@@ -128,6 +128,13 @@ CASES = (
         # an expression with a leading minus is a positional, not an option
         ["sos", "-x^2"],
         ["sos", "-(x-1)^2+2", "--theorem"],
+        # a numerator and a denominator with a common factor, cancelled
+        ["sos", "(x^2-1)/(x-1)"],
+        ["--format", "text", "sos", "(x^2-1)/(x-1)"],
+        ["sos", "(2*x^2-2)/(4*x-4)"],
+        ["sos", "(x^3-x)/(3*x^2-3*x)", "--theorem"],
+        # two cancellations, one per division
+        ["sos", "(x^4-1)/(x^2+1)/(x+1)"],
     ]
     + [["reproduce", rid] for rid in REPRODUCE]
 )

@@ -9,14 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from monoidorder import formallyreal
-from monoidorder.core import InputError, InternalCheckError, primitive
+from monoidorder.core import (InputError, InternalCheckError, as_int_vector,
+                              primitive)
 from monoidorder.formallyreal import (POINTWISE_FACT, RationalFunction,
                                       RationalPolynomial, SturmChain,
                                       _exact_quotient, _int_derivative,
-                                      _int_sub,
+                                      _int_gcd, _int_sub,
                                       categorize, is_sos_membership,
                                       isolate_real_roots,
-                                      parse_rational_function, poly_gcd,
+                                      parse_rational_function,
                                       refine_interval,
                                       squarefree_decomposition,
                                       sturm_root_count,
@@ -65,6 +66,13 @@ def _derivative(p):
 
 def _monic(p):
     return p.scale(1 / p.leading)
+
+
+def _gcd(a, b):
+    """The monic gcd that :func:`_int_gcd` gives of the primitive integer
+    multiples (zero when both are zero)."""
+    g = _int_gcd(as_int_vector(a.coefficients), as_int_vector(b.coefficients))
+    return _monic(RationalPolynomial(g)) if g else RationalPolynomial(())
 
 
 def _defined_at(f, x):
@@ -125,8 +133,8 @@ def test_evaluation_is_ring_homomorphism(a, t):
 def test_gcd_of_known_factorizations():
     a = _linear(1) * _linear(-2)
     b = _linear(1) * _linear(3)
-    assert poly_gcd(a, b) == _linear(1)
-    assert poly_gcd(a, _poly(1)) == ONE
+    assert _gcd(a, b) == _linear(1)
+    assert _gcd(a, _poly(1)) == ONE
 
 
 # ---------------------------------------------------------------------------
@@ -288,9 +296,24 @@ def test_integer_yun_and_gcd_equal_the_fraction_reference(p, q, shared):
     assert squarefree_decomposition(p) == _reference_yun(p)
     a, b = p * shared, q * shared
     if a.degree <= 12 and b.degree <= 12:
-        assert poly_gcd(a, b) == _reference_gcd(a, b)
-    assert poly_gcd(p, RationalPolynomial(())) == _reference_gcd(
+        assert _gcd(a, b) == _reference_gcd(a, b)
+    assert _gcd(p, RationalPolynomial(())) == _reference_gcd(
         p, RationalPolynomial(()))
+
+
+@given(_planted_products(), _planted_products(), _planted_products(),
+       st.fractions(min_value=-9, max_value=9, max_denominator=7).filter(bool))
+def test_integer_cancellation_equals_the_fraction_reference(p, q, shared, content):
+    # a numerator and a denominator with a planted common factor, the
+    # numerator's factor scaled by a rational content: the canonical pair
+    # is the pair that Euclid in Fraction arithmetic cancels to, made monic
+    # in the denominator
+    a, b = p * shared.scale(content), q * shared
+    g = _reference_gcd(a, b)
+    num, den = _reference_quotient(a, g), _reference_quotient(b, g)
+    f = RationalFunction(a, b)
+    assert (f.numerator, f.denominator) == (num.scale(1 / den.leading),
+                                            den.scale(1 / den.leading))
 
 
 def test_non_exact_integer_division_raises():
@@ -299,10 +322,10 @@ def test_non_exact_integer_division_raises():
     with pytest.raises(InternalCheckError):
         _exact_quotient((1, 0, 1), (0, 2))  # leading 1 not a multiple of 2
     with pytest.raises(InternalCheckError):
-        _poly(1, 0, 1).exact_div(_linear(-1))
+        _exact_quotient((1, 0, 1), (-1, 1))  # x^2 + 1 by x - 1
     assert _exact_quotient((-1, 0, 1), (1, 1)) == (-1, 1)
-    assert _poly(Fraction(1, 2), 0, Fraction(-1, 2)).exact_div(
-        _poly(3, 3)) == _poly(Fraction(1, 6), Fraction(-1, 6))
+    # a dividend need not be primitive: 2*x^2 - 2 by x + 1
+    assert _exact_quotient((-2, 0, 2), (1, 1)) == (-2, 2)
 
 
 def test_squarefree_and_odd_parts():
@@ -655,7 +678,7 @@ def test_rational_function_normalization():
     assert f.text() == "x + 1"
     g = parse_rational_function("(2*x)/(4)")
     assert g.evaluate(2) == 1
-    assert poly_gcd(g.numerator, g.denominator) == ONE
+    assert _gcd(g.numerator, g.denominator) == ONE
     assert g.denominator.coefficients[-1] == 1  # monic denominator
 
 
@@ -696,8 +719,8 @@ def test_a_constant_denominator_makes_no_gcd(monkeypatch, expr, coefficients):
     # every intermediate function of the parse has the denominator 1, which
     # is coprime to every numerator (4 gcds for x^2+2 when each one is taken)
     calls = []
-    gcd = formallyreal.poly_gcd
-    monkeypatch.setattr(formallyreal, "poly_gcd",
+    gcd = formallyreal._int_gcd
+    monkeypatch.setattr(formallyreal, "_int_gcd",
                         lambda a, b: calls.append(1) or gcd(a, b))
     f = parse_rational_function(expr)
     assert (f.numerator, f.denominator) == (RationalPolynomial(coefficients), ONE)
@@ -764,7 +787,7 @@ def test_the_membership_witness_is_valued_in_integers(monkeypatch, expr, witness
 def test_a_split_that_is_not_fs_trips_the_membership_check():
     # the integer split must lead as f's numerator and denominator do
     f = parse_rational_function("(x^2-2)/(3*x+1)")
-    N, D = formallyreal._int_split(f)
+    N, D = formallyreal._int_split(f.numerator, f.denominator)
     assert formallyreal._shifted_value(f, N, D, Fraction(1, 2), 0) == f.evaluate(Fraction(1, 2))
     with pytest.raises(InternalCheckError, match="are not f's"):
         formallyreal._shifted_value(f, N, tuple(2 * c for c in D), Fraction(1, 2), 0)

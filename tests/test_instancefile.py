@@ -213,6 +213,56 @@ def test_bad_row_arity_is_located():
     _expect_error("kind: lattice\ndim: 2\n[generators]\n1 0 0\n", ":4:")
 
 
+# every refusal that names a line, with the whole message: blank and
+# comment lines are counted, so each line number is read off its own row
+LOCATED_REFUSALS = [
+    ("kind: lattice\ndim: 2\n[ ]\n", "<test>:3: empty section name"),
+    ("kind: lattice\ndim: 2\nno colon here\n",
+     "<test>:3: expected 'key: value' header or '[section]'"),
+    ("kind: lattice\ndim: 2\ndim: 3\n", "<test>:3: duplicate header 'dim'"),
+    ("kind: lattice\ndim: 2\nflavor: spicy\n[generators]\n1 0\n",
+     "<test>:3: unknown header 'flavor' (expected one of ['dim', 'kind'])"),
+    ("# header\nkind: banana\n",
+     "<test>:2: unknown kind 'banana' (expected one of ['finite', 'lattice', "
+     "'open-cone', 'lattice-group', 'rational-function'])"),
+    ("kind: lattice\ndim: 2\n[generators]\n1 0\n[generators]\n0 1\n",
+     "<test>:5: duplicate section [generators]"),
+    ("kind: lattice\ndim: 2\n[generators]\n1 0\n[frobnicators]\nx\n",
+     "<test>:5: unknown section [frobnicators] (expected one of "
+     "['generators', 'tensor'])"),
+    ("kind: lattice\ndim: 2\n[generators]\n1 0\n\n1 0 0\n",
+     "<test>:6: expected 2 entries in [generators], got 3"),
+    ("kind: lattice\ndim: 2\n[generators]\n1 0\n1 y\n",
+     "<test>:5: expected an integer, got 'y'"),
+    ("kind: open-cone\ndim: 2\n[rays]\n1 0\n[open-normals]\n1 0 0\n",
+     "<test>:6: expected 2 entries in [open-normals], got 3"),
+    ("kind: lattice\ndim: 1\n[generators]\n1\n[tensor]\n0 0 1\n\n0 0 1 1\n",
+     "<test>:8: tensor rows are 'i j t_1 .. t_1' (3 entries), got 4"),
+    ("kind: lattice\ndim: 1\n[generators]\n1\n[tensor]\n# first\n0 1 1\n",
+     "<test>:7: tensor indices must be in 0..0"),
+    ("kind: lattice\ndim: 1\n[generators]\n1\n[tensor]\n0 0 1\n0 0 2\n",
+     "<test>:7: duplicate tensor row for pair (0, 0)"),
+    ("kind: lattice\ndim: 1\n[generators]\n1\n[tensor]\n0 z 1\n",
+     "<test>:6: expected an integer, got 'z'"),
+    ("kind: finite\nnames: z a\n[add]\nz a\na\n", "<test>:5: expected 2 entries, got 1"),
+    ("kind: finite\nnames: z a\n[add]\nz a\na q\n", "<test>:5: unknown element name 'q'"),
+]
+
+
+@pytest.mark.parametrize("text, message", LOCATED_REFUSALS)
+def test_each_located_refusal_names_its_line(text, message):
+    with pytest.raises(InputError) as err:
+        parse_instance_text(text, source="<test>")
+    assert str(err.value) == message
+
+
+def test_a_lattice_group_dimension_refusal_names_its_source():
+    with pytest.raises(InputError) as err:
+        parse_instance_text("kind: lattice-group\ndim: 0\n[tensor]\n0 0\n",
+                            source="<test>")
+    assert str(err.value) == "<test>: dimension must be positive"
+
+
 def test_missing_required_section():
     _expect_error("kind: lattice\ndim: 2\n", "generators")
 

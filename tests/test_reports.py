@@ -61,9 +61,34 @@ def test_canonical_tuples_become_lists():
     assert canonical([Fraction(1, 2), (0, 1)]) == ["1/2", [0, 1]]
 
 
-def test_canonical_flattens_tuple_keys():
-    doc = {(1, 0): "a", (0, Fraction(1, 2)): "b", 3: "c"}
-    assert canonical(doc) == {"1,0": "a", "0,1/2": "b", "3": "c"}
+class _AsDict:
+    def __init__(self, doc):
+        self.doc = doc
+
+    def as_dict(self):
+        return self.doc
+
+
+class _Describe:
+    def __init__(self, doc):
+        self.doc = doc
+
+    def describe(self):
+        return self.doc
+
+
+def test_canonical_takes_plain_data_only():
+    # scalar keys become strings; a vector key, and an object that could
+    # describe itself, are refused: each handler passes plain data
+    assert canonical({Fraction(1, 2): "b", 3: "c"}) == {"1/2": "b", "3": "c"}
+    for doc, message in [({(1, 0): "a"}, "cannot use a tuple as a report key"),
+                         ({(): "a"}, "cannot use a tuple as a report key"),
+                         (_AsDict({"a": 1}), "cannot serialize _AsDict into a report"),
+                         ([_Describe({"a": 1})], "cannot serialize _Describe into a report")]:
+        for render in (canonical, render_json, render_text):
+            with pytest.raises(InputError) as exc:
+                render(doc)
+            assert str(exc.value) == message
 
 
 def test_canonical_recurses_into_nested_documents():
@@ -193,42 +218,24 @@ class _Name(str):
     pass
 
 
-class _AsDict:
-    def __init__(self, doc):
-        self.doc = doc
-
-    def as_dict(self):
-        return self.doc
-
-
-class _Describe:
-    def __init__(self, doc):
-        self.doc = doc
-
-    def describe(self):
-        return self.doc
-
-
 _TEXT = st.text(max_size=5)  # control characters and non-ASCII too
 _SCALARS = st.one_of(
     st.integers(), st.booleans(), st.none(), _TEXT,
     st.fractions(max_denominator=9),
     st.integers(-5, 5).map(Fraction),  # integral: prints as an int
     st.sampled_from(list(_Weight)), _TEXT.map(_Name))
-# keys that flatten to the same string: (1, 2) and "1,2", 1/2 and "1/2",
-# True and "True", 7 and Fraction(7) and _Weight.HEAVY
+# keys that flatten to the same string: 1/2 and "1/2", True and "True",
+# 7 and Fraction(7) and _Weight.HEAVY
 _KEYS = st.one_of(
     _TEXT, st.integers(-3, 3), st.fractions(max_denominator=4),
-    st.tuples(st.integers(0, 2), st.fractions(max_denominator=2)),
-    st.sampled_from([(1, 2), "1,2", Fraction(1, 2), "1/2", True, False, "True",
-                     None, 7, Fraction(7), _Weight.HEAVY, _Name("k"), "k", (), ""]))
+    st.sampled_from([Fraction(1, 2), "1/2", True, False, "True",
+                     None, 7, Fraction(7), _Weight.HEAVY, _Name("k"), "k", ""]))
 
 
 def _documents(leaves):
     return st.recursive(leaves, lambda inner: st.one_of(
         st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
-        st.dictionaries(_KEYS, inner, max_size=4),
-        inner.map(_AsDict), inner.map(_Describe)), max_leaves=12)
+        st.dictionaries(_KEYS, inner, max_size=4)), max_leaves=12)
 
 
 @given(_documents(_SCALARS))
@@ -252,7 +259,7 @@ def test_a_float_or_an_unknown_type_at_any_depth_is_refused(doc, bad, depth):
                f"cannot serialize {type(bad).__name__} into a report")
     nested = bad
     for _ in range(depth):
-        nested = [doc, {"x": _AsDict(nested)}]
+        nested = [doc, {"x": nested}]
     for refused in (nested, {(1, bad): 0}):
         with pytest.raises(InputError) as exc:
             render_json(refused)

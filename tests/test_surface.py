@@ -403,9 +403,19 @@ def test_the_importer_walk_finds_each_import_shape(tmp_path):
 # report value ladder in ``reports.canonical``, which the JSON writer falls
 # back on, and a rank or pivot columns in ``exactmath._independent``, with
 # no Hermite form built only to count its rows or read its pivots.
+#
+# Each value at the program's edges has one representation: a rational
+# function cancels in integers (``_int_gcd`` and ``_exact_quotient``), with
+# no rational gcd or quotient beside them; an instance file keeps each
+# header and row with its line, with no parallel dict of lines; a report
+# takes plain data, with no object asked to describe itself and no vector
+# key joined; and an id list is read off its dispatch table.
 SHARED_JOBS = {"__eq__", "__repr__", "__hash__", "int_det"}
-# the oracles only tests use, which live next to them
-TEST_ORACLES = {"sign_canonical", "same_cone"}
+# no function of these names is defined under src/: the oracles only tests
+# use, which live next to them, and the rational gcd and quotient
+NOT_IN_SRC = {"sign_canonical", "same_cone", "poly_gcd", "exact_div"}
+LINE_DICTS = {"header_lines", "section_lines"}
+DISPATCHED = {"REPRODUCE_IDS", "KINDS"}
 
 
 def _shared_job_sites(directory):
@@ -451,22 +461,33 @@ def _callee(call):
 
 def _second_copies(directory):
     """(file, function, what), sorted, of each second copy of a job that
-    has one home: a ``hasattr`` call or a ``float`` in ``_json``, a call
-    of ``_refusal`` outside ``canonical``, a ``len`` or ``_pivots`` of a
-    fresh Hermite form, and a definition of a test oracle."""
+    has one home: a ``hasattr`` call in ``_json``, ``canonical`` or
+    ``_key``, a ``float`` in ``_json``, a ``join`` in ``canonical`` or
+    ``_key``, a call of ``_refusal`` outside ``canonical``, a ``len`` or
+    ``_pivots`` of a fresh Hermite form, a definition of a name in
+    ``NOT_IN_SRC``, an attribute that keeps lines apart from what was read
+    on them, and a literal tuple of ids that a dispatch table holds
+    (function "")."""
     out = []
     for path in sorted(_python_files(directory)):
         name = os.path.basename(path)
-        for func, node in _functions(ast.parse(_read(path))):
-            if func.rpartition(".")[2] in TEST_ORACLES:
+        tree = ast.parse(_read(path))
+        out.extend((name, "", f"{n.targets[0].id} literal") for n in tree.body
+                   if isinstance(n, ast.Assign) and isinstance(n.value, ast.Tuple)
+                   and isinstance(n.targets[0], ast.Name) and n.targets[0].id in DISPATCHED)
+        for func, node in _functions(tree):
+            if func.rpartition(".")[2] in NOT_IN_SRC:
                 out.append((name, func, "defined"))
             for n in ast.walk(node):
                 if func == "_json" and isinstance(n, ast.Name) and n.id == "float":
                     out.append((name, func, "float"))
+                if isinstance(n, ast.Attribute) and n.attr in LINE_DICTS:
+                    out.append((name, func, n.attr))
                 if not isinstance(n, ast.Call):
                     continue
                 callee = _callee(n)
-                if (func == "_json" and callee == "hasattr"
+                if (func in ("_json", "canonical", "_key") and callee == "hasattr"
+                        or func in ("canonical", "_key") and callee == "join"
                         or func != "canonical" and callee == "_refusal"):
                     out.append((name, func, callee))
                 elif (callee in ("len", "_pivots") and n.args and isinstance(n.args[0], ast.Call)
@@ -509,7 +530,7 @@ def test_the_shared_job_walk_finds_a_planted_copy(tmp_path):
 
 def test_the_second_copy_walk_finds_each_planted_copy(tmp_path):
     # the walk is not vacuous: each second copy is found where planted,
-    # and canonical's own refusal is not
+    # and canonical's own refusal and an id list read off its table are not
     (tmp_path / "planted.py").write_text(
         "def canonical(doc):\n"
         "    raise _refusal(doc)\n"
@@ -520,11 +541,32 @@ def test_the_second_copy_walk_finds_each_planted_copy(tmp_path):
         "    return len(hermite_normal_form(a))\n"
         "class RationalCone:\n"
         "    def same_cone(self, other):\n"
-        "        return _pivots(exactmath.hermite_normal_form(other))\n")
+        "        return _pivots(exactmath.hermite_normal_form(other))\n"
+        "def _key(k):\n"
+        "    if hasattr(k, 'describe'):\n"
+        "        return ','.join(k)\n"
+        "class RationalPolynomial:\n"
+        "    def exact_div(self, other):\n"
+        "        return poly_gcd(self, other)\n"
+        "def poly_gcd(a, b):\n"
+        "    return a\n"
+        "class _Raw:\n"
+        "    def __init__(self):\n"
+        "        self.header_lines = {}\n"
+        "def _check_known(raw):\n"
+        "    return raw.section_lines\n"
+        "KINDS = ('finite',)\n"
+        "REPRODUCE_IDS = tuple(_REPRODUCERS)\n")
     assert _second_copies(str(tmp_path)) == [
+        ("planted.py", "", "KINDS literal"),
         ("planted.py", "RationalCone.same_cone", "_pivots(hermite_normal_form)"),
         ("planted.py", "RationalCone.same_cone", "defined"),
+        ("planted.py", "RationalPolynomial.exact_div", "defined"),
+        ("planted.py", "_Raw.__init__", "header_lines"),
+        ("planted.py", "_check_known", "section_lines"),
         ("planted.py", "_json", "_refusal"), ("planted.py", "_json", "float"),
         ("planted.py", "_json", "hasattr"),
+        ("planted.py", "_key", "hasattr"), ("planted.py", "_key", "join"),
+        ("planted.py", "poly_gcd", "defined"),
         ("planted.py", "sign_canonical", "defined"),
         ("planted.py", "sign_canonical", "len(hermite_normal_form)")]
